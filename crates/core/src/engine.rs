@@ -733,18 +733,14 @@ impl IndexService {
                 .peers
                 .par_iter()
                 .map(|peer| {
-                    let mut batch: Vec<(Key, CompressedPostings)> = peer
-                        .compute_round(round, config, excluded)
-                        .into_iter()
-                        .filter(|(_, postings)| !postings.is_empty())
-                        .map(|(key, postings)| {
-                            (
-                                key,
-                                CompressedPostings::from_list_with(&postings, config.codec),
-                            )
+                    // The runs come key-sorted and without empty lists.
+                    let batch: Vec<(Key, CompressedPostings)> = peer
+                        .compute_runs(round, config, excluded)
+                        .iter()
+                        .map(|(key, run)| {
+                            (key, CompressedPostings::from_postings(run, config.codec))
                         })
                         .collect();
-                    batch.sort_unstable_by_key(|(key, _)| *key);
                     (peer.id, batch)
                 })
                 .collect();

@@ -9,6 +9,7 @@
 use hdk_p2p::{hash_u64s, KeyHash};
 use hdk_text::TermId;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Hard upper bound on key size. The paper uses `smax = 3`; 4 leaves room
 /// for the `smax`-sensitivity ablation while keeping `Key` at 20 bytes.
@@ -16,10 +17,23 @@ pub const MAX_KEY_SIZE: usize = 4;
 
 /// A canonical term set: sorted ascending, no duplicates, `1..=MAX_KEY_SIZE`
 /// terms.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Key {
     terms: [u32; MAX_KEY_SIZE],
     len: u8,
+}
+
+/// Two words cover the four term slots; unused slots hold `u32::MAX`, so
+/// `len` adds nothing a term array does not already say (keys that differ
+/// only in `len` would need a term with id `u32::MAX`, and still compare
+/// unequal).
+impl Hash for Key {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d] = self.terms.map(u64::from);
+        state.write_u64(a | b << 32);
+        state.write_u64(c | d << 32);
+    }
 }
 
 impl Key {
@@ -33,19 +47,40 @@ impl Key {
     /// Builds a key from arbitrary terms: sorts, deduplicates. Returns
     /// `None` when empty or when more than [`MAX_KEY_SIZE`] distinct terms
     /// remain.
+    ///
+    /// Insertion into the inline array: no heap, whatever the input length.
     pub fn from_terms(terms: &[TermId]) -> Option<Self> {
-        let mut buf: Vec<u32> = terms.iter().map(|t| t.0).collect();
-        buf.sort_unstable();
-        buf.dedup();
-        if buf.is_empty() || buf.len() > MAX_KEY_SIZE {
-            return None;
-        }
         let mut arr = [u32::MAX; MAX_KEY_SIZE];
-        arr[..buf.len()].copy_from_slice(&buf);
-        Some(Self {
+        let mut len = 0;
+        for t in terms {
+            let pos = arr[..len].partition_point(|&x| x < t.0);
+            if pos < len && arr[pos] == t.0 {
+                continue;
+            }
+            if len == MAX_KEY_SIZE {
+                return None;
+            }
+            arr.copy_within(pos..len, pos + 1);
+            arr[pos] = t.0;
+            len += 1;
+        }
+        (len > 0).then_some(Self {
             terms: arr,
-            len: buf.len() as u8,
+            len: len as u8,
         })
+    }
+
+    /// A key from terms already strictly ascending (the generator's sorted
+    /// window prefixes).
+    pub(crate) fn from_ascending(terms: &[u32]) -> Self {
+        debug_assert!((1..=MAX_KEY_SIZE).contains(&terms.len()));
+        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
+        let mut arr = [u32::MAX; MAX_KEY_SIZE];
+        arr[..terms.len()].copy_from_slice(terms);
+        Self {
+            terms: arr,
+            len: terms.len() as u8,
+        }
     }
 
     /// Returns `self ∪ {t}`, or `None` if `t` is already a member or the

@@ -17,12 +17,11 @@
 
 use crate::config::HdkConfig;
 use crate::key::{Key, MAX_KEY_SIZE};
-use crate::window_keys::{candidate_postings_filtered, single_term_postings};
+use crate::window_keys::{KeyLists, KeyRuns, RunBuilder};
 use hdk_corpus::DocId;
-use hdk_ir::PostingList;
-use hdk_p2p::PeerId;
+use hdk_p2p::{IdHashSet, PeerId};
 use hdk_text::TermId;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A peer's local indexing state.
 #[derive(Debug)]
@@ -36,14 +35,18 @@ pub struct LocalPeer {
     pending: Vec<(DocId, Vec<TermId>)>,
     /// All known globally non-discriminative keys this peer contributed,
     /// by size (slot `s-1`). Cumulative across sessions.
-    ndk_by_size: [HashSet<Key>; MAX_KEY_SIZE],
+    ///
+    /// These four sets hold ids the engine assigned and are probed once
+    /// per token of every round, so they hash with the cheap
+    /// [`hdk_p2p::IdHasher`]. Only membership is ever asked of them.
+    ndk_by_size: [IdHashSet<Key>; MAX_KEY_SIZE],
     /// Term view of the size-1 NDK set (hot path of candidate generation).
-    ndk1_terms: HashSet<TermId>,
+    ndk1_terms: IdHashSet<TermId>,
     /// Keys that became non-discriminative in the *current* session, by
     /// size — the novelty sets driving re-generation over old documents.
-    newly_by_size: [HashSet<Key>; MAX_KEY_SIZE],
+    newly_by_size: [IdHashSet<Key>; MAX_KEY_SIZE],
     /// Newly non-discriminative single terms (term view).
-    newly1_terms: HashSet<TermId>,
+    newly1_terms: IdHashSet<TermId>,
 }
 
 impl LocalPeer {
@@ -57,9 +60,9 @@ impl LocalPeer {
             docs: Vec::new(),
             pending: docs,
             ndk_by_size: Default::default(),
-            ndk1_terms: HashSet::new(),
+            ndk1_terms: IdHashSet::default(),
             newly_by_size: Default::default(),
-            newly1_terms: HashSet::new(),
+            newly1_terms: IdHashSet::default(),
         }
     }
 
@@ -67,16 +70,15 @@ impl LocalPeer {
     ///
     /// # Panics
     /// Panics if a document id is already indexed or already pending.
-    pub fn add_documents(&mut self, mut docs: Vec<(DocId, Vec<TermId>)>) {
+    pub fn add_documents(&mut self, docs: Vec<(DocId, Vec<TermId>)>) {
         for (d, _) in &docs {
             assert!(
                 self.docs.binary_search_by_key(d, |(x, _)| *x).is_err()
-                    && !self.pending.iter().any(|(x, _)| x == d),
+                    && self.pending.binary_search_by_key(d, |(x, _)| *x).is_err(),
                 "document {d} already known to {}",
                 self.id
             );
         }
-        docs.sort_unstable_by_key(|(d, _)| *d);
         self.pending.extend(docs);
         self.pending.sort_unstable_by_key(|(d, _)| *d);
     }
@@ -96,32 +98,34 @@ impl LocalPeer {
     }
 
     /// Computes the peer's key postings for `round` (1-based key size) of
-    /// the current session.
+    /// the current session, as the sorted runs the round ships.
     ///
     /// * Round 1: every non-very-frequent term of the *pending* documents.
     /// * Round `s >= 2`: candidates from expanding size-(s-1) NDKs with
     ///   co-occurring NDK terms inside windows — over pending documents
     ///   with the full NDK knowledge, plus over already-indexed documents
-    ///   restricted to combinations involving a newly-NDK key.
-    pub fn compute_round(
+    ///   restricted to combinations involving a newly-NDK key. The two
+    ///   document sets are disjoint, so one sort of both passes' output is
+    ///   their union.
+    pub fn compute_runs(
         &self,
         round: usize,
         config: &HdkConfig,
         excluded: &HashSet<TermId>,
-    ) -> HashMap<Key, PostingList> {
+    ) -> KeyRuns {
+        let mut runs = RunBuilder::default();
+        let pending = self.pending.iter().map(|(d, t)| (*d, t.as_slice()));
         if round == 1 {
-            return single_term_postings(
-                self.pending.iter().map(|(d, t)| (*d, t.as_slice())),
-                excluded,
-            );
+            runs.add_singles(pending, excluded);
+            return runs.finish();
         }
         let ndk_prev = &self.ndk_by_size[round - 2];
         if ndk_prev.is_empty() {
-            return HashMap::new();
+            return KeyRuns::default();
         }
         // New documents: everything the current knowledge admits.
-        let mut batch = candidate_postings_filtered(
-            self.pending.iter().map(|(d, t)| (*d, t.as_slice())),
+        runs.add_candidates(
+            pending,
             config.window,
             round,
             &self.ndk1_terms,
@@ -133,7 +137,7 @@ impl LocalPeer {
         // this a no-op, e.g. in steady-state sessions).
         let newly_prev = &self.newly_by_size[round - 2];
         if !self.docs.is_empty() && (!newly_prev.is_empty() || !self.newly1_terms.is_empty()) {
-            let old = candidate_postings_filtered(
+            runs.add_candidates(
                 self.docs.iter().map(|(d, t)| (*d, t.as_slice())),
                 config.window,
                 round,
@@ -142,21 +146,19 @@ impl LocalPeer {
                 config.exact_intrinsic,
                 Some((&self.newly1_terms, newly_prev)),
             );
-            for (key, postings) in old {
-                match batch.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        // Doc sets are disjoint (old vs pending), so the
-                        // union is a pure merge.
-                        let merged = e.get().union(&postings);
-                        e.insert(merged);
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(postings);
-                    }
-                }
-            }
         }
-        batch
+        runs.finish()
+    }
+
+    /// [`LocalPeer::compute_runs`], decoded into one posting list per key
+    /// (inspection, tests, probes).
+    pub fn compute_round(
+        &self,
+        round: usize,
+        config: &HdkConfig,
+        excluded: &HashSet<TermId>,
+    ) -> KeyLists {
+        self.compute_runs(round, config, excluded).into_lists()
     }
 
     /// Delivers the end-of-round notifications: the keys of size `round`
@@ -217,12 +219,12 @@ impl LocalPeer {
     }
 
     /// The peer's current NDK single-term set (for inspection/tests).
-    pub fn ndk_singles(&self) -> &HashSet<TermId> {
+    pub fn ndk_singles(&self) -> &IdHashSet<TermId> {
         &self.ndk1_terms
     }
 
     /// All known NDK keys of a given size (for inspection/tests).
-    pub fn ndk_keys(&self, size: usize) -> &HashSet<Key> {
+    pub fn ndk_keys(&self, size: usize) -> &IdHashSet<Key> {
         &self.ndk_by_size[size - 1]
     }
 }

@@ -1,0 +1,219 @@
+//! Heap allocations on the sending peer's half of an indexing round.
+//!
+//! A round's cost per `(peer, key)` item used to be dominated by the
+//! allocator: a `Vec` per probed subset, a map node and a `Vec` per key, three
+//! buffers per encoded block. The sorted-run generator allocates per *call*
+//! (its scratch and two columns) and the slice encoder once per block; this
+//! file pins that with a counting allocator. Counts are per thread, so the
+//! tests of this binary may run side by side.
+
+use hdk_core::window_keys::RunBuilder;
+use hdk_core::{HdkConfig, Key, LocalPeer};
+use hdk_corpus::{CollectionGenerator, DocId, GeneratorConfig};
+use hdk_ir::{CompressedPostings, Posting};
+use hdk_p2p::{IdHashSet, PeerId};
+use hdk_text::TermId;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashSet;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread. Const-initialized
+    /// and without a destructor, so the allocator may touch it at any time.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the caller's; counting touches only a thread-local `Cell`.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counting<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// One peer holding a 200-document collection.
+fn fixture() -> Vec<(DocId, Vec<TermId>)> {
+    CollectionGenerator::new(GeneratorConfig {
+        num_docs: 200,
+        ..GeneratorConfig::default()
+    })
+    .generate()
+    .iter()
+    .map(|(d, t)| (d, t.to_vec()))
+    .collect()
+}
+
+/// What the sending side does with one round: generate the runs, encode a
+/// block per key. Returns the keys emitted and the allocations spent.
+fn compute_and_encode(peer: &LocalPeer, round: usize, config: &HdkConfig) -> (usize, u64) {
+    let excluded: HashSet<TermId> = HashSet::new();
+    let (batch, allocations) = counting(|| {
+        peer.compute_runs(round, config, &excluded)
+            .iter()
+            .map(|(key, run)| (key, CompressedPostings::from_postings(run, config.codec)))
+            .collect::<Vec<_>>()
+    });
+    (batch.len(), allocations)
+}
+
+/// The keys of a round that stand in for "globally non-discriminative": the
+/// ones in at least `min_df` of the peer's documents.
+fn frequent_keys(peer: &LocalPeer, round: usize, config: &HdkConfig, min_df: usize) -> Vec<Key> {
+    peer.compute_runs(round, config, &HashSet::<TermId>::new())
+        .iter()
+        .filter(|(_, run)| run.len() >= min_df)
+        .map(|(key, _)| key)
+        .collect()
+}
+
+#[test]
+fn at_most_three_allocations_per_emitted_key() {
+    let config = HdkConfig::default();
+    let mut docs = fixture();
+    let later = docs.split_off(150);
+    let mut peer = LocalPeer::new(PeerId(0), docs);
+
+    // A build session: rounds 1..=3 over 150 new documents.
+    let mut spent = Vec::new();
+    for round in 1..=3 {
+        spent.push((round, compute_and_encode(&peer, round, &config)));
+        let ndk = frequent_keys(&peer, round, &config, if round == 1 { 12 } else { 4 });
+        peer.receive_notifications(round, &ndk);
+    }
+    peer.finish_session();
+
+    // A growth session: 50 new documents, the 150 old ones re-examined for
+    // what the (lower) thresholds make newly non-discriminative.
+    peer.add_documents(later);
+    for round in 1..=3 {
+        spent.push((round, compute_and_encode(&peer, round, &config)));
+        let mut ndk = frequent_keys(&peer, round, &config, if round == 1 { 3 } else { 2 });
+        ndk.extend(peer.ndk_keys(round).iter().copied());
+        ndk.sort_unstable();
+        ndk.dedup();
+        peer.receive_notifications(round, &ndk);
+    }
+
+    for (round, (keys, allocations)) in spent {
+        assert!(keys > 500, "round {round} emitted only {keys} keys");
+        assert!(
+            allocations <= 3 * keys as u64,
+            "round {round}: {allocations} allocations for {keys} keys"
+        );
+    }
+}
+
+#[test]
+fn one_allocation_per_encoded_block() {
+    let postings: Vec<Posting> = (0..300)
+        .map(|i| Posting {
+            doc: DocId(7 * i + 3),
+            tf: 1 + i % 5,
+            doc_len: 90 + i,
+        })
+        .collect();
+    // The first block of a thread sizes the scratch frame.
+    let _ = CompressedPostings::from_postings(&postings, hdk_ir::Codec::Leb128);
+    let _ = CompressedPostings::from_postings(&postings, hdk_ir::Codec::Gv4);
+    for codec in [hdk_ir::Codec::Leb128, hdk_ir::Codec::Gv4] {
+        for len in [1, 2, 17, 300] {
+            let (block, allocations) =
+                counting(|| CompressedPostings::from_postings(&postings[..len], codec));
+            assert_eq!(block.len(), len);
+            assert_eq!(allocations, 1, "{codec:?}, {len} postings");
+        }
+    }
+}
+
+#[test]
+fn probing_a_subset_allocates_nothing() {
+    // The probe itself: a key built from terms, its neighbours, set lookups.
+    let terms: Vec<TermId> = (0..40).map(TermId).collect();
+    let fast: IdHashSet<Key> = terms
+        .windows(2)
+        .map(|w| Key::from_terms(w).expect("2 terms"))
+        .collect();
+    let std_set: HashSet<Key> = fast.iter().copied().collect();
+    let (hits, allocations) = counting(|| {
+        let mut hits = 0usize;
+        for a in &terms {
+            for b in &terms {
+                for c in &terms[..8] {
+                    let Some(sub_key) = Key::from_terms(&[*c, *a, *b, *a]) else {
+                        continue;
+                    };
+                    hits += usize::from(fast.contains(&sub_key) && std_set.contains(&sub_key));
+                    if let Some(candidate) = sub_key.extend(TermId(99)) {
+                        hits += candidate
+                            .immediate_sub_keys()
+                            .filter(|sub| fast.contains(sub))
+                            .count();
+                    }
+                }
+            }
+        }
+        hits
+    });
+    assert!(hits > 0);
+    assert_eq!(allocations, 0);
+
+    // And in place: a round-3 pass whose every window is full of known
+    // terms probes ~170 pair sub-keys per token, none of them a known pair.
+    // It may allocate its scratch, not one byte per probe.
+    let docs: Vec<(DocId, Vec<TermId>)> = (0..20)
+        .map(|d| {
+            (
+                DocId(d),
+                (0..400).map(|i| TermId((i * 7 + d) % 40)).collect(),
+            )
+        })
+        .collect();
+    let ndk1: HashSet<TermId> = terms.iter().copied().collect();
+    let unrelated: HashSet<Key> = [Key::from_terms(&[TermId(77), TermId(78)]).expect("2 terms")]
+        .into_iter()
+        .collect();
+    let (runs, allocations) = counting(|| {
+        let mut runs = RunBuilder::default();
+        runs.add_candidates(
+            docs.iter().map(|(d, t)| (*d, t.as_slice())),
+            20,
+            3,
+            &ndk1,
+            &unrelated,
+            false,
+            None,
+        );
+        runs.finish()
+    });
+    assert!(runs.is_empty());
+    assert!(allocations <= 8, "{allocations} allocations");
+}

@@ -121,6 +121,45 @@ fn incremental_equals_rebuild_on_generated_collection() {
     assert_networks_equal(&full, &incremental, &collection);
 }
 
+/// Builds documents `0..bounds[0]`, then grows by `bounds[i-1]..bounds[i]`
+/// one `add_documents` session at a time, with the peer assignment of
+/// `partitions`.
+fn grow_in_waves(
+    collection: &Collection,
+    partitions: &[Vec<DocId>],
+    bounds: &[usize],
+    dfmax: u32,
+) -> HdkNetwork {
+    let base: Vec<Vec<DocId>> = partitions
+        .iter()
+        .map(|p| {
+            p.iter()
+                .copied()
+                .filter(|d| d.index() < bounds[0])
+                .collect()
+        })
+        .collect();
+    let mut net = HdkNetwork::build(
+        &collection.prefix(bounds[0]),
+        &base,
+        config(dfmax),
+        OverlayKind::PGrid,
+    );
+    for wave in bounds.windows(2) {
+        let mut additions = Vec::new();
+        for (peer_idx, part) in partitions.iter().enumerate() {
+            for &d in part
+                .iter()
+                .filter(|d| (wave[0]..wave[1]).contains(&d.index()))
+            {
+                additions.push((PeerId(peer_idx as u64), collection.doc(d).clone()));
+            }
+        }
+        net.add_documents(additions);
+    }
+    net
+}
+
 #[test]
 fn incremental_in_multiple_waves() {
     let collection = CollectionGenerator::new(GeneratorConfig {
@@ -134,35 +173,52 @@ fn incremental_in_multiple_waves() {
     .generate();
     let partitions = partition_documents(collection.len(), 3, 8);
     let full = HdkNetwork::build(&collection, &partitions, config(10), OverlayKind::PGrid);
-
     // Three waves: 0..120, 120..240, 240..360.
-    let wave_parts = |lo: usize, hi: usize| -> Vec<Vec<DocId>> {
-        partitions
-            .iter()
-            .map(|p| {
-                p.iter()
-                    .copied()
-                    .filter(|d| (lo..hi).contains(&d.index()))
-                    .collect()
-            })
-            .collect()
-    };
-    let mut net = HdkNetwork::build(
-        &collection.prefix(120),
-        &wave_parts(0, 120),
-        config(10),
-        OverlayKind::PGrid,
-    );
-    for (lo, hi) in [(120, 240), (240, 360)] {
-        let mut additions = Vec::new();
-        for (peer_idx, part) in partitions.iter().enumerate() {
-            for &d in part.iter().filter(|d| (lo..hi).contains(&d.index())) {
-                additions.push((PeerId(peer_idx as u64), collection.doc(d).clone()));
-            }
-        }
-        net.add_documents(additions);
-    }
+    let net = grow_in_waves(&collection, &partitions, &[120, 240, 360], 10);
     assert_networks_equal(&full, &net, &collection);
+}
+
+/// The benchmark's growth shape in small: a base build and four equal
+/// batches, every batch re-examining all older documents for what became
+/// non-discriminative since. The grown index is the one-session rebuild,
+/// down to the bits of every top-20 score.
+#[test]
+fn four_growth_batches_equal_one_session_rebuild() {
+    let collection = CollectionGenerator::new(GeneratorConfig {
+        num_docs: 400,
+        vocab_size: 2_000,
+        avg_doc_len: 60,
+        num_topics: 20,
+        topic_vocab: 60,
+        ..GeneratorConfig::default()
+    })
+    .generate();
+    let partitions = partition_documents(collection.len(), 4, 17);
+    let full = HdkNetwork::build(&collection, &partitions, config(8), OverlayKind::PGrid);
+    let grown = grow_in_waves(&collection, &partitions, &[200, 250, 300, 350, 400], 8);
+    assert_networks_equal(&full, &grown, &collection);
+    let log = QueryLog::generate(
+        &collection,
+        &QueryLogConfig {
+            num_queries: 60,
+            ..QueryLogConfig::default()
+        },
+    );
+    for q in &log.queries {
+        let bits = |net: &HdkNetwork| -> Vec<(DocId, u64)> {
+            net.query(PeerId(1), &q.terms, 20)
+                .results
+                .iter()
+                .map(|r| (r.doc, r.score.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&full),
+            bits(&grown),
+            "scores diverged for {:?}",
+            q.terms
+        );
+    }
 }
 
 #[test]

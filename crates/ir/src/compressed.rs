@@ -91,11 +91,44 @@ impl CompressedPostings {
 
     /// Encodes a decoded posting list in the given codec.
     pub fn from_list_with(list: &PostingList, codec: Codec) -> Self {
-        let mut enc = BlockEncoder::with_capacity(codec, list.len());
-        for &p in list.postings() {
-            enc.push(p);
+        Self::from_postings(list.postings(), codec)
+    }
+
+    /// Encodes postings that are strictly ascending by document, in the
+    /// given codec.
+    ///
+    /// The count is known before the first byte is written, so header and
+    /// body go into one per-thread scratch frame that is copied out once:
+    /// the block costs a single allocation however long it is — the
+    /// sending peer encodes one block per key it emits.
+    ///
+    /// # Panics
+    /// Panics (debug) if the documents are not strictly ascending.
+    pub fn from_postings(postings: &[Posting], codec: Codec) -> Self {
+        thread_local! {
+            static FRAME: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
         }
-        enc.finish()
+        let (Some(first), Some(last)) = (postings.first(), postings.last()) else {
+            return Self::new();
+        };
+        let count = u32::try_from(postings.len()).expect("a block counts its postings in a u32");
+        let block = FRAME.with_borrow_mut(|frame| {
+            frame.clear();
+            write_frame_header(frame, codec, count);
+            let mut enc = BlockEncoder::resume(codec, std::mem::take(frame));
+            for &p in postings {
+                enc.push(p);
+            }
+            *frame = enc.body.into_stream();
+            Bytes::copy_from_slice(frame)
+        });
+        Self {
+            block,
+            count,
+            max_doc: last.doc.0,
+            min_doc: first.doc.0,
+            codec,
+        }
     }
 
     /// Validates and adopts an encoded block (e.g. received off the wire),
@@ -397,7 +430,7 @@ impl CompressedPostings {
                         w.push(r.next().expect("incoming block was validated"));
                     }
                 }
-                frame_gv4(total, &w.finish())
+                frame(Codec::Gv4, total, &w.finish())
             }
         };
         CompressedPostings {
@@ -425,11 +458,7 @@ impl CompressedPostings {
         scored.truncate(k);
         let mut kept: Vec<Posting> = scored.into_iter().map(|(_, p)| p).collect();
         kept.sort_unstable_by_key(|p| p.doc);
-        let mut enc = BlockEncoder::with_capacity(self.codec, kept.len());
-        for p in kept {
-            enc.push(p);
-        }
-        enc.finish()
+        Self::from_postings(&kept, self.codec)
     }
 }
 
@@ -570,23 +599,19 @@ impl Iterator for BlockIter<'_> {
 
 impl ExactSizeIterator for BlockIter<'_> {}
 
-/// Frames a finished LEB128 body into a block: `varint(count)` then the
-/// body bytes.
-fn frame_block(count: u32, body: &[u8]) -> Bytes {
-    let mut block = Vec::with_capacity(varint_len(u64::from(count)) + body.len());
-    write_varint(&mut block, u64::from(count));
-    block.extend_from_slice(body);
-    Bytes::from(block)
+/// Appends a block's frame header — `varint(count)`, behind `[0x00,
+/// GV4_TAG]` for gv4. The only place that knows the header layouts.
+fn write_frame_header(block: &mut Vec<u8>, codec: Codec, count: u32) {
+    if codec == Codec::Gv4 {
+        block.extend_from_slice(&[0x00, GV4_TAG]);
+    }
+    write_varint(block, u64::from(count));
 }
 
-/// Frames a finished gv4 value stream: `[0x00, GV4_TAG, varint(count),
-/// stream]` — with [`frame_block`], the only places that know the header
-/// layouts.
-fn frame_gv4(count: u32, stream: &[u8]) -> Bytes {
+/// Frames a finished value stream (LEB128 body or gv4 groups) into a block.
+fn frame(codec: Codec, count: u32, stream: &[u8]) -> Bytes {
     let mut block = Vec::with_capacity(2 + varint_len(u64::from(count)) + stream.len());
-    block.push(0x00);
-    block.push(GV4_TAG);
-    write_varint(&mut block, u64::from(count));
+    write_frame_header(&mut block, codec, count);
     block.extend_from_slice(stream);
     Bytes::from(block)
 }
@@ -606,10 +631,26 @@ impl StreamWriter {
         }
     }
 
+    /// A writer appending to `stream`, which holds no values yet.
+    fn resume(codec: Codec, stream: Vec<u8>) -> Self {
+        match codec {
+            Codec::Leb128 => Self::Leb(stream),
+            Codec::Gv4 => Self::Gv4(gv4::Writer::resume(stream, 0)),
+        }
+    }
+
     fn codec(&self) -> Codec {
         match self {
             Self::Leb(_) => Codec::Leb128,
             Self::Gv4(_) => Codec::Gv4,
+        }
+    }
+
+    /// The finished value stream.
+    fn into_stream(self) -> Vec<u8> {
+        match self {
+            Self::Leb(buf) => buf,
+            Self::Gv4(w) => w.finish(),
         }
     }
 }
@@ -624,8 +665,17 @@ struct BlockEncoder {
 
 impl BlockEncoder {
     fn with_capacity(codec: Codec, postings: usize) -> Self {
+        Self::over(StreamWriter::with_capacity(codec, postings * 3))
+    }
+
+    /// An encoder appending its body to `frame` (a header already there).
+    fn resume(codec: Codec, frame: Vec<u8>) -> Self {
+        Self::over(StreamWriter::resume(codec, frame))
+    }
+
+    fn over(body: StreamWriter) -> Self {
         Self {
-            body: StreamWriter::with_capacity(codec, postings * 3),
+            body,
             count: 0,
             prev: -1,
             first: 0,
@@ -661,12 +711,8 @@ impl BlockEncoder {
             return CompressedPostings::new();
         }
         let codec = self.body.codec();
-        let block = match self.body {
-            StreamWriter::Leb(buf) => frame_block(self.count, &buf),
-            StreamWriter::Gv4(w) => frame_gv4(self.count, &w.finish()),
-        };
         CompressedPostings {
-            block,
+            block: frame(codec, self.count, &self.body.into_stream()),
             count: self.count,
             max_doc: self.prev as u32,
             min_doc: self.first as u32,
@@ -747,17 +793,14 @@ impl GapEncoder {
         if self.count == 0 {
             // Canonical empty — legacy `[0x00]` under every codec.
             return CompressedDocSet {
-                block: frame_block(0, &[]),
+                block: frame(Codec::Leb128, 0, &[]),
                 count: 0,
                 max_doc: 0,
                 codec: Codec::Leb128,
             };
         }
         let codec = self.body.codec();
-        let block = match self.body {
-            StreamWriter::Leb(buf) => frame_block(self.count, &buf),
-            StreamWriter::Gv4(w) => frame_gv4(self.count, &w.finish()),
-        };
+        let block = frame(codec, self.count, &self.body.into_stream());
         CompressedDocSet {
             block,
             count: self.count,

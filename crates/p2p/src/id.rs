@@ -4,7 +4,9 @@
 //! by a deterministic FNV-1a hash, so simulation runs are exactly
 //! reproducible across processes and platforms (no `RandomState`).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a peer `P_i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -65,6 +67,64 @@ pub fn splitmix64(seed: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Odd multiplier of [`IdHasher`] (2^64 / golden ratio, as in
+/// [`splitmix64`]).
+const ID_HASH_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A multiplicative hasher for in-process tables keyed by values this
+/// program computed itself: term ids, term-id tuples, [`KeyHash`] values
+/// that already are hashes. One rotate-xor-multiply per word in place of
+/// SipHash's rounds, and no per-process random state.
+///
+/// Not for keys an outside party can choose — it has no collision
+/// resistance — and not a stable format: nothing may persist or transmit
+/// its output.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(ID_HASH_MUL);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        // A product's low bits depend only on the factors' low bits, and
+        // the DHT stripes group `KeyHash` values by exactly those bits:
+        // fold the well-mixed high half down, because the table takes its
+        // bucket index from the low bits.
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+}
+
+/// [`std::hash::BuildHasher`] for [`IdHasher`].
+pub type IdBuildHasher = BuildHasherDefault<IdHasher>;
+/// A `HashMap` hashing with [`IdHasher`].
+pub type IdHashMap<K, V> = HashMap<K, V, IdBuildHasher>;
+/// A `HashSet` hashing with [`IdHasher`].
+pub type IdHashSet<T> = HashSet<T, IdBuildHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,6 +152,37 @@ mod tests {
         let k2 = KeyHash(1);
         assert!(k2.bit(63));
         assert!(!k2.bit(0));
+    }
+
+    #[test]
+    fn id_hasher_spreads_one_stripes_keys_over_the_buckets() {
+        // Keys of one DHT stripe agree in their low 7 bits; a table of
+        // 2^10 buckets must still see nearly all of its buckets used (unfolded,
+        // the product would reach 8 of them; 4096 random draws reach ~1005).
+        let buckets: HashSet<u64> = (0..4096u64)
+            .map(|i| {
+                let mut h = IdHasher::default();
+                h.write_u64(hash_u64s(&[i]) << 7 | 0x55);
+                h.finish() & 1023
+            })
+            .collect();
+        assert!(buckets.len() > 900, "only {} buckets used", buckets.len());
+    }
+
+    #[test]
+    fn id_hasher_distinguishes_word_order_and_width() {
+        let of = |words: &[u64]| {
+            let mut h = IdHasher::default();
+            for &w in words {
+                h.write_u64(w);
+            }
+            h.finish()
+        };
+        assert_ne!(of(&[1, 2]), of(&[2, 1]));
+        assert_ne!(of(&[1]), of(&[1, 0]));
+        let mut bytes = IdHasher::default();
+        bytes.write(&[1, 0, 0, 0, 0, 0, 0, 0, 2]);
+        assert_eq!(bytes.finish(), of(&[1, 2]));
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use gossip::{
     digest_bytes as gossip_digest_bytes, GossipConfig, GossipProbe, GossipRound, GossipState,
     Liveness, PeerView, ViewEntry,
 };
-pub use id::{hash_bytes, hash_u64s, KeyHash, PeerId};
+pub use id::{hash_bytes, hash_u64s, IdHashMap, IdHashSet, IdHasher, KeyHash, PeerId};
 pub use overlay::{Overlay, RouteResult};
 pub use pgrid::PGrid;
 pub use replica::{Delivery, Membership, MembershipEvent, PeerState};

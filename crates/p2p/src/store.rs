@@ -28,6 +28,7 @@
 //! reproducible run to run and independent of `RAYON_NUM_THREADS` — which
 //! is what makes restart-recovery bit-reproducible.
 
+use crate::id::IdHashMap;
 use hdk_ir::segment::{read_frame, seal_frame, FrameRead, FRAME_HEADER_BYTES};
 use parking_lot::RwLock;
 use std::collections::{HashMap, VecDeque};
@@ -181,10 +182,16 @@ pub trait Store<V>: Send + Sync {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// The original in-memory striped storage, extracted verbatim: one
-/// `RwLock<HashMap>` per stripe, every entry hot.
+/// The original in-memory striped storage: one `RwLock`ed map per stripe,
+/// every entry hot.
+///
+/// The maps are keyed by `KeyHash` values — hashes already — so they hash
+/// with the cheap [`crate::IdHasher`]. Their iteration order (`scan`,
+/// `scan_mut`, `retain`) was per-process random under the default hasher,
+/// so no caller can depend on it: sweeps either fold order-free sums or
+/// sort what they collect.
 pub struct MemStore<V> {
-    stripes: Vec<RwLock<HashMap<u64, Slot<V>>>>,
+    stripes: Vec<RwLock<IdHashMap<u64, Slot<V>>>>,
 }
 
 impl<V> MemStore<V> {
@@ -192,7 +199,7 @@ impl<V> MemStore<V> {
     pub fn new() -> Self {
         Self {
             stripes: (0..crate::NUM_STRIPES)
-                .map(|_| RwLock::new(HashMap::new()))
+                .map(|_| RwLock::new(IdHashMap::default()))
                 .collect(),
         }
     }
@@ -336,11 +343,14 @@ impl SealedEntry {
 }
 
 /// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`.
+///
+/// Both tier maps are keyed by `KeyHash` values, hence [`crate::IdHasher`];
+/// every sweep goes through `sorted_keys`, never their iteration order.
 struct SegStripe<V> {
     /// Hot tier: the entry plus its current version (so a re-seal after an
     /// un-seal bumps past every stale frame already on disk).
-    hot: HashMap<u64, (Slot<V>, u64)>,
-    sealed: HashMap<u64, SealedEntry>,
+    hot: IdHashMap<u64, (Slot<V>, u64)>,
+    sealed: IdHashMap<u64, SealedEntry>,
     /// Seal order: every hot key exactly once, oldest first (FIFO). Keys
     /// removed while queued are skipped on pop.
     dirty: VecDeque<u64>,
@@ -356,8 +366,8 @@ struct SegStripe<V> {
 impl<V> SegStripe<V> {
     fn new() -> Self {
         Self {
-            hot: HashMap::new(),
-            sealed: HashMap::new(),
+            hot: IdHashMap::default(),
+            sealed: IdHashMap::default(),
             dirty: VecDeque::new(),
             hot_weight: 0,
             disk_bytes: 0,

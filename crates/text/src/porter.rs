@@ -25,7 +25,7 @@ pub fn stem(word: &str) -> String {
     let mut s = Stemmer {
         b: word.as_bytes().to_vec(),
         k: word.len() - 1,
-        j: 0,
+        j: word.len(),
     };
     s.step1ab();
     s.step1c();
@@ -38,8 +38,10 @@ pub fn stem(word: &str) -> String {
     String::from_utf8(s.b).expect("stemmer output is ASCII")
 }
 
-/// Working state: `b[0..=k]` is the current word, `j` marks the end of the
-/// stem after a suffix match (set by [`Stemmer::ends`]).
+/// Working state: `b[0..=k]` is the current word, `b[..j]` the stem left of
+/// a matched suffix (set by [`Stemmer::ends`]). `j` is a length, not a last
+/// index: a word that *is* one of the suffixes ("logi", "ing", "ness")
+/// leaves the empty stem, whose measure is 0 and which holds no vowel.
 struct Stemmer {
     b: Vec<u8>,
     k: usize,
@@ -62,14 +64,14 @@ impl Stemmer {
         }
     }
 
-    /// Measure of the stem `b[0..=j]`: the number of consonant-vowel-consonant
+    /// Measure of the stem `b[..j]`: the number of consonant-vowel-consonant
     /// transitions `[C](VC)^m[V]`.
     fn m(&self) -> usize {
         let mut n = 0;
         let mut i = 0;
         let j = self.j;
         loop {
-            if i > j {
+            if i >= j {
                 return n;
             }
             if !self.cons(i) {
@@ -80,7 +82,7 @@ impl Stemmer {
         i += 1;
         loop {
             loop {
-                if i > j {
+                if i >= j {
                     return n;
                 }
                 if self.cons(i) {
@@ -91,7 +93,7 @@ impl Stemmer {
             i += 1;
             n += 1;
             loop {
-                if i > j {
+                if i >= j {
                     return n;
                 }
                 if !self.cons(i) {
@@ -105,7 +107,7 @@ impl Stemmer {
 
     /// `*v*` — the stem contains a vowel.
     fn vowel_in_stem(&self) -> bool {
-        (0..=self.j).any(|i| !self.cons(i))
+        (0..self.j).any(|i| !self.cons(i))
     }
 
     /// `*d` — the word ends with a double consonant at `i`.
@@ -123,23 +125,25 @@ impl Stemmer {
         !matches!(self.b[i], b'w' | b'x' | b'y')
     }
 
-    /// Does the word end with `s`? If so, set `j` to the stem end.
+    /// Does the word end with `s`? If so, set `j` to the stem's length.
     fn ends(&mut self, s: &str) -> bool {
         let s = s.as_bytes();
         let len = s.len();
         if len > self.k + 1 || self.b[self.k + 1 - len..=self.k] != *s {
             return false;
         }
-        self.j = self.k - len;
+        self.j = self.k + 1 - len;
         true
     }
 
-    /// Replace the suffix `b[j+1..=k]` with `s` and adjust `k`.
+    /// Replace the suffix `b[j..=k]` with `s` and adjust `k`. Stem and `s`
+    /// are never both empty: the rules that delete a suffix outright are
+    /// guarded by a positive measure.
     fn set_to(&mut self, s: &str) {
         let s = s.as_bytes();
-        self.b.truncate(self.j + 1);
+        self.b.truncate(self.j);
         self.b.extend_from_slice(s);
-        self.k = self.j + s.len();
+        self.k = self.j + s.len() - 1;
     }
 
     /// `set_to` guarded by `m() > 0`.
@@ -165,7 +169,7 @@ impl Stemmer {
                 self.k -= 1;
             }
         } else if (self.ends("ed") || self.ends("ing")) && self.vowel_in_stem() {
-            self.k = self.j;
+            self.k = self.j - 1;
             if self.ends("at") {
                 self.set_to("ate");
             } else if self.ends("bl") {
@@ -178,7 +182,7 @@ impl Stemmer {
                     self.k += 1;
                 }
             } else if self.m() == 1 && self.cvc(self.k) {
-                self.j = self.k;
+                self.j = self.k + 1;
                 self.set_to("e");
             }
         }
@@ -318,7 +322,7 @@ impl Stemmer {
             b'l' => self.ends("able") || self.ends("ible"),
             b'n' => self.ends("ant") || self.ends("ement") || self.ends("ment") || self.ends("ent"),
             b'o' => {
-                (self.ends("ion") && self.j > 0 && matches!(self.b[self.j], b's' | b't'))
+                (self.ends("ion") && self.j > 1 && matches!(self.b[self.j - 1], b's' | b't'))
                     || self.ends("ou")
             }
             b's' => self.ends("ism"),
@@ -329,13 +333,13 @@ impl Stemmer {
             _ => false,
         };
         if matched && self.m() > 1 {
-            self.k = self.j;
+            self.k = self.j - 1;
         }
     }
 
     /// Step 5: remove final `e` and collapse terminal double `l`.
     fn step5(&mut self) {
-        self.j = self.k;
+        self.j = self.k + 1;
         if self.b[self.k] == b'e' {
             let a = self.m();
             if a > 1 || (a == 1 && !self.cvc(self.k - 1)) {
@@ -466,6 +470,30 @@ mod tests {
         assert_eq!(stem("be"), "be");
         assert_eq!(stem("a"), "a");
         assert_eq!(stem(""), "");
+    }
+
+    /// Every suffix the rules test for, as a word of its own: the stem left
+    /// of the match is empty. (`logi` used to index out of bounds, and so
+    /// did most of the others.)
+    #[test]
+    fn a_word_that_is_a_suffix_has_an_empty_stem() {
+        // Unconditional rules rewrite even an empty stem ...
+        assert_eq!(stem("sses"), "ss");
+        assert_eq!(stem("ies"), "i");
+        // ... rules guarded by the measure or a vowel leave the word alone.
+        for w in ["logi", "eed", "ing", "ness", "ful", "ment"] {
+            assert_eq!(stem(w), w);
+        }
+        // The rest may still lose a shorter suffix of their own ("ational"
+        // -> "ation"); what they must not do is panic.
+        for w in [
+            "ational", "tional", "enci", "anci", "izer", "bli", "alli", "entli", "eli", "ousli",
+            "ization", "ation", "ator", "alism", "iveness", "fulness", "ousness", "aliti", "iviti",
+            "biliti", "icate", "ative", "alize", "iciti", "ical", "ance", "ence", "able", "ible",
+            "ant", "ement", "ent", "ion", "ism", "ate", "iti", "ive", "ous", "ize",
+        ] {
+            assert!(!stem(w).is_empty());
+        }
     }
 
     #[test]

@@ -31,6 +31,30 @@ proptest! {
     }
 
     #[test]
+    fn stemmer_never_panics_on_short_words(word in "[a-z]{0,12}") {
+        let s = stem(&word);
+        prop_assert!(s.len() <= word.len().max(1) + 1, "{word} -> {s}");
+    }
+
+    #[test]
+    fn stemmer_never_panics_around_its_own_suffixes(
+        head in "[a-z]{0,3}",
+        suffix in 0usize..24,
+        tail in "[a-z]{0,1}",
+    ) {
+        // Random letters almost never spell a rule's suffix; these do, with
+        // stems from empty up to three letters.
+        const SUFFIXES: [&str; 24] = [
+            "sses", "ies", "eed", "ed", "ing", "ational", "logi", "ization", "biliti", "ness",
+            "icate", "ful", "ement", "ion", "ous", "ize", "able", "alli", "ousli", "iveness",
+            "ical", "ent", "ate", "y",
+        ];
+        let word = format!("{head}{}{tail}", SUFFIXES[suffix]);
+        let s = stem(&word);
+        prop_assert!(!s.is_empty() && s.len() <= word.len() + 1, "{word} -> {s}");
+    }
+
+    #[test]
     fn stemmer_total_on_arbitrary_strings(word in ".{0,40}") {
         // Non-ASCII-lowercase inputs pass through unchanged.
         let s = stem(&word);
