@@ -4,6 +4,7 @@
 use crate::key::MAX_KEY_SIZE;
 use hdk_ir::Codec;
 use std::path::PathBuf;
+use std::time::Duration;
 
 /// Hot-tier budget used by `HDK_STORE=segment` when no explicit byte
 /// count is given (1 MiB across all stripes).
@@ -80,6 +81,31 @@ pub fn codec_from_env() -> Codec {
         Ok(v) if v == "gv4" => Codec::Gv4,
         Ok(v) => panic!("HDK_CODEC must be `leb128` or `gv4`, got {v:?}"),
     }
+}
+
+/// Default per-request deadline of the serving tier's transport
+/// (connect, read and write), overridable with `HDK_NET_TIMEOUT_MS`.
+pub const DEFAULT_NET_TIMEOUT_MS: u64 = 5_000;
+
+/// Reads the serving tier's per-request deadline from the
+/// `HDK_NET_TIMEOUT_MS` environment variable (milliseconds, at least 1;
+/// unset or empty for [`DEFAULT_NET_TIMEOUT_MS`]) — a deployment setting:
+/// how long a dead peer process may cost before it counts as a transport
+/// error.
+///
+/// # Panics
+/// Panics on a value that is not a positive integer (a mistyped deadline
+/// must fail loudly, not silently fall back to the default).
+pub fn net_timeout_from_env() -> Duration {
+    let ms = match std::env::var("HDK_NET_TIMEOUT_MS") {
+        Err(_) => DEFAULT_NET_TIMEOUT_MS,
+        Ok(v) if v.is_empty() => DEFAULT_NET_TIMEOUT_MS,
+        Ok(v) => match v.parse::<u64>() {
+            Ok(ms) if ms >= 1 => ms,
+            _ => panic!("HDK_NET_TIMEOUT_MS must be a positive number of milliseconds, got {v:?}"),
+        },
+    };
+    Duration::from_millis(ms)
 }
 
 /// Parameters of the HDK indexing/retrieval model.

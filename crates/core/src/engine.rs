@@ -29,13 +29,13 @@
 //! [`HdkNetwork::into_services`].
 
 use crate::config::{HdkConfig, StoreConfig};
-use crate::global_index::{build_entry_store, GlobalIndex, IndexStore};
+use crate::global_index::{local_backend, GlobalIndex, IndexStore};
 use crate::key::Key;
 use crate::local_indexer::LocalPeer;
 use crate::stats::BuildReport;
 use hdk_corpus::{Collection, DocId, FrequencyStats};
 use hdk_ir::CompressedPostings;
-use hdk_p2p::{ChordRing, InProc, Overlay, PGrid, PeerId, SimNet, SimNetConfig, TrafficSnapshot};
+use hdk_p2p::{ChordRing, Overlay, PGrid, PeerId, SimNet, SimNetConfig, TrafficSnapshot};
 use hdk_text::TermId;
 use parking_lot::{RwLock, RwLockReadGuard};
 use rayon::prelude::*;
@@ -116,38 +116,16 @@ impl BackendConfig {
         replication: usize,
         store: &StoreConfig,
     ) -> Box<dyn hdk_p2p::NetworkBackend<IndexStore>> {
-        // `None` = the DHT's in-memory default (bit-identical to the
-        // pre-tiering engine); `Some` = a tiered segment store.
-        let entry_store = build_entry_store(store);
-        match (self, entry_store) {
-            (BackendConfig::InProc, None) => Box::new(InProc::replicated(
-                overlay,
-                IndexStore::new(dfmax),
-                replication,
-            )),
-            (BackendConfig::InProc, Some(entries)) => Box::new(InProc::with_store(
-                overlay,
-                IndexStore::new(dfmax),
-                replication,
-                entries,
-            )),
-            (BackendConfig::SimNet(config), None) => Box::new(SimNet::replicated(
-                overlay,
-                IndexStore::new(dfmax),
+        match self {
+            BackendConfig::InProc => Box::new(local_backend(overlay, dfmax, replication, store)),
+            BackendConfig::SimNet(config) => Box::new(SimNet::new(
+                local_backend(overlay, dfmax, replication, store),
                 config,
-                replication,
-            )),
-            (BackendConfig::SimNet(config), Some(entries)) => Box::new(SimNet::with_store(
-                overlay,
-                IndexStore::new(dfmax),
-                config,
-                replication,
-                entries,
             )),
             // The serving tier: entries live in the peer processes
             // (each honors `HDK_STORE` itself), so the local entry
             // store — if any — is deliberately unused here.
-            (BackendConfig::Tcp { addrs }, _) => Box::new(
+            BackendConfig::Tcp { addrs } => Box::new(
                 crate::serve::TcpNet::connect(&addrs, overlay, dfmax, replication)
                     .unwrap_or_else(|e| panic!("cannot connect to peer processes {addrs:?}: {e}")),
             ),
@@ -394,7 +372,7 @@ impl IndexService {
     /// A new peer joins the running network with its own documents — the
     /// paper's growth model in full: the overlay splits a region for the
     /// peer, the affected index fraction migrates to it (maintenance
-    /// traffic, the `Migrate` message), and the peer's documents are
+    /// traffic, the `Join` control message), and the peer's documents are
     /// indexed incrementally. Returns the migration volume.
     ///
     /// # Panics
@@ -410,7 +388,7 @@ impl IndexService {
     }
 
     /// Bulk admission: `joins` peers enter the overlay back to back (one
-    /// `Migrate` message each, in the given order), then *one* incremental
+    /// `Join` wave, in the given order), then *one* incremental
     /// indexing session indexes all their documents together.
     ///
     /// Compared with N sequential [`IndexService::join_peer`] calls this
@@ -838,8 +816,8 @@ impl HdkNetwork {
     }
 
     /// [`HdkNetwork::build`] with an explicit network backend — the same
-    /// protocol over [`BackendConfig::InProc`] or a configured
-    /// [`BackendConfig::SimNet`].
+    /// protocol over [`BackendConfig::InProc`], a configured
+    /// [`BackendConfig::SimNet`] or a [`BackendConfig::Tcp`] fleet.
     ///
     /// # Panics
     /// Panics on an invalid configuration or empty partition list.
@@ -849,6 +827,31 @@ impl HdkNetwork {
         config: HdkConfig,
         overlay: OverlayKind,
         backend: BackendConfig,
+    ) -> Self {
+        // Before the backend is built: a bad configuration must be
+        // reported as one, not as whatever it breaks first.
+        config.validate();
+        let peer_ids = (0..partitions.len() as u64).map(PeerId).collect();
+        let backend = backend.build(
+            overlay.build(peer_ids),
+            config.dfmax,
+            config.replication,
+            &config.store,
+        );
+        Self::build_over(collection, partitions, config, backend)
+    }
+
+    /// [`HdkNetwork::build_with`] over an already constructed backend,
+    /// whose overlay must hold peers `0..partitions.len()` and whose
+    /// `dfmax` and replication must be `config`'s.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration or empty partition list.
+    pub fn build_over(
+        collection: &Collection,
+        partitions: &[Vec<DocId>],
+        config: HdkConfig,
+        backend: crate::global_index::IndexBackend,
     ) -> Self {
         config.validate();
         assert!(!partitions.is_empty(), "need at least one peer");
@@ -873,15 +876,7 @@ impl HdkNetwork {
             })
             .collect();
 
-        let mut index = GlobalIndex::with_backend(
-            backend.build(
-                overlay.build(peer_ids),
-                config.dfmax,
-                config.replication,
-                &config.store,
-            ),
-            config.dfmax,
-        );
+        let mut index = GlobalIndex::with_backend(backend, config.dfmax);
         index.set_hot_config(hdk_p2p::HotConfig {
             threshold: config.hot_threshold,
             extra: config.hot_extra,

@@ -10,16 +10,17 @@
 //!   top-`DFmax` "best elements", and every peer that contributed the key
 //!   is notified so it can expand the key in the next round.
 //!
-//! The sweep runs locally at each hosting peer (free), while inserts,
-//! lookups and notifications travel as typed messages through a pluggable
-//! [`NetworkBackend`] (see `hdk_p2p::rpc`): the index constructs
-//! [`Request`] values — `InsertBatch` per bulk-synchronous round, `Notify`
-//! per NDK notification, `LookupMany` per query-plan level, `Migrate` per
-//! peer join — and never touches the DHT's mutation paths directly. The
+//! [`GlobalIndex`] is a *client*: every operation builds a [`Request`]
+//! (`InsertBatch` per bulk-synchronous round, `Notify` per sweep's NDK
+//! notifications, `LookupMany` per query-plan level, `Sweep` for the
+//! host-local work) or a [`Control`] (joins, departures, settings), hands
+//! it to a pluggable [`NetworkBackend`] (see `hdk_p2p::rpc`) and reads the
+//! [`Response`] — with no knowledge of which backend that is. The
 //! hosting-peer application logic (how an insert merges, how a lookup
-//! reads) lives in [`IndexStore`], this crate's [`StoreService`]
-//! implementation, which every backend shares — so the in-process and
-//! simulated-network backends produce identical storage state and traffic
+//! reads, what each sweep computes over a host's stripes) lives in
+//! [`IndexStore`], this crate's [`StoreService`] implementation, which
+//! every backend runs through the same handler — so in-process, simulated
+//! and multi-process builds produce identical storage state and traffic
 //! counts by construction.
 //!
 //! ## One posting format everywhere
@@ -36,11 +37,13 @@
 use crate::classify::{classify, KeyClass};
 use crate::config::StoreConfig;
 use crate::key::{Key, MAX_KEY_SIZE};
-use hdk_ir::{Bytes, CompressedDocSet, CompressedPostings, Posting, PostingList};
+use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
+use hdk_p2p::wire::{self, Wire};
 use hdk_p2p::{
-    Addressed, Dht, HotConfig, HotStats, InProc, LossStats, Membership, NetworkBackend,
-    Notification, Overlay, PeerId, RecoveryStats, RepairStats, Request, Response, SegmentStore,
-    Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
+    wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
+    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership,
+    MigrationStats, NetworkBackend, Notification, Overlay, PeerId, RecoveryStats, RepairStats,
+    Request, Response, SegmentStore, Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -66,6 +69,17 @@ pub struct KeyEntry {
     /// Needed so incremental sessions never double-count a document.
     pub seen_docs: Option<CompressedDocSet>,
 }
+
+// One encoding for the segment log and the wire: key, block, df,
+// contributors, NDK flag, doc-set — each part validated by its own decoder.
+wire_record!(KeyEntry[19](
+    key,
+    postings,
+    df,
+    contributors,
+    is_ndk,
+    seen_docs
+));
 
 /// Result of a retrieval-time key lookup.
 #[derive(Debug, Clone)]
@@ -114,6 +128,8 @@ impl StoreService for IndexStore {
     type Insert = (Key, CompressedPostings);
     type LookupKey = Key;
     type Lookup = KeyLookup;
+    type Sweep = IndexSweep;
+    type Swept = IndexSwept;
 
     fn insert_volume(&self, (_, block): &Self::Insert) -> (u64, u64) {
         (block.len() as u64, block.encoded_len() as u64)
@@ -190,6 +206,244 @@ impl StoreService for IndexStore {
             entry.postings.encoded_len() as u64,
         )
     }
+
+    fn sweep(&self, dht: &Dht<KeyEntry>, sweep: &IndexSweep) -> IndexSwept {
+        let peers = dht.overlay().len();
+        match sweep {
+            IndexSweep::Classify { size } => {
+                let (size, dfmax) = (*size as usize, self.dfmax);
+                let per_stripe: Vec<Vec<(PeerId, Key)>> = (0..dht.num_stripes())
+                    .into_par_iter()
+                    .map(|stripe| {
+                        let mut notes = Vec::new();
+                        dht.for_each_stripe_mut(stripe, |_, entry| {
+                            if entry.key.size() != size || entry.is_ndk {
+                                return;
+                            }
+                            if classify(entry.df, dfmax) == KeyClass::NonDiscriminative {
+                                entry.is_ndk = true;
+                                // The stored list is still complete at transition
+                                // time; remember its documents (as a compact
+                                // sorted-delta set) so later (incremental) inserts
+                                // keep `df` exact after truncation.
+                                entry.seen_docs =
+                                    Some(CompressedDocSet::from_postings(&entry.postings));
+                                entry.postings = entry
+                                    .postings
+                                    .truncate_top_k(dfmax as usize, posting_quality);
+                                for &peer in &entry.contributors {
+                                    notes.push((peer, entry.key));
+                                }
+                            }
+                        });
+                        notes
+                    })
+                    .collect();
+                IndexSwept::Classified(per_stripe.into_iter().flatten().collect())
+            }
+            IndexSweep::Peek(key) => IndexSwept::Peeked(dht.peek(key.dht_hash(), |e| e.cloned())),
+            IndexSweep::Counts => {
+                IndexSwept::Counts(fold_stripes(dht, IndexCounts::default, |stripe, counts| {
+                    dht.for_each_stripe(stripe, |_, e| {
+                        let s = e.key.size() - 1;
+                        if e.is_ndk {
+                            counts.ndk_keys[s] += 1;
+                            counts.ndk_postings[s] += e.postings.len() as u64;
+                        } else {
+                            counts.hdk_keys[s] += 1;
+                            counts.hdk_postings[s] += e.postings.len() as u64;
+                        }
+                    });
+                }))
+            }
+            IndexSweep::StoredPostings => IndexSwept::StoredPostings(fold_stripes(
+                dht,
+                || vec![0u64; peers],
+                |stripe, totals| {
+                    dht.for_each_stripe_held(stripe, |holders, _, e| {
+                        for &h in holders {
+                            totals[h as usize] += e.postings.len() as u64;
+                        }
+                    });
+                },
+            )),
+            IndexSweep::StoragePerPeer => IndexSwept::StoragePerPeer(fold_stripes(
+                dht,
+                || vec![PeerStorage::default(); peers],
+                |stripe, totals| {
+                    dht.for_each_stripe_tiered(stripe, |holders, _, e, tier| {
+                        for &h in holders {
+                            let t = &mut totals[h as usize];
+                            t.postings += e.postings.len() as u64;
+                            if let Some(s) = &e.seen_docs {
+                                t.docset_docs += s.len() as u64;
+                            }
+                            match tier {
+                                Tier::Hot => {
+                                    t.posting_bytes += e.postings.encoded_len() as u64;
+                                    if let Some(s) = &e.seen_docs {
+                                        t.docset_bytes += s.encoded_len() as u64;
+                                    }
+                                }
+                                Tier::Sealed { frame_bytes } => {
+                                    t.sealed_bytes += frame_bytes;
+                                }
+                            }
+                        }
+                    });
+                },
+            )),
+            IndexSweep::ResidentBytes => {
+                IndexSwept::Bytes(dht.resident_bytes(|e| KeyEntryCodec.weight(e)))
+            }
+            IndexSweep::SealedBytes => IndexSwept::Bytes(dht.disk_bytes()),
+            IndexSweep::SyncStorage => {
+                dht.sync_storage();
+                IndexSwept::Done
+            }
+            IndexSweep::Reassign {
+                departed,
+                custodian,
+            } => {
+                (0..dht.num_stripes()).into_par_iter().for_each(|stripe| {
+                    dht.for_each_stripe_mut(stripe, |_, entry| {
+                        let had = entry.contributors.len();
+                        entry.contributors.retain(|p| !departed.contains(p));
+                        if entry.contributors.len() != had
+                            && !entry.contributors.contains(custodian)
+                        {
+                            entry.contributors.push(*custodian);
+                        }
+                    });
+                });
+                IndexSwept::Done
+            }
+            IndexSweep::Entries => {
+                let mut entries = Vec::new();
+                for stripe in 0..dht.num_stripes() {
+                    dht.for_each_stripe_tiered(stripe, |_, _, e, _| entries.push(e.clone()));
+                }
+                IndexSwept::Entries(entries)
+            }
+        }
+    }
+}
+
+/// Sweeps every stripe of `dht` in parallel — each hosting peer sweeping
+/// its own index fraction concurrently, as in the paper's protocol — and
+/// folds the per-stripe partials in stripe order, so the result is
+/// independent of thread count.
+fn fold_stripes<T: Absorb + Send>(
+    dht: &Dht<KeyEntry>,
+    empty: impl Fn() -> T + Sync,
+    visit: impl Fn(usize, &mut T) + Sync,
+) -> T {
+    let partials: Vec<T> = (0..dht.num_stripes())
+        .into_par_iter()
+        .map(|stripe| {
+            let mut partial = empty();
+            visit(stripe, &mut partial);
+            partial
+        })
+        .collect();
+    partials.into_iter().fold(empty(), |mut acc, partial| {
+        acc.absorb(partial);
+        acc
+    })
+}
+
+/// The host-local sweeps of the index: work the paper runs "locally at
+/// each hosting peer" — free, so never metered — shipped as
+/// [`Request::Sweep`] and answered by [`IndexStore`] over the stripes of
+/// whichever host receives it.
+#[derive(Debug, Clone)]
+pub enum IndexSweep {
+    /// The end-of-round classification of the keys of `size`: marks the
+    /// newly non-discriminative ones, truncates their lists, and reports
+    /// one `(contributor, key)` pair per notification that is now due.
+    Classify { size: u32 },
+    /// Reads one entry.
+    Peek(Key),
+    /// Counts stored keys and postings, split HDK/NDK and by size.
+    Counts,
+    /// Sums stored postings per holding peer.
+    StoredPostings,
+    /// Sums the storage composition per holding peer, both tiers.
+    StoragePerPeer,
+    /// Sums resident (hot-tier) posting-storage bytes.
+    ResidentBytes,
+    /// Sums live sealed segment-log bytes on disk.
+    SealedBytes,
+    /// Seals every hot entry to the persistent tier.
+    SyncStorage,
+    /// Replaces `departed` peers by `custodian` in every stored
+    /// contributor list.
+    Reassign {
+        departed: Vec<PeerId>,
+        custodian: PeerId,
+    },
+    /// Copies out every stored entry (all stripes, both tiers).
+    Entries,
+}
+
+/// What an [`IndexSweep`] reports.
+#[derive(Debug, Clone)]
+pub enum IndexSwept {
+    /// `(contributor, key)` pairs, in stripe order.
+    Classified(Vec<(PeerId, Key)>),
+    Peeked(Option<KeyEntry>),
+    Counts(IndexCounts),
+    StoredPostings(Vec<u64>),
+    StoragePerPeer(Vec<PeerStorage>),
+    /// A byte total (`ResidentBytes`, `SealedBytes`).
+    Bytes(u64),
+    /// An effect-only sweep ran.
+    Done,
+    Entries(Vec<KeyEntry>),
+}
+
+wire_enum!(IndexSweep {
+    0 => Classify { size },
+    1 => Peek(key),
+    2 => Counts,
+    3 => StoredPostings,
+    4 => StoragePerPeer,
+    5 => ResidentBytes,
+    6 => SealedBytes,
+    7 => SyncStorage,
+    8 => Reassign { departed, custodian },
+    9 => Entries,
+});
+wire_enum!(IndexSwept {
+    0 => Classified(notes),
+    1 => Peeked(entry),
+    2 => Counts(counts),
+    3 => StoredPostings(totals),
+    4 => StoragePerPeer(totals),
+    5 => Bytes(total),
+    6 => Done,
+    7 => Entries(entries),
+});
+
+/// Hosts hold disjoint stripes: counts add, lists concatenate, and a
+/// peeked key lives on at most one of them.
+impl Absorb for IndexSwept {
+    fn absorb(&mut self, other: Self) {
+        match (self, other) {
+            (IndexSwept::Classified(acc), IndexSwept::Classified(other)) => acc.extend(other),
+            (IndexSwept::Peeked(acc @ None), IndexSwept::Peeked(other)) => *acc = other,
+            (IndexSwept::Counts(acc), IndexSwept::Counts(other)) => acc.absorb(other),
+            (IndexSwept::StoredPostings(acc), IndexSwept::StoredPostings(other)) => {
+                acc.absorb(other)
+            }
+            (IndexSwept::StoragePerPeer(acc), IndexSwept::StoragePerPeer(other)) => {
+                acc.absorb(other)
+            }
+            (IndexSwept::Bytes(acc), IndexSwept::Bytes(other)) => acc.absorb(other),
+            (IndexSwept::Entries(acc), IndexSwept::Entries(other)) => acc.extend(other),
+            _ => {}
+        }
+    }
 }
 
 /// Segment-frame codec for [`KeyEntry`]: the canonical byte encoding a
@@ -206,86 +460,14 @@ pub struct KeyEntryCodec;
 
 impl StoreCodec<KeyEntry> for KeyEntryCodec {
     fn encode(&self, entry: &KeyEntry, out: &mut Vec<u8>) {
-        out.push(entry.key.size() as u8);
-        for term in entry.key.terms() {
-            out.extend_from_slice(&term.0.to_le_bytes());
-        }
-        let block = entry.postings.as_bytes();
-        out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-        out.extend_from_slice(block);
-        out.extend_from_slice(&entry.df.to_le_bytes());
-        out.extend_from_slice(&(entry.contributors.len() as u32).to_le_bytes());
-        for peer in &entry.contributors {
-            out.extend_from_slice(&peer.0.to_le_bytes());
-        }
-        out.push(u8::from(entry.is_ndk));
-        match &entry.seen_docs {
-            None => out.push(0),
-            Some(set) => {
-                out.push(1);
-                let block = set.as_bytes();
-                out.extend_from_slice(&(block.len() as u32).to_le_bytes());
-                out.extend_from_slice(block);
-            }
-        }
+        entry.put(out);
     }
 
+    /// Total, like every [`Wire`] decoder: a frame that is truncated,
+    /// carries an invalid key, block or doc-set, or has trailing garbage
+    /// is `None`.
     fn decode(&self, bytes: &[u8]) -> Option<KeyEntry> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Option<&[u8]> {
-            let end = pos.checked_add(n)?;
-            let slice = bytes.get(*pos..end)?;
-            *pos = end;
-            Some(slice)
-        };
-        let read_u32 = |pos: &mut usize| -> Option<u32> {
-            take(pos, 4).map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
-        };
-        let size = usize::from(*take(&mut pos, 1)?.first()?);
-        if !(1..=MAX_KEY_SIZE).contains(&size) {
-            return None;
-        }
-        let mut terms = Vec::with_capacity(size);
-        for _ in 0..size {
-            terms.push(hdk_text::TermId(read_u32(&mut pos)?));
-        }
-        let key = Key::from_terms(&terms)?;
-        let block_len = read_u32(&mut pos)? as usize;
-        let postings =
-            CompressedPostings::from_bytes(Bytes::from(take(&mut pos, block_len)?.to_vec()))?;
-        let df = read_u32(&mut pos)?;
-        let n_contributors = read_u32(&mut pos)? as usize;
-        let mut contributors = Vec::with_capacity(n_contributors.min(bytes.len() / 8));
-        for _ in 0..n_contributors {
-            let raw = take(&mut pos, 8)?;
-            contributors.push(PeerId(u64::from_le_bytes(raw.try_into().expect("8 bytes"))));
-        }
-        let is_ndk = match *take(&mut pos, 1)?.first()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
-        let seen_docs = match *take(&mut pos, 1)?.first()? {
-            0 => None,
-            1 => {
-                let set_len = read_u32(&mut pos)? as usize;
-                Some(CompressedDocSet::from_bytes(Bytes::from(
-                    take(&mut pos, set_len)?.to_vec(),
-                ))?)
-            }
-            _ => return None,
-        };
-        if pos != bytes.len() {
-            return None; // trailing garbage
-        }
-        Some(KeyEntry {
-            key,
-            postings,
-            df,
-            contributors,
-            is_ndk,
-            seen_docs,
-        })
+        wire::decode(bytes).ok()
     }
 
     fn weight(&self, entry: &KeyEntry) -> u64 {
@@ -318,9 +500,32 @@ pub fn build_entry_store(config: &StoreConfig) -> Option<Box<dyn Store<KeyEntry>
     }
 }
 
+/// The in-process backend over the entry storage `store` selects — what
+/// the engine runs by default, and what every peer process of the serving
+/// tier runs over its share of the stripes.
+pub(crate) fn local_backend(
+    overlay: Box<dyn Overlay>,
+    dfmax: u32,
+    replication: usize,
+    store: &StoreConfig,
+) -> InProc<IndexStore> {
+    let logic = IndexStore::new(dfmax);
+    match build_entry_store(store) {
+        None => InProc::replicated(overlay, logic, replication),
+        Some(entries) => InProc::with_store(overlay, logic, replication, entries),
+    }
+}
+
 /// The network the index speaks through, as a boxed trait object so the
 /// backend is chosen at construction time.
 pub type IndexBackend = Box<dyn NetworkBackend<IndexStore>>;
+
+/// The data-plane message type of the index: [`Request`] at
+/// [`IndexStore`]'s payload types.
+pub type IndexRequest = hdk_p2p::RequestOf<IndexStore>;
+/// The reply type of the index: [`Response`] at [`IndexStore`]'s payload
+/// types.
+pub type IndexResponse = hdk_p2p::ResponseOf<IndexStore>;
 
 /// One peer's addressed insert batch as it appears inside an
 /// [`Request::InsertBatch`] message.
@@ -359,34 +564,37 @@ impl GlobalIndex {
         self.dfmax
     }
 
-    /// Host-local storage access (sweeps, peeks, accounting): free at the
-    /// hosting peer, so never a message.
+    /// The routing state — overlay, membership, gossip views. Stored
+    /// entries are reached through [`GlobalIndex::sweep`] only: on a
+    /// remote backend they do not live here.
     fn dht(&self) -> &Dht<KeyEntry> {
         self.backend.dht()
     }
 
-    /// The serving-tier backend, when that's what this index speaks
-    /// through. `None` on local backends: every sweep runs over the
-    /// local stripes. `Some` reroutes the host-local operations (sweeps,
-    /// peeks, accounting) over the wire to the peer processes that
-    /// actually hold the entries.
-    fn remote(&self) -> Option<&crate::serve::TcpNet> {
-        self.backend.as_any()?.downcast_ref()
+    /// Ships one host-local sweep and returns what the hosts reported.
+    fn sweep(&self, sweep: IndexSweep) -> IndexSwept {
+        match self.backend.call(Request::Sweep(sweep)) {
+            Response::Swept(swept) => swept,
+            other => unreachable!("Sweep answered with {other:?}"),
+        }
     }
 
-    /// Executes one pre-decoded data-plane request against the backend —
-    /// the peer-process server's dispatch path ([`crate::serve::peer`]).
-    pub(crate) fn dispatch(
-        &self,
-        request: Request<(Key, CompressedPostings), Key>,
-    ) -> Response<KeyLookup> {
-        self.backend.call(request)
+    /// Ships one control-plane message.
+    ///
+    /// # Panics
+    /// Panics when the message is refused: the engine only sends settings
+    /// it validated and waves it checked, so a refusal is a caller bug.
+    fn control(&mut self, control: Control) -> IndexResponse {
+        match self.backend.control(control) {
+            Response::Err(reason) => panic!("control message refused: {reason}"),
+            response => response,
+        }
     }
 
-    /// Socket-level failures on the serving tier's transport (always 0 on
+    /// Deliveries that failed in the backend's transport (always 0 on
     /// local backends).
     pub fn transport_errors(&self) -> u64 {
-        self.remote().map_or(0, |net| net.transport_errors())
+        self.backend.transport_errors()
     }
 
     /// The underlying overlay.
@@ -453,8 +661,8 @@ impl GlobalIndex {
     /// outcome.
     ///
     /// `batches` holds `(peer, sorted key batch)` pairs in ascending
-    /// [`PeerId`] order. The backend partitions the round by *stripe* (the
-    /// lock shards of the underlying [`Dht`]) and applies each stripe's
+    /// [`PeerId`] order. The hosts partition the round by *stripe* (the
+    /// lock shards of the underlying [`Dht`]) and apply each stripe's
     /// inserts in `(PeerId, Key)` order, so every [`KeyEntry`] — including
     /// its `contributors` order — comes out identical whatever the thread
     /// count. Traffic counters are sums of per-insert contributions and
@@ -498,45 +706,18 @@ impl GlobalIndex {
     /// NDKs, truncates their lists, meters one notification per
     /// contributor, and returns the keys-to-expand per peer.
     ///
-    /// The sweep runs stripe-parallel over the DHT's lock shards — each
-    /// hosting peer sweeping its own index fraction concurrently, as in the
-    /// paper's protocol. Notifications are merged and sorted afterwards, so
-    /// the result is independent of thread count and sweep order.
+    /// The sweep itself ([`IndexSweep::Classify`]) runs at the hosts,
+    /// stripe-parallel; the notifications it reports are merged and sorted
+    /// here, so the result is independent of thread count, sweep order and
+    /// how the stripes are spread over hosts.
     ///
     /// Keys already swept in a previous call keep their state (inserts only
     /// happen for the round's size, so re-sweeping is idempotent).
     pub fn classify_round(&self, size: usize) -> HashMap<PeerId, Vec<Key>> {
-        if let Some(net) = self.remote() {
-            return Self::merge_remote_classify(net, size);
-        }
-        let dfmax = self.dfmax;
-        let dht = self.dht();
-        let per_stripe: Vec<Vec<(PeerId, Key)>> = (0..dht.num_stripes())
-            .into_par_iter()
-            .map(|stripe| {
-                let mut notes = Vec::new();
-                dht.for_each_stripe_mut(stripe, |_, entry| {
-                    if entry.key.size() != size || entry.is_ndk {
-                        return;
-                    }
-                    if classify(entry.df, dfmax) == KeyClass::NonDiscriminative {
-                        entry.is_ndk = true;
-                        // The stored list is still complete at transition
-                        // time; remember its documents (as a compact
-                        // sorted-delta set) so later (incremental) inserts
-                        // keep `df` exact after truncation.
-                        entry.seen_docs = Some(CompressedDocSet::from_postings(&entry.postings));
-                        entry.postings = entry
-                            .postings
-                            .truncate_top_k(dfmax as usize, posting_quality);
-                        for &peer in &entry.contributors {
-                            notes.push((peer, entry.key));
-                        }
-                    }
-                });
-                notes
-            })
-            .collect();
+        let due = match self.sweep(IndexSweep::Classify { size: size as u32 }) {
+            IndexSwept::Classified(due) => due,
+            other => unreachable!("Classify answered with {other:?}"),
+        };
         // Defensive liveness filter: contributor lists are rewritten to a
         // live custodian when peers depart or fail (see
         // [`GlobalIndex::reassign_contributors`]), so dead recipients
@@ -546,7 +727,7 @@ impl GlobalIndex {
         let membership = self.membership();
         let overlay = self.overlay();
         let mut notifications: HashMap<PeerId, Vec<Key>> = HashMap::new();
-        for (peer, key) in per_stripe.into_iter().flatten() {
+        for (peer, key) in due {
             if !membership.is_live(overlay.peer_index(peer)) {
                 continue;
             }
@@ -575,30 +756,6 @@ impl GlobalIndex {
             .collect();
         if !notes.is_empty() {
             self.backend.call(Request::Notify { notes });
-        }
-        notifications
-    }
-
-    /// The serving-tier classification sweep: every peer process runs
-    /// [`GlobalIndex::classify_round`] over its own (disjoint) stripes —
-    /// delivering and metering its own notifications exactly once — and
-    /// the front-end merges the returned per-peer key lists. An
-    /// unreachable process is skipped (its sweep is missed, a degraded
-    /// round, not a hang); the transport error counter records it.
-    fn merge_remote_classify(net: &crate::serve::TcpNet, size: usize) -> HashMap<PeerId, Vec<Key>> {
-        use crate::serve::{WireRequest, WireResponse};
-        let mut notifications: HashMap<PeerId, Vec<Key>> = HashMap::new();
-        for reply in net.broadcast(&WireRequest::Classify { size: size as u32 }) {
-            if let Ok(WireResponse::Classified(per_peer)) = reply {
-                for (peer, keys) in per_peer {
-                    notifications.entry(peer).or_default().extend(keys);
-                }
-            }
-        }
-        // Processes host disjoint stripes, so the concatenated lists are
-        // disjoint too; sorting restores the canonical order.
-        for keys in notifications.values_mut() {
-            keys.sort_unstable();
         }
         notifications
     }
@@ -649,18 +806,12 @@ impl GlobalIndex {
     }
 
     /// Unmetered inspection (tests, ablations, stored-size measurements).
-    /// On the serving tier, routes to the owning peer process (an
-    /// unreachable process reads as `None`).
+    /// A host that cannot be reached reads as `None`.
     pub fn peek(&self, key: Key) -> Option<KeyEntry> {
-        use crate::serve::{WireRequest, WireResponse};
-        if let Some(net) = self.remote() {
-            let owner = net.owner_of(key.dht_hash());
-            return match net.control(owner, &WireRequest::Peek(key)) {
-                Ok(WireResponse::Peeked(entry)) => entry,
-                _ => None,
-            };
+        match self.sweep(IndexSweep::Peek(key)) {
+            IndexSwept::Peeked(entry) => entry,
+            other => unreachable!("Peek answered with {other:?}"),
         }
-        self.dht().peek(key.dht_hash(), |e| e.cloned())
     }
 
     /// Stored postings per hosting peer — Figure 3's quantity, resolved
@@ -670,40 +821,10 @@ impl GlobalIndex {
     /// figures bit for bit. Swept stripe-parallel; per-peer sums are
     /// order-independent.
     pub fn stored_postings_per_peer(&self) -> Vec<u64> {
-        use crate::serve::{WireRequest, WireResponse};
-        if let Some(net) = self.remote() {
-            let mut totals = vec![0u64; self.overlay().len()];
-            for reply in net.broadcast(&WireRequest::StoredPostings) {
-                if let Ok(WireResponse::StoredPostings(per_peer)) = reply {
-                    for (a, t) in totals.iter_mut().zip(per_peer) {
-                        *a += t;
-                    }
-                }
-            }
-            return totals;
+        match self.sweep(IndexSweep::StoredPostings) {
+            IndexSwept::StoredPostings(totals) => totals,
+            other => unreachable!("StoredPostings answered with {other:?}"),
         }
-        let dht = self.dht();
-        let peers = dht.overlay().len();
-        let per_stripe: Vec<Vec<u64>> = (0..dht.num_stripes())
-            .into_par_iter()
-            .map(|stripe| {
-                let mut totals = vec![0u64; peers];
-                dht.for_each_stripe_held(stripe, |holders, _, e| {
-                    for &h in holders {
-                        totals[h as usize] += e.postings.len() as u64;
-                    }
-                });
-                totals
-            })
-            .collect();
-        per_stripe
-            .into_iter()
-            .fold(vec![0u64; peers], |mut acc, totals| {
-                for (a, t) in acc.iter_mut().zip(totals) {
-                    *a += t;
-                }
-                acc
-            })
     }
 
     /// Inserted postings per key size (`IS_s`, Figure 5). Slot `s-1`.
@@ -718,36 +839,10 @@ impl GlobalIndex {
     /// Counts of stored keys and postings, split HDK/NDK and by size.
     /// Swept stripe-parallel; the merged counts are order-independent sums.
     pub fn index_counts(&self) -> IndexCounts {
-        use crate::serve::{WireRequest, WireResponse};
-        if let Some(net) = self.remote() {
-            let mut merged = IndexCounts::default();
-            for reply in net.broadcast(&WireRequest::Counts) {
-                if let Ok(WireResponse::Counts(counts)) = reply {
-                    merged = IndexCounts::merged(merged, counts);
-                }
-            }
-            return merged;
+        match self.sweep(IndexSweep::Counts) {
+            IndexSwept::Counts(counts) => counts,
+            other => unreachable!("Counts answered with {other:?}"),
         }
-        let dht = self.dht();
-        (0..dht.num_stripes())
-            .into_par_iter()
-            .map(|stripe| {
-                let mut counts = IndexCounts::default();
-                dht.for_each_stripe(stripe, |_, e| {
-                    let s = e.key.size() - 1;
-                    if e.is_ndk {
-                        counts.ndk_keys[s] += 1;
-                        counts.ndk_postings[s] += e.postings.len() as u64;
-                    } else {
-                        counts.hdk_keys[s] += 1;
-                        counts.hdk_postings[s] += e.postings.len() as u64;
-                    }
-                });
-                counts
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .fold(IndexCounts::default(), IndexCounts::merged)
     }
 
     /// Traffic so far.
@@ -755,29 +850,39 @@ impl GlobalIndex {
         self.backend.snapshot()
     }
 
-    /// Admits a wave of peers to the overlay via the control-plane
-    /// [`Request::Migrate`] message: the index fractions they take over
-    /// are handed over in **one shared stripe scan** (N joins, one scan —
-    /// not one scan per joiner), metered as maintenance at the blocks'
-    /// actual stored sizes. One [`hdk_p2p::MigrationStats`] per peer, in
-    /// input order.
-    pub fn add_peers(&mut self, peers: Vec<PeerId>) -> Vec<hdk_p2p::MigrationStats> {
-        self.backend.migrate_many(peers)
+    /// Admits a wave of peers to the overlay ([`Control::Join`]): the
+    /// index fractions they take over are handed over in **one shared
+    /// stripe scan** (N joins, one scan — not one scan per joiner),
+    /// metered as maintenance at the blocks' actual stored sizes. One
+    /// [`MigrationStats`] per peer, in input order.
+    pub fn add_peers(&mut self, peers: Vec<PeerId>) -> Vec<MigrationStats> {
+        match self.control(Control::Join { peers }) {
+            Response::Moved(stats) => stats,
+            other => unreachable!("Join answered with {other:?}"),
+        }
     }
 
-    /// Graceful departure wave ([`Request::Leave`]): the peers hand every
+    /// Graceful departure wave ([`Control::Leave`]): the peers hand every
     /// index copy they hold to the re-derived replica sets (metered as
     /// maintenance, the mirror of a join), then disappear from the
     /// replica walks. No content is lost, at any replication factor.
-    pub fn leave_peers(&mut self, peers: &[PeerId]) -> Vec<hdk_p2p::MigrationStats> {
-        self.backend.leave(peers)
+    pub fn leave_peers(&mut self, peers: &[PeerId]) -> Vec<MigrationStats> {
+        let peers = peers.to_vec();
+        match self.control(Control::Leave { peers }) {
+            Response::Moved(stats) => stats,
+            other => unreachable!("Leave answered with {other:?}"),
+        }
     }
 
-    /// Crash wave ([`Request::Fail`]): the peers' copies are destroyed
+    /// Crash wave ([`Control::Fail`]): the peers' copies are destroyed
     /// without handover or messages. Entries whose last copy died are
     /// lost; the rest are degraded until [`GlobalIndex::repair`] runs.
     pub fn fail_peers(&mut self, peers: &[PeerId]) -> LossStats {
-        self.backend.fail(peers)
+        let peers = peers.to_vec();
+        match self.control(Control::Fail { peers }) {
+            Response::Lost(stats) => stats,
+            other => unreachable!("Fail answered with {other:?}"),
+        }
     }
 
     /// The background repair sweep ([`Request::Repair`]): surviving
@@ -792,48 +897,29 @@ impl GlobalIndex {
     }
 
     /// Switches peer liveness from the membership oracle to gossiped
-    /// per-peer views ([`hdk_p2p::GossipState`]). On the serving tier
-    /// the config is broadcast first so every peer process runs the same
-    /// deterministic schedule (metering only its probe share), and the
-    /// front-end mirror keeps a silent authoritative replica.
-    pub fn enable_gossip(&mut self, config: hdk_p2p::GossipConfig) {
-        if let Some(net) = self.remote() {
-            net.broadcast(&crate::serve::WireRequest::EnableGossip {
-                fanout: config.fanout as u32,
-                suspicion_rounds: config.suspicion_rounds,
-                loss_prob: config.loss_prob,
-                seed: config.seed,
-            });
-            self.enable_gossip_with_metering(config, hdk_p2p::GossipMetering::Mirror);
-            return;
+    /// per-peer views ([`hdk_p2p::GossipState`]) — one
+    /// [`Control::EnableGossip`]. A backend that spreads the index over
+    /// several hosts makes each run the same deterministic schedule and
+    /// meter only its share of the probes.
+    pub fn enable_gossip(&mut self, config: GossipConfig) {
+        let metering = GossipMetering::All;
+        match self.control(Control::EnableGossip { config, metering }) {
+            Response::Done => {}
+            other => unreachable!("EnableGossip answered with {other:?}"),
         }
-        self.enable_gossip_with_metering(config, hdk_p2p::GossipMetering::All);
     }
 
-    /// [`GlobalIndex::enable_gossip`] with an explicit metering mode —
-    /// the serving tier's peer processes each meter only the probes
-    /// their slot owns, so fleet snapshots sum exactly.
-    pub fn enable_gossip_with_metering(
-        &mut self,
-        config: hdk_p2p::GossipConfig,
-        metering: hdk_p2p::GossipMetering,
-    ) {
-        let dht = self.backend.dht_mut();
-        dht.enable_gossip(config);
-        dht.set_gossip_metering(metering);
-    }
-
-    /// Advances the gossip layer one round: deterministic probe
-    /// schedule, digest merges, suspicion/confirmation transitions, and
-    /// — when a death is universally confirmed — the triggered repair
-    /// sweep. Panics unless [`GlobalIndex::enable_gossip`] ran.
-    pub fn gossip_round(&mut self) -> hdk_p2p::GossipOutcome {
-        self.backend.gossip_round()
-    }
-
-    /// The next gossip round number, when gossip is enabled.
-    pub fn gossip_round_number(&self) -> Option<u32> {
-        self.dht().gossip().map(|g| g.round())
+    /// Advances the gossip layer one round ([`Control::Gossip`]):
+    /// deterministic probe schedule, digest merges,
+    /// suspicion/confirmation transitions, and — when a death is
+    /// universally confirmed — the triggered repair sweep. Panics unless
+    /// [`GlobalIndex::enable_gossip`] ran.
+    pub fn gossip_round(&mut self) -> GossipOutcome {
+        let round = self.dht().gossip().map_or(0, |g| g.round());
+        match self.control(Control::Gossip { round }) {
+            Response::Gossiped(outcome) => outcome,
+            other => unreachable!("Gossip answered with {other:?}"),
+        }
     }
 
     /// Whether every live peer's view currently matches ground-truth
@@ -866,56 +952,42 @@ impl GlobalIndex {
         }
     }
 
-    /// Installs the popularity-replication knobs on the underlying DHT
-    /// (engine construction time; not a message). On the serving tier
-    /// the knobs are also broadcast, so every peer process applies the
-    /// same promotion thresholds to its stripes.
+    /// Installs the popularity-replication knobs at every host of the
+    /// index ([`Control::HotConfig`]; engine construction time).
     pub fn set_hot_config(&mut self, hot: HotConfig) {
-        if let Some(net) = self.remote() {
-            net.broadcast(&crate::serve::WireRequest::SetHotConfig {
-                threshold: hot.threshold,
-                extra: hot.extra as u64,
-            });
+        match self.control(Control::HotConfig(hot)) {
+            Response::Done => {}
+            other => unreachable!("HotConfig answered with {other:?}"),
         }
-        self.backend.dht_mut().set_hot_config(hot);
     }
 
-    /// A restart wave ([`Request::Restart`]): each peer loses its hot
+    /// A restart wave ([`Control::Restart`]): each peer loses its hot
     /// (in-memory) tier and replays its own on-disk segment log —
     /// host-local disk I/O, never a message. Only meaningful over a
     /// tiered store ([`StoreConfig::Segment`]); on the in-memory default
     /// a restart simply loses the peers' copies, like a crash. Run
     /// [`GlobalIndex::repair`] afterwards to close any recovery gap.
     pub fn restart_peers(&mut self, peers: &[PeerId]) -> RecoveryStats {
-        self.backend.restart(peers)
+        let peers = peers.to_vec();
+        match self.control(Control::Restart { peers }) {
+            Response::Recovered(stats) => stats,
+            other => unreachable!("Restart answered with {other:?}"),
+        }
     }
 
     /// Seals every hot entry to the segment logs (a graceful shutdown's
-    /// flush). No-op on the in-memory store. Host-local, unmetered; on
-    /// the serving tier, every peer process seals its own stripes.
+    /// flush). No-op on the in-memory store. Host-local, unmetered.
     pub fn sync_storage(&self) {
-        if let Some(net) = self.remote() {
-            net.broadcast(&crate::serve::WireRequest::SyncStorage);
-            return;
-        }
-        self.dht().sync_storage();
+        self.sweep(IndexSweep::SyncStorage);
     }
 
     /// Live bytes in the on-disk segment tier, summed over every sealed
     /// frame at every holder (0 on the in-memory store).
     pub fn sealed_segment_bytes(&self) -> u64 {
-        use crate::serve::{WireRequest, WireResponse};
-        if let Some(net) = self.remote() {
-            return net
-                .broadcast(&WireRequest::DiskBytes)
-                .into_iter()
-                .filter_map(|reply| match reply {
-                    Ok(WireResponse::Bytes(b)) => Some(b),
-                    _ => None,
-                })
-                .sum();
+        match self.sweep(IndexSweep::SealedBytes) {
+            IndexSwept::Bytes(total) => total,
+            other => unreachable!("SealedBytes answered with {other:?}"),
         }
-        self.dht().disk_bytes()
     }
 
     /// The network's peer-liveness view.
@@ -931,22 +1003,9 @@ impl GlobalIndex {
     /// how the classification sweep itself runs locally at each hosting
     /// peer.
     pub fn reassign_contributors(&self, departed: &[PeerId], custodian: PeerId) {
-        if let Some(net) = self.remote() {
-            net.broadcast(&crate::serve::WireRequest::Reassign {
-                departed: departed.to_vec(),
-                custodian,
-            });
-            return;
-        }
-        let dht = self.dht();
-        (0..dht.num_stripes()).into_par_iter().for_each(|stripe| {
-            dht.for_each_stripe_mut(stripe, |_, entry| {
-                let had = entry.contributors.len();
-                entry.contributors.retain(|p| !departed.contains(p));
-                if entry.contributors.len() != had && !entry.contributors.contains(&custodian) {
-                    entry.contributors.push(custodian);
-                }
-            });
+        self.sweep(IndexSweep::Reassign {
+            departed: departed.to_vec(),
+            custodian,
         });
     }
 
@@ -954,35 +1013,20 @@ impl GlobalIndex {
     /// stored block plus every `df` doc-set, at their exact encoded
     /// sizes (via the DHT's per-stripe accounting hook).
     pub fn resident_posting_bytes(&self) -> u64 {
-        use crate::serve::{WireRequest, WireResponse};
-        if let Some(net) = self.remote() {
-            return net
-                .broadcast(&WireRequest::ResidentBytes)
-                .into_iter()
-                .filter_map(|reply| match reply {
-                    Ok(WireResponse::Bytes(b)) => Some(b),
-                    _ => None,
-                })
-                .sum();
+        match self.sweep(IndexSweep::ResidentBytes) {
+            IndexSwept::Bytes(total) => total,
+            other => unreachable!("ResidentBytes answered with {other:?}"),
         }
-        self.dht().resident_bytes(|e| {
-            e.postings.encoded_len() as u64
-                + e.seen_docs.as_ref().map_or(0, |s| s.encoded_len() as u64)
-        })
     }
 
-    /// Visits every stored entry once (all stripes, both tiers) — a
-    /// diagnostic sweep used to assert whole-network invariants such as
-    /// "the golden scenario's blocks are all legacy-coded".
-    pub fn for_each_entry(&self, mut f: impl FnMut(&KeyEntry)) {
-        assert!(
-            self.remote().is_none(),
-            "for_each_entry sweeps local stripes; on the serving tier the entries live in \
-             the peer processes — use peek / the accounting sweeps instead"
-        );
-        let dht = self.dht();
-        for stripe in 0..dht.num_stripes() {
-            dht.for_each_stripe_tiered(stripe, |_, _, e, _| f(e));
+    /// Visits every stored entry once (all stripes, both tiers, every
+    /// host) — a diagnostic sweep used to assert whole-network invariants
+    /// such as "the golden scenario's blocks are all legacy-coded". The
+    /// entries are copied out first ([`IndexSweep::Entries`]).
+    pub fn for_each_entry(&self, f: impl FnMut(&KeyEntry)) {
+        match self.sweep(IndexSweep::Entries) {
+            IndexSwept::Entries(entries) => entries.iter().for_each(f),
+            other => unreachable!("Entries answered with {other:?}"),
         }
     }
 
@@ -994,63 +1038,10 @@ impl GlobalIndex {
     /// frames land in [`PeerStorage::sealed_bytes`]. Swept
     /// stripe-parallel; per-peer sums are order-independent.
     pub fn storage_per_peer(&self) -> Vec<PeerStorage> {
-        use crate::serve::{WireRequest, WireResponse};
-        if let Some(net) = self.remote() {
-            let mut totals = vec![PeerStorage::default(); self.overlay().len()];
-            for reply in net.broadcast(&WireRequest::StoragePerPeer) {
-                if let Ok(WireResponse::StoragePerPeer(per_peer)) = reply {
-                    for (a, t) in totals.iter_mut().zip(per_peer) {
-                        a.postings += t.postings;
-                        a.posting_bytes += t.posting_bytes;
-                        a.docset_docs += t.docset_docs;
-                        a.docset_bytes += t.docset_bytes;
-                        a.sealed_bytes += t.sealed_bytes;
-                    }
-                }
-            }
-            return totals;
+        match self.sweep(IndexSweep::StoragePerPeer) {
+            IndexSwept::StoragePerPeer(totals) => totals,
+            other => unreachable!("StoragePerPeer answered with {other:?}"),
         }
-        let dht = self.dht();
-        let peers = dht.overlay().len();
-        let per_stripe: Vec<Vec<PeerStorage>> = (0..dht.num_stripes())
-            .into_par_iter()
-            .map(|stripe| {
-                let mut totals = vec![PeerStorage::default(); peers];
-                dht.for_each_stripe_tiered(stripe, |holders, _, e, tier| {
-                    for &h in holders {
-                        let t = &mut totals[h as usize];
-                        t.postings += e.postings.len() as u64;
-                        if let Some(s) = &e.seen_docs {
-                            t.docset_docs += s.len() as u64;
-                        }
-                        match tier {
-                            Tier::Hot => {
-                                t.posting_bytes += e.postings.encoded_len() as u64;
-                                if let Some(s) = &e.seen_docs {
-                                    t.docset_bytes += s.encoded_len() as u64;
-                                }
-                            }
-                            Tier::Sealed { frame_bytes } => {
-                                t.sealed_bytes += frame_bytes;
-                            }
-                        }
-                    }
-                });
-                totals
-            })
-            .collect();
-        per_stripe
-            .into_iter()
-            .fold(vec![PeerStorage::default(); peers], |mut acc, totals| {
-                for (a, t) in acc.iter_mut().zip(totals) {
-                    a.postings += t.postings;
-                    a.posting_bytes += t.posting_bytes;
-                    a.docset_docs += t.docset_docs;
-                    a.docset_bytes += t.docset_bytes;
-                    a.sealed_bytes += t.sealed_bytes;
-                }
-                acc
-            })
     }
 }
 
@@ -1081,6 +1072,14 @@ pub struct PeerStorage {
     pub sealed_bytes: u64,
 }
 
+wire_stats!(PeerStorage(
+    postings,
+    posting_bytes,
+    docset_docs,
+    docset_bytes,
+    sealed_bytes
+));
+
 impl PeerStorage {
     /// Everything this peer keeps resident in memory for posting storage.
     pub fn resident_bytes(&self) -> u64 {
@@ -1110,18 +1109,9 @@ pub struct IndexCounts {
     pub ndk_postings: [u64; MAX_KEY_SIZE],
 }
 
-impl IndexCounts {
-    /// Element-wise sum (merging per-stripe partial counts).
-    fn merged(mut self, other: IndexCounts) -> IndexCounts {
-        for s in 0..MAX_KEY_SIZE {
-            self.hdk_keys[s] += other.hdk_keys[s];
-            self.hdk_postings[s] += other.hdk_postings[s];
-            self.ndk_keys[s] += other.ndk_keys[s];
-            self.ndk_postings[s] += other.ndk_postings[s];
-        }
-        self
-    }
+wire_stats!(IndexCounts(hdk_keys, hdk_postings, ndk_keys, ndk_postings));
 
+impl IndexCounts {
     /// Total stored postings.
     pub fn total_postings(&self) -> u64 {
         self.hdk_postings.iter().sum::<u64>() + self.ndk_postings.iter().sum::<u64>()

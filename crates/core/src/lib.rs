@@ -57,17 +57,21 @@ pub mod window_keys;
 
 pub use cache::{CachePeek, CacheStats, QueryCache};
 pub use classify::{classify, KeyClass};
-pub use config::{codec_from_env, HdkConfig, StoreConfig, DEFAULT_SEGMENT_HOT_BYTES};
+pub use config::{
+    codec_from_env, net_timeout_from_env, HdkConfig, StoreConfig, DEFAULT_SEGMENT_HOT_BYTES,
+};
 pub use engine::{BackendConfig, HdkNetwork, IndexService, OverlayKind, QueryService};
 pub use exec::{derive_query_id, QueryExecutor, QueryOutcome};
 pub use global_index::{
-    build_entry_store, GlobalIndex, IndexBackend, IndexCounts, IndexStore, KeyEntry, KeyEntryCodec,
-    KeyLookup, PeerStorage,
+    build_entry_store, GlobalIndex, IndexBackend, IndexCounts, IndexRequest, IndexResponse,
+    IndexStore, IndexSweep, IndexSwept, KeyEntry, KeyEntryCodec, KeyLookup, PeerStorage,
 };
 pub use hdk_ir::Codec;
 pub use key::{Key, MAX_KEY_SIZE};
 pub use local_indexer::LocalPeer;
 pub use naive::SingleTermNetwork;
 pub use plan::{max_lookups, NodeOutcome, QueryPlan};
-pub use serve::{spawn_http, HttpHandle, PeerConfig, PeerHost, TcpNet, WireRequest, WireResponse};
+pub use serve::{
+    spawn_http, Fleet, HttpHandle, PeerConfig, PeerHost, TcpNet, WireRequest, WireResponse,
+};
 pub use stats::{BuildReport, LevelProfile, QueryProfile};

@@ -1,51 +1,42 @@
-//! Binary encoding of the serving-tier protocol.
+//! The serving tier's frames, and the encodings of the index types that
+//! validate.
 //!
-//! The multi-process backend ships two message families over
-//! [`hdk_p2p::wire`] frames:
+//! A peer process is sent [`WireRequest`]s and answers [`WireResponse`]s,
+//! one per [`hdk_p2p::wire`] frame. Almost all of them carry a message of
+//! the engine's one seam unchanged — `Rpc` a data-plane
+//! [`IndexRequest`], `Control` a control-plane [`Control`] — so a peer
+//! process handles exactly what an in-process backend handles; the rest
+//! is what only a process needs: handshake, its traffic meter, a liveness
+//! probe, graceful shutdown.
 //!
-//! - the **data plane**: the existing typed [`Request`]/[`Response`]
-//!   RPC enums, instantiated at the index types (`Insert = (Key,
-//!   CompressedPostings)`, `LookupKey = Key`, `Lookup = KeyLookup`) —
-//!   every variant is encodable, control plane included, because peer
-//!   processes apply overlay mutations locally on instruction from the
-//!   front-end;
-//! - the **serving control plane** ([`WireRequest`]/[`WireResponse`]):
-//!   handshake, entry sweeps (classification, counts, storage
-//!   accounting), peer-process lifecycle (sync, graceful shutdown).
-//!
-//! Encodings are hand-rolled little-endian (registry access is
-//! unavailable, so no serde): one tag byte per enum variant, `u32`
-//! length prefixes for sequences, and the existing validated codecs for
-//! payload blobs ([`CompressedPostings::from_bytes`], [`KeyEntryCodec`]).
-//! Decoders never panic on malformed input — every path returns
+//! Every encoding is derived from one declaration per type (see
+//! [`hdk_p2p::wire`]): the message enums from their `wire_enum!` tables
+//! (here, beside [`hdk_p2p::Request`], and beside
+//! [`IndexSweep`](crate::global_index::IndexSweep)), the stats structs
+//! from their field lists — a stored entry included, whose encoding here
+//! is the one its segment-log frames use. Written by hand are only the
+//! types whose decoding *validates*: [`Key`] (size and term order) and, in
+//! `hdk_p2p::wire`, the posting block and doc-set. Decoders never panic on
+//! malformed input — every path returns
 //! [`WireError::Truncated`]/[`WireError::Corrupt`] (pinned by
 //! `crates/core/tests/prop_wire.rs`).
 
-use crate::global_index::{IndexCounts, KeyEntry, KeyEntryCodec, KeyLookup, PeerStorage};
+use crate::global_index::KeyLookup;
+pub use crate::global_index::{IndexRequest, IndexResponse};
 use crate::key::{Key, MAX_KEY_SIZE};
-use hdk_ir::{Bytes, CompressedPostings};
-use hdk_p2p::wire::{put_bytes, put_u32, put_u64, put_u8, WireError, WireReader, WireResult};
-use hdk_p2p::{
-    Addressed, HotStats, KeyHash, KindSnapshot, LatencyHistogram, LossStats, MigrationStats,
-    Notification, PeerId, RecoveryStats, RepairStats, Request, Response, StoreCodec,
-    TrafficSnapshot, LATENCY_BUCKETS, NUM_KINDS,
-};
+use hdk_p2p::wire::{self, Wire, WireError, WireReader, WireResult};
+use hdk_p2p::{wire_enum, wire_record, Control, TrafficSnapshot};
 use hdk_text::TermId;
 
 /// Protocol version carried in the [`WireRequest::Hello`] handshake.
 /// Bumped on any incompatible encoding change.
-pub const WIRE_VERSION: u32 = 2;
-
-/// The data-plane request type the serving tier ships: the RPC enum at
-/// the global index's concrete types.
-pub type IndexRequest = Request<(Key, CompressedPostings), Key>;
-/// The data-plane response type ([`Response`] at [`KeyLookup`]).
-pub type IndexResponse = Response<KeyLookup>;
+pub const WIRE_VERSION: u32 = 3;
 
 /// One serving-tier request frame, front-end → peer process.
 #[derive(Debug, Clone)]
 pub enum WireRequest {
-    /// A data-plane RPC, dispatched into the peer process's stripes.
+    /// A data-plane message, handled over the peer process's stripes
+    /// under shared access.
     Rpc(IndexRequest),
     /// Connection handshake: both sides must agree on the protocol
     /// version and the index geometry before any traffic flows.
@@ -57,839 +48,116 @@ pub enum WireRequest {
         dfmax: u32,
         replication: u32,
     },
-    /// Run the end-of-round NDK classification sweep for keys of `size`
-    /// over this process's stripes; returns the per-contributor key
-    /// lists that were notified.
-    Classify { size: u32 },
-    /// Read one entry (diagnostics; not metered).
-    Peek(Key),
-    /// Sweep index counts over this process's stripes.
-    Counts,
-    /// Sweep per-peer stored posting counts.
-    StoredPostings,
-    /// Sweep per-peer storage accounting (both tiers).
-    StoragePerPeer,
-    /// Sum resident posting-block bytes.
-    ResidentBytes,
-    /// Sum live sealed segment-log bytes on disk.
-    DiskBytes,
+    /// A control-plane message, handled under exclusive access. The
+    /// front-end broadcasts each one, so every process's overlay,
+    /// membership and settings stay those of the whole network.
+    Control(Control),
     /// This process's traffic meter.
     Snapshot,
-    /// Seal every hot entry to the persistent tier.
-    SyncStorage,
-    /// Set the hot-key replication knobs.
-    SetHotConfig { threshold: u64, extra: u64 },
-    /// Admit a join wave (control plane: mutates the overlay).
-    Join { peers: Vec<PeerId> },
-    /// Rewrite stored contributor lists after departures.
-    Reassign {
-        departed: Vec<PeerId>,
-        custodian: PeerId,
-    },
     /// Liveness probe.
     Health,
-    /// Graceful shutdown: drain in-flight dispatches, sync storage, exit.
+    /// Graceful shutdown: drain in-flight requests, sync storage, exit.
     Shutdown,
-    /// Advance this process's gossip layer by one round. `round` is the
-    /// round number the front-end expects the process to be at — a
-    /// mismatch means the fleet fell out of lockstep and is refused.
-    Gossip { round: u32 },
-    /// Enable gossip membership on this process (fields mirror
-    /// [`hdk_p2p::GossipConfig`]; `loss_prob` travels as IEEE-754 bits).
-    EnableGossip {
-        fanout: u32,
-        suspicion_rounds: u32,
-        loss_prob: f64,
-        seed: u64,
-    },
 }
 
 /// One serving-tier response frame, peer process → front-end.
 #[derive(Debug, Clone)]
 pub enum WireResponse {
-    /// Data-plane RPC response.
+    /// The reply to an `Rpc` or a `Control`.
     Rpc(IndexResponse),
     /// Handshake accepted.
     HelloOk,
-    /// Classification sweep result: per-contributor newly-NDK keys, in
-    /// canonical (peer, key) order.
-    Classified(Vec<(PeerId, Vec<Key>)>),
-    Peeked(Option<KeyEntry>),
-    Counts(IndexCounts),
-    StoredPostings(Vec<u64>),
-    StoragePerPeer(Vec<PeerStorage>),
-    /// A single byte total (`ResidentBytes`/`DiskBytes`).
-    Bytes(u64),
     /// Boxed: a snapshot dwarfs every other variant (per-kind histograms).
     Snapshot(Box<TrafficSnapshot>),
-    /// Generic success for effect-only requests.
-    Ok,
-    /// `Join` applied; migration stats per joiner.
-    Joined(Vec<MigrationStats>),
     /// `Health` reply: how many keys this process hosts.
-    Healthy {
-        keys: u64,
-    },
+    Healthy { keys: u64 },
     /// `Shutdown` acknowledged; the process exits after this frame.
     ShuttingDown,
-    /// The request was understood but refused (handshake mismatch,
-    /// semantic error). Transported as [`WireError::Protocol`].
+    /// The request was refused (malformed frame, handshake mismatch, a
+    /// message the handler refused). Transported as
+    /// [`WireError::Protocol`].
     Err(String),
-    /// `Gossip` applied: the repair traffic this process's stripes
-    /// contributed when the round confirmed a death (all-zero otherwise).
-    Gossiped(RepairStats),
 }
 
-// ---------------------------------------------------------------------
-// Field encoders. Every `get_*` is total over arbitrary bytes.
-
-fn put_peer(buf: &mut Vec<u8>, p: PeerId) {
-    put_u64(buf, p.0);
-}
-
-fn get_peer(r: &mut WireReader<'_>) -> WireResult<PeerId> {
-    Ok(PeerId(r.u64()?))
-}
-
-fn put_bool(buf: &mut Vec<u8>, b: bool) {
-    put_u8(buf, u8::from(b));
-}
-
-fn get_bool(r: &mut WireReader<'_>) -> WireResult<bool> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        _ => Err(WireError::Corrupt),
-    }
-}
-
-fn put_key(buf: &mut Vec<u8>, key: &Key) {
-    put_u8(buf, key.size() as u8);
-    for term in key.terms() {
-        put_u32(buf, term.0);
-    }
-}
-
-fn get_key(r: &mut WireReader<'_>) -> WireResult<Key> {
-    let size = r.u8()? as usize;
-    if size == 0 || size > MAX_KEY_SIZE {
-        return Err(WireError::Corrupt);
-    }
-    let mut terms = [TermId(0); MAX_KEY_SIZE];
-    for slot in terms.iter_mut().take(size) {
-        *slot = TermId(r.u32()?);
-    }
-    // `from_terms` rejects duplicates; a key that fails to rebuild is a
-    // corrupt frame, not a panic.
-    Key::from_terms(&terms[..size]).ok_or(WireError::Corrupt)
-}
-
-fn put_postings(buf: &mut Vec<u8>, block: &CompressedPostings) {
-    put_bytes(buf, block.as_bytes());
-}
-
-fn get_postings(r: &mut WireReader<'_>) -> WireResult<CompressedPostings> {
-    let raw = r.bytes()?;
-    CompressedPostings::from_bytes(Bytes::from(raw.to_vec())).ok_or(WireError::Corrupt)
-}
-
-fn put_vec<T>(buf: &mut Vec<u8>, items: &[T], mut put: impl FnMut(&mut Vec<u8>, &T)) {
-    assert!(items.len() <= u32::MAX as usize);
-    put_u32(buf, items.len() as u32);
-    for item in items {
-        put(buf, item);
-    }
-}
-
-fn get_vec<T>(
-    r: &mut WireReader<'_>,
-    min_elem_bytes: usize,
-    mut get: impl FnMut(&mut WireReader<'_>) -> WireResult<T>,
-) -> WireResult<Vec<T>> {
-    let n = r.seq_len(min_elem_bytes)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(get(r)?);
-    }
-    Ok(out)
-}
-
-fn put_peers(buf: &mut Vec<u8>, peers: &[PeerId]) {
-    put_vec(buf, peers, |b, p| put_peer(b, *p));
-}
-
-fn get_peers(r: &mut WireReader<'_>) -> WireResult<Vec<PeerId>> {
-    get_vec(r, 8, get_peer)
-}
-
-fn put_migration(buf: &mut Vec<u8>, s: &MigrationStats) {
-    put_u64(buf, s.keys_moved);
-    put_u64(buf, s.postings_moved);
-    put_u64(buf, s.bytes_moved);
-}
-
-fn get_migration(r: &mut WireReader<'_>) -> WireResult<MigrationStats> {
-    Ok(MigrationStats {
-        keys_moved: r.u64()?,
-        postings_moved: r.u64()?,
-        bytes_moved: r.u64()?,
-    })
-}
-
-fn put_loss(buf: &mut Vec<u8>, s: &LossStats) {
-    put_u64(buf, s.keys_lost);
-    put_u64(buf, s.postings_lost);
-    put_u64(buf, s.bytes_lost);
-    put_u64(buf, s.keys_degraded);
-}
-
-fn get_loss(r: &mut WireReader<'_>) -> WireResult<LossStats> {
-    Ok(LossStats {
-        keys_lost: r.u64()?,
-        postings_lost: r.u64()?,
-        bytes_lost: r.u64()?,
-        keys_degraded: r.u64()?,
-    })
-}
-
-fn put_repair(buf: &mut Vec<u8>, s: &RepairStats) {
-    put_u64(buf, s.copies);
-    put_u64(buf, s.postings);
-    put_u64(buf, s.bytes);
-}
-
-fn get_repair(r: &mut WireReader<'_>) -> WireResult<RepairStats> {
-    Ok(RepairStats {
-        copies: r.u64()?,
-        postings: r.u64()?,
-        bytes: r.u64()?,
-    })
-}
-
-fn put_hot(buf: &mut Vec<u8>, s: &HotStats) {
-    put_u64(buf, s.promoted);
-    put_u64(buf, s.demoted);
-    put_u64(buf, s.copies);
-    put_u64(buf, s.postings);
-    put_u64(buf, s.bytes);
-}
-
-fn get_hot(r: &mut WireReader<'_>) -> WireResult<HotStats> {
-    Ok(HotStats {
-        promoted: r.u64()?,
-        demoted: r.u64()?,
-        copies: r.u64()?,
-        postings: r.u64()?,
-        bytes: r.u64()?,
-    })
-}
-
-fn put_recovery(buf: &mut Vec<u8>, s: &RecoveryStats) {
-    for v in [
-        s.frames_replayed,
-        s.bytes_replayed,
-        s.frames_discarded,
-        s.copies_recovered,
-        s.postings_recovered,
-        s.copies_lost,
-        s.keys_lost,
-        s.postings_lost,
-        s.bytes_lost,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
-fn get_recovery(r: &mut WireReader<'_>) -> WireResult<RecoveryStats> {
-    Ok(RecoveryStats {
-        frames_replayed: r.u64()?,
-        bytes_replayed: r.u64()?,
-        frames_discarded: r.u64()?,
-        copies_recovered: r.u64()?,
-        postings_recovered: r.u64()?,
-        copies_lost: r.u64()?,
-        keys_lost: r.u64()?,
-        postings_lost: r.u64()?,
-        bytes_lost: r.u64()?,
-    })
-}
-
-fn put_lookup(buf: &mut Vec<u8>, l: &KeyLookup) {
-    put_postings(buf, &l.postings);
-    put_u32(buf, l.df);
-    put_bool(buf, l.is_ndk);
-}
-
-fn get_lookup(r: &mut WireReader<'_>) -> WireResult<KeyLookup> {
-    Ok(KeyLookup {
-        postings: get_postings(r)?,
-        df: r.u32()?,
-        is_ndk: get_bool(r)?,
-    })
-}
-
-fn put_counts(buf: &mut Vec<u8>, c: &IndexCounts) {
-    for arr in [&c.hdk_keys, &c.hdk_postings, &c.ndk_keys, &c.ndk_postings] {
-        for &v in arr.iter() {
-            put_u64(buf, v);
-        }
-    }
-}
-
-fn get_counts(r: &mut WireReader<'_>) -> WireResult<IndexCounts> {
-    let mut c = IndexCounts::default();
-    for arr in [
-        &mut c.hdk_keys,
-        &mut c.hdk_postings,
-        &mut c.ndk_keys,
-        &mut c.ndk_postings,
-    ] {
-        for slot in arr.iter_mut() {
-            *slot = r.u64()?;
-        }
-    }
-    Ok(c)
-}
-
-fn put_peer_storage(buf: &mut Vec<u8>, s: &PeerStorage) {
-    for v in [
-        s.postings,
-        s.posting_bytes,
-        s.docset_docs,
-        s.docset_bytes,
-        s.sealed_bytes,
-    ] {
-        put_u64(buf, v);
-    }
-}
-
-fn get_peer_storage(r: &mut WireReader<'_>) -> WireResult<PeerStorage> {
-    Ok(PeerStorage {
-        postings: r.u64()?,
-        posting_bytes: r.u64()?,
-        docset_docs: r.u64()?,
-        docset_bytes: r.u64()?,
-        sealed_bytes: r.u64()?,
-    })
-}
-
-fn put_histogram(buf: &mut Vec<u8>, h: &LatencyHistogram) {
-    put_u64(buf, h.samples);
-    put_u64(buf, h.total_ns);
-    put_u64(buf, h.max_ns);
-    put_u64(buf, h.retries);
-    put_u64(buf, h.retransmission_bytes);
-    for &b in h.buckets.iter() {
-        put_u64(buf, b);
-    }
-}
-
-fn get_histogram(r: &mut WireReader<'_>) -> WireResult<LatencyHistogram> {
-    let mut h = LatencyHistogram {
-        samples: r.u64()?,
-        total_ns: r.u64()?,
-        max_ns: r.u64()?,
-        retries: r.u64()?,
-        retransmission_bytes: r.u64()?,
-        ..LatencyHistogram::default()
-    };
-    for slot in h.buckets.iter_mut().take(LATENCY_BUCKETS) {
-        *slot = r.u64()?;
-    }
-    Ok(h)
-}
-
-fn put_u64s(buf: &mut Vec<u8>, v: &[u64]) {
-    put_vec(buf, v, |b, &x| put_u64(b, x));
-}
-
-fn get_u64s(r: &mut WireReader<'_>) -> WireResult<Vec<u64>> {
-    get_vec(r, 8, |r| r.u64())
-}
-
-fn put_snapshot(buf: &mut Vec<u8>, s: &TrafficSnapshot) {
-    for k in s.kinds.iter() {
-        for v in [k.messages, k.postings, k.bytes, k.hops, k.hop_bytes] {
-            put_u64(buf, v);
-        }
-    }
-    for h in s.latency.iter() {
-        put_histogram(buf, h);
-    }
-    put_u64s(buf, &s.inserted_by_peer);
-    put_u64s(buf, &s.retrieved_by_peer);
-    put_u64s(buf, &s.served_by_peer);
-    put_u64(buf, s.failover_timeouts);
-}
-
-fn get_snapshot(r: &mut WireReader<'_>) -> WireResult<TrafficSnapshot> {
-    let mut s = TrafficSnapshot::default();
-    for k in s.kinds.iter_mut().take(NUM_KINDS) {
-        *k = KindSnapshot {
-            messages: r.u64()?,
-            postings: r.u64()?,
-            bytes: r.u64()?,
-            hops: r.u64()?,
-            hop_bytes: r.u64()?,
-        };
-    }
-    for h in s.latency.iter_mut().take(NUM_KINDS) {
-        *h = get_histogram(r)?;
-    }
-    s.inserted_by_peer = get_u64s(r)?;
-    s.retrieved_by_peer = get_u64s(r)?;
-    s.served_by_peer = get_u64s(r)?;
-    s.failover_timeouts = r.u64()?;
-    Ok(s)
-}
-
-fn put_entry(buf: &mut Vec<u8>, entry: &KeyEntry) {
-    // Reuse the segment-log codec: one validated encoding for disk and
-    // wire, length-prefixed so the reader can bound it.
-    let mut inner = Vec::new();
-    KeyEntryCodec.encode(entry, &mut inner);
-    put_bytes(buf, &inner);
-}
-
-fn get_entry(r: &mut WireReader<'_>) -> WireResult<KeyEntry> {
-    KeyEntryCodec.decode(r.bytes()?).ok_or(WireError::Corrupt)
-}
-
-fn put_string(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-fn get_string(r: &mut WireReader<'_>) -> WireResult<String> {
-    String::from_utf8(r.bytes()?.to_vec()).map_err(|_| WireError::Corrupt)
-}
-
-fn put_addressed<T>(
-    buf: &mut Vec<u8>,
-    a: &Addressed<T>,
-    mut put_body: impl FnMut(&mut Vec<u8>, &T),
-) {
-    put_u64(buf, a.route.0);
-    put_body(buf, &a.body);
-}
-
-fn get_addressed<T>(
-    r: &mut WireReader<'_>,
-    mut get_body: impl FnMut(&mut WireReader<'_>) -> WireResult<T>,
-) -> WireResult<Addressed<T>> {
-    Ok(Addressed {
-        route: KeyHash(r.u64()?),
-        body: get_body(r)?,
-    })
-}
-
-fn put_insert_item(buf: &mut Vec<u8>, item: &Addressed<(Key, CompressedPostings)>) {
-    put_addressed(buf, item, |b, (key, block)| {
-        put_key(b, key);
-        put_postings(b, block);
-    });
-}
-
-fn get_insert_item(r: &mut WireReader<'_>) -> WireResult<Addressed<(Key, CompressedPostings)>> {
-    get_addressed(r, |r| Ok((get_key(r)?, get_postings(r)?)))
-}
-
-// ---------------------------------------------------------------------
-// Data-plane enums.
-
-/// Appends `request`'s encoding to `buf`.
-pub fn encode_request(buf: &mut Vec<u8>, request: &IndexRequest) {
-    match request {
-        Request::InsertBatch { batches } => {
-            put_u8(buf, 0);
-            put_vec(buf, batches, |b, (peer, items)| {
-                put_peer(b, *peer);
-                put_vec(b, items, put_insert_item);
-            });
-        }
-        Request::Notify { notes } => {
-            put_u8(buf, 1);
-            put_vec(buf, notes, |b, n| {
-                put_peer(b, n.to);
-                put_u64(b, n.postings);
-                put_u64(b, n.bytes);
-            });
-        }
-        Request::LookupMany {
-            from,
-            query_id,
-            keys,
-        } => {
-            put_u8(buf, 2);
-            put_peer(buf, *from);
-            put_u64(buf, *query_id);
-            put_vec(buf, keys, |b, k| put_addressed(b, k, put_key));
-        }
-        Request::Migrate { peer } => {
-            put_u8(buf, 3);
-            put_peer(buf, *peer);
-        }
-        Request::Leave { peers } => {
-            put_u8(buf, 4);
-            put_peers(buf, peers);
-        }
-        Request::Fail { peers } => {
-            put_u8(buf, 5);
-            put_peers(buf, peers);
-        }
-        Request::Repair => put_u8(buf, 6),
-        Request::Rebalance => put_u8(buf, 7),
-        Request::Restart { peers } => {
-            put_u8(buf, 8);
-            put_peers(buf, peers);
-        }
-    }
-}
-
-/// Decodes one [`IndexRequest`] (does not require the reader to be
-/// exhausted — callers compose).
-pub fn decode_request(r: &mut WireReader<'_>) -> WireResult<IndexRequest> {
-    Ok(match r.u8()? {
-        0 => Request::InsertBatch {
-            batches: get_vec(r, 12, |r| {
-                Ok((get_peer(r)?, get_vec(r, 13, get_insert_item)?))
-            })?,
-        },
-        1 => Request::Notify {
-            notes: get_vec(r, 24, |r| {
-                Ok(Notification {
-                    to: get_peer(r)?,
-                    postings: r.u64()?,
-                    bytes: r.u64()?,
-                })
-            })?,
-        },
-        2 => Request::LookupMany {
-            from: get_peer(r)?,
-            query_id: r.u64()?,
-            keys: get_vec(r, 13, |r| get_addressed(r, get_key))?,
-        },
-        3 => Request::Migrate { peer: get_peer(r)? },
-        4 => Request::Leave {
-            peers: get_peers(r)?,
-        },
-        5 => Request::Fail {
-            peers: get_peers(r)?,
-        },
-        6 => Request::Repair,
-        7 => Request::Rebalance,
-        8 => Request::Restart {
-            peers: get_peers(r)?,
-        },
-        _ => return Err(WireError::Corrupt),
-    })
-}
-
-/// Appends `response`'s encoding to `buf`.
-pub fn encode_response(buf: &mut Vec<u8>, response: &IndexResponse) {
-    match response {
-        Response::Inserted { acks } => {
-            put_u8(buf, 0);
-            put_vec(buf, acks, |b, (peer, flags)| {
-                put_peer(b, *peer);
-                put_vec(b, flags, |b, &f| put_bool(b, f));
-            });
-        }
-        Response::Notified => put_u8(buf, 1),
-        Response::Found { results } => {
-            put_u8(buf, 2);
-            put_vec(buf, results, |b, res| match res {
-                None => put_u8(b, 0),
-                Some(l) => {
-                    put_u8(b, 1);
-                    put_lookup(b, l);
-                }
-            });
-        }
-        Response::Migrated(s) => {
-            put_u8(buf, 3);
-            put_migration(buf, s);
-        }
-        Response::Left(stats) => {
-            put_u8(buf, 4);
-            put_vec(buf, stats, put_migration);
-        }
-        Response::Lost(s) => {
-            put_u8(buf, 5);
-            put_loss(buf, s);
-        }
-        Response::Repaired(s) => {
-            put_u8(buf, 6);
-            put_repair(buf, s);
-        }
-        Response::Rebalanced(s) => {
-            put_u8(buf, 7);
-            put_hot(buf, s);
-        }
-        Response::Recovered(s) => {
-            put_u8(buf, 8);
-            put_recovery(buf, s);
-        }
-    }
-}
-
-/// Decodes one [`IndexResponse`].
-pub fn decode_response(r: &mut WireReader<'_>) -> WireResult<IndexResponse> {
-    Ok(match r.u8()? {
-        0 => Response::Inserted {
-            acks: get_vec(r, 12, |r| Ok((get_peer(r)?, get_vec(r, 1, get_bool)?)))?,
-        },
-        1 => Response::Notified,
-        2 => Response::Found {
-            results: get_vec(r, 1, |r| match r.u8()? {
-                0 => Ok(None),
-                1 => Ok(Some(get_lookup(r)?)),
-                _ => Err(WireError::Corrupt),
-            })?,
-        },
-        3 => Response::Migrated(get_migration(r)?),
-        4 => Response::Left(get_vec(r, 24, get_migration)?),
-        5 => Response::Lost(get_loss(r)?),
-        6 => Response::Repaired(get_repair(r)?),
-        7 => Response::Rebalanced(get_hot(r)?),
-        8 => Response::Recovered(get_recovery(r)?),
-        _ => return Err(WireError::Corrupt),
-    })
-}
-
-// ---------------------------------------------------------------------
-// Serving control plane.
+wire_enum!(WireRequest {
+    0 => Rpc(request),
+    1 => Hello { version, nprocs, proc_index, num_peers, dfmax, replication },
+    2 => Control(control),
+    9 => Snapshot,
+    14 => Health,
+    15 => Shutdown,
+});
+wire_enum!(WireResponse {
+    0 => Rpc(response),
+    1 => HelloOk,
+    8 => Snapshot(snapshot),
+    11 => Healthy { keys },
+    12 => ShuttingDown,
+    13 => Err(reason),
+});
 
 impl WireRequest {
     /// Encodes into a fresh frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            WireRequest::Rpc(req) => {
-                put_u8(&mut buf, 0);
-                encode_request(&mut buf, req);
-            }
-            WireRequest::Hello {
-                version,
-                nprocs,
-                proc_index,
-                num_peers,
-                dfmax,
-                replication,
-            } => {
-                put_u8(&mut buf, 1);
-                for v in [version, nprocs, proc_index, num_peers, dfmax, replication] {
-                    put_u32(&mut buf, *v);
-                }
-            }
-            WireRequest::Classify { size } => {
-                put_u8(&mut buf, 2);
-                put_u32(&mut buf, *size);
-            }
-            WireRequest::Peek(key) => {
-                put_u8(&mut buf, 3);
-                put_key(&mut buf, key);
-            }
-            WireRequest::Counts => put_u8(&mut buf, 4),
-            WireRequest::StoredPostings => put_u8(&mut buf, 5),
-            WireRequest::StoragePerPeer => put_u8(&mut buf, 6),
-            WireRequest::ResidentBytes => put_u8(&mut buf, 7),
-            WireRequest::DiskBytes => put_u8(&mut buf, 8),
-            WireRequest::Snapshot => put_u8(&mut buf, 9),
-            WireRequest::SyncStorage => put_u8(&mut buf, 10),
-            WireRequest::SetHotConfig { threshold, extra } => {
-                put_u8(&mut buf, 11);
-                put_u64(&mut buf, *threshold);
-                put_u64(&mut buf, *extra);
-            }
-            WireRequest::Join { peers } => {
-                put_u8(&mut buf, 12);
-                put_peers(&mut buf, peers);
-            }
-            WireRequest::Reassign {
-                departed,
-                custodian,
-            } => {
-                put_u8(&mut buf, 13);
-                put_peers(&mut buf, departed);
-                put_peer(&mut buf, *custodian);
-            }
-            WireRequest::Health => put_u8(&mut buf, 14),
-            WireRequest::Shutdown => put_u8(&mut buf, 15),
-            WireRequest::Gossip { round } => {
-                put_u8(&mut buf, 16);
-                put_u32(&mut buf, *round);
-            }
-            WireRequest::EnableGossip {
-                fanout,
-                suspicion_rounds,
-                loss_prob,
-                seed,
-            } => {
-                put_u8(&mut buf, 17);
-                put_u32(&mut buf, *fanout);
-                put_u32(&mut buf, *suspicion_rounds);
-                put_u64(&mut buf, loss_prob.to_bits());
-                put_u64(&mut buf, *seed);
-            }
-        }
-        buf
+        wire::encode(self)
     }
 
     /// Decodes a full frame payload (trailing garbage is corruption).
     pub fn decode(payload: &[u8]) -> WireResult<WireRequest> {
-        let mut r = WireReader::new(payload);
-        let req = match r.u8()? {
-            0 => WireRequest::Rpc(decode_request(&mut r)?),
-            1 => WireRequest::Hello {
-                version: r.u32()?,
-                nprocs: r.u32()?,
-                proc_index: r.u32()?,
-                num_peers: r.u32()?,
-                dfmax: r.u32()?,
-                replication: r.u32()?,
-            },
-            2 => WireRequest::Classify { size: r.u32()? },
-            3 => WireRequest::Peek(get_key(&mut r)?),
-            4 => WireRequest::Counts,
-            5 => WireRequest::StoredPostings,
-            6 => WireRequest::StoragePerPeer,
-            7 => WireRequest::ResidentBytes,
-            8 => WireRequest::DiskBytes,
-            9 => WireRequest::Snapshot,
-            10 => WireRequest::SyncStorage,
-            11 => WireRequest::SetHotConfig {
-                threshold: r.u64()?,
-                extra: r.u64()?,
-            },
-            12 => WireRequest::Join {
-                peers: get_peers(&mut r)?,
-            },
-            13 => WireRequest::Reassign {
-                departed: get_peers(&mut r)?,
-                custodian: get_peer(&mut r)?,
-            },
-            14 => WireRequest::Health,
-            15 => WireRequest::Shutdown,
-            16 => WireRequest::Gossip { round: r.u32()? },
-            17 => WireRequest::EnableGossip {
-                fanout: r.u32()?,
-                suspicion_rounds: r.u32()?,
-                loss_prob: f64::from_bits(r.u64()?),
-                seed: r.u64()?,
-            },
-            _ => return Err(WireError::Corrupt),
-        };
-        r.done()?;
-        Ok(req)
+        wire::decode(payload)
     }
 }
 
 impl WireResponse {
     /// Encodes into a fresh frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        match self {
-            WireResponse::Rpc(resp) => {
-                put_u8(&mut buf, 0);
-                encode_response(&mut buf, resp);
-            }
-            WireResponse::HelloOk => put_u8(&mut buf, 1),
-            WireResponse::Classified(notified) => {
-                put_u8(&mut buf, 2);
-                put_vec(&mut buf, notified, |b, (peer, keys)| {
-                    put_peer(b, *peer);
-                    put_vec(b, keys, put_key);
-                });
-            }
-            WireResponse::Peeked(entry) => {
-                put_u8(&mut buf, 3);
-                match entry {
-                    None => put_u8(&mut buf, 0),
-                    Some(e) => {
-                        put_u8(&mut buf, 1);
-                        put_entry(&mut buf, e);
-                    }
-                }
-            }
-            WireResponse::Counts(c) => {
-                put_u8(&mut buf, 4);
-                put_counts(&mut buf, c);
-            }
-            WireResponse::StoredPostings(v) => {
-                put_u8(&mut buf, 5);
-                put_u64s(&mut buf, v);
-            }
-            WireResponse::StoragePerPeer(v) => {
-                put_u8(&mut buf, 6);
-                put_vec(&mut buf, v, put_peer_storage);
-            }
-            WireResponse::Bytes(v) => {
-                put_u8(&mut buf, 7);
-                put_u64(&mut buf, *v);
-            }
-            WireResponse::Snapshot(s) => {
-                put_u8(&mut buf, 8);
-                put_snapshot(&mut buf, s);
-            }
-            WireResponse::Ok => put_u8(&mut buf, 9),
-            WireResponse::Joined(stats) => {
-                put_u8(&mut buf, 10);
-                put_vec(&mut buf, stats, put_migration);
-            }
-            WireResponse::Healthy { keys } => {
-                put_u8(&mut buf, 11);
-                put_u64(&mut buf, *keys);
-            }
-            WireResponse::ShuttingDown => put_u8(&mut buf, 12),
-            WireResponse::Err(msg) => {
-                put_u8(&mut buf, 13);
-                put_string(&mut buf, msg);
-            }
-            WireResponse::Gossiped(s) => {
-                put_u8(&mut buf, 14);
-                put_repair(&mut buf, s);
-            }
-        }
-        buf
+        wire::encode(self)
     }
 
     /// Decodes a full frame payload (trailing garbage is corruption).
     pub fn decode(payload: &[u8]) -> WireResult<WireResponse> {
-        let mut r = WireReader::new(payload);
-        let resp = match r.u8()? {
-            0 => WireResponse::Rpc(decode_response(&mut r)?),
-            1 => WireResponse::HelloOk,
-            2 => WireResponse::Classified(get_vec(&mut r, 12, |r| {
-                Ok((get_peer(r)?, get_vec(r, 5, get_key)?))
-            })?),
-            3 => WireResponse::Peeked(match r.u8()? {
-                0 => None,
-                1 => Some(get_entry(&mut r)?),
-                _ => return Err(WireError::Corrupt),
-            }),
-            4 => WireResponse::Counts(get_counts(&mut r)?),
-            5 => WireResponse::StoredPostings(get_u64s(&mut r)?),
-            6 => WireResponse::StoragePerPeer(get_vec(&mut r, 40, get_peer_storage)?),
-            7 => WireResponse::Bytes(r.u64()?),
-            8 => WireResponse::Snapshot(Box::new(get_snapshot(&mut r)?)),
-            9 => WireResponse::Ok,
-            10 => WireResponse::Joined(get_vec(&mut r, 24, get_migration)?),
-            11 => WireResponse::Healthy { keys: r.u64()? },
-            12 => WireResponse::ShuttingDown,
-            13 => WireResponse::Err(get_string(&mut r)?),
-            14 => WireResponse::Gossiped(get_repair(&mut r)?),
-            _ => return Err(WireError::Corrupt),
-        };
-        r.done()?;
-        Ok(resp)
+        wire::decode(payload)
     }
 }
+
+/// `[size: u8][terms: u32 × size]`.
+impl Wire for Key {
+    const MIN_BYTES: usize = 5;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(self.size() as u8);
+        for term in self.terms() {
+            term.0.put(buf);
+        }
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let size = u8::get(r)? as usize;
+        if size == 0 || size > MAX_KEY_SIZE {
+            return Err(WireError::Corrupt);
+        }
+        let mut terms = [TermId(0); MAX_KEY_SIZE];
+        for slot in terms.iter_mut().take(size) {
+            *slot = TermId(u32::get(r)?);
+        }
+        // `from_terms` rejects duplicates; a key that fails to rebuild is a
+        // corrupt frame, not a panic.
+        Key::from_terms(&terms[..size]).ok_or(WireError::Corrupt)
+    }
+}
+
+wire_record!(KeyLookup[9](postings, df, is_ndk));
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::global_index::IndexSweep;
     use hdk_corpus::DocId;
-    use hdk_ir::{Posting, PostingList};
+    use hdk_ir::{CompressedPostings, Posting, PostingList};
+    use hdk_p2p::{
+        Addressed, GossipConfig, GossipMetering, GossipOutcome, GossipRound, KeyHash, PeerId,
+        RepairStats, Request, Response,
+    };
 
     fn block(docs: &[u32]) -> CompressedPostings {
         CompressedPostings::from_list(&PostingList::from_sorted(
@@ -927,13 +195,23 @@ mod tests {
                     body: key(&[8]),
                 }],
             }),
-            WireRequest::Gossip { round: 9 },
-            WireRequest::EnableGossip {
-                fanout: 2,
-                suspicion_rounds: 3,
-                loss_prob: 0.125,
-                seed: 0xfeed,
-            },
+            WireRequest::Rpc(Request::Sweep(IndexSweep::Reassign {
+                departed: vec![PeerId(4), PeerId(5)],
+                custodian: PeerId(0),
+            })),
+            WireRequest::Control(Control::Gossip { round: 9 }),
+            WireRequest::Control(Control::EnableGossip {
+                config: GossipConfig {
+                    fanout: 2,
+                    suspicion_rounds: 3,
+                    loss_prob: 0.125,
+                    seed: 0xfeed,
+                },
+                metering: GossipMetering::Partition {
+                    nprocs: 3,
+                    index: 1,
+                },
+            }),
         ];
         for req in requests {
             let bytes = req.encode();
@@ -961,11 +239,19 @@ mod tests {
 
     #[test]
     fn response_roundtrip_gossiped() {
-        let resp = WireResponse::Gossiped(RepairStats {
-            copies: 4,
-            postings: 900,
-            bytes: 3600,
-        });
+        let resp = WireResponse::Rpc(Response::Gossiped(GossipOutcome {
+            report: GossipRound {
+                round: 7,
+                confirmed: vec![(0, 3), (1, 3)],
+                universally_confirmed: vec![3],
+                ..GossipRound::default()
+            },
+            repair: Some(RepairStats {
+                copies: 4,
+                postings: 900,
+                bytes: 3600,
+            }),
+        }));
         let bytes = resp.encode();
         let decoded = WireResponse::decode(&bytes).unwrap();
         assert_eq!(bytes, decoded.encode());

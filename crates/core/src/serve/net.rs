@@ -2,13 +2,23 @@
 //! processes.
 //!
 //! The index's 128 lock stripes are partitioned across `nprocs` peer
-//! processes by `stripe % nprocs`; the front-end process keeps a
-//! zero-entry **mirror** `InProc` backend whose only job is to hold the
-//! authoritative overlay + membership state (control-plane waves are
-//! applied to the mirror *and* broadcast to every process, so routing
-//! decisions and liveness checks stay consistent without extra round
-//! trips), and ships every data-plane request to the owning process
-//! over pooled persistent connections.
+//! processes by `stripe % nprocs`, each running the same in-process
+//! backend over its share. `TcpNet` is only the *delivery policy* in
+//! front of them — per message one **scatter rule** and one **fold**:
+//!
+//! | message | goes to | replies |
+//! |---|---|---|
+//! | `InsertBatch`, `LookupMany` | each item to its stripe's owner | stitched back into request order |
+//! | `Notify` | one process | — |
+//! | `Repair`, `Rebalance`, every `Sweep` | every process | folded with [`Absorb`] |
+//! | every [`Control`] | the mirror, then every process | folded with [`Absorb`] |
+//!
+//! The front-end keeps a zero-entry **mirror** `InProc` whose job is to
+//! hold the authoritative overlay, membership and gossip state — what
+//! [`NetworkBackend::dht`] shows — so routing decisions and liveness
+//! checks need no round trip. Being empty, it also answers every
+//! broadcast message with that message's neutral reply, which seeds the
+//! fold: an unreachable process is then simply missing from the sum.
 //!
 //! Failure contract: a dead process costs a bounded timeout (or an
 //! immediate connect error), never a hang — failed inserts come back
@@ -19,46 +29,37 @@
 //! Because the stripe partition is exact and every process meters its
 //! own traffic with the full logical peer set, summing the per-process
 //! [`TrafficSnapshot`]s reproduces the single-process `InProc` counters
-//! bit for bit on the build/query path (pinned by
-//! `tests/serving_multiproc.rs`).
+//! bit for bit (pinned by `tests/serving_multiproc.rs`, and without
+//! sockets by `crates/core/tests/prop_backend.rs`).
 
-use crate::global_index::{IndexStore, KeyLookup};
-use crate::key::Key;
-use crate::serve::codec::{IndexRequest, IndexResponse, WireRequest, WireResponse, WIRE_VERSION};
-use hdk_ir::CompressedPostings;
+use crate::config::net_timeout_from_env;
+use crate::global_index::{IndexRequest, IndexResponse, IndexStore, KeyEntry};
+use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
 use hdk_p2p::{
-    stripe_of, Addressed, Dht, HotStats, InProc, KeyHash, LatencyHistogram, LossStats,
-    MigrationStats, NetworkBackend, Notification, Overlay, PeerId, RecoveryStats, RepairStats,
-    TrafficSnapshot, NUM_KINDS, NUM_STRIPES,
+    stripe_of, Absorb, Control, Dht, GossipMetering, InProc, KeyHash, LatencyHistogram, MsgKind,
+    NetworkBackend, Overlay, PeerId, Request, Response, TrafficSnapshot, NUM_KINDS, NUM_STRIPES,
 };
 use parking_lot::Mutex;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// Default per-request deadline (connect, read and write), overridable
-/// with `HDK_NET_TIMEOUT_MS`.
-pub const DEFAULT_TIMEOUT_MS: u64 = 5_000;
+/// Pooled persistent connections per peer process.
+const POOL: usize = 4;
 
-/// Pooled persistent connections per peer process, overridable with
-/// `HDK_NET_POOL`.
-pub const DEFAULT_POOL: usize = 4;
+/// How [`TcpNet`] reaches its peer processes. Over TCP in production;
+/// tests substitute an in-memory fleet to drive codec, scatter, fold and
+/// handler without sockets.
+pub trait Fleet: Send + Sync {
+    /// How many peer processes host the stripes.
+    fn nprocs(&self) -> usize;
 
-fn env_timeout() -> Duration {
-    let ms = std::env::var("HDK_NET_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(DEFAULT_TIMEOUT_MS);
-    Duration::from_millis(ms.max(1))
-}
-
-fn env_pool() -> usize {
-    std::env::var("HDK_NET_POOL")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_POOL)
-        .max(1)
+    /// One exchange with process `proc`: delivers a request frame's
+    /// payload, returns the reply frame's. A failed exchange may be
+    /// repeated once only when `idempotent` — after the bytes left this
+    /// host, the remote effect of anything else is in doubt.
+    fn exchange(&self, proc: usize, payload: &[u8], idempotent: bool) -> WireResult<Vec<u8>>;
 }
 
 /// One peer process's client half: a small pool of lazily (re)connected
@@ -73,89 +74,71 @@ struct PeerClient {
 }
 
 impl PeerClient {
-    fn new(addr: String, hello: Vec<u8>, pool: usize, timeout: Duration) -> Self {
-        PeerClient {
-            addr,
-            hello,
-            pool: (0..pool).map(|_| Mutex::new(None)).collect(),
-            next: AtomicUsize::new(0),
-            timeout,
-        }
-    }
-
     /// Opens a socket, applies the deadline and runs the handshake.
     fn open(&self) -> WireResult<TcpStream> {
         let mut last = WireError::Closed;
         for addr in std::net::ToSocketAddrs::to_socket_addrs(self.addr.as_str())? {
             match TcpStream::connect_timeout(&addr, self.timeout) {
-                Ok(stream) => {
+                Ok(mut stream) => {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(self.timeout))?;
                     stream.set_write_timeout(Some(self.timeout))?;
-                    let mut stream = stream;
                     write_frame(&mut stream, &self.hello)?;
-                    let reply = read_frame(&mut stream)?;
-                    match WireResponse::decode(&reply)? {
-                        WireResponse::HelloOk => return Ok(stream),
-                        WireResponse::Err(msg) => return Err(WireError::Protocol(msg)),
-                        other => {
-                            return Err(WireError::Protocol(format!(
-                                "handshake answered with {other:?}"
-                            )))
-                        }
-                    }
+                    return match WireResponse::decode(&read_frame(&mut stream)?)? {
+                        WireResponse::HelloOk => Ok(stream),
+                        WireResponse::Err(msg) => Err(WireError::Protocol(msg)),
+                        other => Err(WireError::Protocol(format!(
+                            "handshake answered with {other:?}"
+                        ))),
+                    };
                 }
                 Err(e) => last = e.into(),
             }
         }
         Err(last)
     }
+}
 
-    /// One request/response exchange on an established stream.
-    fn exchange(stream: &mut TcpStream, payload: &[u8]) -> WireResult<WireResponse> {
-        write_frame(stream, payload)?;
-        let reply = read_frame(stream)?;
-        WireResponse::decode(&reply)
+/// The TCP fleet: one `PeerClient` per process. A stale pooled stream
+/// (the process restarted since the last request) is dropped and
+/// reconnected once for an idempotent exchange; anything else surfaces
+/// the first error.
+impl Fleet for Vec<PeerClient> {
+    fn nprocs(&self) -> usize {
+        self.len()
     }
 
-    /// Sends `request` over a pooled connection. A stale pooled stream
-    /// (the process restarted since the last request) is dropped and
-    /// reconnected once — but only for `idempotent` requests, because a
-    /// failure after the bytes left this host leaves the remote effect
-    /// in doubt. Non-idempotent requests surface the first error.
-    fn request(&self, request: &WireRequest, idempotent: bool) -> WireResult<WireResponse> {
-        let payload = request.encode();
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.len();
-        let mut guard = self.pool[slot].lock();
+    fn exchange(&self, proc: usize, payload: &[u8], idempotent: bool) -> WireResult<Vec<u8>> {
+        let client = &self[proc];
+        let slot = client.next.fetch_add(1, Ordering::Relaxed) % client.pool.len();
+        let mut guard = client.pool[slot].lock();
         let attempts = if idempotent && guard.is_some() { 2 } else { 1 };
-        for attempt in 0..attempts {
-            if guard.is_none() {
-                *guard = Some(self.open()?);
-            }
-            let stream = guard.as_mut().expect("just connected");
-            match Self::exchange(stream, &payload) {
-                Ok(WireResponse::Err(msg)) => return Err(WireError::Protocol(msg)),
-                Ok(resp) => return Ok(resp),
+        let mut last = WireError::Closed;
+        for _ in 0..attempts {
+            let stream = match guard.as_mut() {
+                Some(stream) => stream,
+                None => guard.insert(client.open()?),
+            };
+            match write_frame(stream, payload).and_then(|()| read_frame(stream)) {
+                Ok(reply) => return Ok(reply),
                 Err(e) => {
                     *guard = None;
-                    if attempt + 1 == attempts {
-                        return Err(e);
-                    }
+                    last = e;
                 }
             }
         }
-        unreachable!("request loop always returns")
+        Err(last)
     }
 }
 
 /// The multi-process serving backend. See the module docs for the
-/// stripe-partition and mirror design.
+/// stripe-partition, scatter-and-fold and mirror design.
 pub struct TcpNet {
     /// Zero-entry local backend holding the authoritative overlay,
-    /// membership and hot-config state. Its stripes never receive data
-    /// and its meter stays silent on the data plane.
+    /// membership and settings. Its stripes never receive data and its
+    /// meter is never read.
     mirror: InProc<IndexStore>,
-    procs: Vec<PeerClient>,
+    fleet: Box<dyn Fleet>,
     /// Front-end wall-clock latency per request kind (the real-network
     /// analogue of SimNet's virtual histograms).
     rpc_latency: Mutex<[LatencyHistogram; NUM_KINDS]>,
@@ -173,44 +156,58 @@ impl TcpNet {
         dfmax: u32,
         replication: usize,
     ) -> WireResult<TcpNet> {
-        assert!(!addrs.is_empty(), "TcpNet needs at least one peer process");
-        assert!(
-            addrs.len() <= NUM_STRIPES,
-            "more processes than stripes: {} > {NUM_STRIPES}",
-            addrs.len()
-        );
-        let num_peers = overlay.len() as u32;
-        let timeout = env_timeout();
-        let pool = env_pool();
-        let procs: Vec<PeerClient> = addrs
+        let timeout = net_timeout_from_env();
+        let clients: Vec<PeerClient> = addrs
             .iter()
             .enumerate()
-            .map(|(i, addr)| {
-                let hello = WireRequest::Hello {
+            .map(|(i, addr)| PeerClient {
+                addr: addr.clone(),
+                hello: WireRequest::Hello {
                     version: WIRE_VERSION,
                     nprocs: addrs.len() as u32,
                     proc_index: i as u32,
-                    num_peers,
+                    num_peers: overlay.len() as u32,
                     dfmax,
                     replication: replication as u32,
                 }
-                .encode();
-                PeerClient::new(addr.clone(), hello, pool, timeout)
+                .encode(),
+                pool: (0..POOL).map(|_| Mutex::new(None)).collect(),
+                next: AtomicUsize::new(0),
+                timeout,
             })
             .collect();
+        Self::over(Box::new(clients), overlay, dfmax, replication)
+    }
+
+    /// [`TcpNet::connect`] over an arbitrary [`Fleet`], whose processes
+    /// must host the same geometry (`overlay`'s peers, `dfmax`,
+    /// `replication`, stripes by `stripe % nprocs`).
+    pub fn over(
+        fleet: Box<dyn Fleet>,
+        overlay: Box<dyn Overlay>,
+        dfmax: u32,
+        replication: usize,
+    ) -> WireResult<TcpNet> {
+        let nprocs = fleet.nprocs();
+        if nprocs == 0 || nprocs > NUM_STRIPES {
+            return Err(WireError::Protocol(format!(
+                "the serving tier needs 1..={NUM_STRIPES} peer processes, got {nprocs}"
+            )));
+        }
         let net = TcpNet {
             mirror: InProc::replicated(overlay, IndexStore::new(dfmax), replication),
-            procs,
+            fleet,
             rpc_latency: Mutex::new([LatencyHistogram::default(); NUM_KINDS]),
             errors: AtomicU64::new(0),
         };
-        // Fail fast on a wrong topology: handshake every process now.
-        for (i, _) in net.procs.iter().enumerate() {
-            match net.control(i, &WireRequest::Health)? {
+        // Fail fast on a wrong topology: reach every process now.
+        let health = WireRequest::Health.encode();
+        for proc in 0..nprocs {
+            match net.send(proc, &health, true)? {
                 WireResponse::Healthy { .. } => {}
                 other => {
                     return Err(WireError::Protocol(format!(
-                        "process {i} answered health with {other:?}"
+                        "process {proc} answered health with {other:?}"
                     )))
                 }
             }
@@ -218,360 +215,260 @@ impl TcpNet {
         Ok(net)
     }
 
-    /// How many peer processes host the stripes.
-    pub fn nprocs(&self) -> usize {
-        self.procs.len()
-    }
-
-    /// Transport failures so far (timeouts, resets, refused connects).
-    /// A nonzero delta across a query means some probes came back as
-    /// misses because a peer was unreachable, not because the key is
-    /// absent.
-    pub fn transport_errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
     /// The process hosting `route`'s stripe.
-    pub fn owner_of(&self, route: KeyHash) -> usize {
-        stripe_of(route) % self.procs.len()
+    fn owner_of(&self, route: KeyHash) -> usize {
+        stripe_of(route) % self.fleet.nprocs()
     }
 
     fn note_error(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One control-plane exchange with process `proc` (idempotent
-    /// retry on a stale pooled connection).
-    pub(crate) fn control(&self, proc: usize, request: &WireRequest) -> WireResult<WireResponse> {
-        let out = self.procs[proc].request(request, true);
-        if out.is_err() {
+    /// One exchange with process `proc`. Every failure — transport,
+    /// undecodable reply, refusal — ticks the error counter.
+    fn send(&self, proc: usize, payload: &[u8], idempotent: bool) -> WireResult<WireResponse> {
+        let reply = self
+            .fleet
+            .exchange(proc, payload, idempotent)
+            .and_then(|reply| WireResponse::decode(&reply))
+            .and_then(|reply| match reply {
+                WireResponse::Err(msg) => Err(WireError::Protocol(msg)),
+                reply => Ok(reply),
+            });
+        if reply.is_err() {
             self.note_error();
         }
-        out
+        reply
     }
 
-    /// Broadcasts a control request to every process, in process order.
-    pub(crate) fn broadcast(&self, request: &WireRequest) -> Vec<WireResult<WireResponse>> {
-        (0..self.procs.len())
-            .map(|i| self.control(i, request))
-            .collect()
-    }
-
-    /// Ships one data-plane RPC to process `proc`, recording wall-clock
-    /// latency under the request's kind.
-    fn rpc(
+    /// Delivers `payload_of(p)` to every listed process `p` —
+    /// concurrently when there are several, so a slow (or dead) process
+    /// costs its own timeout, not the sum of everyone's — recording each
+    /// exchange's wall-clock latency under `kind`. Returns the replies in
+    /// `procs` order, `None` where none arrived (already counted as an
+    /// error).
+    fn deliver<'a>(
         &self,
-        proc: usize,
-        request: IndexRequest,
+        procs: &[usize],
+        payload_of: impl Fn(usize) -> &'a [u8] + Sync,
         idempotent: bool,
-    ) -> WireResult<IndexResponse> {
-        let slot = request.kind().slot();
-        let started = Instant::now();
-        let out = self.procs[proc].request(&WireRequest::Rpc(request), idempotent);
-        let elapsed = started.elapsed().as_nanos() as u64;
-        self.rpc_latency.lock()[slot].record_sample(elapsed);
-        match out {
-            Ok(WireResponse::Rpc(resp)) => Ok(resp),
-            Ok(other) => {
-                self.note_error();
-                Err(WireError::Protocol(format!("rpc answered with {other:?}")))
+        kind: Option<MsgKind>,
+    ) -> Vec<Option<IndexResponse>> {
+        let one = |proc: usize| {
+            let started = Instant::now();
+            let reply = self.send(proc, payload_of(proc), idempotent);
+            if let Some(kind) = kind {
+                let elapsed = started.elapsed().as_nanos() as u64;
+                self.rpc_latency.lock()[kind.slot()].record_sample(elapsed);
             }
-            Err(e) => {
-                self.note_error();
-                Err(e)
+            match reply {
+                Ok(WireResponse::Rpc(response)) => Some(response),
+                Ok(_) => {
+                    self.note_error();
+                    None
+                }
+                Err(_) => None,
             }
+        };
+        if let [proc] = procs {
+            return vec![one(*proc)];
         }
-    }
-
-    /// Runs `work(proc)` for the listed processes, concurrently when
-    /// there is more than one — a slow (or dead) process costs its own
-    /// timeout, not the sum of everyone's.
-    fn fan_out<T: Send>(&self, procs: &[usize], work: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        if procs.len() == 1 {
-            return vec![work(procs[0])];
-        }
+        let one = &one;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = procs
+            let workers: Vec<_> = procs
                 .iter()
-                .map(|&p| {
-                    scope.spawn({
-                        let work = &work;
-                        move || work(p)
+                .map(|&proc| scope.spawn(move || one(proc)))
+                .collect();
+            workers
+                .into_iter()
+                .map(|worker| {
+                    worker.join().unwrap_or_else(|_| {
+                        self.note_error();
+                        None
                     })
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fan-out worker panicked"))
                 .collect()
         })
     }
 
-    /// Sums a broadcast's per-process stats with `fold`, skipping (and
-    /// counting) unreachable processes.
-    fn broadcast_fold<T: Default>(
+    /// Delivers `payload_of(p)` to every process `p` and folds the replies
+    /// that arrive into `seed` — the mirror's own reply to the same
+    /// message.
+    fn broadcast<'a>(
         &self,
-        request: &IndexRequest,
-        mut fold: impl FnMut(&mut T, IndexResponse),
-    ) -> T {
-        let procs: Vec<usize> = (0..self.procs.len()).collect();
-        let replies = self.fan_out(&procs, |p| self.rpc(p, request.clone(), true));
-        let mut acc = T::default();
-        for resp in replies.into_iter().flatten() {
-            fold(&mut acc, resp);
+        mut seed: IndexResponse,
+        payload_of: impl Fn(usize) -> &'a [u8] + Sync,
+        kind: Option<MsgKind>,
+    ) -> IndexResponse {
+        let procs: Vec<usize> = (0..self.fleet.nprocs()).collect();
+        let replies = self.deliver(&procs, payload_of, true, kind);
+        for reply in replies.into_iter().flatten() {
+            seed.absorb(reply);
         }
-        acc
+        seed
+    }
+
+    /// Delivers `parts[p]` to every process `p` that has a part, and
+    /// returns `(p, reply)` for the replies that arrived.
+    fn scatter(
+        &self,
+        parts: Vec<Option<IndexRequest>>,
+        idempotent: bool,
+        kind: Option<MsgKind>,
+    ) -> Vec<(usize, IndexResponse)> {
+        let payloads: Vec<Option<Vec<u8>>> = parts
+            .into_iter()
+            .map(|part| part.map(|request| WireRequest::Rpc(request).encode()))
+            .collect();
+        let active: Vec<usize> = (0..payloads.len())
+            .filter(|&proc| payloads[proc].is_some())
+            .collect();
+        let replies = self.deliver(
+            &active,
+            |proc| payloads[proc].as_deref().unwrap_or_default(),
+            idempotent,
+            kind,
+        );
+        active
+            .into_iter()
+            .zip(replies)
+            .filter_map(|(proc, reply)| Some((proc, reply?)))
+            .collect()
     }
 }
 
 impl std::fmt::Debug for TcpNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TcpNet")
-            .field("nprocs", &self.procs.len())
+            .field("nprocs", &self.fleet.nprocs())
             .field("errors", &self.transport_errors())
             .finish_non_exhaustive()
     }
 }
 
 impl NetworkBackend<IndexStore> for TcpNet {
-    fn insert_batch(
-        &self,
-        batches: Vec<(PeerId, Vec<Addressed<(Key, CompressedPostings)>>)>,
-    ) -> Vec<(PeerId, Vec<bool>)> {
-        let nprocs = self.procs.len();
-        // Pre-shape the acks (all-false), then split every item to its
-        // owning process, remembering where each one came from.
-        let mut acks: Vec<(PeerId, Vec<bool>)> = batches
-            .iter()
-            .map(|(peer, items)| (*peer, vec![false; items.len()]))
-            .collect();
-        type Batches = Vec<(PeerId, Vec<Addressed<(Key, CompressedPostings)>>)>;
-        let mut split: Vec<Batches> = (0..nprocs).map(|_| Vec::new()).collect();
-        let mut origins: Vec<Vec<Vec<(usize, usize)>>> = (0..nprocs).map(|_| Vec::new()).collect();
-        for (bi, (peer, items)) in batches.into_iter().enumerate() {
-            let mut per_proc: Vec<Vec<Addressed<(Key, CompressedPostings)>>> =
-                (0..nprocs).map(|_| Vec::new()).collect();
-            let mut pos: Vec<Vec<(usize, usize)>> = (0..nprocs).map(|_| Vec::new()).collect();
-            for (ii, item) in items.into_iter().enumerate() {
-                let proc = self.owner_of(item.route);
-                per_proc[proc].push(item);
-                pos[proc].push((bi, ii));
-            }
-            for (proc, sub) in per_proc.into_iter().enumerate() {
-                if !sub.is_empty() {
-                    split[proc].push((peer, sub));
-                    origins[proc].push(std::mem::take(&mut pos[proc]));
-                }
-            }
-        }
-        let active: Vec<usize> = (0..nprocs).filter(|&p| !split[p].is_empty()).collect();
-        let requests: Vec<(usize, IndexRequest)> = active
-            .iter()
-            .map(|&p| {
-                (
-                    p,
-                    IndexRequest::InsertBatch {
-                        batches: std::mem::take(&mut split[p]),
-                    },
-                )
-            })
-            .collect();
-        let mut request_by_proc: std::collections::HashMap<usize, IndexRequest> =
-            requests.into_iter().collect();
-        let replies = self.fan_out(&active, |p| {
-            // Inserts are not idempotent (merges accumulate), so no
-            // automatic retry: a transport error = unacked items.
-            self.rpc(p, request_by_proc[&p].clone(), false)
-        });
-        request_by_proc.clear();
-        for (&proc, reply) in active.iter().zip(replies) {
-            // Anything else — unexpected response or transport error —
-            // was already counted by rpc(); those acks stay false.
-            if let Ok(IndexResponse::Inserted { acks: remote }) = reply {
-                for (sub, (_, flags)) in origins[proc].iter().zip(remote) {
-                    for (&(bi, ii), flag) in sub.iter().zip(flags) {
-                        acks[bi].1[ii] = flag;
+    fn call(&self, request: IndexRequest) -> IndexResponse {
+        let nprocs = self.fleet.nprocs();
+        let kind = request.kind();
+        match request {
+            Request::InsertBatch { batches } => {
+                // Pre-shape the acks (all-false), then move every item to
+                // its owner's part, remembering where it came from. A
+                // part keeps the round's canonical (peer, key) order.
+                let mut acks: Vec<_> = batches
+                    .iter()
+                    .map(|(peer, items)| (*peer, vec![false; items.len()]))
+                    .collect();
+                let mut parts: Vec<Vec<(PeerId, Vec<_>)>> =
+                    (0..nprocs).map(|_| Vec::new()).collect();
+                let mut origins: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nprocs];
+                for (bi, (peer, items)) in batches.into_iter().enumerate() {
+                    for (ii, item) in items.into_iter().enumerate() {
+                        let proc = self.owner_of(item.route);
+                        match parts[proc].last_mut() {
+                            Some((last, part)) if *last == peer => part.push(item),
+                            _ => parts[proc].push((peer, vec![item])),
+                        }
+                        origins[proc].push((bi, ii));
                     }
                 }
-            }
-        }
-        acks
-    }
-
-    fn notify(&self, _notes: &[Notification]) {
-        unreachable!(
-            "classification runs inside each peer process (Classify), which delivers and \
-             meters its own notifications; the front-end never ships a bare Notify"
-        );
-    }
-
-    fn lookup_many(
-        &self,
-        from: PeerId,
-        query_id: u64,
-        keys: &[Addressed<Key>],
-    ) -> Vec<Option<KeyLookup>> {
-        let nprocs = self.procs.len();
-        let mut results: Vec<Option<KeyLookup>> = vec![None; keys.len()];
-        let mut split: Vec<Vec<Addressed<Key>>> = (0..nprocs).map(|_| Vec::new()).collect();
-        let mut origins: Vec<Vec<usize>> = (0..nprocs).map(|_| Vec::new()).collect();
-        for (i, key) in keys.iter().enumerate() {
-            let proc = self.owner_of(key.route);
-            split[proc].push(key.clone());
-            origins[proc].push(i);
-        }
-        let active: Vec<usize> = (0..nprocs).filter(|&p| !split[p].is_empty()).collect();
-        let mut keys_by_proc: Vec<Vec<Addressed<Key>>> = std::mem::take(&mut split);
-        let replies = self.fan_out(&active, |p| {
-            self.rpc(
-                p,
-                IndexRequest::LookupMany {
-                    from,
-                    query_id,
-                    keys: keys_by_proc[p].clone(),
-                },
-                true, // lookups are read-only: safe to retry once
-            )
-        });
-        keys_by_proc.clear();
-        for (&proc, reply) in active.iter().zip(replies) {
-            if let Ok(IndexResponse::Found { results: found }) = reply {
-                for (&i, result) in origins[proc].iter().zip(found) {
-                    results[i] = result;
+                let parts = parts
+                    .into_iter()
+                    .map(|batches| {
+                        (!batches.is_empty()).then_some(Request::InsertBatch { batches })
+                    })
+                    .collect();
+                // Inserts are not idempotent (merges accumulate), so no
+                // automatic retry: a failed exchange leaves its items
+                // unacknowledged.
+                for (proc, reply) in self.scatter(parts, false, kind) {
+                    if let Response::Inserted { acks: remote } = reply {
+                        let flags = remote.into_iter().flat_map(|(_, flags)| flags);
+                        for (&(bi, ii), flag) in origins[proc].iter().zip(flags) {
+                            acks[bi].1[ii] = flag;
+                        }
+                    }
                 }
+                Response::Inserted { acks }
             }
-        }
-        results
-    }
-
-    fn migrate_many(&mut self, peers: Vec<PeerId>) -> Vec<MigrationStats> {
-        // Mirror first (routing state), then every process applies the
-        // same wave to its stripes; per-joiner stats sum across the
-        // disjoint stripe sets.
-        let mut stats = self.mirror.migrate_many(peers.clone());
-        for reply in self.broadcast(&WireRequest::Join {
-            peers: peers.clone(),
-        }) {
-            if let Ok(WireResponse::Joined(remote)) = reply {
-                for (acc, s) in stats.iter_mut().zip(remote) {
-                    acc.keys_moved += s.keys_moved;
-                    acc.postings_moved += s.postings_moved;
-                    acc.bytes_moved += s.bytes_moved;
+            Request::LookupMany {
+                from,
+                query_id,
+                keys,
+            } => {
+                let mut results = vec![None; keys.len()];
+                let mut parts: Vec<Vec<_>> = (0..nprocs).map(|_| Vec::new()).collect();
+                let mut origins: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
+                for (i, key) in keys.into_iter().enumerate() {
+                    let proc = self.owner_of(key.route);
+                    parts[proc].push(key);
+                    origins[proc].push(i);
                 }
-            }
-        }
-        stats
-    }
-
-    fn leave(&mut self, peers: &[PeerId]) -> Vec<MigrationStats> {
-        let mut stats = self.mirror.leave(peers);
-        for reply in self.broadcast(&WireRequest::Rpc(IndexRequest::Leave {
-            peers: peers.to_vec(),
-        })) {
-            if let Ok(WireResponse::Rpc(IndexResponse::Left(remote))) = reply {
-                for (acc, s) in stats.iter_mut().zip(remote) {
-                    acc.keys_moved += s.keys_moved;
-                    acc.postings_moved += s.postings_moved;
-                    acc.bytes_moved += s.bytes_moved;
+                let parts = parts
+                    .into_iter()
+                    .map(|keys| {
+                        (!keys.is_empty()).then_some(Request::LookupMany {
+                            from,
+                            query_id,
+                            keys,
+                        })
+                    })
+                    .collect();
+                // Lookups are read-only: safe to retry once.
+                for (proc, reply) in self.scatter(parts, true, kind) {
+                    if let Response::Found { results: found } = reply {
+                        for (&i, result) in origins[proc].iter().zip(found) {
+                            results[i] = result;
+                        }
+                    }
                 }
+                Response::Found { results }
+            }
+            // Which process meters a notification is free — only the
+            // fleet's summed meters are observable — so the first one
+            // does. Metering is not idempotent: no retry.
+            request @ Request::Notify { .. } => {
+                self.scatter(vec![Some(request)], false, kind);
+                Response::Notified
+            }
+            request @ (Request::Repair | Request::Rebalance | Request::Sweep(_)) => {
+                let seed = self.mirror.call(request.clone());
+                let payload = WireRequest::Rpc(request).encode();
+                self.broadcast(seed, |_| &payload, kind)
             }
         }
-        stats
     }
 
-    fn fail(&mut self, peers: &[PeerId]) -> LossStats {
-        let mut stats = self.mirror.fail(peers);
-        for reply in self.broadcast(&WireRequest::Rpc(IndexRequest::Fail {
-            peers: peers.to_vec(),
-        })) {
-            if let Ok(WireResponse::Rpc(IndexResponse::Lost(s))) = reply {
-                stats.keys_lost += s.keys_lost;
-                stats.postings_lost += s.postings_lost;
-                stats.bytes_lost += s.bytes_lost;
-                stats.keys_degraded += s.keys_degraded;
-            }
+    /// Mirror first (routing state), then every process applies the same
+    /// message to its stripes; what they report sums across the disjoint
+    /// stripe sets. A gossip round thereby runs in lockstep: every
+    /// process advances its *identical* deterministic replica of the
+    /// state (guarded by the round number, so one that fell out of step
+    /// refuses instead of diverging) and meters only its own share of the
+    /// probes, while the mirror meters none.
+    fn control(&mut self, control: Control) -> IndexResponse {
+        let nprocs = self.fleet.nprocs();
+        let metered = |metering| match &control {
+            Control::EnableGossip { config, .. } => Control::EnableGossip {
+                config: *config,
+                metering,
+            },
+            control => control.clone(),
+        };
+        let seed = self.mirror.control(metered(GossipMetering::Mirror));
+        if matches!(seed, Response::Err(_)) {
+            return seed;
         }
-        stats
+        let payloads: Vec<Vec<u8>> = (0..nprocs)
+            .map(|index| {
+                WireRequest::Control(metered(GossipMetering::Partition { nprocs, index })).encode()
+            })
+            .collect();
+        self.broadcast(seed, |proc| &payloads[proc], None)
     }
 
-    fn repair(&self) -> RepairStats {
-        self.broadcast_fold(&IndexRequest::Repair, |acc: &mut RepairStats, resp| {
-            if let IndexResponse::Repaired(s) = resp {
-                acc.copies += s.copies;
-                acc.postings += s.postings;
-                acc.bytes += s.bytes;
-            }
-        })
-    }
-
-    fn rebalance(&self) -> HotStats {
-        self.broadcast_fold(&IndexRequest::Rebalance, |acc: &mut HotStats, resp| {
-            if let IndexResponse::Rebalanced(s) = resp {
-                acc.promoted += s.promoted;
-                acc.demoted += s.demoted;
-                acc.copies += s.copies;
-                acc.postings += s.postings;
-                acc.bytes += s.bytes;
-            }
-        })
-    }
-
-    fn restart(&mut self, peers: &[PeerId]) -> RecoveryStats {
-        let mut stats = self.mirror.restart(peers);
-        for reply in self.broadcast(&WireRequest::Rpc(IndexRequest::Restart {
-            peers: peers.to_vec(),
-        })) {
-            if let Ok(WireResponse::Rpc(IndexResponse::Recovered(s))) = reply {
-                stats.frames_replayed += s.frames_replayed;
-                stats.bytes_replayed += s.bytes_replayed;
-                stats.frames_discarded += s.frames_discarded;
-                stats.copies_recovered += s.copies_recovered;
-                stats.postings_recovered += s.postings_recovered;
-                stats.copies_lost += s.copies_lost;
-                stats.keys_lost += s.keys_lost;
-                stats.postings_lost += s.postings_lost;
-                stats.bytes_lost += s.bytes_lost;
-            }
-        }
-        stats
-    }
-
-    /// One lockstep gossip round across the fleet. The mirror holds the
-    /// authoritative [`hdk_p2p::GossipState`] and advances first with
-    /// silent metering ([`hdk_p2p::GossipMetering::Mirror`]); every peer
-    /// process then advances its *identical* deterministic replica of
-    /// the state — guarded by the round number, so a process that fell
-    /// out of lockstep refuses instead of diverging — metering only its
-    /// own probe share, so fleet snapshots sum to the single-process
-    /// counters. Repair traffic triggered by a confirmed death runs on
-    /// each process's disjoint stripes; their stats fold into the
-    /// mirror's (zero-entry, hence all-zero) outcome.
-    fn gossip_round(&mut self) -> hdk_p2p::GossipOutcome {
-        let round = self
-            .mirror
-            .dht()
-            .gossip()
-            .expect("gossip_round requires enable_gossip")
-            .round();
-        let mut outcome = self.mirror.gossip_round();
-        for reply in self.broadcast(&WireRequest::Gossip { round }) {
-            if let Ok(WireResponse::Gossiped(s)) = reply {
-                if let Some(acc) = outcome.repair.as_mut() {
-                    acc.copies += s.copies;
-                    acc.postings += s.postings;
-                    acc.bytes += s.bytes;
-                }
-            }
-        }
-        outcome
-    }
-
-    fn dht(&self) -> &Dht<<IndexStore as hdk_p2p::StoreService>::Value> {
+    fn dht(&self) -> &Dht<KeyEntry> {
         self.mirror.dht()
-    }
-
-    fn dht_mut(&mut self) -> &mut Dht<<IndexStore as hdk_p2p::StoreService>::Value> {
-        self.mirror.dht_mut()
     }
 
     /// System-wide traffic: the sum of every process's meter (the data
@@ -588,22 +485,17 @@ impl NetworkBackend<IndexStore> for TcpNet {
             served_by_peer: vec![0; peers],
             ..TrafficSnapshot::default()
         };
-        for reply in self.broadcast(&WireRequest::Snapshot) {
-            if let Ok(WireResponse::Snapshot(s)) = reply {
-                merged.merge(&s);
+        let payload = WireRequest::Snapshot.encode();
+        for proc in 0..self.fleet.nprocs() {
+            if let Ok(WireResponse::Snapshot(snapshot)) = self.send(proc, &payload, true) {
+                merged.absorb(*snapshot);
             }
         }
-        for (slot, h) in merged
-            .latency
-            .iter_mut()
-            .zip(self.rpc_latency.lock().iter())
-        {
-            slot.absorb(h);
-        }
+        merged.latency.absorb(*self.rpc_latency.lock());
         merged
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
+    fn transport_errors(&self) -> u64 {
+        self.errors.load(Ordering::Relaxed)
     }
 }

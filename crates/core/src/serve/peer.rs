@@ -6,21 +6,26 @@
 //! data-plane traffic for the stripes it owns (`stripe % nprocs ==
 //! proc_index`), so the processes' stores are disjoint and their
 //! traffic meters sum to the single-process equivalent. Control-plane
-//! waves (joins, departures, restarts, hot-config) are broadcast to all
-//! processes, keeping each local overlay/membership mirror consistent.
+//! messages (joins, departures, restarts, settings, gossip rounds) are
+//! broadcast to all processes, keeping each local overlay/membership
+//! replica consistent.
 //!
-//! Graceful shutdown ([`WireRequest::Shutdown`]): acknowledge, take the
-//! index write lock (draining every in-flight dispatch, which runs
-//! under the read lock), seal the hot tier to the segment logs, exit.
-//! A `SegmentStore`-backed process restarted over the same directory
+//! [`PeerHost::handle`] is the whole application: a pure function from
+//! request frame to reply frame over an ordinary in-process backend — the
+//! same handler every other backend runs. The connection loop around it
+//! only moves frames, and performs the one thing a frame cannot: the
+//! graceful shutdown ([`WireRequest::Shutdown`]) — acknowledge, take the
+//! write lock (draining every in-flight request, which runs under the
+//! read lock), seal the hot tier to the segment logs, exit. A
+//! `SegmentStore`-backed process restarted over the same directory
 //! recovers losslessly (`tests/serving_shutdown.rs`).
 
 use crate::config::StoreConfig;
 use crate::engine::OverlayKind;
-use crate::global_index::{build_entry_store, GlobalIndex, IndexStore};
-use crate::serve::codec::{IndexRequest, WireRequest, WireResponse, WIRE_VERSION};
+use crate::global_index::{local_backend, IndexResponse, IndexStore, IndexSweep};
+use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
-use hdk_p2p::{HotConfig, InProc, PeerId};
+use hdk_p2p::{InProc, NetworkBackend, PeerId, Request, Response};
 use parking_lot::RwLock;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -48,230 +53,123 @@ pub struct PeerConfig {
 /// One peer process: hosts its stripe share behind a listener.
 pub struct PeerHost {
     config: PeerConfig,
-    index: Arc<RwLock<GlobalIndex>>,
+    /// Read access for the data plane (the stripes have their own locks;
+    /// this one only fences against control messages), write access for
+    /// the control plane.
+    backend: RwLock<InProc<IndexStore>>,
 }
 
 impl PeerHost {
-    /// Builds the process-local index: the full logical overlay over an
+    /// Builds the process-local backend: the full logical overlay over an
     /// empty store (content arrives over the wire).
     pub fn new(config: PeerConfig) -> Self {
         assert!(config.proc_index < config.nprocs, "proc_index out of range");
         let peer_ids: Vec<PeerId> = (0..config.num_peers as u64).map(PeerId).collect();
         let overlay = config.overlay.build(peer_ids);
-        let store = IndexStore::new(config.dfmax);
-        let backend: crate::global_index::IndexBackend = match build_entry_store(&config.store) {
-            None => Box::new(InProc::replicated(overlay, store, config.replication)),
-            Some(entries) => Box::new(InProc::with_store(
-                overlay,
-                store,
-                config.replication,
-                entries,
-            )),
-        };
-        let index = Arc::new(RwLock::new(GlobalIndex::with_backend(
-            backend,
-            config.dfmax,
-        )));
-        PeerHost { config, index }
+        let backend = local_backend(overlay, config.dfmax, config.replication, &config.store);
+        PeerHost {
+            config,
+            backend: RwLock::new(backend),
+        }
+    }
+
+    /// Answers one request frame. A function of the request and this
+    /// host's state only — no socket — so tests drive it directly.
+    pub fn handle(&self, request: WireRequest) -> WireResponse {
+        match request {
+            WireRequest::Hello {
+                version,
+                nprocs,
+                proc_index,
+                num_peers,
+                dfmax,
+                replication,
+            } => {
+                let config = &self.config;
+                let expect = (
+                    WIRE_VERSION,
+                    config.nprocs as u32,
+                    config.proc_index as u32,
+                    config.num_peers as u32,
+                    config.dfmax,
+                    config.replication as u32,
+                );
+                let got = (version, nprocs, proc_index, num_peers, dfmax, replication);
+                if got == expect {
+                    WireResponse::HelloOk
+                } else {
+                    WireResponse::Err(format!(
+                        "handshake mismatch: front-end sent \
+                         (version, nprocs, proc, peers, dfmax, r) = {got:?}, \
+                         this process is {expect:?}"
+                    ))
+                }
+            }
+            WireRequest::Rpc(request) => reply(self.backend.read().call(request)),
+            WireRequest::Control(control) => reply(self.backend.write().control(control)),
+            WireRequest::Snapshot => {
+                WireResponse::Snapshot(Box::new(self.backend.read().snapshot()))
+            }
+            WireRequest::Health => WireResponse::Healthy {
+                keys: self.backend.read().dht().num_keys() as u64,
+            },
+            // The drain-sync-exit sequence belongs to the connection that
+            // delivers this acknowledgement.
+            WireRequest::Shutdown => WireResponse::ShuttingDown,
+        }
     }
 
     /// Serves connections until a [`WireRequest::Shutdown`] arrives
-    /// (which exits the process). Each connection gets its own thread;
-    /// the shared index synchronizes through its `RwLock` (reads for
-    /// data-plane dispatch — the stripes have their own locks — writes
-    /// for overlay-mutating control waves).
+    /// (which exits the process). Each connection gets its own thread.
     pub fn serve(self, listener: TcpListener) -> std::io::Result<()> {
-        let config = Arc::new(self.config);
+        let host = Arc::new(self);
         for stream in listener.incoming() {
             let stream = match stream {
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            let index = Arc::clone(&self.index);
-            let config = Arc::clone(&config);
+            let host = Arc::clone(&host);
             std::thread::spawn(move || {
-                let _ = serve_connection(stream, &index, &config);
+                let _ = host.serve_connection(stream);
             });
         }
         Ok(())
     }
-}
 
-/// Runs one connection's request loop. Returns when the peer closes,
-/// errors out, or a malformed frame arrives (the connection is dropped
-/// — a corrupt stream cannot be resynchronized).
-fn serve_connection(
-    mut stream: TcpStream,
-    index: &RwLock<GlobalIndex>,
-    config: &PeerConfig,
-) -> WireResult<()> {
-    stream.set_nodelay(true)?;
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(p) => p,
-            Err(WireError::Closed) => return Ok(()),
-            Err(e) => return Err(e),
-        };
-        let response = match WireRequest::decode(&payload) {
-            Ok(request) => dispatch(request, index, config, &mut stream)?,
-            Err(e) => WireResponse::Err(format!("bad request frame: {e}")),
-        };
-        write_frame(&mut stream, &response.encode())?;
+    /// Runs one connection's request loop. Returns when the peer closes,
+    /// errors out, or a malformed frame arrives (the connection is
+    /// dropped — a corrupt stream cannot be resynchronized).
+    fn serve_connection(&self, mut stream: TcpStream) -> WireResult<()> {
+        stream.set_nodelay(true)?;
+        loop {
+            let payload = match read_frame(&mut stream) {
+                Ok(p) => p,
+                Err(WireError::Closed) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            let response = match WireRequest::decode(&payload) {
+                Ok(request) => self.handle(request),
+                Err(e) => WireResponse::Err(format!("bad request frame: {e}")),
+            };
+            write_frame(&mut stream, &response.encode())?;
+            if matches!(response, WireResponse::ShuttingDown) {
+                // Acknowledged (the front-end's request completed); now
+                // drain: the write lock waits out every in-flight
+                // request. Seal the hot tier so a segment-backed process
+                // restarts losslessly, and exit.
+                let backend = self.backend.write();
+                backend.call(Request::Sweep(IndexSweep::SyncStorage));
+                std::process::exit(0);
+            }
+        }
     }
 }
 
-/// Executes one request. `Shutdown` never returns.
-fn dispatch(
-    request: WireRequest,
-    index: &RwLock<GlobalIndex>,
-    config: &PeerConfig,
-    stream: &mut TcpStream,
-) -> WireResult<WireResponse> {
-    Ok(match request {
-        WireRequest::Hello {
-            version,
-            nprocs,
-            proc_index,
-            num_peers,
-            dfmax,
-            replication,
-        } => {
-            let expect = (
-                WIRE_VERSION,
-                config.nprocs as u32,
-                config.proc_index as u32,
-                config.num_peers as u32,
-                config.dfmax,
-                config.replication as u32,
-            );
-            let got = (version, nprocs, proc_index, num_peers, dfmax, replication);
-            if got == expect {
-                WireResponse::HelloOk
-            } else {
-                WireResponse::Err(format!(
-                    "handshake mismatch: front-end sent \
-                     (version, nprocs, proc, peers, dfmax, r) = {got:?}, \
-                     this process is {expect:?}"
-                ))
-            }
-        }
-        WireRequest::Rpc(rpc) => match rpc {
-            // Data plane: stripe locks synchronize; the index read lock
-            // only fences against concurrent control waves.
-            req @ (IndexRequest::InsertBatch { .. }
-            | IndexRequest::Notify { .. }
-            | IndexRequest::LookupMany { .. }
-            | IndexRequest::Repair
-            | IndexRequest::Rebalance) => WireResponse::Rpc(index.read().dispatch(req)),
-            // Control plane: overlay/membership mutations.
-            IndexRequest::Migrate { peer } => {
-                WireResponse::Joined(index.write().add_peers(vec![peer]))
-            }
-            IndexRequest::Leave { peers } => {
-                WireResponse::Rpc(hdk_p2p::Response::Left(index.write().leave_peers(&peers)))
-            }
-            IndexRequest::Fail { peers } => {
-                WireResponse::Rpc(hdk_p2p::Response::Lost(index.write().fail_peers(&peers)))
-            }
-            IndexRequest::Restart { peers } => WireResponse::Rpc(hdk_p2p::Response::Recovered(
-                index.write().restart_peers(&peers),
-            )),
-        },
-        WireRequest::Classify { size } => {
-            let notified = index.read().classify_round(size as usize);
-            let mut ordered: Vec<(PeerId, Vec<crate::key::Key>)> = notified.into_iter().collect();
-            ordered.sort_unstable_by_key(|(peer, _)| *peer);
-            WireResponse::Classified(ordered)
-        }
-        WireRequest::Peek(key) => WireResponse::Peeked(index.read().peek(key)),
-        WireRequest::Counts => WireResponse::Counts(index.read().index_counts()),
-        WireRequest::StoredPostings => {
-            WireResponse::StoredPostings(index.read().stored_postings_per_peer())
-        }
-        WireRequest::StoragePerPeer => {
-            WireResponse::StoragePerPeer(index.read().storage_per_peer())
-        }
-        WireRequest::ResidentBytes => WireResponse::Bytes(index.read().resident_posting_bytes()),
-        WireRequest::DiskBytes => WireResponse::Bytes(index.read().sealed_segment_bytes()),
-        WireRequest::Snapshot => WireResponse::Snapshot(Box::new(index.read().snapshot())),
-        WireRequest::SyncStorage => {
-            index.read().sync_storage();
-            WireResponse::Ok
-        }
-        WireRequest::SetHotConfig { threshold, extra } => {
-            index.write().set_hot_config(HotConfig {
-                threshold,
-                extra: extra as usize,
-            });
-            WireResponse::Ok
-        }
-        WireRequest::Join { peers } => WireResponse::Joined(index.write().add_peers(peers)),
-        WireRequest::Reassign {
-            departed,
-            custodian,
-        } => {
-            index.write().reassign_contributors(&departed, custodian);
-            WireResponse::Ok
-        }
-        WireRequest::Health => WireResponse::Healthy {
-            keys: index.read().index_counts().total_keys(),
-        },
-        WireRequest::EnableGossip {
-            fanout,
-            suspicion_rounds,
-            loss_prob,
-            seed,
-        } => {
-            let gossip = hdk_p2p::GossipConfig {
-                fanout: fanout as usize,
-                suspicion_rounds,
-                loss_prob,
-                seed,
-            };
-            // `GossipConfig::validate` asserts; a malformed frame must
-            // answer with an error, not kill the connection thread.
-            let acceptable = gossip.fanout > 0
-                && gossip.suspicion_rounds >= 1
-                && (0.0..1.0).contains(&gossip.loss_prob);
-            if !acceptable {
-                WireResponse::Err(format!("refusing gossip config {gossip:?}"))
-            } else {
-                // Each process replicates the full deterministic gossip
-                // state but meters only its own probe share, so fleet
-                // snapshots sum to the single-process counters.
-                index.write().enable_gossip_with_metering(
-                    gossip,
-                    hdk_p2p::GossipMetering::Partition {
-                        nprocs: config.nprocs,
-                        index: config.proc_index,
-                    },
-                );
-                WireResponse::Ok
-            }
-        }
-        WireRequest::Gossip { round } => {
-            let mut guard = index.write();
-            match guard.gossip_round_number() {
-                None => WireResponse::Err("gossip is not enabled on this process".into()),
-                Some(local) if local != round => WireResponse::Err(format!(
-                    "gossip round mismatch: front-end at {round}, this process at {local}"
-                )),
-                Some(_) => {
-                    let outcome = guard.gossip_round();
-                    WireResponse::Gossiped(outcome.repair.unwrap_or_default())
-                }
-            }
-        }
-        WireRequest::Shutdown => {
-            // Acknowledge first (the front-end's request completes),
-            // then drain: the write lock waits out every in-flight
-            // dispatch. Seal the hot tier so a segment-backed process
-            // restarts losslessly, and exit.
-            write_frame(stream, &WireResponse::ShuttingDown.encode())?;
-            let guard = index.write();
-            guard.sync_storage();
-            drop(guard);
-            std::process::exit(0);
-        }
-    })
+/// A refusal by the handler travels as the frame-level refusal, so the
+/// front-end counts it like any other failed exchange.
+fn reply(response: IndexResponse) -> WireResponse {
+    match response {
+        Response::Err(reason) => WireResponse::Err(reason),
+        response => WireResponse::Rpc(response),
+    }
 }

@@ -6,6 +6,9 @@
 //! (its scratch and two columns) and the slice encoder once per block; this
 //! file pins that with a counting allocator. Counts are per thread, so the
 //! tests of this binary may run side by side.
+//!
+//! The same allocator, counting bytes, pins that a wire frame's buffer
+//! grows with the bytes that arrive, not with the length a peer announces.
 
 use hdk_core::window_keys::RunBuilder;
 use hdk_core::{HdkConfig, Key, LocalPeer};
@@ -21,19 +24,22 @@ thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialized
     /// and without a destructor, so the allocator may touch it at any time.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread asked for (a reallocation counts its new size).
+    static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count_one() {
+fn count_one(bytes: usize) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
 // contract is the caller's; counting touches only a thread-local `Cell`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -44,7 +50,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -216,4 +222,30 @@ fn probing_a_subset_allocates_nothing() {
     });
     assert!(runs.is_empty());
     assert!(allocations <= 8, "{allocations} allocations");
+}
+
+#[test]
+fn a_hostile_length_prefix_buys_no_allocation() {
+    use hdk_p2p::{read_wire_frame, write_wire_frame, WireError};
+    // A peer announces a 200 MiB frame, delivers ten bytes and hangs up.
+    let mut hostile = (200u32 << 20).to_le_bytes().to_vec();
+    hostile.extend_from_slice(&[0u8; 8 + 10]);
+    let before = ALLOCATED_BYTES.with(Cell::get);
+    let outcome = read_wire_frame(&mut hostile.as_slice());
+    let spent = ALLOCATED_BYTES.with(Cell::get) - before;
+    assert!(
+        matches!(outcome, Err(WireError::Truncated)),
+        "got {outcome:?}"
+    );
+    assert!(spent < 1 << 20, "{spent} bytes allocated for 10 delivered");
+
+    // An honest small frame (every lookup is one) still takes exactly one
+    // allocation, of exactly its size.
+    let mut framed = Vec::new();
+    write_wire_frame(&mut framed, &[7u8; 300]).expect("in-memory write");
+    let before = ALLOCATED_BYTES.with(Cell::get);
+    let (payload, allocations) = counting(|| read_wire_frame(&mut framed.as_slice()));
+    let spent = ALLOCATED_BYTES.with(Cell::get) - before;
+    assert_eq!(payload.expect("valid frame").len(), 300);
+    assert_eq!((allocations, spent), (1, 300));
 }

@@ -1,19 +1,26 @@
-//! Property test: the two network backends are observationally equivalent
-//! up to time.
+//! Property test: the network backends are observationally equivalent up
+//! to time.
 //!
 //! The same scenario — random collection, random partitioning, random
-//! configuration, random query batch — built over `InProc` and over
-//! `SimNet` must produce bit-identical build reports and `QueryOutcome`s
-//! (top-k score bits, lookup counts, postings fetched) and identical
-//! traffic *counts* (messages, postings, bytes, hops, hop-weighted bytes,
-//! per-peer attribution). The simulated network only adds *time*: with the
-//! all-zero configuration even the recorded latencies are zero, and with a
-//! lossy, jittery configuration the counts still must not move — drops
-//! surface as retransmission timeouts, never as extra counted messages.
+//! configuration, random query batch — built over `InProc`, over `SimNet`
+//! and over a multi-host `TcpNet` must produce bit-identical build reports
+//! and `QueryOutcome`s (top-k score bits, lookup counts, postings fetched)
+//! and identical traffic *counts* (messages, postings, bytes, hops,
+//! hop-weighted bytes, per-peer attribution). The simulated network only
+//! adds *time*: with the all-zero configuration even the recorded
+//! latencies are zero, and with a lossy, jittery configuration the counts
+//! still must not move — drops surface as retransmission timeouts, never
+//! as extra counted messages. The multi-host backend runs over an
+//! in-memory loopback fleet (no sockets, no processes): every exchange is
+//! `encode → decode → PeerHost::handle → encode → decode`, so codec,
+//! scatter rules, reply folds and the handler are all on the path.
 
-use hdk_core::{BackendConfig, HdkConfig, HdkNetwork, OverlayKind, QueryService};
+use hdk_core::{
+    BackendConfig, Fleet, HdkConfig, HdkNetwork, OverlayKind, PeerConfig, PeerHost, QueryService,
+    TcpNet, WireRequest,
+};
 use hdk_corpus::{Collection, DocId, Document};
-use hdk_p2p::{MsgKind, PeerId, SimNetConfig};
+use hdk_p2p::{MsgKind, PGrid, PeerId, SimNetConfig, WireResult};
 use hdk_text::{TermId, Vocabulary};
 use proptest::prelude::*;
 
@@ -66,6 +73,99 @@ fn run_queries(service: &QueryService, queries: &[Vec<u32>], peers: usize) -> Ve
         .collect()
 }
 
+/// A fleet of peer hosts in this process: each exchange decodes the
+/// request frame, lets the host handle it and encodes the reply — what a
+/// peer process does between its two socket calls.
+struct Loopback(Vec<PeerHost>);
+
+impl Fleet for Loopback {
+    fn nprocs(&self) -> usize {
+        self.0.len()
+    }
+
+    fn exchange(&self, proc: usize, payload: &[u8], _idempotent: bool) -> WireResult<Vec<u8>> {
+        Ok(self.0[proc].handle(WireRequest::decode(payload)?).encode())
+    }
+}
+
+/// The scenario built over `hosts` loopback peer hosts.
+fn build_over_loopback(
+    collection: &Collection,
+    partitions: &[Vec<DocId>],
+    config: &HdkConfig,
+    hosts: usize,
+) -> HdkNetwork {
+    let peers = partitions.len();
+    let fleet = (0..hosts)
+        .map(|proc_index| {
+            PeerHost::new(PeerConfig {
+                nprocs: hosts,
+                proc_index,
+                num_peers: peers,
+                dfmax: config.dfmax,
+                replication: config.replication,
+                overlay: OverlayKind::PGrid,
+                store: config.store.clone(),
+            })
+        })
+        .collect();
+    let overlay = Box::new(PGrid::new((0..peers as u64).map(PeerId).collect()));
+    let net = TcpNet::over(
+        Box::new(Loopback(fleet)),
+        overlay,
+        config.dfmax,
+        config.replication,
+    )
+    .expect("every loopback host answers its health probe");
+    HdkNetwork::build_over(collection, partitions, config.clone(), Box::new(net))
+}
+
+/// What every backend must agree on with `InProc`: the build report, the
+/// query outcomes bit for bit, and every traffic count (the latency
+/// histograms are the one permitted difference).
+fn check_same_observables(
+    inproc: &HdkNetwork,
+    other: &HdkNetwork,
+    queries: &[Vec<u32>],
+    peers: usize,
+) -> Result<(), TestCaseError> {
+    let (ra, rb) = (inproc.build_report(), other.build_report());
+    prop_assert_eq!(ra.inserted_by_size, rb.inserted_by_size);
+    prop_assert_eq!(&ra.stored_per_peer, &rb.stored_per_peer);
+    prop_assert_eq!(ra.counts, rb.counts);
+    prop_assert_eq!(ra.rounds, rb.rounds);
+
+    let qa = run_queries(&inproc.query_service(), queries, peers);
+    let qb = run_queries(&other.query_service(), queries, peers);
+    prop_assert_eq!(qa, qb, "query outcomes diverged across backends");
+
+    let (sa, sb) = (inproc.snapshot(), other.snapshot());
+    prop_assert!(
+        sa.same_counts(&sb),
+        "traffic counts diverged: inproc {:?} vs other {:?}",
+        sa.kinds,
+        sb.kinds
+    );
+    Ok(())
+}
+
+/// `InProc` against the loopback fleet, where in addition no exchange may
+/// fail.
+fn check_loopback_equivalent(
+    collection: &Collection,
+    queries: &[Vec<u32>],
+    config: &HdkConfig,
+    peers: usize,
+    hosts: usize,
+) -> Result<(), TestCaseError> {
+    let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
+    let inproc = HdkNetwork::build(collection, &partitions, config.clone(), OverlayKind::PGrid);
+    let fleet = build_over_loopback(collection, &partitions, config, hosts);
+    check_same_observables(&inproc, &fleet, queries, peers)?;
+    prop_assert_eq!(fleet.query_service().transport_errors(), 0);
+    Ok(())
+}
+
 fn check_equivalent(
     collection: &Collection,
     queries: &[Vec<u32>],
@@ -82,31 +182,10 @@ fn check_equivalent(
         OverlayKind::PGrid,
         BackendConfig::SimNet(sim),
     );
-
-    // Identical build: report fields and index content.
-    let (ra, rb) = (inproc.build_report(), simnet.build_report());
-    prop_assert_eq!(ra.inserted_by_size, rb.inserted_by_size);
-    prop_assert_eq!(&ra.stored_per_peer, &rb.stored_per_peer);
-    prop_assert_eq!(ra.counts, rb.counts);
-    prop_assert_eq!(ra.rounds, rb.rounds);
-
-    // Identical query outcomes, bit for bit.
-    let qa = run_queries(&inproc.query_service(), queries, peers);
-    let qb = run_queries(&simnet.query_service(), queries, peers);
-    prop_assert_eq!(qa, qb, "query outcomes diverged across backends");
-
-    // Identical traffic counts — every kind, every counter, both per-peer
-    // attributions (the latency histograms are the one permitted
-    // difference).
-    let (sa, sb) = (inproc.snapshot(), simnet.snapshot());
-    prop_assert!(
-        sa.same_counts(&sb),
-        "traffic counts diverged: inproc {:?} vs simnet {:?}",
-        sa.kinds,
-        sb.kinds
-    );
+    check_same_observables(&inproc, &simnet, queries, peers)?;
     // The simulated side recorded exactly one latency sample per message
     // of every kind; the in-process side recorded none.
+    let (sa, sb) = (inproc.snapshot(), simnet.snapshot());
     for kind in MsgKind::ALL {
         prop_assert_eq!(
             sb.latency(kind).samples,
@@ -130,6 +209,7 @@ proptest! {
         smax in 1usize..5,
         peers in 1usize..4,
         replication in 1usize..4,
+        hosts in 1usize..4,
         seed in 0u64..u64::MAX,
     ) {
         let collection = make_collection(&token_docs);
@@ -161,5 +241,7 @@ proptest! {
             drop_prob: 0.2,
             timeout_ns: 5_000_000,
         })?;
+        // And real framing, scatter and fold, minus the sockets.
+        check_loopback_equivalent(&collection, &queries, &config, peers, hosts)?;
     }
 }

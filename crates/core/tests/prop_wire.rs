@@ -1,40 +1,67 @@
 //! Property tests for the serving tier's wire codec
-//! (`hdk_core::serve::codec`).
+//! (`hdk_core::serve::codec`, `hdk_p2p::wire`).
 //!
-//! Two families, mirroring the malformed-frame fuzz style of
-//! `crates/ir/tests/prop_ir.rs`:
+//! Three families, the first two mirroring the malformed-frame fuzz style
+//! of `crates/ir/tests/prop_ir.rs`:
 //!
 //! 1. **Round-trip**: every [`WireRequest`]/[`WireResponse`] variant —
-//!    which covers every `hdk_p2p::rpc` request/response variant via
-//!    `Rpc(..)` — re-encodes bit-identically after a decode. (Byte-level
-//!    identity is stronger than value equality and needs no `PartialEq`
-//!    on posting blocks.)
+//!    which covers every message of the engine's seam via `Rpc(..)` and
+//!    `Control(..)` — re-encodes bit-identically after a decode.
+//!    (Byte-level identity is stronger than value equality and needs no
+//!    `PartialEq` on posting blocks.)
 //! 2. **Robustness**: truncations, byte mutations and raw garbage either
 //!    decode (a flip can land in don't-care content, e.g. a counter
 //!    value) or fail with a typed `WireError` — never a panic, never an
 //!    attempt to allocate a huge buffer.
+//! 3. **Handled**: every sampled request is answered by a fresh
+//!    [`PeerHost::handle`] with something other than a refusal — a
+//!    message that can be encoded has a handler arm that works.
 //!
 //! The vendored proptest shim has no `prop_oneof`/`sample` combinators,
 //! so variant choice and payload shapes come from a small seeded
 //! generator driven by a proptest-supplied `u64` — every case is still
-//! reproducible from its seed.
+//! reproducible from its seed. A variant is chosen by walking its enum's
+//! `*_after` successor function, a `match` **without a wildcard arm**: a
+//! new variant does not compile until it is given a place in the walk,
+//! and with it in every property of this file.
 
-use hdk_core::serve::{WireRequest, WireResponse};
-use hdk_core::{IndexCounts, Key, KeyEntry, KeyLookup, PeerStorage, MAX_KEY_SIZE};
+use hdk_core::serve::{WireRequest, WireResponse, WIRE_VERSION};
+use hdk_core::{
+    IndexCounts, IndexRequest, IndexResponse, IndexSweep, IndexSwept, Key, KeyEntry, KeyLookup,
+    OverlayKind, PeerConfig, PeerHost, PeerStorage, StoreConfig, MAX_KEY_SIZE,
+};
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
 use hdk_p2p::{
-    Addressed, HotStats, KeyHash, KindSnapshot, LatencyHistogram, LossStats, MigrationStats,
-    Notification, PeerId, RecoveryStats, RepairStats, Request, Response, TrafficSnapshot,
+    Addressed, Control, GossipConfig, GossipMetering, GossipOutcome, GossipRound, HotConfig,
+    HotStats, KindSnapshot, LatencyHistogram, LossStats, MigrationStats, Notification, PeerId,
+    RecoveryStats, RepairStats, Request, Response, TrafficSnapshot,
 };
 use hdk_text::TermId;
 use proptest::prelude::*;
 
-type IndexRequest = Request<(Key, CompressedPostings), Key>;
-type IndexResponse = Response<KeyLookup>;
+/// Logical peers of the host the sampled requests are valid against.
+const PEERS: u64 = 8;
+const DFMAX: u32 = 3;
+
+/// A peer process as `hdk-peer` would build it: the only one of its
+/// fleet, hosting every stripe of an 8-peer network in memory.
+fn fresh_host() -> PeerHost {
+    PeerHost::new(PeerConfig {
+        nprocs: 1,
+        proc_index: 0,
+        num_peers: PEERS as usize,
+        dfmax: DFMAX,
+        replication: 2,
+        overlay: OverlayKind::PGrid,
+        store: StoreConfig::Memory,
+    })
+}
 
 /// SplitMix64 — a tiny deterministic generator; every generated value is
-/// a pure function of the proptest-drawn seed.
+/// a pure function of the proptest-drawn seed. Requests come out valid
+/// against [`fresh_host`] (live peers, waves that leave survivors, the
+/// host's own geometry); replies are arbitrary.
 struct Gen(u64);
 
 impl Gen {
@@ -51,8 +78,26 @@ impl Gen {
         self.next() % n.max(1)
     }
 
+    fn flag(&mut self) -> bool {
+        self.next() & 1 == 1
+    }
+
+    /// Walks `after` a random number of steps from `first`: a random
+    /// variant, freshly filled.
+    fn walk<T>(&mut self, first: T, after: fn(&mut Gen, &T) -> T) -> T {
+        (0..1 + self.below(24)).fold(first, |value, _| after(self, &value))
+    }
+
     fn peer(&mut self) -> PeerId {
-        PeerId(self.below(1_000))
+        PeerId(self.below(PEERS))
+    }
+
+    /// Up to three distinct live peers: a wave that leaves survivors.
+    fn wave(&mut self) -> Vec<PeerId> {
+        let first = self.below(PEERS);
+        (0..self.below(4))
+            .map(|i| PeerId((first + i) % PEERS))
+            .collect()
     }
 
     fn key(&mut self) -> Key {
@@ -65,6 +110,14 @@ impl Gen {
             terms.push(TermId(term));
         }
         Key::from_terms(&terms).expect("ascending distinct terms within the size cap")
+    }
+
+    fn addressed<T>(&mut self, body: fn(&mut Gen, Key) -> T) -> Addressed<T> {
+        let key = self.key();
+        Addressed {
+            route: key.dht_hash(),
+            body: body(self, key),
+        }
     }
 
     fn block(&mut self) -> CompressedPostings {
@@ -82,15 +135,21 @@ impl Gen {
         CompressedPostings::from_list(&PostingList::from_sorted(postings))
     }
 
-    fn peers(&mut self) -> Vec<PeerId> {
-        (0..self.below(4)).map(|_| self.peer()).collect()
+    fn migrations(&mut self) -> Vec<MigrationStats> {
+        (0..self.below(4))
+            .map(|_| MigrationStats {
+                keys_moved: self.next(),
+                postings_moved: self.next(),
+                bytes_moved: self.next(),
+            })
+            .collect()
     }
 
-    fn migration(&mut self) -> MigrationStats {
-        MigrationStats {
-            keys_moved: self.next(),
-            postings_moved: self.next(),
-            bytes_moved: self.next(),
+    fn repair(&mut self) -> RepairStats {
+        RepairStats {
+            copies: self.next(),
+            postings: self.next(),
+            bytes: self.next(),
         }
     }
 
@@ -98,19 +157,21 @@ impl Gen {
         KeyLookup {
             postings: self.block(),
             df: self.next() as u32,
-            is_ndk: self.next() & 1 == 1,
+            is_ndk: self.flag(),
         }
     }
 
     fn entry(&mut self) -> KeyEntry {
         let postings = self.block();
-        let seen_docs = (self.next() & 1 == 1).then(|| CompressedDocSet::from_postings(&postings));
+        let seen_docs = self
+            .flag()
+            .then(|| CompressedDocSet::from_postings(&postings));
         KeyEntry {
             key: self.key(),
             postings,
             df: self.next() as u32,
-            contributors: self.peers(),
-            is_ndk: self.next() & 1 == 1,
+            contributors: self.wave(),
+            is_ndk: self.flag(),
             seen_docs,
         }
     }
@@ -147,163 +208,134 @@ impl Gen {
         s.inserted_by_peer = (0..self.below(6)).map(|_| self.next()).collect();
         s.retrieved_by_peer = (0..self.below(6)).map(|_| self.next()).collect();
         s.served_by_peer = (0..self.below(6)).map(|_| self.next()).collect();
+        s.failover_timeouts = self.next();
         s
     }
 
-    fn rpc_request(&mut self) -> IndexRequest {
-        match self.below(9) {
-            0 => Request::InsertBatch {
+    fn gossip_config(&mut self) -> GossipConfig {
+        GossipConfig {
+            fanout: 1 + self.below(3) as usize,
+            suspicion_rounds: 1 + self.below(4) as u32,
+            loss_prob: self.below(128) as f64 / 128.0,
+            seed: self.next(),
+        }
+    }
+
+    fn sweep_after(&mut self, sweep: &IndexSweep) -> IndexSweep {
+        match sweep {
+            IndexSweep::Classify { .. } => IndexSweep::Peek(self.key()),
+            IndexSweep::Peek(_) => IndexSweep::Counts,
+            IndexSweep::Counts => IndexSweep::StoredPostings,
+            IndexSweep::StoredPostings => IndexSweep::StoragePerPeer,
+            IndexSweep::StoragePerPeer => IndexSweep::ResidentBytes,
+            IndexSweep::ResidentBytes => IndexSweep::SealedBytes,
+            IndexSweep::SealedBytes => IndexSweep::SyncStorage,
+            IndexSweep::SyncStorage => IndexSweep::Reassign {
+                departed: self.wave(),
+                custodian: self.peer(),
+            },
+            IndexSweep::Reassign { .. } => IndexSweep::Entries,
+            IndexSweep::Entries => IndexSweep::Classify {
+                size: self.next() as u32,
+            },
+        }
+    }
+
+    fn rpc_after(&mut self, request: &IndexRequest) -> IndexRequest {
+        match request {
+            Request::InsertBatch { .. } => Request::Notify {
+                notes: (0..self.below(6))
+                    .map(|_| Notification {
+                        to: self.peer(),
+                        postings: self.next(),
+                        bytes: self.below(1 << 20),
+                    })
+                    .collect(),
+            },
+            Request::Notify { .. } => Request::LookupMany {
+                from: self.peer(),
+                query_id: self.next(),
+                keys: (0..self.below(6))
+                    .map(|_| self.addressed(|_, key| key))
+                    .collect(),
+            },
+            Request::LookupMany { .. } => Request::Repair,
+            Request::Repair => Request::Rebalance,
+            Request::Rebalance => Request::Sweep(self.walk(IndexSweep::Counts, Gen::sweep_after)),
+            Request::Sweep(_) => Request::InsertBatch {
                 batches: (0..self.below(4))
                     .map(|_| {
                         let peer = self.peer();
                         let items = (0..self.below(4))
-                            .map(|_| Addressed {
-                                route: KeyHash(self.next()),
-                                body: (self.key(), self.block()),
-                            })
+                            .map(|_| self.addressed(|gen, key| (key, gen.block())))
                             .collect();
                         (peer, items)
                     })
                     .collect(),
             },
-            1 => Request::Notify {
-                notes: (0..self.below(6))
-                    .map(|_| Notification {
-                        to: self.peer(),
-                        postings: self.next(),
-                        bytes: self.next(),
-                    })
-                    .collect(),
+        }
+    }
+
+    fn control_after(&mut self, control: &Control) -> Control {
+        match control {
+            Control::Join { .. } => Control::Leave { peers: self.wave() },
+            Control::Leave { .. } => Control::Fail { peers: self.wave() },
+            Control::Fail { .. } => Control::Restart { peers: self.wave() },
+            // A host that just enabled gossip is about to run round 0.
+            Control::Restart { .. } => Control::Gossip { round: 0 },
+            Control::Gossip { .. } => Control::HotConfig(HotConfig {
+                threshold: self.below(100),
+                extra: self.below(4) as usize,
+            }),
+            Control::HotConfig(_) => Control::EnableGossip {
+                config: self.gossip_config(),
+                metering: match self.below(3) {
+                    0 => GossipMetering::All,
+                    1 => GossipMetering::Partition {
+                        nprocs: 1 + self.below(4) as usize,
+                        index: 0,
+                    },
+                    _ => GossipMetering::Mirror,
+                },
             },
-            2 => Request::LookupMany {
-                from: self.peer(),
-                query_id: self.next(),
-                keys: (0..self.below(6))
-                    .map(|_| Addressed {
-                        route: KeyHash(self.next()),
-                        body: self.key(),
-                    })
-                    .collect(),
+            Control::EnableGossip { .. } => {
+                // Fresh identities, above every peer the host knows.
+                let first = PEERS + self.below(1_000);
+                Control::Join {
+                    peers: (0..self.below(4)).map(|i| PeerId(first + i)).collect(),
+                }
+            }
+        }
+    }
+
+    fn request_after(&mut self, request: &WireRequest) -> WireRequest {
+        match request {
+            WireRequest::Rpc(_) => WireRequest::Hello {
+                version: WIRE_VERSION,
+                nprocs: 1,
+                proc_index: 0,
+                num_peers: PEERS as u32,
+                dfmax: DFMAX,
+                replication: 2,
             },
-            3 => Request::Migrate { peer: self.peer() },
-            4 => Request::Leave {
-                peers: self.peers(),
-            },
-            5 => Request::Fail {
-                peers: self.peers(),
-            },
-            6 => Request::Repair,
-            7 => Request::Rebalance,
-            _ => Request::Restart {
-                peers: self.peers(),
-            },
+            WireRequest::Hello { .. } => {
+                WireRequest::Control(self.walk(Control::Gossip { round: 0 }, Gen::control_after))
+            }
+            WireRequest::Control(_) => WireRequest::Snapshot,
+            WireRequest::Snapshot => WireRequest::Health,
+            WireRequest::Health => WireRequest::Shutdown,
+            WireRequest::Shutdown => WireRequest::Rpc(self.walk(Request::Repair, Gen::rpc_after)),
         }
     }
 
     fn request(&mut self) -> WireRequest {
-        match self.below(16) {
-            0 => WireRequest::Rpc(self.rpc_request()),
-            1 => WireRequest::Hello {
-                version: self.next() as u32,
-                nprocs: self.next() as u32,
-                proc_index: self.next() as u32,
-                num_peers: self.next() as u32,
-                dfmax: self.next() as u32,
-                replication: self.next() as u32,
-            },
-            2 => WireRequest::Classify {
-                size: self.next() as u32,
-            },
-            3 => WireRequest::Peek(self.key()),
-            4 => WireRequest::Counts,
-            5 => WireRequest::StoredPostings,
-            6 => WireRequest::StoragePerPeer,
-            7 => WireRequest::ResidentBytes,
-            8 => WireRequest::DiskBytes,
-            9 => WireRequest::Snapshot,
-            10 => WireRequest::SyncStorage,
-            11 => WireRequest::SetHotConfig {
-                threshold: self.next(),
-                extra: self.next(),
-            },
-            12 => WireRequest::Join {
-                peers: self.peers(),
-            },
-            13 => WireRequest::Reassign {
-                departed: self.peers(),
-                custodian: self.peer(),
-            },
-            14 => WireRequest::Health,
-            _ => WireRequest::Shutdown,
-        }
+        self.walk(WireRequest::Health, Gen::request_after)
     }
 
-    fn rpc_response(&mut self) -> IndexResponse {
-        match self.below(9) {
-            0 => Response::Inserted {
-                acks: (0..self.below(4))
-                    .map(|_| {
-                        let peer = self.peer();
-                        let flags = (0..self.below(6)).map(|_| self.next() & 1 == 1).collect();
-                        (peer, flags)
-                    })
-                    .collect(),
-            },
-            1 => Response::Notified,
-            2 => Response::Found {
-                results: (0..self.below(6))
-                    .map(|_| (self.next() & 1 == 1).then(|| self.lookup()))
-                    .collect(),
-            },
-            3 => Response::Migrated(self.migration()),
-            4 => Response::Left((0..self.below(4)).map(|_| self.migration()).collect()),
-            5 => Response::Lost(LossStats {
-                keys_lost: self.next(),
-                postings_lost: self.next(),
-                bytes_lost: self.next(),
-                keys_degraded: self.next(),
-            }),
-            6 => Response::Repaired(RepairStats {
-                copies: self.next(),
-                postings: self.next(),
-                bytes: self.next(),
-            }),
-            7 => Response::Rebalanced(HotStats {
-                promoted: self.next(),
-                demoted: self.next(),
-                copies: self.next(),
-                postings: self.next(),
-                bytes: self.next(),
-            }),
-            _ => Response::Recovered(RecoveryStats {
-                frames_replayed: self.next(),
-                bytes_replayed: self.next(),
-                frames_discarded: self.next(),
-                copies_recovered: self.next(),
-                postings_recovered: self.next(),
-                copies_lost: self.next(),
-                keys_lost: self.next(),
-                postings_lost: self.next(),
-                bytes_lost: self.next(),
-            }),
-        }
-    }
-
-    fn response(&mut self) -> WireResponse {
-        match self.below(14) {
-            0 => WireResponse::Rpc(self.rpc_response()),
-            1 => WireResponse::HelloOk,
-            2 => WireResponse::Classified(
-                (0..self.below(4))
-                    .map(|_| {
-                        let peer = self.peer();
-                        let keys = (0..self.below(4)).map(|_| self.key()).collect();
-                        (peer, keys)
-                    })
-                    .collect(),
-            ),
-            3 => WireResponse::Peeked((self.next() & 1 == 1).then(|| self.entry())),
-            4 => {
+    fn swept_after(&mut self, swept: &IndexSwept) -> IndexSwept {
+        match swept {
+            IndexSwept::Classified(_) => IndexSwept::Peeked(self.flag().then(|| self.entry())),
+            IndexSwept::Peeked(_) => {
                 let mut counts = IndexCounts::default();
                 for s in 0..MAX_KEY_SIZE {
                     counts.hdk_keys[s] = self.next();
@@ -311,10 +343,12 @@ impl Gen {
                     counts.ndk_keys[s] = self.next();
                     counts.ndk_postings[s] = self.next();
                 }
-                WireResponse::Counts(counts)
+                IndexSwept::Counts(counts)
             }
-            5 => WireResponse::StoredPostings((0..self.below(6)).map(|_| self.next()).collect()),
-            6 => WireResponse::StoragePerPeer(
+            IndexSwept::Counts(_) => {
+                IndexSwept::StoredPostings((0..self.below(6)).map(|_| self.next()).collect())
+            }
+            IndexSwept::StoredPostings(_) => IndexSwept::StoragePerPeer(
                 (0..self.below(4))
                     .map(|_| PeerStorage {
                         postings: self.next(),
@@ -325,20 +359,112 @@ impl Gen {
                     })
                     .collect(),
             ),
-            7 => WireResponse::Bytes(self.next()),
-            8 => WireResponse::Snapshot(Box::new(self.snapshot())),
-            9 => WireResponse::Ok,
-            10 => WireResponse::Joined((0..self.below(4)).map(|_| self.migration()).collect()),
-            11 => WireResponse::Healthy { keys: self.next() },
-            12 => WireResponse::ShuttingDown,
-            _ => {
-                let len = self.below(40) as usize;
-                let msg: String = (0..len)
-                    .map(|_| char::from(b' ' + self.below(95) as u8))
-                    .collect();
-                WireResponse::Err(msg)
+            IndexSwept::StoragePerPeer(_) => IndexSwept::Bytes(self.next()),
+            IndexSwept::Bytes(_) => IndexSwept::Done,
+            IndexSwept::Done => {
+                IndexSwept::Entries((0..self.below(3)).map(|_| self.entry()).collect())
+            }
+            IndexSwept::Entries(_) => IndexSwept::Classified(
+                (0..self.below(6))
+                    .map(|_| (self.peer(), self.key()))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn rpc_response_after(&mut self, response: &IndexResponse) -> IndexResponse {
+        match response {
+            Response::Inserted { .. } => Response::Notified,
+            Response::Notified => Response::Found {
+                results: (0..self.below(6))
+                    .map(|_| self.flag().then(|| self.lookup()))
+                    .collect(),
+            },
+            Response::Found { .. } => Response::Moved(self.migrations()),
+            Response::Moved(_) => Response::Lost(LossStats {
+                keys_lost: self.next(),
+                postings_lost: self.next(),
+                bytes_lost: self.next(),
+                keys_degraded: self.next(),
+            }),
+            Response::Lost(_) => Response::Repaired(self.repair()),
+            Response::Repaired(_) => Response::Rebalanced(HotStats {
+                promoted: self.next(),
+                demoted: self.next(),
+                copies: self.next(),
+                postings: self.next(),
+                bytes: self.next(),
+            }),
+            Response::Rebalanced(_) => Response::Recovered(RecoveryStats {
+                frames_replayed: self.next(),
+                bytes_replayed: self.next(),
+                frames_discarded: self.next(),
+                copies_recovered: self.next(),
+                postings_recovered: self.next(),
+                copies_lost: self.next(),
+                keys_lost: self.next(),
+                postings_lost: self.next(),
+                bytes_lost: self.next(),
+            }),
+            Response::Recovered(_) => {
+                Response::Swept(self.walk(IndexSwept::Done, Gen::swept_after))
+            }
+            Response::Swept(_) => {
+                let pairs = |gen: &mut Gen| -> Vec<(u32, u32)> {
+                    (0..gen.below(4))
+                        .map(|_| (gen.next() as u32, gen.next() as u32))
+                        .collect()
+                };
+                Response::Gossiped(GossipOutcome {
+                    report: GossipRound {
+                        round: self.next() as u32,
+                        pings: self.next(),
+                        failed: self.next(),
+                        bytes: self.next(),
+                        new_suspects: pairs(self),
+                        confirmed: pairs(self),
+                        universally_confirmed: (0..self.below(3))
+                            .map(|_| self.next() as u32)
+                            .collect(),
+                    },
+                    repair: self.flag().then(|| self.repair()),
+                })
+            }
+            Response::Gossiped(_) => Response::Done,
+            Response::Done => Response::Err(self.message()),
+            Response::Err(_) => Response::Inserted {
+                acks: (0..self.below(4))
+                    .map(|_| {
+                        let peer = self.peer();
+                        let flags = (0..self.below(6)).map(|_| self.flag()).collect();
+                        (peer, flags)
+                    })
+                    .collect(),
+            },
+        }
+    }
+
+    fn message(&mut self) -> String {
+        (0..self.below(40))
+            .map(|_| char::from(b' ' + self.below(95) as u8))
+            .collect()
+    }
+
+    fn response_after(&mut self, response: &WireResponse) -> WireResponse {
+        match response {
+            WireResponse::Rpc(_) => WireResponse::HelloOk,
+            WireResponse::HelloOk => WireResponse::Snapshot(Box::new(self.snapshot())),
+            WireResponse::Snapshot(_) => WireResponse::Healthy { keys: self.next() },
+            WireResponse::Healthy { .. } => WireResponse::ShuttingDown,
+            WireResponse::ShuttingDown => WireResponse::Err(self.message()),
+            WireResponse::Err(_) => {
+                WireResponse::Rpc(self.walk(Response::Done, Gen::rpc_response_after))
             }
         }
+    }
+
+    fn response(&mut self) -> WireResponse {
+        self.walk(WireResponse::HelloOk, Gen::response_after)
     }
 }
 
@@ -408,6 +534,31 @@ proptest! {
             bytes[i] ^= 1 + gen.below(255) as u8;
         }
         let _ = WireResponse::decode(&bytes);
+    }
+
+    /// Every message that can be sent is handled: a fresh peer process
+    /// (gossip switched on, so a round can run) answers each sampled
+    /// request with a reply, not a refusal — and with one the codec
+    /// carries.
+    #[test]
+    fn every_sampled_request_is_handled(seed in any::<u64>()) {
+        let mut gen = Gen(seed);
+        let host = fresh_host();
+        let enable = WireRequest::Control(Control::EnableGossip {
+            config: gen.gossip_config(),
+            metering: GossipMetering::All,
+        });
+        prop_assert!(matches!(host.handle(enable), WireResponse::Rpc(Response::Done)));
+        let request = gen.request();
+        let shown = format!("{request:?}");
+        let reply = host.handle(request);
+        prop_assert!(
+            !matches!(reply, WireResponse::Err(_)),
+            "{} was refused: {:?}", shown, reply
+        );
+        let bytes = reply.encode();
+        let decoded = WireResponse::decode(&bytes).expect("a reply decodes");
+        prop_assert_eq!(bytes, decoded.encode());
     }
 
     /// Arbitrary garbage never panics either.

@@ -94,19 +94,25 @@ impl Default for GossipConfig {
 }
 
 impl GossipConfig {
+    /// The one validity rule: what is wrong with these parameters, if
+    /// anything. Settings that arrive over the wire are refused with this
+    /// message; [`GossipConfig::validate`] panics with it.
+    pub fn check(&self) -> Result<(), String> {
+        if self.fanout > 0 && self.suspicion_rounds < 1 {
+            return Err("gossip suspicion_rounds must be >= 1 when gossip is enabled".into());
+        }
+        if !(0.0..1.0).contains(&self.loss_prob) {
+            return Err(format!(
+                "gossip loss_prob must be in [0, 1), got {}",
+                self.loss_prob
+            ));
+        }
+        Ok(())
+    }
+
     /// Panics on nonsensical parameters (mirrors `HdkConfig::validate`).
     pub fn validate(&self) {
-        if self.fanout > 0 {
-            assert!(
-                self.suspicion_rounds >= 1,
-                "gossip suspicion_rounds must be >= 1 when gossip is enabled"
-            );
-        }
-        assert!(
-            (0.0..1.0).contains(&self.loss_prob),
-            "gossip loss_prob must be in [0, 1), got {}",
-            self.loss_prob
-        );
+        self.check().expect("invalid gossip configuration");
     }
 }
 

@@ -18,11 +18,14 @@
 //! traffic through [`transport::TrafficMeter`].
 //!
 //! The engine reaches the DHT through the typed message layer of [`rpc`]:
-//! request/response enums for the paper's message taxonomy plus the
-//! [`rpc::NetworkBackend`] trait with two implementations — [`rpc::InProc`]
-//! (synchronous dispatch, the zero-cost default) and [`rpc::SimNet`] (a
-//! deterministic seeded latency/jitter/drop model with per-kind latency
-//! histograms and a virtual clock).
+//! message enums for the paper's message taxonomy, one handler that turns
+//! a message into DHT calls, and the [`rpc::NetworkBackend`] trait whose
+//! implementations only decide how a message is delivered — [`rpc::InProc`]
+//! (a call, the zero-cost default) and [`rpc::SimNet`] (the same call, its
+//! delivery records charged to a deterministic seeded latency/jitter/drop
+//! model with per-kind latency histograms and a virtual clock). [`wire`]
+//! derives every message's byte encoding from one declaration per type,
+//! for backends that deliver across processes.
 //!
 //! Entry bytes live behind the pluggable [`store::Store`] trait: the
 //! in-memory [`store::MemStore`] default, or the tiered
@@ -55,8 +58,8 @@ pub use pgrid::PGrid;
 pub use replica::{Delivery, Membership, MembershipEvent, PeerState};
 pub use ring::ChordRing;
 pub use rpc::{
-    Addressed, InProc, NetworkBackend, Notification, Request, Response, SimNet, SimNetConfig,
-    StoreService,
+    Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
+    ResponseOf, SimNet, SimNetConfig, StoreService,
 };
 pub use store::{MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
 pub use transport::{
@@ -64,7 +67,6 @@ pub use transport::{
     NUM_KINDS,
 };
 pub use wire::{
-    put_bytes, put_u32, put_u64, put_u8, read_frame as read_wire_frame,
-    write_frame as write_wire_frame, WireError, WireReader, WireResult, MAX_FRAME_BYTES,
-    WIRE_HEADER_BYTES,
+    put_bytes, read_frame as read_wire_frame, write_frame as write_wire_frame, Absorb, Wire,
+    WireError, WireReader, WireResult, MAX_FRAME_BYTES, WIRE_HEADER_BYTES,
 };

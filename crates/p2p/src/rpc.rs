@@ -1,59 +1,79 @@
 //! The typed message/RPC layer between the retrieval engine and the DHT.
 //!
 //! The paper states every scalability result in *transmitted messages and
-//! postings* (Section 4). This module makes those messages first-class: the
-//! engine no longer calls storage functions directly — it constructs
-//! [`Request`] values and hands them to a [`NetworkBackend`], which decides
-//! what "the network" is. Two backends ship:
+//! postings* (Section 4). This module makes those messages first-class and
+//! makes them the **only seam** between the engine and whatever hosts the
+//! index: the engine builds a [`Request`] (data plane, `&self`) or a
+//! [`Control`] (overlay, membership and settings, `&mut self`), hands it to
+//! a [`NetworkBackend`], and reads the [`Response`].
 //!
-//! * [`InProc`] — dispatches straight into the lock-striped [`Dht`], with
-//!   metering identical to a direct call (the zero-cost default; golden
-//!   reports, traffic counters and top-k score bits are bit-identical to
-//!   the pre-RPC engine at any thread count);
-//! * [`SimNet`] — the same storage dispatch plus a deterministic seeded
-//!   network model: per-link FIFO transmission queues inside each request,
-//!   per-hop propagation delay, seeded jitter, a drop/retransmission model,
-//!   and a virtual clock — producing per-kind latency histograms and
-//!   hop-weighted traffic in [`TrafficSnapshot`].
+//! One handler pair in this module turns a message into [`Dht`] calls —
+//! for every backend. A backend is only a *delivery policy* over it:
+//!
+//! * [`InProc`] — calls the handler. Metering is identical to a direct DHT
+//!   call (the zero-cost default; golden reports, traffic counters and
+//!   top-k score bits are bit-identical to the pre-RPC engine at any thread
+//!   count).
+//! * [`SimNet`] — calls the handler, which also emits one delivery record
+//!   per metered message leg, and charges those records to a deterministic
+//!   seeded network model: per-link FIFO transmission queues inside each
+//!   request, per-hop propagation delay, seeded jitter, a
+//!   drop/retransmission model, and a virtual clock — producing per-kind
+//!   latency histograms and hop-weighted traffic in [`TrafficSnapshot`].
+//! * `TcpNet` (in `hdk-core`'s serving tier) — frames the message to the
+//!   peer processes hosting the stripes, each of which runs an [`InProc`],
+//!   and folds their replies ([`Absorb`]).
+//!
+//! A simulated and a real network therefore differ in how a message is
+//! delivered and timed, never in what the receiving peer does with it.
 //!
 //! ## Message taxonomy ↔ the paper's cost categories
 //!
-//! Each [`Request`] variant maps onto one [`MsgKind`] cost category of the
-//! paper's evaluation:
-//!
-//! | request variant          | [`MsgKind`]                | paper cost category |
+//! | message                  | [`MsgKind`]                | paper cost category |
 //! |--------------------------|----------------------------|---------------------|
 //! | [`Request::InsertBatch`] | [`MsgKind::IndexInsert`]   | indexing cost: peers push locally computed key postings to the hosting peers (Figure 4); one metered message per key, batched per bulk-synchronous round |
 //! | [`Request::Notify`]      | [`MsgKind::IndexNotify`]   | "key became globally non-discriminative" notifications that trigger key expansion (Section 3.1) |
 //! | [`Request::LookupMany`]  | [`MsgKind::QueryLookup`] / [`MsgKind::QueryResponse`] | retrieval cost: one lookup request per key travels to the responsible peer, the stored block travels back (Figure 6) |
-//! | [`Request::Migrate`]     | [`MsgKind::Maintenance`]   | overlay maintenance: the index fraction handed to a joining peer (excluded from the paper's posting counts, reported separately) |
-//! | [`Request::Leave`]       | [`MsgKind::Maintenance`]   | overlay maintenance, mirror of `Migrate`: a gracefully departing peer hands its held copies to the re-derived replica sets before it goes |
-//! | [`Request::Fail`]        | —                          | a crash sends no messages; the destroyed copies surface as a [`LossStats`] damage report, and the degraded entries as later `Repair` traffic |
 //! | [`Request::Repair`]      | [`MsgKind::Repair`]        | replica repair: surviving replicas re-materialize the copies lost to crashes — structural-replication upkeep, counted in its own category so availability studies can separate it from join handovers |
 //! | [`Request::Rebalance`]   | [`MsgKind::HotReplicate`]  | popularity-driven replication: the maintenance pass that materializes extra replicas of *hot* keys (and demotes cooled ones) — read-scaling upkeep, counted separately from crash repair |
-//! | [`Request::Restart`]     | —                          | a restarting peer replays its own segment log — host-local disk I/O, never a network message; only the *gap* a restart leaves (lost hot-tier copies, corrupt tails) becomes later `Repair` traffic |
+//! | [`Request::Sweep`]       | —                          | host-local work at each hosting peer (classification sweeps, storage accounting, `peek`): free in the paper's model, so never metered or delayed |
+//! | [`Control::Join`]        | [`MsgKind::Maintenance`]   | overlay maintenance: the index fraction handed to a joining peer (excluded from the paper's posting counts, reported separately) |
+//! | [`Control::Leave`]       | [`MsgKind::Maintenance`]   | overlay maintenance, mirror of a join: a gracefully departing peer hands its held copies to the re-derived replica sets before it goes |
+//! | [`Control::Fail`]        | —                          | a crash sends no messages; the destroyed copies surface as a [`LossStats`] damage report, and the degraded entries as later `Repair` traffic |
+//! | [`Control::Restart`]     | —                          | a restarting peer replays its own segment log — host-local disk I/O, never a network message; only the *gap* a restart leaves (lost hot-tier copies, corrupt tails) becomes later `Repair` traffic |
+//! | [`Control::Gossip`]      | [`MsgKind::Gossip`]        | membership upkeep: one round of the probe schedule (plus the repair a universally confirmed death triggers) |
+//! | [`Control::HotConfig`], [`Control::EnableGossip`] | — | settings, applied before traffic flows |
 //!
 //! ## Who knows what
 //!
 //! The RPC layer is generic over a [`StoreService`]: the *hosting peer's*
 //! application logic (how an insert merges into a stored entry, how a
-//! lookup reads one, how large each payload is). `hdk-core` implements it
-//! for its `KeyEntry`; this crate stays ignorant of keys, postings and
-//! ranking. Backends own the [`Dht`] and expose it via
-//! [`NetworkBackend::dht`] for *host-local* work — end-of-round sweeps,
-//! storage accounting, `peek` — which is free at the hosting peer and
-//! therefore never a message.
+//! lookup reads one, how large each payload is, what its host-local sweeps
+//! compute). `hdk-core` implements it for its `KeyEntry`; this crate stays
+//! ignorant of keys, postings and ranking. [`NetworkBackend::dht`] is a
+//! read-only view of the routing state — overlay, membership, gossip views
+//! — and never the way to reach stored entries: on a remote backend they
+//! live elsewhere.
+//!
+//! ## Adding a message
+//!
+//! The enum variant, its line in the `wire_enum!` table below, its handler
+//! arm — all in this file (a new sweep: the same three in the
+//! [`StoreService`] implementor's). A variant whose scatter rule is not
+//! "every process" also needs its arm in `TcpNet::call`.
 
 use crate::dht::{
-    stripe_of, Dht, GossipOutcome, HotStats, LossStats, MigrationStats, RepairStats,
-    LOOKUP_REQUEST_BYTES,
+    stripe_of, Dht, GossipMetering, GossipOutcome, HotConfig, HotStats, LossStats, MigrationStats,
+    RepairStats, LOOKUP_REQUEST_BYTES,
 };
-use crate::gossip::GossipProbe;
+use crate::gossip::{GossipConfig, GossipProbe};
 use crate::id::{hash_u64s, splitmix64, KeyHash, PeerId};
 use crate::overlay::Overlay;
 use crate::replica::Delivery;
 use crate::store::{RecoveryStats, Store};
 use crate::transport::{MsgKind, TrafficSnapshot};
+use crate::wire::Absorb;
+use crate::{wire_enum, wire_record};
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,16 +89,6 @@ pub struct Notification {
     pub bytes: u64,
 }
 
-/// Per-item [`Delivery`] legs of an insert round, aligned with its
-/// batches: `deliveries[batch][item]` lists the item's metered copies
-/// (primary first, then forwarded replicas).
-type InsertDeliveries = Vec<Vec<Vec<Delivery>>>;
-
-/// One resolved lookup level: per key in input order, the response
-/// payload with its `(postings, bytes)` volume, plus the [`Delivery`]
-/// records the timing pass consumes.
-type ResolvedLookups<L> = (Vec<(Option<L>, u64, u64)>, Vec<Delivery>);
-
 /// A message body plus the DHT position it routes to.
 #[derive(Debug, Clone)]
 pub struct Addressed<T> {
@@ -93,8 +103,8 @@ pub struct Addressed<T> {
 /// to the values stored in the [`Dht`].
 ///
 /// Implemented once by the engine crate (for its key-entry type); every
-/// backend reuses the same implementation, which is what makes the two
-/// backends produce identical storage state and traffic *counts* by
+/// backend runs the same implementation through the same handler, which is
+/// what makes them produce identical storage state and traffic *counts* by
 /// construction.
 pub trait StoreService: Send + Sync {
     /// Value stored in the DHT per key (`'static`: values are owned data,
@@ -106,6 +116,12 @@ pub trait StoreService: Send + Sync {
     type LookupKey: Send + Sync;
     /// Payload of one key's lookup response.
     type Lookup: Send;
+    /// A host-local sweep over the stored values ([`Request::Sweep`]).
+    type Sweep: Send + Sync;
+    /// What a sweep reports. [`Absorb`] folds the reports of disjoint
+    /// stripe sets — per-stripe partials inside one host, per-process
+    /// replies across a fleet — into the whole.
+    type Swept: Absorb + Send;
 
     /// Wire volume of one insert payload: `(postings, bytes)` — what the
     /// meter records for its [`MsgKind::IndexInsert`] message.
@@ -131,20 +147,37 @@ pub trait StoreService: Send + Sync {
     /// `(postings, bytes)` a stored value contributes when its key
     /// migrates to a joining peer ([`MsgKind::Maintenance`] volume).
     fn migrate_volume(&self, value: &Self::Value) -> (u64, u64);
+
+    /// Runs one host-local sweep over this host's stripes. Local work at
+    /// the hosting peer is free (the paper's sweeps run "locally at each
+    /// hosting peer"), so none of it is metered or delayed.
+    fn sweep(&self, dht: &Dht<Self::Value>, sweep: &Self::Sweep) -> Self::Swept;
 }
 
-/// A typed request from the engine to the network, generic over the
-/// [`StoreService`] payload types (`I = Insert`, `Q = LookupKey`).
+/// A [`Request`] at a [`StoreService`]'s payload types.
+pub type RequestOf<S> = Request<
+    <S as StoreService>::Insert,
+    <S as StoreService>::LookupKey,
+    <S as StoreService>::Sweep,
+>;
+
+/// A [`Response`] at a [`StoreService`]'s payload types.
+pub type ResponseOf<S> = Response<<S as StoreService>::Lookup, <S as StoreService>::Swept>;
+
+/// A data-plane message from the engine to the network, generic over the
+/// [`StoreService`] payload types (`I = Insert`, `Q = LookupKey`,
+/// `W = Sweep`). Everything here runs under shared access: it changes
+/// stored values and holder sets, never the overlay or the membership.
 #[derive(Debug, Clone)]
-pub enum Request<I, Q> {
+pub enum Request<I, Q, W> {
     /// One bulk-synchronous round of per-peer insert batches — the paper's
     /// indexing phase, where every peer pushes its locally computed key
     /// postings to the hosting peers. Batches must arrive in ascending
-    /// [`PeerId`] order with each batch in canonical key order; backends
-    /// apply each DHT stripe's inserts in exactly that order, so the
-    /// stored state (including contributor order) is deterministic at any
-    /// thread count. Each item is metered as its own
-    /// [`MsgKind::IndexInsert`] message.
+    /// [`PeerId`] order with each batch in canonical key order; each DHT
+    /// stripe's inserts are applied in exactly that order, so the stored
+    /// state (including contributor order) is deterministic at any thread
+    /// count. Each item is metered as its own [`MsgKind::IndexInsert`]
+    /// message.
     InsertBatch {
         /// `(inserting peer, its batch)` pairs, ascending by peer.
         batches: Vec<(PeerId, Vec<Addressed<I>>)>,
@@ -175,20 +208,58 @@ pub enum Request<I, Q> {
         /// The level's candidate keys, in canonical plan order.
         keys: Vec<Addressed<Q>>,
     },
-    /// A peer joins the overlay and the index fraction it becomes
-    /// responsible for is handed over ([`MsgKind::Maintenance`]). A
-    /// control-plane message: it mutates the overlay, so it dispatches
-    /// through [`NetworkBackend::migrate`] / [`NetworkBackend::migrate_many`]
-    /// (exclusive access), not [`NetworkBackend::call`].
-    Migrate {
-        /// The joining peer.
-        peer: PeerId,
+    /// The background repair sweep: surviving replicas re-materialize the
+    /// copies the re-derived replica sets are missing, one
+    /// [`MsgKind::Repair`] message per copied entry
+    /// ([`Dht::repair_sweep`]).
+    Repair,
+    /// The popularity-maintenance sweep: keys whose lookup hit counters
+    /// crossed the configured threshold gain extra replicas along the
+    /// successor walk (one [`MsgKind::HotReplicate`] message per copy),
+    /// cooled keys are demoted back to the structural set (local, free).
+    /// A no-op unless [`Control::HotConfig`] enabled the mechanism
+    /// ([`Dht::rebalance_hot`]).
+    Rebalance,
+    /// A host-local sweep, answered by [`StoreService::sweep`] over the
+    /// stripes of whichever host receives it. Never metered, never
+    /// delayed.
+    Sweep(W),
+}
+
+impl<I, Q, W> Request<I, Q, W> {
+    /// The paper's cost category this request is metered under (lookups
+    /// are metered under [`MsgKind::QueryLookup`] on the way out and
+    /// [`MsgKind::QueryResponse`] on the way back); `None` for host-local
+    /// sweeps, which are not messages.
+    pub fn kind(&self) -> Option<MsgKind> {
+        match self {
+            Request::InsertBatch { .. } => Some(MsgKind::IndexInsert),
+            Request::Notify { .. } => Some(MsgKind::IndexNotify),
+            Request::LookupMany { .. } => Some(MsgKind::QueryLookup),
+            Request::Repair => Some(MsgKind::Repair),
+            Request::Rebalance => Some(MsgKind::HotReplicate),
+            Request::Sweep(_) => None,
+        }
+    }
+}
+
+/// A control-plane message: everything that needs exclusive access
+/// because it rewires the overlay, the membership view, the storage tiers
+/// or a setting. The only `&mut self` entry of a [`NetworkBackend`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Control {
+    /// A wave of peers joins the overlay back to back, then the index
+    /// fractions they take over are handed over in **one shared stripe
+    /// scan** ([`Dht::add_peers`]; [`MsgKind::Maintenance`], one aggregate
+    /// message per joiner).
+    Join {
+        /// The joining peers.
+        peers: Vec<PeerId>,
     },
     /// A wave of peers departs gracefully: each hands the copies it holds
     /// to the re-derived replica sets ([`MsgKind::Maintenance`], one
-    /// aggregate message per leaver — the mirror of [`Request::Migrate`]),
-    /// then disappears from the replica walks. Control-plane: mutates the
-    /// membership view, dispatched through [`NetworkBackend::leave`].
+    /// aggregate message per leaver — the mirror of a join), then
+    /// disappears from the replica walks ([`Dht::leave_peers`]).
     Leave {
         /// The departing peers.
         peers: Vec<PeerId>,
@@ -196,62 +267,51 @@ pub enum Request<I, Q> {
     /// A wave of peers crashes: their copies are destroyed, nothing is
     /// handed over and **no messages are sent** — the damage surfaces as
     /// a [`LossStats`] report and as degraded replica sets for the next
-    /// [`Request::Repair`]. Control-plane: dispatched through
-    /// [`NetworkBackend::fail`].
+    /// [`Request::Repair`] ([`Dht::fail_peers`]).
     Fail {
         /// The crashed peers.
         peers: Vec<PeerId>,
     },
-    /// The background repair sweep: surviving replicas re-materialize the
-    /// copies the re-derived replica sets are missing, one
-    /// [`MsgKind::Repair`] message per copied entry. Data-plane (`&self`):
-    /// it changes no overlay or membership state, only holder sets.
-    Repair,
-    /// The popularity-maintenance sweep: keys whose lookup hit counters
-    /// crossed the configured threshold gain extra replicas along the
-    /// successor walk (one [`MsgKind::HotReplicate`] message per copy),
-    /// cooled keys are demoted back to the structural set (local, free).
-    /// Data-plane like [`Request::Repair`]: only holder sets change.
-    Rebalance,
     /// A wave of peers restarts in place: each loses its hot (in-memory)
     /// tier and replays its own on-disk segment log, recovering every
-    /// copy whose sealed frame survives checksum verification. Replay is
-    /// **host-local disk I/O** — no network messages are sent and nothing
-    /// is metered; the copies the log could not restore surface as a
-    /// [`RecoveryStats`] report and as later [`Request::Repair`] traffic.
-    /// Control-plane: it rewrites the stores' holder sets, dispatched
-    /// through [`NetworkBackend::restart`].
+    /// copy whose sealed frame survives checksum verification
+    /// ([`Dht::restart_peers`]). Replay is **host-local disk I/O** — no
+    /// network messages are sent and nothing is metered; the copies the
+    /// log could not restore surface as a [`RecoveryStats`] report and as
+    /// later [`Request::Repair`] traffic.
     Restart {
         /// The restarting peers (must currently be live).
         peers: Vec<PeerId>,
     },
+    /// Advances the gossip membership substrate by one round
+    /// ([`Dht::gossip_round`]): the deterministic probe schedule runs,
+    /// probes are metered (and, on a time-modeling backend, timed), and
+    /// a death confirmed in every live view this round triggers the
+    /// repair sweep — detection, not an oracle call. Refused unless
+    /// gossip is enabled and about to run round `round`: replicas of the
+    /// state advance in lockstep or not at all.
+    Gossip {
+        /// The round the sender expects to run (0-based).
+        round: u32,
+    },
+    /// Installs the popularity-replication knobs
+    /// ([`Dht::set_hot_config`]).
+    HotConfig(HotConfig),
+    /// Switches peer liveness from the membership oracle to gossiped
+    /// per-peer views ([`Dht::enable_gossip`]). Refused when the
+    /// configuration fails [`GossipConfig::check`] or has no fanout.
+    EnableGossip {
+        /// The gossip parameters.
+        config: GossipConfig,
+        /// Which share of the probes the receiving host meters.
+        metering: GossipMetering,
+    },
 }
 
-impl<I, Q> Request<I, Q> {
-    /// The paper's cost category this request is metered under (lookups
-    /// are metered under [`MsgKind::QueryLookup`] on the way out and
-    /// [`MsgKind::QueryResponse`] on the way back).
-    pub fn kind(&self) -> MsgKind {
-        match self {
-            Request::InsertBatch { .. } => MsgKind::IndexInsert,
-            Request::Notify { .. } => MsgKind::IndexNotify,
-            Request::LookupMany { .. } => MsgKind::QueryLookup,
-            // A crash itself sends nothing, and a restart's log replay is
-            // host-local; the category covers the churn taxonomy
-            // (graceful handovers are maintenance).
-            Request::Migrate { .. }
-            | Request::Leave { .. }
-            | Request::Fail { .. }
-            | Request::Restart { .. } => MsgKind::Maintenance,
-            Request::Repair => MsgKind::Repair,
-            Request::Rebalance => MsgKind::HotReplicate,
-        }
-    }
-}
-
-/// The typed response to a [`Request`] (`L = StoreService::Lookup`).
+/// The reply to a [`Request`] or a [`Control`] (`L = StoreService::Lookup`,
+/// `T = StoreService::Swept`).
 #[derive(Debug, Clone)]
-pub enum Response<L> {
+pub enum Response<L, T> {
     /// Acknowledges an [`Request::InsertBatch`]: one flag per inserted
     /// key, aligned with the request's batches, carrying whatever
     /// [`StoreService::merge`] returned (the ack piggybacks on the insert
@@ -267,116 +327,100 @@ pub enum Response<L> {
         /// One response per requested key (`None` = not indexed).
         results: Vec<Option<L>>,
     },
-    /// Answers a [`Request::Migrate`] with the handover volume.
-    Migrated(MigrationStats),
-    /// Answers a [`Request::Leave`] with one handover volume per leaver.
-    Left(Vec<MigrationStats>),
-    /// Answers a [`Request::Fail`] with the damage report.
+    /// Answers a [`Control::Join`] or [`Control::Leave`] with one handover
+    /// volume per peer of the wave, in input order.
+    Moved(Vec<MigrationStats>),
+    /// Answers a [`Control::Fail`] with the damage report.
     Lost(LossStats),
     /// Answers a [`Request::Repair`] with the re-materialized volume.
     Repaired(RepairStats),
     /// Answers a [`Request::Rebalance`] with the promotion/demotion report.
     Rebalanced(HotStats),
-    /// Answers a [`Request::Restart`] with the log-replay report.
+    /// Answers a [`Control::Restart`] with the log-replay report.
     Recovered(RecoveryStats),
+    /// Answers a [`Request::Sweep`].
+    Swept(T),
+    /// Answers a [`Control::Gossip`] with what the round did.
+    Gossiped(GossipOutcome),
+    /// Acknowledges a setting.
+    Done,
+    /// The message was understood but refused; nothing was applied.
+    Err(String),
 }
 
-/// A pluggable network between the engine and the DHT.
-///
-/// The required methods are the four message kinds; the provided
-/// [`NetworkBackend::call`] dispatches the data-plane [`Request`] enum onto
-/// them, so the engine can speak pure messages. `Migrate` is the one
-/// control-plane message: it mutates the overlay and therefore requires
-/// `&mut self` ([`NetworkBackend::migrate`]).
-pub trait NetworkBackend<S: StoreService>: Send + Sync {
-    /// Applies one bulk-synchronous round of insert batches; returns the
-    /// per-key acknowledgement flags, aligned with the input.
-    fn insert_batch(
-        &self,
-        batches: Vec<(PeerId, Vec<Addressed<S::Insert>>)>,
-    ) -> Vec<(PeerId, Vec<bool>)>;
-
-    /// Delivers one round's index → peer notifications (canonical order).
-    fn notify(&self, notes: &[Notification]);
-
-    /// Resolves one level of key lookups; results in input order.
-    /// `query_id` spreads each probe's serving replica over the key's
-    /// live holders (see [`Request::LookupMany`]).
-    fn lookup_many(
-        &self,
-        from: PeerId,
-        query_id: u64,
-        keys: &[Addressed<S::LookupKey>],
-    ) -> Vec<Option<S::Lookup>>;
-
-    /// The control-plane [`Request::Migrate`] wave: admits `peers` to the
-    /// overlay back to back, then migrates the index fractions they take
-    /// over in **one shared stripe scan** ([`Dht::add_peers`]).
-    fn migrate_many(&mut self, peers: Vec<PeerId>) -> Vec<MigrationStats>;
-
-    /// Single-peer [`NetworkBackend::migrate_many`].
-    fn migrate(&mut self, peer: PeerId) -> MigrationStats {
-        self.migrate_many(vec![peer])
-            .pop()
-            .expect("one join, one migration")
+/// Folds the reply another stripe-disjoint host gave to the same message
+/// into this one. Replies of different shapes (one host refused) leave
+/// `self` as it is; insert acks and lookup results are stitched by
+/// position by whoever scattered the request, not absorbed.
+impl<L, T: Absorb> Absorb for Response<L, T> {
+    fn absorb(&mut self, other: Self) {
+        match (self, other) {
+            (Response::Moved(acc), Response::Moved(other)) => acc.absorb(other),
+            (Response::Lost(acc), Response::Lost(other)) => acc.absorb(other),
+            (Response::Repaired(acc), Response::Repaired(other)) => acc.absorb(other),
+            (Response::Rebalanced(acc), Response::Rebalanced(other)) => acc.absorb(other),
+            (Response::Recovered(acc), Response::Recovered(other)) => acc.absorb(other),
+            (Response::Swept(acc), Response::Swept(other)) => acc.absorb(other),
+            (Response::Gossiped(acc), Response::Gossiped(other)) => acc.absorb(other),
+            _ => {}
+        }
     }
+}
 
-    /// The control-plane [`Request::Leave`] wave: graceful departures
-    /// with a metered handover of every held copy ([`Dht::leave_peers`]).
-    fn leave(&mut self, peers: &[PeerId]) -> Vec<MigrationStats>;
+wire_record!(Notification[24](to, postings, bytes));
+wire_record!(Addressed<T>[8 + T::MIN_BYTES](route, body));
+wire_enum!(Request<I, Q, W> {
+    0 => InsertBatch { batches },
+    1 => Notify { notes },
+    2 => LookupMany { from, query_id, keys },
+    6 => Repair,
+    7 => Rebalance,
+    9 => Sweep(sweep),
+});
+wire_enum!(Control {
+    0 => Join { peers },
+    1 => Leave { peers },
+    2 => Fail { peers },
+    3 => Restart { peers },
+    4 => Gossip { round },
+    5 => HotConfig(hot),
+    6 => EnableGossip { config, metering },
+});
+wire_enum!(Response<L, T> {
+    0 => Inserted { acks },
+    1 => Notified,
+    2 => Found { results },
+    4 => Moved(stats),
+    5 => Lost(stats),
+    6 => Repaired(stats),
+    7 => Rebalanced(stats),
+    8 => Recovered(stats),
+    9 => Swept(swept),
+    10 => Gossiped(outcome),
+    11 => Done,
+    12 => Err(reason),
+});
 
-    /// The control-plane [`Request::Fail`] wave: crashes destroy copies,
-    /// send nothing, and return the damage report ([`Dht::fail_peers`]).
-    fn fail(&mut self, peers: &[PeerId]) -> LossStats;
+/// A pluggable network between the engine and the DHT: two message
+/// entries, a read-only view of the routing state, and meters. There is
+/// deliberately no per-operation method — a backend that could special-
+/// case an operation could also get it wrong.
+pub trait NetworkBackend<S: StoreService>: Send + Sync {
+    /// Delivers one data-plane message and returns its reply.
+    fn call(&self, request: RequestOf<S>) -> ResponseOf<S>;
 
-    /// The [`Request::Repair`] sweep: re-materializes the copies the
-    /// re-derived replica sets are missing ([`Dht::repair_sweep`]). The
-    /// peer-liveness view itself is read through
-    /// [`Dht::membership`](crate::dht::Dht::membership) on
-    /// [`NetworkBackend::dht`].
-    fn repair(&self) -> RepairStats;
+    /// Delivers one control-plane message and returns its reply.
+    fn control(&mut self, control: Control) -> ResponseOf<S>;
 
-    /// The [`Request::Rebalance`] sweep: materializes extra replicas for
-    /// keys whose popularity crossed the configured threshold and demotes
-    /// cooled ones ([`Dht::rebalance_hot`]). A no-op unless popularity-
-    /// driven replication was enabled via
-    /// [`Dht::set_hot_config`](crate::dht::Dht::set_hot_config) on
-    /// [`NetworkBackend::dht_mut`].
-    fn rebalance(&self) -> HotStats;
-
-    /// The control-plane [`Request::Restart`] wave: each restarting peer
-    /// loses its hot tier and replays its own segment log
-    /// ([`Dht::restart_peers`]) — host-local disk I/O, so nothing is
-    /// metered and no simulated network time passes beyond the replay
-    /// serialization itself. Run a [`NetworkBackend::repair`] sweep
-    /// afterwards to close any recovery gap.
-    fn restart(&mut self, peers: &[PeerId]) -> RecoveryStats;
-
-    /// Advances the gossip membership substrate by one round
-    /// ([`Dht::gossip_round`]): the deterministic probe schedule runs,
-    /// probes are metered (and, on a time-modeling backend, timed), and
-    /// a death confirmed in every live view this round triggers the
-    /// repair sweep — detection, not an oracle call.
-    ///
-    /// # Panics
-    /// Panics unless gossip was enabled
-    /// ([`Dht::enable_gossip`](crate::dht::Dht::enable_gossip) on
-    /// [`NetworkBackend::dht_mut`]).
-    fn gossip_round(&mut self) -> GossipOutcome;
-
-    /// Host-local storage access: end-of-round sweeps, `peek`, storage
-    /// accounting. Local work at the hosting peer is free (the paper's
-    /// sweeps run "locally at each hosting peer"), so none of it is
-    /// metered or delayed.
+    /// The routing state the engine may read: overlay, membership,
+    /// gossip views. Not a way to reach stored entries — on a remote
+    /// backend this is a zero-entry mirror; entries answer to
+    /// [`Request::Sweep`].
     fn dht(&self) -> &Dht<S::Value>;
 
-    /// Exclusive storage access, for configuration that must happen
-    /// before traffic flows (e.g.
-    /// [`Dht::set_hot_config`](crate::dht::Dht::set_hot_config)).
-    fn dht_mut(&mut self) -> &mut Dht<S::Value>;
-
     /// All traffic this backend has carried (counts for every backend;
-    /// latency histograms only when the backend simulates time).
+    /// latency histograms only when the backend measures or simulates
+    /// time).
     fn snapshot(&self) -> TrafficSnapshot {
         self.dht().snapshot()
     }
@@ -387,74 +431,116 @@ pub trait NetworkBackend<S: StoreService>: Send + Sync {
         0
     }
 
-    /// Downcast hook for backends that extend the trait surface (the
-    /// serving tier's remote backend routes entry sweeps over the wire
-    /// instead of scanning the local stripes). `None` means "plain local
-    /// backend" — callers must fall back to the generic path.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
+    /// Deliveries that failed in transport — timeouts, resets, refused
+    /// connects (0 for backends without one). A nonzero delta across a
+    /// query means some probes came back as misses because a host was
+    /// unreachable, not because the key is absent.
+    fn transport_errors(&self) -> u64 {
+        0
+    }
+}
+
+/// One metered message leg's observable attributes — everything the
+/// timing model is allowed to depend on (never scheduling, never
+/// wall-clock). The handler emits them in the request's canonical order.
+#[derive(Clone, Copy)]
+struct Leg {
+    kind: MsgKind,
+    /// Ordered `(sender, receiver)` peer pair: the FIFO queue identity.
+    link: (u64, u64),
+    route: KeyHash,
+    bytes: u64,
+    hops: u32,
+    /// Dead peers the failover walk skipped before this leg's target —
+    /// each skipped candidate is a delivery attempt that timed out
+    /// ("requests to dead peers cost a timeout, not a hang").
+    dead_skips: u32,
+    /// Canonical position within the request (jitter decorrelation).
+    position: u64,
+    /// Starts when the previous leg has arrived (a lookup's response
+    /// after its request, a gossip ack after its ping) rather than with
+    /// the request.
+    chained: bool,
+}
+
+impl Leg {
+    /// A leg along a route the metering path resolved.
+    fn along(kind: MsgKind, path: &Delivery, route: KeyHash, bytes: u64, position: u64) -> Leg {
+        Leg {
+            kind,
+            link: (path.source.0, path.target.0),
+            route,
+            bytes,
+            hops: path.hops,
+            dead_skips: path.dead_skips,
+            position,
+            chained: false,
+        }
     }
 
-    /// Dispatches a data-plane request.
-    ///
-    /// # Panics
-    /// Panics on the control-plane variants — [`Request::Migrate`],
-    /// [`Request::Leave`], [`Request::Fail`] and [`Request::Restart`]
-    /// mutate the overlay, the membership view or the storage tiers and
-    /// must go through [`NetworkBackend::migrate`] /
-    /// [`NetworkBackend::leave`] / [`NetworkBackend::fail`] /
-    /// [`NetworkBackend::restart`].
-    fn call(&self, request: Request<S::Insert, S::LookupKey>) -> Response<S::Lookup> {
-        match request {
-            Request::InsertBatch { batches } => Response::Inserted {
-                acks: self.insert_batch(batches),
-            },
-            Request::Notify { notes } => {
-                self.notify(&notes);
-                Response::Notified
-            }
-            Request::LookupMany {
-                from,
-                query_id,
-                keys,
-            } => Response::Found {
-                results: self.lookup_many(from, query_id, &keys),
-            },
-            Request::Repair => Response::Repaired(self.repair()),
-            Request::Rebalance => Response::Rebalanced(self.rebalance()),
-            Request::Migrate { .. } => {
-                panic!("Migrate mutates the overlay; dispatch it through NetworkBackend::migrate")
-            }
-            Request::Leave { .. } => {
-                panic!("Leave mutates the membership; dispatch it through NetworkBackend::leave")
-            }
-            Request::Fail { .. } => {
-                panic!("Fail mutates the membership; dispatch it through NetworkBackend::fail")
-            }
-            Request::Restart { .. } => {
-                panic!("Restart replays local segment logs; dispatch it through NetworkBackend::restart")
-            }
+    /// A leg the DHT charges one hop: notifications, handovers, gossip.
+    fn direct(kind: MsgKind, link: (u64, u64), route: u64, bytes: u64, position: u64) -> Leg {
+        Leg {
+            kind,
+            link,
+            route: KeyHash(route),
+            bytes,
+            hops: 1,
+            dead_skips: 0,
+            position,
+            chained: false,
         }
     }
 }
 
-/// Shared storage dispatch for an insert round: bucket all batches by DHT
-/// stripe (preserving the canonical `(peer, key)` request order within
-/// each bucket), apply stripes rayon-parallel, and scatter the acks back
-/// into request order. Both backends route through this, so their stored
-/// state and traffic counts are identical by construction.
-///
-/// With `collect_deliveries` the per-item [`Delivery`] records (primary
-/// copy first, then the forwarded replicas) come back aligned with the
-/// batches — the simulated backend times its transmission pass from them
-/// instead of re-running `overlay.route()` per message. The in-process
-/// backend passes `false` and pays nothing.
-fn dispatch_insert_batch<S: StoreService>(
+/// Where the handler reports legs: `None` for backends that do not model
+/// time, which then pay nothing for the records.
+type Legs<'a> = Option<&'a mut Vec<Leg>>;
+
+/// The `on_copy` hook of a repair-shaped sweep: one leg per
+/// re-materialized copy, source replica → restored holder, in the sweep's
+/// canonical `(key, target)` order.
+fn copy_leg<'a>(kind: MsgKind, mut legs: Legs<'a>) -> impl FnMut(KeyHash, Delivery, u64) + 'a {
+    move |route, copy, bytes| {
+        if let Some(legs) = legs.as_deref_mut() {
+            let position = legs.len() as u64;
+            legs.push(Leg::along(kind, &copy, route, bytes, position));
+        }
+    }
+}
+
+/// One aggregate handover leg per peer of a join (`joining`) or departure
+/// wave, sharing the wave's FIFO state: into the joiner, out of the leaver.
+fn handover_legs(peers: &[PeerId], stats: &[MigrationStats], joining: bool, legs: &mut Vec<Leg>) {
+    for (peer, stats) in peers.iter().zip(stats) {
+        let link = if joining {
+            (u64::MAX, peer.0)
+        } else {
+            (peer.0, u64::MAX)
+        };
+        let position = legs.len() as u64;
+        legs.push(Leg::direct(
+            MsgKind::Maintenance,
+            link,
+            peer.0,
+            stats.bytes_moved,
+            position,
+        ));
+    }
+}
+
+/// Applies an insert round: bucket all batches by DHT stripe (preserving
+/// the canonical `(peer, key)` request order within each bucket), apply
+/// stripes rayon-parallel, and scatter the acks back into request order.
+/// Every copy an item stored (primary first, then the forwarded replicas)
+/// is one leg, reported in request order.
+fn insert_batch<S: StoreService>(
     dht: &Dht<S::Value>,
     store: &S,
     batches: &[(PeerId, Vec<Addressed<S::Insert>>)],
-    collect_deliveries: bool,
-) -> (Vec<(PeerId, Vec<bool>)>, InsertDeliveries) {
+    legs: Legs<'_>,
+) -> Vec<(PeerId, Vec<bool>)> {
+    let timed = legs.is_some();
     let mut buckets: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dht.num_stripes()];
     for (bi, (_, items)) in batches.iter().enumerate() {
         for (ii, item) in items.iter().enumerate() {
@@ -471,7 +557,7 @@ fn dispatch_insert_batch<S: StoreService>(
                     let (peer, items) = &batches[bi];
                     let item = &items[ii];
                     let (postings, bytes) = store.insert_volume(&item.body);
-                    let mut legs = Vec::new();
+                    let mut copies = Vec::new();
                     let flag = dht.upsert_delivered(
                         *peer,
                         item.route,
@@ -479,13 +565,13 @@ fn dispatch_insert_batch<S: StoreService>(
                         bytes,
                         || store.fresh(&item.body),
                         |value| store.merge(*peer, &item.body, value),
-                        |delivery| {
-                            if collect_deliveries {
-                                legs.push(delivery);
+                        |copy| {
+                            if timed {
+                                copies.push(copy);
                             }
                         },
                     );
-                    (bi, ii, flag, legs)
+                    (bi, ii, flag, copies)
                 })
                 .collect()
         })
@@ -494,46 +580,231 @@ fn dispatch_insert_batch<S: StoreService>(
         .iter()
         .map(|(peer, items)| (*peer, vec![false; items.len()]))
         .collect();
-    let mut deliveries: InsertDeliveries = if collect_deliveries {
-        batches
-            .iter()
-            .map(|(_, items)| vec![Vec::new(); items.len()])
-            .collect()
-    } else {
-        Vec::new()
-    };
-    for (bi, ii, flag, legs) in acks.into_iter().flatten() {
+    let mut stored: Vec<(usize, usize, Vec<Delivery>)> = Vec::new();
+    for (bi, ii, flag, copies) in acks.into_iter().flatten() {
         out[bi].1[ii] = flag;
-        if collect_deliveries {
-            deliveries[bi][ii] = legs;
+        if timed {
+            stored.push((bi, ii, copies));
         }
     }
-    (out, deliveries)
+    if let Some(legs) = legs {
+        // Back from stripe order to the request's canonical order.
+        stored.sort_unstable_by_key(|&(bi, ii, _)| (bi, ii));
+        for (bi, ii, copies) in stored {
+            let item = &batches[bi].1[ii];
+            let (_, bytes) = store.insert_volume(&item.body);
+            for copy in &copies {
+                let position = legs.len() as u64;
+                legs.push(Leg::along(
+                    MsgKind::IndexInsert,
+                    copy,
+                    item.route,
+                    bytes,
+                    position,
+                ));
+            }
+        }
+    }
+    out
 }
 
-/// Shared storage dispatch for one lookup level. Returns, per key in
-/// input order, the response payload plus its `(postings, bytes)` volume,
-/// and the resolved [`Delivery`] records — the simulated backend sizes
-/// and times both transmission legs from them without re-running
-/// `overlay.route()`.
-fn dispatch_lookup_many<S: StoreService>(
+/// The one place a data-plane message becomes DHT calls, for every
+/// backend. With `legs`, also reports each metered message leg — from the
+/// [`Delivery`] records the metering path itself resolved, so counted
+/// hops and simulated transmission times share one derivation.
+fn handle<S: StoreService>(
     dht: &Dht<S::Value>,
     store: &S,
-    from: PeerId,
-    query_id: u64,
-    keys: &[Addressed<S::LookupKey>],
-) -> ResolvedLookups<S::Lookup> {
-    let hashes: Vec<KeyHash> = keys.iter().map(|k| k.route).collect();
-    dht.lookup_many_delivered(from, query_id, &hashes, |i, value| {
-        let (result, postings, bytes) = store.read(&keys[i].body, value);
-        ((result, postings, bytes), postings, bytes)
-    })
+    request: RequestOf<S>,
+    mut legs: Legs<'_>,
+) -> ResponseOf<S> {
+    let volume = |value: &S::Value| store.migrate_volume(value);
+    match request {
+        Request::InsertBatch { batches } => Response::Inserted {
+            acks: insert_batch(dht, store, &batches, legs),
+        },
+        Request::Notify { notes } => {
+            for (position, note) in notes.iter().enumerate() {
+                dht.notify(note.to, note.postings, note.bytes);
+                // Messages to the same contributor share a link and queue
+                // FIFO. The DHT charges notifications one hop, and so does
+                // the timing model.
+                if let Some(legs) = legs.as_deref_mut() {
+                    legs.push(Leg::direct(
+                        MsgKind::IndexNotify,
+                        (u64::MAX, note.to.0),
+                        note.to.0,
+                        note.bytes,
+                        position as u64,
+                    ));
+                }
+            }
+            Response::Notified
+        }
+        Request::LookupMany {
+            from,
+            query_id,
+            keys,
+        } => {
+            let hashes: Vec<KeyHash> = keys.iter().map(|k| k.route).collect();
+            let (resolved, served) =
+                dht.lookup_many_delivered(from, query_id, &hashes, |i, value| {
+                    let (result, postings, bytes) = store.read(&keys[i].body, value);
+                    ((result, bytes), postings, bytes)
+                });
+            // The request leg queues on the forward link (and pays the
+            // dead-peer timeouts of the failover walk), the response leg
+            // on the reverse link; a key's exchange completes after both.
+            if let Some(legs) = legs {
+                for (position, ((key, (_, response_bytes)), leg)) in
+                    keys.iter().zip(&resolved).zip(&served).enumerate()
+                {
+                    let request = Leg::along(
+                        MsgKind::QueryLookup,
+                        leg,
+                        key.route,
+                        LOOKUP_REQUEST_BYTES,
+                        position as u64,
+                    );
+                    legs.push(request);
+                    legs.push(Leg {
+                        kind: MsgKind::QueryResponse,
+                        link: (request.link.1, request.link.0),
+                        bytes: *response_bytes,
+                        dead_skips: 0,
+                        chained: true,
+                        ..request
+                    });
+                }
+            }
+            Response::Found {
+                results: resolved.into_iter().map(|(result, _)| result).collect(),
+            }
+        }
+        Request::Repair => {
+            Response::Repaired(dht.repair_sweep(volume, copy_leg(MsgKind::Repair, legs)))
+        }
+        Request::Rebalance => {
+            Response::Rebalanced(dht.rebalance_hot(volume, copy_leg(MsgKind::HotReplicate, legs)))
+        }
+        Request::Sweep(sweep) => Response::Swept(store.sweep(dht, &sweep)),
+    }
 }
 
-/// The in-process backend: requests dispatch synchronously into the
-/// lock-striped [`Dht`], with metering identical to a direct call. This is
-/// the default backend and the performance baseline — `bench_rpc` checks
-/// its dispatch overhead stays within noise of raw DHT calls.
+/// The one place a control-plane message becomes DHT calls, for every
+/// backend (see [`handle`] for `legs`). A crash and a restart send
+/// nothing, so they report no legs.
+fn handle_control<S: StoreService>(
+    dht: &mut Dht<S::Value>,
+    store: &S,
+    control: Control,
+    legs: Legs<'_>,
+) -> ResponseOf<S> {
+    let timed = legs.is_some();
+    let volume = |value: &S::Value| store.migrate_volume(value);
+    match control {
+        Control::Join { peers } => {
+            let stats = dht.add_peers(peers.clone(), volume);
+            if let Some(legs) = legs {
+                handover_legs(&peers, &stats, true, legs);
+            }
+            Response::Moved(stats)
+        }
+        Control::Leave { peers } => {
+            let stats = dht.leave_peers(&peers, volume);
+            if let Some(legs) = legs {
+                handover_legs(&peers, &stats, false, legs);
+            }
+            Response::Moved(stats)
+        }
+        Control::Fail { peers } => Response::Lost(dht.fail_peers(&peers, volume)),
+        Control::Restart { peers } => Response::Recovered(dht.restart_peers(&peers, volume)),
+        Control::Gossip { round } => match dht.gossip().map(|g| g.round()) {
+            None => Response::Err("gossip is not enabled".into()),
+            Some(local) if local != round => Response::Err(format!(
+                "gossip round mismatch: sender at {round}, this host at {local}"
+            )),
+            Some(_) => {
+                let mut probes: Vec<GossipProbe> = Vec::new();
+                let mut copies = Vec::new();
+                let outcome = dht.gossip_round(
+                    volume,
+                    |probe| {
+                        if timed {
+                            probes.push(probe);
+                        }
+                    },
+                    |key, copy, bytes| {
+                        if timed {
+                            copies.push((key, copy, bytes));
+                        }
+                    },
+                );
+                if let Some(legs) = legs {
+                    gossip_legs(dht.overlay().peers(), &probes, legs);
+                    // The repair the round may have triggered rides the
+                    // same wave.
+                    let mut leg = copy_leg(MsgKind::Repair, Some(legs));
+                    copies
+                        .into_iter()
+                        .for_each(|(key, copy, bytes)| leg(key, copy, bytes));
+                }
+                Response::Gossiped(outcome)
+            }
+        },
+        Control::HotConfig(hot) => {
+            dht.set_hot_config(hot);
+            Response::Done
+        }
+        Control::EnableGossip { config, metering } => match config.check() {
+            Err(reason) => Response::Err(reason),
+            Ok(()) if config.fanout == 0 => {
+                Response::Err("enabling gossip needs fanout >= 1".into())
+            }
+            Ok(()) => {
+                dht.enable_gossip(config);
+                dht.set_gossip_metering(metering);
+                Response::Done
+            }
+        },
+    }
+}
+
+/// A round's probes in canonical schedule order: a delivered exchange is
+/// a ping leg plus an ack leg back over the reverse link (the exchange
+/// completes after both); a failed probe is one leg that times out
+/// (`dead_skips = 1` — the delivery attempt to a dead or unreachable
+/// peer, exactly like a failover skip).
+fn gossip_legs(peers: &[PeerId], probes: &[GossipProbe], legs: &mut Vec<Leg>) {
+    for probe in probes {
+        let (from, to) = (peers[probe.from as usize].0, peers[probe.to as usize].0);
+        let ping = Leg::direct(
+            MsgKind::Gossip,
+            (from, to),
+            probe.position,
+            probe.bytes,
+            legs.len() as u64,
+        );
+        legs.push(Leg {
+            dead_skips: u32::from(!probe.delivered),
+            ..ping
+        });
+        if probe.delivered {
+            legs.push(Leg {
+                link: (to, from),
+                position: ping.position + 1,
+                chained: true,
+                ..ping
+            });
+        }
+    }
+}
+
+/// The in-process backend: a message is a synchronous call into the
+/// handler over the lock-striped [`Dht`], with metering identical to a
+/// direct call. This is the default backend and the performance baseline —
+/// `bench_rpc` checks its dispatch overhead stays within noise of raw DHT
+/// calls.
 pub struct InProc<S: StoreService> {
     dht: Dht<S::Value>,
     store: S,
@@ -556,7 +827,7 @@ impl<S: StoreService> InProc<S> {
 
     /// [`InProc::replicated`] over a pluggable storage backend (e.g. a
     /// tiered [`crate::store::SegmentStore`] whose sealed segment logs
-    /// make [`NetworkBackend::restart`] recover actual state).
+    /// make a [`Control::Restart`] recover actual state).
     pub fn with_store(
         overlay: Box<dyn Overlay>,
         store: S,
@@ -571,80 +842,16 @@ impl<S: StoreService> InProc<S> {
 }
 
 impl<S: StoreService> NetworkBackend<S> for InProc<S> {
-    fn insert_batch(
-        &self,
-        batches: Vec<(PeerId, Vec<Addressed<S::Insert>>)>,
-    ) -> Vec<(PeerId, Vec<bool>)> {
-        dispatch_insert_batch(&self.dht, &self.store, &batches, false).0
+    fn call(&self, request: RequestOf<S>) -> ResponseOf<S> {
+        handle(&self.dht, &self.store, request, None)
     }
 
-    fn notify(&self, notes: &[Notification]) {
-        for note in notes {
-            self.dht.notify(note.to, note.postings, note.bytes);
-        }
-    }
-
-    fn lookup_many(
-        &self,
-        from: PeerId,
-        query_id: u64,
-        keys: &[Addressed<S::LookupKey>],
-    ) -> Vec<Option<S::Lookup>> {
-        dispatch_lookup_many(&self.dht, &self.store, from, query_id, keys)
-            .0
-            .into_iter()
-            .map(|(result, _, _)| result)
-            .collect()
-    }
-
-    fn migrate_many(&mut self, peers: Vec<PeerId>) -> Vec<MigrationStats> {
-        let store = &self.store;
-        self.dht
-            .add_peers(peers, |value| store.migrate_volume(value))
-    }
-
-    fn leave(&mut self, peers: &[PeerId]) -> Vec<MigrationStats> {
-        let store = &self.store;
-        self.dht
-            .leave_peers(peers, |value| store.migrate_volume(value))
-    }
-
-    fn fail(&mut self, peers: &[PeerId]) -> LossStats {
-        let store = &self.store;
-        self.dht
-            .fail_peers(peers, |value| store.migrate_volume(value))
-    }
-
-    fn repair(&self) -> RepairStats {
-        let store = &self.store;
-        self.dht
-            .repair_sweep(|value| store.migrate_volume(value), |_, _, _| {})
-    }
-
-    fn rebalance(&self) -> HotStats {
-        let store = &self.store;
-        self.dht
-            .rebalance_hot(|value| store.migrate_volume(value), |_, _, _| {})
-    }
-
-    fn restart(&mut self, peers: &[PeerId]) -> RecoveryStats {
-        let store = &self.store;
-        self.dht
-            .restart_peers(peers, |value| store.migrate_volume(value))
-    }
-
-    fn gossip_round(&mut self) -> GossipOutcome {
-        let store = &self.store;
-        self.dht
-            .gossip_round(|value| store.migrate_volume(value), |_| {}, |_, _, _| {})
+    fn control(&mut self, control: Control) -> ResponseOf<S> {
+        handle_control(&mut self.dht, &self.store, control, None)
     }
 
     fn dht(&self) -> &Dht<S::Value> {
         &self.dht
-    }
-
-    fn dht_mut(&mut self) -> &mut Dht<S::Value> {
-        &mut self.dht
     }
 }
 
@@ -718,9 +925,9 @@ impl SimNetConfig {
     }
 }
 
-/// The simulated-network backend: storage dispatch identical to
-/// [`InProc`] (same helpers, same meter), plus a deterministic timing
-/// model per message:
+/// The simulated-network backend: the same handler as [`InProc`] (same
+/// storage state, same meter), plus a deterministic timing model charged
+/// per message leg:
 ///
 /// * **per-link FIFO queues** — within one request, messages sharing a
 ///   link (an ordered `(sender, receiver)` peer pair) serialize: each
@@ -739,72 +946,20 @@ impl SimNetConfig {
 /// makespan (its slowest message chain), i.e. it accumulates the total
 /// virtual network time of a back-to-back request schedule.
 pub struct SimNet<S: StoreService> {
-    dht: Dht<S::Value>,
-    store: S,
+    inner: InProc<S>,
     config: SimNetConfig,
     clock_ns: AtomicU64,
 }
 
-/// One message leg's observable attributes — everything the timing model
-/// is allowed to depend on (never scheduling, never wall-clock).
-struct Wire {
-    kind: MsgKind,
-    /// Ordered `(sender, receiver)` peer pair: the FIFO queue identity.
-    link: (u64, u64),
-    route: KeyHash,
-    bytes: u64,
-    hops: u32,
-    /// Dead peers the failover walk skipped before this leg's target —
-    /// each skipped candidate is a delivery attempt that timed out
-    /// ("requests to dead peers cost a timeout, not a hang").
-    dead_skips: u32,
-    /// Canonical position within the request (jitter decorrelation).
-    position: u64,
-}
-
 impl<S: StoreService> SimNet<S> {
-    /// Simulated network over `overlay` with the given timing model
-    /// (unreplicated, `R = 1`).
-    pub fn new(overlay: Box<dyn Overlay>, store: S, config: SimNetConfig) -> Self {
-        Self::replicated(overlay, store, config, 1)
-    }
-
-    /// [`SimNet::new`] with every key placed on `replication` live peers.
-    pub fn replicated(
-        overlay: Box<dyn Overlay>,
-        store: S,
-        config: SimNetConfig,
-        replication: usize,
-    ) -> Self {
+    /// Puts the simulated network in front of `inner`'s DHT and store
+    /// service, timing deliveries with `config`.
+    pub fn new(inner: InProc<S>, config: SimNetConfig) -> Self {
         Self {
-            dht: Dht::replicated(overlay, replication),
-            store,
+            inner,
             config,
             clock_ns: AtomicU64::new(0),
         }
-    }
-
-    /// [`SimNet::replicated`] over a pluggable storage backend (e.g. a
-    /// tiered [`crate::store::SegmentStore`] whose sealed segment logs
-    /// make [`NetworkBackend::restart`] recover actual state).
-    pub fn with_store(
-        overlay: Box<dyn Overlay>,
-        store: S,
-        config: SimNetConfig,
-        replication: usize,
-        backend: Box<dyn Store<S::Value>>,
-    ) -> Self {
-        Self {
-            dht: Dht::with_store(overlay, replication, backend),
-            store,
-            config,
-            clock_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// The timing model in use.
-    pub fn config(&self) -> &SimNetConfig {
-        &self.config
     }
 
     /// Delivers one message leg, returning its total latency: queueing
@@ -814,29 +969,20 @@ impl<S: StoreService> SimNet<S> {
     /// candidate is a delivery attempt that times out — never a hang and
     /// never an extra counted message). Records the sample — including
     /// the retransmitted byte volume — into the meter's histogram.
-    fn deliver(&self, wire: Wire, busy: &mut HashMap<(u64, u64), u64>) -> u64 {
-        let Wire {
-            kind,
-            link,
-            route,
-            bytes,
-            hops,
-            dead_skips,
-            position,
-        } = wire;
+    fn deliver(&self, leg: &Leg, busy: &mut HashMap<(u64, u64), u64>) -> u64 {
         let c = &self.config;
-        let transmit = bytes * c.ns_per_byte;
-        let queue = busy.entry(link).or_insert(0);
+        let transmit = leg.bytes * c.ns_per_byte;
+        let queue = busy.entry(leg.link).or_insert(0);
         let wait = *queue;
         *queue += transmit;
         let h = hash_u64s(&[
             c.seed,
-            kind.slot() as u64,
-            link.0,
-            link.1,
-            route.0,
-            bytes,
-            position,
+            leg.kind.slot() as u64,
+            leg.link.0,
+            leg.link.1,
+            leg.route.0,
+            leg.bytes,
+            leg.position,
         ]);
         let jitter = if c.jitter_ns == 0 {
             0
@@ -853,359 +999,71 @@ impl<S: StoreService> SimNet<S> {
             }
             retries += 1;
         }
-        let resends = retries + dead_skips;
+        let resends = retries + leg.dead_skips;
         let latency = wait
             + transmit
-            + u64::from(hops) * c.hop_ns
+            + u64::from(leg.hops) * c.hop_ns
             + jitter
             + u64::from(resends) * c.timeout_ns;
-        self.dht
-            .meter()
-            .record_latency(kind, latency, resends, u64::from(resends) * bytes);
+        self.inner.dht.meter().record_latency(
+            leg.kind,
+            latency,
+            resends,
+            u64::from(resends) * leg.bytes,
+        );
         latency
     }
 
-    /// Advances the virtual clock by one request's makespan.
-    fn advance(&self, makespan_ns: u64) {
-        self.clock_ns.fetch_add(makespan_ns, Ordering::Relaxed);
+    /// The one timing pass: delivers a request's legs in their canonical
+    /// order over shared per-link FIFO state and advances the virtual
+    /// clock by the makespan — the slowest chain of legs.
+    fn charge(&self, legs: &[Leg]) {
+        let mut busy = HashMap::new();
+        let (mut makespan, mut chain) = (0u64, 0u64);
+        for leg in legs {
+            let latency = self.deliver(leg, &mut busy);
+            chain = if leg.chained {
+                chain + latency
+            } else {
+                latency
+            };
+            makespan = makespan.max(chain);
+        }
+        self.advance(makespan);
+    }
+
+    /// Advances the virtual clock.
+    fn advance(&self, ns: u64) {
+        self.clock_ns.fetch_add(ns, Ordering::Relaxed);
     }
 }
 
 impl<S: StoreService> NetworkBackend<S> for SimNet<S> {
-    fn insert_batch(
-        &self,
-        batches: Vec<(PeerId, Vec<Addressed<S::Insert>>)>,
-    ) -> Vec<(PeerId, Vec<bool>)> {
-        let (acks, deliveries) = dispatch_insert_batch(&self.dht, &self.store, &batches, true);
-        // Timing pass, in canonical request order, over the Delivery
-        // records the storage dispatch resolved — the trie walk is paid
-        // once, not re-run per message. Every copy (primary + forwarded
-        // replicas) is one timed message leg.
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        let mut position = 0u64;
-        for ((_, items), item_legs) in batches.iter().zip(&deliveries) {
-            for (item, legs) in items.iter().zip(item_legs) {
-                let (_, bytes) = self.store.insert_volume(&item.body);
-                for leg in legs {
-                    let latency = self.deliver(
-                        Wire {
-                            kind: MsgKind::IndexInsert,
-                            link: (leg.source.0, leg.target.0),
-                            route: item.route,
-                            bytes,
-                            hops: leg.hops,
-                            dead_skips: leg.dead_skips,
-                            position,
-                        },
-                        &mut busy,
-                    );
-                    makespan = makespan.max(latency);
-                    position += 1;
-                }
-            }
-        }
-        self.advance(makespan);
-        acks
+    fn call(&self, request: RequestOf<S>) -> ResponseOf<S> {
+        let mut legs = Vec::new();
+        let response = handle(&self.inner.dht, &self.inner.store, request, Some(&mut legs));
+        self.charge(&legs);
+        response
     }
 
-    fn notify(&self, notes: &[Notification]) {
-        for note in notes {
-            self.dht.notify(note.to, note.postings, note.bytes);
-        }
-        // Timing pass over the batch: messages to the same contributor
-        // share a link and queue FIFO; the position decorrelates the
-        // jitter of otherwise-identical notes. The DHT charges
-        // notifications one hop, and so does the timing model.
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        for (position, note) in notes.iter().enumerate() {
-            let latency = self.deliver(
-                Wire {
-                    kind: MsgKind::IndexNotify,
-                    link: (u64::MAX, note.to.0),
-                    route: KeyHash(note.to.0),
-                    bytes: note.bytes,
-                    hops: 1,
-                    dead_skips: 0,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            makespan = makespan.max(latency);
-        }
-        self.advance(makespan);
-    }
-
-    fn lookup_many(
-        &self,
-        from: PeerId,
-        query_id: u64,
-        keys: &[Addressed<S::LookupKey>],
-    ) -> Vec<Option<S::Lookup>> {
-        let (resolved, deliveries) =
-            dispatch_lookup_many(&self.dht, &self.store, from, query_id, keys);
-        // Timing pass over the Delivery records the metering path
-        // resolved (serving replica, failover hops, dead skips) — counted
-        // hops and simulated transmission times share one derivation, and
-        // the trie is walked once per key, not twice. The request leg
-        // queues on the forward link (and pays the dead-peer timeouts of
-        // the failover walk), the response leg on the reverse link; a
-        // key's exchange completes after both.
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        for (position, ((item, (_, _, resp_bytes)), leg)) in
-            keys.iter().zip(&resolved).zip(&deliveries).enumerate()
-        {
-            let request = self.deliver(
-                Wire {
-                    kind: MsgKind::QueryLookup,
-                    link: (leg.source.0, leg.target.0),
-                    route: item.route,
-                    bytes: LOOKUP_REQUEST_BYTES,
-                    hops: leg.hops,
-                    dead_skips: leg.dead_skips,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            let response = self.deliver(
-                Wire {
-                    kind: MsgKind::QueryResponse,
-                    link: (leg.target.0, leg.source.0),
-                    route: item.route,
-                    bytes: *resp_bytes,
-                    hops: leg.hops,
-                    dead_skips: 0,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            makespan = makespan.max(request + response);
-        }
-        self.advance(makespan);
-        resolved.into_iter().map(|(result, _, _)| result).collect()
-    }
-
-    fn migrate_many(&mut self, peers: Vec<PeerId>) -> Vec<MigrationStats> {
-        let store = &self.store;
-        let all_stats = self
-            .dht
-            .add_peers(peers.clone(), |value| store.migrate_volume(value));
-        // One aggregate handover delivery per joiner, sharing the wave's
-        // FIFO state (a single join times exactly as it always did).
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        for (position, (peer, stats)) in peers.iter().zip(&all_stats).enumerate() {
-            let latency = self.deliver(
-                Wire {
-                    kind: MsgKind::Maintenance,
-                    link: (u64::MAX, peer.0),
-                    route: KeyHash(peer.0),
-                    bytes: stats.bytes_moved,
-                    hops: 1,
-                    dead_skips: 0,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            makespan = makespan.max(latency);
-        }
-        self.advance(makespan);
-        all_stats
-    }
-
-    fn leave(&mut self, peers: &[PeerId]) -> Vec<MigrationStats> {
-        let store = &self.store;
-        let all_stats = self
-            .dht
-            .leave_peers(peers, |value| store.migrate_volume(value));
-        // The mirror of a join wave: one aggregate handover delivery per
-        // leaver, pushed *out* of the departing peer.
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        for (position, (peer, stats)) in peers.iter().zip(&all_stats).enumerate() {
-            let latency = self.deliver(
-                Wire {
-                    kind: MsgKind::Maintenance,
-                    link: (peer.0, u64::MAX),
-                    route: KeyHash(peer.0),
-                    bytes: stats.bytes_moved,
-                    hops: 1,
-                    dead_skips: 0,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            makespan = makespan.max(latency);
-        }
-        self.advance(makespan);
-        all_stats
-    }
-
-    fn fail(&mut self, peers: &[PeerId]) -> LossStats {
-        // A crash sends nothing and takes no (virtual) time — its cost
-        // shows up later, as failover timeouts and repair traffic.
-        let store = &self.store;
-        self.dht
-            .fail_peers(peers, |value| store.migrate_volume(value))
-    }
-
-    fn repair(&self) -> RepairStats {
-        let store = &self.store;
-        let mut copies: Vec<(KeyHash, Delivery, u64)> = Vec::new();
-        let stats = self.dht.repair_sweep(
-            |value| store.migrate_volume(value),
-            |key, delivery, bytes| copies.push((key, delivery, bytes)),
-        );
-        // Timing pass in the sweep's canonical (key, target) order: each
-        // re-materialized copy is one Repair message from the surviving
-        // source replica to the restored holder.
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        for (position, (key, leg, bytes)) in copies.into_iter().enumerate() {
-            let latency = self.deliver(
-                Wire {
-                    kind: MsgKind::Repair,
-                    link: (leg.source.0, leg.target.0),
-                    route: key,
-                    bytes,
-                    hops: leg.hops,
-                    dead_skips: leg.dead_skips,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            makespan = makespan.max(latency);
-        }
-        self.advance(makespan);
-        stats
-    }
-
-    fn rebalance(&self) -> HotStats {
-        let store = &self.store;
-        let mut copies: Vec<(KeyHash, Delivery, u64)> = Vec::new();
-        let stats = self.dht.rebalance_hot(
-            |value| store.migrate_volume(value),
-            |key, delivery, bytes| copies.push((key, delivery, bytes)),
-        );
-        // Timing pass in the sweep's canonical (key, target) order: each
-        // materialized extra is one HotReplicate message from the picked
-        // source holder to the new one — the same shape as a repair copy.
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        for (position, (key, leg, bytes)) in copies.into_iter().enumerate() {
-            let latency = self.deliver(
-                Wire {
-                    kind: MsgKind::HotReplicate,
-                    link: (leg.source.0, leg.target.0),
-                    route: key,
-                    bytes,
-                    hops: leg.hops,
-                    dead_skips: leg.dead_skips,
-                    position: position as u64,
-                },
-                &mut busy,
-            );
-            makespan = makespan.max(latency);
-        }
-        self.advance(makespan);
-        stats
-    }
-
-    fn restart(&mut self, peers: &[PeerId]) -> RecoveryStats {
+    fn control(&mut self, control: Control) -> ResponseOf<S> {
+        let mut legs = Vec::new();
+        let inner = &mut self.inner;
+        let response = handle_control(&mut inner.dht, &inner.store, control, Some(&mut legs));
+        self.charge(&legs);
         // Replay is host-local disk I/O: no messages, no latency samples
-        // (like `fail`, nothing travels the network) — but reading the
-        // log back is not free, so the virtual clock advances by the
-        // replayed volume at link serialization speed, a disk-as-fast-
-        // as-the-NIC stand-in until storage gets its own rate model.
-        let store = &self.store;
-        let stats = self
-            .dht
-            .restart_peers(peers, |value| store.migrate_volume(value));
-        self.advance(stats.bytes_replayed * self.config.ns_per_byte);
-        stats
-    }
-
-    fn gossip_round(&mut self) -> GossipOutcome {
-        let store = &self.store;
-        let mut probes: Vec<GossipProbe> = Vec::new();
-        let mut copies: Vec<(KeyHash, Delivery, u64)> = Vec::new();
-        let outcome = self.dht.gossip_round(
-            |value| store.migrate_volume(value),
-            |probe| probes.push(probe),
-            |key, delivery, bytes| copies.push((key, delivery, bytes)),
-        );
-        // Timing pass in the round's canonical probe order: a delivered
-        // exchange is a ping leg plus an ack leg back over the reverse
-        // link (the exchange completes after both); a failed probe is one
-        // leg that times out (`dead_skips = 1` — the delivery attempt to
-        // a dead or unreachable peer, exactly like a failover skip). The
-        // repair the round may have triggered rides the same wave.
-        let peers: Vec<PeerId> = self.dht.overlay().peers().to_vec();
-        let mut busy = HashMap::new();
-        let mut makespan = 0u64;
-        let mut position = 0u64;
-        for p in &probes {
-            let ping = self.deliver(
-                Wire {
-                    kind: MsgKind::Gossip,
-                    link: (peers[p.from as usize].0, peers[p.to as usize].0),
-                    route: KeyHash(p.position),
-                    bytes: p.bytes,
-                    hops: 1,
-                    dead_skips: u32::from(!p.delivered),
-                    position,
-                },
-                &mut busy,
-            );
-            position += 1;
-            let exchange = if p.delivered {
-                let ack = self.deliver(
-                    Wire {
-                        kind: MsgKind::Gossip,
-                        link: (peers[p.to as usize].0, peers[p.from as usize].0),
-                        route: KeyHash(p.position),
-                        bytes: p.bytes,
-                        hops: 1,
-                        dead_skips: 0,
-                        position,
-                    },
-                    &mut busy,
-                );
-                position += 1;
-                ping + ack
-            } else {
-                ping
-            };
-            makespan = makespan.max(exchange);
+        // — but reading the log back is not free, so the virtual clock
+        // advances by the replayed volume at link serialization speed, a
+        // disk-as-fast-as-the-NIC stand-in until storage gets its own
+        // rate model.
+        if let Response::Recovered(stats) = &response {
+            self.advance(stats.bytes_replayed * self.config.ns_per_byte);
         }
-        for (key, leg, bytes) in copies {
-            let latency = self.deliver(
-                Wire {
-                    kind: MsgKind::Repair,
-                    link: (leg.source.0, leg.target.0),
-                    route: key,
-                    bytes,
-                    hops: leg.hops,
-                    dead_skips: leg.dead_skips,
-                    position,
-                },
-                &mut busy,
-            );
-            position += 1;
-            makespan = makespan.max(latency);
-        }
-        self.advance(makespan);
-        outcome
+        response
     }
 
     fn dht(&self) -> &Dht<S::Value> {
-        &self.dht
-    }
-
-    fn dht_mut(&mut self) -> &mut Dht<S::Value> {
-        &mut self.dht
+        &self.inner.dht
     }
 
     fn virtual_time_ns(&self) -> u64 {
@@ -1216,7 +1074,7 @@ impl<S: StoreService> NetworkBackend<S> for SimNet<S> {
 impl<S: StoreService> std::fmt::Debug for SimNet<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNet")
-            .field("dht", &self.dht)
+            .field("dht", &self.inner.dht)
             .field("config", &self.config)
             .field("virtual_ns", &self.clock_ns.load(Ordering::Relaxed))
             .finish()
@@ -1238,6 +1096,8 @@ mod tests {
         type Insert = Vec<u32>;
         type LookupKey = ();
         type Lookup = Vec<u32>;
+        type Sweep = ();
+        type Swept = u64;
 
         fn insert_volume(&self, insert: &Vec<u32>) -> (u64, u64) {
             (insert.len() as u64, 4 * insert.len() as u64)
@@ -1262,6 +1122,76 @@ mod tests {
         fn migrate_volume(&self, value: &Vec<u32>) -> (u64, u64) {
             (value.len() as u64, 4 * value.len() as u64)
         }
+
+        /// The one sweep of the toy store: how many keys this host holds.
+        fn sweep(&self, dht: &Dht<Vec<u32>>, _sweep: &()) -> u64 {
+            dht.num_keys() as u64
+        }
+    }
+
+    // Every operation below is a message; these only unwrap the reply.
+
+    fn insert_batch(
+        backend: &impl NetworkBackend<SetStore>,
+        batches: Vec<(PeerId, Vec<Addressed<Vec<u32>>>)>,
+    ) -> Vec<(PeerId, Vec<bool>)> {
+        match backend.call(Request::InsertBatch { batches }) {
+            Response::Inserted { acks } => acks,
+            other => panic!("wrong response: {other:?}"),
+        }
+    }
+
+    fn lookup_many(
+        backend: &impl NetworkBackend<SetStore>,
+        from: PeerId,
+        query_id: u64,
+        keys: &[Addressed<()>],
+    ) -> Vec<Option<Vec<u32>>> {
+        let keys = keys.to_vec();
+        match backend.call(Request::LookupMany {
+            from,
+            query_id,
+            keys,
+        }) {
+            Response::Found { results } => results,
+            other => panic!("wrong response: {other:?}"),
+        }
+    }
+
+    fn notify(backend: &impl NetworkBackend<SetStore>, notes: &[Notification]) {
+        let notes = notes.to_vec();
+        assert!(matches!(
+            backend.call(Request::Notify { notes }),
+            Response::Notified
+        ));
+    }
+
+    fn repair(backend: &impl NetworkBackend<SetStore>) -> RepairStats {
+        match backend.call(Request::Repair) {
+            Response::Repaired(stats) => stats,
+            other => panic!("wrong response: {other:?}"),
+        }
+    }
+
+    fn rebalance(backend: &impl NetworkBackend<SetStore>) -> HotStats {
+        match backend.call(Request::Rebalance) {
+            Response::Rebalanced(stats) => stats,
+            other => panic!("wrong response: {other:?}"),
+        }
+    }
+
+    fn migrate(backend: &mut impl NetworkBackend<SetStore>, peer: PeerId) -> MigrationStats {
+        match backend.control(Control::Join { peers: vec![peer] }) {
+            Response::Moved(mut stats) => stats.pop().expect("one join, one migration"),
+            other => panic!("wrong response: {other:?}"),
+        }
+    }
+
+    fn set_hot_config(backend: &mut impl NetworkBackend<SetStore>, hot: HotConfig) {
+        assert!(matches!(
+            backend.control(Control::HotConfig(hot)),
+            Response::Done
+        ));
     }
 
     fn overlay(n: u64) -> Box<dyn Overlay> {
@@ -1300,18 +1230,22 @@ mod tests {
         // The same scenario through the typed RPC layer and through raw
         // Dht calls must produce identical storage and traffic.
         let backend = InProc::new(overlay(8), SetStore);
-        let acks = match backend.call(Request::InsertBatch { batches: round() }) {
-            Response::Inserted { acks } => acks,
-            other => panic!("wrong response: {other:?}"),
-        };
+        let acks = insert_batch(&backend, round());
         assert_eq!(acks[0], (PeerId(0), vec![false, false]));
         assert_eq!(acks[1].1, vec![true, false], "merge flag travels back");
-        backend.notify(&[Notification {
-            to: PeerId(0),
-            postings: 0,
-            bytes: 6,
-        }]);
-        let results = backend.lookup_many(PeerId(3), 0, &probes());
+        notify(
+            &backend,
+            &[Notification {
+                to: PeerId(0),
+                postings: 0,
+                bytes: 6,
+            }],
+        );
+        let results = lookup_many(&backend, PeerId(3), 0, &probes());
+        assert!(
+            matches!(backend.call(Request::Sweep(())), Response::Swept(3)),
+            "a sweep is answered by the store service over the host's stripes"
+        );
 
         let direct: Dht<Vec<u32>> = Dht::new(overlay(8));
         for (peer, items) in round() {
@@ -1342,15 +1276,18 @@ mod tests {
     #[test]
     fn simnet_zero_config_equals_inproc_counts_and_results() {
         let mut inproc = InProc::new(overlay(8), SetStore);
-        let mut sim = SimNet::new(overlay(8), SetStore, SimNetConfig::zero());
-        let a = inproc.insert_batch(round());
-        let b = sim.insert_batch(round());
+        let mut sim = SimNet::new(InProc::new(overlay(8), SetStore), SimNetConfig::zero());
+        let a = insert_batch(&inproc, round());
+        let b = insert_batch(&sim, round());
         assert_eq!(a, b);
         assert_eq!(
-            inproc.lookup_many(PeerId(5), 17, &probes()),
-            sim.lookup_many(PeerId(5), 17, &probes())
+            lookup_many(&inproc, PeerId(5), 17, &probes()),
+            lookup_many(&sim, PeerId(5), 17, &probes())
         );
-        assert_eq!(inproc.migrate(PeerId(100)), sim.migrate(PeerId(100)));
+        assert_eq!(
+            migrate(&mut inproc, PeerId(100)),
+            migrate(&mut sim, PeerId(100))
+        );
         let (sa, sb) = (inproc.snapshot(), sim.snapshot());
         assert!(sa.same_counts(&sb), "counts must match across backends");
         // The zero network is instantaneous but still records samples.
@@ -1365,8 +1302,7 @@ mod tests {
     fn simnet_latencies_are_deterministic_and_structured() {
         let run = || {
             let sim = SimNet::new(
-                overlay(8),
-                SetStore,
+                InProc::new(overlay(8), SetStore),
                 SimNetConfig {
                     seed: 42,
                     hop_ns: 100_000,
@@ -1376,8 +1312,8 @@ mod tests {
                     timeout_ns: 0,
                 },
             );
-            sim.insert_batch(round());
-            sim.lookup_many(PeerId(6), 0, &probes());
+            insert_batch(&sim, round());
+            lookup_many(&sim, PeerId(6), 0, &probes());
             (sim.snapshot(), sim.virtual_time_ns())
         };
         let (s1, t1) = run();
@@ -1391,8 +1327,7 @@ mod tests {
         assert_eq!(h.retries, 0);
         // A different seed shifts the jitter draw.
         let other = SimNet::new(
-            overlay(8),
-            SetStore,
+            InProc::new(overlay(8), SetStore),
             SimNetConfig {
                 seed: 43,
                 hop_ns: 100_000,
@@ -1402,8 +1337,8 @@ mod tests {
                 timeout_ns: 0,
             },
         );
-        other.insert_batch(round());
-        other.lookup_many(PeerId(6), 0, &probes());
+        insert_batch(&other, round());
+        lookup_many(&other, PeerId(6), 0, &probes());
         assert_ne!(
             other.snapshot().latency(MsgKind::QueryResponse).total_ns,
             h.total_ns
@@ -1415,8 +1350,7 @@ mod tests {
         // Two inserts of the same key come from the same peer, so they
         // share a link: the second must wait for the first's transmission.
         let sim = SimNet::new(
-            overlay(2),
-            SetStore,
+            InProc::new(overlay(2), SetStore),
             SimNetConfig {
                 seed: 7,
                 hop_ns: 0,
@@ -1430,7 +1364,7 @@ mod tests {
             PeerId(0),
             vec![addressed(9, &[1, 2, 3]), addressed(9, &[4, 5, 6])],
         )];
-        sim.insert_batch(batch);
+        insert_batch(&sim, batch);
         let snap = sim.snapshot();
         let h = snap.latency(MsgKind::IndexInsert);
         assert_eq!(h.samples, 2);
@@ -1445,8 +1379,7 @@ mod tests {
         // position draws its own jitter — no degenerate N-copies-of-one-
         // latency histogram.
         let sim = SimNet::new(
-            overlay(4),
-            SetStore,
+            InProc::new(overlay(4), SetStore),
             SimNetConfig {
                 seed: 5,
                 hop_ns: 0,
@@ -1464,7 +1397,7 @@ mod tests {
             };
             4
         ];
-        sim.notify(&notes);
+        notify(&sim, &notes);
         let snap = sim.snapshot();
         let h = snap.latency(MsgKind::IndexNotify);
         assert_eq!(h.samples, 4);
@@ -1479,10 +1412,9 @@ mod tests {
 
     #[test]
     fn drops_cost_timeouts_not_messages() {
-        let lossless = SimNet::new(overlay(4), SetStore, SimNetConfig::zero());
+        let lossless = SimNet::new(InProc::new(overlay(4), SetStore), SimNetConfig::zero());
         let lossy = SimNet::new(
-            overlay(4),
-            SetStore,
+            InProc::new(overlay(4), SetStore),
             SimNetConfig {
                 seed: 11,
                 drop_prob: 1.0,
@@ -1490,8 +1422,8 @@ mod tests {
                 ..SimNetConfig::zero()
             },
         );
-        lossless.insert_batch(round());
-        lossy.insert_batch(round());
+        insert_batch(&lossless, round());
+        insert_batch(&lossy, round());
         let (a, b) = (lossless.snapshot(), lossy.snapshot());
         assert!(
             a.same_counts(&b),
@@ -1509,17 +1441,16 @@ mod tests {
     #[test]
     fn migrate_is_metered_and_timed() {
         let mut sim = SimNet::new(
-            overlay(4),
-            SetStore,
+            InProc::new(overlay(4), SetStore),
             SimNetConfig {
                 seed: 3,
                 hop_ns: 50_000,
                 ..SimNetConfig::zero()
             },
         );
-        sim.insert_batch(round());
+        insert_batch(&sim, round());
         let before = sim.virtual_time_ns();
-        let stats = sim.migrate(PeerId(77));
+        let stats = migrate(&mut sim, PeerId(77));
         let snap = sim.snapshot();
         assert_eq!(snap.kind(MsgKind::Maintenance).messages, 1);
         assert_eq!(
@@ -1531,45 +1462,70 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NetworkBackend::migrate")]
-    fn call_rejects_the_control_plane_variant() {
-        let backend = InProc::new(overlay(2), SetStore);
-        let _ = backend.call(Request::Migrate { peer: PeerId(9) });
-    }
-
-    #[test]
     fn request_kinds_map_to_the_paper_taxonomy() {
-        let insert: Request<Vec<u32>, ()> = Request::InsertBatch { batches: vec![] };
-        assert_eq!(insert.kind(), MsgKind::IndexInsert);
-        let notify: Request<Vec<u32>, ()> = Request::Notify { notes: vec![] };
-        assert_eq!(notify.kind(), MsgKind::IndexNotify);
-        let lookup: Request<Vec<u32>, ()> = Request::LookupMany {
+        type R = Request<Vec<u32>, (), ()>;
+        let insert: R = Request::InsertBatch { batches: vec![] };
+        assert_eq!(insert.kind(), Some(MsgKind::IndexInsert));
+        let notify: R = Request::Notify { notes: vec![] };
+        assert_eq!(notify.kind(), Some(MsgKind::IndexNotify));
+        let lookup: R = Request::LookupMany {
             from: PeerId(0),
             query_id: 0,
             keys: vec![],
         };
-        assert_eq!(lookup.kind(), MsgKind::QueryLookup);
-        let migrate: Request<Vec<u32>, ()> = Request::Migrate { peer: PeerId(1) };
-        assert_eq!(migrate.kind(), MsgKind::Maintenance);
-        let leave: Request<Vec<u32>, ()> = Request::Leave { peers: vec![] };
-        assert_eq!(leave.kind(), MsgKind::Maintenance);
-        let fail: Request<Vec<u32>, ()> = Request::Fail { peers: vec![] };
-        assert_eq!(fail.kind(), MsgKind::Maintenance);
-        let repair: Request<Vec<u32>, ()> = Request::Repair;
-        assert_eq!(repair.kind(), MsgKind::Repair);
-        let rebalance: Request<Vec<u32>, ()> = Request::Rebalance;
-        assert_eq!(rebalance.kind(), MsgKind::HotReplicate);
-        let restart: Request<Vec<u32>, ()> = Request::Restart { peers: vec![] };
-        assert_eq!(restart.kind(), MsgKind::Maintenance);
+        assert_eq!(lookup.kind(), Some(MsgKind::QueryLookup));
+        let repair: R = Request::Repair;
+        assert_eq!(repair.kind(), Some(MsgKind::Repair));
+        let rebalance: R = Request::Rebalance;
+        assert_eq!(rebalance.kind(), Some(MsgKind::HotReplicate));
+        let sweep: R = Request::Sweep(());
+        assert_eq!(sweep.kind(), None, "host-local work is not a message");
     }
 
     #[test]
-    #[should_panic(expected = "NetworkBackend::restart")]
-    fn call_rejects_the_restart_variant() {
-        let backend = InProc::new(overlay(2), SetStore);
-        let _ = backend.call(Request::Restart {
-            peers: vec![PeerId(0)],
-        });
+    fn control_refuses_what_it_cannot_apply() {
+        let mut backend = InProc::new(overlay(4), SetStore);
+        let refused = |response| match response {
+            Response::Err(reason) => reason,
+            other => panic!("expected a refusal, got {other:?}"),
+        };
+        // A gossip round before gossip is on.
+        assert!(refused(backend.control(Control::Gossip { round: 0 })).contains("not enabled"));
+        // A configuration the one validity rule rejects, and one that
+        // leaves gossip off.
+        let enable = |config| Control::EnableGossip {
+            config,
+            metering: GossipMetering::All,
+        };
+        let lossy = GossipConfig {
+            fanout: 1,
+            loss_prob: 1.0,
+            ..GossipConfig::default()
+        };
+        assert_eq!(
+            refused(backend.control(enable(lossy))),
+            lossy.check().unwrap_err()
+        );
+        assert!(refused(backend.control(enable(GossipConfig::default()))).contains("fanout"));
+        assert!(
+            backend.dht().gossip().is_none(),
+            "a refusal applies nothing"
+        );
+        // Enabled, rounds run in lockstep or not at all.
+        let valid = GossipConfig {
+            fanout: 1,
+            ..GossipConfig::default()
+        };
+        assert!(matches!(backend.control(enable(valid)), Response::Done));
+        assert!(refused(backend.control(Control::Gossip { round: 5 })).contains("mismatch"));
+        assert!(matches!(
+            backend.control(Control::Gossip { round: 0 }),
+            Response::Gossiped(_)
+        ));
+        assert!(matches!(
+            backend.control(Control::Gossip { round: 1 }),
+            Response::Gossiped(_)
+        ));
     }
 
     /// A `StoreCodec` for the toy `Vec<u32>` values, so the RPC tests can
@@ -1607,12 +1563,17 @@ mod tests {
         // restored its copies without a single metered message.
         let seg = crate::store::SegmentStore::ephemeral(U32SetCodec, 0);
         let mut backend = InProc::with_store(overlay(8), SetStore, 2, Box::new(seg));
-        backend.insert_batch(round());
+        insert_batch(&backend, round());
         backend.dht().sync_storage();
         let before = backend.snapshot();
-        let expected = backend.lookup_many(PeerId(3), 0, &probes());
+        let expected = lookup_many(&backend, PeerId(3), 0, &probes());
 
-        let stats = backend.restart(&[PeerId(0), PeerId(1)]);
+        let stats = match backend.control(Control::Restart {
+            peers: vec![PeerId(0), PeerId(1)],
+        }) {
+            Response::Recovered(stats) => stats,
+            other => panic!("wrong response: {other:?}"),
+        };
         assert!(stats.frames_replayed > 0, "the logs were not empty");
         assert_eq!(stats.copies_lost, 0, "synced state recovers fully");
         assert_eq!(stats.frames_discarded, 0);
@@ -1628,36 +1589,37 @@ mod tests {
             before.kind(MsgKind::Maintenance).messages,
             "log replay is host-local, never metered"
         );
-        assert_eq!(backend.repair().copies, 0, "no gap to close");
-        assert_eq!(backend.lookup_many(PeerId(3), 0, &probes()), expected);
+        assert_eq!(repair(&backend).copies, 0, "no gap to close");
+        assert_eq!(lookup_many(&backend, PeerId(3), 0, &probes()), expected);
     }
 
     #[test]
     fn rebalance_is_metered_and_timed_on_simnet() {
-        let mut sim = SimNet::replicated(
-            overlay(8),
-            SetStore,
+        let mut sim = SimNet::new(
+            InProc::new(overlay(8), SetStore),
             SimNetConfig {
                 seed: 9,
                 hop_ns: 50_000,
                 ..SimNetConfig::zero()
             },
-            1,
         );
-        sim.dht_mut().set_hot_config(crate::dht::HotConfig {
-            threshold: 3,
-            extra: 1,
-        });
-        sim.insert_batch(round());
+        set_hot_config(
+            &mut sim,
+            HotConfig {
+                threshold: 3,
+                extra: 1,
+            },
+        );
+        insert_batch(&sim, round());
         let hot = vec![Addressed {
             route: KeyHash(hash_u64s(&[1])),
             body: (),
         }];
         for qid in 0..4u64 {
-            sim.lookup_many(PeerId(5), qid, &hot);
+            lookup_many(&sim, PeerId(5), qid, &hot);
         }
         let before = sim.virtual_time_ns();
-        let stats = sim.rebalance();
+        let stats = rebalance(&sim);
         assert_eq!(stats.promoted, 1);
         assert_eq!(stats.copies, 1);
         let snap = sim.snapshot();
@@ -1667,15 +1629,18 @@ mod tests {
         // Cross-backend equality: the same program through InProc counts
         // the same traffic (no latency samples, same counts).
         let mut ip = InProc::new(overlay(8), SetStore);
-        ip.dht_mut().set_hot_config(crate::dht::HotConfig {
-            threshold: 3,
-            extra: 1,
-        });
-        ip.insert_batch(round());
+        set_hot_config(
+            &mut ip,
+            HotConfig {
+                threshold: 3,
+                extra: 1,
+            },
+        );
+        insert_batch(&ip, round());
         for qid in 0..4u64 {
-            ip.lookup_many(PeerId(5), qid, &hot);
+            lookup_many(&ip, PeerId(5), qid, &hot);
         }
-        assert_eq!(ip.rebalance(), stats);
+        assert_eq!(rebalance(&ip), stats);
         assert!(ip.snapshot().same_counts(&sim.snapshot()));
     }
 
@@ -1695,21 +1660,24 @@ mod tests {
             timeout_ns: 1_000_000,
         };
         let run = |batched: bool| {
-            let mut sim = SimNet::replicated(overlay(4), SetStore, config, 2);
-            sim.insert_batch(vec![(PeerId(0), vec![addressed(9, &[1, 2, 3])])]);
+            let mut sim = SimNet::new(InProc::replicated(overlay(4), SetStore, 2), config);
+            insert_batch(&sim, vec![(PeerId(0), vec![addressed(9, &[1, 2, 3])])]);
             let key = KeyHash(hash_u64s(&[9]));
             let owner = sim.dht().overlay().responsible(key);
-            sim.fail(&[owner]);
+            assert!(matches!(
+                sim.control(Control::Fail { peers: vec![owner] }),
+                Response::Lost(_)
+            ));
             let probe = vec![Addressed {
                 route: key,
                 body: (),
             }];
             if batched {
-                sim.lookup_many(PeerId(0), 1234, &probe);
+                lookup_many(&sim, PeerId(0), 1234, &probe);
             } else {
                 // The walk-order reference: one key at a time.
                 for p in &probe {
-                    sim.lookup_many(PeerId(0), 1234, std::slice::from_ref(p));
+                    lookup_many(&sim, PeerId(0), 1234, std::slice::from_ref(p));
                 }
             }
             sim.snapshot()

@@ -248,20 +248,6 @@ impl LatencyHistogram {
         self.max_ns
     }
 
-    /// Folds `other`'s samples into `self`: counters and buckets add,
-    /// `max_ns` takes the max. The serving tier merges each peer
-    /// process's histogram into one system-wide view with this.
-    pub fn absorb(&mut self, other: &LatencyHistogram) {
-        self.samples += other.samples;
-        self.total_ns += other.total_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.retries += other.retries;
-        self.retransmission_bytes += other.retransmission_bytes;
-        for (slot, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *slot += b;
-        }
-    }
-
     /// Records one raw sample directly (wall-clock metering on the real
     /// serving path, where there is no simulated delivery to observe).
     pub fn record_sample(&mut self, latency_ns: u64) {
@@ -488,39 +474,6 @@ impl TrafficSnapshot {
         self.inserted_by_peer.iter().sum::<u64>() as f64 / self.inserted_by_peer.len() as f64
     }
 
-    /// Folds `other` into `self`, element-wise: per-kind counters and
-    /// histogram buckets add, `max_ns` takes the max, and per-peer
-    /// vectors sum position-wise (the longer length wins — every process
-    /// meters the same logical peer set, shorter vectors are just
-    /// earlier). The serving tier uses this to merge the per-process
-    /// meters of N peer processes into one system-wide snapshot; because
-    /// data-plane traffic is partitioned by stripe, the merged counts
-    /// equal a single-process run of the same scenario.
-    pub fn merge(&mut self, other: &TrafficSnapshot) {
-        for (i, slot) in self.kinds.iter_mut().enumerate() {
-            slot.messages += other.kinds[i].messages;
-            slot.postings += other.kinds[i].postings;
-            slot.bytes += other.kinds[i].bytes;
-            slot.hops += other.kinds[i].hops;
-            slot.hop_bytes += other.kinds[i].hop_bytes;
-        }
-        for (i, slot) in self.latency.iter_mut().enumerate() {
-            slot.absorb(&other.latency[i]);
-        }
-        let merge_vec = |a: &mut Vec<u64>, b: &[u64]| {
-            if a.len() < b.len() {
-                a.resize(b.len(), 0);
-            }
-            for (slot, x) in a.iter_mut().zip(b) {
-                *slot += x;
-            }
-        };
-        merge_vec(&mut self.inserted_by_peer, &other.inserted_by_peer);
-        merge_vec(&mut self.retrieved_by_peer, &other.retrieved_by_peer);
-        merge_vec(&mut self.served_by_peer, &other.served_by_peer);
-        self.failover_timeouts += other.failover_timeouts;
-    }
-
     /// Difference `self - earlier`, counter-wise (for per-phase costs).
     pub fn since(&self, earlier: &TrafficSnapshot) -> TrafficSnapshot {
         let mut kinds = [KindSnapshot::default(); NUM_KINDS];
@@ -701,7 +654,7 @@ mod tests {
         // Part of the backend-equivalence contract.
         assert!(!before.same_counts(&after));
         let mut merged = before.clone();
-        merged.merge(&after);
+        crate::wire::Absorb::absorb(&mut merged, after);
         assert_eq!(merged.failover_timeouts, 5);
     }
 

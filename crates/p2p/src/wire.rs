@@ -2,10 +2,10 @@
 //!
 //! The multi-process backend (`hdk-core`'s `TcpNet`) ships the typed
 //! [`rpc`](crate::rpc) messages over real sockets. This module owns the
-//! *transport* half of that contract: a checksummed length-framed byte
+//! *transport* half of that contract — a checksummed length-framed byte
 //! stream (the same FNV-1a + `[len][checksum][payload]` discipline as
-//! `hdk_ir::segment`'s on-disk frames) plus a small fallible
-//! reader/writer for the hand-rolled binary encodings layered on top.
+//! `hdk_ir::segment`'s on-disk frames) — and the *encoding* half: the
+//! [`Wire`] trait, implemented once per encoded type.
 //!
 //! Design rules:
 //!
@@ -13,13 +13,27 @@
 //!   from the network are [`WireError`]s; a malicious or buggy peer must
 //!   not be able to bring a process down (pinned by
 //!   `crates/core/tests/prop_wire.rs`).
-//! - **std-only.** Registry access is unavailable, so there is no serde:
-//!   encodings are explicit little-endian puts/takes over `Vec<u8>`.
+//! - **One declaration per encoded type.** Registry access is
+//!   unavailable, so there is no serde; instead a struct's field list
+//!   ([`wire_record!`](crate::wire_record), [`wire_stats!`](crate::wire_stats))
+//!   or an enum's tag ⇒ variant table ([`wire_enum!`](crate::wire_enum))
+//!   is written once and both directions are derived from it. Only the
+//!   types that *validate* (posting blocks, keys, stored entries) are
+//!   implemented by hand.
 //! - **Bounded frames.** A frame longer than [`MAX_FRAME_BYTES`] is
-//!   rejected before allocation, so a corrupt length prefix costs an
-//!   error, not an OOM.
+//!   rejected, a shorter one is buffered only as its bytes arrive, and a
+//!   sequence's claimed length is checked against the bytes actually
+//!   present ([`Wire::MIN_BYTES`]) — a hostile length prefix costs an
+//!   error, not an allocation.
 
-use hdk_ir::checksum64;
+use crate::dht::{
+    GossipMetering, GossipOutcome, HotConfig, HotStats, LossStats, MigrationStats, RepairStats,
+};
+use crate::gossip::{GossipConfig, GossipRound};
+use crate::id::{KeyHash, PeerId};
+use crate::store::RecoveryStats;
+use crate::transport::{KindSnapshot, LatencyHistogram, TrafficSnapshot, NUM_KINDS};
+use hdk_ir::{checksum64, Bytes, CompressedDocSet, CompressedPostings};
 use std::io::{Read, Write};
 
 /// Hard upper bound on a single frame's payload (256 MiB). Far above any
@@ -32,6 +46,11 @@ pub const MAX_FRAME_BYTES: usize = 1 << 28;
 /// same 12-byte layout `hdk_ir::segment` seals to disk.
 pub const WIRE_HEADER_BYTES: usize = 12;
 
+/// Largest payload buffered in one up-front allocation. The length prefix
+/// is unauthenticated, so a longer frame's buffer grows only with the
+/// bytes that actually arrive; every lookup frame is far below this.
+const EAGER_FRAME_BYTES: usize = 64 << 10;
+
 /// Everything that can go wrong on the wire. Deliberately coarse: the
 /// serving tier's contract is that a dead or malicious peer costs an
 /// error (usually a timeout), never a hang or a panic.
@@ -43,7 +62,8 @@ pub enum WireError {
     /// The frame checksum did not match, or a decoded value was out of
     /// its domain (bad enum tag, invalid posting block, ...).
     Corrupt,
-    /// The length prefix exceeded [`MAX_FRAME_BYTES`].
+    /// A frame (announced by a peer, or about to be sent) exceeded
+    /// [`MAX_FRAME_BYTES`].
     Oversized { len: usize, max: usize },
     /// The peer answered, but with something semantically wrong for the
     /// request (protocol-level error string from the remote side).
@@ -98,11 +118,12 @@ pub type WireResult<T> = Result<T, WireError>;
 /// matters: requests are written through buffered sockets and the peer
 /// won't answer a frame it hasn't seen.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<()> {
-    assert!(
-        payload.len() <= MAX_FRAME_BYTES,
-        "outgoing frame exceeds MAX_FRAME_BYTES: {}",
-        payload.len()
-    );
+    if payload.len() > MAX_FRAME_BYTES {
+        return Err(WireError::Oversized {
+            len: payload.len(),
+            max: MAX_FRAME_BYTES,
+        });
+    }
     let mut header = [0u8; WIRE_HEADER_BYTES];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
@@ -126,38 +147,22 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Vec<u8>> {
             max: MAX_FRAME_BYTES,
         });
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(|e| {
-        // A connection dying mid-frame is a truncation, not a clean close.
-        match WireError::from(e) {
-            WireError::Closed => WireError::Truncated,
-            other => other,
-        }
-    })?;
+    let mut payload = Vec::with_capacity(len.min(EAGER_FRAME_BYTES));
+    // A connection dying mid-frame is a truncation, not a clean close.
+    if r.take(len as u64).read_to_end(&mut payload)? < len {
+        return Err(WireError::Truncated);
+    }
     if checksum64(&payload) != checksum {
         return Err(WireError::Corrupt);
     }
     Ok(payload)
 }
 
-/// Little-endian writer helpers over a growing `Vec<u8>`. Infallible —
-/// encoding only fails by running out of memory.
-pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
 /// `[len: u32][bytes]` — the standard variable-length field.
+#[inline]
 pub fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
     assert!(bytes.len() <= u32::MAX as usize, "field exceeds u32 length");
-    put_u32(buf, bytes.len() as u32);
+    (bytes.len() as u32).put(buf);
     buf.extend_from_slice(bytes);
 }
 
@@ -180,6 +185,7 @@ impl<'a> WireReader<'a> {
         self.buf.len() - self.pos
     }
 
+    #[inline]
     pub fn take(&mut self, n: usize) -> WireResult<&'a [u8]> {
         if self.remaining() < n {
             return Err(WireError::Truncated);
@@ -189,29 +195,19 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
-    pub fn u8(&mut self) -> WireResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub fn u32(&mut self) -> WireResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub fn u64(&mut self) -> WireResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
     /// Reads a `[len: u32][bytes]` field written by [`put_bytes`].
+    #[inline]
     pub fn bytes(&mut self) -> WireResult<&'a [u8]> {
-        let len = self.u32()? as usize;
+        let len = u32::get(self)? as usize;
         self.take(len)
     }
 
     /// Reads a `[count: u32]` collection-length prefix, bounding it by
     /// the bytes actually remaining (`min_elem_bytes` per element) so a
     /// corrupt count cannot pre-allocate gigabytes.
+    #[inline]
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> WireResult<usize> {
-        let n = self.u32()? as usize;
+        let n = u32::get(self)? as usize;
         if n.saturating_mul(min_elem_bytes.max(1)) > self.remaining() {
             return Err(WireError::Truncated);
         }
@@ -226,6 +222,389 @@ impl<'a> WireReader<'a> {
         } else {
             Err(WireError::Corrupt)
         }
+    }
+}
+
+/// A type with one little-endian wire encoding.
+pub trait Wire: Sized {
+    /// The fewest bytes one encoded value occupies. [`WireReader::seq_len`]
+    /// bounds a sequence's claimed length by it, so any lower bound is
+    /// sound and a tight one rejects a hostile count sooner.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding to `buf`. Infallible — encoding only fails by
+    /// running out of memory.
+    fn put(&self, buf: &mut Vec<u8>);
+
+    /// Decodes one value. Total over arbitrary bytes: malformed input is
+    /// a [`WireError`], never a panic.
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self>;
+}
+
+/// Encodes `value` into a fresh frame payload.
+pub fn encode(value: &impl Wire) -> Vec<u8> {
+    let mut buf = Vec::new();
+    value.put(&mut buf);
+    buf
+}
+
+/// Decodes a full frame payload (trailing garbage is corruption).
+pub fn decode<T: Wire>(payload: &[u8]) -> WireResult<T> {
+    let mut r = WireReader::new(payload);
+    let value = T::get(&mut r)?;
+    r.done()?;
+    Ok(value)
+}
+
+/// A partial result that folds: replies of stripe-disjoint peer processes
+/// into one reply, and per-stripe partials into one sweep result — the
+/// same rule both times.
+pub trait Absorb {
+    /// Folds `other` into `self`.
+    fn absorb(&mut self, other: Self);
+}
+
+/// Fixed-width little-endian integers.
+macro_rules! wire_le {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            const MIN_BYTES: usize = std::mem::size_of::<$int>();
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+                let mut le = [0u8; std::mem::size_of::<$int>()];
+                le.copy_from_slice(r.take(Self::MIN_BYTES)?);
+                Ok(<$int>::from_le_bytes(le))
+            }
+        }
+    )*};
+}
+wire_le!(u8, u32, u64);
+
+impl Absorb for u64 {
+    fn absorb(&mut self, other: u64) {
+        *self += other;
+    }
+}
+
+/// Travels as a `u64`, whatever the host's pointer width.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u64).put(buf);
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        usize::try_from(u64::get(r)?).map_err(|_| WireError::Corrupt)
+    }
+}
+
+/// Travels as its IEEE-754 bits.
+impl Wire for f64 {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.to_bits().put(buf);
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        Ok(f64::from_bits(u64::get(r)?))
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    #[inline]
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    #[inline]
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::Corrupt),
+        }
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        String::from_utf8(r.bytes()?.to_vec()).map_err(|_| WireError::Corrupt)
+    }
+}
+
+/// `[0]` or `[1][value]`.
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            None => buf.push(0),
+            Some(value) => {
+                buf.push(1);
+                value.put(buf);
+            }
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        match u8::get(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::get(r)?)),
+            _ => Err(WireError::Corrupt),
+        }
+    }
+}
+
+/// Whichever side reported counts; both when both did.
+impl<T: Absorb> Absorb for Option<T> {
+    fn absorb(&mut self, other: Self) {
+        match (self.as_mut(), other) {
+            (Some(acc), Some(other)) => acc.absorb(other),
+            (None, other) => *self = other,
+            (Some(_), None) => {}
+        }
+    }
+}
+
+/// `[count: u32][items]`.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        assert!(
+            self.len() <= u32::MAX as usize,
+            "sequence exceeds u32 length"
+        );
+        (self.len() as u32).put(buf);
+        for item in self {
+            item.put(buf);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let n = r.seq_len(T::MIN_BYTES)?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::get(r)?);
+        }
+        Ok(out)
+    }
+}
+
+/// Position-wise; the longer side's tail is kept as is (every process
+/// reports the same logical peer set, a shorter vector is just earlier).
+impl<T: Absorb> Absorb for Vec<T> {
+    fn absorb(&mut self, other: Self) {
+        let mut other = other.into_iter();
+        for (acc, item) in self.iter_mut().zip(&mut other) {
+            acc.absorb(item);
+        }
+        self.extend(other);
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        for item in self {
+            item.put(buf);
+        }
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let mut out = [T::default(); N];
+        for slot in &mut out {
+            *slot = T::get(r)?;
+        }
+        Ok(out)
+    }
+}
+
+impl<T: Absorb, const N: usize> Absorb for [T; N] {
+    fn absorb(&mut self, other: Self) {
+        for (acc, item) in self.iter_mut().zip(other) {
+            acc.absorb(item);
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn put(&self, buf: &mut Vec<u8>) {
+        (**self).put(buf);
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        Ok(Box::new(T::get(r)?))
+    }
+}
+
+/// A posting block or doc-set travels as its own validated framing,
+/// length-prefixed.
+macro_rules! wire_block {
+    ($($block:ty),*) => {$(
+        impl Wire for $block {
+            const MIN_BYTES: usize = 4;
+            fn put(&self, buf: &mut Vec<u8>) {
+                put_bytes(buf, self.as_bytes());
+            }
+            fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+                <$block>::from_bytes(Bytes::from(r.bytes()?.to_vec())).ok_or(WireError::Corrupt)
+            }
+        }
+    )*};
+}
+wire_block!(CompressedPostings, CompressedDocSet);
+
+/// Derives [`Wire`] for a struct from its field list — `Type[min](fields)`:
+/// fields travel in the listed order, each by its own [`Wire`] impl, and
+/// `min` is the struct's [`Wire::MIN_BYTES`]. A tuple struct lists its
+/// positions; one type parameter is supported.
+#[macro_export]
+macro_rules! wire_record {
+    ($ty:ident $(<$g:ident>)? [$min:expr] ($($field:tt),* $(,)?)) => {
+        impl $(<$g: $crate::wire::Wire>)? $crate::wire::Wire for $ty $(<$g>)? {
+            const MIN_BYTES: usize = $min;
+            #[inline]
+            fn put(&self, buf: &mut Vec<u8>) {
+                $($crate::wire::Wire::put(&self.$field, buf);)*
+            }
+            #[inline]
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(Self { $($field: $crate::wire::Wire::get(r)?,)* })
+            }
+        }
+    };
+}
+
+/// [`wire_record!`] plus [`Absorb`] for a struct of counters —
+/// `Type(fields)`, optionally `, max(fields)`: listed fields add, `max`
+/// fields keep the larger side. Without an explicit `[min]` the struct
+/// must consist of `u64`s and `u64` arrays only — then its in-memory size
+/// *is* its encoded size.
+#[macro_export]
+macro_rules! wire_stats {
+    ($ty:ident ($($sum:ident),* $(,)?) $(, max($($peak:ident),*))?) => {
+        $crate::wire_stats!($ty [std::mem::size_of::<$ty>()] ($($sum),*) $(, max($($peak),*))?);
+    };
+    ($ty:ident [$min:expr] ($($sum:ident),* $(,)?) $(, max($($peak:ident),*))?) => {
+        $crate::wire_record!($ty [$min] ($($sum,)* $($($peak,)*)?));
+        impl $crate::wire::Absorb for $ty {
+            fn absorb(&mut self, other: Self) {
+                $($crate::wire::Absorb::absorb(&mut self.$sum, other.$sum);)*
+                $($(self.$peak = self.$peak.max(other.$peak);)*)?
+            }
+        }
+    };
+}
+
+/// Derives [`Wire`] for an enum from its `tag => Variant` table: one tag
+/// byte, then the variant's fields in the listed order. Unit, tuple and
+/// struct variants are supported; every type parameter must be [`Wire`].
+/// An unknown tag decodes to [`WireError::Corrupt`].
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident $(<$($g:ident),*>)? {
+        $($tag:literal => $variant:ident $(($($inner:ident),*))? $({$($field:ident),*})?),* $(,)?
+    }) => {
+        impl $(<$($g: $crate::wire::Wire),*>)? $crate::wire::Wire for $ty $(<$($g),*>)? {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(Self::$variant $(($($inner),*))? $({$($field),*})? => {
+                        buf.push($tag);
+                        $($($crate::wire::Wire::put($inner, buf);)*)?
+                        $($($crate::wire::Wire::put($field, buf);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut $crate::wire::WireReader<'_>) -> $crate::wire::WireResult<Self> {
+                Ok(match <u8 as $crate::wire::Wire>::get(r)? {
+                    $($tag => Self::$variant
+                        $(($($crate::wire_enum!(@get r $inner)),*))?
+                        $({$($field: $crate::wire::Wire::get(r)?),*})?,)*
+                    _ => return Err($crate::wire::WireError::Corrupt),
+                })
+            }
+        }
+    };
+    (@get $r:ident $inner:ident) => {
+        $crate::wire::Wire::get($r)?
+    };
+}
+
+wire_record!(PeerId[8](0));
+wire_record!(KeyHash[8](0));
+wire_stats!(MigrationStats(keys_moved, postings_moved, bytes_moved));
+wire_stats!(LossStats(
+    keys_lost,
+    postings_lost,
+    bytes_lost,
+    keys_degraded
+));
+wire_stats!(RepairStats(copies, postings, bytes));
+wire_stats!(HotStats(promoted, demoted, copies, postings, bytes));
+wire_stats!(RecoveryStats(
+    frames_replayed,
+    bytes_replayed,
+    frames_discarded,
+    copies_recovered,
+    postings_recovered,
+    copies_lost,
+    keys_lost,
+    postings_lost,
+    bytes_lost
+));
+wire_stats!(KindSnapshot(messages, postings, bytes, hops, hop_bytes));
+wire_stats!(
+    LatencyHistogram(samples, total_ns, retries, retransmission_bytes, buckets),
+    max(max_ns)
+);
+wire_stats!(TrafficSnapshot[NUM_KINDS
+    * (KindSnapshot::MIN_BYTES + LatencyHistogram::MIN_BYTES)
+    + 20](
+    kinds,
+    latency,
+    inserted_by_peer,
+    retrieved_by_peer,
+    served_by_peer,
+    failover_timeouts
+));
+wire_record!(GossipRound[40](
+    round,
+    pings,
+    failed,
+    bytes,
+    new_suspects,
+    confirmed,
+    universally_confirmed
+));
+wire_record!(GossipOutcome[41](report, repair));
+wire_record!(GossipConfig[28](fanout, suspicion_rounds, loss_prob, seed));
+wire_record!(HotConfig[16](threshold, extra));
+wire_enum!(GossipMetering {
+    0 => All,
+    1 => Partition { nprocs, index },
+    2 => Mirror,
+});
+
+/// A fleet's processes advance identical gossip state in lockstep, so
+/// their round reports agree; only the repair traffic each one's stripes
+/// contributed adds up.
+impl Absorb for GossipOutcome {
+    fn absorb(&mut self, other: Self) {
+        self.repair.absorb(other.repair);
     }
 }
 
@@ -284,8 +663,8 @@ mod tests {
     #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX);
-        put_u64(&mut buf, 0);
+        u32::MAX.put(&mut buf);
+        0u64.put(&mut buf);
         assert!(matches!(
             read_frame(&mut &buf[..]),
             Err(WireError::Oversized { .. })
@@ -293,26 +672,72 @@ mod tests {
     }
 
     #[test]
+    fn oversized_outgoing_frame_is_an_error_not_a_panic() {
+        // Zeroed pages are never touched: the length is refused first.
+        let payload = vec![0u8; MAX_FRAME_BYTES + 1];
+        let mut sink = Vec::new();
+        assert!(matches!(
+            write_frame(&mut sink, &payload),
+            Err(WireError::Oversized { .. })
+        ));
+        assert!(sink.is_empty(), "nothing may reach the socket");
+    }
+
+    #[test]
+    fn stats_fold_and_roundtrip_from_one_field_list() {
+        let mut a = LatencyHistogram {
+            samples: 2,
+            total_ns: 300,
+            max_ns: 200,
+            ..LatencyHistogram::default()
+        };
+        a.buckets[3] = 2;
+        let mut b = LatencyHistogram {
+            samples: 1,
+            total_ns: 50,
+            max_ns: 50,
+            retries: 4,
+            ..LatencyHistogram::default()
+        };
+        b.buckets[3] = 1;
+        a.absorb(b);
+        assert_eq!((a.samples, a.total_ns, a.retries), (3, 350, 4));
+        assert_eq!(a.max_ns, 200, "a maximum keeps the larger side");
+        assert_eq!(a.buckets[3], 3);
+        let bytes = encode(&a);
+        assert_eq!(bytes.len(), LatencyHistogram::MIN_BYTES);
+        assert_eq!(decode::<LatencyHistogram>(&bytes).unwrap(), a);
+        // Shorter vectors are earlier views of the same peers.
+        let mut totals = vec![1u64, 2];
+        totals.absorb(vec![10, 20, 30]);
+        assert_eq!(totals, [11, 22, 30]);
+    }
+
+    #[test]
     fn reader_primitives_roundtrip_and_bound() {
         let mut buf = Vec::new();
-        put_u8(&mut buf, 7);
-        put_u32(&mut buf, 0xDEAD_BEEF);
-        put_u64(&mut buf, u64::MAX - 1);
+        7u8.put(&mut buf);
+        0xDEAD_BEEFu32.put(&mut buf);
+        (u64::MAX - 1).put(&mut buf);
         put_bytes(&mut buf, b"var");
         let mut r = WireReader::new(&buf);
-        assert_eq!(r.u8().unwrap(), 7);
-        assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.u64().unwrap(), u64::MAX - 1);
+        assert_eq!(u8::get(&mut r).unwrap(), 7);
+        assert_eq!(u32::get(&mut r).unwrap(), 0xDEAD_BEEF);
+        assert_eq!(u64::get(&mut r).unwrap(), u64::MAX - 1);
         assert_eq!(r.bytes().unwrap(), b"var");
         r.done().unwrap();
-        assert!(matches!(r.u8(), Err(WireError::Truncated)));
+        assert!(matches!(u8::get(&mut r), Err(WireError::Truncated)));
     }
 
     #[test]
     fn corrupt_seq_len_is_truncation_not_allocation() {
         let mut buf = Vec::new();
-        put_u32(&mut buf, u32::MAX); // claims 4 billion elements...
+        u32::MAX.put(&mut buf); // claims 4 billion elements...
         let mut r = WireReader::new(&buf);
         assert!(matches!(r.seq_len(8), Err(WireError::Truncated)));
+        assert!(matches!(
+            decode::<Vec<u64>>(&buf),
+            Err(WireError::Truncated)
+        ));
     }
 }

@@ -7,7 +7,7 @@
 //!
 //! Each join (1) splits a region of the key space for the new peer and
 //! migrates the affected index fraction (maintenance traffic, the
-//! `Migrate` message), then (2) indexes the new documents incrementally:
+//! `Join` control message), then (2) indexes the new documents incrementally:
 //! previously indexed documents are only re-examined for keys that newly
 //! became non-discriminative. The resulting index is bit-identical to a
 //! from-scratch build (see `tests/churn_growth.rs`). The final two peers

@@ -15,7 +15,7 @@
 //!    counter — rather than hanging;
 //! 5. spawn a fresh fleet with gossip membership enabled, crash one
 //!    *logical* peer, and assert the fleet detects, confirms and
-//!    repairs it via `WireRequest::Gossip` frames bit-identically to
+//!    repairs it via `Control::Gossip` frames bit-identically to
 //!    the in-process build — with failover timeouts ticking only while
 //!    the views are stale.
 
@@ -290,7 +290,7 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
     // --- Phase 5: a fresh fleet with gossip enabled. A *logical* peer
     // crashes (every process stays up); with the liveness oracle off,
     // detection, universal confirmation and the triggered repair all
-    // travel as `WireRequest::Gossip` frames in lockstep with the
+    // travel as `Control::Gossip` frames in lockstep with the
     // front-end mirror — and once the views converge, queries stop
     // paying failover timeouts. The whole trajectory must be
     // bit-identical to the in-process build. ---
