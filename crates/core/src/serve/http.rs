@@ -2,7 +2,9 @@
 //!
 //! Hand-rolled on `std::net` (no registry access): thread-per-connection
 //! with keep-alive, a line parser that accepts exactly what the load
-//! generator and `curl` send, and three routes:
+//! generator and `curl` send — a head of at most 16 KiB, refused before
+//! it is buffered beyond that — replies assembled in per-connection
+//! buffers and sent in one write, and three routes:
 //!
 //! - `GET /query?q=1,2,3&k=10&peer=0` — run a query (comma-separated
 //!   numeric term ids), JSON results with full-precision f64 scores.
@@ -20,7 +22,8 @@ use crate::engine::QueryService;
 use hdk_p2p::{LatencyHistogram, MsgKind, PeerId};
 use hdk_text::TermId;
 use parking_lot::Mutex;
-use std::io::{BufRead, BufReader, Write};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -108,7 +111,9 @@ pub fn spawn(listener: TcpListener, service: QueryService) -> std::io::Result<Ht
     })
 }
 
-/// One keep-alive connection loop.
+/// One keep-alive connection loop. The head's line buffer, the body and
+/// the assembled reply are the connection's, cleared between requests;
+/// a reply — head and body — leaves in one write.
 fn serve_connection(
     stream: TcpStream,
     service: &QueryService,
@@ -116,112 +121,121 @@ fn serve_connection(
     stop: &AtomicBool,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
+    let mut stream = BufReader::new(stream);
+    let (mut line, mut body, mut reply) = (String::new(), String::new(), Vec::new());
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let (target, keep_alive) = match read_head(&mut reader)? {
+        let (target, keep_alive) = match read_head(&mut stream, &mut line)? {
             Some(head) => head,
             None => return Ok(()), // clean close between requests
         };
-        let (status, content_type, body) = route(&target, service, metrics);
+        body.clear();
+        let (status, content_type) = route(&target, service, metrics, &mut body);
         let connection = if keep_alive { "keep-alive" } else { "close" };
-        let head = format!(
-            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
+        reply.clear();
+        write!(
+            reply,
+            "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
             body.len()
-        );
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(body.as_bytes())?;
-        writer.flush()?;
+        )?;
+        stream.get_mut().write_all(&reply)?;
         if !keep_alive {
             return Ok(());
         }
     }
 }
 
+/// Reads one line of a request head into `line`, charged against `left`
+/// — the bytes the head may still take — *as it is read*, so a client
+/// that never sends a newline buys no more buffer than the limit.
+/// `false`: no complete line came; the limit is spent (`left == 0`) or
+/// the client hung up.
+fn head_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    left: &mut u64,
+) -> std::io::Result<bool> {
+    line.clear();
+    *left -= reader.by_ref().take(*left).read_line(line)? as u64;
+    Ok(line.ends_with('\n'))
+}
+
 /// Reads one request head; returns the target path+query and whether to
 /// keep the connection alive. `None` = the client closed cleanly.
-fn read_head(reader: &mut BufReader<TcpStream>) -> std::io::Result<Option<(String, bool)>> {
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line)? == 0 {
-        return Ok(None);
+fn read_head(
+    reader: &mut impl BufRead,
+    line: &mut String,
+) -> std::io::Result<Option<(String, bool)>> {
+    let mut left = MAX_HEAD_BYTES as u64;
+    let cut_short = |left| (left == 0).then(|| ("/oversized-head".to_string(), false));
+    if !head_line(reader, line, &mut left)? {
+        return Ok(cut_short(left));
     }
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
+    let mut parts = line.split_whitespace();
+    let is_get = parts.next() == Some("GET");
     let target = parts.next().unwrap_or("").to_string();
-    let version = parts.next().unwrap_or("");
-    // Drain headers (bounded), watching for Connection: close.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut read = request_line.len();
+    let mut keep_alive = parts.next() != Some("HTTP/1.0");
+    // Drain headers, watching for Connection: close.
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(None);
+        if !head_line(reader, line, &mut left)? {
+            return Ok(cut_short(left));
         }
-        read += line.len();
-        if read > MAX_HEAD_BYTES {
-            return Ok(Some(("/oversized-head".to_string(), false)));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
+        let header = line.trim_end();
+        if header.is_empty() {
             break;
         }
-        if let Some((name, value)) = line.split_once(':') {
+        if let Some((name, value)) = header.split_once(':') {
             if name.eq_ignore_ascii_case("connection") && value.trim().eq_ignore_ascii_case("close")
             {
                 keep_alive = false;
             }
         }
     }
-    if method != "GET" {
+    if !is_get {
         return Ok(Some(("/method-not-allowed".to_string(), false)));
     }
     Ok(Some((target, keep_alive)))
 }
 
-/// Dispatches one request target to its route.
+/// Dispatches one request target to its route, which writes the reply's
+/// body to `body` and returns its status and content type.
 fn route(
     target: &str,
     service: &QueryService,
     metrics: &HttpMetrics,
-) -> (u16, &'static str, String) {
+    body: &mut String,
+) -> (u16, &'static str) {
     let (path, query_string) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
+    let bad_request = |status, msg: &str, body: &mut String| {
+        metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
+        error_json(msg, body);
+        (status, "application/json")
+    };
     match path {
         "/health" => {
             metrics.health_requests.fetch_add(1, Ordering::Relaxed);
-            (200, "application/json", health_json(service))
+            health_json(service, body);
+            (200, "application/json")
         }
         "/metrics" => {
             metrics.metrics_requests.fetch_add(1, Ordering::Relaxed);
-            (
-                200,
-                "text/plain; version=0.0.4",
-                metrics_text(service, metrics),
-            )
+            metrics_text(service, metrics, body);
+            (200, "text/plain; version=0.0.4")
         }
         "/query" => match parse_query_params(query_string) {
             Ok((terms, k, peer)) => {
                 metrics.query_requests.fetch_add(1, Ordering::Relaxed);
-                run_query(service, metrics, &terms, k, peer)
+                run_query(service, metrics, &terms, k, peer, body)
             }
-            Err(msg) => {
-                metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-                (400, "application/json", error_json(&msg))
-            }
+            Err(msg) => bad_request(400, &msg, body),
         },
-        "/method-not-allowed" => {
-            metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            (405, "application/json", error_json("only GET is supported"))
-        }
-        _ => {
-            metrics.bad_requests.fetch_add(1, Ordering::Relaxed);
-            (404, "application/json", error_json("unknown path"))
-        }
+        "/method-not-allowed" => bad_request(405, "only GET is supported", body),
+        _ => bad_request(404, "unknown path", body),
     }
 }
 
@@ -268,13 +282,11 @@ fn run_query(
     terms: &[TermId],
     k: usize,
     peer: PeerId,
-) -> (u16, &'static str, String) {
+    body: &mut String,
+) -> (u16, &'static str) {
     if peer.0 >= service.num_peers() as u64 {
-        return (
-            400,
-            "application/json",
-            error_json(&format!("peer {} out of range", peer.0)),
-        );
+        error_json(&format!("peer {} out of range", peer.0), body);
+        return (400, "application/json");
     }
     let errors_before = service.transport_errors();
     let started = Instant::now();
@@ -282,32 +294,43 @@ fn run_query(
     let elapsed_ns = started.elapsed().as_nanos() as u64;
     metrics.query_latency.lock().record_sample(elapsed_ns);
     let transport_errors = service.transport_errors() - errors_before;
-    let mut body = String::with_capacity(128 + outcome.results.len() * 32);
     body.push_str("{\"query\":[");
-    push_joined(&mut body, terms.iter().map(|t| t.0.to_string()));
-    body.push_str(&format!(
+    for (i, term) in terms.iter().enumerate() {
+        let _ = write!(body, "{}{}", if i > 0 { "," } else { "" }, term.0);
+    }
+    let _ = write!(
+        body,
         "],\"k\":{k},\"peer\":{},\"lookups\":{},\"postings_fetched\":{},\"latency_us\":{},\"transport_errors\":{transport_errors},\"results\":[",
         peer.0, outcome.lookups, outcome.postings_fetched, elapsed_ns / 1_000
-    ));
-    push_joined(
-        &mut body,
-        outcome
-            .results
-            .iter()
-            .map(|r| format!("{{\"doc\":{},\"score\":{}}}", r.doc.0, json_f64(r.score))),
     );
+    for (i, result) in outcome.results.iter().enumerate() {
+        let _ = write!(
+            body,
+            "{}{{\"doc\":{},\"score\":",
+            if i > 0 { "," } else { "" },
+            result.doc.0
+        );
+        // Full precision: Rust's shortest round-trippable `Display` form,
+        // which is valid JSON for finite values.
+        if result.score.is_finite() {
+            let _ = write!(body, "{}}}", result.score);
+        } else {
+            body.push_str("null}");
+        }
+    }
     body.push_str("]}");
     if transport_errors > 0 {
         // Results are (partially) missing because a peer process was
         // unreachable — not because the keys are absent.
-        (502, "application/json", body)
+        (502, "application/json")
     } else {
-        (200, "application/json", body)
+        (200, "application/json")
     }
 }
 
-fn health_json(service: &QueryService) -> String {
-    format!(
+fn health_json(service: &QueryService, body: &mut String) {
+    let _ = write!(
+        body,
         "{{\"status\":\"ok\",\"peers\":{},\"live_peers\":{},\"docs\":{},\"rounds\":{},\"epoch\":{},\"transport_errors\":{}}}",
         service.num_peers(),
         service.num_live_peers(),
@@ -315,7 +338,7 @@ fn health_json(service: &QueryService) -> String {
         service.rounds_run(),
         service.epoch(),
         service.transport_errors(),
-    )
+    );
 }
 
 fn kind_label(kind: MsgKind) -> &'static str {
@@ -337,9 +360,8 @@ fn seconds(ns: f64) -> String {
 
 /// Prometheus text exposition of the merged traffic snapshot plus the
 /// HTTP server's own counters.
-fn metrics_text(service: &QueryService, metrics: &HttpMetrics) -> String {
+fn metrics_text(service: &QueryService, metrics: &HttpMetrics, out: &mut String) {
     let snapshot = service.snapshot();
-    let mut out = String::with_capacity(4096);
     out.push_str("# HELP hdk_traffic_messages_total Messages carried, by kind.\n");
     out.push_str("# TYPE hdk_traffic_messages_total counter\n");
     for kind in MsgKind::ALL {
@@ -445,11 +467,10 @@ fn metrics_text(service: &QueryService, metrics: &HttpMetrics) -> String {
             h.samples
         ));
     }
-    out
 }
 
-fn error_json(msg: &str) -> String {
-    format!("{{\"error\":{}}}", json_string(msg))
+fn error_json(msg: &str, body: &mut String) {
+    let _ = write!(body, "{{\"error\":{}}}", json_string(msg));
 }
 
 fn json_string(s: &str) -> String {
@@ -468,23 +489,4 @@ fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Full-precision f64: Rust's shortest round-trippable `Display` form,
-/// which is valid JSON for finite values.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn push_joined(out: &mut String, items: impl Iterator<Item = String>) {
-    for (i, item) in items.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&item);
-    }
 }

@@ -14,14 +14,17 @@
 //!   [`PeerHost::handle`] maps a request frame to a reply frame over an
 //!   in-process backend hosting this process's share of the DHT stripes
 //!   (`stripe % nprocs == proc_index`), behind a thread-per-connection
-//!   server with graceful drain-and-sync shutdown.
+//!   server (buffered frame reads, one write per reply) with graceful
+//!   drain-and-sync shutdown.
 //! - [`net`] — [`TcpNet`], the delivery policy: per message one scatter
 //!   rule (by stripe owner / every process / one process) over pooled
-//!   persistent connections with per-request timeouts and bounded
+//!   persistent connections — every frame written, then every reply
+//!   read, on the calling thread — with per-request timeouts and bounded
 //!   reconnects, and one fold of the replies. A dead peer surfaces as
 //!   an error, never a hang.
 //! - [`http`] — a minimal HTTP/1.1 front-end over [`QueryService`]:
-//!   `GET /query`, `GET /health`, and Prometheus `GET /metrics`.
+//!   `GET /query`, `GET /health`, and Prometheus `GET /metrics`; a
+//!   bounded request head, one write per reply.
 //!
 //! Adding a message touches none of this (unless it needs a scatter rule
 //! of its own): see `hdk_p2p::rpc`.

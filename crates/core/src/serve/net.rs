@@ -13,6 +13,10 @@
 //! | `Repair`, `Rebalance`, every `Sweep` | every process | folded with [`Absorb`] |
 //! | every [`Control`] | the mirror, then every process | folded with [`Absorb`] |
 //!
+//! Whatever the rule, the frames are written to all their processes,
+//! then read from all, on the calling thread ([`Fleet::exchange`]): the
+//! processes work concurrently and a request never costs a thread.
+//!
 //! The front-end keeps a zero-entry **mirror** `InProc` whose job is to
 //! hold the authoritative overlay, membership and gossip state — what
 //! [`NetworkBackend::dht`] shows — so routing decisions and liveness
@@ -21,10 +25,11 @@
 //! fold: an unreachable process is then simply missing from the sum.
 //!
 //! Failure contract: a dead process costs a bounded timeout (or an
-//! immediate connect error), never a hang — failed inserts come back
-//! unacknowledged, failed lookups come back `None`, and the transport
-//! error counter ticks so callers can distinguish "absent key" from
-//! "absent peer".
+//! immediate connect error), never a hang, and — the reads of one
+//! message sharing a deadline — its own timeout, not the sum of
+//! everyone's. Failed inserts come back unacknowledged, failed lookups
+//! come back `None`, and the transport error counter ticks so callers
+//! can distinguish "absent key" from "absent peer".
 //!
 //! Because the stripe partition is exact and every process meters its
 //! own traffic with the full logical peer set, summing the per-process
@@ -37,16 +42,20 @@ use crate::global_index::{IndexRequest, IndexResponse, IndexStore, KeyEntry};
 use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
 use hdk_p2p::{
-    stripe_of, Absorb, Control, Dht, GossipMetering, InProc, KeyHash, LatencyHistogram, MsgKind,
+    stripe_of, Absorb, Control, Dht, GossipMetering, InProc, LatencyHistogram, MsgKind,
     NetworkBackend, Overlay, PeerId, Request, Response, TrafficSnapshot, NUM_KINDS, NUM_STRIPES,
 };
 use parking_lot::Mutex;
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Pooled persistent connections per peer process.
 const POOL: usize = 4;
+
+/// How long a read waits once another read of its scatter has timed out.
+const LATE_PATIENCE: Duration = Duration::from_millis(1);
 
 /// How [`TcpNet`] reaches its peer processes. Over TCP in production;
 /// tests substitute an in-memory fleet to drive codec, scatter, fold and
@@ -55,12 +64,17 @@ pub trait Fleet: Send + Sync {
     /// How many peer processes host the stripes.
     fn nprocs(&self) -> usize;
 
-    /// One exchange with process `proc`: delivers a request frame's
-    /// payload, returns the reply frame's. A failed exchange may be
+    /// Several exchanges at once: delivers each `(process, request frame
+    /// payload)` — distinct processes, ascending — and returns the reply
+    /// frames' payloads in the same order. A failed exchange may be
     /// repeated once only when `idempotent` — after the bytes left this
     /// host, the remote effect of anything else is in doubt.
-    fn exchange(&self, proc: usize, payload: &[u8], idempotent: bool) -> WireResult<Vec<u8>>;
+    fn exchange(&self, requests: &[(usize, &[u8])], idempotent: bool) -> Vec<WireResult<Vec<u8>>>;
 }
+
+/// A pooled connection: requests are written to the socket, replies read
+/// through the buffer (a frame that fits it is one `read`).
+type Conn = BufReader<TcpStream>;
 
 /// One peer process's client half: a small pool of lazily (re)connected
 /// sockets, handed out round-robin so concurrent query threads don't
@@ -68,24 +82,25 @@ pub trait Fleet: Send + Sync {
 struct PeerClient {
     addr: String,
     hello: Vec<u8>,
-    pool: Vec<Mutex<Option<TcpStream>>>,
+    pool: Vec<Mutex<Option<Conn>>>,
     next: AtomicUsize,
     timeout: Duration,
 }
 
 impl PeerClient {
     /// Opens a socket, applies the deadline and runs the handshake.
-    fn open(&self) -> WireResult<TcpStream> {
+    fn open(&self) -> WireResult<Conn> {
         let mut last = WireError::Closed;
         for addr in std::net::ToSocketAddrs::to_socket_addrs(self.addr.as_str())? {
             match TcpStream::connect_timeout(&addr, self.timeout) {
-                Ok(mut stream) => {
+                Ok(stream) => {
                     stream.set_nodelay(true)?;
                     stream.set_read_timeout(Some(self.timeout))?;
                     stream.set_write_timeout(Some(self.timeout))?;
-                    write_frame(&mut stream, &self.hello)?;
-                    return match WireResponse::decode(&read_frame(&mut stream)?)? {
-                        WireResponse::HelloOk => Ok(stream),
+                    let mut conn = BufReader::new(stream);
+                    write_frame(conn.get_mut(), &self.hello)?;
+                    return match WireResponse::decode(&read_frame(&mut conn)?)? {
+                        WireResponse::HelloOk => Ok(conn),
                         WireResponse::Err(msg) => Err(WireError::Protocol(msg)),
                         other => Err(WireError::Protocol(format!(
                             "handshake answered with {other:?}"
@@ -97,37 +112,74 @@ impl PeerClient {
         }
         Err(last)
     }
+
+    /// Writes one request frame to the pooled connection — a fresh one
+    /// where there is none — and returns it, now owing a reply.
+    fn send(&self, pooled: Option<Conn>, payload: &[u8]) -> WireResult<Conn> {
+        let mut conn = pooled.map_or_else(|| self.open(), Ok)?;
+        write_frame(conn.get_mut(), payload)?;
+        Ok(conn)
+    }
+
+    /// Reads the reply `conn` owes. Every request of a scatter is out
+    /// before its first read, so once one read has timed out (`late`) any
+    /// reply not here yet has had its whole timeout too: later reads only
+    /// collect what has arrived.
+    fn receive(&self, conn: &mut Conn, late: &mut bool) -> WireResult<Vec<u8>> {
+        if *late {
+            conn.get_ref().set_read_timeout(Some(LATE_PATIENCE))?;
+        }
+        let reply = read_frame(conn);
+        if *late {
+            conn.get_ref().set_read_timeout(Some(self.timeout))?;
+        }
+        *late |= matches!(reply, Err(WireError::Timeout));
+        reply
+    }
 }
 
-/// The TCP fleet: one `PeerClient` per process. A stale pooled stream
-/// (the process restarted since the last request) is dropped and
-/// reconnected once for an idempotent exchange; anything else surfaces
-/// the first error.
+/// The TCP fleet: one `PeerClient` per process, every request written
+/// before any reply is awaited. A stale pooled stream (the process
+/// restarted since the last request) is reconnected once for an
+/// idempotent exchange, for that process alone; anything else surfaces
+/// the first error. Only a connection that delivered its reply goes back
+/// to the pool.
 impl Fleet for Vec<PeerClient> {
     fn nprocs(&self) -> usize {
         self.len()
     }
 
-    fn exchange(&self, proc: usize, payload: &[u8], idempotent: bool) -> WireResult<Vec<u8>> {
-        let client = &self[proc];
-        let slot = client.next.fetch_add(1, Ordering::Relaxed) % client.pool.len();
-        let mut guard = client.pool[slot].lock();
-        let attempts = if idempotent && guard.is_some() { 2 } else { 1 };
-        let mut last = WireError::Closed;
-        for _ in 0..attempts {
-            let stream = match guard.as_mut() {
-                Some(stream) => stream,
-                None => guard.insert(client.open()?),
-            };
-            match write_frame(stream, payload).and_then(|()| read_frame(stream)) {
-                Ok(reply) => return Ok(reply),
-                Err(e) => {
-                    *guard = None;
-                    last = e;
+    fn exchange(&self, requests: &[(usize, &[u8])], idempotent: bool) -> Vec<WireResult<Vec<u8>>> {
+        // Slots are locked in the requests' ascending process order, one
+        // per process, so concurrent scatters cannot deadlock.
+        let sent: Vec<_> = requests
+            .iter()
+            .map(|&(proc, payload)| {
+                let client = &self[proc];
+                let slot = client.next.fetch_add(1, Ordering::Relaxed) % client.pool.len();
+                let mut slot = client.pool[slot].lock();
+                let retry = idempotent && slot.is_some();
+                let sent = client.send(slot.take(), payload);
+                (sent, client, slot, retry, payload)
+            })
+            .collect();
+        let mut late = false;
+        sent.into_iter()
+            .map(|(sent, client, mut slot, retry, payload)| {
+                let mut reply_on = |sent: WireResult<Conn>| {
+                    let mut conn = sent?;
+                    let reply = client.receive(&mut conn, &mut late)?;
+                    *slot = Some(conn);
+                    Ok(reply)
+                };
+                match reply_on(sent) {
+                    // A slow process, not a stale stream: final.
+                    Err(WireError::Timeout) => Err(WireError::Timeout),
+                    Err(_) if retry => reply_on(client.send(None, payload)),
+                    reply => reply,
                 }
-            }
-        }
-        Err(last)
+            })
+            .collect()
     }
 }
 
@@ -201,140 +253,102 @@ impl TcpNet {
             errors: AtomicU64::new(0),
         };
         // Fail fast on a wrong topology: reach every process now.
-        let health = WireRequest::Health.encode();
-        for proc in 0..nprocs {
-            match net.send(proc, &health, true)? {
-                WireResponse::Healthy { .. } => {}
-                other => {
-                    return Err(WireError::Protocol(format!(
-                        "process {proc} answered health with {other:?}"
-                    )))
-                }
+        let health = (0..nprocs).map(|proc| (proc, WireRequest::Health));
+        for (proc, reply) in net.deliver(health.collect(), true, None) {
+            let reply = reply?;
+            if !matches!(reply, WireResponse::Healthy { .. }) {
+                return Err(WireError::Protocol(format!(
+                    "process {proc} answered health with {reply:?}"
+                )));
             }
         }
         Ok(net)
     }
 
-    /// The process hosting `route`'s stripe.
-    fn owner_of(&self, route: KeyHash) -> usize {
-        stripe_of(route) % self.fleet.nprocs()
-    }
-
-    fn note_error(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One exchange with process `proc`. Every failure — transport,
-    /// undecodable reply, refusal — ticks the error counter.
-    fn send(&self, proc: usize, payload: &[u8], idempotent: bool) -> WireResult<WireResponse> {
-        let reply = self
-            .fleet
-            .exchange(proc, payload, idempotent)
-            .and_then(|reply| WireResponse::decode(&reply))
-            .and_then(|reply| match reply {
+    /// Delivers each `(process, frame)` — processes ascending — in one
+    /// [`Fleet::exchange`], recording its wall-clock latency under `kind`
+    /// once per frame. Returns `(process, reply)` in that order; a failure
+    /// (transport, undecodable reply, refusal) ticks the error counter.
+    fn deliver(
+        &self,
+        frames: Vec<(usize, WireRequest)>,
+        idempotent: bool,
+        kind: Option<MsgKind>,
+    ) -> Vec<(usize, WireResult<WireResponse>)> {
+        // Each frame is dropped as it is encoded: an insert round is large.
+        let payloads: Vec<_> = (frames.into_iter())
+            .map(|(proc, frame)| (proc, frame.encode()))
+            .collect();
+        let requests: Vec<(usize, &[u8])> =
+            (payloads.iter().map(|(proc, payload)| (*proc, &payload[..]))).collect();
+        let started = Instant::now();
+        let replies = self.fleet.exchange(&requests, idempotent);
+        if let Some(kind) = kind {
+            let elapsed = started.elapsed().as_nanos() as u64;
+            let mut latency = self.rpc_latency.lock();
+            for _ in &requests {
+                latency[kind.slot()].record_sample(elapsed);
+            }
+        }
+        let decoded = requests.iter().zip(replies).map(|(&(proc, _), reply)| {
+            let reply = reply.and_then(|reply| match WireResponse::decode(&reply)? {
                 WireResponse::Err(msg) => Err(WireError::Protocol(msg)),
                 reply => Ok(reply),
             });
-        if reply.is_err() {
-            self.note_error();
-        }
-        reply
+            self.errors
+                .fetch_add(u64::from(reply.is_err()), Ordering::Relaxed);
+            (proc, reply)
+        });
+        decoded.collect()
     }
 
-    /// Delivers `payload_of(p)` to every listed process `p` —
-    /// concurrently when there are several, so a slow (or dead) process
-    /// costs its own timeout, not the sum of everyone's — recording each
-    /// exchange's wall-clock latency under `kind`. Returns the replies in
-    /// `procs` order, `None` where none arrived (already counted as an
-    /// error).
-    fn deliver<'a>(
+    /// [`TcpNet::deliver`] for the data plane: `(p, reply)` for the
+    /// message replies that arrived.
+    fn scatter(
         &self,
-        procs: &[usize],
-        payload_of: impl Fn(usize) -> &'a [u8] + Sync,
+        frames: Vec<(usize, WireRequest)>,
         idempotent: bool,
         kind: Option<MsgKind>,
-    ) -> Vec<Option<IndexResponse>> {
-        let one = |proc: usize| {
-            let started = Instant::now();
-            let reply = self.send(proc, payload_of(proc), idempotent);
-            if let Some(kind) = kind {
-                let elapsed = started.elapsed().as_nanos() as u64;
-                self.rpc_latency.lock()[kind.slot()].record_sample(elapsed);
-            }
-            match reply {
-                Ok(WireResponse::Rpc(response)) => Some(response),
+    ) -> Vec<(usize, IndexResponse)> {
+        self.deliver(frames, idempotent, kind)
+            .into_iter()
+            .filter_map(|(proc, reply)| match reply {
+                Ok(WireResponse::Rpc(response)) => Some((proc, response)),
                 Ok(_) => {
-                    self.note_error();
+                    self.errors.fetch_add(1, Ordering::Relaxed);
                     None
                 }
                 Err(_) => None,
-            }
-        };
-        if let [proc] = procs {
-            return vec![one(*proc)];
-        }
-        let one = &one;
-        std::thread::scope(|scope| {
-            let workers: Vec<_> = procs
-                .iter()
-                .map(|&proc| scope.spawn(move || one(proc)))
-                .collect();
-            workers
-                .into_iter()
-                .map(|worker| {
-                    worker.join().unwrap_or_else(|_| {
-                        self.note_error();
-                        None
-                    })
-                })
-                .collect()
-        })
+            })
+            .collect()
     }
 
-    /// Delivers `payload_of(p)` to every process `p` and folds the replies
+    /// Delivers `frame_of(p)` to every process `p` and folds the replies
     /// that arrive into `seed` — the mirror's own reply to the same
     /// message.
-    fn broadcast<'a>(
+    fn broadcast(
         &self,
         mut seed: IndexResponse,
-        payload_of: impl Fn(usize) -> &'a [u8] + Sync,
+        frame_of: impl Fn(usize) -> WireRequest,
         kind: Option<MsgKind>,
     ) -> IndexResponse {
-        let procs: Vec<usize> = (0..self.fleet.nprocs()).collect();
-        let replies = self.deliver(&procs, payload_of, true, kind);
-        for reply in replies.into_iter().flatten() {
+        let frames = (0..self.fleet.nprocs()).map(|proc| (proc, frame_of(proc)));
+        for (_, reply) in self.scatter(frames.collect(), true, kind) {
             seed.absorb(reply);
         }
         seed
     }
+}
 
-    /// Delivers `parts[p]` to every process `p` that has a part, and
-    /// returns `(p, reply)` for the replies that arrived.
-    fn scatter(
-        &self,
-        parts: Vec<Option<IndexRequest>>,
-        idempotent: bool,
-        kind: Option<MsgKind>,
-    ) -> Vec<(usize, IndexResponse)> {
-        let payloads: Vec<Option<Vec<u8>>> = parts
-            .into_iter()
-            .map(|part| part.map(|request| WireRequest::Rpc(request).encode()))
-            .collect();
-        let active: Vec<usize> = (0..payloads.len())
-            .filter(|&proc| payloads[proc].is_some())
-            .collect();
-        let replies = self.deliver(
-            &active,
-            |proc| payloads[proc].as_deref().unwrap_or_default(),
-            idempotent,
-            kind,
-        );
-        active
-            .into_iter()
-            .zip(replies)
-            .filter_map(|(proc, reply)| Some((proc, reply?)))
-            .collect()
-    }
+/// The non-empty parts of a scattered message, as `(process, frame)`.
+fn framed<T>(
+    parts: Vec<Vec<T>>,
+    request: impl Fn(Vec<T>) -> IndexRequest,
+) -> Vec<(usize, WireRequest)> {
+    let present = (parts.into_iter().enumerate()).filter(|(_, part)| !part.is_empty());
+    present
+        .map(|(proc, part)| (proc, WireRequest::Rpc(request(part))))
+        .collect()
 }
 
 impl std::fmt::Debug for TcpNet {
@@ -364,7 +378,7 @@ impl NetworkBackend<IndexStore> for TcpNet {
                 let mut origins: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nprocs];
                 for (bi, (peer, items)) in batches.into_iter().enumerate() {
                     for (ii, item) in items.into_iter().enumerate() {
-                        let proc = self.owner_of(item.route);
+                        let proc = stripe_of(item.route) % nprocs;
                         match parts[proc].last_mut() {
                             Some((last, part)) if *last == peer => part.push(item),
                             _ => parts[proc].push((peer, vec![item])),
@@ -372,12 +386,7 @@ impl NetworkBackend<IndexStore> for TcpNet {
                         origins[proc].push((bi, ii));
                     }
                 }
-                let parts = parts
-                    .into_iter()
-                    .map(|batches| {
-                        (!batches.is_empty()).then_some(Request::InsertBatch { batches })
-                    })
-                    .collect();
+                let parts = framed(parts, |batches| Request::InsertBatch { batches });
                 // Inserts are not idempotent (merges accumulate), so no
                 // automatic retry: a failed exchange leaves its items
                 // unacknowledged.
@@ -400,20 +409,15 @@ impl NetworkBackend<IndexStore> for TcpNet {
                 let mut parts: Vec<Vec<_>> = (0..nprocs).map(|_| Vec::new()).collect();
                 let mut origins: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
                 for (i, key) in keys.into_iter().enumerate() {
-                    let proc = self.owner_of(key.route);
+                    let proc = stripe_of(key.route) % nprocs;
                     parts[proc].push(key);
                     origins[proc].push(i);
                 }
-                let parts = parts
-                    .into_iter()
-                    .map(|keys| {
-                        (!keys.is_empty()).then_some(Request::LookupMany {
-                            from,
-                            query_id,
-                            keys,
-                        })
-                    })
-                    .collect();
+                let parts = framed(parts, |keys| Request::LookupMany {
+                    from,
+                    query_id,
+                    keys,
+                });
                 // Lookups are read-only: safe to retry once.
                 for (proc, reply) in self.scatter(parts, true, kind) {
                     if let Response::Found { results: found } = reply {
@@ -428,13 +432,12 @@ impl NetworkBackend<IndexStore> for TcpNet {
             // fleet's summed meters are observable — so the first one
             // does. Metering is not idempotent: no retry.
             request @ Request::Notify { .. } => {
-                self.scatter(vec![Some(request)], false, kind);
+                self.scatter(vec![(0, WireRequest::Rpc(request))], false, kind);
                 Response::Notified
             }
             request @ (Request::Repair | Request::Rebalance | Request::Sweep(_)) => {
                 let seed = self.mirror.call(request.clone());
-                let payload = WireRequest::Rpc(request).encode();
-                self.broadcast(seed, |_| &payload, kind)
+                self.broadcast(seed, |_| WireRequest::Rpc(request.clone()), kind)
             }
         }
     }
@@ -459,12 +462,8 @@ impl NetworkBackend<IndexStore> for TcpNet {
         if matches!(seed, Response::Err(_)) {
             return seed;
         }
-        let payloads: Vec<Vec<u8>> = (0..nprocs)
-            .map(|index| {
-                WireRequest::Control(metered(GossipMetering::Partition { nprocs, index })).encode()
-            })
-            .collect();
-        self.broadcast(seed, |proc| &payloads[proc], None)
+        let partition = |index| metered(GossipMetering::Partition { nprocs, index });
+        self.broadcast(seed, |proc| WireRequest::Control(partition(proc)), None)
     }
 
     fn dht(&self) -> &Dht<KeyEntry> {
@@ -485,9 +484,9 @@ impl NetworkBackend<IndexStore> for TcpNet {
             served_by_peer: vec![0; peers],
             ..TrafficSnapshot::default()
         };
-        let payload = WireRequest::Snapshot.encode();
-        for proc in 0..self.fleet.nprocs() {
-            if let Ok(WireResponse::Snapshot(snapshot)) = self.send(proc, &payload, true) {
+        let asks = (0..self.fleet.nprocs()).map(|proc| (proc, WireRequest::Snapshot));
+        for (_, reply) in self.deliver(asks.collect(), true, None) {
+            if let Ok(WireResponse::Snapshot(snapshot)) = reply {
                 merged.absorb(*snapshot);
             }
         }
@@ -497,5 +496,208 @@ impl NetworkBackend<IndexStore> for TcpNet {
 
     fn transport_errors(&self) -> u64 {
         self.errors.load(Ordering::Relaxed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::global_index::KeyLookup;
+    use crate::key::Key;
+    use hdk_corpus::DocId;
+    use hdk_ir::{CompressedPostings, Posting, PostingList};
+    use hdk_p2p::{Addressed, PGrid};
+    use hdk_text::TermId;
+    use std::net::TcpListener;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Arc};
+
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    const KEYS: u32 = 16;
+
+    /// A scripted peer process on a loopback port. It answers handshakes
+    /// and health probes itself; every message goes to `script`, whose
+    /// `None` leaves the request unanswered (the connection stays open).
+    /// Its threads end with the connections, the acceptor with the test
+    /// process.
+    fn fake_peer(
+        script: impl Fn(&IndexRequest) -> Option<IndexResponse> + Send + Sync + 'static,
+    ) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let script = Arc::new(script);
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let script = Arc::clone(&script);
+                std::thread::spawn(move || {
+                    let mut stream = BufReader::new(stream);
+                    while let Ok(payload) = read_frame(&mut stream) {
+                        let reply = match WireRequest::decode(&payload).expect("a valid frame") {
+                            WireRequest::Hello { .. } => Some(WireResponse::HelloOk),
+                            WireRequest::Health => Some(WireResponse::Healthy { keys: 0 }),
+                            WireRequest::Rpc(request) => script(&request).map(WireResponse::Rpc),
+                            other => panic!("unscripted frame {other:?}"),
+                        };
+                        if let Some(reply) = reply {
+                            if write_frame(stream.get_mut(), &reply.encode()).is_err() {
+                                return;
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        addr
+    }
+
+    /// Finds every key of a `LookupMany`: `df` names the key's term and
+    /// `is_ndk` says whether process 1 (rather than 0) answered.
+    fn found_by(proc: usize, request: &IndexRequest) -> Option<IndexResponse> {
+        let Request::LookupMany { keys, .. } = request else {
+            panic!("unscripted message {request:?}");
+        };
+        let postings = CompressedPostings::from_list(&PostingList::from_sorted(vec![Posting {
+            doc: DocId(1),
+            tf: 1,
+            doc_len: 1,
+        }]));
+        let results = keys.iter().map(|key| {
+            Some(KeyLookup {
+                postings: postings.clone(),
+                df: key.body.terms().next().expect("a key has a term").0,
+                is_ndk: proc == 1,
+            })
+        });
+        Some(Response::Found {
+            results: results.collect(),
+        })
+    }
+
+    /// A `TcpNet` over the fake peers at `addrs`, with a short timeout.
+    fn net_over(addrs: &[String]) -> TcpNet {
+        let clients: Vec<PeerClient> = addrs
+            .iter()
+            .map(|addr| PeerClient {
+                addr: addr.clone(),
+                hello: WireRequest::Hello {
+                    version: WIRE_VERSION,
+                    nprocs: addrs.len() as u32,
+                    proc_index: 0,
+                    num_peers: 4,
+                    dfmax: 8,
+                    replication: 1,
+                }
+                .encode(),
+                pool: (0..POOL).map(|_| Mutex::new(None)).collect(),
+                next: AtomicUsize::new(0),
+                timeout: TIMEOUT,
+            })
+            .collect();
+        let overlay = Box::new(PGrid::new((0..4).map(PeerId).collect()));
+        TcpNet::over(Box::new(clients), overlay, 8, 1).expect("the fake peers answer health")
+    }
+
+    /// One `LookupMany` of the single-term keys `1..=KEYS`: per key, what
+    /// came back and how long the whole call took.
+    fn lookup(net: &TcpNet) -> (Vec<Option<KeyLookup>>, Duration) {
+        let keys = (1..=KEYS).map(|term| {
+            let key = Key::single(TermId(term));
+            Addressed {
+                route: key.dht_hash(),
+                body: key,
+            }
+        });
+        let started = Instant::now();
+        let response = net.call(Request::LookupMany {
+            from: PeerId(0),
+            query_id: 7,
+            keys: keys.collect(),
+        });
+        let Response::Found { results } = response else {
+            panic!("a lookup answers Found, got {response:?}");
+        };
+        (results, started.elapsed())
+    }
+
+    /// The process (of two) owning each of the keys [`lookup`] asks for.
+    fn owners() -> Vec<usize> {
+        let owner = |term| stripe_of(Key::single(TermId(term)).dht_hash()) % 2;
+        let owners: Vec<usize> = (1..=KEYS).map(owner).collect();
+        assert!(owners.contains(&0) && owners.contains(&1), "{owners:?}");
+        owners
+    }
+
+    #[test]
+    fn a_scatter_writes_every_request_before_it_reads_a_reply() {
+        // Process 0 answers only once process 1 has its request: an
+        // exchange that waited for 0's reply before writing to 1 would
+        // sit out 0's timeout.
+        let (received, wait) = mpsc::channel();
+        let (received, wait) = (Mutex::new(received), Mutex::new(wait));
+        let first = fake_peer(move |request| {
+            (wait.lock().recv_timeout(10 * TIMEOUT).ok()).and_then(|()| found_by(0, request))
+        });
+        let second = fake_peer(move |request| {
+            received.lock().send(()).expect("the first peer waits");
+            found_by(1, request)
+        });
+        let net = net_over(&[first, second]);
+        let (results, elapsed) = lookup(&net);
+        assert!(elapsed < TIMEOUT, "took {elapsed:?}");
+        assert_eq!(net.transport_errors(), 0);
+        // Stitched back into request order, each part from its owner.
+        for ((term, owner), result) in (1..=KEYS).zip(owners()).zip(results) {
+            let result = result.expect("both processes answered");
+            assert_eq!((result.df, result.is_ndk), (term, owner == 1));
+        }
+    }
+
+    #[test]
+    fn silent_processes_cost_one_timeout_between_them() {
+        // Per process: does it leave lookups unanswered, and does it take
+        // half the timeout over the ones it answers.
+        let flags = |flag| [(); 2].map(|()| Arc::new(AtomicBool::new(flag)));
+        let (silent, slow) = (flags(true), flags(false));
+        let addrs: Vec<String> = (0..2)
+            .map(|proc| {
+                let (silent, slow) = (Arc::clone(&silent[proc]), Arc::clone(&slow[proc]));
+                fake_peer(move |request| {
+                    if slow.load(Ordering::SeqCst) {
+                        std::thread::sleep(TIMEOUT / 2);
+                    }
+                    (!silent.load(Ordering::SeqCst)).then(|| found_by(proc, request))?
+                })
+            })
+            .collect();
+        let net = net_over(&addrs);
+
+        // Both silent: everything missing after one timeout, not two.
+        let (results, elapsed) = lookup(&net);
+        assert!(results.iter().all(Option::is_none));
+        assert_eq!(net.transport_errors(), 2);
+        assert!(
+            elapsed >= TIMEOUT && elapsed < TIMEOUT * 5 / 3,
+            "{elapsed:?}"
+        );
+
+        // Process 1 answers at once, but its reply is read after process
+        // 0's timeout — under the short patience of a late read.
+        silent[1].store(false, Ordering::SeqCst);
+        let (results, elapsed) = lookup(&net);
+        for (owner, result) in owners().into_iter().zip(results) {
+            assert_eq!(result.is_some(), owner == 1);
+        }
+        assert_eq!(net.transport_errors(), 3);
+        assert!(elapsed < TIMEOUT * 5 / 3, "{elapsed:?}");
+
+        // That connection went back to its pool with the full timeout:
+        // once round the pool, answers that take half of it all arrive.
+        silent[0].store(false, Ordering::SeqCst);
+        slow[1].store(true, Ordering::SeqCst);
+        for _ in 0..POOL {
+            let (results, elapsed) = lookup(&net);
+            assert!(results.iter().all(Option::is_some), "after {elapsed:?}");
+        }
+        assert_eq!(net.transport_errors(), 3);
     }
 }

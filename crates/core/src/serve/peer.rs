@@ -1,5 +1,6 @@
 //! The peer-process side of the serving tier: a thread-per-connection
-//! server hosting this process's share of the DHT stripes.
+//! server, frames read through a per-connection buffer and written in
+//! one piece, hosting this process's share of the DHT stripes.
 //!
 //! Every peer process builds the *same* logical network — full overlay,
 //! full membership, same `dfmax`/replication — but only ever receives
@@ -27,6 +28,7 @@ use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
 use hdk_p2p::{InProc, NetworkBackend, PeerId, Request, Response};
 use parking_lot::RwLock;
+use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -139,8 +141,11 @@ impl PeerHost {
     /// Runs one connection's request loop. Returns when the peer closes,
     /// errors out, or a malformed frame arrives (the connection is
     /// dropped — a corrupt stream cannot be resynchronized).
-    fn serve_connection(&self, mut stream: TcpStream) -> WireResult<()> {
+    fn serve_connection(&self, stream: TcpStream) -> WireResult<()> {
         stream.set_nodelay(true)?;
+        // Requests are read through the buffer (a frame that fits it is
+        // one `read`), replies written straight to the socket.
+        let mut stream = BufReader::new(stream);
         loop {
             let payload = match read_frame(&mut stream) {
                 Ok(p) => p,
@@ -151,7 +156,7 @@ impl PeerHost {
                 Ok(request) => self.handle(request),
                 Err(e) => WireResponse::Err(format!("bad request frame: {e}")),
             };
-            write_frame(&mut stream, &response.encode())?;
+            write_frame(stream.get_mut(), &response.encode())?;
             if matches!(response, WireResponse::ShuttingDown) {
                 // Acknowledged (the front-end's request completed); now
                 // drain: the write lock waits out every in-flight

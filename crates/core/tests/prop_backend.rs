@@ -83,8 +83,11 @@ impl Fleet for Loopback {
         self.0.len()
     }
 
-    fn exchange(&self, proc: usize, payload: &[u8], _idempotent: bool) -> WireResult<Vec<u8>> {
-        Ok(self.0[proc].handle(WireRequest::decode(payload)?).encode())
+    fn exchange(&self, requests: &[(usize, &[u8])], _idempotent: bool) -> Vec<WireResult<Vec<u8>>> {
+        requests
+            .iter()
+            .map(|&(proc, payload)| Ok(self.0[proc].handle(WireRequest::decode(payload)?).encode()))
+            .collect()
     }
 }
 

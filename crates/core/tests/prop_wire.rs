@@ -1,7 +1,7 @@
 //! Property tests for the serving tier's wire codec
 //! (`hdk_core::serve::codec`, `hdk_p2p::wire`).
 //!
-//! Three families, the first two mirroring the malformed-frame fuzz style
+//! Four families, the first two mirroring the malformed-frame fuzz style
 //! of `crates/ir/tests/prop_ir.rs`:
 //!
 //! 1. **Round-trip**: every [`WireRequest`]/[`WireResponse`] variant —
@@ -16,6 +16,11 @@
 //! 3. **Handled**: every sampled request is answered by a fresh
 //!    [`PeerHost::handle`] with something other than a refusal — a
 //!    message that can be encoded has a handler arm that works.
+//!
+//! 4. **Framing**: however the writer takes the bytes, a frame on the
+//!    wire is its 12-byte header then its payload, and frames written
+//!    back to back come out of one buffered reader one by one — what the
+//!    reader buffered beyond a frame is the next frame, not lost.
 //!
 //! The vendored proptest shim has no `prop_oneof`/`sample` combinators,
 //! so variant choice and payload shapes come from a small seeded
@@ -32,6 +37,7 @@ use hdk_core::{
 };
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
+use hdk_p2p::{read_wire_frame, write_wire_frame, WireError};
 use hdk_p2p::{
     Addressed, Control, GossipConfig, GossipMetering, GossipOutcome, GossipRound, HotConfig,
     HotStats, KindSnapshot, LatencyHistogram, LossStats, MigrationStats, Notification, PeerId,
@@ -39,6 +45,7 @@ use hdk_p2p::{
 };
 use hdk_text::TermId;
 use proptest::prelude::*;
+use std::io::{BufReader, Write};
 
 /// Logical peers of the host the sampled requests are valid against.
 const PEERS: u64 = 8;
@@ -465,6 +472,92 @@ impl Gen {
 
     fn response(&mut self) -> WireResponse {
         self.walk(WireResponse::HelloOk, Gen::response_after)
+    }
+}
+
+/// A writer that takes at most `limit` bytes a call and has no gathered
+/// write of its own: a socket whose send buffer is all but full.
+struct Dribble {
+    limit: usize,
+    taken: Vec<u8>,
+}
+
+impl Write for Dribble {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.limit);
+        self.taken.extend_from_slice(&buf[..n]);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// What a frame of `payload` is on the wire.
+fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&hdk_ir::checksum64(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// Payload sizes around the header's 12 bytes, a reader's buffer and the
+/// 64 KiB an announced length may reserve up front.
+const FRAME_SIZES: [usize; 8] = [
+    0,
+    1,
+    11,
+    300,
+    8 << 10,
+    (8 << 10) + 1,
+    64 << 10,
+    (64 << 10) + 1,
+];
+
+#[test]
+fn a_frame_is_its_header_then_its_payload_however_it_is_written() {
+    for size in FRAME_SIZES {
+        let payload: Vec<u8> = (0..size).map(|i| (i * 31 % 251) as u8).collect();
+        let expected = frame_bytes(&payload);
+        let mut whole = Vec::new();
+        write_wire_frame(&mut whole, &payload).expect("in-memory write");
+        assert_eq!(whole, expected, "{size}-byte payload, gathered");
+        // Short writes that end inside the header, at its end, inside the
+        // payload, or nowhere.
+        for limit in [1, 5, 12, 13, 1000, usize::MAX] {
+            let mut dribble = Dribble {
+                limit,
+                taken: Vec::new(),
+            };
+            write_wire_frame(&mut dribble, &payload).expect("in-memory write");
+            assert_eq!(
+                dribble.taken, expected,
+                "{size}-byte payload, {limit} a write"
+            );
+        }
+    }
+}
+
+#[test]
+fn back_to_back_frames_come_out_of_one_buffered_reader() {
+    let payloads: Vec<Vec<u8>> = FRAME_SIZES
+        .iter()
+        .chain(FRAME_SIZES.iter().rev())
+        .map(|&size| (0..size).map(|i| (i * 17 % 253) as u8).collect())
+        .collect();
+    let stream: Vec<u8> = payloads.iter().flat_map(|p| frame_bytes(p)).collect();
+    for capacity in [1, 12, 13, 300, 8 << 10, 1 << 20] {
+        let mut reader = BufReader::with_capacity(capacity, stream.as_slice());
+        for payload in &payloads {
+            let read = read_wire_frame(&mut reader).expect("a whole frame");
+            assert_eq!(&read, payload, "buffer of {capacity}");
+        }
+        // Nothing left over, nothing lost: the stream ends between frames.
+        assert!(matches!(
+            read_wire_frame(&mut reader),
+            Err(WireError::Closed)
+        ));
     }
 }
 

@@ -34,7 +34,7 @@ use crate::id::{KeyHash, PeerId};
 use crate::store::RecoveryStats;
 use crate::transport::{KindSnapshot, LatencyHistogram, TrafficSnapshot, NUM_KINDS};
 use hdk_ir::{checksum64, Bytes, CompressedDocSet, CompressedPostings};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Hard upper bound on a single frame's payload (256 MiB). Far above any
 /// legitimate message (a full insert round over a big corpus is a few MB)
@@ -117,6 +117,11 @@ pub type WireResult<T> = Result<T, WireError>;
 /// Writes one `[len][checksum][payload]` frame and flushes. The flush
 /// matters: requests are written through buffered sockets and the peer
 /// won't answer a frame it hasn't seen.
+///
+/// Header and payload leave in one gathered write — on a `TCP_NODELAY`
+/// socket one syscall and one segment per frame, whatever its size, with
+/// no copy of the payload. What a short write (or a writer without
+/// gather support) leaves over follows in order.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversized {
@@ -127,8 +132,14 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<()> {
     let mut header = [0u8; WIRE_HEADER_BYTES];
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let written = loop {
+        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            written => break written?,
+        }
+    };
+    w.write_all(&header[written.min(WIRE_HEADER_BYTES)..])?;
+    w.write_all(&payload[written.saturating_sub(WIRE_HEADER_BYTES)..])?;
     w.flush()?;
     Ok(())
 }
