@@ -124,6 +124,8 @@ mod tests {
             HdkConfig {
                 dfmax: 15,
                 ff: 2_000,
+                // Not the default, which reads `HDK_STORE`.
+                store: hdk_core::StoreConfig::Memory,
                 ..HdkConfig::default()
             },
             OverlayKind::PGrid,
@@ -136,8 +138,8 @@ mod tests {
             "compressed residency should clearly beat 12 B/posting, got {:.2}x",
             f.improvement()
         );
-        // Matches the index's own accounting hook; nothing is sealed on
-        // the in-memory default.
+        // Matches the index's own accounting hook; nothing is sealed in
+        // the in-memory store.
         assert_eq!(f.resident_total(), n.index().resident_posting_bytes());
         assert_eq!(f.sealed_total(), 0);
         let table = f.table("unit_memfoot");

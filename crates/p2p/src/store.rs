@@ -22,6 +22,26 @@
 //! `Box<dyn Store<V>>` chosen at construction. Callbacks run under the
 //! stripe's lock, mirroring the original inlined code.
 //!
+//! **Segment handles.** A `SegmentStore` keeps every `(peer, stripe)` log
+//! it has written or replayed open for its whole life, as one `Segment`
+//! (the file plus its append offset) inside the stripe's state. A sealed
+//! read is one positional read (`read_exact_at`), a seal one positional
+//! write at the recorded tail, recovery replays and truncates through the
+//! same handle; every open goes through one function, `open_log`.
+//! Positional I/O never touches the descriptor's cursor, so any number of
+//! readers share a handle under the stripe's *shared* lock with no further
+//! coordination, and the frames a reader is handed offsets of are never
+//! rewritten — appends (under the exclusive lock) only extend the file.
+//!
+//! **Descriptor budget.** One descriptor per segment file that exists: at
+//! most `peers ×` [`crate::NUM_STRIPES`] — 2 048 for 16 peers, 3 584 for
+//! the paper's 28, above a stock 1 024 soft limit. Running out is handled,
+//! not fatal: when an open fails with `EMFILE`/`ENFILE` the store closes
+//! the handles it holds, keeps none for the rest of its life, and serves
+//! that and every later access with an open per operation (what every
+//! access cost before handles were kept). Nothing selects that state but
+//! the error.
+//!
 //! **Determinism contract**: all engine-level mutations of one stripe
 //! happen in a canonical order (parallelism is *across* stripes), so the
 //! `SegmentStore`'s seal points, frame versions and file offsets are
@@ -32,8 +52,11 @@ use crate::id::IdHashMap;
 use hdk_ir::segment::{read_frame, seal_frame, FrameRead, FRAME_HEADER_BYTES};
 use parking_lot::RwLock;
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One stored entry: the value plus the peers currently holding a copy.
 ///
@@ -342,6 +365,34 @@ impl SealedEntry {
     }
 }
 
+/// One `(peer, stripe)` segment log: its long-lived handle and its append
+/// offset, in one value so they cannot disagree. Every [`FrameRef`] in a
+/// stripe's `sealed` map points into a `Segment` of that stripe, because
+/// only the paths that create refs — `append` and recovery's replay —
+/// create segments.
+struct Segment {
+    /// `None` only after the store ran out of descriptors (see the module
+    /// docs): each access then opens the log for itself.
+    file: Option<File>,
+    /// Where the next frame is written: the length of the intact log.
+    tail: u64,
+}
+
+/// The latest intact frame of a key in one replayed log.
+struct Replayed {
+    version: u64,
+    offset: u64,
+    payload_len: u32,
+}
+
+/// `open` failed because the process (`EMFILE`) or the system (`ENFILE`)
+/// is out of file descriptors.
+fn out_of_descriptors(e: &io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
+}
+
 /// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`.
 ///
 /// Both tier maps are keyed by `KeyHash` values, hence [`crate::IdHasher`];
@@ -359,8 +410,8 @@ struct SegStripe<V> {
     /// Σ `frame_len × replicas` over sealed entries — *live* log bytes
     /// (stale frames awaiting compaction are excluded).
     disk_bytes: u64,
-    /// Append offset of each peer's log file for this stripe.
-    tails: HashMap<u32, u64>,
+    /// Each peer's log file for this stripe, once it exists.
+    segments: HashMap<u32, Segment>,
 }
 
 impl<V> SegStripe<V> {
@@ -371,7 +422,13 @@ impl<V> SegStripe<V> {
             dirty: VecDeque::new(),
             hot_weight: 0,
             disk_bytes: 0,
-            tails: HashMap::new(),
+            segments: HashMap::new(),
+        }
+    }
+
+    fn close_handles(&mut self) {
+        for seg in self.segments.values_mut() {
+            seg.file = None;
         }
     }
 }
@@ -384,9 +441,15 @@ pub struct SegmentStore<V, C> {
     dir: PathBuf,
     /// Hot-tier budget per stripe (total budget / stripe count).
     stripe_budget: u64,
+    /// Cleared for good the first time an open runs out of descriptors.
+    /// Publishes nothing: the handles themselves sit behind the stripe
+    /// locks, so `Relaxed` suffices.
+    keep_handles: AtomicBool,
     stripes: Vec<RwLock<SegStripe<V>>>,
     /// Keeps an ephemeral scratch directory alive (and removes it on
-    /// drop); `None` for an explicit caller-owned directory.
+    /// drop); `None` for an explicit caller-owned directory. Declared
+    /// after `stripes`: fields drop in declaration order, so every
+    /// segment handle is closed before the directory is removed.
     _scratch: Option<tempfile::TempDir>,
 }
 
@@ -410,6 +473,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             codec,
             dir,
             stripe_budget: hot_bytes / crate::NUM_STRIPES as u64,
+            keep_handles: AtomicBool::new(true),
             stripes: (0..crate::NUM_STRIPES)
                 .map(|_| RwLock::new(SegStripe::new()))
                 .collect(),
@@ -423,45 +487,131 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         &self.dir
     }
 
+    fn peer_dir(&self, peer: u32) -> PathBuf {
+        self.dir.join(format!("peer-{peer}"))
+    }
+
     fn segment_path(&self, peer: u32, stripe: usize) -> PathBuf {
-        self.dir
-            .join(format!("peer-{peer}"))
-            .join(format!("stripe-{stripe}.seg"))
+        self.peer_dir(peer).join(format!("stripe-{stripe}.seg"))
+    }
+
+    /// Opens `peer`'s log for `stripe` — the only place this module opens
+    /// a file. `create` also creates the file, and the peer directory when
+    /// the open reports it missing.
+    fn open_log(&self, stripe: usize, peer: u32, create: bool) -> io::Result<File> {
+        let path = self.segment_path(peer, stripe);
+        let mut options = std::fs::OpenOptions::new();
+        options.read(true).write(true).create(create);
+        match options.open(&path) {
+            Err(e) if create && e.kind() == io::ErrorKind::NotFound => {
+                std::fs::create_dir_all(self.peer_dir(peer))?;
+                options.open(&path)
+            }
+            opened => opened,
+        }
+    }
+
+    /// Makes sure `st` has the [`Segment`] of `peer`'s log for `stripe`,
+    /// opening it on first use with its tail after whatever the file
+    /// already holds. Running out of descriptors is handled here, once:
+    /// the store stops keeping handles (this stripe's are closed directly
+    /// — its lock is held — the others' as far as their locks are free)
+    /// and the open is retried.
+    fn ensure_segment(
+        &self,
+        st: &mut SegStripe<V>,
+        stripe: usize,
+        peer: u32,
+        create: bool,
+    ) -> io::Result<()> {
+        if st.segments.contains_key(&peer) {
+            return Ok(());
+        }
+        if !self.keep_handles.load(Ordering::Relaxed) {
+            // A stripe that was locked while the others were closed.
+            st.close_handles();
+        }
+        let file = match self.open_log(stripe, peer, create) {
+            Err(e) if out_of_descriptors(&e) => {
+                st.close_handles();
+                self.stop_keeping_handles();
+                self.open_log(stripe, peer, create)
+            }
+            opened => opened,
+        }?;
+        let tail = file.metadata()?.len();
+        let keep = self.keep_handles.load(Ordering::Relaxed);
+        st.segments.insert(
+            peer,
+            Segment {
+                file: keep.then_some(file),
+                tail,
+            },
+        );
+        Ok(())
+    }
+
+    /// Enters the out-of-descriptors state: no handle is kept from now on,
+    /// and every stripe whose lock is free closes its handles at once (a
+    /// busy stripe closes its own the next time it opens a segment).
+    pub(crate) fn stop_keeping_handles(&self) {
+        self.keep_handles.store(false, Ordering::Relaxed);
+        for stripe in &self.stripes {
+            if let Some(mut st) = stripe.try_write() {
+                st.close_handles();
+            }
+        }
+    }
+
+    /// Runs `f` on `peer`'s log: on the segment's handle, or — in the
+    /// out-of-descriptors state — on one opened for this call.
+    fn with_file<R>(
+        &self,
+        seg: &Segment,
+        stripe: usize,
+        peer: u32,
+        f: impl FnOnce(&File) -> io::Result<R>,
+    ) -> io::Result<R> {
+        match &seg.file {
+            Some(file) => f(file),
+            None => f(&self.open_log(stripe, peer, false)?),
+        }
     }
 
     /// Appends `frame` to `peer`'s log for `stripe`, returning the offset
     /// it was written at.
     fn append(&self, st: &mut SegStripe<V>, stripe: usize, peer: u32, frame: &[u8]) -> u64 {
-        let offset = st.tails.get(&peer).copied().unwrap_or(0);
-        let path = self.segment_path(peer, stripe);
-        if offset == 0 {
-            std::fs::create_dir_all(path.parent().expect("segment files live in a peer dir"))
-                .expect("create segment peer dir");
-        }
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
+        self.ensure_segment(st, stripe, peer, true)
             .expect("open segment log for append");
-        file.write_all(frame).expect("append segment frame");
-        st.tails.insert(peer, offset + frame.len() as u64);
+        let seg = st.segments.get_mut(&peer).expect("segment just ensured");
+        let offset = seg.tail;
+        self.with_file(seg, stripe, peer, |file| file.write_all_at(frame, offset))
+            .expect("append segment frame");
+        seg.tail = offset + frame.len() as u64;
         offset
     }
 
     /// Reads and verifies the current frame payload of a sealed entry,
     /// falling back across replicas: a frame that fails its checksum (or
     /// cannot be read) is skipped and the next holder's copy is tried.
-    fn read_payload(&self, stripe: usize, key: u64, entry: &SealedEntry) -> Vec<u8> {
+    /// One positional read per copy, on the holder's handle in `segments`.
+    fn read_payload(
+        &self,
+        segments: &HashMap<u32, Segment>,
+        stripe: usize,
+        key: u64,
+        entry: &SealedEntry,
+    ) -> Vec<u8> {
         let frame_len = entry.frame_len() as usize;
         for r in &entry.refs {
-            let Ok(mut file) = std::fs::File::open(self.segment_path(r.peer, stripe)) else {
+            let Some(seg) = segments.get(&r.peer) else {
                 continue;
             };
-            if file.seek(SeekFrom::Start(r.offset)).is_err() {
-                continue;
-            }
             let mut buf = vec![0u8; frame_len];
-            if file.read_exact(&mut buf).is_err() {
+            let read = self.with_file(seg, stripe, r.peer, |file| {
+                file.read_exact_at(&mut buf, r.offset)
+            });
+            if read.is_err() {
                 continue;
             }
             if let FrameRead::Frame { payload, end } = read_frame(&buf, 0) {
@@ -479,6 +629,73 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
              restart recovery (Dht::restart_peers) is required before serving",
             entry.refs.len()
         );
+    }
+
+    /// Recovery's phase 1 for one log: reads it front to back through its
+    /// segment, returns the latest intact frame per key, and cuts the file
+    /// at the first truncated/corrupt frame (everything past an unreadable
+    /// frame is unreachable: boundaries cannot be trusted), leaving the
+    /// segment's `tail` at the end of the intact prefix. A log this store
+    /// has not touched yet (the cold start over a previous process's
+    /// directory) gets its segment here; a log that does not exist gets
+    /// neither a file nor a segment.
+    fn replay_log(
+        &self,
+        st: &mut SegStripe<V>,
+        stripe: usize,
+        peer: u32,
+        stats: &mut RecoveryStats,
+    ) -> io::Result<HashMap<u64, Replayed>> {
+        let mut latest: HashMap<u64, Replayed> = HashMap::new();
+        match self.ensure_segment(st, stripe, peer, false) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(latest),
+            ensured => ensured?,
+        }
+        let Some(seg) = st.segments.get_mut(&peer) else {
+            return Ok(latest);
+        };
+        seg.tail = self.with_file(seg, stripe, peer, |file| {
+            let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
+            let mut log = vec![0u8; len];
+            file.read_exact_at(&mut log, 0)?;
+            let mut pos = 0usize;
+            loop {
+                match read_frame(&log, pos) {
+                    FrameRead::Frame { payload, end } => {
+                        if payload.len() < ENTRY_HEADER_BYTES {
+                            stats.frames_discarded += 1;
+                            break;
+                        }
+                        let key = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
+                        let version =
+                            u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
+                        stats.frames_replayed += 1;
+                        stats.bytes_replayed += (end - pos) as u64;
+                        latest.insert(
+                            key,
+                            Replayed {
+                                version,
+                                offset: pos as u64,
+                                payload_len: payload.len() as u32,
+                            },
+                        );
+                        pos = end;
+                    }
+                    FrameRead::Eof => break,
+                    FrameRead::Truncated | FrameRead::Corrupt => {
+                        stats.frames_discarded += 1;
+                        break;
+                    }
+                }
+            }
+            let tail = pos as u64;
+            if pos < len {
+                file.set_len(tail)?;
+            }
+            debug_assert_eq!(file.metadata()?.len(), tail, "log length is its tail");
+            Ok(tail)
+        })?;
+        Ok(latest)
     }
 
     fn decode_value(&self, key: u64, payload: &[u8]) -> V {
@@ -556,7 +773,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         let entry = st.sealed.get(&key).expect("key is sealed");
         let version = entry.version;
         let frame_len = entry.frame_len();
-        let payload = self.read_payload(stripe, key, entry);
+        let payload = self.read_payload(&st.segments, stripe, key, entry);
         let mut slot = Slot {
             value: self.decode_value(key, &payload),
             holders: entry.holders(),
@@ -618,7 +835,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         if let Some((slot, _)) = guard.hot.get(&key) {
             f(Some(slot));
         } else if let Some(entry) = guard.sealed.get(&key) {
-            let payload = self.read_payload(stripe, key, entry);
+            let payload = self.read_payload(&guard.segments, stripe, key, entry);
             let slot = Slot {
                 value: self.decode_value(key, &payload),
                 holders: entry.holders(),
@@ -635,7 +852,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             if let Some((slot, _)) = guard.hot.get(key) {
                 f(i, Some(slot));
             } else if let Some(entry) = guard.sealed.get(key) {
-                let payload = self.read_payload(stripe, *key, entry);
+                let payload = self.read_payload(&guard.segments, stripe, *key, entry);
                 let slot = Slot {
                     value: self.decode_value(*key, &payload),
                     holders: entry.holders(),
@@ -668,7 +885,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             // An upsert always merges content: un-seal, then update hot.
             let entry = st.sealed.get(&key).expect("checked sealed");
             let version = entry.version;
-            let payload = self.read_payload(stripe, key, entry);
+            let payload = self.read_payload(&st.segments, stripe, key, entry);
             let mut slot = Slot {
                 value: self.decode_value(key, &payload),
                 holders: entry.holders(),
@@ -693,7 +910,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 f(key, slot, Tier::Hot);
             } else {
                 let entry = guard.sealed.get(&key).expect("key is hot or sealed");
-                let payload = self.read_payload(stripe, key, entry);
+                let payload = self.read_payload(&guard.segments, stripe, key, entry);
                 let slot = Slot {
                     value: self.decode_value(key, &payload),
                     holders: entry.holders(),
@@ -772,60 +989,12 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         // Phase 1: replay each restarting peer's log front to back,
         // keeping the latest intact frame per key — `version` plus where
         // the frame sits (`offset`, payload length), so the cold path
-        // below can rebuild a [`SealedEntry`] from nothing — and cutting
-        // the file at the first truncated/corrupt frame (everything past
-        // an unreadable frame is unreachable: boundaries cannot be
-        // trusted).
-        struct Replayed {
-            version: u64,
-            offset: u64,
-            payload_len: u32,
-        }
+        // below can rebuild a [`SealedEntry`] from nothing.
         let mut replay: HashMap<u32, HashMap<u64, Replayed>> = HashMap::new();
         for &p in peers {
-            let path = self.segment_path(p, stripe);
-            let mut latest: HashMap<u64, Replayed> = HashMap::new();
-            let mut tail = 0u64;
-            if let Ok(log) = std::fs::read(&path) {
-                let mut pos = 0usize;
-                loop {
-                    match read_frame(&log, pos) {
-                        FrameRead::Frame { payload, end } => {
-                            if payload.len() < ENTRY_HEADER_BYTES {
-                                stats.frames_discarded += 1;
-                                break;
-                            }
-                            let key =
-                                u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-                            let version =
-                                u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
-                            stats.frames_replayed += 1;
-                            stats.bytes_replayed += (end - pos) as u64;
-                            latest.insert(
-                                key,
-                                Replayed {
-                                    version,
-                                    offset: pos as u64,
-                                    payload_len: payload.len() as u32,
-                                },
-                            );
-                            pos = end;
-                        }
-                        FrameRead::Eof => break,
-                        FrameRead::Truncated | FrameRead::Corrupt => {
-                            stats.frames_discarded += 1;
-                            break;
-                        }
-                    }
-                }
-                tail = pos as u64;
-                if tail < log.len() as u64 {
-                    if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
-                        file.set_len(tail).expect("truncate corrupt segment tail");
-                    }
-                }
-            }
-            st.tails.insert(p, tail);
+            let latest = self
+                .replay_log(st, stripe, p, stats)
+                .expect("replay segment log and truncate its corrupt tail");
             replay.insert(p, latest);
         }
         // Phase 2: reconcile every entry's holder set with what survived.
@@ -884,7 +1053,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                     stats.bytes_lost += frame_len - FRAME_HEADER_BYTES as u64;
                 } else if recovered > 0 {
                     let entry = st.sealed.get(&key).expect("non-empty refs");
-                    let payload = self.read_payload(stripe, key, entry);
+                    let payload = self.read_payload(&st.segments, stripe, key, entry);
                     let value = self.decode_value(key, &payload);
                     let (postings, _) = volume(&value);
                     stats.postings_recovered += postings * recovered;
@@ -928,7 +1097,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             // Ascending peer order: `refs` doubles as the holder set.
             entry.refs.sort_unstable_by_key(|r| r.peer);
             let replicas = entry.refs.len() as u64;
-            let payload = self.read_payload(stripe, key, &entry);
+            let payload = self.read_payload(&st.segments, stripe, key, &entry);
             let value = self.decode_value(key, &payload);
             let (postings, _) = volume(&value);
             stats.copies_recovered += replicas;
@@ -1293,6 +1462,165 @@ mod tests {
         store.recover(0, &[1], &mut |v| (v.len() as u64, 4), &mut again);
         assert_eq!(again.frames_discarded, 0);
         assert_eq!(read_value(&store, 0, 3), Some(vec![3]));
+        // A *bit-flipped* last frame (key 3's only copy): the file keeps
+        // its length, so recovery has to cut the corrupt frame off itself
+        // — otherwise the next append would sit behind garbage, away from
+        // the offset the store records for it.
+        let mut log = std::fs::read(&path).unwrap();
+        let intact = log.len() as u64 - (FRAME_HEADER_BYTES + ENTRY_HEADER_BYTES + 4) as u64;
+        *log.last_mut().unwrap() ^= 0x10;
+        std::fs::write(&path, &log).unwrap();
+        let mut flipped = RecoveryStats::default();
+        store.recover(0, &[1], &mut |v| (v.len() as u64, 4), &mut flipped);
+        assert_eq!(flipped.frames_discarded, 1);
+        assert_eq!(flipped.keys_lost, 1, "key 3 had no other replica");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+        assert_eq!(read_value(&store, 0, 3), None);
+        insert(&store, 0, 4, &[4, 5], &[1]);
+        store.sync();
+        assert_eq!(read_value(&store, 0, 4), Some(vec![4, 5]));
+        assert_eq!(read_value(&store, 0, 1), Some(vec![1]));
+        let mut clean = RecoveryStats::default();
+        store.recover(0, &[1], &mut |v| (v.len() as u64, 4), &mut clean);
+        assert_eq!(clean.frames_discarded, 0);
+        assert_eq!(clean.frames_replayed, 2, "key 1's frame and key 4's");
+        assert_eq!(clean.copies_recovered, 2);
+    }
+
+    /// Seal, sealed read, un-sealing upsert, sync, a clipped tail, recovery
+    /// and read-back on stripe 0: everything a caller can observe of it.
+    fn seal_clip_recover_script(
+        store: &SegmentStore<Vec<u32>, VecCodec>,
+    ) -> (Vec<Option<Vec<u32>>>, RecoveryStats) {
+        for key in 0..12u64 {
+            insert(store, 0, key, &[key as u32, 7], &[0, 1]);
+        }
+        let mut seen = vec![read_value(store, 0, 3)];
+        assert!(matches!(tier_of(store, 0, 3), Some(Tier::Sealed { .. })));
+        insert(store, 0, 3, &[99], &[0, 1]);
+        seen.push(read_value(store, 0, 3));
+        insert(store, 0, 12, &[12], &[1]);
+        store.sync();
+        // Peer 1's last frame is key 12's only copy.
+        let path = store.segment_path(1, 0);
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let mut stats = RecoveryStats::default();
+        store.recover(0, &[1], &mut |v| (v.len() as u64, 4), &mut stats);
+        seen.extend((0..14u64).map(|key| read_value(store, 0, key)));
+        insert(store, 0, 13, &[13], &[1]);
+        store.sync();
+        seen.push(read_value(store, 0, 13));
+        (seen, stats)
+    }
+
+    #[test]
+    fn out_of_descriptors_state_serves_the_same_values() {
+        let budget = crate::NUM_STRIPES as u64 * 16;
+        let keeping = seg(budget);
+        let expected = seal_clip_recover_script(&keeping);
+        assert_eq!(expected.1.frames_discarded, 1);
+        assert_eq!(expected.1.keys_lost, 1, "key 12 had no other replica");
+        assert!(keeping.stripes[0]
+            .read()
+            .segments
+            .values()
+            .all(|seg| seg.file.is_some()));
+
+        // The state an `EMFILE` puts a store into, with handles to drop...
+        let dropped = seg(budget);
+        insert(&dropped, 5, 100, &[1], &[0, 1]);
+        dropped.sync();
+        dropped.stop_keeping_handles();
+        assert!(dropped.stripes[5]
+            .read()
+            .segments
+            .values()
+            .all(|seg| seg.file.is_none()));
+        assert_eq!(read_value(&dropped, 5, 100), Some(vec![1]));
+        // ...and entered before the first segment exists.
+        let never_kept = seg(budget);
+        never_kept.stop_keeping_handles();
+        for store in [&dropped, &never_kept] {
+            assert_eq!(seal_clip_recover_script(store), expected);
+            let st = store.stripes[0].read();
+            assert_eq!(st.segments.len(), 2);
+            assert!(st.segments.values().all(|seg| seg.file.is_none()));
+        }
+    }
+
+    #[test]
+    fn positional_reads_share_no_cursor() {
+        // One stripe, every upsert seals at once: readers decode sealed
+        // frames from the very file the writer is un-sealing, re-sealing
+        // and appending to — one holder, so no replica covers for a read
+        // that went to the wrong offset. A value is `[key, round,
+        // key ^ round]`: only what an upsert wrote passes for one.
+        const KEYS: u64 = 200;
+        const ROUNDS: u32 = 3_000;
+        let store = seg(0);
+        let value = |key: u64, round: u32| vec![key as u32, round, key as u32 ^ round];
+        let write = |key: u64, round: u32| {
+            store.upsert(
+                9,
+                key,
+                &mut || Slot {
+                    value: Vec::new(),
+                    holders: vec![0],
+                },
+                &mut |slot| slot.value = value(key, round),
+            );
+        };
+        for key in 0..KEYS {
+            write(key, 0);
+        }
+        let keys: Vec<u64> = (0..KEYS).collect();
+        let done = AtomicBool::new(false);
+        let start = std::sync::Barrier::new(5);
+        let mut model: HashMap<u64, Vec<u32>> = keys.iter().map(|&k| (k, value(k, 0))).collect();
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        let mut passes = 0u64;
+                        while !done.load(Ordering::Relaxed) || passes == 0 {
+                            store.get_many(9, &keys, &mut |i, slot| {
+                                let v = &slot.expect("every key is stored").value;
+                                assert_eq!(v.len(), 3);
+                                assert_eq!(u64::from(v[0]), keys[i]);
+                                assert!(v[1] <= ROUNDS);
+                                assert_eq!(v[2], v[0] ^ v[1], "not a value any upsert wrote");
+                            });
+                            passes += 1;
+                        }
+                        passes
+                    })
+                })
+                .collect();
+            start.wait();
+            for round in 1..=ROUNDS {
+                let key = u64::from(round) * 7 % KEYS;
+                write(key, round);
+                model.insert(key, value(key, round));
+            }
+            done.store(true, Ordering::Relaxed);
+            for reader in readers {
+                assert!(reader.join().expect("reader panicked") > 0);
+            }
+        });
+        let mut scanned = HashMap::new();
+        store.scan(9, &mut |key, slot, tier| {
+            assert!(matches!(tier, Tier::Sealed { .. }));
+            assert_eq!(slot.holders, vec![0]);
+            scanned.insert(key, slot.value.clone());
+        });
+        assert_eq!(scanned, model);
     }
 
     #[test]
