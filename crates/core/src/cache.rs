@@ -1,86 +1,94 @@
-//! Query-side key-lookup cache.
+//! The front-end's key-lookup cache.
 //!
 //! The paper's related work (Reynolds & Vahdat \[15\], Suel et al. \[17\])
 //! lists caching among the standard techniques "to reduce search costs for
-//! multi-term queries"; the HDK model makes it unusually effective because
-//! every cached posting list is small (bounded by `DFmax`) and keys repeat
-//! heavily across queries (popular terms and term pairs).
+//! multi-term queries"; the HDK model makes it unusually cheap because
+//! every cached posting list is bounded by `DFmax` — a capacity in keys
+//! *is* a capacity in bytes — and keys repeat heavily across queries
+//! (popular terms and term pairs). Sarshar & Roychowdhury (PAPERS.md) is
+//! the argument that a small cache in front of a DHT is where a Zipf
+//! workload's lookups go, and that its replacement rule need not be exact
+//! LRU to get there.
 //!
-//! [`QueryCache`] is an LRU map from [`Key`] to its [`KeyLookup`] response,
-//! owned by the *querying* peer. Hits skip the DHT round-trip entirely — no
-//! messages, no postings on the wire. Cached postings are the same encoded
-//! block the index stores and the wire carried (the underlying `Bytes`
-//! buffer is refcounted), so a hit is zero-copy and the cache's memory cost
-//! is the block, not a decoded list.
+//! [`QueryCache`] maps a [`Key`] to its [`KeyLookup`] response at the
+//! *querying* side: `serve::http` owns one for all of its connection
+//! threads (a lookup's answer does not depend on who asks, only its
+//! metering does). A hit skips the DHT round trip entirely — no messages,
+//! no postings on the wire. Cached postings are the same encoded block the
+//! index stores and the wire carried (the underlying `Bytes` buffer is
+//! refcounted), so a hit is zero-copy and the cache's memory cost is the
+//! block, not a decoded list.
 //!
-//! ## Logical TTLs instead of wholesale clears
+//! ## One writer, epoch invalidation
 //!
-//! Invalidation is per entry: every entry remembers the index *epoch*
-//! (bumped by `add_documents` / `join_peer` / churn) it was fetched under,
-//! and expires once the epoch has advanced by its logical TTL —
-//! [`QueryCache::with_ttl`] configures one TTL for positive entries and
-//! one for negative (absent-key) entries, the lattice walk's dominant
-//! probe outcome. The default ([`QueryCache::new`]) keeps both TTLs at 1,
-//! which is *exactly* the historical wholesale-clear behavior: every
-//! entry dies on the first epoch advance, so stale postings can never be
-//! served. Larger TTLs are an explicit opt-in to bounded staleness: a
-//! churn wave then expires only the entries whose TTL budget is spent,
-//! instead of nuking the whole warm set.
+//! Every entry remembers the index *epoch* it was fetched under. The
+//! epoch is the engine's growth counter: the one `IndexService` behind a
+//! `QueryService` bumps it on `add_documents`, joins, departures, failures
+//! and restarts, under the index write lock and only after the change is
+//! fully resident. An entry expires once the epoch has advanced by its
+//! logical TTL — 1 for [`QueryCache::new`], so every entry dies on the
+//! first index change and a stale posting is never served
+//! ([`QueryCache::with_ttl`] is the explicit opt-in to bounded staleness:
+//! positive and negative entries age on their own clocks). Stripes expire
+//! lazily, when a caller carrying a newer epoch next locks them. A caller
+//! still carrying an *older* epoch than a stripe's (its query overlapped a
+//! growth publication) bypasses that stripe: its peeks miss and its
+//! commits are counted but never stored.
 //!
-//! ## Lock striping
+//! This holds for **one writer**: the process that owns the cache also
+//! owns the only `IndexService` writing the index. A second writer in
+//! another process would need the epoch on the wire; out of scope.
 //!
-//! Like the DHT, the cache is split into [`NUM_CACHE_STRIPES`] lock-striped
-//! shards keyed by key-hash bits, with the LRU clock and occupancy as
-//! global atomics — so a cache shared by several query threads (a
-//! multi-tenant tier) contends per stripe, not on one global mutex, while
-//! the canonical single-caller usage behaves *exactly* like the former
-//! single-map implementation: same hits, same misses, same statistics,
-//! same eviction victims (eviction still removes the globally
-//! least-recently-stamped entry, found by a cross-stripe scan that takes
-//! one stripe lock at a time and never nests locks). Under concurrent
-//! callers the LRU scan is best-effort — a racing insert can land between
-//! scan and removal — which only ever evicts a slightly-newer entry, never
-//! serves a stale one.
+//! ## Striping and O(1) replacement
+//!
+//! The capacity is split over up to [`NUM_CACHE_STRIPES`] lock-striped
+//! shards selected by key-hash bits (small caches use fewer, so every
+//! stripe holds at least `MIN_STRIPE_KEYS` = 64 keys). Each stripe is a slab
+//! of entries under a CLOCK hand: a hit sets the entry's second-chance
+//! bit; an insert into a full stripe advances the hand, clearing set bits,
+//! and replaces the first entry it finds unset. Finding a victim therefore
+//! costs amortised constant work at any capacity (every entry the hand
+//! passes over was paid for by a hit), a key hit since the hand last
+//! passed outlives one that was not, and for a single caller the victim is
+//! a deterministic function of the access sequence. What is given up is
+//! *global* LRU order: a stripe evicts among its own keys only.
 //!
 //! ## Level-batched access
 //!
-//! The plan/execute query pipeline resolves one lattice level at a time,
-//! so the cache exposes a two-phase per-level API keyed by the plan's
-//! nodes: [`QueryCache::peek_level`] classifies a whole level's candidate
-//! keys into hits and misses (read-only — the executor then probes only
-//! the misses, in parallel), and [`QueryCache::commit_level`] applies LRU
-//! stamps, insertions, evictions and statistics for the level in canonical
-//! key order. With capacity covering the level's width (the practical
-//! case) the committed end state is identical to running the classic
-//! [`QueryCache::get_or_fetch`] loop key by key; under intra-level
-//! capacity pressure the batch keeps peeked hits as hits (strictly fewer
-//! probes than the sequential loop — see
-//! [`QueryCache::commit_level`]).
+//! The executor resolves one lattice level at a time, so the cache is
+//! driven in two phases per level: [`QueryCache::peek_level`] classifies
+//! the level's candidate keys into hits and misses (read-only — the
+//! executor then probes only the misses), and [`QueryCache::commit_level`]
+//! applies second-chance bits, insertions, evictions and statistics in
+//! canonical key order. Each phase takes each touched stripe's lock once.
+//! No lock is held between the phases, so concurrent callers may both
+//! miss a cold key and probe it twice (correct results, a duplicated
+//! probe); they never see a stale entry, and never a degraded one — the
+//! executor does not commit a level answered during a transport error.
 
 use crate::global_index::KeyLookup;
 use crate::key::Key;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Number of cache lock stripes (a power of two: stripe selection is a
-/// mask over the key's well-mixed DHT hash, exactly like the DHT's own
-/// striping).
+/// Most lock stripes a cache is split into (a power of two: stripe
+/// selection is a mask over the key's well-mixed DHT hash, exactly like
+/// the DHT's own striping).
 pub const NUM_CACHE_STRIPES: usize = 16;
 
-/// The stripe a key caches in.
-#[inline]
-fn stripe_of(key: &Key) -> usize {
-    (key.dht_hash().0 as usize) & (NUM_CACHE_STRIPES - 1)
-}
+/// Fewest keys a stripe is given: below `2 * MIN_STRIPE_KEYS` a cache is
+/// one stripe, and replacement is CLOCK over all of its keys.
+const MIN_STRIPE_KEYS: usize = 64;
 
-/// Hit/miss counters of one cache.
+/// Counters of one cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered locally.
     pub hits: u64,
     /// Lookups that went to the network.
     pub misses: u64,
+    /// Entries replaced because their stripe was full.
+    pub evictions: u64,
     /// Postings that did *not* travel thanks to hits.
     pub postings_saved: u64,
     /// Payload bytes that did *not* travel thanks to hits (the cached
@@ -104,59 +112,110 @@ impl CachePeek {
     }
 }
 
-/// One cached response: the value (`None` caches *absence*), its LRU
-/// stamp, and the index epoch it was fetched under (its TTL anchor).
+/// One cached response: the value (`None` caches *absence*), the index
+/// epoch it was fetched under (its TTL anchor), and CLOCK's second-chance
+/// bit — set by a hit, cleared when the hand passes.
 #[derive(Debug)]
-struct Entry {
+struct Slot {
+    key: Key,
     value: Option<KeyLookup>,
-    stamp: u64,
     born: u64,
+    referenced: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Stripe {
-    map: HashMap<Key, Entry>,
+    /// Where each cached key sits in `slots`.
+    index: HashMap<Key, usize>,
+    slots: Vec<Slot>,
+    /// Most keys this stripe holds.
+    capacity: usize,
+    /// The next slot eviction examines.
+    hand: usize,
+    /// The newest index epoch a caller locked this stripe under.
     epoch: u64,
     stats: CacheStats,
 }
 
 impl Stripe {
-    /// True when a caller observing `epoch` may read/write this stripe's
-    /// entries: the stripe is at that epoch. A *stale* caller (its epoch
-    /// is older — it overlapped a growth publication) must bypass the map
-    /// entirely: serving it newer entries would answer a question about an
-    /// index state it never observed, and storing its responses would
-    /// plant pre-growth data in the post-growth cache.
-    fn current(&self, epoch: u64) -> bool {
-        self.epoch == epoch
+    /// Drops the entries whose TTL the advance to `epoch` spent (at the
+    /// default TTL of 1: all of them).
+    fn expire(&mut self, epoch: u64, positive_ttl: u64, negative_ttl: u64) {
+        self.slots.retain(|slot| {
+            let ttl = if slot.value.is_some() {
+                positive_ttl
+            } else {
+                negative_ttl
+            };
+            epoch.saturating_sub(slot.born) < ttl
+        });
+        self.index.clear();
+        let survivors = self.slots.iter().enumerate();
+        self.index
+            .extend(survivors.map(|(at, slot)| (slot.key, at)));
+        self.hand = 0;
+        self.epoch = epoch;
+    }
+
+    /// Stores `key`'s response, born at the stripe's epoch. In a full
+    /// stripe the hand takes the second chance from every entry it passes
+    /// and replaces the first that has none left; a new entry starts
+    /// without one, so a run of misses examines one entry each.
+    fn insert(&mut self, key: Key, value: Option<KeyLookup>) {
+        let born = self.epoch;
+        if let Some(&at) = self.index.get(&key) {
+            // A concurrent caller probed the same cold key first.
+            self.slots[at].value = value;
+            self.slots[at].born = born;
+            return;
+        }
+        let slot = Slot {
+            key,
+            value,
+            born,
+            referenced: false,
+        };
+        if self.slots.len() < self.capacity {
+            self.index.insert(key, self.slots.len());
+            self.slots.push(slot);
+            return;
+        }
+        loop {
+            let at = self.hand;
+            self.hand = (at + 1) % self.slots.len();
+            #[cfg(test)]
+            tests::EXAMINED.with(|n| n.set(n.get() + 1));
+            let victim = &mut self.slots[at];
+            if victim.referenced {
+                victim.referenced = false;
+                continue;
+            }
+            self.index.remove(&victim.key);
+            self.index.insert(key, at);
+            *victim = slot;
+            self.stats.evictions += 1;
+            return;
+        }
     }
 }
 
-/// A bounded LRU cache of key-lookup responses, lock-striped like the DHT.
+/// A bounded cache of key-lookup responses: lock-striped, CLOCK
+/// replacement per stripe, entries invalidated by index epoch.
 #[derive(Debug)]
 pub struct QueryCache {
-    capacity: usize,
     /// Epoch advances a positive (found-key) entry survives.
     positive_ttl: u64,
     /// Epoch advances a negative (absent-key) entry survives. Typically
     /// ≤ `positive_ttl`: an absent key is exactly what an index *gain*
     /// changes, so absence intelligence ages faster.
     negative_ttl: u64,
-    /// Global LRU clock: every access stamps with a fresh tick, so stamps
-    /// are unique and totally ordered across stripes.
-    clock: AtomicU64,
-    /// Global occupancy (entries across all stripes).
-    len: AtomicUsize,
-    /// Last index epoch any caller observed — the fast path that lets
-    /// every access skip the cross-stripe invalidation sweep.
-    epoch: AtomicU64,
+    /// A power of two of them; their capacities sum to the cache's.
     stripes: Vec<Mutex<Stripe>>,
 }
 
 impl QueryCache {
     /// Cache holding at most `capacity` keys (across all stripes), with
-    /// both TTLs at 1 epoch — entries die on the first index change,
-    /// bit-identical to the historical wholesale-clear cache.
+    /// both TTLs at 1 epoch — entries die on the first index change.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
@@ -178,278 +237,127 @@ impl QueryCache {
             positive_ttl > 0 && negative_ttl > 0,
             "TTLs are at least one epoch"
         );
+        let wanted = (capacity / MIN_STRIPE_KEYS).clamp(1, NUM_CACHE_STRIPES);
+        let stripes = 1 << wanted.ilog2();
         Self {
-            capacity,
             positive_ttl,
             negative_ttl,
-            clock: AtomicU64::new(0),
-            len: AtomicUsize::new(0),
-            epoch: AtomicU64::new(0),
-            stripes: (0..NUM_CACHE_STRIPES)
-                .map(|_| Mutex::new(Stripe::default()))
+            stripes: (0..stripes)
+                .map(|i| {
+                    Mutex::new(Stripe {
+                        index: HashMap::new(),
+                        slots: Vec::new(),
+                        capacity: capacity / stripes + usize::from(i < capacity % stripes),
+                        hand: 0,
+                        epoch: 0,
+                        stats: CacheStats::default(),
+                    })
+                })
                 .collect(),
         }
     }
 
-    /// Expires per-entry when the observed index epoch moved *forward*:
-    /// one atomic load on the hot path; on an advance (rare — the index
-    /// changed) every stripe drops exactly the entries whose TTL budget
-    /// the advance spent, one lock at a time. At the default TTL of 1
-    /// that is every entry — the historical wholesale clear — while
-    /// larger TTLs keep the still-fresh warm set.
-    ///
-    /// Epochs are monotonic (the engine's growth counter), so a straggler
-    /// still carrying an older epoch — a query that overlapped a growth
-    /// publication — must never *roll the cache back*: it skips the sweep
-    /// here, and every per-entry operation below checks
-    /// [`Stripe::current`] so the straggler neither reads newer entries
-    /// nor pollutes them with its old-epoch responses.
-    fn observe_epoch(&self, epoch: u64) {
-        if self.epoch.load(Ordering::Acquire) < epoch {
-            for stripe in 0..NUM_CACHE_STRIPES {
-                drop(self.lock_synced(stripe, epoch));
-            }
-            self.epoch.fetch_max(epoch, Ordering::AcqRel);
-        }
-    }
-
-    /// Locks `key`'s stripe, expiring the entries whose TTL lapsed if the
-    /// observed index epoch moved forward (stripes expire lazily, on
-    /// first access per epoch). Every surviving entry is fresh at
-    /// `epoch`, so readers past this point need no per-entry freshness
-    /// check. A stale `epoch` leaves the stripe untouched — the caller
-    /// must consult [`Stripe::current`] before reading or writing
-    /// entries.
-    fn lock_synced(&self, stripe: usize, epoch: u64) -> parking_lot::MutexGuard<'_, Stripe> {
-        let mut guard = self.stripes[stripe].lock();
-        if guard.epoch < epoch {
-            let before = guard.map.len();
-            let (positive, negative) = (self.positive_ttl, self.negative_ttl);
-            guard.map.retain(|_, e| {
-                let ttl = if e.value.is_some() {
-                    positive
-                } else {
-                    negative
-                };
-                epoch.saturating_sub(e.born) < ttl
-            });
-            self.len
-                .fetch_sub(before - guard.map.len(), Ordering::AcqRel);
-            guard.epoch = epoch;
-        }
-        guard
-    }
-
-    /// Takes the next LRU clock tick.
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Inserts `key` into its (already locked and synced) stripe, born at
-    /// `epoch`; the caller must follow up with
-    /// [`QueryCache::enforce_capacity`] *after* releasing the stripe lock.
-    fn insert_entry(
+    /// Calls `visit(stripe, at)` for every position `at` of `keys`,
+    /// grouped by stripe: each touched stripe is locked once, expired if
+    /// `epoch` is newer than the one it was last locked under, and sees
+    /// its positions in ascending (canonical) order. A stripe already
+    /// *ahead* of `epoch` is handed over as it is — the caller is a
+    /// straggler that overlapped a growth publication and must check
+    /// `stripe.epoch == epoch` before reading or storing entries: serving
+    /// it newer entries would answer for an index state it never
+    /// observed, storing its responses would plant pre-growth data.
+    fn by_stripe<'k>(
         &self,
-        guard: &mut Stripe,
-        key: Key,
-        value: Option<KeyLookup>,
-        clock: u64,
         epoch: u64,
+        keys: impl Iterator<Item = &'k Key>,
+        mut visit: impl FnMut(&mut Stripe, usize),
     ) {
-        let entry = Entry {
-            value,
-            stamp: clock,
-            born: epoch,
-        };
-        if guard.map.insert(key, entry).is_none() {
-            self.len.fetch_add(1, Ordering::AcqRel);
-        }
-    }
-
-    /// Evicts globally least-recently-stamped entries until the occupancy
-    /// is back under the capacity bound. Scans stripes one lock at a time
-    /// (locks never nest, so concurrent callers evicting from different
-    /// stripes cannot deadlock); the freshly inserted entry carries the
-    /// newest stamp and is therefore never its own victim.
-    fn enforce_capacity(&self, epoch: u64) {
-        while self.len.load(Ordering::Acquire) > self.capacity {
-            let mut victim: Option<(usize, Key, u64)> = None;
-            for stripe in 0..NUM_CACHE_STRIPES {
-                let guard = self.lock_synced(stripe, epoch);
-                for (key, entry) in guard.map.iter() {
-                    if victim
-                        .as_ref()
-                        .is_none_or(|(_, _, best)| entry.stamp < *best)
-                    {
-                        victim = Some((stripe, *key, entry.stamp));
-                    }
-                }
+        let mask = self.stripes.len() - 1;
+        let mut order: Vec<(usize, usize)> = keys
+            .enumerate()
+            .map(|(at, key)| (key.dht_hash().0 as usize & mask, at))
+            .collect();
+        order.sort_unstable();
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let mut stripe = self.stripes[group[0].0].lock();
+            if stripe.epoch < epoch {
+                stripe.expire(epoch, self.positive_ttl, self.negative_ttl);
             }
-            let Some((stripe, key, stamp)) = victim else {
-                return; // an epoch sweep emptied everything mid-scan
-            };
-            let mut guard = self.lock_synced(stripe, epoch);
-            // Remove only if the entry is still the one we scanned: a
-            // racing hit may have re-stamped it (then it is no longer the
-            // LRU and the loop rescans).
-            if guard.map.get(&key).is_some_and(|e| e.stamp == stamp) {
-                guard.map.remove(&key);
-                self.len.fetch_sub(1, Ordering::AcqRel);
+            for &(_, at) in group {
+                visit(&mut stripe, at);
             }
         }
-    }
-
-    /// Looks up `key`, first locally, then via `fetch` (charged to the
-    /// network). `epoch` is the index epoch the caller observed; an epoch
-    /// change empties the cache before anything is served.
-    pub fn get_or_fetch(
-        &self,
-        epoch: u64,
-        key: Key,
-        fetch: impl FnOnce() -> Option<KeyLookup>,
-    ) -> Option<KeyLookup> {
-        self.observe_epoch(epoch);
-        let stripe = stripe_of(&key);
-        let mut guard = self.lock_synced(stripe, epoch);
-        if !guard.current(epoch) {
-            // Stale caller (raced a growth publication): serve the fetch
-            // without touching the newer cache contents.
-            guard.stats.misses += 1;
-            return fetch();
-        }
-        let clock = self.tick();
-        if let Some(entry) = guard.map.get_mut(&key) {
-            entry.stamp = clock;
-            let result = entry.value.clone();
-            guard.stats.hits += 1;
-            guard.stats.postings_saved += result.as_ref().map_or(0, |l| l.postings.len() as u64);
-            guard.stats.bytes_saved += result
-                .as_ref()
-                .map_or(0, |l| l.postings.encoded_len() as u64);
-            return result;
-        }
-        guard.stats.misses += 1;
-        // Fetch inside the stripe lock: lookups of the same key from one
-        // peer are serialized (what a real per-peer cache does), while
-        // other stripes stay reachable for concurrent callers.
-        let fetched = fetch();
-        self.insert_entry(&mut guard, key, fetched.clone(), clock, epoch);
-        drop(guard);
-        self.enforce_capacity(epoch);
-        fetched
     }
 
     /// Phase one of a level-batched lookup: classifies every candidate key
     /// of one plan level as a hit (returning the cached response) or a
-    /// miss. Read-only with respect to LRU stamps and statistics — those
-    /// are applied by [`QueryCache::commit_level`] once the misses have
-    /// been resolved, so bookkeeping happens in canonical key order rather
-    /// than probe-completion order.
-    ///
-    /// Unlike [`QueryCache::get_or_fetch`] (which holds the key's stripe
-    /// lock across its fetch, serializing concurrent lookups of one key),
-    /// no lock is held between peek and commit. A [`QueryCache`] is a
-    /// *per-peer* structure queried by one caller at a time — the
-    /// executor's contract; two threads running `query_cached` against the
-    /// same cache concurrently would both miss on a cold key and probe it
-    /// twice (correct results, but duplicated probes and
-    /// interleaving-dependent stats, which would also break thread-count
-    /// invariance for traffic counters).
+    /// miss. Read-only with respect to second-chance bits and statistics —
+    /// those are applied by [`QueryCache::commit_level`] once the misses
+    /// have been resolved, so bookkeeping happens in canonical key order
+    /// rather than probe-completion order.
     pub fn peek_level(&self, epoch: u64, keys: &[Key]) -> Vec<CachePeek> {
-        self.observe_epoch(epoch);
-        keys.iter()
-            .map(|key| {
-                let guard = self.lock_synced(stripe_of(key), epoch);
-                if !guard.current(epoch) {
-                    // Stale caller: the newer entries are not its to read.
-                    return CachePeek::Miss;
+        let mut peeks = vec![CachePeek::Miss; keys.len()];
+        self.by_stripe(epoch, keys.iter(), |stripe, at| {
+            if stripe.epoch == epoch {
+                if let Some(&slot) = stripe.index.get(&keys[at]) {
+                    peeks[at] = CachePeek::Hit(stripe.slots[slot].value.clone());
                 }
-                match guard.map.get(key) {
-                    Some(entry) => CachePeek::Hit(entry.value.clone()),
-                    None => CachePeek::Miss,
-                }
-            })
-            .collect()
+            }
+        });
+        peeks
     }
 
-    /// Phase two of a level-batched lookup: applies the level's bookkeeping
-    /// in the order given (the executor passes canonical key order). For
-    /// each `(key, resolved, was_hit)` triple: hits advance the entry's LRU
-    /// stamp and the hit/savings counters; misses count, insert the freshly
-    /// fetched response, and evict the (globally) LRU victim when over
-    /// capacity.
-    ///
-    /// Whenever the capacity covers a level's candidate set (the common
-    /// case — levels are at most a few dozen keys wide), peek + commit
-    /// leaves the cache in exactly the state the sequential
-    /// [`QueryCache::get_or_fetch`] loop would have produced: same entries,
-    /// same stamps, same eviction victims, same statistics. Under capacity
-    /// pressure *within one level* the batched form is strictly better than
-    /// the sequential loop, not identical to it: a key peeked as a hit
-    /// stays a hit even if an earlier miss in the same level evicts it
-    /// before commit (the sequential loop would have re-probed it), and
-    /// commit re-inserts such an entry so its LRU state stays coherent.
+    /// Phase two of a level-batched lookup: applies the level's
+    /// bookkeeping, per stripe in the order given (the executor passes
+    /// canonical key order). For each `(key, resolved, was_hit)` triple: a
+    /// hit counts, with what it saved, and gives its entry a second
+    /// chance; a miss counts and stores the freshly fetched response,
+    /// replacing the hand's victim when the stripe is full. A key peeked
+    /// as a hit stays a hit even if its entry is gone by now (an earlier
+    /// miss of the same level, or another caller, evicted it): the
+    /// response was served locally, the entry is not restored.
     pub fn commit_level(&self, epoch: u64, entries: &[(Key, Option<KeyLookup>, bool)]) {
-        self.observe_epoch(epoch);
-        for (key, resolved, was_hit) in entries {
-            let mut guard = self.lock_synced(stripe_of(key), epoch);
-            if !guard.current(epoch) {
-                // Stale caller: its responses describe a pre-growth index
-                // — count the outcome, never store it.
-                if *was_hit {
-                    guard.stats.hits += 1;
-                } else {
-                    guard.stats.misses += 1;
-                }
-                continue;
-            }
-            let clock = self.tick();
+        self.by_stripe(epoch, entries.iter().map(|e| &e.0), |stripe, at| {
+            let (key, resolved, was_hit) = &entries[at];
+            let current = stripe.epoch == epoch;
             if *was_hit {
-                guard.stats.hits += 1;
-                guard.stats.postings_saved +=
-                    resolved.as_ref().map_or(0, |l| l.postings.len() as u64);
-                guard.stats.bytes_saved += resolved
-                    .as_ref()
-                    .map_or(0, |l| l.postings.encoded_len() as u64);
-                match guard.map.get_mut(key) {
-                    Some(entry) => entry.stamp = clock,
-                    // Evicted between peek and commit (an earlier miss in
-                    // this level filled the cache): the response was still
-                    // served locally, so restore the entry at the fresh
-                    // stamp — under the capacity bound — rather than
-                    // leaving the hit untracked.
-                    None => {
-                        self.insert_entry(&mut guard, *key, resolved.clone(), clock, epoch);
-                        drop(guard);
-                        self.enforce_capacity(epoch);
+                stripe.stats.hits += 1;
+                if let Some(lookup) = resolved {
+                    stripe.stats.postings_saved += lookup.postings.len() as u64;
+                    stripe.stats.bytes_saved += lookup.postings.encoded_len() as u64;
+                }
+                if current {
+                    if let Some(&slot) = stripe.index.get(key) {
+                        stripe.slots[slot].referenced = true;
                     }
                 }
-                continue;
+            } else {
+                stripe.stats.misses += 1;
+                if current {
+                    stripe.insert(*key, resolved.clone());
+                }
             }
-            guard.stats.misses += 1;
-            self.insert_entry(&mut guard, *key, resolved.clone(), clock, epoch);
-            drop(guard);
-            self.enforce_capacity(epoch);
-        }
+        });
     }
 
-    /// Current counters, aggregated over the stripes.
+    /// Current counters, summed over the stripes.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for stripe in &self.stripes {
-            let guard = stripe.lock();
-            total.hits += guard.stats.hits;
-            total.misses += guard.stats.misses;
-            total.postings_saved += guard.stats.postings_saved;
-            total.bytes_saved += guard.stats.bytes_saved;
+            let stats = stripe.lock().stats;
+            total.hits += stats.hits;
+            total.misses += stats.misses;
+            total.evictions += stats.evictions;
+            total.postings_saved += stats.postings_saved;
+            total.bytes_saved += stats.bytes_saved;
         }
         total
     }
 
-    /// Number of cached keys (TTL-expired entries count until an access
-    /// sweeps their stripe, as before the striping).
+    /// Number of cached keys, never above the capacity (TTL-expired
+    /// entries count until a caller next locks their stripe).
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.stripes.iter().map(|s| s.lock().slots.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -464,6 +372,11 @@ mod tests {
     use hdk_corpus::DocId;
     use hdk_ir::{Posting, PostingList};
     use hdk_text::TermId;
+
+    thread_local! {
+        /// Entries the calling thread's evictions have examined.
+        pub(super) static EXAMINED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
 
     fn lookup(df: u32) -> KeyLookup {
         KeyLookup {
@@ -483,21 +396,48 @@ mod tests {
         Key::single(TermId(t))
     }
 
+    /// One level through both phases, as the executor drives them: a
+    /// missed key `t` "fetches" `fetch(t)`. Returns each key's response
+    /// and whether it was a hit.
+    fn level(
+        cache: &QueryCache,
+        epoch: u64,
+        terms: &[u32],
+        fetch: impl Fn(u32) -> Option<KeyLookup>,
+    ) -> Vec<(Option<KeyLookup>, bool)> {
+        let keys: Vec<Key> = terms.iter().map(|&t| key(t)).collect();
+        let commits: Vec<(Key, Option<KeyLookup>, bool)> = keys
+            .iter()
+            .zip(terms)
+            .zip(cache.peek_level(epoch, &keys))
+            .map(|((&k, &t), peek)| match peek {
+                CachePeek::Hit(cached) => (k, cached, true),
+                CachePeek::Miss => (k, fetch(t), false),
+            })
+            .collect();
+        cache.commit_level(epoch, &commits);
+        commits.into_iter().map(|(_, r, hit)| (r, hit)).collect()
+    }
+
+    /// One key through both phases: `(df of the response, was a hit)`.
+    fn get(cache: &QueryCache, epoch: u64, t: u32, fetched: Option<u32>) -> (Option<u32>, bool) {
+        let (response, hit) = level(cache, epoch, &[t], |_| fetched.map(lookup)).remove(0);
+        (response.map(|l| l.df), hit)
+    }
+
+    fn is_cached(cache: &QueryCache, epoch: u64, t: u32) -> bool {
+        cache.peek_level(epoch, &[key(t)])[0].is_hit()
+    }
+
     #[test]
     fn second_lookup_is_a_hit() {
         let cache = QueryCache::new(8);
-        let mut fetches = 0;
-        for _ in 0..3 {
-            let got = cache.get_or_fetch(0, key(1), || {
-                fetches += 1;
-                Some(lookup(5))
-            });
-            assert_eq!(got.unwrap().df, 5);
+        assert_eq!(get(&cache, 0, 1, Some(5)), (Some(5), false));
+        for _ in 0..2 {
+            assert_eq!(get(&cache, 0, 1, Some(9)), (Some(5), true));
         }
-        assert_eq!(fetches, 1);
         let s = cache.stats();
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.misses, 1);
+        assert_eq!((s.hits, s.misses, s.evictions), (2, 1, 0));
         assert_eq!(s.postings_saved, 2);
         assert_eq!(
             s.bytes_saved,
@@ -510,57 +450,42 @@ mod tests {
     fn negative_results_are_cached_too() {
         // Absence is epoch-stable (at the default TTL of 1 any index
         // change expires it), so repeated probes of a missing key stay
-        // local.
+        // local...
         let cache = QueryCache::new(8);
-        let mut fetches = 0;
-        for _ in 0..3 {
-            let got = cache.get_or_fetch(0, key(2), || {
-                fetches += 1;
-                None
-            });
-            assert!(got.is_none());
-        }
-        assert_eq!(fetches, 1);
+        assert_eq!(get(&cache, 0, 2, None), (None, false));
+        assert_eq!(get(&cache, 0, 2, Some(7)), (None, true));
         // ...until the epoch moves.
-        let mut refetched = false;
-        cache.get_or_fetch(1, key(2), || {
-            refetched = true;
-            None
-        });
-        assert!(refetched);
+        assert_eq!(get(&cache, 1, 2, Some(7)), (Some(7), false));
     }
 
     #[test]
-    fn lru_evicts_least_recently_used() {
+    fn a_hit_key_outlives_an_untouched_one() {
         let cache = QueryCache::new(2);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
-        cache.get_or_fetch(0, key(2), || Some(lookup(2)));
-        // Touch key 1 so key 2 is the LRU.
-        cache.get_or_fetch(0, key(1), || unreachable!("hit expected"));
-        cache.get_or_fetch(0, key(3), || Some(lookup(3)));
+        get(&cache, 0, 1, Some(1));
+        get(&cache, 0, 2, Some(2));
+        // Key 1 earns a second chance; the hand passes it and takes key 2.
+        assert!(get(&cache, 0, 1, None).1);
+        get(&cache, 0, 3, Some(3));
         assert_eq!(cache.len(), 2);
-        // Key 1 survived (recently used)...
-        cache.get_or_fetch(0, key(1), || panic!("key 1 must still be cached"));
-        // ...and key 2 was the eviction victim.
-        let mut fetched2 = false;
-        cache.get_or_fetch(0, key(2), || {
-            fetched2 = true;
-            Some(lookup(2))
-        });
-        assert!(fetched2);
+        assert!(is_cached(&cache, 0, 1), "the hit key survived");
+        assert!(!is_cached(&cache, 0, 2), "the untouched key was the victim");
+        assert!(is_cached(&cache, 0, 3));
+        // The chance is spent: untouched since, key 1 goes next.
+        get(&cache, 0, 4, Some(4));
+        assert!(!is_cached(&cache, 0, 1));
+        assert_eq!(cache.stats().evictions, 2);
     }
 
     #[test]
     fn epoch_change_invalidates() {
         let cache = QueryCache::new(4);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
+        get(&cache, 0, 1, Some(1));
         assert_eq!(cache.len(), 1);
-        let mut fetched = false;
-        cache.get_or_fetch(1, key(1), || {
-            fetched = true;
-            Some(lookup(9))
-        });
-        assert!(fetched, "epoch bump must clear the cache");
+        assert_eq!(
+            get(&cache, 1, 1, Some(9)),
+            (Some(9), false),
+            "epoch bump must clear the cache"
+        );
         assert_eq!(cache.len(), 1);
     }
 
@@ -581,20 +506,13 @@ mod tests {
         // TTL 3: an entry born at epoch 0 serves through epochs 1 and 2
         // (two index changes!) and expires at epoch 3.
         let cache = QueryCache::with_ttl(8, 3, 1);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
+        get(&cache, 0, 1, Some(1));
         for epoch in 1..3 {
-            let got = cache.get_or_fetch(epoch, key(1), || unreachable!("hit within TTL"));
-            assert_eq!(got.unwrap().df, 1, "epoch {epoch} still within TTL");
+            assert_eq!(get(&cache, epoch, 1, None), (Some(1), true), "{epoch}");
         }
-        let mut refetched = false;
-        cache.get_or_fetch(3, key(1), || {
-            refetched = true;
-            Some(lookup(9))
-        });
-        assert!(refetched, "TTL spent at epoch 3");
+        assert_eq!(get(&cache, 3, 1, Some(9)), (Some(9), false), "TTL spent");
         // The refetched entry is born at epoch 3: fresh again until 6.
-        let got = cache.get_or_fetch(5, key(1), || unreachable!("reborn entry is fresh"));
-        assert_eq!(got.unwrap().df, 9);
+        assert_eq!(get(&cache, 5, 1, None), (Some(9), true));
     }
 
     #[test]
@@ -603,199 +521,73 @@ mod tests {
         // key re-probes (the index may have gained it) while the found
         // key still serves locally.
         let cache = QueryCache::with_ttl(8, 3, 1);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
-        cache.get_or_fetch(0, key(2), || None);
-        let got = cache.get_or_fetch(1, key(1), || unreachable!("positive entry within TTL"));
-        assert_eq!(got.unwrap().df, 1);
-        let mut refetched = false;
-        let got = cache.get_or_fetch(1, key(2), || {
-            refetched = true;
-            Some(lookup(2))
-        });
-        assert!(refetched, "negative entry expired after one epoch");
-        assert_eq!(got.unwrap().df, 2, "the key appeared and is now served");
+        get(&cache, 0, 1, Some(1));
+        get(&cache, 0, 2, None);
+        assert_eq!(get(&cache, 1, 1, None), (Some(1), true));
+        assert_eq!(
+            get(&cache, 1, 2, Some(2)),
+            (Some(2), false),
+            "negative entry expired after one epoch; the key appeared"
+        );
     }
 
     #[test]
     fn ttl_expiry_spares_the_warm_set() {
-        // The precise-invalidation claim: an epoch bump expires exactly
-        // the entries whose TTL lapsed, not the whole warm set.
+        // An epoch bump expires exactly the entries whose TTL lapsed, not
+        // the whole warm set.
         let cache = QueryCache::with_ttl(8, 2, 1);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
-        cache.get_or_fetch(0, key(2), || None); // negative, TTL 1
-        cache.get_or_fetch(1, key(3), || Some(lookup(3)));
+        get(&cache, 0, 1, Some(1));
+        get(&cache, 0, 2, None); // negative, TTL 1
+        get(&cache, 1, 3, Some(3));
         // Epoch 2: key 1 (born 0, TTL 2) and key 2 (born 0, TTL 1) are
         // spent; key 3 (born 1, TTL 2) survives.
-        cache.get_or_fetch(2, key(3), || unreachable!("warm entry survives the bump"));
+        assert_eq!(get(&cache, 2, 3, None), (Some(3), true));
         assert_eq!(cache.len(), 1, "expired entries swept, warm one kept");
-        assert!(cache.peek_level(2, &[key(3)])[0].is_hit());
-        assert!(!cache.peek_level(2, &[key(1)])[0].is_hit());
-        assert!(!cache.peek_level(2, &[key(2)])[0].is_hit());
+        assert!(!is_cached(&cache, 2, 1));
+        assert!(!is_cached(&cache, 2, 2));
+        // The survivor's slab position moved; it is still found, and the
+        // hand still works around it.
+        for t in 10..18 {
+            get(&cache, 2, t, Some(t));
+        }
+        assert_eq!(cache.len(), 8);
+        assert!(is_cached(&cache, 2, 3), "hit at epoch 2: a second chance");
+        assert!(!is_cached(&cache, 2, 10));
     }
 
     #[test]
     fn level_batched_api_respects_ttls() {
-        // peek/commit sees the same expiry as get_or_fetch: commit under
-        // a new epoch births entries at that epoch.
+        // A commit under a new epoch births entries at that epoch; peeks
+        // see them (negative ones too) until their TTL is spent.
         let cache = QueryCache::with_ttl(8, 2, 2);
         cache.commit_level(
             0,
             &[(key(1), Some(lookup(1)), false), (key(2), None, false)],
         );
-        assert!(cache.peek_level(1, &[key(1)])[0].is_hit());
-        assert!(
-            cache.peek_level(1, &[key(2)])[0].is_hit(),
-            "negative entry within TTL is a (negative) hit"
-        );
-        assert!(!cache.peek_level(2, &[key(1)])[0].is_hit());
-        assert!(!cache.peek_level(2, &[key(2)])[0].is_hit());
+        assert!(is_cached(&cache, 1, 1));
+        assert!(is_cached(&cache, 1, 2), "a negative entry within its TTL");
+        assert!(!is_cached(&cache, 2, 1));
+        assert!(!is_cached(&cache, 2, 2));
         assert_eq!(cache.len(), 0, "the epoch-2 peeks swept both");
     }
 
-    #[test]
-    fn stale_epoch_stragglers_bypass_ttl_entries_too() {
-        // The straggler regression, TTL > 1 edition: a pre-growth caller
-        // must neither read the newer (still-fresh) entries nor expire
-        // them nor plant its own — even though a TTL of 3 would nominally
-        // cover its older epoch.
-        let cache = QueryCache::with_ttl(8, 3, 3);
-        cache.get_or_fetch(1, key(1), || Some(lookup(1)));
-
-        let mut fetched = false;
-        let got = cache.get_or_fetch(0, key(1), || {
-            fetched = true;
-            Some(lookup(99))
-        });
-        assert!(fetched, "stale caller must not be served newer entries");
-        assert_eq!(got.unwrap().df, 99);
-        assert_eq!(cache.len(), 1, "stale fetch must not be cached");
-        assert!(!cache.peek_level(0, &[key(1)])[0].is_hit());
-        cache.commit_level(0, &[(key(2), Some(lookup(2)), false)]);
-        assert_eq!(cache.len(), 1, "stale commit must not plant entries");
-
-        // The fresh entry is untouched and serves through its full TTL.
-        let got = cache.get_or_fetch(3, key(1), || unreachable!("TTL covers epochs 1..4"));
-        assert_eq!(got.unwrap().df, 1);
-    }
-
-    /// Replays one access trace through both APIs; `None` entries are keys
-    /// that miss and fetch a response, `Some` hits must already be cached.
-    fn replay_level(cache: &QueryCache, epoch: u64, keys: &[u32]) {
-        let level: Vec<Key> = keys.iter().map(|&t| key(t)).collect();
-        let peeks = cache.peek_level(epoch, &level);
-        let entries: Vec<(Key, Option<KeyLookup>, bool)> = level
-            .iter()
-            .zip(&peeks)
-            .map(|(&k, peek)| match peek {
-                CachePeek::Hit(cached) => (k, cached.clone(), true),
-                CachePeek::Miss => (k, Some(lookup(k.terms().next().unwrap().0)), false),
-            })
-            .collect();
-        cache.commit_level(epoch, &entries);
-    }
-
-    #[test]
-    fn level_batched_api_matches_sequential_loop() {
-        // The same access pattern through get_or_fetch and through
-        // peek/commit must produce identical stats, contents and eviction
-        // victims (the stamps advance in the same canonical order).
-        let levels: [&[u32]; 4] = [&[1, 2], &[1, 3], &[4, 5], &[1, 4]];
-        let seq = QueryCache::new(3);
-        for level in levels {
-            for &t in level {
-                seq.get_or_fetch(7, key(t), || Some(lookup(t)));
-            }
-        }
-        let bat = QueryCache::new(3);
-        for level in levels {
-            replay_level(&bat, 7, level);
-        }
-        assert_eq!(seq.stats(), bat.stats());
-        assert_eq!(seq.len(), bat.len());
-        // Same survivors: probing each key as a fresh single-level peek
-        // (read-only) classifies identically.
-        for t in [1u32, 2, 3, 4, 5] {
-            let s = seq.peek_level(7, &[key(t)])[0].is_hit();
-            let b = bat.peek_level(7, &[key(t)])[0].is_hit();
-            assert_eq!(s, b, "survivor set diverged at key {t}");
-        }
-    }
-
-    #[test]
-    fn intra_level_eviction_keeps_peeked_hits() {
-        // Capacity 1, pre-seeded with key 2; the level probes [1, 2] (key
-        // order). Key 1's miss-insert evicts key 2 mid-level, but key 2
-        // was already peeked as a hit and its response served locally —
-        // commit must count the hit and restore the entry (bounded), not
-        // leave it untracked. (The sequential get_or_fetch loop would have
-        // re-probed key 2 here; the batch is strictly better.)
-        let cache = QueryCache::new(1);
-        cache.get_or_fetch(0, key(2), || Some(lookup(2)));
-        let level = [key(1), key(2)];
-        let peeks = cache.peek_level(0, &level);
-        assert!(!peeks[0].is_hit());
-        assert!(peeks[1].is_hit());
-        cache.commit_level(
-            0,
-            &[
-                (key(1), Some(lookup(1)), false),
-                (key(2), Some(lookup(2)), true),
-            ],
+    /// A straggler still carrying a pre-growth epoch (it overlapped the
+    /// growth publication) must not roll the cache back: no sweep of the
+    /// fresh entries, no reads of them, no insertion of its own
+    /// pre-growth responses.
+    fn stale_callers_bypass(cache: QueryCache) {
+        get(&cache, 1, 1, Some(1));
+        assert_eq!(
+            get(&cache, 0, 1, Some(99)),
+            (Some(99), false),
+            "stale caller must not be served newer entries"
         );
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 2));
-        assert_eq!(s.postings_saved, 1, "the peeked hit still saved traffic");
-        assert_eq!(cache.len(), 1, "capacity bound holds after re-insert");
-        // The most recently used key (2, restored at commit) survived.
-        assert!(cache.peek_level(0, &[key(2)])[0].is_hit());
-    }
-
-    #[test]
-    fn peek_level_is_read_only() {
-        let cache = QueryCache::new(4);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
-        let stats = cache.stats();
-        let peeks = cache.peek_level(0, &[key(1), key(2)]);
-        assert!(peeks[0].is_hit());
-        assert!(!peeks[1].is_hit());
-        assert_eq!(cache.stats(), stats, "peek must not touch counters");
-    }
-
-    #[test]
-    fn stale_epoch_callers_neither_sweep_nor_pollute() {
-        // A straggler still carrying a pre-growth epoch (it overlapped the
-        // growth publication) must not roll the cache back: no sweep of
-        // the fresh entries, no reads of them, no insertion of its own
-        // pre-growth responses.
-        let cache = QueryCache::new(8);
-        cache.get_or_fetch(1, key(1), || Some(lookup(1)));
-        assert_eq!(cache.len(), 1);
-
-        // Stale get_or_fetch: forced to fetch, nothing cached, nothing
-        // swept.
-        let mut fetched = false;
-        let got = cache.get_or_fetch(0, key(1), || {
-            fetched = true;
-            Some(lookup(99))
-        });
-        assert!(fetched, "stale caller must not be served newer entries");
-        assert_eq!(got.unwrap().df, 99);
         assert_eq!(cache.len(), 1, "stale fetch must not be cached");
-
-        // Stale peek: always a miss; stale commit: counted, not stored.
-        assert!(!cache.peek_level(0, &[key(1)])[0].is_hit());
         cache.commit_level(0, &[(key(2), Some(lookup(2)), false)]);
         assert_eq!(cache.len(), 1, "stale commit must not plant entries");
-
+        assert!(!is_cached(&cache, 1, 2));
         // The current-epoch view is untouched throughout.
-        assert!(cache.peek_level(1, &[key(1)])[0].is_hit());
-        let mut refetched = false;
-        let got = cache.get_or_fetch(1, key(1), || {
-            refetched = true;
-            None
-        });
-        assert!(!refetched, "fresh entry survived the stale traffic");
-        assert_eq!(got.unwrap().df, 1, "epoch-1 value, not the stale 99");
+        assert_eq!(get(&cache, 1, 1, None), (Some(1), true));
         let s = cache.stats();
         assert_eq!(
             (s.hits, s.misses),
@@ -805,23 +597,136 @@ mod tests {
     }
 
     #[test]
+    fn stale_epoch_callers_neither_sweep_nor_pollute() {
+        stale_callers_bypass(QueryCache::new(8));
+    }
+
+    #[test]
+    fn stale_epoch_stragglers_bypass_ttl_entries_too() {
+        // Even though a TTL of 3 would nominally cover the older epoch.
+        stale_callers_bypass(QueryCache::with_ttl(8, 3, 3));
+    }
+
+    #[test]
+    fn a_level_is_batched_per_stripe_in_canonical_order() {
+        // 16 stripes; a level wider than any of them. Responses come back
+        // in the level's order whatever the stripe grouping, and a repeat
+        // of the level is all hits.
+        let cache = QueryCache::new(NUM_CACHE_STRIPES * MIN_STRIPE_KEYS);
+        let terms: Vec<u32> = (0..40).rev().collect();
+        let first = level(&cache, 0, &terms, |t| (t % 3 != 0).then(|| lookup(t)));
+        let again = level(&cache, 0, &terms, |_| unreachable!("all cached"));
+        for ((&t, (fetched, hit)), (cached, hit_again)) in terms.iter().zip(&first).zip(&again) {
+            assert!(!hit && *hit_again);
+            let want = (t % 3 != 0).then_some(t);
+            assert_eq!(fetched.as_ref().map(|l| l.df), want);
+            assert_eq!(cached.as_ref().map(|l| l.df), want);
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, cache.len()), (40, 40, 40));
+    }
+
+    #[test]
+    fn the_victim_is_a_function_of_the_access_sequence() {
+        // Two caches fed the same trace agree on every hit, every counter
+        // and every survivor; and no commit leaves more than `capacity`
+        // keys behind, at capacities below, at and above the striping
+        // thresholds.
+        let trace: Vec<Vec<u32>> = (0..400u32)
+            .map(|i| (0..1 + i % 7).map(|j| (i * 7 + j * j * 13) % 500).collect())
+            .collect();
+        for capacity in [1, 3, 16, 127, 128, 300] {
+            let (a, b) = (QueryCache::new(capacity), QueryCache::new(capacity));
+            for terms in &trace {
+                let hits = |cache: &QueryCache| -> Vec<bool> {
+                    let out = level(cache, 4, terms, |t| Some(lookup(t)));
+                    out.into_iter().map(|(_, hit)| hit).collect()
+                };
+                assert_eq!(hits(&a), hits(&b));
+                assert!(a.len() <= capacity, "{} > {capacity}", a.len());
+            }
+            assert_eq!(a.stats(), b.stats());
+            assert!(a.stats().evictions > 0);
+            assert_eq!(a.len(), capacity, "the stripes' shares sum to it");
+            for t in 0..500 {
+                assert_eq!(is_cached(&a, 4, t), is_cached(&b, 4, t));
+            }
+        }
+    }
+
+    #[test]
+    fn eviction_examines_a_constant_number_of_entries() {
+        // Fill every stripe of a front-end-sized cache, then commit
+        // 10 000 misses: a new entry starts without a second chance, so
+        // each miss examines exactly one entry — not the 65 536 a scan
+        // for the globally oldest stamp did.
+        let capacity = 65_536;
+        let cache = QueryCache::new(capacity);
+        let commit = |range: std::ops::Range<u32>, hit: bool| {
+            for chunk in range.collect::<Vec<_>>().chunks(32) {
+                let entries: Vec<_> = chunk.iter().map(|&t| (key(t), None, hit)).collect();
+                cache.commit_level(0, &entries);
+            }
+        };
+        commit(0..90_000, false);
+        assert_eq!(cache.len(), capacity, "every stripe is full");
+        EXAMINED.with(|n| n.set(0));
+        commit(90_000..100_000, false);
+        assert_eq!(EXAMINED.with(|n| n.get()), 10_000);
+        // A hit buys its entry one pass of the hand: give every old entry
+        // one, and 20 000 more misses examine at most one entry each plus
+        // one per chance taken away — amortised constant.
+        commit(0..90_000, true);
+        EXAMINED.with(|n| n.set(0));
+        commit(100_000..120_000, false);
+        let examined = EXAMINED.with(|n| n.get());
+        assert!(examined > 20_000 && examined <= 20_000 + capacity as u64);
+        assert_eq!(cache.len(), capacity);
+    }
+
+    #[test]
+    fn intra_level_eviction_keeps_peeked_hits() {
+        // Capacity 1, pre-seeded with key 2; the level probes [1, 2] (key
+        // order). Key 1's miss-insert evicts key 2 mid-level, but key 2
+        // was already peeked as a hit and its response served locally:
+        // commit counts the hit and what it saved, and stays bounded.
+        let cache = QueryCache::new(1);
+        get(&cache, 0, 2, Some(2));
+        let out = level(&cache, 0, &[1, 2], |t| Some(lookup(t)));
+        assert!(!out[0].1 && out[1].1);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (1, 2, 1));
+        assert_eq!(s.postings_saved, 1, "the peeked hit still saved traffic");
+        assert_eq!(cache.len(), 1, "capacity bound holds");
+    }
+
+    #[test]
+    fn peek_level_is_read_only() {
+        let cache = QueryCache::new(4);
+        get(&cache, 0, 1, Some(1));
+        let stats = cache.stats();
+        let peeks = cache.peek_level(0, &[key(1), key(2)]);
+        assert!(peeks[0].is_hit());
+        assert!(!peeks[1].is_hit());
+        assert_eq!(cache.stats(), stats, "peek must not touch counters");
+    }
+
+    #[test]
     fn concurrent_callers_hit_disjoint_stripes_safely() {
-        // The striping exists for shared (multi-tenant) use: hammer the
-        // cache from several threads and check the global accounting.
-        // Capacity covers the working set, so every op is exactly one hit
-        // or one miss and no evictions interfere.
-        let cache = std::sync::Arc::new(QueryCache::new(256));
+        // One cache for all of a front-end's threads: hammer it and check
+        // the accounting. Capacity covers the working set, so every op is
+        // exactly one hit or one miss and nothing is evicted.
+        let cache = QueryCache::new(NUM_CACHE_STRIPES * MIN_STRIPE_KEYS);
         let threads = 4;
         let per_thread = 500;
         std::thread::scope(|s| {
             for t in 0..threads {
-                let cache = cache.clone();
+                let cache = &cache;
                 s.spawn(move || {
                     for i in 0..per_thread {
                         // 64 distinct keys shared across threads.
-                        let k = key((t * per_thread + i) % 64);
-                        let _ =
-                            cache.get_or_fetch(0, k, || Some(lookup(k.terms().next().unwrap().0)));
+                        let t = (t * per_thread + i) % 64;
+                        assert_eq!(get(cache, 0, t, Some(t)).0, Some(t));
                     }
                 });
             }
@@ -832,39 +737,39 @@ mod tests {
         // Each key fetched at most once per thread racing on it, at least
         // once overall.
         assert!(stats.misses >= 64 && stats.misses <= (threads * 64) as u64);
+        assert_eq!(stats.evictions, 0);
     }
 
     #[test]
     fn eviction_under_concurrency_respects_capacity() {
-        let cache = std::sync::Arc::new(QueryCache::new(8));
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let cache = cache.clone();
-                s.spawn(move || {
-                    for i in 0..200u32 {
-                        let k = key(t * 1_000 + i);
-                        let _ = cache.get_or_fetch(3, k, || Some(lookup(i)));
-                    }
-                });
-            }
-        });
-        assert!(
-            cache.len() <= 8,
-            "capacity bound must hold once all callers drain ({} > 8)",
-            cache.len()
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.hits + stats.misses, 800);
+        for capacity in [8, 130] {
+            let cache = QueryCache::new(capacity);
+            std::thread::scope(|s| {
+                for t in 0..4u32 {
+                    let cache = &cache;
+                    s.spawn(move || {
+                        for i in 0..200u32 {
+                            get(cache, 3, t * 1_000 + i, Some(i));
+                            assert!(cache.len() <= capacity);
+                        }
+                    });
+                }
+            });
+            assert_eq!(cache.len(), capacity);
+            let stats = cache.stats();
+            assert_eq!(stats.hits + stats.misses, 800);
+            assert_eq!(stats.evictions, 800 - capacity as u64);
+        }
     }
 
     #[test]
     fn commit_level_syncs_epoch() {
         let cache = QueryCache::new(4);
-        cache.get_or_fetch(0, key(1), || Some(lookup(1)));
+        get(&cache, 0, 1, Some(1));
         // A new epoch clears before committing the level.
         cache.commit_level(1, &[(key(2), Some(lookup(2)), false)]);
         assert_eq!(cache.len(), 1);
-        assert!(!cache.peek_level(1, &[key(1)])[0].is_hit());
-        assert!(cache.peek_level(1, &[key(2)])[0].is_hit());
+        assert!(!is_cached(&cache, 1, 1));
+        assert!(is_cached(&cache, 1, 2));
     }
 }

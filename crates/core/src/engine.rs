@@ -1283,11 +1283,15 @@ mod tests {
 
     #[test]
     fn concurrent_cached_queries_during_growth_never_stick_stale() {
-        // The epoch publishes only after a growth session's postings are
-        // all resident (under the index write lock), so a cached query
-        // racing the session commits under the OLD epoch and is swept —
-        // whatever the interleaving, the post-growth cached answer must
-        // contain the new document.
+        // Four threads share one cache — the HTTP front-end's shape —
+        // while a writer grows the index under them. The epoch publishes
+        // only after a growth session's postings are all resident (under
+        // the index write lock), so a cached query racing the session
+        // commits under the OLD epoch and is swept: whatever the
+        // interleaving, a cached answer equals the uncached one on the
+        // index state the query observed, and the post-growth cached
+        // answer contains the new documents.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let c = small_collection();
         let network = HdkNetwork::build(
             &c.prefix(300),
@@ -1300,29 +1304,79 @@ mod tests {
             OverlayKind::PGrid,
         );
         let (mut indexer, queries) = network.into_services();
-        let probe: Vec<hdk_text::TermId> = c.docs()[0].tokens[..2].to_vec();
-        let cache = std::sync::Arc::new(crate::cache::QueryCache::new(1_024));
-        let new_doc = hdk_corpus::Document {
-            id: DocId(300),
-            tokens: probe.repeat(12),
+        let probes: Vec<Vec<hdk_text::TermId>> = (0..6)
+            .map(|i| c.docs()[i].tokens[i..i + 2].to_vec())
+            .collect();
+        let digest = |out: &crate::exec::QueryOutcome| -> Vec<(u32, u64)> {
+            let scored = out.results.iter();
+            scored.map(|r| (r.doc.0, r.score.to_bits())).collect()
         };
+        // Small enough that the threads also evict under each other.
+        let cache = crate::cache::QueryCache::new(8);
+        let (growing, done) = (AtomicBool::new(false), AtomicBool::new(false));
+        let compared = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let hammer = queries.clone();
-            let hammer_cache = cache.clone();
-            let probe_ref = &probe;
-            scope.spawn(move || {
-                for _ in 0..64 {
-                    let _ = hammer.query_cached(PeerId(0), probe_ref, 20, &hammer_cache);
+            for t in 0..4 {
+                let (queries, probes) = (&queries, &probes);
+                let (cache, growing, done, compared) = (&cache, &growing, &done, &compared);
+                scope.spawn(move || {
+                    for i in 0.. {
+                        if done.load(Ordering::SeqCst) && i >= 64 {
+                            break;
+                        }
+                        // A session in flight makes its postings visible
+                        // piecemeal; outside one, and within one epoch,
+                        // the two calls saw the same index.
+                        let settled =
+                            |epoch| !growing.load(Ordering::SeqCst) && queries.epoch() == epoch;
+                        let epoch = queries.epoch();
+                        let was_settled = settled(epoch);
+                        let probe = &probes[(t + i) % probes.len()];
+                        let cached = queries.query_cached(PeerId(0), probe, 20, cache);
+                        let plain = queries.query(PeerId(0), probe, 20);
+                        if was_settled && settled(epoch) {
+                            assert_eq!(digest(&cached), digest(&plain), "epoch {epoch}");
+                            compared.fetch_add(1, Ordering::SeqCst);
+                        }
+                        assert!(cache.len() <= 8);
+                    }
+                });
+            }
+            for (session, probe) in probes.iter().enumerate().take(3) {
+                let new_doc = hdk_corpus::Document {
+                    id: DocId(300 + session as u32),
+                    tokens: probe.repeat(12),
+                };
+                growing.store(true, Ordering::SeqCst);
+                indexer.add_documents(vec![(PeerId(1), new_doc)]);
+                growing.store(false, Ordering::SeqCst);
+                // Every epoch gets compared before the next session
+                // starts — unless the readers died on their assertion,
+                // which the scope reports once this thread lets go.
+                let seen = compared.load(Ordering::SeqCst);
+                let patience = std::time::Instant::now() + std::time::Duration::from_secs(30);
+                while compared.load(Ordering::SeqCst) == seen
+                    && std::time::Instant::now() < patience
+                {
+                    std::thread::yield_now();
                 }
-            });
-            indexer.add_documents(vec![(PeerId(1), new_doc)]);
+            }
+            done.store(true, Ordering::SeqCst);
         });
-        assert_eq!(queries.epoch(), 1);
-        let after = queries.query_cached(PeerId(0), &probe, 20, &cache);
-        assert!(
-            after.results.iter().any(|r| r.doc.0 == 300),
-            "cached query served pre-growth results after the epoch moved"
-        );
+        assert_eq!(queries.epoch(), 3);
+        assert!(compared.into_inner() >= 3, "an epoch went uncompared");
+        for (session, probe) in probes.iter().enumerate() {
+            let after = queries.query_cached(PeerId(0), probe, 20, &cache);
+            assert_eq!(digest(&after), digest(&queries.query(PeerId(0), probe, 20)));
+            assert!(
+                session >= 3
+                    || after
+                        .results
+                        .iter()
+                        .any(|r| r.doc.0 == 300 + session as u32),
+                "cached query served pre-growth results after the epoch moved"
+            );
+        }
     }
 
     #[test]

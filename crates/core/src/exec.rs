@@ -6,8 +6,8 @@
 //!
 //! 1. asks the plan for the level's candidate keys (pure, canonical key
 //!    order);
-//! 2. consults the optional per-peer [`QueryCache`] — partial hits skip
-//!    their probes entirely;
+//! 2. consults the optional [`QueryCache`] (the HTTP front-end's) —
+//!    partial hits skip their probes entirely;
 //! 3. resolves the remaining probes through
 //!    [`GlobalIndex::lookup_many`](crate::global_index::GlobalIndex::lookup_many),
 //!    which fans out rayon-parallel over the DHT's lock stripes, taking
@@ -87,7 +87,7 @@ pub fn derive_query_id(from: PeerId, terms: &[TermId], salt: u64) -> u64 {
 }
 
 /// Executes [`QueryPlan`]s for one querying peer against one network's
-/// [`QueryService`], optionally through the peer's [`QueryCache`].
+/// [`QueryService`], optionally through a [`QueryCache`].
 pub struct QueryExecutor<'a> {
     service: &'a QueryService,
     from: PeerId,
@@ -221,6 +221,12 @@ impl<'a> QueryExecutor<'a> {
     /// misses fanned out through one batched `LookupMany` message set
     /// (stripe-parallel at the DHT). Results come back in the candidates'
     /// (canonical) order.
+    ///
+    /// A level during which the transport's error counter advanced is
+    /// returned but **not committed**: a probe that came back `None`
+    /// because a peer process was unreachable must not be cached as an
+    /// absent key. Another thread's error also skips this commit, which
+    /// only costs a re-probe.
     fn resolve_level(&self, index: &GlobalIndex, epoch: u64, nodes: &[Key]) -> Vec<Resolved> {
         let Some(cache) = self.cache else {
             return index
@@ -239,35 +245,31 @@ impl<'a> QueryExecutor<'a> {
             .filter(|(_, p)| !p.is_hit())
             .map(|(&k, _)| k)
             .collect();
+        let errors_before = index.transport_errors();
         let mut fetched = if miss_keys.is_empty() {
             Vec::new()
         } else {
             index.lookup_many(self.from, self.query_id, &miss_keys)
         }
         .into_iter();
-        let mut out = Vec::with_capacity(nodes.len());
-        let mut commits = Vec::with_capacity(nodes.len());
-        for (&key, peek) in nodes.iter().zip(peeks) {
-            match peek {
-                CachePeek::Hit(cached) => {
-                    commits.push((key, cached.clone(), true));
-                    out.push(Resolved {
-                        lookup: cached,
-                        probed: false,
-                    });
-                }
-                CachePeek::Miss => {
-                    let lookup = fetched.next().expect("one response per miss");
-                    commits.push((key, lookup.clone(), false));
-                    out.push(Resolved {
-                        lookup,
-                        probed: true,
-                    });
-                }
-            }
+        let commits: Vec<(Key, Option<KeyLookup>, bool)> = nodes
+            .iter()
+            .zip(peeks)
+            .map(|(&key, peek)| match peek {
+                CachePeek::Hit(cached) => (key, cached, true),
+                CachePeek::Miss => (key, fetched.next().expect("one response per miss"), false),
+            })
+            .collect();
+        if index.transport_errors() == errors_before {
+            cache.commit_level(epoch, &commits);
         }
-        cache.commit_level(epoch, &commits);
-        out
+        commits
+            .into_iter()
+            .map(|(_, lookup, was_hit)| Resolved {
+                lookup,
+                probed: !was_hit,
+            })
+            .collect()
     }
 }
 
@@ -356,18 +358,20 @@ impl QueryService {
             .collect()
     }
 
-    /// Like [`QueryService::query`] but consults a per-peer
-    /// [`QueryCache`] first, one plan level at a
-    /// time: the level's cache hits skip their probes entirely and only
-    /// the misses fan out to the DHT. Cache hits cost no messages and no
-    /// postings; only misses appear in the returned [`QueryOutcome`] and
-    /// in the traffic meters. The cache self-clears when the index epoch
-    /// changed (after `add_documents` / `join_peer`).
+    /// Like [`QueryService::query`] but consults a [`QueryCache`] first,
+    /// one plan level at a time: the level's cache hits skip their probes
+    /// entirely and only the misses fan out to the DHT. Cache hits cost no
+    /// messages and no postings; only misses appear in the returned
+    /// [`QueryOutcome`] and in the traffic meters. Entries die when the
+    /// index epoch changes (growth, joins, churn), and a level answered
+    /// while the transport reported an error is not cached at all.
     ///
-    /// The cache is a per-peer structure: issue one `query_cached` at a
-    /// time per cache (concurrent callers sharing one cache would
-    /// double-probe cold keys between the level's peek and commit phases —
-    /// see [`QueryCache::peek_level`]).
+    /// Callers may share one cache (the HTTP front-end's threads do): no
+    /// lock is held between a level's peek and commit, so two of them may
+    /// both probe a cold key — duplicated work, never a wrong answer. The
+    /// results always equal [`QueryService::query`]'s on the index state
+    /// the query observed; this is the serving path, `query` the one that
+    /// reproduces the paper's per-query traffic.
     pub fn query_cached(
         &self,
         from: PeerId,

@@ -13,11 +13,24 @@
 //! - `GET /health` — liveness + basic network shape, JSON.
 //! - `GET /metrics` — Prometheus text format: the merged
 //!   [`TrafficSnapshot`] counters, per-kind latency histograms
-//!   (mean/p50/p99/max), transport errors, and the HTTP server's own
-//!   request counters/latencies.
+//!   (mean/p50/p99/max), transport errors, the key cache's counters, and
+//!   the HTTP server's own request counters/latencies.
+//!
+//! The front-end is the querying peer of the paper's architecture, and
+//! owns what such a peer owns: one [`QueryCache`] of key lookups, shared
+//! by every connection thread and every `peer=` value. `/query` resolves
+//! its plan through it ([`QueryService::query_cached`]), so a key
+//! repeated across queries is answered here and only cold keys reach the
+//! peers; the reply's `lookups` / `postings_fetched` count what was
+//! actually fetched (cache hits issue none). The cache is correct for
+//! **one writer**: entries die when [`QueryService::epoch`] moves, and
+//! the `IndexService` paired with this `QueryService` is the only thing
+//! that moves it (see [`crate::cache`]). A degraded answer — one that
+//! saw a transport error — is never cached.
 //!
 //! [`TrafficSnapshot`]: hdk_p2p::TrafficSnapshot
 
+use crate::cache::QueryCache;
 use crate::engine::QueryService;
 use hdk_p2p::{LatencyHistogram, MsgKind, PeerId};
 use hdk_text::TermId;
@@ -34,6 +47,18 @@ const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Upper bound on `k` (top-k size) accepted from the wire.
 const MAX_K: usize = 1_000;
+
+/// Keys the front-end's cache holds: ≤ 65 536 blocks of ≤ `DFmax`
+/// postings each — a few tens of MiB at worst, under 2 MiB on the
+/// benchmark's ≈ 3 400 distinct query keys. Not a knob.
+const FRONT_CACHE_KEYS: usize = 65_536;
+
+/// What every connection thread shares.
+struct Front {
+    service: QueryService,
+    metrics: HttpMetrics,
+    cache: QueryCache,
+}
 
 struct HttpMetrics {
     query_requests: AtomicU64,
@@ -85,7 +110,11 @@ impl HttpHandle {
 pub fn spawn(listener: TcpListener, service: QueryService) -> std::io::Result<HttpHandle> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
-    let metrics = Arc::new(HttpMetrics::new());
+    let front = Arc::new(Front {
+        service,
+        metrics: HttpMetrics::new(),
+        cache: QueryCache::new(FRONT_CACHE_KEYS),
+    });
     let accept_stop = Arc::clone(&stop);
     let thread = std::thread::spawn(move || {
         for stream in listener.incoming() {
@@ -96,11 +125,10 @@ pub fn spawn(listener: TcpListener, service: QueryService) -> std::io::Result<Ht
                 Ok(s) => s,
                 Err(_) => continue,
             };
-            let service = service.clone();
-            let metrics = Arc::clone(&metrics);
+            let front = Arc::clone(&front);
             let stop = Arc::clone(&accept_stop);
             std::thread::spawn(move || {
-                let _ = serve_connection(stream, &service, &metrics, &stop);
+                let _ = serve_connection(stream, &front, &stop);
             });
         }
     });
@@ -114,12 +142,7 @@ pub fn spawn(listener: TcpListener, service: QueryService) -> std::io::Result<Ht
 /// One keep-alive connection loop. The head's line buffer, the body and
 /// the assembled reply are the connection's, cleared between requests;
 /// a reply — head and body — leaves in one write.
-fn serve_connection(
-    stream: TcpStream,
-    service: &QueryService,
-    metrics: &HttpMetrics,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, front: &Front, stop: &AtomicBool) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut stream = BufReader::new(stream);
     let (mut line, mut body, mut reply) = (String::new(), String::new(), Vec::new());
@@ -132,7 +155,7 @@ fn serve_connection(
             None => return Ok(()), // clean close between requests
         };
         body.clear();
-        let (status, content_type) = route(&target, service, metrics, &mut body);
+        let (status, content_type) = route(&target, front, &mut body);
         let connection = if keep_alive { "keep-alive" } else { "close" };
         reply.clear();
         write!(
@@ -201,12 +224,8 @@ fn read_head(
 
 /// Dispatches one request target to its route, which writes the reply's
 /// body to `body` and returns its status and content type.
-fn route(
-    target: &str,
-    service: &QueryService,
-    metrics: &HttpMetrics,
-    body: &mut String,
-) -> (u16, &'static str) {
+fn route(target: &str, front: &Front, body: &mut String) -> (u16, &'static str) {
+    let metrics = &front.metrics;
     let (path, query_string) = match target.split_once('?') {
         Some((p, q)) => (p, q),
         None => (target, ""),
@@ -219,18 +238,18 @@ fn route(
     match path {
         "/health" => {
             metrics.health_requests.fetch_add(1, Ordering::Relaxed);
-            health_json(service, body);
+            health_json(&front.service, body);
             (200, "application/json")
         }
         "/metrics" => {
             metrics.metrics_requests.fetch_add(1, Ordering::Relaxed);
-            metrics_text(service, metrics, body);
+            metrics_text(front, body);
             (200, "text/plain; version=0.0.4")
         }
         "/query" => match parse_query_params(query_string) {
             Ok((terms, k, peer)) => {
                 metrics.query_requests.fetch_add(1, Ordering::Relaxed);
-                run_query(service, metrics, &terms, k, peer, body)
+                run_query(front, &terms, k, peer, body)
             }
             Err(msg) => bad_request(400, &msg, body),
         },
@@ -277,22 +296,22 @@ fn parse_query_params(query_string: &str) -> Result<(Vec<TermId>, usize, PeerId)
 }
 
 fn run_query(
-    service: &QueryService,
-    metrics: &HttpMetrics,
+    front: &Front,
     terms: &[TermId],
     k: usize,
     peer: PeerId,
     body: &mut String,
 ) -> (u16, &'static str) {
+    let service = &front.service;
     if peer.0 >= service.num_peers() as u64 {
         error_json(&format!("peer {} out of range", peer.0), body);
         return (400, "application/json");
     }
     let errors_before = service.transport_errors();
     let started = Instant::now();
-    let outcome = service.query(peer, terms, k);
+    let outcome = service.query_cached(peer, terms, k, &front.cache);
     let elapsed_ns = started.elapsed().as_nanos() as u64;
-    metrics.query_latency.lock().record_sample(elapsed_ns);
+    front.metrics.query_latency.lock().record_sample(elapsed_ns);
     let transport_errors = service.transport_errors() - errors_before;
     body.push_str("{\"query\":[");
     for (i, term) in terms.iter().enumerate() {
@@ -359,8 +378,13 @@ fn seconds(ns: f64) -> String {
 }
 
 /// Prometheus text exposition of the merged traffic snapshot plus the
-/// HTTP server's own counters.
-fn metrics_text(service: &QueryService, metrics: &HttpMetrics, out: &mut String) {
+/// front-end's own counters: its key cache and its HTTP routes.
+fn metrics_text(front: &Front, out: &mut String) {
+    let Front {
+        service,
+        metrics,
+        cache,
+    } = front;
     let snapshot = service.snapshot();
     out.push_str("# HELP hdk_traffic_messages_total Messages carried, by kind.\n");
     out.push_str("# TYPE hdk_traffic_messages_total counter\n");
@@ -433,6 +457,19 @@ fn metrics_text(service: &QueryService, metrics: &HttpMetrics, out: &mut String)
         "hdk_transport_errors_total {}\n",
         service.transport_errors()
     ));
+    let stats = cache.stats();
+    for (series, kind, value) in [
+        ("hits_total", "counter", stats.hits),
+        ("misses_total", "counter", stats.misses),
+        ("evictions_total", "counter", stats.evictions),
+        ("entries", "gauge", cache.len() as u64),
+    ] {
+        let _ = write!(
+            out,
+            "# HELP hdk_cache_{series} The front-end's key-lookup cache.\n\
+             # TYPE hdk_cache_{series} {kind}\nhdk_cache_{series} {value}\n"
+        );
+    }
     out.push_str("# HELP hdk_http_requests_total HTTP requests served, by route.\n");
     out.push_str("# TYPE hdk_http_requests_total counter\n");
     for (route, counter) in [

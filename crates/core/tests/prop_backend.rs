@@ -14,13 +14,22 @@
 //! in-memory loopback fleet (no sockets, no processes): every exchange is
 //! `encode → decode → PeerHost::handle → encode → decode`, so codec,
 //! scatter rules, reply folds and the handler are all on the path.
+//!
+//! The backends also agree on what they *refuse*: a membership wave that
+//! is invalid against the overlay (a joiner already in it, an unknown or
+//! dead leaver, a wave that leaves nobody) is answered `Response::Err`
+//! by all three and changes nothing — and a live `PeerHost` that receives
+//! one on a socket answers `WireResponse::Err` and keeps serving.
 
 use hdk_core::{
-    BackendConfig, Fleet, HdkConfig, HdkNetwork, OverlayKind, PeerConfig, PeerHost, QueryService,
-    TcpNet, WireRequest,
+    BackendConfig, Fleet, HdkConfig, HdkNetwork, IndexBackend, IndexStore, Key, OverlayKind,
+    PeerConfig, PeerHost, QueryService, StoreConfig, TcpNet, WireRequest, WireResponse,
 };
 use hdk_corpus::{Collection, DocId, Document};
-use hdk_p2p::{MsgKind, PGrid, PeerId, SimNetConfig, WireResult};
+use hdk_p2p::{
+    read_wire_frame, write_wire_frame, Addressed, Control, InProc, MsgKind, PGrid, PeerId, Request,
+    Response, SimNet, SimNetConfig, WireResult,
+};
 use hdk_text::{TermId, Vocabulary};
 use proptest::prelude::*;
 
@@ -91,6 +100,35 @@ impl Fleet for Loopback {
     }
 }
 
+/// One of `hosts` peer hosts of a `peers`-peer network.
+fn peer_host(proc_index: usize, hosts: usize, peers: usize, config: &HdkConfig) -> PeerHost {
+    PeerHost::new(PeerConfig {
+        nprocs: hosts,
+        proc_index,
+        num_peers: peers,
+        dfmax: config.dfmax,
+        replication: config.replication,
+        overlay: OverlayKind::PGrid,
+        store: config.store.clone(),
+    })
+}
+
+fn pgrid(peers: usize) -> Box<PGrid> {
+    Box::new(PGrid::new((0..peers as u64).map(PeerId).collect()))
+}
+
+/// A `TcpNet` over `hosts` loopback peer hosts.
+fn loopback_net(peers: usize, config: &HdkConfig, hosts: usize) -> TcpNet {
+    let fleet = (0..hosts).map(|proc| peer_host(proc, hosts, peers, config));
+    TcpNet::over(
+        Box::new(Loopback(fleet.collect())),
+        pgrid(peers),
+        config.dfmax,
+        config.replication,
+    )
+    .expect("every loopback host answers its health probe")
+}
+
 /// The scenario built over `hosts` loopback peer hosts.
 fn build_over_loopback(
     collection: &Collection,
@@ -98,28 +136,7 @@ fn build_over_loopback(
     config: &HdkConfig,
     hosts: usize,
 ) -> HdkNetwork {
-    let peers = partitions.len();
-    let fleet = (0..hosts)
-        .map(|proc_index| {
-            PeerHost::new(PeerConfig {
-                nprocs: hosts,
-                proc_index,
-                num_peers: peers,
-                dfmax: config.dfmax,
-                replication: config.replication,
-                overlay: OverlayKind::PGrid,
-                store: config.store.clone(),
-            })
-        })
-        .collect();
-    let overlay = Box::new(PGrid::new((0..peers as u64).map(PeerId).collect()));
-    let net = TcpNet::over(
-        Box::new(Loopback(fleet)),
-        overlay,
-        config.dfmax,
-        config.replication,
-    )
-    .expect("every loopback host answers its health probe");
+    let net = loopback_net(partitions.len(), config, hosts);
     HdkNetwork::build_over(collection, partitions, config.clone(), Box::new(net))
 }
 
@@ -199,6 +216,118 @@ fn check_equivalent(
         prop_assert!(sa.latency(kind).is_empty(), "in-proc must not record time");
     }
     Ok(())
+}
+
+fn ids(peers: &[u64]) -> Vec<PeerId> {
+    peers.iter().map(|&p| PeerId(p)).collect()
+}
+
+/// Membership waves no `Dht` over four live peers `0..4` can apply.
+fn invalid_waves() -> Vec<Control> {
+    vec![
+        Control::Join { peers: ids(&[2]) },
+        Control::Join {
+            peers: ids(&[8, 8]),
+        },
+        Control::Leave { peers: ids(&[9]) },
+        Control::Fail { peers: ids(&[9]) },
+        Control::Restart { peers: ids(&[9]) },
+        Control::Leave {
+            peers: ids(&[1, 1]),
+        },
+        Control::Fail {
+            peers: ids(&[0, 1, 2, 3]),
+        },
+        Control::Leave {
+            peers: ids(&[3, 2, 1, 0]),
+        },
+    ]
+}
+
+fn lookup_of_nothing() -> hdk_core::IndexRequest {
+    let key = Key::single(TermId(3));
+    Request::LookupMany {
+        from: PeerId(0),
+        query_id: 7,
+        keys: vec![Addressed {
+            route: key.dht_hash(),
+            body: key,
+        }],
+    }
+}
+
+#[test]
+fn every_backend_refuses_an_invalid_membership_wave() {
+    let config = HdkConfig {
+        replication: 2,
+        store: StoreConfig::Memory,
+        ..HdkConfig::default()
+    };
+    let inproc = || InProc::replicated(pgrid(4), IndexStore::new(config.dfmax), 2);
+    let backends: [(&str, IndexBackend); 3] = [
+        ("InProc", Box::new(inproc())),
+        (
+            "SimNet",
+            Box::new(SimNet::new(inproc(), SimNetConfig::zero())),
+        ),
+        ("TcpNet", Box::new(loopback_net(4, &config, 2))),
+    ];
+    for (name, mut backend) in backends {
+        for wave in invalid_waves() {
+            let reply = backend.control(wave.clone());
+            assert!(
+                matches!(reply, Response::Err(_)),
+                "{name}: {wave:?} answered {reply:?}"
+            );
+            assert_eq!(backend.dht().overlay().len(), 4, "{name}: {wave:?}");
+            assert_eq!(backend.dht().membership().live_count(), 4, "{name}");
+        }
+        // Still in working order: a dead peer is then refused a second
+        // death, a valid join goes through, lookups are answered.
+        let crash = Control::Fail { peers: ids(&[3]) };
+        assert!(matches!(backend.control(crash.clone()), Response::Lost(_)));
+        assert!(matches!(backend.control(crash), Response::Err(_)), "{name}");
+        let join = Control::Join { peers: ids(&[8]) };
+        assert!(
+            matches!(backend.control(join), Response::Moved(_)),
+            "{name}"
+        );
+        let found = backend.call(lookup_of_nothing());
+        assert!(
+            matches!(&found, Response::Found { results } if matches!(results[..], [None])),
+            "{name}"
+        );
+        assert_eq!(backend.transport_errors(), 0, "{name}");
+    }
+}
+
+#[test]
+fn a_live_peer_host_survives_an_invalid_control_frame() {
+    let config = HdkConfig {
+        store: StoreConfig::Memory,
+        ..HdkConfig::default()
+    };
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let host = peer_host(0, 1, 4, &config);
+    std::thread::spawn(move || host.serve(listener));
+    let mut exchange = |request: WireRequest| {
+        write_wire_frame(&mut stream, &request.encode()).expect("send");
+        WireResponse::decode(&read_wire_frame(&mut stream).expect("a reply frame")).expect("reply")
+    };
+    for wave in invalid_waves() {
+        let reply = exchange(WireRequest::Control(wave.clone()));
+        assert!(
+            matches!(reply, WireResponse::Err(_)),
+            "{wave:?} answered {reply:?}"
+        );
+        // The same connection, the same process: the next lookup is served.
+        let reply = exchange(WireRequest::Rpc(lookup_of_nothing()));
+        assert!(
+            matches!(&reply, WireResponse::Rpc(Response::Found { results }) if matches!(results[..], [None])),
+            "after {wave:?}: {reply:?}"
+        );
+    }
 }
 
 proptest! {

@@ -69,7 +69,7 @@ use crate::dht::{
 use crate::gossip::{GossipConfig, GossipProbe};
 use crate::id::{hash_u64s, splitmix64, KeyHash, PeerId};
 use crate::overlay::Overlay;
-use crate::replica::Delivery;
+use crate::replica::{Delivery, Membership};
 use crate::store::{RecoveryStats, Store};
 use crate::transport::{MsgKind, TrafficSnapshot};
 use crate::wire::Absorb;
@@ -691,15 +691,57 @@ fn handle<S: StoreService>(
     }
 }
 
+/// Why a membership wave cannot be applied to a [`Dht`] over `overlay` and
+/// `membership`, where the `Dht` itself would assert: a joiner must be new, a leaver, crasher or
+/// restarter known and live, no peer may appear twice, and a departure or
+/// crash wave must leave a live peer behind.
+fn check_wave(
+    overlay: &dyn Overlay,
+    membership: &Membership,
+    control: &Control,
+) -> Result<(), String> {
+    let (peers, joining, removing) = match control {
+        Control::Join { peers } => (peers, true, false),
+        Control::Leave { peers } | Control::Fail { peers } => (peers, false, true),
+        Control::Restart { peers } => (peers, false, false),
+        Control::Gossip { .. } | Control::HotConfig(_) | Control::EnableGossip { .. } => {
+            return Ok(())
+        }
+    };
+    let known = overlay.peers();
+    for (i, peer) in peers.iter().enumerate() {
+        if peers[..i].contains(peer) {
+            return Err(format!("peer {} appears twice in one wave", peer.0));
+        }
+        match known.iter().position(|p| p == peer) {
+            Some(_) if joining => return Err(format!("peer {} is already a member", peer.0)),
+            None if !joining => return Err(format!("unknown peer {}", peer.0)),
+            Some(index) if !membership.is_live(index) => {
+                return Err(format!("peer {} is not live", peer.0))
+            }
+            _ => {}
+        }
+    }
+    if removing && peers.len() >= membership.live_count() {
+        return Err("the wave would leave no live peer".into());
+    }
+    Ok(())
+}
+
 /// The one place a control-plane message becomes DHT calls, for every
 /// backend (see [`handle`] for `legs`). A crash and a restart send
-/// nothing, so they report no legs.
+/// nothing, so they report no legs. A wave that is invalid against this
+/// host's overlay and membership is refused ([`check_wave`]) and changes
+/// nothing.
 fn handle_control<S: StoreService>(
     dht: &mut Dht<S::Value>,
     store: &S,
     control: Control,
     legs: Legs<'_>,
 ) -> ResponseOf<S> {
+    if let Err(reason) = check_wave(dht.overlay(), dht.membership(), &control) {
+        return Response::Err(reason);
+    }
     let timed = legs.is_some();
     let volume = |value: &S::Value| store.migrate_volume(value);
     match control {
@@ -1526,6 +1568,26 @@ mod tests {
             backend.control(Control::Gossip { round: 1 }),
             Response::Gossiped(_)
         ));
+        // Membership waves the `Dht` would assert on.
+        let ids = |peers: &[u64]| peers.iter().map(|&p| PeerId(p)).collect::<Vec<_>>();
+        let fail = |peers: &[u64]| Control::Fail { peers: ids(peers) };
+        let leave = |peers: &[u64]| Control::Leave { peers: ids(peers) };
+        let join = |peers: &[u64]| Control::Join { peers: ids(peers) };
+        let restart = |peers: &[u64]| Control::Restart { peers: ids(peers) };
+        assert!(refused(backend.control(join(&[2]))).contains("already a member"));
+        assert!(refused(backend.control(join(&[7, 7]))).contains("twice"));
+        for wave in [leave(&[9]), fail(&[9]), restart(&[9])] {
+            assert!(refused(backend.control(wave)).contains("unknown peer 9"));
+        }
+        assert!(refused(backend.control(fail(&[0, 1, 2, 3]))).contains("no live peer"));
+        assert!(matches!(backend.control(fail(&[3])), Response::Lost(_)));
+        for wave in [leave(&[3]), fail(&[3]), restart(&[3])] {
+            assert!(refused(backend.control(wave)).contains("not live"));
+        }
+        assert!(refused(backend.control(leave(&[0, 1, 2]))).contains("no live peer"));
+        assert_eq!(backend.dht().overlay().len(), 4, "refusals changed nothing");
+        assert_eq!(backend.dht().membership().live_count(), 3);
+        assert!(matches!(backend.control(join(&[7])), Response::Moved(_)));
     }
 
     /// A `StoreCodec` for the toy `Vec<u32>` values, so the RPC tests can

@@ -122,6 +122,19 @@ fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
     (status, body)
 }
 
+/// The value of one series of a `/metrics` body.
+fn metric(metrics: &str, series: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+        .unwrap_or_else(|| panic!("no series {series} in {metrics}"))
+}
+
+fn query_target(terms: &[hdk_text::TermId], k: usize) -> String {
+    let q: Vec<String> = terms.iter().map(|t| t.0.to_string()).collect();
+    format!("/query?q={}&k={k}", q.join(","))
+}
+
 fn queries(collection: &Collection) -> Vec<Vec<hdk_text::TermId>> {
     (0..24)
         .map(|i| collection.long_query(i * 37, 3 + i % 3))
@@ -223,29 +236,47 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
         "health: {health}"
     );
 
+    // `/query` runs through the front-end's key cache: the first ask
+    // fetches, the repeat is answered from the cache — no lookup message
+    // leaves the front-end — and both carry the uncached call's score
+    // bits, in the exact Display form of every score.
     let terms = queries(&collection)[0].clone();
-    let q: Vec<String> = terms.iter().map(|t| t.0.to_string()).collect();
-    let (status, body) = http_get(http_addr, &format!("/query?q={}&k=5", q.join(",")));
-    assert_eq!(status, 200, "query: {body}");
     let direct = inproc.query(PeerId(0), &terms, 5);
-    for result in &direct.results {
-        // Full-precision score serialization: the exact Display form of
-        // every score must appear in the JSON body.
-        let fragment = format!("{{\"doc\":{},\"score\":{}}}", result.doc.0, result.score);
+    let lookups = "hdk_traffic_messages_total{kind=\"query_lookup\"}";
+    let mut seen = Vec::new();
+    for ask in 0..2 {
+        let (status, body) = http_get(http_addr, &query_target(&terms, 5));
+        assert_eq!(status, 200, "query: {body}");
+        let results: Vec<String> = direct
+            .results
+            .iter()
+            .map(|r| format!("{{\"doc\":{},\"score\":{}}}", r.doc.0, r.score))
+            .collect();
+        let fragment = format!("\"results\":[{}]", results.join(","));
         assert!(body.contains(&fragment), "missing {fragment} in {body}");
+        let fetched = if ask == 0 { direct.lookups } else { 0 };
+        assert!(body.contains(&format!("\"lookups\":{fetched},")), "{body}");
+        let (status, metrics) = http_get(http_addr, "/metrics");
+        assert_eq!(status, 200);
+        seen.push((
+            metric(&metrics, "hdk_cache_hits_total"),
+            metric(&metrics, "hdk_cache_misses_total"),
+            metric(&metrics, "hdk_cache_entries"),
+            metric(&metrics, "hdk_cache_evictions_total"),
+            metric(&metrics, lookups),
+        ));
     }
+    let planned = u64::from(direct.lookups);
+    let sent = seen[0].4;
+    assert_eq!(seen[0], (0, planned, planned, 0, sent));
+    assert_eq!(seen[1], (planned, planned, planned, 0, sent));
 
-    let (status, metrics) = http_get(http_addr, "/metrics");
-    assert_eq!(status, 200);
-    assert!(
-        metrics.contains("hdk_traffic_messages_total{kind=\"index_insert\"}"),
-        "metrics: {metrics}"
-    );
+    let (_, metrics) = http_get(http_addr, "/metrics");
     assert!(
         !metrics.contains("hdk_traffic_messages_total{kind=\"index_insert\"} 0\n"),
         "insert counter must be nonzero after a build"
     );
-    assert!(metrics.contains("hdk_http_requests_total{route=\"query\"} 1"));
+    assert!(metrics.contains("hdk_http_requests_total{route=\"query\"} 2"));
 
     let (status, _) = http_get(http_addr, "/nope");
     assert_eq!(status, 404);
@@ -283,6 +314,22 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
     assert!(
         elapsed < Duration::from_secs(60),
         "queries against a dead peer took {elapsed:?} — hanging, not failing"
+    );
+
+    // A degraded answer is never cached: the `/query` that came back 502
+    // is probed again when repeated — had the unreachable process's keys
+    // been cached as absent, the repeat would be a confident, wrong 200.
+    let degraded_target = queries(&collection)
+        .iter()
+        .map(|terms| query_target(terms, 10))
+        .find(|target| http_get(http_addr, target).0 == 502)
+        .expect("a dead process must turn some /query into a 502");
+    let errors_before = tcp.transport_errors();
+    let (status, body) = http_get(http_addr, &degraded_target);
+    assert_eq!(status, 502, "repeat of a degraded query: {body}");
+    assert!(
+        tcp.transport_errors() > errors_before,
+        "the repeat must reach for the dead process again"
     );
 
     handle.stop();
