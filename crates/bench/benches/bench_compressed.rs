@@ -2,18 +2,10 @@
 //! refactor touched: insert (merge an incoming batch into the resident
 //! list), lookup (hand the stored postings to a querying peer), and rank
 //! (stream the retrieved postings through the scorer).
-//!
-//! After the criterion groups, `main` runs the codec-comparison grid —
-//! the same four operations (encode / decode / merge / rank) hand-timed
-//! under the legacy LEB128 codec and the gv4 group-varint codec — and
-//! writes the machine-readable `BENCH_codec.json` artifact. The grid
-//! asserts the tentpole acceptance bound: a gv4 append-path merge stays
-//! within 1.1x of the decoded-union merge on the same workload.
 
-use criterion::{criterion_group, Criterion, Throughput};
-use hdk_bench::json::Json;
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hdk_corpus::DocId;
-use hdk_ir::{Bm25, Codec, CompressedPostings, Posting, PostingList};
+use hdk_ir::{Bm25, CompressedPostings, Posting, PostingList};
 use std::hint::black_box;
 
 fn list(n: u32, start: u32, stride: u32) -> PostingList {
@@ -94,226 +86,4 @@ fn bench_rank(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_insert, bench_lookup, bench_rank);
-
-/// A posting list with *mixed-width* values — doc gaps spanning one to
-/// three varint bytes, two-byte doc lengths — the shape of a DHK block
-/// whose DFmax postings are scattered over a large doc-id space. On this
-/// (realistic) shape the per-byte LEB128 continuation branch is
-/// unpredictable, which is exactly what the gv4 codec removes; the
-/// uniform `list` above is the codec's worst case (every value one byte,
-/// perfectly predicted).
-fn varied_list(n: u32, seed: u64) -> PostingList {
-    let mut x = seed | 1;
-    let mut doc = 0u32;
-    let mut postings = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        // xorshift64 — deterministic, dependency-free.
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        doc += 1 + (x as u32) % 70_000;
-        postings.push(Posting {
-            doc: DocId(doc),
-            tf: 1 + ((x >> 8) as u32) % 50,
-            doc_len: 60 + ((x >> 16) as u32) % 4_000,
-        });
-    }
-    PostingList::from_sorted(postings)
-}
-
-/// Median wall-clock seconds of `f` over `reps` samples (after a warmup).
-fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = std::time::Instant::now();
-        f();
-        samples.push(t.elapsed().as_secs_f64());
-    }
-    samples.sort_by(f64::total_cmp);
-    samples[reps / 2]
-}
-
-/// Per-codec timings (ns per operation) of one grid cell set.
-struct CodecTimings {
-    encode_ns: f64,
-    decode_ns: f64,
-    merge_append_ns: f64,
-    merge_interleaved_ns: f64,
-    rank_ns: f64,
-    encoded_bytes: usize,
-}
-
-fn grid_for(
-    codec: Codec,
-    resident_list: &PostingList,
-    inter_list: &PostingList,
-    append_list: &PostingList,
-) -> CodecTimings {
-    const INNER: usize = 64;
-    const REPS: usize = 21;
-    let resident = CompressedPostings::from_list_with(resident_list, codec);
-    let append = CompressedPostings::from_list_with(append_list, codec);
-    let inter = CompressedPostings::from_list_with(inter_list, codec);
-    let bm25 = Bm25::default();
-    let per_op = |secs: f64| secs / INNER as f64 * 1e9;
-    let encode = time_median(REPS, || {
-        for _ in 0..INNER {
-            black_box(CompressedPostings::from_list_with(
-                black_box(resident_list),
-                codec,
-            ));
-        }
-    });
-    let decode = time_median(REPS, || {
-        for _ in 0..INNER {
-            black_box(black_box(&resident).decode());
-        }
-    });
-    let merge_append = time_median(REPS, || {
-        for _ in 0..INNER {
-            black_box(black_box(&resident).merge_counting(black_box(&append)));
-        }
-    });
-    let merge_inter = time_median(REPS, || {
-        for _ in 0..INNER {
-            black_box(black_box(&resident).merge_counting(black_box(&inter)));
-        }
-    });
-    let rank = time_median(REPS, || {
-        for _ in 0..INNER {
-            let sum: f64 = black_box(&resident)
-                .iter()
-                .map(|p| bm25.score(p.tf, p.doc_len, 100.0, 500, 100_000))
-                .sum();
-            black_box(sum);
-        }
-    });
-    CodecTimings {
-        encode_ns: per_op(encode),
-        decode_ns: per_op(decode),
-        merge_append_ns: per_op(merge_append),
-        merge_interleaved_ns: per_op(merge_inter),
-        rank_ns: per_op(rank),
-        encoded_bytes: resident.encoded_len(),
-    }
-}
-
-/// The codec-comparison grid + `BENCH_codec.json` artifact.
-fn codec_grid() {
-    const INNER: usize = 64;
-    const REPS: usize = 21;
-    let resident_list = varied_list(4_000, 0x5EED);
-    let max_doc = resident_list.postings().last().unwrap().doc.0;
-    // Interleaved batch: varied docs *inside* the resident range.
-    let inter_list = PostingList::from_sorted(
-        varied_list(64, 0xBEEF)
-            .postings()
-            .iter()
-            .map(|p| {
-                let doc = p.doc.0 % max_doc;
-                (
-                    doc,
-                    Posting {
-                        doc: DocId(doc),
-                        ..*p
-                    },
-                )
-            })
-            .collect::<std::collections::BTreeMap<_, _>>()
-            .into_values()
-            .collect(),
-    );
-    // Append batch: strictly beyond the resident max doc (the fast path).
-    let append_list = PostingList::from_sorted(
-        varied_list(64, 0xFACE)
-            .postings()
-            .iter()
-            .map(|p| Posting {
-                doc: DocId(p.doc.0 + max_doc + 5),
-                ..*p
-            })
-            .collect(),
-    );
-    let leb = grid_for(Codec::Leb128, &resident_list, &inter_list, &append_list);
-    let gv4 = grid_for(Codec::Gv4, &resident_list, &inter_list, &append_list);
-    let decoded_union_append_ns = time_median(REPS, || {
-        for _ in 0..INNER {
-            let merged = black_box(&resident_list).union(black_box(&append_list));
-            let new_docs = append_list
-                .docs()
-                .filter(|&d| !resident_list.contains_doc(d))
-                .count();
-            black_box((merged, new_docs));
-        }
-    }) / INNER as f64
-        * 1e9;
-
-    let row = |name: &str, t: &CodecTimings| {
-        Json::obj([
-            ("codec", name.into()),
-            ("encode_ns", t.encode_ns.into()),
-            ("decode_ns", t.decode_ns.into()),
-            ("merge_append_ns", t.merge_append_ns.into()),
-            ("merge_interleaved_ns", t.merge_interleaved_ns.into()),
-            ("rank_ns", t.rank_ns.into()),
-            ("encoded_bytes", t.encoded_bytes.into()),
-        ])
-    };
-    let append_ratio = gv4.merge_append_ns / decoded_union_append_ns;
-    let rank_speedup = leb.rank_ns / gv4.rank_ns;
-    let json = Json::obj([
-        ("bench", "codec_grid".into()),
-        ("resident_postings", 4_000usize.into()),
-        ("batch_postings", 64usize.into()),
-        ("grid", Json::arr([row("leb128", &leb), row("gv4", &gv4)])),
-        (
-            "baseline",
-            Json::obj([("decoded_union_append_ns", decoded_union_append_ns.into())]),
-        ),
-        ("gv4_append_vs_decoded_union", append_ratio.into()),
-        ("rank_speedup_gv4_over_leb128", rank_speedup.into()),
-    ]);
-    // Anchor to the workspace root (cargo bench runs with the package
-    // directory as cwd), matching where BENCH_read_scaling.json lives.
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_codec.json");
-    match std::fs::write(path, json.render() + "\n") {
-        Ok(()) => eprintln!("[codec_grid] wrote {path}"),
-        Err(e) => eprintln!("[codec_grid] could not write {path}: {e}"),
-    }
-    println!(
-        "[codec_grid] op ns/call       leb128      gv4\n\
-         [codec_grid] encode        {:>9.0} {:>8.0}\n\
-         [codec_grid] decode        {:>9.0} {:>8.0}\n\
-         [codec_grid] merge append  {:>9.0} {:>8.0}  (decoded union {:.0})\n\
-         [codec_grid] merge inter   {:>9.0} {:>8.0}\n\
-         [codec_grid] rank          {:>9.0} {:>8.0}  ({rank_speedup:.2}x)\n\
-         [codec_grid] resident bytes{:>9} {:>8}",
-        leb.encode_ns,
-        gv4.encode_ns,
-        leb.decode_ns,
-        gv4.decode_ns,
-        leb.merge_append_ns,
-        gv4.merge_append_ns,
-        decoded_union_append_ns,
-        leb.merge_interleaved_ns,
-        gv4.merge_interleaved_ns,
-        leb.rank_ns,
-        gv4.rank_ns,
-        leb.encoded_bytes,
-        gv4.encoded_bytes,
-    );
-    // Tentpole acceptance bound: the gv4 append-path merge must stay
-    // within 1.1x of the decoded-union merge on the same workload.
-    assert!(
-        append_ratio <= 1.1,
-        "gv4 append merge {:.0} ns is {append_ratio:.2}x the decoded-union \
-         baseline {decoded_union_append_ns:.0} ns (bound: 1.1x)",
-        gv4.merge_append_ns,
-    );
-}
-
-fn main() {
-    benches();
-    codec_grid();
-}
+criterion_main!(benches);

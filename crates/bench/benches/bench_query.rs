@@ -12,7 +12,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use hdk_core::{HdkConfig, HdkNetwork, OverlayKind, QueryCache};
 use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
-use hdk_ir::Codec;
 use hdk_p2p::PeerId;
 use hdk_text::TermId;
 use std::hint::black_box;
@@ -20,10 +19,6 @@ use std::hint::black_box;
 const PEERS: usize = 16;
 
 fn setup() -> (HdkNetwork, Vec<Vec<TermId>>) {
-    setup_with(Codec::default())
-}
-
-fn setup_with(codec: Codec) -> (HdkNetwork, Vec<Vec<TermId>>) {
     let coll = CollectionGenerator::new(GeneratorConfig {
         num_docs: 1_200,
         vocab_size: 8_000,
@@ -41,7 +36,6 @@ fn setup_with(codec: Codec) -> (HdkNetwork, Vec<Vec<TermId>>) {
             dfmax: 12,
             smax: 4,
             ff: u64::MAX,
-            codec,
             ..HdkConfig::default()
         },
         OverlayKind::PGrid,
@@ -107,32 +101,6 @@ fn bench_single_query(c: &mut Criterion) {
     g.finish();
 }
 
-/// The block-codec leg of the latency table: the same 32-query pass over
-/// builds that differ only in posting-block codec. Gv4's branch-free
-/// 4-wide decode shows up here as end-to-end query latency, not just the
-/// isolated rank-loop speedup `bench_codec` measures; scores are
-/// codec-invariant (pinned by `tests/golden_snapshot.rs`), so the legs
-/// are directly comparable.
-fn bench_codec_query(c: &mut Criterion) {
-    let mut g = c.benchmark_group("query/codec");
-    for codec in [Codec::Leb128, Codec::Gv4] {
-        let (network, queries) = setup_with(codec);
-        g.throughput(Throughput::Elements(queries.len() as u64));
-        g.bench_with_input(
-            BenchmarkId::new("block_codec", format!("{codec:?}").to_lowercase()),
-            &(),
-            |b, ()| {
-                b.iter(|| {
-                    for (i, q) in queries.iter().enumerate() {
-                        black_box(network.query(PeerId(i as u64 % PEERS as u64), q, 20));
-                    }
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
 fn bench_cached_query(c: &mut Criterion) {
     let (network, queries) = setup();
     let mut g = c.benchmark_group("query/cached");
@@ -152,10 +120,5 @@ fn bench_cached_query(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_single_query,
-    bench_codec_query,
-    bench_cached_query
-);
+criterion_group!(benches, bench_single_query, bench_cached_query);
 criterion_main!(benches);

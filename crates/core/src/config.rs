@@ -65,24 +65,6 @@ impl StoreConfig {
     }
 }
 
-/// Reads the block-codec selection from the `HDK_CODEC` environment
-/// variable: `leb128` (or unset) for the legacy default, `gv4` for the
-/// 4-wide group-varint codec — how CI runs the whole tier-1 suite against
-/// the alternative codec without touching any test, exactly like
-/// [`StoreConfig::from_env`] does for the storage backend.
-///
-/// # Panics
-/// Panics on an unrecognized value (a misspelled matrix entry must fail
-/// loudly, not silently fall back to the default).
-pub fn codec_from_env() -> Codec {
-    match std::env::var("HDK_CODEC") {
-        Err(_) => Codec::Leb128,
-        Ok(v) if v.is_empty() || v == "leb128" => Codec::Leb128,
-        Ok(v) if v == "gv4" => Codec::Gv4,
-        Ok(v) => panic!("HDK_CODEC must be `leb128` or `gv4`, got {v:?}"),
-    }
-}
-
 /// Default per-request deadline of the serving tier's transport
 /// (connect, read and write), overridable with `HDK_NET_TIMEOUT_MS`.
 pub const DEFAULT_NET_TIMEOUT_MS: u64 = 5_000;
@@ -155,12 +137,8 @@ pub struct HdkConfig {
     /// read it from the `HDK_STORE` environment variable
     /// ([`StoreConfig::from_env`]), defaulting to the in-memory store.
     pub store: StoreConfig,
-    /// Block codec for freshly encoded posting blocks (a per-block
-    /// property carried in-band, so existing blocks of the other codec
-    /// keep decoding). The constructors read it from the `HDK_CODEC`
-    /// environment variable ([`codec_from_env`]), defaulting to the
-    /// legacy LEB128 layout — the golden snapshot and all wire byte
-    /// meters are untouched unless this is flipped.
+    /// Ignored: there is one block format. Kept only so the frozen
+    /// `benchmark/` crate compiles; nothing reads it.
     pub codec: Codec,
     /// Gossip membership knobs ([`hdk_p2p::GossipConfig`]). The default
     /// (`fanout 0`) keeps gossip off entirely: peer liveness stays on
@@ -186,7 +164,7 @@ impl HdkConfig {
             hot_threshold: 0,
             hot_extra: 1,
             store: StoreConfig::from_env(),
-            codec: codec_from_env(),
+            codec: Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
         }
     }
@@ -242,7 +220,7 @@ impl HdkConfig {
             hot_threshold: 0,
             hot_extra: 1,
             store: StoreConfig::from_env(),
-            codec: codec_from_env(),
+            codec: Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
         }
     }
@@ -263,7 +241,7 @@ impl Default for HdkConfig {
             hot_threshold: 0,
             hot_extra: 1,
             store: StoreConfig::from_env(),
-            codec: codec_from_env(),
+            codec: Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
         }
     }

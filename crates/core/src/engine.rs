@@ -715,9 +715,7 @@ impl IndexService {
                     let batch: Vec<(Key, CompressedPostings)> = peer
                         .compute_runs(round, config, excluded)
                         .iter()
-                        .map(|(key, run)| {
-                            (key, CompressedPostings::from_postings(run, config.codec))
-                        })
+                        .map(|(key, run)| (key, CompressedPostings::from_postings(run)))
                         .collect();
                     (peer.id, batch)
                 })

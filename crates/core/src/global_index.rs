@@ -1348,34 +1348,30 @@ mod tests {
 
     #[test]
     fn entry_codec_round_trips_block_codec_tag() {
-        // The block's codec travels in-band (extended-header tag), so the
-        // store codec must preserve it: a gv4 entry sealed to disk decodes
-        // back as gv4, a legacy entry as legacy — bytes untouched.
-        use hdk_ir::Codec;
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let entry = KeyEntry {
-                key: key(&[1, 2]),
-                postings: CompressedPostings::from_list_with(&list(&[3, 9, 400]), codec),
-                df: 3,
-                contributors: vec![PeerId(0), PeerId(7)],
-                is_ndk: false,
-                seen_docs: Some(CompressedDocSet::from_sorted_docs_with(
-                    [DocId(3), DocId(9), DocId(400)],
-                    codec,
-                )),
-            };
-            let mut bytes = Vec::new();
-            KeyEntryCodec.encode(&entry, &mut bytes);
-            let back = KeyEntryCodec.decode(&bytes).expect("decodes");
-            assert_eq!(back.postings.codec(), codec);
-            assert_eq!(back.postings.as_bytes(), entry.postings.as_bytes());
-            assert_eq!(
-                back.seen_docs.as_ref().unwrap().as_bytes(),
-                entry.seen_docs.as_ref().unwrap().as_bytes()
-            );
-            assert_eq!(back.df, 3);
-            assert_eq!(back.contributors, entry.contributors);
-        }
+        // A block is self-describing, so the store codec must carry it
+        // byte for byte: an entry sealed to disk decodes back unchanged.
+        let entry = KeyEntry {
+            key: key(&[1, 2]),
+            postings: CompressedPostings::from_list(&list(&[3, 9, 400])),
+            df: 3,
+            contributors: vec![PeerId(0), PeerId(7)],
+            is_ndk: false,
+            seen_docs: Some(CompressedDocSet::from_sorted_docs([
+                DocId(3),
+                DocId(9),
+                DocId(400),
+            ])),
+        };
+        let mut bytes = Vec::new();
+        KeyEntryCodec.encode(&entry, &mut bytes);
+        let back = KeyEntryCodec.decode(&bytes).expect("decodes");
+        assert_eq!(back.postings.as_bytes(), entry.postings.as_bytes());
+        assert_eq!(
+            back.seen_docs.as_ref().unwrap().as_bytes(),
+            entry.seen_docs.as_ref().unwrap().as_bytes()
+        );
+        assert_eq!(back.df, 3);
+        assert_eq!(back.contributors, entry.contributors);
     }
 
     #[test]

@@ -57,15 +57,14 @@ pub mod window_keys;
 
 pub use cache::{CachePeek, CacheStats, QueryCache};
 pub use classify::{classify, KeyClass};
-pub use config::{
-    codec_from_env, net_timeout_from_env, HdkConfig, StoreConfig, DEFAULT_SEGMENT_HOT_BYTES,
-};
+pub use config::{net_timeout_from_env, HdkConfig, StoreConfig, DEFAULT_SEGMENT_HOT_BYTES};
 pub use engine::{BackendConfig, HdkNetwork, IndexService, OverlayKind, QueryService};
 pub use exec::{derive_query_id, QueryExecutor, QueryOutcome};
 pub use global_index::{
     build_entry_store, GlobalIndex, IndexBackend, IndexCounts, IndexRequest, IndexResponse,
     IndexStore, IndexSweep, IndexSwept, KeyEntry, KeyEntryCodec, KeyLookup, PeerStorage,
 };
+/// Re-exported only so the frozen `benchmark/` crate compiles.
 pub use hdk_ir::Codec;
 pub use key::{Key, MAX_KEY_SIZE};
 pub use local_indexer::LocalPeer;

@@ -43,7 +43,7 @@ impl SingleTermNetwork {
             hot_threshold: 0,
             hot_extra: 1,
             store: crate::config::StoreConfig::from_env(),
-            codec: crate::config::codec_from_env(),
+            codec: hdk_ir::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
         };
         Self {

@@ -85,7 +85,7 @@ fn compute_and_encode(peer: &LocalPeer, round: usize, config: &HdkConfig) -> (us
     let (batch, allocations) = counting(|| {
         peer.compute_runs(round, config, &excluded)
             .iter()
-            .map(|(key, run)| (key, CompressedPostings::from_postings(run, config.codec)))
+            .map(|(key, run)| (key, CompressedPostings::from_postings(run)))
             .collect::<Vec<_>>()
     });
     (batch.len(), allocations)
@@ -148,15 +148,11 @@ fn one_allocation_per_encoded_block() {
         })
         .collect();
     // The first block of a thread sizes the scratch frame.
-    let _ = CompressedPostings::from_postings(&postings, hdk_ir::Codec::Leb128);
-    let _ = CompressedPostings::from_postings(&postings, hdk_ir::Codec::Gv4);
-    for codec in [hdk_ir::Codec::Leb128, hdk_ir::Codec::Gv4] {
-        for len in [1, 2, 17, 300] {
-            let (block, allocations) =
-                counting(|| CompressedPostings::from_postings(&postings[..len], codec));
-            assert_eq!(block.len(), len);
-            assert_eq!(allocations, 1, "{codec:?}, {len} postings");
-        }
+    let _ = CompressedPostings::from_postings(&postings);
+    for len in [1, 2, 17, 300] {
+        let (block, allocations) = counting(|| CompressedPostings::from_postings(&postings[..len]));
+        assert_eq!(block.len(), len);
+        assert_eq!(allocations, 1, "{len} postings");
     }
 }
 

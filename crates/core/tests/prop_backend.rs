@@ -19,16 +19,19 @@
 //! is invalid against the overlay (a joiner already in it, an unknown or
 //! dead leaver, a wave that leaves nobody) is answered `Response::Err`
 //! by all three and changes nothing — and a live `PeerHost` that receives
-//! one on a socket answers `WireResponse::Err` and keeps serving.
+//! one on a socket answers `WireResponse::Err` and keeps serving. So is a
+//! data-plane message naming a peer the overlay does not know (a lookup's
+//! querying peer, an insert batch's peer, a notification's recipient).
 
 use hdk_core::{
     BackendConfig, Fleet, HdkConfig, HdkNetwork, IndexBackend, IndexStore, Key, OverlayKind,
     PeerConfig, PeerHost, QueryService, StoreConfig, TcpNet, WireRequest, WireResponse,
 };
 use hdk_corpus::{Collection, DocId, Document};
+use hdk_ir::{CompressedPostings, Posting, PostingList};
 use hdk_p2p::{
-    read_wire_frame, write_wire_frame, Addressed, Control, InProc, MsgKind, PGrid, PeerId, Request,
-    Response, SimNet, SimNetConfig, WireResult,
+    read_wire_frame, write_wire_frame, Addressed, Control, InProc, MsgKind, Notification, PGrid,
+    PeerId, Request, Response, SimNet, SimNetConfig, WireResult,
 };
 use hdk_text::{TermId, Vocabulary};
 use proptest::prelude::*;
@@ -330,6 +333,104 @@ fn a_live_peer_host_survives_an_invalid_control_frame() {
     }
 }
 
+/// Data-plane messages that each name a peer no overlay over `0..4` knows:
+/// a lookup's querying peer, an insert batch's inserting peer, a
+/// notification's recipient.
+fn requests_naming_an_unknown_peer() -> Vec<hdk_core::IndexRequest> {
+    let stranger = PeerId(9);
+    let key = Key::single(TermId(3));
+    let block = CompressedPostings::from_list(&PostingList::from_sorted(vec![Posting {
+        doc: DocId(1),
+        tf: 1,
+        doc_len: 9,
+    }]));
+    vec![
+        Request::LookupMany {
+            from: stranger,
+            query_id: 7,
+            keys: vec![Addressed {
+                route: key.dht_hash(),
+                body: key,
+            }],
+        },
+        Request::InsertBatch {
+            batches: vec![(
+                stranger,
+                vec![Addressed {
+                    route: key.dht_hash(),
+                    body: (key, block),
+                }],
+            )],
+        },
+        Request::Notify {
+            notes: vec![Notification {
+                to: stranger,
+                postings: 0,
+                bytes: 8,
+            }],
+        },
+    ]
+}
+
+#[test]
+fn a_request_naming_an_unknown_peer_is_refused() {
+    let inproc = || InProc::replicated(pgrid(4), IndexStore::new(40), 1);
+    let backends: [(&str, IndexBackend); 2] = [
+        ("InProc", Box::new(inproc())),
+        (
+            "SimNet",
+            Box::new(SimNet::new(inproc(), SimNetConfig::zero())),
+        ),
+    ];
+    for (name, backend) in backends {
+        for request in requests_naming_an_unknown_peer() {
+            let shown = format!("{request:?}");
+            let reply = backend.call(request);
+            assert!(
+                matches!(reply, Response::Err(_)),
+                "{name}: {shown} answered {reply:?}"
+            );
+        }
+        assert_eq!(backend.dht().num_keys(), 0, "{name}: nothing was applied");
+        assert!(backend.snapshot().kinds.iter().all(|k| k.messages == 0));
+        let found = backend.call(lookup_of_nothing());
+        assert!(
+            matches!(&found, Response::Found { results } if matches!(results[..], [None])),
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn a_live_peer_host_survives_a_request_naming_an_unknown_peer() {
+    let config = HdkConfig {
+        store: StoreConfig::Memory,
+        ..HdkConfig::default()
+    };
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let mut stream = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let host = peer_host(0, 1, 4, &config);
+    std::thread::spawn(move || host.serve(listener));
+    let mut exchange = |request: WireRequest| {
+        write_wire_frame(&mut stream, &request.encode()).expect("send");
+        WireResponse::decode(&read_wire_frame(&mut stream).expect("a reply frame")).expect("reply")
+    };
+    for request in requests_naming_an_unknown_peer() {
+        let shown = format!("{request:?}");
+        let reply = exchange(WireRequest::Rpc(request));
+        assert!(
+            matches!(reply, WireResponse::Err(_)),
+            "{shown} answered {reply:?}"
+        );
+        // The same connection, the same process: the next lookup is served.
+        let reply = exchange(WireRequest::Rpc(lookup_of_nothing()));
+        assert!(
+            matches!(&reply, WireResponse::Rpc(Response::Found { results }) if matches!(results[..], [None])),
+            "after {shown}: {reply:?}"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -358,7 +459,7 @@ proptest! {
             hot_threshold: 0,
             hot_extra: 1,
             store: hdk_core::StoreConfig::from_env(),
-            codec: hdk_core::codec_from_env(),
+            codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
         };
         // The acceptance configuration: zero latency, zero drop.

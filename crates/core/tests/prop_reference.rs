@@ -108,7 +108,7 @@ proptest! {
                 hot_threshold: 0,
                 hot_extra: 1,
                 store: hdk_core::StoreConfig::from_env(),
-            codec: hdk_core::codec_from_env(),
+            codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
             },
             OverlayKind::PGrid,
@@ -210,7 +210,7 @@ proptest! {
                 hot_threshold: 0,
                 hot_extra: 1,
                 store: hdk_core::StoreConfig::from_env(),
-            codec: hdk_core::codec_from_env(),
+            codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
             },
             OverlayKind::PGrid,

@@ -11,7 +11,7 @@
 use hdk_core::window_keys::{single_term_postings, KeyRuns, RunBuilder};
 use hdk_core::{Key, MAX_KEY_SIZE};
 use hdk_corpus::DocId;
-use hdk_ir::{Codec, CompressedPostings, Posting, PostingList};
+use hdk_ir::{CompressedPostings, Posting, PostingList};
 use hdk_text::TermId;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -278,26 +278,24 @@ proptest! {
                 Posting { doc: DocId(doc), tf, doc_len }
             })
             .collect();
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let block = CompressedPostings::from_postings(&postings, codec);
-            prop_assert_eq!(block.len(), postings.len());
-            let list = PostingList::from_sorted(postings.clone());
-            prop_assert_eq!(block.decode(), list.clone());
-            let from_list = CompressedPostings::from_list_with(&list, codec);
-            prop_assert_eq!(block.as_bytes(), from_list.as_bytes());
-            // The streaming encoder, one posting at a time through the
-            // merge (interleaved, so it re-encodes rather than appends).
-            let (even, odd): (Vec<_>, Vec<_>) =
-                postings.iter().enumerate().partition(|(i, _)| i % 2 == 0);
-            let half = |part: Vec<(usize, &Posting)>| {
-                let part: Vec<Posting> = part.into_iter().map(|(_, p)| *p).collect();
-                CompressedPostings::from_postings(&part, codec)
-            };
-            let (merged, _) = half(even).merge_counting(&half(odd));
-            prop_assert_eq!(block.as_bytes(), merged.as_bytes());
-            prop_assert_eq!(block.min_doc(), merged.min_doc());
-            prop_assert_eq!(block.max_doc(), merged.max_doc());
-        }
+        let block = CompressedPostings::from_postings(&postings);
+        prop_assert_eq!(block.len(), postings.len());
+        let list = PostingList::from_sorted(postings.clone());
+        prop_assert_eq!(block.decode(), list.clone());
+        let from_list = CompressedPostings::from_list(&list);
+        prop_assert_eq!(block.as_bytes(), from_list.as_bytes());
+        // The streaming encoder, one posting at a time through the merge
+        // (interleaved, so it re-encodes rather than appends).
+        let (even, odd): (Vec<_>, Vec<_>) =
+            postings.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+        let half = |part: Vec<(usize, &Posting)>| {
+            let part: Vec<Posting> = part.into_iter().map(|(_, p)| *p).collect();
+            CompressedPostings::from_postings(&part)
+        };
+        let (merged, _) = half(even).merge_counting(&half(odd));
+        prop_assert_eq!(block.as_bytes(), merged.as_bytes());
+        prop_assert_eq!(block.min_doc(), merged.min_doc());
+        prop_assert_eq!(block.max_doc(), merged.max_doc());
     }
 
     #[test]

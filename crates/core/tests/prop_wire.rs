@@ -561,6 +561,46 @@ fn back_to_back_frames_come_out_of_one_buffered_reader() {
     }
 }
 
+#[test]
+fn an_insert_carrying_a_retired_block_does_not_decode() {
+    // `[doc 3, tf 1, doc_len 103]` exactly as the retired group-varint
+    // codec framed it, and a block of the same length in the one layout.
+    const RETIRED: [u8; 7] = [0x00, 0x01, 0x01, 0x00, 0x03, 0x01, 0x67];
+    let posting = |doc| Posting {
+        doc: DocId(doc),
+        tf: 1,
+        doc_len: 103,
+    };
+    let block =
+        CompressedPostings::from_list(&PostingList::from_sorted(vec![posting(3), posting(10)]));
+    assert_eq!(
+        block.as_bytes().as_ref(),
+        [0x02, 0x04, 0x01, 0x67, 0x07, 0x01, 0x67]
+    );
+    let key = Key::single(TermId(5));
+    let valid = WireRequest::Rpc(Request::InsertBatch {
+        batches: vec![(
+            PeerId(1),
+            vec![Addressed {
+                route: key.dht_hash(),
+                body: (key, block.clone()),
+            }],
+        )],
+    })
+    .encode();
+    assert!(WireRequest::decode(&valid).is_ok());
+    let at = valid
+        .windows(RETIRED.len())
+        .position(|w| w == block.as_bytes().as_ref())
+        .expect("the block travels verbatim");
+    let mut retired = valid;
+    retired[at..at + RETIRED.len()].copy_from_slice(&RETIRED);
+    assert!(matches!(
+        WireRequest::decode(&retired),
+        Err(WireError::Corrupt)
+    ));
+}
+
 proptest! {
     /// Decode∘encode is the identity on the byte level for requests.
     #[test]

@@ -15,22 +15,12 @@ use crate::compressed::CompressedPostings;
 use crate::posting::PostingList;
 use bytes::Bytes;
 
-/// Selects the block codec for newly encoded posting/doc-set blocks.
-///
-/// The choice is a *per-block* property carried in-band in the block
-/// header (see [`crate::compressed`] for the layout), so blocks of
-/// different codecs coexist freely in one index and decode to identical
-/// postings. The engine picks the codec for fresh blocks from
-/// `HdkConfig::codec` (`HDK_CODEC` environment variable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The one block format, delta + LEB128. Kept, with its single variant,
+/// only so the frozen `benchmark/` crate compiles; nothing branches on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Codec {
-    /// Delta + LEB128 varints decoded one byte at a time — the original
-    /// wire/storage layout and the default (golden-snapshot-stable).
-    #[default]
+    /// Delta + LEB128 varints.
     Leb128,
-    /// 4-wide group varint: one tag byte per 4 values packs their byte
-    /// widths, decoded branch-free 4 values per step (see `crate::gv4`).
-    Gv4,
 }
 
 /// Encodes a posting list into its framed block.

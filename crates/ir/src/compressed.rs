@@ -8,19 +8,11 @@
 //! cloning is an `Arc` bump on the underlying [`Bytes`], and a cache hit
 //! shares the block instead of copying postings.
 //!
-//! Two block codecs share one self-describing frame ([`Codec`]):
-//!
-//! * **LEB128** (default): `varint(count)` then per posting
-//!   `varint(doc_gap) varint(tf) varint(doc_len)`, first gap `doc + 1` —
-//!   the original layout, byte-for-byte unchanged.
-//! * **gv4**: `[0x00, 0x01, varint(count), group-varint stream]` where the
-//!   stream flattens the postings to `[gap - 1, tf, doc_len]` values
-//!   packed 4 per tag byte (see the `gv4` module). The leading `0x00`
-//!   marker is unambiguous: a non-empty legacy block never starts with a
-//!   zero byte (its minimal count varint is nonzero), and the legacy
-//!   empty block is exactly `[0x00]` — length 1, below the 2-byte
-//!   marker+tag minimum. Empty blocks canonicalize to legacy `[0x00]`
-//!   under every codec.
+//! The block is delta + LEB128 ([`crate::codec`]): `varint(count)` then per
+//! posting `varint(doc_gap) varint(tf) varint(doc_len)`, first gap
+//! `doc + 1`. The empty block is exactly `[0x00]`; a non-empty block never
+//! starts with a zero byte (its minimal count varint is nonzero), so any
+//! longer buffer that does is rejected as trailing garbage.
 //!
 //! Mutation happens by *sorted streaming merge*: an incoming batch is
 //! merged gap-stream to gap-stream into a fresh block without ever
@@ -34,24 +26,20 @@
 //! block's first gap — producing exactly the bytes the streaming merge
 //! would.
 //!
-//! [`CompressedDocSet`] is the companion document-id set (same two
-//! codecs, no payloads) that replaces hash-set bookkeeping where only
-//! membership matters — e.g. exact `df` counting after truncation.
+//! [`CompressedDocSet`] is the companion document-id set (same layout, no
+//! payloads) that replaces hash-set bookkeeping where only membership
+//! matters — e.g. exact `df` counting after truncation.
 
 use crate::codec::{read_varint, varint_len, write_varint, Codec};
-use crate::gv4;
 use crate::posting::{Posting, PostingList};
 use bytes::Bytes;
 use hdk_corpus::DocId;
-
-/// In-band codec id following the `0x00` extended-header marker.
-const GV4_TAG: u8 = 0x01;
 
 /// A posting list stored as its framed encoded block.
 ///
 /// Invariants: the block is well-formed (validated on every untrusted
 /// construction path), documents are strictly ascending, and `count` /
-/// `min_doc` / `max_doc` / `codec` mirror the block contents.
+/// `min_doc` / `max_doc` mirror the block contents.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CompressedPostings {
     /// The framed block — byte-identical to the wire payload, so wire
@@ -64,15 +52,12 @@ pub struct CompressedPostings {
     /// Smallest document id in the block; meaningful when `count > 0`.
     /// Drives the append-only merge fast path.
     min_doc: u32,
-    /// The block's codec, re-derived from the in-band header on adoption.
-    codec: Codec,
 }
 
 impl CompressedPostings {
-    /// An empty block (`varint(0)` only — the canonical empty under every
-    /// codec). All empties share one allocation — this is the default
-    /// value of every fresh DHT entry, so the insert path creates no
-    /// transient garbage per new key.
+    /// An empty block (`varint(0)` only). All empties share one
+    /// allocation — this is the default value of every fresh DHT entry, so
+    /// the insert path creates no transient garbage per new key.
     pub fn new() -> Self {
         static EMPTY: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
         Self {
@@ -80,22 +65,21 @@ impl CompressedPostings {
             count: 0,
             max_doc: 0,
             min_doc: 0,
-            codec: Codec::Leb128,
         }
     }
 
-    /// Encodes a decoded posting list in the default (LEB128) codec.
+    /// Encodes a decoded posting list.
     pub fn from_list(list: &PostingList) -> Self {
-        Self::from_list_with(list, Codec::Leb128)
+        Self::from_postings(list.postings())
     }
 
-    /// Encodes a decoded posting list in the given codec.
-    pub fn from_list_with(list: &PostingList, codec: Codec) -> Self {
-        Self::from_postings(list.postings(), codec)
+    /// [`CompressedPostings::from_list`]; the codec argument is ignored.
+    /// Kept only so the frozen `benchmark/` crate compiles.
+    pub fn from_list_with(list: &PostingList, _codec: Codec) -> Self {
+        Self::from_list(list)
     }
 
-    /// Encodes postings that are strictly ascending by document, in the
-    /// given codec.
+    /// Encodes postings that are strictly ascending by document.
     ///
     /// The count is known before the first byte is written, so header and
     /// body go into one per-thread scratch frame that is copied out once:
@@ -104,7 +88,7 @@ impl CompressedPostings {
     ///
     /// # Panics
     /// Panics (debug) if the documents are not strictly ascending.
-    pub fn from_postings(postings: &[Posting], codec: Codec) -> Self {
+    pub fn from_postings(postings: &[Posting]) -> Self {
         thread_local! {
             static FRAME: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
         }
@@ -114,12 +98,12 @@ impl CompressedPostings {
         let count = u32::try_from(postings.len()).expect("a block counts its postings in a u32");
         let block = FRAME.with_borrow_mut(|frame| {
             frame.clear();
-            write_frame_header(frame, codec, count);
-            let mut enc = BlockEncoder::resume(codec, std::mem::take(frame));
+            write_varint(frame, u64::from(count));
+            let mut enc = BlockEncoder::over(std::mem::take(frame));
             for &p in postings {
                 enc.push(p);
             }
-            *frame = enc.body.into_stream();
+            *frame = enc.body;
             Bytes::copy_from_slice(frame)
         });
         Self {
@@ -127,21 +111,15 @@ impl CompressedPostings {
             count,
             max_doc: last.doc.0,
             min_doc: first.doc.0,
-            codec,
         }
     }
 
-    /// Validates and adopts an encoded block (e.g. received off the wire),
-    /// re-deriving the codec from the in-band header.
+    /// Validates and adopts an encoded block (e.g. received off the wire).
     ///
     /// Returns `None` unless the *entire* buffer is one well-formed block:
     /// a decodable prefix followed by trailing garbage is rejected.
     pub fn from_bytes(block: Bytes) -> Option<Self> {
         let buf: &[u8] = &block;
-        if buf.len() >= 2 && buf[0] == 0x00 {
-            // Extended header: only the gv4 codec lives behind it today.
-            return Self::from_bytes_gv4(block);
-        }
         let mut pos = 0usize;
         let count = read_varint(buf, &mut pos)?;
         let count = u32::try_from(count).ok()?;
@@ -172,47 +150,6 @@ impl CompressedPostings {
             count,
             max_doc: if count > 0 { prev as u32 } else { 0 },
             min_doc,
-            codec: Codec::Leb128,
-        })
-    }
-
-    /// Validates a gv4 block: `[0x00, GV4_TAG, varint(count), stream]`
-    /// with `count ≥ 1` (the canonical empty block is legacy `[0x00]`).
-    fn from_bytes_gv4(block: Bytes) -> Option<Self> {
-        let buf: &[u8] = &block;
-        if buf[1] != GV4_TAG {
-            return None;
-        }
-        let mut pos = 2usize;
-        let count = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
-        if count == 0 {
-            return None;
-        }
-        let n_values = (count as usize).checked_mul(3)?;
-        let mut r = gv4::Reader::new(buf, pos, n_values);
-        let mut prev: i64 = -1;
-        let mut min_doc = 0u32;
-        for i in 0..count {
-            // Stored value is `gap - 1`, so any u32 is in range; only the
-            // resulting doc id must stay on u32.
-            let doc = prev + 1 + i64::from(r.next()?);
-            let doc32 = u32::try_from(doc).ok()?;
-            if i == 0 {
-                min_doc = doc32;
-            }
-            r.next()?; // tf
-            r.next()?; // doc_len
-            prev = doc;
-        }
-        if r.pos() != buf.len() {
-            return None; // trailing garbage
-        }
-        Some(Self {
-            block,
-            count,
-            max_doc: prev as u32,
-            min_doc,
-            codec: Codec::Gv4,
         })
     }
 
@@ -236,12 +173,6 @@ impl CompressedPostings {
         (self.count > 0).then_some(DocId(self.min_doc))
     }
 
-    /// The block's codec (a per-block property; empty blocks are always
-    /// the canonical legacy empty). O(1).
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
     /// Size of the block in bytes — simultaneously the resident storage
     /// footprint and the wire payload size. O(1).
     pub fn encoded_len(&self) -> usize {
@@ -262,23 +193,14 @@ impl CompressedPostings {
     /// materializing the list.
     pub fn iter(&self) -> BlockIter<'_> {
         let buf: &[u8] = &self.block;
-        let inner = match self.codec {
-            Codec::Leb128 => {
-                let mut pos = 0usize;
-                // The count varint was validated at construction.
-                let _ = read_varint(buf, &mut pos);
-                IterInner::Leb { buf, pos }
-            }
-            Codec::Gv4 => {
-                let mut pos = 2usize;
-                let _ = read_varint(buf, &mut pos);
-                IterInner::Gv4(gv4::Reader::new(buf, pos, self.count as usize * 3))
-            }
-        };
+        let mut pos = 0usize;
+        // The count varint was validated at construction.
+        let _ = read_varint(buf, &mut pos);
         BlockIter {
+            buf,
+            pos,
             remaining: self.count,
             prev: -1,
-            inner,
         }
     }
 
@@ -313,11 +235,10 @@ impl CompressedPostings {
     /// many of `incoming`'s documents were *not* already present — exactly
     /// the `df` increment when the resident list is complete.
     ///
-    /// The merged block keeps the resident codec (or adopts `incoming`'s
-    /// when the resident block is empty). A batch strictly beyond
-    /// `max_doc` in the same codec takes `CompressedPostings::append_tail`
-    /// — a byte copy instead of a decode/re-encode cycle — with bytes
-    /// identical to what this streaming merge would produce.
+    /// A batch strictly beyond `max_doc` takes
+    /// `CompressedPostings::append_tail` — a byte copy instead of a
+    /// decode/re-encode cycle — with bytes identical to what this
+    /// streaming merge would produce.
     pub fn merge_counting(&self, incoming: &CompressedPostings) -> (CompressedPostings, u32) {
         if incoming.is_empty() {
             return (self.clone(), 0);
@@ -325,10 +246,10 @@ impl CompressedPostings {
         if self.is_empty() {
             return (incoming.clone(), incoming.count);
         }
-        if self.codec == incoming.codec && incoming.min_doc > self.max_doc {
+        if incoming.min_doc > self.max_doc {
             return (self.append_tail(incoming), incoming.count);
         }
-        let mut enc = BlockEncoder::with_capacity(self.codec, self.len() + incoming.len());
+        let mut enc = BlockEncoder::with_capacity(self.len() + incoming.len());
         let mut new_docs = 0u32;
         let mut a = self.iter().peekable();
         let mut b = incoming.iter().peekable();
@@ -369,82 +290,43 @@ impl CompressedPostings {
         (enc.finish(), new_docs)
     }
 
-    /// Append-only merge fast path: both blocks are non-empty, share a
-    /// codec, and `incoming` lies strictly beyond `max_doc`, so the
-    /// resident bytes are reusable verbatim and only `incoming`'s first
-    /// gap — relative to `-1` inside its own block, relative to `max_doc`
-    /// in the merge — needs re-coding. Everything after that first gap is
-    /// a straight byte copy of `incoming`'s tail (LEB128 always; gv4
-    /// whenever the resident value stream ends on a group boundary,
-    /// value-for-value re-packing otherwise).
+    /// Append-only merge fast path: both blocks are non-empty and
+    /// `incoming` lies strictly beyond `max_doc`, so the resident bytes are
+    /// reusable verbatim and only `incoming`'s first gap — relative to `-1`
+    /// inside its own block, relative to `max_doc` in the merge — needs
+    /// re-coding. Everything after that first gap is a straight byte copy
+    /// of `incoming`'s tail.
     fn append_tail(&self, incoming: &CompressedPostings) -> CompressedPostings {
         let total = self.count + incoming.count;
         let new_gap = u64::from(incoming.min_doc - self.max_doc);
-        let block = match self.codec {
-            Codec::Leb128 => {
-                let sbuf: &[u8] = &self.block;
-                let ibuf: &[u8] = &incoming.block;
-                let mut spos = 0usize;
-                let _ = read_varint(sbuf, &mut spos); // resident count header
-                let mut ipos = 0usize;
-                let _ = read_varint(ibuf, &mut ipos); // incoming count header
-                let _ = read_varint(ibuf, &mut ipos); // incoming first gap — replaced
-                let mut out = Vec::with_capacity(
-                    varint_len(u64::from(total))
-                        + (sbuf.len() - spos)
-                        + varint_len(new_gap)
-                        + (ibuf.len() - ipos),
-                );
-                write_varint(&mut out, u64::from(total));
-                out.extend_from_slice(&sbuf[spos..]);
-                write_varint(&mut out, new_gap);
-                out.extend_from_slice(&ibuf[ipos..]);
-                Bytes::from(out)
-            }
-            Codec::Gv4 => {
-                let sbuf: &[u8] = &self.block;
-                let mut spos = 2usize;
-                let _ = read_varint(sbuf, &mut spos);
-                let mut w = gv4::Writer::resume(sbuf[spos..].to_vec(), self.count as usize * 3);
-                let ibuf: &[u8] = &incoming.block;
-                let mut ipos = 2usize;
-                let _ = read_varint(ibuf, &mut ipos);
-                let b_values = incoming.count as usize * 3;
-                let new_gm1 = (new_gap - 1) as u32;
-                if w.is_aligned() {
-                    // Re-pack only incoming's first group; the rest of its
-                    // stream keeps group alignment and copies raw.
-                    let n_first = b_values.min(4);
-                    let mut r = gv4::Reader::new(ibuf, ipos, n_first);
-                    let _old_gap = r.next();
-                    w.push(new_gm1);
-                    for _ in 1..n_first {
-                        w.push(r.next().expect("incoming block was validated"));
-                    }
-                    w.extend_raw(&ibuf[r.pos()..]);
-                } else {
-                    let mut r = gv4::Reader::new(ibuf, ipos, b_values);
-                    let _old_gap = r.next();
-                    w.push(new_gm1);
-                    for _ in 1..b_values {
-                        w.push(r.next().expect("incoming block was validated"));
-                    }
-                }
-                frame(Codec::Gv4, total, &w.finish())
-            }
-        };
+        let sbuf: &[u8] = &self.block;
+        let ibuf: &[u8] = &incoming.block;
+        let mut spos = 0usize;
+        let _ = read_varint(sbuf, &mut spos); // resident count header
+        let mut ipos = 0usize;
+        let _ = read_varint(ibuf, &mut ipos); // incoming count header
+        let _ = read_varint(ibuf, &mut ipos); // incoming first gap — replaced
+        let mut out = Vec::with_capacity(
+            varint_len(u64::from(total))
+                + (sbuf.len() - spos)
+                + varint_len(new_gap)
+                + (ibuf.len() - ipos),
+        );
+        write_varint(&mut out, u64::from(total));
+        out.extend_from_slice(&sbuf[spos..]);
+        write_varint(&mut out, new_gap);
+        out.extend_from_slice(&ibuf[ipos..]);
         CompressedPostings {
-            block,
+            block: Bytes::from(out),
             count: total,
             max_doc: incoming.max_doc,
             min_doc: self.min_doc,
-            codec: self.codec,
         }
     }
 
     /// Keeps the `k` highest-`quality` postings, re-encoded in doc order —
     /// the semantics of [`PostingList::truncate_top_k`] (ties break towards
-    /// smaller doc ids; result re-sorted by doc). Preserves the codec.
+    /// smaller doc ids; result re-sorted by doc).
     pub fn truncate_top_k<F: Fn(&Posting) -> f64>(&self, k: usize, quality: F) -> Self {
         if self.len() <= k {
             return self.clone();
@@ -458,7 +340,7 @@ impl CompressedPostings {
         scored.truncate(k);
         let mut kept: Vec<Posting> = scored.into_iter().map(|(_, p)| p).collect();
         kept.sort_unstable_by_key(|p| p.doc);
-        Self::from_postings(&kept, self.codec)
+        Self::from_postings(&kept)
     }
 }
 
@@ -473,7 +355,6 @@ impl std::fmt::Debug for CompressedPostings {
         f.debug_struct("CompressedPostings")
             .field("count", &self.count)
             .field("bytes", &self.block.len())
-            .field("codec", &self.codec)
             .finish()
     }
 }
@@ -486,16 +367,12 @@ impl<'a> IntoIterator for &'a CompressedPostings {
     }
 }
 
-/// Streaming decoder over a validated block, either codec.
+/// Streaming decoder over a validated block.
 pub struct BlockIter<'a> {
+    buf: &'a [u8],
+    pos: usize,
     remaining: u32,
     prev: i64,
-    inner: IterInner<'a>,
-}
-
-enum IterInner<'a> {
-    Leb { buf: &'a [u8], pos: usize },
-    Gv4(gv4::Reader<'a>),
 }
 
 impl Iterator for BlockIter<'_> {
@@ -507,21 +384,9 @@ impl Iterator for BlockIter<'_> {
         }
         self.remaining -= 1;
         // The block was validated when constructed, so the reads succeed.
-        let (doc, tf, doc_len) = match &mut self.inner {
-            IterInner::Leb { buf, pos } => {
-                let gap = read_varint(buf, pos)? as i64;
-                let doc = self.prev + gap;
-                let tf = read_varint(buf, pos)? as u32;
-                let doc_len = read_varint(buf, pos)? as u32;
-                (doc, tf, doc_len)
-            }
-            IterInner::Gv4(r) => {
-                let doc = self.prev + 1 + i64::from(r.next()?);
-                let tf = r.next()?;
-                let doc_len = r.next()?;
-                (doc, tf, doc_len)
-            }
-        };
+        let doc = self.prev + read_varint(self.buf, &mut self.pos)? as i64;
+        let tf = read_varint(self.buf, &mut self.pos)? as u32;
+        let doc_len = read_varint(self.buf, &mut self.pos)? as u32;
         self.prev = doc;
         Some(Posting {
             doc: DocId(doc as u32),
@@ -534,64 +399,38 @@ impl Iterator for BlockIter<'_> {
         (self.remaining as usize, Some(self.remaining as usize))
     }
 
-    /// Internal-iteration specialization: one codec dispatch for the whole
-    /// block and decoder state held in locals (registers) instead of
-    /// behind `&mut self` — this is what makes the streamed rank loop
-    /// faster under gv4, whose `gv4::Reader` otherwise pays a memory
-    /// round-trip per value. `for_each`, `map(..).sum()` and friends all
-    /// route through `fold`; semantics and order match `next()` exactly.
+    /// Internal-iteration specialization: decoder state held in locals
+    /// (registers) instead of behind `&mut self` — this is the streamed
+    /// rank loop ([`crate::ScoreAccumulator::accumulate_block`]).
+    /// `for_each`, `map(..).sum()` and friends all route through `fold`;
+    /// semantics and order match `next()` exactly.
     fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, Posting) -> B,
     {
         let mut acc = init;
         let mut prev = self.prev;
-        match self.inner {
-            IterInner::Leb { buf, mut pos } => {
-                for _ in 0..self.remaining {
-                    // Validated at construction: the reads cannot fail.
-                    let Some(gap) = read_varint(buf, &mut pos) else {
-                        break;
-                    };
-                    let Some(tf) = read_varint(buf, &mut pos) else {
-                        break;
-                    };
-                    let Some(doc_len) = read_varint(buf, &mut pos) else {
-                        break;
-                    };
-                    prev += gap as i64;
-                    acc = f(
-                        acc,
-                        Posting {
-                            doc: DocId(prev as u32),
-                            tf: tf as u32,
-                            doc_len: doc_len as u32,
-                        },
-                    );
-                }
-            }
-            IterInner::Gv4(mut r) => {
-                for _ in 0..self.remaining {
-                    let Some(gap_m1) = r.next() else {
-                        break;
-                    };
-                    let Some(tf) = r.next() else {
-                        break;
-                    };
-                    let Some(doc_len) = r.next() else {
-                        break;
-                    };
-                    prev += 1 + i64::from(gap_m1);
-                    acc = f(
-                        acc,
-                        Posting {
-                            doc: DocId(prev as u32),
-                            tf,
-                            doc_len,
-                        },
-                    );
-                }
-            }
+        let (buf, mut pos) = (self.buf, self.pos);
+        for _ in 0..self.remaining {
+            // Validated at construction: the reads cannot fail.
+            let Some(gap) = read_varint(buf, &mut pos) else {
+                break;
+            };
+            let Some(tf) = read_varint(buf, &mut pos) else {
+                break;
+            };
+            let Some(doc_len) = read_varint(buf, &mut pos) else {
+                break;
+            };
+            prev += gap as i64;
+            acc = f(
+                acc,
+                Posting {
+                    doc: DocId(prev as u32),
+                    tf: tf as u32,
+                    doc_len: doc_len as u32,
+                },
+            );
         }
         acc
     }
@@ -599,81 +438,30 @@ impl Iterator for BlockIter<'_> {
 
 impl ExactSizeIterator for BlockIter<'_> {}
 
-/// Appends a block's frame header — `varint(count)`, behind `[0x00,
-/// GV4_TAG]` for gv4. The only place that knows the header layouts.
-fn write_frame_header(block: &mut Vec<u8>, codec: Codec, count: u32) {
-    if codec == Codec::Gv4 {
-        block.extend_from_slice(&[0x00, GV4_TAG]);
-    }
-    write_varint(block, u64::from(count));
-}
-
-/// Frames a finished value stream (LEB128 body or gv4 groups) into a block.
-fn frame(codec: Codec, count: u32, stream: &[u8]) -> Bytes {
-    let mut block = Vec::with_capacity(2 + varint_len(u64::from(count)) + stream.len());
-    write_frame_header(&mut block, codec, count);
+/// Frames a finished value stream into a block: `varint(count)` then the
+/// stream.
+fn frame(count: u32, stream: &[u8]) -> Bytes {
+    let mut block = Vec::with_capacity(varint_len(u64::from(count)) + stream.len());
+    write_varint(&mut block, u64::from(count));
     block.extend_from_slice(stream);
     Bytes::from(block)
 }
 
-/// Codec-dispatched incremental value-stream writer shared by the posting
-/// and doc-set encoders.
-enum StreamWriter {
-    Leb(Vec<u8>),
-    Gv4(gv4::Writer),
-}
-
-impl StreamWriter {
-    fn with_capacity(codec: Codec, values: usize) -> Self {
-        match codec {
-            Codec::Leb128 => Self::Leb(Vec::with_capacity(values * 2)),
-            Codec::Gv4 => Self::Gv4(gv4::Writer::with_capacity(values)),
-        }
-    }
-
-    /// A writer appending to `stream`, which holds no values yet.
-    fn resume(codec: Codec, stream: Vec<u8>) -> Self {
-        match codec {
-            Codec::Leb128 => Self::Leb(stream),
-            Codec::Gv4 => Self::Gv4(gv4::Writer::resume(stream, 0)),
-        }
-    }
-
-    fn codec(&self) -> Codec {
-        match self {
-            Self::Leb(_) => Codec::Leb128,
-            Self::Gv4(_) => Codec::Gv4,
-        }
-    }
-
-    /// The finished value stream.
-    fn into_stream(self) -> Vec<u8> {
-        match self {
-            Self::Leb(buf) => buf,
-            Self::Gv4(w) => w.finish(),
-        }
-    }
-}
-
 /// Incremental block writer (body buffered, header prepended on finish).
 struct BlockEncoder {
-    body: StreamWriter,
+    body: Vec<u8>,
     count: u32,
     prev: i64,
     first: i64,
 }
 
 impl BlockEncoder {
-    fn with_capacity(codec: Codec, postings: usize) -> Self {
-        Self::over(StreamWriter::with_capacity(codec, postings * 3))
+    fn with_capacity(postings: usize) -> Self {
+        Self::over(Vec::with_capacity(postings * 6))
     }
 
-    /// An encoder appending its body to `frame` (a header already there).
-    fn resume(codec: Codec, frame: Vec<u8>) -> Self {
-        Self::over(StreamWriter::resume(codec, frame))
-    }
-
-    fn over(body: StreamWriter) -> Self {
+    /// An encoder appending its body to `body`.
+    fn over(body: Vec<u8>) -> Self {
         Self {
             body,
             count: 0,
@@ -688,20 +476,9 @@ impl BlockEncoder {
         if self.count == 0 {
             self.first = i64::from(p.doc.0);
         }
-        match &mut self.body {
-            StreamWriter::Leb(buf) => {
-                write_varint(buf, gap as u64);
-                write_varint(buf, u64::from(p.tf));
-                write_varint(buf, u64::from(p.doc_len));
-            }
-            StreamWriter::Gv4(w) => {
-                // gv4 stores `gap - 1` so the largest legal gap (a lone
-                // posting at doc u32::MAX uses gap u32::MAX + 1) fits u32.
-                w.push((gap - 1) as u32);
-                w.push(p.tf);
-                w.push(p.doc_len);
-            }
-        }
+        write_varint(&mut self.body, gap as u64);
+        write_varint(&mut self.body, u64::from(p.tf));
+        write_varint(&mut self.body, u64::from(p.doc_len));
         self.prev = i64::from(p.doc.0);
         self.count += 1;
     }
@@ -710,65 +487,50 @@ impl BlockEncoder {
         if self.count == 0 {
             return CompressedPostings::new();
         }
-        let codec = self.body.codec();
         CompressedPostings {
-            block: frame(codec, self.count, &self.body.into_stream()),
+            block: frame(self.count, &self.body),
             count: self.count,
             max_doc: self.prev as u32,
             min_doc: self.first as u32,
-            codec,
         }
     }
 }
 
-/// A compressed set of document ids: ascending gaps in either codec
-/// (LEB128 `varint(count)` + `varint(gap)` stream with first gap
-/// `doc + 1`, or the gv4 frame over `gap - 1` values). The storage-side
-/// replacement for per-key `HashSet<u32>` bookkeeping — ~1–2 bytes per
-/// document instead of 4 plus hash-table overhead — supporting exact
-/// incremental `df` counting via [`CompressedDocSet::merge_count_new`].
+/// A compressed set of document ids: `varint(count)` + `varint(gap)`
+/// stream with first gap `doc + 1`. The storage-side replacement for
+/// per-key `HashSet<u32>` bookkeeping — ~1–2 bytes per document instead of
+/// 4 plus hash-table overhead — supporting exact incremental `df` counting
+/// via [`CompressedDocSet::merge_count_new`].
 #[derive(Clone, PartialEq, Eq)]
 pub struct CompressedDocSet {
     block: Bytes,
     count: u32,
     max_doc: u32,
-    codec: Codec,
 }
 
 /// Incremental gap writer for doc-sets — the one place that encodes the
 /// set's gap stream, shared by every construction/merge path.
 struct GapEncoder {
-    body: StreamWriter,
+    body: Vec<u8>,
     count: u32,
     prev: i64,
 }
 
 impl GapEncoder {
-    fn with_capacity(codec: Codec, values: usize) -> Self {
+    fn with_capacity(values: usize) -> Self {
         Self {
-            body: StreamWriter::with_capacity(codec, values),
+            body: Vec::with_capacity(values * 2),
             count: 0,
             prev: -1,
         }
     }
 
-    /// Resumes a set's gap stream in its own codec (the append fast path:
-    /// the encoded stream is adopted as-is, no re-coding).
+    /// Resumes a set's gap stream (the append fast path: the encoded
+    /// stream is adopted as-is, no re-coding).
     fn resume(set: &CompressedDocSet) -> Self {
-        let body = match set.codec {
-            Codec::Leb128 => {
-                let header = varint_len(u64::from(set.count));
-                StreamWriter::Leb(set.block[header..].to_vec())
-            }
-            Codec::Gv4 => {
-                let buf: &[u8] = &set.block;
-                let mut pos = 2usize;
-                let _ = read_varint(buf, &mut pos);
-                StreamWriter::Gv4(gv4::Writer::resume(buf[pos..].to_vec(), set.count as usize))
-            }
-        };
+        let header = varint_len(u64::from(set.count));
         Self {
-            body,
+            body: set.block[header..].to_vec(),
             count: set.count,
             prev: if set.count > 0 {
                 i64::from(set.max_doc)
@@ -781,31 +543,17 @@ impl GapEncoder {
     fn push(&mut self, doc: DocId) {
         let gap = i64::from(doc.0) - self.prev;
         debug_assert!(gap > 0, "doc ids must arrive strictly ascending");
-        match &mut self.body {
-            StreamWriter::Leb(buf) => write_varint(buf, gap as u64),
-            StreamWriter::Gv4(w) => w.push((gap - 1) as u32),
-        }
+        write_varint(&mut self.body, gap as u64);
         self.prev = i64::from(doc.0);
         self.count += 1;
     }
 
     fn finish(self) -> CompressedDocSet {
-        if self.count == 0 {
-            // Canonical empty — legacy `[0x00]` under every codec.
-            return CompressedDocSet {
-                block: frame(Codec::Leb128, 0, &[]),
-                count: 0,
-                max_doc: 0,
-                codec: Codec::Leb128,
-            };
-        }
-        let codec = self.body.codec();
-        let block = frame(codec, self.count, &self.body.into_stream());
         CompressedDocSet {
-            block,
+            block: frame(self.count, &self.body),
             count: self.count,
-            max_doc: self.prev as u32,
-            codec,
+            // `prev` is -1 exactly when the set is empty.
+            max_doc: self.prev.max(0) as u32,
         }
     }
 }
@@ -813,17 +561,12 @@ impl GapEncoder {
 impl CompressedDocSet {
     /// The empty set.
     pub fn new() -> Self {
-        GapEncoder::with_capacity(Codec::Leb128, 0).finish()
+        GapEncoder::with_capacity(0).finish()
     }
 
-    /// Builds from strictly-ascending document ids (default codec).
+    /// Builds from strictly-ascending document ids.
     pub fn from_sorted_docs<I: IntoIterator<Item = DocId>>(docs: I) -> Self {
-        Self::from_sorted_docs_with(docs, Codec::Leb128)
-    }
-
-    /// Builds from strictly-ascending document ids in the given codec.
-    pub fn from_sorted_docs_with<I: IntoIterator<Item = DocId>>(docs: I, codec: Codec) -> Self {
-        let mut enc = GapEncoder::with_capacity(codec, 0);
+        let mut enc = GapEncoder::with_capacity(0);
         for d in docs {
             enc.push(d);
         }
@@ -831,9 +574,8 @@ impl CompressedDocSet {
     }
 
     /// The documents of a posting block (streaming, no materialization).
-    /// Keeps the posting block's codec.
     pub fn from_postings(postings: &CompressedPostings) -> Self {
-        let mut enc = GapEncoder::with_capacity(postings.codec(), postings.len());
+        let mut enc = GapEncoder::with_capacity(postings.len());
         for d in postings.docs() {
             enc.push(d);
         }
@@ -855,11 +597,6 @@ impl CompressedDocSet {
         self.block.len()
     }
 
-    /// The set's codec. O(1).
-    pub fn codec(&self) -> Codec {
-        self.codec
-    }
-
     /// The encoded block (cloning is zero-copy) — what the segment log
     /// persists for a sealed entry's doc-set.
     pub fn as_bytes(&self) -> &Bytes {
@@ -867,15 +604,11 @@ impl CompressedDocSet {
     }
 
     /// Validates and adopts an encoded block (e.g. replayed from a segment
-    /// log), re-deriving the codec from the in-band header. Mirrors
-    /// [`CompressedPostings::from_bytes`]: the *entire* buffer must be one
-    /// well-formed block; a decodable prefix followed by trailing garbage
-    /// is rejected.
+    /// log). Mirrors [`CompressedPostings::from_bytes`]: the *entire*
+    /// buffer must be one well-formed block; a decodable prefix followed
+    /// by trailing garbage is rejected.
     pub fn from_bytes(block: Bytes) -> Option<Self> {
         let buf: &[u8] = &block;
-        if buf.len() >= 2 && buf[0] == 0x00 {
-            return Self::from_bytes_gv4(block);
-        }
         let mut pos = 0usize;
         let count = read_varint(buf, &mut pos)?;
         let count = u32::try_from(count).ok()?;
@@ -898,57 +631,19 @@ impl CompressedDocSet {
             block,
             count,
             max_doc: if count > 0 { prev as u32 } else { 0 },
-            codec: Codec::Leb128,
-        })
-    }
-
-    fn from_bytes_gv4(block: Bytes) -> Option<Self> {
-        let buf: &[u8] = &block;
-        if buf[1] != GV4_TAG {
-            return None;
-        }
-        let mut pos = 2usize;
-        let count = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
-        if count == 0 {
-            return None;
-        }
-        let mut r = gv4::Reader::new(buf, pos, count as usize);
-        let mut prev: i64 = -1;
-        for _ in 0..count {
-            let doc = prev + 1 + i64::from(r.next()?);
-            u32::try_from(doc).ok()?;
-            prev = doc;
-        }
-        if r.pos() != buf.len() {
-            return None;
-        }
-        Some(Self {
-            block,
-            count,
-            max_doc: prev as u32,
-            codec: Codec::Gv4,
         })
     }
 
     /// Streaming iteration, ascending.
     pub fn iter(&self) -> impl Iterator<Item = DocId> + '_ {
         let buf: &[u8] = &self.block;
-        let inner = match self.codec {
-            Codec::Leb128 => {
-                let mut pos = 0usize;
-                let _ = read_varint(buf, &mut pos);
-                SetIterInner::Leb { buf, pos }
-            }
-            Codec::Gv4 => {
-                let mut pos = 2usize;
-                let _ = read_varint(buf, &mut pos);
-                SetIterInner::Gv4(gv4::Reader::new(buf, pos, self.count as usize))
-            }
-        };
+        let mut pos = 0usize;
+        let _ = read_varint(buf, &mut pos);
         DocSetIter {
+            buf,
+            pos,
             remaining: self.count,
             prev: -1,
-            inner,
         }
     }
 
@@ -971,8 +666,8 @@ impl CompressedDocSet {
     /// Cost is kept proportional to the work actually required: a batch of
     /// re-announced documents (nothing new) costs one counting scan that
     /// stops as soon as the batch is classified; a batch strictly beyond
-    /// `max_doc` appends by copying the body bytes (no re-coding in either
-    /// codec); only an interleaved batch pays the full merge re-encode.
+    /// `max_doc` appends by copying the body bytes (no re-coding); only an
+    /// interleaved batch pays the full merge re-encode.
     pub fn merge_count_new<I: IntoIterator<Item = DocId>>(&mut self, batch: I) -> u32 {
         let batch: Vec<DocId> = batch.into_iter().collect();
         debug_assert!(
@@ -1012,8 +707,8 @@ impl CompressedDocSet {
         if new_docs == 0 {
             return 0; // pure re-announcement: the block already covers it
         }
-        // Full merge re-encode, keeping the set's codec.
-        let mut enc = GapEncoder::with_capacity(self.codec, self.len() + batch.len());
+        // Full merge re-encode.
+        let mut enc = GapEncoder::with_capacity(self.len() + batch.len());
         {
             let mut a = self.iter().peekable();
             let mut b = batch.iter().copied().peekable();
@@ -1062,20 +757,15 @@ impl std::fmt::Debug for CompressedDocSet {
         f.debug_struct("CompressedDocSet")
             .field("count", &self.count)
             .field("bytes", &self.block.len())
-            .field("codec", &self.codec)
             .finish()
     }
 }
 
 struct DocSetIter<'a> {
+    buf: &'a [u8],
+    pos: usize,
     remaining: u32,
     prev: i64,
-    inner: SetIterInner<'a>,
-}
-
-enum SetIterInner<'a> {
-    Leb { buf: &'a [u8], pos: usize },
-    Gv4(gv4::Reader<'a>),
 }
 
 impl Iterator for DocSetIter<'_> {
@@ -1086,10 +776,7 @@ impl Iterator for DocSetIter<'_> {
             return None;
         }
         self.remaining -= 1;
-        let doc = match &mut self.inner {
-            SetIterInner::Leb { buf, pos } => self.prev + read_varint(buf, pos)? as i64,
-            SetIterInner::Gv4(r) => self.prev + 1 + i64::from(r.next()?),
-        };
+        let doc = self.prev + read_varint(self.buf, &mut self.pos)? as i64;
         self.prev = doc;
         Some(DocId(doc as u32))
     }
@@ -1114,15 +801,12 @@ mod tests {
     #[test]
     fn roundtrip_matches_reference() {
         let l = list(&[(0, 1), (7, 3), (128, 2), (70_000, 9)]);
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&l, codec);
-            assert_eq!(c.len(), 4);
-            assert_eq!(c.codec(), codec);
-            assert_eq!(c.max_doc(), Some(DocId(70_000)));
-            assert_eq!(c.min_doc(), Some(DocId(0)));
-            assert_eq!(c.decode(), l);
-            assert_eq!(c.iter().collect::<Vec<_>>(), l.postings());
-        }
+        let c = CompressedPostings::from_list(&l);
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.max_doc(), Some(DocId(70_000)));
+        assert_eq!(c.min_doc(), Some(DocId(0)));
+        assert_eq!(c.decode(), l);
+        assert_eq!(c.iter().collect::<Vec<_>>(), l.postings());
     }
 
     #[test]
@@ -1140,95 +824,73 @@ mod tests {
         assert_eq!(c.max_doc(), None);
         assert_eq!(c.min_doc(), None);
         assert_eq!(c.encoded_len(), 1);
+        assert_eq!(c.as_bytes().as_ref(), &[0x00]);
         assert_eq!(c.decode(), PostingList::new());
-        // Empty blocks canonicalize to the legacy `[0x00]` whatever codec
-        // the encoder was asked for — the gv4 marker needs length ≥ 2.
-        let gv4_empty = CompressedPostings::from_list_with(&PostingList::new(), Codec::Gv4);
-        assert_eq!(gv4_empty, c);
-        assert_eq!(gv4_empty.codec(), Codec::Leb128);
+        assert_eq!(CompressedPostings::from_list(&PostingList::new()), c);
     }
 
     #[test]
-    fn gv4_header_layout_is_pinned() {
-        let c = CompressedPostings::from_list_with(&list(&[(3, 1)]), Codec::Gv4);
-        let raw = c.as_bytes().as_ref();
-        // [marker, codec tag, varint(count), group stream].
-        assert_eq!(raw[0], 0x00);
-        assert_eq!(raw[1], 0x01);
-        assert_eq!(raw[2], 0x01); // count = 1
-                                  // Stream: one partial group [gap-1=3, tf=1, doc_len=103], all
-                                  // 1-byte widths → tag 0, then the three value bytes.
-        assert_eq!(&raw[3..], &[0b00_00_00_00, 3, 1, 103]);
-    }
-
-    #[test]
-    fn from_bytes_rejects_trailing_garbage() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&list(&[(1, 1), (2, 2)]), codec);
-            let mut raw = c.as_bytes().as_ref().to_vec();
-            assert!(CompressedPostings::from_bytes(Bytes::from(raw.clone())).is_some());
-            raw.push(0x7f);
-            assert!(CompressedPostings::from_bytes(Bytes::from(raw)).is_none());
+    fn retired_extended_header_is_rejected() {
+        // `[3 → tf 1, doc_len 103]` exactly as the retired group-varint
+        // codec framed it: a `0x00` marker, codec tag `0x01`, count 1, then
+        // one tag byte and three one-byte values. A zero count followed by
+        // anything is trailing garbage now, for postings and doc-sets alike.
+        let retired = [0x00, 0x01, 0x01, 0x00, 0x03, 0x01, 0x67];
+        for raw in [
+            &retired[..],
+            &[0x00, 0x01, 0x00],
+            &[0x00, 0x02],
+            &[0x00, 0x7f],
+        ] {
+            let raw = Bytes::copy_from_slice(raw);
+            assert!(
+                CompressedPostings::from_bytes(raw.clone()).is_none(),
+                "{raw:?}"
+            );
+            assert!(CompressedDocSet::from_bytes(raw).is_none());
         }
     }
 
     #[test]
+    fn from_bytes_rejects_trailing_garbage() {
+        let c = CompressedPostings::from_list(&list(&[(1, 1), (2, 2)]));
+        let mut raw = c.as_bytes().as_ref().to_vec();
+        assert!(CompressedPostings::from_bytes(Bytes::from(raw.clone())).is_some());
+        raw.push(0x7f);
+        assert!(CompressedPostings::from_bytes(Bytes::from(raw)).is_none());
+    }
+
+    #[test]
     fn from_bytes_rejects_truncation() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&list(&[(1, 1), (300, 2), (500, 3)]), codec);
-            let raw = c.as_bytes().clone();
-            for cut in 0..raw.len() {
-                let revived = CompressedPostings::from_bytes(raw.slice(..cut));
-                if codec == Codec::Gv4 && cut == 1 {
-                    // The 1-byte prefix of a gv4 block is `[0x00]` — the
-                    // canonical empty block. Harmless (it loses all
-                    // postings, it doesn't corrupt any) and unavoidable in
-                    // a self-describing frame; real truncation is caught
-                    // by the segment frames' checksums.
-                    assert_eq!(revived.unwrap(), CompressedPostings::new());
-                } else {
-                    assert!(revived.is_none(), "{codec:?} cut at {cut} decoded");
-                }
-            }
+        let c = CompressedPostings::from_list(&list(&[(1, 1), (300, 2), (500, 3)]));
+        let raw = c.as_bytes().clone();
+        for cut in 0..raw.len() {
+            assert!(
+                CompressedPostings::from_bytes(raw.slice(..cut)).is_none(),
+                "cut at {cut} decoded"
+            );
         }
     }
 
     #[test]
     fn from_bytes_roundtrips_codec_tag() {
-        let l = list(&[(5, 2), (640, 1), (70_000, 4)]);
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&l, codec);
-            let revived = CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap();
-            assert_eq!(revived, c);
-            assert_eq!(revived.codec(), codec);
-            assert_eq!(revived.min_doc(), Some(DocId(5)));
-        }
-    }
-
-    #[test]
-    fn gv4_unknown_codec_tag_is_rejected() {
-        let c = CompressedPostings::from_list_with(&list(&[(1, 1)]), Codec::Gv4);
-        let mut raw = c.as_bytes().as_ref().to_vec();
-        raw[1] = 0x02; // no such codec
-        assert!(CompressedPostings::from_bytes(Bytes::from(raw)).is_none());
-        // An extended header claiming zero postings is non-canonical (the
-        // empty block is the bare legacy `[0x00]`).
-        assert!(CompressedPostings::from_bytes(Bytes::from(vec![0x00, 0x01, 0x00])).is_none());
-        // A legacy empty block followed by garbage stays rejected.
-        assert!(CompressedPostings::from_bytes(Bytes::from(vec![0x00, 0x7f])).is_none());
+        // The block is self-describing: adoption re-derives every header
+        // field from the bytes alone.
+        let c = CompressedPostings::from_list(&list(&[(5, 2), (640, 1), (70_000, 4)]));
+        let revived = CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap();
+        assert_eq!(revived, c);
+        assert_eq!(revived.min_doc(), Some(DocId(5)));
+        assert_eq!(revived.max_doc(), Some(DocId(70_000)));
     }
 
     #[test]
     fn merge_counting_matches_union() {
         let a = list(&[(1, 2), (5, 1), (9, 4)]);
         let b = list(&[(2, 1), (5, 3), (11, 2)]);
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let (merged, new_docs) = CompressedPostings::from_list_with(&a, codec)
-                .merge_counting(&CompressedPostings::from_list_with(&b, codec));
-            assert_eq!(merged.decode(), a.union(&b));
-            assert_eq!(merged.codec(), codec);
-            assert_eq!(new_docs, 2, "docs 2 and 11 are new");
-        }
+        let (merged, new_docs) =
+            CompressedPostings::from_list(&a).merge_counting(&CompressedPostings::from_list(&b));
+        assert_eq!(merged.decode(), a.union(&b));
+        assert_eq!(new_docs, 2, "docs 2 and 11 are new");
     }
 
     #[test]
@@ -1245,54 +907,31 @@ mod tests {
     #[test]
     fn append_fast_path_matches_streaming_merge() {
         // A batch strictly beyond max_doc takes the byte-copy append path;
-        // its bytes must equal the canonical full re-encode in both
-        // codecs, at every resident length (hitting every group-alignment
-        // case for gv4).
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            for resident_len in 1..10u32 {
-                let resident: Vec<(u32, u32)> = (0..resident_len).map(|i| (i * 7, i + 1)).collect();
-                let batch: Vec<(u32, u32)> = [(0u32, 3u32), (1, 1), (2, 9)]
-                    .iter()
-                    .map(|&(d, tf)| (resident_len * 7 + d, tf))
-                    .collect();
-                let a = CompressedPostings::from_list_with(&list(&resident), codec);
-                let b = CompressedPostings::from_list_with(&list(&batch), codec);
-                let (fast, new_docs) = a.merge_counting(&b);
-                let all: Vec<(u32, u32)> = resident.iter().chain(batch.iter()).copied().collect();
-                let canonical = CompressedPostings::from_list_with(&list(&all), codec);
-                assert_eq!(
-                    fast.as_bytes(),
-                    canonical.as_bytes(),
-                    "{codec:?} at {resident_len}"
-                );
-                assert_eq!(fast, canonical);
-                assert_eq!(new_docs, 3);
-            }
+        // its bytes must equal the canonical full re-encode at every
+        // resident length.
+        for resident_len in 1..10u32 {
+            let resident: Vec<(u32, u32)> = (0..resident_len).map(|i| (i * 7, i + 1)).collect();
+            let batch: Vec<(u32, u32)> = [(0u32, 3u32), (1, 1), (2, 9)]
+                .iter()
+                .map(|&(d, tf)| (resident_len * 7 + d, tf))
+                .collect();
+            let a = CompressedPostings::from_list(&list(&resident));
+            let b = CompressedPostings::from_list(&list(&batch));
+            let (fast, new_docs) = a.merge_counting(&b);
+            let all: Vec<(u32, u32)> = resident.iter().chain(batch.iter()).copied().collect();
+            let canonical = CompressedPostings::from_list(&list(&all));
+            assert_eq!(fast.as_bytes(), canonical.as_bytes(), "at {resident_len}");
+            assert_eq!(fast, canonical);
+            assert_eq!(new_docs, 3);
         }
-    }
-
-    #[test]
-    fn mixed_codec_merge_keeps_resident_codec() {
-        let a = CompressedPostings::from_list_with(&list(&[(1, 1), (5, 2)]), Codec::Gv4);
-        let b = CompressedPostings::from_list(&list(&[(9, 3)]));
-        let (merged, new_docs) = a.merge_counting(&b);
-        assert_eq!(merged.codec(), Codec::Gv4);
-        assert_eq!(new_docs, 1);
-        assert_eq!(merged.decode(), list(&[(1, 1), (5, 2), (9, 3)]));
-        // Merging into an empty block adopts the incoming codec.
-        let (adopted, _) = CompressedPostings::new().merge_counting(&a);
-        assert_eq!(adopted.codec(), Codec::Gv4);
     }
 
     #[test]
     fn truncate_matches_postinglist_reference() {
         let l = list(&[(1, 1), (2, 9), (3, 5), (4, 9), (5, 2)]);
         let q = |p: &Posting| f64::from(p.tf) / (f64::from(p.tf) + 1.2);
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&l, codec).truncate_top_k(3, q);
-            assert_eq!(c.decode(), l.truncate_top_k(3, q));
-            assert_eq!(c.codec(), codec, "truncation preserves the codec");
-        }
+        let c = CompressedPostings::from_list(&l).truncate_top_k(3, q);
+        assert_eq!(c.decode(), l.truncate_top_k(3, q));
     }
 
     #[test]
@@ -1304,13 +943,11 @@ mod tests {
 
     #[test]
     fn contains_doc_scans_with_early_out() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&list(&[(2, 1), (40, 1), (900, 1)]), codec);
-            assert!(c.contains_doc(DocId(2)));
-            assert!(c.contains_doc(DocId(900)));
-            assert!(!c.contains_doc(DocId(3)));
-            assert!(!c.contains_doc(DocId(901)), "beyond max_doc");
-        }
+        let c = CompressedPostings::from_list(&list(&[(2, 1), (40, 1), (900, 1)]));
+        assert!(c.contains_doc(DocId(2)));
+        assert!(c.contains_doc(DocId(900)));
+        assert!(!c.contains_doc(DocId(3)));
+        assert!(!c.contains_doc(DocId(901)), "beyond max_doc");
     }
 
     #[test]
@@ -1327,15 +964,13 @@ mod tests {
                 doc_len: 1,
             },
         ]);
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&l, codec);
-            assert_eq!(c.decode(), l);
-            assert_eq!(c.max_doc(), Some(DocId(u32::MAX)));
-            assert_eq!(
-                CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap(),
-                c
-            );
-        }
+        let c = CompressedPostings::from_list(&l);
+        assert_eq!(c.decode(), l);
+        assert_eq!(c.max_doc(), Some(DocId(u32::MAX)));
+        assert_eq!(
+            CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap(),
+            c
+        );
     }
 
     #[test]
@@ -1350,73 +985,44 @@ mod tests {
         ];
         assert!(CompressedPostings::from_bytes(Bytes::from(raw)).is_none());
         // Largest legitimate gap: doc 0 -> doc u32::MAX is u32::MAX exactly;
-        // a single posting at u32::MAX uses gap u32::MAX + 1 (gv4 stores
-        // gap - 1 = u32::MAX, still on u32).
+        // a single posting at u32::MAX uses gap u32::MAX + 1.
         let l = PostingList::from_sorted(vec![p(u32::MAX, 1)]);
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&l, codec);
-            assert_eq!(c.decode(), l);
-            assert_eq!(
-                CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap(),
-                c
-            );
-        }
-        // A gv4 doc walking past u32::MAX must reject: two postings whose
-        // gaps sum beyond the id space.
-        let over = {
-            let mut w = gv4::Writer::with_capacity(6);
-            for v in [u32::MAX, 1, 1, 5, 1, 1] {
-                w.push(v);
-            }
-            let mut raw = vec![0x00, 0x01, 0x02];
-            raw.extend_from_slice(&w.finish());
-            raw
-        };
-        assert!(CompressedPostings::from_bytes(Bytes::from(over)).is_none());
+        let c = CompressedPostings::from_list(&l);
+        assert_eq!(c.decode(), l);
+        assert_eq!(
+            CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap(),
+            c
+        );
     }
 
     #[test]
     fn docset_merge_counts_new_docs_exactly() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let mut s = CompressedDocSet::from_sorted_docs_with([1, 4, 9].map(DocId), codec);
-            assert_eq!(s.len(), 3);
-            assert_eq!(s.codec(), codec);
-            assert_eq!(s.merge_count_new([0, 4, 10].map(DocId)), 2);
-            assert_eq!(s.len(), 5);
-            assert_eq!(s.codec(), codec, "merge keeps the codec");
-            assert_eq!(
-                s.iter().map(|d| d.0).collect::<Vec<_>>(),
-                vec![0, 1, 4, 9, 10]
-            );
-            // Re-announcing known docs adds nothing.
-            assert_eq!(s.merge_count_new([0, 1, 9].map(DocId)), 0);
-            assert_eq!(s.len(), 5);
-        }
+        let mut s = CompressedDocSet::from_sorted_docs([1, 4, 9].map(DocId));
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.merge_count_new([0, 4, 10].map(DocId)), 2);
+        assert_eq!(s.len(), 5);
+        assert_eq!(
+            s.iter().map(|d| d.0).collect::<Vec<_>>(),
+            vec![0, 1, 4, 9, 10]
+        );
+        // Re-announcing known docs adds nothing.
+        assert_eq!(s.merge_count_new([0, 1, 9].map(DocId)), 0);
+        assert_eq!(s.len(), 5);
     }
 
     #[test]
     fn docset_append_fast_path_matches_full_merge() {
         // A batch strictly beyond max_doc takes the byte-copy append path;
-        // the resulting encoding must equal the canonical full re-encode —
-        // at several resident lengths so gv4 hits every group alignment.
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            for resident_len in 0..6u32 {
-                let resident: Vec<DocId> = (0..resident_len).map(|i| DocId(i * 3 + 1)).collect();
-                let batch = [resident_len * 3 + 2, resident_len * 3 + 90].map(DocId);
-                let mut fast = CompressedDocSet::from_sorted_docs_with(resident.clone(), codec);
-                assert_eq!(fast.merge_count_new(batch), 2);
-                let all: Vec<DocId> = resident.iter().copied().chain(batch).collect();
-                let canonical = CompressedDocSet::from_sorted_docs_with(
-                    all,
-                    if resident_len == 0 {
-                        Codec::Leb128
-                    } else {
-                        codec
-                    },
-                );
-                assert_eq!(fast, canonical, "{codec:?} at {resident_len}");
-                assert_eq!(fast.encoded_len(), canonical.encoded_len());
-            }
+        // the resulting encoding must equal the canonical full re-encode.
+        for resident_len in 0..6u32 {
+            let resident: Vec<DocId> = (0..resident_len).map(|i| DocId(i * 3 + 1)).collect();
+            let batch = [resident_len * 3 + 2, resident_len * 3 + 90].map(DocId);
+            let mut fast = CompressedDocSet::from_sorted_docs(resident.clone());
+            assert_eq!(fast.merge_count_new(batch), 2);
+            let all: Vec<DocId> = resident.iter().copied().chain(batch).collect();
+            let canonical = CompressedDocSet::from_sorted_docs(all);
+            assert_eq!(fast, canonical, "at {resident_len}");
+            assert_eq!(fast.encoded_len(), canonical.encoded_len());
         }
     }
 
@@ -1431,43 +1037,35 @@ mod tests {
 
     #[test]
     fn docset_contains() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let s = CompressedDocSet::from_sorted_docs_with([5, 6, 1000].map(DocId), codec);
-            assert!(s.contains(DocId(5)));
-            assert!(s.contains(DocId(1000)));
-            assert!(!s.contains(DocId(7)));
-            assert!(!s.contains(DocId(1001)));
-        }
+        let s = CompressedDocSet::from_sorted_docs([5, 6, 1000].map(DocId));
+        assert!(s.contains(DocId(5)));
+        assert!(s.contains(DocId(1000)));
+        assert!(!s.contains(DocId(7)));
+        assert!(!s.contains(DocId(1001)));
         assert!(!CompressedDocSet::new().contains(DocId(0)));
     }
 
     #[test]
     fn docset_bytes_roundtrip_and_reject_garbage() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let s =
-                CompressedDocSet::from_sorted_docs_with([0, 3, 70_000, u32::MAX].map(DocId), codec);
-            let raw = s.as_bytes().clone();
-            assert_eq!(CompressedDocSet::from_bytes(raw.clone()).unwrap(), s);
-            // Every truncation point fails validation — except a gv4
-            // block's 1-byte prefix, which *is* the canonical empty block
-            // (see `from_bytes_rejects_truncation`).
-            for cut in 0..raw.len() {
-                let revived = CompressedDocSet::from_bytes(raw.slice(..cut));
-                if codec == Codec::Gv4 && cut == 1 {
-                    assert_eq!(revived.unwrap(), CompressedDocSet::new());
-                } else {
-                    assert!(revived.is_none(), "{codec:?} cut at {cut} decoded");
-                }
-            }
-            // Trailing garbage fails validation.
-            let mut padded = raw.as_ref().to_vec();
-            padded.push(0x01);
-            assert!(CompressedDocSet::from_bytes(Bytes::from(padded)).is_none());
+        let s = CompressedDocSet::from_sorted_docs([0, 3, 70_000, u32::MAX].map(DocId));
+        let raw = s.as_bytes().clone();
+        assert_eq!(CompressedDocSet::from_bytes(raw.clone()).unwrap(), s);
+        // Every truncation point fails validation.
+        for cut in 0..raw.len() {
+            assert!(
+                CompressedDocSet::from_bytes(raw.slice(..cut)).is_none(),
+                "cut at {cut} decoded"
+            );
         }
+        // Trailing garbage fails validation.
+        let mut padded = raw.as_ref().to_vec();
+        padded.push(0x01);
+        assert!(CompressedDocSet::from_bytes(Bytes::from(padded)).is_none());
         // Zero gaps (duplicate docs) fail validation.
         assert!(CompressedDocSet::from_bytes(Bytes::from(vec![0x02, 0x01, 0x00])).is_none());
         // The empty set roundtrips too.
         let empty = CompressedDocSet::new();
+        assert_eq!(empty.as_bytes().as_ref(), &[0x00]);
         assert_eq!(
             CompressedDocSet::from_bytes(empty.as_bytes().clone()).unwrap(),
             empty
@@ -1476,13 +1074,10 @@ mod tests {
 
     #[test]
     fn docset_from_postings_matches_docs() {
-        for codec in [Codec::Leb128, Codec::Gv4] {
-            let c = CompressedPostings::from_list_with(&list(&[(3, 2), (77, 1), (300, 4)]), codec);
-            let s = CompressedDocSet::from_postings(&c);
-            assert_eq!(s.codec(), codec, "doc-set inherits the posting codec");
-            assert_eq!(s.iter().collect::<Vec<_>>(), c.docs().collect::<Vec<_>>());
-            assert!(s.encoded_len() < c.encoded_len());
-        }
+        let c = CompressedPostings::from_list(&list(&[(3, 2), (77, 1), (300, 4)]));
+        let s = CompressedDocSet::from_postings(&c);
+        assert_eq!(s.iter().collect::<Vec<_>>(), c.docs().collect::<Vec<_>>());
+        assert!(s.encoded_len() < c.encoded_len());
     }
 }
 
@@ -1510,24 +1105,20 @@ mod timing {
                 }
             })
             .collect();
-        let list = PostingList::from_sorted(postings);
-        let leb = CompressedPostings::from_list_with(&list, Codec::Leb128);
-        let gv4 = CompressedPostings::from_list_with(&list, Codec::Gv4);
+        let block = CompressedPostings::from_list(&PostingList::from_sorted(postings));
         for _ in 0..3 {
-            for (name, block) in [("leb", &leb), ("gv4", &gv4)] {
-                let t = std::time::Instant::now();
-                let mut sum = 0u64;
-                for _ in 0..200 {
-                    sum = sum.wrapping_add(
-                        block
-                            .iter()
-                            .map(|p| u64::from(p.doc.0) + u64::from(p.tf) + u64::from(p.doc_len))
-                            .sum::<u64>(),
-                    );
-                }
-                let ns = t.elapsed().as_secs_f64() / (200.0 * 4_000.0) * 1e9;
-                eprintln!("{name} fold {ns:.2} ns/posting (sum {sum})");
+            let t = std::time::Instant::now();
+            let mut sum = 0u64;
+            for _ in 0..200 {
+                sum = sum.wrapping_add(
+                    block
+                        .iter()
+                        .map(|p| u64::from(p.doc.0) + u64::from(p.tf) + u64::from(p.doc_len))
+                        .sum::<u64>(),
+                );
             }
+            let ns = t.elapsed().as_secs_f64() / (200.0 * 4_000.0) * 1e9;
+            eprintln!("fold {ns:.2} ns/posting (sum {sum})");
         }
     }
 }

@@ -7,9 +7,7 @@
 //!
 //! * [`posting`] — postings and sorted posting lists,
 //! * [`codec`] — delta + varint block primitives (one layout for wire *and*
-//!   storage) and the [`Codec`] selector,
-//! * `gv4` — 4-wide group-varint (SWAR) value-stream primitives behind the
-//!   alternative block codec,
+//!   storage),
 //! * [`compressed`] — [`CompressedPostings`]/[`CompressedDocSet`], the
 //!   resident posting format: the encoded block plus a skip header, decoded
 //!   lazily by streaming iteration and never duplicated,
@@ -25,7 +23,6 @@ pub mod bm25;
 pub mod codec;
 pub mod compressed;
 pub mod engine;
-mod gv4;
 pub mod index;
 pub mod overlap;
 pub mod posting;

@@ -117,8 +117,8 @@ impl ScoreAccumulator {
     pub fn accumulate<I: IntoIterator<Item = Posting>>(&mut self, df: u32, postings: I) {
         let df = df as usize;
         // `for_each` (not a `for` loop) so block iterators run their
-        // internal-iteration `fold` specialization — one codec dispatch
-        // per block instead of one per posting.
+        // internal-iteration `fold` specialization, which keeps the
+        // decoder state in locals for the whole block.
         let scores = &mut self.scores;
         let bm25 = &self.bm25;
         let (avg_doc_len, num_docs) = (self.avg_doc_len, self.num_docs);
@@ -129,10 +129,9 @@ impl ScoreAccumulator {
     }
 
     /// Streams a compressed block straight through the scorer — the
-    /// zero-copy rank path: postings decode inside the block's own codec
-    /// (4 values per step for gv4) directly into the score table, no
-    /// intermediate list. Accumulation order and f64 results are exactly
-    /// those of `accumulate(df, block.iter())`, whatever the codec.
+    /// zero-copy rank path: postings decode straight from the block into
+    /// the score table, no intermediate list. Accumulation order and f64
+    /// results are exactly those of `accumulate(df, block.iter())`.
     pub fn accumulate_block(&mut self, df: u32, block: &CompressedPostings) {
         self.accumulate(df, block);
     }

@@ -608,16 +608,45 @@ fn insert_batch<S: StoreService>(
     out
 }
 
+/// Why a data-plane message cannot be applied over `overlay`, where the
+/// `Dht` itself would panic: every peer it names — an insert batch's
+/// inserting peer, a notification's recipient, a lookup's querying peer —
+/// must be one the overlay knows.
+fn check_request<I, Q, W>(overlay: &dyn Overlay, request: &Request<I, Q, W>) -> Result<(), String> {
+    let known = overlay.peers();
+    let unknown = match request {
+        Request::InsertBatch { batches } => batches
+            .iter()
+            .map(|(peer, _)| *peer)
+            .find(|peer| !known.contains(peer)),
+        Request::Notify { notes } => notes
+            .iter()
+            .map(|note| note.to)
+            .find(|peer| !known.contains(peer)),
+        Request::LookupMany { from, .. } => Some(*from).filter(|peer| !known.contains(peer)),
+        Request::Repair | Request::Rebalance | Request::Sweep(_) => None,
+    };
+    match unknown {
+        Some(peer) => Err(format!("unknown peer {}", peer.0)),
+        None => Ok(()),
+    }
+}
+
 /// The one place a data-plane message becomes DHT calls, for every
 /// backend. With `legs`, also reports each metered message leg — from the
 /// [`Delivery`] records the metering path itself resolved, so counted
-/// hops and simulated transmission times share one derivation.
+/// hops and simulated transmission times share one derivation. A message
+/// naming a peer the overlay does not know is refused ([`check_request`])
+/// and changes nothing.
 fn handle<S: StoreService>(
     dht: &Dht<S::Value>,
     store: &S,
     request: RequestOf<S>,
     mut legs: Legs<'_>,
 ) -> ResponseOf<S> {
+    if let Err(reason) = check_request(dht.overlay(), &request) {
+        return Response::Err(reason);
+    }
     let volume = |value: &S::Value| store.migrate_volume(value);
     match request {
         Request::InsertBatch { batches } => Response::Inserted {

@@ -34,10 +34,6 @@ pub fn golden_network_with(
         HdkConfig {
             dfmax: 18,
             ff: 3_000,
-            // The golden snapshot is defined as the legacy-codec encoding:
-            // pin it so the report stays byte-identical even when the
-            // environment selects `gv4` (`HDK_CODEC=gv4` CI leg).
-            codec: hdk_core::Codec::Leb128,
             ..HdkConfig::default()
         },
         OverlayKind::PGrid,

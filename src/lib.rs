@@ -54,9 +54,9 @@ pub use hdk_text as text;
 /// Everything a typical user needs, in one import.
 pub mod prelude {
     pub use hdk_core::{
-        spawn_http, BackendConfig, Codec, HdkConfig, HdkNetwork, HttpHandle, IndexService, Key,
-        KeyClass, OverlayKind, PeerConfig, PeerHost, QueryOutcome, QueryPlan, QueryProfile,
-        QueryService, SingleTermNetwork, StoreConfig, TcpNet,
+        spawn_http, BackendConfig, HdkConfig, HdkNetwork, HttpHandle, IndexService, Key, KeyClass,
+        OverlayKind, PeerConfig, PeerHost, QueryOutcome, QueryPlan, QueryProfile, QueryService,
+        SingleTermNetwork, StoreConfig, TcpNet,
     };
     pub use hdk_corpus::{
         partition_documents, Collection, CollectionGenerator, DocId, Document, GeneratorConfig,

@@ -97,19 +97,16 @@ fn simnet_backend_reproduces_golden_counts_with_nonzero_latency() {
 
 #[test]
 fn golden_scenario_is_pinned_to_the_legacy_codec() {
-    // The snapshot predates the gv4 block codec, so the golden scenario
-    // pins `Codec::Leb128` explicitly: the default codec must stay legacy
-    // (fresh configs produce snapshot-identical bytes) and the golden
-    // network's resident blocks must all be legacy-framed even when the
-    // environment selects gv4 (the `HDK_CODEC=gv4` CI leg).
-    assert_eq!(Codec::default(), Codec::Leb128);
+    // The snapshot's byte meters count the delta + LEB128 layout: every
+    // resident block of the golden network must be exactly that encoding
+    // of its own postings.
     let network = golden_network(&golden_collection());
     let mut blocks = 0u64;
     network.index().for_each_entry(|entry| {
         assert_eq!(
-            entry.postings.codec(),
-            Codec::Leb128,
-            "golden block left the legacy codec"
+            entry.postings.as_bytes(),
+            &p2p_hdk::ir::codec::encode(&entry.postings.decode()),
+            "golden block is not the LEB128 layout"
         );
         blocks += 1;
     });

@@ -110,68 +110,6 @@ fn one_thread_and_many_threads_are_bit_identical() {
 }
 
 #[test]
-fn gv4_codec_batch_is_thread_invariant_and_matches_legacy_results() {
-    // The gv4 block codec must be a pure storage optimization, twice over:
-    // thread count never changes results under gv4, and the codec itself
-    // never changes decoded semantics — same top-k score bits, same
-    // posting/lookup counts as a legacy-codec build of the same scenario.
-    // `HDK_CODEC` is process-global (read by `HdkConfig::default`), so this
-    // runs under the same lock as the thread flips.
-    let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let c = collection(606);
-    let prev_codec = std::env::var("HDK_CODEC").ok();
-    let prev_threads = std::env::var("RAYON_NUM_THREADS").ok();
-
-    std::env::set_var("HDK_CODEC", "gv4");
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = build_and_query(&c);
-    std::env::remove_var("RAYON_NUM_THREADS"); // default pool size
-    let parallel = build_and_query(&c);
-    std::env::set_var("HDK_CODEC", "leb128");
-    let legacy = build_and_query(&c);
-
-    match prev_codec {
-        Some(v) => std::env::set_var("HDK_CODEC", v),
-        None => std::env::remove_var("HDK_CODEC"),
-    }
-    match prev_threads {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-
-    // Thread invariance under gv4: everything observable is bit-identical.
-    assert_eq!(serial.report.counts, parallel.report.counts);
-    assert_eq!(
-        serial.report.stored_per_peer,
-        parallel.report.stored_per_peer
-    );
-    assert_eq!(serial.traffic, parallel.traffic);
-    assert_eq!(serial.topk, parallel.topk);
-    assert_eq!(serial.fetched, parallel.fetched);
-
-    // Codec equivalence: identical decoded semantics vs the legacy build.
-    assert_eq!(serial.topk, legacy.topk, "top-k diverged across codecs");
-    assert_eq!(serial.fetched, legacy.fetched);
-    assert_eq!(serial.report.counts, legacy.report.counts);
-    assert_eq!(
-        serial.report.inserted_by_size,
-        legacy.report.inserted_by_size
-    );
-    // Non-vacuity: the gv4 build really used a different wire encoding —
-    // posting payload byte meters move while message counts stay put.
-    let (gv4_ins, leb_ins) = (
-        serial.traffic.kind(MsgKind::IndexInsert),
-        legacy.traffic.kind(MsgKind::IndexInsert),
-    );
-    assert_eq!(gv4_ins.messages, leb_ins.messages);
-    assert_eq!(gv4_ins.postings, leb_ins.postings);
-    assert_ne!(
-        gv4_ins.bytes, leb_ins.bytes,
-        "gv4 produced byte-identical insert payloads — codec flip vacuous"
-    );
-}
-
-#[test]
 fn churn_interleaved_with_queries_is_thread_invariant() {
     // Peer joins interleaved with (internally parallel) query batches must
     // produce bit-identical reports, traffic and top-k whatever
