@@ -31,7 +31,6 @@
 
 use crate::key::Key;
 use hdk_text::TermId;
-use std::collections::HashSet;
 
 /// How one plan node resolved, as observed by the executor. Determines
 /// whether the node is expanded at the next level or terminates its branch
@@ -118,17 +117,13 @@ impl QueryPlan {
     /// sub-keys) and returned in ascending key order — the canonical probe
     /// and accounting order.
     pub fn expand(&self, frontier: &[Key], ndk_terms: &[TermId]) -> Vec<Key> {
-        let mut candidates: HashSet<Key> = HashSet::new();
-        for key in frontier {
-            for &t in ndk_terms {
-                if let Some(c) = key.extend(t) {
-                    candidates.insert(c);
-                }
-            }
-        }
-        let mut ordered: Vec<Key> = candidates.into_iter().collect();
-        ordered.sort_unstable();
-        ordered
+        let mut candidates: Vec<Key> = frontier
+            .iter()
+            .flat_map(|key| ndk_terms.iter().filter_map(|&t| key.extend(t)))
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        candidates
     }
 
     /// The worst-case number of key lookups this plan can issue

@@ -40,13 +40,24 @@ impl Bm25 {
         if tf == 0 {
             return 0.0;
         }
+        self.score_with_idf(self.idf(df, n), tf, doc_len, avg_doc_len)
+    }
+
+    /// [`Bm25::score`] with the term's `idf` computed once by the caller —
+    /// every posting of a block shares its key's `df`. The same operations
+    /// in the same order, so the same bits.
+    #[inline]
+    pub fn score_with_idf(&self, idf: f64, tf: u32, doc_len: u32, avg_doc_len: f64) -> f64 {
+        if tf == 0 {
+            return 0.0;
+        }
         let tf = f64::from(tf);
         let norm = if avg_doc_len > 0.0 {
             1.0 - self.b + self.b * f64::from(doc_len) / avg_doc_len
         } else {
             1.0
         };
-        self.idf(df, n) * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
+        idf * tf * (self.k1 + 1.0) / (tf + self.k1 * norm)
     }
 }
 

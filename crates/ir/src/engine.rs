@@ -7,10 +7,9 @@
 
 use crate::bm25::Bm25;
 use crate::index::InvertedIndex;
-use crate::ranker::{top_k, SearchResult};
+use crate::ranker::{ScoreAccumulator, SearchResult};
 use hdk_corpus::{Collection, DocId};
 use hdk_text::TermId;
-use std::collections::HashMap;
 
 /// A centralized engine owning its index.
 #[derive(Debug)]
@@ -47,23 +46,15 @@ impl CentralizedEngine {
     /// query term is scored by the sum of its per-term BM25 contributions;
     /// the top `k` are returned (descending score, ties by doc id).
     pub fn search(&self, query: &[TermId], k: usize) -> Vec<SearchResult> {
-        let n = self.index.num_docs();
-        let avgdl = self.index.avg_doc_len();
-        let mut acc: HashMap<DocId, f64> = HashMap::new();
+        let mut acc =
+            ScoreAccumulator::with_bm25(self.bm25, self.index.num_docs(), self.index.avg_doc_len());
         for &t in query {
-            let Some(list) = self.index.postings(t) else {
-                continue;
-            };
-            let df = list.len();
-            for p in list.postings() {
-                *acc.entry(p.doc).or_insert(0.0) += self.bm25.score(p.tf, p.doc_len, avgdl, df, n);
+            if let Some(list) = self.index.postings(t) {
+                let df = u32::try_from(list.len()).expect("document ids are u32");
+                acc.accumulate(df, list.postings().iter().copied());
             }
         }
-        top_k(
-            acc.into_iter()
-                .map(|(doc, score)| SearchResult { doc, score }),
-            k,
-        )
+        acc.into_top_k(k)
     }
 
     /// Number of documents containing at least one query term — the paper's

@@ -10,7 +10,6 @@ use crate::compressed::CompressedPostings;
 use crate::posting::Posting;
 use hdk_corpus::DocId;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
 
 /// One ranked search result.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -21,59 +20,29 @@ pub struct SearchResult {
     pub score: f64,
 }
 
-/// Wrapper ordering results as a min-heap root (worst of the current top-k):
-/// smaller score first; equal scores put the *larger* doc id first so it is
-/// evicted first, giving deterministic tie-breaks toward smaller ids.
-#[derive(Debug, PartialEq)]
-struct HeapEntry(SearchResult);
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the root is the weakest entry.
-        other
-            .0
-            .score
-            .partial_cmp(&self.0.score)
-            .expect("scores are finite")
-            .then_with(|| self.0.doc.cmp(&other.0.doc))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// Rank order: descending score, ties broken by ascending doc id.
+fn rank_order(a: &SearchResult, b: &SearchResult) -> Ordering {
+    b.score
+        .partial_cmp(&a.score)
+        .expect("scores are finite")
+        .then_with(|| a.doc.cmp(&b.doc))
 }
 
 /// Selects the `k` highest-scoring results from `scores`, descending score,
-/// ties broken by ascending doc id. Runs in `O(n log k)`.
+/// ties broken by ascending doc id. Expected `O(n + k log k)`: a selection
+/// splits off the best `k`, and only those are sorted.
 pub fn top_k<I: IntoIterator<Item = SearchResult>>(scores: I, k: usize) -> Vec<SearchResult> {
-    if k == 0 {
-        return Vec::new();
+    select_top_k(scores.into_iter().collect(), k)
+}
+
+fn select_top_k(mut results: Vec<SearchResult>, k: usize) -> Vec<SearchResult> {
+    debug_assert!(results.iter().all(|r| r.score.is_finite()));
+    if results.len() > k {
+        results.select_nth_unstable_by(k, rank_order);
+        results.truncate(k);
     }
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(k + 1);
-    for r in scores {
-        debug_assert!(r.score.is_finite(), "non-finite score for {}", r.doc);
-        if heap.len() < k {
-            heap.push(HeapEntry(r));
-        } else if let Some(root) = heap.peek() {
-            let beats = r.score > root.0.score || (r.score == root.0.score && r.doc < root.0.doc);
-            if beats {
-                heap.pop();
-                heap.push(HeapEntry(r));
-            }
-        }
-    }
-    let mut out: Vec<SearchResult> = heap.into_iter().map(|e| e.0).collect();
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("scores are finite")
-            .then_with(|| a.doc.cmp(&b.doc))
-    });
-    out
+    results.sort_unstable_by(rank_order);
+    results
 }
 
 /// Streaming BM25 score accumulator: posting blocks are fed in one at a
@@ -87,12 +56,20 @@ pub fn top_k<I: IntoIterator<Item = SearchResult>>(scores: I, k: usize) -> Vec<S
 /// must feed blocks in a canonical order (the query executor uses
 /// `(level, key)` order); the final [`top_k`] selection itself is
 /// insensitive to accumulation order once per-document sums are fixed.
+///
+/// There is no table keyed by document. Each block appends one scored
+/// entry per posting, a doc-ascending run; the ranking merges the runs
+/// with one stable sort by document and sums each document's entries in
+/// feed order, starting from `0.0` — the additions a per-document table
+/// makes, hence the same bits. (Merging block by block instead would cost
+/// `O(blocks × union)`.)
 #[derive(Debug, Clone)]
 pub struct ScoreAccumulator {
     bm25: Bm25,
     num_docs: usize,
     avg_doc_len: f64,
-    scores: HashMap<DocId, f64>,
+    /// One entry per accumulated posting, in feed order.
+    scored: Vec<SearchResult>,
 }
 
 impl ScoreAccumulator {
@@ -108,53 +85,56 @@ impl ScoreAccumulator {
             bm25,
             num_docs,
             avg_doc_len,
-            scores: HashMap::new(),
+            scored: Vec::new(),
         }
     }
 
     /// Streams one posting block through the scorer: every posting
-    /// contributes `idf(df) · tf_sat(tf, dl)` to its document's score.
+    /// contributes `idf(df) · tf_sat(tf, dl)` to its document's score. The
+    /// block's `idf` is computed once.
     pub fn accumulate<I: IntoIterator<Item = Posting>>(&mut self, df: u32, postings: I) {
-        let df = df as usize;
+        let idf = self.bm25.idf(df as usize, self.num_docs);
+        let postings = postings.into_iter();
+        self.scored.reserve(postings.size_hint().0);
         // `for_each` (not a `for` loop) so block iterators run their
         // internal-iteration `fold` specialization, which keeps the
         // decoder state in locals for the whole block.
-        let scores = &mut self.scores;
-        let bm25 = &self.bm25;
-        let (avg_doc_len, num_docs) = (self.avg_doc_len, self.num_docs);
-        postings.into_iter().for_each(|p| {
-            *scores.entry(p.doc).or_insert(0.0) +=
-                bm25.score(p.tf, p.doc_len, avg_doc_len, df, num_docs);
+        let (bm25, avg_doc_len, scored) = (&self.bm25, self.avg_doc_len, &mut self.scored);
+        postings.for_each(|p| {
+            scored.push(SearchResult {
+                doc: p.doc,
+                score: bm25.score_with_idf(idf, p.tf, p.doc_len, avg_doc_len),
+            });
         });
     }
 
     /// Streams a compressed block straight through the scorer — the
     /// zero-copy rank path: postings decode straight from the block into
-    /// the score table, no intermediate list. Accumulation order and f64
+    /// the scored run, no intermediate list. Accumulation order and f64
     /// results are exactly those of `accumulate(df, block.iter())`.
     pub fn accumulate_block(&mut self, df: u32, block: &CompressedPostings) {
         self.accumulate(df, block);
     }
 
-    /// Number of distinct documents scored so far.
-    pub fn len(&self) -> usize {
-        self.scores.len()
-    }
-
     /// True when no posting has been accumulated yet.
     pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
+        self.scored.is_empty()
     }
 
     /// Finishes the ranking: the `k` highest-scoring documents, descending
     /// score, ties broken by ascending doc id.
-    pub fn into_top_k(self, k: usize) -> Vec<SearchResult> {
-        top_k(
-            self.scores
-                .into_iter()
-                .map(|(doc, score)| SearchResult { doc, score }),
-            k,
-        )
+    pub fn into_top_k(mut self, k: usize) -> Vec<SearchResult> {
+        // Stable, so each document's entries keep feed order.
+        self.scored.sort_by_key(|r| r.doc);
+        let summed = self
+            .scored
+            .chunk_by(|a, b| a.doc == b.doc)
+            .map(|run| SearchResult {
+                doc: run[0].doc,
+                score: run.iter().fold(0.0, |sum, r| sum + r.score),
+            })
+            .collect();
+        select_top_k(summed, k)
     }
 }
 
@@ -241,8 +221,8 @@ mod tests {
         let mut acc = ScoreAccumulator::new(1_000, 80.0);
         acc.accumulate(50, vec![p(1, 2), p(2, 2)]);
         acc.accumulate(50, vec![p(2, 2)]);
-        assert_eq!(acc.len(), 2);
         let out = acc.into_top_k(10);
+        assert_eq!(out.len(), 2, "one result per distinct document");
         assert_eq!(out[0].doc, DocId(2));
         assert!(out[0].score > out[1].score);
     }

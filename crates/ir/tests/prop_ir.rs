@@ -4,10 +4,11 @@
 
 use hdk_corpus::DocId;
 use hdk_ir::{
-    codec, top_k, CompressedDocSet, CompressedPostings, Posting, PostingList, SearchResult,
+    codec, top_k, Bm25, CompressedDocSet, CompressedPostings, Posting, PostingList,
+    ScoreAccumulator, SearchResult,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 fn arb_posting_list() -> impl Strategy<Value = PostingList> {
     prop::collection::btree_map(0u32..5_000, (1u32..100, 1u32..2_000), 0..200).prop_map(|m| {
@@ -242,5 +243,44 @@ proptest! {
         });
         slow.truncate(k);
         prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn accumulated_scores_are_bit_equal_to_a_per_document_table(
+        blocks in prop::collection::vec((1u32..6_000, arb_posting_list()), 0..8),
+        num_docs in 1usize..5_000,
+        avg_doc_len in 1.0f64..2_000.0,
+        k in 0usize..40,
+    ) {
+        // The reference ranks the way the accumulator did with a table:
+        // each posting's BM25 term added into its document's entry, block
+        // by block, then a full sort.
+        let bm25 = Bm25::default();
+        let mut table: HashMap<DocId, f64> = HashMap::new();
+        let mut acc = ScoreAccumulator::new(num_docs, avg_doc_len);
+        for (df, list) in &blocks {
+            for p in list.postings() {
+                *table.entry(p.doc).or_insert(0.0) +=
+                    bm25.score(p.tf, p.doc_len, avg_doc_len, *df as usize, num_docs);
+            }
+            acc.accumulate_block(*df, &CompressedPostings::from_list(list));
+        }
+        let mut expected: Vec<SearchResult> = table
+            .into_iter()
+            .map(|(doc, score)| SearchResult { doc, score })
+            .collect();
+        expected.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap()
+                .then_with(|| a.doc.cmp(&b.doc))
+        });
+        expected.truncate(k);
+        let ranked = acc.into_top_k(k);
+        prop_assert_eq!(ranked.len(), expected.len());
+        for (r, e) in ranked.iter().zip(&expected) {
+            prop_assert_eq!(r.doc, e.doc);
+            prop_assert_eq!(r.score.to_bits(), e.score.to_bits());
+        }
     }
 }

@@ -919,23 +919,24 @@ impl<V: Send + Sync + 'static> Dht<V> {
         keys: &[KeyHash],
         read: impl Fn(usize, Option<&V>) -> (R, u64, u64) + Sync,
     ) -> (Vec<R>, Vec<Delivery>) {
-        // Bucket key indices by stripe, preserving input order per bucket.
-        let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); NUM_STRIPES];
-        for (i, key) in keys.iter().enumerate() {
-            buckets[stripe_of(*key)].push(i);
-        }
-        let occupied: Vec<usize> = (0..NUM_STRIPES)
-            .filter(|&s| !buckets[s].is_empty())
+        // Group key positions by stripe with one sort of `(stripe,
+        // position)` pairs: each group is one stripe's keys in input order.
+        let mut order: Vec<(usize, usize)> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, key)| (stripe_of(*key), i))
             .collect();
+        order.sort_unstable();
+        let groups: Vec<&[(usize, usize)]> = order.chunk_by(|a, b| a.0 == b.0).collect();
         let origin = self.overlay.peer_index(from);
-        let per_stripe: Vec<Vec<(usize, R, Delivery)>> = occupied
+        let per_stripe: Vec<Vec<(usize, R, Delivery)>> = groups
             .par_iter()
-            .map(|&stripe| {
-                let bucket = &buckets[stripe];
-                let stripe_keys: Vec<u64> = bucket.iter().map(|&i| keys[i].0).collect();
-                let mut items: Vec<(usize, R, Delivery)> = Vec::with_capacity(bucket.len());
+            .map(|group| {
+                let stripe = group[0].0;
+                let stripe_keys: Vec<u64> = group.iter().map(|&(_, i)| keys[i].0).collect();
+                let mut items: Vec<(usize, R, Delivery)> = Vec::with_capacity(group.len());
                 self.store.get_many(stripe, &stripe_keys, &mut |j, slot| {
-                    let i = bucket[j];
+                    let i = group[j].1;
                     let key = keys[i];
                     self.count_hit(stripe, key.0, slot.is_some());
                     let route = self.overlay.route(from, key);
@@ -971,14 +972,9 @@ impl<V: Send + Sync + 'static> Dht<V> {
         for (i, r, d) in per_stripe.into_iter().flatten() {
             out[i] = Some((r, d));
         }
-        let mut results = Vec::with_capacity(keys.len());
-        let mut deliveries = Vec::with_capacity(keys.len());
-        for o in out {
-            let (r, d) = o.expect("every key resolved exactly once");
-            results.push(r);
-            deliveries.push(d);
-        }
-        (results, deliveries)
+        out.into_iter()
+            .map(|o| o.expect("every key resolved exactly once"))
+            .unzip()
     }
 
     /// Sends a *notification* (global index → peer), metered under
