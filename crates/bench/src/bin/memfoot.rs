@@ -3,16 +3,28 @@
 //! hot/on-disk split when the tiered segment store is selected
 //! (`HDK_STORE=segment[:<hot bytes>]`).
 //!
-//! One table per sweep point and `DFmax`. CI's bench-smoke job runs
+//! Two tables per sweep point and `DFmax`: the per-peer encoded storage,
+//! and where the index's in-memory bytes go — store tables, spilled holder
+//! and contributor lists, blocks, doc-sets — per stored key, next to the
+//! process's live heap and resident set. CI's bench-smoke job runs
 //! `--peers 4 --docs-per-peer 150 --queries 0` as a fast regression check;
 //! defaults reproduce the full growth sweep. Under a memory-budgeted
 //! tiered build the run *asserts* the budget: resident bytes must stay
 //! under the configured hot-tier limit, with the remainder sealed to disk.
+//! On the in-memory store it asserts the bytes-per-key bound.
 
-use hdk_bench::memory::MemoryFootprint;
+use hdk_bench::memory::{LiveHeap, MemoryFootprint};
 use hdk_bench::ExperimentProfile;
 use hdk_core::{HdkNetwork, StoreConfig};
 use hdk_corpus::{partition_documents, CollectionGenerator};
+
+#[global_allocator]
+static HEAP: LiveHeap = LiveHeap;
+
+/// In-memory bytes per stored key the in-memory store may cost: its
+/// slot (the key entry and holder set, 144 B with the key), its share of
+/// the index table, a block and the rare spilled lists and doc-sets.
+const MAX_BYTES_PER_KEY: f64 = 240.0;
 
 fn main() {
     let profile = ExperimentProfile::from_args();
@@ -36,17 +48,32 @@ fn main() {
             footprint
                 .table(&format!("memfoot_p{peers}_df{dfmax}"))
                 .emit();
+            eprintln!(
+                "[memfoot] {} keys, {:.1} in-memory index bytes per key",
+                footprint.index.keys,
+                footprint.bytes_per_key()
+            );
+            footprint
+                .breakdown(&format!("memfoot_bytes_p{peers}_df{dfmax}"))
+                .emit();
             assert!(
                 footprint.improvement() >= 3.0,
                 "resident storage regression: only {:.2}x better than decoded baseline (bound 3x)",
                 footprint.improvement()
             );
             match store {
-                StoreConfig::Memory => assert_eq!(
-                    footprint.sealed_total(),
-                    0,
-                    "the in-memory store sealed frames to disk?"
-                ),
+                StoreConfig::Memory => {
+                    assert_eq!(
+                        footprint.sealed_total(),
+                        0,
+                        "the in-memory store sealed frames to disk?"
+                    );
+                    assert!(
+                        footprint.bytes_per_key() <= MAX_BYTES_PER_KEY,
+                        "index memory regression: {:.1} B per key (bound {MAX_BYTES_PER_KEY})",
+                        footprint.bytes_per_key()
+                    );
+                }
                 StoreConfig::Segment { hot_bytes, .. } => assert!(
                     footprint.resident_total() <= hot_bytes,
                     "memory budget violated: {} resident bytes > {hot_bytes}",

@@ -11,23 +11,120 @@
 //! `sealed_B` column counts each peer's live sealed segment frames on
 //! disk, so `resident_B + sealed_B` is the peer's full storage volume and
 //! `resident_B` alone is what the hot-tier budget bounds.
+//!
+//! Encoded bytes are only part of what an index costs in memory. The
+//! breakdown table ([`MemoryFootprint::breakdown`]) follows every byte the
+//! index structure holds — store tables, spilled holder and contributor
+//! lists, blocks, doc-sets — per stored key, next to the process's live
+//! heap (when the binary installs [`LiveHeap`]) and resident set.
 
 use crate::report::{fnum, Table};
-use hdk_core::{HdkNetwork, PeerStorage};
+use hdk_core::{HdkNetwork, IndexFootprint, PeerStorage};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Bytes currently allocated through [`LiveHeap`].
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting live bytes. A binary opts in with
+/// `#[global_allocator] static HEAP: LiveHeap = LiveHeap;`, after which
+/// [`live_heap_bytes`] reports what the process holds on the heap.
+pub struct LiveHeap;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, whose
+// contract is the caller's; counting touches only an atomic.
+unsafe impl GlobalAlloc for LiveHeap {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+/// Live heap bytes of this process — `None` unless the binary installed
+/// [`LiveHeap`] as its global allocator (nothing was ever counted).
+pub fn live_heap_bytes() -> Option<u64> {
+    Some(LIVE_BYTES.load(Ordering::Relaxed)).filter(|&n| n > 0)
+}
+
+/// This process's resident set and its high-water mark, in bytes, from
+/// `/proc/self/status` (`None` where that file does not exist).
+pub fn resident_set_bytes() -> Option<(u64, u64)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let field = |name: &str| -> Option<u64> {
+        let line = status.lines().find_map(|l| l.strip_prefix(name))?;
+        let kib: u64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+        Some(kib * 1024)
+    };
+    Some((field("VmRSS:")?, field("VmHWM:")?))
+}
 
 /// The measured footprint of one network.
 #[derive(Debug, Clone)]
 pub struct MemoryFootprint {
     /// Per-peer storage composition (exact encoded bytes).
     pub per_peer: Vec<PeerStorage>,
+    /// Where the index structure's in-memory bytes go.
+    pub index: IndexFootprint,
 }
 
 impl MemoryFootprint {
     /// Measures a built network.
     pub fn measure(network: &HdkNetwork) -> Self {
+        let index = network.index();
         Self {
-            per_peer: network.index().storage_per_peer(),
+            per_peer: index.storage_per_peer(),
+            index: index.footprint(),
         }
+    }
+
+    /// In-memory bytes of the index structure per stored key.
+    pub fn bytes_per_key(&self) -> f64 {
+        self.index.bytes_per_key()
+    }
+
+    /// Renders where the index's bytes go: one row per component with its
+    /// bytes and bytes per stored key, then the total, and — as far as
+    /// they can be read — the process's live heap and resident set (whole
+    /// process: corpus and query state included).
+    pub fn breakdown(&self, name: &str) -> Table {
+        let f = &self.index;
+        let keys = f.keys.max(1) as f64;
+        let mut t = Table::new(name, &["component", "bytes", "per_key"]);
+        let mut row = |component: &str, bytes: u64| {
+            t.row(&[
+                component.to_string(),
+                bytes.to_string(),
+                fnum(bytes as f64 / keys),
+            ]);
+        };
+        row("tables", f.table_bytes);
+        row("holder_spill", f.holder_spill_bytes);
+        row("contributor_spill", f.contributor_spill_bytes);
+        row("blocks", f.block_bytes);
+        row("docsets", f.docset_bytes);
+        row("index_total", f.total_bytes());
+        if let Some(live) = live_heap_bytes() {
+            row("process_live_heap", live);
+        }
+        if let Some((rss, peak)) = resident_set_bytes() {
+            row("process_rss", rss);
+            row("process_peak_rss", peak);
+        }
+        t
     }
 
     /// Total resident bytes across peers.

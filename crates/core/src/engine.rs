@@ -341,6 +341,7 @@ impl IndexService {
         if additions.is_empty() {
             return;
         }
+        self.check_new_documents(additions.iter().map(|(_, doc)| doc.id));
         // Group in a BTreeMap so dispatch happens in ascending PeerId order:
         // with a HashMap the iteration order — and with it per-peer insert
         // order and traffic attribution — varied run to run.
@@ -367,6 +368,26 @@ impl IndexService {
         // collection statistics, round count and epoch become visible to
         // queries.
         self.core.publish_growth(new_docs, new_sample, rounds);
+    }
+
+    /// Checks that documents about to be added are new: each id appears
+    /// once among `ids` and is neither indexed nor pending at any peer. A
+    /// duplicate would merge into the postings already stored (its `tf`
+    /// summed) and count twice in the collection statistics.
+    ///
+    /// # Panics
+    /// Panics on the first duplicate.
+    fn check_new_documents(&self, ids: impl Iterator<Item = DocId>) {
+        let mut ids: Vec<DocId> = ids.collect();
+        ids.sort_unstable();
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("document {} added twice", pair[0]);
+        }
+        for peer in &self.peers {
+            if let Some(d) = ids.iter().find(|&&d| peer.knows(d)) {
+                panic!("document {d} already indexed at {}", peer.id);
+            }
+        }
     }
 
     /// A new peer joins the running network with its own documents — the
@@ -410,6 +431,8 @@ impl IndexService {
         if joins.is_empty() {
             return Vec::new();
         }
+        // Before the wave: a refused join must leave the overlay as it was.
+        self.check_new_documents(joins.iter().flat_map(|(_, docs)| docs.iter().map(|d| d.id)));
         let stats = {
             let mut index = self.core.index.write();
             for (peer, _) in &joins {
@@ -1401,5 +1424,65 @@ mod tests {
         assert_eq!(queries.epoch(), 1, "growth bumps the shared epoch");
         let q: Vec<hdk_text::TermId> = c.docs()[310].tokens[..2].to_vec();
         assert!(!queries.query(PeerId(1), &q, 10).results.is_empty());
+    }
+
+    /// A 120-document network over 3 peers, and the collection's next
+    /// (unindexed) documents.
+    fn small_network() -> (HdkNetwork, Vec<hdk_corpus::Document>) {
+        let c = small_collection();
+        let parts = partition_documents(120, 3, 11);
+        let network = HdkNetwork::build(
+            &c.prefix(120),
+            &parts,
+            HdkConfig {
+                dfmax: 20,
+                ff: 2_000,
+                ..HdkConfig::default()
+            },
+            OverlayKind::PGrid,
+        );
+        (network, c.docs()[120..130].to_vec())
+    }
+
+    #[test]
+    #[should_panic(expected = "already indexed at")]
+    fn a_document_indexed_at_another_peer_is_refused() {
+        let (mut network, _) = small_network();
+        let c = small_collection();
+        let parts = partition_documents(120, 3, 11);
+        let owner = parts.iter().position(|p| p.contains(&DocId(5))).unwrap();
+        let other = PeerId((owner as u64 + 1) % 3);
+        network.add_documents(vec![(other, c.docs()[5].clone())]);
+    }
+
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn one_new_document_sent_to_two_peers_is_refused() {
+        let (mut network, fresh) = small_network();
+        let doc = fresh[0].clone();
+        network.add_documents(vec![(PeerId(0), doc.clone()), (PeerId(1), doc)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "added twice")]
+    fn a_document_repeated_in_one_peer_batch_is_refused() {
+        let (mut network, fresh) = small_network();
+        let doc = fresh[0].clone();
+        network.add_documents(vec![(PeerId(2), doc.clone()), (PeerId(2), doc)]);
+    }
+
+    #[test]
+    fn a_refused_join_leaves_the_network_unchanged() {
+        let (mut network, fresh) = small_network();
+        let c = small_collection();
+        let peers = network.index().overlay().len();
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            network.join_peer(PeerId(9), vec![fresh[0].clone(), c.docs()[7].clone()]);
+        }));
+        assert!(refused.is_err(), "a taken document id was accepted");
+        assert_eq!(network.index().overlay().len(), peers);
+        // The valid part of the wave is still welcome.
+        network.join_peer(PeerId(9), vec![fresh[0].clone()]);
+        assert_eq!(network.index().overlay().len(), peers + 1);
     }
 }

@@ -41,7 +41,7 @@ use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
 use hdk_p2p::wire::{self, Wire};
 use hdk_p2p::{
     wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
-    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership,
+    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, InlineVec, LossStats, Membership,
     MigrationStats, NetworkBackend, Notification, Overlay, PeerId, RecoveryStats, RepairStats,
     Request, Response, SegmentStore, Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
 };
@@ -49,7 +49,15 @@ use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The peers that contributed a key's postings: one or two inline (most
+/// keys have no more), longer lists in one heap slice.
+pub type Contributors = InlineVec<PeerId, 2>;
+
 /// State stored in the DHT per key.
+///
+/// Every stored key pays for this struct, so the rare parts stay small:
+/// `contributors` is inline up to two peers and `seen_docs`, set on about
+/// one key in a hundred, is boxed.
 #[derive(Debug, Clone)]
 pub struct KeyEntry {
     /// The key itself (guards against 64-bit hash collisions and lets local
@@ -60,14 +68,15 @@ pub struct KeyEntry {
     pub postings: CompressedPostings,
     /// True global document frequency (keeps counting past truncation).
     pub df: u32,
-    /// Peers that inserted postings for this key (notification targets).
-    pub contributors: Vec<PeerId>,
+    /// Peers that inserted postings for this key (notification targets),
+    /// in first-insert order.
+    pub contributors: Contributors,
     /// Set once the end-of-round sweep marked the key non-discriminative.
     pub is_ndk: bool,
     /// Documents already counted in `df`, kept only once the stored list
     /// is truncated (while the list is complete it *is* the doc set).
     /// Needed so incremental sessions never double-count a document.
-    pub seen_docs: Option<CompressedDocSet>,
+    pub seen_docs: Option<Box<CompressedDocSet>>,
 }
 
 // One encoding for the segment log and the wire: key, block, df,
@@ -140,7 +149,7 @@ impl StoreService for IndexStore {
             key,
             postings: CompressedPostings::new(),
             df: 0,
-            contributors: Vec::new(),
+            contributors: Contributors::new(),
             is_ndk: false,
             seen_docs: None,
         }
@@ -226,8 +235,9 @@ impl StoreService for IndexStore {
                                 // time; remember its documents (as a compact
                                 // sorted-delta set) so later (incremental) inserts
                                 // keep `df` exact after truncation.
-                                entry.seen_docs =
-                                    Some(CompressedDocSet::from_postings(&entry.postings));
+                                entry.seen_docs = Some(Box::new(CompressedDocSet::from_postings(
+                                    &entry.postings,
+                                )));
                                 entry.postings = entry
                                     .postings
                                     .truncate_top_k(dfmax as usize, posting_quality);
@@ -318,6 +328,29 @@ impl StoreService for IndexStore {
                 });
                 IndexSwept::Done
             }
+            IndexSweep::Footprint => IndexSwept::Footprint(fold_stripes(
+                dht,
+                IndexFootprint::default,
+                |stripe, total| {
+                    let (table, holders) = dht.stripe_structure_bytes(stripe);
+                    total.table_bytes += table;
+                    total.holder_spill_bytes += holders;
+                    dht.for_each_stripe_tiered(stripe, |_, _, e, tier| {
+                        total.keys += 1;
+                        if tier != Tier::Hot {
+                            return;
+                        }
+                        total.contributor_spill_bytes += e.contributors.spilled_bytes() as u64;
+                        total.block_bytes += (ARC_HEADER_BYTES + e.postings.encoded_len()) as u64;
+                        if let Some(seen) = &e.seen_docs {
+                            total.docset_bytes += (std::mem::size_of::<CompressedDocSet>()
+                                + ARC_HEADER_BYTES
+                                + seen.encoded_len())
+                                as u64;
+                        }
+                    });
+                },
+            )),
             IndexSweep::Entries => {
                 let mut entries = Vec::new();
                 for stripe in 0..dht.num_stripes() {
@@ -384,6 +417,8 @@ pub enum IndexSweep {
     },
     /// Copies out every stored entry (all stripes, both tiers).
     Entries,
+    /// Sums where the index's in-memory bytes go.
+    Footprint,
 }
 
 /// What an [`IndexSweep`] reports.
@@ -400,6 +435,7 @@ pub enum IndexSwept {
     /// An effect-only sweep ran.
     Done,
     Entries(Vec<KeyEntry>),
+    Footprint(IndexFootprint),
 }
 
 wire_enum!(IndexSweep {
@@ -413,6 +449,7 @@ wire_enum!(IndexSweep {
     7 => SyncStorage,
     8 => Reassign { departed, custodian },
     9 => Entries,
+    10 => Footprint,
 });
 wire_enum!(IndexSwept {
     0 => Classified(notes),
@@ -423,6 +460,7 @@ wire_enum!(IndexSwept {
     5 => Bytes(total),
     6 => Done,
     7 => Entries(entries),
+    8 => Footprint(footprint),
 });
 
 /// Hosts hold disjoint stripes: counts add, lists concatenate, and a
@@ -441,6 +479,7 @@ impl Absorb for IndexSwept {
             }
             (IndexSwept::Bytes(acc), IndexSwept::Bytes(other)) => acc.absorb(other),
             (IndexSwept::Entries(acc), IndexSwept::Entries(other)) => acc.extend(other),
+            (IndexSwept::Footprint(acc), IndexSwept::Footprint(other)) => acc.absorb(other),
             _ => {}
         }
     }
@@ -573,7 +612,7 @@ impl GlobalIndex {
 
     /// Ships one host-local sweep and returns what the hosts reported.
     fn sweep(&self, sweep: IndexSweep) -> IndexSwept {
-        match self.backend.call(Request::Sweep(sweep)) {
+        match self.backend.call(&Request::Sweep(sweep)) {
             Response::Swept(swept) => swept,
             other => unreachable!("Sweep answered with {other:?}"),
         }
@@ -619,19 +658,20 @@ impl GlobalIndex {
     /// single-item `InsertBatch` message. Returns the acknowledgement flag
     /// ("key is currently non-discriminative").
     pub fn insert_block(&self, from: PeerId, key: Key, block: &CompressedPostings) -> bool {
-        let mut acks = self.send_insert_batch(vec![(from, vec![(key, block.clone())])]);
+        let request = self.insert_request(vec![(from, vec![(key, block.clone())])]);
+        let mut acks = self.send_insert(&request);
         acks.pop().expect("one batch").1.pop().expect("one item")
     }
 
-    /// Ships one round's batches as an [`Request::InsertBatch`] message and
-    /// returns the per-key acknowledgement flags, aligned with the input.
-    /// Also advances the engine-side `IS_s` counters (the *sending* peers
-    /// know what they inserted; no response needed for that).
-    fn send_insert_batch(
+    /// Addresses one round's batches as an [`Request::InsertBatch`]
+    /// message. Also advances the engine-side `IS_s` counters (the
+    /// *sending* peers know what they inserted; no response needed for
+    /// that).
+    fn insert_request(
         &self,
         batches: Vec<(PeerId, Vec<(Key, CompressedPostings)>)>,
-    ) -> Vec<(PeerId, Vec<bool>)> {
-        let request_batches: Vec<AddressedBatch> = batches
+    ) -> IndexRequest {
+        let batches: Vec<AddressedBatch> = batches
             .into_iter()
             .map(|(peer, batch)| {
                 let items = batch
@@ -648,9 +688,13 @@ impl GlobalIndex {
                 (peer, items)
             })
             .collect();
-        match self.backend.call(Request::InsertBatch {
-            batches: request_batches,
-        }) {
+        Request::InsertBatch { batches }
+    }
+
+    /// Ships an [`Request::InsertBatch`] and returns the per-key
+    /// acknowledgement flags, aligned with its batches.
+    fn send_insert(&self, request: &IndexRequest) -> Vec<(PeerId, Vec<bool>)> {
+        match self.backend.call(request) {
             Response::Inserted { acks } => acks,
             other => unreachable!("InsertBatch answered with {other:?}"),
         }
@@ -670,7 +714,8 @@ impl GlobalIndex {
     ///
     /// Returns, per inserting peer, the sorted keys whose insert
     /// acknowledgement reported "already non-discriminative" (late-joiner
-    /// feedback in incremental sessions).
+    /// feedback in incremental sessions). The flags are mapped to keys
+    /// through the request itself, which the backend only borrows.
     pub fn insert_round(
         &self,
         batches: Vec<(PeerId, Vec<(Key, CompressedPostings)>)>,
@@ -679,21 +724,17 @@ impl GlobalIndex {
             batches.windows(2).all(|w| w[0].0 < w[1].0),
             "insert_round batches must arrive in ascending PeerId order"
         );
-        let keys_per_batch: Vec<Vec<Key>> = batches
-            .iter()
-            .map(|(_, batch)| batch.iter().map(|(key, _)| *key).collect())
-            .collect();
-        let acks = self.send_insert_batch(batches);
+        let request = self.insert_request(batches);
+        let acks = self.send_insert(&request);
+        let Request::InsertBatch { batches } = &request else {
+            unreachable!("insert_request builds an InsertBatch")
+        };
         let mut feedback: HashMap<PeerId, Vec<Key>> = HashMap::new();
-        for (keys, (peer, flags)) in keys_per_batch.iter().zip(acks) {
-            let ndk: Vec<Key> = keys
-                .iter()
-                .zip(flags)
-                .filter(|(_, flag)| *flag)
-                .map(|(key, _)| *key)
-                .collect();
-            if !ndk.is_empty() {
-                feedback.entry(peer).or_default().extend(ndk);
+        for ((peer, items), (_, flags)) in batches.iter().zip(acks) {
+            let ndk = items.iter().zip(flags).filter(|(_, flag)| *flag);
+            let mut ndk = ndk.map(|(item, _)| item.body.0).peekable();
+            if ndk.peek().is_some() {
+                feedback.entry(*peer).or_default().extend(ndk);
             }
         }
         for keys in feedback.values_mut() {
@@ -755,7 +796,7 @@ impl GlobalIndex {
             })
             .collect();
         if !notes.is_empty() {
-            self.backend.call(Request::Notify { notes });
+            self.backend.call(&Request::Notify { notes });
         }
         notifications
     }
@@ -799,7 +840,7 @@ impl GlobalIndex {
                 })
                 .collect(),
         };
-        match self.backend.call(request) {
+        match self.backend.call(&request) {
             Response::Found { results } => results,
             other => unreachable!("LookupMany answered with {other:?}"),
         }
@@ -890,7 +931,7 @@ impl GlobalIndex {
     /// missing, one [`hdk_p2p::MsgKind::Repair`] message per copy.
     /// Idempotent.
     pub fn repair(&self) -> RepairStats {
-        match self.backend.call(Request::Repair) {
+        match self.backend.call(&Request::Repair) {
             Response::Repaired(stats) => stats,
             other => unreachable!("Repair answered with {other:?}"),
         }
@@ -946,7 +987,7 @@ impl GlobalIndex {
     /// halves all counters (the decay clock). Idempotent between reads;
     /// a no-op unless [`HotConfig::threshold`] is set.
     pub fn rebalance_hot(&self) -> HotStats {
-        match self.backend.call(Request::Rebalance) {
+        match self.backend.call(&Request::Rebalance) {
             Response::Rebalanced(stats) => stats,
             other => unreachable!("Rebalance answered with {other:?}"),
         }
@@ -1043,6 +1084,15 @@ impl GlobalIndex {
             other => unreachable!("StoragePerPeer answered with {other:?}"),
         }
     }
+
+    /// Where the index's in-memory bytes go: store tables, spilled holder
+    /// and contributor lists, blocks and doc-sets (see [`IndexFootprint`]).
+    pub fn footprint(&self) -> IndexFootprint {
+        match self.sweep(IndexSweep::Footprint) {
+            IndexSwept::Footprint(footprint) => footprint,
+            other => unreachable!("Footprint answered with {other:?}"),
+        }
+    }
 }
 
 impl std::fmt::Debug for GlobalIndex {
@@ -1093,6 +1143,57 @@ impl PeerStorage {
     pub fn decoded_baseline_bytes(&self) -> u64 {
         self.postings * std::mem::size_of::<Posting>() as u64
             + self.docset_docs * std::mem::size_of::<u32>() as u64
+    }
+}
+
+/// The reference counts in front of a shared buffer's bytes (a posting
+/// block or doc-set is one `Arc<[u8]>` allocation).
+const ARC_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
+
+/// Where the index's in-memory bytes go, summed over every host. Each
+/// entry counts once, however many holders it has: one process stores one
+/// copy. Only resident (hot) entries own value bytes; a tiered store's
+/// sealed entries live in its segment logs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IndexFootprint {
+    /// Stored keys, both tiers.
+    pub keys: u64,
+    /// The stores' own tables: slot storage, filled or not, and key
+    /// indexes ([`hdk_p2p::Store::table_bytes`]).
+    pub table_bytes: u64,
+    /// Heap slices of holder sets too long to sit inline in their slot.
+    pub holder_spill_bytes: u64,
+    /// Heap slices of contributor lists too long to sit inline.
+    pub contributor_spill_bytes: u64,
+    /// Posting blocks: encoded bytes plus each block's reference counts.
+    pub block_bytes: u64,
+    /// `df` doc-sets: the boxed set, its encoded bytes and reference
+    /// counts.
+    pub docset_bytes: u64,
+}
+
+wire_stats!(IndexFootprint(
+    keys,
+    table_bytes,
+    holder_spill_bytes,
+    contributor_spill_bytes,
+    block_bytes,
+    docset_bytes
+));
+
+impl IndexFootprint {
+    /// Every in-memory byte the index accounts for.
+    pub fn total_bytes(&self) -> u64 {
+        self.table_bytes
+            + self.holder_spill_bytes
+            + self.contributor_spill_bytes
+            + self.block_bytes
+            + self.docset_bytes
+    }
+
+    /// [`IndexFootprint::total_bytes`] per stored key.
+    pub fn bytes_per_key(&self) -> f64 {
+        self.total_bytes() as f64 / self.keys.max(1) as f64
     }
 }
 
@@ -1354,13 +1455,13 @@ mod tests {
             key: key(&[1, 2]),
             postings: CompressedPostings::from_list(&list(&[3, 9, 400])),
             df: 3,
-            contributors: vec![PeerId(0), PeerId(7)],
+            contributors: Contributors::from(vec![PeerId(0), PeerId(7)]),
             is_ndk: false,
-            seen_docs: Some(CompressedDocSet::from_sorted_docs([
+            seen_docs: Some(Box::new(CompressedDocSet::from_sorted_docs([
                 DocId(3),
                 DocId(9),
                 DocId(400),
-            ])),
+            ]))),
         };
         let mut bytes = Vec::new();
         KeyEntryCodec.encode(&entry, &mut bytes);

@@ -69,18 +69,25 @@ impl LocalPeer {
     /// Queues additional documents for the next indexing session.
     ///
     /// # Panics
-    /// Panics if a document id is already indexed or already pending.
+    /// Panics if a document id is already indexed or already pending, or
+    /// appears twice in `docs`.
     pub fn add_documents(&mut self, docs: Vec<(DocId, Vec<TermId>)>) {
         for (d, _) in &docs {
-            assert!(
-                self.docs.binary_search_by_key(d, |(x, _)| *x).is_err()
-                    && self.pending.binary_search_by_key(d, |(x, _)| *x).is_err(),
-                "document {d} already known to {}",
-                self.id
-            );
+            assert!(!self.knows(*d), "document {d} already known to {}", self.id);
+        }
+        let mut ids: Vec<DocId> = docs.iter().map(|(d, _)| *d).collect();
+        ids.sort_unstable();
+        if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            panic!("document {} added twice to {}", pair[0], self.id);
         }
         self.pending.extend(docs);
         self.pending.sort_unstable_by_key(|(d, _)| *d);
+    }
+
+    /// Whether `doc` is indexed or pending at this peer.
+    pub(crate) fn knows(&self, doc: DocId) -> bool {
+        self.docs.binary_search_by_key(&doc, |(x, _)| *x).is_ok()
+            || self.pending.binary_search_by_key(&doc, |(x, _)| *x).is_ok()
     }
 
     /// Number of indexed + pending documents.

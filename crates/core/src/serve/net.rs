@@ -39,11 +39,14 @@
 
 use crate::config::net_timeout_from_env;
 use crate::global_index::{IndexRequest, IndexResponse, IndexStore, KeyEntry};
+use crate::key::Key;
 use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
+use hdk_ir::CompressedPostings;
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
 use hdk_p2p::{
-    stripe_of, Absorb, Control, Dht, GossipMetering, InProc, LatencyHistogram, MsgKind,
-    NetworkBackend, Overlay, PeerId, Request, Response, TrafficSnapshot, NUM_KINDS, NUM_STRIPES,
+    stripe_of, Absorb, Addressed, Control, Dht, GossipMetering, InProc, LatencyHistogram, MsgKind,
+    NetworkBackend, Overlay, PeerId, Request, Response, TrafficSnapshot, Wire, NUM_KINDS,
+    NUM_STRIPES,
 };
 use parking_lot::Mutex;
 use std::io::BufReader;
@@ -253,7 +256,7 @@ impl TcpNet {
             errors: AtomicU64::new(0),
         };
         // Fail fast on a wrong topology: reach every process now.
-        let health = (0..nprocs).map(|proc| (proc, WireRequest::Health));
+        let health = (0..nprocs).map(|proc| (proc, WireRequest::Health.encode()));
         for (proc, reply) in net.deliver(health.collect(), true, None) {
             let reply = reply?;
             if !matches!(reply, WireResponse::Healthy { .. }) {
@@ -265,20 +268,17 @@ impl TcpNet {
         Ok(net)
     }
 
-    /// Delivers each `(process, frame)` — processes ascending — in one
-    /// [`Fleet::exchange`], recording its wall-clock latency under `kind`
-    /// once per frame. Returns `(process, reply)` in that order; a failure
-    /// (transport, undecodable reply, refusal) ticks the error counter.
+    /// Delivers each `(process, payload)` — processes ascending, each
+    /// payload an encoded [`WireRequest`] — in one [`Fleet::exchange`],
+    /// recording its wall-clock latency under `kind` once per frame.
+    /// Returns `(process, reply)` in that order; a failure (transport,
+    /// undecodable reply, refusal) ticks the error counter.
     fn deliver(
         &self,
-        frames: Vec<(usize, WireRequest)>,
+        payloads: Vec<(usize, Vec<u8>)>,
         idempotent: bool,
         kind: Option<MsgKind>,
     ) -> Vec<(usize, WireResult<WireResponse>)> {
-        // Each frame is dropped as it is encoded: an insert round is large.
-        let payloads: Vec<_> = (frames.into_iter())
-            .map(|(proc, frame)| (proc, frame.encode()))
-            .collect();
         let requests: Vec<(usize, &[u8])> =
             (payloads.iter().map(|(proc, payload)| (*proc, &payload[..]))).collect();
         let started = Instant::now();
@@ -306,11 +306,11 @@ impl TcpNet {
     /// message replies that arrived.
     fn scatter(
         &self,
-        frames: Vec<(usize, WireRequest)>,
+        payloads: Vec<(usize, Vec<u8>)>,
         idempotent: bool,
         kind: Option<MsgKind>,
     ) -> Vec<(usize, IndexResponse)> {
-        self.deliver(frames, idempotent, kind)
+        self.deliver(payloads, idempotent, kind)
             .into_iter()
             .filter_map(|(proc, reply)| match reply {
                 Ok(WireResponse::Rpc(response)) => Some((proc, response)),
@@ -332,7 +332,7 @@ impl TcpNet {
         frame_of: impl Fn(usize) -> WireRequest,
         kind: Option<MsgKind>,
     ) -> IndexResponse {
-        let frames = (0..self.fleet.nprocs()).map(|proc| (proc, frame_of(proc)));
+        let frames = (0..self.fleet.nprocs()).map(|proc| (proc, frame_of(proc).encode()));
         for (_, reply) in self.scatter(frames.collect(), true, kind) {
             seed.absorb(reply);
         }
@@ -340,15 +340,41 @@ impl TcpNet {
     }
 }
 
-/// The non-empty parts of a scattered message, as `(process, frame)`.
+/// The non-empty parts of a scattered message, as `(process, payload)`.
 fn framed<T>(
     parts: Vec<Vec<T>>,
     request: impl Fn(Vec<T>) -> IndexRequest,
-) -> Vec<(usize, WireRequest)> {
+) -> Vec<(usize, Vec<u8>)> {
     let present = (parts.into_iter().enumerate()).filter(|(_, part)| !part.is_empty());
     present
-        .map(|(proc, part)| (proc, WireRequest::Rpc(request(part))))
+        .map(|(proc, part)| (proc, WireRequest::Rpc(request(part)).encode()))
         .collect()
+}
+
+/// One process's part of an insert round, as borrowed items.
+type InsertPart<'a> = Vec<(PeerId, Vec<&'a Addressed<(Key, CompressedPostings)>>)>;
+
+/// The payload of `WireRequest::Rpc(Request::InsertBatch { batches })`
+/// for a part whose items stay in the caller's request — byte for byte
+/// the encoding of the owned message, without moving or cloning an item.
+/// The message's encoding ends with its `batches` sequence,
+/// `[count: u32][items]`, so the payload is the empty message's encoding
+/// with that count replaced and the items appended.
+fn insert_payload(part: &InsertPart<'_>) -> Vec<u8> {
+    let empty = Request::InsertBatch {
+        batches: Vec::new(),
+    };
+    let mut payload = WireRequest::Rpc(empty).encode();
+    payload.truncate(payload.len() - 4);
+    (part.len() as u32).put(&mut payload);
+    for (peer, items) in part {
+        peer.put(&mut payload);
+        (items.len() as u32).put(&mut payload);
+        for item in items {
+            item.put(&mut payload);
+        }
+    }
+    payload
 }
 
 impl std::fmt::Debug for TcpNet {
@@ -361,32 +387,37 @@ impl std::fmt::Debug for TcpNet {
 }
 
 impl NetworkBackend<IndexStore> for TcpNet {
-    fn call(&self, request: IndexRequest) -> IndexResponse {
+    fn call(&self, request: &IndexRequest) -> IndexResponse {
         let nprocs = self.fleet.nprocs();
         let kind = request.kind();
         match request {
             Request::InsertBatch { batches } => {
-                // Pre-shape the acks (all-false), then move every item to
-                // its owner's part, remembering where it came from. A
-                // part keeps the round's canonical (peer, key) order.
+                // Pre-shape the acks (all-false), then point every item
+                // from its owner's part, remembering where it came from.
+                // A part keeps the round's canonical (peer, key) order.
                 let mut acks: Vec<_> = batches
                     .iter()
                     .map(|(peer, items)| (*peer, vec![false; items.len()]))
                     .collect();
-                let mut parts: Vec<Vec<(PeerId, Vec<_>)>> =
-                    (0..nprocs).map(|_| Vec::new()).collect();
+                let mut parts: Vec<InsertPart<'_>> = (0..nprocs).map(|_| Vec::new()).collect();
                 let mut origins: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nprocs];
-                for (bi, (peer, items)) in batches.into_iter().enumerate() {
-                    for (ii, item) in items.into_iter().enumerate() {
+                for (bi, (peer, items)) in batches.iter().enumerate() {
+                    for (ii, item) in items.iter().enumerate() {
                         let proc = stripe_of(item.route) % nprocs;
                         match parts[proc].last_mut() {
-                            Some((last, part)) if *last == peer => part.push(item),
-                            _ => parts[proc].push((peer, vec![item])),
+                            Some((last, part)) if last == peer => part.push(item),
+                            _ => parts[proc].push((*peer, vec![item])),
                         }
                         origins[proc].push((bi, ii));
                     }
                 }
-                let parts = framed(parts, |batches| Request::InsertBatch { batches });
+                let present = parts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, part)| !part.is_empty());
+                let parts = present
+                    .map(|(proc, part)| (proc, insert_payload(part)))
+                    .collect();
                 // Inserts are not idempotent (merges accumulate), so no
                 // automatic retry: a failed exchange leaves its items
                 // unacknowledged.
@@ -408,14 +439,14 @@ impl NetworkBackend<IndexStore> for TcpNet {
                 let mut results = vec![None; keys.len()];
                 let mut parts: Vec<Vec<_>> = (0..nprocs).map(|_| Vec::new()).collect();
                 let mut origins: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-                for (i, key) in keys.into_iter().enumerate() {
+                for (i, key) in keys.iter().enumerate() {
                     let proc = stripe_of(key.route) % nprocs;
-                    parts[proc].push(key);
+                    parts[proc].push(key.clone());
                     origins[proc].push(i);
                 }
                 let parts = framed(parts, |keys| Request::LookupMany {
-                    from,
-                    query_id,
+                    from: *from,
+                    query_id: *query_id,
                     keys,
                 });
                 // Lookups are read-only: safe to retry once.
@@ -432,11 +463,12 @@ impl NetworkBackend<IndexStore> for TcpNet {
             // fleet's summed meters are observable — so the first one
             // does. Metering is not idempotent: no retry.
             request @ Request::Notify { .. } => {
-                self.scatter(vec![(0, WireRequest::Rpc(request))], false, kind);
+                let payload = WireRequest::Rpc(request.clone()).encode();
+                self.scatter(vec![(0, payload)], false, kind);
                 Response::Notified
             }
             request @ (Request::Repair | Request::Rebalance | Request::Sweep(_)) => {
-                let seed = self.mirror.call(request.clone());
+                let seed = self.mirror.call(request);
                 self.broadcast(seed, |_| WireRequest::Rpc(request.clone()), kind)
             }
         }
@@ -484,7 +516,7 @@ impl NetworkBackend<IndexStore> for TcpNet {
             served_by_peer: vec![0; peers],
             ..TrafficSnapshot::default()
         };
-        let asks = (0..self.fleet.nprocs()).map(|proc| (proc, WireRequest::Snapshot));
+        let asks = (0..self.fleet.nprocs()).map(|proc| (proc, WireRequest::Snapshot.encode()));
         for (_, reply) in self.deliver(asks.collect(), true, None) {
             if let Ok(WireResponse::Snapshot(snapshot)) = reply {
                 merged.absorb(*snapshot);
@@ -608,7 +640,7 @@ mod tests {
             }
         });
         let started = Instant::now();
-        let response = net.call(Request::LookupMany {
+        let response = net.call(&Request::LookupMany {
             from: PeerId(0),
             query_id: 7,
             keys: keys.collect(),
@@ -625,6 +657,37 @@ mod tests {
         let owners: Vec<usize> = (1..=KEYS).map(owner).collect();
         assert!(owners.contains(&0) && owners.contains(&1), "{owners:?}");
         owners
+    }
+
+    #[test]
+    fn a_borrowed_insert_part_encodes_like_the_owned_message() {
+        let item = |term: u32| {
+            let key = Key::single(TermId(term));
+            let list = PostingList::from_sorted(vec![Posting {
+                doc: DocId(term * 3),
+                tf: term,
+                doc_len: 40,
+            }]);
+            Addressed {
+                route: key.dht_hash(),
+                body: (key, CompressedPostings::from_list(&list)),
+            }
+        };
+        for batches in [
+            Vec::new(),
+            vec![
+                (PeerId(1), vec![item(1), item(2)]),
+                (PeerId(4), vec![item(3)]),
+            ],
+        ] {
+            let part: InsertPart<'_> = (batches.iter())
+                .map(|(peer, items)| (*peer, items.iter().collect()))
+                .collect();
+            let owned = WireRequest::Rpc(Request::InsertBatch {
+                batches: batches.clone(),
+            });
+            assert_eq!(insert_payload(&part), owned.encode());
+        }
     }
 
     #[test]

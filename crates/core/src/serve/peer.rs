@@ -107,7 +107,7 @@ impl PeerHost {
                     ))
                 }
             }
-            WireRequest::Rpc(request) => reply(self.backend.read().call(request)),
+            WireRequest::Rpc(request) => reply(self.backend.read().call(&request)),
             WireRequest::Control(control) => reply(self.backend.write().control(control)),
             WireRequest::Snapshot => {
                 WireResponse::Snapshot(Box::new(self.backend.read().snapshot()))
@@ -163,7 +163,7 @@ impl PeerHost {
                 // request. Seal the hot tier so a segment-backed process
                 // restarts losslessly, and exit.
                 let backend = self.backend.write();
-                backend.call(Request::Sweep(IndexSweep::SyncStorage));
+                backend.call(&Request::Sweep(IndexSweep::SyncStorage));
                 std::process::exit(0);
             }
         }

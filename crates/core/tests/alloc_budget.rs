@@ -9,16 +9,32 @@
 //!
 //! The same allocator, counting bytes, pins that a wire frame's buffer
 //! grows with the bytes that arrive, not with the length a peer announces.
+//!
+//! It also keeps a process-wide count of live heap bytes, which pins what
+//! a stored index key costs in memory. That count sees every thread, so
+//! the tests of this binary take turns ([`serial`]).
 
 use hdk_core::window_keys::RunBuilder;
-use hdk_core::{HdkConfig, Key, LocalPeer};
-use hdk_corpus::{CollectionGenerator, DocId, GeneratorConfig};
+use hdk_core::{GlobalIndex, HdkConfig, Key, KeyEntry, LocalPeer};
+use hdk_corpus::{partition_documents, CollectionGenerator, DocId, GeneratorConfig};
 use hdk_ir::{CompressedPostings, Posting};
-use hdk_p2p::{IdHashSet, PeerId};
+use hdk_p2p::{IdHashSet, PGrid, PeerId, Slot};
 use hdk_text::TermId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Heap bytes allocated and not yet freed, by any thread.
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+
+/// Runs the tests of this binary one at a time, so [`LIVE_BYTES`] moves
+/// only with the test that reads it.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread. Const-initialized
@@ -40,17 +56,20 @@ fn count_one(bytes: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one(new_size);
+        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -103,6 +122,7 @@ fn frequent_keys(peer: &LocalPeer, round: usize, config: &HdkConfig, min_df: usi
 
 #[test]
 fn at_most_three_allocations_per_emitted_key() {
+    let _turn = serial();
     let config = HdkConfig::default();
     let mut docs = fixture();
     let later = docs.split_off(150);
@@ -140,6 +160,7 @@ fn at_most_three_allocations_per_emitted_key() {
 
 #[test]
 fn one_allocation_per_encoded_block() {
+    let _turn = serial();
     let postings: Vec<Posting> = (0..300)
         .map(|i| Posting {
             doc: DocId(7 * i + 3),
@@ -158,6 +179,7 @@ fn one_allocation_per_encoded_block() {
 
 #[test]
 fn probing_a_subset_allocates_nothing() {
+    let _turn = serial();
     // The probe itself: a key built from terms, its neighbours, set lookups.
     let terms: Vec<TermId> = (0..40).map(TermId).collect();
     let fast: IdHashSet<Key> = terms
@@ -222,6 +244,7 @@ fn probing_a_subset_allocates_nothing() {
 
 #[test]
 fn a_hostile_length_prefix_buys_no_allocation() {
+    let _turn = serial();
     use hdk_p2p::{read_wire_frame, write_wire_frame, WireError};
     // A peer announces a 200 MiB frame, delivers ten bytes and hangs up.
     let mut hostile = (200u32 << 20).to_le_bytes().to_vec();
@@ -244,4 +267,68 @@ fn a_hostile_length_prefix_buys_no_allocation() {
     let spent = ALLOCATED_BYTES.with(Cell::get) - before;
     assert_eq!(payload.expect("valid frame").len(), 300);
     assert_eq!((allocations, spent), (1, 300));
+}
+
+#[test]
+fn a_stored_key_costs_its_slot_and_little_more() {
+    let _turn = serial();
+    // The slot every stored key pays for: the entry (48 B block handle,
+    // 24 B inline contributors, 20 B key, df, flag, boxed doc-set pointer)
+    // and a 24 B inline holder set. Half again of this used to sit in the
+    // empty half of a hash table.
+    assert_eq!(std::mem::size_of::<Slot<KeyEntry>>(), 136);
+
+    // A one-session in-memory build over 4 peers × 150 documents, peers
+    // set up before counting starts: what stays live is the index.
+    let config = HdkConfig::default();
+    let docs = CollectionGenerator::new(GeneratorConfig {
+        num_docs: 600,
+        ..GeneratorConfig::default()
+    })
+    .generate();
+    let ids: Vec<PeerId> = (0..4).map(PeerId).collect();
+    let mut peers: Vec<LocalPeer> = partition_documents(600, 4, 3)
+        .iter()
+        .zip(&ids)
+        .map(|(part, &id)| {
+            let owned = part.iter().map(|&d| (d, docs.doc(d).tokens.to_vec()));
+            LocalPeer::new(id, owned.collect())
+        })
+        .collect();
+    let excluded: HashSet<TermId> = HashSet::new();
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let index = GlobalIndex::new(Box::new(PGrid::new(ids)), config.dfmax);
+    for round in 1..=config.smax {
+        let batches = peers
+            .iter()
+            .map(|peer| {
+                let runs = peer.compute_runs(round, &config, &excluded);
+                let blocks = runs
+                    .iter()
+                    .map(|(key, run)| (key, CompressedPostings::from_postings(run)));
+                (peer.id, blocks.collect())
+            })
+            .collect();
+        let mut already_ndk = index.insert_round(batches);
+        let mut notified = index.classify_round(round);
+        for peer in &mut peers {
+            let mut keys = notified.remove(&peer.id).unwrap_or_default();
+            keys.extend(already_ndk.remove(&peer.id).unwrap_or_default());
+            keys.sort_unstable();
+            keys.dedup();
+            peer.receive_notifications(round, &keys);
+        }
+    }
+    let spent = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    let counts = index.index_counts();
+    let keys: u64 = counts.hdk_keys.iter().chain(&counts.ndk_keys).sum();
+    assert!(keys > 20_000, "only {keys} keys stored");
+    let per_key = spent as f64 / keys as f64;
+    // The slot with its key and index buckets, a block of a few postings,
+    // the peers' NDK sets, each stripe's last partly filled chunk: 238 B
+    // here, bounded at 250. Slots in hash-table buckets cost 365 B.
+    assert!(
+        per_key <= 250.0,
+        "{per_key:.1} live heap bytes per stored key ({spent} B for {keys} keys)"
+    );
 }

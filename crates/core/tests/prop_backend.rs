@@ -295,7 +295,7 @@ fn every_backend_refuses_an_invalid_membership_wave() {
             matches!(backend.control(join), Response::Moved(_)),
             "{name}"
         );
-        let found = backend.call(lookup_of_nothing());
+        let found = backend.call(&lookup_of_nothing());
         assert!(
             matches!(&found, Response::Found { results } if matches!(results[..], [None])),
             "{name}"
@@ -385,7 +385,7 @@ fn a_request_naming_an_unknown_peer_is_refused() {
     for (name, backend) in backends {
         for request in requests_naming_an_unknown_peer() {
             let shown = format!("{request:?}");
-            let reply = backend.call(request);
+            let reply = backend.call(&request);
             assert!(
                 matches!(reply, Response::Err(_)),
                 "{name}: {shown} answered {reply:?}"
@@ -393,7 +393,7 @@ fn a_request_naming_an_unknown_peer_is_refused() {
         }
         assert_eq!(backend.dht().num_keys(), 0, "{name}: nothing was applied");
         assert!(backend.snapshot().kinds.iter().all(|k| k.messages == 0));
-        let found = backend.call(lookup_of_nothing());
+        let found = backend.call(&lookup_of_nothing());
         assert!(
             matches!(&found, Response::Found { results } if matches!(results[..], [None])),
             "{name}"

@@ -32,8 +32,8 @@
 
 use hdk_core::serve::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_core::{
-    IndexCounts, IndexRequest, IndexResponse, IndexSweep, IndexSwept, Key, KeyEntry, KeyLookup,
-    OverlayKind, PeerConfig, PeerHost, PeerStorage, StoreConfig, MAX_KEY_SIZE,
+    IndexCounts, IndexFootprint, IndexRequest, IndexResponse, IndexSweep, IndexSwept, Key,
+    KeyEntry, KeyLookup, OverlayKind, PeerConfig, PeerHost, PeerStorage, StoreConfig, MAX_KEY_SIZE,
 };
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
@@ -172,12 +172,12 @@ impl Gen {
         let postings = self.block();
         let seen_docs = self
             .flag()
-            .then(|| CompressedDocSet::from_postings(&postings));
+            .then(|| Box::new(CompressedDocSet::from_postings(&postings)));
         KeyEntry {
             key: self.key(),
             postings,
             df: self.next() as u32,
-            contributors: self.wave(),
+            contributors: self.wave().into(),
             is_ndk: self.flag(),
             seen_docs,
         }
@@ -242,7 +242,8 @@ impl Gen {
                 custodian: self.peer(),
             },
             IndexSweep::Reassign { .. } => IndexSweep::Entries,
-            IndexSweep::Entries => IndexSweep::Classify {
+            IndexSweep::Entries => IndexSweep::Footprint,
+            IndexSweep::Footprint => IndexSweep::Classify {
                 size: self.next() as u32,
             },
         }
@@ -371,7 +372,15 @@ impl Gen {
             IndexSwept::Done => {
                 IndexSwept::Entries((0..self.below(3)).map(|_| self.entry()).collect())
             }
-            IndexSwept::Entries(_) => IndexSwept::Classified(
+            IndexSwept::Entries(_) => IndexSwept::Footprint(IndexFootprint {
+                keys: self.next(),
+                table_bytes: self.next(),
+                holder_spill_bytes: self.next(),
+                contributor_spill_bytes: self.next(),
+                block_bytes: self.next(),
+                docset_bytes: self.next(),
+            }),
+            IndexSwept::Footprint(_) => IndexSwept::Classified(
                 (0..self.below(6))
                     .map(|_| (self.peer(), self.key()))
                     .collect(),

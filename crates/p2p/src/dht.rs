@@ -69,7 +69,7 @@ use crate::gossip::{GossipConfig, GossipProbe, GossipRound, GossipState, PeerVie
 use crate::id::{hash_u64s, KeyHash, PeerId};
 use crate::overlay::Overlay;
 use crate::replica::{Delivery, Membership, PeerState};
-use crate::store::{MemStore, RecoveryStats, Slot, Store, Tier};
+use crate::store::{Holders, MemStore, RecoveryStats, Slot, Store, Tier};
 use crate::transport::{MsgKind, TrafficMeter, TrafficSnapshot};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -749,14 +749,19 @@ impl<V: Send + Sync + 'static> Dht<V> {
             let mut default = Some(default);
             let mut update = Some(update);
             let mut result = None;
+            // The fresh entry's holder is set by the update, so a new key
+            // allocates no holder list on the way in.
             self.store.upsert(
                 stripe_of(key),
                 key.0,
                 &mut || Slot {
                     value: (default.take().expect("default runs at most once"))(),
-                    holders: vec![owner],
+                    holders: Vec::new(),
                 },
                 &mut |slot| {
+                    if slot.holders.is_empty() {
+                        slot.holders.push(owner);
+                    }
                     result = Some((update.take().expect("update runs once"))(&mut slot.value));
                 },
             );
@@ -1034,6 +1039,19 @@ impl<V: Send + Sync + 'static> Dht<V> {
             .sum()
     }
 
+    /// Heap bytes of one stripe's storage structure, not of its values:
+    /// the store's tables ([`Store::table_bytes`]) and, separately, the
+    /// heap slices of resident holder sets too long to sit inline.
+    pub fn stripe_structure_bytes(&self, stripe: usize) -> (u64, u64) {
+        let mut spilled = 0u64;
+        self.store.scan(stripe, &mut |_, s, tier| {
+            if tier == Tier::Hot {
+                spilled += s.holders.spilled_bytes() as u64;
+            }
+        });
+        (self.store.table_bytes(stripe), spilled)
+    }
+
     /// Total live on-disk segment bytes across all stripes, summed per
     /// stored copy (0 for the in-memory store). The disk-tier counterpart
     /// of [`Dht::resident_bytes`].
@@ -1146,7 +1164,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
                     &mut base_memo
                 };
                 let targets = self.memoized_want(memo, owner, want);
-                let mut next: Vec<u32> = slot
+                let mut next: Holders = slot
                     .holders
                     .iter()
                     .copied()
@@ -1389,7 +1407,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         mut on_copy: impl FnMut(KeyHash, Delivery, u64),
     ) -> RepairStats {
         // Phase 1: scan, update holder sets, collect the planned copies.
-        // Map iteration order must not leak into metering/timing, so
+        // The store's scan order must not leak into metering/timing, so
         // copies are emitted only after the canonical sort below.
         let mut planned: Vec<(u64, u32, u32, u64, u64)> = Vec::new();
         let mut base_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
@@ -1499,7 +1517,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         };
         // Phase 2: scan, extend or trim holder sets, collect the planned
         // copies — emitted after the canonical sort, exactly like
-        // `repair_sweep`, so map iteration order never leaks into
+        // `repair_sweep`, so the store's scan order never leaks into
         // metering or timing.
         let mut planned: Vec<(u64, u32, u32, u64, u64)> = Vec::new();
         let mut base_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
@@ -1531,7 +1549,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
                     // Demotion: trim the extras this mechanism added back
                     // to the structural replica set.
                     let targets = self.memoized_want(&mut base_memo, owner, self.replication);
-                    let keep: Vec<u32> = slot
+                    let keep: Holders = slot
                         .holders
                         .iter()
                         .copied()

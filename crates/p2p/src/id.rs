@@ -9,7 +9,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a peer `P_i`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeerId(pub u64);
 
 impl fmt::Display for PeerId {

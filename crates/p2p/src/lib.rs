@@ -35,6 +35,7 @@
 pub mod dht;
 pub mod gossip;
 pub mod id;
+pub mod inline;
 pub mod overlay;
 pub mod pgrid;
 pub mod replica;
@@ -53,6 +54,7 @@ pub use gossip::{
     Liveness, PeerView, ViewEntry,
 };
 pub use id::{hash_bytes, hash_u64s, IdHashMap, IdHashSet, IdHasher, KeyHash, PeerId};
+pub use inline::InlineVec;
 pub use overlay::{Overlay, RouteResult};
 pub use pgrid::PGrid;
 pub use replica::{Delivery, Membership, MembershipEvent, PeerState};
@@ -61,7 +63,7 @@ pub use rpc::{
     Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
     ResponseOf, SimNet, SimNetConfig, StoreService,
 };
-pub use store::{MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
+pub use store::{Holders, MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
 pub use transport::{
     KindSnapshot, LatencyHistogram, MsgKind, TrafficMeter, TrafficSnapshot, LATENCY_BUCKETS,
     NUM_KINDS,

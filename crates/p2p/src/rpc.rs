@@ -406,8 +406,10 @@ wire_enum!(Response<L, T> {
 /// deliberately no per-operation method — a backend that could special-
 /// case an operation could also get it wrong.
 pub trait NetworkBackend<S: StoreService>: Send + Sync {
-    /// Delivers one data-plane message and returns its reply.
-    fn call(&self, request: RequestOf<S>) -> ResponseOf<S>;
+    /// Delivers one data-plane message and returns its reply. The message
+    /// stays the caller's: an insert round's sender reads its own keys
+    /// back to map the acknowledgement flags to them.
+    fn call(&self, request: &RequestOf<S>) -> ResponseOf<S>;
 
     /// Delivers one control-plane message and returns its reply.
     fn control(&mut self, control: Control) -> ResponseOf<S>;
@@ -534,6 +536,11 @@ fn handover_legs(peers: &[PeerId], stats: &[MigrationStats], joining: bool, legs
 /// stripes rayon-parallel, and scatter the acks back into request order.
 /// Every copy an item stored (primary first, then the forwarded replicas)
 /// is one leg, reported in request order.
+///
+/// The round's whole request is alive while this runs, so the bookkeeping
+/// stays small: one counting sort lays the items out stripe-major as
+/// `(batch, item)` index pairs, and a stripe reports one ack flag per item
+/// (plus, on a timed backend, each copy's delivery).
 fn insert_batch<S: StoreService>(
     dht: &Dht<S::Value>,
     store: &S,
@@ -541,68 +548,80 @@ fn insert_batch<S: StoreService>(
     legs: Legs<'_>,
 ) -> Vec<(PeerId, Vec<bool>)> {
     let timed = legs.is_some();
-    let mut buckets: Vec<Vec<(usize, usize)>> = vec![Vec::new(); dht.num_stripes()];
-    for (bi, (_, items)) in batches.iter().enumerate() {
-        for (ii, item) in items.iter().enumerate() {
-            buckets[stripe_of(item.route)].push((bi, ii));
+    let index = |i: usize| u32::try_from(i).expect("an insert round holds under 2^32 items");
+    // `starts[s]..starts[s + 1]` is stripe `s`'s range of `order`.
+    let mut starts = vec![0usize; dht.num_stripes() + 1];
+    for (_, items) in batches {
+        for item in items {
+            starts[stripe_of(item.route) + 1] += 1;
         }
     }
-    type StripeAcks = Vec<(usize, usize, bool, Vec<Delivery>)>;
-    let acks: Vec<StripeAcks> = buckets
-        .par_iter()
-        .map(|bucket| {
-            bucket
-                .iter()
-                .map(|&(bi, ii)| {
-                    let (peer, items) = &batches[bi];
-                    let item = &items[ii];
-                    let (postings, bytes) = store.insert_volume(&item.body);
-                    let mut copies = Vec::new();
-                    let flag = dht.upsert_delivered(
-                        *peer,
-                        item.route,
-                        postings,
-                        bytes,
-                        || store.fresh(&item.body),
-                        |value| store.merge(*peer, &item.body, value),
-                        |copy| {
-                            if timed {
-                                copies.push(copy);
-                            }
-                        },
-                    );
-                    (bi, ii, flag, copies)
-                })
-                .collect()
+    for s in 1..starts.len() {
+        starts[s] += starts[s - 1];
+    }
+    let mut order = vec![(0u32, 0u32); starts[dht.num_stripes()]];
+    let mut next = starts.clone();
+    for (bi, (_, items)) in batches.iter().enumerate() {
+        for (ii, item) in items.iter().enumerate() {
+            let slot = &mut next[stripe_of(item.route)];
+            order[*slot] = (index(bi), index(ii));
+            *slot += 1;
+        }
+    }
+    type StripeAcks = (Vec<bool>, Vec<(u32, u32, Delivery)>);
+    let acks: Vec<StripeAcks> = (0..dht.num_stripes())
+        .into_par_iter()
+        .map(|stripe| {
+            let bucket = &order[starts[stripe]..starts[stripe + 1]];
+            let mut flags = Vec::with_capacity(bucket.len());
+            let mut copies = Vec::new();
+            for &(bi, ii) in bucket {
+                let (peer, items) = &batches[bi as usize];
+                let item = &items[ii as usize];
+                let (postings, bytes) = store.insert_volume(&item.body);
+                flags.push(dht.upsert_delivered(
+                    *peer,
+                    item.route,
+                    postings,
+                    bytes,
+                    || store.fresh(&item.body),
+                    |value| store.merge(*peer, &item.body, value),
+                    |copy| {
+                        if timed {
+                            copies.push((bi, ii, copy));
+                        }
+                    },
+                ));
+            }
+            (flags, copies)
         })
         .collect();
     let mut out: Vec<(PeerId, Vec<bool>)> = batches
         .iter()
         .map(|(peer, items)| (*peer, vec![false; items.len()]))
         .collect();
-    let mut stored: Vec<(usize, usize, Vec<Delivery>)> = Vec::new();
-    for (bi, ii, flag, copies) in acks.into_iter().flatten() {
-        out[bi].1[ii] = flag;
-        if timed {
-            stored.push((bi, ii, copies));
+    for (stripe, (flags, _)) in acks.iter().enumerate() {
+        for (&(bi, ii), &flag) in order[starts[stripe]..starts[stripe + 1]].iter().zip(flags) {
+            out[bi as usize].1[ii as usize] = flag;
         }
     }
     if let Some(legs) = legs {
-        // Back from stripe order to the request's canonical order.
-        stored.sort_unstable_by_key(|&(bi, ii, _)| (bi, ii));
-        for (bi, ii, copies) in stored {
-            let item = &batches[bi].1[ii];
+        // Back from stripe order to the request's canonical order; the
+        // sort is stable, so an item's copies keep their storage order.
+        let mut stored: Vec<(u32, u32, Delivery)> =
+            acks.into_iter().flat_map(|(_, copies)| copies).collect();
+        stored.sort_by_key(|&(bi, ii, _)| (bi, ii));
+        for (bi, ii, copy) in stored {
+            let item = &batches[bi as usize].1[ii as usize];
             let (_, bytes) = store.insert_volume(&item.body);
-            for copy in &copies {
-                let position = legs.len() as u64;
-                legs.push(Leg::along(
-                    MsgKind::IndexInsert,
-                    copy,
-                    item.route,
-                    bytes,
-                    position,
-                ));
-            }
+            let position = legs.len() as u64;
+            legs.push(Leg::along(
+                MsgKind::IndexInsert,
+                &copy,
+                item.route,
+                bytes,
+                position,
+            ));
         }
     }
     out
@@ -641,16 +660,16 @@ fn check_request<I, Q, W>(overlay: &dyn Overlay, request: &Request<I, Q, W>) -> 
 fn handle<S: StoreService>(
     dht: &Dht<S::Value>,
     store: &S,
-    request: RequestOf<S>,
+    request: &RequestOf<S>,
     mut legs: Legs<'_>,
 ) -> ResponseOf<S> {
-    if let Err(reason) = check_request(dht.overlay(), &request) {
+    if let Err(reason) = check_request(dht.overlay(), request) {
         return Response::Err(reason);
     }
     let volume = |value: &S::Value| store.migrate_volume(value);
     match request {
         Request::InsertBatch { batches } => Response::Inserted {
-            acks: insert_batch(dht, store, &batches, legs),
+            acks: insert_batch(dht, store, batches, legs),
         },
         Request::Notify { notes } => {
             for (position, note) in notes.iter().enumerate() {
@@ -677,7 +696,7 @@ fn handle<S: StoreService>(
         } => {
             let hashes: Vec<KeyHash> = keys.iter().map(|k| k.route).collect();
             let (resolved, served) =
-                dht.lookup_many_delivered(from, query_id, &hashes, |i, value| {
+                dht.lookup_many_delivered(*from, *query_id, &hashes, |i, value| {
                     let (result, postings, bytes) = store.read(&keys[i].body, value);
                     ((result, bytes), postings, bytes)
                 });
@@ -716,7 +735,7 @@ fn handle<S: StoreService>(
         Request::Rebalance => {
             Response::Rebalanced(dht.rebalance_hot(volume, copy_leg(MsgKind::HotReplicate, legs)))
         }
-        Request::Sweep(sweep) => Response::Swept(store.sweep(dht, &sweep)),
+        Request::Sweep(sweep) => Response::Swept(store.sweep(dht, sweep)),
     }
 }
 
@@ -913,7 +932,7 @@ impl<S: StoreService> InProc<S> {
 }
 
 impl<S: StoreService> NetworkBackend<S> for InProc<S> {
-    fn call(&self, request: RequestOf<S>) -> ResponseOf<S> {
+    fn call(&self, request: &RequestOf<S>) -> ResponseOf<S> {
         handle(&self.dht, &self.store, request, None)
     }
 
@@ -1110,7 +1129,7 @@ impl<S: StoreService> SimNet<S> {
 }
 
 impl<S: StoreService> NetworkBackend<S> for SimNet<S> {
-    fn call(&self, request: RequestOf<S>) -> ResponseOf<S> {
+    fn call(&self, request: &RequestOf<S>) -> ResponseOf<S> {
         let mut legs = Vec::new();
         let response = handle(&self.inner.dht, &self.inner.store, request, Some(&mut legs));
         self.charge(&legs);
@@ -1206,7 +1225,7 @@ mod tests {
         backend: &impl NetworkBackend<SetStore>,
         batches: Vec<(PeerId, Vec<Addressed<Vec<u32>>>)>,
     ) -> Vec<(PeerId, Vec<bool>)> {
-        match backend.call(Request::InsertBatch { batches }) {
+        match backend.call(&Request::InsertBatch { batches }) {
             Response::Inserted { acks } => acks,
             other => panic!("wrong response: {other:?}"),
         }
@@ -1219,7 +1238,7 @@ mod tests {
         keys: &[Addressed<()>],
     ) -> Vec<Option<Vec<u32>>> {
         let keys = keys.to_vec();
-        match backend.call(Request::LookupMany {
+        match backend.call(&Request::LookupMany {
             from,
             query_id,
             keys,
@@ -1232,20 +1251,20 @@ mod tests {
     fn notify(backend: &impl NetworkBackend<SetStore>, notes: &[Notification]) {
         let notes = notes.to_vec();
         assert!(matches!(
-            backend.call(Request::Notify { notes }),
+            backend.call(&Request::Notify { notes }),
             Response::Notified
         ));
     }
 
     fn repair(backend: &impl NetworkBackend<SetStore>) -> RepairStats {
-        match backend.call(Request::Repair) {
+        match backend.call(&Request::Repair) {
             Response::Repaired(stats) => stats,
             other => panic!("wrong response: {other:?}"),
         }
     }
 
     fn rebalance(backend: &impl NetworkBackend<SetStore>) -> HotStats {
-        match backend.call(Request::Rebalance) {
+        match backend.call(&Request::Rebalance) {
             Response::Rebalanced(stats) => stats,
             other => panic!("wrong response: {other:?}"),
         }
@@ -1314,7 +1333,7 @@ mod tests {
         );
         let results = lookup_many(&backend, PeerId(3), 0, &probes());
         assert!(
-            matches!(backend.call(Request::Sweep(())), Response::Swept(3)),
+            matches!(backend.call(&Request::Sweep(())), Response::Swept(3)),
             "a sweep is answered by the store service over the host's stripes"
         );
 

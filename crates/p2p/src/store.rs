@@ -3,9 +3,10 @@
 //! [`crate::Dht`] owns routing, replication, metering and churn; *where
 //! entry bytes live* is delegated to a [`Store`]. Two implementations:
 //!
-//! * [`MemStore`] — the original lock-striped in-memory maps, extracted
-//!   verbatim. The default: behavior (and every traffic counter) is
-//!   bit-identical to the pre-trait layer.
+//! * [`MemStore`] — lock-striped in-memory storage, each stripe a dense
+//!   entry array plus a key → position index. The default: every entry
+//!   is hot, and every report and traffic counter is the pre-trait
+//!   layer's.
 //! * [`SegmentStore`] — a tiered engine: entries start in a *hot*
 //!   in-memory tier under a per-stripe byte budget; overflow is *sealed*
 //!   into checksummed frames ([`hdk_ir::segment`]) appended to per-`(peer,
@@ -49,6 +50,7 @@
 //! is what makes restart-recovery bit-reproducible.
 
 use crate::id::IdHashMap;
+use crate::inline::InlineVec;
 use hdk_ir::segment::{read_frame, seal_frame, FrameRead, FRAME_HEADER_BYTES};
 use parking_lot::RwLock;
 use std::collections::{HashMap, VecDeque};
@@ -58,20 +60,38 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// The peer indices holding an entry's copies: up to five inline (the
+/// replica set plus a hot key's extras), longer sets in one heap slice.
+pub type Holders = InlineVec<u32, 5>;
+
 /// One stored entry: the value plus the peers currently holding a copy.
 ///
 /// The value is stored once (the simulation's canonical state); the
 /// holder set models *availability* — who would survive a crash with a
 /// copy — not divergence between replicas (inserts reach every replica in
 /// the same round, so replicas never disagree).
+///
+/// Stored slots use the inline [`Holders`] set. `H` is `Vec<u32>` only for
+/// the fresh entry an upsert's `default` hands over, once per new key;
+/// the store packs it with [`Slot::pack`].
 #[derive(Debug)]
-pub struct Slot<V> {
+pub struct Slot<V, H = Holders> {
     /// The entry's value.
     pub value: V,
     /// Peer indices holding a copy, ascending. Always non-empty and
     /// always a subset of the live peers (dead peers' copies are removed
     /// the moment they depart or fail).
-    pub holders: Vec<u32>,
+    pub holders: H,
+}
+
+impl<V> Slot<V, Vec<u32>> {
+    /// The stored form of a fresh entry: its holder list moved inline.
+    pub fn pack(self) -> Slot<V> {
+        Slot {
+            value: self.value,
+            holders: Holders::from(self.holders),
+        }
+    }
 }
 
 /// What one peer-restart recovered — and failed to recover — from the
@@ -148,7 +168,7 @@ pub trait Store<V>: Send + Sync {
         &self,
         stripe: usize,
         key: u64,
-        default: &mut dyn FnMut() -> Slot<V>,
+        default: &mut dyn FnMut() -> Slot<V, Vec<u32>>,
         update: &mut dyn FnMut(&mut Slot<V>),
     );
 
@@ -172,6 +192,11 @@ pub trait Store<V>: Send + Sync {
     /// holding replica (0 for a purely in-memory store). Superseded
     /// (stale) frames awaiting compaction are not counted.
     fn disk_bytes(&self, stripe: usize) -> u64;
+
+    /// In-memory bytes of the stripe's own tables: the storage its slots
+    /// occupy, filled or not, plus its key index. What values and holder
+    /// sets own on the heap is not counted.
+    fn table_bytes(&self, stripe: usize) -> u64;
 
     /// Replays the segment logs of the restarting `peers` (peer indices)
     /// for one stripe. Their in-memory (hot) copies are gone; a sealed
@@ -205,16 +230,257 @@ pub trait Store<V>: Send + Sync {
 // MemStore
 // ---------------------------------------------------------------------------
 
-/// The original in-memory striped storage: one `RwLock`ed map per stripe,
-/// every entry hot.
+/// Entries per chunk of a [`MemStore`] stripe's dense storage.
+const CHUNK: usize = 32;
+
+/// The in-memory striped storage: per stripe, one `RwLock` over a dense
+/// entry array and a key → position index; every entry hot.
 ///
-/// The maps are keyed by `KeyHash` values — hashes already — so they hash
-/// with the cheap [`crate::IdHasher`]. Their iteration order (`scan`,
-/// `scan_mut`, `retain`) was per-process random under the default hasher,
-/// so no caller can depend on it: sweeps either fold order-free sums or
-/// sort what they collect.
+/// **Layout.** A stripe's `(key, slot)` pairs sit back to back in chunks
+/// of 32 — only the last chunk is partly filled, so a stripe's slack is
+/// under one chunk and growing never copies an entry — and an index of
+/// 8-byte buckets maps each key to its position. A hash table holding the
+/// slots in its buckets ran at about half load, so every stored key paid
+/// for a second, empty slot-sized bucket; here the empty buckets are the
+/// index's. Removing an entry moves the last entry into its place and
+/// re-points that entry's index bucket.
+///
+/// **Iteration order.** `scan`, `scan_mut` and `retain` walk positions
+/// in order: insertion order, as permuted by removals. No caller depends
+/// on it — sweeps either fold order-free sums or sort what they collect.
 pub struct MemStore<V> {
-    stripes: Vec<RwLock<IdHashMap<u64, Slot<V>>>>,
+    stripes: Vec<RwLock<MemStripe<V>>>,
+}
+
+/// A stripe's key → position index: open addressing with linear probing,
+/// at most 3/4 full. A bucket is empty ([`PosIndex::EMPTY`]) or holds
+/// `hash << 32 | position`, where `hash` is 32 well-mixed bits of the key:
+/// its top bits are the home bucket, the whole of it a fingerprint that
+/// settles most probes without touching the entry, and a position names
+/// one entry — so a bucket can be found, moved and re-pointed from its own
+/// bits. Removal shifts the following run back instead of leaving a
+/// tombstone. 8 bytes per bucket, where a `HashMap<u64, u32>` spends 17.
+struct PosIndex {
+    buckets: Vec<u64>,
+    /// Stored positions.
+    len: usize,
+}
+
+impl PosIndex {
+    const EMPTY: u64 = u64::MAX;
+
+    fn new() -> Self {
+        Self {
+            buckets: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// The key's 32 mixed bits: the high half of a multiplicative hash.
+    /// `KeyHash` values are hashes already, but a stripe shares their low
+    /// bits, and a product's high half depends on every bit.
+    #[inline]
+    fn hash(key: u64) -> u32 {
+        (key.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as u32
+    }
+
+    #[inline]
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// Home bucket of a hash: its top `log2(buckets)` bits.
+    #[inline]
+    fn home(&self, hash: u32) -> usize {
+        ((u64::from(hash) << 32) >> (64 - self.buckets.len().trailing_zeros())) as usize
+    }
+
+    /// Position of `key`; `key_at` reads the key stored at a position and
+    /// is asked only when a bucket's fingerprint matches.
+    #[inline]
+    fn find(&self, key: u64, key_at: impl Fn(u32) -> u64) -> Option<u32> {
+        if self.len == 0 {
+            return None;
+        }
+        let hash = Self::hash(key);
+        let mut i = self.home(hash);
+        loop {
+            let bucket = self.buckets[i];
+            if bucket == Self::EMPTY {
+                return None;
+            }
+            if (bucket >> 32) as u32 == hash && key_at(bucket as u32) == key {
+                return Some(bucket as u32);
+            }
+            i = (i + 1) & self.mask();
+        }
+    }
+
+    /// The bucket of `key`'s entry at `pos`: in the run of full buckets
+    /// from the key's home, where positions are unique.
+    fn bucket_of(&self, key: u64, pos: u32) -> Option<usize> {
+        let (home, mask) = (self.home(Self::hash(key)), self.mask());
+        (0..self.buckets.len())
+            .map(|step| (home + step) & mask)
+            .take_while(|&i| self.buckets[i] != Self::EMPTY)
+            .find(|&i| self.buckets[i] as u32 == pos)
+    }
+
+    /// Indexes `key` (not yet indexed) at `pos`.
+    fn insert(&mut self, key: u64, pos: u32) {
+        if 4 * (self.len + 1) > 3 * self.buckets.len() {
+            self.grow();
+        }
+        self.place(u64::from(Self::hash(key)) << 32 | u64::from(pos));
+        self.len += 1;
+    }
+
+    /// Writes a bucket value into the first empty bucket from its home.
+    fn place(&mut self, bucket: u64) {
+        let mut i = self.home((bucket >> 32) as u32);
+        while self.buckets[i] != Self::EMPTY {
+            i = (i + 1) & self.mask();
+        }
+        self.buckets[i] = bucket;
+    }
+
+    fn grow(&mut self) {
+        let size = (2 * self.buckets.len()).max(16);
+        let old = std::mem::replace(&mut self.buckets, vec![Self::EMPTY; size]);
+        for bucket in old.into_iter().filter(|&b| b != Self::EMPTY) {
+            self.place(bucket);
+        }
+    }
+
+    /// Re-points `key`'s bucket from position `from` to `to`.
+    fn repoint(&mut self, key: u64, from: u32, to: u32) {
+        if let Some(i) = self.bucket_of(key, from) {
+            self.buckets[i] = (self.buckets[i] & !u64::from(u32::MAX)) | u64::from(to);
+        }
+    }
+
+    /// Drops `key`'s bucket (position `pos`), then shifts every bucket of
+    /// the run behind it that may move closer to its home back into the
+    /// hole, so no probe ever stops short of its key.
+    fn remove(&mut self, key: u64, pos: u32) {
+        let Some(mut hole) = self.bucket_of(key, pos) else {
+            return;
+        };
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let bucket = self.buckets[i];
+            if bucket == Self::EMPTY {
+                break;
+            }
+            let home = self.home((bucket >> 32) as u32);
+            // The bucket may fill the hole iff the hole lies on its probe
+            // path: no further from its home than the bucket itself is.
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = bucket;
+                hole = i;
+            }
+        }
+        self.buckets[hole] = Self::EMPTY;
+        self.len -= 1;
+    }
+}
+
+/// One [`MemStore`] stripe: entry `p` is `chunks[p / CHUNK][p % CHUNK]`,
+/// and `index` holds every stored key's `p`.
+struct MemStripe<V> {
+    index: PosIndex,
+    chunks: Vec<Vec<(u64, Slot<V>)>>,
+}
+
+impl<V> MemStripe<V> {
+    fn new() -> Self {
+        Self {
+            index: PosIndex::new(),
+            chunks: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.index.len
+    }
+
+    #[inline]
+    fn at(&self, pos: u32) -> &(u64, Slot<V>) {
+        let pos = pos as usize;
+        &self.chunks[pos / CHUNK][pos % CHUNK]
+    }
+
+    #[inline]
+    fn at_mut(&mut self, pos: u32) -> &mut (u64, Slot<V>) {
+        let pos = pos as usize;
+        &mut self.chunks[pos / CHUNK][pos % CHUNK]
+    }
+
+    #[inline]
+    fn find(&self, key: u64) -> Option<u32> {
+        self.index.find(key, |pos| self.at(pos).0)
+    }
+
+    #[inline]
+    fn get(&self, key: u64) -> Option<&Slot<V>> {
+        self.find(key).map(|pos| &self.at(pos).1)
+    }
+
+    /// The position of `key`, appending `default()` first when missing.
+    fn position_or_insert(&mut self, key: u64, default: impl FnOnce() -> Slot<V>) -> u32 {
+        if let Some(pos) = self.find(key) {
+            return pos;
+        }
+        // Positions stay far below `u32::MAX`, the empty bucket's: 2^32
+        // entries in one stripe would be 600 GB of slots.
+        let pos = self.len() as u32;
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push((key, default())),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push((key, default()));
+                self.chunks.push(chunk);
+            }
+        }
+        self.index.insert(key, pos);
+        pos
+    }
+
+    /// Removes the entry at `pos`, moving the last entry into its place.
+    fn swap_remove(&mut self, pos: u32) {
+        let Some(last) = self.chunks.last_mut().and_then(Vec::pop) else {
+            return;
+        };
+        if self.chunks.last().is_some_and(Vec::is_empty) {
+            self.chunks.pop();
+        }
+        let last_pos = (self.len() - 1) as u32;
+        if pos == last_pos {
+            self.index.remove(last.0, pos);
+        } else {
+            let (removed, _) = std::mem::replace(self.at_mut(pos), last);
+            self.index.remove(removed, pos);
+            let moved = self.at(pos).0;
+            self.index.repoint(moved, last_pos, pos);
+        }
+    }
+
+    /// Visits every entry once, removing those `keep` returns `false` for.
+    /// A removal moves the last — not yet visited — entry into the current
+    /// position, which is therefore visited next.
+    fn retain(&mut self, mut keep: impl FnMut(u64, &mut Slot<V>) -> bool) {
+        let mut pos = 0u32;
+        while (pos as usize) < self.len() {
+            let (key, slot) = self.at_mut(pos);
+            if keep(*key, slot) {
+                pos += 1;
+            } else {
+                self.swap_remove(pos);
+            }
+        }
+    }
 }
 
 impl<V> MemStore<V> {
@@ -222,7 +488,7 @@ impl<V> MemStore<V> {
     pub fn new() -> Self {
         Self {
             stripes: (0..crate::NUM_STRIPES)
-                .map(|_| RwLock::new(IdHashMap::default()))
+                .map(|_| RwLock::new(MemStripe::new()))
                 .collect(),
         }
     }
@@ -236,14 +502,13 @@ impl<V> Default for MemStore<V> {
 
 impl<V: Send + Sync> Store<V> for MemStore<V> {
     fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>)) {
-        let map = self.stripes[stripe].read();
-        f(map.get(&key));
+        f(self.stripes[stripe].read().get(key));
     }
 
     fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>)) {
-        let map = self.stripes[stripe].read();
-        for (i, key) in keys.iter().enumerate() {
-            f(i, map.get(key));
+        let st = self.stripes[stripe].read();
+        for (i, &key) in keys.iter().enumerate() {
+            f(i, st.get(key));
         }
     }
 
@@ -251,31 +516,30 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
         &self,
         stripe: usize,
         key: u64,
-        default: &mut dyn FnMut() -> Slot<V>,
+        default: &mut dyn FnMut() -> Slot<V, Vec<u32>>,
         update: &mut dyn FnMut(&mut Slot<V>),
     ) {
-        let mut map = self.stripes[stripe].write();
-        let slot = map.entry(key).or_insert_with(&mut *default);
-        update(slot);
+        let mut st = self.stripes[stripe].write();
+        let pos = st.position_or_insert(key, || default().pack());
+        update(&mut st.at_mut(pos).1);
     }
 
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier)) {
-        let map = self.stripes[stripe].read();
-        for (k, s) in map.iter() {
+        let st = self.stripes[stripe].read();
+        for (k, s) in st.chunks.iter().flatten() {
             f(*k, s, Tier::Hot);
         }
     }
 
     fn scan_mut(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>)) {
-        let mut map = self.stripes[stripe].write();
-        for (k, s) in map.iter_mut() {
+        let mut st = self.stripes[stripe].write();
+        for (k, s) in st.chunks.iter_mut().flatten() {
             f(*k, s);
         }
     }
 
     fn retain(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool) {
-        let mut map = self.stripes[stripe].write();
-        map.retain(|k, s| f(*k, s));
+        self.stripes[stripe].write().retain(f);
     }
 
     fn len(&self, stripe: usize) -> usize {
@@ -286,6 +550,13 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
         0
     }
 
+    fn table_bytes(&self, stripe: usize) -> u64 {
+        let st = self.stripes[stripe].read();
+        let slots = st.chunks.iter().map(Vec::capacity).sum::<usize>()
+            * std::mem::size_of::<(u64, Slot<V>)>();
+        (slots + st.index.buckets.capacity() * std::mem::size_of::<u64>()) as u64
+    }
+
     fn recover(
         &self,
         stripe: usize,
@@ -294,8 +565,7 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
         stats: &mut RecoveryStats,
     ) {
         // No disk: a restarting peer's copies were RAM-only and are gone.
-        let mut map = self.stripes[stripe].write();
-        map.retain(|_, slot| {
+        self.stripes[stripe].write().retain(|_, slot| {
             let before = slot.holders.len();
             slot.holders.retain(|h| !peers.contains(h));
             let removed = (before - slot.holders.len()) as u64;
@@ -316,6 +586,17 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
     }
 
     fn sync(&self) {}
+}
+
+/// Heap bytes of a `HashMap`'s table: one bucket per slot and one control
+/// byte per bucket, at the power-of-two bucket count behind `capacity()`
+/// (a table stays at most 7/8 full).
+fn map_bytes<K, T, S>(map: &HashMap<K, T, S>) -> usize {
+    if map.capacity() == 0 {
+        return 0;
+    }
+    let buckets = (map.capacity() * 8 / 7).next_power_of_two();
+    buckets * (std::mem::size_of::<(K, T)>() + 1)
 }
 
 // ---------------------------------------------------------------------------
@@ -360,7 +641,7 @@ impl SealedEntry {
         FRAME_HEADER_BYTES as u64 + u64::from(self.payload_len)
     }
 
-    fn holders(&self) -> Vec<u32> {
+    fn holders(&self) -> Holders {
         self.refs.iter().map(|r| r.peer).collect()
     }
 }
@@ -868,7 +1149,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         &self,
         stripe: usize,
         key: u64,
-        default: &mut dyn FnMut() -> Slot<V>,
+        default: &mut dyn FnMut() -> Slot<V, Vec<u32>>,
         update: &mut dyn FnMut(&mut Slot<V>),
     ) {
         let mut guard = self.stripes[stripe].write();
@@ -893,7 +1174,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             update(&mut slot);
             self.unseal(st, key, slot, version);
         } else {
-            let mut slot = default();
+            let mut slot = default().pack();
             update(&mut slot);
             debug_assert!(!slot.holders.is_empty(), "fresh entry has no holders");
             st.hot_weight += self.codec.weight(&slot.value) * slot.holders.len() as u64;
@@ -975,6 +1256,15 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
 
     fn disk_bytes(&self, stripe: usize) -> u64 {
         self.stripes[stripe].read().disk_bytes
+    }
+
+    fn table_bytes(&self, stripe: usize) -> u64 {
+        let st = self.stripes[stripe].read();
+        let refs: usize = st.sealed.values().map(|e| e.refs.capacity()).sum();
+        (map_bytes(&st.hot)
+            + map_bytes(&st.sealed)
+            + refs * std::mem::size_of::<FrameRef>()
+            + st.dirty.capacity() * std::mem::size_of::<u64>()) as u64
     }
 
     fn recover(
@@ -1271,7 +1561,7 @@ mod tests {
             "one frame dropped, one appended"
         );
         let mut holders = Vec::new();
-        store.scan(2, &mut |_, slot, _| holders = slot.holders.clone());
+        store.scan(2, &mut |_, slot, _| holders = slot.holders.to_vec());
         assert_eq!(holders, vec![0, 3]);
         // A value-changing sweep un-seals.
         store.scan_mut(2, &mut |_, slot| slot.value.push(10));
@@ -1318,7 +1608,7 @@ mod tests {
         // The rebuilt refs double as holder sets, ascending.
         let mut holders = Vec::new();
         store.get(2, 10, &mut |slot| {
-            holders = slot.expect("recovered").holders.clone();
+            holders = slot.expect("recovered").holders.to_vec();
         });
         assert_eq!(holders, vec![0, 1]);
     }
@@ -1617,7 +1907,7 @@ mod tests {
         let mut scanned = HashMap::new();
         store.scan(9, &mut |key, slot, tier| {
             assert!(matches!(tier, Tier::Sealed { .. }));
-            assert_eq!(slot.holders, vec![0]);
+            assert_eq!(slot.holders.to_vec(), vec![0]);
             scanned.insert(key, slot.value.clone());
         });
         assert_eq!(scanned, model);
@@ -1638,7 +1928,7 @@ mod tests {
         assert_eq!(stats.keys_lost, 0);
         assert_eq!(read_value(&store, 0, 1), Some(vec![1, 2]));
         let mut holders = Vec::new();
-        store.scan(0, &mut |_, slot, _| holders = slot.holders.clone());
+        store.scan(0, &mut |_, slot, _| holders = slot.holders.to_vec());
         assert_eq!(holders, vec![0]);
     }
 

@@ -71,7 +71,7 @@ fn handles_follow_segment_files_and_close_with_the_store() {
         store.get(stripe_of(key), key, &mut |slot| {
             let slot = slot.expect("stored");
             assert_eq!(slot.value.len(), 9);
-            assert_eq!(slot.holders, holders_of(key));
+            assert_eq!(slot.holders.to_vec(), holders_of(key));
         });
     }
     assert_eq!(open_fds(), before + files, "a sealed read opens nothing");
