@@ -9,9 +9,11 @@
 //! process's live heap and resident set. CI's bench-smoke job runs
 //! `--peers 4 --docs-per-peer 150 --queries 0` as a fast regression check;
 //! defaults reproduce the full growth sweep. Under a memory-budgeted
-//! tiered build the run *asserts* the budget: resident bytes must stay
-//! under the configured hot-tier limit, with the remainder sealed to disk.
-//! On the in-memory store it asserts the bytes-per-key bound.
+//! tiered build the run *asserts* the budget — resident bytes must stay
+//! under the configured hot-tier limit, with the remainder sealed to disk
+//! — and what the tier tables cost: hot-tier table bytes per hot key and
+//! sealed-index bytes per sealed key. On the in-memory store it asserts
+//! the bytes-per-key bound.
 
 use hdk_bench::memory::{LiveHeap, MemoryFootprint};
 use hdk_bench::ExperimentProfile;
@@ -25,6 +27,19 @@ static HEAP: LiveHeap = LiveHeap;
 /// slot (the key entry and holder set, 144 B with the key), its share of
 /// the index table, a block and the rare spilled lists and doc-sets.
 const MAX_BYTES_PER_KEY: f64 = 240.0;
+
+/// Hot-tier table bytes per hot key the tiered store may cost: its packed
+/// slot with the key (144 B), its share of the index and of the seal
+/// queue, which keep the size of the tier's peak, and a chunk's slack.
+/// 299.5 B measured at the CI smoke (`HDK_STORE=segment:65536 --peers 4
+/// --docs-per-peer 150`, 31 hot keys a stripe), plus 5 %.
+const MAX_HOT_TABLE_BYTES_PER_HOT_KEY: f64 = 314.5;
+
+/// Sealed-index bytes per sealed key: its packed entry — version, frame
+/// size and one inline frame location, 48 B with the key — its share of
+/// the index and the locations of multi-replica entries. 70.4 B measured
+/// at the same smoke, plus 5 %.
+const MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY: f64 = 73.9;
 
 fn main() {
     let profile = ExperimentProfile::from_args();
@@ -74,11 +89,34 @@ fn main() {
                         footprint.bytes_per_key()
                     );
                 }
-                StoreConfig::Segment { hot_bytes, .. } => assert!(
-                    footprint.resident_total() <= hot_bytes,
-                    "memory budget violated: {} resident bytes > {hot_bytes}",
-                    footprint.resident_total()
-                ),
+                StoreConfig::Segment { hot_bytes, .. } => {
+                    let index = &footprint.index;
+                    let (hot, sealed) = (
+                        index.hot_table_bytes_per_key(),
+                        index.sealed_table_bytes_per_key(),
+                    );
+                    eprintln!(
+                        "[memfoot] {} hot keys, {hot:.1} hot-tier table bytes each; \
+                         {} sealed keys, {sealed:.1} sealed-index bytes each",
+                        index.hot_keys,
+                        index.keys - index.hot_keys,
+                    );
+                    assert!(
+                        footprint.resident_total() <= hot_bytes,
+                        "memory budget violated: {} resident bytes > {hot_bytes}",
+                        footprint.resident_total()
+                    );
+                    assert!(
+                        hot <= MAX_HOT_TABLE_BYTES_PER_HOT_KEY,
+                        "hot-tier regression: {hot:.1} B per hot key \
+                         (bound {MAX_HOT_TABLE_BYTES_PER_HOT_KEY:.1})"
+                    );
+                    assert!(
+                        sealed <= MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY,
+                        "sealed-index regression: {sealed:.1} B per sealed key \
+                         (bound {MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY:.1})"
+                    );
+                }
             }
         }
     }

@@ -15,8 +15,9 @@
 //! Encoded bytes are only part of what an index costs in memory. The
 //! breakdown table ([`MemoryFootprint::breakdown`]) follows every byte the
 //! index structure holds — store tables, spilled holder and contributor
-//! lists, blocks, doc-sets — per stored key, next to the process's live
-//! heap (when the binary installs [`LiveHeap`]) and resident set.
+//! lists, blocks, doc-sets, and under the tiered store its sealed index —
+//! per stored key, next to the process's live heap (when the binary
+//! installs [`LiveHeap`]) and resident set.
 
 use crate::report::{fnum, Table};
 use hdk_core::{HdkNetwork, IndexFootprint, PeerStorage};
@@ -112,6 +113,7 @@ impl MemoryFootprint {
             ]);
         };
         row("tables", f.table_bytes);
+        row("sealed_index", f.sealed_table_bytes);
         row("holder_spill", f.holder_spill_bytes);
         row("contributor_spill", f.contributor_spill_bytes);
         row("blocks", f.block_bytes);

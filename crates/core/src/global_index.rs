@@ -38,7 +38,7 @@ use crate::classify::{classify, KeyClass};
 use crate::config::StoreConfig;
 use crate::key::{Key, MAX_KEY_SIZE};
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
-use hdk_p2p::wire::{self, Wire};
+use hdk_p2p::wire::{self, Wire, WireReader};
 use hdk_p2p::{
     wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
     GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, InlineVec, LossStats, Membership,
@@ -332,14 +332,16 @@ impl StoreService for IndexStore {
                 dht,
                 IndexFootprint::default,
                 |stripe, total| {
-                    let (table, holders) = dht.stripe_structure_bytes(stripe);
-                    total.table_bytes += table;
+                    let (tables, holders) = dht.stripe_structure_bytes(stripe);
+                    total.table_bytes += tables.hot;
+                    total.sealed_table_bytes += tables.sealed;
                     total.holder_spill_bytes += holders;
                     dht.for_each_stripe_tiered(stripe, |_, _, e, tier| {
                         total.keys += 1;
                         if tier != Tier::Hot {
                             return;
                         }
+                        total.hot_keys += 1;
                         total.contributor_spill_bytes += e.contributors.spilled_bytes() as u64;
                         total.block_bytes += (ARC_HEADER_BYTES + e.postings.encoded_len()) as u64;
                         if let Some(seen) = &e.seen_docs {
@@ -507,6 +509,34 @@ impl StoreCodec<KeyEntry> for KeyEntryCodec {
     /// is `None`.
     fn decode(&self, bytes: &[u8]) -> Option<KeyEntry> {
         wire::decode(bytes).ok()
+    }
+
+    /// What [`IndexStore::read`] answers from: the key (the collision
+    /// guard), the block, `df` and the NDK flag. The contributor list and
+    /// the doc-set are bounds-checked and skipped — the entry comes back
+    /// with neither — and the block is copied once, out of the frame. A
+    /// payload is refused on every truncation and every trailing byte,
+    /// like [`KeyEntryCodec::decode`].
+    fn decode_lookup(&self, bytes: &[u8]) -> Option<KeyEntry> {
+        let mut r = WireReader::new(bytes);
+        let key = Key::get(&mut r).ok()?;
+        let postings = CompressedPostings::get(&mut r).ok()?;
+        let df = u32::get(&mut r).ok()?;
+        let contributors = r.seq_len(PeerId::MIN_BYTES).ok()?;
+        r.take(contributors * PeerId::MIN_BYTES).ok()?;
+        let is_ndk = bool::get(&mut r).ok()?;
+        if bool::get(&mut r).ok()? {
+            r.bytes().ok()?;
+        }
+        r.done().ok()?;
+        Some(KeyEntry {
+            key,
+            postings,
+            df,
+            contributors: Contributors::new(),
+            is_ndk,
+            seen_docs: None,
+        })
     }
 
     fn weight(&self, entry: &KeyEntry) -> u64 {
@@ -1061,9 +1091,9 @@ impl GlobalIndex {
     }
 
     /// Visits every stored entry once (all stripes, both tiers, every
-    /// host) — a diagnostic sweep used to assert whole-network invariants
-    /// such as "the golden scenario's blocks are all legacy-coded". The
-    /// entries are copied out first ([`IndexSweep::Entries`]).
+    /// host) — a diagnostic sweep for whole-network invariants and
+    /// samples of the stored entries. The entries are copied out first
+    /// ([`IndexSweep::Entries`]).
     pub fn for_each_entry(&self, f: impl FnMut(&KeyEntry)) {
         match self.sweep(IndexSweep::Entries) {
             IndexSwept::Entries(entries) => entries.iter().for_each(f),
@@ -1158,9 +1188,15 @@ const ARC_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
 pub struct IndexFootprint {
     /// Stored keys, both tiers.
     pub keys: u64,
-    /// The stores' own tables: slot storage, filled or not, and key
-    /// indexes ([`hdk_p2p::Store::table_bytes`]).
+    /// Stored keys resident in memory: all of them, but under a tiered
+    /// store's budget only its hot tier's.
+    pub hot_keys: u64,
+    /// The stores' tables of resident entries: slot storage, filled or
+    /// not, and key indexes ([`hdk_p2p::TableBytes::hot`]).
     pub table_bytes: u64,
+    /// A tiered store's sealed index: where each sealed key's frames sit
+    /// ([`hdk_p2p::TableBytes::sealed`]; 0 in memory).
+    pub sealed_table_bytes: u64,
     /// Heap slices of holder sets too long to sit inline in their slot.
     pub holder_spill_bytes: u64,
     /// Heap slices of contributor lists too long to sit inline.
@@ -1174,7 +1210,9 @@ pub struct IndexFootprint {
 
 wire_stats!(IndexFootprint(
     keys,
+    hot_keys,
     table_bytes,
+    sealed_table_bytes,
     holder_spill_bytes,
     contributor_spill_bytes,
     block_bytes,
@@ -1185,6 +1223,7 @@ impl IndexFootprint {
     /// Every in-memory byte the index accounts for.
     pub fn total_bytes(&self) -> u64 {
         self.table_bytes
+            + self.sealed_table_bytes
             + self.holder_spill_bytes
             + self.contributor_spill_bytes
             + self.block_bytes
@@ -1194,6 +1233,17 @@ impl IndexFootprint {
     /// [`IndexFootprint::total_bytes`] per stored key.
     pub fn bytes_per_key(&self) -> f64 {
         self.total_bytes() as f64 / self.keys.max(1) as f64
+    }
+
+    /// Resident-entry table bytes per resident key: a tiered store's
+    /// hot-tier cost per hot key.
+    pub fn hot_table_bytes_per_key(&self) -> f64 {
+        self.table_bytes as f64 / self.hot_keys.max(1) as f64
+    }
+
+    /// Sealed-index bytes per sealed key.
+    pub fn sealed_table_bytes_per_key(&self) -> f64 {
+        self.sealed_table_bytes as f64 / (self.keys - self.hot_keys).max(1) as f64
     }
 }
 

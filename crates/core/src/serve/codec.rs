@@ -29,8 +29,10 @@ use hdk_p2p::{wire_enum, wire_record, Control, TrafficSnapshot};
 use hdk_text::TermId;
 
 /// Protocol version carried in the [`WireRequest::Hello`] handshake.
-/// Bumped on any incompatible encoding change.
-pub const WIRE_VERSION: u32 = 3;
+/// Bumped on any incompatible encoding change — 4: frames carry the
+/// word-wide checksum, and `RecoveryStats` and `IndexFootprint` gained
+/// fields.
+pub const WIRE_VERSION: u32 = 4;
 
 /// One serving-tier request frame, front-end → peer process.
 #[derive(Debug, Clone)]

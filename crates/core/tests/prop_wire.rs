@@ -21,6 +21,9 @@
 //!    wire is its 12-byte header then its payload, and frames written
 //!    back to back come out of one buffered reader one by one — what the
 //!    reader buffered beyond a frame is the next frame, not lost.
+//! 5. **Lookup decode**: a stored entry decoded for a lookup (a sealed
+//!    read's path) reads exactly what the full decoder reads of its key,
+//!    block, `df` and NDK flag, and refuses what it refuses at the ends.
 //!
 //! The vendored proptest shim has no `prop_oneof`/`sample` combinators,
 //! so variant choice and payload shapes come from a small seeded
@@ -33,7 +36,8 @@
 use hdk_core::serve::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_core::{
     IndexCounts, IndexFootprint, IndexRequest, IndexResponse, IndexSweep, IndexSwept, Key,
-    KeyEntry, KeyLookup, OverlayKind, PeerConfig, PeerHost, PeerStorage, StoreConfig, MAX_KEY_SIZE,
+    KeyEntry, KeyEntryCodec, KeyLookup, OverlayKind, PeerConfig, PeerHost, PeerStorage,
+    StoreConfig, MAX_KEY_SIZE,
 };
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
@@ -41,7 +45,7 @@ use hdk_p2p::{read_wire_frame, write_wire_frame, WireError};
 use hdk_p2p::{
     Addressed, Control, GossipConfig, GossipMetering, GossipOutcome, GossipRound, HotConfig,
     HotStats, KindSnapshot, LatencyHistogram, LossStats, MigrationStats, Notification, PeerId,
-    RecoveryStats, RepairStats, Request, Response, TrafficSnapshot,
+    RecoveryStats, RepairStats, Request, Response, StoreCodec, TrafficSnapshot,
 };
 use hdk_text::TermId;
 use proptest::prelude::*;
@@ -374,7 +378,9 @@ impl Gen {
             }
             IndexSwept::Entries(_) => IndexSwept::Footprint(IndexFootprint {
                 keys: self.next(),
+                hot_keys: self.next(),
                 table_bytes: self.next(),
+                sealed_table_bytes: self.next(),
                 holder_spill_bytes: self.next(),
                 contributor_spill_bytes: self.next(),
                 block_bytes: self.next(),
@@ -421,6 +427,7 @@ impl Gen {
                 keys_lost: self.next(),
                 postings_lost: self.next(),
                 bytes_lost: self.next(),
+                logs_refused: self.next(),
             }),
             Response::Recovered(_) => {
                 Response::Swept(self.walk(IndexSwept::Done, Gen::swept_after))
@@ -701,6 +708,39 @@ proptest! {
         let bytes = reply.encode();
         let decoded = WireResponse::decode(&bytes).expect("a reply decodes");
         prop_assert_eq!(bytes, decoded.encode());
+    }
+
+    /// On every entry the full decoder accepts — sampled ones, and
+    /// byte-mutated ones that still decode — the lookup decoder returns
+    /// exactly its key, block bytes, `df` and NDK flag; it refuses every
+    /// truncation and every trailing byte.
+    #[test]
+    fn lookup_decode_reads_what_the_full_decode_reads(
+        seed in any::<u64>(),
+        fuzz in any::<u64>(),
+    ) {
+        let mut gen = Gen(fuzz);
+        let mut bytes = Vec::new();
+        KeyEntryCodec.encode(&Gen(seed).entry(), &mut bytes);
+        let mut mutated = bytes.clone();
+        let i = gen.below(mutated.len() as u64) as usize;
+        mutated[i] ^= 1 + gen.below(255) as u8;
+        for payload in [&bytes, &mutated] {
+            let Some(full) = KeyEntryCodec.decode(payload) else {
+                continue;
+            };
+            let lookup = KeyEntryCodec.decode_lookup(payload).expect("a lookup decodes it too");
+            prop_assert_eq!(lookup.key, full.key);
+            prop_assert_eq!(lookup.postings.as_bytes(), full.postings.as_bytes());
+            prop_assert_eq!(lookup.df, full.df);
+            prop_assert_eq!(lookup.is_ndk, full.is_ndk);
+            for len in 0..payload.len() {
+                prop_assert!(KeyEntryCodec.decode_lookup(&payload[..len]).is_none());
+            }
+            let mut longer = payload.clone();
+            longer.push(gen.next() as u8);
+            prop_assert!(KeyEntryCodec.decode_lookup(&longer).is_none());
+        }
     }
 
     /// Arbitrary garbage never panics either.

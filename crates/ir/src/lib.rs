@@ -16,8 +16,8 @@
 //! * [`ranker`] — deterministic top-k selection,
 //! * [`engine`] — the centralized search engine (the Figure 7 baseline),
 //! * [`overlap`] — the top-k overlap metric of Figure 7,
-//! * [`segment`] — checksummed frames for on-disk segment logs (the
-//!   durable form of the same compressed blocks).
+//! * [`segment`] — the checksummed frame of the on-disk segment logs (the
+//!   durable form of the same compressed blocks) and of the wire protocol.
 
 pub mod bm25;
 pub mod codec;
@@ -38,4 +38,6 @@ pub use index::InvertedIndex;
 pub use overlap::top_k_overlap;
 pub use posting::{Posting, PostingList};
 pub use ranker::{top_k, ScoreAccumulator, SearchResult};
-pub use segment::{checksum64, read_frame, seal_frame, FrameRead, FRAME_HEADER_BYTES};
+pub use segment::{
+    checksum64, open_frame, read_frame, write_frame, FrameHeader, FrameRead, FRAME_HEADER_BYTES,
+};

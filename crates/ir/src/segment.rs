@@ -1,8 +1,8 @@
-//! Sealed segment frames — the on-disk log format under the DHT's tiered
-//! store.
+//! The `[len][checksum][payload]` frame — the one framing of the on-disk
+//! segment logs under the DHT's tiered store *and* of the serving tier's
+//! wire protocol.
 //!
-//! A segment log is a flat append-only sequence of *frames*, each a
-//! length-prefixed, checksummed payload:
+//! A frame is a length-prefixed, checksummed payload:
 //!
 //! ```text
 //! [payload len: u32 LE] [checksum64(payload): u64 LE] [payload bytes]
@@ -12,47 +12,137 @@
 //! key header plus one [`crate::CompressedPostings`]-style encoded entry in
 //! it, so the existing skip header (count / max-doc / byte length held in
 //! the block) doubles as the segment index: sizing a sealed entry never
-//! decodes it.
+//! decodes it. The wire layer puts one encoded message in it.
 //!
-//! The reader ([`read_frame`]) distinguishes the three ways a log can end:
-//! cleanly ([`FrameRead::Eof`]), mid-frame after a crash
-//! ([`FrameRead::Truncated`]), or with bytes that fail the checksum
-//! ([`FrameRead::Corrupt`]). Recovery truncates the log at the first bad
-//! frame and discards the tail — everything before it is intact by
-//! construction (frames are written atomically *before* the store
-//! acknowledges a seal).
+//! There is one frame writer, [`write_frame`], and one frame reader,
+//! [`open_frame`]: the only places a header is built and a payload is
+//! checked against it. The segment store reads a frame out of the bytes of
+//! one positional read ([`read_frame`]); the socket reader in `hdk-p2p`'s
+//! `wire` module reads the header, sizes the payload's buffer by
+//! [`FrameHeader::parse`], and opens the frame once its bytes arrived.
 //!
-//! The checksum is a hand-rolled 64-bit FNV-1a — the vendored-shim
-//! discipline applies to checksum crates too, and FNV is more than enough
-//! to catch torn writes and truncated tails (this is corruption
-//! *detection* for a single-writer log, not an adversarial MAC).
+//! [`read_frame`] distinguishes the three ways a log can end: cleanly
+//! ([`FrameRead::Eof`]), mid-frame after a crash ([`FrameRead::Truncated`]),
+//! or with bytes that fail the checksum ([`FrameRead::Corrupt`]). Recovery
+//! truncates the log at the first bad frame and discards the tail —
+//! everything before it is intact by construction (frames are written
+//! atomically *before* the store acknowledges a seal).
+//!
+//! The checksum ([`checksum64`]) reads its input a 64-bit word at a time:
+//! one multiply per word, the tail folded in with the length, an avalanche
+//! step at the end. It is corruption *detection* for a single-writer log
+//! and a checked socket, not an adversarial MAC; the vendored-shim
+//! discipline applies to checksum crates too, so it is hand-rolled.
+
+use std::io::{self, IoSlice, Write};
 
 /// Bytes of bookkeeping per frame: the `u32` payload length plus the
 /// `u64` payload checksum.
 pub const FRAME_HEADER_BYTES: usize = 12;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+const SEED: u64 = 0x243f_6a88_85a3_08d3;
+const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// 64-bit FNV-1a over `bytes` — the frame payload checksum.
+/// The frame payload checksum: a word-at-a-time 64-bit hash of `bytes`.
+///
+/// Each full 8-byte little-endian word is xored into the state, which is
+/// then multiplied by an odd constant and rotated; the last 0–7 bytes are
+/// zero-padded into one more word, and the length is xored in after it.
+/// Every step is a bijection of the state, so two inputs of the same
+/// length that differ inside one aligned 8-byte word always hash apart,
+/// and so do an input and its extension by zero bytes that stay inside
+/// its last word (only the length tells them apart). A final avalanche
+/// (MurmurHash3's `fmix64`, also a bijection) spreads every input bit
+/// over the output.
 #[inline]
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
+    #[inline(always)]
+    fn step(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(MUL).rotate_left(29)
     }
-    h
+    let mut words = bytes.chunks_exact(8);
+    let mut h = SEED;
+    for word in &mut words {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(word);
+        h = step(h, u64::from_le_bytes(le));
+    }
+    let rest = words.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    h = step(h, u64::from_le_bytes(tail)) ^ bytes.len() as u64;
+    // fmix64
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
-/// Seals `payload` into one framed record ready to append to a segment
-/// log: length prefix, checksum, payload.
-pub fn seal_frame(payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&checksum64(payload).to_le_bytes());
-    frame.extend_from_slice(payload);
-    frame
+/// A frame's header: the payload length and checksum. Outside this
+/// module it is only parsed, to learn how long a frame is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameHeader {
+    len: u32,
+    checksum: u64,
+}
+
+impl FrameHeader {
+    /// The header that seals `payload`.
+    ///
+    /// # Panics
+    /// Panics if `payload` is longer than `u32::MAX` bytes.
+    fn of(payload: &[u8]) -> Self {
+        Self {
+            len: u32::try_from(payload.len()).expect("frame payload exceeds u32 length"),
+            checksum: checksum64(payload),
+        }
+    }
+
+    /// Parses the header bytes that start a frame.
+    pub fn parse(bytes: [u8; FRAME_HEADER_BYTES]) -> Self {
+        let [l0, l1, l2, l3, c @ ..] = bytes;
+        Self {
+            len: u32::from_le_bytes([l0, l1, l2, l3]),
+            checksum: u64::from_le_bytes(c),
+        }
+    }
+
+    /// The header's bytes, as they precede the payload.
+    fn to_bytes(self) -> [u8; FRAME_HEADER_BYTES] {
+        let mut out = [0u8; FRAME_HEADER_BYTES];
+        out[..4].copy_from_slice(&self.len.to_le_bytes());
+        out[4..].copy_from_slice(&self.checksum.to_le_bytes());
+        out
+    }
+
+    /// The payload length the header announces.
+    pub fn payload_len(self) -> usize {
+        self.len as usize
+    }
+
+    /// Whether `payload` is exactly the payload this header seals: its
+    /// length and checksum both agree.
+    fn seals(self, payload: &[u8]) -> bool {
+        payload.len() == self.payload_len() && checksum64(payload) == self.checksum
+    }
+}
+
+/// Writes one frame to `w`: header and payload in one gathered write —
+/// on a `TCP_NODELAY` socket one syscall and one segment per frame,
+/// whatever its size, with no copy of the payload; into a `Vec<u8>` one
+/// append. What a short write (or a writer without gather support) leaves
+/// over follows in order. Nothing is flushed.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    let header = FrameHeader::of(payload).to_bytes();
+    let written = loop {
+        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            written => break written?,
+        }
+    };
+    w.write_all(&header[written.min(FRAME_HEADER_BYTES)..])?;
+    w.write_all(&payload[written.saturating_sub(FRAME_HEADER_BYTES)..])
 }
 
 /// Outcome of reading one frame at `pos` (see [`read_frame`]).
@@ -78,42 +168,62 @@ pub enum FrameRead<'a> {
     Corrupt,
 }
 
-/// Reads the frame starting at byte `pos` of `log`.
+/// Opens the frame whose header is `head` and whose payload starts
+/// `body`, verifying the payload in place: [`FrameRead::Truncated`] when
+/// `body` is shorter than the header announces, [`FrameRead::Corrupt`]
+/// when the checksum disagrees. A frame's `end` counts from its header.
+pub fn open_frame(head: [u8; FRAME_HEADER_BYTES], body: &[u8]) -> FrameRead<'_> {
+    let header = FrameHeader::parse(head);
+    let Some(payload) = body.get(..header.payload_len()) else {
+        return FrameRead::Truncated;
+    };
+    if !header.seals(payload) {
+        return FrameRead::Corrupt;
+    }
+    FrameRead::Frame {
+        payload,
+        end: FRAME_HEADER_BYTES + payload.len(),
+    }
+}
+
+/// Reads the frame starting at byte `pos` of `log` ([`open_frame`]).
 ///
 /// Returns [`FrameRead::Eof`] exactly when `pos == log.len()`; any other
 /// shortfall is [`FrameRead::Truncated`], and a size-complete frame whose
 /// checksum disagrees is [`FrameRead::Corrupt`].
 pub fn read_frame(log: &[u8], pos: usize) -> FrameRead<'_> {
-    if pos == log.len() {
+    let Some(rest) = log.get(pos..) else {
+        return FrameRead::Truncated;
+    };
+    if rest.is_empty() {
         return FrameRead::Eof;
     }
-    if log.len() - pos < FRAME_HEADER_BYTES {
+    let Some((head, body)) = rest.split_first_chunk::<FRAME_HEADER_BYTES>() else {
         return FrameRead::Truncated;
-    }
-    let len = u32::from_le_bytes(log[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-    let want = u64::from_le_bytes(log[pos + 4..pos + 12].try_into().expect("8 bytes"));
-    let start = pos + FRAME_HEADER_BYTES;
-    let Some(end) = start.checked_add(len) else {
-        return FrameRead::Corrupt; // length field overflows: garbage header
     };
-    if end > log.len() {
-        return FrameRead::Truncated;
+    match open_frame(*head, body) {
+        FrameRead::Frame { payload, end } => FrameRead::Frame {
+            payload,
+            end: pos + end,
+        },
+        other => other,
     }
-    let payload = &log[start..end];
-    if checksum64(payload) != want {
-        return FrameRead::Corrupt;
-    }
-    FrameRead::Frame { payload, end }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_frame(&mut frame, payload).expect("a Vec takes every byte");
+        frame
+    }
+
     #[test]
     fn seal_then_read_roundtrips() {
         let payload = b"hello segment".as_slice();
-        let frame = seal_frame(payload);
+        let frame = frame_of(payload);
         assert_eq!(frame.len(), FRAME_HEADER_BYTES + payload.len());
         match read_frame(&frame, 0) {
             FrameRead::Frame { payload: got, end } => {
@@ -126,10 +236,19 @@ mod tests {
     }
 
     #[test]
+    fn header_bytes_roundtrip() {
+        let header = FrameHeader::of(b"twelve bytes");
+        assert_eq!(FrameHeader::parse(header.to_bytes()), header);
+        assert_eq!(header.payload_len(), 12);
+        assert!(header.seals(b"twelve bytes"));
+        assert!(!header.seals(b"twelve byte"));
+    }
+
+    #[test]
     fn multiple_frames_chain_by_end_offset() {
-        let mut log = seal_frame(b"one");
-        log.extend(seal_frame(b""));
-        log.extend(seal_frame(b"three"));
+        let mut log = frame_of(b"one");
+        log.extend(frame_of(b""));
+        log.extend(frame_of(b"three"));
         let mut pos = 0;
         let mut payloads = Vec::new();
         loop {
@@ -150,8 +269,8 @@ mod tests {
 
     #[test]
     fn every_truncation_point_is_detected() {
-        let mut log = seal_frame(b"first frame");
-        log.extend(seal_frame(b"second"));
+        let mut log = frame_of(b"first frame");
+        log.extend(frame_of(b"second"));
         let first_end = FRAME_HEADER_BYTES + b"first frame".len();
         // Cutting anywhere strictly inside the second frame leaves the
         // first intact and the tail Truncated (never silently Eof).
@@ -169,7 +288,7 @@ mod tests {
 
     #[test]
     fn bit_flips_fail_the_checksum() {
-        let frame = seal_frame(b"payload under test");
+        let frame = frame_of(b"payload under test");
         // Flip each payload byte in turn: every flip must be caught.
         for i in FRAME_HEADER_BYTES..frame.len() {
             let mut bad = frame.clone();
@@ -180,7 +299,7 @@ mod tests {
 
     #[test]
     fn absurd_length_header_is_corrupt_not_panic() {
-        let mut bad = seal_frame(b"x");
+        let mut bad = frame_of(b"x");
         bad[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
         // Claimed length runs past the buffer: indistinguishable from a
         // truncated tail, and recovery truncates either way.
@@ -188,13 +307,6 @@ mod tests {
             read_frame(&bad, 0),
             FrameRead::Truncated | FrameRead::Corrupt
         ));
-    }
-
-    #[test]
-    fn checksum_is_stable_and_input_sensitive() {
-        assert_eq!(checksum64(b""), FNV_OFFSET);
-        assert_eq!(checksum64(b"abc"), checksum64(b"abc"));
-        assert_ne!(checksum64(b"abc"), checksum64(b"abd"));
-        assert_ne!(checksum64(b"abc"), checksum64(b"ab"));
+        assert_eq!(read_frame(&bad, bad.len() + 1), FrameRead::Truncated);
     }
 }

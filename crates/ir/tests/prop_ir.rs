@@ -1,10 +1,11 @@
 //! Property tests for the IR substrate: codec round-trips, compressed
 //! block algebra vs the `PostingList` reference model, posting-list
-//! algebra, and top-k selection.
+//! algebra, top-k selection, and the frame checksum's detection
+//! guarantees.
 
 use hdk_corpus::DocId;
 use hdk_ir::{
-    codec, top_k, Bm25, CompressedDocSet, CompressedPostings, Posting, PostingList,
+    checksum64, codec, top_k, Bm25, CompressedDocSet, CompressedPostings, Posting, PostingList,
     ScoreAccumulator, SearchResult,
 };
 use proptest::prelude::*;
@@ -282,5 +283,34 @@ proptest! {
             prop_assert_eq!(r.doc, e.doc);
             prop_assert_eq!(r.score.to_bits(), e.score.to_bits());
         }
+    }
+
+    /// The frame checksum catches what a torn or flipped write leaves: any
+    /// change confined to one aligned 8-byte word, any cut-off tail and any
+    /// appended byte.
+    #[test]
+    fn checksum_detects_word_changes_truncations_and_appended_bytes(
+        payload in prop::collection::vec(any::<u8>(), 1..300),
+        word in any::<u32>(),
+        mask in any::<u64>(),
+        extra in any::<u8>(),
+    ) {
+        let sum = checksum64(&payload);
+        let start = 8 * (word as usize % payload.len().div_ceil(8));
+        let end = (start + 8).min(payload.len());
+        let mask = &mask.to_le_bytes()[..end - start];
+        if mask.iter().any(|&m| m != 0) {
+            let mut changed = payload.clone();
+            for (byte, m) in changed[start..end].iter_mut().zip(mask) {
+                *byte ^= m;
+            }
+            prop_assert_ne!(checksum64(&changed), sum);
+        }
+        for cut in 0..payload.len() {
+            prop_assert_ne!(checksum64(&payload[..cut]), sum);
+        }
+        let mut longer = payload.clone();
+        longer.push(extra);
+        prop_assert_ne!(checksum64(&longer), sum);
     }
 }

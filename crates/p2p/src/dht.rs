@@ -69,7 +69,7 @@ use crate::gossip::{GossipConfig, GossipProbe, GossipRound, GossipState, PeerVie
 use crate::id::{hash_u64s, KeyHash, PeerId};
 use crate::overlay::Overlay;
 use crate::replica::{Delivery, Membership, PeerState};
-use crate::store::{Holders, MemStore, RecoveryStats, Slot, Store, Tier};
+use crate::store::{Holders, MemStore, RecoveryStats, Slot, Store, TableBytes, Tier};
 use crate::transport::{MsgKind, TrafficMeter, TrafficSnapshot};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -895,7 +895,9 @@ impl<V: Send + Sync + 'static> Dht<V> {
     /// and dead-skip accounting, same payload accounting), so traffic
     /// counters are bit-identical to the key-at-a-time loop — the meters
     /// are order-independent atomic sums. `read` additionally receives
-    /// the key's input index so callers can consult per-key context.
+    /// the key's input index so callers can consult per-key context, and
+    /// sees each value as a lookup does ([`Store::get_many`]): a sealed
+    /// one may lack what no lookup reads.
     ///
     /// Unlike the single-key path, each probe's serving replica is
     /// *spread*: picked by `hash(query_id, key)` over the key's live
@@ -1042,7 +1044,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     /// Heap bytes of one stripe's storage structure, not of its values:
     /// the store's tables ([`Store::table_bytes`]) and, separately, the
     /// heap slices of resident holder sets too long to sit inline.
-    pub fn stripe_structure_bytes(&self, stripe: usize) -> (u64, u64) {
+    pub fn stripe_structure_bytes(&self, stripe: usize) -> (TableBytes, u64) {
         let mut spilled = 0u64;
         self.store.scan(stripe, &mut |_, s, tier| {
             if tier == Tier::Hot {

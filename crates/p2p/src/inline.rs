@@ -191,8 +191,25 @@ impl<T: Wire + Copy + Default, const N: usize> Wire for InlineVec<T, N> {
             item.put(buf);
         }
     }
+    /// Decodes in place: no intermediate `Vec`, a heap slice only past
+    /// `N` items.
     fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-        Vec::<T>::get(r).map(Self::from)
+        let n = r.seq_len(T::MIN_BYTES)?;
+        if n <= N {
+            let mut items = [T::default(); N];
+            for slot in &mut items[..n] {
+                *slot = T::get(r)?;
+            }
+            return Ok(Self(Repr::Inline {
+                len: n as u8,
+                items,
+            }));
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(Self(Repr::Spilled(items.into_boxed_slice())))
     }
 }
 

@@ -63,7 +63,9 @@ pub use rpc::{
     Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
     ResponseOf, SimNet, SimNetConfig, StoreService,
 };
-pub use store::{Holders, MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
+pub use store::{
+    Holders, MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, TableBytes, Tier,
+};
 pub use transport::{
     KindSnapshot, LatencyHistogram, MsgKind, TrafficMeter, TrafficSnapshot, LATENCY_BUCKETS,
     NUM_KINDS,

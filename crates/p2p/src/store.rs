@@ -11,13 +11,17 @@
 //!   in-memory tier under a per-stripe byte budget; overflow is *sealed*
 //!   into checksummed frames ([`hdk_ir::segment`]) appended to per-`(peer,
 //!   stripe)` segment log files on disk, one frame per holding replica.
-//!   Sealed entries are decoded on demand for reads and sweeps; a sweep
+//!   Both tiers are [`MemStore`]'s packed stripe tables: the hot tier
+//!   holds slots, the sealed tier where each sealed entry's frames sit.
+//!   Sealed entries are decoded on demand for reads and sweeps — for a
+//!   lookup ([`Store::get_many`]) only what a lookup reads — and a sweep
 //!   that changes a sealed value un-seals it back into the hot tier
 //!   (holder-only changes are written through to the logs instead). The
 //!   log is what makes peers *restartable*: [`Store::recover`] replays a
 //!   restarting peer's files, discards truncated/corrupt tails by
 //!   checksum, and keeps exactly the copies whose latest sealed frame
-//!   matches the entry's current version.
+//!   matches the entry's current version. Every log starts with a format
+//!   header; a log of an earlier format is refused, not read.
 //!
 //! The trait is object-safe (`&mut dyn FnMut` callbacks) so `Dht` holds a
 //! `Box<dyn Store<V>>` chosen at construction. Callbacks run under the
@@ -26,9 +30,11 @@
 //! **Segment handles.** A `SegmentStore` keeps every `(peer, stripe)` log
 //! it has written or replayed open for its whole life, as one `Segment`
 //! (the file plus its append offset) inside the stripe's state. A sealed
-//! read is one positional read (`read_exact_at`), a seal one positional
-//! write at the recorded tail, recovery replays and truncates through the
-//! same handle; every open goes through one function, `open_log`.
+//! read is one positional read (`read_exact_at`) into the reading
+//! thread's frame buffer, checked and decoded in place; a seal one
+//! positional write at the recorded tail, recovery replays and truncates
+//! through the same handle; every open goes through one function,
+//! `open_log`.
 //! Positional I/O never touches the descriptor's cursor, so any number of
 //! readers share a handle under the stripe's *shared* lock with no further
 //! coordination, and the frames a reader is handed offsets of are never
@@ -49,10 +55,10 @@
 //! reproducible run to run and independent of `RAYON_NUM_THREADS` — which
 //! is what makes restart-recovery bit-reproducible.
 
-use crate::id::IdHashMap;
 use crate::inline::InlineVec;
-use hdk_ir::segment::{read_frame, seal_frame, FrameRead, FRAME_HEADER_BYTES};
+use hdk_ir::segment::{read_frame, write_frame, FrameRead, FRAME_HEADER_BYTES};
 use parking_lot::RwLock;
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io;
@@ -119,6 +125,9 @@ pub struct RecoveryStats {
     pub postings_lost: u64,
     /// Resident/payload bytes of fully-lost entries.
     pub bytes_lost: u64,
+    /// Non-empty logs of an earlier format (no log header), left as they
+    /// are: their copies count as lost, never as silently empty.
+    pub logs_refused: u64,
 }
 
 /// Which tier an entry currently occupies (reported by [`Store::scan`]).
@@ -146,6 +155,13 @@ pub trait StoreCodec<V>: Send + Sync {
     /// Decodes a payload produced by `encode`. `None` means the bytes are
     /// not a well-formed encoding (treated as corruption by the store).
     fn decode(&self, bytes: &[u8]) -> Option<V>;
+    /// Decodes what a lookup reads of a payload ([`Store::get_many`]):
+    /// a codec may leave the parts of the value no lookup reads empty,
+    /// but must accept and reject exactly the payloads `decode` does as
+    /// far as their bounds go. Defaults to the full [`StoreCodec::decode`].
+    fn decode_lookup(&self, bytes: &[u8]) -> Option<V> {
+        self.decode(bytes)
+    }
     /// Hot-tier bytes one copy of `value` occupies — use the same measure
     /// as the layer's resident-byte accounting so budget enforcement and
     /// reporting agree.
@@ -159,7 +175,10 @@ pub trait Store<V>: Send + Sync {
     fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>));
 
     /// Reads a batch of keys under **one** shared-lock acquisition,
-    /// invoking `f(position, slot)` per key in input order.
+    /// invoking `f(position, slot)` per key in input order — the lookup
+    /// path: a sealed value is decoded by [`StoreCodec::decode_lookup`],
+    /// so it may lack what no lookup reads. [`Store::get`] and the sweeps
+    /// always see whole values.
     fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>));
 
     /// Merge-upsert: `default` builds a missing entry (value *and* initial
@@ -193,10 +212,10 @@ pub trait Store<V>: Send + Sync {
     /// (stale) frames awaiting compaction are not counted.
     fn disk_bytes(&self, stripe: usize) -> u64;
 
-    /// In-memory bytes of the stripe's own tables: the storage its slots
-    /// occupy, filled or not, plus its key index. What values and holder
-    /// sets own on the heap is not counted.
-    fn table_bytes(&self, stripe: usize) -> u64;
+    /// In-memory bytes of the stripe's own tables, per tier: the storage
+    /// its entries occupy, filled or not, plus its key indexes. What
+    /// values and holder sets own on the heap is not counted.
+    fn table_bytes(&self, stripe: usize) -> TableBytes;
 
     /// Replays the segment logs of the restarting `peers` (peer indices)
     /// for one stripe. Their in-memory (hot) copies are gone; a sealed
@@ -238,18 +257,19 @@ const CHUNK: usize = 32;
 ///
 /// **Layout.** A stripe's `(key, slot)` pairs sit back to back in chunks
 /// of 32 — only the last chunk is partly filled, so a stripe's slack is
-/// under one chunk and growing never copies an entry — and an index of
-/// 8-byte buckets maps each key to its position. A hash table holding the
-/// slots in its buckets ran at about half load, so every stored key paid
-/// for a second, empty slot-sized bucket; here the empty buckets are the
-/// index's. Removing an entry moves the last entry into its place and
-/// re-points that entry's index bucket.
+/// under one chunk, and past the first chunk (which grows by doubling)
+/// growing never copies an entry — and an index of 8-byte buckets maps
+/// each key to its position. A hash table holding the slots in its buckets ran at
+/// about half load, so every stored key paid for a second, empty
+/// slot-sized bucket; here the empty buckets are the index's. Removing an
+/// entry moves the last entry into its place and re-points that entry's
+/// index bucket.
 ///
 /// **Iteration order.** `scan`, `scan_mut` and `retain` walk positions
 /// in order: insertion order, as permuted by removals. No caller depends
 /// on it — sweeps either fold order-free sums or sort what they collect.
 pub struct MemStore<V> {
-    stripes: Vec<RwLock<MemStripe<V>>>,
+    stripes: Vec<RwLock<Packed<Slot<V>>>>,
 }
 
 /// A stripe's key → position index: open addressing with linear probing,
@@ -387,14 +407,15 @@ impl PosIndex {
     }
 }
 
-/// One [`MemStore`] stripe: entry `p` is `chunks[p / CHUNK][p % CHUNK]`,
-/// and `index` holds every stored key's `p`.
-struct MemStripe<V> {
+/// A packed `(key, entry)` table — a [`MemStore`] stripe, and each tier
+/// of a [`SegmentStore`] stripe: entry `p` is `chunks[p / CHUNK][p %
+/// CHUNK]`, and `index` holds every stored key's `p`.
+struct Packed<T> {
     index: PosIndex,
-    chunks: Vec<Vec<(u64, Slot<V>)>>,
+    chunks: Vec<Vec<(u64, T)>>,
 }
 
-impl<V> MemStripe<V> {
+impl<T> Packed<T> {
     fn new() -> Self {
         Self {
             index: PosIndex::new(),
@@ -407,13 +428,13 @@ impl<V> MemStripe<V> {
     }
 
     #[inline]
-    fn at(&self, pos: u32) -> &(u64, Slot<V>) {
+    fn at(&self, pos: u32) -> &(u64, T) {
         let pos = pos as usize;
         &self.chunks[pos / CHUNK][pos % CHUNK]
     }
 
     #[inline]
-    fn at_mut(&mut self, pos: u32) -> &mut (u64, Slot<V>) {
+    fn at_mut(&mut self, pos: u32) -> &mut (u64, T) {
         let pos = pos as usize;
         &mut self.chunks[pos / CHUNK][pos % CHUNK]
     }
@@ -424,12 +445,23 @@ impl<V> MemStripe<V> {
     }
 
     #[inline]
-    fn get(&self, key: u64) -> Option<&Slot<V>> {
+    fn get(&self, key: u64) -> Option<&T> {
         self.find(key).map(|pos| &self.at(pos).1)
     }
 
+    #[inline]
+    fn get_mut(&mut self, key: u64) -> Option<&mut T> {
+        let pos = self.find(key)?;
+        Some(&mut self.at_mut(pos).1)
+    }
+
+    #[inline]
+    fn contains(&self, key: u64) -> bool {
+        self.find(key).is_some()
+    }
+
     /// The position of `key`, appending `default()` first when missing.
-    fn position_or_insert(&mut self, key: u64, default: impl FnOnce() -> Slot<V>) -> u32 {
+    fn position_or_insert(&mut self, key: u64, default: impl FnOnce() -> T) -> u32 {
         if let Some(pos) = self.find(key) {
             return pos;
         }
@@ -439,7 +471,12 @@ impl<V> MemStripe<V> {
         match self.chunks.last_mut() {
             Some(chunk) if chunk.len() < CHUNK => chunk.push((key, default())),
             _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
+                // The first chunk grows by doubling, so a table of a few
+                // entries (a small hot tier) holds a few slots, not 32;
+                // later chunks are allocated whole, so filling them leaves
+                // no freed fragments behind.
+                let capacity = if self.chunks.is_empty() { 1 } else { CHUNK };
+                let mut chunk = Vec::with_capacity(capacity);
                 chunk.push((key, default()));
                 self.chunks.push(chunk);
             }
@@ -448,38 +485,70 @@ impl<V> MemStripe<V> {
         pos
     }
 
+    /// Stores `value` under `key`, which must not be stored yet.
+    fn insert(&mut self, key: u64, value: T) {
+        let pos = self.position_or_insert(key, || value);
+        debug_assert_eq!(pos as usize + 1, self.len(), "key was already stored");
+    }
+
+    /// Removes `key`'s entry, if any.
+    fn remove(&mut self, key: u64) -> Option<T> {
+        let pos = self.find(key)?;
+        self.swap_remove(pos).map(|(_, value)| value)
+    }
+
     /// Removes the entry at `pos`, moving the last entry into its place.
-    fn swap_remove(&mut self, pos: u32) {
-        let Some(last) = self.chunks.last_mut().and_then(Vec::pop) else {
-            return;
-        };
+    fn swap_remove(&mut self, pos: u32) -> Option<(u64, T)> {
+        let last = self.chunks.last_mut().and_then(Vec::pop)?;
         if self.chunks.last().is_some_and(Vec::is_empty) {
             self.chunks.pop();
         }
         let last_pos = (self.len() - 1) as u32;
         if pos == last_pos {
             self.index.remove(last.0, pos);
+            Some(last)
         } else {
-            let (removed, _) = std::mem::replace(self.at_mut(pos), last);
-            self.index.remove(removed, pos);
+            let removed = std::mem::replace(self.at_mut(pos), last);
+            self.index.remove(removed.0, pos);
             let moved = self.at(pos).0;
             self.index.repoint(moved, last_pos, pos);
+            Some(removed)
         }
     }
 
     /// Visits every entry once, removing those `keep` returns `false` for.
     /// A removal moves the last — not yet visited — entry into the current
     /// position, which is therefore visited next.
-    fn retain(&mut self, mut keep: impl FnMut(u64, &mut Slot<V>) -> bool) {
+    fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
         let mut pos = 0u32;
         while (pos as usize) < self.len() {
-            let (key, slot) = self.at_mut(pos);
-            if keep(*key, slot) {
+            let (key, value) = self.at_mut(pos);
+            if keep(*key, value) {
                 pos += 1;
             } else {
                 self.swap_remove(pos);
             }
         }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &(u64, T)> {
+        self.chunks.iter().flatten()
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut (u64, T)> {
+        self.chunks.iter_mut().flatten()
+    }
+
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter().map(|(key, _)| *key)
+    }
+
+    /// Bytes of the table itself: its entry storage, filled or not, and
+    /// its index. What entries own on the heap is not counted.
+    fn bytes(&self) -> u64 {
+        let entries =
+            self.chunks.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<(u64, T)>();
+        (entries + self.index.buckets.capacity() * std::mem::size_of::<u64>()) as u64
     }
 }
 
@@ -488,7 +557,7 @@ impl<V> MemStore<V> {
     pub fn new() -> Self {
         Self {
             stripes: (0..crate::NUM_STRIPES)
-                .map(|_| RwLock::new(MemStripe::new()))
+                .map(|_| RwLock::new(Packed::new()))
                 .collect(),
         }
     }
@@ -526,14 +595,14 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
 
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier)) {
         let st = self.stripes[stripe].read();
-        for (k, s) in st.chunks.iter().flatten() {
+        for (k, s) in st.iter() {
             f(*k, s, Tier::Hot);
         }
     }
 
     fn scan_mut(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>)) {
         let mut st = self.stripes[stripe].write();
-        for (k, s) in st.chunks.iter_mut().flatten() {
+        for (k, s) in st.iter_mut() {
             f(*k, s);
         }
     }
@@ -550,11 +619,11 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
         0
     }
 
-    fn table_bytes(&self, stripe: usize) -> u64 {
-        let st = self.stripes[stripe].read();
-        let slots = st.chunks.iter().map(Vec::capacity).sum::<usize>()
-            * std::mem::size_of::<(u64, Slot<V>)>();
-        (slots + st.index.buckets.capacity() * std::mem::size_of::<u64>()) as u64
+    fn table_bytes(&self, stripe: usize) -> TableBytes {
+        TableBytes {
+            hot: self.stripes[stripe].read().bytes(),
+            sealed: 0,
+        }
     }
 
     fn recover(
@@ -588,17 +657,6 @@ impl<V: Send + Sync> Store<V> for MemStore<V> {
     fn sync(&self) {}
 }
 
-/// Heap bytes of a `HashMap`'s table: one bucket per slot and one control
-/// byte per bucket, at the power-of-two bucket count behind `capacity()`
-/// (a table stays at most 7/8 full).
-fn map_bytes<K, T, S>(map: &HashMap<K, T, S>) -> usize {
-    if map.capacity() == 0 {
-        return 0;
-    }
-    let buckets = (map.capacity() * 8 / 7).next_power_of_two();
-    buckets * (std::mem::size_of::<(K, T)>() + 1)
-}
-
 // ---------------------------------------------------------------------------
 // SegmentStore
 // ---------------------------------------------------------------------------
@@ -607,15 +665,31 @@ fn map_bytes<K, T, S>(map: &HashMap<K, T, S>) -> usize {
 /// entry's seal version, both `u64` LE, preceding the codec's value bytes.
 const ENTRY_HEADER_BYTES: usize = 16;
 
-fn entry_payload_header(key: u64, version: u64) -> Vec<u8> {
+/// Bytes of [`LOG_HEADER`].
+const LOG_HEADER_BYTES: usize = 8;
+
+/// The first bytes of every non-empty segment log: the magic `HDKSEG` and
+/// the log format's version, `u16` LE. Version 2 frames carry the
+/// word-wide checksum; the logs of earlier builds (FNV-1a frames) have no
+/// header, and recovery refuses them instead of reading every frame as
+/// corrupt and truncating the log to nothing. The header belongs to the
+/// file, not to an entry: [`Store::disk_bytes`] does not count it.
+const LOG_HEADER: [u8; LOG_HEADER_BYTES] = *b"HDKSEG\x02\x00";
+
+/// The frame that seals an entry: the payload is `[key][version]` plus
+/// the value bytes `value` appends.
+fn entry_frame(key: u64, version: u64, value: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut payload = Vec::with_capacity(ENTRY_HEADER_BYTES + 64);
     payload.extend_from_slice(&key.to_le_bytes());
     payload.extend_from_slice(&version.to_le_bytes());
-    payload
+    value(&mut payload);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_BYTES + payload.len());
+    write_frame(&mut frame, &payload).expect("a Vec<u8> takes every byte");
+    frame
 }
 
 /// Where one holder's sealed frame of an entry lives.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct FrameRef {
     /// Holding peer index (owns the file the frame sits in).
     peer: u32,
@@ -625,15 +699,16 @@ struct FrameRef {
 
 /// A sealed entry: its current version, frame payload size, and one
 /// [`FrameRef`] per holding replica (ascending peer index — this doubles
-/// as the holder set).
+/// as the holder set). A single replica's ref sits inline.
 #[derive(Debug)]
 struct SealedEntry {
-    /// Monotonic per-entry seal counter; recovery only trusts frames
-    /// carrying exactly this version (older frames are stale).
+    /// The seal that wrote the current frame (see `SegStripe::seals`);
+    /// recovery only trusts frames carrying exactly this version (older
+    /// frames are stale).
     version: u64,
     /// Payload bytes of the current frame (identical for every replica).
     payload_len: u32,
-    refs: Vec<FrameRef>,
+    refs: InlineVec<FrameRef, 1>,
 }
 
 impl SealedEntry {
@@ -648,14 +723,15 @@ impl SealedEntry {
 
 /// One `(peer, stripe)` segment log: its long-lived handle and its append
 /// offset, in one value so they cannot disagree. Every [`FrameRef`] in a
-/// stripe's `sealed` map points into a `Segment` of that stripe, because
-/// only the paths that create refs — `append` and recovery's replay —
-/// create segments.
+/// stripe's `sealed` table points into a `Segment` of that stripe,
+/// because only the paths that create refs — `append` and recovery's
+/// replay — create segments.
 struct Segment {
     /// `None` only after the store ran out of descriptors (see the module
     /// docs): each access then opens the log for itself.
     file: Option<File>,
-    /// Where the next frame is written: the length of the intact log.
+    /// Where the next frame is written: the length of the intact log, 0
+    /// while the log has no [`LOG_HEADER`] yet.
     tail: u64,
 }
 
@@ -674,15 +750,42 @@ fn out_of_descriptors(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
 }
 
-/// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`.
-///
-/// Both tier maps are keyed by `KeyHash` values, hence [`crate::IdHasher`];
-/// every sweep goes through `sorted_keys`, never their iteration order.
+/// The error for a non-empty log that does not start with [`LOG_HEADER`]:
+/// an earlier build's log, which this one neither reads nor writes.
+fn foreign_log(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{} is a segment log of an earlier format (no log header); \
+             move it away to rebuild here",
+            path.display()
+        ),
+    )
+}
+
+/// The in-memory tables of a stripe (see [`Store::table_bytes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableBytes {
+    /// Tables of resident entries: a [`MemStore`] stripe, or a
+    /// [`SegmentStore`] stripe's hot tier and its seal queue.
+    pub hot: u64,
+    /// A [`SegmentStore`] stripe's sealed index — per sealed key its
+    /// version, frame size and frame locations — with the locations of
+    /// entries held by more than one replica (0 for in-memory storage).
+    pub sealed: u64,
+}
+
+/// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`;
+/// both are [`MemStore`]'s packed tables, and every sweep goes through
+/// `sorted_keys`, never their position order.
 struct SegStripe<V> {
-    /// Hot tier: the entry plus its current version (so a re-seal after an
-    /// un-seal bumps past every stale frame already on disk).
-    hot: IdHashMap<u64, (Slot<V>, u64)>,
-    sealed: IdHashMap<u64, SealedEntry>,
+    hot: Packed<Slot<V>>,
+    sealed: Packed<SealedEntry>,
+    /// Seals of this stripe so far: each seal's frames carry the next
+    /// count as their version, so a re-seal is newer than every frame of
+    /// its key already on disk — whatever happened to the key in between.
+    /// Recovery raises it past every version it replays.
+    seals: u64,
     /// Seal order: every hot key exactly once, oldest first (FIFO). Keys
     /// removed while queued are skipped on pop.
     dirty: VecDeque<u64>,
@@ -698,8 +801,9 @@ struct SegStripe<V> {
 impl<V> SegStripe<V> {
     fn new() -> Self {
         Self {
-            hot: IdHashMap::default(),
-            sealed: IdHashMap::default(),
+            hot: Packed::new(),
+            sealed: Packed::new(),
+            seals: 0,
             dirty: VecDeque::new(),
             hot_weight: 0,
             disk_bytes: 0,
@@ -713,6 +817,15 @@ impl<V> SegStripe<V> {
         }
     }
 }
+
+thread_local! {
+    /// This thread's frame buffer for sealed reads, reused read to read.
+    static FRAME_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// A thread's frame buffer grown past this is released after the read:
+/// only small frames are worth keeping a buffer for.
+const KEPT_FRAME_BUF_BYTES: usize = 64 << 10;
 
 /// Tiered storage: a hot in-memory tier under a byte budget, overflowed
 /// to checksummed frames in per-`(peer, stripe)` segment log files. See
@@ -792,22 +905,35 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
-    /// Makes sure `st` has the [`Segment`] of `peer`'s log for `stripe`,
-    /// opening it on first use with its tail after whatever the file
-    /// already holds. Running out of descriptors is handled here, once:
-    /// the store stops keeping handles (this stripe's are closed directly
-    /// — its lock is held — the others' as far as their locks are free)
-    /// and the open is retried.
-    fn ensure_segment(
+    /// The [`Segment`] of `peer`'s log for `stripe`, opened on first use
+    /// with its tail after whatever the file already holds: 0 for an
+    /// empty file (or a torn [`LOG_HEADER`], which holds no frame), its
+    /// length for a log that starts with the header. A non-empty log
+    /// without the header is refused ([`foreign_log`]). Running out of
+    /// descriptors is handled here, once: the store stops keeping handles
+    /// (this stripe's are closed directly — its lock is held — the
+    /// others' as far as their locks are free) and the open is retried.
+    fn ensure_segment<'s>(
+        &self,
+        st: &'s mut SegStripe<V>,
+        stripe: usize,
+        peer: u32,
+        create: bool,
+    ) -> io::Result<&'s mut Segment> {
+        let seg = match st.segments.remove(&peer) {
+            Some(seg) => seg,
+            None => self.open_segment(st, stripe, peer, create)?,
+        };
+        Ok(st.segments.entry(peer).or_insert(seg))
+    }
+
+    fn open_segment(
         &self,
         st: &mut SegStripe<V>,
         stripe: usize,
         peer: u32,
         create: bool,
-    ) -> io::Result<()> {
-        if st.segments.contains_key(&peer) {
-            return Ok(());
-        }
+    ) -> io::Result<Segment> {
         if !self.keep_handles.load(Ordering::Relaxed) {
             // A stripe that was locked while the others were closed.
             st.close_handles();
@@ -820,16 +946,22 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             }
             opened => opened,
         }?;
-        let tail = file.metadata()?.len();
+        let len = file.metadata()?.len();
+        let mut head = [0u8; LOG_HEADER_BYTES];
+        let head = &mut head[..len.min(LOG_HEADER_BYTES as u64) as usize];
+        file.read_exact_at(head, 0)?;
+        if *head != LOG_HEADER[..head.len()] {
+            return Err(foreign_log(&self.segment_path(peer, stripe)));
+        }
         let keep = self.keep_handles.load(Ordering::Relaxed);
-        st.segments.insert(
-            peer,
-            Segment {
-                file: keep.then_some(file),
-                tail,
+        Ok(Segment {
+            file: keep.then_some(file),
+            tail: if head.len() == LOG_HEADER_BYTES {
+                len
+            } else {
+                0
             },
-        );
-        Ok(())
+        })
     }
 
     /// Enters the out-of-descriptors state: no handle is kept from now on,
@@ -859,50 +991,66 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
-    /// Appends `frame` to `peer`'s log for `stripe`, returning the offset
-    /// it was written at.
+    /// Appends `frame` to `peer`'s log for `stripe` — after the
+    /// [`LOG_HEADER`] when the log has none yet — returning the offset it
+    /// was written at.
     fn append(&self, st: &mut SegStripe<V>, stripe: usize, peer: u32, frame: &[u8]) -> u64 {
-        self.ensure_segment(st, stripe, peer, true)
+        let seg = self
+            .ensure_segment(st, stripe, peer, true)
             .expect("open segment log for append");
-        let seg = st.segments.get_mut(&peer).expect("segment just ensured");
-        let offset = seg.tail;
-        self.with_file(seg, stripe, peer, |file| file.write_all_at(frame, offset))
-            .expect("append segment frame");
+        let offset = seg.tail.max(LOG_HEADER_BYTES as u64);
+        let headed = seg.tail > 0;
+        self.with_file(seg, stripe, peer, |file| {
+            if !headed {
+                file.write_all_at(&LOG_HEADER, 0)?;
+            }
+            file.write_all_at(frame, offset)
+        })
+        .expect("append segment frame");
         seg.tail = offset + frame.len() as u64;
         offset
     }
 
-    /// Reads and verifies the current frame payload of a sealed entry,
-    /// falling back across replicas: a frame that fails its checksum (or
-    /// cannot be read) is skipped and the next holder's copy is tried.
-    /// One positional read per copy, on the holder's handle in `segments`.
-    fn read_payload(
+    /// Reads a sealed entry's current frame into `buf` — one positional
+    /// read — verifies it in place and returns what `decode` makes of its
+    /// value bytes. Falls back across replicas: a copy that cannot be
+    /// read, fails its checksum, carries another key or version, or does
+    /// not decode is skipped and the next holder's copy is tried.
+    fn decode_sealed<R>(
         &self,
         segments: &HashMap<u32, Segment>,
         stripe: usize,
         key: u64,
         entry: &SealedEntry,
-    ) -> Vec<u8> {
+        buf: &mut Vec<u8>,
+        mut decode: impl FnMut(&[u8]) -> Option<R>,
+    ) -> R {
         let frame_len = entry.frame_len() as usize;
-        for r in &entry.refs {
+        let mut want = [0u8; ENTRY_HEADER_BYTES];
+        want[..8].copy_from_slice(&key.to_le_bytes());
+        want[8..].copy_from_slice(&entry.version.to_le_bytes());
+        for r in entry.refs.iter() {
             let Some(seg) = segments.get(&r.peer) else {
                 continue;
             };
-            let mut buf = vec![0u8; frame_len];
+            buf.clear();
+            buf.resize(frame_len, 0);
             let read = self.with_file(seg, stripe, r.peer, |file| {
-                file.read_exact_at(&mut buf, r.offset)
+                file.read_exact_at(buf, r.offset)
             });
             if read.is_err() {
                 continue;
             }
-            if let FrameRead::Frame { payload, end } = read_frame(&buf, 0) {
-                if end == frame_len
-                    && payload.len() >= ENTRY_HEADER_BYTES
-                    && payload[0..8] == key.to_le_bytes()
-                    && payload[8..16] == entry.version.to_le_bytes()
-                {
-                    return payload.to_vec();
+            let FrameRead::Frame { payload, end } = read_frame(buf, 0) else {
+                continue;
+            };
+            match payload.split_first_chunk::<ENTRY_HEADER_BYTES>() {
+                Some((head, value)) if end == frame_len && *head == want => {
+                    if let Some(out) = decode(value) {
+                        return out;
+                    }
                 }
+                _ => {}
             }
         }
         panic!(
@@ -912,6 +1060,48 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         );
     }
 
+    /// A sealed entry's value, read through this thread's frame buffer:
+    /// decoded in full, or — for a lookup — by
+    /// [`StoreCodec::decode_lookup`].
+    fn read_sealed(
+        &self,
+        segments: &HashMap<u32, Segment>,
+        stripe: usize,
+        key: u64,
+        entry: &SealedEntry,
+        lookup: bool,
+    ) -> V {
+        FRAME_BUF.with_borrow_mut(|buf| {
+            let value = self.decode_sealed(segments, stripe, key, entry, buf, |bytes| {
+                if lookup {
+                    self.codec.decode_lookup(bytes)
+                } else {
+                    self.codec.decode(bytes)
+                }
+            });
+            if buf.capacity() > KEPT_FRAME_BUF_BYTES {
+                *buf = Vec::new();
+            }
+            value
+        })
+    }
+
+    /// A sealed entry as a slot: its value (see [`Self::read_sealed`])
+    /// and the holder set its refs spell.
+    fn sealed_slot(
+        &self,
+        st: &SegStripe<V>,
+        stripe: usize,
+        key: u64,
+        entry: &SealedEntry,
+        lookup: bool,
+    ) -> Slot<V> {
+        Slot {
+            value: self.read_sealed(&st.segments, stripe, key, entry, lookup),
+            holders: entry.holders(),
+        }
+    }
+
     /// Recovery's phase 1 for one log: reads it front to back through its
     /// segment, returns the latest intact frame per key, and cuts the file
     /// at the first truncated/corrupt frame (everything past an unreadable
@@ -919,7 +1109,8 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
     /// segment's `tail` at the end of the intact prefix. A log this store
     /// has not touched yet (the cold start over a previous process's
     /// directory) gets its segment here; a log that does not exist gets
-    /// neither a file nor a segment.
+    /// neither a file nor a segment, and one of an earlier format
+    /// ([`foreign_log`]) is counted in `logs_refused` and left as it is.
     fn replay_log(
         &self,
         st: &mut SegStripe<V>,
@@ -928,34 +1119,41 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         stats: &mut RecoveryStats,
     ) -> io::Result<HashMap<u64, Replayed>> {
         let mut latest: HashMap<u64, Replayed> = HashMap::new();
-        match self.ensure_segment(st, stripe, peer, false) {
+        let seg = match self.ensure_segment(st, stripe, peer, false) {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(latest),
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
+                stats.logs_refused += 1;
+                return Ok(latest);
+            }
             ensured => ensured?,
-        }
-        let Some(seg) = st.segments.get_mut(&peer) else {
-            return Ok(latest);
         };
-        seg.tail = self.with_file(seg, stripe, peer, |file| {
+        let tail = self.with_file(seg, stripe, peer, |file| {
             let len = usize::try_from(file.metadata()?.len()).map_err(io::Error::other)?;
             let mut log = vec![0u8; len];
             file.read_exact_at(&mut log, 0)?;
-            let mut pos = 0usize;
+            // A log without its full header holds no frame.
+            let mut pos = if len < LOG_HEADER_BYTES {
+                0
+            } else {
+                LOG_HEADER_BYTES
+            };
             loop {
                 match read_frame(&log, pos) {
                     FrameRead::Frame { payload, end } => {
-                        if payload.len() < ENTRY_HEADER_BYTES {
+                        let Some((key, rest)) = payload.split_first_chunk::<8>() else {
                             stats.frames_discarded += 1;
                             break;
-                        }
-                        let key = u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes"));
-                        let version =
-                            u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
+                        };
+                        let Some((version, _)) = rest.split_first_chunk::<8>() else {
+                            stats.frames_discarded += 1;
+                            break;
+                        };
                         stats.frames_replayed += 1;
                         stats.bytes_replayed += (end - pos) as u64;
                         latest.insert(
-                            key,
+                            u64::from_le_bytes(*key),
                             Replayed {
-                                version,
+                                version: u64::from_le_bytes(*version),
                                 offset: pos as u64,
                                 payload_len: payload.len() as u32,
                             },
@@ -973,41 +1171,36 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             if pos < len {
                 file.set_len(tail)?;
             }
-            debug_assert_eq!(file.metadata()?.len(), tail, "log length is its tail");
             Ok(tail)
         })?;
+        seg.tail = tail;
         Ok(latest)
     }
 
-    fn decode_value(&self, key: u64, payload: &[u8]) -> V {
-        self.codec
-            .decode(&payload[ENTRY_HEADER_BYTES..])
-            .unwrap_or_else(|| {
-                panic!("checksum-valid frame of key {key:#018x} failed value decoding")
-            })
-    }
-
     /// Seals one hot entry: appends its frame to every holder's log and
-    /// moves it to the sealed tier under a bumped version.
+    /// moves it to the sealed tier under the stripe's next version.
     fn seal(&self, st: &mut SegStripe<V>, stripe: usize, key: u64) {
-        let (slot, version) = st.hot.remove(&key).expect("sealed key must be hot");
-        debug_assert!(!slot.holders.is_empty(), "sealing an entry with no holders");
-        let version = version + 1;
-        let mut payload = entry_payload_header(key, version);
-        self.codec.encode(&slot.value, &mut payload);
-        let frame = seal_frame(&payload);
-        let mut refs = Vec::with_capacity(slot.holders.len());
-        for &p in &slot.holders {
-            let offset = self.append(st, stripe, p, &frame);
-            refs.push(FrameRef { peer: p, offset });
-        }
+        let Some(slot) = st.hot.remove(key) else {
+            return;
+        };
+        st.seals += 1;
+        let version = st.seals;
+        let frame = entry_frame(key, version, |out| self.codec.encode(&slot.value, out));
+        let refs = slot
+            .holders
+            .iter()
+            .map(|&peer| FrameRef {
+                peer,
+                offset: self.append(st, stripe, peer, &frame),
+            })
+            .collect();
         st.disk_bytes += frame.len() as u64 * slot.holders.len() as u64;
         st.hot_weight -= self.codec.weight(&slot.value) * slot.holders.len() as u64;
         st.sealed.insert(
             key,
             SealedEntry {
                 version,
-                payload_len: (payload.len()) as u32,
+                payload_len: (frame.len() - FRAME_HEADER_BYTES) as u32,
                 refs,
             },
         );
@@ -1018,25 +1211,22 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
     fn enforce_budget(&self, st: &mut SegStripe<V>, stripe: usize) {
         while st.hot_weight > self.stripe_budget {
             let Some(key) = st.dirty.pop_front() else {
-                debug_assert_eq!(st.hot_weight, 0, "hot weight with empty seal queue");
                 break;
             };
-            if st.hot.contains_key(&key) {
-                self.seal(st, stripe, key);
-            }
-            // else: the queued key was removed meanwhile — skip.
+            // A queued key removed meanwhile is skipped.
+            self.seal(st, stripe, key);
         }
     }
 
     /// Moves a decoded sealed entry into the hot tier (its stale frames
     /// are dropped from the live accounting; compaction reclaims them).
-    fn unseal(&self, st: &mut SegStripe<V>, key: u64, mut slot: Slot<V>, version: u64) {
-        let entry = st.sealed.remove(&key).expect("unsealing a sealed entry");
-        st.disk_bytes -= entry.frame_len() * entry.refs.len() as u64;
+    fn unseal(&self, st: &mut SegStripe<V>, key: u64, mut slot: Slot<V>) {
+        if let Some(entry) = st.sealed.remove(key) {
+            st.disk_bytes -= entry.frame_len() * entry.refs.len() as u64;
+        }
         slot.holders.sort_unstable();
-        debug_assert!(!slot.holders.is_empty(), "an entry must keep a holder");
         st.hot_weight += self.codec.weight(&slot.value) * slot.holders.len() as u64;
-        st.hot.insert(key, (slot, version));
+        st.hot.insert(key, slot);
         st.dirty.push_back(key);
     }
 
@@ -1051,94 +1241,115 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         key: u64,
         f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
     ) {
-        let entry = st.sealed.get(&key).expect("key is sealed");
-        let version = entry.version;
-        let frame_len = entry.frame_len();
-        let payload = self.read_payload(&st.segments, stripe, key, entry);
+        let Some(entry) = st.sealed.get(key) else {
+            return;
+        };
+        let (version, frame_len, held) = (entry.version, entry.frame_len(), entry.holders());
+        let (value, bytes) =
+            self.decode_sealed(&st.segments, stripe, key, entry, &mut Vec::new(), |bytes| {
+                Some((self.codec.decode(bytes)?, bytes.to_vec()))
+            });
         let mut slot = Slot {
-            value: self.decode_value(key, &payload),
-            holders: entry.holders(),
+            value,
+            holders: held.clone(),
         };
         if !f(key, &mut slot) {
-            let entry = st.sealed.remove(&key).expect("key is sealed");
-            st.disk_bytes -= frame_len * entry.refs.len() as u64;
+            if let Some(entry) = st.sealed.remove(key) {
+                st.disk_bytes -= frame_len * entry.refs.len() as u64;
+            }
             return;
         }
-        let mut reencoded = entry_payload_header(key, version);
+        let mut reencoded = Vec::with_capacity(bytes.len());
         self.codec.encode(&slot.value, &mut reencoded);
-        if reencoded != payload {
-            self.unseal(st, key, slot, version);
+        if reencoded != bytes {
+            self.unseal(st, key, slot);
             return;
         }
         // Value untouched: reconcile the holder set against the logs.
         slot.holders.sort_unstable();
-        debug_assert!(!slot.holders.is_empty(), "an entry must keep a holder");
-        let added: Vec<u32> = {
-            let entry = st.sealed.get(&key).expect("key is sealed");
-            slot.holders
-                .iter()
-                .copied()
-                .filter(|p| !entry.refs.iter().any(|r| r.peer == *p))
-                .collect()
+        if slot.holders == held {
+            return;
+        }
+        let Some(entry) = st.sealed.get(key) else {
+            return;
         };
-        let mut new_refs = Vec::with_capacity(added.len());
+        let mut refs: Vec<FrameRef> = entry
+            .refs
+            .iter()
+            .copied()
+            .filter(|r| slot.holders.binary_search(&r.peer).is_ok())
+            .collect();
+        let added: Vec<u32> = slot
+            .holders
+            .iter()
+            .copied()
+            .filter(|p| held.binary_search(p).is_err())
+            .collect();
         if !added.is_empty() {
-            let frame = seal_frame(&payload);
-            for p in added {
-                let offset = self.append(st, stripe, p, &frame);
-                new_refs.push(FrameRef { peer: p, offset });
+            let frame = entry_frame(key, version, |out| out.extend_from_slice(&bytes));
+            for peer in added {
+                let offset = self.append(st, stripe, peer, &frame);
+                refs.push(FrameRef { peer, offset });
             }
         }
-        let entry = st.sealed.get_mut(&key).expect("key is sealed");
-        let before = entry.refs.len();
-        entry
-            .refs
-            .retain(|r| slot.holders.binary_search(&r.peer).is_ok());
-        let removed = before - entry.refs.len();
-        entry.refs.extend(new_refs);
-        entry.refs.sort_unstable_by_key(|r| r.peer);
-        st.disk_bytes -= frame_len * removed as u64;
-        st.disk_bytes += frame_len * entry.refs.len().saturating_sub(before - removed) as u64;
+        refs.sort_unstable_by_key(|r| r.peer);
+        st.disk_bytes -= frame_len * held.len() as u64;
+        st.disk_bytes += frame_len * refs.len() as u64;
+        if let Some(entry) = st.sealed.get_mut(key) {
+            entry.refs = InlineVec::from(refs);
+        }
     }
 
-    /// Keys of both tiers, ascending — the canonical sweep order (the hot
-    /// maps' iteration order must not leak into seal/unseal decisions).
+    /// Keys of both tiers, ascending — the canonical sweep order (the
+    /// tables' position order must not leak into seal/unseal decisions).
     fn sorted_keys(st: &SegStripe<V>) -> Vec<u64> {
-        let mut keys: Vec<u64> = st.hot.keys().chain(st.sealed.keys()).copied().collect();
+        let mut keys: Vec<u64> = st.hot.keys().chain(st.sealed.keys()).collect();
         keys.sort_unstable();
         keys
+    }
+
+    /// Applies `f` to a hot entry's slot, keeping the stripe's hot weight
+    /// in step; `f` returning `false` removes the entry. `None` when `key`
+    /// is not hot.
+    fn mutate_hot(
+        &self,
+        st: &mut SegStripe<V>,
+        key: u64,
+        f: impl FnOnce(&mut Slot<V>) -> bool,
+    ) -> Option<()> {
+        let slot = st.hot.get_mut(key)?;
+        let before = self.codec.weight(&slot.value) * slot.holders.len() as u64;
+        if f(slot) {
+            let after = self.codec.weight(&slot.value) * slot.holders.len() as u64;
+            st.hot_weight = st.hot_weight - before + after;
+        } else {
+            st.hot.remove(key);
+            st.hot_weight -= before;
+            // The dirty-queue entry goes stale; pops skip it.
+        }
+        Some(())
     }
 }
 
 impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>)) {
-        let guard = self.stripes[stripe].read();
-        if let Some((slot, _)) = guard.hot.get(&key) {
+        let st = self.stripes[stripe].read();
+        if let Some(slot) = st.hot.get(key) {
             f(Some(slot));
-        } else if let Some(entry) = guard.sealed.get(&key) {
-            let payload = self.read_payload(&guard.segments, stripe, key, entry);
-            let slot = Slot {
-                value: self.decode_value(key, &payload),
-                holders: entry.holders(),
-            };
-            f(Some(&slot));
+        } else if let Some(entry) = st.sealed.get(key) {
+            f(Some(&self.sealed_slot(&st, stripe, key, entry, false)));
         } else {
             f(None);
         }
     }
 
     fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>)) {
-        let guard = self.stripes[stripe].read();
-        for (i, key) in keys.iter().enumerate() {
-            if let Some((slot, _)) = guard.hot.get(key) {
+        let st = self.stripes[stripe].read();
+        for (i, &key) in keys.iter().enumerate() {
+            if let Some(slot) = st.hot.get(key) {
                 f(i, Some(slot));
-            } else if let Some(entry) = guard.sealed.get(key) {
-                let payload = self.read_payload(&guard.segments, stripe, *key, entry);
-                let slot = Slot {
-                    value: self.decode_value(*key, &payload),
-                    holders: entry.holders(),
-                };
-                f(i, Some(&slot));
+            } else if let Some(entry) = st.sealed.get(key) {
+                f(i, Some(&self.sealed_slot(&st, stripe, key, entry, true)));
             } else {
                 f(i, None);
             }
@@ -1154,55 +1365,36 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     ) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        if st.hot.contains_key(&key) {
-            let (slot, _) = st.hot.get_mut(&key).expect("checked hot");
-            let before = self.codec.weight(&slot.value) * slot.holders.len() as u64;
+        let hot = self.mutate_hot(st, key, |slot| {
             update(slot);
-            let after = self.codec.weight(&slot.value) * slot.holders.len() as u64;
-            let (slot, _) = st.hot.get(&key).expect("checked hot");
-            debug_assert!(!slot.holders.is_empty(), "upsert left no holders");
-            st.hot_weight = st.hot_weight - before + after;
-        } else if st.sealed.contains_key(&key) {
-            // An upsert always merges content: un-seal, then update hot.
-            let entry = st.sealed.get(&key).expect("checked sealed");
-            let version = entry.version;
-            let payload = self.read_payload(&st.segments, stripe, key, entry);
-            let mut slot = Slot {
-                value: self.decode_value(key, &payload),
-                holders: entry.holders(),
-            };
-            update(&mut slot);
-            self.unseal(st, key, slot, version);
-        } else {
-            let mut slot = default().pack();
-            update(&mut slot);
-            debug_assert!(!slot.holders.is_empty(), "fresh entry has no holders");
-            st.hot_weight += self.codec.weight(&slot.value) * slot.holders.len() as u64;
-            st.hot.insert(key, (slot, 0));
-            st.dirty.push_back(key);
+            true
+        });
+        if hot.is_none() {
+            if let Some(entry) = st.sealed.get(key) {
+                // An upsert always merges content: un-seal, then update hot.
+                let mut slot = self.sealed_slot(st, stripe, key, entry, false);
+                update(&mut slot);
+                self.unseal(st, key, slot);
+            } else {
+                let mut slot = default().pack();
+                update(&mut slot);
+                st.hot_weight += self.codec.weight(&slot.value) * slot.holders.len() as u64;
+                st.hot.insert(key, slot);
+                st.dirty.push_back(key);
+            }
         }
         self.enforce_budget(st, stripe);
     }
 
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier)) {
-        let guard = self.stripes[stripe].read();
-        for key in Self::sorted_keys(&guard) {
-            if let Some((slot, _)) = guard.hot.get(&key) {
+        let st = self.stripes[stripe].read();
+        for key in Self::sorted_keys(&st) {
+            if let Some(slot) = st.hot.get(key) {
                 f(key, slot, Tier::Hot);
-            } else {
-                let entry = guard.sealed.get(&key).expect("key is hot or sealed");
-                let payload = self.read_payload(&guard.segments, stripe, key, entry);
-                let slot = Slot {
-                    value: self.decode_value(key, &payload),
-                    holders: entry.holders(),
-                };
-                f(
-                    key,
-                    &slot,
-                    Tier::Sealed {
-                        frame_bytes: entry.frame_len(),
-                    },
-                );
+            } else if let Some(entry) = st.sealed.get(key) {
+                let slot = self.sealed_slot(&st, stripe, key, entry, false);
+                let frame_bytes = entry.frame_len();
+                f(key, &slot, Tier::Sealed { frame_bytes });
             }
         }
     }
@@ -1211,13 +1403,11 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
         for key in Self::sorted_keys(st) {
-            if st.hot.contains_key(&key) {
-                let (slot, _) = st.hot.get_mut(&key).expect("checked hot");
-                let before = self.codec.weight(&slot.value) * slot.holders.len() as u64;
+            let hot = self.mutate_hot(st, key, |slot| {
                 f(key, slot);
-                let after = self.codec.weight(&slot.value) * slot.holders.len() as u64;
-                st.hot_weight = st.hot_weight - before + after;
-            } else {
+                true
+            });
+            if hot.is_none() {
                 self.mutate_sealed(st, stripe, key, &mut |k, slot| {
                     f(k, slot);
                     true
@@ -1231,18 +1421,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
         for key in Self::sorted_keys(st) {
-            if st.hot.contains_key(&key) {
-                let (slot, _) = st.hot.get_mut(&key).expect("checked hot");
-                let before = self.codec.weight(&slot.value) * slot.holders.len() as u64;
-                if f(key, slot) {
-                    let after = self.codec.weight(&slot.value) * slot.holders.len() as u64;
-                    st.hot_weight = st.hot_weight - before + after;
-                } else {
-                    st.hot.remove(&key);
-                    st.hot_weight -= before;
-                    // The dirty-queue entry goes stale; pops skip it.
-                }
-            } else {
+            if self.mutate_hot(st, key, |slot| f(key, slot)).is_none() {
                 self.mutate_sealed(st, stripe, key, f);
             }
         }
@@ -1250,21 +1429,21 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     }
 
     fn len(&self, stripe: usize) -> usize {
-        let guard = self.stripes[stripe].read();
-        guard.hot.len() + guard.sealed.len()
+        let st = self.stripes[stripe].read();
+        st.hot.len() + st.sealed.len()
     }
 
     fn disk_bytes(&self, stripe: usize) -> u64 {
         self.stripes[stripe].read().disk_bytes
     }
 
-    fn table_bytes(&self, stripe: usize) -> u64 {
+    fn table_bytes(&self, stripe: usize) -> TableBytes {
         let st = self.stripes[stripe].read();
-        let refs: usize = st.sealed.values().map(|e| e.refs.capacity()).sum();
-        (map_bytes(&st.hot)
-            + map_bytes(&st.sealed)
-            + refs * std::mem::size_of::<FrameRef>()
-            + st.dirty.capacity() * std::mem::size_of::<u64>()) as u64
+        let spilled_refs: usize = st.sealed.iter().map(|(_, e)| e.refs.spilled_bytes()).sum();
+        TableBytes {
+            hot: st.hot.bytes() + (st.dirty.capacity() * std::mem::size_of::<u64>()) as u64,
+            sealed: st.sealed.bytes() + spilled_refs as u64,
+        }
     }
 
     fn recover(
@@ -1280,18 +1459,24 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         // keeping the latest intact frame per key — `version` plus where
         // the frame sits (`offset`, payload length), so the cold path
         // below can rebuild a [`SealedEntry`] from nothing.
-        let mut replay: HashMap<u32, HashMap<u64, Replayed>> = HashMap::new();
+        // A log is *cold* when this store has not opened it before: it
+        // was written by an earlier process.
+        let mut replay: HashMap<u32, (HashMap<u64, Replayed>, bool)> = HashMap::new();
         for &p in peers {
+            let cold = !st.segments.contains_key(&p);
             let latest = self
                 .replay_log(st, stripe, p, stats)
                 .expect("replay segment log and truncate its corrupt tail");
-            replay.insert(p, latest);
+            // A key's frames lie in a log in the order of their versions,
+            // so its latest frame holds the log's newest version of it.
+            let newest = latest.values().map(|f| f.version).max().unwrap_or(0);
+            st.seals = st.seals.max(newest);
+            replay.insert(p, (latest, cold));
         }
         // Phase 2: reconcile every entry's holder set with what survived.
         for key in Self::sorted_keys(st) {
-            if st.hot.contains_key(&key) {
+            if let Some(slot) = st.hot.get_mut(key) {
                 // Hot copies lived in the restarting peers' RAM: gone.
-                let (slot, _) = st.hot.get_mut(&key).expect("checked hot");
                 let before = slot.holders.len();
                 slot.holders.retain(|h| !peers.contains(h));
                 let removed = (before - slot.holders.len()) as u64;
@@ -1299,31 +1484,31 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                     continue;
                 }
                 stats.copies_lost += removed;
-                let weight = self.codec.weight(&slot.value);
-                st.hot_weight -= weight * removed;
+                st.hot_weight -= self.codec.weight(&slot.value) * removed;
                 if slot.holders.is_empty() {
-                    let (slot, _) = st.hot.remove(&key).expect("checked hot");
-                    let (postings, bytes) = volume(&slot.value);
-                    stats.keys_lost += 1;
-                    stats.postings_lost += postings;
-                    stats.bytes_lost += bytes;
+                    if let Some(lost) = st.hot.remove(key) {
+                        let (postings, bytes) = volume(&lost.value);
+                        stats.keys_lost += 1;
+                        stats.postings_lost += postings;
+                        stats.bytes_lost += bytes;
+                    }
                 }
-            } else {
-                let entry = st.sealed.get_mut(&key).expect("key is hot or sealed");
+            } else if let Some(entry) = st.sealed.get_mut(key) {
                 if !entry.refs.iter().any(|r| peers.contains(&r.peer)) {
                     continue;
                 }
                 let frame_len = entry.frame_len();
                 let mut recovered = 0u64;
                 let mut lost = 0u64;
+                let version = entry.version;
                 entry.refs.retain(|r| {
                     if !peers.contains(&r.peer) {
                         return true;
                     }
                     let intact = replay
                         .get(&r.peer)
-                        .and_then(|m| m.get(&key))
-                        .is_some_and(|f| f.version == entry.version);
+                        .and_then(|(m, _)| m.get(&key))
+                        .is_some_and(|f| f.version == version);
                     if intact {
                         recovered += 1;
                     } else {
@@ -1338,29 +1523,29 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                     // Every replica's frame is gone: the value is
                     // unrecoverable, so the damage is sized by its sealed
                     // payload (it cannot be decoded to count postings).
-                    st.sealed.remove(&key);
+                    st.sealed.remove(key);
                     stats.keys_lost += 1;
                     stats.bytes_lost += frame_len - FRAME_HEADER_BYTES as u64;
                 } else if recovered > 0 {
-                    let entry = st.sealed.get(&key).expect("non-empty refs");
-                    let payload = self.read_payload(&st.segments, stripe, key, entry);
-                    let value = self.decode_value(key, &payload);
+                    let value = self.read_sealed(&st.segments, stripe, key, entry, false);
                     let (postings, _) = volume(&value);
                     stats.postings_recovered += postings * recovered;
                 }
             }
         }
-        // Phase 3 — the cold path: keys the logs carry but this store has
-        // never seen (a fresh process re-opened over a previous process's
-        // directory, where *both* in-memory tiers start empty). Rebuild
-        // each such key's sealed entry from the replicas' latest intact
-        // frames: the highest version wins, holders whose latest frame is
-        // older held a stale copy (dropped from the holder set before the
-        // last re-seal) and contribute nothing.
+        // Phase 3 — the cold path: keys the cold logs carry but this store
+        // has never seen (a fresh process re-opened over a previous
+        // process's directory, where *both* in-memory tiers start empty).
+        // Rebuild each such key's sealed entry from the replicas' latest
+        // intact frames: the highest version wins, holders whose latest
+        // frame is older held a stale copy (dropped from the holder set
+        // before the last re-seal) and contribute nothing. A log this
+        // store has written is not cold: its keys missing from memory were
+        // removed here and stay removed.
         let mut fresh: HashMap<u64, SealedEntry> = HashMap::new();
-        for (&p, latest) in &replay {
+        for (&p, (latest, _)) in replay.iter().filter(|(_, (_, cold))| *cold) {
             for (&key, frame) in latest {
-                if st.hot.contains_key(&key) || st.sealed.contains_key(&key) {
+                if st.hot.contains(key) || st.sealed.contains(key) {
                     continue;
                 }
                 let r = FrameRef {
@@ -1370,25 +1555,26 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 let entry = fresh.entry(key).or_insert_with(|| SealedEntry {
                     version: frame.version,
                     payload_len: frame.payload_len,
-                    refs: Vec::new(),
+                    refs: InlineVec::new(),
                 });
                 match frame.version.cmp(&entry.version) {
                     std::cmp::Ordering::Greater => {
                         entry.version = frame.version;
                         entry.payload_len = frame.payload_len;
-                        entry.refs = vec![r];
+                        entry.refs = [r].into_iter().collect();
                     }
                     std::cmp::Ordering::Equal => entry.refs.push(r),
                     std::cmp::Ordering::Less => {}
                 }
             }
         }
+        let mut fresh: Vec<(u64, SealedEntry)> = fresh.into_iter().collect();
+        fresh.sort_unstable_by_key(|(key, _)| *key);
         for (key, mut entry) in fresh {
             // Ascending peer order: `refs` doubles as the holder set.
             entry.refs.sort_unstable_by_key(|r| r.peer);
             let replicas = entry.refs.len() as u64;
-            let payload = self.read_payload(&st.segments, stripe, key, &entry);
-            let value = self.decode_value(key, &payload);
+            let value = self.read_sealed(&st.segments, stripe, key, &entry, false);
             let (postings, _) = volume(&value);
             stats.copies_recovered += replicas;
             stats.postings_recovered += postings * replicas;
@@ -1402,12 +1588,12 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             let mut guard = self.stripes[stripe].write();
             let st = &mut *guard;
             while let Some(key) = st.dirty.pop_front() {
-                if st.hot.contains_key(&key) {
-                    self.seal(st, stripe, key);
-                }
+                self.seal(st, stripe, key);
             }
-            debug_assert_eq!(st.hot_weight, 0, "sync must seal every hot entry");
-            debug_assert!(st.hot.is_empty(), "sync left hot entries behind");
+            debug_assert!(
+                st.hot.len() == 0 && st.hot_weight == 0,
+                "sync left hot entries"
+            );
         }
     }
 }
@@ -1944,7 +2130,12 @@ mod tests {
         // A fresh process (fresh store) over the same directory: nothing
         // is indexed yet, but the log bytes are there for replay.
         let raw = std::fs::read(dir.join("peer-0").join("stripe-7.seg")).unwrap();
-        match read_frame(&raw, 0) {
+        assert_eq!(
+            raw[..LOG_HEADER_BYTES],
+            LOG_HEADER,
+            "a log starts with its header"
+        );
+        match read_frame(&raw, LOG_HEADER_BYTES) {
             FrameRead::Frame { payload, end } => {
                 assert_eq!(end, raw.len());
                 assert_eq!(payload[0..8], 99u64.to_le_bytes());
@@ -1952,6 +2143,109 @@ mod tests {
             }
             other => panic!("expected one intact frame, got {other:?}"),
         }
+    }
+
+    /// An earlier build's frame: no log header, and an FNV-1a checksum.
+    fn fnv_frame(payload: &[u8]) -> Vec<u8> {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in payload {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&h.to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn an_earlier_format_log_is_refused_and_left_untouched() {
+        let scratch = tempfile::tempdir().unwrap();
+        let dir = scratch.path().to_path_buf();
+        let path = dir.join("peer-0").join("stripe-3.seg");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let mut old = Vec::new();
+        for key in [5u64, 6] {
+            let mut payload = key.to_le_bytes().to_vec();
+            payload.extend_from_slice(&1u64.to_le_bytes());
+            VecCodec.encode(&vec![key as u32], &mut payload);
+            old.extend(fnv_frame(&payload));
+        }
+        std::fs::write(&path, &old).unwrap();
+        let store = SegmentStore::at_dir(VecCodec, dir, 0);
+        let mut stats = RecoveryStats::default();
+        store.recover(
+            3,
+            &[0],
+            &mut |v| (v.len() as u64, 4 * v.len() as u64),
+            &mut stats,
+        );
+        assert_eq!(stats.logs_refused, 1);
+        assert_eq!(
+            (stats.frames_replayed, stats.frames_discarded),
+            (0, 0),
+            "no frame of the refused log was read as corrupt"
+        );
+        assert_eq!(stats.copies_recovered, 0);
+        assert_eq!(store.len(3), 0);
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            old,
+            "the log is byte-for-byte intact"
+        );
+        // Nor is it written to: a seal into it fails loudly.
+        let sealed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            insert(&store, 3, 7, &[7], &[0]);
+        }));
+        assert!(
+            sealed.is_err(),
+            "an append into the refused log went through"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), old);
+    }
+
+    #[test]
+    fn empty_files_and_torn_headers_are_fresh_logs() {
+        let scratch = tempfile::tempdir().unwrap();
+        let dir = scratch.path().to_path_buf();
+        std::fs::create_dir_all(dir.join("peer-0")).unwrap();
+        std::fs::write(dir.join("peer-0").join("stripe-1.seg"), b"").unwrap();
+        std::fs::write(dir.join("peer-0").join("stripe-2.seg"), &LOG_HEADER[..5]).unwrap();
+        let store = SegmentStore::at_dir(VecCodec, dir.clone(), 0);
+        let mut stats = RecoveryStats::default();
+        for stripe in [1, 2] {
+            store.recover(stripe, &[0], &mut |v| (v.len() as u64, 0), &mut stats);
+        }
+        assert_eq!(stats.logs_refused, 0);
+        assert_eq!(stats.frames_discarded, 1, "the torn first append");
+        for stripe in [1, 2] {
+            insert(&store, stripe, 9, &[1, 2], &[0]);
+            assert_eq!(read_value(&store, stripe, 9), Some(vec![1, 2]));
+            let log = std::fs::read(dir.join("peer-0").join(format!("stripe-{stripe}.seg")));
+            let log = log.unwrap();
+            assert_eq!(log[..LOG_HEADER_BYTES], LOG_HEADER);
+            let frame = FRAME_HEADER_BYTES + ENTRY_HEADER_BYTES + 8;
+            assert_eq!(log.len(), LOG_HEADER_BYTES + frame);
+            assert_eq!(
+                store.disk_bytes(stripe),
+                frame as u64,
+                "the header is not live bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn a_single_replica_ref_sits_inline() {
+        assert!(std::mem::size_of::<SealedEntry>() <= 40);
+        let store = seg(0);
+        insert(&store, 0, 1, &[1], &[0]);
+        insert(&store, 0, 2, &[2], &[0, 1, 2]);
+        let st = store.stripes[0].read();
+        let spilled: Vec<usize> = [1, 2]
+            .iter()
+            .map(|&key| st.sealed.get(key).expect("sealed").refs.spilled_bytes())
+            .collect();
+        assert_eq!(spilled[0], 0);
+        assert!(spilled[1] > 0);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The multi-process backend (`hdk-core`'s `TcpNet`) ships the typed
 //! [`rpc`](crate::rpc) messages over real sockets. This module owns the
 //! *transport* half of that contract — a checksummed length-framed byte
-//! stream (the same FNV-1a + `[len][checksum][payload]` discipline as
-//! `hdk_ir::segment`'s on-disk frames) — and the *encoding* half: the
-//! [`Wire`] trait, implemented once per encoded type.
+//! stream, whose `[len][checksum][payload]` frame is `hdk_ir::segment`'s
+//! (the on-disk segment logs use the same one) — and the *encoding* half:
+//! the [`Wire`] trait, implemented once per encoded type.
 //!
 //! Design rules:
 //!
@@ -33,8 +33,9 @@ use crate::gossip::{GossipConfig, GossipRound};
 use crate::id::{KeyHash, PeerId};
 use crate::store::RecoveryStats;
 use crate::transport::{KindSnapshot, LatencyHistogram, TrafficSnapshot, NUM_KINDS};
-use hdk_ir::{checksum64, Bytes, CompressedDocSet, CompressedPostings};
-use std::io::{IoSlice, Read, Write};
+use hdk_ir::segment::{self, FrameHeader, FrameRead, FRAME_HEADER_BYTES};
+use hdk_ir::{Bytes, CompressedDocSet, CompressedPostings};
+use std::io::{Read, Write};
 
 /// Hard upper bound on a single frame's payload (256 MiB). Far above any
 /// legitimate message (a full insert round over a big corpus is a few MB)
@@ -42,9 +43,9 @@ use std::io::{IoSlice, Read, Write};
 /// multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: usize = 1 << 28;
 
-/// Frame header: `[payload len: u32 LE][FNV-1a checksum: u64 LE]` — the
-/// same 12-byte layout `hdk_ir::segment` seals to disk.
-pub const WIRE_HEADER_BYTES: usize = 12;
+/// Frame header: `[payload len: u32 LE][checksum: u64 LE]` —
+/// `hdk_ir::segment`'s frame header.
+pub const WIRE_HEADER_BYTES: usize = FRAME_HEADER_BYTES;
 
 /// Largest payload buffered in one up-front allocation. The length prefix
 /// is unauthenticated, so a longer frame's buffer grows only with the
@@ -114,14 +115,9 @@ impl From<std::io::Error> for WireError {
 /// Wire results.
 pub type WireResult<T> = Result<T, WireError>;
 
-/// Writes one `[len][checksum][payload]` frame and flushes. The flush
-/// matters: requests are written through buffered sockets and the peer
-/// won't answer a frame it hasn't seen.
-///
-/// Header and payload leave in one gathered write — on a `TCP_NODELAY`
-/// socket one syscall and one segment per frame, whatever its size, with
-/// no copy of the payload. What a short write (or a writer without
-/// gather support) leaves over follows in order.
+/// Writes one `[len][checksum][payload]` frame ([`segment::write_frame`])
+/// and flushes. The flush matters: requests are written through buffered
+/// sockets and the peer won't answer a frame it hasn't seen.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<()> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversized {
@@ -129,29 +125,20 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> WireResult<()> {
             max: MAX_FRAME_BYTES,
         });
     }
-    let mut header = [0u8; WIRE_HEADER_BYTES];
-    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    header[4..].copy_from_slice(&checksum64(payload).to_le_bytes());
-    let written = loop {
-        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(payload)]) {
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            written => break written?,
-        }
-    };
-    w.write_all(&header[written.min(WIRE_HEADER_BYTES)..])?;
-    w.write_all(&payload[written.saturating_sub(WIRE_HEADER_BYTES)..])?;
+    segment::write_frame(w, payload)?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame, verifying length bound and checksum. `UnexpectedEof`
-/// maps to [`WireError::Closed`] (clean shutdown between frames is how
-/// connections end), timeouts to [`WireError::Timeout`].
+/// Reads one frame, verifying length bound and checksum
+/// ([`segment::open_frame`]); the payload is read into one buffer of its
+/// size. `UnexpectedEof` maps to [`WireError::Closed`] (clean shutdown
+/// between frames is how connections end), timeouts to
+/// [`WireError::Timeout`].
 pub fn read_frame(r: &mut impl Read) -> WireResult<Vec<u8>> {
-    let mut header = [0u8; WIRE_HEADER_BYTES];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-    let checksum = u64::from_le_bytes(header[4..].try_into().unwrap());
+    let mut head = [0u8; WIRE_HEADER_BYTES];
+    r.read_exact(&mut head)?;
+    let len = FrameHeader::parse(head).payload_len();
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized {
             len,
@@ -163,10 +150,10 @@ pub fn read_frame(r: &mut impl Read) -> WireResult<Vec<u8>> {
     if r.take(len as u64).read_to_end(&mut payload)? < len {
         return Err(WireError::Truncated);
     }
-    if checksum64(&payload) != checksum {
-        return Err(WireError::Corrupt);
+    match segment::open_frame(head, &payload) {
+        FrameRead::Frame { .. } => Ok(payload),
+        _ => Err(WireError::Corrupt),
     }
-    Ok(payload)
 }
 
 /// `[len: u32][bytes]` — the standard variable-length field.
@@ -462,7 +449,7 @@ impl<T: Wire> Wire for Box<T> {
 }
 
 /// A posting block or doc-set travels as its own validated framing,
-/// length-prefixed.
+/// length-prefixed; decoding copies it once, into its own allocation.
 macro_rules! wire_block {
     ($($block:ty),*) => {$(
         impl Wire for $block {
@@ -471,7 +458,7 @@ macro_rules! wire_block {
                 put_bytes(buf, self.as_bytes());
             }
             fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-                <$block>::from_bytes(Bytes::from(r.bytes()?.to_vec())).ok_or(WireError::Corrupt)
+                <$block>::from_bytes(Bytes::copy_from_slice(r.bytes()?)).ok_or(WireError::Corrupt)
             }
         }
     )*};
@@ -575,7 +562,8 @@ wire_stats!(RecoveryStats(
     copies_lost,
     keys_lost,
     postings_lost,
-    bytes_lost
+    bytes_lost,
+    logs_refused
 ));
 wire_stats!(KindSnapshot(messages, postings, bytes, hops, hop_bytes));
 wire_stats!(
