@@ -1,7 +1,7 @@
-//! Micro-benchmarks: overlay routing and DHT operations.
+//! Micro-benchmarks: P-Grid routing and DHT operations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hdk_p2p::{hash_u64s, ChordRing, Dht, KeyHash, Overlay, PGrid, PeerId};
+use hdk_p2p::{hash_u64s, Dht, KeyHash, PGrid, PeerId};
 use std::hint::black_box;
 
 fn peers(n: u64) -> Vec<PeerId> {
@@ -13,22 +13,12 @@ fn bench_routing(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1_000));
     for n in [16u64, 128] {
         let grid = PGrid::new(peers(n));
-        let ring = ChordRing::new(peers(n));
         let keys: Vec<KeyHash> = (0..1_000u64).map(|k| KeyHash(hash_u64s(&[k]))).collect();
         g.bench_with_input(BenchmarkId::new("pgrid", n), &n, |b, _| {
             b.iter(|| {
                 let mut hops = 0u64;
                 for (i, &k) in keys.iter().enumerate() {
                     hops += u64::from(grid.route(PeerId(i as u64 % n), black_box(k)).hops);
-                }
-                hops
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("chord", n), &n, |b, _| {
-            b.iter(|| {
-                let mut hops = 0u64;
-                for (i, &k) in keys.iter().enumerate() {
-                    hops += u64::from(ring.route(PeerId(i as u64 % n), black_box(k)).hops);
                 }
                 hops
             })

@@ -5,7 +5,7 @@
 //! produce bit-identical results, so any speedup is free.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hdk_core::{HdkConfig, HdkNetwork, OverlayKind};
+use hdk_core::{HdkConfig, HdkNetwork};
 use hdk_corpus::{
     partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
 };
@@ -60,7 +60,7 @@ fn bench_build(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("threads", label), &threads, |b, &t| {
             b.iter(|| {
                 with_threads(t, || {
-                    HdkNetwork::build(black_box(&coll), &parts, hdk_config(), OverlayKind::PGrid)
+                    HdkNetwork::build(black_box(&coll), &parts, hdk_config())
                 })
             })
         });
@@ -71,7 +71,7 @@ fn bench_build(c: &mut Criterion) {
 fn bench_query_batch(c: &mut Criterion) {
     let coll = collection();
     let parts = partition_documents(coll.len(), PEERS, 11);
-    let network = HdkNetwork::build(&coll, &parts, hdk_config(), OverlayKind::PGrid);
+    let network = HdkNetwork::build(&coll, &parts, hdk_config());
     let log = QueryLog::generate(
         &coll,
         &QueryLogConfig {

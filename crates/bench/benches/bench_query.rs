@@ -10,7 +10,7 @@
 //! counts is pinned by `tests/thread_invariance.rs`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use hdk_core::{HdkConfig, HdkNetwork, OverlayKind, QueryCache};
+use hdk_core::{HdkConfig, HdkNetwork, QueryCache};
 use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
 use hdk_p2p::PeerId;
 use hdk_text::TermId;
@@ -38,7 +38,6 @@ fn setup() -> (HdkNetwork, Vec<Vec<TermId>>) {
             ff: u64::MAX,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     );
     // Long queries (6-8 distinct co-occurring terms) produce the deep,
     // wide lattices where per-level fan-out matters — sampled with the

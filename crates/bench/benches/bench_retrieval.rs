@@ -3,7 +3,7 @@
 //! numbers of Figures 3–6.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hdk_core::{HdkConfig, HdkNetwork, OverlayKind, SingleTermNetwork};
+use hdk_core::{HdkConfig, HdkNetwork, SingleTermNetwork};
 use hdk_corpus::{
     partition_documents, Collection, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
 };
@@ -36,18 +36,18 @@ fn bench_build(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(coll.len() as u64));
     g.bench_function("st_1200_docs_8_peers", |b| {
-        b.iter(|| SingleTermNetwork::build(black_box(&coll), &parts, OverlayKind::PGrid))
+        b.iter(|| SingleTermNetwork::build(black_box(&coll), &parts))
     });
     g.bench_function("hdk_1200_docs_8_peers", |b| {
-        b.iter(|| HdkNetwork::build(black_box(&coll), &parts, hdk_config(), OverlayKind::PGrid))
+        b.iter(|| HdkNetwork::build(black_box(&coll), &parts, hdk_config()))
     });
     g.finish();
 }
 
 fn bench_query(c: &mut Criterion) {
     let (coll, parts) = setup();
-    let st = SingleTermNetwork::build(&coll, &parts, OverlayKind::PGrid);
-    let hdk = HdkNetwork::build(&coll, &parts, hdk_config(), OverlayKind::PGrid);
+    let st = SingleTermNetwork::build(&coll, &parts);
+    let hdk = HdkNetwork::build(&coll, &parts, hdk_config());
     let log = QueryLog::generate(
         &coll,
         &QueryLogConfig {

@@ -18,7 +18,7 @@ use hdk_core::{
 };
 use hdk_corpus::{partition_documents, Collection, CollectionGenerator, DocId, GeneratorConfig};
 use hdk_ir::{CompressedPostings, Posting, PostingList};
-use hdk_p2p::{Dht, KeyHash, MsgKind, Overlay, PGrid, PeerId, SimNetConfig};
+use hdk_p2p::{Dht, KeyHash, MsgKind, PGrid, PeerId, SimNetConfig};
 use hdk_text::TermId;
 use std::hint::black_box;
 
@@ -81,7 +81,7 @@ fn block() -> CompressedPostings {
 fn bench_dispatch_overhead(c: &mut Criterion) {
     const KEYS: u32 = 20_000;
     let overlay =
-        || -> Box<dyn Overlay> { Box::new(PGrid::new((0..PEERS as u64).map(PeerId).collect())) };
+        || -> Box<PGrid> { Box::new(PGrid::new((0..PEERS as u64).map(PeerId).collect())) };
     let payload = block();
 
     // The RPC side: a GlobalIndex over the in-process backend.

@@ -146,8 +146,7 @@ pub fn run_availability_study(
             };
             // Never-failed reference (outcomes are backend-invariant, so
             // the cheap in-process build provides the expected digests).
-            let reference =
-                HdkNetwork::build(&collection, &partitions, config.clone(), OverlayKind::PGrid);
+            let reference = HdkNetwork::build(&collection, &partitions, config.clone());
             let expected = digests(&reference.query_service(), survivor, &query_set);
 
             let mut network = HdkNetwork::build_with(

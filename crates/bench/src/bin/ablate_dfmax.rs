@@ -8,7 +8,7 @@
 
 use hdk_bench::report::{fnum, Table};
 use hdk_bench::{figures, runner, ExperimentProfile};
-use hdk_core::{HdkNetwork, OverlayKind};
+use hdk_core::HdkNetwork;
 use hdk_corpus::{partition_documents, CollectionGenerator};
 
 fn main() {
@@ -36,12 +36,7 @@ fn main() {
         ],
     );
     for dfmax in sweep {
-        let net = HdkNetwork::build(
-            &collection,
-            &partitions,
-            profile.hdk_config(dfmax),
-            OverlayKind::PGrid,
-        );
+        let net = HdkNetwork::build(&collection, &partitions, profile.hdk_config(dfmax));
         let m = runner::measure_system(&net.query_service(), &central, &log);
         t.row(&[
             dfmax.to_string(),

@@ -9,7 +9,7 @@
 
 use hdk_bench::report::{fnum, Table};
 use hdk_bench::{figures, runner, ExperimentProfile};
-use hdk_core::{HdkConfig, HdkNetwork, OverlayKind};
+use hdk_core::{HdkConfig, HdkNetwork};
 use hdk_corpus::{partition_documents, CollectionGenerator};
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
         ],
     );
     for (name, config) in variants {
-        let net = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+        let net = HdkNetwork::build(&collection, &partitions, config);
         let m = runner::measure_system(&net.query_service(), &central, &log);
         let counts = net.index().index_counts();
         t.row(&[

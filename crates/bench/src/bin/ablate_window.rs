@@ -7,7 +7,7 @@
 
 use hdk_bench::report::{fnum, Table};
 use hdk_bench::{figures, runner, ExperimentProfile};
-use hdk_core::{HdkNetwork, OverlayKind};
+use hdk_core::HdkNetwork;
 use hdk_corpus::{partition_documents, CollectionGenerator};
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     for w in [5, 10, 20, 40] {
         let mut config = profile.hdk_config(profile.dfmax_values[0]);
         config.window = w;
-        let net = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+        let net = HdkNetwork::build(&collection, &partitions, config);
         let m = runner::measure_system(&net.query_service(), &central, &log);
         let counts = net.index().index_counts();
         t.row(&[

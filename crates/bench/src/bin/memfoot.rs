@@ -51,7 +51,7 @@ fn main() {
         for &dfmax in &profile.dfmax_values {
             let config = profile.hdk_config(dfmax);
             let store = config.store.clone();
-            let network = HdkNetwork::build(&collection, &partitions, config, profile.overlay);
+            let network = HdkNetwork::build(&collection, &partitions, config);
             let footprint = MemoryFootprint::measure(&network);
             eprintln!(
                 "[memfoot] peers={peers} docs={docs} dfmax={dfmax}: resident {} B + sealed {} B vs decoded {} B ({:.2}x)",

@@ -1,5 +1,5 @@
 //! The read-scaling study: replica load spreading, popularity-driven
-//! hot-key replication and the TTL'd query cache under a Zipf-skewed
+//! hot-key replication and the query cache under a Zipf-skewed
 //! query stream — measured over `R ∈ {1,2,3}` × `s ∈ {0, 0.8, 1.2}`, with
 //! the three read-scaling invariants asserted by the run itself (spread
 //! `max ≤ 1.3 × mean` at `R=3, s=1.2`; ≥ 5× head lookup-message drop

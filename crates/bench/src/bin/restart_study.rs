@@ -43,7 +43,7 @@ fn reference(c: &Collection, parts: &[Vec<hdk_corpus::DocId>], config: &HdkConfi
         store: StoreConfig::Memory,
         ..config.clone()
     };
-    HdkNetwork::build(c, parts, config, hdk_core::OverlayKind::PGrid)
+    HdkNetwork::build(c, parts, config)
 }
 
 fn main() {
@@ -77,7 +77,7 @@ fn main() {
         };
         let baseline = reference(&c, &parts, &config);
         let expected = digests(&baseline, &log);
-        let mut tiered = HdkNetwork::build(&c, &parts, config.clone(), profile.overlay);
+        let mut tiered = HdkNetwork::build(&c, &parts, config.clone());
         assert!(
             tiered.index().resident_posting_bytes() <= HOT_BYTES,
             "memory budget violated before restart"
@@ -116,7 +116,7 @@ fn main() {
         };
         let baseline = reference(&c, &parts, &config);
         let expected = digests(&baseline, &log);
-        let mut tiered = HdkNetwork::build(&c, &parts, config, profile.overlay);
+        let mut tiered = HdkNetwork::build(&c, &parts, config);
         let victim = tiered.peers()[0].id;
         let (recovery, repair) = tiered.restart_peers(&[victim]);
         assert_eq!(recovery.keys_lost, 0, "R=2 crash-restart lost content");

@@ -22,7 +22,7 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use hdk_core::{HdkConfig, HdkNetwork, OverlayKind, QueryService};
+use hdk_core::{HdkConfig, HdkNetwork, QueryService};
 use hdk_corpus::{
     partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
 };
@@ -119,7 +119,7 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
     let survivor = PeerId(1);
     // Gossip never changes index content, so one oracle-driven reference
     // provides the expected digests for every grid point.
-    let reference = HdkNetwork::build(&collection, &partitions, base.clone(), OverlayKind::PGrid);
+    let reference = HdkNetwork::build(&collection, &partitions, base.clone());
     let expected = digests(&reference.query_service(), survivor, &query_set);
 
     let mut points = Vec::new();
@@ -135,8 +135,7 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
                     },
                     ..base.clone()
                 };
-                let mut network =
-                    HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+                let mut network = HdkNetwork::build(&collection, &partitions, config);
                 let healthy = digests(&network.query_service(), survivor, &query_set);
                 assert_eq!(healthy, expected, "healthy network diverged");
                 assert_eq!(network.snapshot().failover_timeouts, 0);

@@ -21,14 +21,14 @@
 //!   rounds, probe traffic and stale-view failover timeouts).
 //!
 //! Binaries (`cargo run -p hdk-bench --release --bin <name>`): `table1`,
-//! `table2`, `fig3`–`fig8`, `theory`, `experiments` (all of the above in
-//! one run), `memfoot`, `latency_sweep`, `availability`, `restart_study`
+//! `table2`, `fig8`, `theory`, `experiments` (Tables 1–2 and Figures 3–8
+//! from one growth sweep), `memfoot`, `latency_sweep`, `availability`, `restart_study`
 //! (segment-log crash-restart recovery, asserted bit-identical),
 //! `serving_study` ([`serving`]: real peer processes + HTTP front-end
 //! under closed-loop load, asserted bit-identical to in-process),
 //! `gossip_study` ([`gossip`]: SWIM-style failure detection without the
 //! liveness oracle, asserted against the detection contract),
-//! `ablate_window`, `ablate_redundancy`, `ablate_dfmax`, `ablate_overlay`.
+//! `read_scaling`, `ablate_window`, `ablate_redundancy`, `ablate_dfmax`.
 
 pub mod availability;
 pub mod figures;

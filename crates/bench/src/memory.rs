@@ -202,7 +202,7 @@ impl MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdk_core::{HdkConfig, OverlayKind};
+    use hdk_core::HdkConfig;
     use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
 
     #[test]
@@ -227,7 +227,6 @@ mod tests {
                 store: hdk_core::StoreConfig::Memory,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let f = MemoryFootprint::measure(&n);
         assert_eq!(f.per_peer.len(), 4);
@@ -267,7 +266,6 @@ mod tests {
                 store: hdk_core::StoreConfig::segment(hot_bytes),
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let f = MemoryFootprint::measure(&n);
         assert!(f.resident_total() <= hot_bytes, "hot tier over budget");

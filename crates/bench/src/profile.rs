@@ -9,7 +9,7 @@
 //! `HdkConfig::scaled_for` — so the measured curves keep their shape.
 //! `--scale` (or explicit flags) restores any size up to the paper's.
 
-use hdk_core::{HdkConfig, OverlayKind};
+use hdk_core::HdkConfig;
 use hdk_corpus::{GeneratorConfig, QueryLogConfig};
 
 /// Full description of one experiment run.
@@ -39,8 +39,6 @@ pub struct ExperimentProfile {
     pub min_hits: usize,
     /// Master seed.
     pub seed: u64,
-    /// Routing substrate.
-    pub overlay: OverlayKind,
 }
 
 impl Default for ExperimentProfile {
@@ -57,7 +55,6 @@ impl Default for ExperimentProfile {
             num_queries: 200,
             min_hits: 10,
             seed: 0xD15C0,
-            overlay: OverlayKind::PGrid,
         }
     }
 }
@@ -67,8 +64,8 @@ impl ExperimentProfile {
     ///
     /// Supported: `--scale F` (multiplies docs-per-peer), `--peers a,b,c`,
     /// `--docs-per-peer N`, `--dfmax a,b`, `--queries N`, `--seed N`,
-    /// `--window N`, `--smax N`, `--ff N`, `--overlay pgrid|chord`,
-    /// `--doc-len N`, `--vocab N`, `--min-hits N`.
+    /// `--window N`, `--smax N`, `--ff N`, `--doc-len N`, `--vocab N`,
+    /// `--min-hits N`.
     pub fn from_args() -> Self {
         let mut profile = Self::default();
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -102,16 +99,6 @@ impl ExperimentProfile {
                 "--doc-len" => profile.avg_doc_len = value.parse().expect("number"),
                 "--vocab" => profile.vocab_size = value.parse().expect("number"),
                 "--min-hits" => profile.min_hits = value.parse().expect("number"),
-                "--overlay" => {
-                    profile.overlay = match value.as_str() {
-                        "pgrid" => OverlayKind::PGrid,
-                        "chord" => OverlayKind::Chord,
-                        other => {
-                            eprintln!("unknown overlay {other:?}\n{USAGE}");
-                            std::process::exit(2);
-                        }
-                    }
-                }
                 other => {
                     eprintln!("unknown flag {other:?}\n{USAGE}");
                     std::process::exit(2);
@@ -180,7 +167,7 @@ const USAGE: &str = "\
 usage: <experiment> [--scale F] [--peers a,b,c] [--docs-per-peer N]
                     [--dfmax a,b] [--queries N] [--seed N] [--window N]
                     [--smax N] [--ff N] [--doc-len N] [--vocab N]
-                    [--min-hits N] [--overlay pgrid|chord]
+                    [--min-hits N]
 Defaults reproduce the paper's setup scaled to laptop size; use
 --scale 12.5 --dfmax 400,500 --ff 100000 --doc-len 225 for Table 2 scale.";
 

@@ -7,15 +7,15 @@
 //! question: when the *stream* is skewed — real query logs are Zipf
 //! distributed — how unevenly does the serving load land on peers, and
 //! how far do (1) replica load spreading over `R` static replicas,
-//! (2) popularity-driven hot-key replication, and (3) the TTL'd query
-//! cache flatten it? Three legs, all asserted by [`run_read_scaling`]:
+//! (2) popularity-driven hot-key replication, and (3) the query cache
+//! flatten it? Three legs, all asserted by [`run_read_scaling`]:
 //!
 //! * **Spread grid** — `R ∈ {1, 2, 3}` × `s ∈ {0, 0.8, 1.2}` over the
 //!   simulated WAN: per-replica served-lookup max/mean, lookup messages,
 //!   p50/p99 response latency. Pinned: at `R = 3, s = 1.2` the maximum
 //!   per-peer load stays within 1.3× the mean.
 //! * **Cache leg** — the stream's top-decile (head) queries replayed
-//!   uncached vs through a TTL'd [`QueryCache`]. Pinned: the cache cuts
+//!   uncached vs through a [`QueryCache`]. Pinned: the cache cuts
 //!   the head's lookup messages at least 5×.
 //! * **Hot-replication leg** — `R = 1` with popularity replication on:
 //!   the same skewed stream before and after one `rebalance_hot` pass.
@@ -67,7 +67,7 @@ pub struct CacheStudy {
     pub head_replays: usize,
     /// Lookup messages those replays cost without a cache.
     pub cold_lookups: u64,
-    /// Lookup messages with the TTL'd cache (first occurrence warms it).
+    /// Lookup messages with the cache (first occurrence warms it).
     pub warm_lookups: u64,
 }
 
@@ -233,7 +233,7 @@ pub fn run_read_scaling(
     );
 
     // Leg 2: the cache. Replays of the stream's top-decile queries,
-    // uncached vs through the TTL'd cache (its first occurrence of each
+    // uncached vs through the cache (its first occurrence of each
     // query warms it; every later replay is a hit).
     let head_queries = (log.len() / 10).max(1);
     let schedule = log.zipf_replay(1.2, samples, 0x5EED);
@@ -269,11 +269,11 @@ pub fn run_read_scaling(
             .messages
     };
     let cold_lookups = run_head(None);
-    let cache = QueryCache::with_ttl(4_096, 4, 2);
+    let cache = QueryCache::new(4_096);
     let warm_lookups = run_head(Some(&cache));
     assert!(
         warm_lookups * 5 <= cold_lookups,
-        "TTL cache must cut head lookups >= 5x: cold {cold_lookups}, warm {warm_lookups}"
+        "the cache must cut head lookups >= 5x: cold {cold_lookups}, warm {warm_lookups}"
     );
 
     // Leg 3: hot-key replication at R = 1. One skewed pass accumulates

@@ -77,7 +77,7 @@ pub fn run_growth_sweep(profile: &ExperimentProfile) -> Vec<PointMeasurement> {
             log.avg_terms()
         );
 
-        let st_net = SingleTermNetwork::build(&collection, &partitions, profile.overlay);
+        let st_net = SingleTermNetwork::build(&collection, &partitions);
         let st = measure_system(&st_net.query_service(), &central, &log);
         eprintln!(
             "[sweep]   ST: stored/peer={:.0} retr/query={:.0}",
@@ -86,12 +86,7 @@ pub fn run_growth_sweep(profile: &ExperimentProfile) -> Vec<PointMeasurement> {
 
         let mut hdk = Vec::with_capacity(profile.dfmax_values.len());
         for &dfmax in &profile.dfmax_values {
-            let net = HdkNetwork::build(
-                &collection,
-                &partitions,
-                profile.hdk_config(dfmax),
-                profile.overlay,
-            );
+            let net = HdkNetwork::build(&collection, &partitions, profile.hdk_config(dfmax));
             let m = measure_system(&net.query_service(), &central, &log);
             eprintln!(
                 "[sweep]   HDK(DFmax={dfmax}): stored/peer={:.0} retr/query={:.0} overlap={:.1}% \

@@ -25,12 +25,9 @@
 //! epoch is the engine's growth counter: the one `IndexService` behind a
 //! `QueryService` bumps it on `add_documents`, joins, departures, failures
 //! and restarts, under the index write lock and only after the change is
-//! fully resident. An entry expires once the epoch has advanced by its
-//! logical TTL — 1 for [`QueryCache::new`], so every entry dies on the
-//! first index change and a stale posting is never served
-//! ([`QueryCache::with_ttl`] is the explicit opt-in to bounded staleness:
-//! positive and negative entries age on their own clocks). Stripes expire
-//! lazily, when a caller carrying a newer epoch next locks them. A caller
+//! fully resident. Every entry dies on the first index change, so a stale
+//! posting is never served. Stripes expire lazily: a caller carrying a
+//! newer epoch clears a stripe when it next locks it. A caller
 //! still carrying an *older* epoch than a stripe's (its query overlapped a
 //! growth publication) bypasses that stripe: its peeks miss and its
 //! commits are counted but never stored.
@@ -112,14 +109,12 @@ impl CachePeek {
     }
 }
 
-/// One cached response: the value (`None` caches *absence*), the index
-/// epoch it was fetched under (its TTL anchor), and CLOCK's second-chance
-/// bit — set by a hit, cleared when the hand passes.
+/// One cached response: the value (`None` caches *absence*) and CLOCK's
+/// second-chance bit — set by a hit, cleared when the hand passes.
 #[derive(Debug)]
 struct Slot {
     key: Key,
     value: Option<KeyLookup>,
-    born: u64,
     referenced: bool,
 }
 
@@ -132,47 +127,35 @@ struct Stripe {
     capacity: usize,
     /// The next slot eviction examines.
     hand: usize,
-    /// The newest index epoch a caller locked this stripe under.
+    /// The newest index epoch a caller locked this stripe under: every
+    /// entry was fetched under it.
     epoch: u64,
     stats: CacheStats,
 }
 
 impl Stripe {
-    /// Drops the entries whose TTL the advance to `epoch` spent (at the
-    /// default TTL of 1: all of them).
-    fn expire(&mut self, epoch: u64, positive_ttl: u64, negative_ttl: u64) {
-        self.slots.retain(|slot| {
-            let ttl = if slot.value.is_some() {
-                positive_ttl
-            } else {
-                negative_ttl
-            };
-            epoch.saturating_sub(slot.born) < ttl
-        });
+    /// Clears the stripe and takes the newer `epoch`: the index changed
+    /// since every entry was fetched.
+    fn expire(&mut self, epoch: u64) {
+        self.slots.clear();
         self.index.clear();
-        let survivors = self.slots.iter().enumerate();
-        self.index
-            .extend(survivors.map(|(at, slot)| (slot.key, at)));
         self.hand = 0;
         self.epoch = epoch;
     }
 
-    /// Stores `key`'s response, born at the stripe's epoch. In a full
+    /// Stores `key`'s response, fetched at the stripe's epoch. In a full
     /// stripe the hand takes the second chance from every entry it passes
     /// and replaces the first that has none left; a new entry starts
     /// without one, so a run of misses examines one entry each.
     fn insert(&mut self, key: Key, value: Option<KeyLookup>) {
-        let born = self.epoch;
         if let Some(&at) = self.index.get(&key) {
             // A concurrent caller probed the same cold key first.
             self.slots[at].value = value;
-            self.slots[at].born = born;
             return;
         }
         let slot = Slot {
             key,
             value,
-            born,
             referenced: false,
         };
         if self.slots.len() < self.capacity {
@@ -203,45 +186,21 @@ impl Stripe {
 /// replacement per stripe, entries invalidated by index epoch.
 #[derive(Debug)]
 pub struct QueryCache {
-    /// Epoch advances a positive (found-key) entry survives.
-    positive_ttl: u64,
-    /// Epoch advances a negative (absent-key) entry survives. Typically
-    /// ≤ `positive_ttl`: an absent key is exactly what an index *gain*
-    /// changes, so absence intelligence ages faster.
-    negative_ttl: u64,
     /// A power of two of them; their capacities sum to the cache's.
     stripes: Vec<Mutex<Stripe>>,
 }
 
 impl QueryCache {
-    /// Cache holding at most `capacity` keys (across all stripes), with
-    /// both TTLs at 1 epoch — entries die on the first index change.
+    /// Cache holding at most `capacity` keys (across all stripes); entries
+    /// die on the first index change.
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        Self::with_ttl(capacity, 1, 1)
-    }
-
-    /// Cache with explicit logical TTLs (in index-epoch advances) for
-    /// positive and negative entries. A TTL of 1 means "valid only under
-    /// the epoch it was fetched at"; `n > 1` serves the entry through the
-    /// next `n - 1` index changes — bounded, explicit staleness in
-    /// exchange for keeping the warm set across churn.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0` or either TTL is 0.
-    pub fn with_ttl(capacity: usize, positive_ttl: u64, negative_ttl: u64) -> Self {
         assert!(capacity > 0, "cache needs capacity");
-        assert!(
-            positive_ttl > 0 && negative_ttl > 0,
-            "TTLs are at least one epoch"
-        );
         let wanted = (capacity / MIN_STRIPE_KEYS).clamp(1, NUM_CACHE_STRIPES);
         let stripes = 1 << wanted.ilog2();
         Self {
-            positive_ttl,
-            negative_ttl,
             stripes: (0..stripes)
                 .map(|i| {
                     Mutex::new(Stripe {
@@ -281,7 +240,7 @@ impl QueryCache {
         for group in order.chunk_by(|a, b| a.0 == b.0) {
             let mut stripe = self.stripes[group[0].0].lock();
             if stripe.epoch < epoch {
-                stripe.expire(epoch, self.positive_ttl, self.negative_ttl);
+                stripe.expire(epoch);
             }
             for &(_, at) in group {
                 visit(&mut stripe, at);
@@ -354,8 +313,8 @@ impl QueryCache {
         total
     }
 
-    /// Number of cached keys, never above the capacity (TTL-expired
-    /// entries count until a caller next locks their stripe).
+    /// Number of cached keys, never above the capacity (entries of an
+    /// older epoch count until a caller next locks their stripe).
     pub fn len(&self) -> usize {
         self.stripes.iter().map(|s| s.lock().slots.len()).sum()
     }
@@ -448,9 +407,8 @@ mod tests {
 
     #[test]
     fn negative_results_are_cached_too() {
-        // Absence is epoch-stable (at the default TTL of 1 any index
-        // change expires it), so repeated probes of a missing key stay
-        // local...
+        // Absence is epoch-stable (any index change expires it), so
+        // repeated probes of a missing key stay local...
         let cache = QueryCache::new(8);
         assert_eq!(get(&cache, 0, 2, None), (None, false));
         assert_eq!(get(&cache, 0, 2, Some(7)), (None, true));
@@ -496,86 +454,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "TTL")]
-    fn zero_ttl_rejected() {
-        let _ = QueryCache::with_ttl(8, 1, 0);
-    }
-
-    #[test]
-    fn positive_ttl_survives_epoch_bumps_until_spent() {
-        // TTL 3: an entry born at epoch 0 serves through epochs 1 and 2
-        // (two index changes!) and expires at epoch 3.
-        let cache = QueryCache::with_ttl(8, 3, 1);
-        get(&cache, 0, 1, Some(1));
-        for epoch in 1..3 {
-            assert_eq!(get(&cache, epoch, 1, None), (Some(1), true), "{epoch}");
-        }
-        assert_eq!(get(&cache, 3, 1, Some(9)), (Some(9), false), "TTL spent");
-        // The refetched entry is born at epoch 3: fresh again until 6.
-        assert_eq!(get(&cache, 5, 1, None), (Some(9), true));
-    }
-
-    #[test]
-    fn negative_entries_age_faster_than_positive() {
-        // Positive TTL 3, negative TTL 1: after one epoch bump the absent
-        // key re-probes (the index may have gained it) while the found
-        // key still serves locally.
-        let cache = QueryCache::with_ttl(8, 3, 1);
-        get(&cache, 0, 1, Some(1));
-        get(&cache, 0, 2, None);
-        assert_eq!(get(&cache, 1, 1, None), (Some(1), true));
-        assert_eq!(
-            get(&cache, 1, 2, Some(2)),
-            (Some(2), false),
-            "negative entry expired after one epoch; the key appeared"
-        );
-    }
-
-    #[test]
-    fn ttl_expiry_spares_the_warm_set() {
-        // An epoch bump expires exactly the entries whose TTL lapsed, not
-        // the whole warm set.
-        let cache = QueryCache::with_ttl(8, 2, 1);
-        get(&cache, 0, 1, Some(1));
-        get(&cache, 0, 2, None); // negative, TTL 1
-        get(&cache, 1, 3, Some(3));
-        // Epoch 2: key 1 (born 0, TTL 2) and key 2 (born 0, TTL 1) are
-        // spent; key 3 (born 1, TTL 2) survives.
-        assert_eq!(get(&cache, 2, 3, None), (Some(3), true));
-        assert_eq!(cache.len(), 1, "expired entries swept, warm one kept");
-        assert!(!is_cached(&cache, 2, 1));
-        assert!(!is_cached(&cache, 2, 2));
-        // The survivor's slab position moved; it is still found, and the
-        // hand still works around it.
-        for t in 10..18 {
-            get(&cache, 2, t, Some(t));
-        }
-        assert_eq!(cache.len(), 8);
-        assert!(is_cached(&cache, 2, 3), "hit at epoch 2: a second chance");
-        assert!(!is_cached(&cache, 2, 10));
-    }
-
-    #[test]
-    fn level_batched_api_respects_ttls() {
-        // A commit under a new epoch births entries at that epoch; peeks
-        // see them (negative ones too) until their TTL is spent.
-        let cache = QueryCache::with_ttl(8, 2, 2);
-        cache.commit_level(
-            0,
-            &[(key(1), Some(lookup(1)), false), (key(2), None, false)],
-        );
-        assert!(is_cached(&cache, 1, 1));
-        assert!(is_cached(&cache, 1, 2), "a negative entry within its TTL");
-        assert!(!is_cached(&cache, 2, 1));
-        assert!(!is_cached(&cache, 2, 2));
-        assert_eq!(cache.len(), 0, "the epoch-2 peeks swept both");
-    }
-
-    /// A straggler still carrying a pre-growth epoch (it overlapped the
-    /// growth publication) must not roll the cache back: no sweep of the
-    /// fresh entries, no reads of them, no insertion of its own
-    /// pre-growth responses.
-    fn stale_callers_bypass(cache: QueryCache) {
+    fn stale_epoch_callers_neither_sweep_nor_pollute() {
+        // A straggler still carrying a pre-growth epoch (it overlapped the
+        // growth publication) must not roll the cache back: no sweep of
+        // the fresh entries, no reads of them, no insertion of its own
+        // pre-growth responses.
+        let cache = QueryCache::new(8);
         get(&cache, 1, 1, Some(1));
         assert_eq!(
             get(&cache, 0, 1, Some(99)),
@@ -594,17 +478,6 @@ mod tests {
             (1, 3),
             "peeks never count, stale ops do"
         );
-    }
-
-    #[test]
-    fn stale_epoch_callers_neither_sweep_nor_pollute() {
-        stale_callers_bypass(QueryCache::new(8));
-    }
-
-    #[test]
-    fn stale_epoch_stragglers_bypass_ttl_entries_too() {
-        // Even though a TTL of 3 would nominally cover the older epoch.
-        stale_callers_bypass(QueryCache::with_ttl(8, 3, 3));
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::local_indexer::LocalPeer;
 use crate::stats::BuildReport;
 use hdk_corpus::{Collection, DocId, FrequencyStats};
 use hdk_ir::CompressedPostings;
-use hdk_p2p::{ChordRing, Overlay, PGrid, PeerId, SimNet, SimNetConfig, TrafficSnapshot};
+use hdk_p2p::{PGrid, PeerId, SimNet, SimNetConfig, TrafficSnapshot};
 use hdk_text::TermId;
 use parking_lot::{RwLock, RwLockReadGuard};
 use rayon::prelude::*;
@@ -43,23 +43,12 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Which routing substrate to instantiate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The one routing substrate, P-Grid. Kept, with its single variant, only
+/// so the frozen `benchmark/` crate compiles; nothing branches on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverlayKind {
     /// P-Grid binary trie (the paper's substrate).
-    #[default]
     PGrid,
-    /// Chord-style consistent-hashing ring.
-    Chord,
-}
-
-impl OverlayKind {
-    pub(crate) fn build(self, peer_ids: Vec<PeerId>) -> Box<dyn Overlay> {
-        match self {
-            OverlayKind::PGrid => Box::new(PGrid::new(peer_ids)),
-            OverlayKind::Chord => Box::new(ChordRing::new(peer_ids)),
-        }
-    }
 }
 
 /// Which network carries the engine's messages to the DHT.
@@ -111,7 +100,7 @@ impl BackendConfig {
 
     fn build(
         self,
-        overlay: Box<dyn Overlay>,
+        overlay: Box<PGrid>,
         dfmax: u32,
         replication: usize,
         store: &StoreConfig,
@@ -821,24 +810,20 @@ impl HdkNetwork {
     ///
     /// # Panics
     /// Panics on an invalid configuration or empty partition list.
-    pub fn build(
-        collection: &Collection,
-        partitions: &[Vec<DocId>],
-        config: HdkConfig,
-        overlay: OverlayKind,
-    ) -> Self {
+    pub fn build(collection: &Collection, partitions: &[Vec<DocId>], config: HdkConfig) -> Self {
         Self::build_with(
             collection,
             partitions,
             config,
-            overlay,
+            OverlayKind::PGrid,
             BackendConfig::InProc,
         )
     }
 
     /// [`HdkNetwork::build`] with an explicit network backend — the same
     /// protocol over [`BackendConfig::InProc`], a configured
-    /// [`BackendConfig::SimNet`] or a [`BackendConfig::Tcp`] fleet.
+    /// [`BackendConfig::SimNet`] or a [`BackendConfig::Tcp`] fleet. The
+    /// overlay is always P-Grid; `_overlay` names it only for `benchmark/`.
     ///
     /// # Panics
     /// Panics on an invalid configuration or empty partition list.
@@ -846,7 +831,7 @@ impl HdkNetwork {
         collection: &Collection,
         partitions: &[Vec<DocId>],
         config: HdkConfig,
-        overlay: OverlayKind,
+        _overlay: OverlayKind,
         backend: BackendConfig,
     ) -> Self {
         // Before the backend is built: a bad configuration must be
@@ -854,7 +839,7 @@ impl HdkNetwork {
         config.validate();
         let peer_ids = (0..partitions.len() as u64).map(PeerId).collect();
         let backend = backend.build(
-            overlay.build(peer_ids),
+            Box::new(PGrid::new(peer_ids)),
             config.dfmax,
             config.replication,
             &config.store,
@@ -1108,7 +1093,6 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         )
     }
 
@@ -1154,7 +1138,6 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-            OverlayKind::Chord,
         );
         assert_eq!(n.num_peers(), 1);
         assert!(n.index().index_counts().total_keys() > 0);
@@ -1215,7 +1198,6 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let counts = n.index().index_counts();
         assert_eq!(counts.hdk_keys[1] + counts.ndk_keys[1], 0);
@@ -1243,7 +1225,7 @@ mod tests {
             window: 8,
             ..HdkConfig::default()
         };
-        let with = HdkNetwork::build(&c, &parts, base.clone(), OverlayKind::PGrid);
+        let with = HdkNetwork::build(&c, &parts, base.clone());
         let without = HdkNetwork::build(
             &c,
             &parts,
@@ -1252,7 +1234,6 @@ mod tests {
                 replication: 1,
                 ..base
             },
-            OverlayKind::PGrid,
         );
         let kw = with.index().index_counts().total_keys();
         let ko = without.index().index_counts().total_keys();
@@ -1322,7 +1303,6 @@ mod tests {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let (mut indexer, queries) = network.into_services();
         let probes: Vec<Vec<hdk_text::TermId>> = (0..6)
@@ -1412,7 +1392,6 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let (mut indexer, queries) = network.into_services();
         let before = queries.num_docs();
@@ -1439,7 +1418,6 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         (network, c.docs()[120..130].to_vec())
     }

@@ -441,7 +441,6 @@ impl HdkNetwork {
 mod tests {
     use super::*;
     use crate::config::HdkConfig;
-    use crate::engine::OverlayKind;
     use hdk_corpus::{
         partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
     };
@@ -465,7 +464,6 @@ mod tests {
                 ff: 3_000,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         (c, n)
     }

@@ -42,7 +42,7 @@ use hdk_p2p::wire::{self, Wire, WireReader};
 use hdk_p2p::{
     wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
     GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, InlineVec, LossStats, Membership,
-    MigrationStats, NetworkBackend, Notification, Overlay, PeerId, RecoveryStats, RepairStats,
+    MigrationStats, NetworkBackend, Notification, PGrid, PeerId, RecoveryStats, RepairStats,
     Request, Response, SegmentStore, Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
 };
 use rayon::prelude::*;
@@ -573,7 +573,7 @@ pub fn build_entry_store(config: &StoreConfig) -> Option<Box<dyn Store<KeyEntry>
 /// the engine runs by default, and what every peer process of the serving
 /// tier runs over its share of the stripes.
 pub(crate) fn local_backend(
-    overlay: Box<dyn Overlay>,
+    overlay: Box<PGrid>,
     dfmax: u32,
     replication: usize,
     store: &StoreConfig,
@@ -611,7 +611,7 @@ pub struct GlobalIndex {
 impl GlobalIndex {
     /// Creates an empty index over `overlay` with threshold `dfmax`,
     /// dispatching through the in-process backend (the default).
-    pub fn new(overlay: Box<dyn Overlay>, dfmax: u32) -> Self {
+    pub fn new(overlay: Box<PGrid>, dfmax: u32) -> Self {
         Self::with_backend(
             Box::new(InProc::new(overlay, IndexStore::new(dfmax))),
             dfmax,
@@ -667,7 +667,7 @@ impl GlobalIndex {
     }
 
     /// The underlying overlay.
-    pub fn overlay(&self) -> &dyn Overlay {
+    pub fn overlay(&self) -> &PGrid {
         self.dht().overlay()
     }
 
@@ -1308,7 +1308,6 @@ impl std::fmt::Display for IndexCounts {
 mod tests {
     use super::*;
     use hdk_corpus::DocId;
-    use hdk_p2p::PGrid;
     use hdk_text::TermId;
 
     fn index(peers: u64, dfmax: u32) -> GlobalIndex {

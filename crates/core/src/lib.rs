@@ -21,7 +21,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use hdk_core::{HdkConfig, HdkNetwork, OverlayKind};
+//! use hdk_core::{HdkConfig, HdkNetwork};
 //! use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
 //! use hdk_p2p::PeerId;
 //!
@@ -34,7 +34,7 @@
 //!
 //! // Build the distributed HDK index and query it.
 //! let config = HdkConfig { dfmax: 20, ff: 2_000, ..HdkConfig::default() };
-//! let network = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+//! let network = HdkNetwork::build(&collection, &partitions, config);
 //! let query = collection.docs()[0].tokens[..2].to_vec();
 //! let outcome = network.query(PeerId(0), &query, 20);
 //! assert!(outcome.postings_fetched <= u64::from(outcome.lookups) * 20);

@@ -15,7 +15,7 @@
 //! the ST baseline reproduces the centralized engine's ranking.
 
 use crate::config::HdkConfig;
-use crate::engine::{HdkNetwork, OverlayKind, QueryService};
+use crate::engine::{HdkNetwork, QueryService};
 use crate::exec::QueryOutcome;
 use crate::stats::BuildReport;
 use hdk_corpus::{Collection, DocId};
@@ -31,7 +31,7 @@ pub struct SingleTermNetwork {
 impl SingleTermNetwork {
     /// Builds the ST index over the same collection/partitioning/overlay
     /// as an HDK network would use.
-    pub fn build(collection: &Collection, partitions: &[Vec<DocId>], overlay: OverlayKind) -> Self {
+    pub fn build(collection: &Collection, partitions: &[Vec<DocId>]) -> Self {
         let config = HdkConfig {
             dfmax: u32::MAX,
             smax: 1,
@@ -47,7 +47,7 @@ impl SingleTermNetwork {
             gossip: hdk_p2p::GossipConfig::default(),
         };
         Self {
-            inner: HdkNetwork::build(collection, partitions, config, overlay),
+            inner: HdkNetwork::build(collection, partitions, config),
         }
     }
 
@@ -103,7 +103,7 @@ mod tests {
     fn matches_centralized_bm25_exactly() {
         let c = collection();
         let parts = partition_documents(c.len(), 4, 7);
-        let st = SingleTermNetwork::build(&c, &parts, OverlayKind::PGrid);
+        let st = SingleTermNetwork::build(&c, &parts);
         let central = CentralizedEngine::build(&c);
         let log = QueryLog::generate(
             &c,
@@ -128,7 +128,7 @@ mod tests {
     fn query_traffic_equals_sum_of_dfs() {
         let c = collection();
         let parts = partition_documents(c.len(), 4, 7);
-        let st = SingleTermNetwork::build(&c, &parts, OverlayKind::PGrid);
+        let st = SingleTermNetwork::build(&c, &parts);
         let central = CentralizedEngine::build(&c);
         let log = QueryLog::generate(
             &c,
@@ -150,7 +150,7 @@ mod tests {
     fn stored_equals_inserted_no_truncation() {
         let c = collection();
         let parts = partition_documents(c.len(), 4, 7);
-        let st = SingleTermNetwork::build(&c, &parts, OverlayKind::PGrid);
+        let st = SingleTermNetwork::build(&c, &parts);
         let r = st.build_report();
         let stored: u64 = r.stored_per_peer.iter().sum();
         let inserted: u64 = r.inserted_by_size.iter().sum();
@@ -164,7 +164,7 @@ mod tests {
     fn only_single_term_keys() {
         let c = collection();
         let parts = partition_documents(c.len(), 2, 7);
-        let st = SingleTermNetwork::build(&c, &parts, OverlayKind::Chord);
+        let st = SingleTermNetwork::build(&c, &parts);
         let counts = st.build_report().counts;
         assert!(counts.hdk_keys[0] > 0);
         for s in 1..4 {

@@ -45,7 +45,7 @@ use hdk_ir::CompressedPostings;
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
 use hdk_p2p::{
     stripe_of, Absorb, Addressed, Control, Dht, GossipMetering, InProc, LatencyHistogram, MsgKind,
-    NetworkBackend, Overlay, PeerId, Request, Response, TrafficSnapshot, Wire, NUM_KINDS,
+    NetworkBackend, PGrid, PeerId, Request, Response, TrafficSnapshot, Wire, NUM_KINDS,
     NUM_STRIPES,
 };
 use parking_lot::Mutex;
@@ -207,7 +207,7 @@ impl TcpNet {
     /// the same construction every process ran.
     pub fn connect(
         addrs: &[String],
-        overlay: Box<dyn Overlay>,
+        overlay: Box<PGrid>,
         dfmax: u32,
         replication: usize,
     ) -> WireResult<TcpNet> {
@@ -239,7 +239,7 @@ impl TcpNet {
     /// `replication`, stripes by `stripe % nprocs`).
     pub fn over(
         fleet: Box<dyn Fleet>,
-        overlay: Box<dyn Overlay>,
+        overlay: Box<PGrid>,
         dfmax: u32,
         replication: usize,
     ) -> WireResult<TcpNet> {
@@ -538,7 +538,7 @@ mod tests {
     use crate::key::Key;
     use hdk_corpus::DocId;
     use hdk_ir::{CompressedPostings, Posting, PostingList};
-    use hdk_p2p::{Addressed, PGrid};
+    use hdk_p2p::Addressed;
     use hdk_text::TermId;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;

@@ -22,11 +22,10 @@
 //! recovers losslessly (`tests/serving_shutdown.rs`).
 
 use crate::config::StoreConfig;
-use crate::engine::OverlayKind;
 use crate::global_index::{local_backend, IndexResponse, IndexStore, IndexSweep};
 use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
-use hdk_p2p::{InProc, NetworkBackend, PeerId, Request, Response};
+use hdk_p2p::{InProc, NetworkBackend, PGrid, PeerId, Request, Response};
 use parking_lot::RwLock;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -46,8 +45,6 @@ pub struct PeerConfig {
     pub dfmax: u32,
     /// Structural replication factor.
     pub replication: usize,
-    /// Overlay flavor — must match the front-end's.
-    pub overlay: OverlayKind,
     /// Entry storage (in-memory, or a segment store for durability).
     pub store: StoreConfig,
 }
@@ -67,7 +64,7 @@ impl PeerHost {
     pub fn new(config: PeerConfig) -> Self {
         assert!(config.proc_index < config.nprocs, "proc_index out of range");
         let peer_ids: Vec<PeerId> = (0..config.num_peers as u64).map(PeerId).collect();
-        let overlay = config.overlay.build(peer_ids);
+        let overlay = Box::new(PGrid::new(peer_ids));
         let backend = local_backend(overlay, config.dfmax, config.replication, &config.store);
         PeerHost {
             config,

@@ -7,7 +7,7 @@
 //! (what a hostile client can pin), so it is alone in its test binary:
 //! nothing else may allocate beside it.
 
-use hdk_core::{spawn_http, HdkConfig, HdkNetwork, OverlayKind};
+use hdk_core::{spawn_http, HdkConfig, HdkNetwork};
 use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
@@ -60,12 +60,7 @@ fn a_newline_free_megabyte_head_is_refused_within_the_limit() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 2, 7);
-    let network = HdkNetwork::build(
-        &collection,
-        &partitions,
-        HdkConfig::default(),
-        OverlayKind::PGrid,
-    );
+    let network = HdkNetwork::build(&collection, &partitions, HdkConfig::default());
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
     let http = spawn_http(listener, network.query_service()).expect("spawn the front-end");
     let head = vec![b'a'; 1 << 20];

@@ -8,7 +8,7 @@
 //! including the cross-session subtleties (keys flipping to NDK late,
 //! old documents contributing new combinations, no double-counted dfs).
 
-use hdk_core::{HdkConfig, HdkNetwork, Key, OverlayKind};
+use hdk_core::{HdkConfig, HdkNetwork, Key};
 use hdk_corpus::{
     partition_documents, Collection, CollectionGenerator, DocId, GeneratorConfig, QueryLog,
     QueryLogConfig,
@@ -37,14 +37,14 @@ fn build_both(
     dfmax: u32,
 ) -> (HdkNetwork, HdkNetwork) {
     let partitions = partition_documents(collection.len(), peers, 31);
-    let full = HdkNetwork::build(collection, &partitions, config(dfmax), OverlayKind::PGrid);
+    let full = HdkNetwork::build(collection, &partitions, config(dfmax));
 
     let old_parts: Vec<Vec<DocId>> = partitions
         .iter()
         .map(|p| p.iter().copied().filter(|d| d.index() < split_at).collect())
         .collect();
     let prefix = collection.prefix(split_at);
-    let mut incremental = HdkNetwork::build(&prefix, &old_parts, config(dfmax), OverlayKind::PGrid);
+    let mut incremental = HdkNetwork::build(&prefix, &old_parts, config(dfmax));
     let mut additions = Vec::new();
     for (peer_idx, part) in partitions.iter().enumerate() {
         for &d in part.iter().filter(|d| d.index() >= split_at) {
@@ -139,12 +139,7 @@ fn grow_in_waves(
                 .collect()
         })
         .collect();
-    let mut net = HdkNetwork::build(
-        &collection.prefix(bounds[0]),
-        &base,
-        config(dfmax),
-        OverlayKind::PGrid,
-    );
+    let mut net = HdkNetwork::build(&collection.prefix(bounds[0]), &base, config(dfmax));
     for wave in bounds.windows(2) {
         let mut additions = Vec::new();
         for (peer_idx, part) in partitions.iter().enumerate() {
@@ -172,7 +167,7 @@ fn incremental_in_multiple_waves() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 3, 8);
-    let full = HdkNetwork::build(&collection, &partitions, config(10), OverlayKind::PGrid);
+    let full = HdkNetwork::build(&collection, &partitions, config(10));
     // Three waves: 0..120, 120..240, 240..360.
     let net = grow_in_waves(&collection, &partitions, &[120, 240, 360], 10);
     assert_networks_equal(&full, &net, &collection);
@@ -194,7 +189,7 @@ fn four_growth_batches_equal_one_session_rebuild() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 4, 17);
-    let full = HdkNetwork::build(&collection, &partitions, config(8), OverlayKind::PGrid);
+    let full = HdkNetwork::build(&collection, &partitions, config(8));
     let grown = grow_in_waves(&collection, &partitions, &[200, 250, 300, 350, 400], 8);
     assert_networks_equal(&full, &grown, &collection);
     let log = QueryLog::generate(
@@ -233,7 +228,7 @@ fn adding_zero_documents_is_a_noop() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 2, 4);
-    let mut net = HdkNetwork::build(&collection, &partitions, config(10), OverlayKind::PGrid);
+    let mut net = HdkNetwork::build(&collection, &partitions, config(10));
     let before = net.index().index_counts();
     net.add_documents(Vec::new());
     assert_eq!(net.index().index_counts(), before);

@@ -111,7 +111,6 @@ fn peer_host(proc_index: usize, hosts: usize, peers: usize, config: &HdkConfig) 
         num_peers: peers,
         dfmax: config.dfmax,
         replication: config.replication,
-        overlay: OverlayKind::PGrid,
         store: config.store.clone(),
     })
 }
@@ -182,7 +181,7 @@ fn check_loopback_equivalent(
     hosts: usize,
 ) -> Result<(), TestCaseError> {
     let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
-    let inproc = HdkNetwork::build(collection, &partitions, config.clone(), OverlayKind::PGrid);
+    let inproc = HdkNetwork::build(collection, &partitions, config.clone());
     let fleet = build_over_loopback(collection, &partitions, config, hosts);
     check_same_observables(&inproc, &fleet, queries, peers)?;
     prop_assert_eq!(fleet.query_service().transport_errors(), 0);
@@ -197,7 +196,7 @@ fn check_equivalent(
     sim: SimNetConfig,
 ) -> Result<(), TestCaseError> {
     let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
-    let inproc = HdkNetwork::build(collection, &partitions, config.clone(), OverlayKind::PGrid);
+    let inproc = HdkNetwork::build(collection, &partitions, config.clone());
     let simnet = HdkNetwork::build_with(
         collection,
         &partitions,

@@ -11,7 +11,7 @@
 //! contract one level up: a `/query` answered from the front-end's cache
 //! reflects a document the `IndexService` added since.
 
-use hdk_core::{spawn_http, HdkConfig, HdkNetwork, OverlayKind, QueryCache, QueryOutcome};
+use hdk_core::{spawn_http, HdkConfig, HdkNetwork, QueryCache, QueryOutcome};
 use hdk_corpus::{Collection, DocId, Document};
 use hdk_p2p::PeerId;
 use hdk_text::{TermId, Vocabulary};
@@ -75,7 +75,7 @@ proptest! {
         let collection = make_collection(&token_docs);
         let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
         let config = HdkConfig { dfmax, smax, window: 5, ff: u64::MAX, ..HdkConfig::default() };
-        let mut network = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+        let mut network = HdkNetwork::build(&collection, &partitions, config);
         let caches = CAPACITIES.map(QueryCache::new);
         let mut num_docs = collection.len();
         let mut sessions = sessions.into_iter();
@@ -138,7 +138,7 @@ fn a_cached_http_query_reflects_documents_added_since() {
         ff: u64::MAX,
         ..HdkConfig::default()
     };
-    let network = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+    let network = HdkNetwork::build(&collection, &partitions, config);
     let (mut indexer, queries) = network.into_services();
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let front = spawn_http(listener, queries.clone()).expect("spawn front-end");

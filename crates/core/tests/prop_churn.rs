@@ -273,7 +273,6 @@ proptest! {
             &collection.prefix(indexed),
             &hdk_corpus::partition_documents(indexed, 4, 7),
             config.clone(),
-            OverlayKind::PGrid,
         );
         prop_assert_eq!(counts[0], reference.index().index_counts());
         let expected = digest_queries(&reference.query_service(), PeerId(0), &queries);

@@ -13,7 +13,7 @@
 //! how wide the parallel probe fan-out ran.
 
 use hdk_core::ranking::rank_union;
-use hdk_core::{HdkConfig, HdkNetwork, Key, KeyLookup, OverlayKind, QueryOutcome};
+use hdk_core::{HdkConfig, HdkNetwork, Key, KeyLookup, QueryOutcome};
 use hdk_corpus::{Collection, DocId, Document};
 use hdk_p2p::PeerId;
 use hdk_text::{TermId, Vocabulary};
@@ -136,8 +136,8 @@ proptest! {
         };
         // Two identical builds (builds are deterministic — pinned by
         // tests/determinism.rs) so each side meters its own traffic.
-        let reference = HdkNetwork::build(&collection, &partitions, config.clone(), OverlayKind::PGrid);
-        let pipeline = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+        let reference = HdkNetwork::build(&collection, &partitions, config.clone());
+        let pipeline = HdkNetwork::build(&collection, &partitions, config);
 
         for (i, q) in queries.iter().enumerate() {
             let terms: Vec<TermId> = q.iter().map(|&t| TermId(t)).collect();

@@ -13,7 +13,7 @@
 //!    document where the whole query co-occurs within a window is
 //!    retrieved (the redundancy-filtering soundness claim of Section 3.1).
 
-use hdk_core::{HdkConfig, HdkNetwork, Key, OverlayKind};
+use hdk_core::{HdkConfig, HdkNetwork, Key};
 use hdk_corpus::{Collection, DocId, Document};
 use hdk_p2p::PeerId;
 use hdk_text::{TermId, Vocabulary};
@@ -111,7 +111,6 @@ proptest! {
             codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
             },
-            OverlayKind::PGrid,
         );
 
         let truth = brute_all_keys(collection.docs(), w);
@@ -213,7 +212,6 @@ proptest! {
             codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
             },
-            OverlayKind::PGrid,
         );
         let truth = brute_all_keys(collection.docs(), w);
         for (key, true_docs) in &truth {

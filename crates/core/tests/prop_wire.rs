@@ -36,8 +36,8 @@
 use hdk_core::serve::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_core::{
     IndexCounts, IndexFootprint, IndexRequest, IndexResponse, IndexSweep, IndexSwept, Key,
-    KeyEntry, KeyEntryCodec, KeyLookup, OverlayKind, PeerConfig, PeerHost, PeerStorage,
-    StoreConfig, MAX_KEY_SIZE,
+    KeyEntry, KeyEntryCodec, KeyLookup, PeerConfig, PeerHost, PeerStorage, StoreConfig,
+    MAX_KEY_SIZE,
 };
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
@@ -64,7 +64,6 @@ fn fresh_host() -> PeerHost {
         num_peers: PEERS as usize,
         dfmax: DFMAX,
         replication: 2,
-        overlay: OverlayKind::PGrid,
         store: StoreConfig::Memory,
     })
 }

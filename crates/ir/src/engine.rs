@@ -32,11 +32,6 @@ impl CentralizedEngine {
         }
     }
 
-    /// Wraps an existing index.
-    pub fn from_index(index: InvertedIndex, bm25: Bm25) -> Self {
-        Self { index, bm25 }
-    }
-
     /// The underlying index.
     pub fn index(&self) -> &InvertedIndex {
         &self.index

@@ -1,5 +1,5 @@
 //! The DHT storage layer: metered, lock-striped, *replicated* key-value
-//! storage on top of an [`Overlay`].
+//! storage on top of the [`PGrid`] overlay.
 //!
 //! Each peer *logically* hosts the fraction of the global index the overlay
 //! assigns to it (paper, Section 3: "the fraction of the global index under
@@ -67,7 +67,7 @@
 
 use crate::gossip::{GossipConfig, GossipProbe, GossipRound, GossipState, PeerView};
 use crate::id::{hash_u64s, KeyHash, PeerId};
-use crate::overlay::Overlay;
+use crate::pgrid::PGrid;
 use crate::replica::{Delivery, Membership, PeerState};
 use crate::store::{Holders, MemStore, RecoveryStats, Slot, Store, TableBytes, Tier};
 use crate::transport::{MsgKind, TrafficMeter, TrafficSnapshot};
@@ -87,7 +87,7 @@ pub const NUM_STRIPES: usize = 128;
 /// (`lookup`/`peek`) takes read locks so a batch of parallel queries
 /// hammering the same popular stripe still proceeds concurrently.
 pub struct Dht<V> {
-    overlay: Box<dyn Overlay>,
+    overlay: Box<PGrid>,
     membership: Membership,
     replication: usize,
     store: Box<dyn Store<V>>,
@@ -241,7 +241,7 @@ pub fn stripe_of(key: KeyHash) -> usize {
 
 impl<V: Send + Sync + 'static> Dht<V> {
     /// Builds an empty unreplicated DHT (`R = 1`) over the overlay.
-    pub fn new(overlay: Box<dyn Overlay>) -> Self {
+    pub fn new(overlay: Box<PGrid>) -> Self {
         Self::replicated(overlay, 1)
     }
 
@@ -251,7 +251,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     ///
     /// # Panics
     /// Panics when `replication` is zero.
-    pub fn replicated(overlay: Box<dyn Overlay>, replication: usize) -> Self {
+    pub fn replicated(overlay: Box<PGrid>, replication: usize) -> Self {
         Self::with_store(overlay, replication, Box::new(MemStore::new()))
     }
 
@@ -261,11 +261,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     ///
     /// # Panics
     /// Panics when `replication` is zero.
-    pub fn with_store(
-        overlay: Box<dyn Overlay>,
-        replication: usize,
-        store: Box<dyn Store<V>>,
-    ) -> Self {
+    pub fn with_store(overlay: Box<PGrid>, replication: usize, store: Box<dyn Store<V>>) -> Self {
         assert!(replication >= 1, "replication factor must be at least 1");
         let n = overlay.len();
         Self {
@@ -375,14 +371,9 @@ impl<V: Send + Sync + 'static> Dht<V> {
         self.hot = hot;
     }
 
-    /// The popularity-driven replication configuration.
-    pub fn hot_config(&self) -> HotConfig {
-        self.hot
-    }
-
     /// The overlay in use.
-    pub fn overlay(&self) -> &dyn Overlay {
-        &*self.overlay
+    pub fn overlay(&self) -> &PGrid {
+        &self.overlay
     }
 
     /// The peer-liveness view.
@@ -1101,18 +1092,6 @@ impl<V: Send + Sync + 'static> Dht<V> {
             .scan(stripe, &mut |k, s, tier| f(&s.holders, &k, &s.value, tier));
     }
 
-    /// Like [`Dht::for_each_stripe`] but also resolves each entry's
-    /// *responsible* peer index (one overlay lookup per entry) — for
-    /// ownership-based measurements and join accounting. Note that under
-    /// churn the responsible peer can be dead while live replicas hold
-    /// the entry; use [`Dht::for_each_stripe_held`] for storage
-    /// accounting.
-    pub fn for_each_stripe_owned<F: FnMut(usize, &u64, &V)>(&self, stripe: usize, mut f: F) {
-        self.store.scan(stripe, &mut |k, s, _| {
-            f(self.owner_index(KeyHash(k)), &k, &s.value)
-        });
-    }
-
     /// Admits one peer — [`Dht::add_peers`] with a single-element wave.
     pub fn add_peer(&mut self, peer: PeerId, volume: impl Fn(&V) -> (u64, u64)) -> MigrationStats {
         self.add_peers(vec![peer], volume)
@@ -1628,8 +1607,6 @@ impl<V: Send + Sync + 'static> std::fmt::Debug for Dht<V> {
 mod tests {
     use super::*;
     use crate::id::hash_u64s;
-    use crate::pgrid::PGrid;
-    use crate::ring::ChordRing;
 
     fn dht_pgrid(n: u64) -> Dht<Vec<u32>> {
         Dht::new(Box::new(PGrid::new((0..n).map(PeerId).collect())))
@@ -1725,7 +1702,6 @@ mod tests {
         dht.resident_bytes(|v| v.len() as u64);
         for s in 0..dht.num_stripes() {
             dht.for_each_stripe(s, |_, _| {});
-            dht.for_each_stripe_owned(s, |_, _, _| {});
             dht.for_each_stripe_held(s, |_, _, _| {});
         }
         let after = dht.snapshot();
@@ -1772,16 +1748,6 @@ mod tests {
             });
         assert!(out.is_empty());
         assert_eq!(before, dht.snapshot());
-    }
-
-    #[test]
-    fn works_on_chord_too() {
-        let dht: Dht<u32> = Dht::new(Box::new(ChordRing::new((0..12).map(PeerId).collect())));
-        let key = KeyHash(hash_u64s(&[42]));
-        dht.upsert(PeerId(1), key, 1, 4, || 0, |v| *v += 10);
-        dht.upsert(PeerId(2), key, 1, 4, || 0, |v| *v += 5);
-        let v = dht.lookup(PeerId(3), key, |v| (v.copied().unwrap_or(0), 1, 4));
-        assert_eq!(v, 15);
     }
 
     #[test]

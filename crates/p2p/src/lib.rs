@@ -7,15 +7,10 @@
 //! states every scalability result ("we [...] merely analyze the number of
 //! postings the network needs to absorb and transmit", Section 4).
 //!
-//! Two interchangeable overlays implement the [`Overlay`] trait:
-//!
-//! * [`pgrid::PGrid`] — a binary-trie overlay in the style of P-Grid
-//!   (prefix-partitioned key space, prefix-correcting routing),
-//! * [`ring::ChordRing`] — a consistent-hashing ring with finger tables,
-//!
-//! so experiments can show the HDK results are independent of the routing
-//! substrate. The [`dht::Dht`] storage layer runs on either and meters all
-//! traffic through [`transport::TrafficMeter`].
+//! The overlay is [`pgrid::PGrid`], a binary trie in the style of P-Grid
+//! (prefix-partitioned key space, prefix-correcting routing). The
+//! [`dht::Dht`] storage layer runs on it and meters all traffic through
+//! [`transport::TrafficMeter`].
 //!
 //! The engine reaches the DHT through the typed message layer of [`rpc`]:
 //! message enums for the paper's message taxonomy, one handler that turns
@@ -36,10 +31,8 @@ pub mod dht;
 pub mod gossip;
 pub mod id;
 pub mod inline;
-pub mod overlay;
 pub mod pgrid;
 pub mod replica;
-pub mod ring;
 pub mod rpc;
 pub mod store;
 pub mod transport;
@@ -55,10 +48,8 @@ pub use gossip::{
 };
 pub use id::{hash_bytes, hash_u64s, IdHashMap, IdHashSet, IdHasher, KeyHash, PeerId};
 pub use inline::InlineVec;
-pub use overlay::{Overlay, RouteResult};
-pub use pgrid::PGrid;
+pub use pgrid::{PGrid, RouteResult};
 pub use replica::{Delivery, Membership, MembershipEvent, PeerState};
-pub use ring::ChordRing;
 pub use rpc::{
     Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
     ResponseOf, SimNet, SimNetConfig, StoreService,

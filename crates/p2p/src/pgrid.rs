@@ -15,7 +15,15 @@
 //! peer of the complementary subtree, not the best one.
 
 use crate::id::{splitmix64, KeyHash, PeerId};
-use crate::overlay::{Overlay, RouteResult};
+
+/// Result of routing a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteResult {
+    /// The peer responsible for the key.
+    pub responsible: PeerId,
+    /// Overlay hops from the originator to the responsible peer.
+    pub hops: u32,
+}
 
 /// Binary path of a peer: the top `len` bits of `bits` (MSB-first).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,25 +209,47 @@ impl PGrid {
                 .map(|d| d + 1),
         }
     }
-}
 
-impl Overlay for PGrid {
-    fn peers(&self) -> &[PeerId] {
+    /// All peers, in a stable order. The position of a peer in this slice is
+    /// its *peer index*, used by storage and metering arrays.
+    pub fn peers(&self) -> &[PeerId] {
         &self.peers
     }
 
-    fn peer_index(&self, peer: PeerId) -> usize {
+    /// Number of peers.
+    pub fn len(&self) -> usize {
+        self.peers.len()
+    }
+
+    /// True for an empty grid (never constructed: [`PGrid::new`] panics).
+    pub fn is_empty(&self) -> bool {
+        self.peers.is_empty()
+    }
+
+    /// Index of `peer` in [`PGrid::peers`].
+    ///
+    /// # Panics
+    /// Panics if `peer` is not a member.
+    pub fn peer_index(&self, peer: PeerId) -> usize {
         self.peers
             .iter()
             .position(|&p| p == peer)
             .expect("unknown peer")
     }
 
-    fn responsible(&self, key: KeyHash) -> PeerId {
+    /// The peer responsible for `key`: the one whose path prefixes it.
+    pub fn responsible(&self, key: KeyHash) -> PeerId {
         self.peers[self.leaf_for(key)]
     }
 
-    fn join(&mut self, peer: PeerId) {
+    /// Admits a new peer. The peer is appended to [`PGrid::peers`] (so
+    /// existing peer indices stay stable) and takes over half of the
+    /// shallowest leaf's key space; [`crate::dht::Dht::add_peers`] migrates
+    /// the affected keys.
+    ///
+    /// # Panics
+    /// Panics if the peer is already a member.
+    pub fn join(&mut self, peer: PeerId) {
         assert!(
             !self.peers.contains(&peer),
             "{peer} is already in the overlay"
@@ -246,11 +276,22 @@ impl Overlay for PGrid {
         self.rebuild_order();
     }
 
-    fn successor_index(&self, peer_index: usize) -> usize {
+    /// Peer index of the peer owning the key-space region immediately
+    /// *after* `peer_index`'s, wrapping around — the in-order successor of
+    /// the binary trie.
+    ///
+    /// Iterating `successor_index` from any start visits every peer
+    /// exactly once per cycle; this is the deterministic walk replica
+    /// placement is derived from (primary = responsible peer, replicas =
+    /// the next peers along the walk — see `crate::replica`).
+    pub fn successor_index(&self, peer_index: usize) -> usize {
         self.order[(self.order_pos[peer_index] + 1) % self.order.len()]
     }
 
-    fn route(&self, from: PeerId, key: KeyHash) -> RouteResult {
+    /// Routes from `from` to the peer responsible for `key`, counting hops.
+    /// Always agrees with [`PGrid::responsible`]; a peer reaches its own
+    /// keys in zero hops.
+    pub fn route(&self, from: PeerId, key: KeyHash) -> RouteResult {
         let target = self.leaf_for(key);
         let mut cur = self.peer_index(from);
         let mut hops = 0u32;
@@ -282,17 +323,69 @@ impl Overlay for PGrid {
 mod tests {
     use super::*;
     use crate::id::hash_u64s;
-    use crate::overlay::test_support::{check_balance, check_overlay_contract};
 
     fn peers(n: u64) -> Vec<PeerId> {
         (0..n).map(PeerId).collect()
+    }
+
+    /// Exercises the grid's contract: `peer_index` inverts `peers`, routes
+    /// agree with `responsible`, self-routes are free, and the successor
+    /// walk is one cycle over every peer.
+    fn check_contract(grid: &PGrid) {
+        let peers = grid.peers();
+        assert!(!peers.is_empty());
+        // peer_index is the inverse of peers().
+        for (i, &p) in peers.iter().enumerate() {
+            assert_eq!(grid.peer_index(p), i);
+        }
+        // Every key routes to its responsible peer from every origin, and
+        // a peer reaches its own keys in zero hops.
+        for k in 0..200u64 {
+            let key = KeyHash(hash_u64s(&[k]));
+            let owner = grid.responsible(key);
+            for &from in peers.iter().take(8) {
+                let r = grid.route(from, key);
+                assert_eq!(r.responsible, owner, "route/responsible disagree");
+                if from == owner {
+                    assert_eq!(r.hops, 0, "self-route must be free");
+                }
+            }
+        }
+        // The successor walk is a single cycle covering every peer once.
+        let mut cur = 0usize;
+        let mut seen = vec![false; peers.len()];
+        for _ in 0..peers.len() {
+            assert!(!seen[cur], "successor walk revisited peer {cur} early");
+            seen[cur] = true;
+            cur = grid.successor_index(cur);
+        }
+        assert_eq!(cur, 0, "successor walk must wrap to its start");
+        assert!(seen.iter().all(|&s| s), "walk skipped a peer");
+    }
+
+    /// Checks that responsibility spreads over many peers (load balance).
+    fn check_balance(grid: &PGrid, keys: u64, max_skew: f64) {
+        let n = grid.len();
+        let mut counts = vec![0usize; n];
+        for k in 0..keys {
+            let key = KeyHash(hash_u64s(&[k, 0xdead]));
+            counts[grid.peer_index(grid.responsible(key))] += 1;
+        }
+        let expected = keys as f64 / n as f64;
+        let max = *counts.iter().max().unwrap() as f64;
+        assert!(
+            max <= expected * max_skew,
+            "max load {max} exceeds {max_skew}x the mean {expected}"
+        );
+        let nonempty = counts.iter().filter(|&&c| c > 0).count();
+        assert_eq!(nonempty, n, "some peers own no keys");
     }
 
     #[test]
     fn contract_various_sizes() {
         for n in [1, 2, 3, 4, 5, 7, 8, 28, 33] {
             let grid = PGrid::new(peers(n));
-            check_overlay_contract(&grid);
+            check_contract(&grid);
         }
     }
 

@@ -15,11 +15,10 @@
 //!   function of the overlay and the membership view, with **no placement
 //!   state**: the replica set of a key is its responsible peer followed by
 //!   the next live peers along the overlay's key-space successor order
-//!   ([`crate::overlay::Overlay::successor_index`] — in-order trie
-//!   traversal, or clockwise on the ring), skipping dead peers. Because
-//!   the set is derived, it re-derives itself after every membership
-//!   change; repair only has to materialize the copies the new derivation
-//!   asks for.
+//!   ([`crate::pgrid::PGrid::successor_index`] — in-order trie
+//!   traversal), skipping dead peers. Because the set is derived, it
+//!   re-derives itself after every membership change; repair only has to
+//!   materialize the copies the new derivation asks for.
 //!
 //! Lookups use the same walk as their deterministic *failover order*: the
 //! first live replica that holds a copy serves the request; every skipped
@@ -58,7 +57,7 @@ pub struct MembershipEvent {
 
 /// The peer-liveness view threaded through every network backend.
 ///
-/// Indexed by *peer index* (position in [`crate::overlay::Overlay::peers`]),
+/// Indexed by *peer index* (position in [`crate::pgrid::PGrid::peers`]),
 /// which stays stable across joins and departures.
 #[derive(Debug, Clone)]
 pub struct Membership {

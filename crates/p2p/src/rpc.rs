@@ -68,7 +68,7 @@ use crate::dht::{
 };
 use crate::gossip::{GossipConfig, GossipProbe};
 use crate::id::{hash_u64s, splitmix64, KeyHash, PeerId};
-use crate::overlay::Overlay;
+use crate::pgrid::PGrid;
 use crate::replica::{Delivery, Membership};
 use crate::store::{RecoveryStats, Store};
 use crate::transport::{MsgKind, TrafficSnapshot};
@@ -631,7 +631,7 @@ fn insert_batch<S: StoreService>(
 /// `Dht` itself would panic: every peer it names — an insert batch's
 /// inserting peer, a notification's recipient, a lookup's querying peer —
 /// must be one the overlay knows.
-fn check_request<I, Q, W>(overlay: &dyn Overlay, request: &Request<I, Q, W>) -> Result<(), String> {
+fn check_request<I, Q, W>(overlay: &PGrid, request: &Request<I, Q, W>) -> Result<(), String> {
     let known = overlay.peers();
     let unknown = match request {
         Request::InsertBatch { batches } => batches
@@ -743,11 +743,7 @@ fn handle<S: StoreService>(
 /// `membership`, where the `Dht` itself would assert: a joiner must be new, a leaver, crasher or
 /// restarter known and live, no peer may appear twice, and a departure or
 /// crash wave must leave a live peer behind.
-fn check_wave(
-    overlay: &dyn Overlay,
-    membership: &Membership,
-    control: &Control,
-) -> Result<(), String> {
+fn check_wave(overlay: &PGrid, membership: &Membership, control: &Control) -> Result<(), String> {
     let (peers, joining, removing) = match control {
         Control::Join { peers } => (peers, true, false),
         Control::Leave { peers } | Control::Fail { peers } => (peers, false, true),
@@ -903,12 +899,12 @@ pub struct InProc<S: StoreService> {
 impl<S: StoreService> InProc<S> {
     /// In-process network over `overlay`, with `store` as the hosting
     /// peers' application logic (unreplicated, `R = 1`).
-    pub fn new(overlay: Box<dyn Overlay>, store: S) -> Self {
+    pub fn new(overlay: Box<PGrid>, store: S) -> Self {
         Self::replicated(overlay, store, 1)
     }
 
     /// [`InProc::new`] with every key placed on `replication` live peers.
-    pub fn replicated(overlay: Box<dyn Overlay>, store: S, replication: usize) -> Self {
+    pub fn replicated(overlay: Box<PGrid>, store: S, replication: usize) -> Self {
         Self {
             dht: Dht::replicated(overlay, replication),
             store,
@@ -919,7 +915,7 @@ impl<S: StoreService> InProc<S> {
     /// tiered [`crate::store::SegmentStore`] whose sealed segment logs
     /// make a [`Control::Restart`] recover actual state).
     pub fn with_store(
-        overlay: Box<dyn Overlay>,
+        overlay: Box<PGrid>,
         store: S,
         replication: usize,
         backend: Box<dyn Store<S::Value>>,
@@ -1175,7 +1171,6 @@ impl<S: StoreService> std::fmt::Debug for SimNet<S> {
 mod tests {
     use super::*;
     use crate::id::hash_u64s;
-    use crate::pgrid::PGrid;
 
     /// A toy store: values are doc-id sets, inserts are `(route, docs)`
     /// payloads, lookups return the stored vector.
@@ -1284,7 +1279,7 @@ mod tests {
         ));
     }
 
-    fn overlay(n: u64) -> Box<dyn Overlay> {
+    fn overlay(n: u64) -> Box<PGrid> {
         Box::new(PGrid::new((0..n).map(PeerId).collect()))
     }
 

@@ -1,19 +1,19 @@
-//! Peer-join (churn) tests: overlay invariants survive joins and the DHT
+//! Peer-join (churn) tests: P-Grid invariants survive joins and the DHT
 //! migrates exactly the keys the new peer owns.
 
-use hdk_p2p::{hash_u64s, ChordRing, Dht, KeyHash, MsgKind, Overlay, PGrid, PeerId};
+use hdk_p2p::{hash_u64s, Dht, KeyHash, MsgKind, PGrid, PeerId};
 
 fn peers(n: u64) -> Vec<PeerId> {
     (0..n).map(PeerId).collect()
 }
 
-fn check_contract<O: Overlay>(overlay: &O) {
+fn check_contract(grid: &PGrid) {
     for k in 0..300u64 {
         let key = KeyHash(hash_u64s(&[k, 5]));
-        let owner = overlay.responsible(key);
-        assert!(overlay.peers().contains(&owner));
-        for &from in overlay.peers().iter().take(6) {
-            let r = overlay.route(from, key);
+        let owner = grid.responsible(key);
+        assert!(grid.peers().contains(&owner));
+        for &from in grid.peers().iter().take(6) {
+            let r = grid.route(from, key);
             assert_eq!(r.responsible, owner);
         }
     }
@@ -31,16 +31,6 @@ fn pgrid_join_preserves_contract_and_balance() {
     let lens: Vec<u32> = (0..13).map(|i| grid.path(i).len()).collect();
     let (min, max) = (*lens.iter().min().unwrap(), *lens.iter().max().unwrap());
     assert!(max - min <= 1, "paths unbalanced after joins: {lens:?}");
-}
-
-#[test]
-fn chord_join_preserves_contract() {
-    let mut ring = ChordRing::new(peers(4));
-    for new in 4..12u64 {
-        ring.join(PeerId(new));
-        check_contract(&ring);
-    }
-    assert_eq!(ring.len(), 12);
 }
 
 #[test]
@@ -83,7 +73,7 @@ fn dht_migration_moves_exactly_new_peers_keys() {
 
 #[test]
 fn repeated_joins_keep_dht_consistent() {
-    let mut dht: Dht<u64> = Dht::new(Box::new(ChordRing::new(peers(2))));
+    let mut dht: Dht<u64> = Dht::new(Box::new(PGrid::new(peers(2))));
     for k in 0..200u64 {
         dht.upsert(
             PeerId(k % 2),

@@ -1,13 +1,44 @@
-//! Property tests for the overlays and the DHT: the Overlay contract on
-//! arbitrary peer populations, and lookup-after-insert identity under
-//! arbitrary operation sequences.
+//! Property tests for the P-Grid overlay and the DHT: the overlay's
+//! contract on arbitrary peer populations and after arbitrary join waves,
+//! and lookup-after-insert identity under arbitrary operation sequences.
 
-use hdk_p2p::{hash_u64s, ChordRing, Dht, KeyHash, Overlay, PGrid, PeerId};
+use hdk_p2p::{hash_u64s, Dht, KeyHash, PGrid, PeerId};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
 fn peer_ids(n: usize) -> Vec<PeerId> {
     (0..n as u64).map(PeerId).collect()
+}
+
+/// The grid's contract: `peer_index` inverts `peers`, `route` agrees with
+/// `responsible` from every origin, a self-route costs 0 hops, and the
+/// successor walk replica placement follows is one cycle over all peers.
+fn check_contract(grid: &PGrid) -> Result<(), TestCaseError> {
+    let peers = grid.peers();
+    for (i, &p) in peers.iter().enumerate() {
+        prop_assert_eq!(grid.peer_index(p), i);
+    }
+    for k in 0..64u64 {
+        let key = KeyHash(hash_u64s(&[k, 17]));
+        let owner = grid.responsible(key);
+        for &from in peers {
+            let r = grid.route(from, key);
+            prop_assert_eq!(r.responsible, owner);
+            if from == owner {
+                prop_assert_eq!(r.hops, 0);
+            }
+        }
+    }
+    let mut cur = 0usize;
+    let mut seen = vec![false; peers.len()];
+    for _ in 0..peers.len() {
+        prop_assert!(!seen[cur], "successor walk revisited peer {}", cur);
+        seen[cur] = true;
+        cur = grid.successor_index(cur);
+    }
+    prop_assert_eq!(cur, 0, "successor walk must wrap to its start");
+    prop_assert!(seen.iter().all(|&s| s), "successor walk skipped a peer");
+    Ok(())
 }
 
 proptest! {
@@ -32,34 +63,21 @@ proptest! {
     }
 
     #[test]
-    fn chord_contract(n in 1usize..40, keys in prop::collection::vec(any::<u64>(), 1..60)) {
-        let ring = ChordRing::new(peer_ids(n));
-        for &k in &keys {
-            let key = KeyHash(hash_u64s(&[k]));
-            let owner = ring.responsible(key);
-            for &from in ring.peers().iter().step_by((n / 5).max(1)) {
-                let r = ring.route(from, key);
-                prop_assert_eq!(r.responsible, owner);
-                if from == owner {
-                    prop_assert_eq!(r.hops, 0);
-                }
-                prop_assert!((r.hops as usize) <= n);
+    fn pgrid_contract_holds_after_join_waves(
+        n in 1usize..40,
+        waves in prop::collection::vec(1usize..6, 1..6),
+    ) {
+        let mut grid = PGrid::new(peer_ids(n));
+        check_contract(&grid)?;
+        let mut next = n as u64;
+        for wave in waves {
+            for _ in 0..wave {
+                grid.join(PeerId(next));
+                next += 1;
+                check_contract(&grid)?;
             }
         }
-    }
-
-    #[test]
-    fn overlays_agree_on_ownership_uniqueness(
-        n in 2usize..20,
-        k in any::<u64>(),
-    ) {
-        // Both overlays assign every key to exactly one peer from the
-        // same population (not necessarily the same peer).
-        let key = KeyHash(hash_u64s(&[k]));
-        let grid = PGrid::new(peer_ids(n));
-        let ring = ChordRing::new(peer_ids(n));
-        prop_assert!(grid.peers().contains(&grid.responsible(key)));
-        prop_assert!(ring.peers().contains(&ring.responsible(key)));
+        prop_assert_eq!(grid.len() as u64, next);
     }
 
     #[test]

@@ -43,7 +43,7 @@ fn main() {
         },
         ..HdkConfig::default()
     };
-    let mut network = HdkNetwork::build(&collection, &parts, config, OverlayKind::PGrid);
+    let mut network = HdkNetwork::build(&collection, &parts, config);
 
     let probe = QueryLog::generate(
         &collection,

@@ -44,7 +44,6 @@ fn main() {
             ff: u64::MAX,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     )
     .into_services();
     println!(

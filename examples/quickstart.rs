@@ -33,7 +33,7 @@ fn main() {
         "HDK config: DFmax = {}, smax = {}, w = {}, Ff = {}",
         config.dfmax, config.smax, config.window, config.ff
     );
-    let network = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+    let network = HdkNetwork::build(&collection, &partitions, config);
     // The read path is a clonable service handle: share it across as many
     // query threads as you like (to simulate network latency instead,
     // build with `HdkNetwork::build_with(..., BackendConfig::SimNet(..))`).

@@ -40,7 +40,7 @@ fn main() {
         let collection = full.prefix(docs);
         let partitions = partition_documents(docs, peers, 9);
 
-        let st = SingleTermNetwork::build(&collection, &partitions, OverlayKind::PGrid);
+        let st = SingleTermNetwork::build(&collection, &partitions);
         let hdk = HdkNetwork::build(
             &collection,
             &partitions,
@@ -49,7 +49,6 @@ fn main() {
                 ff: 2_500,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         )
         .query_service();
 

@@ -44,7 +44,6 @@ fn main() {
             num_peers: PEERS,
             dfmax: DFMAX,
             replication: 1,
-            overlay: OverlayKind::PGrid,
             store: StoreConfig::Memory,
         });
         std::thread::spawn(move || host.serve(listener));
@@ -70,7 +69,7 @@ fn main() {
         OverlayKind::PGrid,
         BackendConfig::Tcp { addrs },
     );
-    let inproc = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+    let inproc = HdkNetwork::build(&collection, &partitions, config);
     println!(
         "built {} docs over {PEERS} peers in {NPROCS} serving hosts ({} HDK keys)",
         collection.len(),

@@ -57,7 +57,6 @@ fn main() {
             ff: 3_000,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     )
     .query_service();
     let central = CentralizedEngine::build(&collection);

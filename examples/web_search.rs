@@ -57,7 +57,6 @@ fn main() {
             ff: 1_000,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     );
     let queries = network.query_service();
     let counts = queries.index().index_counts();

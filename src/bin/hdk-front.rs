@@ -15,8 +15,8 @@
 //! ```
 //!
 //! When driving peer processes, their geometry flags must match this
-//! front-end's (`--peers`, `--dfmax`, `--replication`, `--overlay`,
-//! and `--nprocs` = the number of addresses) — the wire handshake
+//! front-end's (`--peers`, `--dfmax`, `--replication`, and `--nprocs`
+//! = the number of addresses) — the wire handshake
 //! verifies and refuses mismatches.
 //!
 //! Routes: `GET /query?q=1,2,3&k=10&peer=0`, `GET /health`,
@@ -29,7 +29,7 @@ use std::net::TcpListener;
 fn usage() -> ! {
     eprintln!(
         "usage: hdk-front [--http HOST:PORT] [--docs N] [--vocab V] [--peers P] \
-         [--dfmax D] [--replication R] [--overlay pgrid|chord] [--seed S]"
+         [--dfmax D] [--replication R] [--seed S]"
     );
     std::process::exit(2);
 }
@@ -41,7 +41,6 @@ fn main() {
     let mut peers = 8usize;
     let mut dfmax = 12u32;
     let mut replication = 1usize;
-    let mut overlay = OverlayKind::PGrid;
     let mut seed = 42u64;
 
     let mut args = std::env::args().skip(1);
@@ -54,13 +53,6 @@ fn main() {
             "--peers" => peers = value().parse().unwrap_or_else(|_| usage()),
             "--dfmax" => dfmax = value().parse().unwrap_or_else(|_| usage()),
             "--replication" => replication = value().parse().unwrap_or_else(|_| usage()),
-            "--overlay" => {
-                overlay = match value().as_str() {
-                    "pgrid" => OverlayKind::PGrid,
-                    "chord" => OverlayKind::Chord,
-                    _ => usage(),
-                }
-            }
             "--seed" => seed = value().parse().unwrap_or_else(|_| usage()),
             _ => usage(),
         }
@@ -81,7 +73,13 @@ fn main() {
     };
     let backend = BackendConfig::from_env();
     eprintln!("hdk-front: building {docs} docs over {peers} peers via {backend:?}");
-    let network = HdkNetwork::build_with(&collection, &partitions, config, overlay, backend);
+    let network = HdkNetwork::build_with(
+        &collection,
+        &partitions,
+        config,
+        OverlayKind::PGrid,
+        backend,
+    );
 
     let listener =
         TcpListener::bind(&http).unwrap_or_else(|e| panic!("hdk-front: cannot bind {http}: {e}"));

@@ -7,8 +7,7 @@
 //!
 //! ```text
 //! hdk-peer --listen 127.0.0.1:0 --nprocs 3 --proc 0 \
-//!          --peers 16 --dfmax 12 [--replication 1] \
-//!          [--overlay pgrid|chord] [--store-dir DIR]
+//!          --peers 16 --dfmax 12 [--replication 1] [--store-dir DIR]
 //! ```
 //!
 //! With `--store-dir`, entries live in a durable segment store at that
@@ -19,14 +18,14 @@
 //! Prints `LISTEN <addr>` on stdout once bound, so a parent process
 //! using port 0 can discover the actual address.
 
-use hdk_core::{OverlayKind, PeerConfig, PeerHost, StoreConfig, DEFAULT_SEGMENT_HOT_BYTES};
+use hdk_core::{PeerConfig, PeerHost, StoreConfig, DEFAULT_SEGMENT_HOT_BYTES};
 use std::net::TcpListener;
 use std::path::PathBuf;
 
 fn usage() -> ! {
     eprintln!(
         "usage: hdk-peer --listen HOST:PORT --nprocs N --proc I --peers P --dfmax D \
-         [--replication R] [--overlay pgrid|chord] [--store-dir DIR]"
+         [--replication R] [--store-dir DIR]"
     );
     std::process::exit(2);
 }
@@ -38,7 +37,6 @@ fn main() {
     let mut num_peers: Option<usize> = None;
     let mut dfmax: Option<u32> = None;
     let mut replication = 1usize;
-    let mut overlay = OverlayKind::PGrid;
     let mut store_dir: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
@@ -51,13 +49,6 @@ fn main() {
             "--peers" => num_peers = value().parse().ok(),
             "--dfmax" => dfmax = value().parse().ok(),
             "--replication" => replication = value().parse().unwrap_or_else(|_| usage()),
-            "--overlay" => {
-                overlay = match value().as_str() {
-                    "pgrid" => OverlayKind::PGrid,
-                    "chord" => OverlayKind::Chord,
-                    _ => usage(),
-                }
-            }
             "--store-dir" => store_dir = Some(PathBuf::from(value())),
             _ => usage(),
         }
@@ -89,7 +80,6 @@ fn main() {
         num_peers,
         dfmax,
         replication,
-        overlay,
         store,
     });
     let listener = TcpListener::bind(&listen)

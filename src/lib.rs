@@ -13,7 +13,7 @@
 //! | [`text`] | `hdk-text` | tokenizer, stop words, Porter stemmer, windows |
 //! | [`corpus`] | `hdk-corpus` | synthetic Wikipedia-like collections, query logs, Zipf |
 //! | [`ir`] | `hdk-ir` | inverted index, postings codec, BM25, centralized engine |
-//! | [`p2p`] | `hdk-p2p` | P-Grid trie & Chord ring overlays, metered DHT |
+//! | [`p2p`] | `hdk-p2p` | P-Grid trie overlay, metered DHT |
 //! | [`core`] | `hdk-core` | the HDK model: keys, filtering, global index, query plan/executor |
 //! | [`model`] | `hdk-model` | Zipf fits, Theorems 1–3, traffic extrapolation |
 //!
@@ -31,7 +31,7 @@
 //!
 //! // Build the HDK network and the centralized BM25 reference.
 //! let config = HdkConfig { dfmax: 20, ff: 2_000, ..HdkConfig::default() };
-//! let network = HdkNetwork::build(&collection, &partitions, config, OverlayKind::PGrid);
+//! let network = HdkNetwork::build(&collection, &partitions, config);
 //! let central = CentralizedEngine::build(&collection);
 //!
 //! // Query both and compare the top-20.
@@ -66,8 +66,8 @@ pub mod prelude {
     pub use hdk_model::TrafficModel;
     pub use hdk_p2p::{
         GossipConfig, GossipOutcome, GossipRound, LatencyHistogram, LossStats, Membership,
-        MembershipEvent, MigrationStats, MsgKind, Overlay, PeerId, PeerState, RecoveryStats,
-        RepairStats, SimNetConfig, TrafficSnapshot,
+        MembershipEvent, MigrationStats, MsgKind, PeerId, PeerState, RecoveryStats, RepairStats,
+        SimNetConfig, TrafficSnapshot,
     };
     pub use hdk_text::{Analyzer, AnalyzerConfig, TermId, Vocabulary};
 }

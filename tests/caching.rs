@@ -23,7 +23,6 @@ fn setup() -> (Collection, HdkNetwork, QueryLog) {
             ff: 2_000,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     );
     let log = QueryLog::generate(
         &collection,

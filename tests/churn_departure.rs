@@ -44,7 +44,7 @@ fn failing_any_single_peer_at_r2_loses_no_content() {
     // build.
     let c = collection(240);
     let parts = partition_documents(c.len(), 6, 17);
-    let reference = HdkNetwork::build(&c, &parts, config(2), OverlayKind::PGrid);
+    let reference = HdkNetwork::build(&c, &parts, config(2));
     let log = QueryLog::generate(
         &c,
         &QueryLogConfig {
@@ -59,7 +59,7 @@ fn failing_any_single_peer_at_r2_loses_no_content() {
         .collect();
 
     for victim in 0..6u64 {
-        let mut live = HdkNetwork::build(&c, &parts, config(2), OverlayKind::PGrid);
+        let mut live = HdkNetwork::build(&c, &parts, config(2));
         let keys_before = live.index().index_counts().total_keys();
         let loss = live.fail_peers(vec![PeerId(victim)]);
         assert_eq!(loss.keys_lost, 0, "R=2 lost keys when peer{victim} died");
@@ -114,18 +114,8 @@ fn graceful_leave_mirrors_join_and_preserves_content_at_r1() {
     // handover wave re-homes every copy. The shrunken network must answer
     // every query bit-identically to a static build of the same corpus.
     let c = collection(300);
-    let reference = HdkNetwork::build(
-        &c,
-        &partition_documents(c.len(), 3, 7),
-        config(1),
-        OverlayKind::PGrid,
-    );
-    let mut live = HdkNetwork::build(
-        &c,
-        &partition_documents(c.len(), 6, 31),
-        config(1),
-        OverlayKind::PGrid,
-    );
+    let reference = HdkNetwork::build(&c, &partition_documents(c.len(), 3, 7), config(1));
+    let mut live = HdkNetwork::build(&c, &partition_documents(c.len(), 6, 31), config(1));
     let before = live.snapshot();
     let stats = live.leave_peers(vec![PeerId(1), PeerId(4)]);
     assert_eq!(stats.len(), 2);
@@ -168,12 +158,7 @@ fn r1_crash_loses_content_and_repair_cannot_resurrect_it() {
     // victim's fraction — the damage report says so, lookups miss, and
     // repair (which copies from survivors) has nothing to copy from.
     let c = collection(200);
-    let mut live = HdkNetwork::build(
-        &c,
-        &partition_documents(c.len(), 4, 11),
-        config(1),
-        OverlayKind::PGrid,
-    );
+    let mut live = HdkNetwork::build(&c, &partition_documents(c.len(), 4, 11), config(1));
     let keys_before = live.index().index_counts().total_keys();
     let loss = live.fail_peers(vec![PeerId(2)]);
     assert!(loss.keys_lost > 0, "the victim held part of the index");
@@ -197,19 +182,9 @@ fn departed_network_keeps_growing_correctly() {
     // static build over the full corpus (the collection is an input; churn
     // changes who hosts and serves, not what is indexed).
     let c = collection(360);
-    let reference = HdkNetwork::build(
-        &c,
-        &partition_documents(c.len(), 5, 3),
-        config(2),
-        OverlayKind::PGrid,
-    );
+    let reference = HdkNetwork::build(&c, &partition_documents(c.len(), 5, 3), config(2));
 
-    let mut live = HdkNetwork::build(
-        &c.prefix(180),
-        &partition_documents(180, 4, 13),
-        config(2),
-        OverlayKind::PGrid,
-    );
+    let mut live = HdkNetwork::build(&c.prefix(180), &partition_documents(180, 4, 13), config(2));
     // Grow: two peers join with the next 120 documents.
     let docs =
         |lo: usize, hi: usize| -> Vec<Document> { (lo..hi).map(|i| c.docs()[i].clone()).collect() };

@@ -27,18 +27,13 @@ fn joined_peer_network_matches_static_build() {
 
     // Static reference: 4 peers, whole collection.
     let static_parts = partition_documents(collection.len(), 4, 31);
-    let reference = HdkNetwork::build(&collection, &static_parts, config(), OverlayKind::PGrid);
+    let reference = HdkNetwork::build(&collection, &static_parts, config());
 
     // Live network: 3 peers over the first 270 docs, then a 4th peer joins
     // carrying the remaining 90.
     let split = 270;
     let old_parts = partition_documents(split, 3, 77);
-    let mut live = HdkNetwork::build(
-        &collection.prefix(split),
-        &old_parts,
-        config(),
-        OverlayKind::PGrid,
-    );
+    let mut live = HdkNetwork::build(&collection.prefix(split), &old_parts, config());
     let new_docs: Vec<Document> = (split..collection.len())
         .map(|i| collection.docs()[i].clone())
         .collect();
@@ -98,15 +93,13 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
         &collection,
         &partition_documents(collection.len(), 6, 7),
         config(),
-        OverlayKind::PGrid,
     );
 
-    let boot = |overlay| {
+    let boot = || {
         HdkNetwork::build(
             &collection.prefix(150),
             &partition_documents(150, 3, 7),
             config(),
-            overlay,
         )
     };
     let joins = |base: u64| -> Vec<(PeerId, Vec<Document>)> {
@@ -122,13 +115,13 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
     };
 
     // Sequential baseline: three separate join sessions.
-    let mut sequential = boot(OverlayKind::PGrid);
+    let mut sequential = boot();
     for (peer, docs) in joins(700) {
         sequential.index_service().join_peer(peer, docs);
     }
 
     // Bulk: one call, one session.
-    let mut bulk = boot(OverlayKind::PGrid);
+    let mut bulk = boot();
     let migrations = bulk.index_service().join_peers(joins(700));
     assert_eq!(migrations.len(), 3, "one migration report per join");
     assert!(
@@ -196,7 +189,6 @@ fn bulk_join_of_one_equals_single_join() {
             &collection.prefix(120),
             &partition_documents(120, 2, 5),
             config(),
-            OverlayKind::Chord,
         )
     };
     let docs: Vec<Document> = (120..160).map(|i| collection.docs()[i].clone()).collect();
@@ -225,7 +217,6 @@ fn several_peers_join_in_sequence() {
         &collection,
         &partition_documents(collection.len(), 5, 3),
         config(),
-        OverlayKind::Chord,
     );
 
     // Start with 2 peers on 120 docs, then 3 joins of 40 docs each.
@@ -233,7 +224,6 @@ fn several_peers_join_in_sequence() {
         &collection.prefix(120),
         &partition_documents(120, 2, 3),
         config(),
-        OverlayKind::Chord,
     );
     for (j, lo) in [(0u64, 120usize), (1, 160), (2, 200)] {
         let docs: Vec<Document> = (lo..lo + 40)

@@ -4,7 +4,7 @@
 
 use p2p_hdk::prelude::*;
 
-fn build_once(seed: u64, overlay: OverlayKind) -> (Collection, HdkNetwork) {
+fn build_once(seed: u64) -> (Collection, HdkNetwork) {
     let collection = CollectionGenerator::new(GeneratorConfig {
         num_docs: 300,
         vocab_size: 3_000,
@@ -24,15 +24,14 @@ fn build_once(seed: u64, overlay: OverlayKind) -> (Collection, HdkNetwork) {
             ff: 2_000,
             ..HdkConfig::default()
         },
-        overlay,
     );
     (collection, network)
 }
 
 #[test]
 fn identical_seeds_identical_networks() {
-    let (c1, n1) = build_once(77, OverlayKind::PGrid);
-    let (c2, n2) = build_once(77, OverlayKind::PGrid);
+    let (c1, n1) = build_once(77);
+    let (c2, n2) = build_once(77);
     assert_eq!(c1.docs(), c2.docs());
     let (r1, r2) = (n1.build_report(), n2.build_report());
     assert_eq!(r1.inserted_by_size, r2.inserted_by_size);
@@ -58,36 +57,10 @@ fn identical_seeds_identical_networks() {
 
 #[test]
 fn different_seeds_differ() {
-    let (_, n1) = build_once(1, OverlayKind::PGrid);
-    let (_, n2) = build_once(2, OverlayKind::PGrid);
+    let (_, n1) = build_once(1);
+    let (_, n2) = build_once(2);
     assert_ne!(
         n1.build_report().stored_per_peer,
         n2.build_report().stored_per_peer
     );
-}
-
-#[test]
-fn overlay_choice_does_not_change_posting_results() {
-    // Section 4 argues in postings, independent of the routing substrate.
-    // The stored index and query answers must be identical across
-    // overlays; only hop counts and peer placement may differ.
-    let (c, pgrid) = build_once(9, OverlayKind::PGrid);
-    let (_, chord) = build_once(9, OverlayKind::Chord);
-    let (rp, rc) = (pgrid.build_report(), chord.build_report());
-    assert_eq!(rp.inserted_by_size, rc.inserted_by_size);
-    assert_eq!(rp.counts, rc.counts);
-
-    let log = QueryLog::generate(
-        &c,
-        &QueryLogConfig {
-            num_queries: 25,
-            ..QueryLogConfig::default()
-        },
-    );
-    for q in &log.queries {
-        let a = pgrid.query(PeerId(0), &q.terms, 20);
-        let b = chord.query(PeerId(0), &q.terms, 20);
-        assert_eq!(a.results, b.results, "results diverged for {:?}", q.terms);
-        assert_eq!(a.postings_fetched, b.postings_fetched);
-    }
 }

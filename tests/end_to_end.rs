@@ -55,7 +55,6 @@ fn full_stack_text_to_results() {
             ff: 10_000,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     );
     let central = CentralizedEngine::build(&collection);
 
@@ -105,7 +104,7 @@ fn network_grows_with_bounded_per_peer_load() {
         let docs = docs_per_peer * peers;
         let collection = full.prefix(docs);
         let partitions = partition_documents(docs, peers, 5);
-        let st = SingleTermNetwork::build(&collection, &partitions, OverlayKind::PGrid);
+        let st = SingleTermNetwork::build(&collection, &partitions);
         st_loads.push(st.build_report().avg_stored_per_peer());
     }
     let (min, max) = (
@@ -132,7 +131,7 @@ fn hdk_trades_indexing_for_retrieval() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 4, 23);
-    let st = SingleTermNetwork::build(&collection, &partitions, OverlayKind::PGrid);
+    let st = SingleTermNetwork::build(&collection, &partitions);
     let hdk = HdkNetwork::build(
         &collection,
         &partitions,
@@ -141,7 +140,6 @@ fn hdk_trades_indexing_for_retrieval() {
             ff: 2_500,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     );
     let st_report = st.build_report();
     let hdk_report = hdk.build_report();
@@ -196,7 +194,6 @@ fn traffic_accounting_is_complete() {
             ff: 1_500,
             ..HdkConfig::default()
         },
-        OverlayKind::Chord,
     );
     let after_build = network.snapshot();
     assert!(after_build.kind(MsgKind::IndexInsert).messages > 0);

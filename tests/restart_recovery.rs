@@ -63,18 +63,8 @@ fn synced_segment_store_restarts_all_peers_from_logs_alone() {
         },
     );
 
-    let reference = HdkNetwork::build(
-        &c,
-        &parts,
-        config(1, StoreConfig::Memory),
-        OverlayKind::PGrid,
-    );
-    let mut tiered = HdkNetwork::build(
-        &c,
-        &parts,
-        config(1, StoreConfig::segment(1 << 16)),
-        OverlayKind::PGrid,
-    );
+    let reference = HdkNetwork::build(&c, &parts, config(1, StoreConfig::Memory));
+    let mut tiered = HdkNetwork::build(&c, &parts, config(1, StoreConfig::segment(1 << 16)));
 
     // The tiered build is the in-memory build, bit for bit: report,
     // counts, traffic, top-k score bits. Tiering is host-local.
@@ -131,12 +121,7 @@ fn unsynced_restart_is_a_crash_that_repair_heals_at_r2() {
             ..QueryLogConfig::default()
         },
     );
-    let reference = HdkNetwork::build(
-        &c,
-        &parts,
-        config(2, StoreConfig::Memory),
-        OverlayKind::PGrid,
-    );
+    let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory));
     let expected = digests(&reference, &log);
 
     let mut tiered = HdkNetwork::build(
@@ -146,7 +131,6 @@ fn unsynced_restart_is_a_crash_that_repair_heals_at_r2() {
             2,
             StoreConfig::segment(p2p_hdk::core::DEFAULT_SEGMENT_HOT_BYTES),
         ),
-        OverlayKind::PGrid,
     );
     let keys_before = tiered.index().index_counts().total_keys();
     let before = tiered.snapshot();
@@ -182,12 +166,7 @@ fn checksums_catch_a_truncated_tail_and_repair_restores_it() {
             ..QueryLogConfig::default()
         },
     );
-    let reference = HdkNetwork::build(
-        &c,
-        &parts,
-        config(2, StoreConfig::Memory),
-        OverlayKind::PGrid,
-    );
+    let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory));
     let expected = digests(&reference, &log);
 
     let dir = tempfile::tempdir().expect("scratch dir");
@@ -201,7 +180,6 @@ fn checksums_catch_a_truncated_tail_and_repair_restores_it() {
                 hot_bytes: 1 << 15,
             },
         ),
-        OverlayKind::PGrid,
     );
     tiered.sync_storage();
 
@@ -262,12 +240,7 @@ fn hot_budget_bounds_residency_and_pushes_the_rest_to_disk() {
     let c = collection(300);
     let parts = partition_documents(c.len(), 4, 7);
     let hot_bytes = 1 << 16;
-    let tiered = HdkNetwork::build(
-        &c,
-        &parts,
-        config(1, StoreConfig::segment(hot_bytes)),
-        OverlayKind::PGrid,
-    );
+    let tiered = HdkNetwork::build(&c, &parts, config(1, StoreConfig::segment(hot_bytes)));
 
     let resident = tiered.index().resident_posting_bytes();
     let sealed = tiered.index().sealed_segment_bytes();
@@ -286,12 +259,7 @@ fn hot_budget_bounds_residency_and_pushes_the_rest_to_disk() {
     assert_eq!(per_peer.iter().map(|s| s.sealed_bytes).sum::<u64>(), sealed);
 
     // The in-memory build keeps everything resident and nothing sealed.
-    let memory = HdkNetwork::build(
-        &c,
-        &parts,
-        config(1, StoreConfig::Memory),
-        OverlayKind::PGrid,
-    );
+    let memory = HdkNetwork::build(&c, &parts, config(1, StoreConfig::Memory));
     assert_eq!(memory.index().sealed_segment_bytes(), 0);
     assert!(memory
         .index()

@@ -46,7 +46,6 @@ fn build_and_query(c: &Collection) -> BuildArtifacts {
             ff: 3_000,
             ..HdkConfig::default()
         },
-        OverlayKind::PGrid,
     );
     let log = QueryLog::generate(
         c,
@@ -134,7 +133,6 @@ fn churn_interleaved_with_queries_is_thread_invariant() {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let mut topk: Vec<Vec<SearchResult>> = Vec::new();
         let mut migrations = Vec::new();
@@ -205,7 +203,6 @@ fn churn_with_failures_is_thread_invariant() {
                 replication: 2,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let mut topk: Vec<Vec<SearchResult>> = Vec::new();
         let batch_round = |network: &HdkNetwork| {
@@ -427,7 +424,6 @@ fn long_queries_with_deep_lattice_are_thread_invariant() {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let mut outcomes = Vec::new();
         let mut profiles = Vec::new();
@@ -511,7 +507,6 @@ fn skewed_batch_reads_with_spread_and_promotion_are_thread_invariant() {
                 hot_extra: 2,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         let (mut indexer, queries) = network.into_services();
         let batch: Vec<(PeerId, &[TermId])> = replay
@@ -649,7 +644,6 @@ fn incremental_additions_are_deterministic_run_to_run() {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-            OverlayKind::PGrid,
         );
         // Late documents arrive interleaved over peers in "arrival" order —
         // deliberately not grouped, exercising the dispatch path.
