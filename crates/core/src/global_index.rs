@@ -254,7 +254,7 @@ impl StoreService for IndexStore {
             IndexSweep::Peek(key) => IndexSwept::Peeked(dht.peek(key.dht_hash(), |e| e.cloned())),
             IndexSweep::Counts => {
                 IndexSwept::Counts(fold_stripes(dht, IndexCounts::default, |stripe, counts| {
-                    dht.for_each_stripe(stripe, |_, e| {
+                    dht.for_each_stripe(stripe, |_, _, e, _| {
                         let s = e.key.size() - 1;
                         if e.is_ndk {
                             counts.ndk_keys[s] += 1;
@@ -270,7 +270,7 @@ impl StoreService for IndexStore {
                 dht,
                 || vec![0u64; peers],
                 |stripe, totals| {
-                    dht.for_each_stripe_held(stripe, |holders, _, e| {
+                    dht.for_each_stripe(stripe, |holders, _, e, _| {
                         for &h in holders {
                             totals[h as usize] += e.postings.len() as u64;
                         }
@@ -281,7 +281,7 @@ impl StoreService for IndexStore {
                 dht,
                 || vec![PeerStorage::default(); peers],
                 |stripe, totals| {
-                    dht.for_each_stripe_tiered(stripe, |holders, _, e, tier| {
+                    dht.for_each_stripe(stripe, |holders, _, e, tier| {
                         for &h in holders {
                             let t = &mut totals[h as usize];
                             t.postings += e.postings.len() as u64;
@@ -336,7 +336,7 @@ impl StoreService for IndexStore {
                     total.table_bytes += tables.hot;
                     total.sealed_table_bytes += tables.sealed;
                     total.holder_spill_bytes += holders;
-                    dht.for_each_stripe_tiered(stripe, |_, _, e, tier| {
+                    dht.for_each_stripe(stripe, |_, _, e, tier| {
                         total.keys += 1;
                         if tier != Tier::Hot {
                             return;
@@ -356,7 +356,7 @@ impl StoreService for IndexStore {
             IndexSweep::Entries => {
                 let mut entries = Vec::new();
                 for stripe in 0..dht.num_stripes() {
-                    dht.for_each_stripe_tiered(stripe, |_, _, e, _| entries.push(e.clone()));
+                    dht.for_each_stripe(stripe, |_, _, e, _| entries.push(e.clone()));
                 }
                 IndexSwept::Entries(entries)
             }

@@ -19,9 +19,12 @@
 //! each insert to the full replica set (metered as `R` stored copies —
 //! the primary insert routes normally, each further copy is forwarded one
 //! neighbor hop along the walk), and lookups are served by the first live
-//! replica *holding* a copy, in deterministic failover order — skipped
-//! candidates cost extra hops (and, on the simulated network, timeouts
-//! for the dead ones).
+//! replica *holding* a copy, in deterministic failover order. The walk is
+//! written once, as the private `Dht::walk` iterator: its doc gives what a
+//! skipped candidate costs (a hop, plus a timeout for an attempted dead
+//! one; nothing for a peer the querier's gossip view confirms dead), and
+//! placement, failover, read spreading and the churn scans' re-copy
+//! planning all take their candidates from it.
 //!
 //! Which peers currently hold a copy of which key is the one piece of
 //! churn state the layer tracks (per-entry holder sets): a graceful
@@ -239,6 +242,63 @@ pub fn stripe_of(key: KeyHash) -> usize {
     (key.0 as usize) & (NUM_STRIPES - 1)
 }
 
+/// Per-owner replica walks memoized across one churn scan (see
+/// `Dht::targets`), indexed by owner peer index.
+type WalkMemo = Vec<Option<Vec<u32>>>;
+
+/// The serving candidate among the live candidates `walk` yields (see
+/// `Dht::serve`): the first one on a miss, else the first holder, or —
+/// when `spread` is set — the holder `hash(query_id, key)` picks among
+/// those reached. `None` when the walk reaches no holder.
+fn pick(
+    mut walk: impl Iterator<Item = (u32, u32, u32)>,
+    holders: Option<&[u32]>,
+    spread: Option<(u64, KeyHash)>,
+) -> Option<(u32, u32, u32)> {
+    let Some(h) = holders else {
+        // A miss is answered by the acting primary.
+        return walk.next();
+    };
+    let mut held = walk.filter(|(i, _, _)| h.contains(i));
+    let Some((query_id, key)) = spread else {
+        return held.next();
+    };
+    // Holder sets only ever contain live peers, so the walk has passed
+    // every holder it can reach once it has yielded `h.len()` of them.
+    let live: Vec<(u32, u32, u32)> = held.take(h.len()).collect();
+    let n = live.len() as u64;
+    (n > 0).then(|| live[(hash_u64s(&[query_id, key.0]) % n) as usize])
+}
+
+/// One re-copy a churn sweep plans: `(key, source, target, postings,
+/// bytes)`.
+type PlannedCopy = (u64, u32, u32, u64, u64);
+
+/// Plans the copies that bring `slot`'s holders up to its replica set
+/// `targets` and adds the targets to the holders. Each copy's read source
+/// is picked by hashing `(key, target)` over the holders from *before*
+/// this sweep, so a mass re-copy spreads its reads across the replicas
+/// instead of hammering whichever holder sorts first.
+fn plan_missing<V>(
+    key: u64,
+    slot: &mut Slot<V>,
+    targets: &[u32],
+    volume: impl Fn(&V) -> (u64, u64),
+    planned: &mut Vec<PlannedCopy>,
+) {
+    if targets.iter().all(|t| slot.holders.contains(t)) {
+        return;
+    }
+    let existing = slot.holders.clone();
+    let (postings, bytes) = volume(&slot.value);
+    for &target in targets.iter().filter(|t| !existing.contains(t)) {
+        let pick = hash_u64s(&[key, u64::from(target)]) % existing.len() as u64;
+        planned.push((key, existing[pick as usize], target, postings, bytes));
+        slot.holders.push(target);
+    }
+    slot.holders.sort_unstable();
+}
+
 impl<V: Send + Sync + 'static> Dht<V> {
     /// Builds an empty unreplicated DHT (`R = 1`) over the overlay.
     pub fn new(overlay: Box<PGrid>) -> Self {
@@ -409,46 +469,67 @@ impl<V: Send + Sync + 'static> Dht<V> {
         self.overlay.peer_index(self.overlay.responsible(key))
     }
 
-    /// The first `min(want, live)` **live** candidates of the replica
-    /// walk from `owner`, each with its walk position (hop distance along
-    /// the successor order; dead candidates occupy positions too).
-    /// Position 0 is the owner itself. `want` is `R` for ordinary keys
-    /// and `R + extra` for keys the popularity sweep promoted.
-    fn walk_targets(&self, owner: usize, want: usize) -> Vec<(u32, u32)> {
-        let want = want.min(self.membership.live_count());
-        let mut out = Vec::with_capacity(want);
-        let mut cur = owner;
-        for pos in 0..self.overlay.len() as u32 {
-            if self.membership.is_live(cur) {
-                out.push((cur as u32, pos));
-                if out.len() == want {
-                    break;
-                }
-            }
-            cur = self.overlay.successor_index(cur);
-        }
-        out
-    }
-
-    /// The structural replica walk (`want = R`).
-    fn replica_targets(&self, owner: usize) -> Vec<(u32, u32)> {
-        self.walk_targets(owner, self.replication)
-    }
-
-    /// Per-owner memo for the churn scans ([`Dht::add_peers`],
-    /// [`Dht::leave_peers`], [`Dht::repair_sweep`],
-    /// [`Dht::rebalance_hot`]): the replica walk is a pure function of
-    /// `(owner, want)` while overlay + membership are fixed, so one walk
-    /// per *distinct* owner serves a whole scan instead of one walk (and
-    /// allocation) per stored entry. Callers keep one memo per `want`
-    /// tier (base and hot-extended walks).
-    fn memoized_want<'m>(
-        &self,
-        memo: &'m mut [Option<Vec<(u32, u32)>>],
+    /// The replica walk from `owner`: every peer once, in key-space
+    /// successor order ([`PGrid::successor_index`]), yielding each **live**
+    /// candidate as `(index, hops, dead)` — the hops taken to reach it and
+    /// the dead candidates attempted on the way. Placement, lookup
+    /// failover, read spreading and the churn scans' re-copy planning all
+    /// derive from this one walk.
+    ///
+    /// With `view = None` (the membership oracle) every candidate before a
+    /// yielded one costs a hop, so `hops` is the walk position. With a
+    /// querier's gossip [`PeerView`], a candidate the view confirms dead is
+    /// skipped free (routed around, never attempted); any other candidate
+    /// still costs one hop, and a dead one also counts as one attempted
+    /// delivery — a timeout on the simulated network, the price of a stale
+    /// view. A view with no confirmations walks exactly like the oracle. A
+    /// live peer the view wrongly confirms dead is skipped like a dead one;
+    /// when that hides every holder, lookups fall back to the oracle walk
+    /// (see `serve`).
+    fn walk<'a>(
+        &'a self,
         owner: usize,
-        want: usize,
-    ) -> &'m [(u32, u32)] {
-        memo[owner].get_or_insert_with(|| self.walk_targets(owner, want))
+        view: Option<&'a PeerView>,
+    ) -> impl Iterator<Item = (u32, u32, u32)> + 'a {
+        let (mut hops, mut dead) = (0u32, 0u32);
+        std::iter::successors(Some(owner), |&i| Some(self.overlay.successor_index(i)))
+            .take(self.overlay.len())
+            .filter(move |&i| view.is_none_or(|v| !v.is_confirmed_dead(i)))
+            .filter_map(move |i| {
+                let at = (i as u32, hops, dead);
+                hops += 1;
+                if self.membership.is_live(i) {
+                    Some(at)
+                } else {
+                    dead += 1;
+                    None
+                }
+            })
+    }
+
+    /// The replica set `key` is entitled to during a churn scan
+    /// ([`Dht::add_peers`], [`Dht::leave_peers`], [`Dht::repair_sweep`],
+    /// [`Dht::rebalance_hot`]): the first `want` live peers of its owner's
+    /// walk. While overlay and membership are fixed the walk is a pure
+    /// function of the owner, so `memo` keeps one walk — long enough for
+    /// the hot extras — per *distinct* owner, and every `want` tier reads
+    /// a prefix of it.
+    fn targets<'m>(&self, memo: &'m mut WalkMemo, key: u64, want: usize) -> &'m [u32] {
+        let owner = self.owner_index(KeyHash(key));
+        let longest = self.replication + self.hot.extra;
+        debug_assert!(want <= longest, "a key wants at most R + extra copies");
+        let walk = memo[owner].get_or_insert_with(|| {
+            self.walk(owner, None)
+                .take(longest)
+                .map(|(i, _, _)| i)
+                .collect()
+        });
+        &walk[..want.min(walk.len())]
+    }
+
+    /// An empty [`WalkMemo`] for one churn scan.
+    fn walk_memo(&self) -> WalkMemo {
+        vec![None; self.overlay.len()]
     }
 
     /// The replica-walk length a key is entitled to: `R`, plus the hot
@@ -464,209 +545,43 @@ impl<V: Send + Sync + 'static> Dht<V> {
         }
     }
 
-    /// Failover resolution of a lookup: the walk candidate that serves the
-    /// key — the first live *holder*, or (for keys stored nowhere) the
-    /// first live candidate, which answers "not found". Returns
-    /// `(target index, extra hops past the owner, dead candidates
-    /// skipped)`.
+    /// Resolves which replica serves a lookup probe. Returns `(target
+    /// index, extra hops past the owner, dead candidates attempted)`.
     ///
-    /// `origin` is the *querying* peer: with gossip enabled the walk runs
-    /// under that peer's local [`PeerView`] — candidates it has confirmed
-    /// dead are routed around for free, while a dead candidate it still
-    /// believes in costs an attempted delivery (one hop plus one timeout,
-    /// the price of a stale view). Without gossip (or for a view with no
-    /// confirmations) this resolves exactly as the oracle walk always
-    /// did.
-    fn serve_from(&self, origin: usize, owner: usize, holders: Option<&[u32]>) -> (u32, u32, u32) {
-        if let Some(state) = &self.gossip {
-            if let Some(resolved) = self.serve_from_view(state.view(origin), owner, holders) {
-                return resolved;
-            }
-            // Pathological: every live holder is view-confirmed-dead
-            // (false positives hid them all). The querier escalates to a
-            // blind retry sweep — the oracle walk — so a wrong view can
-            // cost arbitrary extra probes but never wrong answers. Rare
-            // and self-healing (resurrection probes clear the false
-            // positives).
-        }
-        self.serve_from_oracle(owner, holders)
-    }
-
-    /// The oracle failover walk (pre-gossip semantics): every candidate
-    /// before the server costs a hop, dead ones a timeout too.
-    fn serve_from_oracle(&self, owner: usize, holders: Option<&[u32]>) -> (u32, u32, u32) {
-        if self.membership.all_live() {
+    /// `holders` is the key's holder set (`None` for a key stored nowhere:
+    /// the first live candidate answers "not found"). Without `spread` the
+    /// first holder along the [`walk`](Self::walk) serves, in
+    /// deterministic failover order. With `spread = Some((query_id, key))`
+    /// and several holders, the server is picked among the holders the
+    /// walk reaches by `hash(query_id, key)` — a pure function of message
+    /// attributes, so a skewed query stream spreads its reads across the
+    /// replica set at any thread count — and charged exactly what serving
+    /// from that holder in walk order would cost.
+    ///
+    /// `origin` is the querying peer: with gossip enabled the walk runs
+    /// under its [`PeerView`] first, then — when false positives hid every
+    /// holder — under the oracle, a blind retry sweep that may cost extra
+    /// probes but never a wrong answer.
+    fn serve(
+        &self,
+        origin: usize,
+        owner: usize,
+        holders: Option<&[u32]>,
+        spread: Option<(u64, KeyHash)>,
+    ) -> (u32, u32, u32) {
+        let spread = spread.filter(|_| holders.is_some_and(|h| h.len() > 1));
+        if self.gossip.is_none() && self.membership.all_live() && spread.is_none() {
             // No churn ever happened: the owner holds every stored key
             // (placement is derived, joins hand the primary copy over),
             // so the walk is just its first element.
             debug_assert!(holders.is_none_or(|h| h.contains(&(owner as u32))));
             return (owner as u32, 0, 0);
         }
-        let mut dead = 0u32;
-        let mut cur = owner;
-        for pos in 0..self.overlay.len() as u32 {
-            if !self.membership.is_live(cur) {
-                dead += 1;
-            } else {
-                match holders {
-                    Some(h) => {
-                        if h.contains(&(cur as u32)) {
-                            return (cur as u32, pos, dead);
-                        }
-                    }
-                    // A miss is answered by the acting primary.
-                    None => return (cur as u32, pos, dead),
-                }
-            }
-            cur = self.overlay.successor_index(cur);
-        }
-        unreachable!("stored entries always have at least one live holder")
-    }
-
-    /// The failover walk under one querier's gossip view. Candidates the
-    /// view confirms dead are skipped free (the querier routes around
-    /// them without attempting delivery); a ground-truth-dead candidate
-    /// the view still believes in is *attempted* — one hop and one
-    /// timeout, like the oracle walk charges for every dead candidate.
-    /// Returns `None` when the view leaves no live candidate to serve
-    /// (false positives hid them all) — the caller falls back to the
-    /// oracle walk.
-    fn serve_from_view(
-        &self,
-        view: &PeerView,
-        owner: usize,
-        holders: Option<&[u32]>,
-    ) -> Option<(u32, u32, u32)> {
-        let mut hops = 0u32;
-        let mut dead = 0u32;
-        let mut cur = owner;
-        for _ in 0..self.overlay.len() {
-            if view.is_confirmed_dead(cur) {
-                cur = self.overlay.successor_index(cur);
-                continue;
-            }
-            if !self.membership.is_live(cur) {
-                dead += 1;
-                hops += 1;
-                cur = self.overlay.successor_index(cur);
-                continue;
-            }
-            match holders {
-                Some(h) => {
-                    if h.contains(&(cur as u32)) {
-                        return Some((cur as u32, hops, dead));
-                    }
-                    hops += 1;
-                }
-                // A miss is answered by the acting primary — the first
-                // candidate the querier believes in that is really live.
-                None => return Some((cur as u32, hops, dead)),
-            }
-            cur = self.overlay.successor_index(cur);
-        }
-        None
-    }
-
-    /// Spread resolution of a *batched* lookup probe: among the key's live
-    /// holders (in successor-walk order from the owner) the serving
-    /// replica is picked by `hash(query_id, key)` — a pure function of
-    /// message attributes, so a Zipf-skewed query stream spreads its reads
-    /// ~uniformly across the replica set instead of pinning every probe on
-    /// the first live holder, while staying bit-identical at any thread
-    /// count. The accounting is exactly what [`Dht::serve_from`] would
-    /// charge for serving from the same candidate: `extra hops = walk
-    /// position`, one skip per dead candidate passed on the way (the
-    /// simulated network times each skip as a timed-out attempt). With a
-    /// single live holder — `R = 1`, or a degraded entry — the pick is
-    /// forced and this resolves identically to the walk-order path.
-    fn serve_spread(
-        &self,
-        origin: usize,
-        query_id: u64,
-        key: KeyHash,
-        owner: usize,
-        holders: Option<&[u32]>,
-    ) -> (u32, u32, u32) {
-        let Some(h) = holders else {
-            // A miss is answered by the acting primary, as ever.
-            return self.serve_from(origin, owner, None);
-        };
-        if h.len() == 1 {
-            return self.serve_from(origin, owner, Some(h));
-        }
-        if let Some(state) = &self.gossip {
-            // The querier spreads over the holders its *view* still
-            // believes in, with view-walk accounting: confirmed-dead
-            // candidates (holders included — false positives shrink the
-            // spread set) skipped free, believed-in dead candidates
-            // attempted at a hop + timeout each. With no confirmations
-            // this collects exactly the oracle walk's candidates.
-            let view = state.view(origin);
-            let mut live: Vec<(u32, u32, u32)> = Vec::with_capacity(h.len());
-            let mut hops = 0u32;
-            let mut dead = 0u32;
-            let mut passed = 0usize;
-            let mut cur = owner;
-            for _ in 0..self.overlay.len() {
-                if view.is_confirmed_dead(cur) {
-                    // Holder sets only ever contain live peers, so a
-                    // confirmed-dead holder here is a false positive —
-                    // invisible to this querier, but it still bounds the
-                    // walk (all holders passed means nothing further).
-                    if h.contains(&(cur as u32)) {
-                        passed += 1;
-                        if passed == h.len() {
-                            break;
-                        }
-                    }
-                    cur = self.overlay.successor_index(cur);
-                    continue;
-                }
-                if !self.membership.is_live(cur) {
-                    dead += 1;
-                    hops += 1;
-                    cur = self.overlay.successor_index(cur);
-                    continue;
-                }
-                if h.contains(&(cur as u32)) {
-                    live.push((cur as u32, hops, dead));
-                    passed += 1;
-                    if passed == h.len() {
-                        break;
-                    }
-                }
-                hops += 1;
-                cur = self.overlay.successor_index(cur);
-            }
-            if !live.is_empty() {
-                return live[(hash_u64s(&[query_id, key.0]) % live.len() as u64) as usize];
-            }
-            // All holders view-confirmed-dead: blind oracle fallback,
-            // like `serve_from`.
-        }
-        // Walk from the owner collecting every live holder with its walk
-        // position and the dead candidates skipped before it. Holder sets
-        // only ever contain live peers (crashes and departures prune them
-        // immediately), so the walk ends after `h.len()` live holders.
-        let mut live: Vec<(u32, u32, u32)> = Vec::with_capacity(h.len());
-        let mut dead = 0u32;
-        let mut cur = owner;
-        for pos in 0..self.overlay.len() as u32 {
-            if !self.membership.is_live(cur) {
-                dead += 1;
-            } else if h.contains(&(cur as u32)) {
-                live.push((cur as u32, pos, dead));
-                if live.len() == h.len() {
-                    break;
-                }
-            }
-            cur = self.overlay.successor_index(cur);
-        }
-        assert!(
-            !live.is_empty(),
-            "stored entries always have at least one live holder"
-        );
-        live[(hash_u64s(&[query_id, key.0]) % live.len() as u64) as usize]
+        self.gossip
+            .as_ref()
+            .and_then(|g| pick(self.walk(owner, Some(g.view(origin))), holders, spread))
+            .or_else(|| pick(self.walk(owner, None), holders, spread))
+            .expect("stored entries always have at least one live holder")
     }
 
     /// Counts a served lookup toward the key's popularity (no-op unless
@@ -760,40 +675,40 @@ impl<V: Send + Sync + 'static> Dht<V> {
         }
 
         let owner = self.overlay.peer_index(route.responsible);
-        let targets = self.replica_targets(owner);
+        let targets: Vec<(u32, u32, u32)> = self.walk(owner, None).take(self.replication).collect();
         let peers = self.overlay.peers();
         // Primary leg: normal routing plus one hop (and one timeout on
         // the simulated network) per dead candidate skipped.
-        let (primary, primary_pos) = targets[0];
+        let (primary, primary_hops, primary_dead) = targets[0];
         self.meter.record(
             MsgKind::IndexInsert,
             origin,
             postings,
             bytes,
-            route.hops + primary_pos,
+            route.hops + primary_hops,
         );
         on_copy(Delivery {
             source: from,
             target: peers[primary as usize],
-            hops: route.hops + primary_pos,
-            dead_skips: primary_pos,
+            hops: route.hops + primary_hops,
+            dead_skips: primary_dead,
         });
         // Replica copies: forwarded along the walk, each from the
         // previous replica, one hop per walk step (dead steps are skipped
         // hops too), attributed to the forwarding peer.
         for pair in targets.windows(2) {
-            let ((prev, prev_pos), (next, next_pos)) = (pair[0], pair[1]);
-            let hops = next_pos - prev_pos;
+            let ((prev, prev_hops, prev_dead), (next, next_hops, next_dead)) = (pair[0], pair[1]);
+            let hops = next_hops - prev_hops;
             self.meter
                 .record(MsgKind::IndexInsert, prev as usize, postings, bytes, hops);
             on_copy(Delivery {
                 source: peers[prev as usize],
                 target: peers[next as usize],
                 hops,
-                dead_skips: hops - 1,
+                dead_skips: next_dead - prev_dead,
             });
         }
-        let desired: Vec<u32> = targets.iter().map(|&(i, _)| i).collect();
+        let desired: Vec<u32> = targets.iter().map(|&(i, _, _)| i).collect();
         let mut default = Some(default);
         let mut update = Some(update);
         let mut result = None;
@@ -828,18 +743,6 @@ impl<V: Send + Sync + 'static> Dht<V> {
         key: KeyHash,
         read: impl FnOnce(Option<&V>) -> (R, u64, u64),
     ) -> R {
-        self.lookup_delivered(from, key, read).0
-    }
-
-    /// [`Dht::lookup`] that additionally returns the resolved [`Delivery`]
-    /// of the request/response exchange (one record — the response leg
-    /// retraces the request's path with zero dead skips).
-    pub fn lookup_delivered<R>(
-        &self,
-        from: PeerId,
-        key: KeyHash,
-        read: impl FnOnce(Option<&V>) -> (R, u64, u64),
-    ) -> (R, Delivery) {
         let route = self.overlay.route(from, key);
         let origin = self.overlay.peer_index(from);
         let owner = self.overlay.peer_index(route.responsible);
@@ -848,7 +751,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         self.store.get(stripe_of(key), key.0, &mut |slot| {
             self.count_hit(stripe_of(key), key.0, slot.is_some());
             let (target, extra, dead_skips) =
-                self.serve_from(origin, owner, slot.map(|s| s.holders.as_slice()));
+                self.serve(origin, owner, slot.map(|s| s.holders.as_slice()), None);
             let hops = route.hops + extra;
             // Every dead candidate attempted on the failover walk is a
             // timed-out delivery — the cost gossip-maintained views
@@ -864,15 +767,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
             // The response travels back over the same number of hops.
             self.meter
                 .record(MsgKind::QueryResponse, origin, postings, bytes, hops);
-            out = Some((
-                result,
-                Delivery {
-                    source: from,
-                    target: self.overlay.peers()[target as usize],
-                    hops,
-                    dead_skips,
-                },
-            ));
+            out = Some(result);
         });
         out.expect("get runs the read callback")
     }
@@ -892,8 +787,8 @@ impl<V: Send + Sync + 'static> Dht<V> {
     ///
     /// Unlike the single-key path, each probe's serving replica is
     /// *spread*: picked by `hash(query_id, key)` over the key's live
-    /// holder set (`serve_spread`). `query_id` is a caller
-    /// attribute of the batch (a query hash, a stream position — anything
+    /// holder set (see `serve`). `query_id` is a caller attribute of the
+    /// batch (a query hash, a stream position — anything
     /// deterministic); at `R = 1`, or whenever a key has a single live
     /// holder, the pick is forced and metering is bit-identical to the
     /// walk-order failover of [`Dht::lookup`].
@@ -939,12 +834,11 @@ impl<V: Send + Sync + 'static> Dht<V> {
                     self.count_hit(stripe, key.0, slot.is_some());
                     let route = self.overlay.route(from, key);
                     let owner = self.overlay.peer_index(route.responsible);
-                    let (target, extra, dead_skips) = self.serve_spread(
+                    let (target, extra, dead_skips) = self.serve(
                         origin,
-                        query_id,
-                        key,
                         owner,
                         slot.map(|s| s.holders.as_slice()),
+                        Some((query_id, key)),
                     );
                     let hops = route.hops + extra;
                     self.meter.record_failover_timeouts(u64::from(dead_skips));
@@ -982,9 +876,9 @@ impl<V: Send + Sync + 'static> Dht<V> {
     /// indexing round.
     pub fn notify(&self, to: PeerId, postings: u64, bytes: u64) {
         let origin = self.overlay.peer_index(to);
-        // A notification routes like any message: O(log N) hops; we charge
-        // the average path measured for this overlay size, approximated by
-        // routing to the peer's own id-derived key.
+        // A notification is charged a flat one hop, whatever the overlay's
+        // size; the simulated network's timing model charges the same
+        // single leg.
         self.meter
             .record(MsgKind::IndexNotify, origin, postings, bytes, 1);
     }
@@ -1052,13 +946,19 @@ impl<V: Send + Sync + 'static> Dht<V> {
         (0..NUM_STRIPES).map(|s| self.store.disk_bytes(s)).sum()
     }
 
-    /// Iterates one stripe under its read lock. The backbone of
-    /// stripe-parallel sweeps: disjoint stripes can be swept from different
-    /// threads with zero lock contention, covering the whole index exactly
-    /// once. Use [`Dht::for_each_stripe_held`] when the callback needs to
-    /// know which peers host each entry.
-    pub fn for_each_stripe<F: FnMut(&u64, &V)>(&self, stripe: usize, mut f: F) {
-        self.store.scan(stripe, &mut |k, s, _| f(&k, &s.value));
+    /// Iterates one stripe under its read lock, handing the callback each
+    /// entry's current holder set (ascending peer indices), key, value and
+    /// [`Tier`] (`Tier::Sealed` carries the entry's per-copy on-disk frame
+    /// size). The backbone of stripe-parallel sweeps: disjoint stripes can
+    /// be swept from different threads with zero lock contention, covering
+    /// the whole index exactly once. Covers **both** tiers (sealed entries
+    /// are decoded on the fly) — content accounting must not depend on
+    /// tier placement. With `R = 1` and no churn the single holder is the
+    /// responsible peer, so per-holder accounting degenerates to per-owner
+    /// accounting.
+    pub fn for_each_stripe<F: FnMut(&[u32], &u64, &V, Tier)>(&self, stripe: usize, mut f: F) {
+        self.store
+            .scan(stripe, &mut |k, s, tier| f(&s.holders, &k, &s.value, tier));
     }
 
     /// Mutable variant of [`Dht::for_each_stripe`] (the hosting peers'
@@ -1067,29 +967,6 @@ impl<V: Send + Sync + 'static> Dht<V> {
     /// hot tier.
     pub fn for_each_stripe_mut<F: FnMut(&u64, &mut V)>(&self, stripe: usize, mut f: F) {
         self.store.scan_mut(stripe, &mut |k, s| f(&k, &mut s.value));
-    }
-
-    /// Like [`Dht::for_each_stripe`] but also hands the callback the
-    /// entry's current holder set (ascending peer indices) — the basis of
-    /// per-peer storage measurements. With `R = 1` and no churn the single
-    /// holder is the responsible peer, so this degenerates to per-owner
-    /// accounting. Covers **both** tiers (sealed entries are decoded on
-    /// the fly) — content accounting must not depend on tier placement.
-    pub fn for_each_stripe_held<F: FnMut(&[u32], &u64, &V)>(&self, stripe: usize, mut f: F) {
-        self.store
-            .scan(stripe, &mut |k, s, _| f(&s.holders, &k, &s.value));
-    }
-
-    /// [`Dht::for_each_stripe_held`] plus each entry's current [`Tier`] —
-    /// for storage accounting that needs the resident/on-disk split
-    /// (`Tier::Sealed` carries the entry's per-copy on-disk frame size).
-    pub fn for_each_stripe_tiered<F: FnMut(&[u32], &u64, &V, Tier)>(
-        &self,
-        stripe: usize,
-        mut f: F,
-    ) {
-        self.store
-            .scan(stripe, &mut |k, s, tier| f(&s.holders, &k, &s.value, tier));
     }
 
     /// Admits one peer — [`Dht::add_peers`] with a single-element wave.
@@ -1132,26 +1009,18 @@ impl<V: Send + Sync + 'static> Dht<V> {
             }
         }
         let mut stats = vec![MigrationStats::default(); peers.len()];
-        let mut base_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
-        let mut hot_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
+        let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
             self.store.scan_mut(stripe, &mut |k, slot| {
-                let owner = self.owner_index(KeyHash(k));
-                let want = self.want_of(&promoted, k);
-                let memo = if want > self.replication {
-                    &mut hot_memo
-                } else {
-                    &mut base_memo
-                };
-                let targets = self.memoized_want(memo, owner, want);
+                let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
                 let mut next: Holders = slot
                     .holders
                     .iter()
                     .copied()
-                    .filter(|h| targets.iter().any(|&(i, _)| i == *h))
+                    .filter(|h| targets.contains(h))
                     .collect();
-                for &(idx, _) in targets {
+                for &idx in targets {
                     if idx as usize >= new_lo && !slot.holders.contains(&idx) {
                         let (postings, bytes) = volume(&slot.value);
                         let s = &mut stats[idx as usize - new_lo];
@@ -1218,8 +1087,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
             "a departure wave must leave at least one live peer"
         );
         let mut stats = vec![MigrationStats::default(); peers.len()];
-        let mut base_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
-        let mut hot_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
+        let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
             self.store.scan_mut(stripe, &mut |k, slot| {
@@ -1239,14 +1107,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
                     .position(|&l| l == departing[0])
                     .expect("departing holder is in the wave");
                 slot.holders.retain(|h| !departing.contains(h));
-                let owner = self.owner_index(KeyHash(k));
-                let want = self.want_of(&promoted, k);
-                let memo = if want > self.replication {
-                    &mut hot_memo
-                } else {
-                    &mut base_memo
-                };
-                for &(idx, _) in self.memoized_want(memo, owner, want) {
+                for &idx in self.targets(&mut memo, k, self.want_of(&promoted, k)) {
                     if !slot.holders.contains(&idx) {
                         let (postings, bytes) = volume(&slot.value);
                         let s = &mut stats[hander];
@@ -1385,68 +1246,19 @@ impl<V: Send + Sync + 'static> Dht<V> {
     pub fn repair_sweep(
         &self,
         volume: impl Fn(&V) -> (u64, u64),
-        mut on_copy: impl FnMut(KeyHash, Delivery, u64),
+        on_copy: impl FnMut(KeyHash, Delivery, u64),
     ) -> RepairStats {
-        // Phase 1: scan, update holder sets, collect the planned copies.
-        // The store's scan order must not leak into metering/timing, so
-        // copies are emitted only after the canonical sort below.
-        let mut planned: Vec<(u64, u32, u32, u64, u64)> = Vec::new();
-        let mut base_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
-        let mut hot_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
+        let mut planned = Vec::new();
+        let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
             self.store.scan_mut(stripe, &mut |k, slot| {
-                let owner = self.owner_index(KeyHash(k));
-                let want = self.want_of(&promoted, k);
-                let memo = if want > self.replication {
-                    &mut hot_memo
-                } else {
-                    &mut base_memo
-                };
-                let targets = self.memoized_want(memo, owner, want);
-                let missing: Vec<u32> = targets
-                    .iter()
-                    .map(|&(i, _)| i)
-                    .filter(|i| !slot.holders.contains(i))
-                    .collect();
-                if missing.is_empty() {
-                    return;
-                }
-                // Snapshot the pre-repair holders: only peers that held
-                // the entry *before* this sweep can serve as read sources.
-                let existing = slot.holders.clone();
-                for idx in missing {
-                    let pick = hash_u64s(&[k, u64::from(idx)]) % existing.len() as u64;
-                    let source = existing[pick as usize];
-                    let (postings, bytes) = volume(&slot.value);
-                    planned.push((k, source, idx, postings, bytes));
-                    slot.holders.push(idx);
-                }
-                slot.holders.sort_unstable();
+                let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
+                plan_missing(k, slot, targets, &volume, &mut planned);
             });
         }
         drop(promoted);
-        planned.sort_unstable_by_key(|&(k, _, target, _, _)| (k, target));
-        let peers = self.overlay.peers();
-        let mut stats = RepairStats::default();
-        for (key, source, target, postings, bytes) in planned {
-            self.meter
-                .record(MsgKind::Repair, source as usize, postings, bytes, 1);
-            stats.copies += 1;
-            stats.postings += postings;
-            stats.bytes += bytes;
-            on_copy(
-                KeyHash(key),
-                Delivery {
-                    source: peers[source as usize],
-                    target: peers[target as usize],
-                    hops: 1,
-                    dead_skips: 0,
-                },
-                bytes,
-            );
-        }
-        stats
+        self.send_copies(MsgKind::Repair, planned, on_copy)
     }
 
     /// The popularity-maintenance sweep: snapshots the per-key lookup hit
@@ -1473,7 +1285,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     pub fn rebalance_hot(
         &self,
         volume: impl Fn(&V) -> (u64, u64),
-        mut on_copy: impl FnMut(KeyHash, Delivery, u64),
+        on_copy: impl FnMut(KeyHash, Delivery, u64),
     ) -> HotStats {
         if self.hot.threshold == 0 {
             return HotStats::default();
@@ -1491,68 +1303,65 @@ impl<V: Send + Sync + 'static> Dht<V> {
                 *count > 0
             });
         }
+        // Phase 2: scan, extend or trim holder sets, plan the copies.
+        let mut planned = Vec::new();
+        let mut memo = self.walk_memo();
+        let mut demoted = 0;
         let mut promoted = self.promoted.lock();
-        let mut stats = HotStats {
-            promoted: next.len() as u64,
-            ..HotStats::default()
-        };
-        // Phase 2: scan, extend or trim holder sets, collect the planned
-        // copies — emitted after the canonical sort, exactly like
-        // `repair_sweep`, so the store's scan order never leaks into
-        // metering or timing.
-        let mut planned: Vec<(u64, u32, u32, u64, u64)> = Vec::new();
-        let mut base_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
-        let mut hot_memo: Vec<Option<Vec<(u32, u32)>>> = vec![None; self.overlay.len()];
         for stripe in 0..NUM_STRIPES {
             self.store.scan_mut(stripe, &mut |k, slot| {
-                let owner = self.owner_index(KeyHash(k));
                 if next.contains(&k) {
-                    let want = self.replication + self.hot.extra;
-                    let targets = self.memoized_want(&mut hot_memo, owner, want);
-                    let missing: Vec<u32> = targets
-                        .iter()
-                        .map(|&(i, _)| i)
-                        .filter(|i| !slot.holders.contains(i))
-                        .collect();
-                    if missing.is_empty() {
-                        return;
-                    }
-                    let existing = slot.holders.clone();
-                    for idx in missing {
-                        let pick = hash_u64s(&[k, u64::from(idx)]) % existing.len() as u64;
-                        let source = existing[pick as usize];
-                        let (postings, bytes) = volume(&slot.value);
-                        planned.push((k, source, idx, postings, bytes));
-                        slot.holders.push(idx);
-                    }
-                    slot.holders.sort_unstable();
+                    let targets = self.targets(&mut memo, k, self.replication + self.hot.extra);
+                    plan_missing(k, slot, targets, &volume, &mut planned);
                 } else if promoted.contains(&k) {
                     // Demotion: trim the extras this mechanism added back
                     // to the structural replica set.
-                    let targets = self.memoized_want(&mut base_memo, owner, self.replication);
+                    let targets = self.targets(&mut memo, k, self.replication);
                     let keep: Holders = slot
                         .holders
                         .iter()
                         .copied()
-                        .filter(|h| targets.iter().any(|&(i, _)| i == *h))
+                        .filter(|h| targets.contains(h))
                         .collect();
                     // Never drop the last copy: a degraded entry whose
                     // holders all sit outside the structural set is left
                     // for the next repair sweep to sort out.
                     if !keep.is_empty() && keep.len() < slot.holders.len() {
-                        stats.demoted += 1;
+                        demoted += 1;
                         slot.holders = keep;
                     }
                 }
             });
         }
+        let promoted_now = next.len() as u64;
         *promoted = next;
         drop(promoted);
+        let sent = self.send_copies(MsgKind::HotReplicate, planned, on_copy);
+        HotStats {
+            promoted: promoted_now,
+            demoted,
+            copies: sent.copies,
+            postings: sent.postings,
+            bytes: sent.bytes,
+        }
+    }
+
+    /// Emits one sweep's planned re-copies in canonical `(key, target)`
+    /// order, so the store's scan order never leaks into metering or
+    /// timing: each copy is one `kind` message from its source (postings
+    /// and bytes per the plan, one forwarding hop), reported to `on_copy`
+    /// with its resolved [`Delivery`] and payload size. Returns the totals.
+    fn send_copies(
+        &self,
+        kind: MsgKind,
+        mut planned: Vec<PlannedCopy>,
+        mut on_copy: impl FnMut(KeyHash, Delivery, u64),
+    ) -> RepairStats {
         planned.sort_unstable_by_key(|&(k, _, target, _, _)| (k, target));
         let peers = self.overlay.peers();
+        let mut stats = RepairStats::default();
         for (key, source, target, postings, bytes) in planned {
-            self.meter
-                .record(MsgKind::HotReplicate, source as usize, postings, bytes, 1);
+            self.meter.record(kind, source as usize, postings, bytes, 1);
             stats.copies += 1;
             stats.postings += postings;
             stats.bytes += bytes;
@@ -1575,7 +1384,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     pub fn keys_per_peer(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.overlay.len()];
         for stripe in 0..NUM_STRIPES {
-            self.for_each_stripe_held(stripe, |holders, _, _| {
+            self.for_each_stripe(stripe, |holders, _, _, _| {
                 for &h in holders {
                     counts[h as usize] += 1;
                 }
@@ -1701,8 +1510,7 @@ mod tests {
         dht.peek(key, |v| assert!(v.is_some()));
         dht.resident_bytes(|v| v.len() as u64);
         for s in 0..dht.num_stripes() {
-            dht.for_each_stripe(s, |_, _| {});
-            dht.for_each_stripe_held(s, |_, _, _| {});
+            dht.for_each_stripe(s, |_, _, _, _| {});
         }
         let after = dht.snapshot();
         assert_eq!(before, after);
@@ -1942,6 +1750,27 @@ mod tests {
         assert_eq!(loss2.keys_lost, 0, "repair restored the redundancy");
     }
 
+    /// A single-key [`Dht::lookup`] with its resolved [`Delivery`] read
+    /// off the meter: the peer that served it, the request's hops and
+    /// the failover timeouts it paid.
+    fn lookup_metered(
+        dht: &Dht<Vec<u32>>,
+        from: PeerId,
+        key: KeyHash,
+    ) -> (Option<Vec<u32>>, Delivery) {
+        let before = dht.snapshot();
+        let found = dht.lookup(from, key, |v| (v.cloned(), 3, 12));
+        let d = dht.snapshot().since(&before);
+        let served = d.served_by_peer.iter().position(|&n| n == 1);
+        let delivery = Delivery {
+            source: from,
+            target: dht.overlay().peers()[served.expect("one peer served")],
+            hops: d.kind(MsgKind::QueryLookup).hops as u32,
+            dead_skips: d.failover_timeouts as u32,
+        };
+        (found, delivery)
+    }
+
     #[test]
     fn failover_lookup_charges_skips_and_serves_from_live_holder() {
         let mut dht = dht_replicated(4, 2);
@@ -1949,12 +1778,12 @@ mod tests {
         let key = KeyHash(hash_u64s(&[7, 7]));
         dht.upsert(PeerId(0), key, 3, 12, Vec::new, |v| v.extend([1, 2, 3]));
         let owner = dht.overlay().responsible(key);
-        let healthy = dht.lookup_delivered(PeerId(0), key, |v| (v.cloned(), 3, 12));
+        let healthy = lookup_metered(&dht, PeerId(0), key);
         assert_eq!(healthy.1.target, owner);
         assert_eq!(healthy.1.dead_skips, 0);
         dht.fail_peers(&[owner], vol);
         let before = dht.snapshot();
-        let (found, delivery) = dht.lookup_delivered(PeerId(0), key, |v| (v.cloned(), 3, 12));
+        let (found, delivery) = lookup_metered(&dht, PeerId(0), key);
         assert_eq!(found.unwrap(), vec![1, 2, 3], "replica must serve");
         assert_ne!(delivery.target, owner);
         assert!(delivery.dead_skips >= 1, "the dead owner was skipped");
@@ -2039,7 +1868,7 @@ mod tests {
         let owner = dht.overlay().responsible(key);
         dht.fail_peers(&[owner], vol);
         let before = dht.snapshot();
-        let (_, walk) = dht.lookup_delivered(PeerId(0), key, |v| (v.cloned(), 3, 12));
+        let (_, walk) = lookup_metered(&dht, PeerId(0), key);
         let mid = dht.snapshot();
         let (_, spread) =
             dht.lookup_many_delivered(PeerId(0), 99, &[key], |_, v| (v.cloned(), 3, 12));
@@ -2154,7 +1983,7 @@ mod tests {
         // set, under Repair (crash restoration), not HotReplicate.
         let holders: Vec<u32> = {
             let mut h = Vec::new();
-            dht.for_each_stripe_held(stripe_of(key), |hs, k, _| {
+            dht.for_each_stripe(stripe_of(key), |hs, k, _, _| {
                 if *k == key.0 {
                     h = hs.to_vec();
                 }
@@ -2180,7 +2009,7 @@ mod tests {
         dht.add_peers(vec![PeerId(90), PeerId(91)], vol);
         dht.repair_sweep(vol, |_, _, _| {});
         let mut held = 0;
-        dht.for_each_stripe_held(stripe_of(key), |hs, k, _| {
+        dht.for_each_stripe(stripe_of(key), |hs, k, _, _| {
             if *k == key.0 {
                 held = hs.len();
             }
@@ -2202,5 +2031,86 @@ mod tests {
             HotStats::default()
         );
         assert!(before.same_counts(&dht.snapshot()));
+    }
+
+    #[test]
+    fn gossip_views_pay_the_oracle_walk_until_converged_then_skip_the_dead_free() {
+        let build = |gossip: bool| {
+            let mut dht = dht_replicated(8, 3);
+            if gossip {
+                dht.enable_gossip(GossipConfig {
+                    fanout: 2,
+                    loss_prob: 0.0,
+                    ..GossipConfig::default()
+                });
+            }
+            for i in 0..40u64 {
+                let key = KeyHash(hash_u64s(&[i, 53]));
+                dht.upsert(PeerId(i % 8), key, 1, 4, Vec::new, |v| v.push(i as u32));
+            }
+            dht
+        };
+        let (mut g, mut o) = (build(true), build(false));
+        let key = KeyHash(hash_u64s(&[5, 53]));
+        let owner = g.overlay().responsible(key);
+        let from = PeerId((owner.0 + 3) % 8);
+        // One single-key lookup and eight spread probes; returns the
+        // traffic they caused.
+        let probe = |dht: &Dht<Vec<u32>>| {
+            let before = dht.snapshot();
+            assert_eq!(lookup_metered(dht, from, key).0, Some(vec![5]));
+            let found = dht.lookup_many(from, 0, &[key; 8], |_, v| (v.cloned(), 1, 4));
+            assert!(found.iter().all(|v| v.as_deref() == Some(&[5][..])));
+            dht.snapshot().since(&before)
+        };
+        const PROBES: u64 = 9;
+        for dht in [&mut g, &mut o] {
+            dht.fail_peers(&[owner], vol);
+        }
+        // Stale views still believe in the dead owner: every probe
+        // attempts it, exactly like the oracle walk.
+        let (stale, twin) = (probe(&g), probe(&o));
+        assert_eq!(
+            stale.kind(MsgKind::QueryLookup),
+            twin.kind(MsgKind::QueryLookup)
+        );
+        assert_eq!(stale.served_by_peer, twin.served_by_peer);
+        assert_eq!(
+            (stale.failover_timeouts, twin.failover_timeouts),
+            (PROBES, PROBES)
+        );
+        // Gossip detects the crash, confirms it everywhere and repairs;
+        // the twin repairs too, so both serve from the same holder sets.
+        let mut repaired = false;
+        for _ in 0..200 {
+            if g.gossip().expect("enabled").converged(g.membership()) {
+                break;
+            }
+            repaired |= g.gossip_round(vol, |_| {}, |_, _, _| {}).repair.is_some();
+        }
+        assert!(g.gossip().expect("enabled").converged(g.membership()));
+        assert!(repaired, "universal confirmation triggers the repair");
+        o.repair_sweep(vol, |_, _, _| {});
+        let (fresh, twin) = (probe(&g), probe(&o));
+        // The owner is now skipped free: one hop fewer per probe (request
+        // and response), no timeouts, and the same live holders serve.
+        let (f, t) = (
+            fresh.kind(MsgKind::QueryLookup),
+            twin.kind(MsgKind::QueryLookup),
+        );
+        assert_eq!((f.messages, f.hops + PROBES), (t.messages, t.hops));
+        let (f, t) = (
+            fresh.kind(MsgKind::QueryResponse),
+            twin.kind(MsgKind::QueryResponse),
+        );
+        assert_eq!(f.hops + PROBES, t.hops);
+        assert_eq!(
+            (fresh.failover_timeouts, twin.failover_timeouts),
+            (0, PROBES)
+        );
+        assert_eq!(fresh.served_by_peer, twin.served_by_peer);
+        let owner_index = g.overlay().peer_index(owner);
+        assert_eq!(fresh.served_by_peer[owner_index], 0);
+        assert_eq!(fresh.served_by_peer.iter().sum::<u64>(), PROBES);
     }
 }

@@ -24,7 +24,10 @@
 //! first live replica that holds a copy serves the request; every skipped
 //! candidate costs an extra overlay hop, and skipped *dead* candidates
 //! additionally cost a retransmission timeout on the simulated network
-//! ("requests to dead peers cost a timeout, not a hang"). [`Delivery`]
+//! ("requests to dead peers cost a timeout, not a hang"). The walk is
+//! implemented once, as the private `Dht::walk` in [`crate::dht`]; its
+//! doc comment is the reference for these charges, including the free
+//! skip of a peer the querier's gossip view confirms dead. [`Delivery`]
 //! records exactly those resolved attributes per message leg, so the
 //! simulated backend can time a message without re-deriving the route.
 
