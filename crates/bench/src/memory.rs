@@ -17,7 +17,9 @@
 //! index structure holds — store tables, spilled holder and contributor
 //! lists, blocks, doc-sets, and under the tiered store its sealed index —
 //! per stored key, next to the process's live heap (when the binary
-//! installs [`LiveHeap`]) and resident set.
+//! installs [`LiveHeap`]) and resident set. [`LiveHeap`] also keeps the
+//! live heap's high-water mark, so a caller can read what a build held at
+//! its peak ([`MemoryFootprint::build_peak_heap`]).
 
 use crate::report::{fnum, Table};
 use hdk_core::{HdkNetwork, IndexFootprint, PeerStorage};
@@ -27,16 +29,26 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Bytes currently allocated through [`LiveHeap`].
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator, counting live bytes. A binary opts in with
-/// `#[global_allocator] static HEAP: LiveHeap = LiveHeap;`, after which
-/// [`live_heap_bytes`] reports what the process holds on the heap.
+/// The most [`LIVE_BYTES`] has been since [`reset_live_heap_peak`].
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// The system allocator, counting live bytes and their high-water mark. A
+/// binary opts in with `#[global_allocator] static HEAP: LiveHeap =
+/// LiveHeap;`, after which [`live_heap_bytes`] reports what the process
+/// holds on the heap and [`live_heap_peak_bytes`] the most it has held.
 pub struct LiveHeap;
 
+/// Counts `bytes` more live, raising the high-water mark with them.
+fn grow(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, whose
-// contract is the caller's; counting touches only an atomic.
+// contract is the caller's; counting touches only atomics.
 unsafe impl GlobalAlloc for LiveHeap {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -48,7 +60,7 @@ unsafe impl GlobalAlloc for LiveHeap {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        grow(new_size);
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -59,6 +71,18 @@ unsafe impl GlobalAlloc for LiveHeap {
 /// [`LiveHeap`] as its global allocator (nothing was ever counted).
 pub fn live_heap_bytes() -> Option<u64> {
     Some(LIVE_BYTES.load(Ordering::Relaxed)).filter(|&n| n > 0)
+}
+
+/// The most live heap this process has held since the last
+/// [`reset_live_heap_peak`] (since it started, before any) — `None`
+/// unless the binary installed [`LiveHeap`].
+pub fn live_heap_peak_bytes() -> Option<u64> {
+    Some(PEAK_BYTES.load(Ordering::Relaxed)).filter(|&n| n > 0)
+}
+
+/// Restarts the high-water mark from the live heap as it is now.
+pub fn reset_live_heap_peak() {
+    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// This process's resident set and its high-water mark, in bytes, from
@@ -80,6 +104,10 @@ pub struct MemoryFootprint {
     pub per_peer: Vec<PeerStorage>,
     /// Where the index structure's in-memory bytes go.
     pub index: IndexFootprint,
+    /// The live heap the build held at its peak above what was live before
+    /// it started, where the caller measured it (see
+    /// [`reset_live_heap_peak`]).
+    pub build_peak_heap: Option<u64>,
 }
 
 impl MemoryFootprint {
@@ -89,6 +117,7 @@ impl MemoryFootprint {
         Self {
             per_peer: index.storage_per_peer(),
             index: index.footprint(),
+            build_peak_heap: None,
         }
     }
 
@@ -99,8 +128,9 @@ impl MemoryFootprint {
 
     /// Renders where the index's bytes go: one row per component with its
     /// bytes and bytes per stored key, then the total, and — as far as
-    /// they can be read — the process's live heap and resident set (whole
-    /// process: corpus and query state included).
+    /// they can be read — the build's peak live heap and the process's
+    /// live heap and resident set (whole process: corpus and query state
+    /// included).
     pub fn breakdown(&self, name: &str) -> Table {
         let f = &self.index;
         let keys = f.keys.max(1) as f64;
@@ -119,6 +149,9 @@ impl MemoryFootprint {
         row("blocks", f.block_bytes);
         row("docsets", f.docset_bytes);
         row("index_total", f.total_bytes());
+        if let Some(peak) = self.build_peak_heap {
+            row("build_peak_heap", peak);
+        }
         if let Some(live) = live_heap_bytes() {
             row("process_live_heap", live);
         }

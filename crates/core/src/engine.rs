@@ -4,11 +4,12 @@
 //!
 //! [`HdkNetwork::build`] constructs the system and runs the iterative
 //! protocol of Section 3.1 in bulk-synchronous rounds (one per key size):
-//! peers compute and insert their local key postings in parallel, then the
-//! hosting peers sweep their index fractions and the resulting "key became
-//! globally non-discriminative" notifications are delivered before the
-//! next round. Everything that crosses peer boundaries travels as a typed
-//! message through the chosen [`BackendConfig`] backend.
+//! peers compute their local key postings in parallel waves and insert
+//! them one peer at a time, then the hosting peers sweep their index
+//! fractions and the resulting "key became globally non-discriminative"
+//! notifications are delivered before the next round. Everything that
+//! crosses peer boundaries travels as a typed message through the chosen
+//! [`BackendConfig`] backend.
 //!
 //! ## Service facades
 //!
@@ -39,7 +40,7 @@ use hdk_p2p::{PGrid, PeerId, SimNet, SimNetConfig, TrafficSnapshot};
 use hdk_text::TermId;
 use parking_lot::{RwLock, RwLockReadGuard};
 use rayon::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -686,21 +687,26 @@ impl IndexService {
     /// documents (the whole collection on the first call; additions on
     /// later calls).
     ///
-    /// Each round is bulk-synchronous and data-parallel in three phases,
-    /// and deterministic by construction — the outcome (index contents,
-    /// `BuildReport`, traffic counters) is bit-identical whatever
+    /// Each round walks the peers in ascending `PeerId` order, in waves of
+    /// as many peers as the rayon pool has threads, and is deterministic
+    /// by construction — the outcome (index contents, `BuildReport`,
+    /// traffic counters, SimNet's virtual clock) is bit-identical whatever
     /// `RAYON_NUM_THREADS` says:
     ///
-    /// 1. **compute** — every peer derives its candidate key postings from
-    ///    purely local state and encodes each list into its wire/storage
-    ///    block, fanned out over the rayon pool; results come back in
-    ///    `PeerId` order with each batch sorted by key;
-    /// 2. **apply** — the whole round ships as one `InsertBatch` message
-    ///    set; the backend partitions it by DHT stripe and applies each
-    ///    stripe's inserts in `(PeerId, Key)` order, stripes in parallel;
-    /// 3. **sweep** — [`GlobalIndex::classify_round`] runs the end-of-round
-    ///    NDK classification stripe-parallel (host-local, free) and the
-    ///    merged notifications are delivered sorted as `Notify` messages.
+    /// 1. **compute** — the peers of a wave derive their candidate key
+    ///    postings from purely local state and encode each list into its
+    ///    wire/storage block side by side, each batch sorted by key;
+    /// 2. **apply** — each peer's batch then ships as its own
+    ///    `InsertBatch` message set, in `PeerId` order, and is dropped
+    ///    before the next wave is computed: a round holds one wave's
+    ///    batches, never the whole network's. The backend partitions a
+    ///    message by DHT stripe, stripes in parallel, so each stripe still
+    ///    applies the round's inserts in `(PeerId, Key)` order. A peer
+    ///    with no keys sends nothing;
+    /// 3. **sweep** — after the last peer, [`GlobalIndex::classify_round`]
+    ///    runs the end-of-round NDK classification stripe-parallel
+    ///    (host-local, free) and the merged notifications are delivered
+    ///    sorted as `Notify` messages.
     ///
     /// Returns the number of rounds executed; the caller publishes it
     /// (together with the statistics and the epoch) once the session's
@@ -712,43 +718,46 @@ impl IndexService {
         let index = self.core.index.read();
         let config = &self.core.config;
         let excluded = &self.core.excluded;
+        // As many peers as compute side by side: only one wave's batches
+        // are ever held at once.
+        let wave = rayon::current_num_threads();
         let mut rounds = 0;
         for round in 1..=config.smax {
-            let collect_keys = !config.redundancy_filtering;
-            // Phase 1: parallel local candidate generation (pure). Each
-            // list is encoded into its compressed block right here at the
-            // "sending" peer — from this point on the block is the only
-            // representation that exists (wire, storage, cache).
-            let batches: Vec<(PeerId, Vec<(Key, CompressedPostings)>)> = self
-                .peers
-                .par_iter()
-                .map(|peer| {
-                    // The runs come key-sorted and without empty lists.
-                    let batch: Vec<(Key, CompressedPostings)> = peer
-                        .compute_runs(round, config, excluded)
-                        .iter()
-                        .map(|(key, run)| (key, CompressedPostings::from_postings(run)))
-                        .collect();
-                    (peer.id, batch)
-                })
-                .collect();
             // The no-redundancy ablation expands *every* inserted key next
             // round (indexing all discriminative keys instead of only
             // intrinsic ones — the configuration Definition 5 exists to
-            // avoid), so remember them before the batches move.
-            let inserted: Vec<Vec<Key>> = if collect_keys {
-                batches
-                    .iter()
-                    .map(|(_, batch)| batch.iter().map(|(key, _)| *key).collect())
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            // Phase 2: the round's InsertBatch message. Feedback = keys
-            // whose insert acknowledgement reported "already
+            // avoid), so it remembers them per peer before the batch moves.
+            let collect_keys = !config.redundancy_filtering;
+            let mut inserted: Vec<Vec<Key>> = Vec::new();
+            // Keys whose insert acknowledgement reported "already
             // non-discriminative" (late-joiner feedback in incremental
             // sessions).
-            let mut already_ndk = index.insert_round(batches);
+            let mut already_ndk: HashMap<PeerId, Vec<Key>> = HashMap::new();
+            for peers in self.peers.chunks(wave) {
+                // Phase 1: parallel local candidate generation (pure). Each
+                // list is encoded into its compressed block right here at
+                // the "sending" peer — from this point on the block is the
+                // only representation that exists (wire, storage, cache).
+                let batches: Vec<Vec<(Key, CompressedPostings)>> = peers
+                    .par_iter()
+                    .map(|peer| {
+                        // The runs come key-sorted and without empty lists.
+                        peer.compute_runs(round, config, excluded)
+                            .iter()
+                            .map(|(key, run)| (key, CompressedPostings::from_postings(run)))
+                            .collect()
+                    })
+                    .collect();
+                // Phase 2: one InsertBatch per peer.
+                for (peer, batch) in peers.iter().zip(batches) {
+                    if collect_keys {
+                        inserted.push(batch.iter().map(|(key, _)| *key).collect());
+                    }
+                    if !batch.is_empty() {
+                        already_ndk.extend(index.insert_round(vec![(peer.id, batch)]));
+                    }
+                }
+            }
             rounds = round;
             // Phase 3: stripe-parallel sweep + Notify delivery.
             let mut notifications = index.classify_round(round);

@@ -11,7 +11,7 @@
 //!   is notified so it can expand the key in the next round.
 //!
 //! [`GlobalIndex`] is a *client*: every operation builds a [`Request`]
-//! (`InsertBatch` per bulk-synchronous round, `Notify` per sweep's NDK
+//! (`InsertBatch` per inserting peer per round, `Notify` per sweep's NDK
 //! notifications, `LookupMany` per query-plan level, `Sweep` for the
 //! host-local work) or a [`Control`] (joins, departures, settings), hands
 //! it to a pluggable [`NetworkBackend`] (see `hdk_p2p::rpc`) and reads the
@@ -693,7 +693,7 @@ impl GlobalIndex {
         acks.pop().expect("one batch").1.pop().expect("one item")
     }
 
-    /// Addresses one round's batches as an [`Request::InsertBatch`]
+    /// Addresses per-peer batches as an [`Request::InsertBatch`]
     /// message. Also advances the engine-side `IS_s` counters (the
     /// *sending* peers know what they inserted; no response needed for
     /// that).
@@ -730,17 +730,19 @@ impl GlobalIndex {
         }
     }
 
-    /// Applies one bulk-synchronous round of per-peer insert batches —
-    /// one [`Request::InsertBatch`] message set — with a deterministic
-    /// outcome.
+    /// Applies per-peer insert batches — one [`Request::InsertBatch`]
+    /// message set — with a deterministic outcome. The engine calls it
+    /// once per inserting peer of a round, in ascending [`PeerId`] order,
+    /// so a round never holds more than a wave of peers' batches.
     ///
     /// `batches` holds `(peer, sorted key batch)` pairs in ascending
-    /// [`PeerId`] order. The hosts partition the round by *stripe* (the
+    /// [`PeerId`] order. The hosts partition the message by *stripe* (the
     /// lock shards of the underlying [`Dht`]) and apply each stripe's
     /// inserts in `(PeerId, Key)` order, so every [`KeyEntry`] — including
     /// its `contributors` order — comes out identical whatever the thread
-    /// count. Traffic counters are sums of per-insert contributions and
-    /// are therefore order-independent too.
+    /// count, and whether a round's peers ship together or one by one.
+    /// Traffic counters are sums of per-insert contributions and are
+    /// therefore order-independent too.
     ///
     /// Returns, per inserting peer, the sorted keys whose insert
     /// acknowledgement reported "already non-discriminative" (late-joiner

@@ -105,7 +105,7 @@ impl LocalPeer {
     }
 
     /// Computes the peer's key postings for `round` (1-based key size) of
-    /// the current session, as the sorted runs the round ships.
+    /// the current session, as the sorted runs its insert batch ships.
     ///
     /// * Round 1: every non-very-frequent term of the *pending* documents.
     /// * Round `s >= 2`: candidates from expanding size-(s-1) NDKs with

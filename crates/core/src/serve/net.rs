@@ -315,12 +315,20 @@ impl TcpNet {
             .filter_map(|(proc, reply)| match reply {
                 Ok(WireResponse::Rpc(response)) => Some((proc, response)),
                 Ok(_) => {
-                    self.errors.fetch_add(1, Ordering::Relaxed);
+                    self.unusable();
                     None
                 }
                 Err(_) => None,
             })
             .collect()
+    }
+
+    /// Counts a data-plane reply that arrived but cannot be used whole —
+    /// a refusal, an answer to another message, or fewer acks or results
+    /// than the items sent — as a transport error: the items it leaves
+    /// out come back unacknowledged or `None`, like a lost reply's.
+    fn unusable(&self) {
+        self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Delivers `frame_of(p)` to every process `p` and folds the replies
@@ -422,11 +430,17 @@ impl NetworkBackend<IndexStore> for TcpNet {
                 // automatic retry: a failed exchange leaves its items
                 // unacknowledged.
                 for (proc, reply) in self.scatter(parts, false, kind) {
-                    if let Response::Inserted { acks: remote } = reply {
-                        let flags = remote.into_iter().flat_map(|(_, flags)| flags);
-                        for (&(bi, ii), flag) in origins[proc].iter().zip(flags) {
-                            acks[bi].1[ii] = flag;
-                        }
+                    let Response::Inserted { acks: remote } = reply else {
+                        self.unusable();
+                        continue;
+                    };
+                    let answered: usize = remote.iter().map(|(_, flags)| flags.len()).sum();
+                    if answered != origins[proc].len() {
+                        self.unusable();
+                    }
+                    let flags = remote.into_iter().flat_map(|(_, flags)| flags);
+                    for (&(bi, ii), flag) in origins[proc].iter().zip(flags) {
+                        acks[bi].1[ii] = flag;
                     }
                 }
                 Response::Inserted { acks }
@@ -451,10 +465,15 @@ impl NetworkBackend<IndexStore> for TcpNet {
                 });
                 // Lookups are read-only: safe to retry once.
                 for (proc, reply) in self.scatter(parts, true, kind) {
-                    if let Response::Found { results: found } = reply {
-                        for (&i, result) in origins[proc].iter().zip(found) {
-                            results[i] = result;
-                        }
+                    let Response::Found { results: found } = reply else {
+                        self.unusable();
+                        continue;
+                    };
+                    if found.len() != origins[proc].len() {
+                        self.unusable();
+                    }
+                    for (&i, result) in origins[proc].iter().zip(found) {
+                        results[i] = result;
                     }
                 }
                 Response::Found { results }
@@ -651,6 +670,32 @@ mod tests {
         (results, started.elapsed())
     }
 
+    /// One insert of the single-term key `term` with a one-posting block.
+    fn insert_item(term: u32) -> Addressed<(Key, CompressedPostings)> {
+        let key = Key::single(TermId(term));
+        let list = PostingList::from_sorted(vec![Posting {
+            doc: DocId(term * 3),
+            tf: term,
+            doc_len: 40,
+        }]);
+        Addressed {
+            route: key.dht_hash(),
+            body: (key, CompressedPostings::from_list(&list)),
+        }
+    }
+
+    /// One `InsertBatch` of the single-term keys `1..=KEYS` from peer 0:
+    /// the acknowledgement flag per key that came back.
+    fn insert(net: &TcpNet) -> Vec<bool> {
+        let response = net.call(&Request::InsertBatch {
+            batches: vec![(PeerId(0), (1..=KEYS).map(insert_item).collect())],
+        });
+        let Response::Inserted { mut acks } = response else {
+            panic!("an insert answers Inserted, got {response:?}");
+        };
+        acks.pop().expect("one batch").1
+    }
+
     /// The process (of two) owning each of the keys [`lookup`] asks for.
     fn owners() -> Vec<usize> {
         let owner = |term| stripe_of(Key::single(TermId(term)).dht_hash()) % 2;
@@ -661,23 +706,11 @@ mod tests {
 
     #[test]
     fn a_borrowed_insert_part_encodes_like_the_owned_message() {
-        let item = |term: u32| {
-            let key = Key::single(TermId(term));
-            let list = PostingList::from_sorted(vec![Posting {
-                doc: DocId(term * 3),
-                tf: term,
-                doc_len: 40,
-            }]);
-            Addressed {
-                route: key.dht_hash(),
-                body: (key, CompressedPostings::from_list(&list)),
-            }
-        };
         for batches in [
             Vec::new(),
             vec![
-                (PeerId(1), vec![item(1), item(2)]),
-                (PeerId(4), vec![item(3)]),
+                (PeerId(1), vec![insert_item(1), insert_item(2)]),
+                (PeerId(4), vec![insert_item(3)]),
             ],
         ] {
             let part: InsertPart<'_> = (batches.iter())
@@ -762,5 +795,67 @@ mod tests {
             assert!(results.iter().all(Option::is_some), "after {elapsed:?}");
         }
         assert_eq!(net.transport_errors(), 3);
+    }
+
+    #[test]
+    fn a_refusal_counts_as_a_transport_error() {
+        let net = net_over(&[fake_peer(|_| Some(Response::Err("refused".into())))]);
+        assert_eq!(insert(&net), vec![false; KEYS as usize]);
+        assert_eq!(net.transport_errors(), 1);
+        let (results, _) = lookup(&net);
+        assert!(results.iter().all(Option::is_none));
+        assert_eq!(net.transport_errors(), 2);
+    }
+
+    #[test]
+    fn an_answer_to_another_message_counts_as_a_transport_error() {
+        let net = net_over(&[fake_peer(|_| Some(Response::Notified))]);
+        assert_eq!(insert(&net), vec![false; KEYS as usize]);
+        assert_eq!(net.transport_errors(), 1);
+        let (results, _) = lookup(&net);
+        assert!(results.iter().all(Option::is_none));
+        assert_eq!(net.transport_errors(), 2);
+    }
+
+    #[test]
+    fn a_short_reply_counts_as_a_transport_error() {
+        // Acknowledges every insert and finds every key, leaving the last
+        // one out once `short` is set.
+        let short = Arc::new(AtomicBool::new(false));
+        let cut = Arc::clone(&short);
+        let net = net_over(&[fake_peer(move |request| {
+            let drop_last = usize::from(cut.load(Ordering::SeqCst));
+            match request {
+                Request::InsertBatch { batches } => {
+                    let mut acks: Vec<_> = (batches.iter())
+                        .map(|(peer, items)| (*peer, vec![true; items.len()]))
+                        .collect();
+                    let last = &mut acks.last_mut().expect("one batch").1;
+                    last.truncate(last.len() - drop_last);
+                    Some(Response::Inserted { acks })
+                }
+                request => match found_by(0, request)? {
+                    Response::Found { mut results } => {
+                        results.truncate(results.len() - drop_last);
+                        Some(Response::Found { results })
+                    }
+                    other => Some(other),
+                },
+            }
+        })]);
+        assert_eq!(insert(&net), vec![true; KEYS as usize]);
+        assert!(lookup(&net).0.iter().all(Option::is_some));
+        assert_eq!(net.transport_errors(), 0);
+
+        // What did arrive is kept; the missing item reads as lost.
+        short.store(true, Ordering::SeqCst);
+        let flags = insert(&net);
+        assert_eq!(flags[..KEYS as usize - 1], vec![true; KEYS as usize - 1]);
+        assert!(!flags[KEYS as usize - 1]);
+        assert_eq!(net.transport_errors(), 1);
+        let (results, _) = lookup(&net);
+        assert!(results[..KEYS as usize - 1].iter().all(Option::is_some));
+        assert!(results[KEYS as usize - 1].is_none());
+        assert_eq!(net.transport_errors(), 2);
     }
 }

@@ -14,8 +14,8 @@
 //! There is one generator, [`RunBuilder`], and it works on flat sorted runs
 //! rather than maps: what a document emits is sorted and run-length counted
 //! into `(key, posting)` pairs, a peer's pairs are sorted once, and the
-//! result is a [`KeyRuns`] already in the order the indexing round ships
-//! it. Set membership is probed once per token (into per-document flag
+//! result is a [`KeyRuns`] already in the order the peer's insert batch
+//! ships it. Set membership is probed once per token (into per-document flag
 //! bytes the events then read), sub-keys live on the stack, and nothing is
 //! allocated per event, per probed subset or per key. [`KeyLists`] — one
 //! decoded `PostingList` per key — is the view of the same runs that tests,

@@ -31,7 +31,7 @@
 //!
 //! | message                  | [`MsgKind`]                | paper cost category |
 //! |--------------------------|----------------------------|---------------------|
-//! | [`Request::InsertBatch`] | [`MsgKind::IndexInsert`]   | indexing cost: peers push locally computed key postings to the hosting peers (Figure 4); one metered message per key, batched per bulk-synchronous round |
+//! | [`Request::InsertBatch`] | [`MsgKind::IndexInsert`]   | indexing cost: peers push locally computed key postings to the hosting peers (Figure 4); one metered message per key, batched per inserting peer: each peer's keys of a round ship as one message set |
 //! | [`Request::Notify`]      | [`MsgKind::IndexNotify`]   | "key became globally non-discriminative" notifications that trigger key expansion (Section 3.1) |
 //! | [`Request::LookupMany`]  | [`MsgKind::QueryLookup`] / [`MsgKind::QueryResponse`] | retrieval cost: one lookup request per key travels to the responsible peer, the stored block travels back (Figure 6) |
 //! | [`Request::Repair`]      | [`MsgKind::Repair`]        | replica repair: surviving replicas re-materialize the copies lost to crashes — structural-replication upkeep, counted in its own category so availability studies can separate it from join handovers |
@@ -170,9 +170,10 @@ pub type ResponseOf<S> = Response<<S as StoreService>::Lookup, <S as StoreServic
 /// stored values and holder sets, never the overlay or the membership.
 #[derive(Debug, Clone)]
 pub enum Request<I, Q, W> {
-    /// One bulk-synchronous round of per-peer insert batches — the paper's
+    /// Per-peer insert batches of a bulk-synchronous round — the paper's
     /// indexing phase, where every peer pushes its locally computed key
-    /// postings to the hosting peers. Batches must arrive in ascending
+    /// postings to the hosting peers (the engine sends one message per
+    /// inserting peer of a round). Batches must arrive in ascending
     /// [`PeerId`] order with each batch in canonical key order; each DHT
     /// stripe's inserts are applied in exactly that order, so the stored
     /// state (including contributor order) is deterministic at any thread

@@ -556,9 +556,12 @@ fn skewed_batch_reads_with_spread_and_promotion_are_thread_invariant() {
 fn simnet_query_batch_is_thread_invariant() {
     // The simulated network models time from per-message attributes only —
     // never from scheduling — so a SimNet build + parallel query batch must
-    // be bit-identical under RAYON_NUM_THREADS ∈ {1, default}: outcomes,
+    // be bit-identical under RAYON_NUM_THREADS ∈ {1, 3, default}: outcomes,
     // traffic counts, *and* the full latency histograms (samples, totals,
-    // maxima, buckets, retries) plus the virtual clock.
+    // maxima, buckets, retries) plus the virtual clock. A build round
+    // computes its peers in waves of one per thread, but each peer's batch
+    // is its own message: at 3 threads the waves do not divide the 16
+    // peers, and the insert latencies and the clock must not notice.
     let _guard = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let c = collection(777);
     let sim = SimNetConfig {
@@ -605,16 +608,23 @@ fn simnet_query_batch_is_thread_invariant() {
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let serial = run();
+    std::env::set_var("RAYON_NUM_THREADS", "3");
+    let waves_of_three = run();
     std::env::remove_var("RAYON_NUM_THREADS"); // default pool size
     let parallel = run();
     if let Some(v) = prev {
         std::env::set_var("RAYON_NUM_THREADS", v);
     }
 
-    assert_eq!(serial.0, parallel.0, "query outcomes diverged");
-    // Full snapshot equality covers counts AND every latency histogram.
-    assert_eq!(serial.1, parallel.1, "traffic/latency snapshot diverged");
-    assert_eq!(serial.2, parallel.2, "virtual clock diverged");
+    for (threads, other) in [("3", &waves_of_three), ("default", &parallel)] {
+        assert_eq!(serial.0, other.0, "query outcomes diverged at {threads}");
+        // Full snapshot equality covers counts AND every latency histogram.
+        assert_eq!(
+            serial.1, other.1,
+            "traffic/latency snapshot diverged at {threads}"
+        );
+        assert_eq!(serial.2, other.2, "virtual clock diverged at {threads}");
+    }
     // Non-vacuity: the simulated network actually took time and lost
     // packets.
     let h = serial.1.latency(MsgKind::QueryResponse);
