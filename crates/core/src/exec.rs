@@ -124,8 +124,10 @@ impl<'a> QueryExecutor<'a> {
         }
     }
 
-    /// Runs `plan`, returning the top `k` documents, the query's cost, and
-    /// its per-level execution profile.
+    /// Runs `plan`, returning the top `k` documents and the query's cost.
+    /// With a `profile` sink, each executed level's [`LevelProfile`] (and
+    /// its wall-clock) is appended to it; without one the clock is never
+    /// read.
     ///
     /// The index read lock is acquired first and held for the query's
     /// duration: a concurrent peer join (write lock) waits, and since
@@ -137,14 +139,18 @@ impl<'a> QueryExecutor<'a> {
     /// publishes. (Postings of an in-flight `add_documents` session may be
     /// transiently visible — the DHT is live — but they are never counted
     /// in the statistics and never cacheable under the new epoch.)
-    pub fn run(&self, plan: &QueryPlan, k: usize) -> (QueryOutcome, QueryProfile) {
+    pub fn run(
+        &self,
+        plan: &QueryPlan,
+        k: usize,
+        mut profile: Option<&mut QueryProfile>,
+    ) -> QueryOutcome {
         let core = self.service.core();
         let index = core.index.read();
         let epoch = core.epoch();
         let mut acc = ScoreAccumulator::new(core.num_docs(), core.avg_doc_len());
         let mut lookups = 0u32;
         let mut postings_fetched = 0u64;
-        let mut profile = QueryProfile::default();
 
         // Feedback threaded between levels: the live frontier (NDK keys of
         // the previous level, canonical order) and the query terms whose
@@ -153,7 +159,7 @@ impl<'a> QueryExecutor<'a> {
         let mut ndk_terms: Vec<TermId> = Vec::new();
 
         for level in 1..=plan.max_level() {
-            let started = Instant::now();
+            let started = profile.is_some().then(Instant::now);
             let nodes = if level == 1 {
                 plan.level_one()
             } else {
@@ -198,23 +204,21 @@ impl<'a> QueryExecutor<'a> {
                     }
                 }
             }
-            stats.nanos = started.elapsed().as_nanos() as u64;
-            profile.levels.push(stats);
+            if let (Some(profile), Some(started)) = (profile.as_deref_mut(), started) {
+                stats.nanos = started.elapsed().as_nanos() as u64;
+                profile.levels.push(stats);
+            }
             frontier = next_frontier;
             if frontier.is_empty() {
                 break;
             }
         }
 
-        let results = acc.into_top_k(k);
-        (
-            QueryOutcome {
-                results,
-                lookups,
-                postings_fetched,
-            },
-            profile,
-        )
+        QueryOutcome {
+            results: acc.into_top_k(k),
+            lookups,
+            postings_fetched,
+        }
     }
 
     /// Resolves one level's candidate keys: cache hits answered locally,
@@ -278,7 +282,7 @@ impl QueryService {
     /// and the query's cost. Plans the lattice walk once, then resolves it
     /// level by level with parallel probe fan-out (see [`QueryExecutor`]).
     pub fn query(&self, from: PeerId, query: &[TermId], k: usize) -> QueryOutcome {
-        self.query_profiled(from, query, k).0
+        self.query_salted(from, query, k, 0, None)
     }
 
     /// Like [`QueryService::query`] but also returns the per-level
@@ -289,24 +293,28 @@ impl QueryService {
         query: &[TermId],
         k: usize,
     ) -> (QueryOutcome, QueryProfile) {
-        self.query_salted(from, query, k, 0)
+        let mut profile = QueryProfile::default();
+        let outcome = self.query_salted(from, query, k, 0, Some(&mut profile));
+        (outcome, profile)
     }
 
     /// [`QueryService::query_profiled`] with an explicit spread salt (the
     /// batch position in [`QueryService::query_batch`]): at `R > 1`,
     /// distinct salts let *identical* repeated queries land on distinct
     /// replicas. At `R = 1` the salt is unobservable, so the salted and
-    /// plain paths agree bit for bit.
+    /// plain paths agree bit for bit. `profile`, when given, receives the
+    /// per-level execution profile.
     fn query_salted(
         &self,
         from: PeerId,
         query: &[TermId],
         k: usize,
         salt: u64,
-    ) -> (QueryOutcome, QueryProfile) {
+        profile: Option<&mut QueryProfile>,
+    ) -> QueryOutcome {
         let plan = QueryPlan::new(query, self.config().smax);
         let query_id = derive_query_id(from, query, salt);
-        QueryExecutor::new(self, from, query_id).run(&plan, k)
+        QueryExecutor::new(self, from, query_id).run(&plan, k, profile)
     }
 
     /// Evaluates a batch of independent queries in parallel over the rayon
@@ -337,7 +345,7 @@ impl QueryService {
             .into_par_iter()
             .map(|i| {
                 let (from, terms) = &queries[i];
-                self.query_salted(*from, terms.as_ref(), k, i as u64).0
+                self.query_salted(*from, terms.as_ref(), k, i as u64, None)
             })
             .collect()
     }
@@ -353,7 +361,10 @@ impl QueryService {
             .into_par_iter()
             .map(|i| {
                 let (from, terms) = &queries[i];
-                self.query_salted(*from, terms.as_ref(), k, i as u64)
+                let mut profile = QueryProfile::default();
+                let outcome =
+                    self.query_salted(*from, terms.as_ref(), k, i as u64, Some(&mut profile));
+                (outcome, profile)
             })
             .collect()
     }
@@ -381,9 +392,7 @@ impl QueryService {
     ) -> QueryOutcome {
         let plan = QueryPlan::new(query, self.config().smax);
         let query_id = derive_query_id(from, query, 0);
-        QueryExecutor::with_cache(self, from, query_id, cache)
-            .run(&plan, k)
-            .0
+        QueryExecutor::with_cache(self, from, query_id, cache).run(&plan, k, None)
     }
 
     /// The worst-case number of key lookups for a query of `q_len` distinct

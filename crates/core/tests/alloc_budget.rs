@@ -10,6 +10,9 @@
 //! The same allocator, counting bytes, pins that a wire frame's buffer
 //! grows with the bytes that arrive, not with the length a peer announces.
 //!
+//! The same per-thread count pins what one query costs the allocator, end
+//! to end through `QueryService::query`.
+//!
 //! It also keeps a process-wide count of live heap bytes, which pins what
 //! a stored index key costs in memory, and its high-water mark, which pins
 //! what a build holds beyond the index it leaves. Both see every thread, so
@@ -17,7 +20,9 @@
 
 use hdk_core::window_keys::RunBuilder;
 use hdk_core::{GlobalIndex, HdkConfig, HdkNetwork, Key, KeyEntry, LocalPeer, StoreConfig};
-use hdk_corpus::{partition_documents, CollectionGenerator, DocId, GeneratorConfig};
+use hdk_corpus::{
+    partition_documents, CollectionGenerator, DocId, GeneratorConfig, QueryLog, QueryLogConfig,
+};
 use hdk_ir::{CompressedPostings, Posting};
 use hdk_p2p::{IdHashSet, PGrid, PeerId, Slot};
 use hdk_text::TermId;
@@ -380,5 +385,57 @@ fn a_build_holds_one_peers_batch_beyond_its_index() {
     assert!(
         ratio <= 1.25,
         "the build peaked at {peak} B above its baseline, {ratio:.2} × the {kept} B it keeps"
+    );
+}
+
+#[test]
+fn a_query_makes_a_pinned_number_of_allocations() {
+    let _turn = serial();
+    // 4 peers × 150 documents, 200 logged queries, one thread: the fan-out
+    // of a level runs on the calling thread, where the count is kept.
+    let docs = CollectionGenerator::new(GeneratorConfig {
+        num_docs: 600,
+        ..GeneratorConfig::default()
+    })
+    .generate();
+    let log = QueryLog::generate(
+        &docs,
+        &QueryLogConfig {
+            num_queries: 200,
+            ..QueryLogConfig::default()
+        },
+    );
+    let threads = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", "1");
+    let network = HdkNetwork::build(
+        &docs,
+        &partition_documents(docs.len(), 4, 3),
+        HdkConfig::default(),
+    );
+    let (results, allocations) = counting(|| {
+        log.queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| {
+                network
+                    .query(PeerId(i as u64 % 4), &q.terms, 20)
+                    .results
+                    .len()
+            })
+            .sum::<usize>()
+    });
+    match threads {
+        Some(threads) => std::env::set_var("RAYON_NUM_THREADS", threads),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    assert!(results > 0, "no query found anything");
+    let per_query = allocations as f64 / log.queries.len() as f64;
+    // 24.35 measured per query, bounded at 24.5. The plan's levels, the
+    // DHT's per-level grouping and fan-out, the score table and the
+    // results.
+    assert!(
+        per_query <= 24.5,
+        "{per_query:.2} allocations per query ({allocations} over {} queries)",
+        log.queries.len()
     );
 }

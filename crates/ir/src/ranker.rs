@@ -1,9 +1,14 @@
-//! Deterministic top-k selection.
+//! Score accumulation and deterministic top-k selection.
 //!
 //! The paper evaluates "high-end ranking as typical users are often
 //! interested only in the top 20 results" (Figure 7). Overlap comparison
 //! between two engines is only meaningful when each engine's own ranking is
 //! deterministic, so ties break by ascending document id everywhere.
+//!
+//! A query's union is ranked in one pass over its postings: each is scored
+//! as it decodes and summed into its document's slot of a flat table
+//! ([`ScoreAccumulator`]); only the distinct documents then reach the
+//! selection.
 
 use crate::bm25::Bm25;
 use crate::compressed::CompressedPostings;
@@ -57,20 +62,32 @@ fn select_top_k(mut results: Vec<SearchResult>, k: usize) -> Vec<SearchResult> {
 /// `(level, key)` order); the final [`top_k`] selection itself is
 /// insensitive to accumulation order once per-document sums are fixed.
 ///
-/// There is no table keyed by document. Each block appends one scored
-/// entry per posting, a doc-ascending run; the ranking merges the runs
-/// with one stable sort by document and sums each document's entries in
-/// feed order, starting from `0.0` — the additions a per-document table
-/// makes, hence the same bits. (Merging block by block instead would cost
-/// `O(blocks × union)`.)
+/// Each posting is scored as it decodes and added into its document's
+/// running sum, found through a flat open-addressing table: linear
+/// probing from a multiplicative hash of the doc id, no per-entry node.
+/// A sum starts from `0.0` and takes its document's contributions in feed
+/// order, so its bits are those of any per-document table. The sums sit
+/// densely in first-seen order, and the table holds only their positions,
+/// so an empty slot needs no reserved doc id and the ranking selects
+/// straight from the sums. The hash is not keyed: doc ids are assigned by
+/// the collection, not chosen by whoever sends a query.
 #[derive(Debug, Clone)]
 pub struct ScoreAccumulator {
     bm25: Bm25,
     num_docs: usize,
     avg_doc_len: f64,
-    /// One entry per accumulated posting, in feed order.
-    scored: Vec<SearchResult>,
+    /// One running sum per distinct document, in first-seen order.
+    sums: Vec<SearchResult>,
+    /// `1 + i` for the document at `sums[i]`, `0` for an empty slot. A
+    /// power-of-two length, at most half full once anything is fed.
+    slots: Vec<u32>,
+    /// `64 - log2(slots.len())`: a hash's top bits pick the home slot.
+    shift: u32,
 }
+
+/// The smallest table allocated, in slots: a query's union is typically
+/// a few dozen documents.
+const MIN_SLOTS: usize = 128;
 
 impl ScoreAccumulator {
     /// Accumulator over a collection of `num_docs` documents with average
@@ -85,7 +102,9 @@ impl ScoreAccumulator {
             bm25,
             num_docs,
             avg_doc_len,
-            scored: Vec::new(),
+            sums: Vec::new(),
+            slots: Vec::new(),
+            shift: 64,
         }
     }
 
@@ -95,46 +114,98 @@ impl ScoreAccumulator {
     pub fn accumulate<I: IntoIterator<Item = Posting>>(&mut self, df: u32, postings: I) {
         let idf = self.bm25.idf(df as usize, self.num_docs);
         let postings = postings.into_iter();
-        self.scored.reserve(postings.size_hint().0);
+        if self.slots.is_empty() {
+            // The first block sizes the table for `MIN_SLOTS / 2` documents
+            // or all of its postings, whichever is more: a typical query's
+            // union then never rehashes.
+            let postings = postings.size_hint().0.max(MIN_SLOTS / 2);
+            self.sums.reserve(postings);
+            self.grow(postings);
+        }
         // `for_each` (not a `for` loop) so block iterators run their
         // internal-iteration `fold` specialization, which keeps the
         // decoder state in locals for the whole block.
-        let (bm25, avg_doc_len, scored) = (&self.bm25, self.avg_doc_len, &mut self.scored);
+        let (bm25, avg_doc_len) = (self.bm25, self.avg_doc_len);
         postings.for_each(|p| {
-            scored.push(SearchResult {
-                doc: p.doc,
-                score: bm25.score_with_idf(idf, p.tf, p.doc_len, avg_doc_len),
-            });
+            let score = bm25.score_with_idf(idf, p.tf, p.doc_len, avg_doc_len);
+            self.add(p.doc, score);
         });
     }
 
     /// Streams a compressed block straight through the scorer — the
     /// zero-copy rank path: postings decode straight from the block into
-    /// the scored run, no intermediate list. Accumulation order and f64
-    /// results are exactly those of `accumulate(df, block.iter())`.
+    /// the sums, no intermediate list. Accumulation order and f64 results
+    /// are exactly those of `accumulate(df, block.iter())`.
     pub fn accumulate_block(&mut self, df: u32, block: &CompressedPostings) {
         self.accumulate(df, block);
     }
 
     /// True when no posting has been accumulated yet.
     pub fn is_empty(&self) -> bool {
-        self.scored.is_empty()
+        self.sums.is_empty()
     }
 
     /// Finishes the ranking: the `k` highest-scoring documents, descending
     /// score, ties broken by ascending doc id.
-    pub fn into_top_k(mut self, k: usize) -> Vec<SearchResult> {
-        // Stable, so each document's entries keep feed order.
-        self.scored.sort_by_key(|r| r.doc);
-        let summed = self
-            .scored
-            .chunk_by(|a, b| a.doc == b.doc)
-            .map(|run| SearchResult {
-                doc: run[0].doc,
-                score: run.iter().fold(0.0, |sum, r| sum + r.score),
-            })
-            .collect();
-        select_top_k(summed, k)
+    pub fn into_top_k(self, k: usize) -> Vec<SearchResult> {
+        select_top_k(self.sums, k)
+    }
+
+    /// Adds `score` into `doc`'s running sum, opening the sum at `0.0`.
+    #[inline]
+    fn add(&mut self, doc: DocId, score: f64) {
+        let mut at = self.home(doc);
+        let mask = self.slots.len() - 1;
+        loop {
+            match self.slots[at] {
+                0 => break,
+                s => {
+                    let sum = &mut self.sums[s as usize - 1];
+                    if sum.doc == doc {
+                        sum.score += score;
+                        return;
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+        if 2 * (self.sums.len() + 1) > self.slots.len() {
+            self.grow(self.sums.len() + 1);
+            at = self.vacant(doc);
+        }
+        self.sums.push(SearchResult {
+            doc,
+            score: 0.0 + score,
+        });
+        self.slots[at] = u32::try_from(self.sums.len()).expect("fewer than 2^32 documents");
+    }
+
+    /// Rebuilds the table at the smallest power of two at least twice
+    /// `docs`: room for that many documents at most half full.
+    fn grow(&mut self, docs: usize) {
+        let len = docs.saturating_mul(2).next_power_of_two();
+        self.slots = vec![0; len];
+        self.shift = 64 - len.trailing_zeros();
+        for i in 0..self.sums.len() {
+            let at = self.vacant(self.sums[i].doc);
+            self.slots[at] = (i + 1) as u32;
+        }
+    }
+
+    /// The first empty slot on `doc`'s probe sequence.
+    fn vacant(&self, doc: DocId) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(doc);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// `doc`'s home slot: the top bits of a Fibonacci hash.
+    #[inline]
+    fn home(&self, doc: DocId) -> usize {
+        (u64::from(doc.0).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
     }
 }
 

@@ -9,7 +9,7 @@ use hdk_ir::{
     ScoreAccumulator, SearchResult,
 };
 use proptest::prelude::*;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 fn arb_posting_list() -> impl Strategy<Value = PostingList> {
     prop::collection::btree_map(0u32..5_000, (1u32..100, 1u32..2_000), 0..200).prop_map(|m| {
@@ -38,6 +38,24 @@ fn arb_extreme_posting_list() -> impl Strategy<Value = PostingList> {
             });
         }
         list
+    })
+}
+
+/// A posting whose doc is `0`, `u32::MAX`, one of a few small ids (so
+/// docs repeat within and across blocks) or any `u32`; `tf` may be `0`.
+fn arb_any_doc_posting() -> impl Strategy<Value = Posting> {
+    (0u8..4, any::<u32>(), 0u32..100, 1u32..2_000).prop_map(|(kind, doc, tf, doc_len)| {
+        let doc = match kind {
+            0 => 0,
+            1 => u32::MAX,
+            2 => doc % 48,
+            _ => doc,
+        };
+        Posting {
+            doc: DocId(doc),
+            tf,
+            doc_len,
+        }
     })
 }
 
@@ -246,26 +264,57 @@ proptest! {
         prop_assert_eq!(fast, slow);
     }
 
+    /// Whatever a caller feeds, in any order, the sums keep the bits of a
+    /// per-document table: up to 64 blocks fed as compressed blocks, as
+    /// exact-size iterators or as iterators that announce no size, blocks
+    /// out of doc order or repeating a doc, doc ids at both ends of the
+    /// `u32` range (a table that reserved one as "empty" would lose it),
+    /// and `k` of zero or past the union.
     #[test]
     fn accumulated_scores_are_bit_equal_to_a_per_document_table(
-        blocks in prop::collection::vec((1u32..6_000, arb_posting_list()), 0..8),
+        blocks in prop::collection::vec(
+            (1u32..6_000, prop::collection::vec(arb_any_doc_posting(), 0..40), 0u8..3),
+            0..65,
+        ),
         num_docs in 1usize..5_000,
         avg_doc_len in 1.0f64..2_000.0,
-        k in 0usize..40,
+        k in (0u8..3, 0usize..40).prop_map(|(mode, k)| match mode {
+            0 => 0,
+            1 => usize::MAX,
+            _ => k,
+        }),
     ) {
-        // The reference ranks the way the accumulator did with a table:
-        // each posting's BM25 term added into its document's entry, block
-        // by block, then a full sort.
+        // The reference ranks the way a `HashMap` keyed by document would:
+        // each posting's BM25 term added into its document's entry in feed
+        // order, then a full sort.
         let bm25 = Bm25::default();
         let mut table: HashMap<DocId, f64> = HashMap::new();
         let mut acc = ScoreAccumulator::new(num_docs, avg_doc_len);
-        for (df, list) in &blocks {
-            for p in list.postings() {
+        for (df, postings, feed) in &blocks {
+            let postings = match feed {
+                // A compressed block holds one doc-ascending run.
+                0 => {
+                    let run: BTreeMap<DocId, Posting> =
+                        postings.iter().map(|p| (p.doc, *p)).collect();
+                    let list = PostingList::from_sorted(run.into_values().collect());
+                    acc.accumulate_block(*df, &CompressedPostings::from_list(&list));
+                    list.postings().to_vec()
+                }
+                1 => {
+                    acc.accumulate(*df, postings.iter().copied());
+                    postings.clone()
+                }
+                _ => {
+                    acc.accumulate(*df, postings.iter().copied().filter(|_| true));
+                    postings.clone()
+                }
+            };
+            for p in &postings {
                 *table.entry(p.doc).or_insert(0.0) +=
                     bm25.score(p.tf, p.doc_len, avg_doc_len, *df as usize, num_docs);
             }
-            acc.accumulate_block(*df, &CompressedPostings::from_list(list));
         }
+        prop_assert_eq!(acc.is_empty(), table.is_empty());
         let mut expected: Vec<SearchResult> = table
             .into_iter()
             .map(|(doc, score)| SearchResult { doc, score })
