@@ -188,7 +188,7 @@ pub fn print_latency_sweep(points: &[LatencyPoint]) {
 }
 
 /// Renders the sweep as a JSON document (the `--json` path of the
-/// `latency_sweep` binary).
+/// `latency_sweep` subcommand).
 pub fn latency_sweep_json(points: &[LatencyPoint]) -> String {
     Json::obj([
         ("bench", "latency_sweep".into()),

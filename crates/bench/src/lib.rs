@@ -5,7 +5,8 @@
 //! Structure:
 //!
 //! * [`profile`] — the experiment configuration (scaled-down defaults plus
-//!   CLI overrides; `--help` on any binary prints the knobs),
+//!   CLI overrides; `hdk-bench <subcommand> --help` prints the knobs) and
+//!   the studies' positional arguments,
 //! * [`report`] — aligned-TSV table output (stdout + `target/experiments/`),
 //! * [`runner`] — the shared network-growth sweep that measures everything
 //!   Figures 3–7 plot,
@@ -20,15 +21,8 @@
 //!   suspicion window × probe loss, crash a peer, measure convergence
 //!   rounds, probe traffic and stale-view failover timeouts).
 //!
-//! Binaries (`cargo run -p hdk-bench --release --bin <name>`): `table1`,
-//! `table2`, `fig8`, `theory`, `experiments` (Tables 1–2 and Figures 3–8
-//! from one growth sweep), `memfoot`, `latency_sweep`, `availability`, `restart_study`
-//! (segment-log crash-restart recovery, asserted bit-identical),
-//! `serving_study` ([`serving`]: real peer processes + HTTP front-end
-//! under closed-loop load, asserted bit-identical to in-process),
-//! `gossip_study` ([`gossip`]: SWIM-style failure detection without the
-//! liveness oracle, asserted against the detection contract),
-//! `read_scaling`, `ablate_window`, `ablate_redundancy`, `ablate_dfmax`.
+//! One binary, `hdk-bench`, runs each as a subcommand (`src/main.rs`;
+//! `cargo run -p hdk-bench --release -- --help` lists them).
 
 pub mod availability;
 pub mod figures;
@@ -41,12 +35,3 @@ pub mod read_scaling;
 pub mod report;
 pub mod runner;
 pub mod serving;
-
-pub use availability::{print_availability_study, run_availability_study, AvailabilityPoint};
-pub use json::Json;
-pub use latency::{run_latency_sweep, LatencyPoint};
-pub use profile::ExperimentProfile;
-pub use read_scaling::{run_read_scaling, ReadScalingReport};
-pub use report::Table;
-pub use runner::{run_growth_sweep, PointMeasurement, SystemMeasurement};
-pub use serving::{run_serving_study, ServingParams, ServingReport};

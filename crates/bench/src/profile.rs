@@ -8,9 +8,13 @@
 //! relative to collection size, Ff relative to sample size) — see
 //! `HdkConfig::scaled_for` — so the measured curves keep their shape.
 //! `--scale` (or explicit flags) restores any size up to the paper's.
+//!
+//! With [`Positional`], the studies' positional numbers, this is the
+//! `hdk-bench` binary's one argument layer.
 
 use hdk_core::HdkConfig;
 use hdk_corpus::{GeneratorConfig, QueryLogConfig};
+use std::str::FromStr;
 
 /// Full description of one experiment run.
 #[derive(Debug, Clone)]
@@ -60,53 +64,37 @@ impl Default for ExperimentProfile {
 }
 
 impl ExperimentProfile {
-    /// Parses command-line overrides. Unknown flags abort with usage.
-    ///
-    /// Supported: `--scale F` (multiplies docs-per-peer), `--peers a,b,c`,
-    /// `--docs-per-peer N`, `--dfmax a,b`, `--queries N`, `--seed N`,
-    /// `--window N`, `--smax N`, `--ff N`, `--doc-len N`, `--vocab N`,
-    /// `--min-hits N`.
-    pub fn from_args() -> Self {
+    /// Parses command-line overrides, the arguments after the subcommand
+    /// (`hdk-bench --help` lists them; `--scale F` multiplies
+    /// docs-per-peer). A malformed, missing or unknown one is refused.
+    pub fn from_args(args: &[String]) -> Result<Self, String> {
         let mut profile = Self::default();
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let flag = args[i].as_str();
-            if flag == "--help" || flag == "-h" {
-                eprintln!("{USAGE}");
-                std::process::exit(0);
-            }
-            let Some(value) = args.get(i + 1) else {
-                eprintln!("missing value for {flag}\n{USAGE}");
-                std::process::exit(2);
+        for pair in args.chunks(2) {
+            let flag = pair[0].as_str();
+            let Some(value) = pair.get(1) else {
+                return Err(format!("missing value for {flag}"));
             };
             match flag {
                 "--scale" => {
-                    let f: f64 = value.parse().expect("--scale takes a number");
+                    let f: f64 = number(flag, value)?;
                     profile.docs_per_peer =
                         ((profile.docs_per_peer as f64 * f).round() as usize).max(10);
                 }
-                "--peers" => profile.peers_sweep = parse_list(value),
-                "--docs-per-peer" => profile.docs_per_peer = value.parse().expect("number"),
-                "--dfmax" => {
-                    profile.dfmax_values = parse_list(value).into_iter().map(|v| v as u32).collect()
-                }
-                "--queries" => profile.num_queries = value.parse().expect("number"),
-                "--seed" => profile.seed = value.parse().expect("number"),
-                "--window" => profile.window = value.parse().expect("number"),
-                "--smax" => profile.smax = value.parse().expect("number"),
-                "--ff" => profile.ff = value.parse().expect("number"),
-                "--doc-len" => profile.avg_doc_len = value.parse().expect("number"),
-                "--vocab" => profile.vocab_size = value.parse().expect("number"),
-                "--min-hits" => profile.min_hits = value.parse().expect("number"),
-                other => {
-                    eprintln!("unknown flag {other:?}\n{USAGE}");
-                    std::process::exit(2);
-                }
+                "--peers" => profile.peers_sweep = parse_list(flag, value)?,
+                "--docs-per-peer" => profile.docs_per_peer = number(flag, value)?,
+                "--dfmax" => profile.dfmax_values = parse_list(flag, value)?,
+                "--queries" => profile.num_queries = number(flag, value)?,
+                "--seed" => profile.seed = number(flag, value)?,
+                "--window" => profile.window = number(flag, value)?,
+                "--smax" => profile.smax = number(flag, value)?,
+                "--ff" => profile.ff = number(flag, value)?,
+                "--doc-len" => profile.avg_doc_len = number(flag, value)?,
+                "--vocab" => profile.vocab_size = number(flag, value)?,
+                "--min-hits" => profile.min_hits = number(flag, value)?,
+                other => return Err(format!("unknown flag {other:?}")),
             }
-            i += 2;
         }
-        profile
+        Ok(profile)
     }
 
     /// Largest collection size in the sweep.
@@ -163,18 +151,43 @@ impl ExperimentProfile {
     }
 }
 
-const USAGE: &str = "\
-usage: <experiment> [--scale F] [--peers a,b,c] [--docs-per-peer N]
-                    [--dfmax a,b] [--queries N] [--seed N] [--window N]
-                    [--smax N] [--ff N] [--doc-len N] [--vocab N]
-                    [--min-hits N]
-Defaults reproduce the paper's setup scaled to laptop size; use
---scale 12.5 --dfmax 400,500 --ff 100000 --doc-len 225 for Table 2 scale.";
+/// `value` read as the number `what` takes.
+fn number<T: FromStr>(what: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{what} takes a number, not {value:?}"))
+}
 
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',')
-        .map(|p| p.trim().parse().expect("comma-separated numbers"))
-        .collect()
+fn parse_list<T: FromStr>(flag: &str, s: &str) -> Result<Vec<T>, String> {
+    s.split(',').map(|p| number(flag, p.trim())).collect()
+}
+
+/// Positional numeric arguments, read in order: [`Positional::next`]
+/// takes the next one, or its default once they run out, and
+/// [`Positional::end`] refuses any left over.
+pub struct Positional<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Positional<'a> {
+    /// Reads `args`, the arguments after the subcommand.
+    pub fn new(args: &'a [String]) -> Self {
+        Self(args.iter())
+    }
+
+    /// The next argument as the number `name`, or `default` if none is left.
+    pub fn next<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        match self.0.next() {
+            None => Ok(default),
+            Some(flag) if flag.starts_with("--") => Err(format!("unknown flag {flag:?}")),
+            Some(value) => number(name, value),
+        }
+    }
+
+    /// Refuses a surplus argument.
+    pub fn end(mut self) -> Result<(), String> {
+        self.0.next().map_or(Ok(()), |extra| {
+            Err(format!("unexpected argument {extra:?}"))
+        })
+    }
 }
 
 #[cfg(test)]
@@ -200,8 +213,59 @@ mod tests {
         assert_eq!(small.seed, large.seed);
     }
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
     #[test]
     fn parse_list_handles_spaces() {
-        assert_eq!(parse_list("4, 8,12"), vec![4, 8, 12]);
+        assert_eq!(
+            parse_list::<usize>("--peers", "4, 8,12"),
+            Ok(vec![4, 8, 12])
+        );
+    }
+
+    #[test]
+    fn from_args_applies_flags() {
+        let p = ExperimentProfile::from_args(&args("--peers 2,4 --seed 5")).unwrap();
+        assert_eq!(p.peers_sweep, vec![2, 4]);
+        assert_eq!(p.seed, 5);
+        assert_eq!(p.docs_per_peer, ExperimentProfile::default().docs_per_peer);
+    }
+
+    #[test]
+    fn from_args_refuses_what_it_cannot_use() {
+        for line in [
+            "--seed x",
+            "--seed",
+            "--peers 2,x",
+            "--dfmax 5000000000",
+            "--bogus 1",
+        ] {
+            assert!(ExperimentProfile::from_args(&args(line)).is_err(), "{line}");
+        }
+    }
+
+    #[test]
+    fn positional_reads_defaults_and_refuses_surplus_or_malformed() {
+        let a = args("8 24");
+        let mut p = Positional::new(&a);
+        assert_eq!(p.next("peers", 1), Ok(8usize));
+        assert_eq!(p.next("skew", 0.5), Ok(24.0));
+        assert_eq!(p.next("queries", 3usize), Ok(3));
+        assert!(p.end().is_ok());
+
+        let a = args("8 24O");
+        let mut p = Positional::new(&a);
+        assert_eq!(p.next("peers", 1), Ok(8usize));
+        assert!(p.next("docs", 1usize).is_err());
+
+        let a = args("8 9");
+        let mut p = Positional::new(&a);
+        assert_eq!(p.next("peers", 1), Ok(8usize));
+        assert!(p.end().is_err());
+
+        let a = args("--json");
+        assert!(Positional::new(&a).next("peers", 1usize).is_err());
     }
 }

@@ -97,10 +97,8 @@ impl Collection {
     /// collection size): the first `want` *distinct* terms in token order.
     /// Because the terms are a document prefix they genuinely co-occur, so
     /// querying them walks deep, wide key lattices — the shape the
-    /// intra-query parallelism tests and `bench_query` both need (sharing
-    /// this sampler keeps what the test asserts and what the bench
-    /// measures in lockstep). Returns fewer terms when the document has
-    /// fewer distinct ones.
+    /// intra-query parallelism tests need. Returns fewer terms when the
+    /// document has fewer distinct ones.
     pub fn long_query(&self, doc_index: usize, want: usize) -> Vec<TermId> {
         let doc = &self.docs[doc_index % self.docs.len()];
         let mut terms: Vec<TermId> = Vec::with_capacity(want);

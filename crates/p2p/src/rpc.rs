@@ -889,9 +889,9 @@ fn gossip_legs(peers: &[PeerId], probes: &[GossipProbe], legs: &mut Vec<Leg>) {
 
 /// The in-process backend: a message is a synchronous call into the
 /// handler over the lock-striped [`Dht`], with metering identical to a
-/// direct call. This is the default backend and the performance baseline —
-/// `bench_rpc` checks its dispatch overhead stays within noise of raw DHT
-/// calls.
+/// direct call. This is the default backend and the performance baseline:
+/// the benchmark's `global_index.lookup_many_us` probe, read next to its
+/// `dht.lookup_ns_per_key`, shows the dispatch overhead over raw DHT calls.
 pub struct InProc<S: StoreService> {
     dht: Dht<S::Value>,
     store: S,

@@ -125,7 +125,7 @@ fn main() {
     );
     println!(
         "peer0 retired gracefully: {} key copies handed over, every query above kept answering \
-         (run `cargo run -p hdk-bench --release --bin availability` for the crash/repair study)",
+         (run `cargo run -p hdk-bench --release -- availability` for the crash/repair study)",
         handover[0].keys_moved,
     );
 }

@@ -411,8 +411,7 @@ fn long_queries_with_deep_lattice_are_thread_invariant() {
     let c = collection(31337);
     // Long queries sampled from document prefixes: 6-8 distinct terms that
     // genuinely co-occur, so the walk reaches deep lattice levels instead
-    // of dying at absent singles (same sampler as `bench_query`, so the
-    // fan-out this test guards is the shape the bench measures).
+    // of dying at absent singles.
     let queries: Vec<Vec<TermId>> = (0..24).map(|i| c.long_query(i * 23, 6 + i % 3)).collect();
     let run = || {
         let network = HdkNetwork::build(
