@@ -525,23 +525,25 @@ fn ablate_redundancy(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// In-memory bytes per stored key the in-memory store may cost: its
+/// In-memory bytes per stored key the unbounded store may cost: its hot
 /// slot (the key entry and holder set, 144 B with the key), its share of
-/// the index table, a block and the rare spilled lists and doc-sets.
+/// the index table — no seal queue, which an unbounded store never fills
+/// — a block and the rare spilled lists and doc-sets.
 const MAX_BYTES_PER_KEY: f64 = 240.0;
 
-/// The live heap a one-thread in-memory build may hold at its peak, above
-/// what was live before it started, per byte of the index it leaves: the
-/// index, the peers' own state and one peer's round in flight (its key
-/// generation's scratch is the largest part). Measured at the CI smoke
-/// (`RAYON_NUM_THREADS=1 ... --peers 4 --docs-per-peer 150`): 1.23 / 1.32
-/// at `DFmax` 30 / 40. Shipping a round as one message read 1.68 / 1.69.
+/// The live heap a one-thread build on the unbounded store may hold at its
+/// peak, above what was live before it started, per byte of the index it
+/// leaves: the index, the peers' own state and one peer's round in flight
+/// (its key generation's scratch is the largest part). Measured at the CI
+/// smoke (`RAYON_NUM_THREADS=1 ... --peers 4 --docs-per-peer 150`): 1.23 /
+/// 1.32 at `DFmax` 30 / 40. Shipping a round as one message read 1.68 /
+/// 1.69.
 /// With more threads a wave of peers computes side by side and the peak
 /// depends on their schedule (1.35–1.48 at `DFmax` 40 over 2–8 threads),
 /// so it is printed, not asserted.
 const MAX_BUILD_PEAK_PER_INDEX_BYTE: f64 = 1.4;
 
-/// Hot-tier table bytes per hot key the tiered store may cost: its packed
+/// Hot-tier table bytes per hot key a budgeted store may cost: its packed
 /// slot with the key (144 B), its share of the index and of the seal
 /// queue, which keep the size of the tier's peak, and a chunk's slack.
 /// 299.5 B measured at the CI smoke (`HDK_STORE=segment:65536 --peers 4
@@ -556,7 +558,7 @@ const MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY: f64 = 73.9;
 
 /// Memory-footprint report: resident posting-storage bytes per peer,
 /// compressed blocks vs the decoded `Vec<Posting>` baseline, plus the
-/// hot/on-disk split when the tiered segment store is selected
+/// hot/on-disk split when the store has a hot-tier budget
 /// (`HDK_STORE=segment[:<hot bytes>]`).
 ///
 /// Two tables per sweep point and `DFmax`: the per-peer encoded storage,
@@ -564,11 +566,11 @@ const MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY: f64 = 73.9;
 /// and contributor lists, blocks, doc-sets — per stored key, next to the
 /// process's live heap and resident set. CI's bench-smoke job runs
 /// `--peers 4 --docs-per-peer 150 --queries 0` as a fast regression check;
-/// defaults reproduce the full growth sweep. Under a memory-budgeted
-/// tiered build the run *asserts* the budget — resident bytes must stay
+/// defaults reproduce the full growth sweep. Under a budgeted store the
+/// run *asserts* the budget — resident bytes must stay
 /// under the configured hot-tier limit, with the remainder sealed to disk
 /// — and what the tier tables cost: hot-tier table bytes per hot key and
-/// sealed-index bytes per sealed key. On the in-memory store it asserts
+/// sealed-index bytes per sealed key. On the unbounded store it asserts
 /// the bytes-per-key bound and, on one thread, what the build held at its
 /// peak per byte of the index it left. Both stores print that peak next
 /// to `index_total`.
@@ -616,7 +618,7 @@ fn memfoot(args: &[String]) -> Result<(), String> {
                     assert_eq!(
                         footprint.sealed_total(),
                         0,
-                        "the in-memory store sealed frames to disk?"
+                        "the unbounded store sealed frames to disk?"
                     );
                     assert!(
                         footprint.bytes_per_key() <= MAX_BYTES_PER_KEY,

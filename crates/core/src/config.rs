@@ -10,16 +10,19 @@ use std::time::Duration;
 /// count is given (1 MiB across all stripes).
 pub const DEFAULT_SEGMENT_HOT_BYTES: u64 = 1 << 20;
 
-/// Which storage backend hosts the DHT's index entries.
+/// The hot-tier budget of the [`hdk_p2p::SegmentStore`] that hosts the
+/// DHT's index entries.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum StoreConfig {
-    /// Everything resident in the in-memory stripe maps — the default,
-    /// bit-identical to the pre-tiering engine.
+    /// The unbounded store, the default: everything resident, nothing
+    /// ever sealed, no directory. The same store as
+    /// [`StoreConfig::Segment`] with `hot_bytes: u64::MAX`; the name stays
+    /// for the `benchmark/` crate, which selects it by this name.
     #[default]
     Memory,
-    /// The tiered store: a hot uncompressed-budgeted tier in memory plus
-    /// sealed, checksummed frames appended to per-stripe segment files on
-    /// disk. Makes peers restartable (`IndexService::restart_peers`).
+    /// A budgeted store: a hot tier in memory plus sealed, checksummed
+    /// frames appended to per-stripe segment files on disk. Makes peers
+    /// restartable (`IndexService::restart_peers`).
     Segment {
         /// Segment-log directory. `None` = a scratch directory removed
         /// when the store drops (builds that only need the memory budget);
@@ -40,27 +43,38 @@ impl StoreConfig {
         }
     }
 
-    /// Reads the backend selection from the `HDK_STORE` environment
-    /// variable: `memory` (or unset) for the in-memory default, `segment`
-    /// for the tiered store at [`DEFAULT_SEGMENT_HOT_BYTES`], or
-    /// `segment:<bytes>` for an explicit hot budget — how CI runs the
-    /// whole tier-1 suite against the tiered backend without touching any
-    /// test.
+    /// Parses an `HDK_STORE` value: `memory` (or empty) for the unbounded
+    /// default, `segment` for a budgeted store at
+    /// [`DEFAULT_SEGMENT_HOT_BYTES`], or `segment:<bytes>` for an explicit
+    /// hot budget. The error names the variable and the valid forms.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "" | "memory" => Ok(Self::Memory),
+            "segment" => Ok(Self::segment(DEFAULT_SEGMENT_HOT_BYTES)),
+            _ => match value.strip_prefix("segment:").map(str::parse) {
+                Some(Ok(hot_bytes)) => Ok(Self::segment(hot_bytes)),
+                _ => Err(format!(
+                    "HDK_STORE must be `memory`, `segment` or `segment:<bytes>`, got {value:?}"
+                )),
+            },
+        }
+    }
+
+    /// Reads the store from the `HDK_STORE` environment variable (see
+    /// [`StoreConfig::parse`]; unset is the unbounded default) — how CI
+    /// runs the whole tier-1 suite against a budgeted store without
+    /// touching any test.
     ///
     /// # Panics
-    /// Panics on an unrecognized value (a misspelled matrix entry must
-    /// fail loudly, not silently fall back to memory).
+    /// Panics on a malformed value, since [`HdkConfig::default`] and the
+    /// paper configs read it with no way to report an error: a misspelled
+    /// matrix entry must fail loudly, not silently fall back to memory.
+    /// A binary that can report one (`hdk-peer`) parses the variable
+    /// itself and exits instead.
     pub fn from_env() -> Self {
         match std::env::var("HDK_STORE") {
             Err(_) => Self::Memory,
-            Ok(v) if v.is_empty() || v == "memory" => Self::Memory,
-            Ok(v) if v == "segment" => Self::segment(DEFAULT_SEGMENT_HOT_BYTES),
-            Ok(v) => match v.strip_prefix("segment:").map(str::parse) {
-                Some(Ok(hot_bytes)) => Self::segment(hot_bytes),
-                _ => {
-                    panic!("HDK_STORE must be `memory`, `segment` or `segment:<bytes>`, got {v:?}")
-                }
-            },
+            Ok(v) => Self::parse(&v).unwrap_or_else(|e| panic!("{e}")),
         }
     }
 }
@@ -133,9 +147,9 @@ pub struct HdkConfig {
     /// Extra replicas a promoted hot key gains on top of the structural
     /// `R` (only meaningful when `hot_threshold > 0`).
     pub hot_extra: usize,
-    /// Storage backend for the hosted index fractions. The constructors
-    /// read it from the `HDK_STORE` environment variable
-    /// ([`StoreConfig::from_env`]), defaulting to the in-memory store.
+    /// The store of the hosted index fractions. The constructors read it
+    /// from the `HDK_STORE` environment variable
+    /// ([`StoreConfig::from_env`]), defaulting to the unbounded store.
     pub store: StoreConfig,
     /// Ignored: there is one block format. Kept only so the frozen
     /// `benchmark/` crate compiles; nothing reads it.
@@ -265,6 +279,24 @@ mod tests {
     #[test]
     fn default_validates() {
         HdkConfig::default().validate();
+    }
+
+    #[test]
+    fn store_config_parses_every_form_and_names_the_variable() {
+        assert_eq!(StoreConfig::parse(""), Ok(StoreConfig::Memory));
+        assert_eq!(StoreConfig::parse("memory"), Ok(StoreConfig::Memory));
+        assert_eq!(
+            StoreConfig::parse("segment"),
+            Ok(StoreConfig::segment(DEFAULT_SEGMENT_HOT_BYTES))
+        );
+        assert_eq!(
+            StoreConfig::parse("segment:65536"),
+            Ok(StoreConfig::segment(65_536))
+        );
+        for bad in ["segment:x", "segment:", "disk", "segment:-1"] {
+            let err = StoreConfig::parse(bad).expect_err(bad);
+            assert!(err.contains("HDK_STORE") && err.contains(bad), "{err}");
+        }
     }
 
     #[test]

@@ -113,8 +113,8 @@ impl BackendConfig {
                 config,
             )),
             // The serving tier: entries live in the peer processes
-            // (each honors `HDK_STORE` itself), so the local entry
-            // store — if any — is deliberately unused here.
+            // (each honors `HDK_STORE` itself), so `store` is
+            // deliberately unused here.
             BackendConfig::Tcp { addrs } => Box::new(
                 crate::serve::TcpNet::connect(&addrs, overlay, dfmax, replication)
                     .unwrap_or_else(|e| panic!("cannot connect to peer processes {addrs:?}: {e}")),

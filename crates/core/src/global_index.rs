@@ -548,24 +548,24 @@ impl StoreCodec<KeyEntry> for KeyEntryCodec {
     }
 }
 
-/// Builds the entry-storage backend a [`StoreConfig`] selects: `None`
-/// means the DHT's in-memory default (bit-identical to the pre-tiering
-/// engine), `Some` is a tiered [`SegmentStore`] over [`KeyEntryCodec`].
+/// Builds the [`SegmentStore`] over [`KeyEntryCodec`] a [`StoreConfig`]
+/// selects: unbounded for [`StoreConfig::Memory`], budgeted for
+/// [`StoreConfig::Segment`]. Always `Some`.
 pub fn build_entry_store(config: &StoreConfig) -> Option<Box<dyn Store<KeyEntry>>> {
+    Some(entry_store(config))
+}
+
+fn entry_store(config: &StoreConfig) -> Box<dyn Store<KeyEntry>> {
     match config {
-        StoreConfig::Memory => None,
+        StoreConfig::Memory => Box::new(SegmentStore::ephemeral(KeyEntryCodec, u64::MAX)),
         StoreConfig::Segment {
             dir: None,
             hot_bytes,
-        } => Some(Box::new(SegmentStore::ephemeral(KeyEntryCodec, *hot_bytes))),
+        } => Box::new(SegmentStore::ephemeral(KeyEntryCodec, *hot_bytes)),
         StoreConfig::Segment {
             dir: Some(dir),
             hot_bytes,
-        } => Some(Box::new(SegmentStore::at_dir(
-            KeyEntryCodec,
-            dir.clone(),
-            *hot_bytes,
-        ))),
+        } => Box::new(SegmentStore::at_dir(KeyEntryCodec, dir.clone(), *hot_bytes)),
     }
 }
 
@@ -579,10 +579,7 @@ pub(crate) fn local_backend(
     store: &StoreConfig,
 ) -> InProc<IndexStore> {
     let logic = IndexStore::new(dfmax);
-    match build_entry_store(store) {
-        None => InProc::replicated(overlay, logic, replication),
-        Some(entries) => InProc::with_store(overlay, logic, replication, entries),
-    }
+    InProc::with_store(overlay, logic, replication, entry_store(store))
 }
 
 /// The network the index speaks through, as a boxed trait object so the
@@ -1037,7 +1034,7 @@ impl GlobalIndex {
     /// A restart wave ([`Control::Restart`]): each peer loses its hot
     /// (in-memory) tier and replays its own on-disk segment log —
     /// host-local disk I/O, never a message. Only meaningful over a
-    /// tiered store ([`StoreConfig::Segment`]); on the in-memory default
+    /// tiered store ([`StoreConfig::Segment`]); on the unbounded default
     /// a restart simply loses the peers' copies, like a crash. Run
     /// [`GlobalIndex::repair`] afterwards to close any recovery gap.
     pub fn restart_peers(&mut self, peers: &[PeerId]) -> RecoveryStats {
@@ -1049,13 +1046,13 @@ impl GlobalIndex {
     }
 
     /// Seals every hot entry to the segment logs (a graceful shutdown's
-    /// flush). No-op on the in-memory store. Host-local, unmetered.
+    /// flush). No-op on an unbounded store. Host-local, unmetered.
     pub fn sync_storage(&self) {
         self.sweep(IndexSweep::SyncStorage);
     }
 
     /// Live bytes in the on-disk segment tier, summed over every sealed
-    /// frame at every holder (0 on the in-memory store).
+    /// frame at every holder (0 on an unbounded store).
     pub fn sealed_segment_bytes(&self) -> u64 {
         match self.sweep(IndexSweep::SealedBytes) {
             IndexSwept::Bytes(total) => total,

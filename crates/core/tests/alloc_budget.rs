@@ -405,13 +405,22 @@ fn a_query_makes_a_pinned_number_of_allocations() {
             ..QueryLogConfig::default()
         },
     );
+    let config = HdkConfig::default();
+    // 24.35 measured per query on the unbounded store, bounded at 24.5:
+    // the plan's levels, the DHT's per-level grouping and fan-out, the
+    // score table and the results. Under a hot budget a sealed hit also
+    // copies its block out of the frame, one allocation per sealed key;
+    // nearly every sealed hit is alone in its stripe's batch, so reading a
+    // batch's frames into one buffer would save nothing. 26.73 measured
+    // under CI's 64 KiB budget (`HDK_STORE=segment:65536`), bounded at
+    // 26.9.
+    let bound = match config.store {
+        StoreConfig::Memory => 24.5,
+        StoreConfig::Segment { .. } => 26.9,
+    };
     let threads = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let network = HdkNetwork::build(
-        &docs,
-        &partition_documents(docs.len(), 4, 3),
-        HdkConfig::default(),
-    );
+    let network = HdkNetwork::build(&docs, &partition_documents(docs.len(), 4, 3), config);
     let (results, allocations) = counting(|| {
         log.queries
             .iter()
@@ -430,12 +439,9 @@ fn a_query_makes_a_pinned_number_of_allocations() {
     }
     assert!(results > 0, "no query found anything");
     let per_query = allocations as f64 / log.queries.len() as f64;
-    // 24.35 measured per query, bounded at 24.5. The plan's levels, the
-    // DHT's per-level grouping and fan-out, the score table and the
-    // results.
     assert!(
-        per_query <= 24.5,
-        "{per_query:.2} allocations per query ({allocations} over {} queries)",
+        per_query <= bound,
+        "{per_query:.2} allocations per query ({allocations} over {} queries, bound {bound})",
         log.queries.len()
     );
 }

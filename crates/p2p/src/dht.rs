@@ -57,14 +57,15 @@
 //!
 //! ## Tiered storage
 //!
-//! *Where* a stripe's entries physically live is pluggable (see
-//! [`crate::store`]): this layer holds a `Box<dyn Store<V>>` and routes
-//! every entry access through it. The default [`MemStore`] keeps
-//! everything in memory and behaves (and meters) bit-identically to the
-//! historical inlined maps; [`crate::store::SegmentStore`] spills entries
-//! past a hot-tier byte budget into checksummed on-disk segment logs —
-//! which is what makes [`Dht::restart_peers`] possible: a restarting
-//! peer's copies are recovered by replaying its segment log, and one
+//! *Where* a stripe's entries physically live is the business of
+//! [`crate::store`]: this layer holds a `Box<dyn Store<V>>` and routes
+//! every entry access through it. Every DHT runs on the one
+//! [`SegmentStore`], and only its hot-tier budget differs. Unbounded —
+//! what [`Dht::new`] builds — it keeps everything in memory and never
+//! touches a disk; under a budget it spills entries past it into
+//! checksummed on-disk segment logs, which is what makes
+//! [`Dht::restart_peers`] recover anything: a restarting peer's copies
+//! are recovered by replaying its segment log, and one
 //! [`Dht::repair_sweep`] closes whatever gap the log could not cover.
 //! Tier movement is host-local (never metered as traffic).
 
@@ -72,7 +73,9 @@ use crate::gossip::{GossipConfig, GossipProbe, GossipRound, GossipState, PeerVie
 use crate::id::{hash_u64s, KeyHash, PeerId};
 use crate::pgrid::PGrid;
 use crate::replica::{Delivery, Membership, PeerState};
-use crate::store::{Holders, MemStore, RecoveryStats, Slot, Store, TableBytes, Tier};
+use crate::store::{
+    Holders, NeverSealed, RecoveryStats, SegmentStore, Slot, Store, TableBytes, Tier,
+};
 use crate::transport::{MsgKind, TrafficMeter, TrafficSnapshot};
 use parking_lot::Mutex;
 use rayon::prelude::*;
@@ -306,18 +309,19 @@ impl<V: Send + Sync + 'static> Dht<V> {
     }
 
     /// Builds an empty DHT whose keys are placed on `replication` live
-    /// peers each (primary + `R-1` walk successors), stored in memory
-    /// (the default [`MemStore`] backend).
+    /// peers each (primary + `R-1` walk successors), stored in memory: an
+    /// unbounded [`SegmentStore`], which never seals, so its values need
+    /// no byte form.
     ///
     /// # Panics
     /// Panics when `replication` is zero.
     pub fn replicated(overlay: Box<PGrid>, replication: usize) -> Self {
-        Self::with_store(overlay, replication, Box::new(MemStore::new()))
+        let store = SegmentStore::ephemeral(NeverSealed, u64::MAX);
+        Self::with_store(overlay, replication, Box::new(store))
     }
 
-    /// Builds an empty DHT over an explicit storage backend (see
-    /// [`crate::store`] — e.g. a budgeted
-    /// [`crate::store::SegmentStore`] for tiered, restartable storage).
+    /// Builds an empty DHT over an explicit store (see [`crate::store`] —
+    /// e.g. a budgeted [`SegmentStore`] for tiered, restartable storage).
     ///
     /// # Panics
     /// Panics when `replication` is zero.
@@ -906,8 +910,8 @@ impl<V: Send + Sync + 'static> Dht<V> {
     /// the same unit. (At `R = 1` every entry has exactly one holder and
     /// this is the plain sum.) Entries a tiered store has sealed to disk
     /// do not occupy memory and are excluded — see [`Dht::disk_bytes`]
-    /// for the on-disk side (with the default in-memory store everything
-    /// is hot, so this is the historical total).
+    /// for the on-disk side (an unbounded store keeps everything hot, so
+    /// there this is the whole total).
     pub fn stripe_resident_bytes(&self, stripe: usize, measure: impl Fn(&V) -> u64) -> u64 {
         let mut total = 0u64;
         self.store.scan(stripe, &mut |_, s, tier| {
@@ -940,7 +944,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     }
 
     /// Total live on-disk segment bytes across all stripes, summed per
-    /// stored copy (0 for the in-memory store). The disk-tier counterpart
+    /// stored copy (0 for an unbounded store). The disk-tier counterpart
     /// of [`Dht::resident_bytes`].
     pub fn disk_bytes(&self) -> u64 {
         (0..NUM_STRIPES).map(|s| self.store.disk_bytes(s)).sum()
@@ -1181,11 +1185,11 @@ impl<V: Send + Sync + 'static> Dht<V> {
 
     /// Restarts live peers *in place*: their in-memory state is assumed
     /// gone (the process died and came back), and whatever their storage
-    /// backend persisted is recovered — for [`crate::store::SegmentStore`]
-    /// that means replaying each peer's segment logs, discarding
-    /// truncated/corrupt tails by checksum, and keeping exactly the copies
-    /// whose sealed frames are current; for the in-memory [`MemStore`]
-    /// nothing survives and every copy the peers held is dropped.
+    /// store persisted is recovered: each peer's segment logs are
+    /// replayed, truncated/corrupt tails discarded by checksum, and
+    /// exactly the copies whose sealed frames are current kept. Hot copies
+    /// do not survive, so on an unbounded store (which never seals) every
+    /// copy the peers held is dropped.
     ///
     /// Replay is **host-local disk I/O, not traffic** — nothing is
     /// metered (the simulated backend charges virtual replay time from
@@ -1220,9 +1224,9 @@ impl<V: Send + Sync + 'static> Dht<V> {
         stats
     }
 
-    /// Seals every hot entry to the storage backend's persistent tier
-    /// (no-op for the in-memory store) — after this, a restart recovers
-    /// every copy. Host-local, unmetered.
+    /// Seals every hot entry to the store's segment logs — after this, a
+    /// restart recovers every copy. An unbounded store never seals, so
+    /// there this does nothing. Host-local, unmetered.
     pub fn sync_storage(&self) {
         self.store.sync();
     }

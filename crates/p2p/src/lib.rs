@@ -22,10 +22,11 @@
 //! derives every message's byte encoding from one declaration per type,
 //! for backends that deliver across processes.
 //!
-//! Entry bytes live behind the pluggable [`store::Store`] trait: the
-//! in-memory [`store::MemStore`] default, or the tiered
-//! [`store::SegmentStore`] (hot budgeted tier + checksummed on-disk
-//! segment logs) that makes peers restartable ([`dht::Dht::restart_peers`]).
+//! Entry bytes live behind the [`store::Store`] trait, in the one
+//! [`store::SegmentStore`]: unbounded, it is the in-memory store every
+//! [`dht::Dht::new`] builds; under a hot-tier budget it seals what does
+//! not fit into checksummed on-disk segment logs, which make peers
+//! restartable ([`dht::Dht::restart_peers`]).
 
 pub mod dht;
 pub mod gossip;
@@ -54,9 +55,7 @@ pub use rpc::{
     Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
     ResponseOf, SimNet, SimNetConfig, StoreService,
 };
-pub use store::{
-    Holders, MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, TableBytes, Tier,
-};
+pub use store::{Holders, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, TableBytes, Tier};
 pub use transport::{
     KindSnapshot, LatencyHistogram, MsgKind, TrafficMeter, TrafficSnapshot, LATENCY_BUCKETS,
     NUM_KINDS,

@@ -1,21 +1,24 @@
-//! Pluggable per-stripe entry storage under the DHT.
+//! Per-stripe entry storage under the DHT.
 //!
 //! [`crate::Dht`] owns routing, replication, metering and churn; *where
-//! entry bytes live* is delegated to a [`Store`]. Two implementations:
+//! entry bytes live* is delegated to a [`Store`]. There is one
+//! implementation, [`SegmentStore`], and its hot-tier budget is the only
+//! thing that tells an in-memory store from a tiered one:
 //!
-//! * [`MemStore`] — lock-striped in-memory storage, each stripe a dense
-//!   entry array plus a key → position index. The default: every entry
-//!   is hot, and every report and traffic counter is the pre-trait
-//!   layer's.
-//! * [`SegmentStore`] — a tiered engine: entries start in a *hot*
-//!   in-memory tier under a per-stripe byte budget; overflow is *sealed*
-//!   into checksummed frames ([`hdk_ir::segment`]) appended to per-`(peer,
+//! * **Unbounded** (`hot_bytes` = `u64::MAX`) — the in-memory store
+//!   every [`crate::Dht::new`] builds. Every entry stays hot, in a dense
+//!   packed table per stripe; nothing is ever sealed or queued for
+//!   sealing, no directory is made, [`Store::sync`] seals nothing, and a
+//!   restart ([`Store::recover`]) drops the restarting peers' copies.
+//! * **Budgeted** — a tiered engine: entries start in the *hot* in-memory
+//!   tier under a per-stripe byte budget; overflow is *sealed* into
+//!   checksummed frames ([`hdk_ir::segment`]) appended to per-`(peer,
 //!   stripe)` segment log files on disk, one frame per holding replica.
-//!   Both tiers are [`MemStore`]'s packed stripe tables: the hot tier
-//!   holds slots, the sealed tier where each sealed entry's frames sit.
-//!   Sealed entries are decoded on demand for reads and sweeps — for a
-//!   lookup ([`Store::get_many`]) only what a lookup reads — and a sweep
-//!   that changes a sealed value un-seals it back into the hot tier
+//!   Both tiers are packed stripe tables: the hot tier holds slots, the
+//!   sealed tier where each sealed entry's frames sit. Sealed entries are
+//!   decoded on demand for reads and sweeps — for a lookup
+//!   ([`Store::get_many`]) only what a lookup reads — and a sweep that
+//!   changes a sealed value un-seals it back into the hot tier
 //!   (holder-only changes are written through to the logs instead). The
 //!   log is what makes peers *restartable*: [`Store::recover`] replays a
 //!   restarting peer's files, discards truncated/corrupt tails by
@@ -54,6 +57,13 @@
 //! `SegmentStore`'s seal points, frame versions and file offsets are
 //! reproducible run to run and independent of `RAYON_NUM_THREADS` — which
 //! is what makes restart-recovery bit-reproducible.
+//!
+//! **Sweep order.** `scan`, `scan_mut` and `retain` walk the hot tier in
+//! position order (insertion order, as permuted by removals), then the
+//! sealed tier in key order. No caller depends on the order — sweeps fold
+//! order-free sums or sort what they collect — but the store does: only
+//! the sealed walk un-seals entries or writes frames, so walking it in key
+//! order keeps the seal queue, versions and file offsets canonical.
 
 use crate::inline::InlineVec;
 use hdk_ir::segment::{read_frame, write_frame, FrameRead, FRAME_HEADER_BYTES};
@@ -65,6 +75,7 @@ use std::io;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// The peer indices holding an entry's copies: up to five inline (the
 /// replica set plus a hot key's extras), longer sets in one heap slice.
@@ -133,7 +144,7 @@ pub struct RecoveryStats {
 /// Which tier an entry currently occupies (reported by [`Store::scan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// Resident in memory (always the case for [`MemStore`]).
+    /// Resident in memory (every entry of an unbounded store).
     Hot,
     /// Sealed to the segment logs; `frame_bytes` is the on-disk size of
     /// one replica's frame (checksum header included).
@@ -166,6 +177,24 @@ pub trait StoreCodec<V>: Send + Sync {
     /// as the layer's resident-byte accounting so budget enforcement and
     /// reporting agree.
     fn weight(&self, value: &V) -> u64;
+}
+
+/// The codec of an unbounded store over values with no byte form — what
+/// [`crate::Dht::new`] builds for any value type. An unbounded store
+/// never seals, so no value is ever encoded: each weighs 0, and no payload
+/// decodes.
+pub(crate) struct NeverSealed;
+
+impl<V> StoreCodec<V> for NeverSealed {
+    fn encode(&self, _: &V, _: &mut Vec<u8>) {}
+
+    fn decode(&self, _: &[u8]) -> Option<V> {
+        None
+    }
+
+    fn weight(&self, _: &V) -> u64 {
+        0
+    }
 }
 
 /// Per-stripe entry storage. All callbacks run under the stripe's lock;
@@ -208,7 +237,7 @@ pub trait Store<V>: Send + Sync {
     fn len(&self, stripe: usize) -> usize;
 
     /// Live on-disk bytes of the stripe's sealed frames, summed per
-    /// holding replica (0 for a purely in-memory store). Superseded
+    /// holding replica (0 for an unbounded store). Superseded
     /// (stale) frames awaiting compaction are not counted.
     fn disk_bytes(&self, stripe: usize) -> u64;
 
@@ -239,38 +268,18 @@ pub trait Store<V>: Send + Sync {
         stats: &mut RecoveryStats,
     );
 
-    /// Seals every hot entry to the segment logs (no-op for in-memory
-    /// storage). After `sync`, a restart of any peer set recovers every
-    /// copy.
+    /// Seals every hot entry to the segment logs (nothing for an
+    /// unbounded store, which never seals). After `sync` on a budgeted
+    /// store, a restart of any peer set recovers every copy.
     fn sync(&self);
 }
 
 // ---------------------------------------------------------------------------
-// MemStore
+// Packed stripe tables
 // ---------------------------------------------------------------------------
 
-/// Entries per chunk of a [`MemStore`] stripe's dense storage.
+/// Entries per chunk of a [`Packed`] table.
 const CHUNK: usize = 32;
-
-/// The in-memory striped storage: per stripe, one `RwLock` over a dense
-/// entry array and a key → position index; every entry hot.
-///
-/// **Layout.** A stripe's `(key, slot)` pairs sit back to back in chunks
-/// of 32 — only the last chunk is partly filled, so a stripe's slack is
-/// under one chunk, and past the first chunk (which grows by doubling)
-/// growing never copies an entry — and an index of 8-byte buckets maps
-/// each key to its position. A hash table holding the slots in its buckets ran at
-/// about half load, so every stored key paid for a second, empty
-/// slot-sized bucket; here the empty buckets are the index's. Removing an
-/// entry moves the last entry into its place and re-points that entry's
-/// index bucket.
-///
-/// **Iteration order.** `scan`, `scan_mut` and `retain` walk positions
-/// in order: insertion order, as permuted by removals. No caller depends
-/// on it — sweeps either fold order-free sums or sort what they collect.
-pub struct MemStore<V> {
-    stripes: Vec<RwLock<Packed<Slot<V>>>>,
-}
 
 /// A stripe's key → position index: open addressing with linear probing,
 /// at most 3/4 full. A bucket is empty ([`PosIndex::EMPTY`]) or holds
@@ -407,9 +416,18 @@ impl PosIndex {
     }
 }
 
-/// A packed `(key, entry)` table — a [`MemStore`] stripe, and each tier
-/// of a [`SegmentStore`] stripe: entry `p` is `chunks[p / CHUNK][p %
-/// CHUNK]`, and `index` holds every stored key's `p`.
+/// A packed `(key, entry)` table — each tier of a [`SegmentStore`]
+/// stripe: entry `p` is `chunks[p / CHUNK][p % CHUNK]`, and `index` holds
+/// every stored key's `p`.
+///
+/// **Layout.** The `(key, entry)` pairs sit back to back in chunks of 32 —
+/// only the last chunk is partly filled, so a table's slack is under one
+/// chunk, and past the first chunk (which grows by doubling) growing never
+/// copies an entry — and an index of 8-byte buckets maps each key to its
+/// position. A hash table holding the slots in its buckets ran at about
+/// half load, so every stored key paid for a second, empty slot-sized
+/// bucket; here the empty buckets are the index's. Removing an entry moves
+/// the last entry into its place and re-points that entry's index bucket.
 struct Packed<T> {
     index: PosIndex,
     chunks: Vec<Vec<(u64, T)>>,
@@ -552,111 +570,6 @@ impl<T> Packed<T> {
     }
 }
 
-impl<V> MemStore<V> {
-    /// An empty store with [`crate::NUM_STRIPES`] stripes.
-    pub fn new() -> Self {
-        Self {
-            stripes: (0..crate::NUM_STRIPES)
-                .map(|_| RwLock::new(Packed::new()))
-                .collect(),
-        }
-    }
-}
-
-impl<V> Default for MemStore<V> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<V: Send + Sync> Store<V> for MemStore<V> {
-    fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>)) {
-        f(self.stripes[stripe].read().get(key));
-    }
-
-    fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>)) {
-        let st = self.stripes[stripe].read();
-        for (i, &key) in keys.iter().enumerate() {
-            f(i, st.get(key));
-        }
-    }
-
-    fn upsert(
-        &self,
-        stripe: usize,
-        key: u64,
-        default: &mut dyn FnMut() -> Slot<V, Vec<u32>>,
-        update: &mut dyn FnMut(&mut Slot<V>),
-    ) {
-        let mut st = self.stripes[stripe].write();
-        let pos = st.position_or_insert(key, || default().pack());
-        update(&mut st.at_mut(pos).1);
-    }
-
-    fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier)) {
-        let st = self.stripes[stripe].read();
-        for (k, s) in st.iter() {
-            f(*k, s, Tier::Hot);
-        }
-    }
-
-    fn scan_mut(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>)) {
-        let mut st = self.stripes[stripe].write();
-        for (k, s) in st.iter_mut() {
-            f(*k, s);
-        }
-    }
-
-    fn retain(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool) {
-        self.stripes[stripe].write().retain(f);
-    }
-
-    fn len(&self, stripe: usize) -> usize {
-        self.stripes[stripe].read().len()
-    }
-
-    fn disk_bytes(&self, _stripe: usize) -> u64 {
-        0
-    }
-
-    fn table_bytes(&self, stripe: usize) -> TableBytes {
-        TableBytes {
-            hot: self.stripes[stripe].read().bytes(),
-            sealed: 0,
-        }
-    }
-
-    fn recover(
-        &self,
-        stripe: usize,
-        peers: &[u32],
-        volume: &mut dyn FnMut(&V) -> (u64, u64),
-        stats: &mut RecoveryStats,
-    ) {
-        // No disk: a restarting peer's copies were RAM-only and are gone.
-        self.stripes[stripe].write().retain(|_, slot| {
-            let before = slot.holders.len();
-            slot.holders.retain(|h| !peers.contains(h));
-            let removed = (before - slot.holders.len()) as u64;
-            if removed == 0 {
-                return true;
-            }
-            stats.copies_lost += removed;
-            if slot.holders.is_empty() {
-                let (postings, bytes) = volume(&slot.value);
-                stats.keys_lost += 1;
-                stats.postings_lost += postings;
-                stats.bytes_lost += bytes;
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    fn sync(&self) {}
-}
-
 // ---------------------------------------------------------------------------
 // SegmentStore
 // ---------------------------------------------------------------------------
@@ -752,13 +665,13 @@ fn out_of_descriptors(e: &io::Error) -> bool {
 
 /// The error for a non-empty log that does not start with [`LOG_HEADER`]:
 /// an earlier build's log, which this one neither reads nor writes.
-fn foreign_log(path: &Path) -> io::Error {
+fn foreign_log(dir: &Path, peer: u32, stripe: usize) -> io::Error {
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!(
-            "{} is a segment log of an earlier format (no log header); \
-             move it away to rebuild here",
-            path.display()
+            "{}/peer-{peer}/stripe-{stripe}.seg is a segment log of an earlier \
+             format (no log header); move it away to rebuild here",
+            dir.display()
         ),
     )
 }
@@ -766,18 +679,18 @@ fn foreign_log(path: &Path) -> io::Error {
 /// The in-memory tables of a stripe (see [`Store::table_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableBytes {
-    /// Tables of resident entries: a [`MemStore`] stripe, or a
-    /// [`SegmentStore`] stripe's hot tier and its seal queue.
+    /// Tables of resident entries: a stripe's hot tier and its seal
+    /// queue (empty in an unbounded store).
     pub hot: u64,
-    /// A [`SegmentStore`] stripe's sealed index — per sealed key its
-    /// version, frame size and frame locations — with the locations of
-    /// entries held by more than one replica (0 for in-memory storage).
+    /// A stripe's sealed index — per sealed key its version, frame size
+    /// and frame locations — with the locations of entries held by more
+    /// than one replica (0 while nothing is sealed).
     pub sealed: u64,
 }
 
-/// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`;
-/// both are [`MemStore`]'s packed tables, and every sweep goes through
-/// `sorted_keys`, never their position order.
+/// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`,
+/// both [`Packed`] tables; a sweep walks `hot` in position order and
+/// `sealed` in key order (see the module docs).
 struct SegStripe<V> {
     hot: Packed<Slot<V>>,
     sealed: Packed<SealedEntry>,
@@ -786,10 +699,11 @@ struct SegStripe<V> {
     /// its key already on disk — whatever happened to the key in between.
     /// Recovery raises it past every version it replays.
     seals: u64,
-    /// Seal order: every hot key exactly once, oldest first (FIFO). Keys
-    /// removed while queued are skipped on pop.
+    /// Seal order: every hot key exactly once, oldest first (FIFO) — none
+    /// in an unbounded store. Keys removed while queued are skipped on pop.
     dirty: VecDeque<u64>,
-    /// Σ `weight(value) × holders` over hot entries (incremental).
+    /// Σ `weight(value) × holders` over hot entries: kept in step by
+    /// upserts and seals, recounted after sweeps (see `reweigh`).
     hot_weight: u64,
     /// Σ `frame_len × replicas` over sealed entries — *live* log bytes
     /// (stale frames awaiting compaction are excluded).
@@ -827,78 +741,105 @@ thread_local! {
 /// only small frames are worth keeping a buffer for.
 const KEPT_FRAME_BUF_BYTES: usize = 64 << 10;
 
-/// Tiered storage: a hot in-memory tier under a byte budget, overflowed
-/// to checksummed frames in per-`(peer, stripe)` segment log files. See
-/// the module docs for the full contract.
+/// The entry store: a hot in-memory tier under a byte budget, overflowed
+/// to checksummed frames in per-`(peer, stripe)` segment log files; with
+/// an unbounded budget, the in-memory store. See the module docs for the
+/// full contract.
 pub struct SegmentStore<V, C> {
     codec: C,
-    dir: PathBuf,
-    /// Hot-tier budget per stripe (total budget / stripe count).
+    /// The caller's directory ([`SegmentStore::at_dir`]); `None` for an
+    /// ephemeral store, whose logs go to `scratch`.
+    dir: Option<PathBuf>,
+    /// Hot-tier budget per stripe (total budget / stripe count), or
+    /// `u64::MAX` for an unbounded store.
     stripe_budget: u64,
     /// Cleared for good the first time an open runs out of descriptors.
     /// Publishes nothing: the handles themselves sit behind the stripe
     /// locks, so `Relaxed` suffices.
     keep_handles: AtomicBool,
     stripes: Vec<RwLock<SegStripe<V>>>,
-    /// Keeps an ephemeral scratch directory alive (and removes it on
-    /// drop); `None` for an explicit caller-owned directory. Declared
-    /// after `stripes`: fields drop in declaration order, so every
-    /// segment handle is closed before the directory is removed.
-    _scratch: Option<tempfile::TempDir>,
+    /// An ephemeral store's scratch directory: made by its first seal,
+    /// removed when the store drops. Declared after `stripes`: fields
+    /// drop in declaration order, so every segment handle is closed
+    /// before the directory is removed.
+    scratch: OnceLock<tempfile::TempDir>,
 }
 
 impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
-    /// A store whose segment logs live in a fresh scratch directory,
-    /// removed when the store is dropped. `hot_bytes` is the total
-    /// hot-tier budget across all stripes (enforced per stripe).
+    /// A store whose segment logs live in a scratch directory, made by
+    /// the first seal and removed when the store is dropped. `hot_bytes`
+    /// is the total hot-tier budget across all stripes (enforced per
+    /// stripe); `u64::MAX` is unbounded — the in-memory store, which never
+    /// seals, so it makes no directory at all.
     pub fn ephemeral(codec: C, hot_bytes: u64) -> Self {
-        let scratch = tempfile::tempdir().expect("create segment scratch dir");
-        let dir = scratch.path().to_path_buf();
-        let mut store = Self::at_dir(codec, dir, hot_bytes);
-        store._scratch = Some(scratch);
-        store
+        Self::new(codec, None, hot_bytes)
     }
 
     /// A store whose segment logs live under `dir` (created on demand,
     /// never removed) — the durable mode: a store re-opened on the same
     /// directory can [`Store::recover`] what a previous process sealed.
+    /// `hot_bytes` is as for [`SegmentStore::ephemeral`]: an unbounded
+    /// store seals nothing, not even on [`Store::sync`].
     pub fn at_dir(codec: C, dir: PathBuf, hot_bytes: u64) -> Self {
+        Self::new(codec, Some(dir), hot_bytes)
+    }
+
+    fn new(codec: C, dir: Option<PathBuf>, hot_bytes: u64) -> Self {
         Self {
             codec,
             dir,
-            stripe_budget: hot_bytes / crate::NUM_STRIPES as u64,
+            stripe_budget: match hot_bytes {
+                u64::MAX => u64::MAX,
+                budget => budget / crate::NUM_STRIPES as u64,
+            },
             keep_handles: AtomicBool::new(true),
             stripes: (0..crate::NUM_STRIPES)
                 .map(|_| RwLock::new(SegStripe::new()))
                 .collect(),
-            _scratch: None,
+            scratch: OnceLock::new(),
         }
     }
 
     /// The directory holding the segment logs
-    /// (`<dir>/peer-<index>/stripe-<stripe>.seg`).
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// (`<dir>/peer-<index>/stripe-<stripe>.seg`): `None` for an ephemeral
+    /// store that has not sealed yet.
+    pub fn dir(&self) -> Option<&Path> {
+        self.dir
+            .as_deref()
+            .or_else(|| self.scratch.get().map(tempfile::TempDir::path))
     }
 
-    fn peer_dir(&self, peer: u32) -> PathBuf {
-        self.dir.join(format!("peer-{peer}"))
+    /// Whether the hot tier is unbounded: nothing is ever queued for
+    /// sealing.
+    fn unbounded(&self) -> bool {
+        self.stripe_budget == u64::MAX
     }
 
-    fn segment_path(&self, peer: u32, stripe: usize) -> PathBuf {
-        self.peer_dir(peer).join(format!("stripe-{stripe}.seg"))
+    /// The directory holding the logs; `create` makes an ephemeral store's
+    /// scratch directory when it has none yet, and without it a missing
+    /// one is `NotFound`, like a missing log.
+    fn log_dir(&self, create: bool) -> io::Result<&Path> {
+        if let Some(dir) = self.dir() {
+            return Ok(dir);
+        }
+        if !create {
+            return Err(io::ErrorKind::NotFound.into());
+        }
+        let made = tempfile::tempdir()?;
+        Ok(self.scratch.get_or_init(|| made).path())
     }
 
     /// Opens `peer`'s log for `stripe` — the only place this module opens
     /// a file. `create` also creates the file, and the peer directory when
     /// the open reports it missing.
     fn open_log(&self, stripe: usize, peer: u32, create: bool) -> io::Result<File> {
-        let path = self.segment_path(peer, stripe);
+        let peer_dir = self.log_dir(create)?.join(format!("peer-{peer}"));
+        let path = peer_dir.join(format!("stripe-{stripe}.seg"));
         let mut options = std::fs::OpenOptions::new();
         options.read(true).write(true).create(create);
         match options.open(&path) {
             Err(e) if create && e.kind() == io::ErrorKind::NotFound => {
-                std::fs::create_dir_all(self.peer_dir(peer))?;
+                std::fs::create_dir_all(peer_dir)?;
                 options.open(&path)
             }
             opened => opened,
@@ -951,7 +892,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         let head = &mut head[..len.min(LOG_HEADER_BYTES as u64) as usize];
         file.read_exact_at(head, 0)?;
         if *head != LOG_HEADER[..head.len()] {
-            return Err(foreign_log(&self.segment_path(peer, stripe)));
+            return Err(foreign_log(self.log_dir(false)?, peer, stripe));
         }
         let keep = self.keep_handles.load(Ordering::Relaxed);
         Ok(Segment {
@@ -1102,6 +1043,24 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
+    /// Hands `f` a key that is not hot: its sealed slot (see
+    /// [`Self::sealed_slot`]), or `None`. Out of line, so a hot read
+    /// carries none of the sealed tier's code.
+    #[inline(never)]
+    fn read_cold(
+        &self,
+        st: &SegStripe<V>,
+        stripe: usize,
+        key: u64,
+        lookup: bool,
+        f: &mut dyn FnMut(Option<&Slot<V>>),
+    ) {
+        match st.sealed.get(key) {
+            Some(entry) => f(Some(&self.sealed_slot(st, stripe, key, entry, lookup))),
+            None => f(None),
+        }
+    }
+
     /// Recovery's phase 1 for one log: reads it front to back through its
     /// segment, returns the latest intact frame per key, and cuts the file
     /// at the first truncated/corrupt frame (everything past an unreadable
@@ -1195,7 +1154,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             })
             .collect();
         st.disk_bytes += frame.len() as u64 * slot.holders.len() as u64;
-        st.hot_weight -= self.codec.weight(&slot.value) * slot.holders.len() as u64;
+        st.hot_weight -= self.weight(&slot);
         st.sealed.insert(
             key,
             SealedEntry {
@@ -1225,9 +1184,27 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             st.disk_bytes -= entry.frame_len() * entry.refs.len() as u64;
         }
         slot.holders.sort_unstable();
-        st.hot_weight += self.codec.weight(&slot.value) * slot.holders.len() as u64;
+        st.hot_weight += self.weight(&slot);
         st.hot.insert(key, slot);
-        st.dirty.push_back(key);
+        self.queue(st, key);
+    }
+
+    /// Queues a key that just became hot for sealing — unless nothing is
+    /// ever sealed.
+    fn queue(&self, st: &mut SegStripe<V>, key: u64) {
+        if !self.unbounded() {
+            st.dirty.push_back(key);
+        }
+    }
+
+    /// Hot-tier bytes a slot occupies: its value's weight per holder. An
+    /// unbounded store measures nothing against its budget, so there every
+    /// slot weighs 0.
+    fn weight(&self, slot: &Slot<V>) -> u64 {
+        if self.unbounded() {
+            return 0;
+        }
+        self.codec.weight(&slot.value) * slot.holders.len() as u64
     }
 
     /// Runs a mutating callback on a sealed entry. `f` returning `false`
@@ -1300,58 +1277,40 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
-    /// Keys of both tiers, ascending — the canonical sweep order (the
-    /// tables' position order must not leak into seal/unseal decisions).
-    fn sorted_keys(st: &SegStripe<V>) -> Vec<u64> {
-        let mut keys: Vec<u64> = st.hot.keys().chain(st.sealed.keys()).collect();
+    /// Keys of the sealed tier, ascending — the canonical order of its
+    /// sweeps (the table's position order must not leak into un-seal
+    /// decisions or frame offsets).
+    fn sealed_keys(st: &SegStripe<V>) -> Vec<u64> {
+        let mut keys: Vec<u64> = st.sealed.keys().collect();
         keys.sort_unstable();
         keys
     }
 
-    /// Applies `f` to a hot entry's slot, keeping the stripe's hot weight
-    /// in step; `f` returning `false` removes the entry. `None` when `key`
-    /// is not hot.
-    fn mutate_hot(
-        &self,
-        st: &mut SegStripe<V>,
-        key: u64,
-        f: impl FnOnce(&mut Slot<V>) -> bool,
-    ) -> Option<()> {
-        let slot = st.hot.get_mut(key)?;
-        let before = self.codec.weight(&slot.value) * slot.holders.len() as u64;
-        if f(slot) {
-            let after = self.codec.weight(&slot.value) * slot.holders.len() as u64;
-            st.hot_weight = st.hot_weight - before + after;
-        } else {
-            st.hot.remove(key);
-            st.hot_weight -= before;
-            // The dirty-queue entry goes stale; pops skip it.
+    /// Recounts the hot weight after a sweep that may have changed any
+    /// hot slot: a walk over the hot tier, which a budget keeps small. An
+    /// unbounded store seals nothing, so it never needs the count.
+    fn reweigh(&self, st: &mut SegStripe<V>) {
+        if !self.unbounded() {
+            st.hot_weight = st.hot.iter().map(|(_, slot)| self.weight(slot)).sum();
         }
-        Some(())
     }
 }
 
 impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>)) {
         let st = self.stripes[stripe].read();
-        if let Some(slot) = st.hot.get(key) {
-            f(Some(slot));
-        } else if let Some(entry) = st.sealed.get(key) {
-            f(Some(&self.sealed_slot(&st, stripe, key, entry, false)));
-        } else {
-            f(None);
+        match st.hot.get(key) {
+            Some(slot) => f(Some(slot)),
+            None => self.read_cold(&st, stripe, key, false, f),
         }
     }
 
     fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>)) {
         let st = self.stripes[stripe].read();
         for (i, &key) in keys.iter().enumerate() {
-            if let Some(slot) = st.hot.get(key) {
-                f(i, Some(slot));
-            } else if let Some(entry) = st.sealed.get(key) {
-                f(i, Some(&self.sealed_slot(&st, stripe, key, entry, true)));
-            } else {
-                f(i, None);
+            match st.hot.get(key) {
+                Some(slot) => f(i, Some(slot)),
+                None => self.read_cold(&st, stripe, key, true, &mut |slot| f(i, slot)),
             }
         }
     }
@@ -1365,22 +1324,22 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     ) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        let hot = self.mutate_hot(st, key, |slot| {
+        if let Some(entry) = st.sealed.get(key) {
+            // An upsert always merges content: un-seal, then update hot.
+            let mut slot = self.sealed_slot(st, stripe, key, entry, false);
+            update(&mut slot);
+            self.unseal(st, key, slot);
+        } else {
+            // One probe finds the key or appends its fresh entry.
+            let len = st.hot.len();
+            let pos = st.hot.position_or_insert(key, || default().pack());
+            let fresh = st.hot.len() > len;
+            let slot = &mut st.hot.at_mut(pos).1;
+            let before = if fresh { 0 } else { self.weight(slot) };
             update(slot);
-            true
-        });
-        if hot.is_none() {
-            if let Some(entry) = st.sealed.get(key) {
-                // An upsert always merges content: un-seal, then update hot.
-                let mut slot = self.sealed_slot(st, stripe, key, entry, false);
-                update(&mut slot);
-                self.unseal(st, key, slot);
-            } else {
-                let mut slot = default().pack();
-                update(&mut slot);
-                st.hot_weight += self.codec.weight(&slot.value) * slot.holders.len() as u64;
-                st.hot.insert(key, slot);
-                st.dirty.push_back(key);
+            st.hot_weight = st.hot_weight - before + self.weight(slot);
+            if fresh {
+                self.queue(st, key);
             }
         }
         self.enforce_budget(st, stripe);
@@ -1388,10 +1347,11 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
 
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier)) {
         let st = self.stripes[stripe].read();
-        for key in Self::sorted_keys(&st) {
-            if let Some(slot) = st.hot.get(key) {
-                f(key, slot, Tier::Hot);
-            } else if let Some(entry) = st.sealed.get(key) {
+        for (key, slot) in st.hot.iter() {
+            f(*key, slot, Tier::Hot);
+        }
+        for key in Self::sealed_keys(&st) {
+            if let Some(entry) = st.sealed.get(key) {
                 let slot = self.sealed_slot(&st, stripe, key, entry, false);
                 let frame_bytes = entry.frame_len();
                 f(key, &slot, Tier::Sealed { frame_bytes });
@@ -1402,29 +1362,27 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     fn scan_mut(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>)) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        for key in Self::sorted_keys(st) {
-            let hot = self.mutate_hot(st, key, |slot| {
-                f(key, slot);
+        for (key, slot) in st.hot.iter_mut() {
+            f(*key, slot);
+        }
+        for key in Self::sealed_keys(st) {
+            self.mutate_sealed(st, stripe, key, &mut |k, slot| {
+                f(k, slot);
                 true
             });
-            if hot.is_none() {
-                self.mutate_sealed(st, stripe, key, &mut |k, slot| {
-                    f(k, slot);
-                    true
-                });
-            }
         }
+        self.reweigh(st);
         self.enforce_budget(st, stripe);
     }
 
     fn retain(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        for key in Self::sorted_keys(st) {
-            if self.mutate_hot(st, key, |slot| f(key, slot)).is_none() {
-                self.mutate_sealed(st, stripe, key, f);
-            }
+        st.hot.retain(&mut *f);
+        for key in Self::sealed_keys(st) {
+            self.mutate_sealed(st, stripe, key, f);
         }
+        self.reweigh(st);
         self.enforce_budget(st, stripe);
     }
 
@@ -1474,26 +1432,24 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             replay.insert(p, (latest, cold));
         }
         // Phase 2: reconcile every entry's holder set with what survived.
-        for key in Self::sorted_keys(st) {
-            if let Some(slot) = st.hot.get_mut(key) {
-                // Hot copies lived in the restarting peers' RAM: gone.
-                let before = slot.holders.len();
-                slot.holders.retain(|h| !peers.contains(h));
-                let removed = (before - slot.holders.len()) as u64;
-                if removed == 0 {
-                    continue;
-                }
-                stats.copies_lost += removed;
-                st.hot_weight -= self.codec.weight(&slot.value) * removed;
-                if slot.holders.is_empty() {
-                    if let Some(lost) = st.hot.remove(key) {
-                        let (postings, bytes) = volume(&lost.value);
-                        stats.keys_lost += 1;
-                        stats.postings_lost += postings;
-                        stats.bytes_lost += bytes;
-                    }
-                }
-            } else if let Some(entry) = st.sealed.get_mut(key) {
+        // Hot copies lived in the restarting peers' RAM: gone.
+        st.hot.retain(|_, slot| {
+            let before = slot.holders.len();
+            slot.holders.retain(|h| !peers.contains(h));
+            let removed = (before - slot.holders.len()) as u64;
+            stats.copies_lost += removed;
+            if removed == 0 || !slot.holders.is_empty() {
+                return true;
+            }
+            let (postings, bytes) = volume(&slot.value);
+            stats.keys_lost += 1;
+            stats.postings_lost += postings;
+            stats.bytes_lost += bytes;
+            false
+        });
+        self.reweigh(st);
+        for key in Self::sealed_keys(st) {
+            if let Some(entry) = st.sealed.get_mut(key) {
                 if !entry.refs.iter().any(|r| peers.contains(&r.peer)) {
                     continue;
                 }
@@ -1591,7 +1547,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 self.seal(st, stripe, key);
             }
             debug_assert!(
-                st.hot.len() == 0 && st.hot_weight == 0,
+                self.unbounded() || st.hot.len() == 0 && st.hot_weight == 0,
                 "sync left hot entries"
             );
         }
@@ -1633,6 +1589,19 @@ mod tests {
         SegmentStore::ephemeral(VecCodec, hot_bytes)
     }
 
+    /// A budget no test fills: everything stays hot until `sync` seals it.
+    const ROOMY: u64 = 1 << 40;
+
+    /// Where `peer`'s log for `stripe` lives in a store that has sealed.
+    fn segment_path<C: StoreCodec<Vec<u32>>>(
+        store: &SegmentStore<Vec<u32>, C>,
+        peer: u32,
+        stripe: usize,
+    ) -> PathBuf {
+        let dir = store.dir().expect("the store has sealed");
+        dir.join(format!("peer-{peer}/stripe-{stripe}.seg"))
+    }
+
     fn insert(store: &dyn Store<Vec<u32>>, stripe: usize, key: u64, vals: &[u32], holders: &[u32]) {
         store.upsert(
             stripe,
@@ -1663,7 +1632,8 @@ mod tests {
 
     #[test]
     fn mem_store_roundtrip_and_scan() {
-        let store: MemStore<Vec<u32>> = MemStore::new();
+        // The in-memory store is the unbounded one.
+        let store = seg(u64::MAX);
         insert(&store, 3, 42, &[7, 9], &[0]);
         insert(&store, 3, 42, &[11], &[0]);
         assert_eq!(read_value(&store, 3, 42), Some(vec![7, 9, 11]));
@@ -1675,7 +1645,7 @@ mod tests {
 
     #[test]
     fn mem_store_recover_drops_restarting_copies() {
-        let store: MemStore<Vec<u32>> = MemStore::new();
+        let store = seg(u64::MAX);
         insert(&store, 0, 1, &[5], &[0, 1]);
         insert(&store, 0, 2, &[6], &[1]);
         let mut stats = RecoveryStats::default();
@@ -1693,6 +1663,47 @@ mod tests {
         );
         assert_eq!(read_value(&store, 0, 1), Some(vec![5]));
         assert_eq!(read_value(&store, 0, 2), None);
+    }
+
+    #[test]
+    fn an_unbounded_store_stays_in_memory_through_every_operation() {
+        let store = seg(u64::MAX);
+        for key in [9u64, 3, 7, 1] {
+            insert(&store, 4, key, &[key as u32], &[0, 1]);
+        }
+        insert(&store, 4, 5, &[5], &[1]);
+        insert(&store, 4, 3, &[30], &[0, 1]);
+        store.scan_mut(4, &mut |_, slot| slot.value.push(100));
+        store.retain(4, &mut |key, _| key != 7);
+        store.sync();
+        let mut order = Vec::new();
+        store.scan(4, &mut |key, _, tier| {
+            assert_eq!(tier, Tier::Hot, "key {key} left the hot tier");
+            order.push(key);
+        });
+        // Position order: insertion order, key 7's removal filled by the
+        // last entry (key 5).
+        assert_eq!(order, vec![9, 3, 5, 1]);
+        assert_eq!(read_value(&store, 4, 3), Some(vec![3, 30, 100]));
+        assert_eq!(store.disk_bytes(4), 0);
+        assert_eq!(store.table_bytes(4).sealed, 0);
+        let mut stats = RecoveryStats::default();
+        store.recover(4, &[1], &mut |v| (v.len() as u64, 0), &mut stats);
+        assert_eq!(
+            stats,
+            RecoveryStats {
+                copies_lost: 4,
+                keys_lost: 1,
+                postings_lost: 2,
+                ..RecoveryStats::default()
+            },
+            "peer 1's copies are gone, and key 5 had no other"
+        );
+        assert_eq!(read_value(&store, 4, 5), None);
+        let mut holders = Vec::new();
+        store.scan(4, &mut |_, slot, _| holders.push(slot.holders.to_vec()));
+        assert_eq!(holders, vec![vec![0]; 3]);
+        assert!(store.dir().is_none(), "an unbounded store made a directory");
     }
 
     #[test]
@@ -1719,7 +1730,7 @@ mod tests {
 
     #[test]
     fn segment_store_generous_budget_stays_hot() {
-        let store = seg(u64::MAX);
+        let store = seg(ROOMY);
         insert(&store, 5, 77, &[1], &[0]);
         assert_eq!(tier_of(&store, 5, 77), Some(Tier::Hot));
         assert_eq!(store.disk_bytes(5), 0);
@@ -1825,7 +1836,7 @@ mod tests {
         // seal -> sync -> restart-recovery unchanged.
         let tagged: Vec<u8> = vec![0x00, 0x01, 0x03, 0b0000_0000, 5, 2, 101];
         let legacy: Vec<u8> = vec![0x03, 0x05, 0x02, 0x65];
-        let store: SegmentStore<Vec<u8>, RawCodec> = SegmentStore::ephemeral(RawCodec, u64::MAX);
+        let store: SegmentStore<Vec<u8>, RawCodec> = SegmentStore::ephemeral(RawCodec, ROOMY);
         for (key, payload) in [(1u64, &tagged), (2u64, &legacy)] {
             store.upsert(
                 0,
@@ -1854,7 +1865,7 @@ mod tests {
 
     #[test]
     fn retain_removes_entries_in_both_tiers() {
-        let store = seg(u64::MAX);
+        let store = seg(ROOMY);
         insert(&store, 4, 1, &[1], &[0]);
         insert(&store, 4, 2, &[2], &[0]);
         store.sync(); // both sealed
@@ -1868,7 +1879,7 @@ mod tests {
 
     #[test]
     fn synced_restart_recovers_every_copy() {
-        let store = seg(u64::MAX);
+        let store = seg(ROOMY);
         insert(&store, 0, 1, &[1, 2], &[0, 1]);
         insert(&store, 0, 9, &[3], &[1, 2]);
         store.sync();
@@ -1889,7 +1900,7 @@ mod tests {
 
     #[test]
     fn unsynced_restart_loses_hot_copies_only() {
-        let store = seg(u64::MAX);
+        let store = seg(ROOMY);
         insert(&store, 0, 1, &[1], &[0, 1]);
         insert(&store, 0, 2, &[2], &[1]);
         // No sync: everything is hot, nothing is on disk.
@@ -1908,13 +1919,13 @@ mod tests {
 
     #[test]
     fn corrupt_tail_is_truncated_and_only_its_copies_lost() {
-        let store = seg(u64::MAX);
+        let store = seg(ROOMY);
         insert(&store, 0, 1, &[1], &[0, 1]);
         insert(&store, 0, 2, &[2], &[1]);
         store.sync();
         // Chop 3 bytes off peer 1's log: the *last* frame (key 2, its sole
         // copy) is now truncated mid-frame.
-        let path = store.segment_path(1, 0);
+        let path = segment_path(&store, 1, 0);
         let len = std::fs::metadata(&path).unwrap().len();
         std::fs::OpenOptions::new()
             .write(true)
@@ -1978,7 +1989,7 @@ mod tests {
         insert(store, 0, 12, &[12], &[1]);
         store.sync();
         // Peer 1's last frame is key 12's only copy.
-        let path = store.segment_path(1, 0);
+        let path = segment_path(store, 1, 0);
         let len = std::fs::metadata(&path).unwrap().len();
         std::fs::OpenOptions::new()
             .write(true)
@@ -2101,7 +2112,7 @@ mod tests {
 
     #[test]
     fn stale_versions_are_not_recovered() {
-        let store = seg(u64::MAX);
+        let store = seg(ROOMY);
         insert(&store, 0, 1, &[1], &[0, 1]);
         store.sync(); // seals v1 to peers 0 and 1
         insert(&store, 0, 1, &[2], &[0, 1]); // un-seals; v1 frames go stale
@@ -2123,7 +2134,7 @@ mod tests {
         let scratch = tempfile::tempdir().unwrap();
         let dir = scratch.path().join("segments");
         {
-            let store = SegmentStore::at_dir(VecCodec, dir.clone(), u64::MAX);
+            let store = SegmentStore::at_dir(VecCodec, dir.clone(), ROOMY);
             insert(&store, 7, 99, &[1, 2, 3], &[0]);
             store.sync();
         }

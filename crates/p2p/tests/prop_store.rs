@@ -1,8 +1,9 @@
-//! `MemStore` and `SegmentStore` against a `BTreeMap` reference model.
+//! The `SegmentStore` against a `BTreeMap` reference model: unbounded,
+//! under a hot budget of 48 bytes per stripe, and under 64 KiB.
 //!
 //! A stripe packs its entries densely and indexes them by position, so a
 //! removal moves the last entry into the hole and re-points its index
-//! entry; the tiered store keeps two such tables, and under a hot budget
+//! entry; a budgeted store keeps two such tables, and under a hot budget
 //! of a few entries its keys seal, un-seal and re-seal every few
 //! operations. Random `upsert` / `retain` / `scan_mut` / `sync` /
 //! `recover` sequences — over few keys and few stripes, so updates,
@@ -10,15 +11,18 @@
 //! store with exactly the model's contents, lengths and holder sets after
 //! every step: through `get`, `scan`, and the lookup path `get_many`.
 
-use hdk_p2p::{MemStore, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
+use hdk_p2p::{RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
 
 const STRIPES: usize = 2;
-/// Enough keys that a `MemStore` stripe outgrows its first chunk.
+/// Enough keys that an unbounded stripe outgrows its first chunk.
 const MEM_KEYS: u64 = 600;
-/// Few enough that every sweep of a tiered stripe stays cheap.
+/// Few enough that every sweep of a budgeted stripe stays cheap.
 const SEGMENT_KEYS: u64 = 40;
+/// The budgeted store's total hot budget: 512 bytes per stripe, a few
+/// entries' worth once values and holder sets grow.
+const HOT_BYTES: u64 = 64 << 10;
 /// Peer indices drawn for holder sets: more than the inline capacity, so
 /// holder sets spill to the heap and shrink back.
 const PEERS: u32 = 9;
@@ -233,17 +237,21 @@ proptest! {
     fn mem_store_matches_a_btreemap(
         ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u32>(), any::<u32>()), 1..400),
     ) {
-        let store: MemStore<Vec<u32>> = MemStore::new();
+        // The unbounded store: the in-memory store, which never seals.
+        let store = SegmentStore::ephemeral(VecCodec, u64::MAX);
         matches_the_model(&store, MEM_KEYS, ops);
+        assert!(store.dir().is_none(), "the unbounded store made a directory");
     }
 
     #[test]
     fn segment_store_matches_a_btreemap(
-        ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u32>(), any::<u32>()), 1..200),
+        ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u32>(), any::<u32>()), 1..300),
     ) {
         // 48 hot bytes per stripe: a few short values, so every few
         // operations seal, un-seal or re-seal a key.
-        let store = SegmentStore::ephemeral(VecCodec, 48 * hdk_p2p::NUM_STRIPES as u64);
-        matches_the_model(&store, SEGMENT_KEYS, ops);
+        let tight = SegmentStore::ephemeral(VecCodec, 48 * hdk_p2p::NUM_STRIPES as u64);
+        matches_the_model(&tight, SEGMENT_KEYS, ops.clone());
+        let budgeted = SegmentStore::ephemeral(VecCodec, HOT_BYTES);
+        matches_the_model(&budgeted, SEGMENT_KEYS, ops);
     }
 }

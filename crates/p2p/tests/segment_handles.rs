@@ -40,7 +40,6 @@ fn handles_follow_segment_files_and_close_with_the_store() {
     // 8 hot bytes per stripe: the first rounds seal as they go, `sync`
     // seals the rest.
     let store = SegmentStore::ephemeral(RawCodec, NUM_STRIPES as u64 * 8);
-    let dir = store.dir().to_path_buf();
     for round in 0..3u8 {
         for key in 0..KEYS {
             store.upsert(
@@ -55,6 +54,7 @@ fn handles_follow_segment_files_and_close_with_the_store() {
         }
     }
     store.sync();
+    let dir = store.dir().expect("the store has sealed").to_path_buf();
     let files = seg_files(&dir);
     assert!(
         files > 2 * PEERS as usize,

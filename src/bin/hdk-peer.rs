@@ -13,7 +13,8 @@
 //! With `--store-dir`, entries live in a durable segment store at that
 //! directory (hot budget from `HDK_STORE=segment:<bytes>`, or the
 //! default budget); without it, `HDK_STORE` alone decides (an ephemeral
-//! scratch store for `segment`, in-memory otherwise).
+//! scratch store for `segment`, in-memory otherwise). A malformed
+//! `HDK_STORE` exits 2 with the usage, like a malformed argument.
 //!
 //! Prints `LISTEN <addr>` on stdout once bound, so a parent process
 //! using port 0 can discover the actual address.
@@ -59,10 +60,17 @@ fn main() {
         usage()
     };
 
+    let from_env = match std::env::var("HDK_STORE") {
+        Err(_) => StoreConfig::Memory,
+        Ok(v) => StoreConfig::parse(&v).unwrap_or_else(|e| {
+            eprintln!("hdk-peer: {e}");
+            usage()
+        }),
+    };
     // A durable directory overrides the env store's ephemeral location
     // but keeps its hot budget (so `HDK_STORE=segment:<bytes>` still
     // sizes the hot tier).
-    let store = match (store_dir, StoreConfig::from_env()) {
+    let store = match (store_dir, from_env) {
         (Some(dir), StoreConfig::Segment { hot_bytes, .. }) => StoreConfig::Segment {
             dir: Some(dir),
             hot_bytes,

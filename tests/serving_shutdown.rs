@@ -206,3 +206,20 @@ fn graceful_shutdown_then_restart_is_lossless() {
     let after = outcomes(&service, &collection);
     assert_eq!(before, after, "query outcomes diverge after restart");
 }
+
+#[test]
+fn a_malformed_hdk_store_exits_2_with_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_hdk-peer"))
+        .args([
+            "--nprocs", "1", "--proc", "0", "--peers", "2", "--dfmax", "4",
+        ])
+        .env("HDK_STORE", "segment:x")
+        .output()
+        .expect("run hdk-peer");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("HDK_STORE"), "{stderr}");
+    assert!(stderr.contains("usage: hdk-peer"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "it bound a listener");
+}
