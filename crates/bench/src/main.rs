@@ -526,29 +526,35 @@ fn ablate_redundancy(args: &[String]) -> Result<(), String> {
 }
 
 /// In-memory bytes per stored key the unbounded store may cost: its hot
-/// slot (the key entry and holder set, 144 B with the key), its share of
+/// slot (the key entry and holder set, 128 B with the key), its share of
 /// the index table — no seal queue, which an unbounded store never fills
-/// — a block and the rare spilled lists and doc-sets.
-const MAX_BYTES_PER_KEY: f64 = 240.0;
+/// — the blocks too long to sit inline and the rare spilled lists and
+/// doc-sets. Measured at the CI smoke (`RAYON_NUM_THREADS=1 ... --peers 4
+/// --docs-per-peer 150`): 169.4 / 177.6 at `DFmax` 30 / 40, plus 5 %.
+/// Every block in its own allocation, in a 144-byte slot, read 207.4 /
+/// 215.3.
+const MAX_BYTES_PER_KEY: f64 = 186.0;
 
 /// The live heap a one-thread build on the unbounded store may hold at its
 /// peak, above what was live before it started, per byte of the index it
 /// leaves: the index, the peers' own state and one peer's round in flight
 /// (its key generation's scratch is the largest part). Measured at the CI
-/// smoke (`RAYON_NUM_THREADS=1 ... --peers 4 --docs-per-peer 150`): 1.23 /
-/// 1.32 at `DFmax` 30 / 40. Shipping a round as one message read 1.68 /
-/// 1.69.
+/// smoke (`RAYON_NUM_THREADS=1 ... --peers 4 --docs-per-peer 150`): 1.21 /
+/// 1.39 at `DFmax` 30 / 40 — 1.23 / 1.32 while every block had its own
+/// allocation: the round in flight weighs the same, the index it is
+/// divided by shrank. Shipping a round as one message read 1.68 / 1.69.
 /// With more threads a wave of peers computes side by side and the peak
 /// depends on their schedule (1.35–1.48 at `DFmax` 40 over 2–8 threads),
 /// so it is printed, not asserted.
 const MAX_BUILD_PEAK_PER_INDEX_BYTE: f64 = 1.4;
 
 /// Hot-tier table bytes per hot key a budgeted store may cost: its packed
-/// slot with the key (144 B), its share of the index and of the seal
+/// slot with the key (128 B), its share of the index and of the seal
 /// queue, which keep the size of the tier's peak, and a chunk's slack.
-/// 299.5 B measured at the CI smoke (`HDK_STORE=segment:65536 --peers 4
-/// --docs-per-peer 150`, 31 hot keys a stripe), plus 5 %.
-const MAX_HOT_TABLE_BYTES_PER_HOT_KEY: f64 = 314.5;
+/// 273.5 B measured at the CI smoke (`HDK_STORE=segment:65536 --peers 4
+/// --docs-per-peer 150`, 31 hot keys a stripe), plus 5 %; 299.5 B with
+/// 144-byte slots.
+const MAX_HOT_TABLE_BYTES_PER_HOT_KEY: f64 = 287.2;
 
 /// Sealed-index bytes per sealed key: its packed entry — version, frame
 /// size and one inline frame location, 48 B with the key — its share of

@@ -15,9 +15,9 @@
 //! threads (a lookup's answer does not depend on who asks, only its
 //! metering does). A hit skips the DHT round trip entirely — no messages,
 //! no postings on the wire. Cached postings are the same encoded block the
-//! index stores and the wire carried (the underlying `Bytes` buffer is
-//! refcounted), so a hit is zero-copy and the cache's memory cost is the
-//! block, not a decoded list.
+//! index stores and the wire carried (a short block is a 32-byte copy, a
+//! long one a shared buffer), so a hit decodes nothing and the cache's
+//! memory cost is the block, not a decoded list.
 //!
 //! ## One writer, epoch invalidation
 //!

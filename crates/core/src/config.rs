@@ -83,25 +83,32 @@ impl StoreConfig {
 /// (connect, read and write), overridable with `HDK_NET_TIMEOUT_MS`.
 pub const DEFAULT_NET_TIMEOUT_MS: u64 = 5_000;
 
-/// Reads the serving tier's per-request deadline from the
-/// `HDK_NET_TIMEOUT_MS` environment variable (milliseconds, at least 1;
-/// unset or empty for [`DEFAULT_NET_TIMEOUT_MS`]) — a deployment setting:
-/// how long a dead peer process may cost before it counts as a transport
-/// error.
-///
-/// # Panics
-/// Panics on a value that is not a positive integer (a mistyped deadline
-/// must fail loudly, not silently fall back to the default).
-pub fn net_timeout_from_env() -> Duration {
-    let ms = match std::env::var("HDK_NET_TIMEOUT_MS") {
-        Err(_) => DEFAULT_NET_TIMEOUT_MS,
-        Ok(v) if v.is_empty() => DEFAULT_NET_TIMEOUT_MS,
-        Ok(v) => match v.parse::<u64>() {
-            Ok(ms) if ms >= 1 => ms,
-            _ => panic!("HDK_NET_TIMEOUT_MS must be a positive number of milliseconds, got {v:?}"),
+/// Parses an `HDK_NET_TIMEOUT_MS` value: a positive number of
+/// milliseconds, or empty for [`DEFAULT_NET_TIMEOUT_MS`]. The error names
+/// the variable.
+pub fn parse_net_timeout(value: &str) -> Result<Duration, String> {
+    match value {
+        "" => Ok(Duration::from_millis(DEFAULT_NET_TIMEOUT_MS)),
+        _ => match value.parse::<u64>() {
+            Ok(ms) if ms >= 1 => Ok(Duration::from_millis(ms)),
+            _ => Err(format!(
+                "HDK_NET_TIMEOUT_MS must be a positive number of milliseconds, got {value:?}"
+            )),
         },
-    };
-    Duration::from_millis(ms)
+    }
+}
+
+/// Reads the serving tier's per-request deadline from the
+/// `HDK_NET_TIMEOUT_MS` environment variable (see [`parse_net_timeout`];
+/// unset for [`DEFAULT_NET_TIMEOUT_MS`]) — a deployment setting: how long
+/// a dead peer process may cost before it counts as a transport error.
+/// A mistyped deadline is an error, never a silent fall back to the
+/// default.
+pub fn net_timeout_from_env() -> Result<Duration, String> {
+    match std::env::var("HDK_NET_TIMEOUT_MS") {
+        Err(_) => Ok(Duration::from_millis(DEFAULT_NET_TIMEOUT_MS)),
+        Ok(v) => parse_net_timeout(&v),
+    }
 }
 
 /// Parameters of the HDK indexing/retrieval model.
@@ -296,6 +303,39 @@ mod tests {
         for bad in ["segment:x", "segment:", "disk", "segment:-1"] {
             let err = StoreConfig::parse(bad).expect_err(bad);
             assert!(err.contains("HDK_STORE") && err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn net_timeout_parses_and_names_the_variable() {
+        assert_eq!(
+            parse_net_timeout(""),
+            Ok(Duration::from_millis(DEFAULT_NET_TIMEOUT_MS))
+        );
+        assert_eq!(parse_net_timeout("250"), Ok(Duration::from_millis(250)));
+        for bad in ["0", "-5", "1.5", "5s", "x"] {
+            let err = parse_net_timeout(bad).expect_err(bad);
+            assert!(
+                err.contains("HDK_NET_TIMEOUT_MS") && err.contains(bad),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn backend_config_parses_every_form_and_names_the_variable() {
+        use crate::BackendConfig;
+        assert_eq!(BackendConfig::parse(""), Ok(BackendConfig::InProc));
+        assert_eq!(BackendConfig::parse("inproc"), Ok(BackendConfig::InProc));
+        assert_eq!(
+            BackendConfig::parse("tcp:127.0.0.1:7001,127.0.0.1:7002"),
+            Ok(BackendConfig::Tcp {
+                addrs: vec!["127.0.0.1:7001".into(), "127.0.0.1:7002".into()],
+            })
+        );
+        for bad in ["tcp:", "tcp", "simnet", "udp:1.2.3.4:5"] {
+            let err = BackendConfig::parse(bad).expect_err(bad);
+            assert!(err.contains("HDK_BACKEND") && err.contains(bad), "{err}");
         }
     }
 

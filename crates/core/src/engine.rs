@@ -76,26 +76,31 @@ pub enum BackendConfig {
 }
 
 impl BackendConfig {
-    /// Reads `HDK_BACKEND` from the environment:
-    /// `inproc` (or unset) — the in-process default;
-    /// `tcp:host:port,host:port,...` — the serving tier over the listed
-    /// peer processes. Panics on anything else, listing the valid forms
-    /// (same discipline as `StoreConfig::from_env`).
-    pub fn from_env() -> BackendConfig {
-        match std::env::var("HDK_BACKEND") {
-            Err(_) => BackendConfig::InProc,
-            Ok(raw) => match raw.as_str() {
-                "" | "inproc" => BackendConfig::InProc,
-                spec => match spec.strip_prefix("tcp:") {
-                    Some(list) if !list.is_empty() => BackendConfig::Tcp {
-                        addrs: list.split(',').map(str::to_string).collect(),
-                    },
-                    _ => panic!(
-                        "invalid HDK_BACKEND {spec:?}: expected \"inproc\" or \
-                         \"tcp:host:port,host:port,...\""
-                    ),
-                },
+    /// Parses an `HDK_BACKEND` value: `inproc` (or empty) for the
+    /// in-process default, `tcp:host:port,host:port,...` for the serving
+    /// tier over the listed peer processes. The error names the variable
+    /// and the valid forms.
+    pub fn parse(value: &str) -> Result<BackendConfig, String> {
+        match value {
+            "" | "inproc" => Ok(BackendConfig::InProc),
+            spec => match spec.strip_prefix("tcp:") {
+                Some(list) if !list.is_empty() => Ok(BackendConfig::Tcp {
+                    addrs: list.split(',').map(str::to_string).collect(),
+                }),
+                _ => Err(format!(
+                    "HDK_BACKEND must be `inproc` or `tcp:host:port,host:port,...`, got {spec:?}"
+                )),
             },
+        }
+    }
+
+    /// Reads `HDK_BACKEND` from the environment (see
+    /// [`BackendConfig::parse`]; unset is the in-process default). A
+    /// binary exits on the error (`hdk-front` with its usage).
+    pub fn from_env() -> Result<BackendConfig, String> {
+        match std::env::var("HDK_BACKEND") {
+            Err(_) => Ok(BackendConfig::InProc),
+            Ok(v) => Self::parse(&v),
         }
     }
 

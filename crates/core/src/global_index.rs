@@ -30,8 +30,9 @@
 //! streams it through the ranker. Inserts merge block-to-block
 //! (sorted streaming merge, never materializing a `Vec<Posting>`), the
 //! byte meters report the *actual* block sizes that were stored or
-//! transmitted, lookups hand back a refcounted clone of the resident
-//! block, and exact `df` bookkeeping past truncation uses a
+//! transmitted, lookups hand back a clone of the resident block (a short
+//! block sits inline, a long one is shared), and exact `df` bookkeeping
+//! past truncation uses a
 //! [`CompressedDocSet`] in place of the former `HashSet<u32>`.
 
 use crate::classify::{classify, KeyClass};
@@ -79,6 +80,11 @@ pub struct KeyEntry {
     pub seen_docs: Option<Box<CompressedDocSet>>,
 }
 
+// Every stored key pays for its slot: the entry and its holder set
+// (`tests/alloc_budget.rs` measures what a key costs beyond it).
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<hdk_p2p::Slot<KeyEntry>>() == 120);
+
 // One encoding for the segment log and the wire: key, block, df,
 // contributors, NDK flag, doc-set — each part validated by its own decoder.
 wire_record!(KeyEntry[19](
@@ -93,9 +99,9 @@ wire_record!(KeyEntry[19](
 /// Result of a retrieval-time key lookup.
 #[derive(Debug, Clone)]
 pub struct KeyLookup {
-    /// Stored postings (full for HDK, truncated for NDK) — a refcounted
-    /// clone of the resident block, so lookups (and cache hits) copy no
-    /// posting data.
+    /// Stored postings (full for HDK, truncated for NDK) — a clone of the
+    /// resident block: a 32-byte copy of a short block, a reference-count
+    /// bump on a long one.
     pub postings: CompressedPostings,
     /// Global document frequency.
     pub df: u32,
@@ -185,8 +191,8 @@ impl StoreService for IndexStore {
         entry.is_ndk
     }
 
-    /// Builds one lookup response from a stored entry: the refcounted
-    /// block clone plus the `(postings, bytes)` payload accounting for the
+    /// Builds one lookup response from a stored entry: the block's clone
+    /// plus the `(postings, bytes)` payload accounting for the
     /// response meter (a miss answers with an 8-byte "not found").
     fn read(&self, key: &Key, entry: Option<&KeyEntry>) -> (Option<KeyLookup>, u64, u64) {
         match entry {
@@ -343,11 +349,10 @@ impl StoreService for IndexStore {
                         }
                         total.hot_keys += 1;
                         total.contributor_spill_bytes += e.contributors.spilled_bytes() as u64;
-                        total.block_bytes += (ARC_HEADER_BYTES + e.postings.encoded_len()) as u64;
+                        total.block_bytes += e.postings.heap_bytes() as u64;
                         if let Some(seen) = &e.seen_docs {
                             total.docset_bytes += (std::mem::size_of::<CompressedDocSet>()
-                                + ARC_HEADER_BYTES
-                                + seen.encoded_len())
+                                + seen.heap_bytes())
                                 as u64;
                         }
                     });
@@ -514,7 +519,8 @@ impl StoreCodec<KeyEntry> for KeyEntryCodec {
     /// What [`IndexStore::read`] answers from: the key (the collision
     /// guard), the block, `df` and the NDK flag. The contributor list and
     /// the doc-set are bounds-checked and skipped — the entry comes back
-    /// with neither — and the block is copied once, out of the frame. A
+    /// with neither — and the block is copied once, out of the frame (into
+    /// the entry itself when it fits inline). A
     /// payload is refused on every truncation and every trailing byte,
     /// like [`KeyEntryCodec::decode`].
     fn decode_lookup(&self, bytes: &[u8]) -> Option<KeyEntry> {
@@ -1175,10 +1181,6 @@ impl PeerStorage {
     }
 }
 
-/// The reference counts in front of a shared buffer's bytes (a posting
-/// block or doc-set is one `Arc<[u8]>` allocation).
-const ARC_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
-
 /// Where the index's in-memory bytes go, summed over every host. Each
 /// entry counts once, however many holders it has: one process stores one
 /// copy. Only resident (hot) entries own value bytes; a tiered store's
@@ -1200,10 +1202,11 @@ pub struct IndexFootprint {
     pub holder_spill_bytes: u64,
     /// Heap slices of contributor lists too long to sit inline.
     pub contributor_spill_bytes: u64,
-    /// Posting blocks: encoded bytes plus each block's reference counts.
+    /// Posting blocks too long to sit inline in their entry: encoded
+    /// bytes plus each block's reference counts.
     pub block_bytes: u64,
-    /// `df` doc-sets: the boxed set, its encoded bytes and reference
-    /// counts.
+    /// `df` doc-sets: the boxed set and, for a set too long to sit inline,
+    /// its encoded bytes and reference counts.
     pub docset_bytes: u64,
 }
 

@@ -204,14 +204,15 @@ impl TcpNet {
     /// Connects to `addrs` (one peer process each), verifying protocol
     /// version and index geometry with every process before any traffic
     /// flows. The overlay must describe the *full* logical peer set —
-    /// the same construction every process ran.
+    /// the same construction every process ran. A malformed
+    /// `HDK_NET_TIMEOUT_MS` is a [`WireError::Protocol`].
     pub fn connect(
         addrs: &[String],
         overlay: Box<PGrid>,
         dfmax: u32,
         replication: usize,
     ) -> WireResult<TcpNet> {
-        let timeout = net_timeout_from_env();
+        let timeout = net_timeout_from_env().map_err(WireError::Protocol)?;
         let clients: Vec<PeerClient> = addrs
             .iter()
             .enumerate()

@@ -1,7 +1,7 @@
 //! Property tests for the serving tier's wire codec
 //! (`hdk_core::serve::codec`, `hdk_p2p::wire`).
 //!
-//! Four families, the first two mirroring the malformed-frame fuzz style
+//! Six families, the first two mirroring the malformed-frame fuzz style
 //! of `crates/ir/tests/prop_ir.rs`:
 //!
 //! 1. **Round-trip**: every [`WireRequest`]/[`WireResponse`] variant —
@@ -24,6 +24,9 @@
 //! 5. **Lookup decode**: a stored entry decoded for a lookup (a sealed
 //!    read's path) reads exactly what the full decoder reads of its key,
 //!    block, `df` and NDK flag, and refuses what it refuses at the ends.
+//! 6. **Inline capacity**: an entry whose block and doc-set straddle the
+//!    size that sits inline comes back from the wire and the segment
+//!    codec holding the same bytes, held the same way.
 //!
 //! The vendored proptest shim has no `prop_oneof`/`sample` combinators,
 //! so variant choice and payload shapes come from a small seeded
@@ -143,6 +146,35 @@ impl Gen {
             });
         }
         CompressedPostings::from_list(&PostingList::from_sorted(postings))
+    }
+
+    /// An entry whose block (1–7 postings of one- and two-byte values,
+    /// 4–43 bytes) and doc-set (1–24 documents, 2–49 bytes) each fall on
+    /// either side of the inline capacity.
+    fn boundary_entry(&mut self) -> KeyEntry {
+        let mut doc = 0u32;
+        let postings: Vec<Posting> = (0..1 + self.below(7))
+            .map(|_| {
+                doc += 1 + self.below(200) as u32;
+                Posting {
+                    doc: DocId(doc),
+                    tf: 1 + self.below(200) as u32,
+                    doc_len: 1 + self.below(300) as u32,
+                }
+            })
+            .collect();
+        let mut doc = 0u32;
+        let seen: Vec<DocId> = (0..1 + self.below(24))
+            .map(|_| {
+                doc += 1 + self.below(300) as u32;
+                DocId(doc)
+            })
+            .collect();
+        KeyEntry {
+            postings: CompressedPostings::from_postings(&postings),
+            seen_docs: Some(Box::new(CompressedDocSet::from_sorted_docs(seen))),
+            ..self.entry()
+        }
     }
 
     fn migrations(&mut self) -> Vec<MigrationStats> {
@@ -588,10 +620,7 @@ fn an_insert_carrying_a_retired_block_does_not_decode() {
     };
     let block =
         CompressedPostings::from_list(&PostingList::from_sorted(vec![posting(3), posting(10)]));
-    assert_eq!(
-        block.as_bytes().as_ref(),
-        [0x02, 0x04, 0x01, 0x67, 0x07, 0x01, 0x67]
-    );
+    assert_eq!(block.as_bytes(), [0x02, 0x04, 0x01, 0x67, 0x07, 0x01, 0x67]);
     let key = Key::single(TermId(5));
     let valid = WireRequest::Rpc(Request::InsertBatch {
         batches: vec![(
@@ -606,7 +635,7 @@ fn an_insert_carrying_a_retired_block_does_not_decode() {
     assert!(WireRequest::decode(&valid).is_ok());
     let at = valid
         .windows(RETIRED.len())
-        .position(|w| w == block.as_bytes().as_ref())
+        .position(|w| w == block.as_bytes())
         .expect("the block travels verbatim");
     let mut retired = valid;
     retired[at..at + RETIRED.len()].copy_from_slice(&RETIRED);
@@ -740,6 +769,33 @@ proptest! {
             longer.push(gen.next() as u8);
             prop_assert!(KeyEntryCodec.decode_lookup(&longer).is_none());
         }
+    }
+
+    /// An entry whose block and doc-set straddle the inline capacity
+    /// comes back from the wire and from the segment codec — in full and
+    /// for a lookup — holding the same bytes, and re-encodes to the same
+    /// payload.
+    #[test]
+    fn entries_straddling_the_inline_capacity_round_trip(seed in any::<u64>()) {
+        let entry = Gen(seed).boundary_entry();
+        let seen = entry.seen_docs.as_deref().expect("a doc-set");
+        let payload = hdk_p2p::wire::encode(&entry);
+        let mut stored = Vec::new();
+        KeyEntryCodec.encode(&entry, &mut stored);
+        prop_assert_eq!(&stored, &payload);
+        let from_wire: KeyEntry = hdk_p2p::wire::decode(&payload).expect("an entry decodes");
+        let from_log = KeyEntryCodec.decode(&stored).expect("a stored entry decodes");
+        let lookup = KeyEntryCodec.decode_lookup(&stored).expect("a lookup decodes");
+        for back in [&from_wire, &from_log] {
+            prop_assert_eq!(&back.postings, &entry.postings);
+            prop_assert_eq!(back.postings.heap_bytes(), entry.postings.heap_bytes());
+            let back_seen = back.seen_docs.as_deref().expect("a doc-set");
+            prop_assert_eq!(back_seen.as_bytes(), seen.as_bytes());
+            prop_assert_eq!(back_seen.heap_bytes(), seen.heap_bytes());
+            prop_assert_eq!(hdk_p2p::wire::encode(back), payload.clone());
+        }
+        prop_assert_eq!(lookup.postings.as_bytes(), entry.postings.as_bytes());
+        prop_assert_eq!(lookup.postings.heap_bytes(), entry.postings.heap_bytes());
     }
 
     /// Arbitrary garbage never panics either.

@@ -25,7 +25,7 @@ pub enum Codec {
 
 /// Encodes a posting list into its framed block.
 pub fn encode(list: &PostingList) -> Bytes {
-    CompressedPostings::from_list(list).into_bytes()
+    Bytes::copy_from_slice(CompressedPostings::from_list(list).as_bytes())
 }
 
 /// Decodes a posting list produced by [`encode`].
@@ -34,7 +34,7 @@ pub fn encode(list: &PostingList) -> Bytes {
 /// well-formed block followed by trailing garbage: the buffer must be
 /// fully consumed.
 pub fn decode(bytes: Bytes) -> Option<PostingList> {
-    CompressedPostings::from_bytes(bytes).map(|c| c.decode())
+    CompressedPostings::from_bytes(&bytes).map(|c| c.decode())
 }
 
 /// Size in bytes of the encoded form without materializing it.
@@ -50,17 +50,34 @@ pub fn encoded_len(list: &PostingList) -> usize {
     n
 }
 
-/// Appends a LEB128 varint to `buf`.
-pub(crate) fn write_varint(buf: &mut Vec<u8>, mut v: u64) {
+/// Emits the LEB128 bytes of `v` in order: seven bits a byte, the high
+/// bit set on every byte but the last.
+#[inline]
+fn varint_bytes(mut v: u64, mut emit: impl FnMut(u8)) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.push(byte);
+            emit(byte);
             return;
         }
-        buf.push(byte | 0x80);
+        emit(byte | 0x80);
     }
+}
+
+/// Appends a LEB128 varint to `buf`.
+pub(crate) fn write_varint(buf: &mut Vec<u8>, v: u64) {
+    varint_bytes(v, |byte| buf.push(byte));
+}
+
+/// Writes a LEB128 varint over the front of `out`, which must hold its
+/// [`varint_len`] bytes.
+pub(crate) fn write_varint_to_slice(out: &mut [u8], v: u64) {
+    let mut at = 0;
+    varint_bytes(v, |byte| {
+        out[at] = byte;
+        at += 1;
+    });
 }
 
 /// Reads a LEB128 varint from `buf` at `pos`, advancing it. Returns `None`
@@ -185,6 +202,9 @@ mod tests {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
             assert_eq!(varint_len(v), buf.len(), "len vs encode for {v}");
+            let mut slice = [0xff; 10];
+            write_varint_to_slice(&mut slice[..buf.len()], v);
+            assert_eq!(&slice[..buf.len()], &buf[..], "slice vs vec for {v}");
         }
     }
 

@@ -1,12 +1,17 @@
 //! Compressed posting blocks — the *resident* posting format.
 //!
 //! [`CompressedPostings`] keeps a posting list as an encoded block that
-//! also travels over the wire, plus a small skip header (count, min/max
-//! doc, byte length) held in struct fields so the common questions —
-//! `len()`, `max_doc()`, `encoded_len()` — never touch the block. The
-//! same bytes therefore serve storage, wire transfer and the query cache:
-//! cloning is an `Arc` bump on the underlying [`Bytes`], and a cache hit
-//! shares the block instead of copying postings.
+//! also travels over the wire, plus a small skip header (count, max doc)
+//! held in struct fields so the common questions — `len()`, `max_doc()`,
+//! `encoded_len()` — never touch the block. The same bytes therefore
+//! serve storage, wire transfer and the query cache.
+//!
+//! A block of at most [`INLINE_BYTES`] sits inside its struct, which is
+//! 32 bytes either way: an index keeps a great many keys with a few
+//! postings each, and most of their blocks fit. A longer block is one
+//! shared heap slice, so cloning it is a reference-count bump; cloning an
+//! inline block copies its 32 bytes. Which of the two a block is follows
+//! from its length alone.
 //!
 //! The block is delta + LEB128 ([`crate::codec`]): `varint(count)` then per
 //! posting `varint(doc_gap) varint(tf) varint(doc_len)`, first gap
@@ -24,47 +29,214 @@
 //! ascending document ids) skips the decode/re-encode cycle entirely and
 //! appends by copying the resident bytes, re-coding only the incoming
 //! block's first gap — producing exactly the bytes the streaming merge
-//! would.
+//! would. Every path writes into a per-thread scratch buffer and copies
+//! the finished block once into its final place: a block that fits inline
+//! costs no allocation, a longer one exactly one.
 //!
 //! [`CompressedDocSet`] is the companion document-id set (same layout, no
 //! payloads) that replaces hash-set bookkeeping where only membership
 //! matters — e.g. exact `df` counting after truncation.
 
-use crate::codec::{read_varint, varint_len, write_varint, Codec};
+use crate::codec::{read_varint, varint_len, write_varint, write_varint_to_slice, Codec};
 use crate::posting::{Posting, PostingList};
-use bytes::Bytes;
 use hdk_corpus::DocId;
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// Encoded bytes a block may have and still sit inside its struct: with
+/// its length byte and the representation's tag it takes the 24 bytes
+/// that a shared slice's pointer, length and tag take anyway.
+pub const INLINE_BYTES: usize = 22;
+
+/// The reference counts in front of a shared slice's bytes.
+const ARC_HEADER_BYTES: usize = 2 * std::mem::size_of::<usize>();
+
+/// A framed block's bytes: inline up to [`INLINE_BYTES`], one shared
+/// heap slice beyond. The length alone picks the representation, so equal
+/// bytes are always held the same way.
+#[derive(Clone)]
+enum Block {
+    Inline { len: u8, bytes: [u8; INLINE_BYTES] },
+    Shared(Arc<[u8]>),
+}
+
+impl Block {
+    /// `varint(0)`: the empty posting block and the empty doc-set.
+    const EMPTY: Block = Block::Inline {
+        len: 1,
+        bytes: [0; INLINE_BYTES],
+    };
+
+    /// Holds a copy of `encoded`.
+    fn new(encoded: &[u8]) -> Self {
+        if encoded.len() <= INLINE_BYTES {
+            let mut bytes = [0; INLINE_BYTES];
+            bytes[..encoded.len()].copy_from_slice(encoded);
+            Block::Inline {
+                len: encoded.len() as u8,
+                bytes,
+            }
+        } else {
+            Block::Shared(Arc::from(encoded))
+        }
+    }
+
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            Block::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Block::Shared(bytes) => bytes,
+        }
+    }
+
+    /// The stream after the `varint(count)` header.
+    fn body(&self, count: u32) -> &[u8] {
+        &self.as_slice()[varint_len(u64::from(count))..]
+    }
+
+    /// Heap bytes the block owns: none inline, the slice with its
+    /// reference counts otherwise.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Block::Inline { .. } => 0,
+            Block::Shared(bytes) => ARC_HEADER_BYTES + bytes.len(),
+        }
+    }
+}
+
+impl PartialEq for Block {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Block {}
+
+/// Bytes reserved in front of a block being written, for its count
+/// header: the longest varint of a `u32`.
+const HEADER_ROOM: usize = 5;
+
+/// A thread's scratch buffer grown past this is released once its block
+/// is written: only short blocks are worth keeping a buffer for.
+const KEPT_SCRATCH_BYTES: usize = 64 << 10;
+
+thread_local! {
+    /// This thread's buffer for blocks being written, reused block to
+    /// block. A nested writer finds it taken and starts an empty one.
+    static SCRATCH: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// The one writer of posting blocks and doc-sets. Entries go into the
+/// thread's scratch buffer after [`HEADER_ROOM`] bytes — each a doc gap,
+/// a posting's `tf` and `doc_len` after it — and finishing puts the count
+/// header right in front of them and copies the framed block once, into
+/// its [`Block`].
+struct Encoder {
+    buf: Vec<u8>,
+    count: u32,
+    /// The last document written; -1 before the first.
+    prev: i64,
+}
+
+impl Encoder {
+    fn new() -> Self {
+        let mut buf = SCRATCH.take();
+        buf.clear();
+        buf.extend_from_slice(&[0; HEADER_ROOM]);
+        Self {
+            buf,
+            count: 0,
+            prev: -1,
+        }
+    }
+
+    /// Continues after the `count` entries of `block`, whose last document
+    /// is `max_doc`: the written stream is copied as it is, not re-coded.
+    fn resume(block: &Block, count: u32, max_doc: u32) -> Self {
+        let mut enc = Self::new();
+        enc.extend_coded(block.body(count), count, max_doc);
+        enc
+    }
+
+    /// Appends `count` entries already coded relative to the last document
+    /// written, the last of them `last`: a byte copy, not a re-coding.
+    fn extend_coded(&mut self, coded: &[u8], count: u32, last: u32) {
+        self.buf.extend_from_slice(coded);
+        if count > 0 {
+            self.count += count;
+            self.prev = i64::from(last);
+        }
+    }
+
+    /// Starts the next entry with its gap from the previous document.
+    fn doc(&mut self, doc: DocId) {
+        let gap = i64::from(doc.0) - self.prev;
+        debug_assert!(gap > 0, "documents must arrive strictly ascending");
+        write_varint(&mut self.buf, gap as u64);
+        self.prev = i64::from(doc.0);
+        self.count += 1;
+    }
+
+    fn posting(&mut self, p: Posting) {
+        self.doc(p.doc);
+        write_varint(&mut self.buf, u64::from(p.tf));
+        write_varint(&mut self.buf, u64::from(p.doc_len));
+    }
+
+    /// The framed block, its entry count and its last document (0 when
+    /// empty).
+    fn finish(mut self) -> (Block, u32, u32) {
+        let start = HEADER_ROOM - varint_len(u64::from(self.count));
+        write_varint_to_slice(&mut self.buf[start..], u64::from(self.count));
+        let block = Block::new(&self.buf[start..]);
+        if self.buf.capacity() <= KEPT_SCRATCH_BYTES {
+            SCRATCH.set(std::mem::take(&mut self.buf));
+        }
+        (block, self.count, self.prev.max(0) as u32)
+    }
+
+    fn postings(self) -> CompressedPostings {
+        let (block, count, max_doc) = self.finish();
+        CompressedPostings {
+            block,
+            count,
+            max_doc,
+        }
+    }
+
+    fn doc_set(self) -> CompressedDocSet {
+        let (block, count, max_doc) = self.finish();
+        CompressedDocSet {
+            block,
+            count,
+            max_doc,
+        }
+    }
+}
 
 /// A posting list stored as its framed encoded block.
 ///
 /// Invariants: the block is well-formed (validated on every untrusted
 /// construction path), documents are strictly ascending, and `count` /
-/// `min_doc` / `max_doc` mirror the block contents.
+/// `max_doc` mirror the block contents.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CompressedPostings {
     /// The framed block — byte-identical to the wire payload, so wire
-    /// size and resident size are the same number.
-    block: Bytes,
+    /// size and encoded size are the same number.
+    block: Block,
     /// Number of postings (skip header).
     count: u32,
     /// Largest document id in the block; meaningful when `count > 0`.
     max_doc: u32,
-    /// Smallest document id in the block; meaningful when `count > 0`.
-    /// Drives the append-only merge fast path.
-    min_doc: u32,
 }
 
 impl CompressedPostings {
-    /// An empty block (`varint(0)` only). All empties share one
-    /// allocation — this is the default value of every fresh DHT entry, so
-    /// the insert path creates no transient garbage per new key.
-    pub fn new() -> Self {
-        static EMPTY: std::sync::OnceLock<Bytes> = std::sync::OnceLock::new();
+    /// An empty block (`varint(0)` only, inline) — the default value of
+    /// every fresh DHT entry.
+    pub const fn new() -> Self {
         Self {
-            block: EMPTY.get_or_init(|| Bytes::from(vec![0x00])).clone(),
+            block: Block::EMPTY,
             count: 0,
             max_doc: 0,
-            min_doc: 0,
         }
     }
 
@@ -79,53 +251,30 @@ impl CompressedPostings {
         Self::from_list(list)
     }
 
-    /// Encodes postings that are strictly ascending by document.
-    ///
-    /// The count is known before the first byte is written, so header and
-    /// body go into one per-thread scratch frame that is copied out once:
-    /// the block costs a single allocation however long it is — the
+    /// Encodes postings that are strictly ascending by document — the
     /// sending peer encodes one block per key it emits.
     ///
     /// # Panics
     /// Panics (debug) if the documents are not strictly ascending.
     pub fn from_postings(postings: &[Posting]) -> Self {
-        thread_local! {
-            static FRAME: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
+        let mut enc = Encoder::new();
+        for &p in postings {
+            enc.posting(p);
         }
-        let (Some(first), Some(last)) = (postings.first(), postings.last()) else {
-            return Self::new();
-        };
-        let count = u32::try_from(postings.len()).expect("a block counts its postings in a u32");
-        let block = FRAME.with_borrow_mut(|frame| {
-            frame.clear();
-            write_varint(frame, u64::from(count));
-            let mut enc = BlockEncoder::over(std::mem::take(frame));
-            for &p in postings {
-                enc.push(p);
-            }
-            *frame = enc.body;
-            Bytes::copy_from_slice(frame)
-        });
-        Self {
-            block,
-            count,
-            max_doc: last.doc.0,
-            min_doc: first.doc.0,
-        }
+        enc.postings()
     }
 
-    /// Validates and adopts an encoded block (e.g. received off the wire).
+    /// Validates and adopts a copy of an encoded block (e.g. received off
+    /// the wire).
     ///
     /// Returns `None` unless the *entire* buffer is one well-formed block:
     /// a decodable prefix followed by trailing garbage is rejected.
-    pub fn from_bytes(block: Bytes) -> Option<Self> {
-        let buf: &[u8] = &block;
+    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
         let count = read_varint(buf, &mut pos)?;
         let count = u32::try_from(count).ok()?;
         let mut prev: i64 = -1;
-        let mut min_doc = 0u32;
-        for i in 0..count {
+        for _ in 0..count {
             let gap = read_varint(buf, &mut pos)?;
             // Anything that cannot land on a u32 doc id is malformed; the
             // bound check also keeps `prev + gap` inside i64 (a crafted
@@ -134,10 +283,7 @@ impl CompressedPostings {
                 return None;
             }
             let doc = prev + gap as i64;
-            let doc32 = u32::try_from(doc).ok()?;
-            if i == 0 {
-                min_doc = doc32;
-            }
+            u32::try_from(doc).ok()?;
             let _tf = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
             let _doc_len = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
             prev = doc;
@@ -146,10 +292,9 @@ impl CompressedPostings {
             return None; // trailing garbage
         }
         Some(Self {
-            block,
+            block: Block::new(buf),
             count,
-            max_doc: if count > 0 { prev as u32 } else { 0 },
-            min_doc,
+            max_doc: prev.max(0) as u32,
         })
     }
 
@@ -168,37 +313,35 @@ impl CompressedPostings {
         (self.count > 0).then_some(DocId(self.max_doc))
     }
 
-    /// Smallest document id, without decoding. O(1).
+    /// Smallest document id: the block's first posting. O(1).
     pub fn min_doc(&self) -> Option<DocId> {
-        (self.count > 0).then_some(DocId(self.min_doc))
+        self.iter().next().map(|p| p.doc)
     }
 
-    /// Size of the block in bytes — simultaneously the resident storage
-    /// footprint and the wire payload size. O(1).
+    /// Size of the block in bytes — the wire payload size, and what the
+    /// store weighs the entry by. O(1).
     pub fn encoded_len(&self) -> usize {
-        self.block.len()
+        self.block.as_slice().len()
     }
 
-    /// The encoded block (the exact wire payload; cloning is zero-copy).
-    pub fn as_bytes(&self) -> &Bytes {
-        &self.block
+    /// Heap bytes the block owns beyond its struct: 0 for a block that
+    /// sits inline, the encoded bytes with their reference counts
+    /// otherwise.
+    pub fn heap_bytes(&self) -> usize {
+        self.block.heap_bytes()
     }
 
-    /// Consumes into the encoded block.
-    pub fn into_bytes(self) -> Bytes {
-        self.block
+    /// The encoded block (the exact wire payload).
+    pub fn as_bytes(&self) -> &[u8] {
+        self.block.as_slice()
     }
 
     /// Streaming decode: yields postings in ascending-doc order without
     /// materializing the list.
     pub fn iter(&self) -> BlockIter<'_> {
-        let buf: &[u8] = &self.block;
-        let mut pos = 0usize;
-        // The count varint was validated at construction.
-        let _ = read_varint(buf, &mut pos);
         BlockIter {
-            buf,
-            pos,
+            buf: self.block.body(self.count),
+            pos: 0,
             remaining: self.count,
             prev: -1,
         }
@@ -240,16 +383,16 @@ impl CompressedPostings {
     /// decode/re-encode cycle — with bytes identical to what this
     /// streaming merge would produce.
     pub fn merge_counting(&self, incoming: &CompressedPostings) -> (CompressedPostings, u32) {
-        if incoming.is_empty() {
+        let Some(first) = incoming.min_doc() else {
             return (self.clone(), 0);
-        }
+        };
         if self.is_empty() {
             return (incoming.clone(), incoming.count);
         }
-        if incoming.min_doc > self.max_doc {
-            return (self.append_tail(incoming), incoming.count);
+        if first.0 > self.max_doc {
+            return (self.append_tail(incoming, first), incoming.count);
         }
-        let mut enc = BlockEncoder::with_capacity(self.len() + incoming.len());
+        let mut enc = Encoder::new();
         let mut new_docs = 0u32;
         let mut a = self.iter().peekable();
         let mut b = incoming.iter().peekable();
@@ -257,16 +400,16 @@ impl CompressedPostings {
             match (a.peek(), b.peek()) {
                 (Some(&pa), Some(&pb)) => match pa.doc.cmp(&pb.doc) {
                     std::cmp::Ordering::Less => {
-                        enc.push(pa);
+                        enc.posting(pa);
                         a.next();
                     }
                     std::cmp::Ordering::Greater => {
-                        enc.push(pb);
+                        enc.posting(pb);
                         new_docs += 1;
                         b.next();
                     }
                     std::cmp::Ordering::Equal => {
-                        enc.push(Posting {
+                        enc.posting(Posting {
                             doc: pa.doc,
                             tf: pa.tf.saturating_add(pb.tf),
                             doc_len: pa.doc_len,
@@ -276,52 +419,34 @@ impl CompressedPostings {
                     }
                 },
                 (Some(&pa), None) => {
-                    enc.push(pa);
+                    enc.posting(pa);
                     a.next();
                 }
                 (None, Some(&pb)) => {
-                    enc.push(pb);
+                    enc.posting(pb);
                     new_docs += 1;
                     b.next();
                 }
                 (None, None) => break,
             }
         }
-        (enc.finish(), new_docs)
+        (enc.postings(), new_docs)
     }
 
     /// Append-only merge fast path: both blocks are non-empty and
-    /// `incoming` lies strictly beyond `max_doc`, so the resident bytes are
-    /// reusable verbatim and only `incoming`'s first gap — relative to `-1`
-    /// inside its own block, relative to `max_doc` in the merge — needs
-    /// re-coding. Everything after that first gap is a straight byte copy
-    /// of `incoming`'s tail.
-    fn append_tail(&self, incoming: &CompressedPostings) -> CompressedPostings {
-        let total = self.count + incoming.count;
-        let new_gap = u64::from(incoming.min_doc - self.max_doc);
-        let sbuf: &[u8] = &self.block;
-        let ibuf: &[u8] = &incoming.block;
-        let mut spos = 0usize;
-        let _ = read_varint(sbuf, &mut spos); // resident count header
-        let mut ipos = 0usize;
-        let _ = read_varint(ibuf, &mut ipos); // incoming count header
-        let _ = read_varint(ibuf, &mut ipos); // incoming first gap — replaced
-        let mut out = Vec::with_capacity(
-            varint_len(u64::from(total))
-                + (sbuf.len() - spos)
-                + varint_len(new_gap)
-                + (ibuf.len() - ipos),
-        );
-        write_varint(&mut out, u64::from(total));
-        out.extend_from_slice(&sbuf[spos..]);
-        write_varint(&mut out, new_gap);
-        out.extend_from_slice(&ibuf[ipos..]);
-        CompressedPostings {
-            block: Bytes::from(out),
-            count: total,
-            max_doc: incoming.max_doc,
-            min_doc: self.min_doc,
-        }
+    /// `incoming` — whose first document is `first` — lies strictly beyond
+    /// `max_doc`, so the resident bytes are reusable verbatim and only
+    /// `incoming`'s first gap — relative to `-1` inside its own block,
+    /// relative to `max_doc` in the merge — needs re-coding. Everything
+    /// after that first gap is a straight byte copy of `incoming`'s tail.
+    fn append_tail(&self, incoming: &CompressedPostings, first: DocId) -> CompressedPostings {
+        let tail = incoming.block.body(incoming.count);
+        let mut pos = 0usize;
+        let _ = read_varint(tail, &mut pos); // incoming first gap — replaced
+        let mut enc = Encoder::resume(&self.block, self.count, self.max_doc);
+        enc.doc(first);
+        enc.extend_coded(&tail[pos..], incoming.count - 1, incoming.max_doc);
+        enc.postings()
     }
 
     /// Keeps the `k` highest-`quality` postings, re-encoded in doc order —
@@ -354,7 +479,7 @@ impl std::fmt::Debug for CompressedPostings {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompressedPostings")
             .field("count", &self.count)
-            .field("bytes", &self.block.len())
+            .field("bytes", &self.encoded_len())
             .finish()
     }
 }
@@ -367,7 +492,7 @@ impl<'a> IntoIterator for &'a CompressedPostings {
     }
 }
 
-/// Streaming decoder over a validated block.
+/// Streaming decoder over a validated block's postings.
 pub struct BlockIter<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -438,148 +563,41 @@ impl Iterator for BlockIter<'_> {
 
 impl ExactSizeIterator for BlockIter<'_> {}
 
-/// Frames a finished value stream into a block: `varint(count)` then the
-/// stream.
-fn frame(count: u32, stream: &[u8]) -> Bytes {
-    let mut block = Vec::with_capacity(varint_len(u64::from(count)) + stream.len());
-    write_varint(&mut block, u64::from(count));
-    block.extend_from_slice(stream);
-    Bytes::from(block)
-}
-
-/// Incremental block writer (body buffered, header prepended on finish).
-struct BlockEncoder {
-    body: Vec<u8>,
-    count: u32,
-    prev: i64,
-    first: i64,
-}
-
-impl BlockEncoder {
-    fn with_capacity(postings: usize) -> Self {
-        Self::over(Vec::with_capacity(postings * 6))
-    }
-
-    /// An encoder appending its body to `body`.
-    fn over(body: Vec<u8>) -> Self {
-        Self {
-            body,
-            count: 0,
-            prev: -1,
-            first: 0,
-        }
-    }
-
-    fn push(&mut self, p: Posting) {
-        let gap = i64::from(p.doc.0) - self.prev;
-        debug_assert!(gap > 0, "postings must arrive strictly doc-ascending");
-        if self.count == 0 {
-            self.first = i64::from(p.doc.0);
-        }
-        write_varint(&mut self.body, gap as u64);
-        write_varint(&mut self.body, u64::from(p.tf));
-        write_varint(&mut self.body, u64::from(p.doc_len));
-        self.prev = i64::from(p.doc.0);
-        self.count += 1;
-    }
-
-    fn finish(self) -> CompressedPostings {
-        if self.count == 0 {
-            return CompressedPostings::new();
-        }
-        CompressedPostings {
-            block: frame(self.count, &self.body),
-            count: self.count,
-            max_doc: self.prev as u32,
-            min_doc: self.first as u32,
-        }
-    }
-}
-
 /// A compressed set of document ids: `varint(count)` + `varint(gap)`
 /// stream with first gap `doc + 1`. The storage-side replacement for
 /// per-key `HashSet<u32>` bookkeeping — ~1–2 bytes per document instead of
 /// 4 plus hash-table overhead — supporting exact incremental `df` counting
-/// via [`CompressedDocSet::merge_count_new`].
+/// via [`CompressedDocSet::merge_count_new`]. Held like a posting block:
+/// inline when short, one shared slice otherwise.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CompressedDocSet {
-    block: Bytes,
+    block: Block,
     count: u32,
     max_doc: u32,
 }
 
-/// Incremental gap writer for doc-sets — the one place that encodes the
-/// set's gap stream, shared by every construction/merge path.
-struct GapEncoder {
-    body: Vec<u8>,
-    count: u32,
-    prev: i64,
-}
-
-impl GapEncoder {
-    fn with_capacity(values: usize) -> Self {
-        Self {
-            body: Vec::with_capacity(values * 2),
-            count: 0,
-            prev: -1,
-        }
-    }
-
-    /// Resumes a set's gap stream (the append fast path: the encoded
-    /// stream is adopted as-is, no re-coding).
-    fn resume(set: &CompressedDocSet) -> Self {
-        let header = varint_len(u64::from(set.count));
-        Self {
-            body: set.block[header..].to_vec(),
-            count: set.count,
-            prev: if set.count > 0 {
-                i64::from(set.max_doc)
-            } else {
-                -1
-            },
-        }
-    }
-
-    fn push(&mut self, doc: DocId) {
-        let gap = i64::from(doc.0) - self.prev;
-        debug_assert!(gap > 0, "doc ids must arrive strictly ascending");
-        write_varint(&mut self.body, gap as u64);
-        self.prev = i64::from(doc.0);
-        self.count += 1;
-    }
-
-    fn finish(self) -> CompressedDocSet {
-        CompressedDocSet {
-            block: frame(self.count, &self.body),
-            count: self.count,
-            // `prev` is -1 exactly when the set is empty.
-            max_doc: self.prev.max(0) as u32,
-        }
-    }
-}
-
 impl CompressedDocSet {
     /// The empty set.
-    pub fn new() -> Self {
-        GapEncoder::with_capacity(0).finish()
+    pub const fn new() -> Self {
+        Self {
+            block: Block::EMPTY,
+            count: 0,
+            max_doc: 0,
+        }
     }
 
     /// Builds from strictly-ascending document ids.
     pub fn from_sorted_docs<I: IntoIterator<Item = DocId>>(docs: I) -> Self {
-        let mut enc = GapEncoder::with_capacity(0);
+        let mut enc = Encoder::new();
         for d in docs {
-            enc.push(d);
+            enc.doc(d);
         }
-        enc.finish()
+        enc.doc_set()
     }
 
     /// The documents of a posting block (streaming, no materialization).
     pub fn from_postings(postings: &CompressedPostings) -> Self {
-        let mut enc = GapEncoder::with_capacity(postings.len());
-        for d in postings.docs() {
-            enc.push(d);
-        }
-        enc.finish()
+        Self::from_sorted_docs(postings.docs())
     }
 
     /// Number of documents in the set. O(1).
@@ -592,23 +610,28 @@ impl CompressedDocSet {
         self.count == 0
     }
 
-    /// Resident bytes of the set. O(1).
+    /// Encoded bytes of the set. O(1).
     pub fn encoded_len(&self) -> usize {
-        self.block.len()
+        self.block.as_slice().len()
     }
 
-    /// The encoded block (cloning is zero-copy) — what the segment log
-    /// persists for a sealed entry's doc-set.
-    pub fn as_bytes(&self) -> &Bytes {
-        &self.block
+    /// Heap bytes the set's block owns (see
+    /// [`CompressedPostings::heap_bytes`]).
+    pub fn heap_bytes(&self) -> usize {
+        self.block.heap_bytes()
     }
 
-    /// Validates and adopts an encoded block (e.g. replayed from a segment
-    /// log). Mirrors [`CompressedPostings::from_bytes`]: the *entire*
-    /// buffer must be one well-formed block; a decodable prefix followed
-    /// by trailing garbage is rejected.
-    pub fn from_bytes(block: Bytes) -> Option<Self> {
-        let buf: &[u8] = &block;
+    /// The encoded block — what the segment log persists for a sealed
+    /// entry's doc-set.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.block.as_slice()
+    }
+
+    /// Validates and adopts a copy of an encoded block (e.g. replayed from
+    /// a segment log). Mirrors [`CompressedPostings::from_bytes`]: the
+    /// *entire* buffer must be one well-formed block; a decodable prefix
+    /// followed by trailing garbage is rejected.
+    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
         let mut pos = 0usize;
         let count = read_varint(buf, &mut pos)?;
         let count = u32::try_from(count).ok()?;
@@ -628,20 +651,17 @@ impl CompressedDocSet {
             return None; // trailing garbage
         }
         Some(Self {
-            block,
+            block: Block::new(buf),
             count,
-            max_doc: if count > 0 { prev as u32 } else { 0 },
+            max_doc: prev.max(0) as u32,
         })
     }
 
     /// Streaming iteration, ascending.
     pub fn iter(&self) -> impl Iterator<Item = DocId> + '_ {
-        let buf: &[u8] = &self.block;
-        let mut pos = 0usize;
-        let _ = read_varint(buf, &mut pos);
         DocSetIter {
-            buf,
-            pos,
+            buf: self.block.body(self.count),
+            pos: 0,
             remaining: self.count,
             prev: -1,
         }
@@ -681,11 +701,11 @@ impl CompressedDocSet {
         // so the existing gap stream is reusable as-is (byte copy, no
         // re-coding).
         if self.count == 0 || batch_min.0 > self.max_doc {
-            let mut enc = GapEncoder::resume(self);
+            let mut enc = Encoder::resume(&self.block, self.count, self.max_doc);
             for &d in &batch {
-                enc.push(d);
+                enc.doc(d);
             }
-            *self = enc.finish();
+            *self = enc.doc_set();
             return batch.len() as u32;
         }
         // Counting scan, terminating once every batch doc is classified.
@@ -708,7 +728,7 @@ impl CompressedDocSet {
             return 0; // pure re-announcement: the block already covers it
         }
         // Full merge re-encode.
-        let mut enc = GapEncoder::with_capacity(self.len() + batch.len());
+        let mut enc = Encoder::new();
         {
             let mut a = self.iter().peekable();
             let mut b = batch.iter().copied().peekable();
@@ -716,32 +736,32 @@ impl CompressedDocSet {
                 match (a.peek(), b.peek()) {
                     (Some(&da), Some(&db)) => match da.cmp(&db) {
                         std::cmp::Ordering::Less => {
-                            enc.push(da);
+                            enc.doc(da);
                             a.next();
                         }
                         std::cmp::Ordering::Greater => {
-                            enc.push(db);
+                            enc.doc(db);
                             b.next();
                         }
                         std::cmp::Ordering::Equal => {
-                            enc.push(da);
+                            enc.doc(da);
                             a.next();
                             b.next();
                         }
                     },
                     (Some(&da), None) => {
-                        enc.push(da);
+                        enc.doc(da);
                         a.next();
                     }
                     (None, Some(&db)) => {
-                        enc.push(db);
+                        enc.doc(db);
                         b.next();
                     }
                     (None, None) => break,
                 }
             }
         }
-        *self = enc.finish();
+        *self = enc.doc_set();
         new_docs
     }
 }
@@ -756,7 +776,7 @@ impl std::fmt::Debug for CompressedDocSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompressedDocSet")
             .field("count", &self.count)
-            .field("bytes", &self.block.len())
+            .field("bytes", &self.encoded_len())
             .finish()
     }
 }
@@ -781,6 +801,13 @@ impl Iterator for DocSetIter<'_> {
         Some(DocId(doc as u32))
     }
 }
+
+// A posting block's handle is 32 bytes whether it holds its block inline
+// or shares it: the 24-byte block plus count and `max_doc`.
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<CompressedPostings>() == 32);
+#[cfg(target_pointer_width = "64")]
+const _: () = assert!(std::mem::size_of::<CompressedDocSet>() == 32);
 
 #[cfg(test)]
 mod tests {
@@ -813,7 +840,7 @@ mod tests {
     fn block_matches_codec_wire_format() {
         let l = list(&[(3, 1), (90, 5), (4_000, 2)]);
         let c = CompressedPostings::from_list(&l);
-        assert_eq!(c.as_bytes().as_ref(), crate::codec::encode(&l).as_ref());
+        assert_eq!(c.as_bytes(), crate::codec::encode(&l).as_ref());
         assert_eq!(c.encoded_len(), crate::codec::encoded_len(&l));
     }
 
@@ -824,7 +851,8 @@ mod tests {
         assert_eq!(c.max_doc(), None);
         assert_eq!(c.min_doc(), None);
         assert_eq!(c.encoded_len(), 1);
-        assert_eq!(c.as_bytes().as_ref(), &[0x00]);
+        assert_eq!(c.heap_bytes(), 0);
+        assert_eq!(c.as_bytes(), &[0x00]);
         assert_eq!(c.decode(), PostingList::new());
         assert_eq!(CompressedPostings::from_list(&PostingList::new()), c);
     }
@@ -842,11 +870,7 @@ mod tests {
             &[0x00, 0x02],
             &[0x00, 0x7f],
         ] {
-            let raw = Bytes::copy_from_slice(raw);
-            assert!(
-                CompressedPostings::from_bytes(raw.clone()).is_none(),
-                "{raw:?}"
-            );
+            assert!(CompressedPostings::from_bytes(raw).is_none(), "{raw:?}");
             assert!(CompressedDocSet::from_bytes(raw).is_none());
         }
     }
@@ -854,19 +878,19 @@ mod tests {
     #[test]
     fn from_bytes_rejects_trailing_garbage() {
         let c = CompressedPostings::from_list(&list(&[(1, 1), (2, 2)]));
-        let mut raw = c.as_bytes().as_ref().to_vec();
-        assert!(CompressedPostings::from_bytes(Bytes::from(raw.clone())).is_some());
+        let mut raw = c.as_bytes().to_vec();
+        assert!(CompressedPostings::from_bytes(&raw).is_some());
         raw.push(0x7f);
-        assert!(CompressedPostings::from_bytes(Bytes::from(raw)).is_none());
+        assert!(CompressedPostings::from_bytes(&raw).is_none());
     }
 
     #[test]
     fn from_bytes_rejects_truncation() {
         let c = CompressedPostings::from_list(&list(&[(1, 1), (300, 2), (500, 3)]));
-        let raw = c.as_bytes().clone();
+        let raw = c.as_bytes();
         for cut in 0..raw.len() {
             assert!(
-                CompressedPostings::from_bytes(raw.slice(..cut)).is_none(),
+                CompressedPostings::from_bytes(&raw[..cut]).is_none(),
                 "cut at {cut} decoded"
             );
         }
@@ -877,7 +901,7 @@ mod tests {
         // The block is self-describing: adoption re-derives every header
         // field from the bytes alone.
         let c = CompressedPostings::from_list(&list(&[(5, 2), (640, 1), (70_000, 4)]));
-        let revived = CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap();
+        let revived = CompressedPostings::from_bytes(c.as_bytes()).unwrap();
         assert_eq!(revived, c);
         assert_eq!(revived.min_doc(), Some(DocId(5)));
         assert_eq!(revived.max_doc(), Some(DocId(70_000)));
@@ -967,10 +991,7 @@ mod tests {
         let c = CompressedPostings::from_list(&l);
         assert_eq!(c.decode(), l);
         assert_eq!(c.max_doc(), Some(DocId(u32::MAX)));
-        assert_eq!(
-            CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap(),
-            c
-        );
+        assert_eq!(CompressedPostings::from_bytes(c.as_bytes()).unwrap(), c);
     }
 
     #[test]
@@ -983,16 +1004,13 @@ mod tests {
             0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F, // gap 2^63-1
             0x01, 0x01, // tf, doc_len
         ];
-        assert!(CompressedPostings::from_bytes(Bytes::from(raw)).is_none());
+        assert!(CompressedPostings::from_bytes(&raw).is_none());
         // Largest legitimate gap: doc 0 -> doc u32::MAX is u32::MAX exactly;
         // a single posting at u32::MAX uses gap u32::MAX + 1.
         let l = PostingList::from_sorted(vec![p(u32::MAX, 1)]);
         let c = CompressedPostings::from_list(&l);
         assert_eq!(c.decode(), l);
-        assert_eq!(
-            CompressedPostings::from_bytes(c.as_bytes().clone()).unwrap(),
-            c
-        );
+        assert_eq!(CompressedPostings::from_bytes(c.as_bytes()).unwrap(), c);
     }
 
     #[test]
@@ -1048,26 +1066,26 @@ mod tests {
     #[test]
     fn docset_bytes_roundtrip_and_reject_garbage() {
         let s = CompressedDocSet::from_sorted_docs([0, 3, 70_000, u32::MAX].map(DocId));
-        let raw = s.as_bytes().clone();
-        assert_eq!(CompressedDocSet::from_bytes(raw.clone()).unwrap(), s);
+        let raw = s.as_bytes();
+        assert_eq!(CompressedDocSet::from_bytes(raw).unwrap(), s);
         // Every truncation point fails validation.
         for cut in 0..raw.len() {
             assert!(
-                CompressedDocSet::from_bytes(raw.slice(..cut)).is_none(),
+                CompressedDocSet::from_bytes(&raw[..cut]).is_none(),
                 "cut at {cut} decoded"
             );
         }
         // Trailing garbage fails validation.
-        let mut padded = raw.as_ref().to_vec();
+        let mut padded = raw.to_vec();
         padded.push(0x01);
-        assert!(CompressedDocSet::from_bytes(Bytes::from(padded)).is_none());
+        assert!(CompressedDocSet::from_bytes(&padded).is_none());
         // Zero gaps (duplicate docs) fail validation.
-        assert!(CompressedDocSet::from_bytes(Bytes::from(vec![0x02, 0x01, 0x00])).is_none());
+        assert!(CompressedDocSet::from_bytes(&[0x02, 0x01, 0x00]).is_none());
         // The empty set roundtrips too.
         let empty = CompressedDocSet::new();
-        assert_eq!(empty.as_bytes().as_ref(), &[0x00]);
+        assert_eq!(empty.as_bytes(), &[0x00]);
         assert_eq!(
-            CompressedDocSet::from_bytes(empty.as_bytes().clone()).unwrap(),
+            CompressedDocSet::from_bytes(empty.as_bytes()).unwrap(),
             empty
         );
     }

@@ -4,6 +4,7 @@
 //! guarantees.
 
 use hdk_corpus::DocId;
+use hdk_ir::compressed::INLINE_BYTES;
 use hdk_ir::{
     checksum64, codec, top_k, Bm25, CompressedDocSet, CompressedPostings, Posting, PostingList,
     ScoreAccumulator, SearchResult,
@@ -59,7 +60,124 @@ fn arb_any_doc_posting() -> impl Strategy<Value = Posting> {
     })
 }
 
+/// Short posting lists whose blocks straddle the inline capacity: 1–7
+/// postings of one- and two-byte values encode to 4–43 bytes, against
+/// [`INLINE_BYTES`] = 22.
+fn arb_boundary_list() -> impl Strategy<Value = PostingList> {
+    prop::collection::btree_map(0u32..400, (1u32..200, 1u32..300), 1..8).prop_map(|m| {
+        PostingList::from_sorted(
+            m.into_iter()
+                .map(|(doc, (tf, doc_len))| Posting {
+                    doc: DocId(doc),
+                    tf,
+                    doc_len,
+                })
+                .collect(),
+        )
+    })
+}
+
+/// LEB128, written here apart from the block code it checks.
+fn leb128(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The bytes of a posting block: count, then per posting its doc gap
+/// (the first one `doc + 1`), `tf` and `doc_len`.
+fn reference_block(list: &PostingList) -> Vec<u8> {
+    let mut out = Vec::new();
+    leb128(&mut out, list.len() as u64);
+    let mut prev = -1i64;
+    for p in list.postings() {
+        leb128(&mut out, (i64::from(p.doc.0) - prev) as u64);
+        leb128(&mut out, u64::from(p.tf));
+        leb128(&mut out, u64::from(p.doc_len));
+        prev = i64::from(p.doc.0);
+    }
+    out
+}
+
+/// The bytes of a doc-set: count, then each doc gap.
+fn reference_docset(docs: &BTreeSet<u32>) -> Vec<u8> {
+    let mut out = Vec::new();
+    leb128(&mut out, docs.len() as u64);
+    let mut prev = -1i64;
+    for &doc in docs {
+        leb128(&mut out, (i64::from(doc) - prev) as u64);
+        prev = i64::from(doc);
+    }
+    out
+}
+
+/// A block holds exactly `expected`, inline exactly when it fits, and
+/// re-adopting its bytes gives the same block.
+fn holds_block(block: &CompressedPostings, expected: &[u8]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(block.as_bytes(), expected);
+    prop_assert_eq!(block.encoded_len(), expected.len());
+    prop_assert_eq!(block.heap_bytes() == 0, expected.len() <= INLINE_BYTES);
+    let revived = CompressedPostings::from_bytes(expected).expect("reference bytes validate");
+    prop_assert_eq!(&revived, block);
+    Ok(())
+}
+
+/// [`holds_block`] for a doc-set.
+fn holds_docset(set: &CompressedDocSet, expected: &[u8]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(set.as_bytes(), expected);
+    prop_assert_eq!(set.heap_bytes() == 0, expected.len() <= INLINE_BYTES);
+    let revived = CompressedDocSet::from_bytes(expected).expect("reference bytes validate");
+    prop_assert_eq!(&revived, set);
+    Ok(())
+}
+
 proptest! {
+    /// Blocks on either side of the inline capacity, built by every path —
+    /// encoding, the streaming merge, the append merge, truncation and
+    /// adoption from bytes, for posting blocks and doc-sets — hold the
+    /// bytes a separate encoder writes, whichever way each input was held.
+    #[test]
+    fn blocks_straddling_the_inline_capacity_encode_identically(
+        a in arb_boundary_list(),
+        b in arb_boundary_list(),
+        k in 1usize..8,
+    ) {
+        let quality = |p: &Posting| f64::from(p.tf) / (f64::from(p.tf) + 1.2);
+        let max = a.postings().last().map_or(0, |p| p.doc.0);
+        let beyond = PostingList::from_sorted(
+            b.postings()
+                .iter()
+                .map(|p| Posting { doc: DocId(max + 1 + p.doc.0), ..*p })
+                .collect(),
+        );
+        let (ca, cb, cbeyond) = (
+            CompressedPostings::from_list(&a),
+            CompressedPostings::from_list(&b),
+            CompressedPostings::from_list(&beyond),
+        );
+        holds_block(&ca, &reference_block(&a))?;
+        holds_block(&cb, &reference_block(&b))?;
+        let (merged, _) = ca.merge_counting(&cb);
+        holds_block(&merged, &reference_block(&a.union(&b)))?;
+        let (appended, new_docs) = ca.merge_counting(&cbeyond);
+        prop_assert_eq!(new_docs as usize, beyond.len());
+        holds_block(&appended, &reference_block(&a.union(&beyond)))?;
+        let truncated = merged.truncate_top_k(k, quality);
+        holds_block(&truncated, &reference_block(&a.union(&b).truncate_top_k(k, quality)))?;
+
+        let docs = |l: &PostingList| -> BTreeSet<u32> { l.docs().map(|d| d.0).collect() };
+        let mut set = CompressedDocSet::from_postings(&ca);
+        let mut reference = docs(&a);
+        holds_docset(&set, &reference_docset(&reference))?;
+        for batch in [&b, &beyond] {
+            set.merge_count_new(batch.docs());
+            reference.extend(docs(batch));
+            holds_docset(&set, &reference_docset(&reference))?;
+        }
+    }
+
     #[test]
     fn codec_roundtrip(list in arb_posting_list()) {
         let encoded = codec::encode(&list);
@@ -76,7 +194,7 @@ proptest! {
         prop_assert_eq!(c.encoded_len(), codec::encoded_len(&list));
         prop_assert_eq!(c.max_doc(), list.postings().last().map(|p| p.doc));
         // The block survives a wire trip through the validating path.
-        let revived = CompressedPostings::from_bytes(c.as_bytes().clone())
+        let revived = CompressedPostings::from_bytes(c.as_bytes())
             .expect("own block must validate");
         prop_assert_eq!(revived, c);
     }
@@ -132,7 +250,7 @@ proptest! {
     fn malformed_blocks_never_panic(raw in prop::collection::vec(any::<u8>(), 0..200)) {
         // Arbitrary bytes either fail validation or yield a block whose
         // header agrees with a full decode; nothing panics either way.
-        if let Some(c) = CompressedPostings::from_bytes(bytes::Bytes::from(raw.clone())) {
+        if let Some(c) = CompressedPostings::from_bytes(&raw) {
             prop_assert_eq!(c.decode().len(), c.len());
         }
         let _ = codec::decode(bytes::Bytes::from(raw));
@@ -146,7 +264,7 @@ proptest! {
         let mut raw = codec::encode(&list).as_ref().to_vec();
         raw.extend_from_slice(&junk);
         prop_assert!(
-            CompressedPostings::from_bytes(bytes::Bytes::from(raw.clone())).is_none(),
+            CompressedPostings::from_bytes(&raw).is_none(),
             "trailing garbage accepted"
         );
         prop_assert!(codec::decode(bytes::Bytes::from(raw)).is_none());
@@ -162,8 +280,8 @@ proptest! {
         // group-varint codec framed as `[0x00, 0x01, ..]`.
         let mut raw = vec![0x00, b];
         raw.extend_from_slice(&rest);
-        prop_assert!(CompressedPostings::from_bytes(bytes::Bytes::from(raw.clone())).is_none());
-        prop_assert!(CompressedDocSet::from_bytes(bytes::Bytes::from(raw)).is_none());
+        prop_assert!(CompressedPostings::from_bytes(&raw).is_none());
+        prop_assert!(CompressedDocSet::from_bytes(&raw).is_none());
     }
 
     #[test]

@@ -34,7 +34,7 @@ use crate::id::{KeyHash, PeerId};
 use crate::store::RecoveryStats;
 use crate::transport::{KindSnapshot, LatencyHistogram, TrafficSnapshot, NUM_KINDS};
 use hdk_ir::segment::{self, FrameHeader, FrameRead, FRAME_HEADER_BYTES};
-use hdk_ir::{Bytes, CompressedDocSet, CompressedPostings};
+use hdk_ir::{CompressedDocSet, CompressedPostings};
 use std::io::{Read, Write};
 
 /// Hard upper bound on a single frame's payload (256 MiB). Far above any
@@ -449,7 +449,8 @@ impl<T: Wire> Wire for Box<T> {
 }
 
 /// A posting block or doc-set travels as its own validated framing,
-/// length-prefixed; decoding copies it once, into its own allocation.
+/// length-prefixed; decoding copies it once, into the block itself when it
+/// fits inline and into one allocation otherwise.
 macro_rules! wire_block {
     ($($block:ty),*) => {$(
         impl Wire for $block {
@@ -458,7 +459,7 @@ macro_rules! wire_block {
                 put_bytes(buf, self.as_bytes());
             }
             fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-                <$block>::from_bytes(Bytes::copy_from_slice(r.bytes()?)).ok_or(WireError::Corrupt)
+                <$block>::from_bytes(r.bytes()?).ok_or(WireError::Corrupt)
             }
         }
     )*};

@@ -21,8 +21,13 @@
 //!
 //! Routes: `GET /query?q=1,2,3&k=10&peer=0`, `GET /health`,
 //! `GET /metrics` (Prometheus text). Prints `HTTP <addr>` once bound.
+//!
+//! A malformed `HDK_BACKEND` or `HDK_NET_TIMEOUT_MS` exits 2 with the
+//! usage, like a malformed argument.
 
-use hdk_core::{spawn_http, BackendConfig, HdkConfig, HdkNetwork, OverlayKind};
+use hdk_core::{
+    net_timeout_from_env, spawn_http, BackendConfig, HdkConfig, HdkNetwork, OverlayKind,
+};
 use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
 use std::net::TcpListener;
 
@@ -58,6 +63,15 @@ fn main() {
         }
     }
 
+    // Both are read before any work; the transport reads the deadline
+    // again when it connects.
+    let backend = BackendConfig::from_env()
+        .and_then(|backend| net_timeout_from_env().map(|_| backend))
+        .unwrap_or_else(|e| {
+            eprintln!("hdk-front: {e}");
+            usage()
+        });
+
     let collection = CollectionGenerator::new(GeneratorConfig {
         num_docs: docs,
         vocab_size: vocab as usize,
@@ -71,7 +85,6 @@ fn main() {
         replication,
         ..HdkConfig::default()
     };
-    let backend = BackendConfig::from_env();
     eprintln!("hdk-front: building {docs} docs over {peers} peers via {backend:?}");
     let network = HdkNetwork::build_with(
         &collection,

@@ -6,6 +6,9 @@
 //! tier), exit cleanly, restart over the same directories, and after a
 //! `Restart` recovery wave the index answers queries bit-identically to
 //! its pre-shutdown self — zero keys, copies, or postings lost.
+//!
+//! Also: both binaries refuse a malformed environment setting with exit
+//! code 2 and their usage, before any work.
 
 use hdk_core::{
     BackendConfig, HdkConfig, HdkNetwork, OverlayKind, QueryService, WireRequest, WireResponse,
@@ -222,4 +225,31 @@ fn a_malformed_hdk_store_exits_2_with_the_usage() {
     assert!(stderr.contains("usage: hdk-peer"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert!(out.stdout.is_empty(), "it bound a listener");
+}
+
+/// Runs `hdk-front` with one environment variable set and asserts it exits
+/// 2 with the usage, naming the variable, before building anything.
+fn front_refuses(var: &str, value: &str) {
+    let out = Command::new(env!("CARGO_BIN_EXE_hdk-front"))
+        .args(["--http", "127.0.0.1:0", "--docs", "20"])
+        .env(var, value)
+        .output()
+        .expect("run hdk-front");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains(var), "{stderr}");
+    assert!(stderr.contains("usage: hdk-front"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("building"), "it built an index: {stderr}");
+    assert!(out.stdout.is_empty(), "it bound a listener");
+}
+
+#[test]
+fn a_malformed_hdk_backend_exits_2_with_the_usage() {
+    front_refuses("HDK_BACKEND", "tcp:");
+}
+
+#[test]
+fn a_malformed_hdk_net_timeout_ms_exits_2_with_the_usage() {
+    front_refuses("HDK_NET_TIMEOUT_MS", "5s");
 }
