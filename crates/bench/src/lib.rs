@@ -1,6 +1,6 @@
 //! Experiment harness reproducing the evaluation of Podnar et al.
-//! (ICDE 2007): every table and figure, plus the ablations listed in
-//! `DESIGN.md`.
+//! (ICDE 2007): every table and figure of its Section 5 (`PAPER.md`),
+//! plus the ablations and contract studies listed in the README.
 //!
 //! Structure:
 //!
@@ -8,8 +8,10 @@
 //!   CLI overrides; `hdk-bench <subcommand> --help` prints the knobs) and
 //!   the studies' positional arguments,
 //! * [`report`] — aligned-TSV table output (stdout + `target/experiments/`),
+//! * [`json`] — the machine-readable `BENCH_*.json` artifacts,
 //! * [`runner`] — the shared network-growth sweep that measures everything
 //!   Figures 3–7 plot,
+//! * [`figures`] — the tables and figures built from that sweep,
 //! * [`memory`] — the resident posting-storage footprint report
 //!   (compressed blocks vs the decoded baseline, hot vs sealed tiers),
 //! * [`latency`] — the `SimNet` latency sweep (one scenario over
@@ -17,6 +19,8 @@
 //! * [`availability`] — the replication/churn study (vary `R`, kill
 //!   peers, measure content loss, repair traffic and degraded-query
 //!   latency),
+//! * [`read_scaling`] — replica load spreading, hot-key replication and
+//!   the query cache under a Zipf-skewed query stream,
 //! * [`gossip`] — the failure-detection study (sweep gossip fanout ×
 //!   suspicion window × probe loss, crash a peer, measure convergence
 //!   rounds, probe traffic and stale-view failover timeouts).
@@ -34,4 +38,3 @@ pub mod profile;
 pub mod read_scaling;
 pub mod report;
 pub mod runner;
-pub mod serving;

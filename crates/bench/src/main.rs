@@ -9,8 +9,8 @@
 //! A malformed or surplus argument, an unknown flag or an unknown
 //! subcommand is refused with its reason and the usage, exit code 2,
 //! before any work. The contract studies (`availability`, `gossip_study`,
-//! `read_scaling`, `restart_study`, `memfoot`, `serving_study`) assert
-//! their contracts as they run and exit nonzero when one breaks.
+//! `read_scaling`, `memfoot`) assert their contracts as they run and exit
+//! nonzero when one breaks.
 
 use hdk_bench::availability::{print_availability_study, run_availability_study};
 use hdk_bench::figures;
@@ -23,20 +23,15 @@ use hdk_bench::profile::{ExperimentProfile, Positional};
 use hdk_bench::read_scaling::{print_read_scaling, read_scaling_json, run_read_scaling};
 use hdk_bench::report::{fnum, Table};
 use hdk_bench::runner::{self, run_growth_sweep};
-use hdk_bench::serving::{print_serving, run_serving_study, serving_json, ServingParams};
 use hdk_core::window_keys::candidate_postings;
 use hdk_core::{HdkConfig, HdkNetwork, Key, StoreConfig};
-use hdk_corpus::{
-    partition_documents, Collection, CollectionGenerator, DocId, FrequencyStats, QueryLog,
-};
+use hdk_corpus::{partition_documents, Collection, CollectionGenerator, FrequencyStats};
 use hdk_model::{
     expected_keys_for_avg_size, fit_rank_frequency, index_size_ratio, keys_for_query, p_frequent,
     p_very_frequent, retrieval_traffic_bound, FitOptions,
 };
-use hdk_p2p::{PeerId, RecoveryStats, RepairStats};
 use hdk_text::TermId;
 use std::collections::HashSet;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// Every subcommand counts its live heap; `memfoot` reads it.
@@ -55,12 +50,10 @@ usage: hdk-bench <subcommand> [args]
   ablate_window [flags]      ablation: proximity window w
   ablate_redundancy [flags]  ablation: redundancy filtering (Definition 5)
   memfoot [flags]            memory per peer and per stored key (asserted)
-  restart_study [flags]      crash-restart recovery (asserted bit-identical)
   latency_sweep [--json] [peers docs queries skew]   LAN / WAN / lossy-WAN SimNet
   availability [peers docs queries kill]             R x killed peers (asserted)
   read_scaling [peers docs queries samples]          replica and cache reads (asserted)
   gossip_study [peers docs queries]                  failure detection (asserted)
-  serving_study [nprocs peers docs clients samples]  hdk-peer fleet over HTTP (asserted)
 
 flags: [--scale F] [--peers a,b,c] [--docs-per-peer N] [--dfmax a,b]
        [--queries N] [--seed N] [--window N] [--smax N] [--ff N]
@@ -82,12 +75,10 @@ fn main() -> ExitCode {
         "ablate_window" => ablate_window,
         "ablate_redundancy" => ablate_redundancy,
         "memfoot" => memfoot,
-        "restart_study" => restart_study,
         "latency_sweep" => latency_sweep,
         "availability" => availability,
         "read_scaling" => read_scaling,
         "gossip_study" => gossip_study,
-        "serving_study" => serving_study,
         "--help" | "-h" => return help(),
         "" => return refuse("no subcommand"),
         _ => return refuse(&format!("unknown subcommand {name:?}")),
@@ -579,10 +570,13 @@ const MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY: f64 = 73.9;
 /// sealed-index bytes per sealed key. On the unbounded store it asserts
 /// the bytes-per-key bound and, on one thread, what the build held at its
 /// peak per byte of the index it left. Both stores print that peak next
-/// to `index_total`.
+/// to `index_total`. Every point of the sweep is printed before any bound
+/// is judged; a broken bound names its (peers, `DFmax`) point and the run
+/// exits 1.
 fn memfoot(args: &[String]) -> Result<(), String> {
     let profile = ExperimentProfile::from_args(args)?;
     let full = CollectionGenerator::new(profile.generator_config(profile.max_docs())).generate();
+    let mut broken = Vec::new();
     for &peers in &profile.peers_sweep {
         let docs = peers * profile.docs_per_peer;
         let collection = full.prefix(docs);
@@ -614,29 +608,42 @@ fn memfoot(args: &[String]) -> Result<(), String> {
             footprint
                 .breakdown(&format!("memfoot_bytes_p{peers}_df{dfmax}"))
                 .emit();
-            assert!(
+            let mut bound = |holds: bool, what: String| {
+                if !holds {
+                    broken.push(format!("peers={peers} dfmax={dfmax}: {what}"));
+                }
+            };
+            bound(
                 footprint.improvement() >= 3.0,
-                "resident storage regression: only {:.2}x better than decoded baseline (bound 3x)",
-                footprint.improvement()
+                format!(
+                    "resident storage regression: only {:.2}x better than decoded baseline (bound 3x)",
+                    footprint.improvement()
+                ),
             );
             match store {
                 StoreConfig::Memory => {
-                    assert_eq!(
-                        footprint.sealed_total(),
-                        0,
-                        "the unbounded store sealed frames to disk?"
+                    bound(
+                        footprint.sealed_total() == 0,
+                        format!(
+                            "the unbounded store sealed {} B to disk (bound 0)",
+                            footprint.sealed_total()
+                        ),
                     );
-                    assert!(
+                    bound(
                         footprint.bytes_per_key() <= MAX_BYTES_PER_KEY,
-                        "index memory regression: {:.1} B per key (bound {MAX_BYTES_PER_KEY})",
-                        footprint.bytes_per_key()
+                        format!(
+                            "index memory regression: {:.1} B per key (bound {MAX_BYTES_PER_KEY})",
+                            footprint.bytes_per_key()
+                        ),
                     );
                     let build_peak = peak as f64 / footprint.index.total_bytes() as f64;
-                    assert!(
+                    bound(
                         rayon::current_num_threads() > 1
                             || build_peak <= MAX_BUILD_PEAK_PER_INDEX_BYTE,
-                        "build memory regression: the build peaked at {build_peak:.2}x its index \
-                         (bound {MAX_BUILD_PEAK_PER_INDEX_BYTE})"
+                        format!(
+                            "build memory regression: the build peaked at {build_peak:.2}x its \
+                             index (bound {MAX_BUILD_PEAK_PER_INDEX_BYTE})"
+                        ),
                     );
                 }
                 StoreConfig::Segment { hot_bytes, .. } => {
@@ -651,26 +658,40 @@ fn memfoot(args: &[String]) -> Result<(), String> {
                         index.hot_keys,
                         index.keys - index.hot_keys,
                     );
-                    assert!(
+                    bound(
                         footprint.resident_total() <= hot_bytes,
-                        "memory budget violated: {} resident bytes > {hot_bytes}",
-                        footprint.resident_total()
+                        format!(
+                            "memory budget violated: {} resident bytes (bound {hot_bytes})",
+                            footprint.resident_total()
+                        ),
                     );
-                    assert!(
+                    bound(
                         hot <= MAX_HOT_TABLE_BYTES_PER_HOT_KEY,
-                        "hot-tier regression: {hot:.1} B per hot key \
-                         (bound {MAX_HOT_TABLE_BYTES_PER_HOT_KEY:.1})"
+                        format!(
+                            "hot-tier regression: {hot:.1} B per hot key \
+                             (bound {MAX_HOT_TABLE_BYTES_PER_HOT_KEY:.1})"
+                        ),
                     );
-                    assert!(
+                    bound(
                         sealed <= MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY,
-                        "sealed-index regression: {sealed:.1} B per sealed key \
-                         (bound {MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY:.1})"
+                        format!(
+                            "sealed-index regression: {sealed:.1} B per sealed key \
+                             (bound {MAX_SEALED_INDEX_BYTES_PER_SEALED_KEY:.1})"
+                        ),
                     );
                 }
             }
         }
     }
-    Ok(())
+    if broken.is_empty() {
+        return Ok(());
+    }
+    // A broken bound is a measurement, not a usage error: every point is
+    // printed above, then each failing one is named here, exit code 1.
+    for b in &broken {
+        eprintln!("memfoot: bound broken at {b}");
+    }
+    std::process::exit(1)
 }
 
 /// The simulated-network latency sweep: replay one build + query scenario
@@ -800,202 +821,5 @@ fn gossip_study(args: &[String]) -> Result<(), String> {
          positives, zero post-convergence failover timeouts",
         points.len()
     );
-    Ok(())
-}
-
-const HOT_BYTES: u64 = 1 << 16;
-
-fn digests(network: &HdkNetwork, log: &QueryLog) -> Vec<Vec<(u32, u64)>> {
-    log.queries
-        .iter()
-        .map(|q| {
-            network
-                .query(PeerId(0), &q.terms, 20)
-                .results
-                .iter()
-                .map(|r| (r.doc.0, r.score.to_bits()))
-                .collect()
-        })
-        .collect()
-}
-
-fn reference(c: &Collection, parts: &[Vec<DocId>], config: &HdkConfig) -> HdkNetwork {
-    let config = HdkConfig {
-        store: StoreConfig::Memory,
-        ..config.clone()
-    };
-    HdkNetwork::build(c, parts, config)
-}
-
-fn recovery_row(
-    peers: usize,
-    scenario: &str,
-    recovery: &RecoveryStats,
-    repair: &RepairStats,
-    tiered: &HdkNetwork,
-) -> [String; 8] {
-    [
-        peers.to_string(),
-        scenario.to_string(),
-        recovery.frames_replayed.to_string(),
-        recovery.bytes_replayed.to_string(),
-        recovery.frames_discarded.to_string(),
-        recovery.copies_lost.to_string(),
-        repair.copies.to_string(),
-        tiered.index().sealed_segment_bytes().to_string(),
-    ]
-}
-
-/// Restart-recovery study: kill peers' in-memory state, recover from the
-/// per-stripe segment logs plus one repair sweep, and verify the result is
-/// bit-identical to a never-restarted build.
-///
-/// Two scenarios per sweep point (first `DFmax` value only):
-///
-/// * **graceful** — tiered build under a 64 KiB hot budget, `sync`, then
-///   *every* peer restarts at once: log replay alone must reproduce the
-///   index (R = 1, no replica to lean on) and the closing repair sweep
-///   must find nothing to do.
-/// * **crash** — R = 2 tiered build, no sync, one peer restarts: its hot
-///   copies are gone, the replay recovers what overflow-sealing had
-///   persisted, and the repair sweep restores the rest from replicas.
-///
-/// Every scenario asserts convergence internally (index counts and top-k
-/// f64 score bits against an in-memory reference build); the emitted
-/// table reports the recovery volumes. CI's bench-smoke job runs
-/// `--peers 4 --docs-per-peer 150 --queries 30` as a regression gate.
-fn restart_study(args: &[String]) -> Result<(), String> {
-    let profile = ExperimentProfile::from_args(args)?;
-    let dfmax = profile.dfmax_values[0];
-    let full = CollectionGenerator::new(profile.generator_config(profile.max_docs())).generate();
-    let mut table = Table::new(
-        "restart_study",
-        &[
-            "peers",
-            "scenario",
-            "frames",
-            "replayed_B",
-            "discarded",
-            "lost_copies",
-            "repaired",
-            "sealed_B",
-        ],
-    );
-
-    for &peers in &profile.peers_sweep {
-        let docs = peers * profile.docs_per_peer;
-        let c = full.prefix(docs);
-        let parts = partition_documents(docs, peers, profile.seed ^ peers as u64);
-        let log = QueryLog::generate(&c, &profile.querylog_config());
-
-        // Graceful: sync, restart everyone, recover from logs alone.
-        let config = HdkConfig {
-            store: StoreConfig::segment(HOT_BYTES),
-            ..profile.hdk_config(dfmax)
-        };
-        let baseline = reference(&c, &parts, &config);
-        let expected = digests(&baseline, &log);
-        let mut tiered = HdkNetwork::build(&c, &parts, config.clone());
-        assert!(
-            tiered.index().resident_posting_bytes() <= HOT_BYTES,
-            "memory budget violated before restart"
-        );
-        tiered.sync_storage();
-        let everyone: Vec<PeerId> = tiered.peers().iter().map(|p| p.id).collect();
-        let (recovery, repair) = tiered.restart_peers(&everyone);
-        assert_eq!(recovery.copies_lost, 0, "synced logs recover every copy");
-        assert_eq!(repair.copies, 0, "graceful recovery left a gap");
-        assert_eq!(
-            tiered.index().index_counts(),
-            baseline.index().index_counts()
-        );
-        assert_eq!(
-            digests(&tiered, &log),
-            expected,
-            "graceful restart diverged"
-        );
-        table.row(&recovery_row(
-            peers, "graceful", &recovery, &repair, &tiered,
-        ));
-
-        // Crash: R = 2, no sync — one peer loses its hot state and the
-        // repair sweep restores it from the surviving replicas.
-        let config = HdkConfig {
-            replication: 2,
-            store: StoreConfig::segment(HOT_BYTES),
-            ..profile.hdk_config(dfmax)
-        };
-        let baseline = reference(&c, &parts, &config);
-        let expected = digests(&baseline, &log);
-        let mut tiered = HdkNetwork::build(&c, &parts, config);
-        let victim = tiered.peers()[0].id;
-        let (recovery, repair) = tiered.restart_peers(&[victim]);
-        assert_eq!(recovery.keys_lost, 0, "R=2 crash-restart lost content");
-        assert_eq!(
-            repair.copies, recovery.copies_lost,
-            "one repaired copy per lost copy"
-        );
-        assert_eq!(
-            tiered.index().index_counts(),
-            baseline.index().index_counts()
-        );
-        assert_eq!(digests(&tiered, &log), expected, "crash restart diverged");
-        table.row(&recovery_row(peers, "crash", &recovery, &repair, &tiered));
-        eprintln!(
-            "[restart_study] peers={peers} docs={docs} dfmax={dfmax}: both scenarios bit-identical"
-        );
-    }
-    table.emit();
-    Ok(())
-}
-
-/// `hdk-peer` sits next to this binary in the target directory (both
-/// profiles): `cargo run` puts the bench binary and root-package bins in
-/// the same `target/<profile>/` folder.
-fn peer_binary() -> PathBuf {
-    let exe = std::env::current_exe().expect("own path");
-    let dir = exe.parent().expect("target directory");
-    let peer = dir.join(format!("hdk-peer{}", std::env::consts::EXE_SUFFIX));
-    assert!(
-        peer.is_file(),
-        "{} not found — build it first: cargo build --release",
-        peer.display()
-    );
-    peer
-}
-
-/// The serving-tier study: spawns real `hdk-peer` processes on loopback
-/// sockets, asserts the multi-process build bit-identical to the
-/// in-process build, then drives a Zipf-skewed closed-loop HTTP load
-/// through the front-end and reports wall-clock QPS and tail latency.
-/// Build `hdk-peer` first (`cargo build --release` builds both).
-///
-/// Emits the machine-readable artifact `BENCH_serving.json` in the
-/// working directory alongside the stdout summary.
-fn serving_study(args: &[String]) -> Result<(), String> {
-    let defaults = ServingParams::default();
-    let mut p = Positional::new(args);
-    let params = ServingParams {
-        nprocs: p.next("nprocs", defaults.nprocs)?,
-        peers: p.next("peers", defaults.peers)?,
-        docs: p.next("docs", defaults.docs)?,
-        clients: p.next("clients", defaults.clients)?,
-        samples: p.next("samples", defaults.samples)?,
-        ..defaults
-    };
-    p.end()?;
-    eprintln!(
-        "[serving_study] nprocs={} peers={} docs={} clients={} samples={}",
-        params.nprocs, params.peers, params.docs, params.clients, params.samples
-    );
-    let report = run_serving_study(&peer_binary(), params);
-    print_serving(&report);
-    assert_eq!(report.failed, 0, "loopback requests must not fail");
-    assert_eq!(
-        report.transport_errors, 0,
-        "loopback transport must not tick errors"
-    );
-    let json = serving_json(&report).render();
-    write_artifact("serving_study", "BENCH_serving.json", &json);
     Ok(())
 }

@@ -143,7 +143,7 @@ fn replay_batch(
 ///
 /// # Panics
 /// Panics when any of the three pinned invariants fails — the binary is
-/// its own acceptance check, like `availability` and `restart_study`.
+/// its own acceptance check, like `availability` and `gossip_study`.
 pub fn run_read_scaling(
     peers: usize,
     docs: usize,

@@ -1,6 +1,6 @@
 //! Deterministic synthetic Wikipedia-like collection generator.
 //!
-//! Substitutes the paper's Wikipedia subset (see `DESIGN.md`, Section 3).
+//! Substitutes the paper's Wikipedia subset (`PAPER.md`; README, Layout).
 //! Two ingredients make the output behave like encyclopedia text for the
 //! quantities the paper measures:
 //!

@@ -3,7 +3,7 @@
 //! The paper evaluates on a subset of Wikipedia (Table 1) and a real
 //! two-month Wikipedia query log. Neither resource ships with this
 //! repository, so this crate provides the closest synthetic equivalents
-//! (documented in `DESIGN.md`, Section 3):
+//! (README, Layout; `hdk-bench table1` prints their Table 1 statistics):
 //!
 //! * [`zipf`] — a finite-vocabulary Zipf sampler (term frequencies follow
 //!   `z(r) = C·r^{-a}`, the model underpinning the paper's Section 4),

@@ -108,10 +108,12 @@ fn synced_segment_store_restarts_all_peers_from_logs_alone() {
 
 #[test]
 fn unsynced_restart_is_a_crash_that_repair_heals_at_r2() {
-    // Crash path: a generous hot budget keeps (nearly) everything
-    // unsealed, so restarting one peer without a sync throws its hot
-    // copies away. At R = 2 the surviving replicas cover every entry and
-    // the restart's built-in repair sweep restores full redundancy.
+    // Crash path: restarting one peer without a sync throws its hot
+    // copies away. A generous hot budget keeps (nearly) everything
+    // unsealed; under a 64 KiB one overflow-sealing has persisted part of
+    // the victim's copies, which the replay recovers. At R = 2 the
+    // surviving replicas cover every lost entry and the restart's
+    // built-in repair sweep restores full redundancy.
     let c = collection(240);
     let parts = partition_documents(c.len(), 6, 11);
     let log = QueryLog::generate(
@@ -124,31 +126,43 @@ fn unsynced_restart_is_a_crash_that_repair_heals_at_r2() {
     let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory));
     let expected = digests(&reference, &log);
 
-    let mut tiered = HdkNetwork::build(
-        &c,
-        &parts,
-        config(
-            2,
-            StoreConfig::segment(p2p_hdk::core::DEFAULT_SEGMENT_HOT_BYTES),
-        ),
-    );
-    let keys_before = tiered.index().index_counts().total_keys();
-    let before = tiered.snapshot();
-    let (recovery, repair) = tiered.restart_peers(&[PeerId(2)]);
+    for hot_bytes in [p2p_hdk::core::DEFAULT_SEGMENT_HOT_BYTES, 1 << 16] {
+        let mut tiered = HdkNetwork::build(&c, &parts, config(2, StoreConfig::segment(hot_bytes)));
+        let keys_before = tiered.index().index_counts().total_keys();
+        let before = tiered.snapshot();
+        let (recovery, repair) = tiered.restart_peers(&[PeerId(2)]);
 
-    assert!(recovery.copies_lost > 0, "peer 2 held nothing hot?");
-    assert_eq!(recovery.keys_lost, 0, "R=2 must cover every hot copy");
-    assert_eq!(
-        repair.copies, recovery.copies_lost,
-        "one repaired copy per lost copy"
-    );
-    // The repair sweep is real, metered traffic; the replay is not.
-    let d = tiered.snapshot().since(&before);
-    assert_eq!(d.kind(MsgKind::Repair).messages, repair.copies);
-    assert_eq!(d.kind(MsgKind::Maintenance).messages, 0);
+        assert!(
+            recovery.copies_lost > 0,
+            "hot budget {hot_bytes}: peer 2 held nothing hot?"
+        );
+        if hot_bytes == 1 << 16 {
+            assert!(
+                recovery.copies_recovered > 0,
+                "a 64 KiB budget sealed none of peer 2's copies"
+            );
+        }
+        assert_eq!(
+            recovery.keys_lost, 0,
+            "hot budget {hot_bytes}: R=2 must cover every hot copy"
+        );
+        assert_eq!(
+            repair.copies, recovery.copies_lost,
+            "hot budget {hot_bytes}: one repaired copy per lost copy"
+        );
+        // The repair sweep is real, metered traffic; the replay is not.
+        let d = tiered.snapshot().since(&before);
+        assert_eq!(d.kind(MsgKind::Repair).messages, repair.copies);
+        assert_eq!(d.kind(MsgKind::Maintenance).messages, 0);
 
-    assert_eq!(tiered.index().index_counts().total_keys(), keys_before);
-    assert_eq!(digests(&tiered, &log), expected);
+        assert_eq!(tiered.index().index_counts().total_keys(), keys_before);
+        assert_eq!(
+            tiered.index().index_counts(),
+            reference.index().index_counts(),
+            "hot budget {hot_bytes}: index counts diverge after the crash"
+        );
+        assert_eq!(digests(&tiered, &log), expected, "hot budget {hot_bytes}");
+    }
 }
 
 #[test]

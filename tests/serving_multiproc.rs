@@ -9,7 +9,8 @@
 //! 2. assert the index counts, per-peer storage, top-k f64 *score bits*
 //!    and traffic counts (`TrafficSnapshot::same_counts`) are identical;
 //! 3. drive the HTTP front-end over the TCP-backed service: `/health`,
-//!    `/query` (results match the direct call), `/metrics` nonzero;
+//!    `/query` (results match the direct call), `/metrics` nonzero,
+//!    `/health` still ok after the queries;
 //! 4. kill one peer process mid-stream and assert queries surface
 //!    bounded errors — degraded results plus a ticking transport-error
 //!    counter — rather than hanging;
@@ -277,6 +278,9 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
         "insert counter must be nonzero after a build"
     );
     assert!(metrics.contains("hdk_http_requests_total{route=\"query\"} 2"));
+    let (status, health) = http_get(http_addr, "/health");
+    assert_eq!(status, 200, "health after the queries: {health}");
+    assert!(health.contains("\"status\":\"ok\""), "health: {health}");
 
     let (status, _) = http_get(http_addr, "/nope");
     assert_eq!(status, 404);
