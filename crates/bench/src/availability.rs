@@ -149,31 +149,31 @@ pub fn run_availability_study(
             let reference = HdkNetwork::build(&collection, &partitions, config.clone());
             let expected = digests(&reference.query_service(), survivor, &query_set);
 
-            let mut network = HdkNetwork::build_with(
+            let (mut indexer, queries) = HdkNetwork::build_with(
                 &collection,
                 &partitions,
                 config,
                 OverlayKind::PGrid,
                 BackendConfig::SimNet(sim),
-            );
-            let keys_total = network.index().index_counts().total_keys();
-            let service = network.query_service();
+            )
+            .into_services();
+            let keys_total = queries.index().index_counts().total_keys();
 
-            let t0 = service.snapshot();
-            let healthy = digests(&service, survivor, &query_set);
+            let t0 = queries.snapshot();
+            let healthy = digests(&queries, survivor, &query_set);
             assert_eq!(healthy, expected, "healthy network diverged");
-            let t1 = service.snapshot();
+            let t1 = queries.snapshot();
 
             let victims: Vec<PeerId> = (0..kill as u64).map(PeerId).collect();
-            let loss = network.fail_peers(victims);
+            let loss = indexer.fail_peers(victims);
 
-            let degraded = digests(&network.query_service(), survivor, &query_set);
-            let t2 = network.snapshot();
+            let degraded = digests(&queries, survivor, &query_set);
+            let t2 = queries.snapshot();
             let degraded_window = t2.since(&t1);
-            let repair = network.repair();
-            let t3 = network.snapshot();
-            let repaired = digests(&network.query_service(), survivor, &query_set);
-            let t4 = network.snapshot();
+            let repair = indexer.repair();
+            let t3 = queries.snapshot();
+            let repaired = digests(&queries, survivor, &query_set);
+            let t4 = queries.snapshot();
 
             let diverge =
                 |got: &[Digest]| got.iter().zip(&expected).filter(|(g, w)| g != w).count();

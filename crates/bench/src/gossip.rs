@@ -135,16 +135,17 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
                     },
                     ..base.clone()
                 };
-                let mut network = HdkNetwork::build(&collection, &partitions, config);
-                let healthy = digests(&network.query_service(), survivor, &query_set);
+                let (mut indexer, queries) =
+                    HdkNetwork::build(&collection, &partitions, config).into_services();
+                let healthy = digests(&queries, survivor, &query_set);
                 assert_eq!(healthy, expected, "healthy network diverged");
-                assert_eq!(network.snapshot().failover_timeouts, 0);
+                assert_eq!(queries.snapshot().failover_timeouts, 0);
 
-                let loss = network.fail_peers(vec![victim]);
+                let loss = indexer.fail_peers(vec![victim]);
                 assert_eq!(loss.keys_lost, 0, "R=2 single crash lost content");
-                let t0 = network.snapshot();
-                let _stale = digests(&network.query_service(), survivor, &query_set);
-                let t1 = network.snapshot();
+                let t0 = queries.snapshot();
+                let _stale = digests(&queries, survivor, &query_set);
+                let t1 = queries.snapshot();
                 let timeouts_detection = t1.failover_timeouts - t0.failover_timeouts;
                 assert!(
                     timeouts_detection > 0,
@@ -156,19 +157,19 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
                 let mut probes_failed = 0u64;
                 let mut false_positive_peak = 0usize;
                 let mut repair_copies = 0u64;
-                while network.gossip_converged() != Some(true) {
+                while indexer.gossip_converged() != Some(true) {
                     assert!(
                         rounds < ROUND_CAP,
                         "fanout={fanout} w={suspicion_rounds} loss={loss_prob}: \
                          no convergence within {ROUND_CAP} rounds"
                     );
-                    let out = network.gossip_round();
+                    let out = indexer.gossip_round();
                     rounds += 1;
                     probes_failed += out.report.failed;
                     if let Some(r) = out.repair {
                         repair_copies += r.copies;
                     }
-                    let fps = network.index().gossip_false_positives().unwrap().len();
+                    let fps = queries.index().gossip_false_positives().unwrap().len();
                     false_positive_peak = false_positive_peak.max(fps);
                     if loss_prob == 0.0 {
                         assert_eq!(
@@ -181,11 +182,11 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
                     repair_copies > 0,
                     "universal confirmation never fired the repair sweep"
                 );
-                let t2 = network.snapshot();
+                let t2 = queries.snapshot();
                 let gossip_window = t2.since(&t1).kind(MsgKind::Gossip);
 
-                let post = digests(&network.query_service(), survivor, &query_set);
-                let t3 = network.snapshot();
+                let post = digests(&queries, survivor, &query_set);
+                let t3 = queries.snapshot();
                 let timeouts_post = t3.failover_timeouts - t2.failover_timeouts;
                 assert_eq!(
                     timeouts_post, 0,

@@ -429,8 +429,8 @@ fn ablate_window(args: &[String]) -> Result<(), String> {
     for w in [5, 10, 20, 40] {
         let mut config = profile.hdk_config(profile.dfmax_values[0]);
         config.window = w;
-        let net = HdkNetwork::build(&collection, &partitions, config);
-        let m = runner::measure_system(&net.query_service(), &central, &log);
+        let net = HdkNetwork::build(&collection, &partitions, config).query_service();
+        let m = runner::measure_system(&net, &central, &log);
         let counts = net.index().index_counts();
         t.row(&[
             w.to_string(),
@@ -497,8 +497,8 @@ fn ablate_redundancy(args: &[String]) -> Result<(), String> {
         ],
     );
     for (name, config) in variants {
-        let net = HdkNetwork::build(&collection, &partitions, config);
-        let m = runner::measure_system(&net.query_service(), &central, &log);
+        let net = HdkNetwork::build(&collection, &partitions, config).query_service();
+        let m = runner::measure_system(&net, &central, &log);
         let counts = net.index().index_counts();
         t.row(&[
             name.to_owned(),
@@ -588,7 +588,7 @@ fn memfoot(args: &[String]) -> Result<(), String> {
             reset_live_heap_peak();
             let network = HdkNetwork::build(&collection, &partitions, config);
             let peak = live_heap_peak_bytes().unwrap_or(0) - before;
-            let mut footprint = MemoryFootprint::measure(&network);
+            let mut footprint = MemoryFootprint::measure(&network.query_service());
             footprint.build_peak_heap = Some(peak);
             eprintln!(
                 "[memfoot] peers={peers} docs={docs} dfmax={dfmax}: resident {} B + sealed {} B vs decoded {} B ({:.2}x)",

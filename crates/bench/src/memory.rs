@@ -22,7 +22,7 @@
 //! its peak ([`MemoryFootprint::build_peak_heap`]).
 
 use crate::report::{fnum, Table};
-use hdk_core::{HdkNetwork, IndexFootprint, PeerStorage};
+use hdk_core::{IndexFootprint, PeerStorage, QueryService};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,8 +111,8 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
-    /// Measures a built network.
-    pub fn measure(network: &HdkNetwork) -> Self {
+    /// Measures a built network through its read path.
+    pub fn measure(network: &QueryService) -> Self {
         let index = network.index();
         Self {
             per_peer: index.storage_per_peer(),
@@ -235,7 +235,7 @@ impl MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hdk_core::HdkConfig;
+    use hdk_core::{HdkConfig, HdkNetwork};
     use hdk_corpus::{partition_documents, CollectionGenerator, GeneratorConfig};
 
     #[test]
@@ -260,7 +260,8 @@ mod tests {
                 store: hdk_core::StoreConfig::Memory,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .query_service();
         let f = MemoryFootprint::measure(&n);
         assert_eq!(f.per_peer.len(), 4);
         assert!(f.resident_total() > 0);
@@ -299,7 +300,8 @@ mod tests {
                 store: hdk_core::StoreConfig::segment(hot_bytes),
                 ..HdkConfig::default()
             },
-        );
+        )
+        .query_service();
         let f = MemoryFootprint::measure(&n);
         assert!(f.resident_total() <= hot_bytes, "hot tier over budget");
         assert!(

@@ -11,7 +11,7 @@
 //! BM25 engine.
 
 use crate::profile::ExperimentProfile;
-use hdk_core::{HdkNetwork, QueryService, SingleTermNetwork, MAX_KEY_SIZE};
+use hdk_core::{HdkConfig, HdkNetwork, QueryService, MAX_KEY_SIZE};
 use hdk_corpus::{partition_documents, CollectionGenerator, QueryLog};
 use hdk_ir::{top_k_overlap, CentralizedEngine};
 use hdk_p2p::PeerId;
@@ -77,7 +77,7 @@ pub fn run_growth_sweep(profile: &ExperimentProfile) -> Vec<PointMeasurement> {
             log.avg_terms()
         );
 
-        let st_net = SingleTermNetwork::build(&collection, &partitions);
+        let st_net = HdkNetwork::build(&collection, &partitions, HdkConfig::single_term());
         let st = measure_system(&st_net.query_service(), &central, &log);
         eprintln!(
             "[sweep]   ST: stored/peer={:.0} retr/query={:.0}",

@@ -198,6 +198,32 @@ impl HdkConfig {
         }
     }
 
+    /// The distributed single-term (ST) baseline, the paper's comparator:
+    /// "the naïve approach" of Figure 1, the classic global single-term
+    /// index distributed over the same structured overlay. Every peer
+    /// inserts its full local single-term posting lists; a query fetches
+    /// the *complete* posting list of every query term, so retrieval
+    /// traffic grows linearly with the collection (the effect Figures 6
+    /// and 8 quantify).
+    ///
+    /// It is the degenerate HDK configuration — `smax = 1`, `DFmax = ∞`,
+    /// no very-frequent-term exclusion — which makes the equivalence
+    /// between the two models explicit (the paper: "In case when DFmax
+    /// would be equal to the maximum posting list size of a single-term
+    /// index, the two indexing models would produce equal indexes").
+    /// Ranking over full single-term lists with global statistics *is*
+    /// exact BM25, so the ST baseline reproduces the centralized engine's
+    /// ranking.
+    pub fn single_term() -> Self {
+        Self {
+            dfmax: u32::MAX,
+            smax: 1,
+            window: 2,    // irrelevant at smax = 1
+            ff: u64::MAX, // no very-frequent exclusion: full vocabulary
+            ..Self::default()
+        }
+    }
+
     /// Checks internal consistency.
     ///
     /// # Panics
@@ -271,6 +297,13 @@ impl Default for HdkConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::HdkNetwork;
+    use hdk_corpus::{
+        partition_documents, Collection, CollectionGenerator, GeneratorConfig, QueryLog,
+        QueryLogConfig,
+    };
+    use hdk_ir::CentralizedEngine;
+    use hdk_p2p::PeerId;
 
     #[test]
     fn paper_configs_match_table2() {
@@ -411,5 +444,91 @@ mod tests {
             ..HdkConfig::default()
         };
         c.validate();
+    }
+
+    fn collection() -> Collection {
+        CollectionGenerator::new(GeneratorConfig {
+            num_docs: 300,
+            vocab_size: 2_500,
+            avg_doc_len: 50,
+            num_topics: 30,
+            topic_vocab: 50,
+            ..GeneratorConfig::default()
+        })
+        .generate()
+    }
+
+    #[test]
+    fn single_term_matches_centralized_bm25_exactly() {
+        let c = collection();
+        let parts = partition_documents(c.len(), 4, 7);
+        let st = HdkNetwork::build(&c, &parts, HdkConfig::single_term()).query_service();
+        let central = CentralizedEngine::build(&c);
+        let log = QueryLog::generate(
+            &c,
+            &QueryLogConfig {
+                num_queries: 30,
+                ..QueryLogConfig::default()
+            },
+        );
+        for q in &log.queries {
+            let dist = st.query(PeerId(0), &q.terms, 20);
+            let cent = central.search(&q.terms, 20);
+            let dist_docs: Vec<_> = dist.results.iter().map(|r| r.doc).collect();
+            let cent_docs: Vec<_> = cent.iter().map(|r| r.doc).collect();
+            assert_eq!(dist_docs, cent_docs, "ranking diverged for {:?}", q.terms);
+            for (d, c) in dist.results.iter().zip(cent.iter()) {
+                assert!((d.score - c.score).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn single_term_query_traffic_equals_sum_of_dfs() {
+        let c = collection();
+        let parts = partition_documents(c.len(), 4, 7);
+        let st = HdkNetwork::build(&c, &parts, HdkConfig::single_term()).query_service();
+        let central = CentralizedEngine::build(&c);
+        let log = QueryLog::generate(
+            &c,
+            &QueryLogConfig {
+                num_queries: 20,
+                ..QueryLogConfig::default()
+            },
+        );
+        for q in &log.queries {
+            let out = st.query(PeerId(1), &q.terms, 20);
+            assert_eq!(
+                out.postings_fetched,
+                central.query_posting_volume(&q.terms) as u64
+            );
+        }
+    }
+
+    #[test]
+    fn single_term_stored_equals_inserted_no_truncation() {
+        let c = collection();
+        let parts = partition_documents(c.len(), 4, 7);
+        let st = HdkNetwork::build(&c, &parts, HdkConfig::single_term()).query_service();
+        let r = st.build_report();
+        let stored: u64 = r.stored_per_peer.iter().sum();
+        let inserted: u64 = r.inserted_by_size.iter().sum();
+        assert_eq!(stored, inserted, "ST index never truncates");
+        // And matches the centralized index posting count.
+        let central = CentralizedEngine::build(&c);
+        assert_eq!(stored, central.index().num_postings() as u64);
+    }
+
+    #[test]
+    fn single_term_has_only_single_term_keys() {
+        let c = collection();
+        let parts = partition_documents(c.len(), 2, 7);
+        let st = HdkNetwork::build(&c, &parts, HdkConfig::single_term()).query_service();
+        let counts = st.build_report().counts;
+        assert!(counts.hdk_keys[0] > 0);
+        for s in 1..4 {
+            assert_eq!(counts.hdk_keys[s] + counts.ndk_keys[s], 0);
+        }
+        assert_eq!(counts.ndk_keys[0], 0, "DFmax = MAX means no NDKs");
     }
 }

@@ -16,7 +16,7 @@
 //! The built system is owned as two service handles over one shared core:
 //!
 //! * [`IndexService`] — the write path: incremental document additions and
-//!   peer joins (single or [bulk](IndexService::join_peers)), each running
+//!   [peer joins](IndexService::join_peers) (one or a wave), each running
 //!   the incremental indexing protocol;
 //! * [`QueryService`] — the read path: plan/execute retrieval, batched and
 //!   cached variants, plus every measurement accessor. The handle is
@@ -24,10 +24,10 @@
 //!   across threads — concurrent queries proceed in parallel and only a
 //!   peer join (which rewires the overlay) briefly blocks them.
 //!
-//! [`HdkNetwork`] is a thin owner of both; callers that need the split
-//! (e.g. a query pool on one thread, churn on another) take the handles
-//! via [`HdkNetwork::query_service`] / [`HdkNetwork::index_service`] or
-//! [`HdkNetwork::into_services`].
+//! [`HdkNetwork`] owns both and forwards nothing: callers borrow the
+//! handles via [`HdkNetwork::query_service`] / [`HdkNetwork::index_service`],
+//! or take them apart with [`HdkNetwork::into_services`] when the split
+//! matters (e.g. a query pool on one thread, churn on another).
 
 use crate::config::{HdkConfig, StoreConfig};
 use crate::global_index::{local_backend, GlobalIndex, IndexStore};
@@ -141,7 +141,7 @@ pub(crate) struct SystemCore {
     sample_size: AtomicU64,
     rounds_run: AtomicUsize,
     /// Bumped whenever the index content changes (`add_documents`,
-    /// `join_peer(s)`); query caches key their validity to this.
+    /// `join_peers`); query caches key their validity to this.
     epoch: AtomicU64,
     /// Very-frequent terms excluded from the key vocabulary, fixed at
     /// build time (the paper, too, derives its stop set during
@@ -385,30 +385,15 @@ impl IndexService {
         }
     }
 
-    /// A new peer joins the running network with its own documents — the
-    /// paper's growth model in full: the overlay splits a region for the
-    /// peer, the affected index fraction migrates to it (maintenance
-    /// traffic, the `Join` control message), and the peer's documents are
-    /// indexed incrementally. Returns the migration volume.
-    ///
-    /// # Panics
-    /// Panics if the peer already exists or a document id is taken.
-    pub fn join_peer(
-        &mut self,
-        peer: PeerId,
-        docs: Vec<hdk_corpus::Document>,
-    ) -> hdk_p2p::MigrationStats {
-        self.join_peers(vec![(peer, docs)])
-            .pop()
-            .expect("one join, one migration")
-    }
-
-    /// Bulk admission: `joins` peers enter the overlay back to back (one
-    /// `Join` wave, in the given order), then *one* incremental
+    /// New peers join the running network with their own documents — the
+    /// paper's growth model in full: the overlay splits a region for each
+    /// peer, the affected index fractions migrate to them (maintenance
+    /// traffic, the `Join` control message), and their documents are
+    /// indexed incrementally. `joins` peers enter the overlay back to back
+    /// (one `Join` wave, in the given order), then *one* incremental
     /// indexing session indexes all their documents together.
     ///
-    /// Compared with N sequential [`IndexService::join_peer`] calls this
-    /// amortizes the re-announce sweep: keys that newly become
+    /// Compared with N sequential one-peer calls this amortizes the re-announce sweep: keys that newly become
     /// non-discriminative trigger one re-examination of the old documents
     /// instead of up to N, and the joiners' inserts batch into shared
     /// bulk-synchronous rounds — strictly fewer messages for the identical
@@ -807,10 +792,12 @@ impl std::fmt::Debug for IndexService {
     }
 }
 
-/// A fully built HDK retrieval network: a thin owner of the write-path
-/// [`IndexService`] and the read-path [`QueryService`]. Most methods are
-/// one-line delegations; take the handles apart when the two paths live on
-/// different threads.
+/// A fully built HDK retrieval network: the owner of the write-path
+/// [`IndexService`] and the read-path [`QueryService`]. Every operation
+/// lives on one of the two: borrow them with
+/// [`HdkNetwork::index_service`] and [`HdkNetwork::query_service`], or
+/// take them apart with [`HdkNetwork::into_services`] when the two paths
+/// live on different threads.
 pub struct HdkNetwork {
     indexer: IndexService,
     query: QueryService,
@@ -933,11 +920,6 @@ impl HdkNetwork {
         self.query.clone()
     }
 
-    /// Borrowed read-path handle (delegation without the `Arc` clone).
-    pub(crate) fn query_service_ref(&self) -> &QueryService {
-        &self.query
-    }
-
     /// The write path (exclusive: additions and joins mutate peer state).
     pub fn index_service(&mut self) -> &mut IndexService {
         &mut self.indexer
@@ -947,123 +929,6 @@ impl HdkNetwork {
     /// for callers that run growth and retrieval on different threads.
     pub fn into_services(self) -> (IndexService, QueryService) {
         (self.indexer, self.query)
-    }
-
-    /// See [`IndexService::add_documents`].
-    pub fn add_documents(&mut self, additions: Vec<(PeerId, hdk_corpus::Document)>) {
-        self.indexer.add_documents(additions);
-    }
-
-    /// See [`IndexService::join_peer`].
-    pub fn join_peer(
-        &mut self,
-        peer: PeerId,
-        docs: Vec<hdk_corpus::Document>,
-    ) -> hdk_p2p::MigrationStats {
-        self.indexer.join_peer(peer, docs)
-    }
-
-    /// See [`IndexService::join_peers`].
-    pub fn join_peers(
-        &mut self,
-        joins: Vec<(PeerId, Vec<hdk_corpus::Document>)>,
-    ) -> Vec<hdk_p2p::MigrationStats> {
-        self.indexer.join_peers(joins)
-    }
-
-    /// See [`IndexService::leave_peers`].
-    pub fn leave_peers(&mut self, peers: Vec<PeerId>) -> Vec<hdk_p2p::MigrationStats> {
-        self.indexer.leave_peers(peers)
-    }
-
-    /// See [`IndexService::fail_peers`].
-    pub fn fail_peers(&mut self, peers: Vec<PeerId>) -> hdk_p2p::LossStats {
-        self.indexer.fail_peers(peers)
-    }
-
-    /// See [`IndexService::repair`].
-    pub fn repair(&mut self) -> hdk_p2p::RepairStats {
-        self.indexer.repair()
-    }
-
-    /// See [`IndexService::gossip_round`].
-    pub fn gossip_round(&mut self) -> hdk_p2p::GossipOutcome {
-        self.indexer.gossip_round()
-    }
-
-    /// See [`IndexService::gossip_converged`].
-    pub fn gossip_converged(&self) -> Option<bool> {
-        self.indexer.gossip_converged()
-    }
-
-    /// See [`IndexService::rebalance_hot`].
-    pub fn rebalance_hot(&mut self) -> hdk_p2p::HotStats {
-        self.indexer.rebalance_hot()
-    }
-
-    /// See [`IndexService::restart_peers`].
-    pub fn restart_peers(
-        &mut self,
-        peers: &[PeerId],
-    ) -> (hdk_p2p::RecoveryStats, hdk_p2p::RepairStats) {
-        self.indexer.restart_peers(peers)
-    }
-
-    /// See [`IndexService::sync_storage`].
-    pub fn sync_storage(&self) {
-        self.indexer.sync_storage();
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &HdkConfig {
-        self.query.config()
-    }
-
-    /// See [`QueryService::index`] — in particular its warning: use the
-    /// guard as a temporary and never call other methods of this type
-    /// while holding it.
-    pub fn index(&self) -> RwLockReadGuard<'_, GlobalIndex> {
-        self.query.core.index.read()
-    }
-
-    /// Number of peers.
-    pub fn num_peers(&self) -> usize {
-        self.query.num_peers()
-    }
-
-    /// Number of indexed documents (`M`).
-    pub fn num_docs(&self) -> usize {
-        self.query.num_docs()
-    }
-
-    /// Collection sample size (`D`, total term occurrences).
-    pub fn sample_size(&self) -> u64 {
-        self.query.sample_size()
-    }
-
-    /// Global average document length.
-    pub fn avg_doc_len(&self) -> f64 {
-        self.query.avg_doc_len()
-    }
-
-    /// Indexing rounds actually executed in the latest session.
-    pub fn rounds_run(&self) -> usize {
-        self.query.rounds_run()
-    }
-
-    /// Current traffic counters.
-    pub fn snapshot(&self) -> TrafficSnapshot {
-        self.query.snapshot()
-    }
-
-    /// Aggregated build statistics for the experiment harness.
-    pub fn build_report(&self) -> BuildReport {
-        self.query.build_report()
-    }
-
-    /// The peers (inspection).
-    pub fn peers(&self) -> &[LocalPeer] {
-        self.indexer.peers()
     }
 }
 
@@ -1096,7 +961,7 @@ mod tests {
         .generate()
     }
 
-    fn build(dfmax: u32) -> HdkNetwork {
+    fn build(dfmax: u32) -> QueryService {
         let c = small_collection();
         let parts = partition_documents(c.len(), 4, 11);
         HdkNetwork::build(
@@ -1108,6 +973,7 @@ mod tests {
                 ..HdkConfig::default()
             },
         )
+        .query_service()
     }
 
     #[test]
@@ -1152,7 +1018,8 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .query_service();
         assert_eq!(n.num_peers(), 1);
         assert!(n.index().index_counts().total_keys() > 0);
     }
@@ -1212,7 +1079,8 @@ mod tests {
                 ff: 2_000,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .query_service();
         let counts = n.index().index_counts();
         assert_eq!(counts.hdk_keys[1] + counts.ndk_keys[1], 0);
         assert_eq!(n.rounds_run(), 1);
@@ -1239,7 +1107,7 @@ mod tests {
             window: 8,
             ..HdkConfig::default()
         };
-        let with = HdkNetwork::build(&c, &parts, base.clone());
+        let with = HdkNetwork::build(&c, &parts, base.clone()).query_service();
         let without = HdkNetwork::build(
             &c,
             &parts,
@@ -1248,7 +1116,8 @@ mod tests {
                 replication: 1,
                 ..base
             },
-        );
+        )
+        .query_service();
         let kw = with.index().index_counts().total_keys();
         let ko = without.index().index_counts().total_keys();
         assert!(
@@ -1279,7 +1148,7 @@ mod tests {
         // std threads; every thread sees the same answers.
         let n = build(25);
         let c = small_collection();
-        let service = n.query_service();
+        let service = n;
         let query: Vec<hdk_text::TermId> = c.docs()[0].tokens[..2].to_vec();
         let reference = service.query(PeerId(0), &query, 10);
         std::thread::scope(|scope| {
@@ -1421,7 +1290,7 @@ mod tests {
 
     /// A 120-document network over 3 peers, and the collection's next
     /// (unindexed) documents.
-    fn small_network() -> (HdkNetwork, Vec<hdk_corpus::Document>) {
+    fn small_network() -> (IndexService, QueryService, Vec<hdk_corpus::Document>) {
         let c = small_collection();
         let parts = partition_documents(120, 3, 11);
         let network = HdkNetwork::build(
@@ -1433,48 +1302,52 @@ mod tests {
                 ..HdkConfig::default()
             },
         );
-        (network, c.docs()[120..130].to_vec())
+        let (indexer, queries) = network.into_services();
+        (indexer, queries, c.docs()[120..130].to_vec())
     }
 
     #[test]
     #[should_panic(expected = "already indexed at")]
     fn a_document_indexed_at_another_peer_is_refused() {
-        let (mut network, _) = small_network();
+        let (mut indexer, _, _) = small_network();
         let c = small_collection();
         let parts = partition_documents(120, 3, 11);
         let owner = parts.iter().position(|p| p.contains(&DocId(5))).unwrap();
         let other = PeerId((owner as u64 + 1) % 3);
-        network.add_documents(vec![(other, c.docs()[5].clone())]);
+        indexer.add_documents(vec![(other, c.docs()[5].clone())]);
     }
 
     #[test]
     #[should_panic(expected = "added twice")]
     fn one_new_document_sent_to_two_peers_is_refused() {
-        let (mut network, fresh) = small_network();
+        let (mut indexer, _, fresh) = small_network();
         let doc = fresh[0].clone();
-        network.add_documents(vec![(PeerId(0), doc.clone()), (PeerId(1), doc)]);
+        indexer.add_documents(vec![(PeerId(0), doc.clone()), (PeerId(1), doc)]);
     }
 
     #[test]
     #[should_panic(expected = "added twice")]
     fn a_document_repeated_in_one_peer_batch_is_refused() {
-        let (mut network, fresh) = small_network();
+        let (mut indexer, _, fresh) = small_network();
         let doc = fresh[0].clone();
-        network.add_documents(vec![(PeerId(2), doc.clone()), (PeerId(2), doc)]);
+        indexer.add_documents(vec![(PeerId(2), doc.clone()), (PeerId(2), doc)]);
     }
 
     #[test]
     fn a_refused_join_leaves_the_network_unchanged() {
-        let (mut network, fresh) = small_network();
+        let (mut indexer, queries, fresh) = small_network();
         let c = small_collection();
-        let peers = network.index().overlay().len();
+        let peers = queries.index().overlay().len();
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            network.join_peer(PeerId(9), vec![fresh[0].clone(), c.docs()[7].clone()]);
+            indexer.join_peers(vec![(
+                PeerId(9),
+                vec![fresh[0].clone(), c.docs()[7].clone()],
+            )]);
         }));
         assert!(refused.is_err(), "a taken document id was accepted");
-        assert_eq!(network.index().overlay().len(), peers);
+        assert_eq!(queries.index().overlay().len(), peers);
         // The valid part of the wave is still welcome.
-        network.join_peer(PeerId(9), vec![fresh[0].clone()]);
-        assert_eq!(network.index().overlay().len(), peers + 1);
+        indexer.join_peers(vec![(PeerId(9), vec![fresh[0].clone()])]);
+        assert_eq!(queries.index().overlay().len(), peers + 1);
     }
 }

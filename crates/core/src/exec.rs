@@ -33,7 +33,7 @@
 //! (simulated) dead-peer timeouts in the traffic meters.
 
 use crate::cache::{CachePeek, QueryCache};
-use crate::engine::{HdkNetwork, QueryService};
+use crate::engine::QueryService;
 use crate::global_index::{GlobalIndex, KeyLookup};
 use crate::key::Key;
 use crate::plan::{self, NodeOutcome, QueryPlan};
@@ -404,57 +404,16 @@ impl QueryService {
     }
 }
 
-impl HdkNetwork {
-    /// See [`QueryService::query`].
-    pub fn query(&self, from: PeerId, query: &[TermId], k: usize) -> QueryOutcome {
-        self.query_service_ref().query(from, query, k)
-    }
-
-    /// See [`QueryService::query_profiled`].
-    pub fn query_profiled(
-        &self,
-        from: PeerId,
-        query: &[TermId],
-        k: usize,
-    ) -> (QueryOutcome, QueryProfile) {
-        self.query_service_ref().query_profiled(from, query, k)
-    }
-
-    /// See [`QueryService::query_batch`].
-    pub fn query_batch<Q: AsRef<[TermId]> + Sync>(
-        &self,
-        queries: &[(PeerId, Q)],
-        k: usize,
-    ) -> Vec<QueryOutcome> {
-        self.query_service_ref().query_batch(queries, k)
-    }
-
-    /// See [`QueryService::query_cached`].
-    pub fn query_cached(
-        &self,
-        from: PeerId,
-        query: &[TermId],
-        k: usize,
-        cache: &crate::cache::QueryCache,
-    ) -> QueryOutcome {
-        self.query_service_ref().query_cached(from, query, k, cache)
-    }
-
-    /// See [`QueryService::max_lookups`].
-    pub fn max_lookups(&self, q_len: usize) -> u64 {
-        self.query_service_ref().max_lookups(q_len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::HdkConfig;
+    use crate::engine::HdkNetwork;
     use hdk_corpus::{
         partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
     };
 
-    fn network(dfmax: u32) -> (hdk_corpus::Collection, HdkNetwork) {
+    fn network(dfmax: u32) -> (hdk_corpus::Collection, QueryService) {
         let c = CollectionGenerator::new(GeneratorConfig {
             num_docs: 500,
             vocab_size: 3_000,
@@ -473,7 +432,8 @@ mod tests {
                 ff: 3_000,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .query_service();
         (c, n)
     }
 

@@ -38,7 +38,7 @@
 use crate::classify::{classify, KeyClass};
 use crate::config::StoreConfig;
 use crate::key::{Key, MAX_KEY_SIZE};
-use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
+use hdk_ir::{CompressedDocSet, CompressedPostings, Posting};
 use hdk_p2p::wire::{self, Wire, WireReader};
 use hdk_p2p::{
     wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
@@ -272,17 +272,6 @@ impl StoreService for IndexStore {
                     });
                 }))
             }
-            IndexSweep::StoredPostings => IndexSwept::StoredPostings(fold_stripes(
-                dht,
-                || vec![0u64; peers],
-                |stripe, totals| {
-                    dht.for_each_stripe(stripe, |holders, _, e, _| {
-                        for &h in holders {
-                            totals[h as usize] += e.postings.len() as u64;
-                        }
-                    });
-                },
-            )),
             IndexSweep::StoragePerPeer => IndexSwept::StoragePerPeer(fold_stripes(
                 dht,
                 || vec![PeerStorage::default(); peers],
@@ -309,9 +298,6 @@ impl StoreService for IndexStore {
                     });
                 },
             )),
-            IndexSweep::ResidentBytes => {
-                IndexSwept::Bytes(dht.resident_bytes(|e| KeyEntryCodec.weight(e)))
-            }
             IndexSweep::SealedBytes => IndexSwept::Bytes(dht.disk_bytes()),
             IndexSweep::SyncStorage => {
                 dht.sync_storage();
@@ -406,12 +392,8 @@ pub enum IndexSweep {
     Peek(Key),
     /// Counts stored keys and postings, split HDK/NDK and by size.
     Counts,
-    /// Sums stored postings per holding peer.
-    StoredPostings,
     /// Sums the storage composition per holding peer, both tiers.
     StoragePerPeer,
-    /// Sums resident (hot-tier) posting-storage bytes.
-    ResidentBytes,
     /// Sums live sealed segment-log bytes on disk.
     SealedBytes,
     /// Seals every hot entry to the persistent tier.
@@ -435,9 +417,8 @@ pub enum IndexSwept {
     Classified(Vec<(PeerId, Key)>),
     Peeked(Option<KeyEntry>),
     Counts(IndexCounts),
-    StoredPostings(Vec<u64>),
     StoragePerPeer(Vec<PeerStorage>),
-    /// A byte total (`ResidentBytes`, `SealedBytes`).
+    /// A byte total (`SealedBytes`).
     Bytes(u64),
     /// An effect-only sweep ran.
     Done,
@@ -445,13 +426,12 @@ pub enum IndexSwept {
     Footprint(IndexFootprint),
 }
 
+// Retired tags stay unassigned: `IndexSweep` 3 and 5, `IndexSwept` 3.
 wire_enum!(IndexSweep {
     0 => Classify { size },
     1 => Peek(key),
     2 => Counts,
-    3 => StoredPostings,
     4 => StoragePerPeer,
-    5 => ResidentBytes,
     6 => SealedBytes,
     7 => SyncStorage,
     8 => Reassign { departed, custodian },
@@ -462,7 +442,6 @@ wire_enum!(IndexSwept {
     0 => Classified(notes),
     1 => Peeked(entry),
     2 => Counts(counts),
-    3 => StoredPostings(totals),
     4 => StoragePerPeer(totals),
     5 => Bytes(total),
     6 => Done,
@@ -478,9 +457,6 @@ impl Absorb for IndexSwept {
             (IndexSwept::Classified(acc), IndexSwept::Classified(other)) => acc.extend(other),
             (IndexSwept::Peeked(acc @ None), IndexSwept::Peeked(other)) => *acc = other,
             (IndexSwept::Counts(acc), IndexSwept::Counts(other)) => acc.absorb(other),
-            (IndexSwept::StoredPostings(acc), IndexSwept::StoredPostings(other)) => {
-                acc.absorb(other)
-            }
             (IndexSwept::StoragePerPeer(acc), IndexSwept::StoragePerPeer(other)) => {
                 acc.absorb(other)
             }
@@ -678,22 +654,6 @@ impl GlobalIndex {
     /// simulates time).
     pub fn virtual_time_ns(&self) -> u64 {
         self.backend.virtual_time_ns()
-    }
-
-    /// Peer `from` inserts its local postings for `key` (convenience
-    /// wrapper encoding on the way in; the round path transmits
-    /// pre-encoded blocks via [`GlobalIndex::insert_block`]).
-    pub fn insert(&self, from: PeerId, key: Key, postings: PostingList) -> bool {
-        self.insert_block(from, key, &CompressedPostings::from_list(&postings))
-    }
-
-    /// Peer `from` inserts one encoded posting block for `key`: a
-    /// single-item `InsertBatch` message. Returns the acknowledgement flag
-    /// ("key is currently non-discriminative").
-    pub fn insert_block(&self, from: PeerId, key: Key, block: &CompressedPostings) -> bool {
-        let request = self.insert_request(vec![(from, vec![(key, block.clone())])]);
-        let mut acks = self.send_insert(&request);
-        acks.pop().expect("one batch").1.pop().expect("one item")
     }
 
     /// Addresses per-peer batches as an [`Request::InsertBatch`]
@@ -894,13 +854,10 @@ impl GlobalIndex {
     /// per *holder*: an entry replicated at `R` peers is stored (and
     /// counted) at each of them. With `R = 1` and no churn the single
     /// holder is the responsible peer, reproducing the pre-replication
-    /// figures bit for bit. Swept stripe-parallel; per-peer sums are
-    /// order-independent.
+    /// figures bit for bit. The [`PeerStorage::postings`] column of
+    /// [`GlobalIndex::storage_per_peer`].
     pub fn stored_postings_per_peer(&self) -> Vec<u64> {
-        match self.sweep(IndexSweep::StoredPostings) {
-            IndexSwept::StoredPostings(totals) => totals,
-            other => unreachable!("StoredPostings answered with {other:?}"),
-        }
+        self.storage_per_peer().iter().map(|p| p.postings).collect()
     }
 
     /// Inserted postings per key size (`IS_s`, Figure 5). Slot `s-1`.
@@ -1086,13 +1043,14 @@ impl GlobalIndex {
     }
 
     /// Total resident posting-storage bytes across the index: every
-    /// stored block plus every `df` doc-set, at their exact encoded
-    /// sizes (via the DHT's per-stripe accounting hook).
+    /// hot-tier block plus every hot `df` doc-set, at their exact encoded
+    /// sizes, once per holder — [`PeerStorage::resident_bytes`] summed
+    /// over [`GlobalIndex::storage_per_peer`].
     pub fn resident_posting_bytes(&self) -> u64 {
-        match self.sweep(IndexSweep::ResidentBytes) {
-            IndexSwept::Bytes(total) => total,
-            other => unreachable!("ResidentBytes answered with {other:?}"),
-        }
+        self.storage_per_peer()
+            .iter()
+            .map(PeerStorage::resident_bytes)
+            .sum()
     }
 
     /// Visits every stored entry once (all stripes, both tiers, every
@@ -1310,6 +1268,7 @@ impl std::fmt::Display for IndexCounts {
 mod tests {
     use super::*;
     use hdk_corpus::DocId;
+    use hdk_ir::PostingList;
     use hdk_text::TermId;
 
     fn index(peers: u64, dfmax: u32) -> GlobalIndex {
@@ -1331,6 +1290,14 @@ mod tests {
         )
     }
 
+    /// Peer `from`'s one-key insert, shipped as a one-item round; `true`
+    /// when the acknowledgement reports the key non-discriminative.
+    fn insert(idx: &GlobalIndex, from: PeerId, key: Key, postings: PostingList) -> bool {
+        let block = CompressedPostings::from_list(&postings);
+        idx.insert_round(vec![(from, vec![(key, block)])])
+            .contains_key(&from)
+    }
+
     fn key(terms: &[u32]) -> Key {
         Key::from_terms(&terms.iter().map(|&t| TermId(t)).collect::<Vec<_>>()).unwrap()
     }
@@ -1338,8 +1305,8 @@ mod tests {
     #[test]
     fn insert_accumulates_df_and_contributors() {
         let idx = index(4, 10);
-        idx.insert(PeerId(0), key(&[1]), list(&[0, 1, 2]));
-        idx.insert(PeerId(1), key(&[1]), list(&[5, 6]));
+        insert(&idx, PeerId(0), key(&[1]), list(&[0, 1, 2]));
+        insert(&idx, PeerId(1), key(&[1]), list(&[5, 6]));
         let e = idx.peek(key(&[1])).unwrap();
         assert_eq!(e.df, 5);
         assert_eq!(e.postings.len(), 5);
@@ -1350,8 +1317,8 @@ mod tests {
     #[test]
     fn classify_marks_and_truncates_ndk() {
         let idx = index(4, 3);
-        idx.insert(PeerId(0), key(&[1]), list(&[0, 1, 2, 3, 4]));
-        idx.insert(PeerId(1), key(&[2]), list(&[0, 1]));
+        insert(&idx, PeerId(0), key(&[1]), list(&[0, 1, 2, 3, 4]));
+        insert(&idx, PeerId(1), key(&[2]), list(&[0, 1]));
         let notes = idx.classify_round(1);
         // Key {1} has df 5 > 3 -> NDK, truncated to 3; key {2} stays DK.
         let e1 = idx.peek(key(&[1])).unwrap();
@@ -1369,7 +1336,7 @@ mod tests {
     #[test]
     fn classification_is_idempotent() {
         let idx = index(2, 2);
-        idx.insert(PeerId(0), key(&[7]), list(&[0, 1, 2, 3]));
+        insert(&idx, PeerId(0), key(&[7]), list(&[0, 1, 2, 3]));
         let first = idx.classify_round(1);
         assert_eq!(first.len(), 1);
         let second = idx.classify_round(1);
@@ -1379,8 +1346,8 @@ mod tests {
     #[test]
     fn sweep_only_touches_requested_size() {
         let idx = index(2, 1);
-        idx.insert(PeerId(0), key(&[1]), list(&[0, 1]));
-        idx.insert(PeerId(0), key(&[1, 2]), list(&[0, 1]));
+        insert(&idx, PeerId(0), key(&[1]), list(&[0, 1]));
+        insert(&idx, PeerId(0), key(&[1, 2]), list(&[0, 1]));
         let notes = idx.classify_round(2);
         assert_eq!(notes[&PeerId(0)], vec![key(&[1, 2])]);
         // The single {1} is still unswept.
@@ -1390,7 +1357,7 @@ mod tests {
     #[test]
     fn lookup_meters_and_returns_state() {
         let idx = index(4, 2);
-        idx.insert(PeerId(0), key(&[3]), list(&[0, 1, 2, 3]));
+        insert(&idx, PeerId(0), key(&[3]), list(&[0, 1, 2, 3]));
         idx.classify_round(1);
         let before = idx.snapshot();
         let found = idx.lookup(PeerId(2), key(&[3])).unwrap();
@@ -1408,9 +1375,9 @@ mod tests {
     fn lookup_many_matches_sequential_lookups() {
         let build = || {
             let idx = index(4, 2);
-            idx.insert(PeerId(0), key(&[1]), list(&[0, 1, 2, 3]));
-            idx.insert(PeerId(1), key(&[2]), list(&[4]));
-            idx.insert(PeerId(0), key(&[1, 2]), list(&[0, 4]));
+            insert(&idx, PeerId(0), key(&[1]), list(&[0, 1, 2, 3]));
+            insert(&idx, PeerId(1), key(&[2]), list(&[4]));
+            insert(&idx, PeerId(0), key(&[1, 2]), list(&[0, 4]));
             idx.classify_round(1);
             idx.classify_round(2);
             idx
@@ -1440,9 +1407,9 @@ mod tests {
     #[test]
     fn is_counters_track_sizes() {
         let idx = index(2, 10);
-        idx.insert(PeerId(0), key(&[1]), list(&[0, 1]));
-        idx.insert(PeerId(0), key(&[1, 2]), list(&[0, 1, 2]));
-        idx.insert(PeerId(1), key(&[1, 2, 3]), list(&[4]));
+        insert(&idx, PeerId(0), key(&[1]), list(&[0, 1]));
+        insert(&idx, PeerId(0), key(&[1, 2]), list(&[0, 1, 2]));
+        insert(&idx, PeerId(1), key(&[1, 2, 3]), list(&[4]));
         let by_size = idx.inserted_by_size();
         assert_eq!(by_size[0], 2);
         assert_eq!(by_size[1], 3);
@@ -1451,21 +1418,40 @@ mod tests {
 
     #[test]
     fn index_counts_split_correctly() {
-        let idx = index(2, 2);
-        idx.insert(PeerId(0), key(&[1]), list(&[0, 1, 2, 3])); // -> NDK
-        idx.insert(PeerId(0), key(&[2]), list(&[0])); // -> HDK
-        idx.insert(PeerId(0), key(&[2, 3]), list(&[0, 1])); // -> HDK size 2
-        idx.classify_round(1);
-        idx.classify_round(2);
-        let c = idx.index_counts();
-        assert_eq!(c.ndk_keys[0], 1);
-        assert_eq!(c.ndk_postings[0], 2); // truncated to DFmax=2
-        assert_eq!(c.hdk_keys[0], 1);
-        assert_eq!(c.hdk_keys[1], 1);
-        assert_eq!(c.total_keys(), 3);
-        assert_eq!(c.total_postings(), 5);
-        let stored: u64 = idx.stored_postings_per_peer().iter().sum();
-        assert_eq!(stored, c.total_postings());
+        // Once unreplicated, once at R = 3: the counts see each key once,
+        // the per-peer storage sums see each of its R copies.
+        let mut resident = Vec::new();
+        for replication in [1, 3] {
+            let overlay = Box::new(PGrid::new((0..4).map(PeerId).collect()));
+            let backend = local_backend(overlay, 2, replication, &StoreConfig::Memory);
+            let idx = GlobalIndex::with_backend(Box::new(backend), 2);
+            insert(&idx, PeerId(0), key(&[1]), list(&[0, 1, 2, 3])); // -> NDK
+            insert(&idx, PeerId(0), key(&[2]), list(&[0])); // -> HDK
+            insert(&idx, PeerId(0), key(&[2, 3]), list(&[0, 1])); // -> HDK size 2
+            idx.classify_round(1);
+            idx.classify_round(2);
+            let c = idx.index_counts();
+            assert_eq!(c.ndk_keys[0], 1);
+            assert_eq!(c.ndk_postings[0], 2); // truncated to DFmax=2
+            assert_eq!(c.hdk_keys[0], 1);
+            assert_eq!(c.hdk_keys[1], 1);
+            assert_eq!(c.total_keys(), 3);
+            assert_eq!(c.total_postings(), 5);
+            let stored: u64 = idx.stored_postings_per_peer().iter().sum();
+            assert_eq!(stored, replication as u64 * c.total_postings());
+            // The resident total is the per-stripe sum of every hot copy.
+            let mut by_stripe = 0u64;
+            for stripe in 0..idx.dht().num_stripes() {
+                idx.dht().for_each_stripe(stripe, |holders, _, e, tier| {
+                    assert_eq!(tier, Tier::Hot);
+                    by_stripe += KeyEntryCodec.weight(e) * holders.len() as u64;
+                });
+            }
+            assert_eq!(idx.resident_posting_bytes(), by_stripe);
+            resident.push(by_stripe);
+        }
+        assert!(resident[0] > 0);
+        assert_eq!(resident[1], 3 * resident[0], "R = 3 holds three copies");
     }
 
     #[test]
@@ -1474,28 +1460,28 @@ mod tests {
         // lose df (docs dropped from the stored list) nor double-count
         // docs re-announced by the same peer.
         let idx = index(2, 2);
-        idx.insert(PeerId(0), key(&[5]), list(&[0, 1, 2, 3]));
+        insert(&idx, PeerId(0), key(&[5]), list(&[0, 1, 2, 3]));
         idx.classify_round(1);
         assert_eq!(idx.peek(key(&[5])).unwrap().df, 4);
         // New docs from another peer: df grows by exactly 2.
-        idx.insert(PeerId(1), key(&[5]), list(&[7, 8]));
+        insert(&idx, PeerId(1), key(&[5]), list(&[7, 8]));
         let e = idx.peek(key(&[5])).unwrap();
         assert_eq!(e.df, 6);
         assert_eq!(e.postings.len(), 2, "stored list stays truncated");
         // Re-announcing already-counted docs (including ones truncated out
         // of the stored list) must not change df.
-        idx.insert(PeerId(1), key(&[5]), list(&[0, 7]));
+        insert(&idx, PeerId(1), key(&[5]), list(&[0, 7]));
         assert_eq!(idx.peek(key(&[5])).unwrap().df, 6);
     }
 
     #[test]
     fn insert_reports_ndk_state() {
         let idx = index(2, 2);
-        assert!(!idx.insert(PeerId(0), key(&[6]), list(&[0, 1, 2])));
+        assert!(!insert(&idx, PeerId(0), key(&[6]), list(&[0, 1, 2])));
         idx.classify_round(1);
         // A later insert (e.g. a joining peer) learns the NDK state from
         // the acknowledgement.
-        assert!(idx.insert(PeerId(1), key(&[6]), list(&[9])));
+        assert!(insert(&idx, PeerId(1), key(&[6]), list(&[9])));
     }
 
     #[test]
@@ -1546,7 +1532,7 @@ mod tests {
                 doc_len: 10,
             },
         ]);
-        idx.insert(PeerId(0), key(&[4]), pl);
+        insert(&idx, PeerId(0), key(&[4]), pl);
         idx.classify_round(1);
         let e = idx.peek(key(&[4])).unwrap();
         let docs: Vec<u32> = e.postings.docs().map(|d| d.0).collect();

@@ -35,8 +35,9 @@
 //! // Build the distributed HDK index and query it.
 //! let config = HdkConfig { dfmax: 20, ff: 2_000, ..HdkConfig::default() };
 //! let network = HdkNetwork::build(&collection, &partitions, config);
+//! let queries = network.query_service();
 //! let query = collection.docs()[0].tokens[..2].to_vec();
-//! let outcome = network.query(PeerId(0), &query, 20);
+//! let outcome = queries.query(PeerId(0), &query, 20);
 //! assert!(outcome.postings_fetched <= u64::from(outcome.lookups) * 20);
 //! ```
 
@@ -48,7 +49,6 @@ pub mod exec;
 pub mod global_index;
 pub mod key;
 pub mod local_indexer;
-pub mod naive;
 pub mod plan;
 pub mod ranking;
 pub mod serve;
@@ -69,7 +69,6 @@ pub use global_index::{
 pub use hdk_ir::Codec;
 pub use key::{Key, MAX_KEY_SIZE};
 pub use local_indexer::LocalPeer;
-pub use naive::SingleTermNetwork;
 pub use plan::{max_lookups, NodeOutcome, QueryPlan};
 pub use serve::{
     spawn_http, Fleet, HttpHandle, PeerConfig, PeerHost, TcpNet, WireRequest, WireResponse,

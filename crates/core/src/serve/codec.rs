@@ -31,8 +31,10 @@ use hdk_text::TermId;
 /// Protocol version carried in the [`WireRequest::Hello`] handshake.
 /// Bumped on any incompatible encoding change — 4: frames carry the
 /// word-wide checksum, and `RecoveryStats` and `IndexFootprint` gained
-/// fields.
-pub const WIRE_VERSION: u32 = 4;
+/// fields; 5: the `StoredPostings` and `ResidentBytes` sweeps and the
+/// `StoredPostings` reply are gone (both answered from `StoragePerPeer`),
+/// so `IndexSweep` tags 3 and 5 and `IndexSwept` tag 3 are unassigned.
+pub const WIRE_VERSION: u32 = 5;
 
 /// One serving-tier request frame, front-end → peer process.
 #[derive(Debug, Clone)]

@@ -380,7 +380,7 @@ fn a_build_holds_one_peers_batch_beyond_its_index() {
         Some(threads) => std::env::set_var("RAYON_NUM_THREADS", threads),
         None => std::env::remove_var("RAYON_NUM_THREADS"),
     }
-    let counts = network.index().index_counts();
+    let counts = network.query_service().index().index_counts();
     let keys: u64 = counts.hdk_keys.iter().chain(&counts.ndk_keys).sum();
     assert!(keys > 50_000, "only {keys} keys stored");
     // 19.4 MB at the peak against 18.3 MB kept: 1.06 measured, bounded
@@ -422,7 +422,8 @@ fn a_query_makes_a_pinned_number_of_allocations() {
     let bound = 24.5;
     let threads = std::env::var("RAYON_NUM_THREADS").ok();
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let network = HdkNetwork::build(&docs, &partition_documents(docs.len(), 4, 3), config);
+    let network =
+        HdkNetwork::build(&docs, &partition_documents(docs.len(), 4, 3), config).query_service();
     let (results, allocations) = counting(|| {
         log.queries
             .iter()

@@ -8,7 +8,7 @@
 //! including the cross-session subtleties (keys flipping to NDK late,
 //! old documents contributing new combinations, no double-counted dfs).
 
-use hdk_core::{HdkConfig, HdkNetwork, Key};
+use hdk_core::{HdkConfig, HdkNetwork, Key, QueryService};
 use hdk_corpus::{
     partition_documents, Collection, CollectionGenerator, DocId, GeneratorConfig, QueryLog,
     QueryLogConfig,
@@ -35,9 +35,9 @@ fn build_both(
     peers: usize,
     split_at: usize,
     dfmax: u32,
-) -> (HdkNetwork, HdkNetwork) {
+) -> (QueryService, QueryService) {
     let partitions = partition_documents(collection.len(), peers, 31);
-    let full = HdkNetwork::build(collection, &partitions, config(dfmax));
+    let full = HdkNetwork::build(collection, &partitions, config(dfmax)).query_service();
 
     let old_parts: Vec<Vec<DocId>> = partitions
         .iter()
@@ -51,11 +51,11 @@ fn build_both(
             additions.push((PeerId(peer_idx as u64), collection.doc(d).clone()));
         }
     }
-    incremental.add_documents(additions);
-    (full, incremental)
+    incremental.index_service().add_documents(additions);
+    (full, incremental.query_service())
 }
 
-fn assert_networks_equal(full: &HdkNetwork, incremental: &HdkNetwork, collection: &Collection) {
+fn assert_networks_equal(full: &QueryService, incremental: &QueryService, collection: &Collection) {
     assert_eq!(full.num_docs(), incremental.num_docs());
     assert_eq!(full.sample_size(), incremental.sample_size());
     let (cf, ci) = (
@@ -129,7 +129,7 @@ fn grow_in_waves(
     partitions: &[Vec<DocId>],
     bounds: &[usize],
     dfmax: u32,
-) -> HdkNetwork {
+) -> QueryService {
     let base: Vec<Vec<DocId>> = partitions
         .iter()
         .map(|p| {
@@ -150,9 +150,9 @@ fn grow_in_waves(
                 additions.push((PeerId(peer_idx as u64), collection.doc(d).clone()));
             }
         }
-        net.add_documents(additions);
+        net.index_service().add_documents(additions);
     }
-    net
+    net.query_service()
 }
 
 #[test]
@@ -167,7 +167,7 @@ fn incremental_in_multiple_waves() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 3, 8);
-    let full = HdkNetwork::build(&collection, &partitions, config(10));
+    let full = HdkNetwork::build(&collection, &partitions, config(10)).query_service();
     // Three waves: 0..120, 120..240, 240..360.
     let net = grow_in_waves(&collection, &partitions, &[120, 240, 360], 10);
     assert_networks_equal(&full, &net, &collection);
@@ -189,7 +189,7 @@ fn four_growth_batches_equal_one_session_rebuild() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 4, 17);
-    let full = HdkNetwork::build(&collection, &partitions, config(8));
+    let full = HdkNetwork::build(&collection, &partitions, config(8)).query_service();
     let grown = grow_in_waves(&collection, &partitions, &[200, 250, 300, 350, 400], 8);
     assert_networks_equal(&full, &grown, &collection);
     let log = QueryLog::generate(
@@ -200,7 +200,7 @@ fn four_growth_batches_equal_one_session_rebuild() {
         },
     );
     for q in &log.queries {
-        let bits = |net: &HdkNetwork| -> Vec<(DocId, u64)> {
+        let bits = |net: &QueryService| -> Vec<(DocId, u64)> {
             net.query(PeerId(1), &q.terms, 20)
                 .results
                 .iter()
@@ -229,9 +229,10 @@ fn adding_zero_documents_is_a_noop() {
     .generate();
     let partitions = partition_documents(collection.len(), 2, 4);
     let mut net = HdkNetwork::build(&collection, &partitions, config(10));
-    let before = net.index().index_counts();
-    net.add_documents(Vec::new());
-    assert_eq!(net.index().index_counts(), before);
+    let queries = net.query_service();
+    let before = queries.index().index_counts();
+    net.index_service().add_documents(Vec::new());
+    assert_eq!(queries.index().index_counts(), before);
 }
 
 // Randomized equivalence over tiny collections — the same check as the

@@ -137,17 +137,17 @@ fn build_over_loopback(
     partitions: &[Vec<DocId>],
     config: &HdkConfig,
     hosts: usize,
-) -> HdkNetwork {
+) -> QueryService {
     let net = loopback_net(partitions.len(), config, hosts);
-    HdkNetwork::build_over(collection, partitions, config.clone(), Box::new(net))
+    HdkNetwork::build_over(collection, partitions, config.clone(), Box::new(net)).query_service()
 }
 
 /// What every backend must agree on with `InProc`: the build report, the
 /// query outcomes bit for bit, and every traffic count (the latency
 /// histograms are the one permitted difference).
 fn check_same_observables(
-    inproc: &HdkNetwork,
-    other: &HdkNetwork,
+    inproc: &QueryService,
+    other: &QueryService,
     queries: &[Vec<u32>],
     peers: usize,
 ) -> Result<(), TestCaseError> {
@@ -157,8 +157,8 @@ fn check_same_observables(
     prop_assert_eq!(ra.counts, rb.counts);
     prop_assert_eq!(ra.rounds, rb.rounds);
 
-    let qa = run_queries(&inproc.query_service(), queries, peers);
-    let qb = run_queries(&other.query_service(), queries, peers);
+    let qa = run_queries(inproc, queries, peers);
+    let qb = run_queries(other, queries, peers);
     prop_assert_eq!(qa, qb, "query outcomes diverged across backends");
 
     let (sa, sb) = (inproc.snapshot(), other.snapshot());
@@ -181,10 +181,10 @@ fn check_loopback_equivalent(
     hosts: usize,
 ) -> Result<(), TestCaseError> {
     let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
-    let inproc = HdkNetwork::build(collection, &partitions, config.clone());
+    let inproc = HdkNetwork::build(collection, &partitions, config.clone()).query_service();
     let fleet = build_over_loopback(collection, &partitions, config, hosts);
     check_same_observables(&inproc, &fleet, queries, peers)?;
-    prop_assert_eq!(fleet.query_service().transport_errors(), 0);
+    prop_assert_eq!(fleet.transport_errors(), 0);
     Ok(())
 }
 
@@ -196,14 +196,15 @@ fn check_equivalent(
     sim: SimNetConfig,
 ) -> Result<(), TestCaseError> {
     let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
-    let inproc = HdkNetwork::build(collection, &partitions, config.clone());
+    let inproc = HdkNetwork::build(collection, &partitions, config.clone()).query_service();
     let simnet = HdkNetwork::build_with(
         collection,
         &partitions,
         config.clone(),
         OverlayKind::PGrid,
         BackendConfig::SimNet(sim),
-    );
+    )
+    .query_service();
     check_same_observables(&inproc, &simnet, queries, peers)?;
     // The simulated side recorded exactly one latency sample per message
     // of every kind; the in-process side recorded none.

@@ -75,7 +75,7 @@ proptest! {
         let collection = make_collection(&token_docs);
         let partitions = hdk_corpus::partition_documents(collection.len(), peers, 23);
         let config = HdkConfig { dfmax, smax, window: 5, ff: u64::MAX, ..HdkConfig::default() };
-        let mut network = HdkNetwork::build(&collection, &partitions, config);
+        let (mut indexer, network) = HdkNetwork::build(&collection, &partitions, config).into_services();
         let caches = CAPACITIES.map(QueryCache::new);
         let mut num_docs = collection.len();
         let mut sessions = sessions.into_iter();
@@ -88,7 +88,7 @@ proptest! {
                     let docs = session.iter().enumerate().map(|(j, tokens)| {
                         (PeerId((i + j) as u64 % peers as u64), document(num_docs + j, tokens))
                     });
-                    network.add_documents(docs.collect());
+                    indexer.add_documents(docs.collect());
                     num_docs += session.len();
                 }
             }

@@ -273,9 +273,10 @@ proptest! {
             &collection.prefix(indexed),
             &hdk_corpus::partition_documents(indexed, 4, 7),
             config.clone(),
-        );
+        )
+        .query_service();
         prop_assert_eq!(counts[0], reference.index().index_counts());
-        let expected = digest_queries(&reference.query_service(), PeerId(0), &queries);
+        let expected = digest_queries(&reference, PeerId(0), &queries);
         let live_results: Vec<Vec<(u32, u64)>> =
             digests[0].iter().map(|(r, _, _)| r.clone()).collect();
         let want_results: Vec<Vec<(u32, u64)>> =

@@ -6,14 +6,14 @@
 //! canonical order, expand only non-discriminative keys by
 //! non-discriminative terms, probe each level's candidates in sorted key
 //! order, rank the union of everything found. The pipeline
-//! ([`HdkNetwork::query`]) must reproduce it bit for bit — top-k score
+//! ([`QueryService::query`]) must reproduce it bit for bit — top-k score
 //! bits, lookup counts, postings fetched, and every traffic counter —
 //! because planning is a pure re-statement of the same walk and the
 //! executor applies all observable effects in plan order regardless of
 //! how wide the parallel probe fan-out ran.
 
 use hdk_core::ranking::rank_union;
-use hdk_core::{HdkConfig, HdkNetwork, Key, KeyLookup, QueryOutcome};
+use hdk_core::{HdkConfig, HdkNetwork, Key, KeyLookup, QueryOutcome, QueryService};
 use hdk_corpus::{Collection, DocId, Document};
 use hdk_p2p::PeerId;
 use hdk_text::{TermId, Vocabulary};
@@ -40,7 +40,7 @@ fn make_collection(token_docs: &[Vec<u32>]) -> Collection {
 
 /// The retired sequential walk, verbatim: one metered lookup at a time,
 /// level by level, ranking the accumulated union at the end.
-fn naive_query(network: &HdkNetwork, from: PeerId, query: &[TermId], k: usize) -> QueryOutcome {
+fn naive_query(network: &QueryService, from: PeerId, query: &[TermId], k: usize) -> QueryOutcome {
     let mut terms: Vec<TermId> = query.to_vec();
     terms.sort_unstable();
     terms.dedup();
@@ -136,8 +136,8 @@ proptest! {
         };
         // Two identical builds (builds are deterministic — pinned by
         // tests/determinism.rs) so each side meters its own traffic.
-        let reference = HdkNetwork::build(&collection, &partitions, config.clone());
-        let pipeline = HdkNetwork::build(&collection, &partitions, config);
+        let reference = HdkNetwork::build(&collection, &partitions, config.clone()).query_service();
+        let pipeline = HdkNetwork::build(&collection, &partitions, config).query_service();
 
         for (i, q) in queries.iter().enumerate() {
             let terms: Vec<TermId> = q.iter().map(|&t| TermId(t)).collect();

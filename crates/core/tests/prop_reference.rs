@@ -111,7 +111,8 @@ proptest! {
             codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
             },
-        );
+        )
+        .query_service();
 
         let truth = brute_all_keys(collection.docs(), w);
 
@@ -212,7 +213,8 @@ proptest! {
             codec: hdk_core::Codec::Leb128,
             gossip: hdk_p2p::GossipConfig::default(),
             },
-        );
+        )
+        .query_service();
         let truth = brute_all_keys(collection.docs(), w);
         for (key, true_docs) in &truth {
             if key.size() < 2 {

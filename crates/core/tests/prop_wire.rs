@@ -267,10 +267,8 @@ impl Gen {
         match sweep {
             IndexSweep::Classify { .. } => IndexSweep::Peek(self.key()),
             IndexSweep::Peek(_) => IndexSweep::Counts,
-            IndexSweep::Counts => IndexSweep::StoredPostings,
-            IndexSweep::StoredPostings => IndexSweep::StoragePerPeer,
-            IndexSweep::StoragePerPeer => IndexSweep::ResidentBytes,
-            IndexSweep::ResidentBytes => IndexSweep::SealedBytes,
+            IndexSweep::Counts => IndexSweep::StoragePerPeer,
+            IndexSweep::StoragePerPeer => IndexSweep::SealedBytes,
             IndexSweep::SealedBytes => IndexSweep::SyncStorage,
             IndexSweep::SyncStorage => IndexSweep::Reassign {
                 departed: self.wave(),
@@ -388,10 +386,7 @@ impl Gen {
                 }
                 IndexSwept::Counts(counts)
             }
-            IndexSwept::Counts(_) => {
-                IndexSwept::StoredPostings((0..self.below(6)).map(|_| self.next()).collect())
-            }
-            IndexSwept::StoredPostings(_) => IndexSwept::StoragePerPeer(
+            IndexSwept::Counts(_) => IndexSwept::StoragePerPeer(
                 (0..self.below(4))
                     .map(|_| PeerStorage {
                         postings: self.next(),

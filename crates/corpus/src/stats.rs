@@ -64,11 +64,6 @@ impl FrequencyStats {
         self.num_docs
     }
 
-    /// Number of terms with non-zero frequency.
-    pub fn observed_vocab(&self) -> usize {
-        self.cf.iter().filter(|&&f| f > 0).count()
-    }
-
     /// Rank-frequency pairs `(rank, frequency)` with rank 1 = most frequent,
     /// only terms with `cf > 0`, frequency descending. Input to the Zipf fit.
     pub fn rank_frequency(&self) -> Vec<(usize, u64)> {

@@ -902,34 +902,6 @@ impl<V: Send + Sync + 'static> Dht<V> {
         out.expect("get runs the read callback")
     }
 
-    /// Resident (hot-tier) bytes of one stripe's values, under its read
-    /// lock — **per stored copy**: an entry replicated at `R` peers
-    /// occupies `R` times its `measure`. `measure` reports each value's
-    /// storage footprint — for compressed posting blocks that is the
-    /// encoded size, so storage accounting and the wire byte meters speak
-    /// the same unit. (At `R = 1` every entry has exactly one holder and
-    /// this is the plain sum.) Entries a tiered store has sealed to disk
-    /// do not occupy memory and are excluded — see [`Dht::disk_bytes`]
-    /// for the on-disk side (an unbounded store keeps everything hot, so
-    /// there this is the whole total).
-    pub fn stripe_resident_bytes(&self, stripe: usize, measure: impl Fn(&V) -> u64) -> u64 {
-        let mut total = 0u64;
-        self.store.scan(stripe, &mut |_, s, tier| {
-            if tier == Tier::Hot {
-                total += measure(&s.value) * s.holders.len() as u64;
-            }
-        });
-        total
-    }
-
-    /// Total resident (hot-tier) bytes across all stripes (storage
-    /// accounting, not traffic — nothing is metered).
-    pub fn resident_bytes(&self, measure: impl Fn(&V) -> u64) -> u64 {
-        (0..NUM_STRIPES)
-            .map(|s| self.stripe_resident_bytes(s, &measure))
-            .sum()
-    }
-
     /// Heap bytes of one stripe's storage structure, not of its values:
     /// the store's tables ([`Store::table_bytes`]) and, separately, the
     /// heap slices of resident holder sets too long to sit inline.
@@ -944,8 +916,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     }
 
     /// Total live on-disk segment bytes across all stripes, summed per
-    /// stored copy (0 for an unbounded store). The disk-tier counterpart
-    /// of [`Dht::resident_bytes`].
+    /// stored copy (0 for an unbounded store).
     pub fn disk_bytes(&self) -> u64 {
         (0..NUM_STRIPES).map(|s| self.store.disk_bytes(s)).sum()
     }
@@ -971,13 +942,6 @@ impl<V: Send + Sync + 'static> Dht<V> {
     /// hot tier.
     pub fn for_each_stripe_mut<F: FnMut(&u64, &mut V)>(&self, stripe: usize, mut f: F) {
         self.store.scan_mut(stripe, &mut |k, s| f(&k, &mut s.value));
-    }
-
-    /// Admits one peer — [`Dht::add_peers`] with a single-element wave.
-    pub fn add_peer(&mut self, peer: PeerId, volume: impl Fn(&V) -> (u64, u64)) -> MigrationStats {
-        self.add_peers(vec![peer], volume)
-            .pop()
-            .expect("one join, one migration")
     }
 
     /// Admits a wave of new peers: every peer joins the overlay (key-space
@@ -1489,30 +1453,12 @@ mod tests {
     }
 
     #[test]
-    fn resident_bytes_sums_measure_over_all_values() {
-        let dht = dht_pgrid(8);
-        for i in 0..300u64 {
-            let key = KeyHash(hash_u64s(&[i, 3]));
-            dht.upsert(PeerId(i % 8), key, 1, 4, Vec::new, |v| v.push(i as u32));
-        }
-        // Each value is a Vec with one element; measure 4 bytes per entry.
-        let total = dht.resident_bytes(|v| 4 * v.len() as u64);
-        assert_eq!(total, 4 * 300);
-        // Per-stripe accounting covers every stripe exactly once.
-        let by_stripe: u64 = (0..dht.num_stripes())
-            .map(|s| dht.stripe_resident_bytes(s, |v| 4 * v.len() as u64))
-            .sum();
-        assert_eq!(by_stripe, total);
-    }
-
-    #[test]
     fn peek_and_storage_accounting_do_not_meter() {
         let dht = dht_pgrid(4);
         let key = KeyHash(hash_u64s(&[3]));
         dht.upsert(PeerId(0), key, 1, 4, Vec::new, |v| v.push(5));
         let before = dht.snapshot();
         dht.peek(key, |v| assert!(v.is_some()));
-        dht.resident_bytes(|v| v.len() as u64);
         for s in 0..dht.num_stripes() {
             dht.for_each_stripe(s, |_, _, _, _| {});
         }
@@ -1621,11 +1567,6 @@ mod tests {
         // The copies land on 3 distinct peers.
         assert_eq!(r3.keys_per_peer().iter().sum::<usize>(), 3);
         assert_eq!(r1.keys_per_peer().iter().sum::<usize>(), 1);
-        // Replicated residency is R times the single-copy residency.
-        assert_eq!(
-            r3.resident_bytes(|v| 4 * v.len() as u64),
-            3 * r1.resident_bytes(|v| 4 * v.len() as u64)
-        );
         // Lookups are unaffected while everyone is live: same metering.
         r1.lookup(PeerId(5), key, |v| ((), v.map_or(0, |v| v.len() as u64), 4));
         r3.lookup(PeerId(5), key, |v| ((), v.map_or(0, |v| v.len() as u64), 4));
@@ -1812,13 +1753,15 @@ mod tests {
             }
             dht
         };
-        // Single join through both entry points: identical stats+traffic.
-        let a = &mut build();
-        let sa = a.add_peer(PeerId(50), vol);
+        // A single join is a wave of one: one stats record, metered as
+        // one maintenance message carrying exactly the moved postings.
         let mut b = build();
         let sb = b.add_peers(vec![PeerId(50)], vol);
-        assert_eq!(vec![sa], sb);
-        assert_eq!(a.snapshot(), b.snapshot());
+        assert_eq!(sb.len(), 1);
+        assert!(sb[0].keys_moved > 0);
+        let maintenance = b.snapshot().kind(MsgKind::Maintenance);
+        assert_eq!(maintenance.messages, 1);
+        assert_eq!(maintenance.postings, sb[0].postings_moved);
         // A wave admits several peers with one scan; every key stays
         // reachable and each joiner took over a region.
         let mut c = build();

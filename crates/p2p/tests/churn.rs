@@ -49,7 +49,9 @@ fn dht_migration_moves_exactly_new_peers_keys() {
     }
     let before_total = dht.num_keys();
 
-    let stats = dht.add_peer(PeerId(99), |v| (v.len() as u64, v.len() as u64 * 4));
+    let stats = dht
+        .add_peers(vec![PeerId(99)], |v| (v.len() as u64, v.len() as u64 * 4))
+        .remove(0);
     assert_eq!(dht.num_keys(), before_total, "keys must not be lost");
     assert!(stats.keys_moved > 0, "the new peer must take over keys");
     assert_eq!(stats.postings_moved, stats.keys_moved); // one entry each here
@@ -85,7 +87,7 @@ fn repeated_joins_keep_dht_consistent() {
         );
     }
     for new in 2..8u64 {
-        dht.add_peer(PeerId(new), |_| (1, 8));
+        dht.add_peers(vec![PeerId(new)], |_| (1, 8));
         for k in 0..200u64 {
             let got = dht.peek(KeyHash(hash_u64s(&[k])), |v| v.copied());
             assert_eq!(got, Some(k), "key {k} lost after join of peer {new}");

@@ -116,16 +116,6 @@ impl Analyzer {
     pub fn vocab(&self) -> &Vocabulary {
         &self.vocab
     }
-
-    /// Shared vocabulary (mutable access, e.g. for pre-seeding).
-    pub fn vocab_mut(&mut self) -> &mut Vocabulary {
-        &mut self.vocab
-    }
-
-    /// Consumes the analyzer, returning the vocabulary.
-    pub fn into_vocab(self) -> Vocabulary {
-        self.vocab
-    }
 }
 
 #[cfg(test)]

@@ -43,7 +43,7 @@ fn main() {
         },
         ..HdkConfig::default()
     };
-    let mut network = HdkNetwork::build(&collection, &parts, config);
+    let (mut indexer, queries) = HdkNetwork::build(&collection, &parts, config).into_services();
 
     let probe = QueryLog::generate(
         &collection,
@@ -52,12 +52,12 @@ fn main() {
             ..QueryLogConfig::default()
         },
     );
-    let digest = |network: &HdkNetwork| -> Vec<Vec<u64>> {
+    let digest = |queries: &QueryService| -> Vec<Vec<u64>> {
         probe
             .queries
             .iter()
             .map(|q| {
-                network
+                queries
                     .query(PeerId(1), &q.terms, 20)
                     .results
                     .iter()
@@ -66,24 +66,24 @@ fn main() {
             })
             .collect()
     };
-    let before = digest(&network);
+    let before = digest(&queries);
     println!(
         "built: {} keys, {} B resident (budget {hot_bytes} B), {} B sealed on disk",
-        network.index().index_counts().total_keys(),
-        network.index().resident_posting_bytes(),
-        network.index().sealed_segment_bytes(),
+        queries.index().index_counts().total_keys(),
+        queries.index().resident_posting_bytes(),
+        queries.index().sealed_segment_bytes(),
     );
 
     // Crash: no sync — one peer's hot (unsealed) copies evaporate. The
     // log replay recovers its sealed frames; the repair sweep restores
     // the hot remainder from the R = 2 replicas. Crash the peer with the
     // most hot bytes so the gap is visible.
-    let per_peer = network.index().storage_per_peer();
+    let per_peer = queries.index().storage_per_peer();
     let victim_idx = (0..per_peer.len())
         .max_by_key(|&i| per_peer[i].resident_bytes())
         .expect("network has peers");
-    let victim = network.peers()[victim_idx].id;
-    let (recovery, repair) = network.restart_peers(&[victim]);
+    let victim = indexer.peers()[victim_idx].id;
+    let (recovery, repair) = indexer.restart_peers(&[victim]);
     println!(
         "crash-restart of {victim:?} without sync: {} sealed copies recovered, \
          {} hot copies lost, {} repaired from replicas",
@@ -92,7 +92,7 @@ fn main() {
     assert_eq!(recovery.keys_lost, 0, "R = 2 covers every hot copy");
     assert_eq!(repair.copies, recovery.copies_lost);
     assert_eq!(
-        digest(&network),
+        digest(&queries),
         before,
         "repaired index must answer identically"
     );
@@ -100,9 +100,9 @@ fn main() {
     // Graceful shutdown: seal every hot entry, then restart ALL peers at
     // once. Log replay alone rebuilds the index; the closing repair
     // sweep has nothing to do.
-    network.sync_storage();
-    let everyone: Vec<PeerId> = network.peers().iter().map(|p| p.id).collect();
-    let (recovery, repair) = network.restart_peers(&everyone);
+    indexer.sync_storage();
+    let everyone: Vec<PeerId> = indexer.peers().iter().map(|p| p.id).collect();
+    let (recovery, repair) = indexer.restart_peers(&everyone);
     println!(
         "graceful restart of all {peers} peers: {} frames / {} B replayed, \
          {} copies lost, {} repaired",
@@ -111,7 +111,7 @@ fn main() {
     assert_eq!(recovery.copies_lost, 0);
     assert_eq!(repair.copies, 0);
     assert_eq!(
-        digest(&network),
+        digest(&queries),
         before,
         "recovered index must answer identically"
     );

@@ -82,7 +82,9 @@ fn main() {
         let docs: Vec<Document> = (lo..lo + docs_per_peer)
             .map(|i| collection.docs()[i].clone())
             .collect();
-        let migration = indexer.join_peer(PeerId(100 + j as u64), docs);
+        let migration = indexer
+            .join_peers(vec![(PeerId(100 + j as u64), docs)])
+            .remove(0);
         report_line(&queries, migration.keys_moved);
     }
 

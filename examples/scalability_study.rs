@@ -40,7 +40,8 @@ fn main() {
         let collection = full.prefix(docs);
         let partitions = partition_documents(docs, peers, 9);
 
-        let st = SingleTermNetwork::build(&collection, &partitions);
+        let st =
+            HdkNetwork::build(&collection, &partitions, HdkConfig::single_term()).query_service();
         let hdk = HdkNetwork::build(
             &collection,
             &partitions,

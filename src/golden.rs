@@ -66,7 +66,7 @@ pub fn golden_report_lines() -> Vec<String> {
 /// backend-equivalence contract.
 pub fn golden_report_lines_with(backend: BackendConfig) -> Vec<String> {
     let c = golden_collection();
-    let network = golden_network_with(&c, backend);
+    let network = golden_network_with(&c, backend).query_service();
     let mut lines = Vec::new();
     let report = network.build_report();
     lines.push(format!("inserted_by_size: {:?}", report.inserted_by_size));

@@ -32,11 +32,12 @@
 //! // Build the HDK network and the centralized BM25 reference.
 //! let config = HdkConfig { dfmax: 20, ff: 2_000, ..HdkConfig::default() };
 //! let network = HdkNetwork::build(&collection, &partitions, config);
+//! let queries = network.query_service();
 //! let central = CentralizedEngine::build(&collection);
 //!
 //! // Query both and compare the top-20.
 //! let query = collection.docs()[0].tokens[..2].to_vec();
-//! let p2p_results = network.query(PeerId(0), &query, 20);
+//! let p2p_results = queries.query(PeerId(0), &query, 20);
 //! let reference = central.search(&query, 20);
 //! let overlap = top_k_overlap(&p2p_results.results, &reference, 20);
 //! assert!(overlap >= 0.0);
@@ -56,7 +57,7 @@ pub mod prelude {
     pub use hdk_core::{
         spawn_http, BackendConfig, HdkConfig, HdkNetwork, HttpHandle, IndexService, Key, KeyClass,
         OverlayKind, PeerConfig, PeerHost, QueryOutcome, QueryPlan, QueryProfile, QueryService,
-        SingleTermNetwork, StoreConfig, TcpNet,
+        StoreConfig, TcpNet,
     };
     pub use hdk_corpus::{
         partition_documents, Collection, CollectionGenerator, DocId, Document, GeneratorConfig,

@@ -4,7 +4,7 @@
 use p2p_hdk::core::QueryCache;
 use p2p_hdk::prelude::*;
 
-fn setup() -> (Collection, HdkNetwork, QueryLog) {
+fn setup() -> (Collection, IndexService, QueryService, QueryLog) {
     let collection = CollectionGenerator::new(GeneratorConfig {
         num_docs: 400,
         vocab_size: 3_000,
@@ -15,7 +15,7 @@ fn setup() -> (Collection, HdkNetwork, QueryLog) {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 4, 13);
-    let network = HdkNetwork::build(
+    let (indexer, network) = HdkNetwork::build(
         &collection,
         &partitions,
         HdkConfig {
@@ -23,7 +23,8 @@ fn setup() -> (Collection, HdkNetwork, QueryLog) {
             ff: 2_000,
             ..HdkConfig::default()
         },
-    );
+    )
+    .into_services();
     let log = QueryLog::generate(
         &collection,
         &QueryLogConfig {
@@ -31,12 +32,12 @@ fn setup() -> (Collection, HdkNetwork, QueryLog) {
             ..QueryLogConfig::default()
         },
     );
-    (collection, network, log)
+    (collection, indexer, network, log)
 }
 
 #[test]
 fn cached_queries_match_uncached_and_save_traffic() {
-    let (_, network, log) = setup();
+    let (_, _, network, log) = setup();
     let cache = QueryCache::new(4_096);
     // First pass: populate (misses travel, results must match uncached).
     for q in &log.queries {
@@ -61,7 +62,7 @@ fn cached_queries_match_uncached_and_save_traffic() {
 
 #[test]
 fn cache_invalidates_on_index_update() {
-    let (collection, mut network, log) = setup();
+    let (collection, mut indexer, network, log) = setup();
     let cache = QueryCache::new(4_096);
     let q = &log.queries[0];
     let _ = network.query_cached(PeerId(0), &q.terms, 20, &cache);
@@ -71,7 +72,7 @@ fn cache_invalidates_on_index_update() {
         id: DocId(collection.len() as u32),
         tokens: q.terms.repeat(10),
     };
-    network.add_documents(vec![(PeerId(1), new_doc)]);
+    indexer.add_documents(vec![(PeerId(1), new_doc)]);
 
     // The cached entry is stale; the epoch bump forces a refetch and the
     // fresh result must contain the new document.

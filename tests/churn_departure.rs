@@ -44,7 +44,7 @@ fn failing_any_single_peer_at_r2_loses_no_content() {
     // build.
     let c = collection(240);
     let parts = partition_documents(c.len(), 6, 17);
-    let reference = HdkNetwork::build(&c, &parts, config(2));
+    let reference = HdkNetwork::build(&c, &parts, config(2)).query_service();
     let log = QueryLog::generate(
         &c,
         &QueryLogConfig {
@@ -59,9 +59,9 @@ fn failing_any_single_peer_at_r2_loses_no_content() {
         .collect();
 
     for victim in 0..6u64 {
-        let mut live = HdkNetwork::build(&c, &parts, config(2));
+        let (mut indexer, live) = HdkNetwork::build(&c, &parts, config(2)).into_services();
         let keys_before = live.index().index_counts().total_keys();
-        let loss = live.fail_peers(vec![PeerId(victim)]);
+        let loss = indexer.fail_peers(vec![PeerId(victim)]);
         assert_eq!(loss.keys_lost, 0, "R=2 lost keys when peer{victim} died");
         assert!(loss.keys_degraded > 0, "peer{victim} held no replicas?");
 
@@ -80,7 +80,7 @@ fn failing_any_single_peer_at_r2_loses_no_content() {
 
         // Repair restores full redundancy with metered Repair traffic.
         let before = live.snapshot();
-        let repair = live.repair();
+        let repair = indexer.repair();
         assert_eq!(repair.copies, loss.keys_degraded);
         assert!(repair.postings > 0 && repair.bytes > 0);
         let d = live.snapshot().since(&before);
@@ -102,8 +102,8 @@ fn failing_any_single_peer_at_r2_loses_no_content() {
 
         // A second repair is a no-op, and the network now survives the
         // next single crash too.
-        assert_eq!(live.repair(), RepairStats::default());
-        let second = live.fail_peers(vec![PeerId((victim + 2) % 6)]);
+        assert_eq!(indexer.repair(), RepairStats::default());
+        let second = indexer.fail_peers(vec![PeerId((victim + 2) % 6)]);
         assert_eq!(second.keys_lost, 0, "redundancy was not fully restored");
     }
 }
@@ -114,10 +114,12 @@ fn graceful_leave_mirrors_join_and_preserves_content_at_r1() {
     // handover wave re-homes every copy. The shrunken network must answer
     // every query bit-identically to a static build of the same corpus.
     let c = collection(300);
-    let reference = HdkNetwork::build(&c, &partition_documents(c.len(), 3, 7), config(1));
-    let mut live = HdkNetwork::build(&c, &partition_documents(c.len(), 6, 31), config(1));
+    let reference =
+        HdkNetwork::build(&c, &partition_documents(c.len(), 3, 7), config(1)).query_service();
+    let (mut indexer, live) =
+        HdkNetwork::build(&c, &partition_documents(c.len(), 6, 31), config(1)).into_services();
     let before = live.snapshot();
-    let stats = live.leave_peers(vec![PeerId(1), PeerId(4)]);
+    let stats = indexer.leave_peers(vec![PeerId(1), PeerId(4)]);
     assert_eq!(stats.len(), 2);
     assert!(
         stats.iter().all(|s| s.keys_moved > 0),
@@ -158,16 +160,21 @@ fn r1_crash_loses_content_and_repair_cannot_resurrect_it() {
     // victim's fraction — the damage report says so, lookups miss, and
     // repair (which copies from survivors) has nothing to copy from.
     let c = collection(200);
-    let mut live = HdkNetwork::build(&c, &partition_documents(c.len(), 4, 11), config(1));
+    let (mut indexer, live) =
+        HdkNetwork::build(&c, &partition_documents(c.len(), 4, 11), config(1)).into_services();
     let keys_before = live.index().index_counts().total_keys();
-    let loss = live.fail_peers(vec![PeerId(2)]);
+    let loss = indexer.fail_peers(vec![PeerId(2)]);
     assert!(loss.keys_lost > 0, "the victim held part of the index");
     assert_eq!(loss.keys_degraded, 0, "R=1 has no degraded survivors");
     assert_eq!(
         live.index().index_counts().total_keys() + loss.keys_lost,
         keys_before
     );
-    assert_eq!(live.repair(), RepairStats::default(), "nothing to repair");
+    assert_eq!(
+        indexer.repair(),
+        RepairStats::default(),
+        "nothing to repair"
+    );
     assert_eq!(
         live.index().index_counts().total_keys() + loss.keys_lost,
         keys_before,
@@ -182,24 +189,27 @@ fn departed_network_keeps_growing_correctly() {
     // static build over the full corpus (the collection is an input; churn
     // changes who hosts and serves, not what is indexed).
     let c = collection(360);
-    let reference = HdkNetwork::build(&c, &partition_documents(c.len(), 5, 3), config(2));
+    let reference =
+        HdkNetwork::build(&c, &partition_documents(c.len(), 5, 3), config(2)).query_service();
 
-    let mut live = HdkNetwork::build(&c.prefix(180), &partition_documents(180, 4, 13), config(2));
+    let (mut indexer, live) =
+        HdkNetwork::build(&c.prefix(180), &partition_documents(180, 4, 13), config(2))
+            .into_services();
     // Grow: two peers join with the next 120 documents.
     let docs =
         |lo: usize, hi: usize| -> Vec<Document> { (lo..hi).map(|i| c.docs()[i].clone()).collect() };
-    live.join_peers(vec![
+    indexer.join_peers(vec![
         (PeerId(100), docs(180, 240)),
         (PeerId(101), docs(240, 300)),
     ]);
     // Shrink: one founder leaves gracefully.
-    live.leave_peers(vec![PeerId(0)]);
+    indexer.leave_peers(vec![PeerId(0)]);
     // Crash another founder, then repair.
-    let loss = live.fail_peers(vec![PeerId(2)]);
+    let loss = indexer.fail_peers(vec![PeerId(2)]);
     assert_eq!(loss.keys_lost, 0, "R=2 must survive the single crash");
-    assert!(live.repair().copies > 0);
+    assert!(indexer.repair().copies > 0);
     // Grow again: the last 60 documents arrive at a fresh peer.
-    live.join_peers(vec![(PeerId(102), docs(300, 360))]);
+    indexer.join_peers(vec![(PeerId(102), docs(300, 360))]);
 
     assert_eq!(live.num_docs(), reference.num_docs());
     assert_eq!(
@@ -236,14 +246,15 @@ fn simnet_times_failover_and_repair() {
         timeout_ns: 10_000_000,
     };
     let parts = partition_documents(c.len(), 5, 9);
-    let mut live = HdkNetwork::build_with(
+    let (mut indexer, live) = HdkNetwork::build_with(
         &c,
         &parts,
         config(2),
         OverlayKind::PGrid,
         BackendConfig::SimNet(sim),
-    );
-    let loss = live.fail_peers(vec![PeerId(1)]);
+    )
+    .into_services();
+    let loss = indexer.fail_peers(vec![PeerId(1)]);
     assert_eq!(loss.keys_lost, 0);
 
     // Degraded queries: failover to the dead primary's successor charges
@@ -277,7 +288,7 @@ fn simnet_times_failover_and_repair() {
 
     // Repair is timed under its own kind, one sample per copy.
     let before = live.snapshot();
-    let stats = live.repair();
+    let stats = indexer.repair();
     assert!(stats.copies > 0);
     let d = live.snapshot().since(&before);
     let h = d.latency(MsgKind::Repair);

@@ -27,17 +27,18 @@ fn joined_peer_network_matches_static_build() {
 
     // Static reference: 4 peers, whole collection.
     let static_parts = partition_documents(collection.len(), 4, 31);
-    let reference = HdkNetwork::build(&collection, &static_parts, config());
+    let reference = HdkNetwork::build(&collection, &static_parts, config()).query_service();
 
     // Live network: 3 peers over the first 270 docs, then a 4th peer joins
     // carrying the remaining 90.
     let split = 270;
     let old_parts = partition_documents(split, 3, 77);
-    let mut live = HdkNetwork::build(&collection.prefix(split), &old_parts, config());
+    let (mut indexer, live) =
+        HdkNetwork::build(&collection.prefix(split), &old_parts, config()).into_services();
     let new_docs: Vec<Document> = (split..collection.len())
         .map(|i| collection.docs()[i].clone())
         .collect();
-    let migration = live.join_peer(PeerId(900), new_docs);
+    let migration = indexer.join_peers(vec![(PeerId(900), new_docs)]).remove(0);
     assert!(migration.keys_moved > 0, "join must take over index keys");
     assert_eq!(live.num_peers(), 4);
     assert_eq!(live.num_docs(), reference.num_docs());
@@ -93,7 +94,8 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
         &collection,
         &partition_documents(collection.len(), 6, 7),
         config(),
-    );
+    )
+    .query_service();
 
     let boot = || {
         HdkNetwork::build(
@@ -115,14 +117,14 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
     };
 
     // Sequential baseline: three separate join sessions.
-    let mut sequential = boot();
-    for (peer, docs) in joins(700) {
-        sequential.index_service().join_peer(peer, docs);
+    let (mut sequential, sequential_queries) = boot().into_services();
+    for join in joins(700) {
+        sequential.join_peers(vec![join]);
     }
 
     // Bulk: one call, one session.
-    let mut bulk = boot();
-    let migrations = bulk.index_service().join_peers(joins(700));
+    let (mut bulk, bulk_queries) = boot().into_services();
+    let migrations = bulk.join_peers(joins(700));
     assert_eq!(migrations.len(), 3, "one migration report per join");
     assert!(
         migrations.iter().any(|m| m.keys_moved > 0),
@@ -130,14 +132,14 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
     );
 
     // Identical final content, three ways.
-    assert_eq!(bulk.num_peers(), 6);
+    assert_eq!(bulk_queries.num_peers(), 6);
     assert_eq!(
-        bulk.index().index_counts(),
+        bulk_queries.index().index_counts(),
         reference.index().index_counts()
     );
     assert_eq!(
-        bulk.index().index_counts(),
-        sequential.index().index_counts()
+        bulk_queries.index().index_counts(),
+        sequential_queries.index().index_counts()
     );
 
     // Query answers identical to the static build.
@@ -148,7 +150,6 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
             ..QueryLogConfig::default()
         },
     );
-    let bulk_queries = bulk.query_service();
     for q in &log.queries {
         let a = bulk_queries.query(PeerId(700), &q.terms, 20);
         let b = reference.query(PeerId(0), &q.terms, 20);
@@ -157,24 +158,26 @@ fn bulk_join_matches_sequential_content_with_less_traffic() {
 
     // The amortization claim: one shared session moves fewer indexing
     // messages (inserts + notifications) than three separate sessions.
-    let cost = |n: &HdkNetwork| {
+    let cost = |n: &QueryService| {
         let s = n.snapshot();
         s.kind(MsgKind::IndexInsert).messages + s.kind(MsgKind::IndexNotify).messages
     };
     // Subtract the query traffic-free baseline: only indexing categories
     // are compared, and queries above only touched `bulk`.
     assert!(
-        cost(&bulk) < cost(&sequential),
+        cost(&bulk_queries) < cost(&sequential_queries),
         "bulk join must amortize: {} messages vs {} sequential",
-        cost(&bulk),
-        cost(&sequential)
+        cost(&bulk_queries),
+        cost(&sequential_queries)
     );
 }
 
 #[test]
 fn bulk_join_of_one_equals_single_join() {
-    // The single-join path is the bulk path with one element; their
-    // observable effects must be identical.
+    // A one-peer wave is the whole single-join path: the overlay admits
+    // the peer, then one incremental session indexes its documents.
+    // Admitting it empty and adding the documents afterwards must have
+    // identical observable effects.
     let collection = CollectionGenerator::new(GeneratorConfig {
         num_docs: 160,
         vocab_size: 1_500,
@@ -193,13 +196,19 @@ fn bulk_join_of_one_equals_single_join() {
     };
     let docs: Vec<Document> = (120..160).map(|i| collection.docs()[i].clone()).collect();
 
-    let mut single = boot();
-    let m1 = single.join_peer(PeerId(42), docs.clone());
-    let mut bulk = boot();
+    let (mut single, single_queries) = boot().into_services();
+    let m1 = single.join_peers(vec![(PeerId(42), Vec::new())]);
+    single.add_documents(docs.iter().map(|d| (PeerId(42), d.clone())).collect());
+    let (mut bulk, bulk_queries) = boot().into_services();
     let m2 = bulk.join_peers(vec![(PeerId(42), docs)]);
-    assert_eq!(vec![m1], m2);
-    assert_eq!(single.index().index_counts(), bulk.index().index_counts());
-    assert_eq!(single.snapshot(), bulk.snapshot(), "traffic must match");
+    assert_eq!(m1, m2);
+    let counts = |q: &QueryService| q.index().index_counts();
+    assert_eq!(counts(&single_queries), counts(&bulk_queries));
+    assert_eq!(
+        single_queries.snapshot(),
+        bulk_queries.snapshot(),
+        "traffic must match"
+    );
 }
 
 #[test]
@@ -217,19 +226,21 @@ fn several_peers_join_in_sequence() {
         &collection,
         &partition_documents(collection.len(), 5, 3),
         config(),
-    );
+    )
+    .query_service();
 
     // Start with 2 peers on 120 docs, then 3 joins of 40 docs each.
-    let mut live = HdkNetwork::build(
+    let (mut indexer, live) = HdkNetwork::build(
         &collection.prefix(120),
         &partition_documents(120, 2, 3),
         config(),
-    );
+    )
+    .into_services();
     for (j, lo) in [(0u64, 120usize), (1, 160), (2, 200)] {
         let docs: Vec<Document> = (lo..lo + 40)
             .map(|i| collection.docs()[i].clone())
             .collect();
-        live.join_peer(PeerId(1000 + j), docs);
+        indexer.join_peers(vec![(PeerId(1000 + j), docs)]);
     }
     assert_eq!(live.num_peers(), 5);
     assert_eq!(

@@ -4,7 +4,7 @@
 
 use p2p_hdk::prelude::*;
 
-fn build_once(seed: u64) -> (Collection, HdkNetwork) {
+fn build_once(seed: u64) -> (Collection, QueryService) {
     let collection = CollectionGenerator::new(GeneratorConfig {
         num_docs: 300,
         vocab_size: 3_000,
@@ -24,7 +24,8 @@ fn build_once(seed: u64) -> (Collection, HdkNetwork) {
             ff: 2_000,
             ..HdkConfig::default()
         },
-    );
+    )
+    .query_service();
     (collection, network)
 }
 

@@ -55,7 +55,8 @@ fn full_stack_text_to_results() {
             ff: 10_000,
             ..HdkConfig::default()
         },
-    );
+    )
+    .query_service();
     let central = CentralizedEngine::build(&collection);
 
     for query_text in [
@@ -104,8 +105,8 @@ fn network_grows_with_bounded_per_peer_load() {
         let docs = docs_per_peer * peers;
         let collection = full.prefix(docs);
         let partitions = partition_documents(docs, peers, 5);
-        let st = SingleTermNetwork::build(&collection, &partitions);
-        st_loads.push(st.build_report().avg_stored_per_peer());
+        let st = HdkNetwork::build(&collection, &partitions, HdkConfig::single_term());
+        st_loads.push(st.query_service().build_report().avg_stored_per_peer());
     }
     let (min, max) = (
         st_loads.iter().cloned().fold(f64::INFINITY, f64::min),
@@ -131,7 +132,7 @@ fn hdk_trades_indexing_for_retrieval() {
     })
     .generate();
     let partitions = partition_documents(collection.len(), 4, 23);
-    let st = SingleTermNetwork::build(&collection, &partitions);
+    let st = HdkNetwork::build(&collection, &partitions, HdkConfig::single_term()).query_service();
     let hdk = HdkNetwork::build(
         &collection,
         &partitions,
@@ -140,7 +141,8 @@ fn hdk_trades_indexing_for_retrieval() {
             ff: 2_500,
             ..HdkConfig::default()
         },
-    );
+    )
+    .query_service();
     let st_report = st.build_report();
     let hdk_report = hdk.build_report();
     assert!(
@@ -194,7 +196,8 @@ fn traffic_accounting_is_complete() {
             ff: 1_500,
             ..HdkConfig::default()
         },
-    );
+    )
+    .query_service();
     let after_build = network.snapshot();
     assert!(after_build.kind(MsgKind::IndexInsert).messages > 0);
     assert!(after_build.kind(MsgKind::IndexNotify).messages > 0);

@@ -88,7 +88,7 @@ fn simnet_backend_reproduces_golden_counts_with_nonzero_latency() {
     );
 
     // The in-process build of the same scenario records no time at all.
-    let baseline = golden_network(&golden_collection());
+    let baseline = golden_network(&golden_collection()).query_service();
     let plain = baseline.snapshot();
     for kind in MsgKind::ALL {
         assert!(plain.latency(kind).is_empty());
@@ -100,7 +100,7 @@ fn golden_scenario_is_pinned_to_the_legacy_codec() {
     // The snapshot's byte meters count the delta + LEB128 layout: every
     // resident block of the golden network must be exactly that encoding
     // of its own postings.
-    let network = golden_network(&golden_collection());
+    let network = golden_network(&golden_collection()).query_service();
     let mut blocks = 0u64;
     network.index().for_each_entry(|entry| {
         assert_eq!(
@@ -121,7 +121,7 @@ fn golden_report_is_replication_clean() {
     // never produces repair traffic, and with popularity replication off
     // (the default `hot_threshold: 0`) no hot copies ever move — so the
     // golden file keeps pinning *all* nonzero counters.
-    let network = golden_network(&golden_collection());
+    let network = golden_network(&golden_collection()).query_service();
     let repair = network.snapshot().kind(MsgKind::Repair);
     assert_eq!(repair.messages, 0);
     assert_eq!(repair.postings, 0);
@@ -142,7 +142,7 @@ fn golden_report_is_replication_clean() {
 
 #[test]
 fn resident_storage_beats_decoded_baseline_3x() {
-    let network = golden_network(&golden_collection());
+    let network = golden_network(&golden_collection()).query_service();
     let storage = network.index().storage_per_peer();
     assert_eq!(storage.len(), 8);
     let mut resident = 0u64;

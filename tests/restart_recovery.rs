@@ -39,7 +39,7 @@ fn digest(out: &QueryOutcome) -> Vec<(u32, u64)> {
         .collect()
 }
 
-fn digests(network: &HdkNetwork, log: &QueryLog) -> Vec<Vec<(u32, u64)>> {
+fn digests(network: &QueryService, log: &QueryLog) -> Vec<Vec<(u32, u64)>> {
     log.queries
         .iter()
         .map(|q| digest(&network.query(PeerId(0), &q.terms, 20)))
@@ -63,8 +63,9 @@ fn synced_segment_store_restarts_all_peers_from_logs_alone() {
         },
     );
 
-    let reference = HdkNetwork::build(&c, &parts, config(1, StoreConfig::Memory));
-    let mut tiered = HdkNetwork::build(&c, &parts, config(1, StoreConfig::segment(1 << 16)));
+    let reference = HdkNetwork::build(&c, &parts, config(1, StoreConfig::Memory)).query_service();
+    let (mut indexer, tiered) =
+        HdkNetwork::build(&c, &parts, config(1, StoreConfig::segment(1 << 16))).into_services();
 
     // The tiered build is the in-memory build, bit for bit: report,
     // counts, traffic, top-k score bits. Tiering is host-local.
@@ -80,10 +81,10 @@ fn synced_segment_store_restarts_all_peers_from_logs_alone() {
     let expected = digests(&reference, &log);
     assert_eq!(digests(&tiered, &log), expected);
 
-    tiered.sync_storage();
+    indexer.sync_storage();
     let peers: Vec<PeerId> = (0..4).map(PeerId).collect();
     let before = tiered.snapshot();
-    let (recovery, repair) = tiered.restart_peers(&peers);
+    let (recovery, repair) = indexer.restart_peers(&peers);
 
     assert!(recovery.frames_replayed > 0, "the logs were empty?");
     assert!(recovery.bytes_replayed > 0);
@@ -123,14 +124,16 @@ fn unsynced_restart_is_a_crash_that_repair_heals_at_r2() {
             ..QueryLogConfig::default()
         },
     );
-    let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory));
+    let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory)).query_service();
     let expected = digests(&reference, &log);
 
     for hot_bytes in [p2p_hdk::core::DEFAULT_SEGMENT_HOT_BYTES, 1 << 16] {
-        let mut tiered = HdkNetwork::build(&c, &parts, config(2, StoreConfig::segment(hot_bytes)));
+        let (mut indexer, tiered) =
+            HdkNetwork::build(&c, &parts, config(2, StoreConfig::segment(hot_bytes)))
+                .into_services();
         let keys_before = tiered.index().index_counts().total_keys();
         let before = tiered.snapshot();
-        let (recovery, repair) = tiered.restart_peers(&[PeerId(2)]);
+        let (recovery, repair) = indexer.restart_peers(&[PeerId(2)]);
 
         assert!(
             recovery.copies_lost > 0,
@@ -180,11 +183,11 @@ fn checksums_catch_a_truncated_tail_and_repair_restores_it() {
             ..QueryLogConfig::default()
         },
     );
-    let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory));
+    let reference = HdkNetwork::build(&c, &parts, config(2, StoreConfig::Memory)).query_service();
     let expected = digests(&reference, &log);
 
     let dir = tempfile::tempdir().expect("scratch dir");
-    let mut tiered = HdkNetwork::build(
+    let (mut indexer, tiered) = HdkNetwork::build(
         &c,
         &parts,
         config(
@@ -194,8 +197,9 @@ fn checksums_catch_a_truncated_tail_and_repair_restores_it() {
                 hot_bytes: 1 << 15,
             },
         ),
-    );
-    tiered.sync_storage();
+    )
+    .into_services();
+    indexer.sync_storage();
 
     // Clip the largest of peer 0's stripe logs mid-frame.
     let peer_dir = dir.path().join("peer-0");
@@ -213,7 +217,7 @@ fn checksums_catch_a_truncated_tail_and_repair_restores_it() {
         .set_len(len - 3)
         .expect("clip tail");
 
-    let (recovery, repair) = tiered.restart_peers(&[PeerId(0)]);
+    let (recovery, repair) = indexer.restart_peers(&[PeerId(0)]);
     assert!(
         recovery.frames_discarded > 0,
         "the clipped frame went unnoticed"
@@ -238,8 +242,8 @@ fn checksums_catch_a_truncated_tail_and_repair_restores_it() {
     // Recovery cut the log back to its last intact frame (the repair
     // sweep then appended fresh ones), so a second restart after a sync
     // replays clean logs end to end and loses nothing.
-    tiered.sync_storage();
-    let (second, second_repair) = tiered.restart_peers(&[PeerId(0)]);
+    indexer.sync_storage();
+    let (second, second_repair) = indexer.restart_peers(&[PeerId(0)]);
     assert_eq!(second.frames_discarded, 0, "the corrupt tail survived");
     assert_eq!(second.copies_lost, 0);
     assert_eq!(second_repair, RepairStats::default());
@@ -254,7 +258,8 @@ fn hot_budget_bounds_residency_and_pushes_the_rest_to_disk() {
     let c = collection(300);
     let parts = partition_documents(c.len(), 4, 7);
     let hot_bytes = 1 << 16;
-    let tiered = HdkNetwork::build(&c, &parts, config(1, StoreConfig::segment(hot_bytes)));
+    let tiered =
+        HdkNetwork::build(&c, &parts, config(1, StoreConfig::segment(hot_bytes))).query_service();
 
     let resident = tiered.index().resident_posting_bytes();
     let sealed = tiered.index().sealed_segment_bytes();
@@ -273,7 +278,7 @@ fn hot_budget_bounds_residency_and_pushes_the_rest_to_disk() {
     assert_eq!(per_peer.iter().map(|s| s.sealed_bytes).sum::<u64>(), sealed);
 
     // The in-memory build keeps everything resident and nothing sealed.
-    let memory = HdkNetwork::build(&c, &parts, config(1, StoreConfig::Memory));
+    let memory = HdkNetwork::build(&c, &parts, config(1, StoreConfig::Memory)).query_service();
     assert_eq!(memory.index().sealed_segment_bytes(), 0);
     assert!(memory
         .index()

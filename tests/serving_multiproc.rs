@@ -364,7 +364,7 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
         ..HdkConfig::default()
     };
     let partitions = partition_documents(collection.len(), PEERS, 42);
-    let mut fleet_net = HdkNetwork::build_with(
+    let (mut fleet_indexer, fleet_net) = HdkNetwork::build_with(
         &collection,
         &partitions,
         gossip_config.clone(),
@@ -372,16 +372,18 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
         BackendConfig::Tcp {
             addrs: gossip_addrs,
         },
-    );
-    let mut local_net = HdkNetwork::build_with(
+    )
+    .into_services();
+    let (mut local_indexer, local_net) = HdkNetwork::build_with(
         &collection,
         &partitions,
         gossip_config,
         OverlayKind::PGrid,
         BackendConfig::InProc,
-    );
+    )
+    .into_services();
     let victim = PeerId((PEERS - 1) as u64);
-    let batch = |net: &HdkNetwork| -> Vec<Vec<(u32, u64)>> {
+    let batch = |net: &QueryService| -> Vec<Vec<(u32, u64)>> {
         queries(&collection)
             .iter()
             .enumerate()
@@ -404,9 +406,9 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
     );
     assert_eq!(fleet_net.snapshot().failover_timeouts, 0);
 
-    let loss = fleet_net.fail_peers(vec![victim]);
+    let loss = fleet_indexer.fail_peers(vec![victim]);
     assert_eq!(loss.keys_lost, 0, "R=2 single crash lost content");
-    local_net.fail_peers(vec![victim]);
+    local_indexer.fail_peers(vec![victim]);
 
     assert_eq!(
         batch(&fleet_net),
@@ -422,10 +424,10 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
 
     let mut rounds = 0;
     let mut repaired = false;
-    while fleet_net.gossip_converged() != Some(true) {
+    while fleet_indexer.gossip_converged() != Some(true) {
         assert!(rounds < 64, "fleet views failed to converge");
-        let fleet_out = fleet_net.gossip_round();
-        let local_out = local_net.gossip_round();
+        let fleet_out = fleet_indexer.gossip_round();
+        let local_out = local_indexer.gossip_round();
         assert_eq!(
             fleet_out, local_out,
             "gossip round {rounds}: fleet diverged from in-process"
@@ -433,7 +435,7 @@ fn multiproc_serving_matches_inproc_and_fails_bounded() {
         repaired |= fleet_out.repair.is_some_and(|r| r.copies > 0);
         rounds += 1;
     }
-    assert_eq!(local_net.gossip_converged(), Some(true));
+    assert_eq!(local_indexer.gossip_converged(), Some(true));
     assert!(
         repaired,
         "universal confirmation never fired the repair sweep"

@@ -138,7 +138,7 @@ fn graceful_shutdown_then_restart_is_lossless() {
         dfmax: DFMAX,
         ..HdkConfig::default()
     };
-    let mut network = HdkNetwork::build_with(
+    let (mut indexer, service) = HdkNetwork::build_with(
         &collection,
         &partitions,
         config,
@@ -146,8 +146,8 @@ fn graceful_shutdown_then_restart_is_lossless() {
         BackendConfig::Tcp {
             addrs: addrs.clone(),
         },
-    );
-    let service = network.query_service();
+    )
+    .into_services();
 
     let counts_before = service.index().index_counts();
     assert!(
@@ -188,7 +188,7 @@ fn graceful_shutdown_then_restart_is_lossless() {
     );
 
     let (recovery, _repair) =
-        network.restart_peers(&(0..PEERS as u64).map(PeerId).collect::<Vec<_>>());
+        indexer.restart_peers(&(0..PEERS as u64).map(PeerId).collect::<Vec<_>>());
     assert!(recovery.frames_replayed > 0, "no segment frames replayed");
     assert!(recovery.postings_recovered > 0, "no postings recovered");
     assert_eq!(recovery.keys_lost, 0, "lossless restart lost keys");

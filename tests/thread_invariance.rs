@@ -38,7 +38,7 @@ struct BuildArtifacts {
 /// snapshot, and query top-k.
 fn build_and_query(c: &Collection) -> BuildArtifacts {
     let partitions = partition_documents(c.len(), 32, 13);
-    let network = HdkNetwork::build(
+    let queries = HdkNetwork::build(
         c,
         &partitions,
         HdkConfig {
@@ -46,7 +46,8 @@ fn build_and_query(c: &Collection) -> BuildArtifacts {
             ff: 3_000,
             ..HdkConfig::default()
         },
-    );
+    )
+    .query_service();
     let log = QueryLog::generate(
         c,
         &QueryLogConfig {
@@ -59,10 +60,10 @@ fn build_and_query(c: &Collection) -> BuildArtifacts {
         .iter()
         .map(|q| (PeerId(u64::from(q.id) % 32), q.terms.as_slice()))
         .collect();
-    let outcomes = network.query_batch(&batch, 20);
+    let outcomes = queries.query_batch(&batch, 20);
     BuildArtifacts {
-        report: network.build_report(),
-        traffic: network.snapshot(),
+        report: queries.build_report(),
+        traffic: queries.snapshot(),
         topk: outcomes.iter().map(|o| o.results.clone()).collect(),
         fetched: outcomes.iter().map(|o| o.postings_fetched).collect(),
     }
@@ -125,7 +126,7 @@ fn churn_interleaved_with_queries_is_thread_invariant() {
         },
     );
     let run = || {
-        let mut network = HdkNetwork::build(
+        let (mut indexer, queries) = HdkNetwork::build(
             &c.prefix(400),
             &partition_documents(400, 6, 13),
             HdkConfig {
@@ -133,18 +134,19 @@ fn churn_interleaved_with_queries_is_thread_invariant() {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .into_services();
         let mut topk: Vec<Vec<SearchResult>> = Vec::new();
         let mut migrations = Vec::new();
         for (round, join_at) in [(0u64, 400usize), (1, 520), (2, 640)] {
-            let ids: Vec<PeerId> = network.peers().iter().map(|p| p.id).collect();
+            let ids: Vec<PeerId> = indexer.peers().iter().map(|p| p.id).collect();
             let batch: Vec<(PeerId, &[TermId])> = log
                 .queries
                 .iter()
                 .map(|q| (ids[q.id as usize % ids.len()], q.terms.as_slice()))
                 .collect();
             topk.extend(
-                network
+                queries
                     .query_batch(&batch, 20)
                     .into_iter()
                     .map(|o| o.results),
@@ -153,10 +155,10 @@ fn churn_interleaved_with_queries_is_thread_invariant() {
                 let docs: Vec<Document> = (join_at..join_at + 120)
                     .map(|i| c.docs()[i].clone())
                     .collect();
-                migrations.push(network.join_peer(PeerId(500 + round), docs));
+                migrations.extend(indexer.join_peers(vec![(PeerId(500 + round), docs)]));
             }
         }
-        (network.build_report(), network.snapshot(), topk, migrations)
+        (queries.build_report(), queries.snapshot(), topk, migrations)
     };
 
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
@@ -194,7 +196,7 @@ fn churn_with_failures_is_thread_invariant() {
         },
     );
     let run = || {
-        let mut network = HdkNetwork::build(
+        let (mut indexer, queries) = HdkNetwork::build(
             &c.prefix(400),
             &partition_documents(400, 6, 13),
             HdkConfig {
@@ -203,41 +205,42 @@ fn churn_with_failures_is_thread_invariant() {
                 replication: 2,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .into_services();
         let mut topk: Vec<Vec<SearchResult>> = Vec::new();
-        let batch_round = |network: &HdkNetwork| {
-            let ids: Vec<PeerId> = network.peers().iter().map(|p| p.id).collect();
+        let batch_round = |indexer: &IndexService| {
+            let ids: Vec<PeerId> = indexer.peers().iter().map(|p| p.id).collect();
             let batch: Vec<(PeerId, &[TermId])> = log
                 .queries
                 .iter()
                 .map(|q| (ids[q.id as usize % ids.len()], q.terms.as_slice()))
                 .collect();
-            network
+            queries
                 .query_batch(&batch, 20)
                 .into_iter()
                 .map(|o| o.results)
                 .collect::<Vec<_>>()
         };
-        topk.extend(batch_round(&network));
+        topk.extend(batch_round(&indexer));
         // Grow: two peers join with the remaining documents.
         let docs: Vec<Document> = (400..515).map(|i| c.docs()[i].clone()).collect();
         let (a, b) = docs.split_at(60);
         let migrations =
-            network.join_peers(vec![(PeerId(700), a.to_vec()), (PeerId(701), b.to_vec())]);
-        topk.extend(batch_round(&network));
+            indexer.join_peers(vec![(PeerId(700), a.to_vec()), (PeerId(701), b.to_vec())]);
+        topk.extend(batch_round(&indexer));
         // Shrink gracefully, query the degraded-placement network.
-        let handovers = network.leave_peers(vec![PeerId(1)]);
-        topk.extend(batch_round(&network));
+        let handovers = indexer.leave_peers(vec![PeerId(1)]);
+        topk.extend(batch_round(&indexer));
         // Crash + query during degradation + repair + query again.
-        let loss = network.fail_peers(vec![PeerId(3)]);
+        let loss = indexer.fail_peers(vec![PeerId(3)]);
         assert_eq!(loss.keys_lost, 0, "R=2 must survive a single crash");
-        topk.extend(batch_round(&network));
-        let repair = network.repair();
+        topk.extend(batch_round(&indexer));
+        let repair = indexer.repair();
         assert!(repair.copies > 0);
-        topk.extend(batch_round(&network));
+        topk.extend(batch_round(&indexer));
         (
-            network.build_report(),
-            network.snapshot(),
+            queries.build_report(),
+            queries.snapshot(),
             topk,
             (migrations, handovers, loss, repair),
         )
@@ -283,7 +286,7 @@ fn gossip_failure_detection_is_thread_and_backend_invariant() {
         },
     );
     let run = |backend: BackendConfig| {
-        let mut network = HdkNetwork::build_with(
+        let (mut indexer, queries) = HdkNetwork::build_with(
             &c.prefix(400),
             &partition_documents(400, 8, 13),
             HdkConfig {
@@ -300,30 +303,31 @@ fn gossip_failure_detection_is_thread_and_backend_invariant() {
             },
             OverlayKind::PGrid,
             backend,
-        );
+        )
+        .into_services();
         // Distinct query slices per phase so every phase genuinely runs
         // lookups against the index state of that moment.
-        let batch_round = |network: &HdkNetwork, phase: usize| {
-            let ids: Vec<PeerId> = network.peers().iter().map(|p| p.id).collect();
+        let batch_round = |indexer: &IndexService, phase: usize| {
+            let ids: Vec<PeerId> = indexer.peers().iter().map(|p| p.id).collect();
             let batch: Vec<(PeerId, &[TermId])> = log.queries[phase * 16..(phase + 1) * 16]
                 .iter()
                 .map(|q| (ids[q.id as usize % ids.len()], q.terms.as_slice()))
                 .collect();
-            network
+            queries
                 .query_batch(&batch, 20)
                 .into_iter()
                 .map(|o| o.results)
                 .collect::<Vec<_>>()
         };
-        let mut topk = batch_round(&network, 0);
-        assert_eq!(network.snapshot().failover_timeouts, 0);
+        let mut topk = batch_round(&indexer, 0);
+        assert_eq!(queries.snapshot().failover_timeouts, 0);
 
         // One peer crashes. Nobody calls repair: detection, confirmation
         // and the repair trigger all have to come from gossip.
-        let loss = network.fail_peers(vec![PeerId(3)]);
+        let loss = indexer.fail_peers(vec![PeerId(3)]);
         assert_eq!(loss.keys_lost, 0, "R=2 must survive a single crash");
-        topk.extend(batch_round(&network, 1));
-        let timeouts_during = network.snapshot().failover_timeouts;
+        topk.extend(batch_round(&indexer, 1));
+        let timeouts_during = queries.snapshot().failover_timeouts;
         assert!(
             timeouts_during > 0,
             "queries during the detection window must pay timeouts"
@@ -331,9 +335,9 @@ fn gossip_failure_detection_is_thread_and_backend_invariant() {
 
         let mut outcomes = Vec::new();
         let mut triggered = None;
-        while network.gossip_converged() != Some(true) {
+        while indexer.gossip_converged() != Some(true) {
             assert!(outcomes.len() < 64, "gossip failed to converge");
-            let out = network.gossip_round();
+            let out = indexer.gossip_round();
             if let Some(r) = out.repair {
                 triggered = Some(r);
             }
@@ -343,13 +347,13 @@ fn gossip_failure_detection_is_thread_and_backend_invariant() {
         assert!(repair.copies > 0, "triggered repair moved nothing");
 
         // Converged views route around the corpse for free.
-        topk.extend(batch_round(&network, 2));
+        topk.extend(batch_round(&indexer, 2));
         assert_eq!(
-            network.snapshot().failover_timeouts,
+            queries.snapshot().failover_timeouts,
             timeouts_during,
             "post-convergence queries must pay zero failover timeouts"
         );
-        (topk, outcomes, network.snapshot())
+        (topk, outcomes, queries.snapshot())
     };
 
     let prev = std::env::var("RAYON_NUM_THREADS").ok();
@@ -423,7 +427,8 @@ fn long_queries_with_deep_lattice_are_thread_invariant() {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .query_service();
         let mut outcomes = Vec::new();
         let mut profiles = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -645,7 +650,7 @@ fn incremental_additions_are_deterministic_run_to_run() {
     let build = || {
         let partitions = partition_documents(500, 6, 3);
         let prefix = c.prefix(500);
-        let mut network = HdkNetwork::build(
+        let (mut indexer, queries) = HdkNetwork::build(
             &prefix,
             &partitions,
             HdkConfig {
@@ -653,7 +658,8 @@ fn incremental_additions_are_deterministic_run_to_run() {
                 ff: u64::MAX,
                 ..HdkConfig::default()
             },
-        );
+        )
+        .into_services();
         // Late documents arrive interleaved over peers in "arrival" order —
         // deliberately not grouped, exercising the dispatch path.
         let additions: Vec<(PeerId, Document)> = (500..c.len())
@@ -662,8 +668,8 @@ fn incremental_additions_are_deterministic_run_to_run() {
                 (PeerId((i as u64 * 7 + 3) % 6), doc)
             })
             .collect();
-        network.add_documents(additions);
-        network
+        indexer.add_documents(additions);
+        queries
     };
     let a = build();
     let b = build();
