@@ -14,8 +14,9 @@
 //!
 //! Encoded bytes are only part of what an index costs in memory. The
 //! breakdown table ([`MemoryFootprint::breakdown`]) follows every byte the
-//! index structure holds — store tables, spilled holder and contributor
-//! lists, blocks, doc-sets, and under the tiered store its sealed index —
+//! index structure holds — store tables (rows, indexes and record arenas,
+//! with the arenas' live and dead record bytes shown apart), shared
+//! blocks, shared doc-sets, and under the tiered store its sealed index —
 //! per stored key, next to the process's live heap (when the binary
 //! installs [`LiveHeap`]) and resident set. [`LiveHeap`] also keeps the
 //! live heap's high-water mark, so a caller can read what a build held at
@@ -144,8 +145,8 @@ impl MemoryFootprint {
         };
         row("tables", f.table_bytes);
         row("sealed_index", f.sealed_table_bytes);
-        row("holder_spill", f.holder_spill_bytes);
-        row("contributor_spill", f.contributor_spill_bytes);
+        row("tables.records", f.record_bytes);
+        row("tables.dead", f.dead_record_bytes);
         row("blocks", f.block_bytes);
         row("docsets", f.docset_bytes);
         row("index_total", f.total_bytes());

@@ -38,27 +38,24 @@
 use crate::classify::{classify, KeyClass};
 use crate::config::StoreConfig;
 use crate::key::{Key, MAX_KEY_SIZE};
-use hdk_ir::{CompressedDocSet, CompressedPostings, Posting};
+use hdk_ir::codec::{read_known_varint, write_varint};
+use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, StoredBlock};
 use hdk_p2p::wire::{self, Wire, WireReader};
 use hdk_p2p::{
     wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
-    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, InlineVec, LossStats, Membership,
-    MigrationStats, NetworkBackend, Notification, PGrid, PeerId, RecoveryStats, RepairStats,
-    Request, Response, SegmentStore, Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
+    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership,
+    MigrationStats, NetworkBackend, Notification, PGrid, PeerId, Record, RecoveryStats,
+    RepairStats, Request, Response, SegmentStore, Shared, Store, StoreCodec, StoreService, Tier,
+    TrafficSnapshot,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// The peers that contributed a key's postings: one or two inline (most
-/// keys have no more), longer lists in one heap slice.
-pub type Contributors = InlineVec<PeerId, 2>;
-
-/// State stored in the DHT per key.
-///
-/// Every stored key pays for this struct, so the rare parts stay small:
-/// `contributors` is inline up to two peers and `seen_docs`, set on about
-/// one key in a hundred, is boxed.
+/// State stored in the DHT per key — as the value a write materializes
+/// and the wire and the segment logs carry. The hot tier keeps it as a
+/// record ([`Record`]), read in place through a [`KeyEntryRef`].
 #[derive(Debug, Clone)]
 pub struct KeyEntry {
     /// The key itself (guards against 64-bit hash collisions and lets local
@@ -71,19 +68,333 @@ pub struct KeyEntry {
     pub df: u32,
     /// Peers that inserted postings for this key (notification targets),
     /// in first-insert order.
-    pub contributors: Contributors,
+    pub contributors: Vec<PeerId>,
     /// Set once the end-of-round sweep marked the key non-discriminative.
     pub is_ndk: bool,
     /// Documents already counted in `df`, kept only once the stored list
     /// is truncated (while the list is complete it *is* the doc set).
     /// Needed so incremental sessions never double-count a document.
-    pub seen_docs: Option<Box<CompressedDocSet>>,
+    pub seen_docs: Option<CompressedDocSet>,
 }
 
-// Every stored key pays for its slot: the entry and its holder set
-// (`tests/alloc_budget.rs` measures what a key costs beyond it).
-#[cfg(target_pointer_width = "64")]
-const _: () = assert!(std::mem::size_of::<hdk_p2p::Slot<KeyEntry>>() == 120);
+// Every hot key pays for its row — the key hash and where its record sits
+// — beside the record itself (`tests/alloc_budget.rs` measures the rest).
+const _: () = assert!(hdk_p2p::HOT_ROW_BYTES == 16);
+
+/// [`KeyEntry`] record flags: the key is non-discriminative.
+const NDK: u8 = 1;
+/// The posting block is shared: the record names it, not holds it.
+const SHARED_BLOCK: u8 = 2;
+/// The record carries a doc-set.
+const DOCSET: u8 = 4;
+/// The doc-set is shared.
+const SHARED_DOCSET: u8 = 8;
+
+/// Appends a block's part of a record: its max doc, then its bytes
+/// (length-prefixed) when they sit inline, or nothing when the block is
+/// shared — which `put_record` flags and pushes onto `shared`.
+fn put_block(
+    stored: StoredBlock<'_>,
+    max_doc: u32,
+    out: &mut Vec<u8>,
+    shared: &mut Vec<Arc<[u8]>>,
+) -> bool {
+    write_varint(out, u64::from(max_doc));
+    match stored {
+        StoredBlock::Inline(bytes) => {
+            out.push(bytes.len() as u8);
+            out.extend_from_slice(bytes);
+            false
+        }
+        StoredBlock::Shared(bytes) => {
+            shared.push(Arc::clone(bytes));
+            true
+        }
+    }
+}
+
+/// The hot-tier record of an entry, in the order reads need it:
+/// `[flags][key size][df][block][terms][contributors][doc-set]`, every
+/// number a varint. The flags, key size and `df` lead, so a
+/// classification sweep reads three bytes or so of a record to pick the
+/// entries it rewrites, and a lookup reads the block next. A block is its
+/// max doc, then — when it has at most
+/// [`hdk_ir::compressed::INLINE_BYTES`] encoded bytes — its length and
+/// bytes; a longer one is shared, the block first, then the doc-set.
+impl Record for KeyEntry {
+    type Ref<'a> = KeyEntryRef<'a>;
+
+    fn put_record(&self, out: &mut Vec<u8>, shared: &mut Vec<Arc<[u8]>>) {
+        let flags_at = out.len();
+        out.push(0);
+        out.push(self.key.size() as u8);
+        write_varint(out, u64::from(self.df));
+        let max_doc = self.postings.max_doc().map_or(0, |d| d.0);
+        let mut flags = if self.is_ndk { NDK } else { 0 };
+        if put_block(self.postings.stored(), max_doc, out, shared) {
+            flags |= SHARED_BLOCK;
+        }
+        for term in self.key.terms() {
+            write_varint(out, u64::from(term.0));
+        }
+        write_varint(out, self.contributors.len() as u64);
+        for peer in &self.contributors {
+            write_varint(out, peer.0);
+        }
+        if let Some(seen) = &self.seen_docs {
+            flags |= DOCSET;
+            if put_block(seen.stored(), seen.max_doc(), out, shared) {
+                flags |= SHARED_DOCSET;
+            }
+        }
+        out[flags_at] = flags;
+    }
+
+    fn from_record(record: &[u8], shared: Shared<'_>) -> Self {
+        RecordView { record, shared }.to_entry()
+    }
+
+    fn view<'a>(record: &'a [u8], shared: Shared<'a>) -> KeyEntryRef<'a> {
+        KeyEntryRef(Viewed::Record(RecordView { record, shared }))
+    }
+
+    fn view_value(entry: &KeyEntry) -> KeyEntryRef<'_> {
+        KeyEntryRef(Viewed::Entry(entry))
+    }
+}
+
+/// A stored entry as a read sees it: a hot entry's record read in place —
+/// trusting the store's own bytes, validating nothing and copying nothing
+/// but what a caller takes (a block costs a 32-byte copy or a
+/// reference-count bump) — or a sealed entry decoded from its frame.
+#[derive(Clone, Copy)]
+pub struct KeyEntryRef<'a>(Viewed<'a>);
+
+#[derive(Clone, Copy)]
+enum Viewed<'a> {
+    Record(RecordView<'a>),
+    Entry(&'a KeyEntry),
+}
+
+impl<'a> KeyEntryRef<'a> {
+    /// Whether the key is non-discriminative.
+    pub fn is_ndk(&self) -> bool {
+        match self.0 {
+            Viewed::Record(r) => r.is_ndk(),
+            Viewed::Entry(e) => e.is_ndk,
+        }
+    }
+
+    /// The key's size (its number of terms).
+    pub fn key_size(&self) -> usize {
+        match self.0 {
+            Viewed::Record(r) => r.key_size(),
+            Viewed::Entry(e) => e.key.size(),
+        }
+    }
+
+    /// The true global document frequency.
+    pub fn df(&self) -> u32 {
+        match self.0 {
+            Viewed::Record(r) => r.df(),
+            Viewed::Entry(e) => e.df,
+        }
+    }
+
+    /// The posting block as stored, and its max doc.
+    pub fn block(&self) -> (StoredBlock<'a>, u32) {
+        match self.0 {
+            Viewed::Record(r) => r.block(),
+            Viewed::Entry(e) => (e.postings.stored(), e.postings.max_doc().map_or(0, |d| d.0)),
+        }
+    }
+
+    /// What a lookup answers: the posting block — a copy of a short one,
+    /// a shared long one — and `df`.
+    pub fn postings_and_df(&self) -> (CompressedPostings, u32) {
+        match self.0 {
+            Viewed::Record(r) => r.postings_and_df(),
+            Viewed::Entry(e) => (e.postings.clone(), e.df),
+        }
+    }
+
+    /// The key.
+    pub fn key(&self) -> Key {
+        match self.0 {
+            Viewed::Record(r) => r.key(),
+            Viewed::Entry(e) => e.key,
+        }
+    }
+
+    /// The contributing peers, in first-insert order.
+    pub fn contributors(&self) -> impl Iterator<Item = PeerId> + 'a {
+        let (record, entry) = match self.0 {
+            Viewed::Record(r) => (Some(r.contributors()), None),
+            Viewed::Entry(e) => (None, Some(e.contributors.iter().copied())),
+        };
+        record
+            .into_iter()
+            .flatten()
+            .chain(entry.into_iter().flatten())
+    }
+
+    /// The `df` doc-set as stored, and its max doc.
+    pub fn seen_docs_block(&self) -> Option<(StoredBlock<'a>, u32)> {
+        match self.0 {
+            Viewed::Record(r) => r.seen_docs_block(),
+            Viewed::Entry(e) => e.seen_docs.as_ref().map(|s| (s.stored(), s.max_doc())),
+        }
+    }
+
+    /// The whole entry.
+    pub fn to_entry(&self) -> KeyEntry {
+        match self.0 {
+            Viewed::Record(r) => r.to_entry(),
+            Viewed::Entry(e) => e.clone(),
+        }
+    }
+}
+
+/// A hot entry's record, read in place.
+#[derive(Clone, Copy)]
+struct RecordView<'a> {
+    record: &'a [u8],
+    shared: Shared<'a>,
+}
+
+impl<'a> RecordView<'a> {
+    #[inline]
+    fn varint(&self, pos: &mut usize) -> u64 {
+        read_known_varint(self.record, pos)
+    }
+
+    fn flags(&self) -> u8 {
+        self.record[0]
+    }
+
+    /// Whether the key is non-discriminative.
+    fn is_ndk(&self) -> bool {
+        self.flags() & NDK != 0
+    }
+
+    /// The key's size (its number of terms).
+    fn key_size(&self) -> usize {
+        usize::from(self.record[1])
+    }
+
+    /// The true global document frequency.
+    fn df(&self) -> u32 {
+        self.varint(&mut 2) as u32
+    }
+
+    /// A block's part of the record at `pos`: the block and its max doc.
+    fn block_at(&self, pos: &mut usize, shared: bool, ordinal: usize) -> (StoredBlock<'a>, u32) {
+        let max_doc = self.varint(pos) as u32;
+        if shared {
+            let bytes = self
+                .shared
+                .get(ordinal)
+                .expect("a record names what it shares");
+            return (StoredBlock::Shared(bytes), max_doc);
+        }
+        let len = usize::from(self.record[*pos]);
+        let bytes = &self.record[*pos + 1..*pos + 1 + len];
+        *pos += 1 + len;
+        (StoredBlock::Inline(bytes), max_doc)
+    }
+
+    /// The posting block as stored and its max doc, with `df` and the
+    /// offset of the terms.
+    fn head(&self) -> (StoredBlock<'a>, u32, u32, usize) {
+        let mut pos = 2;
+        let df = self.varint(&mut pos) as u32;
+        let (stored, max_doc) = self.block_at(&mut pos, self.flags() & SHARED_BLOCK != 0, 0);
+        (stored, max_doc, df, pos)
+    }
+
+    /// The posting block as stored, and its max doc.
+    fn block(&self) -> (StoredBlock<'a>, u32) {
+        let (stored, max_doc, _, _) = self.head();
+        (stored, max_doc)
+    }
+
+    /// What a lookup answers: the posting block — a copy of a short one,
+    /// a shared long one — and `df`.
+    fn postings_and_df(&self) -> (CompressedPostings, u32) {
+        let (stored, max_doc, df, _) = self.head();
+        (CompressedPostings::from_stored(stored, max_doc), df)
+    }
+
+    /// The key's terms, read from `pos`.
+    fn key_at(&self, pos: &mut usize) -> Key {
+        let mut terms = [0u32; MAX_KEY_SIZE];
+        let size = self.key_size();
+        for term in &mut terms[..size] {
+            *term = self.varint(pos) as u32;
+        }
+        Key::from_ascending(&terms[..size])
+    }
+
+    /// The key.
+    fn key(&self) -> Key {
+        self.key_at(&mut self.head().3)
+    }
+
+    /// The offset of the contributor list.
+    fn contributors_at(&self) -> usize {
+        let mut pos = self.head().3;
+        for _ in 0..self.key_size() {
+            self.varint(&mut pos);
+        }
+        pos
+    }
+
+    /// The contributing peers, in first-insert order.
+    fn contributors(&self) -> impl Iterator<Item = PeerId> + 'a {
+        let this = *self;
+        let mut pos = self.contributors_at();
+        let n = this.varint(&mut pos);
+        (0..n).map(move |_| PeerId(this.varint(&mut pos)))
+    }
+
+    /// The `df` doc-set as stored, and its max doc.
+    fn seen_docs_block(&self) -> Option<(StoredBlock<'a>, u32)> {
+        let flags = self.flags();
+        if flags & DOCSET == 0 {
+            return None;
+        }
+        let mut pos = self.contributors_at();
+        for _ in 0..self.varint(&mut pos) {
+            self.varint(&mut pos);
+        }
+        let ordinal = usize::from(flags & SHARED_BLOCK != 0);
+        Some(self.block_at(&mut pos, flags & SHARED_DOCSET != 0, ordinal))
+    }
+
+    /// The whole entry, read in one pass.
+    fn to_entry(self) -> KeyEntry {
+        let flags = self.flags();
+        let (stored, max_doc, df, mut pos) = self.head();
+        let key = self.key_at(&mut pos);
+        // Room for one more: a merge adds at most one contributor.
+        let n = self.varint(&mut pos) as usize;
+        let mut contributors = Vec::with_capacity(n + 1);
+        contributors.extend((0..n).map(|_| PeerId(self.varint(&mut pos))));
+        let seen_docs = (flags & DOCSET != 0).then(|| {
+            let ordinal = usize::from(flags & SHARED_BLOCK != 0);
+            let (stored, max_doc) = self.block_at(&mut pos, flags & SHARED_DOCSET != 0, ordinal);
+            CompressedDocSet::from_stored(stored, max_doc)
+        });
+        KeyEntry {
+            key,
+            postings: CompressedPostings::from_stored(stored, max_doc),
+            df,
+            contributors,
+            is_ndk: flags & NDK != 0,
+            seen_docs,
+        }
+    }
+}
 
 // One encoding for the segment log and the wire: key, block, df,
 // contributors, NDK flag, doc-set — each part validated by its own decoder.
@@ -155,7 +466,7 @@ impl StoreService for IndexStore {
             key,
             postings: CompressedPostings::new(),
             df: 0,
-            contributors: Contributors::new(),
+            contributors: Vec::new(),
             is_ndk: false,
             seen_docs: None,
         }
@@ -191,21 +502,21 @@ impl StoreService for IndexStore {
         entry.is_ndk
     }
 
-    /// Builds one lookup response from a stored entry: the block's clone
-    /// plus the `(postings, bytes)` payload accounting for the
-    /// response meter (a miss answers with an 8-byte "not found").
-    fn read(&self, key: &Key, entry: Option<&KeyEntry>) -> (Option<KeyLookup>, u64, u64) {
+    /// Builds one lookup response from a stored entry's record: the
+    /// block's clone plus the `(postings, bytes)` payload accounting for
+    /// the response meter (a miss answers with an 8-byte "not found").
+    fn read(&self, key: &Key, entry: Option<KeyEntryRef<'_>>) -> (Option<KeyLookup>, u64, u64) {
         match entry {
             Some(e) => {
-                debug_assert_eq!(e.key, *key, "DHT hash collision");
-                let postings = e.postings.clone();
+                debug_assert_eq!(e.key(), *key, "DHT hash collision");
+                let (postings, df) = e.postings_and_df();
                 let n = postings.len() as u64;
                 let bytes = postings.encoded_len() as u64;
                 (
                     Some(KeyLookup {
                         postings,
-                        df: e.df,
-                        is_ndk: e.is_ndk,
+                        df,
+                        is_ndk: e.is_ndk(),
                     }),
                     n,
                     bytes,
@@ -231,25 +542,26 @@ impl StoreService for IndexStore {
                     .into_par_iter()
                     .map(|stripe| {
                         let mut notes = Vec::new();
-                        dht.for_each_stripe_mut(stripe, |_, entry| {
-                            if entry.key.size() != size || entry.is_ndk {
-                                return;
-                            }
-                            if classify(entry.df, dfmax) == KeyClass::NonDiscriminative {
-                                entry.is_ndk = true;
-                                // The stored list is still complete at transition
-                                // time; remember its documents (as a compact
-                                // sorted-delta set) so later (incremental) inserts
-                                // keep `df` exact after truncation.
-                                entry.seen_docs = Some(Box::new(CompressedDocSet::from_postings(
-                                    &entry.postings,
-                                )));
-                                entry.postings = entry
-                                    .postings
-                                    .truncate_top_k(dfmax as usize, posting_quality);
-                                for &peer in &entry.contributors {
-                                    notes.push((peer, entry.key));
-                                }
+                        // Only the entries that turn non-discriminative are
+                        // materialized and rewritten.
+                        let turns = |e: KeyEntryRef<'_>| {
+                            e.key_size() == size
+                                && !e.is_ndk()
+                                && classify(e.df(), dfmax) == KeyClass::NonDiscriminative
+                        };
+                        dht.for_each_stripe_mut(stripe, turns, |_, entry| {
+                            entry.is_ndk = true;
+                            // The stored list is still complete at transition
+                            // time; remember its documents (as a compact
+                            // sorted-delta set) so later (incremental) inserts
+                            // keep `df` exact after truncation.
+                            entry.seen_docs =
+                                Some(CompressedDocSet::from_postings(&entry.postings));
+                            entry.postings = entry
+                                .postings
+                                .truncate_top_k(dfmax as usize, posting_quality);
+                            for &peer in &entry.contributors {
+                                notes.push((peer, entry.key));
                             }
                         });
                         notes
@@ -261,13 +573,14 @@ impl StoreService for IndexStore {
             IndexSweep::Counts => {
                 IndexSwept::Counts(fold_stripes(dht, IndexCounts::default, |stripe, counts| {
                     dht.for_each_stripe(stripe, |_, _, e, _| {
-                        let s = e.key.size() - 1;
-                        if e.is_ndk {
+                        let s = e.key_size() - 1;
+                        let postings = u64::from(e.block().0.count());
+                        if e.is_ndk() {
                             counts.ndk_keys[s] += 1;
-                            counts.ndk_postings[s] += e.postings.len() as u64;
+                            counts.ndk_postings[s] += postings;
                         } else {
                             counts.hdk_keys[s] += 1;
-                            counts.hdk_postings[s] += e.postings.len() as u64;
+                            counts.hdk_postings[s] += postings;
                         }
                     });
                 }))
@@ -277,17 +590,19 @@ impl StoreService for IndexStore {
                 || vec![PeerStorage::default(); peers],
                 |stripe, totals| {
                     dht.for_each_stripe(stripe, |holders, _, e, tier| {
+                        let block = e.block().0;
+                        let seen = e.seen_docs_block().map(|(s, _)| s);
                         for &h in holders {
                             let t = &mut totals[h as usize];
-                            t.postings += e.postings.len() as u64;
-                            if let Some(s) = &e.seen_docs {
-                                t.docset_docs += s.len() as u64;
+                            t.postings += u64::from(block.count());
+                            if let Some(s) = seen {
+                                t.docset_docs += u64::from(s.count());
                             }
                             match tier {
                                 Tier::Hot => {
-                                    t.posting_bytes += e.postings.encoded_len() as u64;
-                                    if let Some(s) = &e.seen_docs {
-                                        t.docset_bytes += s.encoded_len() as u64;
+                                    t.posting_bytes += block.bytes().len() as u64;
+                                    if let Some(s) = seen {
+                                        t.docset_bytes += s.bytes().len() as u64;
                                     }
                                 }
                                 Tier::Sealed { frame_bytes } => {
@@ -308,7 +623,9 @@ impl StoreService for IndexStore {
                 custodian,
             } => {
                 (0..dht.num_stripes()).into_par_iter().for_each(|stripe| {
-                    dht.for_each_stripe_mut(stripe, |_, entry| {
+                    let names_departed =
+                        |e: KeyEntryRef<'_>| e.contributors().any(|p| departed.contains(&p));
+                    dht.for_each_stripe_mut(stripe, names_departed, |_, entry| {
                         let had = entry.contributors.len();
                         entry.contributors.retain(|p| !departed.contains(p));
                         if entry.contributors.len() != had
@@ -324,22 +641,20 @@ impl StoreService for IndexStore {
                 dht,
                 IndexFootprint::default,
                 |stripe, total| {
-                    let (tables, holders) = dht.stripe_structure_bytes(stripe);
+                    let tables = dht.stripe_table_bytes(stripe);
                     total.table_bytes += tables.hot;
+                    total.record_bytes += tables.records;
+                    total.dead_record_bytes += tables.dead_records;
                     total.sealed_table_bytes += tables.sealed;
-                    total.holder_spill_bytes += holders;
                     dht.for_each_stripe(stripe, |_, _, e, tier| {
                         total.keys += 1;
                         if tier != Tier::Hot {
                             return;
                         }
                         total.hot_keys += 1;
-                        total.contributor_spill_bytes += e.contributors.spilled_bytes() as u64;
-                        total.block_bytes += e.postings.heap_bytes() as u64;
-                        if let Some(seen) = &e.seen_docs {
-                            total.docset_bytes += (std::mem::size_of::<CompressedDocSet>()
-                                + seen.heap_bytes())
-                                as u64;
+                        total.block_bytes += e.block().0.heap_bytes() as u64;
+                        if let Some((seen, _)) = e.seen_docs_block() {
+                            total.docset_bytes += seen.heap_bytes() as u64;
                         }
                     });
                 },
@@ -347,7 +662,7 @@ impl StoreService for IndexStore {
             IndexSweep::Entries => {
                 let mut entries = Vec::new();
                 for stripe in 0..dht.num_stripes() {
-                    dht.for_each_stripe(stripe, |_, _, e, _| entries.push(e.clone()));
+                    dht.for_each_stripe(stripe, |_, _, e, _| entries.push(e.to_entry()));
                 }
                 IndexSwept::Entries(entries)
             }
@@ -515,7 +830,7 @@ impl StoreCodec<KeyEntry> for KeyEntryCodec {
             key,
             postings,
             df,
-            contributors: Contributors::new(),
+            contributors: Vec::new(),
             is_ndk,
             seen_docs: None,
         })
@@ -1150,21 +1465,22 @@ pub struct IndexFootprint {
     /// Stored keys resident in memory: all of them, but under a tiered
     /// store's budget only its hot tier's.
     pub hot_keys: u64,
-    /// The stores' tables of resident entries: slot storage, filled or
-    /// not, and key indexes ([`hdk_p2p::TableBytes::hot`]).
+    /// The stores' tables of resident entries: rows and key indexes, the
+    /// record arenas' whole capacity — live, dead and spare bytes — and
+    /// the slabs of shared slices ([`hdk_p2p::TableBytes::hot`]).
     pub table_bytes: u64,
     /// A tiered store's sealed index: where each sealed key's frames sit
     /// ([`hdk_p2p::TableBytes::sealed`]; 0 in memory).
     pub sealed_table_bytes: u64,
-    /// Heap slices of holder sets too long to sit inline in their slot.
-    pub holder_spill_bytes: u64,
-    /// Heap slices of contributor lists too long to sit inline.
-    pub contributor_spill_bytes: u64,
-    /// Posting blocks too long to sit inline in their entry: encoded
-    /// bytes plus each block's reference counts.
+    /// Of `table_bytes`, the live records.
+    pub record_bytes: u64,
+    /// Of `table_bytes`, the superseded records awaiting compaction.
+    pub dead_record_bytes: u64,
+    /// Posting blocks too long to sit in their record: encoded bytes plus
+    /// each block's reference counts.
     pub block_bytes: u64,
-    /// `df` doc-sets: the boxed set and, for a set too long to sit inline,
-    /// its encoded bytes and reference counts.
+    /// `df` doc-sets too long to sit in their record: encoded bytes plus
+    /// reference counts.
     pub docset_bytes: u64,
 }
 
@@ -1173,8 +1489,8 @@ wire_stats!(IndexFootprint(
     hot_keys,
     table_bytes,
     sealed_table_bytes,
-    holder_spill_bytes,
-    contributor_spill_bytes,
+    record_bytes,
+    dead_record_bytes,
     block_bytes,
     docset_bytes
 ));
@@ -1182,12 +1498,7 @@ wire_stats!(IndexFootprint(
 impl IndexFootprint {
     /// Every in-memory byte the index accounts for.
     pub fn total_bytes(&self) -> u64 {
-        self.table_bytes
-            + self.sealed_table_bytes
-            + self.holder_spill_bytes
-            + self.contributor_spill_bytes
-            + self.block_bytes
-            + self.docset_bytes
+        self.table_bytes + self.sealed_table_bytes + self.block_bytes + self.docset_bytes
     }
 
     /// [`IndexFootprint::total_bytes`] per stored key.
@@ -1444,7 +1755,7 @@ mod tests {
             for stripe in 0..idx.dht().num_stripes() {
                 idx.dht().for_each_stripe(stripe, |holders, _, e, tier| {
                     assert_eq!(tier, Tier::Hot);
-                    by_stripe += KeyEntryCodec.weight(e) * holders.len() as u64;
+                    by_stripe += KeyEntryCodec.weight(&e.to_entry()) * holders.len() as u64;
                 });
             }
             assert_eq!(idx.resident_posting_bytes(), by_stripe);
@@ -1492,13 +1803,13 @@ mod tests {
             key: key(&[1, 2]),
             postings: CompressedPostings::from_list(&list(&[3, 9, 400])),
             df: 3,
-            contributors: Contributors::from(vec![PeerId(0), PeerId(7)]),
+            contributors: vec![PeerId(0), PeerId(7)],
             is_ndk: false,
-            seen_docs: Some(Box::new(CompressedDocSet::from_sorted_docs([
+            seen_docs: Some(CompressedDocSet::from_sorted_docs([
                 DocId(3),
                 DocId(9),
                 DocId(400),
-            ]))),
+            ])),
         };
         let mut bytes = Vec::new();
         KeyEntryCodec.encode(&entry, &mut bytes);

@@ -61,8 +61,8 @@ pub use config::{net_timeout_from_env, HdkConfig, StoreConfig, DEFAULT_SEGMENT_H
 pub use engine::{BackendConfig, HdkNetwork, IndexService, OverlayKind, QueryService};
 pub use exec::{derive_query_id, QueryExecutor, QueryOutcome};
 pub use global_index::{
-    build_entry_store, Contributors, GlobalIndex, IndexBackend, IndexCounts, IndexFootprint,
-    IndexRequest, IndexResponse, IndexStore, IndexSweep, IndexSwept, KeyEntry, KeyEntryCodec,
+    build_entry_store, GlobalIndex, IndexBackend, IndexCounts, IndexFootprint, IndexRequest,
+    IndexResponse, IndexStore, IndexSweep, IndexSwept, KeyEntry, KeyEntryCodec, KeyEntryRef,
     KeyLookup, PeerStorage,
 };
 /// Re-exported only so the frozen `benchmark/` crate compiles.

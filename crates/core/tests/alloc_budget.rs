@@ -19,12 +19,12 @@
 //! the tests of this binary take turns ([`serial`]).
 
 use hdk_core::window_keys::RunBuilder;
-use hdk_core::{GlobalIndex, HdkConfig, HdkNetwork, Key, KeyEntry, LocalPeer, StoreConfig};
+use hdk_core::{GlobalIndex, HdkConfig, HdkNetwork, Key, LocalPeer, StoreConfig};
 use hdk_corpus::{
     partition_documents, CollectionGenerator, DocId, GeneratorConfig, QueryLog, QueryLogConfig,
 };
 use hdk_ir::{CompressedPostings, Posting};
-use hdk_p2p::{IdHashSet, PGrid, PeerId, Slot};
+use hdk_p2p::{IdHashSet, PGrid, PeerId};
 use hdk_text::TermId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -290,12 +290,12 @@ fn a_hostile_length_prefix_buys_no_allocation() {
 #[test]
 fn a_stored_key_costs_its_slot_and_little_more() {
     let _turn = serial();
-    // The slot every stored key pays for: the entry (32 B block, inline up
-    // to 22 encoded bytes, 24 B inline contributors, 20 B key, df, flag,
-    // boxed doc-set pointer) and a 24 B inline holder set. The block was a
-    // 48 B handle to a heap buffer (136 B slots). Half again of this used
-    // to sit in the empty half of a hash table.
-    assert_eq!(std::mem::size_of::<Slot<KeyEntry>>(), 120);
+    // The row every hot key pays for: its key hash and where its record
+    // sits in the stripe's arena. The record holds the rest — key, df,
+    // flags, contributors, holders and a block of at most 22 encoded
+    // bytes. A decoded slot of entry and holder set took 120 B (136 B
+    // while the block was a 48 B handle to a heap buffer).
+    assert_eq!(hdk_p2p::HOT_ROW_BYTES, 16);
 
     // A one-session in-memory build over 4 peers × 150 documents, peers
     // set up before counting starts: what stays live is the index.
@@ -343,12 +343,13 @@ fn a_stored_key_costs_its_slot_and_little_more() {
     let keys: u64 = counts.hdk_keys.iter().chain(&counts.ndk_keys).sum();
     assert!(keys > 20_000, "only {keys} keys stored");
     let per_key = spent as f64 / keys as f64;
-    // The slot with its key and index buckets, the blocks too long to sit
-    // inline, the peers' NDK sets, each stripe's last partly filled chunk:
-    // 198.1 B here, bounded at 208. A 136-byte slot with every block in its
-    // own allocation read 238 B; slots in hash-table buckets cost 365 B.
+    // The row with its index buckets, the record with the arena's dead and
+    // spare bytes, the blocks too long to sit in their record, the peers'
+    // NDK sets: 110.7 B here, bounded at 116.3. A decoded 120-byte slot read
+    // 198.1 B; a 136-byte slot with every block in its own allocation
+    // 238 B; slots in hash-table buckets 365 B.
     assert!(
-        per_key <= 208.0,
+        per_key <= 116.3,
         "{per_key:.1} live heap bytes per stored key ({spent} B for {keys} keys)"
     );
 }
@@ -383,8 +384,9 @@ fn a_build_holds_one_peers_batch_beyond_its_index() {
     let counts = network.query_service().index().index_counts();
     let keys: u64 = counts.hdk_keys.iter().chain(&counts.ndk_keys).sum();
     assert!(keys > 50_000, "only {keys} keys stored");
-    // 19.4 MB at the peak against 18.3 MB kept: 1.06 measured, bounded
-    // at 1.25. Shipping the whole round as one message peaked at 32.0 MB,
+    // 9.8 MB at the peak against 8.6 MB kept: 1.13 measured (19.4 MB
+    // against 18.3 MB, 1.06, with decoded 120-byte slots), bounded at
+    // 1.25. Shipping the whole round as one message peaked at 32.0 MB,
     // 1.75.
     let ratio = peak as f64 / kept as f64;
     assert!(

@@ -8,14 +8,16 @@
 //! including the cross-session subtleties (keys flipping to NDK late,
 //! old documents contributing new combinations, no double-counted dfs).
 
-use hdk_core::{HdkConfig, HdkNetwork, Key, QueryService};
+use hdk_core::{HdkConfig, HdkNetwork, Key, KeyEntryCodec, QueryService, StoreConfig};
 use hdk_corpus::{
     partition_documents, Collection, CollectionGenerator, DocId, GeneratorConfig, QueryLog,
     QueryLogConfig,
 };
 use hdk_p2p::PeerId;
+use hdk_p2p::StoreCodec;
 use hdk_text::{TermId, Vocabulary};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn config(dfmax: u32) -> HdkConfig {
     HdkConfig {
@@ -290,4 +292,101 @@ proptest! {
             }
         }
     }
+}
+
+/// Every stored key's `KeyEntryCodec` frame payload, whichever tier holds
+/// the key — each one checked by the validating decoder, and each doc-set
+/// against the `df` it counts.
+fn frames(service: &QueryService) -> BTreeMap<Key, Vec<u8>> {
+    let mut frames = BTreeMap::new();
+    service.index().for_each_entry(|entry| {
+        let mut bytes = Vec::new();
+        KeyEntryCodec.encode(entry, &mut bytes);
+        let key = entry.key;
+        assert!(
+            KeyEntryCodec.decode(&bytes).is_some(),
+            "{key:?}: a corrupt frame"
+        );
+        if let Some(seen) = &entry.seen_docs {
+            assert_eq!(
+                seen.iter().count() as u32,
+                entry.df,
+                "{key:?}: doc-set vs df"
+            );
+        }
+        assert!(frames.insert(key, bytes).is_none(), "a key stored twice");
+    });
+    frames
+}
+
+/// Names the first key whose frames differ, if any.
+fn assert_same_frames(got: &BTreeMap<Key, Vec<u8>>, want: &BTreeMap<Key, Vec<u8>>, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}: stored keys");
+    for ((key, a), (_, b)) in got.iter().zip(want) {
+        assert_eq!(a, b, "{what}: the frames of {key:?} differ");
+    }
+    assert!(got.keys().eq(want.keys()), "{what}: stored keys differ");
+}
+
+#[test]
+fn the_arena_and_the_segment_logs_hold_byte_identical_entries_through_growth() {
+    // The `ingest` shape: a base build, then several `add_documents`
+    // batches. On the unbounded store every entry ends a record in its
+    // stripe's arena; under a 64 KiB budget nearly all are sealed frames,
+    // then — after a sync and a restart of every peer — replayed ones. A
+    // reordered contributor list or a lost doc-set byte shows here, where
+    // counts and top-k bits would not.
+    let docs = 1_000;
+    let collection = CollectionGenerator::new(GeneratorConfig {
+        num_docs: docs,
+        seed: 23,
+        ..GeneratorConfig::default()
+    })
+    .generate();
+    let peers = 4;
+    let partitions = partition_documents(docs, peers, 23);
+    let base = docs / 2;
+    let grow = |store: StoreConfig| -> HdkNetwork {
+        let base_parts: Vec<Vec<DocId>> = partitions
+            .iter()
+            .map(|p| p.iter().copied().filter(|d| d.index() < base).collect())
+            .collect();
+        let config = HdkConfig {
+            store,
+            ..config(30)
+        };
+        let mut network = HdkNetwork::build(&collection.prefix(base), &base_parts, config);
+        for batch in (base..docs).step_by(125) {
+            let mut additions = Vec::new();
+            for (peer, part) in partitions.iter().enumerate() {
+                for &d in part
+                    .iter()
+                    .filter(|d| (batch..batch + 125).contains(&d.index()))
+                {
+                    additions.push((PeerId(peer as u64), collection.doc(d).clone()));
+                }
+            }
+            network.index_service().add_documents(additions);
+        }
+        network
+    };
+    let in_arena = frames(&grow(StoreConfig::Memory).query_service());
+    assert!(in_arena.len() > 10_000, "only {} keys", in_arena.len());
+    let with_docset = in_arena
+        .values()
+        .filter_map(|frame| KeyEntryCodec.decode(frame))
+        .filter(|entry| entry.seen_docs.is_some())
+        .count();
+    assert!(
+        with_docset > 100,
+        "only {with_docset} entries carry a doc-set"
+    );
+
+    let mut tiered = grow(StoreConfig::segment(65_536));
+    assert_same_frames(&frames(&tiered.query_service()), &in_arena, "sealed");
+    tiered.index_service().sync_storage();
+    let everyone: Vec<PeerId> = (0..peers as u64).map(PeerId).collect();
+    let (recovered, _) = tiered.index_service().restart_peers(&everyone);
+    assert_eq!(recovered.copies_lost, 0, "a synced restart loses nothing");
+    assert_same_frames(&frames(&tiered.query_service()), &in_arena, "replayed");
 }

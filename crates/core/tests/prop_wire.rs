@@ -172,7 +172,7 @@ impl Gen {
             .collect();
         KeyEntry {
             postings: CompressedPostings::from_postings(&postings),
-            seen_docs: Some(Box::new(CompressedDocSet::from_sorted_docs(seen))),
+            seen_docs: Some(CompressedDocSet::from_sorted_docs(seen)),
             ..self.entry()
         }
     }
@@ -207,12 +207,12 @@ impl Gen {
         let postings = self.block();
         let seen_docs = self
             .flag()
-            .then(|| Box::new(CompressedDocSet::from_postings(&postings)));
+            .then(|| CompressedDocSet::from_postings(&postings));
         KeyEntry {
             key: self.key(),
             postings,
             df: self.next() as u32,
-            contributors: self.wave().into(),
+            contributors: self.wave(),
             is_ndk: self.flag(),
             seen_docs,
         }
@@ -407,8 +407,8 @@ impl Gen {
                 hot_keys: self.next(),
                 table_bytes: self.next(),
                 sealed_table_bytes: self.next(),
-                holder_spill_bytes: self.next(),
-                contributor_spill_bytes: self.next(),
+                record_bytes: self.next(),
+                dead_record_bytes: self.next(),
                 block_bytes: self.next(),
                 docset_bytes: self.next(),
             }),
@@ -773,7 +773,7 @@ proptest! {
     #[test]
     fn entries_straddling_the_inline_capacity_round_trip(seed in any::<u64>()) {
         let entry = Gen(seed).boundary_entry();
-        let seen = entry.seen_docs.as_deref().expect("a doc-set");
+        let seen = entry.seen_docs.as_ref().expect("a doc-set");
         let payload = hdk_p2p::wire::encode(&entry);
         let mut stored = Vec::new();
         KeyEntryCodec.encode(&entry, &mut stored);
@@ -784,7 +784,7 @@ proptest! {
         for back in [&from_wire, &from_log] {
             prop_assert_eq!(&back.postings, &entry.postings);
             prop_assert_eq!(back.postings.heap_bytes(), entry.postings.heap_bytes());
-            let back_seen = back.seen_docs.as_deref().expect("a doc-set");
+            let back_seen = back.seen_docs.as_ref().expect("a doc-set");
             prop_assert_eq!(back_seen.as_bytes(), seen.as_bytes());
             prop_assert_eq!(back_seen.heap_bytes(), seen.heap_bytes());
             prop_assert_eq!(hdk_p2p::wire::encode(back), payload.clone());

@@ -66,7 +66,8 @@ fn varint_bytes(mut v: u64, mut emit: impl FnMut(u8)) {
 }
 
 /// Appends a LEB128 varint to `buf`.
-pub(crate) fn write_varint(buf: &mut Vec<u8>, v: u64) {
+#[inline]
+pub fn write_varint(buf: &mut Vec<u8>, v: u64) {
     varint_bytes(v, |byte| buf.push(byte));
 }
 
@@ -82,6 +83,7 @@ pub(crate) fn write_varint_to_slice(out: &mut [u8], v: u64) {
 
 /// Reads a LEB128 varint from `buf` at `pos`, advancing it. Returns `None`
 /// on overrun or a shift past 64 bits.
+#[inline]
 pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -94,6 +96,23 @@ pub(crate) fn read_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
             return Some(v);
+        }
+        shift += 7;
+    }
+}
+
+/// Reads a LEB128 varint known to be well formed — one the reading
+/// process wrote itself — at `pos`, advancing it. Checks nothing beyond
+/// indexing `buf`.
+#[inline]
+pub fn read_known_varint(buf: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let byte = buf[*pos];
+        *pos += 1;
+        v |= u64::from(byte & 0x7f) << shift;
+        if byte < 0x80 {
+            return v;
         }
         shift += 7;
     }

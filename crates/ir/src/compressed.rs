@@ -96,10 +96,61 @@ impl Block {
     /// Heap bytes the block owns: none inline, the slice with its
     /// reference counts otherwise.
     fn heap_bytes(&self) -> usize {
+        self.stored().heap_bytes()
+    }
+
+    #[inline]
+    fn stored(&self) -> StoredBlock<'_> {
         match self {
-            Block::Inline { .. } => 0,
-            Block::Shared(bytes) => ARC_HEADER_BYTES + bytes.len(),
+            Block::Inline { len, bytes } => StoredBlock::Inline(&bytes[..usize::from(*len)]),
+            Block::Shared(bytes) => StoredBlock::Shared(bytes),
         }
+    }
+
+    #[inline]
+    fn from_stored(stored: StoredBlock<'_>) -> Self {
+        match stored {
+            StoredBlock::Inline(bytes) => Block::new(bytes),
+            StoredBlock::Shared(bytes) => Block::Shared(Arc::clone(bytes)),
+        }
+    }
+}
+
+/// A block's bytes as a store keeps them outside the block: a short
+/// block's bytes, copied back in when the block is rebuilt, or a long
+/// block's shared slice, rebuilt with a reference-count bump.
+#[derive(Clone, Copy, Debug)]
+pub enum StoredBlock<'a> {
+    /// At most [`INLINE_BYTES`] bytes.
+    Inline(&'a [u8]),
+    /// More than [`INLINE_BYTES`] bytes.
+    Shared(&'a Arc<[u8]>),
+}
+
+impl<'a> StoredBlock<'a> {
+    /// The framed block.
+    #[inline]
+    pub fn bytes(self) -> &'a [u8] {
+        match self {
+            StoredBlock::Inline(bytes) => bytes,
+            StoredBlock::Shared(bytes) => bytes,
+        }
+    }
+
+    /// Heap bytes the block owns once rebuilt (see
+    /// [`CompressedPostings::heap_bytes`]).
+    #[inline]
+    pub fn heap_bytes(self) -> usize {
+        match self {
+            StoredBlock::Inline(_) => 0,
+            StoredBlock::Shared(bytes) => ARC_HEADER_BYTES + bytes.len(),
+        }
+    }
+
+    /// Entries in the block: its count header.
+    #[inline]
+    pub fn count(self) -> u32 {
+        read_varint(self.bytes(), &mut 0).map_or(0, |n| n as u32)
     }
 }
 
@@ -334,6 +385,24 @@ impl CompressedPostings {
     /// The encoded block (the exact wire payload).
     pub fn as_bytes(&self) -> &[u8] {
         self.block.as_slice()
+    }
+
+    /// The block's bytes as a store keeps them apart from the block.
+    #[inline]
+    pub fn stored(&self) -> StoredBlock<'_> {
+        self.block.stored()
+    }
+
+    /// Rebuilds a block from what [`CompressedPostings::stored`] handed
+    /// out and its [`CompressedPostings::max_doc`] (0 when empty). The
+    /// bytes are trusted, not validated: they must come from a block.
+    #[inline]
+    pub fn from_stored(stored: StoredBlock<'_>, max_doc: u32) -> Self {
+        Self {
+            count: stored.count(),
+            block: Block::from_stored(stored),
+            max_doc,
+        }
     }
 
     /// Streaming decode: yields postings in ascending-doc order without
@@ -625,6 +694,30 @@ impl CompressedDocSet {
     /// entry's doc-set.
     pub fn as_bytes(&self) -> &[u8] {
         self.block.as_slice()
+    }
+
+    /// Largest document id (0 when empty). O(1).
+    #[inline]
+    pub fn max_doc(&self) -> u32 {
+        self.max_doc
+    }
+
+    /// The set's bytes as a store keeps them apart from the set.
+    #[inline]
+    pub fn stored(&self) -> StoredBlock<'_> {
+        self.block.stored()
+    }
+
+    /// Rebuilds a set from what [`CompressedDocSet::stored`] handed out
+    /// and its [`CompressedDocSet::max_doc`]; trusted, like
+    /// [`CompressedPostings::from_stored`].
+    #[inline]
+    pub fn from_stored(stored: StoredBlock<'_>, max_doc: u32) -> Self {
+        Self {
+            count: stored.count(),
+            block: Block::from_stored(stored),
+            max_doc,
+        }
     }
 
     /// Validates and adopts a copy of an encoded block (e.g. replayed from

@@ -32,7 +32,7 @@ pub mod segment;
 pub use bm25::Bm25;
 pub use bytes::Bytes;
 pub use codec::Codec;
-pub use compressed::{CompressedDocSet, CompressedPostings};
+pub use compressed::{CompressedDocSet, CompressedPostings, StoredBlock};
 pub use engine::CentralizedEngine;
 pub use index::InvertedIndex;
 pub use overlap::top_k_overlap;

@@ -73,10 +73,9 @@ use crate::gossip::{GossipConfig, GossipProbe, GossipRound, GossipState, PeerVie
 use crate::id::{hash_u64s, KeyHash, PeerId};
 use crate::pgrid::PGrid;
 use crate::replica::{Delivery, Membership, PeerState};
-use crate::store::{
-    Holders, NeverSealed, RecoveryStats, SegmentStore, Slot, Store, TableBytes, Tier,
-};
+use crate::store::{Record, RecoveryStats, SegmentStore, Slot, Store, TableBytes, Tier, WireCodec};
 use crate::transport::{MsgKind, TrafficMeter, TrafficSnapshot};
+use crate::wire::Wire;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -302,7 +301,7 @@ fn plan_missing<V>(
     slot.holders.sort_unstable();
 }
 
-impl<V: Send + Sync + 'static> Dht<V> {
+impl<V: Record + Wire> Dht<V> {
     /// Builds an empty unreplicated DHT (`R = 1`) over the overlay.
     pub fn new(overlay: Box<PGrid>) -> Self {
         Self::replicated(overlay, 1)
@@ -310,16 +309,17 @@ impl<V: Send + Sync + 'static> Dht<V> {
 
     /// Builds an empty DHT whose keys are placed on `replication` live
     /// peers each (primary + `R-1` walk successors), stored in memory: an
-    /// unbounded [`SegmentStore`], which never seals, so its values need
-    /// no byte form.
+    /// unbounded [`SegmentStore`] over the values' [`Wire`] encoding.
     ///
     /// # Panics
     /// Panics when `replication` is zero.
     pub fn replicated(overlay: Box<PGrid>, replication: usize) -> Self {
-        let store = SegmentStore::ephemeral(NeverSealed, u64::MAX);
+        let store = SegmentStore::ephemeral(WireCodec, u64::MAX);
         Self::with_store(overlay, replication, Box::new(store))
     }
+}
 
+impl<V: Record> Dht<V> {
     /// Builds an empty DHT over an explicit store (see [`crate::store`] —
     /// e.g. a budgeted [`SegmentStore`] for tiered, restartable storage).
     ///
@@ -801,7 +801,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         from: PeerId,
         query_id: u64,
         keys: &[KeyHash],
-        read: impl Fn(usize, Option<&V>) -> (R, u64, u64) + Sync,
+        read: impl Fn(usize, Option<V::Ref<'_>>) -> (R, u64, u64) + Sync,
     ) -> Vec<R> {
         self.lookup_many_delivered(from, query_id, keys, read).0
     }
@@ -814,7 +814,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         from: PeerId,
         query_id: u64,
         keys: &[KeyHash],
-        read: impl Fn(usize, Option<&V>) -> (R, u64, u64) + Sync,
+        read: impl Fn(usize, Option<V::Ref<'_>>) -> (R, u64, u64) + Sync,
     ) -> (Vec<R>, Vec<Delivery>) {
         // Group key positions by stripe with one sort of `(stripe,
         // position)` pairs: each group is one stripe's keys in input order.
@@ -832,16 +832,16 @@ impl<V: Send + Sync + 'static> Dht<V> {
                 let stripe = group[0].0;
                 let stripe_keys: Vec<u64> = group.iter().map(|&(_, i)| keys[i].0).collect();
                 let mut items: Vec<(usize, R, Delivery)> = Vec::with_capacity(group.len());
-                self.store.get_many(stripe, &stripe_keys, &mut |j, slot| {
+                self.store.get_many(stripe, &stripe_keys, &mut |j, found| {
                     let i = group[j].1;
                     let key = keys[i];
-                    self.count_hit(stripe, key.0, slot.is_some());
+                    self.count_hit(stripe, key.0, found.is_some());
                     let route = self.overlay.route(from, key);
                     let owner = self.overlay.peer_index(route.responsible);
                     let (target, extra, dead_skips) = self.serve(
                         origin,
                         owner,
-                        slot.map(|s| s.holders.as_slice()),
+                        found.as_ref().map(|f| f.holders),
                         Some((query_id, key)),
                     );
                     let hops = route.hops + extra;
@@ -849,7 +849,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
                     self.meter
                         .record(MsgKind::QueryLookup, origin, 0, LOOKUP_REQUEST_BYTES, hops);
                     self.meter.record_served(target as usize);
-                    let (result, postings, bytes) = read(i, slot.map(|s| &s.value));
+                    let (result, postings, bytes) = read(i, found.map(|f| f.value));
                     self.meter
                         .record(MsgKind::QueryResponse, origin, postings, bytes, hops);
                     let delivery = Delivery {
@@ -902,17 +902,10 @@ impl<V: Send + Sync + 'static> Dht<V> {
         out.expect("get runs the read callback")
     }
 
-    /// Heap bytes of one stripe's storage structure, not of its values:
-    /// the store's tables ([`Store::table_bytes`]) and, separately, the
-    /// heap slices of resident holder sets too long to sit inline.
-    pub fn stripe_structure_bytes(&self, stripe: usize) -> (TableBytes, u64) {
-        let mut spilled = 0u64;
-        self.store.scan(stripe, &mut |_, s, tier| {
-            if tier == Tier::Hot {
-                spilled += s.holders.spilled_bytes() as u64;
-            }
-        });
-        (self.store.table_bytes(stripe), spilled)
+    /// Bytes of one stripe's storage structure, not of the slices its
+    /// values share: the store's tables ([`Store::table_bytes`]).
+    pub fn stripe_table_bytes(&self, stripe: usize) -> TableBytes {
+        self.store.table_bytes(stripe)
     }
 
     /// Total live on-disk segment bytes across all stripes, summed per
@@ -922,26 +915,40 @@ impl<V: Send + Sync + 'static> Dht<V> {
     }
 
     /// Iterates one stripe under its read lock, handing the callback each
-    /// entry's current holder set (ascending peer indices), key, value and
-    /// [`Tier`] (`Tier::Sealed` carries the entry's per-copy on-disk frame
-    /// size). The backbone of stripe-parallel sweeps: disjoint stripes can
+    /// entry's current holder set (ascending peer indices), key, value's
+    /// view ([`Record::Ref`]) and [`Tier`] (`Tier::Sealed` carries the
+    /// entry's per-copy on-disk frame size). The backbone of stripe-parallel sweeps: disjoint stripes can
     /// be swept from different threads with zero lock contention, covering
     /// the whole index exactly once. Covers **both** tiers (sealed entries
     /// are decoded on the fly) — content accounting must not depend on
     /// tier placement. With `R = 1` and no churn the single holder is the
     /// responsible peer, so per-holder accounting degenerates to per-owner
     /// accounting.
-    pub fn for_each_stripe<F: FnMut(&[u32], &u64, &V, Tier)>(&self, stripe: usize, mut f: F) {
-        self.store
-            .scan(stripe, &mut |k, s, tier| f(&s.holders, &k, &s.value, tier));
+    pub fn for_each_stripe<F: FnMut(&[u32], &u64, V::Ref<'_>, Tier)>(
+        &self,
+        stripe: usize,
+        mut f: F,
+    ) {
+        self.store.scan_ref(stripe, &mut |k, found, tier| {
+            f(found.holders, &k, found.value, tier)
+        });
     }
 
     /// Mutable variant of [`Dht::for_each_stripe`] (the hosting peers'
-    /// end-of-round sweep work, stripe-parallel). On a tiered store a
-    /// sweep that changes a sealed value pulls the entry back into the
-    /// hot tier.
-    pub fn for_each_stripe_mut<F: FnMut(&u64, &mut V)>(&self, stripe: usize, mut f: F) {
-        self.store.scan_mut(stripe, &mut |k, s| f(&k, &mut s.value));
+    /// end-of-round sweep work, stripe-parallel): `f` runs on the value of
+    /// every entry `pick` chooses by its view, and only those entries are
+    /// materialized and rewritten. On a tiered store a sweep that changes
+    /// a sealed value pulls the entry back into the hot tier.
+    pub fn for_each_stripe_mut(
+        &self,
+        stripe: usize,
+        mut pick: impl FnMut(V::Ref<'_>) -> bool,
+        mut f: impl FnMut(&u64, &mut V),
+    ) {
+        self.store
+            .scan_mut(stripe, &mut |value| pick(value), &mut |k, s| {
+                f(&k, &mut s.value)
+            });
     }
 
     /// Admits a wave of new peers: every peer joins the overlay (key-space
@@ -980,9 +987,9 @@ impl<V: Send + Sync + 'static> Dht<V> {
         let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |k, slot| {
+            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
                 let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
-                let mut next: Holders = slot
+                let mut next: Vec<u32> = slot
                     .holders
                     .iter()
                     .copied()
@@ -1058,7 +1065,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |k, slot| {
+            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
                 let departing: Vec<u32> = slot
                     .holders
                     .iter()
@@ -1220,7 +1227,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |k, slot| {
+            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
                 let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
                 plan_missing(k, slot, targets, &volume, &mut planned);
             });
@@ -1277,7 +1284,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
         let mut demoted = 0;
         let mut promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |k, slot| {
+            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
                 if next.contains(&k) {
                     let targets = self.targets(&mut memo, k, self.replication + self.hot.extra);
                     plan_missing(k, slot, targets, &volume, &mut planned);
@@ -1285,7 +1292,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
                     // Demotion: trim the extras this mechanism added back
                     // to the structural replica set.
                     let targets = self.targets(&mut memo, k, self.replication);
-                    let keep: Holders = slot
+                    let keep: Vec<u32> = slot
                         .holders
                         .iter()
                         .copied()
@@ -1368,7 +1375,7 @@ impl<V: Send + Sync + 'static> Dht<V> {
     }
 }
 
-impl<V: Send + Sync + 'static> std::fmt::Debug for Dht<V> {
+impl<V: Record> std::fmt::Debug for Dht<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dht")
             .field("peers", &self.overlay.len())
@@ -1487,7 +1494,7 @@ mod tests {
             keys.iter().map(|&k| a.lookup(PeerId(3), k, read)).collect();
 
         let b = make();
-        let batched = b.lookup_many(PeerId(3), 0, &keys, |_, v| read(v));
+        let batched = b.lookup_many(PeerId(3), 0, &keys, |_, v| read(v.as_ref()));
 
         // Same results in input order (16 of the probed keys are absent).
         assert_eq!(one_by_one, batched);
@@ -1500,10 +1507,9 @@ mod tests {
     fn lookup_many_empty_keys_is_free() {
         let dht = dht_pgrid(4);
         let before = dht.snapshot();
-        let out: Vec<Option<u32>> =
-            dht.lookup_many(PeerId(0), 0, &[], |_, v: Option<&Vec<u32>>| {
-                (v.map(|x| x[0]), 0, 0)
-            });
+        let out: Vec<Option<u32>> = dht.lookup_many(PeerId(0), 0, &[], |_, v: Option<Vec<u32>>| {
+            (v.map(|x| x[0]), 0, 0)
+        });
         assert!(out.is_empty());
         assert_eq!(before, dht.snapshot());
     }
@@ -1541,10 +1547,14 @@ mod tests {
                 let seen = &seen;
                 scope.spawn(move || {
                     for s in (chunk..NUM_STRIPES).step_by(4) {
-                        dht.for_each_stripe_mut(s, |k, v| {
-                            v.push(0); // mutation while swept
-                            assert!(seen.lock().unwrap().insert(*k), "key visited twice");
-                        });
+                        dht.for_each_stripe_mut(
+                            s,
+                            |_| true,
+                            |k, v| {
+                                v.push(0); // mutation while swept
+                                assert!(seen.lock().unwrap().insert(*k), "key visited twice");
+                            },
+                        );
                     }
                 });
             }
@@ -1792,15 +1802,15 @@ mod tests {
         let mut targets = std::collections::HashSet::new();
         for qid in 0..32u64 {
             let (_, deliveries) =
-                dht.lookup_many_delivered(PeerId(5), qid, &[key], |_, v| (v.cloned(), 1, 4));
+                dht.lookup_many_delivered(PeerId(5), qid, &[key], |_, v| (v, 1, 4));
             targets.insert(deliveries[0].target);
         }
         // All three holders serve some of the stream, none monopolizes it.
         assert_eq!(targets.len(), 3, "spread must reach every replica");
         // Each pick is a pure function of (query_id, key): replaying a
         // query id reproduces its delivery exactly.
-        let (_, a) = dht.lookup_many_delivered(PeerId(5), 7, &[key], |_, v| (v.cloned(), 1, 4));
-        let (_, b) = dht.lookup_many_delivered(PeerId(5), 7, &[key], |_, v| (v.cloned(), 1, 4));
+        let (_, a) = dht.lookup_many_delivered(PeerId(5), 7, &[key], |_, v| (v, 1, 4));
+        let (_, b) = dht.lookup_many_delivered(PeerId(5), 7, &[key], |_, v| (v, 1, 4));
         assert_eq!(a, b);
     }
 
@@ -1817,8 +1827,7 @@ mod tests {
         let before = dht.snapshot();
         let (_, walk) = lookup_metered(&dht, PeerId(0), key);
         let mid = dht.snapshot();
-        let (_, spread) =
-            dht.lookup_many_delivered(PeerId(0), 99, &[key], |_, v| (v.cloned(), 3, 12));
+        let (_, spread) = dht.lookup_many_delivered(PeerId(0), 99, &[key], |_, v| (v, 3, 12));
         assert_eq!(walk, spread[0]);
         assert!(walk.dead_skips >= 1, "the dead owner was skipped");
         // Bit-identical metering for the two paths.
@@ -1837,8 +1846,8 @@ mod tests {
                 });
             }
         }
-        let ra = a.lookup_many(PeerId(2), 0, &keys, |_, v| (v.cloned(), 1, 4));
-        let rb = b.lookup_many(PeerId(2), 0xDEAD_BEEF, &keys, |_, v| (v.cloned(), 1, 4));
+        let ra = a.lookup_many(PeerId(2), 0, &keys, |_, v| (v, 1, 4));
+        let rb = b.lookup_many(PeerId(2), 0xDEAD_BEEF, &keys, |_, v| (v, 1, 4));
         assert_eq!(ra, rb);
         assert_eq!(
             a.snapshot(),
@@ -2006,7 +2015,7 @@ mod tests {
         let probe = |dht: &Dht<Vec<u32>>| {
             let before = dht.snapshot();
             assert_eq!(lookup_metered(dht, from, key).0, Some(vec![5]));
-            let found = dht.lookup_many(from, 0, &[key; 8], |_, v| (v.cloned(), 1, 4));
+            let found = dht.lookup_many(from, 0, &[key; 8], |_, v| (v, 1, 4));
             assert!(found.iter().all(|v| v.as_deref() == Some(&[5][..])));
             dht.snapshot().since(&before)
         };

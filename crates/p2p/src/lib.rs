@@ -31,7 +31,6 @@
 pub mod dht;
 pub mod gossip;
 pub mod id;
-pub mod inline;
 pub mod pgrid;
 pub mod replica;
 pub mod rpc;
@@ -48,14 +47,16 @@ pub use gossip::{
     Liveness, PeerView, ViewEntry,
 };
 pub use id::{hash_bytes, hash_u64s, IdHashMap, IdHashSet, IdHasher, KeyHash, PeerId};
-pub use inline::InlineVec;
 pub use pgrid::{PGrid, RouteResult};
 pub use replica::{Delivery, Membership, MembershipEvent, PeerState};
 pub use rpc::{
     Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
     ResponseOf, SimNet, SimNetConfig, StoreService,
 };
-pub use store::{Holders, RecoveryStats, SegmentStore, Slot, Store, StoreCodec, TableBytes, Tier};
+pub use store::{
+    Found, Record, RecoveryStats, SegmentStore, Shared, Slot, Store, StoreCodec, TableBytes, Tier,
+    HOT_ROW_BYTES,
+};
 pub use transport::{
     KindSnapshot, LatencyHistogram, MsgKind, TrafficMeter, TrafficSnapshot, LATENCY_BUCKETS,
     NUM_KINDS,

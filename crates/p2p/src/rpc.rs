@@ -70,9 +70,9 @@ use crate::gossip::{GossipConfig, GossipProbe};
 use crate::id::{hash_u64s, splitmix64, KeyHash, PeerId};
 use crate::pgrid::PGrid;
 use crate::replica::{Delivery, Membership};
-use crate::store::{RecoveryStats, Store};
+use crate::store::{Record, RecoveryStats, Store};
 use crate::transport::{MsgKind, TrafficSnapshot};
-use crate::wire::Absorb;
+use crate::wire::{Absorb, Wire};
 use crate::{wire_enum, wire_record};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -107,9 +107,9 @@ pub struct Addressed<T> {
 /// what makes them produce identical storage state and traffic *counts* by
 /// construction.
 pub trait StoreService: Send + Sync {
-    /// Value stored in the DHT per key (`'static`: values are owned data,
-    /// storable behind a `dyn` storage backend).
-    type Value: Send + Sync + 'static;
+    /// Value stored in the DHT per key: kept as a hot-tier [`Record`],
+    /// with a [`Wire`] encoding for the default in-memory store.
+    type Value: Record + Wire;
     /// Payload of one key's insert inside an [`Request::InsertBatch`].
     type Insert: Send + Sync;
     /// Payload of one key's lookup inside a [`Request::LookupMany`].
@@ -141,7 +141,7 @@ pub trait StoreService: Send + Sync {
     fn read(
         &self,
         key: &Self::LookupKey,
-        value: Option<&Self::Value>,
+        value: Option<<Self::Value as Record>::Ref<'_>>,
     ) -> (Option<Self::Lookup>, u64, u64);
 
     /// `(postings, bytes)` a stored value contributes when its key
@@ -1198,9 +1198,12 @@ mod tests {
             value.len() > 4
         }
 
-        fn read(&self, _key: &(), value: Option<&Vec<u32>>) -> (Option<Vec<u32>>, u64, u64) {
+        fn read(&self, _key: &(), value: Option<Vec<u32>>) -> (Option<Vec<u32>>, u64, u64) {
             match value {
-                Some(v) => (Some(v.clone()), v.len() as u64, 4 * v.len() as u64),
+                Some(v) => {
+                    let n = v.len() as u64;
+                    (Some(v), n, 4 * n)
+                }
                 None => (None, 0, 8),
             }
         }

@@ -6,25 +6,50 @@
 //! thing that tells an in-memory store from a tiered one:
 //!
 //! * **Unbounded** (`hot_bytes` = `u64::MAX`) — the in-memory store
-//!   every [`crate::Dht::new`] builds. Every entry stays hot, in a dense
-//!   packed table per stripe; nothing is ever sealed or queued for
-//!   sealing, no directory is made, [`Store::sync`] seals nothing, and a
-//!   restart ([`Store::recover`]) drops the restarting peers' copies.
+//!   every [`crate::Dht::new`] builds. Every entry stays hot; nothing is
+//!   ever sealed or queued for sealing, no directory is made,
+//!   [`Store::sync`] seals nothing, and a restart ([`Store::recover`])
+//!   drops the restarting peers' copies.
 //! * **Budgeted** — a tiered engine: entries start in the *hot* in-memory
 //!   tier under a per-stripe byte budget; overflow is *sealed* into
 //!   checksummed frames ([`hdk_ir::segment`]) appended to per-`(peer,
 //!   stripe)` segment log files on disk, one frame per holding replica.
-//!   Both tiers are packed stripe tables: the hot tier holds slots, the
-//!   sealed tier where each sealed entry's frames sit. Sealed entries are
-//!   decoded on demand for reads and sweeps — for a lookup
-//!   ([`Store::get_many`]) only what a lookup reads — and a sweep that
-//!   changes a sealed value un-seals it back into the hot tier
-//!   (holder-only changes are written through to the logs instead). The
-//!   log is what makes peers *restartable*: [`Store::recover`] replays a
-//!   restarting peer's files, discards truncated/corrupt tails by
-//!   checksum, and keeps exactly the copies whose latest sealed frame
-//!   matches the entry's current version. Every log starts with a format
-//!   header; a log of an earlier format is refused, not read.
+//!   The sealed tier is a packed stripe table of where each sealed
+//!   entry's frames sit. Sealed entries are decoded on demand for reads
+//!   and sweeps — for a lookup ([`Store::get_many`]) only what a lookup
+//!   reads — and a sweep that changes a sealed value un-seals it back into
+//!   the hot tier (holder-only changes are written through to the logs
+//!   instead). The log is what makes peers *restartable*:
+//!   [`Store::recover`] replays a restarting peer's files, discards
+//!   truncated/corrupt tails by checksum, and keeps exactly the copies
+//!   whose latest sealed frame matches the entry's current version. Every
+//!   log starts with a format header; a log of an earlier format is
+//!   refused, not read.
+//!
+//! **The hot tier is one byte arena per stripe.** Each hot entry is one
+//! varint-coded *record* in the stripe's arena: its holder set, then the
+//! value's own [`Record`] bytes. A packed table of 16-byte rows — the key
+//! hash, the record's offset and length — finds it, through the same
+//! open-addressing index the sealed tier uses, and its positions are the
+//! sweep order. Byte strings worth sharing
+//! rather than copying (a long posting block, a doc-set) sit outside the
+//! arena, one `Arc<[u8]>` each in the stripe's slab; the record names
+//! their slab slots. Reads never decode a record into a value:
+//! [`Store::get_many`], [`Store::scan_ref`] and the `pick` of
+//! [`Store::scan_mut`] hand out the value's borrowed view
+//! ([`Record::Ref`]), which trusts the store's own bytes; a sealed entry's
+//! view is that of the value decoded from its frame
+//! ([`Record::view_value`]). A callback that
+//! needs a whole [`Slot`] ([`Store::get`], [`Store::scan`], an upsert, the
+//! mutating sweeps) gets a fresh one materialized from the record, as
+//! sealed entries get one from their frame. A write that changes an entry
+//! appends its new record and counts the old bytes as dead — or, when the
+//! length matches, copies it over the old one; a write that changes
+//! nothing writes nothing. A stripe compacts its arena — live records
+//! copied in position order into a fresh arena — once its dead bytes
+//! exceed its live bytes, so an arena holds at most twice its live bytes.
+//! Nothing of a write outlives it: a stripe keeps no slot or buffer
+//! outside its tables.
 //!
 //! The trait is object-safe (`&mut dyn FnMut` callbacks) so `Dht` holds a
 //! `Box<dyn Store<V>>` chosen at construction. Callbacks run under the
@@ -58,28 +83,27 @@
 //! reproducible run to run and independent of `RAYON_NUM_THREADS` — which
 //! is what makes restart-recovery bit-reproducible.
 //!
-//! **Sweep order.** `scan`, `scan_mut` and `retain` walk the hot tier in
-//! position order (insertion order, as permuted by removals), then the
-//! sealed tier in key order. No caller depends on the order — sweeps fold
-//! order-free sums or sort what they collect — but the store does: only
-//! the sealed walk un-seals entries or writes frames, so walking it in key
-//! order keeps the seal queue, versions and file offsets canonical.
+//! **Sweep order.** `scan`, `scan_ref`, `scan_mut` and `retain` walk the
+//! hot tier in position order (insertion order, as permuted by removals),
+//! then the sealed tier in key order. No caller depends on the order —
+//! sweeps fold order-free sums or sort what they collect — but the store
+//! does: only the sealed walk un-seals entries or writes frames, so
+//! walking it in key order keeps the seal queue, versions and file
+//! offsets canonical.
 
-use crate::inline::InlineVec;
+use crate::wire::Wire;
+use hdk_ir::codec::{read_known_varint, write_varint};
 use hdk_ir::segment::{read_frame, write_frame, FrameRead, FRAME_HEADER_BYTES};
 use parking_lot::RwLock;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io;
+use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
-
-/// The peer indices holding an entry's copies: up to five inline (the
-/// replica set plus a hot key's extras), longer sets in one heap slice.
-pub type Holders = InlineVec<u32, 5>;
+use std::sync::{Arc, OnceLock};
 
 /// One stored entry: the value plus the peers currently holding a copy.
 ///
@@ -87,28 +111,60 @@ pub type Holders = InlineVec<u32, 5>;
 /// holder set models *availability* — who would survive a crash with a
 /// copy — not divergence between replicas (inserts reach every replica in
 /// the same round, so replicas never disagree).
-///
-/// Stored slots use the inline [`Holders`] set. `H` is `Vec<u32>` only for
-/// the fresh entry an upsert's `default` hands over, once per new key;
-/// the store packs it with [`Slot::pack`].
 #[derive(Debug)]
-pub struct Slot<V, H = Holders> {
+pub struct Slot<V> {
     /// The entry's value.
     pub value: V,
     /// Peer indices holding a copy, ascending. Always non-empty and
     /// always a subset of the live peers (dead peers' copies are removed
     /// the moment they depart or fail).
-    pub holders: H,
+    pub holders: Vec<u32>,
 }
 
-impl<V> Slot<V, Vec<u32>> {
-    /// The stored form of a fresh entry: its holder list moved inline.
-    pub fn pack(self) -> Slot<V> {
-        Slot {
-            value: self.value,
-            holders: Holders::from(self.holders),
-        }
-    }
+/// How a value lives in the hot tier: as the tail of its entry's record in
+/// the stripe's arena (see the module docs).
+///
+/// `from_record(put_record(v))` must reproduce `v` exactly, and
+/// `put_record` must be deterministic: the store compares a rewritten
+/// record with the old one to skip writes that change nothing.
+pub trait Record: Sized + Send + Sync + 'static {
+    /// What a read sees of a stored value without materializing it: a
+    /// view borrowed from the record, or — for a value that costs nothing
+    /// to rebuild — the value itself.
+    type Ref<'a>;
+
+    /// Appends the value's record bytes to `out`. A byte string worth
+    /// sharing rather than copying is pushed onto `shared` instead; the
+    /// record names it by its position there ([`Shared::get`]).
+    fn put_record(&self, out: &mut Vec<u8>, shared: &mut Vec<Arc<[u8]>>);
+
+    /// The value a record spells. The bytes are the store's own, written
+    /// by `put_record`: nothing is validated.
+    fn from_record(record: &[u8], shared: Shared<'_>) -> Self;
+
+    /// The view of a record that [`Record::Ref`] names.
+    fn view<'a>(record: &'a [u8], shared: Shared<'a>) -> Self::Ref<'a>;
+
+    /// The same view of a value decoded from a sealed frame.
+    fn view_value(value: &Self) -> Self::Ref<'_>;
+}
+
+/// The shared byte strings one record names: the `i`-th slice its
+/// [`Record::put_record`] pushed is `get(i)`.
+#[derive(Clone, Copy)]
+pub struct Shared<'a> {
+    slab: &'a [Option<Arc<[u8]>>],
+    /// The record's slot numbers, `u32` LE each, in push order.
+    slots: &'a [u8],
+}
+
+/// What a read sees of one stored entry without materializing it: the
+/// holder set and the value's view.
+pub struct Found<'a, V: Record> {
+    /// Peer indices holding a copy, ascending.
+    pub holders: &'a [u32],
+    /// The value's view.
+    pub value: V::Ref<'a>,
 }
 
 /// What one peer-restart recovered — and failed to recover — from the
@@ -179,36 +235,37 @@ pub trait StoreCodec<V>: Send + Sync {
     fn weight(&self, value: &V) -> u64;
 }
 
-/// The codec of an unbounded store over values with no byte form — what
-/// [`crate::Dht::new`] builds for any value type. An unbounded store
-/// never seals, so no value is ever encoded: each weighs 0, and no payload
-/// decodes.
-pub(crate) struct NeverSealed;
+/// The codec of values whose byte form is their [`Wire`] encoding — what
+/// [`crate::Dht::new`] builds its unbounded store over. The weight is the
+/// encoded size.
+pub(crate) struct WireCodec;
 
-impl<V> StoreCodec<V> for NeverSealed {
-    fn encode(&self, _: &V, _: &mut Vec<u8>) {}
-
-    fn decode(&self, _: &[u8]) -> Option<V> {
-        None
+impl<V: Wire> StoreCodec<V> for WireCodec {
+    fn encode(&self, value: &V, out: &mut Vec<u8>) {
+        value.put(out);
     }
 
-    fn weight(&self, _: &V) -> u64 {
-        0
+    fn decode(&self, bytes: &[u8]) -> Option<V> {
+        crate::wire::decode(bytes).ok()
+    }
+
+    fn weight(&self, value: &V) -> u64 {
+        crate::wire::encode(value).len() as u64
     }
 }
 
 /// Per-stripe entry storage. All callbacks run under the stripe's lock;
 /// `stripe` indexes `0..`[`crate::NUM_STRIPES`].
-pub trait Store<V>: Send + Sync {
-    /// Reads one entry (shared lock).
+pub trait Store<V: Record>: Send + Sync {
+    /// Reads one entry, materialized (shared lock).
     fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>));
 
     /// Reads a batch of keys under **one** shared-lock acquisition,
-    /// invoking `f(position, slot)` per key in input order — the lookup
-    /// path: a sealed value is decoded by [`StoreCodec::decode_lookup`],
-    /// so it may lack what no lookup reads. [`Store::get`] and the sweeps
-    /// always see whole values.
-    fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>));
+    /// invoking `f(position, entry)` per key in input order — the lookup
+    /// path. A hot entry is read in place through its view; a sealed one
+    /// is decoded by [`StoreCodec::decode_lookup`], so its view may lack
+    /// what no lookup reads.
+    fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<Found<'_, V>>));
 
     /// Merge-upsert: `default` builds a missing entry (value *and* initial
     /// holder set), then `update` runs on the entry (exclusive lock).
@@ -216,18 +273,29 @@ pub trait Store<V>: Send + Sync {
         &self,
         stripe: usize,
         key: u64,
-        default: &mut dyn FnMut() -> Slot<V, Vec<u32>>,
+        default: &mut dyn FnMut() -> Slot<V>,
         update: &mut dyn FnMut(&mut Slot<V>),
     );
 
-    /// Iterates every entry of the stripe (shared lock), reporting each
-    /// entry's current [`Tier`]. Sealed entries are decoded on the fly.
+    /// Iterates every entry of the stripe, materialized (shared lock),
+    /// reporting each entry's current [`Tier`]. Sealed entries are
+    /// decoded on the fly.
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier));
 
-    /// Mutable sweep over every entry (exclusive lock). A sealed entry
-    /// whose *value* changes is un-sealed into the hot tier; holder-only
-    /// changes are written through to the segment logs.
-    fn scan_mut(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>));
+    /// [`Store::scan`] through each entry's view: nothing is
+    /// materialized.
+    fn scan_ref(&self, stripe: usize, f: &mut dyn FnMut(u64, Found<'_, V>, Tier));
+
+    /// Mutable sweep (exclusive lock): `f` runs on every entry `pick`
+    /// chooses by its value's view, materialized. A sealed entry whose *value*
+    /// changes is un-sealed into the hot tier; holder-only changes are
+    /// written through to the segment logs.
+    fn scan_mut(
+        &self,
+        stripe: usize,
+        pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
+        f: &mut dyn FnMut(u64, &mut Slot<V>),
+    );
 
     /// Mutable sweep that also decides survival: entries for which `f`
     /// returns `false` are removed (exclusive lock).
@@ -241,9 +309,9 @@ pub trait Store<V>: Send + Sync {
     /// (stale) frames awaiting compaction are not counted.
     fn disk_bytes(&self, stripe: usize) -> u64;
 
-    /// In-memory bytes of the stripe's own tables, per tier: the storage
-    /// its entries occupy, filled or not, plus its key indexes. What
-    /// values and holder sets own on the heap is not counted.
+    /// In-memory bytes of the stripe's own tables, per tier (see
+    /// [`TableBytes`]). What the shared slices of the hot tier's slab hold
+    /// is not counted.
     fn table_bytes(&self, stripe: usize) -> TableBytes;
 
     /// Replays the segment logs of the restarting `peers` (peer indices)
@@ -416,9 +484,9 @@ impl PosIndex {
     }
 }
 
-/// A packed `(key, entry)` table — each tier of a [`SegmentStore`]
-/// stripe: entry `p` is `chunks[p / CHUNK][p % CHUNK]`, and `index` holds
-/// every stored key's `p`.
+/// A packed `(key, entry)` table — the rows of each tier of a
+/// [`SegmentStore`] stripe: entry `p` is `chunks[p / CHUNK][p % CHUNK]`,
+/// and `index` holds every stored key's `p`.
 ///
 /// **Layout.** The `(key, entry)` pairs sit back to back in chunks of 32 —
 /// only the last chunk is partly filled, so a table's slack is under one
@@ -534,21 +602,6 @@ impl<T> Packed<T> {
         }
     }
 
-    /// Visits every entry once, removing those `keep` returns `false` for.
-    /// A removal moves the last — not yet visited — entry into the current
-    /// position, which is therefore visited next.
-    fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
-        let mut pos = 0u32;
-        while (pos as usize) < self.len() {
-            let (key, value) = self.at_mut(pos);
-            if keep(*key, value) {
-                pos += 1;
-            } else {
-                self.swap_remove(pos);
-            }
-        }
-    }
-
     fn iter(&self) -> impl Iterator<Item = &(u64, T)> {
         self.chunks.iter().flatten()
     }
@@ -568,6 +621,371 @@ impl<T> Packed<T> {
             self.chunks.iter().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<(u64, T)>();
         (entries + self.index.buckets.capacity() * std::mem::size_of::<u64>()) as u64
     }
+}
+
+// ---------------------------------------------------------------------------
+// The hot tier: one record per entry in a per-stripe byte arena
+// ---------------------------------------------------------------------------
+
+/// Where a hot entry's record sits in its stripe's arena. `u32` offsets
+/// hold: an arena is compacted before it holds twice its live bytes, and
+/// a stripe's live records stay far below 2 GiB.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    off: u32,
+    len: u32,
+}
+
+/// Bytes of one hot-tier row: the key hash and where its record sits —
+/// every hot entry's fixed cost besides its record and its index bucket.
+pub const HOT_ROW_BYTES: usize = std::mem::size_of::<(u64, Place)>();
+
+/// Spare arena bytes a write makes sure of before it writes a record in
+/// place at the arena's end — more than any index entry's record needs,
+/// so the arena grows by its own rule, not by `Vec`'s doubling.
+const RECORD_ROOM: usize = 256;
+
+/// A varint of a record the store wrote itself: never malformed.
+#[inline]
+fn varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    read_known_varint(bytes, pos)
+}
+
+/// A record's parts, `[n][holders][value][slots]`: the count of the
+/// value's shared slices, one byte; the holder count and the holders,
+/// varints; the value's own [`Record`] bytes; the slab slots of the
+/// shared slices, `u32` LE each. The holders and the value are the
+/// record's *body*, what two records of one entry are compared by (with
+/// their shared slices).
+#[derive(Clone, Copy)]
+struct Parts<'a> {
+    /// The holder part and the value.
+    body: &'a [u8],
+    /// Where the value starts in `body`.
+    value_at: usize,
+    /// The slot numbers.
+    slots: &'a [u8],
+}
+
+impl<'a> Parts<'a> {
+    #[inline]
+    fn of(record: &'a [u8]) -> Self {
+        let end = record.len() - 4 * usize::from(record[0]);
+        let body = &record[1..end];
+        let mut pos = 0;
+        for _ in 0..varint(body, &mut pos) {
+            varint(body, &mut pos);
+        }
+        Self {
+            body,
+            value_at: pos,
+            slots: &record[end..],
+        }
+    }
+
+    #[inline]
+    fn value(self) -> &'a [u8] {
+        &self.body[self.value_at..]
+    }
+
+    /// Decodes the holder set into `out`.
+    #[inline]
+    fn holders_into(self, out: &mut Vec<u32>) {
+        out.clear();
+        let mut pos = 0;
+        for _ in 0..varint(self.body, &mut pos) {
+            out.push(varint(self.body, &mut pos) as u32);
+        }
+    }
+
+    fn slots(self) -> impl Iterator<Item = usize> + 'a {
+        self.slots
+            .chunks_exact(4)
+            .map(|s| u32::from_le_bytes([s[0], s[1], s[2], s[3]]) as usize)
+    }
+}
+
+impl<'a> Shared<'a> {
+    /// The `i`-th shared slice of the record; `None` only for an `i` its
+    /// `put_record` never pushed.
+    #[inline]
+    pub fn get(self, i: usize) -> Option<&'a Arc<[u8]>> {
+        let s = self.slots.get(4 * i..4 * i + 4)?;
+        let slot = u32::from_le_bytes([s[0], s[1], s[2], s[3]]);
+        self.slab.get(slot as usize)?.as_ref()
+    }
+}
+
+/// A stripe's shared slices, each in the slot its record names; freed
+/// slots are reused before the slab grows.
+#[derive(Default)]
+struct Slab {
+    slots: Vec<Option<Arc<[u8]>>>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    fn park(&mut self, bytes: Arc<[u8]>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(bytes);
+                slot
+            }
+            None => {
+                self.slots.push(Some(bytes));
+                (self.slots.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Frees the slots of a dead record.
+    fn release(&mut self, parts: Parts<'_>) {
+        for slot in parts.slots() {
+            self.slots[slot] = None;
+            self.free.push(slot as u32);
+        }
+    }
+
+    #[inline]
+    fn shared<'a>(&'a self, parts: Parts<'a>) -> Shared<'a> {
+        Shared {
+            slab: &self.slots,
+            slots: parts.slots,
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<Option<Arc<[u8]>>>()
+            + self.free.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
+/// Appends the start of `slot`'s record to `out` — a placeholder for the
+/// slice count, the holder part, the value's bytes — and leaves the
+/// slices the value shares in `shared`.
+fn put_body<V: Record>(out: &mut Vec<u8>, slot: &Slot<V>, shared: &mut Vec<Arc<[u8]>>) {
+    out.push(0);
+    write_varint(out, slot.holders.len() as u64);
+    for &h in &slot.holders {
+        write_varint(out, u64::from(h));
+    }
+    slot.value.put_record(out, shared);
+}
+
+/// Ends the record that starts at `start` in `out`: parks the slices in
+/// `shared` in `slab`, appends their slots and sets their count (at most
+/// 255 a record).
+fn put_slots(out: &mut Vec<u8>, start: usize, slab: &mut Slab, shared: &mut Vec<Arc<[u8]>>) {
+    out[start] = shared.len() as u8;
+    for bytes in shared.drain(..) {
+        out.extend_from_slice(&slab.park(bytes).to_le_bytes());
+    }
+}
+
+/// A stripe's hot tier: every entry one record in `arena`, found through
+/// a packed table of [`Place`] rows (position order is the sweep order),
+/// its shared slices in `slab`.
+struct Hot<V> {
+    rows: Packed<Place>,
+    arena: Vec<u8>,
+    /// Bytes of superseded records still in the arena.
+    dead: usize,
+    slab: Slab,
+    values: PhantomData<fn() -> V>,
+}
+
+impl<V: Record> Hot<V> {
+    fn new() -> Self {
+        Self {
+            rows: Packed::new(),
+            arena: Vec::new(),
+            dead: 0,
+            slab: Slab::default(),
+            values: PhantomData,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn find(&self, key: u64) -> Option<u32> {
+        self.rows.find(key)
+    }
+
+    /// The key at `pos` and its record's parts.
+    #[inline]
+    fn at(&self, pos: u32) -> (u64, Parts<'_>) {
+        let (key, place) = *self.rows.at(pos);
+        let record = &self.arena[place.off as usize..][..place.len as usize];
+        (key, Parts::of(record))
+    }
+
+    /// The value's view of an entry.
+    #[inline]
+    fn view<'a>(&'a self, parts: Parts<'a>) -> V::Ref<'a> {
+        V::view(parts.value(), self.slab.shared(parts))
+    }
+
+    /// The view of an entry, its holders decoded into `holders`.
+    #[inline]
+    fn found<'a>(&'a self, parts: Parts<'a>, holders: &'a mut Vec<u32>) -> Found<'a, V> {
+        parts.holders_into(holders);
+        Found {
+            holders: holders.as_slice(),
+            value: self.view(parts),
+        }
+    }
+
+    /// The entry at `pos`, materialized into a slot whose holder set
+    /// reuses `holders`' buffer.
+    fn slot(&self, pos: u32, mut holders: Vec<u32>) -> Slot<V> {
+        let (_, parts) = self.at(pos);
+        parts.holders_into(&mut holders);
+        Slot {
+            value: V::from_record(parts.value(), self.slab.shared(parts)),
+            holders,
+        }
+    }
+
+    /// Makes room for a record at the arena's end, growing the arena by
+    /// half its length (not by doubling it: the arena is most of a
+    /// stripe's memory).
+    fn reserve(&mut self) {
+        if self.arena.capacity() - self.arena.len() < RECORD_ROOM {
+            self.arena
+                .reserve_exact(RECORD_ROOM.max(self.arena.len() / 2));
+        }
+    }
+
+    /// Stores `slot` under `key`, which must not be stored yet.
+    fn insert(&mut self, key: u64, slot: &Slot<V>) {
+        self.reserve();
+        let off = self.arena.len();
+        let mut shared = Vec::new();
+        put_body(&mut self.arena, slot, &mut shared);
+        put_slots(&mut self.arena, off, &mut self.slab, &mut shared);
+        let len = self.arena.len() - off;
+        self.rows.insert(
+            key,
+            Place {
+                off: off as u32,
+                len: len as u32,
+            },
+        );
+    }
+
+    /// Replaces the record at `pos` by `slot`'s, unless it spells the
+    /// same: the new record is written at the arena's end and its body
+    /// compared with the old one's. A changed record stays there, the old
+    /// bytes counted dead — or moves into the old place when the lengths
+    /// match, which keeps `ingest`'s peak RSS ≈ 8 MiB lower (147 against
+    /// 155 MiB).
+    fn write(&mut self, pos: u32, slot: &Slot<V>) {
+        self.reserve();
+        let old = self.rows.at(pos).1;
+        let off = self.arena.len();
+        let mut shared = Vec::new();
+        put_body(&mut self.arena, slot, &mut shared);
+        let (before, new) = self.arena.split_at(off);
+        let was = Parts::of(&before[old.off as usize..][..old.len as usize]);
+        let held = self.slab.shared(was);
+        if was.body == &new[1..]
+            && was.slots.len() == 4 * shared.len()
+            && (shared.iter().enumerate())
+                .all(|(i, new)| held.get(i).is_some_and(|held| Arc::ptr_eq(held, new)))
+        {
+            self.arena.truncate(off);
+            return;
+        }
+        self.slab.release(was);
+        put_slots(&mut self.arena, off, &mut self.slab, &mut shared);
+        let len = self.arena.len() - off;
+        if len == old.len as usize {
+            self.arena.copy_within(off.., old.off as usize);
+            self.arena.truncate(off);
+            return;
+        }
+        self.dead += old.len as usize;
+        self.rows.at_mut(pos).1 = Place {
+            off: off as u32,
+            len: len as u32,
+        };
+        self.compact_if_due();
+    }
+
+    /// Removes the entry at `pos`, moving the last entry into its place.
+    fn remove_at(&mut self, pos: u32) {
+        if let Some((_, place)) = self.rows.swap_remove(pos) {
+            let record = &self.arena[place.off as usize..][..place.len as usize];
+            self.slab.release(Parts::of(record));
+            self.dead += place.len as usize;
+        }
+        self.compact_if_due();
+    }
+
+    /// Once the dead bytes exceed the live ones, copies the live records
+    /// in position order into a fresh arena with an eighth to spare.
+    fn compact_if_due(&mut self) {
+        let live = self.arena.len() - self.dead;
+        if self.dead <= live {
+            return;
+        }
+        let mut arena = Vec::with_capacity(live + live / 8);
+        for (_, place) in self.rows.iter_mut() {
+            let off = arena.len();
+            arena.extend_from_slice(&self.arena[place.off as usize..][..place.len as usize]);
+            place.off = off as u32;
+        }
+        self.arena = arena;
+        self.dead = 0;
+    }
+
+    /// Visits every entry once in position order: `f` runs on each entry
+    /// `pick` chooses by its view, materialized, and the entry is
+    /// rewritten when `f` changed it or removed when `f` returns `false`.
+    /// A removal moves the last — not yet visited — entry into the current
+    /// position, which is therefore visited next. Returns what `weigh`
+    /// makes of the chosen entries before `f` ran and of those kept after.
+    fn sweep(
+        &mut self,
+        pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
+        f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
+        weigh: &dyn Fn(&Slot<V>) -> u64,
+    ) -> (u64, u64) {
+        let (mut before, mut after) = (0, 0);
+        let mut pos = 0u32;
+        while (pos as usize) < self.len() {
+            let (key, parts) = self.at(pos);
+            if !pick(self.view(parts)) {
+                pos += 1;
+                continue;
+            }
+            let mut slot = self.slot(pos, Vec::new());
+            before += weigh(&slot);
+            if f(key, &mut slot) {
+                after += weigh(&slot);
+                self.write(pos, &slot);
+                pos += 1;
+            } else {
+                self.remove_at(pos);
+            }
+        }
+        (before, after)
+    }
+
+    /// Bytes of the tier's tables: rows, index, the arena's whole capacity
+    /// (live, dead and spare bytes) and the slab's slots.
+    fn bytes(&self) -> u64 {
+        self.rows.bytes() + self.arena.capacity() as u64 + self.slab.bytes()
+    }
+}
+
+thread_local! {
+    /// This thread's holder buffer, reused by one lookup or upsert after
+    /// another: a query's lookups allocate none (`alloc_budget`'s pin), and
+    /// an upsert materializes its entry without allocating a holder set.
+    static HOLDERS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
 // ---------------------------------------------------------------------------
@@ -610,9 +1028,43 @@ struct FrameRef {
     offset: u64,
 }
 
+/// A sealed entry's frame locations, one per holding replica: an
+/// unreplicated entry's one inline, more in one boxed slice.
+#[derive(Debug)]
+enum Refs {
+    One(FrameRef),
+    Many(Box<[FrameRef]>),
+}
+
+impl Refs {
+    fn as_slice(&self) -> &[FrameRef] {
+        match self {
+            Refs::One(r) => std::slice::from_ref(r),
+            Refs::Many(refs) => refs,
+        }
+    }
+
+    /// Heap bytes of a boxed slice.
+    fn spilled_bytes(&self) -> usize {
+        match self {
+            Refs::One(_) => 0,
+            Refs::Many(refs) => std::mem::size_of_val(&**refs),
+        }
+    }
+}
+
+impl From<Vec<FrameRef>> for Refs {
+    fn from(refs: Vec<FrameRef>) -> Self {
+        match *refs {
+            [r] => Refs::One(r),
+            _ => Refs::Many(refs.into_boxed_slice()),
+        }
+    }
+}
+
 /// A sealed entry: its current version, frame payload size, and one
 /// [`FrameRef`] per holding replica (ascending peer index — this doubles
-/// as the holder set). A single replica's ref sits inline.
+/// as the holder set).
 #[derive(Debug)]
 struct SealedEntry {
     /// The seal that wrote the current frame (see `SegStripe::seals`);
@@ -621,7 +1073,7 @@ struct SealedEntry {
     version: u64,
     /// Payload bytes of the current frame (identical for every replica).
     payload_len: u32,
-    refs: InlineVec<FrameRef, 1>,
+    refs: Refs,
 }
 
 impl SealedEntry {
@@ -629,8 +1081,14 @@ impl SealedEntry {
         FRAME_HEADER_BYTES as u64 + u64::from(self.payload_len)
     }
 
-    fn holders(&self) -> Holders {
-        self.refs.iter().map(|r| r.peer).collect()
+    /// Writes the holder set into `out`.
+    fn holders_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        out.extend(self.refs.as_slice().iter().map(|r| r.peer));
+    }
+
+    fn holders(&self) -> Vec<u32> {
+        self.refs.as_slice().iter().map(|r| r.peer).collect()
     }
 }
 
@@ -679,20 +1137,26 @@ fn foreign_log(dir: &Path, peer: u32, stripe: usize) -> io::Error {
 /// The in-memory tables of a stripe (see [`Store::table_bytes`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TableBytes {
-    /// Tables of resident entries: a stripe's hot tier and its seal
-    /// queue (empty in an unbounded store).
+    /// Tables of resident entries: a stripe's hot-tier rows and index,
+    /// its arena's whole capacity — live, dead and spare bytes — and its
+    /// slab of shared slices, plus its seal queue (empty in an unbounded
+    /// store).
     pub hot: u64,
+    /// Of `hot`, the live records in the arena.
+    pub records: u64,
+    /// Of `hot`, the superseded records in the arena, awaiting compaction.
+    pub dead_records: u64,
     /// A stripe's sealed index — per sealed key its version, frame size
     /// and frame locations — with the locations of entries held by more
     /// than one replica (0 while nothing is sealed).
     pub sealed: u64,
 }
 
-/// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`,
-/// both [`Packed`] tables; a sweep walks `hot` in position order and
-/// `sealed` in key order (see the module docs).
+/// One stripe's tiered state. A key is in exactly one of `hot` / `sealed`;
+/// a sweep walks `hot` in position order and `sealed` in key order (see
+/// the module docs).
 struct SegStripe<V> {
-    hot: Packed<Slot<V>>,
+    hot: Hot<V>,
     sealed: Packed<SealedEntry>,
     /// Seals of this stripe so far: each seal's frames carry the next
     /// count as their version, so a re-seal is newer than every frame of
@@ -703,7 +1167,7 @@ struct SegStripe<V> {
     /// in an unbounded store. Keys removed while queued are skipped on pop.
     dirty: VecDeque<u64>,
     /// Σ `weight(value) × holders` over hot entries: kept in step by
-    /// upserts and seals, recounted after sweeps (see `reweigh`).
+    /// upserts, seals, un-seals and sweeps.
     hot_weight: u64,
     /// Σ `frame_len × replicas` over sealed entries — *live* log bytes
     /// (stale frames awaiting compaction are excluded).
@@ -712,10 +1176,10 @@ struct SegStripe<V> {
     segments: HashMap<u32, Segment>,
 }
 
-impl<V> SegStripe<V> {
+impl<V: Record> SegStripe<V> {
     fn new() -> Self {
         Self {
-            hot: Packed::new(),
+            hot: Hot::new(),
             sealed: Packed::new(),
             seals: 0,
             dirty: VecDeque::new(),
@@ -758,6 +1222,7 @@ pub struct SegmentStore<V, C> {
     /// locks, so `Relaxed` suffices.
     keep_handles: AtomicBool,
     stripes: Vec<RwLock<SegStripe<V>>>,
+    values: PhantomData<fn() -> V>,
     /// An ephemeral store's scratch directory: made by its first seal,
     /// removed when the store drops. Declared after `stripes`: fields
     /// drop in declaration order, so every segment handle is closed
@@ -765,7 +1230,7 @@ pub struct SegmentStore<V, C> {
     scratch: OnceLock<tempfile::TempDir>,
 }
 
-impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
+impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
     /// A store whose segment logs live in a scratch directory, made by
     /// the first seal and removed when the store is dropped. `hot_bytes`
     /// is the total hot-tier budget across all stripes (enforced per
@@ -796,6 +1261,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             stripes: (0..crate::NUM_STRIPES)
                 .map(|_| RwLock::new(SegStripe::new()))
                 .collect(),
+            values: PhantomData,
             scratch: OnceLock::new(),
         }
     }
@@ -970,7 +1436,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         let mut want = [0u8; ENTRY_HEADER_BYTES];
         want[..8].copy_from_slice(&key.to_le_bytes());
         want[8..].copy_from_slice(&entry.version.to_le_bytes());
-        for r in entry.refs.iter() {
+        for r in entry.refs.as_slice() {
             let Some(seg) = segments.get(&r.peer) else {
                 continue;
             };
@@ -997,7 +1463,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         panic!(
             "all {} sealed replica frames of key {key:#018x} are unreadable or corrupt; \
              restart recovery (Dht::restart_peers) is required before serving",
-            entry.refs.len()
+            entry.refs.as_slice().len()
         );
     }
 
@@ -1052,13 +1518,39 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         st: &SegStripe<V>,
         stripe: usize,
         key: u64,
-        lookup: bool,
         f: &mut dyn FnMut(Option<&Slot<V>>),
     ) {
         match st.sealed.get(key) {
-            Some(entry) => f(Some(&self.sealed_slot(st, stripe, key, entry, lookup))),
+            Some(entry) => f(Some(&self.sealed_slot(st, stripe, key, entry, false))),
             None => f(None),
         }
+    }
+
+    /// [`Self::read_cold`] for a lookup, through the view of the value
+    /// [`StoreCodec::decode_lookup`] reads; the holder set reuses
+    /// `holders`' buffer.
+    #[inline(never)]
+    fn read_cold_ref(
+        &self,
+        st: &SegStripe<V>,
+        stripe: usize,
+        key: u64,
+        holders: &mut Vec<u32>,
+        f: &mut dyn FnMut(Option<Found<'_, V>>),
+    ) {
+        let Some(entry) = st.sealed.get(key) else {
+            return f(None);
+        };
+        entry.holders_into(holders);
+        let slot = Slot {
+            value: self.read_sealed(&st.segments, stripe, key, entry, true),
+            holders: std::mem::take(holders),
+        };
+        f(Some(Found {
+            holders: &slot.holders,
+            value: V::view_value(&slot.value),
+        }));
+        *holders = slot.holders;
     }
 
     /// Recovery's phase 1 for one log: reads it front to back through its
@@ -1139,13 +1631,15 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
     /// Seals one hot entry: appends its frame to every holder's log and
     /// moves it to the sealed tier under the stripe's next version.
     fn seal(&self, st: &mut SegStripe<V>, stripe: usize, key: u64) {
-        let Some(slot) = st.hot.remove(key) else {
+        let Some(pos) = st.hot.find(key) else {
             return;
         };
+        let slot = st.hot.slot(pos, Vec::new());
+        st.hot.remove_at(pos);
         st.seals += 1;
         let version = st.seals;
         let frame = entry_frame(key, version, |out| self.codec.encode(&slot.value, out));
-        let refs = slot
+        let refs: Vec<FrameRef> = slot
             .holders
             .iter()
             .map(|&peer| FrameRef {
@@ -1160,7 +1654,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             SealedEntry {
                 version,
                 payload_len: (frame.len() - FRAME_HEADER_BYTES) as u32,
-                refs,
+                refs: Refs::from(refs),
             },
         );
     }
@@ -1181,11 +1675,11 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
     /// are dropped from the live accounting; compaction reclaims them).
     fn unseal(&self, st: &mut SegStripe<V>, key: u64, mut slot: Slot<V>) {
         if let Some(entry) = st.sealed.remove(key) {
-            st.disk_bytes -= entry.frame_len() * entry.refs.len() as u64;
+            st.disk_bytes -= entry.frame_len() * entry.refs.as_slice().len() as u64;
         }
         slot.holders.sort_unstable();
         st.hot_weight += self.weight(&slot);
-        st.hot.insert(key, slot);
+        st.hot.insert(key, &slot);
         self.queue(st, key);
     }
 
@@ -1207,15 +1701,17 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         self.codec.weight(&slot.value) * slot.holders.len() as u64
     }
 
-    /// Runs a mutating callback on a sealed entry. `f` returning `false`
-    /// removes the entry. A changed value un-seals the entry; a pure
-    /// holder change is written through to the logs (removed holders'
-    /// frames dropped, added holders appended the current frame).
+    /// Runs a mutating callback on a sealed entry, if `pick` chooses it by
+    /// its view. `f` returning `false` removes the entry. A changed value
+    /// un-seals the entry; a pure holder change is written through to the
+    /// logs (removed holders' frames dropped, added holders appended the
+    /// current frame).
     fn mutate_sealed(
         &self,
         st: &mut SegStripe<V>,
         stripe: usize,
         key: u64,
+        pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
         f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
     ) {
         let Some(entry) = st.sealed.get(key) else {
@@ -1230,9 +1726,12 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
             value,
             holders: held.clone(),
         };
+        if !pick(V::view_value(&slot.value)) {
+            return;
+        }
         if !f(key, &mut slot) {
             if let Some(entry) = st.sealed.remove(key) {
-                st.disk_bytes -= frame_len * entry.refs.len() as u64;
+                st.disk_bytes -= frame_len * entry.refs.as_slice().len() as u64;
             }
             return;
         }
@@ -1252,6 +1751,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         };
         let mut refs: Vec<FrameRef> = entry
             .refs
+            .as_slice()
             .iter()
             .copied()
             .filter(|r| slot.holders.binary_search(&r.peer).is_ok())
@@ -1273,7 +1773,7 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         st.disk_bytes -= frame_len * held.len() as u64;
         st.disk_bytes += frame_len * refs.len() as u64;
         if let Some(entry) = st.sealed.get_mut(key) {
-            entry.refs = InlineVec::from(refs);
+            entry.refs = Refs::from(refs);
         }
     }
 
@@ -1286,40 +1786,56 @@ impl<V, C: StoreCodec<V>> SegmentStore<V, C> {
         keys
     }
 
-    /// Recounts the hot weight after a sweep that may have changed any
-    /// hot slot: a walk over the hot tier, which a budget keeps small. An
-    /// unbounded store seals nothing, so it never needs the count.
-    fn reweigh(&self, st: &mut SegStripe<V>) {
-        if !self.unbounded() {
-            st.hot_weight = st.hot.iter().map(|(_, slot)| self.weight(slot)).sum();
-        }
+    /// Sweeps the hot tier ([`Hot::sweep`]), keeping the hot weight in
+    /// step with what the sweep changed.
+    fn sweep_hot(
+        &self,
+        st: &mut SegStripe<V>,
+        pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
+        f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
+    ) {
+        let (before, after) = st.hot.sweep(pick, f, &|slot| self.weight(slot));
+        st.hot_weight = st.hot_weight + after - before;
     }
 }
 
-impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
+impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     fn get(&self, stripe: usize, key: u64, f: &mut dyn FnMut(Option<&Slot<V>>)) {
         let st = self.stripes[stripe].read();
-        match st.hot.get(key) {
-            Some(slot) => f(Some(slot)),
-            None => self.read_cold(&st, stripe, key, false, f),
+        match st.hot.find(key) {
+            Some(pos) => {
+                let slot = st.hot.slot(pos, HOLDERS.take());
+                f(Some(&slot));
+                HOLDERS.set(slot.holders);
+            }
+            None => self.read_cold(&st, stripe, key, f),
         }
     }
 
-    fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<&Slot<V>>)) {
+    fn get_many(
+        &self,
+        stripe: usize,
+        keys: &[u64],
+        f: &mut dyn FnMut(usize, Option<Found<'_, V>>),
+    ) {
         let st = self.stripes[stripe].read();
+        let mut holders = HOLDERS.take();
         for (i, &key) in keys.iter().enumerate() {
-            match st.hot.get(key) {
-                Some(slot) => f(i, Some(slot)),
-                None => self.read_cold(&st, stripe, key, true, &mut |slot| f(i, slot)),
+            match st.hot.find(key) {
+                Some(pos) => f(i, Some(st.hot.found(st.hot.at(pos).1, &mut holders))),
+                None => {
+                    self.read_cold_ref(&st, stripe, key, &mut holders, &mut |found| f(i, found))
+                }
             }
         }
+        HOLDERS.set(holders);
     }
 
     fn upsert(
         &self,
         stripe: usize,
         key: u64,
-        default: &mut dyn FnMut() -> Slot<V, Vec<u32>>,
+        default: &mut dyn FnMut() -> Slot<V>,
         update: &mut dyn FnMut(&mut Slot<V>),
     ) {
         let mut guard = self.stripes[stripe].write();
@@ -1329,26 +1845,35 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             let mut slot = self.sealed_slot(st, stripe, key, entry, false);
             update(&mut slot);
             self.unseal(st, key, slot);
+        } else if let Some(pos) = st.hot.find(key) {
+            let mut slot = st.hot.slot(pos, HOLDERS.take());
+            let before = self.weight(&slot);
+            update(&mut slot);
+            st.hot_weight = st.hot_weight - before + self.weight(&slot);
+            st.hot.write(pos, &slot);
+            HOLDERS.set(slot.holders);
         } else {
-            // One probe finds the key or appends its fresh entry.
-            let len = st.hot.len();
-            let pos = st.hot.position_or_insert(key, || default().pack());
-            let fresh = st.hot.len() > len;
-            let slot = &mut st.hot.at_mut(pos).1;
-            let before = if fresh { 0 } else { self.weight(slot) };
-            update(slot);
-            st.hot_weight = st.hot_weight - before + self.weight(slot);
-            if fresh {
-                self.queue(st, key);
+            let mut slot = default();
+            if slot.holders.is_empty() {
+                slot.holders = HOLDERS.take();
+                slot.holders.clear();
             }
+            update(&mut slot);
+            st.hot_weight += self.weight(&slot);
+            st.hot.insert(key, &slot);
+            self.queue(st, key);
+            HOLDERS.set(slot.holders);
         }
         self.enforce_budget(st, stripe);
     }
 
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier)) {
         let st = self.stripes[stripe].read();
-        for (key, slot) in st.hot.iter() {
-            f(*key, slot, Tier::Hot);
+        let mut holders = Vec::new();
+        for pos in 0..st.hot.len() as u32 {
+            let slot = st.hot.slot(pos, holders);
+            f(st.hot.at(pos).0, &slot, Tier::Hot);
+            holders = slot.holders;
         }
         for key in Self::sealed_keys(&st) {
             if let Some(entry) = st.sealed.get(key) {
@@ -1359,30 +1884,52 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         }
     }
 
-    fn scan_mut(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>)) {
+    fn scan_ref(&self, stripe: usize, f: &mut dyn FnMut(u64, Found<'_, V>, Tier)) {
+        let st = self.stripes[stripe].read();
+        let mut holders = Vec::new();
+        for pos in 0..st.hot.len() as u32 {
+            let (key, parts) = st.hot.at(pos);
+            f(key, st.hot.found(parts, &mut holders), Tier::Hot);
+        }
+        for key in Self::sealed_keys(&st) {
+            if let Some(entry) = st.sealed.get(key) {
+                let slot = self.sealed_slot(&st, stripe, key, entry, false);
+                let frame_bytes = entry.frame_len();
+                let found = Found {
+                    holders: &slot.holders,
+                    value: V::view_value(&slot.value),
+                };
+                f(key, found, Tier::Sealed { frame_bytes });
+            }
+        }
+    }
+
+    fn scan_mut(
+        &self,
+        stripe: usize,
+        pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
+        f: &mut dyn FnMut(u64, &mut Slot<V>),
+    ) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        for (key, slot) in st.hot.iter_mut() {
-            f(*key, slot);
-        }
+        let mut keep = |key: u64, slot: &mut Slot<V>| {
+            f(key, slot);
+            true
+        };
+        self.sweep_hot(st, pick, &mut keep);
         for key in Self::sealed_keys(st) {
-            self.mutate_sealed(st, stripe, key, &mut |k, slot| {
-                f(k, slot);
-                true
-            });
+            self.mutate_sealed(st, stripe, key, pick, &mut keep);
         }
-        self.reweigh(st);
         self.enforce_budget(st, stripe);
     }
 
     fn retain(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        st.hot.retain(&mut *f);
+        self.sweep_hot(st, &mut |_| true, f);
         for key in Self::sealed_keys(st) {
-            self.mutate_sealed(st, stripe, key, f);
+            self.mutate_sealed(st, stripe, key, &mut |_| true, f);
         }
-        self.reweigh(st);
         self.enforce_budget(st, stripe);
     }
 
@@ -1400,6 +1947,8 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         let spilled_refs: usize = st.sealed.iter().map(|(_, e)| e.refs.spilled_bytes()).sum();
         TableBytes {
             hot: st.hot.bytes() + (st.dirty.capacity() * std::mem::size_of::<u64>()) as u64,
+            records: (st.hot.arena.len() - st.hot.dead) as u64,
+            dead_records: st.hot.dead as u64,
             sealed: st.sealed.bytes() + spilled_refs as u64,
         }
     }
@@ -1433,7 +1982,7 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         }
         // Phase 2: reconcile every entry's holder set with what survived.
         // Hot copies lived in the restarting peers' RAM: gone.
-        st.hot.retain(|_, slot| {
+        self.sweep_hot(st, &mut |_| true, &mut |_, slot: &mut Slot<V>| {
             let before = slot.holders.len();
             slot.holders.retain(|h| !peers.contains(h));
             let removed = (before - slot.holders.len()) as u64;
@@ -1447,17 +1996,22 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
             stats.bytes_lost += bytes;
             false
         });
-        self.reweigh(st);
         for key in Self::sealed_keys(st) {
             if let Some(entry) = st.sealed.get_mut(key) {
-                if !entry.refs.iter().any(|r| peers.contains(&r.peer)) {
+                if !entry
+                    .refs
+                    .as_slice()
+                    .iter()
+                    .any(|r| peers.contains(&r.peer))
+                {
                     continue;
                 }
                 let frame_len = entry.frame_len();
                 let mut recovered = 0u64;
                 let mut lost = 0u64;
                 let version = entry.version;
-                entry.refs.retain(|r| {
+                let mut refs = entry.refs.as_slice().to_vec();
+                refs.retain(|r| {
                     if !peers.contains(&r.peer) {
                         return true;
                     }
@@ -1472,10 +2026,11 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                     }
                     intact
                 });
+                entry.refs = Refs::from(refs);
                 stats.copies_recovered += recovered;
                 stats.copies_lost += lost;
                 st.disk_bytes -= frame_len * lost;
-                if entry.refs.is_empty() {
+                if entry.refs.as_slice().is_empty() {
                     // Every replica's frame is gone: the value is
                     // unrecoverable, so the damage is sized by its sealed
                     // payload (it cannot be decoded to count postings).
@@ -1498,38 +2053,42 @@ impl<V: Send + Sync, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         // before the last re-seal) and contribute nothing. A log this
         // store has written is not cold: its keys missing from memory were
         // removed here and stay removed.
-        let mut fresh: HashMap<u64, SealedEntry> = HashMap::new();
+        // `(version, payload_len, refs)` of the latest frames per key.
+        let mut fresh: HashMap<u64, (u64, u32, Vec<FrameRef>)> = HashMap::new();
         for (&p, (latest, _)) in replay.iter().filter(|(_, (_, cold))| *cold) {
             for (&key, frame) in latest {
-                if st.hot.contains(key) || st.sealed.contains(key) {
+                if st.hot.find(key).is_some() || st.sealed.contains(key) {
                     continue;
                 }
                 let r = FrameRef {
                     peer: p,
                     offset: frame.offset,
                 };
-                let entry = fresh.entry(key).or_insert_with(|| SealedEntry {
-                    version: frame.version,
-                    payload_len: frame.payload_len,
-                    refs: InlineVec::new(),
-                });
-                match frame.version.cmp(&entry.version) {
+                let (version, payload_len, refs) = fresh
+                    .entry(key)
+                    .or_insert_with(|| (frame.version, frame.payload_len, Vec::new()));
+                match frame.version.cmp(version) {
                     std::cmp::Ordering::Greater => {
-                        entry.version = frame.version;
-                        entry.payload_len = frame.payload_len;
-                        entry.refs = [r].into_iter().collect();
+                        *version = frame.version;
+                        *payload_len = frame.payload_len;
+                        *refs = vec![r];
                     }
-                    std::cmp::Ordering::Equal => entry.refs.push(r),
+                    std::cmp::Ordering::Equal => refs.push(r),
                     std::cmp::Ordering::Less => {}
                 }
             }
         }
-        let mut fresh: Vec<(u64, SealedEntry)> = fresh.into_iter().collect();
+        let mut fresh: Vec<_> = fresh.into_iter().collect();
         fresh.sort_unstable_by_key(|(key, _)| *key);
-        for (key, mut entry) in fresh {
+        for (key, (version, payload_len, mut refs)) in fresh {
             // Ascending peer order: `refs` doubles as the holder set.
-            entry.refs.sort_unstable_by_key(|r| r.peer);
-            let replicas = entry.refs.len() as u64;
+            refs.sort_unstable_by_key(|r| r.peer);
+            let entry = SealedEntry {
+                version,
+                payload_len,
+                refs: Refs::from(refs),
+            };
+            let replicas = entry.refs.as_slice().len() as u64;
             let value = self.read_sealed(&st.segments, stripe, key, &entry, false);
             let (postings, _) = volume(&value);
             stats.copies_recovered += replicas;
@@ -1673,7 +2232,7 @@ mod tests {
         }
         insert(&store, 4, 5, &[5], &[1]);
         insert(&store, 4, 3, &[30], &[0, 1]);
-        store.scan_mut(4, &mut |_, slot| slot.value.push(100));
+        store.scan_mut(4, &mut |_| true, &mut |_, slot| slot.value.push(100));
         store.retain(4, &mut |key, _| key != 7);
         store.sync();
         let mut order = Vec::new();
@@ -1746,7 +2305,7 @@ mod tests {
         insert(&store, 2, 5, &[9], &[0, 1]);
         let before = store.disk_bytes(2);
         // Repair-style sweep: add holder 3, drop holder 1, value untouched.
-        store.scan_mut(2, &mut |_, slot| {
+        store.scan_mut(2, &mut |_| true, &mut |_, slot| {
             slot.holders.retain(|&h| h != 1);
             slot.holders.push(3);
             slot.holders.sort_unstable();
@@ -1761,7 +2320,7 @@ mod tests {
         store.scan(2, &mut |_, slot, _| holders = slot.holders.to_vec());
         assert_eq!(holders, vec![0, 3]);
         // A value-changing sweep un-seals.
-        store.scan_mut(2, &mut |_, slot| slot.value.push(10));
+        store.scan_mut(2, &mut |_| true, &mut |_, slot| slot.value.push(10));
         assert_eq!(read_value(&store, 2, 5), Some(vec![9, 10]));
     }
 

@@ -254,6 +254,30 @@ pub fn decode<T: Wire>(payload: &[u8]) -> WireResult<T> {
     Ok(value)
 }
 
+/// Values whose hot-tier record is their wire encoding — the integers
+/// and sequences a DHT over plain values stores; their view is the value.
+macro_rules! wire_records {
+    ($($ty:ty),*) => {$(
+        impl crate::store::Record for $ty {
+            type Ref<'a> = $ty;
+            fn put_record(&self, out: &mut Vec<u8>, _: &mut Vec<std::sync::Arc<[u8]>>) {
+                self.put(out);
+            }
+            fn from_record(record: &[u8], _: crate::store::Shared<'_>) -> Self {
+                decode(record).expect("a record the store wrote decodes")
+            }
+            fn view<'a>(record: &'a [u8], shared: crate::store::Shared<'a>) -> Self {
+                Self::from_record(record, shared)
+            }
+            fn view_value(value: &Self) -> Self {
+                value.clone()
+            }
+        }
+    )*};
+}
+
+wire_records!(u64, Vec<u8>, Vec<u32>);
+
 /// A partial result that folds: replies of stripe-disjoint peer processes
 /// into one reply, and per-stripe partials into one sweep result — the
 /// same rule both times.

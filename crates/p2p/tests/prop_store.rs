@@ -11,9 +11,12 @@
 //! store with exactly the model's contents, lengths and holder sets after
 //! every step: through `get`, `scan`, and the lookup path `get_many`.
 
-use hdk_p2p::{RecoveryStats, SegmentStore, Slot, Store, StoreCodec, Tier};
+use hdk_p2p::{
+    Record, RecoveryStats, SegmentStore, Shared, Slot, Store, StoreCodec, TableBytes, Tier,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 const STRIPES: usize = 2;
 /// Enough keys that an unbounded stripe outgrows its first chunk.
@@ -117,10 +120,8 @@ fn apply(store: &dyn Store<Vec<u32>>, keys: u64, model: &mut Model, op: (u8, u64
                 }
             };
             let grow = v.is_multiple_of(2);
-            store.scan_mut(stripe, &mut |_, slot| {
-                let mut holders = slot.holders.to_vec();
-                edit(&mut holders);
-                slot.holders = holders.into();
+            store.scan_mut(stripe, &mut |_| true, &mut |_, slot| {
+                edit(&mut slot.holders);
                 if grow {
                     slot.value.push(v);
                 }
@@ -210,9 +211,9 @@ fn observe(store: &dyn Store<Vec<u32>>, keys: u64) -> Model {
             });
             assert_eq!(got.as_ref(), seen.get(&(stripe, key)), "get {stripe}/{key}");
         }
-        store.get_many(stripe, &probes, &mut |i, slot| {
+        store.get_many(stripe, &probes, &mut |i, found| {
             let key = probes[i];
-            let got = slot.map(|s| (s.value.first().copied(), s.holders.to_vec()));
+            let got = found.map(|f| (f.value.first().copied(), f.holders.to_vec()));
             let want = seen
                 .get(&(stripe, key))
                 .map(|(value, holders)| (value.first().copied(), holders.clone()));
@@ -253,5 +254,300 @@ proptest! {
         matches_the_model(&tight, SEGMENT_KEYS, ops.clone());
         let budgeted = SegmentStore::ephemeral(VecCodec, HOT_BYTES);
         matches_the_model(&budgeted, SEGMENT_KEYS, ops);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The hot tier's record arena
+// ---------------------------------------------------------------------------
+
+/// An index-entry-like value: contributors that grow, a block that sits in
+/// its record while short and is shared once long, and a doc-set — always
+/// shared — that an NDK transition starts and later inserts append to.
+#[derive(Debug, Clone, PartialEq)]
+struct Entry {
+    contributors: Vec<u32>,
+    block: Arc<[u8]>,
+    docs: Option<Arc<[u8]>>,
+}
+
+/// Bytes a block may have and still sit in its record.
+const INLINE: usize = 22;
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*pos];
+        *pos += 1;
+        v |= u64::from(b & 0x7f) << shift;
+        if b & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+/// `[flags][contributors][block]`: flag 1 a shared block, flag 2 a
+/// doc-set (shared after the block, if that is shared too).
+impl Record for Entry {
+    type Ref<'a> = Entry;
+
+    fn put_record(&self, out: &mut Vec<u8>, shared: &mut Vec<Arc<[u8]>>) {
+        let long = self.block.len() > INLINE;
+        out.push(u8::from(long) | u8::from(self.docs.is_some()) << 1);
+        put_varint(out, self.contributors.len() as u64);
+        for &c in &self.contributors {
+            put_varint(out, u64::from(c));
+        }
+        if long {
+            shared.push(Arc::clone(&self.block));
+        } else {
+            out.push(self.block.len() as u8);
+            out.extend_from_slice(&self.block);
+        }
+        if let Some(docs) = &self.docs {
+            shared.push(Arc::clone(docs));
+        }
+    }
+
+    fn from_record(record: &[u8], shared: Shared<'_>) -> Self {
+        let mut pos = 1;
+        let contributors = (0..get_varint(record, &mut pos))
+            .map(|_| get_varint(record, &mut pos) as u32)
+            .collect();
+        let long = record[0] & 1 != 0;
+        let block = if long {
+            Arc::clone(shared.get(0).expect("a shared block"))
+        } else {
+            let len = usize::from(record[pos]);
+            Arc::from(&record[pos + 1..pos + 1 + len])
+        };
+        let docs = (record[0] & 2 != 0)
+            .then(|| Arc::clone(shared.get(usize::from(long)).expect("a shared doc-set")));
+        Entry {
+            contributors,
+            block,
+            docs,
+        }
+    }
+
+    fn view<'a>(record: &'a [u8], shared: Shared<'a>) -> Entry {
+        Self::from_record(record, shared)
+    }
+
+    fn view_value(value: &Entry) -> Entry {
+        value.clone()
+    }
+}
+
+/// The unbounded store never seals, but a store needs a codec: the same
+/// three parts, length-prefixed.
+struct EntryCodec;
+
+impl StoreCodec<Entry> for EntryCodec {
+    fn encode(&self, value: &Entry, out: &mut Vec<u8>) {
+        let docs = value.docs.as_deref();
+        for part in [
+            &value
+                .contributors
+                .iter()
+                .flat_map(|c| c.to_le_bytes())
+                .collect::<Vec<_>>()[..],
+            &value.block,
+            docs.unwrap_or(&[]),
+        ] {
+            out.extend_from_slice(&(part.len() as u32).to_le_bytes());
+            out.extend_from_slice(part);
+        }
+        out.push(u8::from(docs.is_some()));
+    }
+
+    fn decode(&self, _: &[u8]) -> Option<Entry> {
+        None
+    }
+
+    fn weight(&self, value: &Entry) -> u64 {
+        value.block.len() as u64
+    }
+}
+
+/// The arena model: each key's slot, and the stripe's position order —
+/// insertion order, a removal moving the last entry into the hole.
+#[derive(Default)]
+struct ArenaModel {
+    slots: BTreeMap<u64, (Entry, Vec<u32>)>,
+    order: Vec<u64>,
+}
+
+impl ArenaModel {
+    /// Runs `keep` over the entries in position order, as the store does.
+    fn retain(&mut self, mut keep: impl FnMut(u64, &mut (Entry, Vec<u32>)) -> bool) {
+        let mut pos = 0;
+        while pos < self.order.len() {
+            let key = self.order[pos];
+            let slot = self.slots.get_mut(&key).expect("ordered keys are stored");
+            if keep(key, slot) {
+                pos += 1;
+            } else {
+                self.slots.remove(&key);
+                self.order.swap_remove(pos);
+            }
+        }
+    }
+}
+
+/// The block a key's `n`-th write leaves: long enough, after a few
+/// writes, to be shared.
+fn block_of(key: u64, n: usize) -> Arc<[u8]> {
+    (0..n).map(|i| (key as usize * 7 + i) as u8).collect()
+}
+
+fn apply_arena(
+    store: &SegmentStore<Entry, EntryCodec>,
+    model: &mut ArenaModel,
+    op: (u8, u64, u32),
+) {
+    let (kind, key, v) = op;
+    let key = key % 24;
+    match kind % 10 {
+        // Upsert: a contributor joins, the block grows, a doc-set is
+        // appended to.
+        0..=4 => {
+            let peer = v % 6;
+            let grow = |entry: &mut Entry| {
+                if !entry.contributors.contains(&peer) {
+                    entry.contributors.push(peer);
+                }
+                entry.block = block_of(key, entry.block.len() + 1 + v as usize % 5);
+                if let Some(docs) = &entry.docs {
+                    let mut more = docs.to_vec();
+                    more.push(v as u8);
+                    entry.docs = Some(more.into());
+                }
+            };
+            let fresh = Entry {
+                contributors: Vec::new(),
+                block: Arc::from(&[][..]),
+                docs: None,
+            };
+            store.upsert(
+                0,
+                key,
+                &mut || Slot {
+                    value: fresh.clone(),
+                    holders: vec![peer],
+                },
+                &mut |slot| grow(&mut slot.value),
+            );
+            if !model.slots.contains_key(&key) {
+                model.order.push(key);
+            }
+            let (entry, _) = model
+                .slots
+                .entry(key)
+                .or_insert_with(|| (fresh.clone(), vec![peer]));
+            grow(entry);
+        }
+        // NDK transitions: the long blocks without a doc-set start one
+        // and are truncated.
+        5 => {
+            let turns = |e: &Entry| e.docs.is_none() && e.block.len() > 12;
+            let transit = |e: &mut Entry| {
+                e.docs = Some(Arc::clone(&e.block));
+                e.block = Arc::from(&e.block[..4]);
+            };
+            store.scan_mut(0, &mut |value| turns(&value), &mut |_, slot| {
+                transit(&mut slot.value)
+            });
+            for (entry, _) in model.slots.values_mut() {
+                if turns(entry) {
+                    transit(entry);
+                }
+            }
+        }
+        // A sweep that changes nothing writes no record (it may make room
+        // for one).
+        6 => {
+            let records = |t: TableBytes| (t.records, t.dead_records);
+            let before = records(store.table_bytes(0));
+            store.scan_mut(0, &mut |_| true, &mut |_, _| {});
+            assert_eq!(
+                records(store.table_bytes(0)),
+                before,
+                "an unchanged sweep wrote"
+            );
+        }
+        // Removals.
+        7 => {
+            let drop = |key: u64| (key + u64::from(v)).is_multiple_of(4);
+            store.retain(0, &mut |key, _| !drop(key));
+            model.retain(|key, _| !drop(key));
+        }
+        // Churn: a peer joins every holder set or leaves the sets it is
+        // not alone in.
+        _ => {
+            let peer = v % 6;
+            let churn = |holders: &mut Vec<u32>| {
+                if v % 2 == 0 && !holders.contains(&peer) {
+                    holders.push(peer);
+                    holders.sort_unstable();
+                } else if holders.len() > 1 {
+                    holders.retain(|&h| h != peer);
+                }
+            };
+            store.scan_mut(0, &mut |_| true, &mut |_, slot| churn(&mut slot.holders));
+            for (_, holders) in model.slots.values_mut() {
+                churn(holders);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_arena_matches_a_btreemap_through_rewrites_and_compactions(
+        ops in prop::collection::vec((any::<u8>(), any::<u64>(), any::<u32>()), 100..400),
+    ) {
+        let store = SegmentStore::ephemeral(EntryCodec, u64::MAX);
+        let mut model = ArenaModel::default();
+        let mut compactions = 0;
+        let mut dead = 0;
+        for op in ops {
+            apply_arena(&store, &mut model, op);
+            // Every entry equals the model, in position order.
+            let mut scanned = Vec::new();
+            store.scan(0, &mut |key, slot, _| {
+                scanned.push(key);
+                let (entry, holders) = &model.slots[&key];
+                assert_eq!((&slot.value, &slot.holders), (entry, holders), "key {key}");
+            });
+            assert_eq!(scanned, model.order, "scan order");
+            for &key in &model.order {
+                let mut got = None;
+                store.get(0, key, &mut |slot| got = slot.map(|s| s.value.clone()));
+                assert_eq!(got.as_ref(), Some(&model.slots[&key].0), "get {key}");
+            }
+            // The arena holds at most twice its live bytes.
+            let tables = store.table_bytes(0);
+            assert!(
+                tables.dead_records <= tables.records,
+                "{} dead bytes beside {} live", tables.dead_records, tables.records
+            );
+            if tables.dead_records < dead {
+                compactions += 1;
+            }
+            dead = tables.dead_records;
+        }
+        assert!(compactions > 0, "no sequence of rewrites compacted the arena");
     }
 }
