@@ -40,22 +40,22 @@ use crate::config::StoreConfig;
 use crate::key::{Key, MAX_KEY_SIZE};
 use hdk_ir::codec::{read_known_varint, write_varint};
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, StoredBlock};
-use hdk_p2p::wire::{self, Wire, WireReader};
+use hdk_p2p::wire::{put_bytes, Wire, WireError, WireReader, WireResult};
 use hdk_p2p::{
-    wire_enum, wire_record, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
-    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership,
-    MigrationStats, NetworkBackend, Notification, PGrid, PeerId, Record, RecoveryStats,
-    RepairStats, Request, Response, SegmentStore, Shared, Store, StoreCodec, StoreService, Tier,
-    TrafficSnapshot,
+    wire_enum, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig, GossipMetering,
+    GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership, MigrationStats,
+    NetworkBackend, Notification, PGrid, PeerId, Record, RecoveryStats, RepairStats, Request,
+    Response, SegmentStore, Shared, Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// State stored in the DHT per key — as the value a write materializes
-/// and the wire and the segment logs carry. The hot tier keeps it as a
-/// record ([`Record`]), read in place through a [`KeyEntryRef`].
+/// State stored in the DHT per key — as the value a write materializes.
+/// The store keeps it as a record ([`Record`]) — in the hot tier's arena,
+/// in a sealed frame and on the wire — read in place through a
+/// [`KeyEntryRef`].
 #[derive(Debug, Clone)]
 pub struct KeyEntry {
     /// The key itself (guards against 64-bit hash collisions and lets local
@@ -90,48 +90,52 @@ const DOCSET: u8 = 4;
 /// The doc-set is shared.
 const SHARED_DOCSET: u8 = 8;
 
-/// Appends a block's part of a record: its max doc, then its bytes
-/// (length-prefixed) when they sit inline, or nothing when the block is
-/// shared — which `put_record` flags and pushes onto `shared`.
+/// Appends a block's part of a record: its max doc, then its bytes,
+/// length-prefixed — or, for a shared block when there is a `shared` list,
+/// nothing: the block is pushed onto the list and `true` returned, for
+/// `put_record` to flag.
 fn put_block(
     stored: StoredBlock<'_>,
     max_doc: u32,
     out: &mut Vec<u8>,
-    shared: &mut Vec<Arc<[u8]>>,
+    shared: Option<&mut Vec<Arc<[u8]>>>,
 ) -> bool {
     write_varint(out, u64::from(max_doc));
-    match stored {
-        StoredBlock::Inline(bytes) => {
-            out.push(bytes.len() as u8);
-            out.extend_from_slice(bytes);
-            false
-        }
-        StoredBlock::Shared(bytes) => {
+    match (stored, shared) {
+        (StoredBlock::Shared(bytes), Some(shared)) => {
             shared.push(Arc::clone(bytes));
             true
+        }
+        _ => {
+            let bytes = stored.bytes();
+            write_varint(out, bytes.len() as u64);
+            out.extend_from_slice(bytes);
+            false
         }
     }
 }
 
-/// The hot-tier record of an entry, in the order reads need it:
+/// An entry's record, in the order reads need it:
 /// `[flags][key size][df][block][terms][contributors][doc-set]`, every
 /// number a varint. The flags, key size and `df` lead, so a
 /// classification sweep reads three bytes or so of a record to pick the
 /// entries it rewrites, and a lookup reads the block next. A block is its
-/// max doc, then — when it has at most
-/// [`hdk_ir::compressed::INLINE_BYTES`] encoded bytes — its length and
-/// bytes; a longer one is shared, the block first, then the doc-set.
+/// max doc, then its length and bytes — in the hot tier only when it has at
+/// most [`hdk_ir::compressed::INLINE_BYTES`] encoded bytes (its length one
+/// byte); a longer one is shared there, the block first, then the doc-set.
+/// The flat record, a sealed frame's payload and the wire's, holds every
+/// block inline and sets no shared flag.
 impl Record for KeyEntry {
     type Ref<'a> = KeyEntryRef<'a>;
 
-    fn put_record(&self, out: &mut Vec<u8>, shared: &mut Vec<Arc<[u8]>>) {
+    fn put_record(&self, out: &mut Vec<u8>, mut shared: Option<&mut Vec<Arc<[u8]>>>) {
         let flags_at = out.len();
         out.push(0);
         out.push(self.key.size() as u8);
         write_varint(out, u64::from(self.df));
         let max_doc = self.postings.max_doc().map_or(0, |d| d.0);
         let mut flags = if self.is_ndk { NDK } else { 0 };
-        if put_block(self.postings.stored(), max_doc, out, shared) {
+        if put_block(self.postings.stored(), max_doc, out, shared.as_deref_mut()) {
             flags |= SHARED_BLOCK;
         }
         for term in self.key.terms() {
@@ -150,119 +154,46 @@ impl Record for KeyEntry {
         out[flags_at] = flags;
     }
 
+    /// The record with its shared blocks written inline: the flags without
+    /// their shared bits, the blocks' bytes, everything else as it is.
+    fn put_flat(record: &[u8], shared: Shared<'_>, out: &mut Vec<u8>) {
+        let entry = KeyEntryRef { record, shared };
+        let (block, max_doc, df, terms_at) = entry.head();
+        out.push(entry.flags() & (NDK | DOCSET));
+        out.push(record[1]);
+        write_varint(out, u64::from(df));
+        put_block(block, max_doc, out, None);
+        out.extend_from_slice(&record[terms_at..entry.docset_at()]);
+        if let Some((seen, max_doc)) = entry.seen_docs_block() {
+            put_block(seen, max_doc, out, None);
+        }
+    }
+
+    fn check(record: &[u8]) -> bool {
+        Flat { record, pos: 0 }.entry().is_some()
+    }
+
     fn from_record(record: &[u8], shared: Shared<'_>) -> Self {
-        RecordView { record, shared }.to_entry()
+        KeyEntryRef { record, shared }.to_entry()
     }
 
     fn view<'a>(record: &'a [u8], shared: Shared<'a>) -> KeyEntryRef<'a> {
-        KeyEntryRef(Viewed::Record(RecordView { record, shared }))
-    }
-
-    fn view_value(entry: &KeyEntry) -> KeyEntryRef<'_> {
-        KeyEntryRef(Viewed::Entry(entry))
+        KeyEntryRef { record, shared }
     }
 }
 
-/// A stored entry as a read sees it: a hot entry's record read in place —
-/// trusting the store's own bytes, validating nothing and copying nothing
-/// but what a caller takes (a block costs a 32-byte copy or a
-/// reference-count bump) — or a sealed entry decoded from its frame.
+/// A stored entry as a read sees it: its record read in place — trusting
+/// the store's own bytes or a flat record [`Record::check`] accepted,
+/// validating nothing and copying nothing but what a caller takes (a block
+/// costs a 32-byte copy, a reference-count bump, or — for a long block of a
+/// flat record — one allocation).
 #[derive(Clone, Copy)]
-pub struct KeyEntryRef<'a>(Viewed<'a>);
-
-#[derive(Clone, Copy)]
-enum Viewed<'a> {
-    Record(RecordView<'a>),
-    Entry(&'a KeyEntry),
-}
-
-impl<'a> KeyEntryRef<'a> {
-    /// Whether the key is non-discriminative.
-    pub fn is_ndk(&self) -> bool {
-        match self.0 {
-            Viewed::Record(r) => r.is_ndk(),
-            Viewed::Entry(e) => e.is_ndk,
-        }
-    }
-
-    /// The key's size (its number of terms).
-    pub fn key_size(&self) -> usize {
-        match self.0 {
-            Viewed::Record(r) => r.key_size(),
-            Viewed::Entry(e) => e.key.size(),
-        }
-    }
-
-    /// The true global document frequency.
-    pub fn df(&self) -> u32 {
-        match self.0 {
-            Viewed::Record(r) => r.df(),
-            Viewed::Entry(e) => e.df,
-        }
-    }
-
-    /// The posting block as stored, and its max doc.
-    pub fn block(&self) -> (StoredBlock<'a>, u32) {
-        match self.0 {
-            Viewed::Record(r) => r.block(),
-            Viewed::Entry(e) => (e.postings.stored(), e.postings.max_doc().map_or(0, |d| d.0)),
-        }
-    }
-
-    /// What a lookup answers: the posting block — a copy of a short one,
-    /// a shared long one — and `df`.
-    pub fn postings_and_df(&self) -> (CompressedPostings, u32) {
-        match self.0 {
-            Viewed::Record(r) => r.postings_and_df(),
-            Viewed::Entry(e) => (e.postings.clone(), e.df),
-        }
-    }
-
-    /// The key.
-    pub fn key(&self) -> Key {
-        match self.0 {
-            Viewed::Record(r) => r.key(),
-            Viewed::Entry(e) => e.key,
-        }
-    }
-
-    /// The contributing peers, in first-insert order.
-    pub fn contributors(&self) -> impl Iterator<Item = PeerId> + 'a {
-        let (record, entry) = match self.0 {
-            Viewed::Record(r) => (Some(r.contributors()), None),
-            Viewed::Entry(e) => (None, Some(e.contributors.iter().copied())),
-        };
-        record
-            .into_iter()
-            .flatten()
-            .chain(entry.into_iter().flatten())
-    }
-
-    /// The `df` doc-set as stored, and its max doc.
-    pub fn seen_docs_block(&self) -> Option<(StoredBlock<'a>, u32)> {
-        match self.0 {
-            Viewed::Record(r) => r.seen_docs_block(),
-            Viewed::Entry(e) => e.seen_docs.as_ref().map(|s| (s.stored(), s.max_doc())),
-        }
-    }
-
-    /// The whole entry.
-    pub fn to_entry(&self) -> KeyEntry {
-        match self.0 {
-            Viewed::Record(r) => r.to_entry(),
-            Viewed::Entry(e) => e.clone(),
-        }
-    }
-}
-
-/// A hot entry's record, read in place.
-#[derive(Clone, Copy)]
-struct RecordView<'a> {
+pub struct KeyEntryRef<'a> {
     record: &'a [u8],
     shared: Shared<'a>,
 }
 
-impl<'a> RecordView<'a> {
+impl<'a> KeyEntryRef<'a> {
     #[inline]
     fn varint(&self, pos: &mut usize) -> u64 {
         read_known_varint(self.record, pos)
@@ -273,17 +204,17 @@ impl<'a> RecordView<'a> {
     }
 
     /// Whether the key is non-discriminative.
-    fn is_ndk(&self) -> bool {
+    pub fn is_ndk(&self) -> bool {
         self.flags() & NDK != 0
     }
 
     /// The key's size (its number of terms).
-    fn key_size(&self) -> usize {
+    pub fn key_size(&self) -> usize {
         usize::from(self.record[1])
     }
 
     /// The true global document frequency.
-    fn df(&self) -> u32 {
+    pub fn df(&self) -> u32 {
         self.varint(&mut 2) as u32
     }
 
@@ -297,9 +228,9 @@ impl<'a> RecordView<'a> {
                 .expect("a record names what it shares");
             return (StoredBlock::Shared(bytes), max_doc);
         }
-        let len = usize::from(self.record[*pos]);
-        let bytes = &self.record[*pos + 1..*pos + 1 + len];
-        *pos += 1 + len;
+        let len = self.varint(pos) as usize;
+        let bytes = &self.record[*pos..*pos + len];
+        *pos += len;
         (StoredBlock::Inline(bytes), max_doc)
     }
 
@@ -313,14 +244,14 @@ impl<'a> RecordView<'a> {
     }
 
     /// The posting block as stored, and its max doc.
-    fn block(&self) -> (StoredBlock<'a>, u32) {
+    pub fn block(&self) -> (StoredBlock<'a>, u32) {
         let (stored, max_doc, _, _) = self.head();
         (stored, max_doc)
     }
 
     /// What a lookup answers: the posting block — a copy of a short one,
     /// a shared long one — and `df`.
-    fn postings_and_df(&self) -> (CompressedPostings, u32) {
+    pub fn postings_and_df(&self) -> (CompressedPostings, u32) {
         let (stored, max_doc, df, _) = self.head();
         (CompressedPostings::from_stored(stored, max_doc), df)
     }
@@ -336,7 +267,7 @@ impl<'a> RecordView<'a> {
     }
 
     /// The key.
-    fn key(&self) -> Key {
+    pub fn key(&self) -> Key {
         self.key_at(&mut self.head().3)
     }
 
@@ -350,29 +281,35 @@ impl<'a> RecordView<'a> {
     }
 
     /// The contributing peers, in first-insert order.
-    fn contributors(&self) -> impl Iterator<Item = PeerId> + 'a {
+    pub fn contributors(&self) -> impl Iterator<Item = PeerId> + 'a {
         let this = *self;
         let mut pos = self.contributors_at();
         let n = this.varint(&mut pos);
         (0..n).map(move |_| PeerId(this.varint(&mut pos)))
     }
 
-    /// The `df` doc-set as stored, and its max doc.
-    fn seen_docs_block(&self) -> Option<(StoredBlock<'a>, u32)> {
-        let flags = self.flags();
-        if flags & DOCSET == 0 {
-            return None;
-        }
+    /// The offset of the doc-set's part (the record's end without one).
+    fn docset_at(&self) -> usize {
         let mut pos = self.contributors_at();
         for _ in 0..self.varint(&mut pos) {
             self.varint(&mut pos);
         }
+        pos
+    }
+
+    /// The `df` doc-set as stored, and its max doc.
+    pub fn seen_docs_block(&self) -> Option<(StoredBlock<'a>, u32)> {
+        let flags = self.flags();
+        if flags & DOCSET == 0 {
+            return None;
+        }
         let ordinal = usize::from(flags & SHARED_BLOCK != 0);
-        Some(self.block_at(&mut pos, flags & SHARED_DOCSET != 0, ordinal))
+        let shared = flags & SHARED_DOCSET != 0;
+        Some(self.block_at(&mut self.docset_at(), shared, ordinal))
     }
 
     /// The whole entry, read in one pass.
-    fn to_entry(self) -> KeyEntry {
+    pub fn to_entry(&self) -> KeyEntry {
         let flags = self.flags();
         let (stored, max_doc, df, mut pos) = self.head();
         let key = self.key_at(&mut pos);
@@ -396,16 +333,91 @@ impl<'a> RecordView<'a> {
     }
 }
 
-// One encoding for the segment log and the wire: key, block, df,
-// contributors, NDK flag, doc-set — each part validated by its own decoder.
-wire_record!(KeyEntry[19](
-    key,
-    postings,
-    df,
-    contributors,
-    is_ndk,
-    seen_docs
-));
+/// The validating reader of a flat [`KeyEntry`] record — bytes off disk or
+/// the wire: a cursor whose every step is checked, so no input panics.
+struct Flat<'a> {
+    record: &'a [u8],
+    pos: usize,
+}
+
+impl Flat<'_> {
+    fn byte(&mut self) -> Option<u8> {
+        let byte = *self.record.get(self.pos)?;
+        self.pos += 1;
+        Some(byte)
+    }
+
+    /// A varint of at most `max`, in its shortest form: the form
+    /// `put_record` writes, so an accepted record re-encodes to itself.
+    fn varint(&mut self, max: u64) -> Option<u64> {
+        let (mut value, mut shift) = (0u64, 0);
+        loop {
+            let byte = self.byte()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift > 63 || shift == 63 && bits > 1 || shift > 0 && byte == 0 {
+                return None;
+            }
+            value |= bits << shift;
+            if byte < 0x80 {
+                return (value <= max).then_some(value);
+            }
+            shift += 7;
+        }
+    }
+
+    /// A block's part: its max doc, which must be the last document of the
+    /// block `check` validates, then its length and bytes.
+    fn block(&mut self, check: fn(&[u8]) -> Option<u32>) -> Option<()> {
+        let max_doc = self.varint(u32::MAX.into())?;
+        let len = usize::try_from(self.varint(u64::MAX)?).ok()?;
+        let bytes = self.record.get(self.pos..self.pos.checked_add(len)?)?;
+        self.pos += len;
+        (u64::from(check(bytes)?) == max_doc).then_some(())
+    }
+
+    /// The whole record: no unknown or shared flag, a key of 1 to
+    /// [`MAX_KEY_SIZE`] strictly ascending terms, valid blocks, no
+    /// trailing byte.
+    fn entry(&mut self) -> Option<()> {
+        let flags = self.byte()?;
+        let size = usize::from(self.byte()?);
+        if flags & !(NDK | DOCSET) != 0 || !(1..=MAX_KEY_SIZE).contains(&size) {
+            return None;
+        }
+        self.varint(u32::MAX.into())?;
+        self.block(CompressedPostings::check)?;
+        let mut floor = 0;
+        for _ in 0..size {
+            floor = 1 + self.varint(u32::MAX.into()).filter(|&term| term >= floor)?;
+        }
+        for _ in 0..self.varint(u64::MAX)? {
+            self.varint(u64::MAX)?;
+        }
+        if flags & DOCSET != 0 {
+            self.block(CompressedDocSet::check)?;
+        }
+        (self.pos == self.record.len()).then_some(())
+    }
+}
+
+/// The wire carries an entry (a [`IndexSwept::Peeked`] or
+/// [`IndexSwept::Entries`] reply) as its flat record, length-prefixed, and
+/// reads it through [`Record::check`].
+impl Wire for KeyEntry {
+    const MIN_BYTES: usize = 12;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut flat = Vec::new();
+        self.put_record(&mut flat, None);
+        put_bytes(buf, &flat);
+    }
+
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        let record = r.bytes()?;
+        (KeyEntry::check(record).then(|| KeyEntry::from_record(record, Shared::default())))
+            .ok_or(WireError::Corrupt)
+    }
+}
 
 /// Result of a retrieval-time key lookup.
 #[derive(Debug, Clone)]
@@ -783,9 +795,8 @@ impl Absorb for IndexSwept {
     }
 }
 
-/// Segment-frame codec for [`KeyEntry`]: the canonical byte encoding a
-/// sealed entry occupies in a per-stripe segment file, and the hot-tier
-/// weight budget enforcement charges it.
+/// The store codec of [`KeyEntry`]: what its hot-tier budget enforcement
+/// charges an entry.
 ///
 /// The weight is **exactly** the resident-byte measure the engine reports
 /// ([`GlobalIndex::resident_posting_bytes`]): the encoded posting block
@@ -796,52 +807,9 @@ impl Absorb for IndexSwept {
 pub struct KeyEntryCodec;
 
 impl StoreCodec<KeyEntry> for KeyEntryCodec {
-    fn encode(&self, entry: &KeyEntry, out: &mut Vec<u8>) {
-        entry.put(out);
-    }
-
-    /// Total, like every [`Wire`] decoder: a frame that is truncated,
-    /// carries an invalid key, block or doc-set, or has trailing garbage
-    /// is `None`.
-    fn decode(&self, bytes: &[u8]) -> Option<KeyEntry> {
-        wire::decode(bytes).ok()
-    }
-
-    /// What [`IndexStore::read`] answers from: the key (the collision
-    /// guard), the block, `df` and the NDK flag. The contributor list and
-    /// the doc-set are bounds-checked and skipped — the entry comes back
-    /// with neither — and the block is copied once, out of the frame (into
-    /// the entry itself when it fits inline). A
-    /// payload is refused on every truncation and every trailing byte,
-    /// like [`KeyEntryCodec::decode`].
-    fn decode_lookup(&self, bytes: &[u8]) -> Option<KeyEntry> {
-        let mut r = WireReader::new(bytes);
-        let key = Key::get(&mut r).ok()?;
-        let postings = CompressedPostings::get(&mut r).ok()?;
-        let df = u32::get(&mut r).ok()?;
-        let contributors = r.seq_len(PeerId::MIN_BYTES).ok()?;
-        r.take(contributors * PeerId::MIN_BYTES).ok()?;
-        let is_ndk = bool::get(&mut r).ok()?;
-        if bool::get(&mut r).ok()? {
-            r.bytes().ok()?;
-        }
-        r.done().ok()?;
-        Some(KeyEntry {
-            key,
-            postings,
-            df,
-            contributors: Vec::new(),
-            is_ndk,
-            seen_docs: None,
-        })
-    }
-
-    fn weight(&self, entry: &KeyEntry) -> u64 {
-        entry.postings.encoded_len() as u64
-            + entry
-                .seen_docs
-                .as_ref()
-                .map_or(0, |s| s.encoded_len() as u64)
+    fn weight(&self, entry: KeyEntryRef<'_>) -> u64 {
+        let seen = entry.seen_docs_block().map(|(seen, _)| seen.bytes().len());
+        (entry.block().0.bytes().len() + seen.unwrap_or(0)) as u64
     }
 }
 
@@ -1755,7 +1723,7 @@ mod tests {
             for stripe in 0..idx.dht().num_stripes() {
                 idx.dht().for_each_stripe(stripe, |holders, _, e, tier| {
                     assert_eq!(tier, Tier::Hot);
-                    by_stripe += KeyEntryCodec.weight(&e.to_entry()) * holders.len() as u64;
+                    by_stripe += KeyEntryCodec.weight(e) * holders.len() as u64;
                 });
             }
             assert_eq!(idx.resident_posting_bytes(), by_stripe);
@@ -1796,9 +1764,9 @@ mod tests {
     }
 
     #[test]
-    fn entry_codec_round_trips_block_codec_tag() {
-        // A block is self-describing, so the store codec must carry it
-        // byte for byte: an entry sealed to disk decodes back unchanged.
+    fn flat_record_round_trips_block_codec_tag() {
+        // A block is self-describing, so the flat record must carry it
+        // byte for byte: an entry sealed to disk reads back unchanged.
         let entry = KeyEntry {
             key: key(&[1, 2]),
             postings: CompressedPostings::from_list(&list(&[3, 9, 400])),
@@ -1812,8 +1780,9 @@ mod tests {
             ])),
         };
         let mut bytes = Vec::new();
-        KeyEntryCodec.encode(&entry, &mut bytes);
-        let back = KeyEntryCodec.decode(&bytes).expect("decodes");
+        entry.put_record(&mut bytes, None);
+        assert!(KeyEntry::check(&bytes));
+        let back = KeyEntry::from_record(&bytes, Shared::default());
         assert_eq!(back.postings.as_bytes(), entry.postings.as_bytes());
         assert_eq!(
             back.seen_docs.as_ref().unwrap().as_bytes(),

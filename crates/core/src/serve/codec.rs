@@ -13,10 +13,11 @@
 //! [`hdk_p2p::wire`]): the message enums from their `wire_enum!` tables
 //! (here, beside [`hdk_p2p::Request`], and beside
 //! [`IndexSweep`](crate::global_index::IndexSweep)), the stats structs
-//! from their field lists — a stored entry included, whose encoding here
-//! is the one its segment-log frames use. Written by hand are only the
-//! types whose decoding *validates*: [`Key`] (size and term order) and, in
-//! `hdk_p2p::wire`, the posting block and doc-set. Decoders never panic on
+//! from their field lists. Written by hand are only the types whose
+//! decoding *validates*: [`Key`] (size and term order), a stored entry
+//! (beside [`KeyEntry`](crate::KeyEntry): its flat record, the payload of
+//! its segment-log frames, read through the one check a sealed read runs)
+//! and, in `hdk_p2p::wire`, the posting block. Decoders never panic on
 //! malformed input — every path returns
 //! [`WireError::Truncated`]/[`WireError::Corrupt`] (pinned by
 //! `crates/core/tests/prop_wire.rs`).
@@ -33,8 +34,9 @@ use hdk_text::TermId;
 /// word-wide checksum, and `RecoveryStats` and `IndexFootprint` gained
 /// fields; 5: the `StoredPostings` and `ResidentBytes` sweeps and the
 /// `StoredPostings` reply are gone (both answered from `StoragePerPeer`),
-/// so `IndexSweep` tags 3 and 5 and `IndexSwept` tag 3 are unassigned.
-pub const WIRE_VERSION: u32 = 5;
+/// so `IndexSweep` tags 3 and 5 and `IndexSwept` tag 3 are unassigned;
+/// 6: a stored entry travels as its length-prefixed flat record.
+pub const WIRE_VERSION: u32 = 6;
 
 /// One serving-tier request frame, front-end → peer process.
 #[derive(Debug, Clone)]

@@ -415,10 +415,12 @@ fn a_query_makes_a_pinned_number_of_allocations() {
     let config = HdkConfig::default();
     // 23.38 measured per query on the unbounded store: the plan's levels,
     // the DHT's per-level grouping and fan-out, the score table and the
-    // results. Under a hot budget a sealed hit also decodes its entry out
-    // of the frame; its block is copied inline unless it is longer than
-    // `INLINE_BYTES`, which costs one allocation. 24.39 measured under
-    // CI's 64 KiB budget (`HDK_STORE=segment:65536`), where a copy of
+    // results. Under a hot budget a sealed hit also reads its entry's flat
+    // record, checked and viewed in the frame; its block is copied inline
+    // unless it is longer than `INLINE_BYTES`, which costs one allocation.
+    // 24.39 measured under CI's 64 KiB budget
+    // (`HDK_STORE=segment:65536`), as when the entry was decoded out of
+    // its frame instead, where a copy of
     // every sealed block into its own allocation read 26.73 (bounded at
     // 26.9). One bound, 24.5, holds for both stores.
     let bound = 24.5;

@@ -8,16 +8,16 @@
 //! including the cross-session subtleties (keys flipping to NDK late,
 //! old documents contributing new combinations, no double-counted dfs).
 
-use hdk_core::{HdkConfig, HdkNetwork, Key, KeyEntryCodec, QueryService, StoreConfig};
+use hdk_core::{HdkConfig, HdkNetwork, Key, KeyEntry, QueryService, StoreConfig};
 use hdk_corpus::{
     partition_documents, Collection, CollectionGenerator, DocId, GeneratorConfig, QueryLog,
     QueryLogConfig,
 };
-use hdk_p2p::PeerId;
-use hdk_p2p::StoreCodec;
+use hdk_ir::segment::{read_frame, FrameRead};
+use hdk_p2p::{PeerId, Record, Shared};
 use hdk_text::{TermId, Vocabulary};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 fn config(dfmax: u32) -> HdkConfig {
     HdkConfig {
@@ -294,19 +294,17 @@ proptest! {
     }
 }
 
-/// Every stored key's `KeyEntryCodec` frame payload, whichever tier holds
-/// the key — each one checked by the validating decoder, and each doc-set
-/// against the `df` it counts.
-fn frames(service: &QueryService) -> BTreeMap<Key, Vec<u8>> {
-    let mut frames = BTreeMap::new();
+/// Every stored key's flat record — the payload its sealed frames carry —
+/// as the service reads the key back, whichever tier holds it: each one
+/// accepted by the validating check, each doc-set's count the `df` it
+/// counts.
+fn records(service: &QueryService) -> BTreeMap<Key, Vec<u8>> {
+    let mut records = BTreeMap::new();
     service.index().for_each_entry(|entry| {
-        let mut bytes = Vec::new();
-        KeyEntryCodec.encode(entry, &mut bytes);
+        let mut flat = Vec::new();
+        entry.put_record(&mut flat, None);
         let key = entry.key;
-        assert!(
-            KeyEntryCodec.decode(&bytes).is_some(),
-            "{key:?}: a corrupt frame"
-        );
+        assert!(KeyEntry::check(&flat), "{key:?}: a corrupt record");
         if let Some(seen) = &entry.seen_docs {
             assert_eq!(
                 seen.iter().count() as u32,
@@ -314,16 +312,46 @@ fn frames(service: &QueryService) -> BTreeMap<Key, Vec<u8>> {
                 "{key:?}: doc-set vs df"
             );
         }
-        assert!(frames.insert(key, bytes).is_none(), "a key stored twice");
+        assert!(records.insert(key, flat).is_none(), "a key stored twice");
     });
-    frames
+    records
 }
 
-/// Names the first key whose frames differ, if any.
-fn assert_same_frames(got: &BTreeMap<Key, Vec<u8>>, want: &BTreeMap<Key, Vec<u8>>, what: &str) {
+/// The records the segment logs under `dir` hold: per key the payload of
+/// its newest frame (the highest seal version over every peer's logs), as
+/// the seals wrote it from the arena — each accepted by the check.
+fn logged_records(dir: &std::path::Path) -> BTreeMap<Key, Vec<u8>> {
+    let mut newest: HashMap<u64, (u64, Vec<u8>)> = HashMap::new();
+    for peer in std::fs::read_dir(dir).expect("the segment directory") {
+        for log in std::fs::read_dir(peer.expect("a peer directory").path()).expect("its logs") {
+            let log = std::fs::read(log.expect("a log").path()).expect("a readable log");
+            let mut pos = 8;
+            while let FrameRead::Frame { payload, end } = read_frame(&log, pos) {
+                let (hash, rest) = payload.split_first_chunk::<8>().expect("a key hash");
+                let (version, record) = rest.split_first_chunk::<8>().expect("a version");
+                let (hash, version) = (u64::from_le_bytes(*hash), u64::from_le_bytes(*version));
+                if newest.get(&hash).is_none_or(|(v, _)| *v < version) {
+                    newest.insert(hash, (version, record.to_vec()));
+                }
+                pos = end;
+            }
+            assert_eq!(pos, log.len(), "a log with a torn tail");
+        }
+    }
+    newest
+        .into_values()
+        .map(|(_, record)| {
+            assert!(KeyEntry::check(&record), "a corrupt logged record");
+            (KeyEntry::view(&record, Shared::default()).key(), record)
+        })
+        .collect()
+}
+
+/// Names the first key whose records differ, if any.
+fn assert_same_records(got: &BTreeMap<Key, Vec<u8>>, want: &BTreeMap<Key, Vec<u8>>, what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: stored keys");
     for ((key, a), (_, b)) in got.iter().zip(want) {
-        assert_eq!(a, b, "{what}: the frames of {key:?} differ");
+        assert_eq!(a, b, "{what}: the records of {key:?} differ");
     }
     assert!(got.keys().eq(want.keys()), "{what}: stored keys differ");
 }
@@ -333,9 +361,11 @@ fn the_arena_and_the_segment_logs_hold_byte_identical_entries_through_growth() {
     // The `ingest` shape: a base build, then several `add_documents`
     // batches. On the unbounded store every entry ends a record in its
     // stripe's arena; under a 64 KiB budget nearly all are sealed frames,
-    // then — after a sync and a restart of every peer — replayed ones. A
-    // reordered contributor list or a lost doc-set byte shows here, where
-    // counts and top-k bits would not.
+    // then — after a sync — every one is, each written from its arena
+    // record, and after a restart of every peer replayed. The flat record
+    // each key reads back as from the arena must be the bytes of its
+    // newest frame on disk. A reordered contributor list or a lost
+    // doc-set byte shows here, where counts and top-k bits would not.
     let docs = 1_000;
     let collection = CollectionGenerator::new(GeneratorConfig {
         num_docs: docs,
@@ -370,23 +400,31 @@ fn the_arena_and_the_segment_logs_hold_byte_identical_entries_through_growth() {
         }
         network
     };
-    let in_arena = frames(&grow(StoreConfig::Memory).query_service());
+    let in_arena = records(&grow(StoreConfig::Memory).query_service());
     assert!(in_arena.len() > 10_000, "only {} keys", in_arena.len());
     let with_docset = in_arena
         .values()
-        .filter_map(|frame| KeyEntryCodec.decode(frame))
-        .filter(|entry| entry.seen_docs.is_some())
+        .filter(|record| {
+            KeyEntry::view(record, Shared::default())
+                .seen_docs_block()
+                .is_some()
+        })
         .count();
     assert!(
         with_docset > 100,
         "only {with_docset} entries carry a doc-set"
     );
 
-    let mut tiered = grow(StoreConfig::segment(65_536));
-    assert_same_frames(&frames(&tiered.query_service()), &in_arena, "sealed");
+    let dir = tempfile::tempdir().expect("a segment directory");
+    let mut tiered = grow(StoreConfig::Segment {
+        dir: Some(dir.path().to_path_buf()),
+        hot_bytes: 65_536,
+    });
+    assert_same_records(&records(&tiered.query_service()), &in_arena, "sealed");
     tiered.index_service().sync_storage();
+    assert_same_records(&logged_records(dir.path()), &in_arena, "logged");
     let everyone: Vec<PeerId> = (0..peers as u64).map(PeerId).collect();
     let (recovered, _) = tiered.index_service().restart_peers(&everyone);
     assert_eq!(recovered.copies_lost, 0, "a synced restart loses nothing");
-    assert_same_frames(&frames(&tiered.query_service()), &in_arena, "replayed");
+    assert_same_records(&records(&tiered.query_service()), &in_arena, "replayed");
 }

@@ -21,12 +21,14 @@
 //!    wire is its 12-byte header then its payload, and frames written
 //!    back to back come out of one buffered reader one by one — what the
 //!    reader buffered beyond a frame is the next frame, not lost.
-//! 5. **Lookup decode**: a stored entry decoded for a lookup (a sealed
-//!    read's path) reads exactly what the full decoder reads of its key,
-//!    block, `df` and NDK flag, and refuses what it refuses at the ends.
+//! 5. **Flat records**: the one validating reader of a stored entry's flat
+//!    record (a sealed frame's payload, the wire's entry) accepts what
+//!    `put_record` writes and reads it back, refuses every strict prefix
+//!    and every one-byte extension, and never panics on a flipped byte —
+//!    a flipped record it still accepts re-encodes to itself.
 //! 6. **Inline capacity**: an entry whose block and doc-set straddle the
-//!    size that sits inline comes back from the wire and the segment
-//!    codec holding the same bytes, held the same way.
+//!    size that sits inline comes back from the wire and from its flat
+//!    record holding the same bytes, held the same way.
 //!
 //! The vendored proptest shim has no `prop_oneof`/`sample` combinators,
 //! so variant choice and payload shapes come from a small seeded
@@ -39,8 +41,7 @@
 use hdk_core::serve::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_core::{
     IndexCounts, IndexFootprint, IndexRequest, IndexResponse, IndexSweep, IndexSwept, Key,
-    KeyEntry, KeyEntryCodec, KeyLookup, PeerConfig, PeerHost, PeerStorage, StoreConfig,
-    MAX_KEY_SIZE,
+    KeyEntry, KeyLookup, PeerConfig, PeerHost, PeerStorage, StoreConfig, MAX_KEY_SIZE,
 };
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
@@ -48,7 +49,7 @@ use hdk_p2p::{read_wire_frame, write_wire_frame, WireError};
 use hdk_p2p::{
     Addressed, Control, GossipConfig, GossipMetering, GossipOutcome, GossipRound, HotConfig,
     HotStats, KindSnapshot, LatencyHistogram, LossStats, MigrationStats, Notification, PeerId,
-    RecoveryStats, RepairStats, Request, Response, StoreCodec, TrafficSnapshot,
+    Record, RecoveryStats, RepairStats, Request, Response, Shared, TrafficSnapshot,
 };
 use hdk_text::TermId;
 use proptest::prelude::*;
@@ -733,54 +734,67 @@ proptest! {
         prop_assert_eq!(bytes, decoded.encode());
     }
 
-    /// On every entry the full decoder accepts — sampled ones, and
-    /// byte-mutated ones that still decode — the lookup decoder returns
-    /// exactly its key, block bytes, `df` and NDK flag; it refuses every
-    /// truncation and every trailing byte.
+    /// On sampled entries and on entries straddling the inline capacity,
+    /// the flat record check accepts what `put_record` writes, which reads
+    /// back to the entry; it refuses every strict prefix and every one-byte
+    /// extension; and it never panics on a record with any one byte
+    /// flipped to any other value — one it still accepts re-encodes to
+    /// itself, so nothing it lets through reads back as another record.
     #[test]
-    fn lookup_decode_reads_what_the_full_decode_reads(
-        seed in any::<u64>(),
-        fuzz in any::<u64>(),
-    ) {
-        let mut gen = Gen(fuzz);
-        let mut bytes = Vec::new();
-        KeyEntryCodec.encode(&Gen(seed).entry(), &mut bytes);
-        let mut mutated = bytes.clone();
-        let i = gen.below(mutated.len() as u64) as usize;
-        mutated[i] ^= 1 + gen.below(255) as u8;
-        for payload in [&bytes, &mutated] {
-            let Some(full) = KeyEntryCodec.decode(payload) else {
-                continue;
-            };
-            let lookup = KeyEntryCodec.decode_lookup(payload).expect("a lookup decodes it too");
-            prop_assert_eq!(lookup.key, full.key);
-            prop_assert_eq!(lookup.postings.as_bytes(), full.postings.as_bytes());
-            prop_assert_eq!(lookup.df, full.df);
-            prop_assert_eq!(lookup.is_ndk, full.is_ndk);
-            for len in 0..payload.len() {
-                prop_assert!(KeyEntryCodec.decode_lookup(&payload[..len]).is_none());
+    fn the_flat_record_check_accepts_exactly_what_put_record_writes(seed in any::<u64>()) {
+        let mut gen = Gen(seed);
+        for entry in [gen.entry(), gen.boundary_entry()] {
+            let mut flat = Vec::new();
+            entry.put_record(&mut flat, None);
+            prop_assert!(KeyEntry::check(&flat));
+            let back = KeyEntry::from_record(&flat, Shared::default());
+            prop_assert_eq!(back.key, entry.key);
+            prop_assert_eq!(&back.postings, &entry.postings);
+            prop_assert_eq!(back.df, entry.df);
+            prop_assert_eq!(&back.contributors, &entry.contributors);
+            prop_assert_eq!(back.is_ndk, entry.is_ndk);
+            prop_assert_eq!(
+                back.seen_docs.as_ref().map(|s| s.as_bytes().to_vec()),
+                entry.seen_docs.as_ref().map(|s| s.as_bytes().to_vec())
+            );
+            for len in 0..flat.len() {
+                prop_assert!(!KeyEntry::check(&flat[..len]), "a {}-byte prefix", len);
             }
-            let mut longer = payload.clone();
-            longer.push(gen.next() as u8);
-            prop_assert!(KeyEntryCodec.decode_lookup(&longer).is_none());
+            let mut longer = flat.clone();
+            longer.push(0);
+            for byte in 0..=u8::MAX {
+                *longer.last_mut().expect("one more byte") = byte;
+                prop_assert!(!KeyEntry::check(&longer), "trailing byte {}", byte);
+            }
+            let mut flipped = flat.clone();
+            for i in 0..flat.len() {
+                for byte in (0..=u8::MAX).filter(|&b| b != flat[i]) {
+                    flipped[i] = byte;
+                    if KeyEntry::check(&flipped) {
+                        let mut again = Vec::new();
+                        KeyEntry::from_record(&flipped, Shared::default()).put_record(&mut again, None);
+                        prop_assert_eq!(&again, &flipped, "byte {} set to {}", i, byte);
+                    }
+                }
+                flipped[i] = flat[i];
+            }
         }
     }
 
     /// An entry whose block and doc-set straddle the inline capacity
-    /// comes back from the wire and from the segment codec — in full and
-    /// for a lookup — holding the same bytes, and re-encodes to the same
-    /// payload.
+    /// comes back from the wire and from its flat record — in full and
+    /// through the view a lookup reads — holding the same bytes, held the
+    /// same way, and re-encodes to the same payload.
     #[test]
     fn entries_straddling_the_inline_capacity_round_trip(seed in any::<u64>()) {
         let entry = Gen(seed).boundary_entry();
         let seen = entry.seen_docs.as_ref().expect("a doc-set");
         let payload = hdk_p2p::wire::encode(&entry);
-        let mut stored = Vec::new();
-        KeyEntryCodec.encode(&entry, &mut stored);
-        prop_assert_eq!(&stored, &payload);
+        let mut flat = Vec::new();
+        entry.put_record(&mut flat, None);
+        prop_assert_eq!(&payload[4..], &flat[..], "the wire carries the flat record");
         let from_wire: KeyEntry = hdk_p2p::wire::decode(&payload).expect("an entry decodes");
-        let from_log = KeyEntryCodec.decode(&stored).expect("a stored entry decodes");
-        let lookup = KeyEntryCodec.decode_lookup(&stored).expect("a lookup decodes");
+        let from_log = KeyEntry::from_record(&flat, Shared::default());
         for back in [&from_wire, &from_log] {
             prop_assert_eq!(&back.postings, &entry.postings);
             prop_assert_eq!(back.postings.heap_bytes(), entry.postings.heap_bytes());
@@ -789,8 +803,9 @@ proptest! {
             prop_assert_eq!(back_seen.heap_bytes(), seen.heap_bytes());
             prop_assert_eq!(hdk_p2p::wire::encode(back), payload.clone());
         }
-        prop_assert_eq!(lookup.postings.as_bytes(), entry.postings.as_bytes());
-        prop_assert_eq!(lookup.postings.heap_bytes(), entry.postings.heap_bytes());
+        let (lookup, _) = KeyEntry::view(&flat, Shared::default()).postings_and_df();
+        prop_assert_eq!(lookup.as_bytes(), entry.postings.as_bytes());
+        prop_assert_eq!(lookup.heap_bytes(), entry.postings.heap_bytes());
     }
 
     /// Arbitrary garbage never panics either.

@@ -116,12 +116,57 @@ impl Block {
     }
 }
 
-/// A block's bytes as a store keeps them outside the block: a short
-/// block's bytes, copied back in when the block is rebuilt, or a long
+/// The one validator of untrusted blocks: `buf` must be exactly one framed
+/// block whose entries each carry `payloads` `u32` varints after their doc
+/// gap (2 for postings, 0 for a doc-set). Returns its count and max doc (0
+/// when empty); allocates nothing. A sealed read validates the doc-set it
+/// carries, which no lookup reads, so a doc-set's gaps are taken eight at
+/// a time while each is one byte, 1 to 127 documents apart.
+fn check_block(buf: &[u8], payloads: usize) -> Option<(u32, u32)> {
+    /// One past the largest document id.
+    const END: u64 = 1 << 32;
+    const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+    const BYTE_PAIRS: u64 = 0x00ff_00ff_00ff_00ff;
+    let mut pos = 0usize;
+    let count = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
+    // The sum of the gaps so far: one past the last document.
+    let (mut end, mut left) = (0u64, count);
+    while left > 0 {
+        let word = (buf.get(pos..pos + 8).filter(|_| payloads == 0 && left >= 8))
+            .and_then(|word| word.try_into().ok())
+            .map_or(HIGH_BITS, u64::from_le_bytes);
+        // No continuation bit and no zero byte: eight one-byte gaps.
+        if word & HIGH_BITS == 0
+            && word.wrapping_sub(0x0101_0101_0101_0101) & !word & HIGH_BITS == 0
+        {
+            let pairs = (word & BYTE_PAIRS) + (word >> 8 & BYTE_PAIRS);
+            end += pairs.wrapping_mul(0x0001_0001_0001_0001) >> 48;
+            (pos, left) = (pos + 8, left - 8);
+        } else {
+            // A gap beyond `END` cannot land on a u32 doc id; refusing it
+            // first keeps the sum from overflowing.
+            let gap = read_varint(buf, &mut pos).filter(|&gap| gap != 0 && gap <= END)?;
+            end += gap;
+            for _ in 0..payloads {
+                u32::try_from(read_varint(buf, &mut pos)?).ok()?;
+            }
+            left -= 1;
+        }
+        if end > END {
+            return None;
+        }
+    }
+    // Trailing garbage is corruption.
+    (pos == buf.len()).then_some((count, end.saturating_sub(1) as u32))
+}
+
+/// A block's bytes as a store keeps them outside the block: bytes that sit
+/// in the store's own record, copied when the block is rebuilt, or a long
 /// block's shared slice, rebuilt with a reference-count bump.
 #[derive(Clone, Copy, Debug)]
 pub enum StoredBlock<'a> {
-    /// At most [`INLINE_BYTES`] bytes.
+    /// Bytes in a record: at most [`INLINE_BYTES`] in a hot-tier record,
+    /// any number in a flat one (a sealed frame's or the wire's).
     Inline(&'a [u8]),
     /// More than [`INLINE_BYTES`] bytes.
     Shared(&'a Arc<[u8]>),
@@ -321,32 +366,19 @@ impl CompressedPostings {
     /// Returns `None` unless the *entire* buffer is one well-formed block:
     /// a decodable prefix followed by trailing garbage is rejected.
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let count = read_varint(buf, &mut pos)?;
-        let count = u32::try_from(count).ok()?;
-        let mut prev: i64 = -1;
-        for _ in 0..count {
-            let gap = read_varint(buf, &mut pos)?;
-            // Anything that cannot land on a u32 doc id is malformed; the
-            // bound check also keeps `prev + gap` inside i64 (a crafted
-            // near-u64::MAX gap must reject, not overflow).
-            if gap == 0 || gap > u64::from(u32::MAX) + 1 {
-                return None;
-            }
-            let doc = prev + gap as i64;
-            u32::try_from(doc).ok()?;
-            let _tf = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
-            let _doc_len = u32::try_from(read_varint(buf, &mut pos)?).ok()?;
-            prev = doc;
-        }
-        if pos != buf.len() {
-            return None; // trailing garbage
-        }
+        let (count, max_doc) = check_block(buf, 2)?;
         Some(Self {
             block: Block::new(buf),
             count,
-            max_doc: prev.max(0) as u32,
+            max_doc,
         })
+    }
+
+    /// Validates an encoded block without adopting it: its max doc (0 when
+    /// empty), or `None` for every buffer [`CompressedPostings::from_bytes`]
+    /// refuses.
+    pub fn check(buf: &[u8]) -> Option<u32> {
+        check_block(buf, 2).map(|(_, max_doc)| max_doc)
     }
 
     /// Number of postings — the stored document frequency. O(1).
@@ -725,29 +757,18 @@ impl CompressedDocSet {
     /// *entire* buffer must be one well-formed block; a decodable prefix
     /// followed by trailing garbage is rejected.
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
-        let mut pos = 0usize;
-        let count = read_varint(buf, &mut pos)?;
-        let count = u32::try_from(count).ok()?;
-        let mut prev: i64 = -1;
-        for _ in 0..count {
-            let gap = read_varint(buf, &mut pos)?;
-            // Same bound as the postings validator: a gap that cannot land
-            // on a u32 doc id must reject, not overflow `prev + gap`.
-            if gap == 0 || gap > u64::from(u32::MAX) + 1 {
-                return None;
-            }
-            let doc = prev + gap as i64;
-            u32::try_from(doc).ok()?;
-            prev = doc;
-        }
-        if pos != buf.len() {
-            return None; // trailing garbage
-        }
+        let (count, max_doc) = check_block(buf, 0)?;
         Some(Self {
             block: Block::new(buf),
             count,
-            max_doc: prev.max(0) as u32,
+            max_doc,
         })
+    }
+
+    /// Validates an encoded set without adopting it, like
+    /// [`CompressedPostings::check`].
+    pub fn check(buf: &[u8]) -> Option<u32> {
+        check_block(buf, 0).map(|(_, max_doc)| max_doc)
     }
 
     /// Streaming iteration, ascending.

@@ -113,6 +113,39 @@ fn reference_docset(docs: &BTreeSet<u32>) -> Vec<u8> {
     out
 }
 
+/// A doc-set's bytes validated one varint at a time: the count, then that
+/// many gaps — none zero, each landing on a `u32` doc id — and nothing
+/// after. Its max doc (0 when empty), or `None`.
+fn docset_max_doc_varint_by_varint(buf: &[u8]) -> Option<u32> {
+    let next = |pos: &mut usize| {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let byte = *buf.get(*pos)?;
+            *pos += 1;
+            if shift >= 64 {
+                return None;
+            }
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Some(v);
+            }
+            shift += 7;
+        }
+    };
+    let mut pos = 0;
+    let count = u32::try_from(next(&mut pos)?).ok()?;
+    let mut prev = -1i64;
+    for _ in 0..count {
+        let gap = next(&mut pos)?;
+        if gap == 0 || gap > 1 << 32 {
+            return None;
+        }
+        prev += gap as i64;
+        u32::try_from(prev).ok()?;
+    }
+    (pos == buf.len()).then_some(prev.max(0) as u32)
+}
+
 /// A block holds exactly `expected`, inline exactly when it fits, and
 /// re-adopting its bytes gives the same block.
 fn holds_block(block: &CompressedPostings, expected: &[u8]) -> Result<(), TestCaseError> {
@@ -244,6 +277,45 @@ proptest! {
         let all: Vec<u32> = set.iter().map(|d| d.0).collect();
         let expected: Vec<u32> = reference.iter().copied().collect();
         prop_assert_eq!(all, expected);
+    }
+
+    /// Doc-sets whose gaps are mostly one byte — what the validator takes
+    /// eight at a time — with zero, long and overflowing gaps, miscounts,
+    /// flipped and trailing bytes mixed in: the validator accepts exactly
+    /// what a reading one varint at a time accepts, with the same max doc.
+    #[test]
+    fn docset_validation_agrees_with_reading_varint_by_varint(seed in any::<u64>()) {
+        let mut state = seed;
+        let mut draw = move |n: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        };
+        let len = draw(60);
+        let mut raw = Vec::new();
+        leb128(&mut raw, len + u64::from(draw(8) == 0));
+        for _ in 0..len {
+            let gap = match draw(40) {
+                0 => 0,
+                1 => 128 + draw(100_000),
+                2 => (1 << 32) - draw(4),
+                3 => u64::MAX - draw(4),
+                _ => 1 + draw(127),
+            };
+            leb128(&mut raw, gap);
+        }
+        for _ in 0..draw(3) {
+            let i = draw(raw.len() as u64) as usize;
+            raw[i] ^= 1 + draw(255) as u8;
+        }
+        if draw(8) == 0 {
+            raw.push(draw(256) as u8);
+        }
+        let want = docset_max_doc_varint_by_varint(&raw);
+        prop_assert_eq!(CompressedDocSet::check(&raw), want);
+        prop_assert_eq!(CompressedDocSet::from_bytes(&raw).map(|s| s.max_doc()), want);
     }
 
     #[test]

@@ -73,9 +73,8 @@ use crate::gossip::{GossipConfig, GossipProbe, GossipRound, GossipState, PeerVie
 use crate::id::{hash_u64s, KeyHash, PeerId};
 use crate::pgrid::PGrid;
 use crate::replica::{Delivery, Membership, PeerState};
-use crate::store::{Record, RecoveryStats, SegmentStore, Slot, Store, TableBytes, Tier, WireCodec};
+use crate::store::{Record, RecoveryStats, SegmentStore, Slot, Store, TableBytes, Tier, Unweighed};
 use crate::transport::{MsgKind, TrafficMeter, TrafficSnapshot};
-use crate::wire::Wire;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -301,7 +300,7 @@ fn plan_missing<V>(
     slot.holders.sort_unstable();
 }
 
-impl<V: Record + Wire> Dht<V> {
+impl<V: Record> Dht<V> {
     /// Builds an empty unreplicated DHT (`R = 1`) over the overlay.
     pub fn new(overlay: Box<PGrid>) -> Self {
         Self::replicated(overlay, 1)
@@ -309,17 +308,15 @@ impl<V: Record + Wire> Dht<V> {
 
     /// Builds an empty DHT whose keys are placed on `replication` live
     /// peers each (primary + `R-1` walk successors), stored in memory: an
-    /// unbounded [`SegmentStore`] over the values' [`Wire`] encoding.
+    /// unbounded [`SegmentStore`].
     ///
     /// # Panics
     /// Panics when `replication` is zero.
     pub fn replicated(overlay: Box<PGrid>, replication: usize) -> Self {
-        let store = SegmentStore::ephemeral(WireCodec, u64::MAX);
+        let store = SegmentStore::ephemeral(Unweighed, u64::MAX);
         Self::with_store(overlay, replication, Box::new(store))
     }
-}
 
-impl<V: Record> Dht<V> {
     /// Builds an empty DHT over an explicit store (see [`crate::store`] —
     /// e.g. a budgeted [`SegmentStore`] for tiered, restartable storage).
     ///

@@ -1642,25 +1642,7 @@ mod tests {
     struct U32SetCodec;
 
     impl crate::store::StoreCodec<Vec<u32>> for U32SetCodec {
-        fn encode(&self, value: &Vec<u32>, out: &mut Vec<u8>) {
-            for v in value {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-
-        fn decode(&self, bytes: &[u8]) -> Option<Vec<u32>> {
-            if !bytes.len().is_multiple_of(4) {
-                return None;
-            }
-            Some(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-                    .collect(),
-            )
-        }
-
-        fn weight(&self, value: &Vec<u32>) -> u64 {
+        fn weight(&self, value: Vec<u32>) -> u64 {
             4 * value.len() as u64
         }
     }

@@ -15,11 +15,13 @@
 //!   checksummed frames ([`hdk_ir::segment`]) appended to per-`(peer,
 //!   stripe)` segment log files on disk, one frame per holding replica.
 //!   The sealed tier is a packed stripe table of where each sealed
-//!   entry's frames sit. Sealed entries are decoded on demand for reads
-//!   and sweeps — for a lookup ([`Store::get_many`]) only what a lookup
-//!   reads — and a sweep that changes a sealed value un-seals it back into
-//!   the hot tier (holder-only changes are written through to the logs
-//!   instead). The log is what makes peers *restartable*:
+//!   entry's frames sit. A frame's payload is the value's *flat* record —
+//!   its [`Record`] with every shared slice written inline — so a sealed
+//!   entry is validated ([`Record::check`]), then viewed for reads and
+//!   sweeps like a hot one, and materialized only where a caller needs a
+//!   whole [`Slot`]. A sweep that changes a sealed value un-seals it back
+//!   into the hot tier (holder-only changes are written through to the
+//!   logs instead). The log is what makes peers *restartable*:
 //!   [`Store::recover`] replays a restarting peer's files, discards
 //!   truncated/corrupt tails by checksum, and keeps exactly the copies
 //!   whose latest sealed frame matches the entry's current version. Every
@@ -38,11 +40,12 @@
 //! [`Store::get_many`], [`Store::scan_ref`] and the `pick` of
 //! [`Store::scan_mut`] hand out the value's borrowed view
 //! ([`Record::Ref`]), which trusts the store's own bytes; a sealed entry's
-//! view is that of the value decoded from its frame
-//! ([`Record::view_value`]). A callback that
-//! needs a whole [`Slot`] ([`Store::get`], [`Store::scan`], an upsert, the
-//! mutating sweeps) gets a fresh one materialized from the record, as
-//! sealed entries get one from their frame. A write that changes an entry
+//! view is the same view of its frame's flat record, once checked. A
+//! callback that needs a whole [`Slot`] ([`Store::get`], [`Store::scan`],
+//! an upsert, the mutating sweeps) gets a fresh one materialized from the
+//! record, as sealed entries get one from their flat record. A seal writes
+//! the flat record from the arena record and its shared slices
+//! ([`Record::put_flat`]), materializing nothing. A write that changes an entry
 //! appends its new record and counts the old bytes as dead — or, when the
 //! length matches, copies it over the old one; a write that changes
 //! nothing writes nothing. A stripe compacts its arena — live records
@@ -59,7 +62,7 @@
 //! it has written or replayed open for its whole life, as one `Segment`
 //! (the file plus its append offset) inside the stripe's state. A sealed
 //! read is one positional read (`read_exact_at`) into the reading
-//! thread's frame buffer, checked and decoded in place; a seal one
+//! thread's frame buffer, checked and viewed in place; a seal one
 //! positional write at the recorded tail, recovery replays and truncates
 //! through the same handle; every open goes through one function,
 //! `open_log`.
@@ -91,11 +94,10 @@
 //! walking it in key order keeps the seal queue, versions and file
 //! offsets canonical.
 
-use crate::wire::Wire;
 use hdk_ir::codec::{read_known_varint, write_varint};
 use hdk_ir::segment::{read_frame, write_frame, FrameRead, FRAME_HEADER_BYTES};
 use parking_lot::RwLock;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io;
@@ -121,8 +123,13 @@ pub struct Slot<V> {
     pub holders: Vec<u32>,
 }
 
-/// How a value lives in the hot tier: as the tail of its entry's record in
-/// the stripe's arena (see the module docs).
+/// How a value is stored (see the module docs). Its one encoder,
+/// [`Record::put_record`], writes the tail of its entry's record in the
+/// stripe's arena, naming the byte strings it shares, or — without a slab
+/// list — its *flat* record, every byte string inline: the payload of its
+/// sealed frames and of the wire. [`Record::check`] is the one validating
+/// reader of flat records: bytes from disk or the wire are read only once
+/// it accepted them.
 ///
 /// `from_record(put_record(v))` must reproduce `v` exactly, and
 /// `put_record` must be deterministic: the store compares a rewritten
@@ -133,25 +140,35 @@ pub trait Record: Sized + Send + Sync + 'static {
     /// to rebuild — the value itself.
     type Ref<'a>;
 
-    /// Appends the value's record bytes to `out`. A byte string worth
-    /// sharing rather than copying is pushed onto `shared` instead; the
-    /// record names it by its position there ([`Shared::get`]).
-    fn put_record(&self, out: &mut Vec<u8>, shared: &mut Vec<Arc<[u8]>>);
+    /// Appends the value's record bytes to `out`. With `shared`, a byte
+    /// string worth sharing rather than copying is pushed there instead,
+    /// and the record names it by its position ([`Shared::get`]); without,
+    /// it is written inline.
+    fn put_record(&self, out: &mut Vec<u8>, shared: Option<&mut Vec<Arc<[u8]>>>);
 
-    /// The value a record spells. The bytes are the store's own, written
-    /// by `put_record`: nothing is validated.
+    /// Appends the flat record of the value `record` and `shared` spell,
+    /// without materializing it. The default copies the record: right for
+    /// a value that shares nothing.
+    fn put_flat(record: &[u8], _shared: Shared<'_>, out: &mut Vec<u8>) {
+        out.extend_from_slice(record);
+    }
+
+    /// Whether `record` is a flat record `put_record(.., None)` writes.
+    /// Total: never panics, whatever the bytes.
+    fn check(record: &[u8]) -> bool;
+
+    /// The value a record spells: one the store wrote, or a flat record
+    /// [`Record::check`] accepted. Nothing is validated.
     fn from_record(record: &[u8], shared: Shared<'_>) -> Self;
 
     /// The view of a record that [`Record::Ref`] names.
     fn view<'a>(record: &'a [u8], shared: Shared<'a>) -> Self::Ref<'a>;
-
-    /// The same view of a value decoded from a sealed frame.
-    fn view_value(value: &Self) -> Self::Ref<'_>;
 }
 
 /// The shared byte strings one record names: the `i`-th slice its
-/// [`Record::put_record`] pushed is `get(i)`.
-#[derive(Clone, Copy)]
+/// [`Record::put_record`] pushed is `get(i)`. The default names none, as a
+/// flat record does.
+#[derive(Clone, Copy, Default)]
 pub struct Shared<'a> {
     slab: &'a [Option<Arc<[u8]>>],
     /// The record's slot numbers, `u32` LE each, in push order.
@@ -210,47 +227,22 @@ pub enum Tier {
     },
 }
 
-/// Value serialization for [`SegmentStore`]: how an entry's value becomes
-/// segment-frame payload bytes and how much hot-tier budget it occupies.
-///
-/// `encode` must be deterministic (the store compares re-encoded bytes to
-/// decide whether a sweep changed a sealed value) and `decode(encode(v))`
-/// must reproduce `v` exactly — sealing must be invisible to readers.
-pub trait StoreCodec<V>: Send + Sync {
-    /// Appends `value`'s canonical encoding to `out`.
-    fn encode(&self, value: &V, out: &mut Vec<u8>);
-    /// Decodes a payload produced by `encode`. `None` means the bytes are
-    /// not a well-formed encoding (treated as corruption by the store).
-    fn decode(&self, bytes: &[u8]) -> Option<V>;
-    /// Decodes what a lookup reads of a payload ([`Store::get_many`]):
-    /// a codec may leave the parts of the value no lookup reads empty,
-    /// but must accept and reject exactly the payloads `decode` does as
-    /// far as their bounds go. Defaults to the full [`StoreCodec::decode`].
-    fn decode_lookup(&self, bytes: &[u8]) -> Option<V> {
-        self.decode(bytes)
-    }
-    /// Hot-tier bytes one copy of `value` occupies — use the same measure
-    /// as the layer's resident-byte accounting so budget enforcement and
-    /// reporting agree.
-    fn weight(&self, value: &V) -> u64;
+/// How much of a [`SegmentStore`]'s hot-tier budget a value occupies.
+pub trait StoreCodec<V: Record>: Send + Sync {
+    /// Hot-tier bytes one copy of the value viewed occupies — use the same
+    /// measure as the layer's resident-byte accounting so budget
+    /// enforcement and reporting agree.
+    fn weight(&self, value: V::Ref<'_>) -> u64;
 }
 
-/// The codec of values whose byte form is their [`Wire`] encoding — what
-/// [`crate::Dht::new`] builds its unbounded store over. The weight is the
-/// encoded size.
-pub(crate) struct WireCodec;
+/// The codec of the unbounded store [`crate::Dht::new`] builds: nothing is
+/// weighed against its budget ([`SegmentStore`] asks an unbounded store's
+/// codec nothing), so every value weighs 0.
+pub(crate) struct Unweighed;
 
-impl<V: Wire> StoreCodec<V> for WireCodec {
-    fn encode(&self, value: &V, out: &mut Vec<u8>) {
-        value.put(out);
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Option<V> {
-        crate::wire::decode(bytes).ok()
-    }
-
-    fn weight(&self, value: &V) -> u64 {
-        crate::wire::encode(value).len() as u64
+impl<V: Record> StoreCodec<V> for Unweighed {
+    fn weight(&self, _: V::Ref<'_>) -> u64 {
+        0
     }
 }
 
@@ -262,9 +254,8 @@ pub trait Store<V: Record>: Send + Sync {
 
     /// Reads a batch of keys under **one** shared-lock acquisition,
     /// invoking `f(position, entry)` per key in input order — the lookup
-    /// path. A hot entry is read in place through its view; a sealed one
-    /// is decoded by [`StoreCodec::decode_lookup`], so its view may lack
-    /// what no lookup reads.
+    /// path. A hot entry is read in place through its view, a sealed one
+    /// through the view of its frame's flat record.
     fn get_many(&self, stripe: usize, keys: &[u64], f: &mut dyn FnMut(usize, Option<Found<'_, V>>));
 
     /// Merge-upsert: `default` builds a missing entry (value *and* initial
@@ -278,8 +269,8 @@ pub trait Store<V: Record>: Send + Sync {
     );
 
     /// Iterates every entry of the stripe, materialized (shared lock),
-    /// reporting each entry's current [`Tier`]. Sealed entries are
-    /// decoded on the fly.
+    /// reporting each entry's current [`Tier`]. Sealed entries are read
+    /// from their frames on the fly.
     fn scan(&self, stripe: usize, f: &mut dyn FnMut(u64, &Slot<V>, Tier));
 
     /// [`Store::scan`] through each entry's view: nothing is
@@ -688,6 +679,12 @@ impl<'a> Parts<'a> {
         &self.body[self.value_at..]
     }
 
+    /// The number of holders.
+    #[inline]
+    fn holder_count(self) -> usize {
+        varint(self.body, &mut 0) as usize
+    }
+
     /// Decodes the holder set into `out`.
     #[inline]
     fn holders_into(self, out: &mut Vec<u32>) {
@@ -769,7 +766,7 @@ fn put_body<V: Record>(out: &mut Vec<u8>, slot: &Slot<V>, shared: &mut Vec<Arc<[
     for &h in &slot.holders {
         write_varint(out, u64::from(h));
     }
-    slot.value.put_record(out, shared);
+    slot.value.put_record(out, Some(shared));
 }
 
 /// Ends the record that starts at `start` in `out`: parks the slices in
@@ -858,8 +855,9 @@ impl<V: Record> Hot<V> {
         }
     }
 
-    /// Stores `slot` under `key`, which must not be stored yet.
-    fn insert(&mut self, key: u64, slot: &Slot<V>) {
+    /// Stores `slot` under `key`, which must not be stored yet, and
+    /// returns its position.
+    fn insert(&mut self, key: u64, slot: &Slot<V>) -> u32 {
         self.reserve();
         let off = self.arena.len();
         let mut shared = Vec::new();
@@ -873,6 +871,7 @@ impl<V: Record> Hot<V> {
                 len: len as u32,
             },
         );
+        (self.rows.len() - 1) as u32
     }
 
     /// Replaces the record at `pos` by `slot`'s, unless it spells the
@@ -946,12 +945,13 @@ impl<V: Record> Hot<V> {
     /// rewritten when `f` changed it or removed when `f` returns `false`.
     /// A removal moves the last — not yet visited — entry into the current
     /// position, which is therefore visited next. Returns what `weigh`
-    /// makes of the chosen entries before `f` ran and of those kept after.
+    /// makes of the chosen entries' positions before `f` ran and of those
+    /// kept after.
     fn sweep(
         &mut self,
         pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
         f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
-        weigh: &dyn Fn(&Slot<V>) -> u64,
+        weigh: &dyn Fn(&Self, u32) -> u64,
     ) -> (u64, u64) {
         let (mut before, mut after) = (0, 0);
         let mut pos = 0u32;
@@ -962,10 +962,10 @@ impl<V: Record> Hot<V> {
                 continue;
             }
             let mut slot = self.slot(pos, Vec::new());
-            before += weigh(&slot);
+            before += weigh(self, pos);
             if f(key, &mut slot) {
-                after += weigh(&slot);
                 self.write(pos, &slot);
+                after += weigh(self, pos);
                 pos += 1;
             } else {
                 self.remove_at(pos);
@@ -993,7 +993,7 @@ thread_local! {
 // ---------------------------------------------------------------------------
 
 /// Entry payload header inside a segment frame: the key hash and the
-/// entry's seal version, both `u64` LE, preceding the codec's value bytes.
+/// entry's seal version, both `u64` LE, preceding the value's flat record.
 const ENTRY_HEADER_BYTES: usize = 16;
 
 /// Bytes of [`LOG_HEADER`].
@@ -1001,14 +1001,15 @@ const LOG_HEADER_BYTES: usize = 8;
 
 /// The first bytes of every non-empty segment log: the magic `HDKSEG` and
 /// the log format's version, `u16` LE. Version 2 frames carry the
-/// word-wide checksum; the logs of earlier builds (FNV-1a frames) have no
-/// header, and recovery refuses them instead of reading every frame as
-/// corrupt and truncating the log to nothing. The header belongs to the
-/// file, not to an entry: [`Store::disk_bytes`] does not count it.
-const LOG_HEADER: [u8; LOG_HEADER_BYTES] = *b"HDKSEG\x02\x00";
+/// word-wide checksum; version 3 frames carry the value's flat record.
+/// The logs of the earliest builds (FNV-1a frames) have no header. A log
+/// of another format is refused, not read: read as this one, every frame
+/// would be corrupt and the log truncated to nothing. The header belongs
+/// to the file, not to an entry: [`Store::disk_bytes`] does not count it.
+const LOG_HEADER: [u8; LOG_HEADER_BYTES] = *b"HDKSEG\x03\x00";
 
 /// The frame that seals an entry: the payload is `[key][version]` plus
-/// the value bytes `value` appends.
+/// the flat record `value` appends.
 fn entry_frame(key: u64, version: u64, value: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
     let mut payload = Vec::with_capacity(ENTRY_HEADER_BYTES + 64);
     payload.extend_from_slice(&key.to_le_bytes());
@@ -1121,14 +1122,21 @@ fn out_of_descriptors(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(ENFILE | EMFILE))
 }
 
-/// The error for a non-empty log that does not start with [`LOG_HEADER`]:
-/// an earlier build's log, which this one neither reads nor writes.
-fn foreign_log(dir: &Path, peer: u32, stripe: usize) -> io::Error {
+/// The error for a non-empty log that does not start with [`LOG_HEADER`]
+/// but with `head`: another build's log, which this one neither reads nor
+/// writes. It names the format it found.
+fn foreign_log(dir: &Path, peer: u32, stripe: usize, head: &[u8]) -> io::Error {
+    let found = match head.strip_prefix(&LOG_HEADER[..6]) {
+        Some(&[lo, hi]) => format!("format version {}", u16::from_le_bytes([lo, hi])),
+        _ => "no log header".to_string(),
+    };
+    let ours = u16::from_le_bytes([LOG_HEADER[6], LOG_HEADER[7]]);
     io::Error::new(
         io::ErrorKind::InvalidData,
         format!(
-            "{}/peer-{peer}/stripe-{stripe}.seg is a segment log of an earlier \
-             format (no log header); move it away to rebuild here",
+            "{}/peer-{peer}/stripe-{stripe}.seg is a segment log of another \
+             format ({found}; this build reads version {ours}); move it away \
+             to rebuild here",
             dir.display()
         ),
     )
@@ -1197,8 +1205,10 @@ impl<V: Record> SegStripe<V> {
 }
 
 thread_local! {
-    /// This thread's frame buffer for sealed reads, reused read to read.
-    static FRAME_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// This thread's frame buffer for sealed reads, reused read to read. A
+    /// read nested in another's callback finds it taken and starts an
+    /// empty one.
+    static FRAME_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
 }
 
 /// A thread's frame buffer grown past this is released after the read:
@@ -1358,7 +1368,7 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         let head = &mut head[..len.min(LOG_HEADER_BYTES as u64) as usize];
         file.read_exact_at(head, 0)?;
         if *head != LOG_HEADER[..head.len()] {
-            return Err(foreign_log(self.log_dir(false)?, peer, stripe));
+            return Err(foreign_log(self.log_dir(false)?, peer, stripe, head));
         }
         let keep = self.keep_handles.load(Ordering::Relaxed);
         Ok(Segment {
@@ -1418,24 +1428,25 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         offset
     }
 
-    /// Reads a sealed entry's current frame into `buf` — one positional
-    /// read — verifies it in place and returns what `decode` makes of its
-    /// value bytes. Falls back across replicas: a copy that cannot be
-    /// read, fails its checksum, carries another key or version, or does
-    /// not decode is skipped and the next holder's copy is tried.
-    fn decode_sealed<R>(
+    /// Reads a sealed entry's current frame into this thread's frame
+    /// buffer — one positional read — verifies it in place and hands `f`
+    /// its value's flat record. Falls back across replicas: a copy that
+    /// cannot be read, fails its checksum, carries another key or version,
+    /// or holds a record [`Record::check`] refuses is skipped and the next
+    /// holder's copy is tried.
+    fn read_sealed<R>(
         &self,
         segments: &HashMap<u32, Segment>,
         stripe: usize,
         key: u64,
         entry: &SealedEntry,
-        buf: &mut Vec<u8>,
-        mut decode: impl FnMut(&[u8]) -> Option<R>,
+        f: impl FnOnce(&[u8]) -> R,
     ) -> R {
         let frame_len = entry.frame_len() as usize;
         let mut want = [0u8; ENTRY_HEADER_BYTES];
         want[..8].copy_from_slice(&key.to_le_bytes());
         want[8..].copy_from_slice(&entry.version.to_le_bytes());
+        let mut buf = FRAME_BUF.take();
         for r in entry.refs.as_slice() {
             let Some(seg) = segments.get(&r.peer) else {
                 continue;
@@ -1443,19 +1454,21 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
             buf.clear();
             buf.resize(frame_len, 0);
             let read = self.with_file(seg, stripe, r.peer, |file| {
-                file.read_exact_at(buf, r.offset)
+                file.read_exact_at(&mut buf, r.offset)
             });
             if read.is_err() {
                 continue;
             }
-            let FrameRead::Frame { payload, end } = read_frame(buf, 0) else {
+            let FrameRead::Frame { payload, end } = read_frame(&buf, 0) else {
                 continue;
             };
             match payload.split_first_chunk::<ENTRY_HEADER_BYTES>() {
-                Some((head, value)) if end == frame_len && *head == want => {
-                    if let Some(out) = decode(value) {
-                        return out;
+                Some((head, value)) if end == frame_len && *head == want && V::check(value) => {
+                    let out = f(value);
+                    if buf.capacity() <= KEPT_FRAME_BUF_BYTES {
+                        FRAME_BUF.set(buf);
                     }
+                    return out;
                 }
                 _ => {}
             }
@@ -1467,46 +1480,52 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         );
     }
 
-    /// A sealed entry's value, read through this thread's frame buffer:
-    /// decoded in full, or — for a lookup — by
-    /// [`StoreCodec::decode_lookup`].
-    fn read_sealed(
+    /// A sealed entry's value, materialized from its flat record.
+    fn sealed_value(
         &self,
         segments: &HashMap<u32, Segment>,
         stripe: usize,
         key: u64,
         entry: &SealedEntry,
-        lookup: bool,
     ) -> V {
-        FRAME_BUF.with_borrow_mut(|buf| {
-            let value = self.decode_sealed(segments, stripe, key, entry, buf, |bytes| {
-                if lookup {
-                    self.codec.decode_lookup(bytes)
-                } else {
-                    self.codec.decode(bytes)
-                }
-            });
-            if buf.capacity() > KEPT_FRAME_BUF_BYTES {
-                *buf = Vec::new();
-            }
-            value
+        self.read_sealed(segments, stripe, key, entry, |flat| {
+            V::from_record(flat, Shared::default())
         })
     }
 
-    /// A sealed entry as a slot: its value (see [`Self::read_sealed`])
-    /// and the holder set its refs spell.
+    /// A sealed entry as a slot: its value and the holder set its refs
+    /// spell.
     fn sealed_slot(
         &self,
         st: &SegStripe<V>,
         stripe: usize,
         key: u64,
         entry: &SealedEntry,
-        lookup: bool,
     ) -> Slot<V> {
         Slot {
-            value: self.read_sealed(&st.segments, stripe, key, entry, lookup),
+            value: self.sealed_value(&st.segments, stripe, key, entry),
             holders: entry.holders(),
         }
+    }
+
+    /// Hands `f` a sealed entry's view: its flat record's, beside the
+    /// holder set its refs spell, decoded into `holders`' buffer.
+    fn sealed_found(
+        &self,
+        st: &SegStripe<V>,
+        stripe: usize,
+        key: u64,
+        entry: &SealedEntry,
+        holders: &mut Vec<u32>,
+        f: impl FnOnce(Found<'_, V>),
+    ) {
+        entry.holders_into(holders);
+        self.read_sealed(&st.segments, stripe, key, entry, |flat| {
+            f(Found {
+                holders,
+                value: V::view(flat, Shared::default()),
+            })
+        });
     }
 
     /// Hands `f` a key that is not hot: its sealed slot (see
@@ -1521,14 +1540,13 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         f: &mut dyn FnMut(Option<&Slot<V>>),
     ) {
         match st.sealed.get(key) {
-            Some(entry) => f(Some(&self.sealed_slot(st, stripe, key, entry, false))),
+            Some(entry) => f(Some(&self.sealed_slot(st, stripe, key, entry))),
             None => f(None),
         }
     }
 
-    /// [`Self::read_cold`] for a lookup, through the view of the value
-    /// [`StoreCodec::decode_lookup`] reads; the holder set reuses
-    /// `holders`' buffer.
+    /// [`Self::read_cold`] for a lookup, through the entry's view (see
+    /// [`Self::sealed_found`]).
     #[inline(never)]
     fn read_cold_ref(
         &self,
@@ -1538,19 +1556,12 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         holders: &mut Vec<u32>,
         f: &mut dyn FnMut(Option<Found<'_, V>>),
     ) {
-        let Some(entry) = st.sealed.get(key) else {
-            return f(None);
-        };
-        entry.holders_into(holders);
-        let slot = Slot {
-            value: self.read_sealed(&st.segments, stripe, key, entry, true),
-            holders: std::mem::take(holders),
-        };
-        f(Some(Found {
-            holders: &slot.holders,
-            value: V::view_value(&slot.value),
-        }));
-        *holders = slot.holders;
+        match st.sealed.get(key) {
+            Some(entry) => {
+                self.sealed_found(st, stripe, key, entry, holders, |found| f(Some(found)))
+            }
+            None => f(None),
+        }
     }
 
     /// Recovery's phase 1 for one log: reads it front to back through its
@@ -1628,27 +1639,31 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         Ok(latest)
     }
 
-    /// Seals one hot entry: appends its frame to every holder's log and
-    /// moves it to the sealed tier under the stripe's next version.
+    /// Seals one hot entry: appends its frame — the flat record written
+    /// from its arena record — to every holder's log and moves it to the
+    /// sealed tier under the stripe's next version.
     fn seal(&self, st: &mut SegStripe<V>, stripe: usize, key: u64) {
         let Some(pos) = st.hot.find(key) else {
             return;
         };
-        let slot = st.hot.slot(pos, Vec::new());
-        st.hot.remove_at(pos);
         st.seals += 1;
         let version = st.seals;
-        let frame = entry_frame(key, version, |out| self.codec.encode(&slot.value, out));
-        let refs: Vec<FrameRef> = slot
-            .holders
+        let (_, parts) = st.hot.at(pos);
+        let mut holders = Vec::new();
+        parts.holders_into(&mut holders);
+        let frame = entry_frame(key, version, |out| {
+            V::put_flat(parts.value(), st.hot.slab.shared(parts), out)
+        });
+        st.hot_weight -= self.weight(&st.hot, pos);
+        st.hot.remove_at(pos);
+        let refs: Vec<FrameRef> = holders
             .iter()
             .map(|&peer| FrameRef {
                 peer,
                 offset: self.append(st, stripe, peer, &frame),
             })
             .collect();
-        st.disk_bytes += frame.len() as u64 * slot.holders.len() as u64;
-        st.hot_weight -= self.weight(&slot);
+        st.disk_bytes += frame.len() as u64 * holders.len() as u64;
         st.sealed.insert(
             key,
             SealedEntry {
@@ -1671,15 +1686,16 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
-    /// Moves a decoded sealed entry into the hot tier (its stale frames
-    /// are dropped from the live accounting; compaction reclaims them).
+    /// Moves a materialized sealed entry into the hot tier (its stale
+    /// frames are dropped from the live accounting; compaction reclaims
+    /// them).
     fn unseal(&self, st: &mut SegStripe<V>, key: u64, mut slot: Slot<V>) {
         if let Some(entry) = st.sealed.remove(key) {
             st.disk_bytes -= entry.frame_len() * entry.refs.as_slice().len() as u64;
         }
         slot.holders.sort_unstable();
-        st.hot_weight += self.weight(&slot);
-        st.hot.insert(key, &slot);
+        let pos = st.hot.insert(key, &slot);
+        st.hot_weight += self.weight(&st.hot, pos);
         self.queue(st, key);
     }
 
@@ -1691,14 +1707,15 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
-    /// Hot-tier bytes a slot occupies: its value's weight per holder. An
-    /// unbounded store measures nothing against its budget, so there every
-    /// slot weighs 0.
-    fn weight(&self, slot: &Slot<V>) -> u64 {
+    /// Hot-tier bytes the hot entry at `pos` occupies: its value's weight
+    /// per holder. An unbounded store measures nothing against its budget,
+    /// so there every entry weighs 0.
+    fn weight(&self, hot: &Hot<V>, pos: u32) -> u64 {
         if self.unbounded() {
             return 0;
         }
-        self.codec.weight(&slot.value) * slot.holders.len() as u64
+        let (_, parts) = hot.at(pos);
+        self.codec.weight(hot.view(parts)) * parts.holder_count() as u64
     }
 
     /// Runs a mutating callback on a sealed entry, if `pick` chooses it by
@@ -1718,26 +1735,23 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
             return;
         };
         let (version, frame_len, held) = (entry.version, entry.frame_len(), entry.holders());
-        let (value, bytes) =
-            self.decode_sealed(&st.segments, stripe, key, entry, &mut Vec::new(), |bytes| {
-                Some((self.codec.decode(bytes)?, bytes.to_vec()))
-            });
-        let mut slot = Slot {
-            value,
-            holders: held.clone(),
-        };
-        if !pick(V::view_value(&slot.value)) {
+        let flat = self.read_sealed(&st.segments, stripe, key, entry, <[u8]>::to_vec);
+        if !pick(V::view(&flat, Shared::default())) {
             return;
         }
+        let mut slot = Slot {
+            value: V::from_record(&flat, Shared::default()),
+            holders: held.clone(),
+        };
         if !f(key, &mut slot) {
             if let Some(entry) = st.sealed.remove(key) {
                 st.disk_bytes -= frame_len * entry.refs.as_slice().len() as u64;
             }
             return;
         }
-        let mut reencoded = Vec::with_capacity(bytes.len());
-        self.codec.encode(&slot.value, &mut reencoded);
-        if reencoded != bytes {
+        let mut reflat = Vec::with_capacity(flat.len());
+        slot.value.put_record(&mut reflat, None);
+        if reflat != flat {
             self.unseal(st, key, slot);
             return;
         }
@@ -1763,7 +1777,7 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
             .filter(|p| held.binary_search(p).is_err())
             .collect();
         if !added.is_empty() {
-            let frame = entry_frame(key, version, |out| out.extend_from_slice(&bytes));
+            let frame = entry_frame(key, version, |out| out.extend_from_slice(&flat));
             for peer in added {
                 let offset = self.append(st, stripe, peer, &frame);
                 refs.push(FrameRef { peer, offset });
@@ -1794,7 +1808,7 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
         f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
     ) {
-        let (before, after) = st.hot.sweep(pick, f, &|slot| self.weight(slot));
+        let (before, after) = st.hot.sweep(pick, f, &|hot, pos| self.weight(hot, pos));
         st.hot_weight = st.hot_weight + after - before;
     }
 }
@@ -1842,15 +1856,15 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         let st = &mut *guard;
         if let Some(entry) = st.sealed.get(key) {
             // An upsert always merges content: un-seal, then update hot.
-            let mut slot = self.sealed_slot(st, stripe, key, entry, false);
+            let mut slot = self.sealed_slot(st, stripe, key, entry);
             update(&mut slot);
             self.unseal(st, key, slot);
         } else if let Some(pos) = st.hot.find(key) {
             let mut slot = st.hot.slot(pos, HOLDERS.take());
-            let before = self.weight(&slot);
+            let before = self.weight(&st.hot, pos);
             update(&mut slot);
-            st.hot_weight = st.hot_weight - before + self.weight(&slot);
             st.hot.write(pos, &slot);
+            st.hot_weight = st.hot_weight - before + self.weight(&st.hot, pos);
             HOLDERS.set(slot.holders);
         } else {
             let mut slot = default();
@@ -1859,8 +1873,8 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 slot.holders.clear();
             }
             update(&mut slot);
-            st.hot_weight += self.weight(&slot);
-            st.hot.insert(key, &slot);
+            let pos = st.hot.insert(key, &slot);
+            st.hot_weight += self.weight(&st.hot, pos);
             self.queue(st, key);
             HOLDERS.set(slot.holders);
         }
@@ -1877,7 +1891,7 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         }
         for key in Self::sealed_keys(&st) {
             if let Some(entry) = st.sealed.get(key) {
-                let slot = self.sealed_slot(&st, stripe, key, entry, false);
+                let slot = self.sealed_slot(&st, stripe, key, entry);
                 let frame_bytes = entry.frame_len();
                 f(key, &slot, Tier::Sealed { frame_bytes });
             }
@@ -1893,13 +1907,12 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         }
         for key in Self::sealed_keys(&st) {
             if let Some(entry) = st.sealed.get(key) {
-                let slot = self.sealed_slot(&st, stripe, key, entry, false);
-                let frame_bytes = entry.frame_len();
-                let found = Found {
-                    holders: &slot.holders,
-                    value: V::view_value(&slot.value),
+                let tier = Tier::Sealed {
+                    frame_bytes: entry.frame_len(),
                 };
-                f(key, found, Tier::Sealed { frame_bytes });
+                self.sealed_found(&st, stripe, key, entry, &mut holders, |found| {
+                    f(key, found, tier)
+                });
             }
         }
     }
@@ -2033,13 +2046,13 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 if entry.refs.as_slice().is_empty() {
                     // Every replica's frame is gone: the value is
                     // unrecoverable, so the damage is sized by its sealed
-                    // payload (it cannot be decoded to count postings).
+                    // payload (it cannot be read to count postings).
                     st.sealed.remove(key);
                     stats.keys_lost += 1;
                     stats.bytes_lost += frame_len - FRAME_HEADER_BYTES as u64;
                 } else if recovered > 0 {
-                    let value = self.read_sealed(&st.segments, stripe, key, entry, false);
-                    let (postings, _) = volume(&value);
+                    let (postings, _) =
+                        volume(&self.sealed_value(&st.segments, stripe, key, entry));
                     stats.postings_recovered += postings * recovered;
                 }
             }
@@ -2089,8 +2102,7 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 refs: Refs::from(refs),
             };
             let replicas = entry.refs.as_slice().len() as u64;
-            let value = self.read_sealed(&st.segments, stripe, key, &entry, false);
-            let (postings, _) = volume(&value);
+            let (postings, _) = volume(&self.sealed_value(&st.segments, stripe, key, &entry));
             stats.copies_recovered += replicas;
             stats.postings_recovered += postings * replicas;
             st.disk_bytes += entry.frame_len() * replicas;
@@ -2117,31 +2129,20 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
 mod tests {
     use super::*;
 
-    /// Test codec: a `Vec<u32>` as its LE byte concatenation.
+    /// Test codec: a `Vec<u32>` weighs 4 bytes an element. Its record is
+    /// its wire encoding, `[count: u32][elements: u32 each]`.
     struct VecCodec;
 
     impl StoreCodec<Vec<u32>> for VecCodec {
-        fn encode(&self, value: &Vec<u32>, out: &mut Vec<u8>) {
-            for x in value {
-                out.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-
-        fn decode(&self, bytes: &[u8]) -> Option<Vec<u32>> {
-            if !bytes.len().is_multiple_of(4) {
-                return None;
-            }
-            Some(
-                bytes
-                    .chunks_exact(4)
-                    .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                    .collect(),
-            )
-        }
-
-        fn weight(&self, value: &Vec<u32>) -> u64 {
+        fn weight(&self, value: Vec<u32>) -> u64 {
             4 * value.len() as u64
         }
+    }
+
+    /// Payload bytes of a sealed `Vec<u32>` of `n` elements: the entry
+    /// header and the record.
+    fn payload_bytes(n: usize) -> usize {
+        ENTRY_HEADER_BYTES + 4 + 4 * n
     }
 
     fn seg(hot_bytes: u64) -> SegmentStore<Vec<u32>, VecCodec> {
@@ -2273,7 +2274,7 @@ mod tests {
         assert_eq!(read_value(&store, 1, 10), Some(vec![1, 2, 3]));
         assert!(matches!(tier_of(&store, 1, 10), Some(Tier::Sealed { .. })));
         // Two replicas, one frame each, on disk.
-        let frame = FRAME_HEADER_BYTES as u64 + ENTRY_HEADER_BYTES as u64 + 12;
+        let frame = (FRAME_HEADER_BYTES + payload_bytes(3)) as u64;
         assert_eq!(store.disk_bytes(1), 2 * frame);
         // A further upsert un-seals, merges, and re-seals under a bumped
         // version; the value stays correct throughout.
@@ -2369,20 +2370,12 @@ mod tests {
         assert_eq!(holders, vec![0, 1]);
     }
 
-    /// Identity codec: the value *is* its encoded bytes. Used to pin that
-    /// sealed payloads are opaque to the store.
+    /// A byte string weighs its length. Used to pin that sealed payloads
+    /// are opaque to the store.
     struct RawCodec;
 
     impl StoreCodec<Vec<u8>> for RawCodec {
-        fn encode(&self, value: &Vec<u8>, out: &mut Vec<u8>) {
-            out.extend_from_slice(value);
-        }
-
-        fn decode(&self, bytes: &[u8]) -> Option<Vec<u8>> {
-            Some(bytes.to_vec())
-        }
-
-        fn weight(&self, value: &Vec<u8>) -> u64 {
+        fn weight(&self, value: Vec<u8>) -> u64 {
             value.len() as u64
         }
     }
@@ -2513,7 +2506,7 @@ mod tests {
         // — otherwise the next append would sit behind garbage, away from
         // the offset the store records for it.
         let mut log = std::fs::read(&path).unwrap();
-        let intact = log.len() as u64 - (FRAME_HEADER_BYTES + ENTRY_HEADER_BYTES + 4) as u64;
+        let intact = log.len() as u64 - (FRAME_HEADER_BYTES + payload_bytes(1)) as u64;
         *log.last_mut().unwrap() ^= 0x10;
         std::fs::write(&path, &log).unwrap();
         let mut flipped = RecoveryStats::default();
@@ -2709,7 +2702,12 @@ mod tests {
             FrameRead::Frame { payload, end } => {
                 assert_eq!(end, raw.len());
                 assert_eq!(payload[0..8], 99u64.to_le_bytes());
-                assert_eq!(VecCodec.decode(&payload[16..]), Some(vec![1, 2, 3]));
+                let record = &payload[ENTRY_HEADER_BYTES..];
+                assert!(Vec::<u32>::check(record));
+                assert_eq!(
+                    Vec::<u32>::from_record(record, Shared::default()),
+                    [1, 2, 3]
+                );
             }
             other => panic!("expected one intact frame, got {other:?}"),
         }
@@ -2731,46 +2729,99 @@ mod tests {
     fn an_earlier_format_log_is_refused_and_left_untouched() {
         let scratch = tempfile::tempdir().unwrap();
         let dir = scratch.path().to_path_buf();
-        let path = dir.join("peer-0").join("stripe-3.seg");
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        let mut old = Vec::new();
-        for key in [5u64, 6] {
+        let frame_payload = |key: u64| {
             let mut payload = key.to_le_bytes().to_vec();
             payload.extend_from_slice(&1u64.to_le_bytes());
-            VecCodec.encode(&vec![key as u32], &mut payload);
-            old.extend(fnv_frame(&payload));
+            payload.extend_from_slice(&crate::wire::encode(&vec![key as u32]));
+            payload
+        };
+        // Stripe 3: the earliest format, no log header and FNV-1a frames.
+        // Stripe 4: format 2, the header and today's framer, an earlier
+        // payload.
+        let mut logs = Vec::new();
+        for (stripe, header) in [(3, &b""[..]), (4, &b"HDKSEG\x02\x00"[..])] {
+            let path = dir.join("peer-0").join(format!("stripe-{stripe}.seg"));
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            let mut old = header.to_vec();
+            for key in [5u64, 6] {
+                if header.is_empty() {
+                    old.extend(fnv_frame(&frame_payload(key)));
+                } else {
+                    write_frame(&mut old, &frame_payload(key)).unwrap();
+                }
+            }
+            std::fs::write(&path, &old).unwrap();
+            logs.push((stripe, path, old));
         }
-        std::fs::write(&path, &old).unwrap();
         let store = SegmentStore::at_dir(VecCodec, dir, 0);
-        let mut stats = RecoveryStats::default();
-        store.recover(
-            3,
-            &[0],
-            &mut |v| (v.len() as u64, 4 * v.len() as u64),
-            &mut stats,
-        );
-        assert_eq!(stats.logs_refused, 1);
-        assert_eq!(
-            (stats.frames_replayed, stats.frames_discarded),
-            (0, 0),
-            "no frame of the refused log was read as corrupt"
-        );
-        assert_eq!(stats.copies_recovered, 0);
-        assert_eq!(store.len(3), 0);
-        assert_eq!(
-            std::fs::read(&path).unwrap(),
-            old,
-            "the log is byte-for-byte intact"
-        );
-        // Nor is it written to: a seal into it fails loudly.
-        let sealed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            insert(&store, 3, 7, &[7], &[0]);
-        }));
-        assert!(
-            sealed.is_err(),
-            "an append into the refused log went through"
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), old);
+        for (stripe, path, old) in &logs {
+            let mut stats = RecoveryStats::default();
+            store.recover(
+                *stripe,
+                &[0],
+                &mut |v| (v.len() as u64, 4 * v.len() as u64),
+                &mut stats,
+            );
+            assert_eq!(stats.logs_refused, 1);
+            assert_eq!(
+                (stats.frames_replayed, stats.frames_discarded),
+                (0, 0),
+                "no frame of the refused log was read as corrupt"
+            );
+            assert_eq!(stats.copies_recovered, 0);
+            assert_eq!(store.len(*stripe), 0);
+            assert_eq!(
+                &std::fs::read(path).unwrap(),
+                old,
+                "the log is byte-for-byte intact"
+            );
+            // Nor is it written to: a seal into it fails loudly, naming
+            // the format it found.
+            let sealed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                insert(&store, *stripe, 7, &[7], &[0]);
+            }));
+            let message = sealed.expect_err("an append into the refused log went through");
+            let message = message.downcast::<String>().expect("a formatted panic");
+            let found = match stripe {
+                3 => "(no log header; this build reads version 3)",
+                _ => "(format version 2; this build reads version 3)",
+            };
+            assert!(message.contains(found), "{message}");
+            assert_eq!(&std::fs::read(path).unwrap(), old);
+        }
+    }
+
+    #[test]
+    fn a_malformed_record_under_a_valid_checksum_falls_back_to_the_next_replica() {
+        let store = seg(0);
+        insert(&store, 0, 8, &[3, 4], &[0, 1]);
+        // Peer 0's frame, the first tried: its record claims a third
+        // element, under a checksum recomputed to match.
+        let path = segment_path(&store, 0, 0);
+        let log = std::fs::read(&path).unwrap();
+        let FrameRead::Frame { payload, end } = read_frame(&log, LOG_HEADER_BYTES) else {
+            panic!("one intact frame");
+        };
+        assert_eq!(end, log.len());
+        let mut payload = payload.to_vec();
+        payload[ENTRY_HEADER_BYTES] += 1;
+        assert!(!Vec::<u32>::check(&payload[ENTRY_HEADER_BYTES..]));
+        let mut forged = LOG_HEADER.to_vec();
+        write_frame(&mut forged, &payload).unwrap();
+        assert_eq!(forged.len(), log.len());
+        std::fs::write(&path, &forged).unwrap();
+        assert_eq!(read_value(&store, 0, 8), Some(vec![3, 4]));
+        let mut looked_up = None;
+        store.get_many(0, &[8], &mut |_, found| {
+            looked_up = found.map(|f| (f.value, f.holders.to_vec()));
+        });
+        assert_eq!(looked_up, Some((vec![3, 4], vec![0, 1])));
+        // With peer 1's frame forged too, no replica is readable: the read
+        // fails loudly rather than serve a value no upsert wrote.
+        std::fs::write(segment_path(&store, 1, 0), &forged).unwrap();
+        let read =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read_value(&store, 0, 8)));
+        assert!(read.is_err(), "a malformed record was served");
     }
 
     #[test]
@@ -2793,7 +2844,7 @@ mod tests {
             let log = std::fs::read(dir.join("peer-0").join(format!("stripe-{stripe}.seg")));
             let log = log.unwrap();
             assert_eq!(log[..LOG_HEADER_BYTES], LOG_HEADER);
-            let frame = FRAME_HEADER_BYTES + ENTRY_HEADER_BYTES + 8;
+            let frame = FRAME_HEADER_BYTES + payload_bytes(2);
             assert_eq!(log.len(), LOG_HEADER_BYTES + frame);
             assert_eq!(
                 store.disk_bytes(stripe),

@@ -34,7 +34,7 @@ use crate::id::{KeyHash, PeerId};
 use crate::store::RecoveryStats;
 use crate::transport::{KindSnapshot, LatencyHistogram, TrafficSnapshot, NUM_KINDS};
 use hdk_ir::segment::{self, FrameHeader, FrameRead, FRAME_HEADER_BYTES};
-use hdk_ir::{CompressedDocSet, CompressedPostings};
+use hdk_ir::CompressedPostings;
 use std::io::{Read, Write};
 
 /// Hard upper bound on a single frame's payload (256 MiB). Far above any
@@ -254,23 +254,24 @@ pub fn decode<T: Wire>(payload: &[u8]) -> WireResult<T> {
     Ok(value)
 }
 
-/// Values whose hot-tier record is their wire encoding — the integers
-/// and sequences a DHT over plain values stores; their view is the value.
+/// Values whose record — hot-tier and flat alike — is their wire encoding:
+/// the integers and sequences a DHT over plain values stores; their view is
+/// the value.
 macro_rules! wire_records {
     ($($ty:ty),*) => {$(
         impl crate::store::Record for $ty {
             type Ref<'a> = $ty;
-            fn put_record(&self, out: &mut Vec<u8>, _: &mut Vec<std::sync::Arc<[u8]>>) {
+            fn put_record(&self, out: &mut Vec<u8>, _: Option<&mut Vec<std::sync::Arc<[u8]>>>) {
                 self.put(out);
             }
+            fn check(record: &[u8]) -> bool {
+                decode::<Self>(record).is_ok()
+            }
             fn from_record(record: &[u8], _: crate::store::Shared<'_>) -> Self {
-                decode(record).expect("a record the store wrote decodes")
+                decode(record).expect("a record the store wrote or checked decodes")
             }
             fn view<'a>(record: &'a [u8], shared: crate::store::Shared<'a>) -> Self {
                 Self::from_record(record, shared)
-            }
-            fn view_value(value: &Self) -> Self {
-                value.clone()
             }
         }
     )*};
@@ -472,23 +473,19 @@ impl<T: Wire> Wire for Box<T> {
     }
 }
 
-/// A posting block or doc-set travels as its own validated framing,
-/// length-prefixed; decoding copies it once, into the block itself when it
-/// fits inline and into one allocation otherwise.
-macro_rules! wire_block {
-    ($($block:ty),*) => {$(
-        impl Wire for $block {
-            const MIN_BYTES: usize = 4;
-            fn put(&self, buf: &mut Vec<u8>) {
-                put_bytes(buf, self.as_bytes());
-            }
-            fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
-                <$block>::from_bytes(r.bytes()?).ok_or(WireError::Corrupt)
-            }
-        }
-    )*};
+/// A posting block travels as its own validated framing, length-prefixed;
+/// decoding copies it once, into the block itself when it fits inline and
+/// into one allocation otherwise. (A doc-set travels only inside a stored
+/// entry's flat record.)
+impl Wire for CompressedPostings {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+    fn get(r: &mut WireReader<'_>) -> WireResult<Self> {
+        CompressedPostings::from_bytes(r.bytes()?).ok_or(WireError::Corrupt)
+    }
 }
-wire_block!(CompressedPostings, CompressedDocSet);
 
 /// Derives [`Wire`] for a struct from its field list — `Type[min](fields)`:
 /// fields travel in the listed order, each by its own [`Wire`] impl, and

@@ -3,19 +3,11 @@
 
 use hdk_p2p::StoreCodec;
 
-/// The value is its encoded bytes.
+/// A byte string weighs its length.
 pub struct RawCodec;
 
 impl StoreCodec<Vec<u8>> for RawCodec {
-    fn encode(&self, value: &Vec<u8>, out: &mut Vec<u8>) {
-        out.extend_from_slice(value);
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Option<Vec<u8>> {
-        Some(bytes.to_vec())
-    }
-
-    fn weight(&self, value: &Vec<u8>) -> u64 {
+    fn weight(&self, value: Vec<u8>) -> u64 {
         value.len() as u64
     }
 }

@@ -9,7 +9,8 @@
 //! `recover` sequences — over few keys and few stripes, so updates,
 //! removals and re-inserts of the same key interleave — must leave the
 //! store with exactly the model's contents, lengths and holder sets after
-//! every step: through `get`, `scan`, and the lookup path `get_many`.
+//! every step: through `get`, `scan`, and the lookup path `get_many` —
+//! which reads a sealed value from its frame's flat record.
 
 use hdk_p2p::{
     Record, RecoveryStats, SegmentStore, Shared, Slot, Store, StoreCodec, TableBytes, Tier,
@@ -33,37 +34,12 @@ const PEERS: u32 = 9;
 /// One entry of the model: value and ascending holder set.
 type Model = BTreeMap<(usize, u64), (Vec<u32>, Vec<u32>)>;
 
-/// A `Vec<u32>` as its LE bytes. A lookup reads only the first element:
-/// `decode_lookup` leaves the rest out, as the engine's codec leaves out
-/// what no lookup reads.
+/// A `Vec<u32>` weighs 4 bytes an element; its record is its wire
+/// encoding.
 struct VecCodec;
 
 impl StoreCodec<Vec<u32>> for VecCodec {
-    fn encode(&self, value: &Vec<u32>, out: &mut Vec<u8>) {
-        for x in value {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Option<Vec<u32>> {
-        if !bytes.len().is_multiple_of(4) {
-            return None;
-        }
-        Some(
-            bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-                .collect(),
-        )
-    }
-
-    fn decode_lookup(&self, bytes: &[u8]) -> Option<Vec<u32>> {
-        let mut value = self.decode(bytes)?;
-        value.truncate(1);
-        Some(value)
-    }
-
-    fn weight(&self, value: &Vec<u32>) -> u64 {
+    fn weight(&self, value: Vec<u32>) -> u64 {
         4 * value.len() as u64
     }
 }
@@ -185,8 +161,7 @@ fn apply(store: &dyn Store<Vec<u32>>, keys: u64, model: &mut Model, op: (u8, u64
 }
 
 /// Everything a caller can observe of the store, per stripe, in key order.
-/// The lookup path must agree with it on holders and on what a lookup
-/// reads of each value.
+/// The lookup path must agree with it on holders and values.
 fn observe(store: &dyn Store<Vec<u32>>, keys: u64) -> Model {
     let mut seen = Model::new();
     for stripe in 0..STRIPES {
@@ -213,11 +188,12 @@ fn observe(store: &dyn Store<Vec<u32>>, keys: u64) -> Model {
         }
         store.get_many(stripe, &probes, &mut |i, found| {
             let key = probes[i];
-            let got = found.map(|f| (f.value.first().copied(), f.holders.to_vec()));
-            let want = seen
-                .get(&(stripe, key))
-                .map(|(value, holders)| (value.first().copied(), holders.clone()));
-            assert_eq!(got, want, "get_many {stripe}/{key}");
+            let got = found.map(|f| (f.value, f.holders.to_vec()));
+            assert_eq!(
+                got.as_ref(),
+                seen.get(&(stripe, key)),
+                "get_many {stripe}/{key}"
+            );
         });
     }
     seen
@@ -296,11 +272,13 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> u64 {
 }
 
 /// `[flags][contributors][block]`: flag 1 a shared block, flag 2 a
-/// doc-set (shared after the block, if that is shared too).
+/// doc-set (shared after the block, if that is shared too). The unbounded
+/// store never seals, so no record of it is flat.
 impl Record for Entry {
     type Ref<'a> = Entry;
 
-    fn put_record(&self, out: &mut Vec<u8>, shared: &mut Vec<Arc<[u8]>>) {
+    fn put_record(&self, out: &mut Vec<u8>, shared: Option<&mut Vec<Arc<[u8]>>>) {
+        let shared = shared.expect("only the hot tier writes a record");
         let long = self.block.len() > INLINE;
         out.push(u8::from(long) | u8::from(self.docs.is_some()) << 1);
         put_varint(out, self.contributors.len() as u64);
@@ -339,42 +317,20 @@ impl Record for Entry {
         }
     }
 
+    fn check(_: &[u8]) -> bool {
+        false
+    }
+
     fn view<'a>(record: &'a [u8], shared: Shared<'a>) -> Entry {
         Self::from_record(record, shared)
     }
-
-    fn view_value(value: &Entry) -> Entry {
-        value.clone()
-    }
 }
 
-/// The unbounded store never seals, but a store needs a codec: the same
-/// three parts, length-prefixed.
+/// The unbounded store weighs nothing, but a store needs a codec.
 struct EntryCodec;
 
 impl StoreCodec<Entry> for EntryCodec {
-    fn encode(&self, value: &Entry, out: &mut Vec<u8>) {
-        let docs = value.docs.as_deref();
-        for part in [
-            &value
-                .contributors
-                .iter()
-                .flat_map(|c| c.to_le_bytes())
-                .collect::<Vec<_>>()[..],
-            &value.block,
-            docs.unwrap_or(&[]),
-        ] {
-            out.extend_from_slice(&(part.len() as u32).to_le_bytes());
-            out.extend_from_slice(part);
-        }
-        out.push(u8::from(docs.is_some()));
-    }
-
-    fn decode(&self, _: &[u8]) -> Option<Entry> {
-        None
-    }
-
-    fn weight(&self, value: &Entry) -> u64 {
+    fn weight(&self, value: Entry) -> u64 {
         value.block.len() as u64
     }
 }
