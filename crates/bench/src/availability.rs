@@ -24,12 +24,9 @@
 //! query latency until the sweep runs.
 
 use crate::report::{fnum, Table};
-use hdk_core::{BackendConfig, HdkConfig, HdkNetwork, OverlayKind, QueryService};
-use hdk_corpus::{
-    partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
-};
+use crate::scenario::{Digest, Scenario};
+use hdk_core::{BackendConfig, HdkConfig, HdkNetwork, OverlayKind};
 use hdk_p2p::{MsgKind, PeerId, SimNetConfig, TrafficSnapshot};
-use hdk_text::TermId;
 
 /// One `(R, kill)` episode's measurements.
 #[derive(Debug, Clone)]
@@ -70,22 +67,6 @@ pub struct AvailabilityPoint {
     pub diverged_repaired: usize,
 }
 
-type Digest = Vec<(u32, u64)>;
-
-fn digests(service: &QueryService, from: PeerId, queries: &[(u32, Vec<TermId>)]) -> Vec<Digest> {
-    queries
-        .iter()
-        .map(|(_, terms)| {
-            service
-                .query(from, terms, 20)
-                .results
-                .iter()
-                .map(|r| (r.doc.0, r.score.to_bits()))
-                .collect()
-        })
-        .collect()
-}
-
 fn response_mean(now: &TrafficSnapshot, before: &TrafficSnapshot) -> f64 {
     now.since(before).latency(MsgKind::QueryResponse).mean_ns()
 }
@@ -103,28 +84,7 @@ pub fn run_availability_study(
     kill: usize,
 ) -> Vec<AvailabilityPoint> {
     assert!(peers > kill, "the crash wave must leave survivors");
-    let collection = CollectionGenerator::new(GeneratorConfig {
-        num_docs: docs,
-        vocab_size: (docs * 12).max(2_000),
-        avg_doc_len: 60,
-        num_topics: (docs / 12).max(8),
-        topic_vocab: 50,
-        ..GeneratorConfig::default()
-    })
-    .generate();
-    let partitions = partition_documents(docs, peers, 29);
-    let log = QueryLog::generate(
-        &collection,
-        &QueryLogConfig {
-            num_queries: queries,
-            ..QueryLogConfig::default()
-        },
-    );
-    let query_set: Vec<(u32, Vec<TermId>)> = log
-        .queries
-        .iter()
-        .map(|q| (q.id, q.terms.clone()))
-        .collect();
+    let scenario = Scenario::new(peers, docs, queries);
     // A WAN with meaningful timeouts, so failover degradation is visible.
     let sim = SimNetConfig {
         seed: 29,
@@ -146,12 +106,13 @@ pub fn run_availability_study(
             };
             // Never-failed reference (outcomes are backend-invariant, so
             // the cheap in-process build provides the expected digests).
-            let reference = HdkNetwork::build(&collection, &partitions, config.clone());
-            let expected = digests(&reference.query_service(), survivor, &query_set);
+            let reference =
+                HdkNetwork::build(&scenario.collection, &scenario.partitions, config.clone());
+            let expected = scenario.digests(&reference.query_service(), survivor);
 
             let (mut indexer, queries) = HdkNetwork::build_with(
-                &collection,
-                &partitions,
+                &scenario.collection,
+                &scenario.partitions,
                 config,
                 OverlayKind::PGrid,
                 BackendConfig::SimNet(sim),
@@ -160,19 +121,19 @@ pub fn run_availability_study(
             let keys_total = queries.index().index_counts().total_keys();
 
             let t0 = queries.snapshot();
-            let healthy = digests(&queries, survivor, &query_set);
+            let healthy = scenario.digests(&queries, survivor);
             assert_eq!(healthy, expected, "healthy network diverged");
             let t1 = queries.snapshot();
 
             let victims: Vec<PeerId> = (0..kill as u64).map(PeerId).collect();
             let loss = indexer.fail_peers(victims);
 
-            let degraded = digests(&queries, survivor, &query_set);
+            let degraded = scenario.digests(&queries, survivor);
             let t2 = queries.snapshot();
             let degraded_window = t2.since(&t1);
             let repair = indexer.repair();
             let t3 = queries.snapshot();
-            let repaired = digests(&queries, survivor, &query_set);
+            let repaired = scenario.digests(&queries, survivor);
             let t4 = queries.snapshot();
 
             let diverge =

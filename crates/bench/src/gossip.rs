@@ -22,12 +22,9 @@
 
 use crate::json::Json;
 use crate::report::Table;
-use hdk_core::{HdkConfig, HdkNetwork, QueryService};
-use hdk_corpus::{
-    partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
-};
+use crate::scenario::Scenario;
+use hdk_core::{HdkConfig, HdkNetwork};
 use hdk_p2p::{GossipConfig, MsgKind, PeerId};
-use hdk_text::TermId;
 
 /// Convergence budget per episode: suspicion window plus dissemination,
 /// padded generously because lossy probes retry across rounds.
@@ -66,22 +63,6 @@ pub struct GossipPoint {
     pub diverged_post: usize,
 }
 
-type Digest = Vec<(u32, u64)>;
-
-fn digests(service: &QueryService, from: PeerId, queries: &[Vec<TermId>]) -> Vec<Digest> {
-    queries
-        .iter()
-        .map(|terms| {
-            service
-                .query(from, terms, 20)
-                .results
-                .iter()
-                .map(|r| (r.doc.0, r.score.to_bits()))
-                .collect()
-        })
-        .collect()
-}
-
 /// Runs the study: `docs` documents over `peers` peers, `queries` log
 /// queries per phase, one crash per episode, over
 /// `fanout ∈ {1, 2, 3} × suspicion ∈ {2, 3} × loss ∈ {0, 0.2}`.
@@ -91,24 +72,7 @@ fn digests(service: &QueryService, from: PeerId, queries: &[Vec<TermId>]) -> Vec
 /// module docs) — the study is its own smoke check.
 pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<GossipPoint> {
     assert!(peers >= 4, "the crash must leave a detectable majority");
-    let collection = CollectionGenerator::new(GeneratorConfig {
-        num_docs: docs,
-        vocab_size: (docs * 12).max(2_000),
-        avg_doc_len: 60,
-        num_topics: (docs / 12).max(8),
-        topic_vocab: 50,
-        ..GeneratorConfig::default()
-    })
-    .generate();
-    let partitions = partition_documents(docs, peers, 29);
-    let log = QueryLog::generate(
-        &collection,
-        &QueryLogConfig {
-            num_queries: queries,
-            ..QueryLogConfig::default()
-        },
-    );
-    let query_set: Vec<Vec<TermId>> = log.queries.iter().map(|q| q.terms.clone()).collect();
+    let scenario = Scenario::new(peers, docs, queries);
     let base = HdkConfig {
         ff: (docs as u64 * 20).max(2_000),
         dfmax: (docs as u32 / 10).max(10),
@@ -119,8 +83,8 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
     let survivor = PeerId(1);
     // Gossip never changes index content, so one oracle-driven reference
     // provides the expected digests for every grid point.
-    let reference = HdkNetwork::build(&collection, &partitions, base.clone());
-    let expected = digests(&reference.query_service(), survivor, &query_set);
+    let reference = HdkNetwork::build(&scenario.collection, &scenario.partitions, base.clone());
+    let expected = scenario.digests(&reference.query_service(), survivor);
 
     let mut points = Vec::new();
     for fanout in [1usize, 2, 3] {
@@ -136,15 +100,16 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
                     ..base.clone()
                 };
                 let (mut indexer, queries) =
-                    HdkNetwork::build(&collection, &partitions, config).into_services();
-                let healthy = digests(&queries, survivor, &query_set);
+                    HdkNetwork::build(&scenario.collection, &scenario.partitions, config)
+                        .into_services();
+                let healthy = scenario.digests(&queries, survivor);
                 assert_eq!(healthy, expected, "healthy network diverged");
                 assert_eq!(queries.snapshot().failover_timeouts, 0);
 
                 let loss = indexer.fail_peers(vec![victim]);
                 assert_eq!(loss.keys_lost, 0, "R=2 single crash lost content");
                 let t0 = queries.snapshot();
-                let _stale = digests(&queries, survivor, &query_set);
+                let _stale = scenario.digests(&queries, survivor);
                 let t1 = queries.snapshot();
                 let timeouts_detection = t1.failover_timeouts - t0.failover_timeouts;
                 assert!(
@@ -185,7 +150,7 @@ pub fn run_gossip_study(peers: usize, docs: usize, queries: usize) -> Vec<Gossip
                 let t2 = queries.snapshot();
                 let gossip_window = t2.since(&t1).kind(MsgKind::Gossip);
 
-                let post = digests(&queries, survivor, &query_set);
+                let post = scenario.digests(&queries, survivor);
                 let t3 = queries.snapshot();
                 let timeouts_post = t3.failover_timeouts - t2.failover_timeouts;
                 assert_eq!(

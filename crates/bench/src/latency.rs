@@ -10,10 +10,8 @@
 //! scenario.
 
 use crate::json::Json;
+use crate::scenario::Scenario;
 use hdk_core::{BackendConfig, HdkConfig, HdkNetwork, OverlayKind};
-use hdk_corpus::{
-    partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
-};
 use hdk_p2p::{MsgKind, PeerId, SimNetConfig};
 use hdk_text::TermId;
 
@@ -84,31 +82,19 @@ pub fn sweep_configs() -> Vec<(&'static str, SimNetConfig)> {
 /// Builds the scenario once per configuration and measures it. `docs`
 /// documents over `peers` peers, `queries` replayed queries drawn from a
 /// log of the same size by the shared corpus-crate Zipf sampler
-/// ([`QueryLog::zipf_replay`]) — `skew == 0` replays a flat stream,
-/// higher skews concentrate the replay on the head of the log.
+/// ([`hdk_corpus::QueryLog::zipf_replay`]) — `skew == 0` replays a flat
+/// stream, higher skews concentrate the replay on the head of the log.
 pub fn run_latency_sweep(
     peers: usize,
     docs: usize,
     queries: usize,
     skew: f64,
 ) -> Vec<LatencyPoint> {
-    let collection = CollectionGenerator::new(GeneratorConfig {
-        num_docs: docs,
-        vocab_size: (docs * 12).max(2_000),
-        avg_doc_len: 60,
-        num_topics: (docs / 12).max(8),
-        topic_vocab: 50,
-        ..GeneratorConfig::default()
-    })
-    .generate();
-    let partitions = partition_documents(docs, peers, 29);
-    let log = QueryLog::generate(
-        &collection,
-        &QueryLogConfig {
-            num_queries: queries,
-            ..QueryLogConfig::default()
-        },
-    );
+    let Scenario {
+        collection,
+        partitions,
+        log,
+    } = Scenario::new(peers, docs, queries);
     let replay = log.zipf_replay(skew, queries, 0x5EED);
 
     sweep_configs()

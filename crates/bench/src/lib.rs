@@ -23,7 +23,9 @@
 //!   the query cache under a Zipf-skewed query stream,
 //! * [`gossip`] — the failure-detection study (sweep gossip fanout ×
 //!   suspicion window × probe loss, crash a peer, measure convergence
-//!   rounds, probe traffic and stale-view failover timeouts).
+//!   rounds, probe traffic and stale-view failover timeouts),
+//! * [`scenario`] — the collection, partition and query log the last four
+//!   studies share.
 //!
 //! One binary, `hdk-bench`, runs each as a subcommand (`src/main.rs`;
 //! `cargo run -p hdk-bench --release -- --help` lists them).
@@ -38,3 +40,4 @@ pub mod profile;
 pub mod read_scaling;
 pub mod report;
 pub mod runner;
+pub mod scenario;

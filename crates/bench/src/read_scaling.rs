@@ -23,12 +23,11 @@
 
 use crate::json::Json;
 use crate::report::{fnum, Table};
+use crate::scenario::Scenario;
 use hdk_core::{
     BackendConfig, HdkConfig, HdkNetwork, OverlayKind, QueryCache, QueryService, StoreConfig,
 };
-use hdk_corpus::{
-    partition_documents, CollectionGenerator, GeneratorConfig, QueryLog, QueryLogConfig,
-};
+use hdk_corpus::QueryLog;
 use hdk_p2p::{MsgKind, PeerId, TrafficSnapshot};
 use hdk_text::TermId;
 
@@ -150,23 +149,11 @@ pub fn run_read_scaling(
     queries: usize,
     samples: usize,
 ) -> ReadScalingReport {
-    let collection = CollectionGenerator::new(GeneratorConfig {
-        num_docs: docs,
-        vocab_size: (docs * 12).max(2_000),
-        avg_doc_len: 60,
-        num_topics: (docs / 12).max(8),
-        topic_vocab: 50,
-        ..GeneratorConfig::default()
-    })
-    .generate();
-    let partitions = partition_documents(docs, peers, 29);
-    let log = QueryLog::generate(
-        &collection,
-        &QueryLogConfig {
-            num_queries: queries,
-            ..QueryLogConfig::default()
-        },
-    );
+    let Scenario {
+        collection,
+        partitions,
+        log,
+    } = Scenario::new(peers, docs, queries);
     assert!(log.len() >= 10, "need a log to draw a top decile from");
     // A generous DFmax keeps every single-term key discriminative: each
     // query costs exactly its term lookups, all present in the index, so

@@ -538,11 +538,9 @@ impl StoreService for IndexStore {
         }
     }
 
-    fn migrate_volume(&self, entry: &KeyEntry) -> (u64, u64) {
-        (
-            entry.postings.len() as u64,
-            entry.postings.encoded_len() as u64,
-        )
+    fn migrate_volume(&self, entry: KeyEntryRef<'_>) -> (u64, u64) {
+        let block = entry.block().0;
+        (u64::from(block.count()), block.bytes().len() as u64)
     }
 
     fn sweep(&self, dht: &Dht<KeyEntry>, sweep: &IndexSweep) -> IndexSwept {
@@ -625,7 +623,6 @@ impl StoreService for IndexStore {
                     });
                 },
             )),
-            IndexSweep::SealedBytes => IndexSwept::Bytes(dht.disk_bytes()),
             IndexSweep::SyncStorage => {
                 dht.sync_storage();
                 IndexSwept::Done
@@ -721,8 +718,6 @@ pub enum IndexSweep {
     Counts,
     /// Sums the storage composition per holding peer, both tiers.
     StoragePerPeer,
-    /// Sums live sealed segment-log bytes on disk.
-    SealedBytes,
     /// Seals every hot entry to the persistent tier.
     SyncStorage,
     /// Replaces `departed` peers by `custodian` in every stored
@@ -745,21 +740,19 @@ pub enum IndexSwept {
     Peeked(Option<KeyEntry>),
     Counts(IndexCounts),
     StoragePerPeer(Vec<PeerStorage>),
-    /// A byte total (`SealedBytes`).
-    Bytes(u64),
     /// An effect-only sweep ran.
     Done,
     Entries(Vec<KeyEntry>),
     Footprint(IndexFootprint),
 }
 
-// Retired tags stay unassigned: `IndexSweep` 3 and 5, `IndexSwept` 3.
+// Retired tags stay unassigned: `IndexSweep` 3, 5 and 6, `IndexSwept` 3
+// and 5.
 wire_enum!(IndexSweep {
     0 => Classify { size },
     1 => Peek(key),
     2 => Counts,
     4 => StoragePerPeer,
-    6 => SealedBytes,
     7 => SyncStorage,
     8 => Reassign { departed, custodian },
     9 => Entries,
@@ -770,7 +763,6 @@ wire_enum!(IndexSwept {
     1 => Peeked(entry),
     2 => Counts(counts),
     4 => StoragePerPeer(totals),
-    5 => Bytes(total),
     6 => Done,
     7 => Entries(entries),
     8 => Footprint(footprint),
@@ -787,7 +779,6 @@ impl Absorb for IndexSwept {
             (IndexSwept::StoragePerPeer(acc), IndexSwept::StoragePerPeer(other)) => {
                 acc.absorb(other)
             }
-            (IndexSwept::Bytes(acc), IndexSwept::Bytes(other)) => acc.absorb(other),
             (IndexSwept::Entries(acc), IndexSwept::Entries(other)) => acc.extend(other),
             (IndexSwept::Footprint(acc), IndexSwept::Footprint(other)) => acc.absorb(other),
             _ => {}
@@ -1298,12 +1289,11 @@ impl GlobalIndex {
     }
 
     /// Live bytes in the on-disk segment tier, summed over every sealed
-    /// frame at every holder (0 on an unbounded store).
+    /// frame at every holder (0 on an unbounded store):
+    /// [`PeerStorage::sealed_bytes`] summed over
+    /// [`GlobalIndex::storage_per_peer`].
     pub fn sealed_segment_bytes(&self) -> u64 {
-        match self.sweep(IndexSweep::SealedBytes) {
-            IndexSwept::Bytes(total) => total,
-            other => unreachable!("SealedBytes answered with {other:?}"),
-        }
+        self.storage_per_peer().iter().map(|p| p.sealed_bytes).sum()
     }
 
     /// The network's peer-liveness view.

@@ -35,8 +35,11 @@ use hdk_text::TermId;
 /// fields; 5: the `StoredPostings` and `ResidentBytes` sweeps and the
 /// `StoredPostings` reply are gone (both answered from `StoragePerPeer`),
 /// so `IndexSweep` tags 3 and 5 and `IndexSwept` tag 3 are unassigned;
-/// 6: a stored entry travels as its length-prefixed flat record.
-pub const WIRE_VERSION: u32 = 6;
+/// 6: a stored entry travels as its length-prefixed flat record; 7: the
+/// sealed-byte sweep and its byte-total reply are gone (answered from
+/// `StoragePerPeer`), so `IndexSweep` tag 6 and `IndexSwept` tag 5 are
+/// unassigned, and `StoreService::migrate_volume` reads a value's view.
+pub const WIRE_VERSION: u32 = 7;
 
 /// One serving-tier request frame, front-end → peer process.
 #[derive(Debug, Clone)]

@@ -11,7 +11,8 @@
 //! grows with the bytes that arrive, not with the length a peer announces.
 //!
 //! The same per-thread count pins what one query costs the allocator, end
-//! to end through `QueryService::query`.
+//! to end through `QueryService::query`, and that a repair sweep that
+//! copies nothing allocates per stripe, not per stored key.
 //!
 //! It also keeps a process-wide count of live heap bytes, which pins what
 //! a stored index key costs in memory, and its high-water mark, which pins
@@ -24,7 +25,7 @@ use hdk_corpus::{
     partition_documents, CollectionGenerator, DocId, GeneratorConfig, QueryLog, QueryLogConfig,
 };
 use hdk_ir::{CompressedPostings, Posting};
-use hdk_p2p::{IdHashSet, PGrid, PeerId};
+use hdk_p2p::{IdHashSet, PGrid, PeerId, NUM_STRIPES};
 use hdk_text::TermId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -351,6 +352,48 @@ fn a_stored_key_costs_its_slot_and_little_more() {
     assert!(
         per_key <= 116.3,
         "{per_key:.1} live heap bytes per stored key ({spent} B for {keys} keys)"
+    );
+}
+
+#[test]
+fn a_repair_that_copies_nothing_allocates_nothing_per_stored_key() {
+    let _turn = serial();
+    // An R = 2 index that lost no copy, at two sizes: the repair sweep
+    // reads every entry's holder set in its record and plans no copy. It
+    // allocates one walk per owner and, per stripe and tier, its key list
+    // and two holder buffers — none for a tier that is empty, which is all
+    // the two sizes may differ by. A sweep that materialized every entry
+    // allocated 2.2 times a key (46 277 times over 20 946 keys, 121 409
+    // over 54 486).
+    let measured: Vec<(u64, u64)> = [150, 300]
+        .into_iter()
+        .map(|docs_per_peer| {
+            let docs = CollectionGenerator::new(GeneratorConfig {
+                num_docs: 4 * docs_per_peer,
+                ..GeneratorConfig::default()
+            })
+            .generate();
+            let config = HdkConfig {
+                replication: 2,
+                ..HdkConfig::default()
+            };
+            let network = HdkNetwork::build(&docs, &partition_documents(docs.len(), 4, 3), config)
+                .query_service();
+            let index = network.index();
+            let counts = index.index_counts();
+            let keys: u64 = counts.hdk_keys.iter().chain(&counts.ndk_keys).sum();
+            let (repair, allocations) = counting(|| index.repair());
+            assert_eq!(repair.copies, 0, "a fresh R = 2 index misses a copy");
+            (keys, allocations)
+        })
+        .collect();
+    let [(small_keys, small), (large_keys, large)] = measured[..] else {
+        unreachable!("two sizes")
+    };
+    assert!(large_keys > 3 * small_keys / 2, "the indexes are too alike");
+    assert!(
+        large <= small + 2 * NUM_STRIPES as u64,
+        "a repair allocated {large} times over {large_keys} keys, {small} over {small_keys}"
     );
 }
 

@@ -269,8 +269,7 @@ impl Gen {
             IndexSweep::Classify { .. } => IndexSweep::Peek(self.key()),
             IndexSweep::Peek(_) => IndexSweep::Counts,
             IndexSweep::Counts => IndexSweep::StoragePerPeer,
-            IndexSweep::StoragePerPeer => IndexSweep::SealedBytes,
-            IndexSweep::SealedBytes => IndexSweep::SyncStorage,
+            IndexSweep::StoragePerPeer => IndexSweep::SyncStorage,
             IndexSweep::SyncStorage => IndexSweep::Reassign {
                 departed: self.wave(),
                 custodian: self.peer(),
@@ -398,8 +397,7 @@ impl Gen {
                     })
                     .collect(),
             ),
-            IndexSwept::StoragePerPeer(_) => IndexSwept::Bytes(self.next()),
-            IndexSwept::Bytes(_) => IndexSwept::Done,
+            IndexSwept::StoragePerPeer(_) => IndexSwept::Done,
             IndexSwept::Done => {
                 IndexSwept::Entries((0..self.below(3)).map(|_| self.entry()).collect())
             }

@@ -8,12 +8,8 @@
 //! varint encoded, the standard compression for document-ordered posting
 //! lists.
 //!
-//! This module keeps the varint primitives plus the [`PostingList`]-level
-//! convenience wrappers; [`CompressedPostings`] is the resident form.
-
-use crate::compressed::CompressedPostings;
-use crate::posting::PostingList;
-use bytes::Bytes;
+//! This module keeps the varint primitives; [`crate::CompressedPostings`]
+//! is the block type.
 
 /// The one block format, delta + LEB128. Kept, with its single variant,
 /// only so the frozen `benchmark/` crate compiles; nothing branches on it.
@@ -21,33 +17,6 @@ use bytes::Bytes;
 pub enum Codec {
     /// Delta + LEB128 varints.
     Leb128,
-}
-
-/// Encodes a posting list into its framed block.
-pub fn encode(list: &PostingList) -> Bytes {
-    Bytes::copy_from_slice(CompressedPostings::from_list(list).as_bytes())
-}
-
-/// Decodes a posting list produced by [`encode`].
-///
-/// Returns `None` on truncated or malformed input, *including* a
-/// well-formed block followed by trailing garbage: the buffer must be
-/// fully consumed.
-pub fn decode(bytes: Bytes) -> Option<PostingList> {
-    CompressedPostings::from_bytes(&bytes).map(|c| c.decode())
-}
-
-/// Size in bytes of the encoded form without materializing it.
-pub fn encoded_len(list: &PostingList) -> usize {
-    let mut n = varint_len(list.len() as u64);
-    let mut prev: i64 = -1;
-    for p in list.postings() {
-        let gap = i64::from(p.doc.0) - prev;
-        n +=
-            varint_len(gap as u64) + varint_len(u64::from(p.tf)) + varint_len(u64::from(p.doc_len));
-        prev = i64::from(p.doc.0);
-    }
-    n
 }
 
 /// Emits the LEB128 bytes of `v` in order: seven bits a byte, the high
@@ -126,8 +95,31 @@ pub(crate) fn varint_len(v: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::posting::Posting;
+    use crate::compressed::CompressedPostings;
+    use crate::posting::{Posting, PostingList};
     use hdk_corpus::DocId;
+
+    fn encode(list: &PostingList) -> Vec<u8> {
+        CompressedPostings::from_list(list).as_bytes().to_vec()
+    }
+
+    fn decode(bytes: &[u8]) -> Option<PostingList> {
+        CompressedPostings::from_bytes(bytes).map(|c| c.decode())
+    }
+
+    /// The block's size, summed from its varints' lengths.
+    fn encoded_len(list: &PostingList) -> usize {
+        let mut n = varint_len(list.len() as u64);
+        let mut prev: i64 = -1;
+        for p in list.postings() {
+            let gap = i64::from(p.doc.0) - prev;
+            n += varint_len(gap as u64)
+                + varint_len(u64::from(p.tf))
+                + varint_len(u64::from(p.doc_len));
+            prev = i64::from(p.doc.0);
+        }
+        n
+    }
 
     fn list(docs: &[(u32, u32)]) -> PostingList {
         PostingList::from_unsorted(
@@ -144,13 +136,13 @@ mod tests {
     #[test]
     fn roundtrip_small() {
         let l = list(&[(0, 1), (1, 3), (100, 2), (1000, 1)]);
-        assert_eq!(decode(encode(&l)).unwrap(), l);
+        assert_eq!(decode(&encode(&l)).unwrap(), l);
     }
 
     #[test]
     fn roundtrip_empty() {
         let l = PostingList::new();
-        assert_eq!(decode(encode(&l)).unwrap(), l);
+        assert_eq!(decode(&encode(&l)).unwrap(), l);
     }
 
     #[test]
@@ -177,7 +169,7 @@ mod tests {
         let l = list(&[(1, 1), (2, 2), (3, 3)]);
         let full = encode(&l);
         for cut in 1..full.len() {
-            assert!(decode(full.slice(..cut)).is_none(), "cut at {cut} decoded");
+            assert!(decode(&full[..cut]).is_none(), "cut at {cut} decoded");
         }
     }
 
@@ -188,9 +180,9 @@ mod tests {
         // as valid.
         let full = encode(&list(&[(1, 1), (2, 2)]));
         for junk in [&[0x00][..], &[0x7f], &[0x80, 0x01], &[1, 2, 3]] {
-            let mut raw = full.as_ref().to_vec();
+            let mut raw = full.clone();
             raw.extend_from_slice(junk);
-            assert!(decode(Bytes::from(raw)).is_none(), "junk {junk:?} passed");
+            assert!(decode(&raw).is_none(), "junk {junk:?} passed");
         }
     }
 
@@ -199,7 +191,7 @@ mod tests {
         // Claims 1M postings but contains none.
         let mut buf = Vec::new();
         write_varint(&mut buf, 1_000_000);
-        assert!(decode(Bytes::from(buf)).is_none());
+        assert!(decode(&buf).is_none());
     }
 
     #[test]

@@ -954,8 +954,11 @@ mod tests {
     fn block_matches_codec_wire_format() {
         let l = list(&[(3, 1), (90, 5), (4_000, 2)]);
         let c = CompressedPostings::from_list(&l);
-        assert_eq!(c.as_bytes(), crate::codec::encode(&l).as_ref());
-        assert_eq!(c.encoded_len(), crate::codec::encoded_len(&l));
+        // `[count]`, then `[doc gap][tf][doc_len]` a posting, each a LEB128
+        // varint; the first gap is the doc id plus one.
+        let wire = [3, 4, 1, 103, 87, 5, 0x8c, 0x01, 0xc6, 0x1e, 2, 100];
+        assert_eq!(c.as_bytes(), wire);
+        assert_eq!(c.encoded_len(), wire.len());
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! [`Membership`] liveness view (see [`crate::replica`]): the *replica
 //! set* of a key is the first `R` **live** peers along the key-space
 //! successor walk starting at the responsible peer. [`Dht::upsert`] fans
-//! each insert to the full replica set (metered as `R` stored copies —
-//! the primary insert routes normally, each further copy is forwarded one
-//! neighbor hop along the walk), and lookups are served by the first live
-//! replica *holding* a copy, in deterministic failover order. The walk is
+//! each insert to the full replica set, at every `R` by one path (metered
+//! as `R` stored copies — the primary insert routes normally, each further
+//! copy is forwarded one neighbor hop along the walk), and lookups are
+//! served by the first live replica *holding* a copy, in deterministic
+//! failover order. The walk is
 //! written once, as the private `Dht::walk` iterator: its doc gives what a
 //! skipped candidate costs (a hop, plus a timeout for an attempted dead
 //! one; nothing for a peer the querier's gossip view confirms dead), and
@@ -33,6 +34,13 @@
 //! last copy dies is *lost*), and [`Dht::repair_sweep`] re-materializes
 //! the copies the re-derived replica sets are missing, from surviving
 //! holders, metered under [`MsgKind::Repair`].
+//!
+//! Churn moves copies by editing holder sets and nothing else: joins,
+//! departures, crashes, repairs, hot-key rebalancing and restarts all go
+//! through the store's one holder sweep ([`Store::retain`]), which hands
+//! each entry's holder set beside its value's view — the `volume`
+//! callbacks that size a moved, lost or recovered copy read that view —
+//! and decodes no value.
 //!
 //! With `R = 1` and no churn the layer behaves — and meters —
 //! bit-identically to the unreplicated storage it replaces.
@@ -275,29 +283,31 @@ fn pick(
 /// bytes)`.
 type PlannedCopy = (u64, u32, u32, u64, u64);
 
-/// Plans the copies that bring `slot`'s holders up to its replica set
-/// `targets` and adds the targets to the holders. Each copy's read source
-/// is picked by hashing `(key, target)` over the holders from *before*
-/// this sweep, so a mass re-copy spreads its reads across the replicas
-/// instead of hammering whichever holder sorts first.
-fn plan_missing<V>(
+/// Plans the copies that bring an entry's `holders` up to its replica set
+/// `targets` and adds the targets to the holders; `volume` sizes the
+/// entry's value from its view. Each copy's read source is picked by
+/// hashing `(key, target)` over the holders from *before* this sweep, so a
+/// mass re-copy spreads its reads across the replicas instead of
+/// hammering whichever holder sorts first.
+fn plan_missing<V: Record>(
     key: u64,
-    slot: &mut Slot<V>,
+    holders: &mut Vec<u32>,
+    value: V::Ref<'_>,
     targets: &[u32],
-    volume: impl Fn(&V) -> (u64, u64),
+    volume: impl Fn(V::Ref<'_>) -> (u64, u64),
     planned: &mut Vec<PlannedCopy>,
 ) {
-    if targets.iter().all(|t| slot.holders.contains(t)) {
+    if targets.iter().all(|t| holders.contains(t)) {
         return;
     }
-    let existing = slot.holders.clone();
-    let (postings, bytes) = volume(&slot.value);
+    let existing = holders.clone();
+    let (postings, bytes) = volume(value);
     for &target in targets.iter().filter(|t| !existing.contains(t)) {
         let pick = hash_u64s(&[key, u64::from(target)]) % existing.len() as u64;
         planned.push((key, existing[pick as usize], target, postings, bytes));
-        slot.holders.push(target);
+        holders.push(target);
     }
-    slot.holders.sort_unstable();
+    holders.sort_unstable();
 }
 
 impl<V: Record> Dht<V> {
@@ -390,7 +400,7 @@ impl<V: Record> Dht<V> {
     /// Panics unless [`Dht::enable_gossip`] ran first.
     pub fn gossip_round(
         &mut self,
-        volume: impl Fn(&V) -> (u64, u64),
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
         mut on_probe: impl FnMut(GossipProbe),
         on_copy: impl FnMut(KeyHash, Delivery, u64),
     ) -> GossipOutcome {
@@ -639,77 +649,38 @@ impl<V: Record> Dht<V> {
     ) -> R {
         let route = self.overlay.route(from, key);
         let origin = self.overlay.peer_index(from);
-        if self.replication == 1 && self.membership.all_live() {
-            // The unreplicated, churn-free fast path: metering identical
-            // to the pre-replication layer.
-            self.meter
-                .record(MsgKind::IndexInsert, origin, postings, bytes, route.hops);
-            on_copy(Delivery {
-                source: from,
-                target: route.responsible,
-                hops: route.hops,
-                dead_skips: 0,
-            });
-            let owner = self.overlay.peer_index(route.responsible) as u32;
-            // The store's callbacks are `FnMut` (object safety); thread
-            // the one-shot closures and the result through `Option`s.
-            let mut default = Some(default);
-            let mut update = Some(update);
-            let mut result = None;
-            // The fresh entry's holder is set by the update, so a new key
-            // allocates no holder list on the way in.
-            self.store.upsert(
-                stripe_of(key),
-                key.0,
-                &mut || Slot {
-                    value: (default.take().expect("default runs at most once"))(),
-                    holders: Vec::new(),
-                },
-                &mut |slot| {
-                    if slot.holders.is_empty() {
-                        slot.holders.push(owner);
-                    }
-                    result = Some((update.take().expect("update runs once"))(&mut slot.value));
-                },
-            );
-            return result.expect("upsert ran the update");
-        }
-
         let owner = self.overlay.peer_index(route.responsible);
-        let targets: Vec<(u32, u32, u32)> = self.walk(owner, None).take(self.replication).collect();
         let peers = self.overlay.peers();
-        // Primary leg: normal routing plus one hop (and one timeout on
-        // the simulated network) per dead candidate skipped.
-        let (primary, primary_hops, primary_dead) = targets[0];
-        self.meter.record(
-            MsgKind::IndexInsert,
-            origin,
-            postings,
-            bytes,
-            route.hops + primary_hops,
-        );
-        on_copy(Delivery {
-            source: from,
-            target: peers[primary as usize],
-            hops: route.hops + primary_hops,
-            dead_skips: primary_dead,
-        });
-        // Replica copies: forwarded along the walk, each from the
-        // previous replica, one hop per walk step (dead steps are skipped
-        // hops too), attributed to the forwarding peer.
-        for pair in targets.windows(2) {
-            let ((prev, prev_hops, prev_dead), (next, next_hops, next_dead)) = (pair[0], pair[1]);
-            let hops = next_hops - prev_hops;
+        // The primary copy routes normally, plus one hop (and one timeout
+        // on the simulated network) per dead candidate skipped. Each
+        // replica copy is forwarded along the walk from the previous
+        // replica, one hop per walk step (dead steps are skipped hops
+        // too), attributed to the forwarding peer.
+        let mut prev = None;
+        for (next, next_hops, next_dead) in self.walk(owner, None).take(self.replication) {
+            let (sender, source, hops, dead_skips) = match prev {
+                None => (origin, from, route.hops + next_hops, next_dead),
+                Some((at, at_hops, at_dead)) => (
+                    at as usize,
+                    peers[at as usize],
+                    next_hops - at_hops,
+                    next_dead - at_dead,
+                ),
+            };
             self.meter
-                .record(MsgKind::IndexInsert, prev as usize, postings, bytes, hops);
+                .record(MsgKind::IndexInsert, sender, postings, bytes, hops);
             on_copy(Delivery {
-                source: peers[prev as usize],
+                source,
                 target: peers[next as usize],
                 hops,
-                dead_skips: next_dead - prev_dead,
+                dead_skips,
             });
+            prev = Some((next, next_hops, next_dead));
         }
-        let desired: Vec<u32> = targets.iter().map(|&(i, _, _)| i).collect();
+        // The store's callbacks are `FnMut` (object safety); thread the
+        // one-shot closures and the result through `Option`s. A fresh
+        // entry starts with no holder, so the replica walk fills its set
+        // without a holder list allocated on the way in.
         let mut default = Some(default);
         let mut update = Some(update);
         let mut result = None;
@@ -721,7 +692,7 @@ impl<V: Record> Dht<V> {
                 holders: Vec::new(),
             },
             &mut |slot| {
-                for &idx in &desired {
+                for (idx, _, _) in self.walk(owner, None).take(self.replication) {
                     if !slot.holders.contains(&idx) {
                         slot.holders.push(idx);
                     }
@@ -905,12 +876,6 @@ impl<V: Record> Dht<V> {
         self.store.table_bytes(stripe)
     }
 
-    /// Total live on-disk segment bytes across all stripes, summed per
-    /// stored copy (0 for an unbounded store).
-    pub fn disk_bytes(&self) -> u64 {
-        (0..NUM_STRIPES).map(|s| self.store.disk_bytes(s)).sum()
-    }
-
     /// Iterates one stripe under its read lock, handing the callback each
     /// entry's current holder set (ascending peer indices), key, value's
     /// view ([`Record::Ref`]) and [`Tier`] (`Tier::Sealed` carries the
@@ -943,9 +908,7 @@ impl<V: Record> Dht<V> {
         mut f: impl FnMut(&u64, &mut V),
     ) {
         self.store
-            .scan_mut(stripe, &mut |value| pick(value), &mut |k, s| {
-                f(&k, &mut s.value)
-            });
+            .scan_mut(stripe, &mut |value| pick(value), &mut |k, v| f(&k, v));
     }
 
     /// Admits a wave of new peers: every peer joins the overlay (key-space
@@ -968,7 +931,7 @@ impl<V: Record> Dht<V> {
     pub fn add_peers(
         &mut self,
         peers: Vec<PeerId>,
-        volume: impl Fn(&V) -> (u64, u64),
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
     ) -> Vec<MigrationStats> {
         let new_lo = self.overlay.len();
         for peer in &peers {
@@ -984,31 +947,35 @@ impl<V: Record> Dht<V> {
         let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
+            self.store.retain(stripe, &mut |k, holders, value| {
                 let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
-                let mut next: Vec<u32> = slot
-                    .holders
+                let mut next: Vec<u32> = holders
                     .iter()
                     .copied()
                     .filter(|h| targets.contains(h))
                     .collect();
+                let kept = next.len();
                 for &idx in targets {
-                    if idx as usize >= new_lo && !slot.holders.contains(&idx) {
-                        let (postings, bytes) = volume(&slot.value);
+                    if idx as usize >= new_lo && !holders.contains(&idx) {
+                        next.push(idx);
+                    }
+                }
+                if next.len() > kept {
+                    let (postings, bytes) = volume(value);
+                    for &idx in &next[kept..] {
                         let s = &mut stats[idx as usize - new_lo];
                         s.keys_moved += 1;
                         s.postings_moved += postings;
                         s.bytes_moved += bytes;
-                        next.push(idx);
                     }
                 }
                 if next.is_empty() {
                     // Defensive: never drop the last copy (cannot happen —
                     // a changed replica set always includes a joiner).
-                    next = slot.holders.clone();
+                    return;
                 }
                 next.sort_unstable();
-                slot.holders = next;
+                *holders = next;
             });
         }
         for (i, s) in stats.iter().enumerate() {
@@ -1040,7 +1007,7 @@ impl<V: Record> Dht<V> {
     pub fn leave_peers(
         &mut self,
         peers: &[PeerId],
-        volume: impl Fn(&V) -> (u64, u64),
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
     ) -> Vec<MigrationStats> {
         let leaving: Vec<u32> = peers
             .iter()
@@ -1062,9 +1029,8 @@ impl<V: Record> Dht<V> {
         let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
-                let departing: Vec<u32> = slot
-                    .holders
+            self.store.retain(stripe, &mut |k, holders, value| {
+                let departing: Vec<u32> = holders
                     .iter()
                     .copied()
                     .filter(|h| leaving.contains(h))
@@ -1078,19 +1044,23 @@ impl<V: Record> Dht<V> {
                     .iter()
                     .position(|&l| l == departing[0])
                     .expect("departing holder is in the wave");
-                slot.holders.retain(|h| !departing.contains(h));
-                for &idx in self.targets(&mut memo, k, self.want_of(&promoted, k)) {
-                    if !slot.holders.contains(&idx) {
-                        let (postings, bytes) = volume(&slot.value);
+                holders.retain(|h| !departing.contains(h));
+                let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
+                if targets.iter().all(|idx| holders.contains(idx)) {
+                    return;
+                }
+                let (postings, bytes) = volume(value);
+                for &idx in targets {
+                    if !holders.contains(&idx) {
                         let s = &mut stats[hander];
                         s.keys_moved += 1;
                         s.postings_moved += postings;
                         s.bytes_moved += bytes;
-                        slot.holders.push(idx);
+                        holders.push(idx);
                     }
                 }
-                slot.holders.sort_unstable();
-                debug_assert!(!slot.holders.is_empty(), "handover lost the last copy");
+                holders.sort_unstable();
+                debug_assert!(!holders.is_empty(), "handover lost the last copy");
             });
         }
         for (i, s) in stats.iter().enumerate() {
@@ -1117,7 +1087,11 @@ impl<V: Record> Dht<V> {
     /// # Panics
     /// Panics when a peer is unknown or already dead, or when the wave
     /// would leave no live peer behind.
-    pub fn fail_peers(&mut self, peers: &[PeerId], volume: impl Fn(&V) -> (u64, u64)) -> LossStats {
+    pub fn fail_peers(
+        &mut self,
+        peers: &[PeerId],
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
+    ) -> LossStats {
         let failing: Vec<u32> = peers
             .iter()
             .map(|p| self.overlay.peer_index(*p) as u32)
@@ -1132,19 +1106,15 @@ impl<V: Record> Dht<V> {
         let want = self.replication.min(self.membership.live_count());
         let mut loss = LossStats::default();
         for stripe in 0..NUM_STRIPES {
-            self.store.retain(stripe, &mut |_, slot| {
-                slot.holders.retain(|h| !failing.contains(h));
-                if slot.holders.is_empty() {
-                    let (postings, bytes) = volume(&slot.value);
+            self.store.retain(stripe, &mut |_, holders, value| {
+                holders.retain(|h| !failing.contains(h));
+                if holders.is_empty() {
+                    let (postings, bytes) = volume(value);
                     loss.keys_lost += 1;
                     loss.postings_lost += postings;
                     loss.bytes_lost += bytes;
-                    false
-                } else {
-                    if slot.holders.len() < want {
-                        loss.keys_degraded += 1;
-                    }
-                    true
+                } else if holders.len() < want {
+                    loss.keys_degraded += 1;
                 }
             });
         }
@@ -1172,7 +1142,7 @@ impl<V: Record> Dht<V> {
     pub fn restart_peers(
         &mut self,
         peers: &[PeerId],
-        volume: impl Fn(&V) -> (u64, u64),
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
     ) -> RecoveryStats {
         let indices: Vec<u32> = peers
             .iter()
@@ -1185,7 +1155,7 @@ impl<V: Record> Dht<V> {
             );
         }
         let mut stats = RecoveryStats::default();
-        let mut vol = |v: &V| volume(v);
+        let mut vol = |v: V::Ref<'_>| volume(v);
         for stripe in 0..NUM_STRIPES {
             self.store.recover(stripe, &indices, &mut vol, &mut stats);
         }
@@ -1217,16 +1187,16 @@ impl<V: Record> Dht<V> {
     /// hammering whichever holder sorts first.
     pub fn repair_sweep(
         &self,
-        volume: impl Fn(&V) -> (u64, u64),
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
         on_copy: impl FnMut(KeyHash, Delivery, u64),
     ) -> RepairStats {
         let mut planned = Vec::new();
         let mut memo = self.walk_memo();
         let promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
+            self.store.retain(stripe, &mut |k, holders, value| {
                 let targets = self.targets(&mut memo, k, self.want_of(&promoted, k));
-                plan_missing(k, slot, targets, &volume, &mut planned);
+                plan_missing::<V>(k, holders, value, targets, &volume, &mut planned);
             });
         }
         drop(promoted);
@@ -1256,7 +1226,7 @@ impl<V: Record> Dht<V> {
     /// [`Dht::set_hot_config`] enabled the mechanism.
     pub fn rebalance_hot(
         &self,
-        volume: impl Fn(&V) -> (u64, u64),
+        volume: impl Fn(V::Ref<'_>) -> (u64, u64),
         on_copy: impl FnMut(KeyHash, Delivery, u64),
     ) -> HotStats {
         if self.hot.threshold == 0 {
@@ -1281,16 +1251,15 @@ impl<V: Record> Dht<V> {
         let mut demoted = 0;
         let mut promoted = self.promoted.lock();
         for stripe in 0..NUM_STRIPES {
-            self.store.scan_mut(stripe, &mut |_| true, &mut |k, slot| {
+            self.store.retain(stripe, &mut |k, holders, value| {
                 if next.contains(&k) {
                     let targets = self.targets(&mut memo, k, self.replication + self.hot.extra);
-                    plan_missing(k, slot, targets, &volume, &mut planned);
+                    plan_missing::<V>(k, holders, value, targets, &volume, &mut planned);
                 } else if promoted.contains(&k) {
                     // Demotion: trim the extras this mechanism added back
                     // to the structural replica set.
                     let targets = self.targets(&mut memo, k, self.replication);
-                    let keep: Vec<u32> = slot
-                        .holders
+                    let keep: Vec<u32> = holders
                         .iter()
                         .copied()
                         .filter(|h| targets.contains(h))
@@ -1298,9 +1267,9 @@ impl<V: Record> Dht<V> {
                     // Never drop the last copy: a degraded entry whose
                     // holders all sit outside the structural set is left
                     // for the next repair sweep to sort out.
-                    if !keep.is_empty() && keep.len() < slot.holders.len() {
+                    if !keep.is_empty() && keep.len() < holders.len() {
                         demoted += 1;
-                        slot.holders = keep;
+                        *holders = keep;
                     }
                 }
             });
@@ -1397,9 +1366,8 @@ mod tests {
         Dht::replicated(Box::new(PGrid::new((0..n).map(PeerId).collect())), r)
     }
 
-    // &Vec (not &[u32]): passed as `impl Fn(&V)` with `V = Vec<u32>`.
-    #[allow(clippy::ptr_arg)]
-    fn vol(v: &Vec<u32>) -> (u64, u64) {
+    // Passed as `impl Fn(V::Ref<'_>)`: a `Vec<u32>`'s view is the value.
+    fn vol(v: Vec<u32>) -> (u64, u64) {
         (v.len() as u64, 4 * v.len() as u64)
     }
 

@@ -144,9 +144,12 @@ pub trait StoreService: Send + Sync {
         value: Option<<Self::Value as Record>::Ref<'_>>,
     ) -> (Option<Self::Lookup>, u64, u64);
 
-    /// `(postings, bytes)` a stored value contributes when its key
-    /// migrates to a joining peer ([`MsgKind::Maintenance`] volume).
-    fn migrate_volume(&self, value: &Self::Value) -> (u64, u64);
+    /// `(postings, bytes)` a stored value contributes when a copy of it
+    /// moves — a join's or departure's handover ([`MsgKind::Maintenance`]
+    /// volume), a repair or hot-replica copy — or is lost or recovered.
+    /// Read from the value's view, as the churn sweeps hand it over: no
+    /// copy is decoded to be sized.
+    fn migrate_volume(&self, value: <Self::Value as Record>::Ref<'_>) -> (u64, u64);
 
     /// Runs one host-local sweep over this host's stripes. Local work at
     /// the hosting peer is free (the paper's sweeps run "locally at each
@@ -667,7 +670,7 @@ fn handle<S: StoreService>(
     if let Err(reason) = check_request(dht.overlay(), request) {
         return Response::Err(reason);
     }
-    let volume = |value: &S::Value| store.migrate_volume(value);
+    let volume = |value: <S::Value as Record>::Ref<'_>| store.migrate_volume(value);
     match request {
         Request::InsertBatch { batches } => Response::Inserted {
             acks: insert_batch(dht, store, batches, legs),
@@ -788,7 +791,7 @@ fn handle_control<S: StoreService>(
         return Response::Err(reason);
     }
     let timed = legs.is_some();
-    let volume = |value: &S::Value| store.migrate_volume(value);
+    let volume = |value: <S::Value as Record>::Ref<'_>| store.migrate_volume(value);
     match control {
         Control::Join { peers } => {
             let stats = dht.add_peers(peers.clone(), volume);
@@ -1208,7 +1211,7 @@ mod tests {
             }
         }
 
-        fn migrate_volume(&self, value: &Vec<u32>) -> (u64, u64) {
+        fn migrate_volume(&self, value: Vec<u32>) -> (u64, u64) {
             (value.len() as u64, 4 * value.len() as u64)
         }
 

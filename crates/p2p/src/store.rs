@@ -19,9 +19,10 @@
 //!   its [`Record`] with every shared slice written inline — so a sealed
 //!   entry is validated ([`Record::check`]), then viewed for reads and
 //!   sweeps like a hot one, and materialized only where a caller needs a
-//!   whole [`Slot`]. A sweep that changes a sealed value un-seals it back
-//!   into the hot tier (holder-only changes are written through to the
-//!   logs instead). The log is what makes peers *restartable*:
+//!   whole value. A value sweep ([`Store::scan_mut`]) that changes a
+//!   sealed value un-seals it back into the hot tier; a holder sweep
+//!   ([`Store::retain`]) writes its changes through to the logs instead.
+//!   The log is what makes peers *restartable*:
 //!   [`Store::recover`] replays a restarting peer's files, discards
 //!   truncated/corrupt tails by checksum, and keeps exactly the copies
 //!   whose latest sealed frame matches the entry's current version. Every
@@ -37,13 +38,15 @@
 //! rather than copying (a long posting block, a doc-set) sit outside the
 //! arena, one `Arc<[u8]>` each in the stripe's slab; the record names
 //! their slab slots. Reads never decode a record into a value:
-//! [`Store::get_many`], [`Store::scan_ref`] and the `pick` of
-//! [`Store::scan_mut`] hand out the value's borrowed view
+//! [`Store::get_many`], [`Store::scan_ref`], [`Store::retain`] and the
+//! `pick` of [`Store::scan_mut`] hand out the value's borrowed view
 //! ([`Record::Ref`]), which trusts the store's own bytes; a sealed entry's
 //! view is the same view of its frame's flat record, once checked. A
 //! callback that needs a whole [`Slot`] ([`Store::get`], [`Store::scan`],
-//! an upsert, the mutating sweeps) gets a fresh one materialized from the
-//! record, as sealed entries get one from their flat record. A seal writes
+//! an upsert) or value (the edits of [`Store::scan_mut`]) gets a fresh one
+//! materialized from the record, as sealed entries get one from their flat
+//! record. Churn builds none: a holder sweep rewrites only a hot record's
+//! holder part, its value bytes and slab slots kept as they are. A seal writes
 //! the flat record from the arena record and its shared slices
 //! ([`Record::put_flat`]), materializing nothing. A write that changes an entry
 //! appends its new record and counts the old bytes as dead — or, when the
@@ -87,12 +90,13 @@
 //! is what makes restart-recovery bit-reproducible.
 //!
 //! **Sweep order.** `scan`, `scan_ref`, `scan_mut` and `retain` walk the
-//! hot tier in position order (insertion order, as permuted by removals),
+//! hot tier in position order (insertion order, as permuted by removals:
+//! an entry `retain` removes is replaced by the last one, visited next),
 //! then the sealed tier in key order. No caller depends on the order —
 //! sweeps fold order-free sums or sort what they collect — but the store
-//! does: only the sealed walk un-seals entries or writes frames, so
-//! walking it in key order keeps the seal queue, versions and file
-//! offsets canonical.
+//! does: only the sealed walk un-seals entries (`scan_mut`) or appends
+//! frames (`retain`), so walking it in key order keeps the seal queue,
+//! versions and file offsets canonical.
 
 use hdk_ir::codec::{read_known_varint, write_varint};
 use hdk_ir::segment::{read_frame, write_frame, FrameRead, FRAME_HEADER_BYTES};
@@ -246,6 +250,10 @@ impl<V: Record> StoreCodec<V> for Unweighed {
     }
 }
 
+/// The callback of a holder sweep ([`Store::retain`]): an entry's key, its
+/// holder set to edit, and its value's view.
+pub type EditHolders<'f, V> = dyn FnMut(u64, &mut Vec<u32>, <V as Record>::Ref<'_>) + 'f;
+
 /// Per-stripe entry storage. All callbacks run under the stripe's lock;
 /// `stripe` indexes `0..`[`crate::NUM_STRIPES`].
 pub trait Store<V: Record>: Send + Sync {
@@ -277,28 +285,28 @@ pub trait Store<V: Record>: Send + Sync {
     /// materialized.
     fn scan_ref(&self, stripe: usize, f: &mut dyn FnMut(u64, Found<'_, V>, Tier));
 
-    /// Mutable sweep (exclusive lock): `f` runs on every entry `pick`
-    /// chooses by its value's view, materialized. A sealed entry whose *value*
-    /// changes is un-sealed into the hot tier; holder-only changes are
-    /// written through to the segment logs.
+    /// Value sweep (exclusive lock): `f` edits the value of every entry
+    /// `pick` chooses by its view, materialized. It never removes an entry
+    /// and never touches a holder set; a sealed entry whose value changes
+    /// is un-sealed into the hot tier.
     fn scan_mut(
         &self,
         stripe: usize,
         pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
-        f: &mut dyn FnMut(u64, &mut Slot<V>),
+        f: &mut dyn FnMut(u64, &mut V),
     );
 
-    /// Mutable sweep that also decides survival: entries for which `f`
-    /// returns `false` are removed (exclusive lock).
-    fn retain(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool);
+    /// Holder sweep (exclusive lock), the one way churn moves a copy: `f`
+    /// edits every entry's holder set, left ascending, beside the entry's
+    /// key and its value's view; an entry left with no holder is removed.
+    /// No value is decoded: a hot entry's record gets a new holder part, a
+    /// sealed entry's change is written through to the segment logs (a
+    /// dropped holder's frame is forgotten, an added holder is appended
+    /// the current frame).
+    fn retain(&self, stripe: usize, f: &mut EditHolders<'_, V>);
 
     /// Number of entries stored in the stripe (each counted once).
     fn len(&self, stripe: usize) -> usize;
-
-    /// Live on-disk bytes of the stripe's sealed frames, summed per
-    /// holding replica (0 for an unbounded store). Superseded
-    /// (stale) frames awaiting compaction are not counted.
-    fn disk_bytes(&self, stripe: usize) -> u64;
 
     /// In-memory bytes of the stripe's own tables, per tier (see
     /// [`TableBytes`]). What the shared slices of the hot tier's slab hold
@@ -323,7 +331,7 @@ pub trait Store<V: Record>: Send + Sync {
         &self,
         stripe: usize,
         peers: &[u32],
-        volume: &mut dyn FnMut(&V) -> (u64, u64),
+        volume: &mut dyn FnMut(V::Ref<'_>) -> (u64, u64),
         stats: &mut RecoveryStats,
     );
 
@@ -762,11 +770,16 @@ impl Slab {
 /// slices the value shares in `shared`.
 fn put_body<V: Record>(out: &mut Vec<u8>, slot: &Slot<V>, shared: &mut Vec<Arc<[u8]>>) {
     out.push(0);
-    write_varint(out, slot.holders.len() as u64);
-    for &h in &slot.holders {
+    put_holders(out, &slot.holders);
+    slot.value.put_record(out, Some(shared));
+}
+
+/// Appends a record's holder part: the holder count and the holders.
+fn put_holders(out: &mut Vec<u8>, holders: &[u32]) {
+    write_varint(out, holders.len() as u64);
+    for &h in holders {
         write_varint(out, u64::from(h));
     }
-    slot.value.put_record(out, Some(shared));
 }
 
 /// Ends the record that starts at `start` in `out`: parks the slices in
@@ -876,10 +889,7 @@ impl<V: Record> Hot<V> {
 
     /// Replaces the record at `pos` by `slot`'s, unless it spells the
     /// same: the new record is written at the arena's end and its body
-    /// compared with the old one's. A changed record stays there, the old
-    /// bytes counted dead — or moves into the old place when the lengths
-    /// match, which keeps `ingest`'s peak RSS ≈ 8 MiB lower (147 against
-    /// 155 MiB).
+    /// compared with the old one's.
     fn write(&mut self, pos: u32, slot: &Slot<V>) {
         self.reserve();
         let old = self.rows.at(pos).1;
@@ -899,6 +909,31 @@ impl<V: Record> Hot<V> {
         }
         self.slab.release(was);
         put_slots(&mut self.arena, off, &mut self.slab, &mut shared);
+        self.settle(pos, off);
+    }
+
+    /// Replaces the holder part of the record at `pos`: the new record is
+    /// the old one's slice count, `holders` and the old value bytes and
+    /// slab slots, which stay the value's.
+    fn set_holders(&mut self, pos: u32, holders: &[u32]) {
+        self.reserve();
+        let old = self.rows.at(pos).1;
+        let start = old.off as usize;
+        let end = start + old.len as usize;
+        let value_at = start + 1 + Parts::of(&self.arena[start..end]).value_at;
+        let off = self.arena.len();
+        self.arena.push(self.arena[start]);
+        put_holders(&mut self.arena, holders);
+        self.arena.extend_from_within(value_at..end);
+        self.settle(pos, off);
+    }
+
+    /// Makes the record just written at `off`, the arena's end, the
+    /// entry's at `pos`: it moves into the old place when the lengths
+    /// match, which keeps `ingest`'s peak RSS ≈ 8 MiB lower (147 against
+    /// 155 MiB); otherwise it stays, the old bytes counted dead.
+    fn settle(&mut self, pos: u32, off: usize) {
+        let old = self.rows.at(pos).1;
         let len = self.arena.len() - off;
         if len == old.len as usize {
             self.arena.copy_within(off.., old.off as usize);
@@ -940,35 +975,62 @@ impl<V: Record> Hot<V> {
         self.dead = 0;
     }
 
-    /// Visits every entry once in position order: `f` runs on each entry
-    /// `pick` chooses by its view, materialized, and the entry is
-    /// rewritten when `f` changed it or removed when `f` returns `false`.
-    /// A removal moves the last — not yet visited — entry into the current
-    /// position, which is therefore visited next. Returns what `weigh`
-    /// makes of the chosen entries' positions before `f` ran and of those
-    /// kept after.
+    /// Visits every entry once in position order: `f` edits the value of
+    /// each entry `pick` chooses by its view, materialized, and the entry
+    /// is rewritten when its value changed. Returns what `weigh` makes of
+    /// the chosen entries' positions before `f` ran and after.
     fn sweep(
         &mut self,
         pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
-        f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
+        f: &mut dyn FnMut(u64, &mut V),
         weigh: &dyn Fn(&Self, u32) -> u64,
     ) -> (u64, u64) {
         let (mut before, mut after) = (0, 0);
-        let mut pos = 0u32;
-        while (pos as usize) < self.len() {
+        for pos in 0..self.len() as u32 {
             let (key, parts) = self.at(pos);
             if !pick(self.view(parts)) {
-                pos += 1;
                 continue;
             }
             let mut slot = self.slot(pos, Vec::new());
             before += weigh(self, pos);
-            if f(key, &mut slot) {
-                self.write(pos, &slot);
+            f(key, &mut slot.value);
+            self.write(pos, &slot);
+            after += weigh(self, pos);
+        }
+        (before, after)
+    }
+
+    /// Visits every entry once in position order: `f` edits its holder
+    /// set beside its view, and the entry gets a new holder part when the
+    /// set changed ([`Hot::set_holders`]), or is removed when it is empty.
+    /// A removal moves the last — not yet visited — entry into the current
+    /// position, which is therefore visited next. Returns what `weigh`
+    /// makes of the changed entries' positions before `f` ran and of
+    /// those kept after.
+    fn retain(
+        &mut self,
+        f: &mut EditHolders<'_, V>,
+        weigh: &dyn Fn(&Self, u32) -> u64,
+    ) -> (u64, u64) {
+        let (mut before, mut after) = (0, 0);
+        let (mut held, mut holders) = (Vec::new(), Vec::new());
+        let mut pos = 0u32;
+        while (pos as usize) < self.len() {
+            let (key, parts) = self.at(pos);
+            parts.holders_into(&mut held);
+            holders.clone_from(&held);
+            f(key, &mut holders, self.view(parts));
+            if holders == held {
+                pos += 1;
+                continue;
+            }
+            before += weigh(self, pos);
+            if holders.is_empty() {
+                self.remove_at(pos);
+            } else {
+                self.set_holders(pos, &holders);
                 after += weigh(self, pos);
                 pos += 1;
-            } else {
-                self.remove_at(pos);
             }
         }
         (before, after)
@@ -1005,7 +1067,7 @@ const LOG_HEADER_BYTES: usize = 8;
 /// The logs of the earliest builds (FNV-1a frames) have no header. A log
 /// of another format is refused, not read: read as this one, every frame
 /// would be corrupt and the log truncated to nothing. The header belongs
-/// to the file, not to an entry: [`Store::disk_bytes`] does not count it.
+/// to the file, not to an entry: no entry's sealed bytes count it.
 const LOG_HEADER: [u8; LOG_HEADER_BYTES] = *b"HDKSEG\x03\x00";
 
 /// The frame that seals an entry: the payload is `[key][version]` plus
@@ -1177,9 +1239,6 @@ struct SegStripe<V> {
     /// Σ `weight(value) × holders` over hot entries: kept in step by
     /// upserts, seals, un-seals and sweeps.
     hot_weight: u64,
-    /// Σ `frame_len × replicas` over sealed entries — *live* log bytes
-    /// (stale frames awaiting compaction are excluded).
-    disk_bytes: u64,
     /// Each peer's log file for this stripe, once it exists.
     segments: HashMap<u32, Segment>,
 }
@@ -1192,7 +1251,6 @@ impl<V: Record> SegStripe<V> {
             seals: 0,
             dirty: VecDeque::new(),
             hot_weight: 0,
-            disk_bytes: 0,
             segments: HashMap::new(),
         }
     }
@@ -1480,21 +1538,8 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         );
     }
 
-    /// A sealed entry's value, materialized from its flat record.
-    fn sealed_value(
-        &self,
-        segments: &HashMap<u32, Segment>,
-        stripe: usize,
-        key: u64,
-        entry: &SealedEntry,
-    ) -> V {
-        self.read_sealed(segments, stripe, key, entry, |flat| {
-            V::from_record(flat, Shared::default())
-        })
-    }
-
-    /// A sealed entry as a slot: its value and the holder set its refs
-    /// spell.
+    /// A sealed entry as a slot: its value, materialized from its flat
+    /// record, and the holder set its refs spell.
     fn sealed_slot(
         &self,
         st: &SegStripe<V>,
@@ -1503,7 +1548,9 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         entry: &SealedEntry,
     ) -> Slot<V> {
         Slot {
-            value: self.sealed_value(&st.segments, stripe, key, entry),
+            value: self.read_sealed(&st.segments, stripe, key, entry, |flat| {
+                V::from_record(flat, Shared::default())
+            }),
             holders: entry.holders(),
         }
     }
@@ -1663,7 +1710,6 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
                 offset: self.append(st, stripe, peer, &frame),
             })
             .collect();
-        st.disk_bytes += frame.len() as u64 * holders.len() as u64;
         st.sealed.insert(
             key,
             SealedEntry {
@@ -1686,13 +1732,10 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         }
     }
 
-    /// Moves a materialized sealed entry into the hot tier (its stale
-    /// frames are dropped from the live accounting; compaction reclaims
-    /// them).
+    /// Moves a materialized sealed entry into the hot tier (its frames go
+    /// stale).
     fn unseal(&self, st: &mut SegStripe<V>, key: u64, mut slot: Slot<V>) {
-        if let Some(entry) = st.sealed.remove(key) {
-            st.disk_bytes -= entry.frame_len() * entry.refs.as_slice().len() as u64;
-        }
+        st.sealed.remove(key);
         slot.holders.sort_unstable();
         let pos = st.hot.insert(key, &slot);
         st.hot_weight += self.weight(&st.hot, pos);
@@ -1718,74 +1761,78 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
         self.codec.weight(hot.view(parts)) * parts.holder_count() as u64
     }
 
-    /// Runs a mutating callback on a sealed entry, if `pick` chooses it by
-    /// its view. `f` returning `false` removes the entry. A changed value
-    /// un-seals the entry; a pure holder change is written through to the
-    /// logs (removed holders' frames dropped, added holders appended the
-    /// current frame).
-    fn mutate_sealed(
+    /// Runs a value edit on a sealed entry, if `pick` chooses it by its
+    /// view; a changed value un-seals the entry.
+    fn edit_sealed(
         &self,
         st: &mut SegStripe<V>,
         stripe: usize,
         key: u64,
         pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
-        f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
+        f: &mut dyn FnMut(u64, &mut V),
     ) {
         let Some(entry) = st.sealed.get(key) else {
             return;
         };
-        let (version, frame_len, held) = (entry.version, entry.frame_len(), entry.holders());
-        let flat = self.read_sealed(&st.segments, stripe, key, entry, <[u8]>::to_vec);
-        if !pick(V::view(&flat, Shared::default())) {
-            return;
-        }
-        let mut slot = Slot {
-            value: V::from_record(&flat, Shared::default()),
-            holders: held.clone(),
-        };
-        if !f(key, &mut slot) {
-            if let Some(entry) = st.sealed.remove(key) {
-                st.disk_bytes -= frame_len * entry.refs.as_slice().len() as u64;
+        let edited = self.read_sealed(&st.segments, stripe, key, entry, |flat| {
+            if !pick(V::view(flat, Shared::default())) {
+                return None;
             }
-            return;
+            let mut value = V::from_record(flat, Shared::default());
+            f(key, &mut value);
+            let mut reflat = Vec::with_capacity(flat.len());
+            value.put_record(&mut reflat, None);
+            (reflat != flat).then_some(value)
+        });
+        if let Some(value) = edited {
+            let holders = entry.holders();
+            self.unseal(st, key, Slot { value, holders });
         }
-        let mut reflat = Vec::with_capacity(flat.len());
-        slot.value.put_record(&mut reflat, None);
-        if reflat != flat {
-            self.unseal(st, key, slot);
-            return;
-        }
-        // Value untouched: reconcile the holder set against the logs.
-        slot.holders.sort_unstable();
-        if slot.holders == held {
-            return;
-        }
+    }
+
+    /// Runs a holder edit on a sealed entry and writes the change through
+    /// to the logs: a dropped holder's ref is forgotten, an added holder is
+    /// appended the current frame, and an entry left with no holder is
+    /// removed. `holders` is the caller's buffer.
+    fn retain_sealed(
+        &self,
+        st: &mut SegStripe<V>,
+        stripe: usize,
+        key: u64,
+        holders: &mut Vec<u32>,
+        f: &mut EditHolders<'_, V>,
+    ) {
         let Some(entry) = st.sealed.get(key) else {
             return;
         };
-        let mut refs: Vec<FrameRef> = entry
-            .refs
-            .as_slice()
-            .iter()
-            .copied()
-            .filter(|r| slot.holders.binary_search(&r.peer).is_ok())
+        let (version, held) = (entry.version, entry.refs.as_slice());
+        entry.holders_into(holders);
+        let frame = self.read_sealed(&st.segments, stripe, key, entry, |flat| {
+            f(key, holders, V::view(flat, Shared::default()));
+            holders.sort_unstable();
+            (holders.iter().any(|&p| held.iter().all(|r| r.peer != p)))
+                .then(|| entry_frame(key, version, |out| out.extend_from_slice(flat)))
+        });
+        if held.iter().map(|r| r.peer).eq(holders.iter().copied()) {
+            return;
+        }
+        if holders.is_empty() {
+            st.sealed.remove(key);
+            return;
+        }
+        let mut refs: Vec<FrameRef> = (held.iter().copied())
+            .filter(|r| holders.binary_search(&r.peer).is_ok())
             .collect();
-        let added: Vec<u32> = slot
-            .holders
-            .iter()
-            .copied()
-            .filter(|p| held.binary_search(p).is_err())
+        let added: Vec<u32> = (holders.iter().copied())
+            .filter(|&p| held.iter().all(|r| r.peer != p))
             .collect();
-        if !added.is_empty() {
-            let frame = entry_frame(key, version, |out| out.extend_from_slice(&flat));
+        if let Some(frame) = frame {
             for peer in added {
                 let offset = self.append(st, stripe, peer, &frame);
                 refs.push(FrameRef { peer, offset });
             }
         }
         refs.sort_unstable_by_key(|r| r.peer);
-        st.disk_bytes -= frame_len * held.len() as u64;
-        st.disk_bytes += frame_len * refs.len() as u64;
         if let Some(entry) = st.sealed.get_mut(key) {
             entry.refs = Refs::from(refs);
         }
@@ -1795,20 +1842,16 @@ impl<V: Record, C: StoreCodec<V>> SegmentStore<V, C> {
     /// sweeps (the table's position order must not leak into un-seal
     /// decisions or frame offsets).
     fn sealed_keys(st: &SegStripe<V>) -> Vec<u64> {
-        let mut keys: Vec<u64> = st.sealed.keys().collect();
+        let mut keys = Vec::with_capacity(st.sealed.len());
+        keys.extend(st.sealed.keys());
         keys.sort_unstable();
         keys
     }
 
-    /// Sweeps the hot tier ([`Hot::sweep`]), keeping the hot weight in
-    /// step with what the sweep changed.
-    fn sweep_hot(
-        &self,
-        st: &mut SegStripe<V>,
-        pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
-        f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool,
-    ) {
-        let (before, after) = st.hot.sweep(pick, f, &|hot, pos| self.weight(hot, pos));
+    /// Sweeps the hot tier's holder sets ([`Hot::retain`]), keeping the
+    /// hot weight in step with what the sweep changed.
+    fn retain_hot(&self, st: &mut SegStripe<V>, f: &mut EditHolders<'_, V>) {
+        let (before, after) = st.hot.retain(f, &|hot, pos| self.weight(hot, pos));
         st.hot_weight = st.hot_weight + after - before;
     }
 }
@@ -1921,27 +1964,25 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         &self,
         stripe: usize,
         pick: &mut dyn FnMut(V::Ref<'_>) -> bool,
-        f: &mut dyn FnMut(u64, &mut Slot<V>),
+        f: &mut dyn FnMut(u64, &mut V),
     ) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        let mut keep = |key: u64, slot: &mut Slot<V>| {
-            f(key, slot);
-            true
-        };
-        self.sweep_hot(st, pick, &mut keep);
+        let (before, after) = st.hot.sweep(pick, f, &|hot, pos| self.weight(hot, pos));
+        st.hot_weight = st.hot_weight + after - before;
         for key in Self::sealed_keys(st) {
-            self.mutate_sealed(st, stripe, key, pick, &mut keep);
+            self.edit_sealed(st, stripe, key, pick, f);
         }
         self.enforce_budget(st, stripe);
     }
 
-    fn retain(&self, stripe: usize, f: &mut dyn FnMut(u64, &mut Slot<V>) -> bool) {
+    fn retain(&self, stripe: usize, f: &mut EditHolders<'_, V>) {
         let mut guard = self.stripes[stripe].write();
         let st = &mut *guard;
-        self.sweep_hot(st, &mut |_| true, f);
+        self.retain_hot(st, f);
+        let mut holders = Vec::new();
         for key in Self::sealed_keys(st) {
-            self.mutate_sealed(st, stripe, key, &mut |_| true, f);
+            self.retain_sealed(st, stripe, key, &mut holders, f);
         }
         self.enforce_budget(st, stripe);
     }
@@ -1949,10 +1990,6 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
     fn len(&self, stripe: usize) -> usize {
         let st = self.stripes[stripe].read();
         st.hot.len() + st.sealed.len()
-    }
-
-    fn disk_bytes(&self, stripe: usize) -> u64 {
-        self.stripes[stripe].read().disk_bytes
     }
 
     fn table_bytes(&self, stripe: usize) -> TableBytes {
@@ -1970,7 +2007,7 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         &self,
         stripe: usize,
         peers: &[u32],
-        volume: &mut dyn FnMut(&V) -> (u64, u64),
+        volume: &mut dyn FnMut(V::Ref<'_>) -> (u64, u64),
         stats: &mut RecoveryStats,
     ) {
         let mut guard = self.stripes[stripe].write();
@@ -1995,19 +2032,17 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
         }
         // Phase 2: reconcile every entry's holder set with what survived.
         // Hot copies lived in the restarting peers' RAM: gone.
-        self.sweep_hot(st, &mut |_| true, &mut |_, slot: &mut Slot<V>| {
-            let before = slot.holders.len();
-            slot.holders.retain(|h| !peers.contains(h));
-            let removed = (before - slot.holders.len()) as u64;
+        self.retain_hot(st, &mut |_, holders, value| {
+            let before = holders.len();
+            holders.retain(|h| !peers.contains(h));
+            let removed = (before - holders.len()) as u64;
             stats.copies_lost += removed;
-            if removed == 0 || !slot.holders.is_empty() {
-                return true;
+            if removed > 0 && holders.is_empty() {
+                let (postings, bytes) = volume(value);
+                stats.keys_lost += 1;
+                stats.postings_lost += postings;
+                stats.bytes_lost += bytes;
             }
-            let (postings, bytes) = volume(&slot.value);
-            stats.keys_lost += 1;
-            stats.postings_lost += postings;
-            stats.bytes_lost += bytes;
-            false
         });
         for key in Self::sealed_keys(st) {
             if let Some(entry) = st.sealed.get_mut(key) {
@@ -2042,7 +2077,6 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 entry.refs = Refs::from(refs);
                 stats.copies_recovered += recovered;
                 stats.copies_lost += lost;
-                st.disk_bytes -= frame_len * lost;
                 if entry.refs.as_slice().is_empty() {
                     // Every replica's frame is gone: the value is
                     // unrecoverable, so the damage is sized by its sealed
@@ -2052,7 +2086,9 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                     stats.bytes_lost += frame_len - FRAME_HEADER_BYTES as u64;
                 } else if recovered > 0 {
                     let (postings, _) =
-                        volume(&self.sealed_value(&st.segments, stripe, key, entry));
+                        self.read_sealed(&st.segments, stripe, key, entry, |flat| {
+                            volume(V::view(flat, Shared::default()))
+                        });
                     stats.postings_recovered += postings * recovered;
                 }
             }
@@ -2102,10 +2138,11 @@ impl<V: Record, C: StoreCodec<V>> Store<V> for SegmentStore<V, C> {
                 refs: Refs::from(refs),
             };
             let replicas = entry.refs.as_slice().len() as u64;
-            let (postings, _) = volume(&self.sealed_value(&st.segments, stripe, key, &entry));
+            let (postings, _) = self.read_sealed(&st.segments, stripe, key, &entry, |flat| {
+                volume(V::view(flat, Shared::default()))
+            });
             stats.copies_recovered += replicas;
             stats.postings_recovered += postings * replicas;
-            st.disk_bytes += entry.frame_len() * replicas;
             st.sealed.insert(key, entry);
         }
     }
@@ -2180,6 +2217,18 @@ mod tests {
         out
     }
 
+    /// Live on-disk bytes of the stripe's sealed frames, one frame per
+    /// holding replica.
+    fn sealed_bytes(store: &dyn Store<Vec<u32>>, stripe: usize) -> u64 {
+        let mut bytes = 0;
+        store.scan_ref(stripe, &mut |_, found, tier| {
+            if let Tier::Sealed { frame_bytes } = tier {
+                bytes += frame_bytes * found.holders.len() as u64;
+            }
+        });
+        bytes
+    }
+
     fn tier_of(store: &dyn Store<Vec<u32>>, stripe: usize, key: u64) -> Option<Tier> {
         let mut out = None;
         store.scan(stripe, &mut |k, _, tier| {
@@ -2199,7 +2248,7 @@ mod tests {
         assert_eq!(read_value(&store, 3, 42), Some(vec![7, 9, 11]));
         assert_eq!(read_value(&store, 3, 43), None);
         assert_eq!(store.len(3), 1);
-        assert_eq!(store.disk_bytes(3), 0);
+        assert_eq!(sealed_bytes(&store, 3), 0);
         assert_eq!(tier_of(&store, 3, 42), Some(Tier::Hot));
     }
 
@@ -2233,8 +2282,12 @@ mod tests {
         }
         insert(&store, 4, 5, &[5], &[1]);
         insert(&store, 4, 3, &[30], &[0, 1]);
-        store.scan_mut(4, &mut |_| true, &mut |_, slot| slot.value.push(100));
-        store.retain(4, &mut |key, _| key != 7);
+        store.scan_mut(4, &mut |_| true, &mut |_, value| value.push(100));
+        store.retain(4, &mut |key, holders, _| {
+            if key == 7 {
+                holders.clear();
+            }
+        });
         store.sync();
         let mut order = Vec::new();
         store.scan(4, &mut |key, _, tier| {
@@ -2245,7 +2298,7 @@ mod tests {
         // last entry (key 5).
         assert_eq!(order, vec![9, 3, 5, 1]);
         assert_eq!(read_value(&store, 4, 3), Some(vec![3, 30, 100]));
-        assert_eq!(store.disk_bytes(4), 0);
+        assert_eq!(sealed_bytes(&store, 4), 0);
         assert_eq!(store.table_bytes(4).sealed, 0);
         let mut stats = RecoveryStats::default();
         store.recover(4, &[1], &mut |v| (v.len() as u64, 0), &mut stats);
@@ -2275,14 +2328,14 @@ mod tests {
         assert!(matches!(tier_of(&store, 1, 10), Some(Tier::Sealed { .. })));
         // Two replicas, one frame each, on disk.
         let frame = (FRAME_HEADER_BYTES + payload_bytes(3)) as u64;
-        assert_eq!(store.disk_bytes(1), 2 * frame);
+        assert_eq!(sealed_bytes(&store, 1), 2 * frame);
         // A further upsert un-seals, merges, and re-seals under a bumped
         // version; the value stays correct throughout.
         insert(&store, 1, 10, &[4], &[0, 2]);
         assert_eq!(read_value(&store, 1, 10), Some(vec![1, 2, 3, 4]));
         let frame2 = frame + 4;
         assert_eq!(
-            store.disk_bytes(1),
+            sealed_bytes(&store, 1),
             2 * frame2,
             "stale frames are not live bytes"
         );
@@ -2293,10 +2346,10 @@ mod tests {
         let store = seg(ROOMY);
         insert(&store, 5, 77, &[1], &[0]);
         assert_eq!(tier_of(&store, 5, 77), Some(Tier::Hot));
-        assert_eq!(store.disk_bytes(5), 0);
+        assert_eq!(sealed_bytes(&store, 5), 0);
         store.sync();
         assert!(matches!(tier_of(&store, 5, 77), Some(Tier::Sealed { .. })));
-        assert!(store.disk_bytes(5) > 0);
+        assert!(sealed_bytes(&store, 5) > 0);
         assert_eq!(read_value(&store, 5, 77), Some(vec![1]));
     }
 
@@ -2304,16 +2357,16 @@ mod tests {
     fn sealed_holder_changes_write_through_without_unsealing() {
         let store = seg(0);
         insert(&store, 2, 5, &[9], &[0, 1]);
-        let before = store.disk_bytes(2);
+        let before = sealed_bytes(&store, 2);
         // Repair-style sweep: add holder 3, drop holder 1, value untouched.
-        store.scan_mut(2, &mut |_| true, &mut |_, slot| {
-            slot.holders.retain(|&h| h != 1);
-            slot.holders.push(3);
-            slot.holders.sort_unstable();
+        store.retain(2, &mut |_, holders, _| {
+            holders.retain(|&h| h != 1);
+            holders.push(3);
+            holders.sort_unstable();
         });
         assert!(matches!(tier_of(&store, 2, 5), Some(Tier::Sealed { .. })));
         assert_eq!(
-            store.disk_bytes(2),
+            sealed_bytes(&store, 2),
             before,
             "one frame dropped, one appended"
         );
@@ -2321,7 +2374,7 @@ mod tests {
         store.scan(2, &mut |_, slot, _| holders = slot.holders.to_vec());
         assert_eq!(holders, vec![0, 3]);
         // A value-changing sweep un-seals.
-        store.scan_mut(2, &mut |_| true, &mut |_, slot| slot.value.push(10));
+        store.scan_mut(2, &mut |_| true, &mut |_, value| value.push(10));
         assert_eq!(read_value(&store, 2, 5), Some(vec![9, 10]));
     }
 
@@ -2340,7 +2393,7 @@ mod tests {
             // must not resurface after the cold recovery.
             insert(&store, 2, 10, &[4], &[0, 1]);
             store.sync();
-            disk_before = store.disk_bytes(2);
+            disk_before = sealed_bytes(&store, 2);
         }
         let store = SegmentStore::at_dir(VecCodec, dir.path().to_path_buf(), 0);
         assert_eq!(store.len(2), 0, "a cold store starts empty");
@@ -2358,7 +2411,7 @@ mod tests {
         assert_eq!(read_value(&store, 2, 10), Some(vec![1, 2, 3, 4]));
         assert_eq!(read_value(&store, 2, 11), Some(vec![9]));
         assert_eq!(
-            store.disk_bytes(2),
+            sealed_bytes(&store, 2),
             disk_before,
             "live-byte accounting must match the store that wrote the logs"
         );
@@ -2422,7 +2475,11 @@ mod tests {
         insert(&store, 4, 2, &[2], &[0]);
         store.sync(); // both sealed
         insert(&store, 4, 3, &[3], &[0]); // hot
-        store.retain(4, &mut |k, _| k != 2 && k != 3);
+        store.retain(4, &mut |k, holders, _| {
+            if k == 2 || k == 3 {
+                holders.clear();
+            }
+        });
         assert_eq!(store.len(4), 1);
         assert_eq!(read_value(&store, 4, 1), Some(vec![1]));
         assert_eq!(read_value(&store, 4, 2), None);
@@ -2847,7 +2904,7 @@ mod tests {
             let frame = FRAME_HEADER_BYTES + payload_bytes(2);
             assert_eq!(log.len(), LOG_HEADER_BYTES + frame);
             assert_eq!(
-                store.disk_bytes(stripe),
+                sealed_bytes(&store, stripe),
                 frame as u64,
                 "the header is not live bytes"
             );

@@ -73,9 +73,11 @@ fn apply(store: &dyn Store<Vec<u32>>, keys: u64, model: &mut Model, op: (u8, u64
         }
         5 => {
             let drop = |key: u64| (key + u64::from(v)).is_multiple_of(5);
-            store.retain(stripe, &mut |key, slot| {
-                slot.value.push(v);
-                !drop(key)
+            store.scan_mut(stripe, &mut |_| true, &mut |_, value| value.push(v));
+            store.retain(stripe, &mut |key, holders, _| {
+                if drop(key) {
+                    holders.clear();
+                }
             });
             model.retain(|&(s, key), (value, _)| {
                 if s != stripe {
@@ -96,12 +98,10 @@ fn apply(store: &dyn Store<Vec<u32>>, keys: u64, model: &mut Model, op: (u8, u64
                 }
             };
             let grow = v.is_multiple_of(2);
-            store.scan_mut(stripe, &mut |_| true, &mut |_, slot| {
-                edit(&mut slot.holders);
-                if grow {
-                    slot.value.push(v);
-                }
-            });
+            store.retain(stripe, &mut |_, holders, _| edit(holders));
+            if grow {
+                store.scan_mut(stripe, &mut |_| true, &mut |_, value| value.push(v));
+            }
             for ((s, _), (value, holders)) in model.iter_mut() {
                 if *s == stripe {
                     edit(holders);
@@ -420,8 +420,8 @@ fn apply_arena(
                 e.docs = Some(Arc::clone(&e.block));
                 e.block = Arc::from(&e.block[..4]);
             };
-            store.scan_mut(0, &mut |value| turns(&value), &mut |_, slot| {
-                transit(&mut slot.value)
+            store.scan_mut(0, &mut |value| turns(&value), &mut |_, value| {
+                transit(value)
             });
             for (entry, _) in model.slots.values_mut() {
                 if turns(entry) {
@@ -444,7 +444,11 @@ fn apply_arena(
         // Removals.
         7 => {
             let drop = |key: u64| (key + u64::from(v)).is_multiple_of(4);
-            store.retain(0, &mut |key, _| !drop(key));
+            store.retain(0, &mut |key, holders, _| {
+                if drop(key) {
+                    holders.clear();
+                }
+            });
             model.retain(|key, _| !drop(key));
         }
         // Churn: a peer joins every holder set or leaves the sets it is
@@ -459,7 +463,7 @@ fn apply_arena(
                     holders.retain(|&h| h != peer);
                 }
             };
-            store.scan_mut(0, &mut |_| true, &mut |_, slot| churn(&mut slot.holders));
+            store.retain(0, &mut |_, holders, _| churn(holders));
             for (_, holders) in model.slots.values_mut() {
                 churn(holders);
             }

@@ -105,7 +105,7 @@ fn golden_scenario_is_pinned_to_the_legacy_codec() {
     network.index().for_each_entry(|entry| {
         assert_eq!(
             entry.postings.as_bytes(),
-            &p2p_hdk::ir::codec::encode(&entry.postings.decode())[..],
+            p2p_hdk::ir::CompressedPostings::from_list(&entry.postings.decode()).as_bytes(),
             "golden block is not the LEB128 layout"
         );
         blocks += 1;
