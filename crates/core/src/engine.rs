@@ -826,6 +826,10 @@ impl HdkNetwork {
     /// [`BackendConfig::SimNet`] or a [`BackendConfig::Tcp`] fleet. The
     /// overlay is always P-Grid; `_overlay` names it only for `benchmark/`.
     ///
+    /// A [`BackendConfig::Tcp`] build that lost inserts (a peer process
+    /// refused, dropped or cut short a reply) returns normally: only
+    /// [`QueryService::transport_errors`] reports it (`hdk-front` exits 1).
+    ///
     /// # Panics
     /// Panics on an invalid configuration or empty partition list.
     pub fn build_with(

@@ -15,13 +15,13 @@
 //! notifications, `LookupMany` per query-plan level, `Sweep` for the
 //! host-local work) or a [`Control`] (joins, departures, settings), hands
 //! it to a pluggable [`NetworkBackend`] (see `hdk_p2p::rpc`) and reads the
-//! [`Response`] — with no knowledge of which backend that is. The
-//! hosting-peer application logic (how an insert merges, how a lookup
-//! reads, what each sweep computes over a host's stripes) lives in
-//! [`IndexStore`], this crate's [`StoreService`] implementation, which
-//! every backend runs through the same handler — so in-process, simulated
-//! and multi-process builds produce identical storage state and traffic
-//! counts by construction.
+//! [`Response`] as the payload it expects ([`Reply`]) — with no knowledge
+//! of which backend that is. The hosting-peer application logic (how an
+//! insert merges, how a lookup reads, what each sweep computes over a
+//! host's stripes) lives in [`IndexStore`], this crate's [`StoreService`]
+//! implementation, which every backend runs through the same handler — so
+//! in-process, simulated and multi-process builds produce identical
+//! storage state and traffic counts by construction.
 //!
 //! ## One posting format everywhere
 //!
@@ -42,10 +42,11 @@ use hdk_ir::codec::{read_known_varint, write_varint};
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, StoredBlock};
 use hdk_p2p::wire::{put_bytes, Wire, WireError, WireReader, WireResult};
 use hdk_p2p::{
-    wire_enum, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig, GossipMetering,
-    GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership, MigrationStats,
-    NetworkBackend, Notification, PGrid, PeerId, Record, RecoveryStats, RepairStats, Request,
-    Response, SegmentStore, Shared, Store, StoreCodec, StoreService, Tier, TrafficSnapshot,
+    reply_types, wire_enum, wire_stats, Absorb, Addressed, Control, Dht, GossipConfig,
+    GossipMetering, GossipOutcome, HotConfig, HotStats, InProc, LossStats, Membership,
+    MigrationStats, NetworkBackend, Notification, PGrid, PeerId, Record, RecoveryStats,
+    RepairStats, Reply, Request, Response, SegmentStore, Shared, Store, StoreCodec, StoreService,
+    Tier, TrafficSnapshot,
 };
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -768,23 +769,19 @@ wire_enum!(IndexSwept {
     8 => Footprint(footprint),
 });
 
-/// Hosts hold disjoint stripes: counts add, lists concatenate, and a
-/// peeked key lives on at most one of them.
-impl Absorb for IndexSwept {
-    fn absorb(&mut self, other: Self) {
-        match (self, other) {
-            (IndexSwept::Classified(acc), IndexSwept::Classified(other)) => acc.extend(other),
-            (IndexSwept::Peeked(acc @ None), IndexSwept::Peeked(other)) => *acc = other,
-            (IndexSwept::Counts(acc), IndexSwept::Counts(other)) => acc.absorb(other),
-            (IndexSwept::StoragePerPeer(acc), IndexSwept::StoragePerPeer(other)) => {
-                acc.absorb(other)
-            }
-            (IndexSwept::Entries(acc), IndexSwept::Entries(other)) => acc.extend(other),
-            (IndexSwept::Footprint(acc), IndexSwept::Footprint(other)) => acc.absorb(other),
-            _ => {}
-        }
-    }
-}
+// What each sweep's reply carries, as the payload `GlobalIndex` asks for.
+reply_types!([] Response<KeyLookup, IndexSwept> {
+    Vec<(PeerId, Key)> = Response::Swept(IndexSwept::Classified(due)) => due;
+    Option<KeyEntry> = Response::Swept(IndexSwept::Peeked(entry)) => entry;
+    IndexCounts = Response::Swept(IndexSwept::Counts(counts)) => counts;
+    Vec<PeerStorage> = Response::Swept(IndexSwept::StoragePerPeer(totals)) => totals;
+    SweepDone = Response::Swept(IndexSwept::Done) => SweepDone;
+    Vec<KeyEntry> = Response::Swept(IndexSwept::Entries(entries)) => entries;
+    IndexFootprint = Response::Swept(IndexSwept::Footprint(footprint)) => footprint;
+});
+
+/// The reply of an effect-only sweep ([`IndexSwept::Done`]).
+struct SweepDone;
 
 /// The store codec of [`KeyEntry`]: what its hot-tier budget enforcement
 /// charges an entry.
@@ -849,10 +846,6 @@ pub type IndexRequest = hdk_p2p::RequestOf<IndexStore>;
 /// types.
 pub type IndexResponse = hdk_p2p::ResponseOf<IndexStore>;
 
-/// One peer's addressed insert batch as it appears inside an
-/// [`Request::InsertBatch`] message.
-type AddressedBatch = (PeerId, Vec<Addressed<(Key, CompressedPostings)>>);
-
 /// The global index.
 pub struct GlobalIndex {
     backend: IndexBackend,
@@ -893,23 +886,36 @@ impl GlobalIndex {
         self.backend.dht()
     }
 
-    /// Ships one host-local sweep and returns what the hosts reported.
-    fn sweep(&self, sweep: IndexSweep) -> IndexSwept {
-        match self.backend.call(&Request::Sweep(sweep)) {
-            Response::Swept(swept) => swept,
-            other => unreachable!("Sweep answered with {other:?}"),
+    /// Ships one data-plane message and reads its reply as the payload
+    /// `R` it carries.
+    ///
+    /// # Panics
+    /// Panics when the message is refused or answered with another reply:
+    /// the engine names only peers its overlay knows, so either is a bug.
+    fn call<R: Reply<KeyLookup, IndexSwept>>(&self, request: &IndexRequest) -> R {
+        match self.backend.call(request).map(R::from_response) {
+            Ok(Ok(reply)) => reply,
+            reply => {
+                // A sweep in full; any other message by its cost category
+                // (an insert batch's items would drown the reply).
+                let message = (request.kind())
+                    .map_or_else(|| format!("{request:?}"), |kind| format!("{kind:?}"));
+                panic!("{message} answered with {:?}", reply.map(Result::err))
+            }
         }
     }
 
-    /// Ships one control-plane message.
-    ///
-    /// # Panics
-    /// Panics when the message is refused: the engine only sends settings
-    /// it validated and waves it checked, so a refusal is a caller bug.
-    fn control(&mut self, control: Control) -> IndexResponse {
-        match self.backend.control(control) {
-            Response::Err(reason) => panic!("control message refused: {reason}"),
-            response => response,
+    /// Ships one host-local sweep and returns what the hosts reported.
+    fn sweep<R: Reply<KeyLookup, IndexSwept>>(&self, sweep: IndexSweep) -> R {
+        self.call(&Request::Sweep(sweep))
+    }
+
+    /// [`GlobalIndex::call`] for a control-plane message: the engine only
+    /// sends settings it validated and waves it checked.
+    fn control<R: Reply<KeyLookup, IndexSwept>>(&mut self, control: Control) -> R {
+        match self.backend.control(control.clone()).map(R::from_response) {
+            Ok(Ok(reply)) => reply,
+            reply => panic!("{control:?} answered with {:?}", reply.map(Result::err)),
         }
     }
 
@@ -928,43 +934,6 @@ impl GlobalIndex {
     /// simulates time).
     pub fn virtual_time_ns(&self) -> u64 {
         self.backend.virtual_time_ns()
-    }
-
-    /// Addresses per-peer batches as an [`Request::InsertBatch`]
-    /// message. Also advances the engine-side `IS_s` counters (the
-    /// *sending* peers know what they inserted; no response needed for
-    /// that).
-    fn insert_request(
-        &self,
-        batches: Vec<(PeerId, Vec<(Key, CompressedPostings)>)>,
-    ) -> IndexRequest {
-        let batches: Vec<AddressedBatch> = batches
-            .into_iter()
-            .map(|(peer, batch)| {
-                let items = batch
-                    .into_iter()
-                    .map(|(key, block)| {
-                        self.inserted_by_size[key.size() - 1]
-                            .fetch_add(block.len() as u64, Ordering::Relaxed);
-                        Addressed {
-                            route: key.dht_hash(),
-                            body: (key, block),
-                        }
-                    })
-                    .collect();
-                (peer, items)
-            })
-            .collect();
-        Request::InsertBatch { batches }
-    }
-
-    /// Ships an [`Request::InsertBatch`] and returns the per-key
-    /// acknowledgement flags, aligned with its batches.
-    fn send_insert(&self, request: &IndexRequest) -> Vec<(PeerId, Vec<bool>)> {
-        match self.backend.call(request) {
-            Response::Inserted { acks } => acks,
-            other => unreachable!("InsertBatch answered with {other:?}"),
-        }
     }
 
     /// Applies per-peer insert batches — one [`Request::InsertBatch`]
@@ -993,18 +962,30 @@ impl GlobalIndex {
             batches.windows(2).all(|w| w[0].0 < w[1].0),
             "insert_round batches must arrive in ascending PeerId order"
         );
-        let request = self.insert_request(batches);
-        let acks = self.send_insert(&request);
-        let Request::InsertBatch { batches } = &request else {
-            unreachable!("insert_request builds an InsertBatch")
-        };
-        let mut feedback: HashMap<PeerId, Vec<Key>> = HashMap::new();
-        for ((peer, items), (_, flags)) in batches.iter().zip(acks) {
-            let ndk = items.iter().zip(flags).filter(|(_, flag)| *flag);
-            let mut ndk = ndk.map(|(item, _)| item.body.0).peekable();
-            if ndk.peek().is_some() {
-                feedback.entry(*peer).or_default().extend(ndk);
+        // The sending peers know what they inserted: the `IS_s` counters
+        // advance as the keys are addressed, not from the reply.
+        let address = |(key, block): (Key, CompressedPostings)| {
+            self.inserted_by_size[key.size() - 1].fetch_add(block.len() as u64, Ordering::Relaxed);
+            Addressed {
+                route: key.dht_hash(),
+                body: (key, block),
             }
+        };
+        let batches = (batches.into_iter())
+            .map(|(peer, batch)| (peer, batch.into_iter().map(address).collect()))
+            .collect();
+        let request: IndexRequest = Request::InsertBatch { batches };
+        let flags: Vec<bool> = self.call(&request);
+        // The flags align with the items of the request built just above.
+        let batches = match &request {
+            Request::InsertBatch { batches } => &batches[..],
+            _ => &[],
+        };
+        let items = (batches.iter())
+            .flat_map(|(peer, items)| items.iter().map(move |item| (*peer, item.body.0)));
+        let mut feedback: HashMap<PeerId, Vec<Key>> = HashMap::new();
+        for ((peer, key), _) in items.zip(flags).filter(|(_, flag)| *flag) {
+            feedback.entry(peer).or_default().push(key);
         }
         for keys in feedback.values_mut() {
             keys.sort_unstable();
@@ -1024,10 +1005,7 @@ impl GlobalIndex {
     /// Keys already swept in a previous call keep their state (inserts only
     /// happen for the round's size, so re-sweeping is idempotent).
     pub fn classify_round(&self, size: usize) -> HashMap<PeerId, Vec<Key>> {
-        let due = match self.sweep(IndexSweep::Classify { size: size as u32 }) {
-            IndexSwept::Classified(due) => due,
-            other => unreachable!("Classify answered with {other:?}"),
-        };
+        let due: Vec<(PeerId, Key)> = self.sweep(IndexSweep::Classify { size: size as u32 });
         // Defensive liveness filter: contributor lists are rewritten to a
         // live custodian when peers depart or fail (see
         // [`GlobalIndex::reassign_contributors`]), so dead recipients
@@ -1065,7 +1043,7 @@ impl GlobalIndex {
             })
             .collect();
         if !notes.is_empty() {
-            self.backend.call(&Request::Notify { notes });
+            self.call::<()>(&Request::Notify { notes });
         }
         notifications
     }
@@ -1109,19 +1087,13 @@ impl GlobalIndex {
                 })
                 .collect(),
         };
-        match self.backend.call(&request) {
-            Response::Found { results } => results,
-            other => unreachable!("LookupMany answered with {other:?}"),
-        }
+        self.call(&request)
     }
 
     /// Unmetered inspection (tests, ablations, stored-size measurements).
     /// A host that cannot be reached reads as `None`.
     pub fn peek(&self, key: Key) -> Option<KeyEntry> {
-        match self.sweep(IndexSweep::Peek(key)) {
-            IndexSwept::Peeked(entry) => entry,
-            other => unreachable!("Peek answered with {other:?}"),
-        }
+        self.sweep(IndexSweep::Peek(key))
     }
 
     /// Stored postings per hosting peer — Figure 3's quantity, resolved
@@ -1146,10 +1118,7 @@ impl GlobalIndex {
     /// Counts of stored keys and postings, split HDK/NDK and by size.
     /// Swept stripe-parallel; the merged counts are order-independent sums.
     pub fn index_counts(&self) -> IndexCounts {
-        match self.sweep(IndexSweep::Counts) {
-            IndexSwept::Counts(counts) => counts,
-            other => unreachable!("Counts answered with {other:?}"),
-        }
+        self.sweep(IndexSweep::Counts)
     }
 
     /// Traffic so far.
@@ -1163,10 +1132,7 @@ impl GlobalIndex {
     /// metered as maintenance at the blocks' actual stored sizes. One
     /// [`MigrationStats`] per peer, in input order.
     pub fn add_peers(&mut self, peers: Vec<PeerId>) -> Vec<MigrationStats> {
-        match self.control(Control::Join { peers }) {
-            Response::Moved(stats) => stats,
-            other => unreachable!("Join answered with {other:?}"),
-        }
+        self.control(Control::Join { peers })
     }
 
     /// Graceful departure wave ([`Control::Leave`]): the peers hand every
@@ -1174,22 +1140,18 @@ impl GlobalIndex {
     /// maintenance, the mirror of a join), then disappear from the
     /// replica walks. No content is lost, at any replication factor.
     pub fn leave_peers(&mut self, peers: &[PeerId]) -> Vec<MigrationStats> {
-        let peers = peers.to_vec();
-        match self.control(Control::Leave { peers }) {
-            Response::Moved(stats) => stats,
-            other => unreachable!("Leave answered with {other:?}"),
-        }
+        self.control(Control::Leave {
+            peers: peers.to_vec(),
+        })
     }
 
     /// Crash wave ([`Control::Fail`]): the peers' copies are destroyed
     /// without handover or messages. Entries whose last copy died are
     /// lost; the rest are degraded until [`GlobalIndex::repair`] runs.
     pub fn fail_peers(&mut self, peers: &[PeerId]) -> LossStats {
-        let peers = peers.to_vec();
-        match self.control(Control::Fail { peers }) {
-            Response::Lost(stats) => stats,
-            other => unreachable!("Fail answered with {other:?}"),
-        }
+        self.control(Control::Fail {
+            peers: peers.to_vec(),
+        })
     }
 
     /// The background repair sweep ([`Request::Repair`]): surviving
@@ -1197,10 +1159,7 @@ impl GlobalIndex {
     /// missing, one [`hdk_p2p::MsgKind::Repair`] message per copy.
     /// Idempotent.
     pub fn repair(&self) -> RepairStats {
-        match self.backend.call(&Request::Repair) {
-            Response::Repaired(stats) => stats,
-            other => unreachable!("Repair answered with {other:?}"),
-        }
+        self.call(&Request::Repair)
     }
 
     /// Switches peer liveness from the membership oracle to gossiped
@@ -1210,10 +1169,7 @@ impl GlobalIndex {
     /// meter only its share of the probes.
     pub fn enable_gossip(&mut self, config: GossipConfig) {
         let metering = GossipMetering::All;
-        match self.control(Control::EnableGossip { config, metering }) {
-            Response::Done => {}
-            other => unreachable!("EnableGossip answered with {other:?}"),
-        }
+        self.control(Control::EnableGossip { config, metering })
     }
 
     /// Advances the gossip layer one round ([`Control::Gossip`]):
@@ -1223,10 +1179,7 @@ impl GlobalIndex {
     /// [`GlobalIndex::enable_gossip`] ran.
     pub fn gossip_round(&mut self) -> GossipOutcome {
         let round = self.dht().gossip().map_or(0, |g| g.round());
-        match self.control(Control::Gossip { round }) {
-            Response::Gossiped(outcome) => outcome,
-            other => unreachable!("Gossip answered with {other:?}"),
-        }
+        self.control(Control::Gossip { round })
     }
 
     /// Whether every live peer's view currently matches ground-truth
@@ -1253,19 +1206,13 @@ impl GlobalIndex {
     /// halves all counters (the decay clock). Idempotent between reads;
     /// a no-op unless [`HotConfig::threshold`] is set.
     pub fn rebalance_hot(&self) -> HotStats {
-        match self.backend.call(&Request::Rebalance) {
-            Response::Rebalanced(stats) => stats,
-            other => unreachable!("Rebalance answered with {other:?}"),
-        }
+        self.call(&Request::Rebalance)
     }
 
     /// Installs the popularity-replication knobs at every host of the
     /// index ([`Control::HotConfig`]; engine construction time).
     pub fn set_hot_config(&mut self, hot: HotConfig) {
-        match self.control(Control::HotConfig(hot)) {
-            Response::Done => {}
-            other => unreachable!("HotConfig answered with {other:?}"),
-        }
+        self.control(Control::HotConfig(hot))
     }
 
     /// A restart wave ([`Control::Restart`]): each peer loses its hot
@@ -1275,17 +1222,15 @@ impl GlobalIndex {
     /// a restart simply loses the peers' copies, like a crash. Run
     /// [`GlobalIndex::repair`] afterwards to close any recovery gap.
     pub fn restart_peers(&mut self, peers: &[PeerId]) -> RecoveryStats {
-        let peers = peers.to_vec();
-        match self.control(Control::Restart { peers }) {
-            Response::Recovered(stats) => stats,
-            other => unreachable!("Restart answered with {other:?}"),
-        }
+        self.control(Control::Restart {
+            peers: peers.to_vec(),
+        })
     }
 
     /// Seals every hot entry to the segment logs (a graceful shutdown's
     /// flush). No-op on an unbounded store. Host-local, unmetered.
     pub fn sync_storage(&self) {
-        self.sweep(IndexSweep::SyncStorage);
+        let SweepDone = self.sweep(IndexSweep::SyncStorage);
     }
 
     /// Live bytes in the on-disk segment tier, summed over every sealed
@@ -1309,7 +1254,7 @@ impl GlobalIndex {
     /// how the classification sweep itself runs locally at each hosting
     /// peer.
     pub fn reassign_contributors(&self, departed: &[PeerId], custodian: PeerId) {
-        self.sweep(IndexSweep::Reassign {
+        let SweepDone = self.sweep(IndexSweep::Reassign {
             departed: departed.to_vec(),
             custodian,
         });
@@ -1331,10 +1276,8 @@ impl GlobalIndex {
     /// samples of the stored entries. The entries are copied out first
     /// ([`IndexSweep::Entries`]).
     pub fn for_each_entry(&self, f: impl FnMut(&KeyEntry)) {
-        match self.sweep(IndexSweep::Entries) {
-            IndexSwept::Entries(entries) => entries.iter().for_each(f),
-            other => unreachable!("Entries answered with {other:?}"),
-        }
+        let entries: Vec<KeyEntry> = self.sweep(IndexSweep::Entries);
+        entries.iter().for_each(f)
     }
 
     /// Per-peer storage composition — the memory-footprint analogue of
@@ -1345,19 +1288,13 @@ impl GlobalIndex {
     /// frames land in [`PeerStorage::sealed_bytes`]. Swept
     /// stripe-parallel; per-peer sums are order-independent.
     pub fn storage_per_peer(&self) -> Vec<PeerStorage> {
-        match self.sweep(IndexSweep::StoragePerPeer) {
-            IndexSwept::StoragePerPeer(totals) => totals,
-            other => unreachable!("StoragePerPeer answered with {other:?}"),
-        }
+        self.sweep(IndexSweep::StoragePerPeer)
     }
 
     /// Where the index's in-memory bytes go: store tables, spilled holder
     /// and contributor lists, blocks and doc-sets (see [`IndexFootprint`]).
     pub fn footprint(&self) -> IndexFootprint {
-        match self.sweep(IndexSweep::Footprint) {
-            IndexSwept::Footprint(footprint) => footprint,
-            other => unreachable!("Footprint answered with {other:?}"),
-        }
+        self.sweep(IndexSweep::Footprint)
     }
 }
 

@@ -38,8 +38,12 @@ use hdk_text::TermId;
 /// 6: a stored entry travels as its length-prefixed flat record; 7: the
 /// sealed-byte sweep and its byte-total reply are gone (answered from
 /// `StoragePerPeer`), so `IndexSweep` tag 6 and `IndexSwept` tag 5 are
-/// unassigned, and `StoreService::migrate_volume` reads a value's view.
-pub const WIRE_VERSION: u32 = 7;
+/// unassigned, and `StoreService::migrate_volume` reads a value's view;
+/// 8: a refusal travels only as the frame's [`WireResponse::Err`] (the
+/// `Err` of a backend's call, no longer a reply) and a notification is
+/// acknowledged with `Done`, so `Response` tags 1 and 12 are unassigned;
+/// an insert is acknowledged with one flag per item, not per batch.
+pub const WIRE_VERSION: u32 = 8;
 
 /// One serving-tier request frame, front-end → peer process.
 #[derive(Debug, Clone)]

@@ -10,8 +10,8 @@
 //! |---|---|---|
 //! | `InsertBatch`, `LookupMany` | each item to its stripe's owner | stitched back into request order |
 //! | `Notify` | one process | — |
-//! | `Repair`, `Rebalance`, every `Sweep` | every process | folded with [`Absorb`] |
-//! | every [`Control`] | the mirror, then every process | folded with [`Absorb`] |
+//! | `Repair`, `Rebalance`, every `Sweep` | every process | folded (`fold`) |
+//! | every [`Control`] | the mirror, then every process | folded (`fold`) |
 //!
 //! Whatever the rule, the frames are written to all their processes,
 //! then read from all, on the calling thread ([`Fleet::exchange`]): the
@@ -29,7 +29,11 @@
 //! message sharing a deadline — its own timeout, not the sum of
 //! everyone's. Failed inserts come back unacknowledged, failed lookups
 //! come back `None`, and the transport error counter ticks so callers
-//! can distinguish "absent key" from "absent peer".
+//! can distinguish "absent key" from "absent peer". So does a reply that
+//! cannot be used whole: a refusal, a reply of another shape than the
+//! message's (for a broadcast, than the mirror's), or more or fewer acks
+//! or results than items sent. Only the mirror's refusal comes back as
+//! the call's `Err`.
 //!
 //! Because the stripe partition is exact and every process meters its
 //! own traffic with the full logical peer set, summing the per-process
@@ -38,14 +42,14 @@
 //! sockets by `crates/core/tests/prop_backend.rs`).
 
 use crate::config::net_timeout_from_env;
-use crate::global_index::{IndexRequest, IndexResponse, IndexStore, KeyEntry};
-use crate::key::Key;
+use crate::global_index::{
+    IndexRequest, IndexResponse, IndexStore, IndexSwept, KeyEntry, KeyLookup,
+};
 use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
-use hdk_ir::CompressedPostings;
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
 use hdk_p2p::{
-    stripe_of, Absorb, Addressed, Control, Dht, GossipMetering, InProc, LatencyHistogram, MsgKind,
-    NetworkBackend, PGrid, PeerId, Request, Response, TrafficSnapshot, Wire, NUM_KINDS,
+    stripe_of, Absorb, Control, Dht, GossipMetering, InProc, KeyHash, LatencyHistogram, MsgKind,
+    NetworkBackend, PGrid, PeerId, Reply, Request, Response, TrafficSnapshot, Wire, NUM_KINDS,
     NUM_STRIPES,
 };
 use parking_lot::Mutex;
@@ -311,30 +315,29 @@ impl TcpNet {
         idempotent: bool,
         kind: Option<MsgKind>,
     ) -> Vec<(usize, IndexResponse)> {
-        self.deliver(payloads, idempotent, kind)
-            .into_iter()
-            .filter_map(|(proc, reply)| match reply {
-                Ok(WireResponse::Rpc(response)) => Some((proc, response)),
-                Ok(_) => {
-                    self.unusable();
-                    None
-                }
-                Err(_) => None,
-            })
-            .collect()
+        let replies = self.deliver(payloads, idempotent, kind).into_iter();
+        let rpc = replies.filter_map(|(proc, reply)| match reply.ok()? {
+            WireResponse::Rpc(response) => Some((proc, response)),
+            _ => {
+                self.unusable();
+                None
+            }
+        });
+        rpc.collect()
     }
 
-    /// Counts a data-plane reply that arrived but cannot be used whole —
-    /// a refusal, an answer to another message, or fewer acks or results
-    /// than the items sent — as a transport error: the items it leaves
-    /// out come back unacknowledged or `None`, like a lost reply's.
+    /// Counts a reply that arrived but cannot be used whole — a refusal,
+    /// a reply of another shape, or more or fewer acks or results than
+    /// items sent — as a transport error: what it leaves out comes back
+    /// unacknowledged, `None` or missing from the fold, like a lost reply.
     fn unusable(&self) {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Delivers `frame_of(p)` to every process `p` and folds the replies
     /// that arrive into `seed` — the mirror's own reply to the same
-    /// message.
+    /// message. A reply of another shape is not folded but counted as a
+    /// transport error.
     fn broadcast(
         &self,
         mut seed: IndexResponse,
@@ -343,47 +346,95 @@ impl TcpNet {
     ) -> IndexResponse {
         let frames = (0..self.fleet.nprocs()).map(|proc| (proc, frame_of(proc).encode()));
         for (_, reply) in self.scatter(frames.collect(), true, kind) {
-            seed.absorb(reply);
+            if !fold(&mut seed, reply) {
+                self.unusable();
+            }
         }
         seed
     }
-}
 
-/// The non-empty parts of a scattered message, as `(process, payload)`.
-fn framed<T>(
-    parts: Vec<Vec<T>>,
-    request: impl Fn(Vec<T>) -> IndexRequest,
-) -> Vec<(usize, Vec<u8>)> {
-    let present = (parts.into_iter().enumerate()).filter(|(_, part)| !part.is_empty());
-    present
-        .map(|(proc, part)| (proc, WireRequest::Rpc(request(part)).encode()))
-        .collect()
-}
-
-/// One process's part of an insert round, as borrowed items.
-type InsertPart<'a> = Vec<(PeerId, Vec<&'a Addressed<(Key, CompressedPostings)>>)>;
-
-/// The payload of `WireRequest::Rpc(Request::InsertBatch { batches })`
-/// for a part whose items stay in the caller's request — byte for byte
-/// the encoding of the owned message, without moving or cloning an item.
-/// The message's encoding ends with its `batches` sequence,
-/// `[count: u32][items]`, so the payload is the empty message's encoding
-/// with that count replaced and the items appended.
-fn insert_payload(part: &InsertPart<'_>) -> Vec<u8> {
-    let empty = Request::InsertBatch {
-        batches: Vec::new(),
-    };
-    let mut payload = WireRequest::Rpc(empty).encode();
-    payload.truncate(payload.len() - 4);
-    (part.len() as u32).put(&mut payload);
-    for (peer, items) in part {
-        peer.put(&mut payload);
-        (items.len() as u32).put(&mut payload);
-        for item in items {
-            item.put(&mut payload);
+    /// Scatters an insert round or a lookup level item by item and
+    /// stitches the replies back: item `i` goes to the owner of
+    /// `routes[i]`, and its answer in that owner's reply lands in
+    /// `out[i]`. A part's payload is `empty`'s encoding, its trailing item
+    /// sequence written by `put_items` from the caller's items. Each
+    /// reply's type and length is checked here, once.
+    fn scatter_items<T>(
+        &self,
+        empty: IndexRequest,
+        routes: impl Iterator<Item = KeyHash>,
+        put_items: impl Fn(&[usize], &mut Vec<u8>),
+        out: &mut [T],
+        idempotent: bool,
+    ) where
+        Vec<T>: Reply<KeyLookup, IndexSwept>,
+    {
+        let nprocs = self.fleet.nprocs();
+        let kind = empty.kind();
+        let mut parts: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
+        for (i, route) in routes.enumerate() {
+            parts[stripe_of(route) % nprocs].push(i);
+        }
+        // The empty message ends with its item sequence's count.
+        let mut head = WireRequest::Rpc(empty).encode();
+        head.truncate(head.len() - 4);
+        let present = (parts.iter().enumerate()).filter(|(_, part)| !part.is_empty());
+        let payloads = present.map(|(proc, part)| {
+            let mut payload = head.clone();
+            put_items(part, &mut payload);
+            (proc, payload)
+        });
+        for (proc, reply) in self.scatter(payloads.collect(), idempotent, kind) {
+            let Ok(answered) = Vec::<T>::from_response(reply) else {
+                self.unusable();
+                continue;
+            };
+            if answered.len() != parts[proc].len() {
+                self.unusable();
+            }
+            for (&i, answer) in parts[proc].iter().zip(answered) {
+                out[i] = answer;
+            }
         }
     }
-    payload
+}
+
+/// Folds `reply` into `seed` if it is the same reply (for a sweep, the same
+/// sweep's) and says whether it was. The processes hold disjoint stripes:
+/// counts add, lists concatenate, a peeked key lives on at most one.
+fn fold(seed: &mut IndexResponse, reply: IndexResponse) -> bool {
+    use {IndexSwept as S, Response as R};
+    match (seed, reply) {
+        (R::Moved(a), R::Moved(b)) => a.absorb(b),
+        (R::Lost(a), R::Lost(b)) => a.absorb(b),
+        (R::Repaired(a), R::Repaired(b)) => a.absorb(b),
+        (R::Rebalanced(a), R::Rebalanced(b)) => a.absorb(b),
+        (R::Recovered(a), R::Recovered(b)) => a.absorb(b),
+        (R::Gossiped(a), R::Gossiped(b)) => a.absorb(b),
+        (R::Swept(S::Classified(a)), R::Swept(S::Classified(b))) => a.extend(b),
+        (R::Swept(S::Peeked(a)), R::Swept(S::Peeked(b))) => *a = a.take().or(b),
+        (R::Swept(S::Counts(a)), R::Swept(S::Counts(b))) => a.absorb(b),
+        (R::Swept(S::StoragePerPeer(a)), R::Swept(S::StoragePerPeer(b))) => a.absorb(b),
+        (R::Swept(S::Entries(a)), R::Swept(S::Entries(b))) => a.extend(b),
+        (R::Swept(S::Footprint(a)), R::Swept(S::Footprint(b))) => a.absorb(b),
+        (R::Done, R::Done) | (R::Swept(S::Done), R::Swept(S::Done)) => {}
+        _ => return false,
+    }
+    true
+}
+
+/// Appends `InsertBatch`'s `batches` sequence for the `items` at `part`:
+/// one batch per run of one inserting peer, in the round's order.
+fn put_batches<T: Wire>(items: &[(PeerId, &T)], part: &[usize], payload: &mut Vec<u8>) {
+    let batches = || part.chunk_by(|&a, &b| items[a].0 == items[b].0);
+    (batches().count() as u32).put(payload);
+    for batch in batches() {
+        items[batch[0]].0.put(payload);
+        (batch.len() as u32).put(payload);
+        for &i in batch {
+            items[i].1.put(payload);
+        }
+    }
 }
 
 impl std::fmt::Debug for TcpNet {
@@ -396,55 +447,27 @@ impl std::fmt::Debug for TcpNet {
 }
 
 impl NetworkBackend<IndexStore> for TcpNet {
-    fn call(&self, request: &IndexRequest) -> IndexResponse {
-        let nprocs = self.fleet.nprocs();
-        let kind = request.kind();
-        match request {
+    fn call(&self, request: &IndexRequest) -> Result<IndexResponse, String> {
+        Ok(match request {
             Request::InsertBatch { batches } => {
-                // Pre-shape the acks (all-false), then point every item
-                // from its owner's part, remembering where it came from.
                 // A part keeps the round's canonical (peer, key) order.
-                let mut acks: Vec<_> = batches
-                    .iter()
-                    .map(|(peer, items)| (*peer, vec![false; items.len()]))
+                let items: Vec<_> = (batches.iter())
+                    .flat_map(|(peer, items)| items.iter().map(move |item| (*peer, item)))
                     .collect();
-                let mut parts: Vec<InsertPart<'_>> = (0..nprocs).map(|_| Vec::new()).collect();
-                let mut origins: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nprocs];
-                for (bi, (peer, items)) in batches.iter().enumerate() {
-                    for (ii, item) in items.iter().enumerate() {
-                        let proc = stripe_of(item.route) % nprocs;
-                        match parts[proc].last_mut() {
-                            Some((last, part)) if last == peer => part.push(item),
-                            _ => parts[proc].push((*peer, vec![item])),
-                        }
-                        origins[proc].push((bi, ii));
-                    }
-                }
-                let present = parts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, part)| !part.is_empty());
-                let parts = present
-                    .map(|(proc, part)| (proc, insert_payload(part)))
-                    .collect();
+                let mut flags = vec![false; items.len()];
                 // Inserts are not idempotent (merges accumulate), so no
                 // automatic retry: a failed exchange leaves its items
                 // unacknowledged.
-                for (proc, reply) in self.scatter(parts, false, kind) {
-                    let Response::Inserted { acks: remote } = reply else {
-                        self.unusable();
-                        continue;
-                    };
-                    let answered: usize = remote.iter().map(|(_, flags)| flags.len()).sum();
-                    if answered != origins[proc].len() {
-                        self.unusable();
-                    }
-                    let flags = remote.into_iter().flat_map(|(_, flags)| flags);
-                    for (&(bi, ii), flag) in origins[proc].iter().zip(flags) {
-                        acks[bi].1[ii] = flag;
-                    }
-                }
-                Response::Inserted { acks }
+                self.scatter_items(
+                    Request::InsertBatch {
+                        batches: Vec::new(),
+                    },
+                    items.iter().map(|(_, item)| item.route),
+                    |part, payload| put_batches(&items, part, payload),
+                    &mut flags,
+                    false,
+                );
+                Response::Inserted { flags }
             }
             Request::LookupMany {
                 from,
@@ -452,31 +475,21 @@ impl NetworkBackend<IndexStore> for TcpNet {
                 keys,
             } => {
                 let mut results = vec![None; keys.len()];
-                let mut parts: Vec<Vec<_>> = (0..nprocs).map(|_| Vec::new()).collect();
-                let mut origins: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-                for (i, key) in keys.iter().enumerate() {
-                    let proc = stripe_of(key.route) % nprocs;
-                    parts[proc].push(key.clone());
-                    origins[proc].push(i);
-                }
-                let parts = framed(parts, |keys| Request::LookupMany {
-                    from: *from,
-                    query_id: *query_id,
-                    keys,
-                });
                 // Lookups are read-only: safe to retry once.
-                for (proc, reply) in self.scatter(parts, true, kind) {
-                    let Response::Found { results: found } = reply else {
-                        self.unusable();
-                        continue;
-                    };
-                    if found.len() != origins[proc].len() {
-                        self.unusable();
-                    }
-                    for (&i, result) in origins[proc].iter().zip(found) {
-                        results[i] = result;
-                    }
-                }
+                self.scatter_items(
+                    Request::LookupMany {
+                        from: *from,
+                        query_id: *query_id,
+                        keys: Vec::new(),
+                    },
+                    keys.iter().map(|key| key.route),
+                    |part, payload| {
+                        (part.len() as u32).put(payload);
+                        part.iter().for_each(|&i| keys[i].put(payload));
+                    },
+                    &mut results,
+                    true,
+                );
                 Response::Found { results }
             }
             // Which process meters a notification is free — only the
@@ -484,14 +497,15 @@ impl NetworkBackend<IndexStore> for TcpNet {
             // does. Metering is not idempotent: no retry.
             request @ Request::Notify { .. } => {
                 let payload = WireRequest::Rpc(request.clone()).encode();
-                self.scatter(vec![(0, payload)], false, kind);
-                Response::Notified
+                self.scatter(vec![(0, payload)], false, request.kind());
+                Response::Done
             }
             request @ (Request::Repair | Request::Rebalance | Request::Sweep(_)) => {
-                let seed = self.mirror.call(request);
-                self.broadcast(seed, |_| WireRequest::Rpc(request.clone()), kind)
+                let seed = self.mirror.call(request)?;
+                let frame = |_| WireRequest::Rpc(request.clone());
+                self.broadcast(seed, frame, request.kind())
             }
-        }
+        })
     }
 
     /// Mirror first (routing state), then every process applies the same
@@ -501,7 +515,7 @@ impl NetworkBackend<IndexStore> for TcpNet {
     /// state (guarded by the round number, so one that fell out of step
     /// refuses instead of diverging) and meters only its own share of the
     /// probes, while the mirror meters none.
-    fn control(&mut self, control: Control) -> IndexResponse {
+    fn control(&mut self, control: Control) -> Result<IndexResponse, String> {
         let nprocs = self.fleet.nprocs();
         let metered = |metering| match &control {
             Control::EnableGossip { config, .. } => Control::EnableGossip {
@@ -510,12 +524,9 @@ impl NetworkBackend<IndexStore> for TcpNet {
             },
             control => control.clone(),
         };
-        let seed = self.mirror.control(metered(GossipMetering::Mirror));
-        if matches!(seed, Response::Err(_)) {
-            return seed;
-        }
+        let seed = self.mirror.control(metered(GossipMetering::Mirror))?;
         let partition = |index| metered(GossipMetering::Partition { nprocs, index });
-        self.broadcast(seed, |proc| WireRequest::Control(partition(proc)), None)
+        Ok(self.broadcast(seed, |proc| WireRequest::Control(partition(proc)), None))
     }
 
     fn dht(&self) -> &Dht<KeyEntry> {
@@ -554,11 +565,11 @@ impl NetworkBackend<IndexStore> for TcpNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::global_index::KeyLookup;
+    use crate::global_index::{IndexCounts, IndexSweep};
     use crate::key::Key;
     use hdk_corpus::DocId;
     use hdk_ir::{CompressedPostings, Posting, PostingList};
-    use hdk_p2p::Addressed;
+    use hdk_p2p::{Addressed, RepairStats};
     use hdk_text::TermId;
     use std::net::TcpListener;
     use std::sync::atomic::AtomicBool;
@@ -567,14 +578,16 @@ mod tests {
     const TIMEOUT: Duration = Duration::from_millis(300);
     const KEYS: u32 = 16;
 
+    /// What a scripted peer answers a message: a reply or a refusal, or
+    /// (`None`) nothing.
+    type Scripted = Option<Result<IndexResponse, String>>;
+
     /// A scripted peer process on a loopback port. It answers handshakes
     /// and health probes itself; every message goes to `script`, whose
     /// `None` leaves the request unanswered (the connection stays open).
     /// Its threads end with the connections, the acceptor with the test
     /// process.
-    fn fake_peer(
-        script: impl Fn(&IndexRequest) -> Option<IndexResponse> + Send + Sync + 'static,
-    ) -> String {
+    fn fake_peer(script: impl Fn(&IndexRequest) -> Scripted + Send + Sync + 'static) -> String {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
         let addr = listener.local_addr().expect("bound").to_string();
         let script = Arc::new(script);
@@ -587,7 +600,9 @@ mod tests {
                         let reply = match WireRequest::decode(&payload).expect("a valid frame") {
                             WireRequest::Hello { .. } => Some(WireResponse::HelloOk),
                             WireRequest::Health => Some(WireResponse::Healthy { keys: 0 }),
-                            WireRequest::Rpc(request) => script(&request).map(WireResponse::Rpc),
+                            WireRequest::Rpc(request) => script(&request).map(|reply| {
+                                reply.map_or_else(WireResponse::Err, WireResponse::Rpc)
+                            }),
                             other => panic!("unscripted frame {other:?}"),
                         };
                         if let Some(reply) = reply {
@@ -604,7 +619,7 @@ mod tests {
 
     /// Finds every key of a `LookupMany`: `df` names the key's term and
     /// `is_ndk` says whether process 1 (rather than 0) answered.
-    fn found_by(proc: usize, request: &IndexRequest) -> Option<IndexResponse> {
+    fn found_by(proc: usize, request: &IndexRequest) -> Scripted {
         let Request::LookupMany { keys, .. } = request else {
             panic!("unscripted message {request:?}");
         };
@@ -620,9 +635,9 @@ mod tests {
                 is_ndk: proc == 1,
             })
         });
-        Some(Response::Found {
+        Some(Ok(Response::Found {
             results: results.collect(),
-        })
+        }))
     }
 
     /// A `TcpNet` over the fake peers at `addrs`, with a short timeout.
@@ -665,7 +680,7 @@ mod tests {
             query_id: 7,
             keys: keys.collect(),
         });
-        let Response::Found { results } = response else {
+        let Ok(Response::Found { results }) = response else {
             panic!("a lookup answers Found, got {response:?}");
         };
         (results, started.elapsed())
@@ -691,10 +706,10 @@ mod tests {
         let response = net.call(&Request::InsertBatch {
             batches: vec![(PeerId(0), (1..=KEYS).map(insert_item).collect())],
         });
-        let Response::Inserted { mut acks } = response else {
+        let Ok(Response::Inserted { flags }) = response else {
             panic!("an insert answers Inserted, got {response:?}");
         };
-        acks.pop().expect("one batch").1
+        flags
     }
 
     /// The process (of two) owning each of the keys [`lookup`] asks for.
@@ -707,20 +722,30 @@ mod tests {
 
     #[test]
     fn a_borrowed_insert_part_encodes_like_the_owned_message() {
-        for batches in [
-            Vec::new(),
-            vec![
-                (PeerId(1), vec![insert_item(1), insert_item(2)]),
-                (PeerId(4), vec![insert_item(3)]),
-            ],
+        let batches = vec![
+            (PeerId(1), vec![insert_item(1), insert_item(2)]),
+            (PeerId(4), vec![insert_item(3)]),
+        ];
+        let items: Vec<_> = (batches.iter())
+            .flat_map(|(peer, items)| items.iter().map(move |item| (*peer, item)))
+            .collect();
+        let owned = |batches| WireRequest::Rpc(Request::InsertBatch { batches }).encode();
+        let mut head = owned(Vec::new());
+        head.truncate(head.len() - 4);
+        // The whole round, nothing, and a part that leaves out an item
+        // of the first batch.
+        let subset = vec![
+            (PeerId(1), vec![insert_item(1)]),
+            (PeerId(4), vec![insert_item(3)]),
+        ];
+        for (part, expected) in [
+            (vec![0, 1, 2], batches.clone()),
+            (vec![], Vec::new()),
+            (vec![0, 2], subset),
         ] {
-            let part: InsertPart<'_> = (batches.iter())
-                .map(|(peer, items)| (*peer, items.iter().collect()))
-                .collect();
-            let owned = WireRequest::Rpc(Request::InsertBatch {
-                batches: batches.clone(),
-            });
-            assert_eq!(insert_payload(&part), owned.encode());
+            let mut payload = head.clone();
+            put_batches(&items, &part, &mut payload);
+            assert_eq!(payload, owned(expected));
         }
     }
 
@@ -800,7 +825,7 @@ mod tests {
 
     #[test]
     fn a_refusal_counts_as_a_transport_error() {
-        let net = net_over(&[fake_peer(|_| Some(Response::Err("refused".into())))]);
+        let net = net_over(&[fake_peer(|_| Some(Err("refused".into())))]);
         assert_eq!(insert(&net), vec![false; KEYS as usize]);
         assert_eq!(net.transport_errors(), 1);
         let (results, _) = lookup(&net);
@@ -810,7 +835,7 @@ mod tests {
 
     #[test]
     fn an_answer_to_another_message_counts_as_a_transport_error() {
-        let net = net_over(&[fake_peer(|_| Some(Response::Notified))]);
+        let net = net_over(&[fake_peer(|_| Some(Ok(Response::Done)))]);
         assert_eq!(insert(&net), vec![false; KEYS as usize]);
         assert_eq!(net.transport_errors(), 1);
         let (results, _) = lookup(&net);
@@ -828,17 +853,14 @@ mod tests {
             let drop_last = usize::from(cut.load(Ordering::SeqCst));
             match request {
                 Request::InsertBatch { batches } => {
-                    let mut acks: Vec<_> = (batches.iter())
-                        .map(|(peer, items)| (*peer, vec![true; items.len()]))
-                        .collect();
-                    let last = &mut acks.last_mut().expect("one batch").1;
-                    last.truncate(last.len() - drop_last);
-                    Some(Response::Inserted { acks })
+                    let items: usize = batches.iter().map(|(_, items)| items.len()).sum();
+                    let flags = vec![true; items - drop_last];
+                    Some(Ok(Response::Inserted { flags }))
                 }
                 request => match found_by(0, request)? {
-                    Response::Found { mut results } => {
+                    Ok(Response::Found { mut results }) => {
                         results.truncate(results.len() - drop_last);
-                        Some(Response::Found { results })
+                        Some(Ok(Response::Found { results }))
                     }
                     other => Some(other),
                 },
@@ -858,5 +880,36 @@ mod tests {
         assert!(results[..KEYS as usize - 1].iter().all(Option::is_some));
         assert!(results[KEYS as usize - 1].is_none());
         assert_eq!(net.transport_errors(), 2);
+    }
+
+    #[test]
+    fn a_broadcast_reply_of_another_shape_counts_as_a_transport_error() {
+        // Answers a repair with an acknowledgement, and a sweep with one
+        // too until `inner` is set — then with another sweep's reply.
+        let inner = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&inner);
+        let net = net_over(&[fake_peer(move |request| {
+            Some(Ok(match request {
+                Request::Sweep(_) if flag.load(Ordering::SeqCst) => {
+                    Response::Swept(IndexSwept::Entries(Vec::new()))
+                }
+                _ => Response::Done,
+            }))
+        })]);
+        let repaired = net.call(&Request::Repair);
+        assert!(
+            matches!(repaired, Ok(Response::Repaired(stats)) if stats == RepairStats::default()),
+            "{repaired:?}"
+        );
+        assert_eq!(net.transport_errors(), 1);
+        for errors in [2, 3] {
+            let counted = net.call(&Request::Sweep(IndexSweep::Counts));
+            assert!(
+                matches!(&counted, Ok(Response::Swept(IndexSwept::Counts(counts))) if *counts == IndexCounts::default()),
+                "{counted:?}"
+            );
+            assert_eq!(net.transport_errors(), errors);
+            inner.store(true, Ordering::SeqCst);
+        }
     }
 }

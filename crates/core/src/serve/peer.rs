@@ -22,10 +22,10 @@
 //! recovers losslessly (`tests/serving_shutdown.rs`).
 
 use crate::config::StoreConfig;
-use crate::global_index::{local_backend, IndexResponse, IndexStore, IndexSweep};
+use crate::global_index::{local_backend, IndexStore, IndexSweep};
 use crate::serve::codec::{WireRequest, WireResponse, WIRE_VERSION};
 use hdk_p2p::wire::{read_frame, write_frame, WireError, WireResult};
-use hdk_p2p::{InProc, NetworkBackend, PGrid, PeerId, Request, Response};
+use hdk_p2p::{InProc, NetworkBackend, PGrid, PeerId, Request};
 use parking_lot::RwLock;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -104,8 +104,13 @@ impl PeerHost {
                     ))
                 }
             }
-            WireRequest::Rpc(request) => reply(self.backend.read().call(&request)),
-            WireRequest::Control(control) => reply(self.backend.write().control(control)),
+            // A refusal by the handler travels as the frame-level
+            // refusal, so the front-end counts it like any other failed
+            // exchange.
+            WireRequest::Rpc(request) => (self.backend.read().call(&request))
+                .map_or_else(WireResponse::Err, WireResponse::Rpc),
+            WireRequest::Control(control) => (self.backend.write().control(control))
+                .map_or_else(WireResponse::Err, WireResponse::Rpc),
             WireRequest::Snapshot => {
                 WireResponse::Snapshot(Box::new(self.backend.read().snapshot()))
             }
@@ -158,20 +163,12 @@ impl PeerHost {
                 // Acknowledged (the front-end's request completed); now
                 // drain: the write lock waits out every in-flight
                 // request. Seal the hot tier so a segment-backed process
-                // restarts losslessly, and exit.
+                // restarts losslessly, and exit. A sweep names no peer, so
+                // it is never refused.
                 let backend = self.backend.write();
-                backend.call(&Request::Sweep(IndexSweep::SyncStorage));
+                let _ = backend.call(&Request::Sweep(IndexSweep::SyncStorage));
                 std::process::exit(0);
             }
         }
-    }
-}
-
-/// A refusal by the handler travels as the frame-level refusal, so the
-/// front-end counts it like any other failed exchange.
-fn reply(response: IndexResponse) -> WireResponse {
-    match response {
-        Response::Err(reason) => WireResponse::Err(reason),
-        response => WireResponse::Rpc(response),
     }
 }

@@ -17,11 +17,13 @@
 //!
 //! The backends also agree on what they *refuse*: a membership wave that
 //! is invalid against the overlay (a joiner already in it, an unknown or
-//! dead leaver, a wave that leaves nobody) is answered `Response::Err`
-//! by all three and changes nothing — and a live `PeerHost` that receives
-//! one on a socket answers `WireResponse::Err` and keeps serving. So is a
-//! data-plane message naming a peer the overlay does not know (a lookup's
-//! querying peer, an insert batch's peer, a notification's recipient).
+//! dead leaver, a wave that leaves nobody) comes back as the `Err` of
+//! `NetworkBackend::control` from all three and changes nothing — and a
+//! live `PeerHost` that receives one on a socket answers
+//! `WireResponse::Err` and keeps serving. So is a data-plane message
+//! naming a peer the overlay does not know (a lookup's querying peer, an
+//! insert batch's peer, a notification's recipient): the `Err` of
+//! `NetworkBackend::call` in process, `WireResponse::Err` on a socket.
 
 use hdk_core::{
     BackendConfig, Fleet, HdkConfig, HdkNetwork, IndexBackend, IndexStore, Key, OverlayKind,
@@ -278,26 +280,26 @@ fn every_backend_refuses_an_invalid_membership_wave() {
     for (name, mut backend) in backends {
         for wave in invalid_waves() {
             let reply = backend.control(wave.clone());
-            assert!(
-                matches!(reply, Response::Err(_)),
-                "{name}: {wave:?} answered {reply:?}"
-            );
+            assert!(reply.is_err(), "{name}: {wave:?} answered {reply:?}");
             assert_eq!(backend.dht().overlay().len(), 4, "{name}: {wave:?}");
             assert_eq!(backend.dht().membership().live_count(), 4, "{name}");
         }
         // Still in working order: a dead peer is then refused a second
         // death, a valid join goes through, lookups are answered.
         let crash = Control::Fail { peers: ids(&[3]) };
-        assert!(matches!(backend.control(crash.clone()), Response::Lost(_)));
-        assert!(matches!(backend.control(crash), Response::Err(_)), "{name}");
+        assert!(matches!(
+            backend.control(crash.clone()),
+            Ok(Response::Lost(_))
+        ));
+        assert!(backend.control(crash).is_err(), "{name}");
         let join = Control::Join { peers: ids(&[8]) };
         assert!(
-            matches!(backend.control(join), Response::Moved(_)),
+            matches!(backend.control(join), Ok(Response::Moved(_))),
             "{name}"
         );
         let found = backend.call(&lookup_of_nothing());
         assert!(
-            matches!(&found, Response::Found { results } if matches!(results[..], [None])),
+            matches!(&found, Ok(Response::Found { results }) if matches!(results[..], [None])),
             "{name}"
         );
         assert_eq!(backend.transport_errors(), 0, "{name}");
@@ -386,16 +388,13 @@ fn a_request_naming_an_unknown_peer_is_refused() {
         for request in requests_naming_an_unknown_peer() {
             let shown = format!("{request:?}");
             let reply = backend.call(&request);
-            assert!(
-                matches!(reply, Response::Err(_)),
-                "{name}: {shown} answered {reply:?}"
-            );
+            assert!(reply.is_err(), "{name}: {shown} answered {reply:?}");
         }
         assert_eq!(backend.dht().num_keys(), 0, "{name}: nothing was applied");
         assert!(backend.snapshot().kinds.iter().all(|k| k.messages == 0));
         let found = backend.call(&lookup_of_nothing());
         assert!(
-            matches!(&found, Response::Found { results } if matches!(results[..], [None])),
+            matches!(&found, Ok(Response::Found { results }) if matches!(results[..], [None])),
             "{name}"
         );
     }

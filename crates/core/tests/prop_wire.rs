@@ -45,7 +45,7 @@ use hdk_core::{
 };
 use hdk_corpus::DocId;
 use hdk_ir::{CompressedDocSet, CompressedPostings, Posting, PostingList};
-use hdk_p2p::{read_wire_frame, write_wire_frame, WireError};
+use hdk_p2p::{read_wire_frame, write_wire_frame, Wire, WireError};
 use hdk_p2p::{
     Addressed, Control, GossipConfig, GossipMetering, GossipOutcome, GossipRound, HotConfig,
     HotStats, KindSnapshot, LatencyHistogram, LossStats, MigrationStats, Notification, PeerId,
@@ -421,8 +421,7 @@ impl Gen {
 
     fn rpc_response_after(&mut self, response: &IndexResponse) -> IndexResponse {
         match response {
-            Response::Inserted { .. } => Response::Notified,
-            Response::Notified => Response::Found {
+            Response::Inserted { .. } => Response::Found {
                 results: (0..self.below(6))
                     .map(|_| self.flag().then(|| self.lookup()))
                     .collect(),
@@ -479,15 +478,8 @@ impl Gen {
                 })
             }
             Response::Gossiped(_) => Response::Done,
-            Response::Done => Response::Err(self.message()),
-            Response::Err(_) => Response::Inserted {
-                acks: (0..self.below(4))
-                    .map(|_| {
-                        let peer = self.peer();
-                        let flags = (0..self.below(6)).map(|_| self.flag()).collect();
-                        (peer, flags)
-                    })
-                    .collect(),
+            Response::Done => Response::Inserted {
+                flags: (0..self.below(24)).map(|_| self.flag()).collect(),
             },
         }
     }
@@ -637,6 +629,46 @@ fn an_insert_carrying_a_retired_block_does_not_decode() {
         WireRequest::decode(&retired),
         Err(WireError::Corrupt)
     ));
+}
+
+#[test]
+fn a_retired_tag_does_not_decode() {
+    // A frame is `[frame tag][message tag][fields]`: `Rpc` is tag 0 of
+    // both frame enums, a sweep tag 9 of `Request` and of `Response`.
+    let refusal = {
+        let mut bytes = vec![0, 12];
+        String::from("refused").put(&mut bytes);
+        bytes
+    };
+    // The notification acknowledgement (now `Done`) and the refusal (now
+    // the `Err` of a backend's call).
+    for retired in [vec![0, 1], refusal] {
+        assert!(
+            matches!(WireResponse::decode(&retired), Err(WireError::Corrupt)),
+            "{retired:?}"
+        );
+    }
+    // The sweeps and sweep replies `StoragePerPeer` answers.
+    for tag in [3, 5, 6] {
+        assert!(matches!(
+            WireRequest::decode(&[0, 9, tag]),
+            Err(WireError::Corrupt)
+        ));
+    }
+    for tag in [3, 5] {
+        let mut retired = vec![0, 9, tag];
+        0u64.put(&mut retired);
+        assert!(matches!(
+            WireResponse::decode(&retired),
+            Err(WireError::Corrupt)
+        ));
+    }
+    // The tags around them still decode.
+    assert!(matches!(
+        WireResponse::decode(&[0, 11]),
+        Ok(WireResponse::Rpc(Response::Done))
+    ));
+    assert!(WireRequest::decode(&[0, 9, 4]).is_ok());
 }
 
 proptest! {

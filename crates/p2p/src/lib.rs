@@ -50,7 +50,7 @@ pub use id::{hash_bytes, hash_u64s, IdHashMap, IdHashSet, IdHasher, KeyHash, Pee
 pub use pgrid::{PGrid, RouteResult};
 pub use replica::{Delivery, Membership, MembershipEvent, PeerState};
 pub use rpc::{
-    Addressed, Control, InProc, NetworkBackend, Notification, Request, RequestOf, Response,
+    Addressed, Control, InProc, NetworkBackend, Notification, Reply, Request, RequestOf, Response,
     ResponseOf, SimNet, SimNetConfig, StoreService,
 };
 pub use store::{

@@ -5,7 +5,8 @@
 //! makes them the **only seam** between the engine and whatever hosts the
 //! index: the engine builds a [`Request`] (data plane, `&self`) or a
 //! [`Control`] (overlay, membership and settings, `&mut self`), hands it to
-//! a [`NetworkBackend`], and reads the [`Response`].
+//! a [`NetworkBackend`], and reads the [`Response`] as the payload it
+//! expects ([`Reply`]) — or the `Err` the message was refused with.
 //!
 //! One handler pair in this module turns a message into [`Dht`] calls —
 //! for every backend. A backend is only a *delivery policy* over it:
@@ -22,7 +23,7 @@
 //!   latency histograms and hop-weighted traffic in [`TrafficSnapshot`].
 //! * `TcpNet` (in `hdk-core`'s serving tier) — frames the message to the
 //!   peer processes hosting the stripes, each of which runs an [`InProc`],
-//!   and folds their replies ([`Absorb`]).
+//!   and folds their replies.
 //!
 //! A simulated and a real network therefore differ in how a message is
 //! delivered and timed, never in what the receiving peer does with it.
@@ -58,9 +59,11 @@
 //! ## Adding a message
 //!
 //! The enum variant, its line in the `wire_enum!` table below, its handler
-//! arm — all in this file (a new sweep: the same three in the
-//! [`StoreService`] implementor's). A variant whose scatter rule is not
-//! "every process" also needs its arm in `TcpNet::call`.
+//! arm and, for a new payload type, its reply line in the
+//! [`reply_types!`](crate::reply_types) table — all in this file (a new
+//! sweep: the same four in the [`StoreService`] implementor's). No caller
+//! matches a reply by hand. A variant whose scatter rule is not "every
+//! process" also needs its arm in `TcpNet::call`.
 
 use crate::dht::{
     stripe_of, Dht, GossipMetering, GossipOutcome, HotConfig, HotStats, LossStats, MigrationStats,
@@ -69,10 +72,10 @@ use crate::dht::{
 use crate::gossip::{GossipConfig, GossipProbe};
 use crate::id::{hash_u64s, splitmix64, KeyHash, PeerId};
 use crate::pgrid::PGrid;
-use crate::replica::{Delivery, Membership};
+use crate::replica::Delivery;
 use crate::store::{Record, RecoveryStats, Store};
 use crate::transport::{MsgKind, TrafficSnapshot};
-use crate::wire::{Absorb, Wire};
+use crate::wire::Wire;
 use crate::{wire_enum, wire_record};
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -118,10 +121,8 @@ pub trait StoreService: Send + Sync {
     type Lookup: Send;
     /// A host-local sweep over the stored values ([`Request::Sweep`]).
     type Sweep: Send + Sync;
-    /// What a sweep reports. [`Absorb`] folds the reports of disjoint
-    /// stripe sets — per-stripe partials inside one host, per-process
-    /// replies across a fleet — into the whole.
-    type Swept: Absorb + Send;
+    /// What a sweep reports.
+    type Swept: Send;
 
     /// Wire volume of one insert payload: `(postings, bytes)` — what the
     /// meter records for its [`MsgKind::IndexInsert`] message.
@@ -313,19 +314,17 @@ pub enum Control {
 }
 
 /// The reply to a [`Request`] or a [`Control`] (`L = StoreService::Lookup`,
-/// `T = StoreService::Swept`).
+/// `T = StoreService::Swept`). A refusal is not a reply: it is the `Err`
+/// of [`NetworkBackend::call`] and [`NetworkBackend::control`].
 #[derive(Debug, Clone)]
 pub enum Response<L, T> {
     /// Acknowledges an [`Request::InsertBatch`]: one flag per inserted
-    /// key, aligned with the request's batches, carrying whatever
-    /// [`StoreService::merge`] returned (the ack piggybacks on the insert
-    /// round-trip, so it costs no extra message).
+    /// key, carrying whatever [`StoreService::merge`] returned (the ack
+    /// piggybacks on the insert round-trip, so it costs no extra message).
     Inserted {
-        /// `(inserting peer, per-key flags)` aligned with the request.
-        acks: Vec<(PeerId, Vec<bool>)>,
+        /// One flag per item, in the request's order, batch after batch.
+        flags: Vec<bool>,
     },
-    /// Acknowledges a [`Request::Notify`].
-    Notified,
     /// Answers a [`Request::LookupMany`], in request key order.
     Found {
         /// One response per requested key (`None` = not indexed).
@@ -346,30 +345,51 @@ pub enum Response<L, T> {
     Swept(T),
     /// Answers a [`Control::Gossip`] with what the round did.
     Gossiped(GossipOutcome),
-    /// Acknowledges a setting.
+    /// Acknowledges a [`Request::Notify`] or a setting.
     Done,
-    /// The message was understood but refused; nothing was applied.
-    Err(String),
 }
 
-/// Folds the reply another stripe-disjoint host gave to the same message
-/// into this one. Replies of different shapes (one host refused) leave
-/// `self` as it is; insert acks and lookup results are stitched by
-/// position by whoever scattered the request, not absorbed.
-impl<L, T: Absorb> Absorb for Response<L, T> {
-    fn absorb(&mut self, other: Self) {
-        match (self, other) {
-            (Response::Moved(acc), Response::Moved(other)) => acc.absorb(other),
-            (Response::Lost(acc), Response::Lost(other)) => acc.absorb(other),
-            (Response::Repaired(acc), Response::Repaired(other)) => acc.absorb(other),
-            (Response::Rebalanced(acc), Response::Rebalanced(other)) => acc.absorb(other),
-            (Response::Recovered(acc), Response::Recovered(other)) => acc.absorb(other),
-            (Response::Swept(acc), Response::Swept(other)) => acc.absorb(other),
-            (Response::Gossiped(acc), Response::Gossiped(other)) => acc.absorb(other),
-            _ => {}
-        }
-    }
+/// A reply payload, tied to the one [`Response`] variant that carries it
+/// by a [`reply_types!`](crate::reply_types) line. Generic over
+/// `Response`'s parameters, so the crate that owns them adds its lines.
+pub trait Reply<L, T>: Sized {
+    /// The payload `response` carries, or `response` back (boxed: only a
+    /// caller's diagnostic reads it) when it is another reply.
+    fn from_response(response: Response<L, T>) -> Result<Self, Box<Response<L, T>>>;
 }
+
+/// Derives [`Reply`] from `Payload = pattern => payload;` lines over
+/// `Response<L, T>`, generic over the bracketed parameters.
+#[macro_export]
+macro_rules! reply_types {
+    ($g:tt Response<$l:ty, $t:ty> { $($payload:ty = $pat:pat => $out:expr;)* }) => {
+        $($crate::reply_types!(@impl $g $l, $t, $payload, $pat, $out);)*
+    };
+    (@impl [$($g:ident),*] $l:ty, $t:ty, $payload:ty, $pat:pat, $out:expr) => {
+        impl<$($g),*> $crate::rpc::Reply<$l, $t> for $payload {
+            fn from_response(
+                response: $crate::rpc::Response<$l, $t>,
+            ) -> Result<Self, Box<$crate::rpc::Response<$l, $t>>> {
+                match response {
+                    $pat => Ok($out),
+                    other => Err(Box::new(other)),
+                }
+            }
+        }
+    };
+}
+
+reply_types!([L, T] Response<L, T> {
+    Vec<bool> = Response::Inserted { flags } => flags;
+    Vec<Option<L>> = Response::Found { results } => results;
+    Vec<MigrationStats> = Response::Moved(stats) => stats;
+    LossStats = Response::Lost(stats) => stats;
+    RepairStats = Response::Repaired(stats) => stats;
+    HotStats = Response::Rebalanced(stats) => stats;
+    RecoveryStats = Response::Recovered(stats) => stats;
+    GossipOutcome = Response::Gossiped(outcome) => outcome;
+    () = Response::Done => ();
+});
 
 wire_record!(Notification[24](to, postings, bytes));
 wire_record!(Addressed<T>[8 + T::MIN_BYTES](route, body));
@@ -390,9 +410,11 @@ wire_enum!(Control {
     5 => HotConfig(hot),
     6 => EnableGossip { config, metering },
 });
+// Retired tags stay unassigned: `Response` 1 (the notification
+// acknowledgement, now `Done`) and 12 (a refusal, now the `Err` of
+// `NetworkBackend::{call, control}`).
 wire_enum!(Response<L, T> {
-    0 => Inserted { acks },
-    1 => Notified,
+    0 => Inserted { flags },
     2 => Found { results },
     4 => Moved(stats),
     5 => Lost(stats),
@@ -402,7 +424,6 @@ wire_enum!(Response<L, T> {
     9 => Swept(swept),
     10 => Gossiped(outcome),
     11 => Done,
-    12 => Err(reason),
 });
 
 /// A pluggable network between the engine and the DHT: two message
@@ -410,13 +431,15 @@ wire_enum!(Response<L, T> {
 /// deliberately no per-operation method — a backend that could special-
 /// case an operation could also get it wrong.
 pub trait NetworkBackend<S: StoreService>: Send + Sync {
-    /// Delivers one data-plane message and returns its reply. The message
-    /// stays the caller's: an insert round's sender reads its own keys
-    /// back to map the acknowledgement flags to them.
-    fn call(&self, request: &RequestOf<S>) -> ResponseOf<S>;
+    /// Delivers one data-plane message and returns its reply, or why it
+    /// was refused (nothing was applied). The message stays the caller's:
+    /// an insert round's sender reads its own keys back to map the
+    /// acknowledgement flags to them.
+    fn call(&self, request: &RequestOf<S>) -> Result<ResponseOf<S>, String>;
 
-    /// Delivers one control-plane message and returns its reply.
-    fn control(&mut self, control: Control) -> ResponseOf<S>;
+    /// Delivers one control-plane message and returns its reply, or why
+    /// it was refused (nothing was applied).
+    fn control(&mut self, control: Control) -> Result<ResponseOf<S>, String>;
 
     /// The routing state the engine may read: overlay, membership,
     /// gossip views. Not a way to reach stored entries — on a remote
@@ -550,7 +573,7 @@ fn insert_batch<S: StoreService>(
     store: &S,
     batches: &[(PeerId, Vec<Addressed<S::Insert>>)],
     legs: Legs<'_>,
-) -> Vec<(PeerId, Vec<bool>)> {
+) -> Vec<bool> {
     let timed = legs.is_some();
     let index = |i: usize| u32::try_from(i).expect("an insert round holds under 2^32 items");
     // `starts[s]..starts[s + 1]` is stripe `s`'s range of `order`.
@@ -600,13 +623,16 @@ fn insert_batch<S: StoreService>(
             (flags, copies)
         })
         .collect();
-    let mut out: Vec<(PeerId, Vec<bool>)> = batches
-        .iter()
-        .map(|(peer, items)| (*peer, vec![false; items.len()]))
+    // Item `ii` of batch `bi` is flag `first[bi] + ii`.
+    let first: Vec<usize> = (batches.iter())
+        .scan(0, |n, (_, items)| {
+            Some(std::mem::replace(n, *n + items.len()))
+        })
         .collect();
+    let mut out = vec![false; order.len()];
     for (stripe, (flags, _)) in acks.iter().enumerate() {
         for (&(bi, ii), &flag) in order[starts[stripe]..starts[stripe + 1]].iter().zip(flags) {
-            out[bi as usize].1[ii as usize] = flag;
+            out[first[bi as usize] + ii as usize] = flag;
         }
     }
     if let Some(legs) = legs {
@@ -666,14 +692,12 @@ fn handle<S: StoreService>(
     store: &S,
     request: &RequestOf<S>,
     mut legs: Legs<'_>,
-) -> ResponseOf<S> {
-    if let Err(reason) = check_request(dht.overlay(), request) {
-        return Response::Err(reason);
-    }
+) -> Result<ResponseOf<S>, String> {
+    check_request(dht.overlay(), request)?;
     let volume = |value: <S::Value as Record>::Ref<'_>| store.migrate_volume(value);
-    match request {
+    Ok(match request {
         Request::InsertBatch { batches } => Response::Inserted {
-            acks: insert_batch(dht, store, batches, legs),
+            flags: insert_batch(dht, store, batches, legs),
         },
         Request::Notify { notes } => {
             for (position, note) in notes.iter().enumerate() {
@@ -691,7 +715,7 @@ fn handle<S: StoreService>(
                     ));
                 }
             }
-            Response::Notified
+            Response::Done
         }
         Request::LookupMany {
             from,
@@ -740,23 +764,39 @@ fn handle<S: StoreService>(
             Response::Rebalanced(dht.rebalance_hot(volume, copy_leg(MsgKind::HotReplicate, legs)))
         }
         Request::Sweep(sweep) => Response::Swept(store.sweep(dht, sweep)),
-    }
+    })
 }
 
-/// Why a membership wave cannot be applied to a [`Dht`] over `overlay` and
-/// `membership`, where the `Dht` itself would assert: a joiner must be new, a leaver, crasher or
-/// restarter known and live, no peer may appear twice, and a departure or
-/// crash wave must leave a live peer behind.
-fn check_wave(overlay: &PGrid, membership: &Membership, control: &Control) -> Result<(), String> {
+/// Why a control message cannot be applied to `dht`, where the `Dht` would
+/// assert or its replicas diverge: a joiner must be new, a leaver, crasher
+/// or restarter known and live, no peer may appear twice, a departure or
+/// crash wave must leave a live peer behind, a gossip round must be the
+/// one this host runs next, and gossip needs a valid configuration with
+/// a fanout.
+fn check_control<V: Record>(dht: &Dht<V>, control: &Control) -> Result<(), String> {
     let (peers, joining, removing) = match control {
         Control::Join { peers } => (peers, true, false),
         Control::Leave { peers } | Control::Fail { peers } => (peers, false, true),
         Control::Restart { peers } => (peers, false, false),
-        Control::Gossip { .. } | Control::HotConfig(_) | Control::EnableGossip { .. } => {
-            return Ok(())
+        Control::Gossip { round } => {
+            return match dht.gossip().map(|g| g.round()) {
+                None => Err("gossip is not enabled".into()),
+                Some(local) if local != *round => Err(format!(
+                    "gossip round mismatch: sender at {round}, this host at {local}"
+                )),
+                Some(_) => Ok(()),
+            };
         }
+        Control::EnableGossip { config, .. } => {
+            config.check()?;
+            return match config.fanout {
+                0 => Err("enabling gossip needs fanout >= 1".into()),
+                _ => Ok(()),
+            };
+        }
+        Control::HotConfig(_) => return Ok(()),
     };
-    let known = overlay.peers();
+    let (known, membership) = (dht.overlay().peers(), dht.membership());
     for (i, peer) in peers.iter().enumerate() {
         if peers[..i].contains(peer) {
             return Err(format!("peer {} appears twice in one wave", peer.0));
@@ -778,21 +818,18 @@ fn check_wave(overlay: &PGrid, membership: &Membership, control: &Control) -> Re
 
 /// The one place a control-plane message becomes DHT calls, for every
 /// backend (see [`handle`] for `legs`). A crash and a restart send
-/// nothing, so they report no legs. A wave that is invalid against this
-/// host's overlay and membership is refused ([`check_wave`]) and changes
-/// nothing.
+/// nothing, so they report no legs. A message this host cannot apply is
+/// refused ([`check_control`]) and changes nothing.
 fn handle_control<S: StoreService>(
     dht: &mut Dht<S::Value>,
     store: &S,
     control: Control,
     legs: Legs<'_>,
-) -> ResponseOf<S> {
-    if let Err(reason) = check_wave(dht.overlay(), dht.membership(), &control) {
-        return Response::Err(reason);
-    }
+) -> Result<ResponseOf<S>, String> {
+    check_control(dht, &control)?;
     let timed = legs.is_some();
     let volume = |value: <S::Value as Record>::Ref<'_>| store.migrate_volume(value);
-    match control {
+    Ok(match control {
         Control::Join { peers } => {
             let stats = dht.add_peers(peers.clone(), volume);
             if let Some(legs) = legs {
@@ -809,55 +846,43 @@ fn handle_control<S: StoreService>(
         }
         Control::Fail { peers } => Response::Lost(dht.fail_peers(&peers, volume)),
         Control::Restart { peers } => Response::Recovered(dht.restart_peers(&peers, volume)),
-        Control::Gossip { round } => match dht.gossip().map(|g| g.round()) {
-            None => Response::Err("gossip is not enabled".into()),
-            Some(local) if local != round => Response::Err(format!(
-                "gossip round mismatch: sender at {round}, this host at {local}"
-            )),
-            Some(_) => {
-                let mut probes: Vec<GossipProbe> = Vec::new();
-                let mut copies = Vec::new();
-                let outcome = dht.gossip_round(
-                    volume,
-                    |probe| {
-                        if timed {
-                            probes.push(probe);
-                        }
-                    },
-                    |key, copy, bytes| {
-                        if timed {
-                            copies.push((key, copy, bytes));
-                        }
-                    },
-                );
-                if let Some(legs) = legs {
-                    gossip_legs(dht.overlay().peers(), &probes, legs);
-                    // The repair the round may have triggered rides the
-                    // same wave.
-                    let mut leg = copy_leg(MsgKind::Repair, Some(legs));
-                    copies
-                        .into_iter()
-                        .for_each(|(key, copy, bytes)| leg(key, copy, bytes));
-                }
-                Response::Gossiped(outcome)
+        Control::Gossip { .. } => {
+            let mut probes: Vec<GossipProbe> = Vec::new();
+            let mut copies = Vec::new();
+            let outcome = dht.gossip_round(
+                volume,
+                |probe| {
+                    if timed {
+                        probes.push(probe);
+                    }
+                },
+                |key, copy, bytes| {
+                    if timed {
+                        copies.push((key, copy, bytes));
+                    }
+                },
+            );
+            if let Some(legs) = legs {
+                gossip_legs(dht.overlay().peers(), &probes, legs);
+                // The repair the round may have triggered rides the same
+                // wave.
+                let mut leg = copy_leg(MsgKind::Repair, Some(legs));
+                copies
+                    .into_iter()
+                    .for_each(|(key, copy, bytes)| leg(key, copy, bytes));
             }
-        },
+            Response::Gossiped(outcome)
+        }
         Control::HotConfig(hot) => {
             dht.set_hot_config(hot);
             Response::Done
         }
-        Control::EnableGossip { config, metering } => match config.check() {
-            Err(reason) => Response::Err(reason),
-            Ok(()) if config.fanout == 0 => {
-                Response::Err("enabling gossip needs fanout >= 1".into())
-            }
-            Ok(()) => {
-                dht.enable_gossip(config);
-                dht.set_gossip_metering(metering);
-                Response::Done
-            }
-        },
-    }
+        Control::EnableGossip { config, metering } => {
+            dht.enable_gossip(config);
+            dht.set_gossip_metering(metering);
+            Response::Done
+        }
+    })
 }
 
 /// A round's probes in canonical schedule order: a delivered exchange is
@@ -932,11 +957,11 @@ impl<S: StoreService> InProc<S> {
 }
 
 impl<S: StoreService> NetworkBackend<S> for InProc<S> {
-    fn call(&self, request: &RequestOf<S>) -> ResponseOf<S> {
+    fn call(&self, request: &RequestOf<S>) -> Result<ResponseOf<S>, String> {
         handle(&self.dht, &self.store, request, None)
     }
 
-    fn control(&mut self, control: Control) -> ResponseOf<S> {
+    fn control(&mut self, control: Control) -> Result<ResponseOf<S>, String> {
         handle_control(&mut self.dht, &self.store, control, None)
     }
 
@@ -1129,14 +1154,14 @@ impl<S: StoreService> SimNet<S> {
 }
 
 impl<S: StoreService> NetworkBackend<S> for SimNet<S> {
-    fn call(&self, request: &RequestOf<S>) -> ResponseOf<S> {
+    fn call(&self, request: &RequestOf<S>) -> Result<ResponseOf<S>, String> {
         let mut legs = Vec::new();
         let response = handle(&self.inner.dht, &self.inner.store, request, Some(&mut legs));
         self.charge(&legs);
         response
     }
 
-    fn control(&mut self, control: Control) -> ResponseOf<S> {
+    fn control(&mut self, control: Control) -> Result<ResponseOf<S>, String> {
         let mut legs = Vec::new();
         let inner = &mut self.inner;
         let response = handle_control(&mut inner.dht, &inner.store, control, Some(&mut legs));
@@ -1146,7 +1171,7 @@ impl<S: StoreService> NetworkBackend<S> for SimNet<S> {
         // advances by the replayed volume at link serialization speed, a
         // disk-as-fast-as-the-NIC stand-in until storage gets its own
         // rate model.
-        if let Response::Recovered(stats) = &response {
+        if let Ok(Response::Recovered(stats)) = &response {
             self.advance(stats.bytes_replayed * self.config.ns_per_byte);
         }
         response
@@ -1221,16 +1246,18 @@ mod tests {
         }
     }
 
-    // Every operation below is a message; these only unwrap the reply.
+    // Every operation below is a message; these only read the reply.
+
+    fn reply<R: Reply<Vec<u32>, u64>>(response: Result<ResponseOf<SetStore>, String>) -> R {
+        let response = response.expect("the message was accepted");
+        R::from_response(response).unwrap_or_else(|other| panic!("wrong response: {other:?}"))
+    }
 
     fn insert_batch(
         backend: &impl NetworkBackend<SetStore>,
         batches: Vec<(PeerId, Vec<Addressed<Vec<u32>>>)>,
-    ) -> Vec<(PeerId, Vec<bool>)> {
-        match backend.call(&Request::InsertBatch { batches }) {
-            Response::Inserted { acks } => acks,
-            other => panic!("wrong response: {other:?}"),
-        }
+    ) -> Vec<bool> {
+        reply(backend.call(&Request::InsertBatch { batches }))
     }
 
     fn lookup_many(
@@ -1240,50 +1267,34 @@ mod tests {
         keys: &[Addressed<()>],
     ) -> Vec<Option<Vec<u32>>> {
         let keys = keys.to_vec();
-        match backend.call(&Request::LookupMany {
+        reply(backend.call(&Request::LookupMany {
             from,
             query_id,
             keys,
-        }) {
-            Response::Found { results } => results,
-            other => panic!("wrong response: {other:?}"),
-        }
+        }))
     }
 
     fn notify(backend: &impl NetworkBackend<SetStore>, notes: &[Notification]) {
         let notes = notes.to_vec();
-        assert!(matches!(
-            backend.call(&Request::Notify { notes }),
-            Response::Notified
-        ));
+        reply(backend.call(&Request::Notify { notes }))
     }
 
     fn repair(backend: &impl NetworkBackend<SetStore>) -> RepairStats {
-        match backend.call(&Request::Repair) {
-            Response::Repaired(stats) => stats,
-            other => panic!("wrong response: {other:?}"),
-        }
+        reply(backend.call(&Request::Repair))
     }
 
     fn rebalance(backend: &impl NetworkBackend<SetStore>) -> HotStats {
-        match backend.call(&Request::Rebalance) {
-            Response::Rebalanced(stats) => stats,
-            other => panic!("wrong response: {other:?}"),
-        }
+        reply(backend.call(&Request::Rebalance))
     }
 
     fn migrate(backend: &mut impl NetworkBackend<SetStore>, peer: PeerId) -> MigrationStats {
-        match backend.control(Control::Join { peers: vec![peer] }) {
-            Response::Moved(mut stats) => stats.pop().expect("one join, one migration"),
-            other => panic!("wrong response: {other:?}"),
-        }
+        let mut stats: Vec<MigrationStats> =
+            reply(backend.control(Control::Join { peers: vec![peer] }));
+        stats.pop().expect("one join, one migration")
     }
 
     fn set_hot_config(backend: &mut impl NetworkBackend<SetStore>, hot: HotConfig) {
-        assert!(matches!(
-            backend.control(Control::HotConfig(hot)),
-            Response::Done
-        ));
+        reply(backend.control(Control::HotConfig(hot)))
     }
 
     fn overlay(n: u64) -> Box<PGrid> {
@@ -1322,9 +1333,9 @@ mod tests {
         // The same scenario through the typed RPC layer and through raw
         // Dht calls must produce identical storage and traffic.
         let backend = InProc::new(overlay(8), SetStore);
-        let acks = insert_batch(&backend, round());
-        assert_eq!(acks[0], (PeerId(0), vec![false, false]));
-        assert_eq!(acks[1].1, vec![true, false], "merge flag travels back");
+        let flags = insert_batch(&backend, round());
+        assert_eq!(flags[..2], [false, false]);
+        assert_eq!(flags[2..4], [true, false], "merge flag travels back");
         notify(
             &backend,
             &[Notification {
@@ -1335,7 +1346,7 @@ mod tests {
         );
         let results = lookup_many(&backend, PeerId(3), 0, &probes());
         assert!(
-            matches!(backend.call(&Request::Sweep(())), Response::Swept(3)),
+            matches!(backend.call(&Request::Sweep(())), Ok(Response::Swept(3))),
             "a sweep is answered by the store service over the host's stripes"
         );
 
@@ -1577,9 +1588,9 @@ mod tests {
     #[test]
     fn control_refuses_what_it_cannot_apply() {
         let mut backend = InProc::new(overlay(4), SetStore);
-        let refused = |response| match response {
-            Response::Err(reason) => reason,
-            other => panic!("expected a refusal, got {other:?}"),
+        let refused = |response: Result<ResponseOf<SetStore>, String>| match response {
+            Err(reason) => reason,
+            Ok(other) => panic!("expected a refusal, got {other:?}"),
         };
         // A gossip round before gossip is on.
         assert!(refused(backend.control(Control::Gossip { round: 0 })).contains("not enabled"));
@@ -1608,15 +1619,15 @@ mod tests {
             fanout: 1,
             ..GossipConfig::default()
         };
-        assert!(matches!(backend.control(enable(valid)), Response::Done));
+        assert!(matches!(backend.control(enable(valid)), Ok(Response::Done)));
         assert!(refused(backend.control(Control::Gossip { round: 5 })).contains("mismatch"));
         assert!(matches!(
             backend.control(Control::Gossip { round: 0 }),
-            Response::Gossiped(_)
+            Ok(Response::Gossiped(_))
         ));
         assert!(matches!(
             backend.control(Control::Gossip { round: 1 }),
-            Response::Gossiped(_)
+            Ok(Response::Gossiped(_))
         ));
         // Membership waves the `Dht` would assert on.
         let ids = |peers: &[u64]| peers.iter().map(|&p| PeerId(p)).collect::<Vec<_>>();
@@ -1630,14 +1641,17 @@ mod tests {
             assert!(refused(backend.control(wave)).contains("unknown peer 9"));
         }
         assert!(refused(backend.control(fail(&[0, 1, 2, 3]))).contains("no live peer"));
-        assert!(matches!(backend.control(fail(&[3])), Response::Lost(_)));
+        assert!(matches!(backend.control(fail(&[3])), Ok(Response::Lost(_))));
         for wave in [leave(&[3]), fail(&[3]), restart(&[3])] {
             assert!(refused(backend.control(wave)).contains("not live"));
         }
         assert!(refused(backend.control(leave(&[0, 1, 2]))).contains("no live peer"));
         assert_eq!(backend.dht().overlay().len(), 4, "refusals changed nothing");
         assert_eq!(backend.dht().membership().live_count(), 3);
-        assert!(matches!(backend.control(join(&[7])), Response::Moved(_)));
+        assert!(matches!(
+            backend.control(join(&[7])),
+            Ok(Response::Moved(_))
+        ));
     }
 
     /// A `StoreCodec` for the toy `Vec<u32>` values, so the RPC tests can
@@ -1662,12 +1676,9 @@ mod tests {
         let before = backend.snapshot();
         let expected = lookup_many(&backend, PeerId(3), 0, &probes());
 
-        let stats = match backend.control(Control::Restart {
+        let stats: RecoveryStats = reply(backend.control(Control::Restart {
             peers: vec![PeerId(0), PeerId(1)],
-        }) {
-            Response::Recovered(stats) => stats,
-            other => panic!("wrong response: {other:?}"),
-        };
+        }));
         assert!(stats.frames_replayed > 0, "the logs were not empty");
         assert_eq!(stats.copies_lost, 0, "synced state recovers fully");
         assert_eq!(stats.frames_discarded, 0);
@@ -1760,7 +1771,7 @@ mod tests {
             let owner = sim.dht().overlay().responsible(key);
             assert!(matches!(
                 sim.control(Control::Fail { peers: vec![owner] }),
-                Response::Lost(_)
+                Ok(Response::Lost(_))
             ));
             let probe = vec![Addressed {
                 route: key,

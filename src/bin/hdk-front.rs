@@ -23,7 +23,9 @@
 //! `GET /metrics` (Prometheus text). Prints `HTTP <addr>` once bound.
 //!
 //! A malformed `HDK_BACKEND` or `HDK_NET_TIMEOUT_MS` exits 2 with the
-//! usage, like a malformed argument.
+//! usage, like a malformed argument. A build during which any exchange
+//! with a peer process failed — a refused, unanswered or short reply, so
+//! some inserts may be missing — exits 1 instead of serving the index.
 
 use hdk_core::{
     net_timeout_from_env, spawn_http, BackendConfig, HdkConfig, HdkNetwork, OverlayKind,
@@ -93,6 +95,11 @@ fn main() {
         OverlayKind::PGrid,
         backend,
     );
+    let lost = network.query_service().transport_errors();
+    if lost > 0 {
+        eprintln!("hdk-front: {lost} exchanges with the peer processes failed during the build");
+        std::process::exit(1);
+    }
 
     let listener =
         TcpListener::bind(&http).unwrap_or_else(|e| panic!("hdk-front: cannot bind {http}: {e}"));

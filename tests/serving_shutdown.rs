@@ -8,7 +8,8 @@
 //! its pre-shutdown self — zero keys, copies, or postings lost.
 //!
 //! Also: both binaries refuse a malformed environment setting with exit
-//! code 2 and their usage, before any work.
+//! code 2 and their usage, before any work, and `hdk-front` refuses to
+//! serve a build that lost inserts with exit code 1.
 
 use hdk_core::{
     BackendConfig, HdkConfig, HdkNetwork, OverlayKind, QueryService, WireRequest, WireResponse,
@@ -16,8 +17,10 @@ use hdk_core::{
 use hdk_corpus::{partition_documents, Collection, CollectionGenerator, GeneratorConfig};
 use hdk_p2p::wire::{read_frame, write_frame};
 use hdk_p2p::PeerId;
-use std::net::TcpStream;
+use std::io::{BufReader, Read};
+use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 const NPROCS: usize = 3;
 const PEERS: usize = 6;
@@ -252,4 +255,65 @@ fn a_malformed_hdk_backend_exits_2_with_the_usage() {
 #[test]
 fn a_malformed_hdk_net_timeout_ms_exits_2_with_the_usage() {
     front_refuses("HDK_NET_TIMEOUT_MS", "5s");
+}
+
+/// A peer process that passes the handshake and the health probe but
+/// refuses every message. Its threads end with the test process.
+fn refusing_peer() -> String {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr().expect("bound").to_string();
+    std::thread::spawn(move || {
+        for stream in listener.incoming().flatten() {
+            std::thread::spawn(move || {
+                let mut stream = BufReader::new(stream);
+                while let Ok(payload) = read_frame(&mut stream) {
+                    let reply = match WireRequest::decode(&payload) {
+                        Ok(WireRequest::Hello { .. }) => WireResponse::HelloOk,
+                        Ok(WireRequest::Health) => WireResponse::Healthy { keys: 0 },
+                        _ => WireResponse::Err("refused".into()),
+                    };
+                    if write_frame(stream.get_mut(), &reply.encode()).is_err() {
+                        return;
+                    }
+                }
+            });
+        }
+    });
+    addr
+}
+
+#[test]
+fn a_front_end_whose_build_lost_inserts_exits_1() {
+    let mut front = Fleet(vec![Command::new(env!("CARGO_BIN_EXE_hdk-front"))
+        .args(["--http", "127.0.0.1:0", "--docs", "20", "--peers", "2"])
+        .env("HDK_BACKEND", format!("tcp:{}", refusing_peer()))
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn hdk-front")]);
+    let child = &mut front.0[0];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll hdk-front") {
+            break status;
+        }
+        assert!(Instant::now() < deadline, "hdk-front is still running");
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let (mut stdout, mut stderr) = (String::new(), String::new());
+    let pipes = (child.stdout.take(), child.stderr.take());
+    pipes
+        .0
+        .expect("piped")
+        .read_to_string(&mut stdout)
+        .expect("stdout");
+    pipes
+        .1
+        .expect("piped")
+        .read_to_string(&mut stderr)
+        .expect("stderr");
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("failed during the build"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stdout.is_empty(), "it served the index: {stdout}");
 }
